@@ -1,25 +1,15 @@
-//! **Exchange fast-path trajectory bench**: runs a fixed
-//! engine × algorithm × scale matrix over RMAT graphs and emits
-//! `BENCH_exchange.json` — wall time, simulated time, wire bytes/items,
-//! sender-side combining counters, and buffer-pool hit rates — so the repo
-//! carries a perf baseline the next optimisation PR can diff against.
+//! **Wire-path comparison benches** over a fixed engine × algorithm ×
+//! R-MAT-scale matrix on 4 machines. One of three modes must be chosen
+//! (end-to-end and per-layer numbers, `items_combined_frac` included, are
+//! `lazybench`'s job):
 //!
-//! Also runs the fast-vs-naive equivalence check inline: the combined +
-//! pooled + parallel-routed path must produce bitwise-identical vertex
-//! values to the naive serial path (the determinism contract), and on
-//! PageRank/RMAT/4-machines the combining counters must show ≥20% of wire
-//! items folded away.
-//!
-//! Regenerate: `cargo run -p lazygraph-bench --release --bin bench_exchange`
-//! CI smoke:   `cargo run -p lazygraph-bench --release --bin bench_exchange -- --quick`
-//!
-//! `--pipeline-compare` switches to the pipelined-coherency comparison
+//! `--pipeline-compare` is the pipelined-coherency comparison
 //! (DESIGN.md §11): the framed-TCP 4-machine matrix, serialized vs
 //! `--pipeline`, repeated and min-reduced, emitting `BENCH_pipeline.json`
 //! with the overlap counters. The full run asserts ≥10% wall-clock
 //! improvement on at least one PageRank cell with `overlap_ms > 0`.
 //!
-//! `--skew-compare` switches to the skew comparison (DESIGN.md §16):
+//! `--skew-compare` is the skew comparison (DESIGN.md §16):
 //! high-skew R-MAT (a=0.7) under the adversarial all-hubs-on-machine-0
 //! placement, static baseline vs hub fan-out vs live migration vs both,
 //! emitting `BENCH_skew.json` with load-ratio and migration counters. The
@@ -27,7 +17,7 @@
 //! traversed-edge load ratio by ≥25%, that migration alone moves vertices
 //! and improves the ratio, and that Migrate frames cross a real socket.
 //!
-//! `--engine delta` switches to the delta-accumulative comparison
+//! `--engine delta` is the delta-accumulative comparison
 //! (DESIGN.md §15): DeltaAccum vs LazyVertexAsync on the same
 //! PageRank/SSSP × R-MAT × 4-machine matrix, emitting `BENCH_delta.json`
 //! with applies, wire traffic, and the scheduler counters. The full run
@@ -47,55 +37,6 @@ use lazygraph_engine::{
 use lazygraph_graph::generators::{rmat, RmatConfig};
 use lazygraph_graph::{Graph, GraphBuilder};
 use lazygraph_partition::{HubFanoutConfig, PartitionStrategy};
-
-/// One measured cell of the matrix.
-///
-/// Byte columns live on two scales that must never be compared: `est_bytes`
-/// is the cost-model estimate every transport records (`size_of`-based, what
-/// the paper's Fig. 11 plots), while `wire_bytes` is the measured framed-TCP
-/// byte count — zero on the in-proc transport, which ships no frames.
-struct Cell {
-    engine: &'static str,
-    algorithm: &'static str,
-    transport: &'static str,
-    rmat_scale: u32,
-    vertices: usize,
-    edges: usize,
-    wall_ms: f64,
-    sim_time: f64,
-    est_bytes: u64,
-    wire_bytes: u64,
-    wire_items: u64,
-    items_combined: u64,
-    bytes_saved: u64,
-    pool_hits: u64,
-    pool_misses: u64,
-    zero_copy_frames: u64,
-    fold_runs: u64,
-    adaptive_part_items: u64,
-}
-
-impl Cell {
-    /// Fraction of would-be wire items folded away before shipping.
-    fn combined_frac(&self) -> f64 {
-        let total = self.items_combined + self.wire_items;
-        if total == 0 {
-            0.0
-        } else {
-            self.items_combined as f64 / total as f64
-        }
-    }
-}
-
-/// One fast-vs-naive equivalence verdict.
-struct Equivalence {
-    engine: &'static str,
-    algorithm: &'static str,
-    bitwise_identical: bool,
-    fast_wire_items: u64,
-    naive_wire_items: u64,
-    items_combined: u64,
-}
 
 const MACHINES: usize = 4;
 
@@ -152,171 +93,22 @@ fn build_graph(scale_exp: u32) -> Graph {
     b.build()
 }
 
-fn cfg(engine: EngineKind, fast: bool, transport: TransportKind) -> EngineConfig {
+fn cfg(engine: EngineKind, transport: TransportKind) -> EngineConfig {
     EngineConfig::lazygraph()
         .with_engine(engine)
-        .with_exchange_fast(fast)
         .with_transport(transport)
 }
 
 fn measure<P: VertexProgram>(
     g: &Graph,
     engine: EngineKind,
-    fast: bool,
     transport: TransportKind,
     program: &P,
 ) -> (Vec<P::VData>, RunMetrics, f64) {
     let started = Instant::now();
-    let r = run(g, MACHINES, &cfg(engine, fast, transport), program).expect("cluster run");
+    let r = run(g, MACHINES, &cfg(engine, transport), program).expect("cluster run");
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     (r.values, r.metrics, wall_ms)
-}
-
-fn cell<P: VertexProgram>(
-    g: &Graph,
-    scale_exp: u32,
-    engine: EngineKind,
-    transport: TransportKind,
-    algorithm: &'static str,
-    program: &P,
-) -> Cell {
-    let (_, m, wall_ms) = measure(g, engine, true, transport, program);
-    eprintln!(
-        "  {} / {} / {} / rmat{}: wall {:.1}ms, {} wire items, {} combined ({:.1}%), est {} B, framed {} B",
-        engine.name(),
-        transport.name(),
-        algorithm,
-        scale_exp,
-        wall_ms,
-        m.stats.total_items(),
-        m.stats.items_combined,
-        100.0 * m.stats.items_combined as f64
-            / (m.stats.items_combined + m.stats.total_items()).max(1) as f64,
-        m.stats.total_est_bytes(),
-        m.stats.wire_bytes_sent,
-    );
-    Cell {
-        engine: engine.name(),
-        algorithm,
-        transport: transport.name(),
-        rmat_scale: scale_exp,
-        vertices: g.num_vertices(),
-        edges: g.num_edges(),
-        wall_ms,
-        sim_time: m.sim_time,
-        est_bytes: m.stats.total_est_bytes(),
-        wire_bytes: m.stats.wire_bytes_sent,
-        wire_items: m.stats.total_items(),
-        items_combined: m.stats.items_combined,
-        bytes_saved: m.stats.bytes_saved,
-        pool_hits: m.stats.pool_hits,
-        pool_misses: m.stats.pool_misses,
-        zero_copy_frames: m.stats.zero_copy_frames,
-        fold_runs: m.stats.fold_runs,
-        adaptive_part_items: m.stats.adaptive_part_items,
-    }
-}
-
-/// Fast vs naive on the gated engines: values must agree bitwise (`{:?}`
-/// on finite floats round-trips, so string equality is bitwise equality).
-fn equivalence<P: VertexProgram>(
-    g: &Graph,
-    engine: EngineKind,
-    algorithm: &'static str,
-    program: &P,
-) -> Equivalence {
-    let (fast_values, fast_m, _) = measure(g, engine, true, TransportKind::InProc, program);
-    let (naive_values, naive_m, _) = measure(g, engine, false, TransportKind::InProc, program);
-    let identical = format!("{fast_values:?}") == format!("{naive_values:?}");
-    assert!(
-        identical,
-        "{} / {}: fast path diverged from naive path",
-        engine.name(),
-        algorithm
-    );
-    Equivalence {
-        engine: engine.name(),
-        algorithm,
-        bitwise_identical: identical,
-        fast_wire_items: fast_m.stats.total_items(),
-        naive_wire_items: naive_m.stats.total_items(),
-        items_combined: fast_m.stats.items_combined,
-    }
-}
-
-fn emit_json(quick: bool, scales: &[u32], cells: &[Cell], equiv: &[Equivalence]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"exchange\",");
-    let _ = writeln!(s, "  \"machines\": {MACHINES},");
-    let _ = writeln!(s, "  \"quick\": {quick},");
-    let _ = writeln!(s, "  \"host_parallelism\": {},", host_parallelism());
-    let _ = writeln!(s, "  \"git_rev\": \"{}\",", git_rev());
-    let _ = writeln!(
-        s,
-        "  \"rmat_scales\": [{}],",
-        scales
-            .iter()
-            .map(|x| x.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"engine\": \"{}\", \"algorithm\": \"{}\", \"transport\": \"{}\", \
-             \"rmat_scale\": {}, \
-             \"vertices\": {}, \"edges\": {}, \"wall_ms\": {:.3}, \"sim_time\": {:.9}, \
-             \"est_bytes\": {}, \"wire_bytes\": {}, \"wire_items\": {}, \"items_combined\": {}, \
-             \"bytes_saved\": {}, \"pool_hits\": {}, \"pool_misses\": {}, \
-             \"zero_copy_frames\": {}, \"fold_runs\": {}, \"adaptive_part_items\": {}, \
-             \"combined_frac\": {:.4}}}{}",
-            c.engine,
-            c.algorithm,
-            c.transport,
-            c.rmat_scale,
-            c.vertices,
-            c.edges,
-            c.wall_ms,
-            c.sim_time,
-            c.est_bytes,
-            c.wire_bytes,
-            c.wire_items,
-            c.items_combined,
-            c.bytes_saved,
-            c.pool_hits,
-            c.pool_misses,
-            c.zero_copy_frames,
-            c.fold_runs,
-            c.adaptive_part_items,
-            c.combined_frac(),
-            if i + 1 == cells.len() { "" } else { "," }
-        );
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"equivalence\": [\n");
-    for (i, e) in equiv.iter().enumerate() {
-        let combined_frac = e.items_combined as f64
-            / (e.items_combined + e.fast_wire_items).max(1) as f64;
-        let _ = writeln!(
-            s,
-            "    {{\"engine\": \"{}\", \"algorithm\": \"{}\", \"bitwise_identical\": {}, \
-             \"fast_wire_items\": {}, \"naive_wire_items\": {}, \"items_combined\": {}, \
-             \"combined_frac\": {:.4}}}{}",
-            e.engine,
-            e.algorithm,
-            e.bitwise_identical,
-            e.fast_wire_items,
-            e.naive_wire_items,
-            e.items_combined,
-            combined_frac,
-            if i + 1 == equiv.len() { "" } else { "," }
-        );
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
 }
 
 /// Runs one pipeline-comparison cell: `reps` serialized runs vs `reps`
@@ -330,7 +122,7 @@ fn pipeline_cell<P: VertexProgram>(
     reps: usize,
     program: &P,
 ) -> PipelineCell {
-    let serial_cfg = cfg(engine, true, TransportKind::Tcp);
+    let serial_cfg = cfg(engine, TransportKind::Tcp);
     let piped_cfg = serial_cfg.clone().with_pipeline(true);
     let mut serial_wall = f64::INFINITY;
     let mut piped_wall = f64::INFINITY;
@@ -480,7 +272,7 @@ fn delta_cell<P: VertexProgram>(
     algorithm: &'static str,
     program: &P,
 ) -> DeltaCell {
-    let (_, m, wall_ms) = measure(g, engine, true, transport, program);
+    let (_, m, wall_ms) = measure(g, engine, transport, program);
     eprintln!(
         "  {} / {} / {} / rmat{}: wall {:.1}ms, {} applies, {} wire items, \
          {} skipped, {} epochs, high-water {}",
@@ -774,9 +566,7 @@ fn skew_variants() -> [(&'static str, HubFanoutConfig, RebalanceConfig); 4] {
 fn skew_cell<P: VertexProgram>(
     g: &Graph,
     scale_exp: u32,
-    variant: &'static str,
-    hub_fanout: HubFanoutConfig,
-    rebalance: RebalanceConfig,
+    (variant, hub_fanout, rebalance): (&'static str, HubFanoutConfig, RebalanceConfig),
     transport: TransportKind,
     algorithm: &'static str,
     program: &P,
@@ -891,24 +681,18 @@ fn run_skew_compare(quick: bool, out: &str) {
         b.symmetrize();
         b.randomize_weights(1.0, 9.0, 5);
         let g = b.build();
-        for (variant, hub_fanout, rebalance) in skew_variants() {
+        let variants = skew_variants();
+        for variant in variants {
             let t = TransportKind::InProc;
-            cells.push(skew_cell(
-                &g, scale_exp, variant, hub_fanout, rebalance, t, "pagerank",
-                &PageRankDelta::default(),
-            ));
-            cells.push(skew_cell(
-                &g, scale_exp, variant, hub_fanout, rebalance, t, "sssp", &Sssp::new(0u32),
-            ));
+            cells.push(skew_cell(&g, scale_exp, variant, t, "pagerank", &PageRankDelta::default()));
+            cells.push(skew_cell(&g, scale_exp, variant, t, "sssp", &Sssp::new(0u32)));
         }
         // One framed-TCP migration cell per scale: proves the Migrate
         // frames actually cross a socket under their own frame kind.
         cells.push(skew_cell(
             &g,
             scale_exp,
-            "migration",
-            HubFanoutConfig::default(),
-            RebalanceConfig::enabled(2, 1200, 64),
+            variants[2], // "migration"
             TransportKind::Tcp,
             "pagerank",
             &PageRankDelta::default(),
@@ -1030,92 +814,5 @@ fn main() {
         let out = out.unwrap_or_else(|| "BENCH_pipeline.json".to_string());
         return run_pipeline_compare(quick, pin, &out);
     }
-    let out = out.unwrap_or_else(|| "BENCH_exchange.json".to_string());
-    let scales: Vec<u32> = if quick { vec![8] } else { vec![10, 12] };
-    eprintln!(
-        "exchange bench: {} machines, rmat scales {:?}{}",
-        MACHINES,
-        scales,
-        if quick { " (quick)" } else { "" }
-    );
-
-    let engines = [
-        EngineKind::PowerGraphSync,
-        EngineKind::LazyBlockAsync,
-        EngineKind::LazyVertexAsync,
-    ];
-    let mut cells = Vec::new();
-    for &scale_exp in &scales {
-        let g = build_graph(scale_exp);
-        for engine in engines {
-            let t = TransportKind::InProc;
-            cells.push(cell(&g, scale_exp, engine, t, "pagerank", &PageRankDelta::default()));
-            cells.push(cell(&g, scale_exp, engine, t, "sssp", &Sssp::new(0u32)));
-        }
-        // One framed-TCP cell per scale: the same run over loopback
-        // sockets, so the report carries measured frame bytes next to the
-        // cost-model estimates (the two byte scales of DESIGN.md §10).
-        cells.push(cell(
-            &g,
-            scale_exp,
-            EngineKind::LazyBlockAsync,
-            TransportKind::Tcp,
-            "pagerank",
-            &PageRankDelta::default(),
-        ));
-    }
-    // The two byte scales must stay distinguishable: framed TCP carries
-    // per-frame headers and encoded payloads, in-proc ships no frames.
-    let tcp_head = cells
-        .iter()
-        .find(|c| c.transport == "tcp")
-        .expect("matrix always contains a tcp cell");
-    assert!(tcp_head.wire_bytes > 0, "tcp run must measure frame bytes");
-    assert_ne!(
-        tcp_head.wire_bytes, tcp_head.est_bytes,
-        "measured frame bytes and cost-model estimates are different scales"
-    );
-    let inproc_head = cells
-        .iter()
-        .find(|c| c.transport == "inproc" && c.engine == tcp_head.engine)
-        .expect("matrix always contains the matching inproc cell");
-    assert_eq!(
-        inproc_head.wire_bytes, 0,
-        "in-proc transport ships no frames"
-    );
-    assert_eq!(
-        inproc_head.est_bytes, tcp_head.est_bytes,
-        "estimates are transport-independent"
-    );
-
-    // Equivalence: only the gated engines have a naive path to compare.
-    eprintln!("equivalence: fast vs naive on the gated engines");
-    let equiv_g = build_graph(*scales.last().expect("non-empty scales"));
-    let mut equiv = Vec::new();
-    for engine in [EngineKind::PowerGraphSync, EngineKind::LazyBlockAsync] {
-        equiv.push(equivalence(&equiv_g, engine, "pagerank", &PageRankDelta::default()));
-        equiv.push(equivalence(&equiv_g, engine, "sssp", &Sssp::new(0u32)));
-    }
-
-    // Acceptance: the lazy engine's PageRank run must fold ≥20% of its
-    // would-be wire items (quick graphs are too small to owe the bar).
-    let headline = cells
-        .iter()
-        .find(|c| c.engine == "lazy-block-async" && c.algorithm == "pagerank")
-        .expect("matrix always contains the headline cell");
-    eprintln!(
-        "headline: lazy-block-async/pagerank combined {:.1}% of wire items",
-        100.0 * headline.combined_frac()
-    );
-    if !quick {
-        assert!(
-            headline.combined_frac() >= 0.20,
-            "fast path folded only {:.1}% of wire items on PageRank/RMAT/4 machines",
-            100.0 * headline.combined_frac()
-        );
-    }
-
-    let json = emit_json(quick, &scales, &cells, &equiv);
-    std::fs::write(&out, &json).expect("write bench json");
-    eprintln!("wrote {out}");
+    panic!("choose a mode: --pipeline-compare, --skew-compare or --engine delta");
 }

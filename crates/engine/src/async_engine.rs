@@ -15,84 +15,53 @@
 use std::sync::Arc;
 
 use lazygraph_cluster::{
-    build_endpoints, CommError, CostModel, Endpoint, NetStats, OutboxSet, Phase, SimClock,
-    Termination, TransportKind,
+    build_endpoints, CommError, Endpoint, NetStats, OutboxSet, Phase, SimClock, Termination,
 };
 use lazygraph_partition::{DistributedGraph, LocalShard};
 
-use crate::parallel::{ParallelConfig, ParallelCtx};
+use crate::config::EngineConfig;
+use crate::lazy_block::LazyCounters;
+use crate::machine::{assemble, EngineOutcome, MachineOut};
+use crate::parallel::ParallelCtx;
 use crate::program::{EdgeCtx, VertexProgram};
 use crate::state::{vertex_ctx, InitMessages, MachineState};
 use crate::sync_engine::SyncMsg;
 
-struct MachineOut<P: VertexProgram> {
-    masters: Vec<(u32, P::VData)>,
-    sim_time: f64,
-}
-
-/// Runs the Async engine to quiescence. Returns final master values and the
-/// simulated makespan.
+/// Runs the Async engine to quiescence (no supersteps, so the outcome
+/// reports 0 iterations and always converges).
 pub fn run_async_engine<P: VertexProgram>(
     dg: &DistributedGraph,
     program: &P,
-    cost: CostModel,
-    par: ParallelConfig,
-    transport: TransportKind,
+    cfg: &EngineConfig,
     stats: Arc<NetStats>,
-) -> Result<(Vec<P::VData>, f64), CommError> {
+) -> Result<EngineOutcome<P::VData>, CommError> {
     let p = dg.num_machines;
-    let endpoints = build_endpoints::<(u32, SyncMsg<P>)>(transport, p, &stats)?;
-    let term = Arc::new(Termination::new(p));
+    let endpoints = build_endpoints::<(u32, SyncMsg<P>)>(cfg.transport, p, &stats)?;
+    let term = Termination::new(p);
     #[allow(clippy::type_complexity)]
     let workers: Vec<(&LocalShard, Endpoint<(u32, SyncMsg<P>)>)> =
         dg.shards.iter().zip(endpoints).collect();
-    let num_vertices = dg.num_global_vertices;
     let outs = lazygraph_cluster::try_run_machines(workers, |(shard, ep)| {
-        machine_loop(
-            shard,
-            ep,
-            program,
-            num_vertices,
-            cost,
-            par,
-            term.clone(),
-            stats.clone(),
-        )
+        machine_loop(dg, shard, ep, program, cfg, &term, &stats)
     })?;
-    let sim_time = outs.iter().map(|o| o.sim_time).fold(0.0, f64::max);
-    let mut values: Vec<Option<P::VData>> = vec![None; num_vertices];
-    for out in outs {
-        for (gid, v) in out.masters {
-            values[gid as usize] = Some(v);
-        }
-    }
-    let values = values
-        .into_iter()
-        .enumerate()
-// lazylint: allow(no-panic) -- every vertex has exactly one master by
-        // partition construction; a gap here is an assembler bug
-        .map(|(gid, v)| v.unwrap_or_else(|| panic!("vertex {gid} has no master value")))
-        .collect();
-    Ok((values, sim_time))
+    Ok(assemble(outs, dg.num_global_vertices))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn machine_loop<P: VertexProgram>(
+    dg: &DistributedGraph,
     shard: &LocalShard,
     mut ep: Endpoint<(u32, SyncMsg<P>)>,
     program: &P,
-    num_vertices: usize,
-    cost: CostModel,
-    par: ParallelConfig,
-    term: Arc<Termination>,
-    stats: Arc<NetStats>,
+    cfg: &EngineConfig,
+    term: &Termination,
+    stats: &NetStats,
 ) -> Result<MachineOut<P>, CommError> {
+    let (num_vertices, cost) = (dg.num_global_vertices, cfg.cost);
     let n = ep.num_machines();
-    let pctx = ParallelCtx::new(par);
+    let pctx = ParallelCtx::new(cfg.parallel(dg.num_machines));
     let mut clock = SimClock::new();
     let mut state: MachineState<P> =
         MachineState::init(shard, program, InitMessages::MastersOnly, num_vertices);
-    let _delta_bytes = program.delta_bytes();
     let update_bytes = program.vdata_bytes() + std::mem::size_of::<P::Delta>();
     let mut scatter_tasks: Vec<(u32, P::Delta)> = Vec::new();
     let mut idle = false;
@@ -276,7 +245,7 @@ fn machine_loop<P: VertexProgram>(
                 }
                 term.note_sent(1);
                 clock.advance(cost.async_send_cpu);
-                ep.send_staged(&mut outboxes, dst, clock.now(), Phase::Async, update_bytes, &stats)?;
+                ep.send_staged(&mut outboxes, dst, clock.now(), Phase::Async, update_bytes, stats)?;
             }
         }
 
@@ -294,12 +263,6 @@ fn machine_loop<P: VertexProgram>(
         }
     }
 
-    let masters = (0..shard.num_local() as u32)
-        .filter(|&l| shard.is_master[l as usize])
-        .map(|l| (shard.global_of(l).0, state.vdata[l as usize].clone()))
-        .collect();
-    Ok(MachineOut {
-        masters,
-        sim_time: clock.now(),
-    })
+    let counters = LazyCounters::default();
+    Ok(MachineOut::collect(shard, &state, 0, true, clock.now(), counters))
 }

@@ -30,11 +30,12 @@
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use lazygraph_cluster::{Collective, CommError, Endpoint, NetStats, SimClock};
+use lazygraph_cluster::CommError;
 use lazygraph_net::{NetError, Wire, WireReader};
 
-use crate::comm_mode::CommMode;
+use crate::config::EngineKind;
 use crate::lazy_block::LazyCounters;
+use crate::machine::Frame;
 use crate::program::VertexProgram;
 use crate::rebalance::StructMigration;
 use crate::state::MachineState;
@@ -84,6 +85,14 @@ pub enum CheckpointError {
     },
     /// The reassembled payload is not a valid snapshot encoding.
     Decode(NetError),
+    /// The snapshot was taken by a different engine than the one resuming
+    /// from it.
+    WrongEngine {
+        /// The snapshot's engine tag.
+        found: u8,
+        /// The engine that tried to resume.
+        resuming: &'static str,
+    },
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -96,6 +105,9 @@ impl std::fmt::Display for CheckpointError {
                 write!(f, "checkpoint chunk {chunk} checksum mismatch")
             }
             CheckpointError::Decode(e) => write!(f, "checkpoint payload decode: {e}"),
+            CheckpointError::WrongEngine { found, resuming } => {
+                write!(f, "snapshot engine tag {found} is not a {resuming} snapshot")
+            }
         }
     }
 }
@@ -188,6 +200,20 @@ pub fn decode_container(bytes: &[u8]) -> Result<Vec<u8>, CheckpointError> {
     Ok(payload)
 }
 
+/// The engine tag a snapshot carries — the one `EngineKind` → tag mapping.
+/// `None` for the engines that cannot checkpoint (they terminate through
+/// shared memory and never run on the mesh skeleton).
+pub fn snapshot_tag(kind: EngineKind) -> Option<u8> {
+    match kind {
+        EngineKind::PowerGraphSync => Some(0),
+        EngineKind::LazyBlockAsync => Some(1),
+        EngineKind::DeltaAccum => Some(2),
+        EngineKind::PowerGraphAsync
+        | EngineKind::LazyVertexAsync
+        | EngineKind::PowerSwitchHybrid => None,
+    }
+}
+
 /// Extra cross-iteration state of the LazyBlockAsync engine (absent for
 /// the Sync engine, whose loop carries nothing beyond [`MachineState`]).
 #[derive(Clone, Debug, PartialEq)]
@@ -266,12 +292,22 @@ impl Wire for DeltaResume {
     }
 }
 
+/// What an engine adds to a snapshot beside `MachineState`
+/// ([`Superstep::resume_extras`](crate::machine::Superstep::resume_extras)).
+#[derive(Clone, Debug, Default)]
+pub struct ResumeExtras {
+    pub lazy: Option<LazyResume>,
+    pub delta: Option<DeltaResume>,
+    pub migrations: Vec<StructMigration>,
+}
+
 /// One machine's complete resumable state at a checkpoint boundary (the
 /// bottom of a superstep, after its last exchange and collective).
 #[derive(Clone, Debug)]
 pub struct EngineSnapshot<P: VertexProgram> {
-    /// Engine tag: 0 = Sync, 1 = LazyBlock (a rejoining worker must load
-    /// a snapshot of the engine it is running).
+    /// Engine tag ([`snapshot_tag`]): 0 = Sync, 1 = LazyBlock,
+    /// 2 = DeltaAccum. A machine only resumes from a snapshot of the
+    /// engine it is running ([`Self::check_engine`]).
     pub engine: u8,
     /// Supersteps completed when the snapshot was taken.
     pub iterations: u64,
@@ -371,9 +407,20 @@ impl<P: VertexProgram> Wire for EngineSnapshot<P> {
 }
 
 impl<P: VertexProgram> EngineSnapshot<P> {
+    /// Fails unless this snapshot was taken by engine `kind`.
+    pub fn check_engine(&self, kind: EngineKind) -> Result<(), CheckpointError> {
+        if snapshot_tag(kind) == Some(self.engine) {
+            Ok(())
+        } else {
+            Err(CheckpointError::WrongEngine {
+                found: self.engine,
+                resuming: kind.name(),
+            })
+        }
+    }
+
     /// Captures the state arrays from `state` (scratch pools excluded —
     /// they are allocation caches, not state).
-    #[allow(clippy::too_many_arguments)]
     pub fn capture(
         engine: u8,
         iterations: u64,
@@ -381,9 +428,7 @@ impl<P: VertexProgram> EngineSnapshot<P> {
         data_round: u64,
         ctrl_round: u64,
         state: &MachineState<P>,
-        lazy: Option<LazyResume>,
-        delta: Option<DeltaResume>,
-        migrations: Vec<StructMigration>,
+        extras: ResumeExtras,
     ) -> Self {
         EngineSnapshot {
             engine,
@@ -398,9 +443,9 @@ impl<P: VertexProgram> EngineSnapshot<P> {
             active: state.active.clone(),
             queue: state.queue.clone(),
             part_items: state.part_items,
-            lazy,
-            delta,
-            migrations,
+            lazy: extras.lazy,
+            delta: extras.delta,
+            migrations: extras.migrations,
         }
     }
 
@@ -509,11 +554,7 @@ impl SnapshotStore {
                 Ok(snap) => return Ok(Some(snap)),
                 // A torn newest generation is exactly what the retained
                 // predecessor is for.
-                Err(CheckpointError::Io { .. }) => continue,
-                Err(CheckpointError::BadHeader { .. })
-                | Err(CheckpointError::Truncated { .. })
-                | Err(CheckpointError::ChecksumMismatch { .. })
-                | Err(CheckpointError::Decode(_)) => continue,
+                Err(_) => continue,
             }
         }
         Ok(None)
@@ -549,7 +590,8 @@ impl<P: VertexProgram> RecoveryCfg<P> {
     }
 }
 
-/// Takes one checkpoint at a superstep boundary.
+/// Takes one checkpoint at a superstep boundary (the skeleton's only
+/// caller has already checked the cadence).
 ///
 /// Ordering is load-bearing (DESIGN.md §12): the two replay watermarks are
 /// captured *before* the barrier — `data_round` is the round this machine
@@ -560,80 +602,36 @@ impl<P: VertexProgram> RecoveryCfg<P> {
 /// the logs a rejoiner would replay from; it charges no simulated time, so
 /// checkpointed and checkpoint-free oracle runs report identical
 /// `sim_time` when both use the same cadence.
-#[allow(clippy::too_many_arguments)]
-pub fn checkpoint_at_barrier<P: VertexProgram, T>(
-    ep: &Endpoint<T>,
-    coll: &Collective,
-    me: usize,
-    stats: &NetStats,
-    cfg: &RecoveryCfg<P>,
-    engine: u8,
-    iterations: u64,
-    clock: &SimClock,
-    state: &MachineState<P>,
-    lazy: Option<LazyResume>,
-    delta: Option<DeltaResume>,
-    migrations: &[StructMigration],
+pub fn checkpoint_at_barrier<P: VertexProgram, M>(
+    f: &Frame<'_, P, M>,
+    store: &SnapshotStore,
+    engine: EngineKind,
+    extras: ResumeExtras,
 ) -> Result<(), CommError> {
-    let Some(store) = cfg.store.as_ref() else {
-        return Ok(());
+    let fail = |what: &str, e: &dyn std::fmt::Display| CommError::Transport {
+        me: f.me,
+        detail: format!("checkpoint {what}: {e}"),
     };
-    let data_round = ep.next_round();
+    let tag = snapshot_tag(engine)
+        .ok_or_else(|| fail("refused", &format_args!("{} has no snapshot tag", engine.name())))?;
+    let coll = &f.bsp.coll;
+    let data_round = f.port.ep.next_round();
     let ctrl_round = coll.next_round();
     let snap = EngineSnapshot::capture(
-        engine,
-        iterations,
-        clock.now(),
+        tag,
+        f.iterations,
+        f.clock.now(),
         data_round,
         ctrl_round,
-        state,
-        lazy,
-        delta,
-        migrations.to_vec(),
+        &f.state,
+        extras,
     );
-    let bytes = store.save(&snap).map_err(|e| CommError::Transport {
-        me,
-        detail: format!("checkpoint save: {e}"),
-    })?;
-    stats.record_snapshot_bytes(bytes);
-    coll.barrier(me, stats)?;
-    ep.prune_log(data_round);
+    let bytes = store.save(&snap).map_err(|e| fail("save", &e))?;
+    f.stats.record_snapshot_bytes(bytes);
+    coll.barrier(f.me, &f.stats)?;
+    f.port.ep.prune_log(data_round);
     coll.prune_log(ctrl_round);
     Ok(())
-}
-
-/// Rehydrates an [`IntervalModel`](crate::interval::IntervalModel) state
-/// tuple from a [`LazyResume`].
-pub fn interval_state(l: &LazyResume) -> (Option<u64>, f64, u64) {
-    (
-        l.prev_active,
-        f64::from_bits(l.last_trend_bits),
-        l.iterations_seen,
-    )
-}
-
-/// Packs the lazy engine's cross-iteration scalars into a [`LazyResume`].
-#[allow(clippy::too_many_arguments)]
-pub fn lazy_resume(
-    counters: LazyCounters,
-    interval: (Option<u64>, f64, u64),
-    do_local: bool,
-    first_stage_time: Option<f64>,
-    next_mode: CommMode,
-    pending_migration: Option<(u32, u32, u64)>,
-    load_accum: u64,
-) -> LazyResume {
-    LazyResume {
-        counters,
-        prev_active: interval.0,
-        last_trend_bits: interval.1.to_bits(),
-        iterations_seen: interval.2,
-        do_local,
-        first_stage_bits: first_stage_time.map(f64::to_bits),
-        next_mode_m2m: next_mode == CommMode::MirrorsToMaster,
-        pending_migration,
-        load_accum,
-    }
 }
 
 #[cfg(test)]

@@ -2,8 +2,10 @@
 //! graph-aware optimisations (§4.2).
 
 use lazygraph_cluster::{CostModel, TransportKind};
+use lazygraph_net::{NetError, Wire, WireReader};
 use lazygraph_partition::{HubFanoutConfig, PartitionStrategy, SplitterConfig};
 
+use crate::parallel::ParallelConfig;
 use crate::rebalance::RebalanceConfig;
 
 /// The execution engines.
@@ -122,17 +124,11 @@ pub struct EngineConfig {
     /// Vertices per work block handed to the machine-local pool. Also
     /// never changes results; tune for load balance vs dispatch overhead.
     pub block_size: usize,
-    /// Use the zero-allocation exchange fast path (sender-side `⊕`
-    /// combining + block-parallel inbound routing; DESIGN.md §9). Bitwise
-    /// result-identical to the naive path — the `false` setting exists
-    /// for the equivalence tests and as a diagnostics escape hatch.
-    pub exchange_fast: bool,
     /// Pipeline coherency exchanges (DESIGN.md §11): stream staged outbox
     /// parts to the transport as staging fills them and drain arriving
     /// batches concurrently with compute, deferring only the ⊕-commit to
-    /// the barrier. Requires `exchange_fast` (ignored without it); bitwise
-    /// result-identical to the serialized exchange. Off by default — the
-    /// serialized path is the reference oracle.
+    /// the barrier. Bitwise result-identical to the serialized exchange.
+    /// Off by default — the serialized path is the reference oracle.
     pub pipeline: bool,
     /// Adapt the pipelined exchange's part size per superstep from the
     /// measured send-wait / overlap balance (DESIGN.md §14). Only
@@ -187,7 +183,6 @@ impl EngineConfig {
             hybrid_switch_threshold: 0.05,
             threads_per_machine: 0,
             block_size: DEFAULT_BLOCK_SIZE,
-            exchange_fast: true,
             pipeline: false,
             adaptive_parts: true,
             delta_buckets: DEFAULT_DELTA_BUCKETS,
@@ -293,13 +288,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style override of the exchange fast path (see
-    /// [`Self::exchange_fast`]).
-    pub fn with_exchange_fast(mut self, fast: bool) -> Self {
-        self.exchange_fast = fast;
-        self
-    }
-
     /// Builder-style override of the pipelined coherency exchange (see
     /// [`Self::pipeline`]).
     pub fn with_pipeline(mut self, pipeline: bool) -> Self {
@@ -370,6 +358,224 @@ impl EngineConfig {
         }
         let host = std::thread::available_parallelism().map_or(1, |n| n.get());
         (host / num_machines.max(1)).max(1)
+    }
+
+    /// The machine-local parallelism of a run on `num_machines` machines.
+    pub fn parallel(&self, num_machines: usize) -> ParallelConfig {
+        ParallelConfig {
+            threads: self.resolve_threads(num_machines),
+            block_size: self.block_size.max(1),
+        }
+    }
+}
+
+fn bad_tag<T>(tag: u8, ty: &'static str) -> Result<T, NetError> {
+    Err(NetError::BadTag { tag, ty })
+}
+
+impl Wire for EngineKind {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            EngineKind::PowerGraphSync => 0,
+            EngineKind::PowerGraphAsync => 1,
+            EngineKind::LazyBlockAsync => 2,
+            EngineKind::LazyVertexAsync => 3,
+            EngineKind::PowerSwitchHybrid => 4,
+            EngineKind::DeltaAccum => 5,
+        });
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
+        Ok(match r.take_u8()? {
+            0 => EngineKind::PowerGraphSync,
+            1 => EngineKind::PowerGraphAsync,
+            2 => EngineKind::LazyBlockAsync,
+            3 => EngineKind::LazyVertexAsync,
+            4 => EngineKind::PowerSwitchHybrid,
+            5 => EngineKind::DeltaAccum,
+            tag => return bad_tag(tag, "EngineKind"),
+        })
+    }
+}
+
+impl Wire for CommModePolicy {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            CommModePolicy::Auto => 0,
+            CommModePolicy::AllToAll => 1,
+            CommModePolicy::MirrorsToMaster => 2,
+        });
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
+        Ok(match r.take_u8()? {
+            0 => CommModePolicy::Auto,
+            1 => CommModePolicy::AllToAll,
+            2 => CommModePolicy::MirrorsToMaster,
+            tag => return bad_tag(tag, "CommModePolicy"),
+        })
+    }
+}
+
+impl Wire for IntervalPolicy {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match *self {
+            IntervalPolicy::Adaptive {
+                ev_threshold,
+                trend_threshold,
+                local_bound_factor,
+            } => {
+                out.push(0);
+                ev_threshold.encode(out);
+                trend_threshold.encode(out);
+                local_bound_factor.encode(out);
+            }
+            IntervalPolicy::AlwaysLazy => out.push(1),
+            IntervalPolicy::NeverLazy => out.push(2),
+        }
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
+        Ok(match r.take_u8()? {
+            0 => IntervalPolicy::Adaptive {
+                ev_threshold: f64::decode(r)?,
+                trend_threshold: f64::decode(r)?,
+                local_bound_factor: f64::decode(r)?,
+            },
+            1 => IntervalPolicy::AlwaysLazy,
+            2 => IntervalPolicy::NeverLazy,
+            tag => return bad_tag(tag, "IntervalPolicy"),
+        })
+    }
+}
+
+fn decode_usize(r: &mut WireReader<'_>) -> Result<usize, NetError> {
+    Ok(u64::decode(r)? as usize)
+}
+
+fn encode_opt_usize(x: Option<usize>, out: &mut Vec<u8>) {
+    x.map(|x| x as u64).encode(out);
+}
+
+fn decode_opt_usize(r: &mut WireReader<'_>) -> Result<Option<usize>, NetError> {
+    Ok(Option::<u64>::decode(r)?.map(|x| x as usize))
+}
+
+/// The whole configuration crosses the wire (a multiprocess launcher
+/// ships it to its workers), floats as exact bit patterns. The partition,
+/// cluster and transport crates own some of the field types, so those are
+/// walked here field by field.
+impl Wire for EngineConfig {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.engine.encode(out);
+        out.push(match self.partition {
+            PartitionStrategy::Random => 0,
+            PartitionStrategy::Grid => 1,
+            PartitionStrategy::Coordinated => 2,
+            PartitionStrategy::Hybrid => 3,
+            PartitionStrategy::AdversarialHubs => 4,
+        });
+        let s = &self.splitter;
+        s.teps.encode(out);
+        s.t_extra.encode(out);
+        encode_opt_usize(s.high_degree_threshold, out);
+        encode_opt_usize(s.low_degree_threshold, out);
+        s.max_fraction.encode(out);
+        self.bidirectional.encode(out);
+        self.comm_mode.encode(out);
+        self.interval.encode(out);
+        let c = &self.cost;
+        for x in [
+            c.teps,
+            c.apply_cost,
+            c.barrier_latency,
+            c.async_msg_overhead,
+            c.async_send_cpu,
+            c.latency,
+            c.async_apply_cost,
+            c.async_lock_rtt,
+            c.bandwidth,
+        ] {
+            x.encode(out);
+        }
+        self.max_iterations.encode(out);
+        self.delta_suppression.encode(out);
+        self.record_history.encode(out);
+        self.hybrid_switch_threshold.encode(out);
+        (self.threads_per_machine as u64).encode(out);
+        (self.block_size as u64).encode(out);
+        self.pipeline.encode(out);
+        self.adaptive_parts.encode(out);
+        (self.delta_buckets as u64).encode(out);
+        self.delta_tolerance.encode(out);
+        out.push(match self.transport {
+            TransportKind::InProc => 0,
+            TransportKind::Tcp => 1,
+        });
+        encode_opt_usize(self.hub_fanout.degree_threshold, out);
+        (self.hub_fanout.fanout as u64).encode(out);
+        self.rebalance.every.encode(out);
+        self.rebalance.ratio_milli.encode(out);
+        (self.rebalance.max_moves as u64).encode(out);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
+        Ok(EngineConfig {
+            engine: EngineKind::decode(r)?,
+            partition: match r.take_u8()? {
+                0 => PartitionStrategy::Random,
+                1 => PartitionStrategy::Grid,
+                2 => PartitionStrategy::Coordinated,
+                3 => PartitionStrategy::Hybrid,
+                4 => PartitionStrategy::AdversarialHubs,
+                tag => return bad_tag(tag, "PartitionStrategy"),
+            },
+            splitter: SplitterConfig {
+                teps: f64::decode(r)?,
+                t_extra: f64::decode(r)?,
+                high_degree_threshold: decode_opt_usize(r)?,
+                low_degree_threshold: decode_opt_usize(r)?,
+                max_fraction: f64::decode(r)?,
+            },
+            bidirectional: bool::decode(r)?,
+            comm_mode: CommModePolicy::decode(r)?,
+            interval: IntervalPolicy::decode(r)?,
+            cost: CostModel {
+                teps: f64::decode(r)?,
+                apply_cost: f64::decode(r)?,
+                barrier_latency: f64::decode(r)?,
+                async_msg_overhead: f64::decode(r)?,
+                async_send_cpu: f64::decode(r)?,
+                latency: f64::decode(r)?,
+                async_apply_cost: f64::decode(r)?,
+                async_lock_rtt: f64::decode(r)?,
+                bandwidth: f64::decode(r)?,
+            },
+            max_iterations: u64::decode(r)?,
+            delta_suppression: bool::decode(r)?,
+            record_history: bool::decode(r)?,
+            hybrid_switch_threshold: f64::decode(r)?,
+            threads_per_machine: decode_usize(r)?,
+            block_size: decode_usize(r)?,
+            pipeline: bool::decode(r)?,
+            adaptive_parts: bool::decode(r)?,
+            delta_buckets: decode_usize(r)?,
+            delta_tolerance: f64::decode(r)?,
+            transport: match r.take_u8()? {
+                0 => TransportKind::InProc,
+                1 => TransportKind::Tcp,
+                tag => return bad_tag(tag, "TransportKind"),
+            },
+            hub_fanout: HubFanoutConfig {
+                degree_threshold: decode_opt_usize(r)?,
+                fanout: decode_usize(r)?,
+            },
+            rebalance: RebalanceConfig {
+                every: u64::decode(r)?,
+                ratio_milli: u64::decode(r)?,
+                max_moves: decode_usize(r)?,
+            },
+        })
     }
 }
 
@@ -445,12 +651,6 @@ mod tests {
         // More machines never resolve to more threads each.
         assert!(auto.resolve_threads(1024) >= 1);
         assert!(auto.resolve_threads(1) >= auto.resolve_threads(1024));
-    }
-
-    #[test]
-    fn exchange_fast_defaults_on() {
-        assert!(EngineConfig::lazygraph().exchange_fast);
-        assert!(!EngineConfig::lazygraph().with_exchange_fast(false).exchange_fast);
     }
 
     #[test]

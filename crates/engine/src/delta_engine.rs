@@ -11,9 +11,11 @@
 //! stays a pure function of state (lazylint L1/L3 clean, no pragma).
 //! Sub-epochs repeat until the machine quiesces within tolerance; only
 //! then does an outer epoch pay a coherency exchange, shipping the
-//! `delta_msg` accumulators (⊕-combined sender-side through the
-//! [`stage_combining`](crate::exchange::stage_combining) fast path inside
-//! the shared a2a exchange) — lazy replica coherency applied to deltas.
+//! `delta_msg` accumulators (⊕-combined sender-side by
+//! [`stage_combining`](crate::exchange::stage_combining) inside the shared
+//! a2a exchange) — lazy replica coherency applied to deltas. On the
+//! superstep skeleton the engine differs from LazyBlockAsync only in
+//! *which* pending vertices a local stage schedules.
 //!
 //! Termination is tolerance-based: a vertex whose pending priority falls
 //! below the scheduler tolerance is parked (its mass stays in the inbox
@@ -21,27 +23,16 @@
 //! counts schedulable vertices globally — zero means the fixpoint has
 //! been reached within tolerance.
 
-use std::sync::Arc;
+use lazygraph_cluster::CommError;
 
-use lazygraph_cluster::{
-    build_endpoints, Collective, CommError, CostModel, Endpoint, NetStats, OutboxSet,
-    TransportKind,
-};
-use lazygraph_cluster::SimClock;
-use lazygraph_partition::{DistributedGraph, LocalShard};
-use parking_lot::Mutex;
-
-use crate::bsp::{BspReduction, BspSync, CommCharge};
-use crate::checkpoint::{checkpoint_at_barrier, DeltaResume, RecoveryCfg};
-use crate::exchange::adapt_part_items;
-use crate::lazy_block::{
-    assemble, blocked_apply_scatter, exchange_a2a, LazyBlockOutput, LazyCounters, MachineOut,
-};
-use crate::metrics::SimBreakdown;
-use crate::parallel::{ParallelConfig, ParallelCtx};
+use crate::bsp::{BspReduction, CommCharge};
+use crate::checkpoint::{DeltaResume, EngineSnapshot, ResumeExtras};
+use crate::config::EngineKind;
+use crate::lazy_block::{exchange_a2a, sweep, LazyCounters};
+use crate::machine::{Frame, Superstep, Vote};
 use crate::program::VertexProgram;
 use crate::scheduler::PriorityBuckets;
-use crate::state::{InitMessages, MachineState};
+use crate::state::InitMessages;
 
 /// Upper bound on local sub-epochs between coherency exchanges — a
 /// safety valve so a program whose priorities do not contract locally
@@ -50,143 +41,54 @@ use crate::state::{InitMessages, MachineState};
 /// quiesce in far fewer sweeps.
 const MAX_SUBEPOCHS: u64 = 4096;
 
-/// Configuration slice the delta engine needs.
-#[derive(Clone, Copy, Debug)]
-pub struct DeltaParams {
-    pub cost: CostModel,
-    pub max_iterations: u64,
-    /// Number of power-of-two priority buckets above the tolerance.
-    pub num_buckets: usize,
-    /// Scheduling/termination tolerance: priorities below it are parked,
-    /// and the run converges when no machine holds a schedulable vertex.
-    pub tolerance: f64,
-    /// Consult [`VertexProgram::exchange_policy`] before shipping deltas.
-    pub delta_suppression: bool,
-    /// Use the zero-allocation exchange fast path (DESIGN.md §9).
-    pub exchange_fast: bool,
-    /// Pipeline the coherency exchange (DESIGN.md §11); requires
-    /// `exchange_fast`.
-    pub pipeline: bool,
-    /// Adapt the pipelined part size from measured timings (DESIGN.md
-    /// §14); requires `pipeline`.
-    pub adaptive_parts: bool,
+/// DeltaAccum on the superstep skeleton. One epoch is one coherency
+/// point and every exchange is all-to-all, so the counters reuse the lazy
+/// engines' shape. The bucket scheduler is stateless across epochs — each
+/// plan is recomputed from `MachineState` alone — so the counters are all
+/// a checkpoint must carry.
+pub struct DeltaStep {
+    sched: PriorityBuckets,
+    counters: LazyCounters,
+    /// Ascending-id candidate scratch, rebuilt each sub-epoch (a pure
+    /// function of `state`, so it needs no snapshot coverage).
+    candidates: Vec<(u32, f64)>,
 }
 
-/// Runs the DeltaAccum engine to its tolerance fixpoint. The per-machine
-/// outcome reuses the lazy engines' [`MachineOut`] shape: one epoch is
-/// one coherency point, and every exchange is all-to-all.
-pub fn run_delta_engine<P: VertexProgram>(
-    dg: &DistributedGraph,
-    program: &P,
-    params: DeltaParams,
-    par: ParallelConfig,
-    transport: TransportKind,
-    stats: Arc<NetStats>,
-    breakdown: Arc<Mutex<SimBreakdown>>,
-) -> LazyBlockOutput<P::VData> {
-    let p = dg.num_machines;
-    let coll = Arc::new(Collective::new(p));
-    let endpoints = build_endpoints::<(u32, P::Delta)>(transport, p, &stats)?;
-    #[allow(clippy::type_complexity)]
-    let workers: Vec<(usize, &LocalShard, Endpoint<(u32, P::Delta)>)> = dg
-        .shards
-        .iter()
-        .enumerate()
-        .zip(endpoints)
-        .map(|((i, shard), ep)| (i, shard, ep))
-        .collect();
-    let num_vertices = dg.num_global_vertices;
-    let outs = lazygraph_cluster::try_run_machines(workers, |(me, shard, ep)| {
-        machine_loop(
-            me,
-            shard,
-            ep,
-            program,
-            num_vertices,
-            params,
-            par,
-            coll.clone(),
-            stats.clone(),
-            breakdown.clone(),
-            RecoveryCfg::default(),
-        )
-    })?;
-    assemble(outs, num_vertices)
-}
+impl<P: VertexProgram> Superstep<P> for DeltaStep {
+    type Msg = P::Delta;
+    const KIND: EngineKind = EngineKind::DeltaAccum;
+    const INIT: InitMessages = InitMessages::AllReplicas;
 
-/// One machine's share of a DeltaAccum run, callable from a separate
-/// worker process (the multiprocess launcher's entry).
-#[allow(clippy::too_many_arguments)]
-pub fn run_delta_machine<P: VertexProgram>(
-    me: usize,
-    shard: &LocalShard,
-    ep: Endpoint<(u32, P::Delta)>,
-    coll: Arc<Collective>,
-    program: &P,
-    num_vertices: usize,
-    params: DeltaParams,
-    par: ParallelConfig,
-    stats: Arc<NetStats>,
-    breakdown: Arc<Mutex<SimBreakdown>>,
-    recovery: RecoveryCfg<P>,
-) -> Result<MachineOut<P>, CommError> {
-    machine_loop(
-        me, shard, ep, program, num_vertices, params, par, coll, stats, breakdown, recovery,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn machine_loop<P: VertexProgram>(
-    me: usize,
-    shard: &LocalShard,
-    mut ep: Endpoint<(u32, P::Delta)>,
-    program: &P,
-    num_vertices: usize,
-    params: DeltaParams,
-    par: ParallelConfig,
-    coll: Arc<Collective>,
-    stats: Arc<NetStats>,
-    breakdown: Arc<Mutex<SimBreakdown>>,
-    mut recovery: RecoveryCfg<P>,
-) -> Result<MachineOut<P>, CommError> {
-    let n = coll.num_machines();
-    let pctx = ParallelCtx::new(par);
-    let timing_sink = breakdown.clone();
-    let mut bsp = BspSync::new(me, coll, stats.clone(), params.cost, breakdown);
-    let mut clock = SimClock::new();
-    let mut state: MachineState<P> =
-        MachineState::init(shard, program, InitMessages::AllReplicas, num_vertices);
-    let mut sched = PriorityBuckets::new(params.num_buckets, params.tolerance);
-    let delta_bytes = program.delta_bytes();
-    let mut counters = LazyCounters::default();
-    let mut outboxes: OutboxSet<(u32, P::Delta)> = OutboxSet::new(n);
-    let mut iterations = 0u64;
-    let mut converged = false;
-    let pipelined = params.pipeline && params.exchange_fast;
-    let mut pending_wait_ms = 0.0f64;
-    let mut pending_overlap_ms = 0.0f64;
-    // Ascending-id candidate scratch, rebuilt each epoch (pure function of
-    // `state`, so it needs no snapshot coverage).
-    let mut candidates: Vec<(u32, f64)> = Vec::new();
-
-    if let Some(snap) = recovery.resume.take() {
-        debug_assert_eq!(snap.engine, 2, "resume snapshot is not a DeltaAccum snapshot");
-        snap.restore_into(&mut state);
-        clock.set(f64::from_bits(snap.clock_bits));
-        iterations = snap.iterations;
-        if let Some(d) = &snap.delta {
-            counters = d.counters;
+    fn new(f: &Frame<'_, P, P::Delta>) -> Self {
+        DeltaStep {
+            sched: PriorityBuckets::new(f.cfg.delta_buckets, f.cfg.delta_tolerance),
+            counters: LazyCounters::default(),
+            candidates: Vec::new(),
         }
-        // Re-execute the checkpoint barrier unconditionally (DESIGN.md
-        // §12): peers still blocked in it are released; peers past it
-        // dedupe the re-sent round.
-        bsp.coll.barrier(bsp.me, &bsp.stats)?;
     }
 
-    while iterations < params.max_iterations {
-        iterations += 1;
-        lazygraph_cluster::failpoint_superstep(iterations);
-        counters.coherency_points += 1;
+    fn restore(&mut self, _f: &mut Frame<'_, P, P::Delta>, snap: &EngineSnapshot<P>) {
+        if let Some(d) = &snap.delta {
+            self.counters = d.counters;
+        }
+    }
+
+    fn resume_extras(&self) -> ResumeExtras {
+        ResumeExtras {
+            delta: Some(DeltaResume {
+                counters: self.counters,
+            }),
+            ..Default::default()
+        }
+    }
+
+    fn counters(&self) -> LazyCounters {
+        self.counters
+    }
+
+    fn step(&mut self, f: &mut Frame<'_, P, P::Delta>) -> Result<Vote, CommError> {
+        let (program, suppress) = (f.program, f.cfg.delta_suppression);
+        self.counters.coherency_points += 1;
 
         // ---- Local sub-epochs: drain the schedulable worklist to
         // quiescence before paying a coherency exchange. High-impact mass
@@ -200,30 +102,31 @@ fn machine_loop<P: VertexProgram>(
             // Canonical order first: exchange batches arrive in
             // nondeterministic interleavings, so the sorted queue is the
             // only order the plan may ever see.
-            let mut queue = state.take_queue();
+            let mut queue = f.state.take_queue();
             queue.sort_unstable();
-            candidates.clear();
+            self.candidates.clear();
             for &l in &queue {
-                match &state.message[l as usize] {
+                match &f.state.message[l as usize] {
                     Some(d) => {
-                        candidates.push((l, program.priority(&state.vdata[l as usize], d)));
+                        let priority = program.priority(&f.state.vdata[l as usize], d);
+                        self.candidates.push((l, priority));
                     }
                     // A queued vertex with an empty inbox has nothing to
                     // do; deactivate it so a future delivery re-queues it.
-                    None => state.active[l as usize] = false,
+                    None => f.state.active[l as usize] = false,
                 }
             }
-            let plan = sched.plan(&candidates);
+            let plan = self.sched.plan(&self.candidates);
             // Sub-tolerance vertices are parked: the accumulated mass
             // stays in the inbox (it folds with the next arrival) but the
             // vertex leaves the schedule until a fresh delivery
             // re-activates it.
             for &l in &plan.skipped {
-                state.active[l as usize] = false;
+                f.state.active[l as usize] = false;
             }
-            stats.record_delta_skipped(plan.skipped.len() as u64);
-            stats.record_bucket_high_water(plan.high_water);
-            stats.record_sched_epochs(1);
+            f.stats.record_delta_skipped(plan.skipped.len() as u64);
+            f.stats.record_bucket_high_water(plan.high_water);
+            f.stats.record_sched_epochs(1);
             if plan.selected.is_empty() {
                 // Nothing schedulable locally: the machine has quiesced
                 // within tolerance; time to sync replicas.
@@ -240,69 +143,36 @@ fn machine_loop<P: VertexProgram>(
             // SSSP improvement a local relaxation already consumed). The
             // delta engine's `coherent` stays at the initial common view;
             // delta suppression still gates the exchange itself.
-            let (edges, applies, folds) = blocked_apply_scatter(
-                shard,
-                &mut state,
-                program,
-                num_vertices,
-                &pctx,
-                &plan.selected,
-                false,
-            );
-            stats.record_edges(edges);
-            stats.record_applies(applies);
-            if params.exchange_fast {
-                stats.record_combined(folds, folds * delta_bytes as u64);
-            }
-            clock.advance(params.cost.compute_time(edges) + params.cost.apply_time(applies));
+            sweep(f, &plan.selected, false);
             // Deferred vertices stay active and pending for the next
             // sub-epoch (their inbox entries were untouched by the sweep).
-            state.queue.extend_from_slice(&plan.deferred);
+            f.state.queue.extend_from_slice(&plan.deferred);
             if subepochs >= MAX_SUBEPOCHS {
                 // Safety valve for a non-contracting program: ship what
                 // has accumulated and let the next outer epoch continue.
                 break;
             }
         }
-        counters.local_subrounds += subepochs;
+        self.counters.local_subrounds += subepochs;
 
         // ---- Delta coherency: ship accumulated deltaMsg all-to-all. -----
-        counters.a2a_exchanges += 1;
-        let (sent_bytes, timing) = exchange_a2a(
-            shard,
-            &mut state,
-            program,
-            &pctx,
-            &mut ep,
-            &mut outboxes,
-            &clock,
-            &stats,
-            params.delta_suppression,
-            params.exchange_fast,
-            params.pipeline,
-        )?;
-        if timing.overlap_ms > 0.0 || timing.send_wait_ms > 0.0 {
-            let mut bd = timing_sink.lock();
-            bd.overlap_ms += timing.overlap_ms;
-            bd.send_wait_ms += timing.send_wait_ms;
-        }
-        pending_wait_ms += timing.send_wait_ms;
-        pending_overlap_ms += timing.overlap_ms;
+        self.counters.a2a_exchanges += 1;
+        let sent_bytes = exchange_a2a(f, suppress)?;
 
         // ---- Tolerance-based termination vote. --------------------------
         // Schedulable = priority at or above tolerance; parked mass does
         // not keep the run alive (it is negligible by the program's own
         // error model).
         let mut pending = 0u64;
-        for &l in &state.queue {
-            if let Some(d) = &state.message[l as usize] {
-                if sched.schedulable(program.priority(&state.vdata[l as usize], d)) {
+        for &l in &f.state.queue {
+            if let Some(d) = &f.state.message[l as usize] {
+                if self.sched.schedulable(program.priority(&f.state.vdata[l as usize], d)) {
                     pending += 1;
                 }
             }
         }
-        let red = bsp.sync(
-            &mut clock,
+        let red = f.bsp.sync(
+            &mut f.clock,
             BspReduction {
                 bytes: sent_bytes,
                 pending,
@@ -310,43 +180,6 @@ fn machine_loop<P: VertexProgram>(
             },
             CommCharge::A2A,
         )?;
-        if red.pending == 0 {
-            converged = true;
-            break;
-        }
-
-        // Adaptive part sizing commits at deterministic points only
-        // (checkpoint boundaries when recovery is on).
-        if pipelined
-            && params.adaptive_parts
-            && (recovery.every == 0 || recovery.due(iterations))
-        {
-            state.part_items =
-                adapt_part_items(state.part_items, pending_wait_ms, pending_overlap_ms);
-            pending_wait_ms = 0.0;
-            pending_overlap_ms = 0.0;
-        }
-        if pipelined {
-            stats.record_adaptive_part_items(state.part_items as u64);
-        }
-        if recovery.due(iterations) {
-            let delta = Some(DeltaResume { counters });
-            checkpoint_at_barrier(
-                &ep, &bsp.coll, me, &stats, &recovery, 2, iterations, &clock, &state, None,
-                delta, &[],
-            )?;
-        }
+        Ok(Vote::of(red.pending))
     }
-
-    let masters = (0..shard.num_local() as u32)
-        .filter(|&l| shard.is_master[l as usize])
-        .map(|l| (shard.global_of(l).0, state.vdata[l as usize].clone()))
-        .collect();
-    Ok(MachineOut {
-        masters,
-        iterations,
-        converged,
-        sim_time: clock.now(),
-        counters,
-    })
 }

@@ -4,21 +4,18 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use lazygraph_cluster::{CommError, NetStats};
+use lazygraph_cluster::{Collective, CommError, NetStats};
 use lazygraph_graph::Graph;
 use lazygraph_partition::{partition_graph_with, DistributedGraph};
 use parking_lot::Mutex;
 
 use crate::async_engine::run_async_engine;
-use crate::delta_engine::{run_delta_engine, DeltaParams};
-use crate::hybrid_engine::{run_hybrid_engine, HybridParams};
 use crate::config::{EngineConfig, EngineKind};
-use crate::lazy_block::{run_lazy_block_engine, LazyParams};
+use crate::hybrid_engine::run_hybrid_engine;
 use crate::lazy_vertex::run_lazy_vertex_engine;
-use crate::metrics::{IterationRecord, RunMetrics, SimBreakdown};
-use crate::parallel::ParallelConfig;
+use crate::machine::{assemble, run_mesh_engine, History, RunShared, ThreadedMesh};
+use crate::metrics::{RunMetrics, SimBreakdown};
 use crate::program::VertexProgram;
-use crate::sync_engine::run_sync_engine;
 
 /// The outcome of [`run`]: final per-vertex values plus metrics.
 pub struct RunResult<P: VertexProgram> {
@@ -60,157 +57,52 @@ pub fn run_on<P: VertexProgram>(
 ) -> Result<RunResult<P>, CommError> {
     let stats = Arc::new(NetStats::new());
     let breakdown = Arc::new(Mutex::new(SimBreakdown::default()));
-    let history: Arc<Mutex<Vec<IterationRecord>>> = Arc::new(Mutex::new(Vec::new()));
-    let par = ParallelConfig {
-        threads: cfg.resolve_threads(dg.num_machines),
-        block_size: cfg.block_size.max(1),
-    };
+    let history: History = Arc::new(Mutex::new(Vec::new()));
     // lazylint: allow(nondet-source) -- host wall-clock feeds only the reported
     // runtime metric; no simulated result ever reads it
     let started = Instant::now();
-    let (values, iterations, coherency, subrounds, a2a, m2m, sim_time, converged) =
-        match cfg.engine {
-            EngineKind::PowerGraphSync => {
-                let (values, iters, converged, sim) = run_sync_engine(
-                    dg,
-                    program,
-                    cfg.cost,
-                    cfg.max_iterations,
-                    par,
-                    cfg.exchange_fast,
-                    cfg.pipeline,
-                    cfg.adaptive_parts,
-                    cfg.transport,
-                    stats.clone(),
-                    breakdown.clone(),
-                    cfg.record_history.then(|| history.clone()),
-                )?;
-                (values, iters, 0, 0, 0, 0, sim, converged)
-            }
-            EngineKind::PowerGraphAsync => {
-                let (values, sim) =
-                    run_async_engine(dg, program, cfg.cost, par, cfg.transport, stats.clone())?;
-                (values, 0, 0, 0, 0, 0, sim, true)
-            }
-            EngineKind::LazyBlockAsync => {
-                let params = LazyParams {
-                    cost: cfg.cost,
-                    max_iterations: cfg.max_iterations,
-                    comm_mode: cfg.comm_mode,
-                    interval: cfg.interval,
-                    delta_suppression: cfg.delta_suppression,
-                    record_history: cfg.record_history,
-                    exchange_fast: cfg.exchange_fast,
-                    pipeline: cfg.pipeline,
-                    adaptive_parts: cfg.adaptive_parts,
-                    rebalance: cfg.rebalance,
-                };
-                let (values, iters, converged, sim, c) = run_lazy_block_engine(
-                    dg,
-                    program,
-                    params,
-                    par,
-                    cfg.transport,
-                    stats.clone(),
-                    breakdown.clone(),
-                    history.clone(),
-                )?;
-                (
-                    values,
-                    iters,
-                    c.coherency_points,
-                    c.local_subrounds,
-                    c.a2a_exchanges,
-                    c.m2m_exchanges,
-                    sim,
-                    converged,
-                )
-            }
-            EngineKind::PowerSwitchHybrid => {
-                let params = HybridParams {
-                    cost: cfg.cost,
-                    max_iterations: cfg.max_iterations,
-                    switch_threshold: cfg.hybrid_switch_threshold,
-                };
-                let (values, supersteps, _switched, sim) = run_hybrid_engine(
-                    dg,
-                    program,
-                    params,
-                    cfg.transport,
-                    stats.clone(),
-                    breakdown.clone(),
-                )?;
-                (values, supersteps, 0, 0, 0, 0, sim, true)
-            }
-            EngineKind::DeltaAccum => {
-                let params = DeltaParams {
-                    cost: cfg.cost,
-                    max_iterations: cfg.max_iterations,
-                    num_buckets: cfg.delta_buckets,
-                    tolerance: cfg.delta_tolerance,
-                    delta_suppression: cfg.delta_suppression,
-                    exchange_fast: cfg.exchange_fast,
-                    pipeline: cfg.pipeline,
-                    adaptive_parts: cfg.adaptive_parts,
-                };
-                let (values, epochs, converged, sim, c) = run_delta_engine(
-                    dg,
-                    program,
-                    params,
-                    par,
-                    cfg.transport,
-                    stats.clone(),
-                    breakdown.clone(),
-                )?;
-                (
-                    values,
-                    epochs,
-                    c.coherency_points,
-                    0,
-                    c.a2a_exchanges,
-                    0,
-                    sim,
-                    converged,
-                )
-            }
-            EngineKind::LazyVertexAsync => {
-                let (values, sim, c) = run_lazy_vertex_engine(
-                    dg,
-                    program,
-                    cfg.cost,
-                    par,
-                    cfg.pipeline,
-                    cfg.transport,
-                    stats.clone(),
-                )?;
-                (
-                    values,
-                    0,
-                    c.coherency_points,
-                    c.local_subrounds,
-                    c.a2a_exchanges,
-                    0,
-                    sim,
-                    true,
-                )
-            }
-        };
+    let outcome = match cfg.engine {
+        EngineKind::PowerGraphAsync => run_async_engine(dg, program, cfg, stats.clone())?,
+        EngineKind::LazyVertexAsync => run_lazy_vertex_engine(dg, program, cfg, stats.clone())?,
+        EngineKind::PowerSwitchHybrid => {
+            run_hybrid_engine(dg, program, cfg, stats.clone(), breakdown.clone())?
+        }
+        EngineKind::PowerGraphSync | EngineKind::LazyBlockAsync | EngineKind::DeltaAccum => {
+            let mesh = ThreadedMesh {
+                transport: cfg.transport,
+                num_machines: dg.num_machines,
+            };
+            let shared = RunShared {
+                coll: Arc::new(Collective::new(dg.num_machines)),
+                stats: stats.clone(),
+                breakdown: breakdown.clone(),
+                history: cfg.record_history.then(|| history.clone()),
+            };
+            assemble(
+                run_mesh_engine(dg, cfg, program, mesh, &shared)?,
+                dg.num_global_vertices,
+            )
+        }
+    };
     let wall_time = started.elapsed();
     let metrics = RunMetrics {
         engine: cfg.engine.name(),
         algorithm: program.name(),
-        iterations,
-        coherency_points: coherency,
-        local_subrounds: subrounds,
-        a2a_exchanges: a2a,
-        m2m_exchanges: m2m,
-        sim_time,
+        iterations: outcome.iterations,
+        coherency_points: outcome.counters.coherency_points,
+        local_subrounds: outcome.counters.local_subrounds,
+        a2a_exchanges: outcome.counters.a2a_exchanges,
+        m2m_exchanges: outcome.counters.m2m_exchanges,
+        sim_time: outcome.sim_time,
         breakdown: *breakdown.lock(),
         wall_time,
         stats: stats.snapshot(),
-        converged,
+        converged: outcome.converged,
         lambda: dg.lambda(),
         history: std::mem::take(&mut history.lock()),
     };
-    Ok(RunResult { values, metrics })
+    Ok(RunResult {
+        values: outcome.values,
+        metrics,
+    })
 }

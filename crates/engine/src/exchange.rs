@@ -29,12 +29,27 @@
 //! fold order is exactly the serial translate-then-deliver order —
 //! bitwise-identical at any thread count. DESIGN.md §9 is the full
 //! contract.
+//!
+//! Engines never drive the endpoint's round API themselves: every
+//! exchange is one of the two rounds a [`Port`] opens — a [`FoldRound`]
+//! (inbound items ⊕-fold into `message`: Sync gather, all-to-all
+//! coherency, mirrors-to-master hop 2) or an [`OrderedRound`] (inbound
+//! items are applied one by one in (sender, part) order: Sync updates,
+//! mirrors-to-master hop 1). Both hide whether the round is serialized
+//! or pipelined (DESIGN.md §11).
 
-use lazygraph_cluster::Batch;
-use lazygraph_net::{Wire, WireReader};
+use std::sync::Arc;
 
+use lazygraph_cluster::{
+    Batch, CommError, Endpoint, NetStats, OutboxSet, Phase, PipelineTiming,
+};
+use lazygraph_net::{NetError, Wire, WireReader};
+use parking_lot::Mutex;
+
+use crate::metrics::SimBreakdown;
 use crate::parallel::ParallelCtx;
 use crate::program::VertexProgram;
+use crate::state::MachineState;
 
 /// Routed inbound items: `[target block][segment][item]`, where each
 /// segment is one batch's contribution to that block, in batch order.
@@ -158,6 +173,21 @@ pub fn stage_combining<P: VertexProgram>(
     false
 }
 
+/// The plain inbound translation of a `(gid, delta)` item: dense
+/// route-table lookup (`LocalShard::route_table`) plus `program.gather`;
+/// an item for a vertex this machine does not hold is dropped.
+#[inline]
+pub fn local_delta<P: VertexProgram>(
+    route: &[u32],
+    program: &P,
+    (gid, d): (u32, P::Delta),
+) -> Option<(u32, P::Delta)> {
+    match route.get(gid as usize) {
+        Some(&l) if l != lazygraph_partition::NO_LOCAL => Some((l, program.gather(gid.into(), d))),
+        _ => None,
+    }
+}
+
 /// Block-parallel translate-and-bucket over received batches: the
 /// replacement for the serial per-item `local_of` + push loop.
 ///
@@ -165,7 +195,11 @@ pub fn stage_combining<P: VertexProgram>(
 /// needs no locking); every item goes through `translate` — typically a
 /// dense route-table lookup plus `program.gather` — and lands in that
 /// task's per-block bucket. `translate` returning `None` drops the item
-/// (unroutable or filtered), keeping the hot loop panic-free. The
+/// (unroutable or filtered), keeping the hot loop panic-free. An item
+/// that fails to decode off a raw frame payload is wire corruption the
+/// frame layer missed: the whole call fails with the codec error (first
+/// failing batch in batch order), which the rounds turn into a
+/// [`CommError::Transport`] that fails the run. The
 /// per-batch buckets are then stitched into per-block *segment lists* in
 /// batch order, ready for
 /// [`MachineState::deliver_segments`](crate::state::MachineState::deliver_segments):
@@ -187,7 +221,7 @@ pub fn route_inbound<T, D, F>(
     batches: &mut [Batch<T>],
     translate: F,
     scratch: &mut Vec<Vec<(u32, D)>>,
-) -> RoutedSegments<D>
+) -> Result<RoutedSegments<D>, NetError>
 where
     T: Wire + Send,
     D: Send,
@@ -207,7 +241,8 @@ where
             (batch, buckets)
         })
         .collect();
-    let per_batch: Vec<Vec<Vec<(u32, D)>>> = pctx.pool().map(work, |(batch, mut buckets)| {
+    #[allow(clippy::type_complexity)]
+    let per_batch: Vec<Result<Vec<Vec<(u32, D)>>, NetError>> = pctx.pool().map(work, |(batch, mut buckets)| {
         // Zero-copy inbound path: a TCP batch arrives as the raw frame
         // payload, and each item decodes straight off those bytes into
         // its destination bucket — no intermediate `Vec<T>` per batch.
@@ -216,20 +251,9 @@ where
         if let Some(raw) = batch.raw.as_mut() {
             let mut r = WireReader::new(&raw.bytes[raw.offset..]);
             for _ in 0..raw.count {
-                match T::decode(&mut r) {
-                    Ok(item) => {
-                        if let Some((l, d)) = translate(item) {
-                            if let Some(bucket) = buckets.get_mut(l as usize / bs) {
-                                bucket.push((l, d));
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        // A short or malformed tail means wire corruption
-                        // the frame layer missed; drop the remainder of
-                        // this batch rather than panic in the hot loop.
-                        debug_assert!(false, "malformed item in zero-copy batch");
-                        break;
+                if let Some((l, d)) = translate(T::decode(&mut r)?) {
+                    if let Some(bucket) = buckets.get_mut(l as usize / bs) {
+                        bucket.push((l, d));
                     }
                 }
             }
@@ -247,12 +271,12 @@ where
                 }
             }
         }
-        buckets
+        Ok(buckets)
     });
     // Transpose [batch][block] → [block][segment], batch order preserved.
     let mut per_block: RoutedSegments<D> = (0..num_blocks).map(|_| Vec::new()).collect();
     for buckets in per_batch {
-        for (b, segment) in buckets.into_iter().enumerate() {
+        for (b, segment) in buckets?.into_iter().enumerate() {
             if !segment.is_empty() {
                 per_block[b].push(segment);
             } else if segment.capacity() != 0 {
@@ -260,7 +284,328 @@ where
             }
         }
     }
-    per_block
+    Ok(per_block)
+}
+
+/// The wire half of a machine frame: the mesh endpoint, the persistent
+/// staging outboxes (every round refills shipped slots from the buffer
+/// pool, so steady-state supersteps allocate nothing — DESIGN.md §9), and
+/// the pipelined rounds' wall-clock telemetry. Engines exchange only by
+/// opening a [`FoldRound`] or an [`OrderedRound`] on it.
+pub struct Port<T> {
+    pub ep: Endpoint<T>,
+    pub outboxes: OutboxSet<T>,
+    stats: Arc<NetStats>,
+    /// Stream each round part by part and drain arrivals eagerly
+    /// (DESIGN.md §11) instead of shipping one batch per peer at the close.
+    /// Bitwise result-identical either way.
+    pipeline: bool,
+    breakdown: Arc<Mutex<SimBreakdown>>,
+    /// Telemetry accumulated since the skeleton last committed an adaptive
+    /// part size ([`adapt_part_items`]).
+    pub(crate) pending: PipelineTiming,
+}
+
+impl<T: Wire + Send> Port<T> {
+    pub fn new(
+        ep: Endpoint<T>,
+        stats: Arc<NetStats>,
+        breakdown: Arc<Mutex<SimBreakdown>>,
+        pipeline: bool,
+    ) -> Self {
+        let outboxes = OutboxSet::new(ep.num_machines());
+        Port {
+            ep,
+            outboxes,
+            stats,
+            pipeline,
+            breakdown,
+            pending: PipelineTiming::default(),
+        }
+    }
+
+    /// Whether rounds on this port stream.
+    pub fn pipelined(&self) -> bool {
+        self.pipeline
+    }
+
+    /// Opens a ⊕-fold round: inbound items go through `translate` and
+    /// fold into `message` at [`FoldRound::close`]. `part_items` is the
+    /// streamed-part threshold (`MachineState::part_items`), constant for
+    /// the round; `num_local` is the shard's local-vertex count.
+    pub fn fold_round<'a, D, F>(
+        &'a mut self,
+        pctx: &'a ParallelCtx,
+        num_local: usize,
+        part_items: u32,
+        phase: Phase,
+        bytes_per_item: usize,
+        translate: F,
+    ) -> FoldRound<'a, T, D, F>
+    where
+        F: Fn(T) -> Option<(u32, D)> + Sync,
+    {
+        let drain = PipelineDrain::new(self.ep.num_machines());
+        FoldRound {
+            wire: self.round_wire(part_items, phase, bytes_per_item),
+            pctx,
+            num_local,
+            translate,
+            drain,
+        }
+    }
+
+    /// Opens a sender-ordered round: inbound items are handed to the
+    /// [`OrderedRound::close`] callback one by one, in (sender, part)
+    /// order.
+    pub fn ordered_round(
+        &mut self,
+        part_items: u32,
+        phase: Phase,
+        bytes_per_item: usize,
+    ) -> OrderedRound<'_, T> {
+        let parts = (0..self.ep.num_machines()).map(|_| Vec::new()).collect();
+        OrderedRound {
+            wire: self.round_wire(part_items, phase, bytes_per_item),
+            parts,
+        }
+    }
+
+    fn round_wire(&mut self, part_items: u32, phase: Phase, bytes_per_item: usize) -> RoundWire<'_, T> {
+        RoundWire {
+            part_limit: part_items as usize,
+            phase,
+            bytes_per_item,
+            port: self,
+        }
+    }
+}
+
+/// What both round shapes share: the port and the round's wire parameters.
+struct RoundWire<'a, T> {
+    port: &'a mut Port<T>,
+    part_limit: usize,
+    phase: Phase,
+    bytes_per_item: usize,
+}
+
+impl<T: Wire + Send> RoundWire<'_, T> {
+    /// Streams `dst`'s staged part if the round is pipelined and the part
+    /// is full; returns whether arrivals should now be polled.
+    fn stream_if_full(&mut self, dst: usize, now: f64) -> Result<bool, CommError> {
+        let port = &mut *self.port;
+        if !port.pipeline || port.outboxes.staged(dst).len() < self.part_limit {
+            return Ok(false);
+        }
+        port.ep
+            .stream_part(&mut port.outboxes, dst, now, self.phase, self.bytes_per_item, &port.stats)?;
+        Ok(true)
+    }
+
+    /// Closes a pipelined round: ships the finals, hands every remaining
+    /// batch to `on_batch`, and books the round's telemetry. The first
+    /// codec error `on_batch` reports fails the round.
+    fn finish(
+        &mut self,
+        now: f64,
+        mut on_batch: impl FnMut(&mut Batch<T>) -> Result<(), NetError>,
+    ) -> Result<(), CommError> {
+        let port = &mut *self.port;
+        let mut failed: Option<NetError> = None;
+        let t = port.ep.finish_pipelined(
+            &mut port.outboxes,
+            now,
+            self.phase,
+            self.bytes_per_item,
+            &port.stats,
+            |batch| {
+                if failed.is_none() {
+                    failed = on_batch(batch).err();
+                }
+            },
+        )?;
+        if let Some(e) = failed {
+            return Err(CommError::transport(port.ep.me(), &e));
+        }
+        {
+            let mut bd = port.breakdown.lock();
+            bd.overlap_ms += t.overlap_ms;
+            bd.send_wait_ms += t.send_wait_ms;
+        }
+        port.pending.overlap_ms += t.overlap_ms;
+        port.pending.send_wait_ms += t.send_wait_ms;
+        Ok(())
+    }
+
+    /// The serialized round: one batch per peer, sorted by sender.
+    fn exchange(&mut self, now: f64) -> Result<Vec<Batch<T>>, CommError> {
+        let port = &mut *self.port;
+        port.ep
+            .exchange(&mut port.outboxes, now, self.phase, self.bytes_per_item, &port.stats)
+    }
+}
+
+/// One ⊕-fold exchange round (see [`Port::fold_round`]). Stage items into
+/// [`Self::outboxes`], call [`Self::staged`] after each push, and
+/// [`Self::close`] the round; the commit is bitwise identical whether the
+/// round ran serialized (one [`route_inbound`] pass over the sender-sorted
+/// batches) or pipelined (parts routed as they arrive, re-ordered by
+/// [`PipelineDrain::stitch`]).
+pub struct FoldRound<'a, T, D, F> {
+    wire: RoundWire<'a, T>,
+    pctx: &'a ParallelCtx,
+    num_local: usize,
+    translate: F,
+    drain: PipelineDrain<D>,
+}
+
+impl<T, D, F> FoldRound<'_, T, D, F>
+where
+    T: Wire + Send,
+    D: Send,
+    F: Fn(T) -> Option<(u32, D)> + Sync,
+{
+    /// The staging outboxes of this round.
+    pub fn outboxes(&mut self) -> &mut OutboxSet<T> {
+        &mut self.wire.port.outboxes
+    }
+
+    /// Notes that an item was just staged for `dst`. On a pipelined port a
+    /// full part ships to the transport writers now, and whatever peers
+    /// have already streamed to us is routed eagerly while the caller
+    /// keeps staging. `scratch` is `MachineState::seg_scratch`.
+    pub fn staged(
+        &mut self,
+        dst: usize,
+        now: f64,
+        scratch: &mut Vec<Vec<(u32, D)>>,
+    ) -> Result<(), CommError> {
+        if !self.wire.stream_if_full(dst, now)? {
+            return Ok(());
+        }
+        let port = &mut *self.wire.port;
+        while let Some(mut batch) = port.ep.poll_stream() {
+            let routed = route_inbound(
+                self.pctx,
+                self.num_local,
+                std::slice::from_mut(&mut batch),
+                &self.translate,
+                scratch,
+            )
+            .map_err(|e| CommError::transport(port.ep.me(), &e))?;
+            self.drain.push(batch.from, routed);
+            port.ep.recycle(batch);
+            port.stats.record_drain_early(1);
+        }
+        Ok(())
+    }
+
+    /// Ships what is still staged, waits for every peer's share of the
+    /// round, and ⊕-folds the routed items into `state.message` in
+    /// (sender, part, item) order.
+    pub fn close<P: VertexProgram<Delta = D>>(
+        mut self,
+        program: &P,
+        state: &mut MachineState<P>,
+        now: f64,
+    ) -> Result<(), CommError> {
+        let (pctx, num_local, translate) = (self.pctx, self.num_local, &self.translate);
+        let segments = if self.wire.port.pipeline {
+            let drain = &mut self.drain;
+            let scratch = &mut state.seg_scratch;
+            self.wire.finish(now, |batch| {
+                let routed =
+                    route_inbound(pctx, num_local, std::slice::from_mut(batch), translate, scratch)?;
+                drain.push(batch.from, routed);
+                Ok(())
+            })?;
+            let bs = pctx.block_size().max(1);
+            self.drain.stitch(num_local.div_ceil(bs).max(1))
+        } else {
+            let mut received = self.wire.exchange(now)?;
+            let port = &mut *self.wire.port;
+            let segments =
+                route_inbound(pctx, num_local, &mut received, translate, &mut state.seg_scratch)
+                    .map_err(|e| CommError::transport(port.ep.me(), &e))?;
+            for batch in received {
+                port.ep.recycle(batch);
+            }
+            segments
+        };
+        let runs = state.deliver_segments(program, pctx, segments);
+        self.wire.port.stats.record_fold_runs(runs);
+        Ok(())
+    }
+}
+
+/// One sender-ordered exchange round (see [`Port::ordered_round`]): the
+/// inbound items are not a commutative stream — Sync updates overwrite
+/// `vdata`, mirrors-to-master hop 1 folds into the master's total — so
+/// early arrivals are stashed per sender and replayed at the close in
+/// (sender, part) order, the exact item sequence of the serialized
+/// round's sender-sorted batches (per-peer FIFO preserves part order).
+pub struct OrderedRound<'a, T> {
+    wire: RoundWire<'a, T>,
+    /// `parts[sender]`: that sender's item vectors in arrival order.
+    parts: Vec<Vec<Vec<T>>>,
+}
+
+impl<T: Wire + Send> OrderedRound<'_, T> {
+    /// The staging outboxes of this round.
+    pub fn outboxes(&mut self) -> &mut OutboxSet<T> {
+        &mut self.wire.port.outboxes
+    }
+
+    /// Notes that an item was just staged for `dst` (see
+    /// [`FoldRound::staged`]); arrivals are stashed, not applied.
+    pub fn staged(&mut self, dst: usize, now: f64) -> Result<(), CommError> {
+        if !self.wire.stream_if_full(dst, now)? {
+            return Ok(());
+        }
+        let port = &mut *self.wire.port;
+        while let Some(mut batch) = port.ep.poll_stream() {
+            stash(&mut self.parts, &mut batch).map_err(|e| CommError::transport(port.ep.me(), &e))?;
+            port.ep.recycle(batch);
+            port.stats.record_drain_early(1);
+        }
+        Ok(())
+    }
+
+    /// Ships what is still staged, waits for every peer's share of the
+    /// round, and hands each inbound item to `apply` in (sender, part,
+    /// item) order.
+    pub fn close(mut self, now: f64, mut apply: impl FnMut(T)) -> Result<(), CommError> {
+        if self.wire.port.pipeline {
+            let parts = &mut self.parts;
+            self.wire.finish(now, |batch| stash(parts, batch))?;
+        } else {
+            // Nothing was stashed: the sender-sorted batches are the order.
+            for mut batch in self.wire.exchange(now)? {
+                let port = &mut *self.wire.port;
+                batch
+                    .make_items()
+                    .map_err(|e| CommError::transport(port.ep.me(), &e))?;
+                batch.items.drain(..).for_each(&mut apply);
+                port.ep.recycle(batch);
+            }
+        }
+        for (from, parts) in self.parts.into_iter().enumerate() {
+            for mut items in parts {
+                items.drain(..).for_each(&mut apply);
+                self.wire.port.ep.recycle_vec(from, items);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Materializes `batch` and parks its items under its sender.
+fn stash<T: Wire>(parts: &mut [Vec<Vec<T>>], batch: &mut Batch<T>) -> Result<(), NetError> {
+    batch.make_items()?;
+    if !batch.items.is_empty() {
+        parts[batch.from].push(std::mem::take(&mut batch.items));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -347,7 +692,8 @@ mod tests {
                 &mut batches,
                 |(gid, d): (u32, u64)| Some((gid, d * 10)),
                 &mut Vec::new(),
-            );
+            )
+            .expect("well-formed batches");
             assert_eq!(segments.len(), 2);
             // Block 0: batch 0's items in order, then batch 1's.
             assert_eq!(segments[0], vec![vec![(0, 10), (1, 30)], vec![(0, 50)]]);
@@ -379,7 +725,8 @@ mod tests {
             &mut batches,
             |(gid, d): (u32, u64)| (gid < 4).then_some((gid, d)),
             &mut Vec::new(),
-        );
+        )
+        .expect("well-formed batch");
         assert_eq!(segments, vec![vec![vec![(0, 1), (3, 3)]]]);
     }
 
@@ -408,7 +755,8 @@ mod tests {
             &mut batches,
             |(gid, d): (u32, u64)| Some((gid, d)),
             &mut scratch,
-        );
+        )
+        .expect("well-formed batch");
         assert_eq!(segments[0], vec![vec![(0, 1), (1, 2)]]);
         assert!(segments[1].is_empty());
         assert_eq!(scratch.len(), 1, "unused bucket returns to the pool");
@@ -459,13 +807,51 @@ mod tests {
             let translate = |(gid, d): (u32, u64)| Some((gid, d * 10));
             let a = route_inbound(&pctx, 8, &mut materialized, translate, &mut Vec::new());
             let b = route_inbound(&pctx, 8, &mut raw, translate, &mut Vec::new());
-            assert_eq!(a, b);
+            assert_eq!(a.expect("materialized"), b.expect("raw"));
             // The raw batch is drained (count zeroed) but keeps its buffer
             // for recycling back to the frame reader's free list.
             let r = raw[0].raw.as_ref().unwrap();
             assert_eq!(r.count, 0);
             assert!(!r.bytes.is_empty());
         }
+    }
+
+    #[test]
+    fn route_inbound_fails_on_a_malformed_raw_item() {
+        use lazygraph_cluster::RawBatch;
+        // Three items claimed, the third cut short: the frame layer let it
+        // through, so the router must fail the round — never deliver the
+        // well-formed prefix as if it were the whole batch.
+        let mut bytes = Vec::new();
+        for it in [(0u32, 1u64), (1, 2), (2, 3)] {
+            it.encode(&mut bytes);
+        }
+        bytes.truncate(bytes.len() - 3);
+        let pctx = ParallelCtx::new(ParallelConfig {
+            threads: 2,
+            block_size: 4,
+        });
+        let mut raw = vec![Batch {
+            from: 0,
+            sent_at: 0.0,
+            round: 0,
+            last: true,
+            kind: FrameKind::Data,
+            items: Vec::new(),
+            raw: Some(RawBatch {
+                bytes,
+                offset: 0,
+                count: 3,
+            }),
+        }];
+        let routed = route_inbound(
+            &pctx,
+            4,
+            &mut raw,
+            |(gid, d): (u32, u64)| Some((gid, d)),
+            &mut Vec::new(),
+        );
+        assert!(routed.is_err(), "a torn item region must be a typed error");
     }
 
     #[test]

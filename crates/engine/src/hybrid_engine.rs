@@ -20,99 +20,63 @@
 use std::sync::Arc;
 
 use lazygraph_cluster::{
-    build_endpoints, Collective, CommError, CostModel, Endpoint, NetStats, OutboxSet, Phase,
-    SimClock, Termination, TransportKind,
+    build_endpoints, Collective, CommError, Endpoint, NetStats, OutboxSet, Phase, SimClock,
+    Termination,
 };
 use lazygraph_partition::{DistributedGraph, LocalShard};
 use parking_lot::Mutex;
 
 use crate::bsp::{BspReduction, BspSync, CommCharge};
+use crate::config::EngineConfig;
+use crate::lazy_block::LazyCounters;
+use crate::machine::{assemble, EngineOutcome, MachineOut};
 use crate::metrics::SimBreakdown;
 use crate::program::{EdgeCtx, VertexProgram};
 use crate::state::{vertex_ctx, InitMessages, MachineState};
-use crate::sync_engine::{EngineOutput, SyncMsg};
+use crate::sync_engine::SyncMsg;
 
-/// Tuning of the hybrid switch.
-#[derive(Clone, Copy, Debug)]
-pub struct HybridParams {
-    pub cost: CostModel,
-    pub max_iterations: u64,
-    /// Switch to async once `active vertices / |V| <` this fraction.
-    pub switch_threshold: f64,
-}
-
-struct MachineOut<P: VertexProgram> {
-    masters: Vec<(u32, P::VData)>,
-    sync_supersteps: u64,
-    switched: bool,
-    sim_time: f64,
-}
-
-/// Runs the hybrid engine. Returns `(values, sync supersteps, switched?,
-/// sim time)`.
+/// Runs the hybrid engine. The outcome's `iterations` are the BSP
+/// supersteps run before the switch (or convergence); the asynchronous
+/// tail always runs to quiescence, so the run always converges.
 pub fn run_hybrid_engine<P: VertexProgram>(
     dg: &DistributedGraph,
     program: &P,
-    params: HybridParams,
-    transport: TransportKind,
+    cfg: &EngineConfig,
     stats: Arc<NetStats>,
     breakdown: Arc<Mutex<SimBreakdown>>,
-) -> EngineOutput<P::VData> {
+) -> Result<EngineOutcome<P::VData>, CommError> {
     let p = dg.num_machines;
     let coll = Arc::new(Collective::new(p));
-    let term = Arc::new(Termination::new(p));
-    let endpoints = build_endpoints::<(u32, SyncMsg<P>)>(transport, p, &stats)?;
+    let term = Termination::new(p);
+    let endpoints = build_endpoints::<(u32, SyncMsg<P>)>(cfg.transport, p, &stats)?;
     #[allow(clippy::type_complexity)]
     let workers: Vec<(&LocalShard, Endpoint<(u32, SyncMsg<P>)>)> =
         dg.shards.iter().zip(endpoints).collect();
-    let num_vertices = dg.num_global_vertices;
     let outs = lazygraph_cluster::try_run_machines(workers, |(shard, ep)| {
-        machine_loop(
-            shard,
-            ep,
-            program,
-            num_vertices,
-            params,
+        let bsp = BspSync::new(
+            shard.machine.index(),
             coll.clone(),
-            term.clone(),
             stats.clone(),
+            cfg.cost,
             breakdown.clone(),
-        )
+        );
+        machine_loop(dg, shard, ep, program, cfg, bsp, &term)
     })?;
-    let sim_time = outs.iter().map(|o| o.sim_time).fold(0.0, f64::max);
-    let supersteps = outs[0].sync_supersteps;
-    let switched = outs[0].switched;
-    let mut values: Vec<Option<P::VData>> = vec![None; num_vertices];
-    for out in outs {
-        for (gid, v) in out.masters {
-            values[gid as usize] = Some(v);
-        }
-    }
-    let values = values
-        .into_iter()
-        .enumerate()
-// lazylint: allow(no-panic) -- every vertex has exactly one master by
-        // partition construction; a gap here is an assembler bug
-        .map(|(gid, v)| v.unwrap_or_else(|| panic!("vertex {gid} has no master value")))
-        .collect();
-    Ok((values, supersteps, switched, sim_time))
+    Ok(assemble(outs, dg.num_global_vertices))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn machine_loop<P: VertexProgram>(
+    dg: &DistributedGraph,
     shard: &LocalShard,
     mut ep: Endpoint<(u32, SyncMsg<P>)>,
     program: &P,
-    num_vertices: usize,
-    params: HybridParams,
-    coll: Arc<Collective>,
-    term: Arc<Termination>,
-    stats: Arc<NetStats>,
-    breakdown: Arc<Mutex<SimBreakdown>>,
+    cfg: &EngineConfig,
+    mut bsp: BspSync,
+    term: &Termination,
 ) -> Result<MachineOut<P>, CommError> {
-    let me = shard.machine.index();
-    let n = coll.num_machines();
-    let mut bsp = BspSync::new(me, coll, stats.clone(), params.cost, breakdown);
+    let (me, n, num_vertices) = (bsp.me, dg.num_machines, dg.num_global_vertices);
+    let stats = bsp.stats.clone();
+    let cost = cfg.cost;
     let mut clock = SimClock::new();
     let mut state: MachineState<P> =
         MachineState::init(shard, program, InitMessages::MastersOnly, num_vertices);
@@ -128,7 +92,7 @@ fn machine_loop<P: VertexProgram>(
     let mut outboxes: OutboxSet<(u32, SyncMsg<P>)> = OutboxSet::new(n);
 
     // ---- Phase A: eager BSP supersteps while the frontier is dense. ----
-    'bsp: while supersteps < params.max_iterations {
+    'bsp: while supersteps < cfg.max_iterations {
         supersteps += 1;
         // Gather: mirrors forward to masters.
         let mut sent = 0u64;
@@ -202,7 +166,7 @@ fn machine_loop<P: VertexProgram>(
             }
         }
         stats.record_applies(applies);
-        clock.advance(params.cost.apply_time(applies));
+        clock.advance(cost.apply_time(applies));
         for mut batch in ep.exchange(&mut outboxes, clock.now(), Phase::Apply, update_bytes, &stats)? {
             // Materialize exactly once, at receipt.
             batch
@@ -251,7 +215,7 @@ fn machine_loop<P: VertexProgram>(
             }
         }
         stats.record_edges(edges);
-        clock.advance(params.cost.compute_time(edges));
+        clock.advance(cost.compute_time(edges));
         let red = bsp.sync(
             &mut clock,
             BspReduction {
@@ -266,7 +230,7 @@ fn machine_loop<P: VertexProgram>(
         // The switch: everyone sees the same reduction, so everyone flips
         // together when the frontier goes sparse.
         if supersteps >= 2
-            && (red.pending as f64) < params.switch_threshold * num_vertices as f64
+            && (red.pending as f64) < cfg.hybrid_switch_threshold * num_vertices as f64
         {
             switched = true;
             break 'bsp;
@@ -288,7 +252,7 @@ fn machine_loop<P: VertexProgram>(
                     .make_items()
                     .map_err(|e| CommError::transport(me, &e))?;
                 let bytes = batch.items.len() * update_bytes;
-                clock.merge(batch.sent_at + params.cost.async_batch_time(bytes as u64));
+                clock.merge(batch.sent_at + cost.async_batch_time(bytes as u64));
                 for (gid, msg) in batch.items.drain(..) {
                     let l = shard.local_of(gid.into()).expect("async to non-replica"); // lazylint: allow(no-panic) -- replica routing table guarantees locality; a miss is a partitioner bug
                     match msg {
@@ -343,7 +307,7 @@ fn machine_loop<P: VertexProgram>(
                     let gid = shard.global_of(l).0;
                     if shard.is_master[l as usize] {
                         let ctx = vertex_ctx(shard, l, num_vertices);
-                        clock.advance(params.cost.async_apply_time());
+                        clock.advance(cost.async_apply_time());
                         let d =
                             program.apply(gid.into(), &mut state.vdata[l as usize], accum, &ctx);
                         applies += 1;
@@ -371,13 +335,13 @@ fn machine_loop<P: VertexProgram>(
                 }
                 stats.record_edges(edges);
                 stats.record_applies(applies);
-                clock.advance(params.cost.compute_time(edges) + params.cost.apply_time(applies));
+                clock.advance(cost.compute_time(edges) + cost.apply_time(applies));
                 for dst in 0..n {
                     if dst == me || outboxes.staged(dst).is_empty() {
                         continue;
                     }
                     term.note_sent(1);
-                    clock.advance(params.cost.async_send_cpu);
+                    clock.advance(cost.async_send_cpu);
                     ep.send_staged(
                         &mut outboxes,
                         dst,
@@ -401,14 +365,6 @@ fn machine_loop<P: VertexProgram>(
         }
     }
 
-    let masters = (0..shard.num_local() as u32)
-        .filter(|&l| shard.is_master[l as usize])
-        .map(|l| (shard.global_of(l).0, state.vdata[l as usize].clone()))
-        .collect();
-    Ok(MachineOut {
-        masters,
-        sync_supersteps: supersteps,
-        switched,
-        sim_time: clock.now(),
-    })
+    let counters = LazyCounters::default();
+    Ok(MachineOut::collect(shard, &state, supersteps, true, clock.now(), counters))
 }

@@ -19,29 +19,24 @@
 //! interval model (§4.2.1); the first iteration always runs without a
 //! local stage.
 
-use std::sync::Arc;
-
-use lazygraph_cluster::{
-    build_endpoints, Collective, CommError, CostModel, Endpoint, NetStats, OutboxSet, Phase,
-    PipelineTiming, SimClock, TransportKind,
-};
+use lazygraph_cluster::{CommError, Phase};
 use lazygraph_graph::MachineId;
 use lazygraph_net::{FrameKind, NetError, Wire, WireReader};
-use lazygraph_partition::{load_ratio_milli, DistributedGraph, EdgeMode, LocalShard, NO_LOCAL};
-use parking_lot::Mutex;
+use lazygraph_partition::{load_ratio_milli, EdgeMode, LocalShard, NO_LOCAL};
 
-use crate::bsp::{BspReduction, BspSync, CommCharge};
-use crate::checkpoint::{checkpoint_at_barrier, interval_state, lazy_resume, RecoveryCfg};
+use crate::bsp::{BspReduction, CommCharge};
+use crate::checkpoint::{EngineSnapshot, LazyResume, ResumeExtras};
 use crate::comm_mode::{choose_mode, CommMode, VolumeEstimate};
-use crate::config::{CommModePolicy, IntervalPolicy};
-use crate::exchange::{adapt_part_items, route_inbound, stage_combining, PipelineDrain};
+use crate::config::{CommModePolicy, EngineKind};
+use crate::exchange::{local_delta, stage_combining};
 use crate::interval::IntervalModel;
-use crate::metrics::{IterationRecord, SimBreakdown};
-use crate::parallel::{ParallelConfig, ParallelCtx};
+use crate::machine::{Frame, Superstep, Vote};
+use crate::metrics::IterationRecord;
+use crate::parallel::ParallelCtx;
 use crate::program::{DeltaExchange, EdgeCtx, VertexProgram};
 use crate::rebalance::{
     apply_structural, build_payload, install_states, membership_bitmap, plan_rebalance,
-    resolve_migration, select_victims, MigContribution, RebalanceConfig, StructMigration,
+    resolve_migration, select_victims, MigContribution, StructMigration,
 };
 use crate::state::{vertex_ctx, InitMessages, MachineState};
 
@@ -71,189 +66,6 @@ impl Wire for LazyCounters {
             m2m_exchanges: u64::decode(r)?,
         })
     }
-}
-
-/// Per-machine outcome. Public (with a [`Wire`] impl) so the multiprocess
-/// worker binary can run one machine's loop and ship the result back to
-/// the launcher for [`assemble`].
-pub struct MachineOut<P: VertexProgram> {
-    pub masters: Vec<(u32, P::VData)>,
-    pub iterations: u64,
-    pub converged: bool,
-    pub sim_time: f64,
-    pub counters: LazyCounters,
-}
-
-impl<P: VertexProgram> Wire for MachineOut<P> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.masters.encode(out);
-        self.iterations.encode(out);
-        self.converged.encode(out);
-        self.sim_time.encode(out);
-        self.counters.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(MachineOut {
-            masters: Vec::<(u32, P::VData)>::decode(r)?,
-            iterations: u64::decode(r)?,
-            converged: bool::decode(r)?,
-            sim_time: f64::decode(r)?,
-            counters: LazyCounters::decode(r)?,
-        })
-    }
-}
-
-/// Configuration slice the lazy engine needs.
-#[derive(Clone, Copy, Debug)]
-pub struct LazyParams {
-    pub cost: CostModel,
-    pub max_iterations: u64,
-    pub comm_mode: CommModePolicy,
-    pub interval: IntervalPolicy,
-    /// Consult [`VertexProgram::exchange_policy`] before shipping deltas
-    /// (on by default; disable to measure the paper's literal
-    /// ship-everything protocol in ablations).
-    pub delta_suppression: bool,
-    /// Record a per-iteration trace on machine 0.
-    pub record_history: bool,
-    /// Use the zero-allocation exchange fast path (DESIGN.md §9); the
-    /// naive path exists for equivalence tests and is bitwise-identical.
-    pub exchange_fast: bool,
-    /// Pipeline the coherency exchange (DESIGN.md §11): stream staged
-    /// outbox parts to the transport as Phase B fills them, drain arriving
-    /// batches concurrently, and defer only the ⊕-commit to the barrier.
-    /// Requires `exchange_fast` (the serialized paths are the oracle);
-    /// ignored without it. Bitwise-identical to the serialized exchange.
-    pub pipeline: bool,
-    /// Adapt the pipelined part size per machine from measured
-    /// send-wait/overlap feedback ([`crate::exchange::adapt_part_items`]).
-    /// Part boundaries never affect computed values; with recovery on,
-    /// adaptation commits only at checkpoint barriers so replay
-    /// regeneration reproduces the logged wire stream. Requires
-    /// `pipeline`; ignored without it.
-    pub adaptive_parts: bool,
-    /// Online live-migration policy (DESIGN.md §16): per-machine
-    /// traversed-edge loads are allgathered every `rebalance.every`
-    /// coherency barriers, and a triggered plan migrates hot master
-    /// vertices one superstep later (after a forced full-flush exchange).
-    /// [`RebalanceConfig::DISABLED`] keeps the static placement.
-    pub rebalance: RebalanceConfig,
-}
-
-/// `(values, supersteps, converged, sim_time, counters)` or the first
-/// machine's communication error.
-pub type LazyBlockOutput<V> = Result<(Vec<V>, u64, bool, f64, LazyCounters), CommError>;
-
-/// Runs LazyBlockAsync to convergence.
-#[allow(clippy::too_many_arguments)]
-pub fn run_lazy_block_engine<P: VertexProgram>(
-    dg: &DistributedGraph,
-    program: &P,
-    params: LazyParams,
-    par: ParallelConfig,
-    transport: TransportKind,
-    stats: Arc<NetStats>,
-    breakdown: Arc<Mutex<SimBreakdown>>,
-    history: Arc<Mutex<Vec<IterationRecord>>>,
-) -> LazyBlockOutput<P::VData> {
-    let p = dg.num_machines;
-    let coll = Arc::new(Collective::new(p));
-    let endpoints = build_endpoints::<(u32, P::Delta)>(transport, p, &stats)?;
-    #[allow(clippy::type_complexity)]
-    let workers: Vec<(usize, &LocalShard, Endpoint<(u32, P::Delta)>)> = dg
-        .shards
-        .iter()
-        .enumerate()
-        .zip(endpoints)
-        .map(|((i, shard), ep)| (i, shard, ep))
-        .collect();
-    let num_vertices = dg.num_global_vertices;
-    let ev_ratio = dg.ev_ratio;
-    let outs = lazygraph_cluster::try_run_machines(workers, |(me, shard, ep)| {
-        machine_loop(
-            me,
-            shard,
-            ep,
-            program,
-            num_vertices,
-            ev_ratio,
-            params,
-            par,
-            coll.clone(),
-            stats.clone(),
-            breakdown.clone(),
-            history.clone(),
-            RecoveryCfg::default(),
-        )
-    })?;
-    assemble(outs, num_vertices)
-}
-
-/// Folds per-machine outcomes into the driver-facing result. Public so a
-/// multiprocess launcher can assemble worker-shipped [`MachineOut`]s with
-/// exactly the in-process rules.
-pub fn assemble<P: VertexProgram>(
-    outs: Vec<MachineOut<P>>,
-    num_vertices: usize,
-) -> LazyBlockOutput<P::VData> {
-    let iterations = outs[0].iterations;
-    let converged = outs[0].converged;
-    let sim_time = outs.iter().map(|o| o.sim_time).fold(0.0, f64::max);
-    let mut counters = outs[0].counters;
-    counters.local_subrounds = outs.iter().map(|o| o.counters.local_subrounds).sum();
-    let mut values: Vec<Option<P::VData>> = vec![None; num_vertices];
-    for out in outs {
-        for (gid, v) in out.masters {
-            values[gid as usize] = Some(v);
-        }
-    }
-    let values = values
-        .into_iter()
-        .enumerate()
-// lazylint: allow(no-panic) -- every vertex has exactly one master by
-        // partition construction; a gap here is an assembler bug
-        .map(|(gid, v)| v.unwrap_or_else(|| panic!("vertex {gid} has no master value")))
-        .collect();
-    Ok((values, iterations, converged, sim_time, counters))
-}
-
-/// One machine's share of a LazyBlockAsync run, callable from a separate
-/// worker process: the caller supplies the endpoint (a TCP mesh leg built
-/// with [`lazygraph_cluster::connect_tcp_endpoint`]) and a mesh-backed
-/// [`Collective`]. `params.record_history` is ignored here (the trace
-/// sink is process-local); multiprocess launchers run without history.
-#[allow(clippy::too_many_arguments)]
-pub fn run_lazy_block_machine<P: VertexProgram>(
-    me: usize,
-    shard: &LocalShard,
-    ep: Endpoint<(u32, P::Delta)>,
-    coll: Arc<Collective>,
-    program: &P,
-    num_vertices: usize,
-    ev_ratio: f64,
-    params: LazyParams,
-    par: ParallelConfig,
-    stats: Arc<NetStats>,
-    breakdown: Arc<Mutex<SimBreakdown>>,
-    recovery: RecoveryCfg<P>,
-) -> Result<MachineOut<P>, CommError> {
-    let history = Arc::new(Mutex::new(Vec::new()));
-    machine_loop(
-        me,
-        shard,
-        ep,
-        program,
-        num_vertices,
-        ev_ratio,
-        params,
-        par,
-        coll,
-        stats,
-        breakdown,
-        history,
-        recovery,
-    )
 }
 
 /// One blocked apply+scatter sweep over a sorted worklist: the engine-side
@@ -343,116 +155,138 @@ pub(crate) fn blocked_apply_scatter<P: VertexProgram>(
     (edges, applies, folds)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn machine_loop<P: VertexProgram>(
-    me: usize,
-    shard_ref: &LocalShard,
-    mut ep: Endpoint<(u32, P::Delta)>,
-    program: &P,
-    num_vertices: usize,
-    ev_ratio: f64,
-    params: LazyParams,
-    par: ParallelConfig,
-    coll: Arc<Collective>,
-    stats: Arc<NetStats>,
-    breakdown: Arc<Mutex<SimBreakdown>>,
-    history: Arc<Mutex<Vec<IterationRecord>>>,
-    mut recovery: RecoveryCfg<P>,
-) -> Result<MachineOut<P>, CommError> {
-    let n = coll.num_machines();
-    let pctx = ParallelCtx::new(par);
-    // Live migration patches the topology in place, so the loop works on
-    // an owned copy of the statically-partitioned shard. Every machine
-    // applies the identical structural patch stream, so all copies stay
-    // consistent views of one distributed graph.
-    let mut shard = shard_ref.clone();
-    // BspSync owns the breakdown for the simulated components; this clone
-    // is the sink for the pipelined exchange's wall-clock telemetry.
-    let timing_sink = breakdown.clone();
-    let mut bsp = BspSync::new(me, coll, stats.clone(), params.cost, breakdown);
-    let mut clock = SimClock::new();
-    let mut state: MachineState<P> =
-        MachineState::init(&shard, program, InitMessages::AllReplicas, num_vertices);
-    let mut interval = IntervalModel::new(params.interval, ev_ratio);
-    let delta_bytes = program.delta_bytes();
-    let mut counters = LazyCounters::default();
-    // Persistent exchange state: staged outboxes keep their capacity
-    // across coherency points (exchange refills shipped slots from the
-    // buffer pool), and the m2m scratch arrays replace the per-call hash
-    // maps — zero steady-state allocation.
-    let mut outboxes: OutboxSet<(u32, P::Delta)> = OutboxSet::new(n);
-    let mut own_scratch: Vec<Option<P::Delta>> = vec![None; shard.num_local()];
-    let mut totals_scratch: Vec<Option<P::Delta>> = vec![None; shard.num_local()];
-    let mut do_local = false;
-    let mut iterations = 0u64;
-    let mut converged = false;
-    // Wall-clock feedback for adaptive part sizing; committed into
-    // `state.part_items` only at deterministic points (see the commit
-    // site at the bottom of the loop).
-    let pipelined = params.pipeline && params.exchange_fast;
-    let mut pending_wait_ms = 0.0f64;
-    let mut pending_overlap_ms = 0.0f64;
-    // Duration T of the first local computation stage (§4.2.1's doLC bound).
-    let mut first_stage_time: Option<f64> = None;
-    // Comm mode decided from the previous coherency point's volume
-    // estimates (one-round lag keeps the coherency stage at exactly one
-    // global synchronisation, as in the paper's Fig. 1(c)).
-    let mut next_mode = CommMode::AllToAll;
-    // Live-migration state: traversed edges since the last rebalance
-    // check, the decision taken at the last check (executed one superstep
-    // later, after a forced full-flush exchange), and the structural log
-    // every checkpoint carries so a resumed machine can rebuild the
-    // migrated topology.
-    let mut my_load: u64 = 0;
-    let mut pending_migration: Option<(u32, u32, u64)> = None;
-    let mut migrations: Vec<StructMigration> = Vec::new();
+/// One sweep on a machine frame: [`blocked_apply_scatter`] plus its
+/// bookkeeping — work counters, the sender-side-combining credit for
+/// deltas folded into an occupied `deltaMsg` slot, and the simulated
+/// compute charge. Returns the edges traversed.
+pub(crate) fn sweep<P: VertexProgram, M>(
+    f: &mut Frame<'_, P, M>,
+    worklist: &[u32],
+    update_coherent: bool,
+) -> u64 {
+    let (edges, applies, folds) = blocked_apply_scatter(
+        &f.shard,
+        &mut f.state,
+        f.program,
+        f.num_vertices,
+        &f.pctx,
+        worklist,
+        update_coherent,
+    );
+    f.stats.record_edges(edges);
+    f.stats.record_applies(applies);
+    f.stats.record_combined(folds, folds * f.program.delta_bytes() as u64);
+    let cost = &f.cfg.cost;
+    f.clock.advance(cost.compute_time(edges) + cost.apply_time(applies));
+    edges
+}
 
-    if let Some(snap) = recovery.resume.take() {
-        debug_assert_eq!(snap.engine, 1, "resume snapshot is not a LazyBlock snapshot");
-        // Replay the structural migration log first: the snapshot's state
+/// LazyBlockAsync on the superstep skeleton: the interval model, the
+/// comm-mode lag and the live-migration state that survive from one
+/// coherency iteration to the next.
+pub struct LazyStep<P: VertexProgram> {
+    interval: IntervalModel,
+    counters: LazyCounters,
+    /// Dense m2m scratch arrays indexed by local id (zero steady-state
+    /// allocation); fully `None` between coherency points.
+    own_scratch: Vec<Option<P::Delta>>,
+    totals_scratch: Vec<Option<P::Delta>>,
+    do_local: bool,
+    /// Duration T of the first local computation stage (§4.2.1's doLC bound).
+    first_stage_time: Option<f64>,
+    /// Comm mode decided from the previous coherency point's volume
+    /// estimates (one-round lag keeps the coherency stage at exactly one
+    /// global synchronisation, as in the paper's Fig. 1(c)).
+    next_mode: CommMode,
+    /// Traversed edges since the last rebalance check.
+    my_load: u64,
+    /// The decision taken at the last rebalance check `(from, to, budget)`,
+    /// executed one superstep later, after a forced full-flush exchange.
+    pending_migration: Option<(u32, u32, u64)>,
+    /// The structural log every checkpoint carries so a resumed machine
+    /// can rebuild the migrated topology.
+    migrations: Vec<StructMigration>,
+}
+
+impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
+    type Msg = P::Delta;
+    const KIND: EngineKind = EngineKind::LazyBlockAsync;
+    const INIT: InitMessages = InitMessages::AllReplicas;
+
+    fn new(f: &Frame<'_, P, P::Delta>) -> Self {
+        LazyStep {
+            interval: IntervalModel::new(f.cfg.interval, f.ev_ratio),
+            counters: LazyCounters::default(),
+            own_scratch: vec![None; f.shard.num_local()],
+            totals_scratch: vec![None; f.shard.num_local()],
+            do_local: false,
+            first_stage_time: None,
+            next_mode: CommMode::AllToAll,
+            my_load: 0,
+            pending_migration: None,
+            migrations: Vec::new(),
+        }
+    }
+
+    fn restore(&mut self, f: &mut Frame<'_, P, P::Delta>, snap: &EngineSnapshot<P>) {
+        // Replay the structural migration log: the snapshot's state
         // arrays index into the *migrated* topology, not the static one.
         for mig in &snap.migrations {
-            apply_structural(&mut shard, mig);
+            apply_structural(f.shard.to_mut(), mig);
         }
-        migrations = snap.migrations.clone();
-        own_scratch.resize(shard.num_local(), None);
-        totals_scratch.resize(shard.num_local(), None);
-        // `restore_into` replaces the per-local arrays wholesale, so the
-        // pre-migration sizes `init` produced don't matter here.
-        snap.restore_into(&mut state);
-        clock.set(f64::from_bits(snap.clock_bits));
-        iterations = snap.iterations;
+        self.migrations = snap.migrations.clone();
+        self.fit_scratch(f.shard.num_local());
         if let Some(l) = &snap.lazy {
-            counters = l.counters;
-            interval.import_state(interval_state(l));
-            do_local = l.do_local;
-            first_stage_time = l.first_stage_bits.map(f64::from_bits);
-            next_mode = if l.next_mode_m2m {
+            self.counters = l.counters;
+            self.interval.import_state((
+                l.prev_active,
+                f64::from_bits(l.last_trend_bits),
+                l.iterations_seen,
+            ));
+            self.do_local = l.do_local;
+            self.first_stage_time = l.first_stage_bits.map(f64::from_bits);
+            self.next_mode = if l.next_mode_m2m {
                 CommMode::MirrorsToMaster
             } else {
                 CommMode::AllToAll
             };
-            pending_migration = l.pending_migration;
-            my_load = l.load_accum;
+            self.pending_migration = l.pending_migration;
+            self.my_load = l.load_accum;
         }
-        // Re-execute the checkpoint barrier unconditionally: if the crash
-        // landed before it, the peers are still blocked in it and this
-        // completes it; if after, their count-based dedupe drops the
-        // re-sent round and this machine's contribution is satisfied from
-        // their replay logs (DESIGN.md §12).
-        bsp.coll.barrier(bsp.me, &bsp.stats)?;
     }
 
-    while iterations < params.max_iterations {
-        iterations += 1;
-        lazygraph_cluster::failpoint_superstep(iterations);
-        let subrounds_at_round_start = counters.local_subrounds;
+    fn resume_extras(&self) -> ResumeExtras {
+        let (prev_active, last_trend, iterations_seen) = self.interval.export_state();
+        ResumeExtras {
+            lazy: Some(LazyResume {
+                counters: self.counters,
+                prev_active,
+                last_trend_bits: last_trend.to_bits(),
+                iterations_seen,
+                do_local: self.do_local,
+                first_stage_bits: self.first_stage_time.map(f64::to_bits),
+                next_mode_m2m: self.next_mode == CommMode::MirrorsToMaster,
+                pending_migration: self.pending_migration,
+                load_accum: self.my_load,
+            }),
+            delta: None,
+            migrations: self.migrations.clone(),
+        }
+    }
+
+    fn counters(&self) -> LazyCounters {
+        self.counters
+    }
+
+    fn step(&mut self, f: &mut Frame<'_, P, P::Delta>) -> Result<Vote, CommError> {
+        let cfg = f.cfg;
+        let subrounds_at_round_start = self.counters.local_subrounds;
 
         // ---- Stage 1: local computation. --------------------------------
-        if do_local {
-            let stage_start = clock.now();
+        if self.do_local {
+            let stage_start = f.clock.now();
             loop {
-                let mut queue = state.take_queue();
+                let mut queue = f.state.take_queue();
                 if queue.is_empty() {
                     break;
                 }
@@ -461,214 +295,79 @@ fn machine_loop<P: VertexProgram>(
                 // decides which sub-round a scattered message lands in.
                 // Sorting makes the whole BSP engine bit-deterministic.
                 queue.sort_unstable();
-                let (edges, applies, folds) = blocked_apply_scatter(
-                    &shard,
-                    &mut state,
-                    program,
-                    num_vertices,
-                    &pctx,
-                    &queue,
-                    false,
-                );
-                stats.record_edges(edges);
-                stats.record_applies(applies);
-                my_load += edges;
-                if params.exchange_fast {
-                    stats.record_combined(folds, folds * delta_bytes as u64);
-                }
-                clock.advance(params.cost.compute_time(edges) + params.cost.apply_time(applies));
-                counters.local_subrounds += 1;
-                if !interval.continue_local_stage(first_stage_time, clock.now() - stage_start) {
+                self.my_load += sweep(f, &queue, false);
+                self.counters.local_subrounds += 1;
+                let elapsed = f.clock.now() - stage_start;
+                if !self.interval.continue_local_stage(self.first_stage_time, elapsed) {
                     break;
                 }
             }
             // Record T online: the duration of this run's first local stage.
-            if first_stage_time.is_none() {
-                first_stage_time = Some(clock.now() - stage_start);
+            if self.first_stage_time.is_none() {
+                self.first_stage_time = Some(f.clock.now() - stage_start);
             }
         }
 
         // ---- Stage 2: data coherency. ------------------------------------
-        // Local volume-estimate partials (§4.2.2 formulas), computed from
-        // the deltas about to be exchanged; the summed estimates decide the
-        // *next* coherency point's mode (one-round lag, one sync per point).
-        //
         // A pending migration forces this exchange to flush *everything*:
         // suppression off means both exchange paths clear every occupied
         // `deltaMsg` slot (only `Defer` parks a delta, and `Defer` is
         // gated on suppression), so the migration at the next barrier
         // moves vertices with provably empty delta slots.
-        let suppress = params.delta_suppression && pending_migration.is_none();
-        let mut est = VolumeEstimate::default();
-        {
-            // Only replicated vertices can ever hold a shippable delta, so
-            // the scan walks `shard.replicated` in parallel blocks; the
-            // partial estimates merge in block order (sums, so any order
-            // would do — but the rule is uniform).
-            let (delta_view, coherent_view) = (&state.delta_msg, &state.coherent);
-            for part in pctx.map_chunks(&shard.replicated, |chunk| {
-                let mut e = VolumeEstimate::default();
-                for &l in chunk {
-                    let l = l as usize;
-                    if let Some(d) = &delta_view[l] {
-                        if suppress
-                            && program.exchange_policy(&coherent_view[l], d)
-                                != DeltaExchange::Send
-                        {
-                            continue;
-                        }
-                        e.add_holder(shard.mirrors[l].len(), shard.is_master[l], delta_bytes);
-                    }
-                }
-                e
-            }) {
-                est = est.merge(part);
-            }
-        }
-        let mode = match params.comm_mode {
+        let suppress = cfg.delta_suppression && self.pending_migration.is_none();
+        // Local volume-estimate partials (§4.2.2 formulas), computed from
+        // the deltas about to be exchanged; the summed estimates decide the
+        // *next* coherency point's mode (one-round lag, one sync per point).
+        let est = volume_estimate(&f.shard, &f.state, f.program, &f.pctx, suppress);
+        let mode = match cfg.comm_mode {
             CommModePolicy::AllToAll => CommMode::AllToAll,
             CommModePolicy::MirrorsToMaster => CommMode::MirrorsToMaster,
-            CommModePolicy::Auto => next_mode,
+            CommModePolicy::Auto => self.next_mode,
         };
-        let (sent_bytes, timing) = match mode {
+        let (sent_bytes, charge) = match mode {
             CommMode::AllToAll => {
-                counters.a2a_exchanges += 1;
-                exchange_a2a(
-                    &shard,
-                    &mut state,
-                    program,
-                    &pctx,
-                    &mut ep,
-                    &mut outboxes,
-                    &clock,
-                    &stats,
-                    suppress,
-                    params.exchange_fast,
-                    params.pipeline,
-                )?
+                self.counters.a2a_exchanges += 1;
+                (exchange_a2a(f, suppress)?, CommCharge::A2A)
             }
             CommMode::MirrorsToMaster => {
-                counters.m2m_exchanges += 1;
-                exchange_m2m(
-                    &shard,
-                    &mut state,
-                    program,
-                    &pctx,
-                    &mut ep,
-                    &mut outboxes,
-                    &mut own_scratch,
-                    &mut totals_scratch,
-                    &clock,
-                    &stats,
-                    suppress,
-                    params.exchange_fast,
-                    params.pipeline,
-                )?
+                self.counters.m2m_exchanges += 1;
+                let (own, totals) = (&mut self.own_scratch, &mut self.totals_scratch);
+                (exchange_m2m(f, own, totals, suppress)?, CommCharge::M2M)
             }
         };
-        if timing.overlap_ms > 0.0 || timing.send_wait_ms > 0.0 {
-            let mut bd = timing_sink.lock();
-            bd.overlap_ms += timing.overlap_ms;
-            bd.send_wait_ms += timing.send_wait_ms;
-        }
-        pending_wait_ms += timing.send_wait_ms;
-        pending_overlap_ms += timing.overlap_ms;
-        counters.coherency_points += 1;
-        let charge = match mode {
-            CommMode::AllToAll => CommCharge::A2A,
-            CommMode::MirrorsToMaster => CommCharge::M2M,
-        };
-        let red = bsp.sync(
-            &mut clock,
+        self.counters.coherency_points += 1;
+        let red = f.bsp.sync(
+            &mut f.clock,
             BspReduction {
                 bytes: sent_bytes,
-                pending: state.pending_messages(),
+                pending: f.state.pending_messages(),
                 est,
                 ..Default::default()
             },
             charge,
         )?;
-        next_mode = choose_mode(&params.cost, red.est);
-        if me == 0 && params.record_history {
-            history.lock().push(IterationRecord {
-                iteration: iterations,
+        self.next_mode = choose_mode(&cfg.cost, red.est);
+        if let Some(h) = &f.history {
+            h.lock().push(IterationRecord {
+                iteration: f.iterations,
                 pending: red.pending,
                 bytes: red.bytes,
-                lazy_on: do_local,
-                local_subrounds: counters.local_subrounds - subrounds_at_round_start,
+                lazy_on: self.do_local,
+                local_subrounds: self.counters.local_subrounds - subrounds_at_round_start,
                 used_m2m: mode == CommMode::MirrorsToMaster,
-                sim_time: clock.now(),
+                sim_time: f.clock.now(),
             });
         }
         if red.pending == 0 {
-            converged = true;
-            break;
+            return Ok(Vote::Converged);
         }
-        interval.observe_active(red.pending);
-        if !do_local && interval.turn_on_lazy() {
-            do_local = true;
+        self.interval.observe_active(red.pending);
+        if !self.do_local && self.interval.turn_on_lazy() {
+            self.do_local = true;
         }
 
-        // ---- Live migration (DESIGN.md §16). -----------------------------
-        // Executes the decision planned at the previous rebalance check.
-        // The exchange above ran with suppression forced off, so every
-        // `deltaMsg` slot is provably empty. One Migrate-tagged allgather
-        // ships the donor's plan + state and the receiver's membership
-        // bitmap to everyone; every machine then derives the identical
-        // structural patch and applies it to its own shard copy, keeping
-        // the distributed views consistent without further traffic.
-        if let Some((from, to, budget)) = pending_migration.take() {
-            let contribution = if me as u32 == from {
-                // The planner's budget is in traversed edges over the
-                // `every`-superstep window; stage 1 and apply each walk a
-                // master's local out-edges once per active superstep, so
-                // out-degree units are budget / (2 · every).
-                let budget_deg = budget / (2 * params.rebalance.every.max(1));
-                let victims =
-                    select_victims(&shard, params.rebalance.max_moves, budget_deg.max(1));
-                MigContribution::<P> {
-                    payload: Some(build_payload(
-                        &shard,
-                        &state,
-                        &victims,
-                        MachineId::from(to as usize),
-                    )),
-                    bitmap: Vec::new(),
-                }
-            } else if me as u32 == to {
-                MigContribution {
-                    payload: None,
-                    bitmap: membership_bitmap(&shard),
-                }
-            } else {
-                MigContribution::empty()
-            };
-            // Machine-order concat makes the fold an allgather:
-            // `gathered[i]` is machine `i`'s contribution on every machine.
-            let gathered = bsp.coll.allreduce_kind(
-                bsp.me,
-                vec![contribution],
-                &bsp.stats,
-                FrameKind::Migrate,
-                |mut a, b| {
-                    a.extend(b);
-                    a
-                },
-            )?;
-            if let Some((mig, payload)) = resolve_migration::<P>(&gathered, from, to) {
-                apply_structural(&mut shard, &mig);
-                if me as u32 == mig.to {
-                    install_states(&shard, &mut state, &mig, payload);
-                }
-                // The shard may have grown locals; the m2m scratch arrays
-                // are indexed by local id and must cover them.
-                own_scratch.resize(shard.num_local(), None);
-                totals_scratch.resize(shard.num_local(), None);
-                if me == 0 {
-                    stats.record_migrated_vertices(mig.victims.len() as u64);
-                }
-                migrations.push(mig);
-            }
+        if let Some(plan) = self.pending_migration.take() {
+            self.migrate(f, plan)?;
         }
 
         // ---- Data coherency point: apply merged views, then scatter. -----
@@ -677,441 +376,302 @@ fn machine_loop<P: VertexProgram>(
         // shares. Interleaving scatters would let same-drain local
         // deliveries (which siblings have not yet received) leak into the
         // snapshot and later suppress their own exchange.
-        let mut queue = state.take_queue();
+        let mut queue = f.state.take_queue();
         queue.sort_unstable();
         // `coherent` is only ever read by the suppression policy (the
         // volume-estimate scan and the exchange decisions both gate on
         // `delta_suppression`), so with suppression off the per-vertex
         // snapshot clone would be pure overhead — skip it.
-        let (edges, applies, folds) = blocked_apply_scatter(
-            &shard,
-            &mut state,
-            program,
-            num_vertices,
-            &pctx,
-            &queue,
-            params.delta_suppression,
-        );
-        stats.record_edges(edges);
-        stats.record_applies(applies);
-        my_load += edges;
-        if params.exchange_fast {
-            stats.record_combined(folds, folds * delta_bytes as u64);
-        }
-        clock.advance(params.cost.compute_time(edges) + params.cost.apply_time(applies));
-        // Adaptive part sizing commits at deterministic points only: every
-        // superstep bottom when recovery is off, else only at checkpoint
-        // boundaries (before capture, so the snapshot carries the value
-        // replay regeneration needs).
-        if pipelined
-            && params.adaptive_parts
-            && (recovery.every == 0 || recovery.due(iterations))
-        {
-            state.part_items =
-                adapt_part_items(state.part_items, pending_wait_ms, pending_overlap_ms);
-            pending_wait_ms = 0.0;
-            pending_overlap_ms = 0.0;
-        }
-        if pipelined {
-            stats.record_adaptive_part_items(state.part_items as u64);
-        }
+        self.my_load += sweep(f, &queue, cfg.delta_suppression);
 
         // ---- Rebalance check (DESIGN.md §16). ----------------------------
         // Every `rebalance.every` barriers, allgather the per-machine
         // traversed-edge loads and run the pure-integer decision. The
         // planned move executes at the *next* barrier, after a forced
         // full-flush exchange empties the delta slots.
-        if params.rebalance.every != 0 && iterations.is_multiple_of(params.rebalance.every) {
-            let loads = bsp.coll.allreduce(
-                bsp.me,
-                vec![my_load],
-                &bsp.stats,
-                |mut a, b| {
-                    a.extend(b);
-                    a
-                },
-            )?;
-            if me == 0 {
-                stats.record_rebalance_check(load_ratio_milli(&loads));
+        if cfg.rebalance.every != 0 && f.iterations.is_multiple_of(cfg.rebalance.every) {
+            let loads = f.bsp.coll.allreduce(f.me, vec![self.my_load], &f.stats, |mut a, b| {
+                a.extend(b);
+                a
+            })?;
+            if f.me == 0 {
+                f.stats.record_rebalance_check(load_ratio_milli(&loads));
             }
-            pending_migration = plan_rebalance(&loads, &params.rebalance);
-            my_load = 0;
+            self.pending_migration = plan_rebalance(&loads, &cfg.rebalance);
+            self.my_load = 0;
         }
+        Ok(Vote::Continue)
+    }
+}
 
-        if recovery.due(iterations) {
-            let lazy = Some(lazy_resume(
-                counters,
-                interval.export_state(),
-                do_local,
-                first_stage_time,
-                next_mode,
-                pending_migration,
-                my_load,
-            ));
-            checkpoint_at_barrier(
-                &ep, &bsp.coll, me, &stats, &recovery, 1, iterations, &clock, &state, lazy,
-                None, &migrations,
-            )?;
-        }
+impl<P: VertexProgram> LazyStep<P> {
+    /// The m2m scratch arrays are indexed by local id and must cover every
+    /// local a migration appended.
+    fn fit_scratch(&mut self, num_local: usize) {
+        self.own_scratch.resize(num_local, None);
+        self.totals_scratch.resize(num_local, None);
     }
 
-    let masters = (0..shard.num_local() as u32)
-        .filter(|&l| shard.is_master[l as usize])
-        .map(|l| (shard.global_of(l).0, state.vdata[l as usize].clone()))
-        .collect();
-    Ok(MachineOut {
-        masters,
-        iterations,
-        converged,
-        sim_time: clock.now(),
-        counters,
+    /// Executes the live migration planned at the previous rebalance check
+    /// (DESIGN.md §16). The exchange before it ran with suppression forced
+    /// off, so every `deltaMsg` slot is provably empty. One Migrate-tagged
+    /// allgather ships the donor's plan + state and the receiver's
+    /// membership bitmap to everyone; every machine then derives the
+    /// identical structural patch and applies it to its own shard copy,
+    /// keeping the distributed views consistent without further traffic.
+    fn migrate(
+        &mut self,
+        f: &mut Frame<'_, P, P::Delta>,
+        (from, to, budget): (u32, u32, u64),
+    ) -> Result<(), CommError> {
+        let me = f.me as u32;
+        let rebalance = &f.cfg.rebalance;
+        let contribution = if me == from {
+            // The planner's budget is in traversed edges over the
+            // `every`-superstep window; stage 1 and apply each walk a
+            // master's local out-edges once per active superstep, so
+            // out-degree units are budget / (2 · every).
+            let budget_deg = budget / (2 * rebalance.every.max(1));
+            let victims = select_victims(&f.shard, rebalance.max_moves, budget_deg.max(1));
+            MigContribution::<P> {
+                payload: Some(build_payload(
+                    &f.shard,
+                    &f.state,
+                    &victims,
+                    MachineId::from(to as usize),
+                )),
+                bitmap: Vec::new(),
+            }
+        } else if me == to {
+            MigContribution {
+                payload: None,
+                bitmap: membership_bitmap(&f.shard),
+            }
+        } else {
+            MigContribution::empty()
+        };
+        // Machine-order concat makes the fold an allgather:
+        // `gathered[i]` is machine `i`'s contribution on every machine.
+        let gathered = f.bsp.coll.allreduce_kind(
+            f.me,
+            vec![contribution],
+            &f.stats,
+            FrameKind::Migrate,
+            |mut a, b| {
+                a.extend(b);
+                a
+            },
+        )?;
+        if let Some((mig, payload)) = resolve_migration::<P>(&gathered, from, to) {
+            apply_structural(f.shard.to_mut(), &mig);
+            if me == mig.to {
+                install_states(&f.shard, &mut f.state, &mig, payload);
+            }
+            self.fit_scratch(f.shard.num_local());
+            if me == 0 {
+                f.stats.record_migrated_vertices(mig.victims.len() as u64);
+            }
+            self.migrations.push(mig);
+        }
+        Ok(())
+    }
+}
+
+/// This machine's §4.2.2 volume-estimate partial over the deltas the next
+/// exchange will ship. Only replicated vertices can ever hold a shippable
+/// delta, so the scan walks `shard.replicated` in parallel blocks; the
+/// partial estimates merge in block order (sums, so any order would do —
+/// but the rule is uniform).
+fn volume_estimate<P: VertexProgram>(
+    shard: &LocalShard,
+    state: &MachineState<P>,
+    program: &P,
+    pctx: &ParallelCtx,
+    suppress: bool,
+) -> VolumeEstimate {
+    let delta_bytes = program.delta_bytes();
+    let (delta_view, coherent_view) = (&state.delta_msg, &state.coherent);
+    pctx.map_chunks(&shard.replicated, |chunk| {
+        let mut e = VolumeEstimate::default();
+        for &l in chunk {
+            let l = l as usize;
+            if let Some(d) = &delta_view[l] {
+                if suppress
+                    && program.exchange_policy(&coherent_view[l], d) != DeltaExchange::Send
+                {
+                    continue;
+                }
+                e.add_holder(shard.mirrors[l].len(), shard.is_master[l], delta_bytes);
+            }
+        }
+        e
+    })
+    .into_iter()
+    .fold(VolumeEstimate::default(), VolumeEstimate::merge)
+}
+
+/// Phase A of a coherency exchange (parallel, read-only): each replicated
+/// vertex's fate — `(l, Some(delta))` ships, `(l, None)` drops the slot,
+/// absent defers it — in ascending local-id order per block. Phase B
+/// (the caller, block order) clears slots and fills outboxes, so the wire
+/// byte stream is schedule-independent.
+#[allow(clippy::type_complexity)]
+fn coherency_decisions<P: VertexProgram>(
+    shard: &LocalShard,
+    state: &MachineState<P>,
+    program: &P,
+    pctx: &ParallelCtx,
+    suppression: bool,
+) -> Vec<Vec<(u32, Option<P::Delta>)>> {
+    let (delta_view, coherent_view) = (&state.delta_msg, &state.coherent);
+    pctx.map_chunks(&shard.replicated, |chunk| {
+        let mut out: Vec<(u32, Option<P::Delta>)> = Vec::new();
+        for &l in chunk {
+            let Some(d) = &delta_view[l as usize] else { continue };
+            if suppression {
+                match program.exchange_policy(&coherent_view[l as usize], d) {
+                    DeltaExchange::Send => {}
+                    DeltaExchange::Drop => {
+                        out.push((l, None));
+                        continue;
+                    }
+                    DeltaExchange::Defer => continue,
+                }
+            }
+            out.push((l, Some(*d)));
+        }
+        out
     })
 }
 
 /// All-to-all deltaMsg exchange (Fig. 5(a)): every delta-holding replica
-/// sends its delta straight to every sibling. Returns bytes sent locally
-/// plus the pipelined path's wall-clock overlap telemetry.
-///
-/// With `fast` on, staging runs through [`stage_combining`] (decisions
-/// arrive in ascending local-id order, so duplicate keys would be
-/// adjacent) and inbound batches go through the block-parallel
-/// [`route_inbound`] → `deliver_segments` pipeline with drained buffers
-/// recycled to their senders. The naive branch is the pre-fast-path
-/// serial translate loop, kept for the equivalence tests.
-///
-/// With `pipeline` on top of `fast`, filled outbox parts ship to the
-/// transport writers mid-staging ([`Endpoint::stream_part`]) and arriving
-/// batches are routed into per-sender staging as they land; only the
-/// ⊕-commit waits for the barrier, where [`PipelineDrain::stitch`]
-/// re-establishes (sender, part) order — bitwise identical to the
-/// serialized exchange (DESIGN.md §11).
-#[allow(clippy::too_many_arguments)]
+/// sends its delta straight to every sibling — one ⊕-fold round. Staging
+/// runs through [`stage_combining`] (decisions arrive in ascending
+/// local-id order, so duplicate keys are adjacent). Returns bytes sent
+/// locally.
 pub(crate) fn exchange_a2a<P: VertexProgram>(
-    shard: &LocalShard,
-    state: &mut MachineState<P>,
-    program: &P,
-    pctx: &ParallelCtx,
-    ep: &mut Endpoint<(u32, P::Delta)>,
-    outboxes: &mut OutboxSet<(u32, P::Delta)>,
-    clock: &SimClock,
-    stats: &NetStats,
+    f: &mut Frame<'_, P, P::Delta>,
     suppression: bool,
-    fast: bool,
-    pipeline: bool,
-) -> Result<(u64, PipelineTiming), CommError> {
+) -> Result<u64, CommError> {
+    let (program, now) = (f.program, f.clock.now());
+    let (shard, pctx, stats): (&LocalShard, _, _) = (&f.shard, &f.pctx, &*f.stats);
+    let (state, port) = (&mut f.state, &mut f.port);
     let delta_bytes = program.delta_bytes();
-    let pipelined = pipeline && fast;
-    let part_limit = state.part_items as usize;
     let mut sent = 0u64;
     let mut combined = 0u64;
-    // Phase A (parallel): decide each replicated vertex's fate from a
-    // read-only view. Phase B (block order): clear slots and fill
-    // outboxes, so the wire byte stream is schedule-independent.
-    let decisions = {
-        let (delta_view, coherent_view) = (&state.delta_msg, &state.coherent);
-        pctx.map_chunks(&shard.replicated, |chunk| {
-            let mut out: Vec<(u32, Option<P::Delta>)> = Vec::new();
-            for &l in chunk {
-                let Some(d) = &delta_view[l as usize] else { continue };
-                if suppression {
-                    match program.exchange_policy(&coherent_view[l as usize], d) {
-                        DeltaExchange::Send => {}
-                        DeltaExchange::Drop => {
-                            out.push((l, None));
-                            continue;
-                        }
-                        DeltaExchange::Defer => continue,
-                    }
-                }
-                out.push((l, Some(*d)));
-            }
-            out
-        })
-    };
+    let decisions = coherency_decisions(shard, state, program, pctx, suppression);
     let route = shard.route_table();
-    let translate = |(gid, d): (u32, P::Delta)| match route.get(gid as usize) {
-        Some(&l) if l != NO_LOCAL => Some((l, program.gather(gid.into(), d))),
-        _ => None,
-    };
-    let num_local = shard.num_local();
-    let mut drain: PipelineDrain<P::Delta> = PipelineDrain::new(ep.num_machines());
+    let mut round = port.fold_round(
+        pctx,
+        shard.num_local(),
+        state.part_items,
+        Phase::Coherency,
+        delta_bytes,
+        |item| local_delta(route, program, item),
+    );
     for (l, d) in decisions.into_iter().flatten() {
         state.delta_msg[l as usize] = None;
-        if let Some(d) = d {
-            let gid = shard.global_of(l).0;
-            for &m in shard.mirrors[l as usize].iter() {
-                let dst = m.index();
-                if fast {
-                    if stage_combining(program, outboxes, dst, gid, d) {
-                        combined += 1;
-                        continue;
-                    }
-                } else {
-                    outboxes.push(dst, (gid, d));
-                }
-                sent += delta_bytes as u64;
-                if pipelined && outboxes.staged(dst).len() >= part_limit {
-                    // Streaming send: hand the filled part to the transport
-                    // writers, then eagerly route whatever peers have
-                    // already streamed to us while staging continues.
-                    ep.stream_part(outboxes, dst, clock.now(), Phase::Coherency, delta_bytes, stats)?;
-                    while let Some(mut batch) = ep.poll_stream() {
-                        let from = batch.from;
-                        let routed = route_inbound(
-                            pctx,
-                            num_local,
-                            std::slice::from_mut(&mut batch),
-                            translate,
-                            &mut state.seg_scratch,
-                        );
-                        drain.push(from, routed);
-                        ep.recycle(batch);
-                        stats.record_drain_early(1);
-                    }
-                }
+        let Some(d) = d else { continue };
+        let gid = shard.global_of(l).0;
+        for &m in shard.mirrors[l as usize].iter() {
+            let dst = m.index();
+            if stage_combining(program, round.outboxes(), dst, gid, d) {
+                combined += 1;
+                continue;
             }
+            sent += delta_bytes as u64;
+            round.staged(dst, now, &mut state.seg_scratch)?;
         }
     }
     stats.record_combined(combined, combined * delta_bytes as u64);
-    if pipelined {
-        let seg_scratch = &mut state.seg_scratch;
-        let timing = ep.finish_pipelined(
-            outboxes,
-            clock.now(),
-            Phase::Coherency,
-            delta_bytes,
-            stats,
-            |batch| {
-                let from = batch.from;
-                let routed = route_inbound(
-                    pctx,
-                    num_local,
-                    std::slice::from_mut(batch),
-                    translate,
-                    seg_scratch,
-                );
-                drain.push(from, routed);
-            },
-        )?;
-        let bs = pctx.block_size().max(1);
-        let segments = drain.stitch(num_local.div_ceil(bs).max(1));
-        let runs = state.deliver_segments(program, pctx, segments);
-        stats.record_fold_runs(runs);
-        return Ok((sent, timing));
-    }
-    let mut received = ep.exchange(outboxes, clock.now(), Phase::Coherency, delta_bytes, stats)?;
-    if fast {
-        let segments = route_inbound(
-            pctx,
-            num_local,
-            &mut received,
-            translate,
-            &mut state.seg_scratch,
-        );
-        let runs = state.deliver_segments(program, pctx, segments);
-        stats.record_fold_runs(runs);
-        for batch in received {
-            ep.recycle(batch);
-        }
-    } else {
-        crate::oracle::lazy_a2a_deliver(shard, program, pctx, state, ep.me(), received)?;
-    }
-    Ok((sent, PipelineTiming::default()))
+    round.close(program, state, now)?;
+    Ok(sent)
 }
 
 /// Mirrors-to-master deltaMsg exchange (Fig. 5(b)): mirrors send up, the
 /// master combines with `Sum`, broadcasts the combined delta, and every
-/// replica removes its own contribution with `Inverse`. Returns bytes sent
-/// locally (both hops).
+/// replica removes its own contribution with `Inverse`. Hop 1 is a
+/// sender-ordered round (masters fold mirror contributions in (sender,
+/// part) order), hop 2 a ⊕-fold round, so the two-sync shape is the same
+/// serialized or pipelined. Returns bytes sent locally (both hops).
 ///
 /// `own` and `totals` are caller-owned dense scratch arrays indexed by
-/// local id (the fast path's replacement for the per-call hash maps;
-/// this function leaves them fully `None` again on return). Local ids
-/// ascend with global ids within a shard, so iterating `shard.replicated`
-/// reproduces the old sort-by-gid broadcast order exactly.
-///
-/// With `pipeline` on top of `fast`, both hops stream: hop-1 parts are
-/// stashed per sender as they arrive and folded into `totals` in
-/// (sender, part) order at the hop-1 close — the exact item sequence of
-/// the serialized per-sender batches — and hop-2 broadcasts drain through
-/// [`PipelineDrain`] like [`exchange_a2a`]. Each hop is one pipelined
-/// round, so the two-sync shape of the serialized m2m is preserved.
-#[allow(clippy::too_many_arguments)]
+/// local id; this function leaves them fully `None` again on return.
+/// Local ids ascend with global ids within a shard, so iterating
+/// `shard.replicated` yields a reproducible broadcast byte stream (and
+/// hence every downstream worklist).
 fn exchange_m2m<P: VertexProgram>(
-    shard: &LocalShard,
-    state: &mut MachineState<P>,
-    program: &P,
-    pctx: &ParallelCtx,
-    ep: &mut Endpoint<(u32, P::Delta)>,
-    outboxes: &mut OutboxSet<(u32, P::Delta)>,
+    f: &mut Frame<'_, P, P::Delta>,
     own: &mut [Option<P::Delta>],
     totals: &mut [Option<P::Delta>],
-    clock: &SimClock,
-    stats: &NetStats,
     suppression: bool,
-    fast: bool,
-    pipeline: bool,
-) -> Result<(u64, PipelineTiming), CommError> {
+) -> Result<u64, CommError> {
+    let (program, now) = (f.program, f.clock.now());
+    let (shard, pctx, stats): (&LocalShard, _, _) = (&f.shard, &f.pctx, &*f.stats);
+    let (state, port) = (&mut f.state, &mut f.port);
     let delta_bytes = program.delta_bytes();
-    let pipelined = pipeline && fast;
-    let part_limit = state.part_items as usize;
-    let n = ep.num_machines();
-    let mut timing = PipelineTiming::default();
+    let part_items = state.part_items;
     let mut sent = 0u64;
     let mut combined = 0u64;
-    // Hop 1: mirrors → master. Same two-phase shape as exchange_a2a.
-    let decisions = {
-        let (delta_view, coherent_view) = (&state.delta_msg, &state.coherent);
-        pctx.map_chunks(&shard.replicated, |chunk| {
-            let mut out: Vec<(u32, Option<P::Delta>)> = Vec::new();
-            for &l in chunk {
-                let Some(d) = &delta_view[l as usize] else { continue };
-                if suppression {
-                    match program.exchange_policy(&coherent_view[l as usize], d) {
-                        DeltaExchange::Send => {}
-                        DeltaExchange::Drop => {
-                            out.push((l, None));
-                            continue;
-                        }
-                        DeltaExchange::Defer => continue,
-                    }
-                }
-                out.push((l, Some(*d)));
-            }
-            out
-        })
-    };
-    // Per-sender stash of early-drained hop-1 parts (arrival order).
-    #[allow(clippy::type_complexity)]
-    let mut hop1_parts: Vec<Vec<Vec<(u32, P::Delta)>>> = vec![Vec::new(); n];
+
+    // Hop 1: mirrors → master.
+    let decisions = coherency_decisions(shard, state, program, pctx, suppression);
+    let mut hop1 = port.ordered_round(part_items, Phase::Coherency, delta_bytes);
     for (l, d) in decisions.into_iter().flatten() {
         let li = l as usize;
         state.delta_msg[li] = None;
-        if let Some(d) = d {
-            own[li] = Some(d);
-            if shard.is_master[li] {
-                totals[li] = Some(d);
-            } else {
-                let gid = shard.global_of(l).0;
-                let dst = shard.master_of[li].index();
-                if fast {
-                    if stage_combining(program, outboxes, dst, gid, d) {
-                        combined += 1;
-                        continue;
-                    }
-                } else {
-                    outboxes.push(dst, (gid, d));
-                }
-                sent += delta_bytes as u64;
-                if pipelined && outboxes.staged(dst).len() >= part_limit {
-                    // Mirror contributions are not a commutative stream —
-                    // they fold in (sender, part) order at the hop close —
-                    // so early arrivals are stashed, not folded.
-                    ep.stream_part(outboxes, dst, clock.now(), Phase::Coherency, delta_bytes, stats)?;
-                    while let Some(mut batch) = ep.poll_stream() {
-                        batch
-                            .make_items()
-                            .map_err(|e| CommError::transport(ep.me(), &e))?;
-                        if !batch.items.is_empty() {
-                            hop1_parts[batch.from]
-                                .push(std::mem::take(&mut batch.items));
-                        }
-                        ep.recycle(batch);
-                        stats.record_drain_early(1);
-                    }
-                }
-            }
+        let Some(d) = d else { continue };
+        own[li] = Some(d);
+        if shard.is_master[li] {
+            totals[li] = Some(d);
+            continue;
         }
+        let dst = shard.master_of[li].index();
+        if stage_combining(program, hop1.outboxes(), dst, shard.global_of(l).0, d) {
+            combined += 1;
+            continue;
+        }
+        sent += delta_bytes as u64;
+        hop1.staged(dst, now)?;
     }
-    if pipelined {
-        let mut cb_err: Option<NetError> = None;
-        let t = ep.finish_pipelined(
-            outboxes,
-            clock.now(),
-            Phase::Coherency,
-            delta_bytes,
-            stats,
-            |batch| {
-                if cb_err.is_none() {
-                    if let Err(e) = batch.make_items() {
-                        cb_err = Some(e);
-                        return;
-                    }
-                }
-                if !batch.items.is_empty() {
-                    hop1_parts[batch.from].push(std::mem::take(&mut batch.items));
-                }
-            },
-        )?;
-        if let Some(e) = cb_err {
-            return Err(CommError::transport(ep.me(), &e));
+    hop1.close(now, |(gid, d)| {
+        let l = shard.local_of(gid.into());
+        debug_assert!(l.is_some(), "hop-1 delta routed to non-replica");
+        if let Some(l) = l {
+            let slot = &mut totals[l as usize];
+            *slot = Some(match slot.take() {
+                Some(t) => program.sum(t, d),
+                None => d,
+            });
         }
-        timing.overlap_ms += t.overlap_ms;
-        timing.send_wait_ms += t.send_wait_ms;
-        // Masters fold mirror contributions in (sender, part) order — the
-        // exact item sequence of the serialized path's sender-sorted
-        // batches, since per-peer FIFO preserves part order.
-        for (from, parts) in hop1_parts.into_iter().enumerate() {
-            for mut items in parts {
-                for (gid, d) in items.drain(..) {
-                    debug_assert!(shard.local_of(gid.into()).is_some(), "hop-1 delta routed to non-replica");
-                    if let Some(l) = shard.local_of(gid.into()) {
-                        let slot = &mut totals[l as usize];
-                        *slot = Some(match slot.take() {
-                            Some(t) => program.sum(t, d),
-                            None => d,
-                        });
-                    }
-                }
-                ep.recycle_vec(from, items);
-            }
-        }
-    } else {
-        let received = ep.exchange(outboxes, clock.now(), Phase::Coherency, delta_bytes, stats)?;
-        // Masters fold mirror contributions in sender order (batches arrive
-        // sorted by sender, so this left-fold is reproducible).
-        for mut batch in received {
-            batch
-                .make_items()
-                .map_err(|e| CommError::transport(ep.me(), &e))?;
-            for (gid, d) in batch.items.drain(..) {
-                debug_assert!(shard.local_of(gid.into()).is_some(), "hop-1 delta routed to non-replica");
-                if let Some(l) = shard.local_of(gid.into()) {
-                    let slot = &mut totals[l as usize];
-                    *slot = Some(match slot.take() {
-                        Some(t) => program.sum(t, d),
-                        None => d,
-                    });
-                }
-            }
-            ep.recycle(batch);
-        }
-    }
+    })?;
+
     // Hop 2: master → mirrors (combined delta), plus local master handling.
-    // `shard.replicated` ascends in local id — equivalently global id — so
-    // the broadcast byte stream (and hence every downstream worklist) is
-    // reproducible without the old collect-and-sort pass.
-    let route = shard.route_table();
+    // What replica `l` still has to merge of a combined `total`: all of it
+    // but its own hop-1 contribution. `None` when this replica contributed
+    // everything (exact for additive ⊕, harmless no-op skip for
+    // idempotent ⊕).
     let own_view: &[Option<P::Delta>] = own;
-    let translate = |(gid, total): (u32, P::Delta)| {
-        let l = match route.get(gid as usize) {
-            Some(&l) if l != NO_LOCAL => l,
-            _ => return None,
-        };
-        let others = match own_view[l as usize] {
-            Some(mine) => {
-                if mine == total {
-                    return None;
-                }
-                program.inverse(total, mine)
-            }
-            None => total,
-        };
-        Some((l, program.gather(gid.into(), others)))
+    let others = |l: u32, total: P::Delta| match own_view[l as usize] {
+        Some(mine) if mine == total => None,
+        Some(mine) => Some(program.inverse(total, mine)),
+        None => Some(total),
     };
-    let num_local = shard.num_local();
-    let mut drain: PipelineDrain<P::Delta> = PipelineDrain::new(n);
-    let mut hop2_local: Vec<(u32, P::Delta)> = state.seg_scratch.pop().unwrap_or_default();
+    let route = shard.route_table();
+    let mut hop2 = port.fold_round(
+        pctx,
+        shard.num_local(),
+        part_items,
+        Phase::Coherency,
+        delta_bytes,
+        |(gid, total): (u32, P::Delta)| match route.get(gid as usize) {
+            Some(&l) if l != NO_LOCAL => {
+                others(l, total).map(|rest| (l, program.gather(gid.into(), rest)))
+            }
+            _ => None,
+        },
+    );
+    let mut inbound_local: Vec<(u32, P::Delta)> = state.seg_scratch.pop().unwrap_or_default();
     for &l in &shard.replicated {
         let li = l as usize;
         if !shard.is_master[li] {
@@ -1121,110 +681,28 @@ fn exchange_m2m<P: VertexProgram>(
         let gid = shard.global_of(l).0;
         for &m in shard.mirrors[li].iter() {
             let dst = m.index();
-            if fast {
-                if stage_combining(program, outboxes, dst, gid, total) {
-                    combined += 1;
-                    continue;
-                }
-            } else {
-                outboxes.push(dst, (gid, total));
+            if stage_combining(program, hop2.outboxes(), dst, gid, total) {
+                combined += 1;
+                continue;
             }
             sent += delta_bytes as u64;
-            if pipelined && outboxes.staged(dst).len() >= part_limit {
-                ep.stream_part(outboxes, dst, clock.now(), Phase::Coherency, delta_bytes, stats)?;
-                while let Some(mut batch) = ep.poll_stream() {
-                    let from = batch.from;
-                    let routed = route_inbound(
-                        pctx,
-                        num_local,
-                        std::slice::from_mut(&mut batch),
-                        translate,
-                        &mut state.seg_scratch,
-                    );
-                    drain.push(from, routed);
-                    ep.recycle(batch);
-                    stats.record_drain_early(1);
-                }
-            }
+            hop2.staged(dst, now, &mut state.seg_scratch)?;
         }
-        hop2_local.push((l, total));
+        if let Some(rest) = others(l, total) {
+            inbound_local.push((l, program.gather(gid.into(), rest)));
+        }
     }
     stats.record_combined(combined, combined * delta_bytes as u64);
     // Every replica sees each vertex's combined total exactly once (its
     // own if master, one master broadcast otherwise), so delivering the
     // local and remote streams separately cannot change any fold.
-    let mut inbound_local: Vec<(u32, P::Delta)> = state.seg_scratch.pop().unwrap_or_default();
-    for (l, total) in hop2_local.drain(..) {
-        let others = match own_view[l as usize] {
-            Some(mine) => {
-                if mine == total {
-                    // This replica contributed everything; nothing remote
-                    // to merge (exact for additive ⊕, harmless no-op skip
-                    // for idempotent ⊕).
-                    continue;
-                }
-                program.inverse(total, mine)
-            }
-            None => total,
-        };
-        inbound_local.push((l, program.gather(shard.global_of(l), others)));
-    }
-    if hop2_local.capacity() != 0 {
-        state.seg_scratch.push(hop2_local);
-    }
     state.deliver_all(program, pctx, inbound_local);
-    if pipelined {
-        let seg_scratch = &mut state.seg_scratch;
-        let t = ep.finish_pipelined(
-            outboxes,
-            clock.now(),
-            Phase::Coherency,
-            delta_bytes,
-            stats,
-            |batch| {
-                let from = batch.from;
-                let routed = route_inbound(
-                    pctx,
-                    num_local,
-                    std::slice::from_mut(batch),
-                    translate,
-                    seg_scratch,
-                );
-                drain.push(from, routed);
-            },
-        )?;
-        timing.overlap_ms += t.overlap_ms;
-        timing.send_wait_ms += t.send_wait_ms;
-        let bs = pctx.block_size().max(1);
-        let segments = drain.stitch(num_local.div_ceil(bs).max(1));
-        let runs = state.deliver_segments(program, pctx, segments);
-        stats.record_fold_runs(runs);
-    } else {
-        let mut received = ep.exchange(outboxes, clock.now(), Phase::Coherency, delta_bytes, stats)?;
-        if fast {
-            let segments = route_inbound(
-                pctx,
-                num_local,
-                &mut received,
-                translate,
-                &mut state.seg_scratch,
-            );
-            let runs = state.deliver_segments(program, pctx, segments);
-            stats.record_fold_runs(runs);
-            for batch in received {
-                ep.recycle(batch);
-            }
-        } else {
-            crate::oracle::lazy_m2m_hop2_deliver(
-                shard, program, pctx, state, own_view, ep.me(), received,
-            )?;
-        }
-    }
+    hop2.close(program, state, now)?;
     // Leave the scratch arrays clean for the next coherency point; only
     // replicated entries can ever have been written.
     for &l in &shard.replicated {
         own[l as usize] = None;
         totals[l as usize] = None;
     }
-    Ok((sent, timing))
+    Ok(sent)
 }

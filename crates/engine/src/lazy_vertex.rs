@@ -17,95 +17,61 @@
 use std::sync::Arc;
 
 use lazygraph_cluster::{
-    build_endpoints, CommError, CostModel, Endpoint, NetStats, OutboxSet, Phase, SimClock,
-    Termination, TransportKind,
+    build_endpoints, CommError, Endpoint, NetStats, OutboxSet, Phase, SimClock, Termination,
 };
-use lazygraph_partition::{DistributedGraph, LocalShard, NO_LOCAL};
+use lazygraph_partition::{DistributedGraph, LocalShard};
 
-use crate::exchange::{route_inbound, stage_combining, PIPELINE_PART_ITEMS};
+use crate::config::EngineConfig;
+use crate::exchange::{local_delta, route_inbound, stage_combining, PIPELINE_PART_ITEMS};
 use crate::lazy_block::{blocked_apply_scatter, LazyCounters};
-use crate::parallel::{ParallelConfig, ParallelCtx};
+use crate::machine::{assemble, EngineOutcome, MachineOut};
+use crate::parallel::ParallelCtx;
 use crate::program::{DeltaExchange, VertexProgram};
 use crate::state::{InitMessages, MachineState};
 
-struct MachineOut<P: VertexProgram> {
-    masters: Vec<(u32, P::VData)>,
-    sim_time: f64,
-    counters: LazyCounters,
-}
-
-/// Runs LazyVertexAsync to quiescence. With `pipeline` on, coherency
+/// Runs LazyVertexAsync to quiescence. With `cfg.pipeline` on, coherency
 /// flushes stream per-destination as staging crosses the part threshold
 /// instead of all at once when the worklist drains — the async engine has
 /// no barrier to overlap against, so pipelining here just starts wire
 /// writes earlier (same fixpoint; batch boundaries differ).
-#[allow(clippy::too_many_arguments)]
 pub fn run_lazy_vertex_engine<P: VertexProgram>(
     dg: &DistributedGraph,
     program: &P,
-    cost: CostModel,
-    par: ParallelConfig,
-    pipeline: bool,
-    transport: TransportKind,
+    cfg: &EngineConfig,
     stats: Arc<NetStats>,
-) -> Result<(Vec<P::VData>, f64, LazyCounters), CommError> {
+) -> Result<EngineOutcome<P::VData>, CommError> {
     let p = dg.num_machines;
-    let endpoints = build_endpoints::<(u32, P::Delta)>(transport, p, &stats)?;
-    let term = Arc::new(Termination::new(p));
+    let endpoints = build_endpoints::<(u32, P::Delta)>(cfg.transport, p, &stats)?;
+    let term = Termination::new(p);
     #[allow(clippy::type_complexity)]
     let workers: Vec<(&LocalShard, Endpoint<(u32, P::Delta)>)> =
         dg.shards.iter().zip(endpoints).collect();
-    let num_vertices = dg.num_global_vertices;
     let outs = lazygraph_cluster::try_run_machines(workers, |(shard, ep)| {
-        machine_loop(
-            shard,
-            ep,
-            program,
-            num_vertices,
-            cost,
-            par,
-            pipeline,
-            term.clone(),
-            stats.clone(),
-        )
+        machine_loop(dg, shard, ep, program, cfg, &term, &stats)
     })?;
-    let sim_time = outs.iter().map(|o| o.sim_time).fold(0.0, f64::max);
-    let mut counters = LazyCounters::default();
-    for o in &outs {
-        counters.coherency_points += o.counters.coherency_points;
-        counters.local_subrounds += o.counters.local_subrounds;
-        counters.a2a_exchanges += o.counters.a2a_exchanges;
-    }
-    let mut values: Vec<Option<P::VData>> = vec![None; num_vertices];
-    for out in outs {
-        for (gid, v) in out.masters {
-            values[gid as usize] = Some(v);
-        }
-    }
-    let values = values
-        .into_iter()
-        .enumerate()
-// lazylint: allow(no-panic) -- every vertex has exactly one master by
-        // partition construction; a gap here is an assembler bug
-        .map(|(gid, v)| v.unwrap_or_else(|| panic!("vertex {gid} has no master value")))
-        .collect();
-    Ok((values, sim_time, counters))
+    // No barriers: every machine reaches its own coherency points, so the
+    // counts are per-machine work and add up.
+    let (coherency_points, a2a_exchanges) = outs.iter().fold((0, 0), |(c, a), o| {
+        (c + o.counters.coherency_points, a + o.counters.a2a_exchanges)
+    });
+    let mut outcome = assemble(outs, dg.num_global_vertices);
+    outcome.counters.coherency_points = coherency_points;
+    outcome.counters.a2a_exchanges = a2a_exchanges;
+    Ok(outcome)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn machine_loop<P: VertexProgram>(
+    dg: &DistributedGraph,
     shard: &LocalShard,
     mut ep: Endpoint<(u32, P::Delta)>,
     program: &P,
-    num_vertices: usize,
-    cost: CostModel,
-    par: ParallelConfig,
-    pipeline: bool,
-    term: Arc<Termination>,
-    stats: Arc<NetStats>,
+    cfg: &EngineConfig,
+    term: &Termination,
+    stats: &NetStats,
 ) -> Result<MachineOut<P>, CommError> {
+    let (num_vertices, cost, pipeline) = (dg.num_global_vertices, cfg.cost, cfg.pipeline);
     let n = ep.num_machines();
-    let pctx = ParallelCtx::new(par);
+    let pctx = ParallelCtx::new(cfg.parallel(dg.num_machines));
     let mut clock = SimClock::new();
     let mut state: MachineState<P> =
         MachineState::init(shard, program, InitMessages::AllReplicas, num_vertices);
@@ -135,12 +101,10 @@ fn machine_loop<P: VertexProgram>(
                 &pctx,
                 shard.num_local(),
                 std::slice::from_mut(&mut batch),
-                |(gid, d): (u32, P::Delta)| match route.get(gid as usize) {
-                    Some(&l) if l != NO_LOCAL => Some((l, program.gather(gid.into(), d))),
-                    _ => None,
-                },
+                |item| local_delta(route, program, item),
                 &mut state.seg_scratch,
-            );
+            )
+            .map_err(|e| CommError::transport(shard.machine.index(), &e))?;
             let runs = state.deliver_segments(program, &pctx, segments);
             stats.record_fold_runs(runs);
             ep.recycle(batch);
@@ -217,7 +181,7 @@ fn machine_loop<P: VertexProgram>(
                                 clock.now(),
                                 Phase::Coherency,
                                 delta_bytes,
-                                &stats,
+                                stats,
                             )?;
                         }
                     }
@@ -244,7 +208,7 @@ fn machine_loop<P: VertexProgram>(
                         clock.now(),
                         Phase::Coherency,
                         delta_bytes,
-                        &stats,
+                        stats,
                     )?;
                 }
             }
@@ -262,13 +226,5 @@ fn machine_loop<P: VertexProgram>(
         }
     }
 
-    let masters = (0..shard.num_local() as u32)
-        .filter(|&l| shard.is_master[l as usize])
-        .map(|l| (shard.global_of(l).0, state.vdata[l as usize].clone()))
-        .collect();
-    Ok(MachineOut {
-        masters,
-        sim_time: clock.now(),
-        counters,
-    })
+    Ok(MachineOut::collect(shard, &state, 0, true, clock.now(), counters))
 }

@@ -10,7 +10,10 @@
 //! all-to-all / mirrors-to-master switching (§4.2.2). The
 //! [`delta_engine`] extension pushes the `⊕`/`Inverse` algebra to
 //! Maiter-style delta-accumulative iteration with the epoch-bucketed
-//! deterministic [`scheduler`] (DESIGN.md §15).
+//! deterministic [`scheduler`] (DESIGN.md §15). The three barrier-based
+//! engines (Sync, lazy-block, delta) are [`machine::Superstep`]
+//! implementations on one machine loop, the superstep skeleton
+//! ([`machine`], DESIGN.md §17).
 //!
 //! Entry point: [`run`] (or [`run_on`] to reuse a placement).
 
@@ -26,6 +29,7 @@ pub mod hybrid_engine;
 pub mod interval;
 pub mod lazy_block;
 pub mod lazy_vertex;
+pub mod machine;
 pub mod metrics;
 pub mod oracle;
 pub mod parallel;
@@ -36,7 +40,8 @@ pub mod state;
 pub mod sync_engine;
 
 pub use checkpoint::{
-    CheckpointError, DeltaResume, EngineSnapshot, LazyResume, RecoveryCfg, SnapshotStore,
+    snapshot_tag, CheckpointError, DeltaResume, EngineSnapshot, LazyResume, RecoveryCfg,
+    SnapshotStore,
 };
 pub use comm_mode::{choose_mode, CommMode, VolumeEstimate};
 pub use config::{
@@ -49,5 +54,8 @@ pub use parallel::{ParallelConfig, ParallelCtx};
 pub use driver::{run, run_on, RunResult};
 pub use lazygraph_cluster::{CommError, TransportKind};
 pub use interval::IntervalModel;
+pub use machine::{
+    assemble, run_mesh_engine, Attach, EngineOutcome, MachineOut, RunShared, Seat, ThreadedMesh,
+};
 pub use metrics::{RunMetrics, SimBreakdown};
 pub use program::{EdgeCtx, VertexCtx, VertexProgram};

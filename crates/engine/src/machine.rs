@@ -1,0 +1,411 @@
+//! The superstep skeleton: one machine loop for every mesh engine.
+//!
+//! The paper's engines share one shape — compute locally, exchange,
+//! ⊕-fold, vote at a barrier — with Sync as the degenerate case where
+//! every iteration is a coherency point. [`run_machine`] owns everything
+//! that shape has in common: the per-machine [`Frame`], snapshot restore
+//! and barrier re-execution, the superstep fail point, the adaptive
+//! part-size commit, the checkpoint barrier, and the masters →
+//! [`MachineOut`] epilogue. An engine is a [`Superstep`] implementation:
+//! its cross-iteration state plus one `step` over the frame. Pipelining,
+//! checkpointing and multiprocess execution are therefore properties of
+//! the skeleton, not of any one engine (DESIGN.md §17).
+//!
+//! [`run_mesh_engine`] is the single place a mesh-engine machine loop is
+//! started: the in-process driver hands it every endpoint of a threaded
+//! mesh plus a shared-memory [`Collective`]; a `lazygraph-worker` process
+//! hands it the one endpoint it connected (or reconnected) plus a
+//! mesh-backed collective.
+
+use std::borrow::Cow;
+use std::sync::Arc;
+
+use lazygraph_cluster::{
+    build_endpoints, Collective, CommError, Endpoint, NetStats, SimClock, TransportKind,
+};
+use lazygraph_net::{NetError, Wire, WireReader};
+use lazygraph_partition::{DistributedGraph, LocalShard};
+use parking_lot::Mutex;
+
+use crate::bsp::BspSync;
+use crate::checkpoint::{checkpoint_at_barrier, EngineSnapshot, RecoveryCfg, ResumeExtras};
+use crate::config::{EngineConfig, EngineKind};
+use crate::delta_engine::DeltaStep;
+use crate::exchange::{adapt_part_items, Port};
+use crate::lazy_block::{LazyCounters, LazyStep};
+use crate::metrics::{IterationRecord, SimBreakdown};
+use crate::parallel::ParallelCtx;
+use crate::program::VertexProgram;
+use crate::state::{InitMessages, MachineState};
+use crate::sync_engine::SyncStep;
+
+/// Sink of the per-round trace machine 0 records under
+/// `EngineConfig::record_history`.
+pub type History = Arc<Mutex<Vec<IterationRecord>>>;
+
+/// Everything one machine's superstep works on. `M` is the engine's wire
+/// message; the mesh carries `(global vertex id, M)` items.
+pub struct Frame<'a, P: VertexProgram, M> {
+    pub me: usize,
+    pub cfg: &'a EngineConfig,
+    pub program: &'a P,
+    pub num_vertices: usize,
+    /// `|E| / |V|` of the whole graph (the interval model's input).
+    pub ev_ratio: f64,
+    /// This machine's shard. Borrowed from the static partition until a
+    /// live migration patches it (every machine applies the identical
+    /// structural patch stream, so all copies stay consistent views of one
+    /// distributed graph).
+    pub shard: Cow<'a, LocalShard>,
+    pub pctx: ParallelCtx,
+    pub state: MachineState<P>,
+    pub clock: SimClock,
+    pub bsp: BspSync,
+    pub port: Port<(u32, M)>,
+    pub stats: Arc<NetStats>,
+    /// Supersteps started so far (1-based inside `step`).
+    pub iterations: u64,
+    /// `Some` on the in-process driver's machines when history is on.
+    pub history: Option<History>,
+}
+
+/// The termination vote a superstep ends with (identical on every
+/// machine: it comes out of the step's last bundled allreduce).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Vote {
+    /// Work remains; the skeleton commits and runs another superstep.
+    Continue,
+    /// No machine holds pending work: the run has converged.
+    Converged,
+}
+
+impl Vote {
+    /// The vote a barrier's globally reduced pending-work count carries.
+    pub fn of(global_pending: u64) -> Vote {
+        if global_pending == 0 {
+            Vote::Converged
+        } else {
+            Vote::Continue
+        }
+    }
+}
+
+/// One mesh engine: its cross-iteration state and its superstep.
+pub trait Superstep<P: VertexProgram>: Sized {
+    /// Wire message of the engine's data mesh.
+    type Msg: Wire + Send + 'static;
+    /// Which engine this is — names it in errors and keys its snapshot
+    /// tag ([`crate::checkpoint::snapshot_tag`]).
+    const KIND: EngineKind;
+    /// Which replicas the program's initial messages are loaded into.
+    const INIT: InitMessages;
+
+    /// Fresh engine state for a run starting at superstep 1.
+    fn new(frame: &Frame<'_, P, Self::Msg>) -> Self;
+
+    /// Rehydrates the engine's own state from `snap` (the skeleton has
+    /// already restored `frame.state`, the clock and the superstep count).
+    fn restore(&mut self, _frame: &mut Frame<'_, P, Self::Msg>, _snap: &EngineSnapshot<P>) {}
+
+    /// Runs superstep `frame.iterations`. Returns [`Vote::Converged`]
+    /// straight after the deciding barrier, before any post-vote work.
+    fn step(&mut self, frame: &mut Frame<'_, P, Self::Msg>) -> Result<Vote, CommError>;
+
+    /// The engine state a checkpoint must carry beside `MachineState`.
+    fn resume_extras(&self) -> ResumeExtras {
+        ResumeExtras::default()
+    }
+
+    /// Counters reported with the outcome.
+    fn counters(&self) -> LazyCounters {
+        LazyCounters::default()
+    }
+}
+
+/// One machine's share of an engine run. Carries a [`Wire`] impl so a
+/// worker process can ship it back to the launcher for [`assemble`].
+pub struct MachineOut<P: VertexProgram> {
+    pub masters: Vec<(u32, P::VData)>,
+    pub iterations: u64,
+    pub converged: bool,
+    pub sim_time: f64,
+    pub counters: LazyCounters,
+}
+
+impl<P: VertexProgram> MachineOut<P> {
+    /// The epilogue every engine shares: this machine's master values.
+    pub fn collect(
+        shard: &LocalShard,
+        state: &MachineState<P>,
+        iterations: u64,
+        converged: bool,
+        sim_time: f64,
+        counters: LazyCounters,
+    ) -> Self {
+        let masters = (0..shard.num_local() as u32)
+            .filter(|&l| shard.is_master[l as usize])
+            .map(|l| (shard.global_of(l).0, state.vdata[l as usize].clone()))
+            .collect();
+        MachineOut {
+            masters,
+            iterations,
+            converged,
+            sim_time,
+            counters,
+        }
+    }
+}
+
+impl<P: VertexProgram> Wire for MachineOut<P> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.masters.encode(out);
+        self.iterations.encode(out);
+        self.converged.encode(out);
+        self.sim_time.encode(out);
+        self.counters.encode(out);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
+        Ok(MachineOut {
+            masters: Vec::<(u32, P::VData)>::decode(r)?,
+            iterations: u64::decode(r)?,
+            converged: bool::decode(r)?,
+            sim_time: f64::decode(r)?,
+            counters: LazyCounters::decode(r)?,
+        })
+    }
+}
+
+/// What every engine returns to the driver.
+pub struct EngineOutcome<V> {
+    /// Final vertex values (master copies), indexed by global vertex id.
+    pub values: Vec<V>,
+    /// Supersteps (Sync, hybrid) / coherency iterations (lazy-block,
+    /// delta); the barrier-free engines report 0.
+    pub iterations: u64,
+    pub converged: bool,
+    /// Final simulated time: the maximum machine clock.
+    pub sim_time: f64,
+    pub counters: LazyCounters,
+}
+
+/// Folds per-machine outcomes into the driver-facing result — the same
+/// rules whether the machines were threads or worker processes. The BSP
+/// counters are identical on every machine (machine 0's are taken);
+/// `local_subrounds` is per-machine work and is summed.
+pub fn assemble<P: VertexProgram>(
+    outs: Vec<MachineOut<P>>,
+    num_vertices: usize,
+) -> EngineOutcome<P::VData> {
+    let sim_time = outs.iter().map(|o| o.sim_time).fold(0.0, f64::max);
+    let (iterations, converged, mut counters) = outs
+        .first()
+        .map_or((0, true, LazyCounters::default()), |o| (o.iterations, o.converged, o.counters));
+    counters.local_subrounds = outs.iter().map(|o| o.counters.local_subrounds).sum();
+    let mut values: Vec<Option<P::VData>> = vec![None; num_vertices];
+    for out in outs {
+        for (gid, v) in out.masters {
+            debug_assert!(values[gid as usize].is_none(), "duplicate master {gid}");
+            values[gid as usize] = Some(v);
+        }
+    }
+    let values = values
+        .into_iter()
+        .enumerate()
+        // lazylint: allow(no-panic) -- every vertex has exactly one master by partition construction; a gap here is an assembler bug
+        .map(|(gid, v)| v.unwrap_or_else(|| panic!("vertex {gid} has no master value")))
+        .collect();
+    EngineOutcome {
+        values,
+        iterations,
+        converged,
+        sim_time,
+        counters,
+    }
+}
+
+/// One machine this process runs: its rank, its leg of the data mesh, and
+/// its checkpoint/resume configuration.
+pub struct Seat<P: VertexProgram, T> {
+    pub me: usize,
+    pub ep: Endpoint<T>,
+    pub recovery: RecoveryCfg<P>,
+}
+
+/// How a process joins a run's data mesh. The mesh's item type is only
+/// known once [`run_mesh_engine`] has picked the engine, so joining is a
+/// generic method rather than a ready-made endpoint list.
+pub trait Attach<P: VertexProgram> {
+    /// Builds (or connects) the data mesh typed `T` and returns the seats
+    /// this process runs.
+    fn attach<T: Wire + Send + 'static>(
+        self,
+        stats: &Arc<NetStats>,
+    ) -> Result<Vec<Seat<P, T>>, CommError>;
+}
+
+/// Every machine of the run as a thread of this process, on a freshly
+/// built mesh of the given transport; no checkpointing.
+pub struct ThreadedMesh {
+    pub transport: TransportKind,
+    pub num_machines: usize,
+}
+
+impl<P: VertexProgram> Attach<P> for ThreadedMesh {
+    fn attach<T: Wire + Send + 'static>(
+        self,
+        stats: &Arc<NetStats>,
+    ) -> Result<Vec<Seat<P, T>>, CommError> {
+        let endpoints = build_endpoints::<T>(self.transport, self.num_machines, stats)?;
+        Ok(endpoints
+            .into_iter()
+            .enumerate()
+            .map(|(me, ep)| Seat {
+                me,
+                ep,
+                recovery: RecoveryCfg::default(),
+            })
+            .collect())
+    }
+}
+
+/// The run-wide handles every machine of a process shares.
+#[derive(Clone)]
+pub struct RunShared {
+    pub coll: Arc<Collective>,
+    pub stats: Arc<NetStats>,
+    pub breakdown: Arc<Mutex<SimBreakdown>>,
+    pub history: Option<History>,
+}
+
+/// Runs this process's machines of a mesh-engine run (PowerGraphSync,
+/// LazyBlockAsync or DeltaAccum, per `cfg.engine`) and returns their
+/// outcomes in seat order. The one entry the in-process driver and the
+/// worker binary share, so a threaded run and a multiprocess run of the
+/// same job are bitwise identical by construction.
+pub fn run_mesh_engine<P: VertexProgram>(
+    dg: &DistributedGraph,
+    cfg: &EngineConfig,
+    program: &P,
+    mesh: impl Attach<P>,
+    shared: &RunShared,
+) -> Result<Vec<MachineOut<P>>, CommError> {
+    match cfg.engine {
+        EngineKind::PowerGraphSync => run_seats::<P, SyncStep<P>>(dg, cfg, program, mesh, shared),
+        EngineKind::LazyBlockAsync => run_seats::<P, LazyStep<P>>(dg, cfg, program, mesh, shared),
+        EngineKind::DeltaAccum => run_seats::<P, DeltaStep>(dg, cfg, program, mesh, shared),
+        other => Err(CommError::Transport {
+            me: 0,
+            detail: format!(
+                "engine {} terminates through shared memory and cannot run on the mesh skeleton",
+                other.name()
+            ),
+        }),
+    }
+}
+
+fn run_seats<P: VertexProgram, S: Superstep<P>>(
+    dg: &DistributedGraph,
+    cfg: &EngineConfig,
+    program: &P,
+    mesh: impl Attach<P>,
+    shared: &RunShared,
+) -> Result<Vec<MachineOut<P>>, CommError> {
+    let seats = mesh.attach::<(u32, S::Msg)>(&shared.stats)?;
+    lazygraph_cluster::try_run_machines(seats, |seat| {
+        run_machine::<P, S>(dg, cfg, program, seat, shared.clone())
+    })
+}
+
+/// The superstep skeleton (module docs).
+fn run_machine<P: VertexProgram, S: Superstep<P>>(
+    dg: &DistributedGraph,
+    cfg: &EngineConfig,
+    program: &P,
+    seat: Seat<P, (u32, S::Msg)>,
+    shared: RunShared,
+) -> Result<MachineOut<P>, CommError> {
+    let Seat {
+        me,
+        ep,
+        mut recovery,
+    } = seat;
+    let shard = &dg.shards[me];
+    let mut f = Frame {
+        me,
+        cfg,
+        program,
+        num_vertices: dg.num_global_vertices,
+        ev_ratio: dg.ev_ratio,
+        shard: Cow::Borrowed(shard),
+        pctx: ParallelCtx::new(cfg.parallel(dg.num_machines)),
+        state: MachineState::init(shard, program, S::INIT, dg.num_global_vertices),
+        clock: SimClock::new(),
+        // BspSync owns the breakdown's simulated components; the port's
+        // clone is the sink for the pipelined rounds' wall-clock telemetry.
+        bsp: BspSync::new(
+            me,
+            shared.coll,
+            shared.stats.clone(),
+            cfg.cost,
+            shared.breakdown.clone(),
+        ),
+        port: Port::new(ep, shared.stats.clone(), shared.breakdown, cfg.pipeline),
+        stats: shared.stats,
+        iterations: 0,
+        history: shared.history.filter(|_| me == 0),
+    };
+    let mut engine = S::new(&f);
+
+    if let Some(snap) = recovery.resume.take() {
+        snap.check_engine(S::KIND).map_err(|e| CommError::Transport {
+            me,
+            detail: e.to_string(),
+        })?;
+        snap.restore_into(&mut f.state);
+        f.clock.set(f64::from_bits(snap.clock_bits));
+        f.iterations = snap.iterations;
+        engine.restore(&mut f, &snap);
+        // Re-execute the checkpoint barrier unconditionally: if the crash
+        // landed before it, the peers are still blocked in it and this
+        // completes it; if after, their count-based dedupe drops the
+        // re-sent round and this machine's contribution is satisfied from
+        // their replay logs (DESIGN.md §12).
+        f.bsp.coll.barrier(me, &f.stats)?;
+    }
+
+    let mut converged = false;
+    while f.iterations < cfg.max_iterations {
+        f.iterations += 1;
+        lazygraph_cluster::failpoint_superstep(f.iterations);
+        if engine.step(&mut f)? == Vote::Converged {
+            converged = true;
+            break;
+        }
+        // The one place a part size commits. Wall-clock feedback may only
+        // move `part_items` at deterministic points: every superstep when
+        // recovery is off, else only at checkpoint boundaries — before
+        // the capture, so the snapshot carries the value replay needs to
+        // regenerate identical part boundaries (DESIGN.md §14).
+        let due = recovery.due(f.iterations);
+        if f.port.pipelined() {
+            if cfg.adaptive_parts && (recovery.every == 0 || due) {
+                let t = std::mem::take(&mut f.port.pending);
+                f.state.part_items = adapt_part_items(f.state.part_items, t.send_wait_ms, t.overlap_ms);
+            }
+            f.stats.record_adaptive_part_items(f.state.part_items as u64);
+        }
+        if let Some(store) = recovery.store.as_ref().filter(|_| due) {
+            checkpoint_at_barrier(&f, store, S::KIND, engine.resume_extras())?;
+        }
+    }
+
+    Ok(MachineOut::collect(
+        &f.shard,
+        &f.state,
+        f.iterations,
+        converged,
+        f.clock.now(),
+        engine.counters(),
+    ))
+}

@@ -1,81 +1,14 @@
-//! Test-only reference oracle: the pre-fast-path serial exchange
-//! delivery loops, collapsed here out of the engines' hot files (PR 8),
-//! plus the dense single-machine delta-accumulative fixpoint
-//! ([`delta_dense_fixpoint`]) the scheduled delta engine is checked
-//! against.
-//!
-//! Every function is the naive `exchange_fast = false` inbound half of an
-//! exchange — a serial per-item `local_of` lookup + push into a staging
-//! vector, then one `deliver_all`. The fast path (block-parallel
-//! [`route_inbound`](crate::exchange::route_inbound) with zero-copy
-//! cursor decode) is required to be bitwise-identical to these loops at
-//! every thread count; the equivalence tests run both and compare. No
-//! production configuration routes through this module — the naive path
-//! exists to keep the oracle executable, not fast: it materializes every
-//! raw batch ([`Batch::make_items`]) and recycles nothing.
+//! Reference oracle: the dense single-machine delta-accumulative
+//! fixpoint ([`delta_dense_fixpoint`]) the scheduled delta engine is
+//! checked against. (The naive serial exchange-delivery reference the
+//! fold round is checked against lives with its proptest in
+//! `crates/engine/tests/fold_round_oracle.rs`.)
 
-use lazygraph_cluster::{Batch, CommError};
-use lazygraph_partition::{partition_graph, LocalShard, PartitionStrategy, SplitterConfig};
+use lazygraph_partition::{partition_graph, PartitionStrategy, SplitterConfig};
 
 use crate::parallel::{ParallelConfig, ParallelCtx};
 use crate::program::VertexProgram;
 use crate::state::{InitMessages, MachineState};
-use crate::sync_engine::SyncMsg;
-
-/// Naive inbound half of the Sync engine's gather phase: decode every
-/// `Accum`, translate gid → local with a hash-free `local_of`, deliver
-/// serially in batch (= sender) order.
-pub fn sync_gather_deliver<P: VertexProgram>(
-    shard: &LocalShard,
-    program: &P,
-    pctx: &ParallelCtx,
-    state: &mut MachineState<P>,
-    me: usize,
-    received: Vec<Batch<(u32, SyncMsg<P>)>>,
-) -> Result<(), CommError> {
-    let mut inbound: Vec<(u32, P::Delta)> = Vec::new();
-    for mut batch in received {
-        batch
-            .make_items()
-            .map_err(|e| CommError::transport(me, &e))?;
-        for (gid, msg) in batch.items.drain(..) {
-            if let SyncMsg::Accum(d) = msg {
-                let l = shard
-                    .local_of(gid.into())
-                    .expect("accum routed to non-replica"); // lazylint: allow(no-panic) -- replica routing table guarantees locality; a miss is a partitioner bug
-                debug_assert!(shard.is_master[l as usize]);
-                inbound.push((l, program.gather(gid.into(), d)));
-            }
-        }
-    }
-    state.deliver_all(program, pctx, inbound);
-    Ok(())
-}
-
-/// Naive inbound half of the lazy all-to-all coherency exchange.
-pub fn lazy_a2a_deliver<P: VertexProgram>(
-    shard: &LocalShard,
-    program: &P,
-    pctx: &ParallelCtx,
-    state: &mut MachineState<P>,
-    me: usize,
-    received: Vec<Batch<(u32, P::Delta)>>,
-) -> Result<(), CommError> {
-    let mut inbound: Vec<(u32, P::Delta)> = Vec::new();
-    for mut batch in received {
-        batch
-            .make_items()
-            .map_err(|e| CommError::transport(me, &e))?;
-        for (gid, d) in batch.items.drain(..) {
-            let l = shard
-                .local_of(gid.into())
-                .expect("delta routed to non-replica"); // lazylint: allow(no-panic) -- replica routing table guarantees locality; a miss is a partitioner bug
-            inbound.push((l, program.gather(gid.into(), d)));
-        }
-    }
-    state.deliver_all(program, pctx, inbound);
-    Ok(())
-}
 
 /// Dense delta-accumulative reference: one machine, no replicas, no
 /// scheduling — every epoch applies ⊕ scatter for *every* pending vertex
@@ -148,42 +81,4 @@ pub fn delta_dense_fixpoint<P: VertexProgram>(
         values.push(state.vdata[l as usize].clone());
     }
     (values, epochs, converged)
-}
-
-/// Naive inbound half of the mirrors-to-master exchange's hop 2: each
-/// broadcast total has this replica's own contribution removed with
-/// `Inverse` before delivery (`own_view[l]` is the delta this replica
-/// shipped up in hop 1, if any).
-pub fn lazy_m2m_hop2_deliver<P: VertexProgram>(
-    shard: &LocalShard,
-    program: &P,
-    pctx: &ParallelCtx,
-    state: &mut MachineState<P>,
-    own_view: &[Option<P::Delta>],
-    me: usize,
-    received: Vec<Batch<(u32, P::Delta)>>,
-) -> Result<(), CommError> {
-    let mut inbound: Vec<(u32, P::Delta)> = Vec::new();
-    for mut batch in received {
-        batch
-            .make_items()
-            .map_err(|e| CommError::transport(me, &e))?;
-        for (gid, total) in batch.items.drain(..) {
-            let l = shard
-                .local_of(gid.into())
-                .expect("combined delta routed to non-replica"); // lazylint: allow(no-panic) -- replica routing table guarantees locality; a miss is a partitioner bug
-            let others = match own_view[l as usize] {
-                Some(mine) => {
-                    if mine == total {
-                        continue;
-                    }
-                    program.inverse(total, mine)
-                }
-                None => total,
-            };
-            inbound.push((l, program.gather(gid.into(), others)));
-        }
-    }
-    state.deliver_all(program, pctx, inbound);
-    Ok(())
 }

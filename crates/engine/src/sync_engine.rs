@@ -15,23 +15,16 @@
 //! That is exactly the paper's "two communications and three
 //! synchronizations to update vertex data".
 
-use std::sync::Arc;
-
-use lazygraph_cluster::{
-    build_endpoints, Collective, CommError, CostModel, Endpoint, NetStats, OutboxSet, Phase,
-    SimClock, TransportKind,
-};
+use lazygraph_cluster::{CommError, Phase};
 use lazygraph_net::{NetError, Wire, WireReader};
-use lazygraph_partition::{DistributedGraph, LocalShard, NO_LOCAL};
-use parking_lot::Mutex;
+use lazygraph_partition::{LocalShard, NO_LOCAL};
 
-use crate::bsp::{BspReduction, BspSync, CommCharge};
-use crate::checkpoint::{checkpoint_at_barrier, RecoveryCfg};
-use crate::exchange::{adapt_part_items, route_inbound, PipelineDrain};
-use crate::metrics::{IterationRecord, SimBreakdown};
-use crate::parallel::{ParallelConfig, ParallelCtx};
+use crate::bsp::{BspReduction, CommCharge};
+use crate::config::EngineKind;
+use crate::machine::{Frame, Superstep, Vote};
+use crate::metrics::IterationRecord;
 use crate::program::{EdgeCtx, VertexProgram};
-use crate::state::{vertex_ctx, InitMessages, MachineState};
+use crate::state::{vertex_ctx, InitMessages};
 
 /// Wire message of the Sync engine.
 pub enum SyncMsg<P: VertexProgram> {
@@ -75,199 +68,39 @@ impl<P: VertexProgram> Wire for SyncMsg<P> {
     }
 }
 
-struct Worker<'a, P: VertexProgram> {
-    shard: &'a LocalShard,
-    ep: Endpoint<(u32, SyncMsg<P>)>,
+/// The Sync engine on the superstep skeleton. It carries no state a
+/// checkpoint needs beyond `MachineState` — both vectors are empty at
+/// every superstep boundary and only keep their capacity.
+pub struct SyncStep<P: VertexProgram> {
+    scatter_tasks: Vec<(u32, P::Delta)>,
+    master_worklist: Vec<u32>,
 }
 
-/// Per-machine outcome. Public (with a [`Wire`] impl) so the multiprocess
-/// worker binary can run one machine's loop and ship the result back to
-/// the launcher for [`assemble`].
-pub struct MachineOut<P: VertexProgram> {
-    pub masters: Vec<(u32, P::VData)>,
-    pub iterations: u64,
-    pub converged: bool,
-    pub sim_time: f64,
-}
+impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
+    type Msg = SyncMsg<P>;
+    const KIND: EngineKind = EngineKind::PowerGraphSync;
+    const INIT: InitMessages = InitMessages::MastersOnly;
 
-impl<P: VertexProgram> Wire for MachineOut<P> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.masters.encode(out);
-        self.iterations.encode(out);
-        self.converged.encode(out);
-        self.sim_time.encode(out);
+    fn new(_frame: &Frame<'_, P, SyncMsg<P>>) -> Self {
+        SyncStep {
+            scatter_tasks: Vec::new(),
+            master_worklist: Vec::new(),
+        }
     }
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(MachineOut {
-            masters: Vec::<(u32, P::VData)>::decode(r)?,
-            iterations: u64::decode(r)?,
-            converged: bool::decode(r)?,
-            sim_time: f64::decode(r)?,
-        })
-    }
-}
-
-/// `(values, supersteps, converged, sim_time)` or the first machine's
-/// communication error.
-pub type EngineOutput<V> = Result<(Vec<V>, u64, bool, f64), CommError>;
-
-/// Runs the Sync engine to convergence. Returns per-vertex final values
-/// (master copies) plus `(iterations, converged)`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sync_engine<P: VertexProgram>(
-    dg: &DistributedGraph,
-    program: &P,
-    cost: CostModel,
-    max_iterations: u64,
-    par: ParallelConfig,
-    exchange_fast: bool,
-    pipeline: bool,
-    adaptive_parts: bool,
-    transport: TransportKind,
-    stats: Arc<NetStats>,
-    breakdown: Arc<Mutex<SimBreakdown>>,
-    history: Option<Arc<Mutex<Vec<IterationRecord>>>>,
-) -> EngineOutput<P::VData> {
-    let p = dg.num_machines;
-    let coll = Arc::new(Collective::new(p));
-    let endpoints = build_endpoints::<(u32, SyncMsg<P>)>(transport, p, &stats)?;
-    let workers: Vec<Worker<P>> = dg
-        .shards
-        .iter()
-        .zip(endpoints)
-        .map(|(shard, ep)| Worker { shard, ep })
-        .collect();
-    let num_vertices = dg.num_global_vertices;
-    let outs = lazygraph_cluster::try_run_machines(workers, |w| {
-        machine_loop(
-            w,
-            program,
-            num_vertices,
-            cost,
-            max_iterations,
-            par,
-            exchange_fast,
-            pipeline,
-            adaptive_parts,
-            coll.clone(),
-            stats.clone(),
-            breakdown.clone(),
-            history.clone(),
-            RecoveryCfg::default(),
-        )
-    })?;
-    Ok(assemble(outs, num_vertices))
-}
-
-/// One machine's share of a Sync run, callable from a separate worker
-/// process: the caller supplies the endpoint (a TCP mesh leg built with
-/// [`lazygraph_cluster::connect_tcp_endpoint`]) and a mesh-backed
-/// [`Collective`]. The in-process [`run_sync_engine`] and a multiprocess
-/// launcher driving this function produce bitwise-identical results.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sync_machine<P: VertexProgram>(
-    shard: &LocalShard,
-    ep: Endpoint<(u32, SyncMsg<P>)>,
-    coll: Arc<Collective>,
-    program: &P,
-    num_vertices: usize,
-    cost: CostModel,
-    max_iterations: u64,
-    par: ParallelConfig,
-    exchange_fast: bool,
-    pipeline: bool,
-    adaptive_parts: bool,
-    stats: Arc<NetStats>,
-    breakdown: Arc<Mutex<SimBreakdown>>,
-    recovery: RecoveryCfg<P>,
-) -> Result<MachineOut<P>, CommError> {
-    machine_loop(
-        Worker { shard, ep },
-        program,
-        num_vertices,
-        cost,
-        max_iterations,
-        par,
-        exchange_fast,
-        pipeline,
-        adaptive_parts,
-        coll,
-        stats,
-        breakdown,
-        None,
-        recovery,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn machine_loop<P: VertexProgram>(
-    mut w: Worker<'_, P>,
-    program: &P,
-    num_vertices: usize,
-    cost: CostModel,
-    max_iterations: u64,
-    par: ParallelConfig,
-    exchange_fast: bool,
-    pipeline: bool,
-    adaptive_parts: bool,
-    coll: Arc<Collective>,
-    stats: Arc<NetStats>,
-    breakdown: Arc<Mutex<SimBreakdown>>,
-    history: Option<Arc<Mutex<Vec<IterationRecord>>>>,
-    mut recovery: RecoveryCfg<P>,
-) -> Result<MachineOut<P>, CommError> {
-    let shard = w.shard;
-    let me = shard.machine.index();
-    let n = coll.num_machines();
-    let pctx = ParallelCtx::new(par);
-    // The pipelined exchange needs the fast path's routing machinery; the
-    // serialized paths stay the reference oracle (DESIGN.md §11).
-    let pipelined = pipeline && exchange_fast;
-    // BspSync owns the breakdown for the simulated components; this clone
-    // is the sink for the pipelined exchange's wall-clock telemetry.
-    let timing_sink = breakdown.clone();
-    let mut bsp = BspSync::new(me, coll, stats.clone(), cost, breakdown);
-    let mut clock = SimClock::new();
-    let mut state: MachineState<P> =
-        MachineState::init(shard, program, InitMessages::MastersOnly, num_vertices);
-    let delta_bytes = program.delta_bytes();
-    let update_bytes = program.vdata_bytes() + std::mem::size_of::<P::Delta>();
-
-    let mut iterations = 0u64;
-    let mut converged = false;
-    // Wall-clock feedback for adaptive part sizing, accumulated locally
-    // and committed into `state.part_items` only at deterministic points
-    // (every superstep bottom, or — with recovery on — only at checkpoint
-    // barriers, so replay regeneration reproduces part boundaries).
-    let mut pending_wait_ms = 0.0f64;
-    let mut pending_overlap_ms = 0.0f64;
-    let mut scatter_tasks: Vec<(u32, P::Delta)> = Vec::new();
-    let mut master_worklist: Vec<u32> = Vec::new();
-    // One persistent outbox set serves both communication phases; every
-    // exchange refills shipped slots from the buffer pool, so steady-state
-    // supersteps allocate nothing (DESIGN.md §9).
-    let mut outboxes: OutboxSet<(u32, SyncMsg<P>)> = OutboxSet::new(n);
-
-    if let Some(snap) = recovery.resume.take() {
-        debug_assert_eq!(snap.engine, 0, "resume snapshot is not a Sync snapshot");
-        snap.restore_into(&mut state);
-        clock.set(f64::from_bits(snap.clock_bits));
-        iterations = snap.iterations;
-        // Re-execute the checkpoint barrier unconditionally: if the crash
-        // landed before it, the peers are still blocked in it and this
-        // completes it; if after, their count-based dedupe drops the
-        // re-sent round and this machine's contribution is satisfied from
-        // their replay logs (DESIGN.md §12).
-        bsp.coll.barrier(bsp.me, &bsp.stats)?;
-    }
-
-    while iterations < max_iterations {
-        iterations += 1;
-        lazygraph_cluster::failpoint_superstep(iterations);
-        // Constant within a superstep: both pipelined phases flush at the
-        // same threshold, and adaptation commits only between supersteps.
-        let part_limit = state.part_items as usize;
+    fn step(&mut self, f: &mut Frame<'_, P, SyncMsg<P>>) -> Result<Vote, CommError> {
+        let (program, num_vertices, cost) = (f.program, f.num_vertices, f.cfg.cost);
+        let (shard, pctx, stats): (&LocalShard, _, _) = (&f.shard, &f.pctx, &*f.stats);
+        let (state, port, clock, bsp) = (&mut f.state, &mut f.port, &mut f.clock, &mut f.bsp);
+        let SyncStep {
+            scatter_tasks,
+            master_worklist,
+        } = self;
+        let delta_bytes = program.delta_bytes();
+        let update_bytes = program.vdata_bytes() + std::mem::size_of::<P::Delta>();
+        // Constant within a superstep: both phases flush at the same
+        // threshold, and adaptation commits only between supersteps.
+        let part_items = state.part_items;
 
         // ---- Phase 1: gather (mirrors forward partials to masters). ----
         // Blocked two-phase: the sorted worklist is chunked, each block
@@ -308,113 +141,38 @@ fn machine_loop<P: VertexProgram>(
         // Gather-round batches carry only Accums (phase-tagged BSP
         // lockstep); block-parallel routing feeds the masters directly.
         let route = shard.route_table();
-        let gather_translate = |(gid, msg): (u32, SyncMsg<P>)| match msg {
-            SyncMsg::Accum(d) => match route.get(gid as usize) {
-                Some(&l) if l != NO_LOCAL => Some((l, program.gather(gid.into(), d))),
-                _ => None,
+        let mut round = port.fold_round(
+            pctx,
+            shard.num_local(),
+            part_items,
+            Phase::Gather,
+            delta_bytes,
+            |(gid, msg): (u32, SyncMsg<P>)| match msg {
+                SyncMsg::Accum(d) => match route.get(gid as usize) {
+                    Some(&l) if l != NO_LOCAL => Some((l, program.gather(gid.into(), d))),
+                    _ => None,
+                },
+                SyncMsg::Update { .. } => None,
             },
-            SyncMsg::Update { .. } => None,
-        };
-        let num_local = shard.num_local();
-        let mut drain: PipelineDrain<P::Delta> = PipelineDrain::new(n);
+        );
         for b in gather_blocks {
             master_worklist.extend(b.masters);
             for (dst, l, d) in b.forwards {
                 state.message[l as usize] = None;
-                outboxes.push(dst, (shard.global_of(l).0, SyncMsg::Accum(d)));
+                round.outboxes().push(dst, (shard.global_of(l).0, SyncMsg::Accum(d)));
                 sent_bytes += delta_bytes as u64;
-                if pipelined && outboxes.staged(dst).len() >= part_limit {
-                    // Streaming send plus eager routing; `clock.merge` is a
-                    // max, so merging per-arrival here reproduces the
-                    // serialized path's merged clock exactly.
-                    w.ep.stream_part(&mut outboxes, dst, clock.now(), Phase::Gather, delta_bytes, &stats)?;
-                    while let Some(mut batch) = w.ep.poll_stream() {
-                        clock.merge(batch.sent_at);
-                        let from = batch.from;
-                        let routed = route_inbound(
-                            &pctx,
-                            num_local,
-                            std::slice::from_mut(&mut batch),
-                            gather_translate,
-                            &mut state.seg_scratch,
-                        );
-                        drain.push(from, routed);
-                        w.ep.recycle(batch);
-                        stats.record_drain_early(1);
-                    }
-                }
+                round.staged(dst, clock.now(), &mut state.seg_scratch)?;
             }
             for l in b.deactivate {
                 state.active[l as usize] = false;
             }
         }
-        if pipelined {
-            let seg_scratch = &mut state.seg_scratch;
-            let now = clock.now();
-            let clock_ref = &mut clock;
-            let t = w.ep.finish_pipelined(
-                &mut outboxes,
-                now,
-                Phase::Gather,
-                delta_bytes,
-                &stats,
-                |batch| {
-                    clock_ref.merge(batch.sent_at);
-                    let from = batch.from;
-                    let routed = route_inbound(
-                        &pctx,
-                        num_local,
-                        std::slice::from_mut(batch),
-                        gather_translate,
-                        seg_scratch,
-                    );
-                    drain.push(from, routed);
-                },
-            )?;
-            {
-                let mut bd = timing_sink.lock();
-                bd.overlap_ms += t.overlap_ms;
-                bd.send_wait_ms += t.send_wait_ms;
-            }
-            pending_wait_ms += t.send_wait_ms;
-            pending_overlap_ms += t.overlap_ms;
-            let bs = pctx.block_size().max(1);
-            let segments = drain.stitch(num_local.div_ceil(bs).max(1));
-            let runs = state.deliver_segments(program, &pctx, segments);
-            stats.record_fold_runs(runs);
-        } else if exchange_fast {
-            let mut received =
-                w.ep
-                    .exchange(&mut outboxes, clock.now(), Phase::Gather, delta_bytes, &stats)?;
-            for batch in &received {
-                clock.merge(batch.sent_at);
-            }
-            let segments = route_inbound(
-                &pctx,
-                num_local,
-                &mut received,
-                gather_translate,
-                &mut state.seg_scratch,
-            );
-            let runs = state.deliver_segments(program, &pctx, segments);
-            stats.record_fold_runs(runs);
-            for batch in received {
-                w.ep.recycle(batch);
-            }
-        } else {
-            let received =
-                w.ep
-                    .exchange(&mut outboxes, clock.now(), Phase::Gather, delta_bytes, &stats)?;
-            for batch in &received {
-                clock.merge(batch.sent_at);
-            }
-            crate::oracle::sync_gather_deliver(shard, program, &pctx, &mut state, me, received)?;
-        }
+        round.close(program, state, clock.now())?;
         // Newly activated masters ended up on the queue.
         master_worklist.extend(state.take_queue());
         master_worklist.sort_unstable();
         bsp.sync(
-            &mut clock,
+            clock,
             BspReduction {
                 bytes: sent_bytes,
                 ..Default::default()
@@ -432,7 +190,7 @@ fn machine_loop<P: VertexProgram>(
         let (message_view, vdata_view) = (&state.message, &state.vdata);
         #[allow(clippy::type_complexity)]
         let apply_blocks: Vec<Vec<(u32, P::VData, Option<P::Delta>)>> =
-            pctx.map_chunks(&master_worklist, |chunk| {
+            pctx.map_chunks(master_worklist, |chunk| {
                 let mut out = Vec::new();
                 for &l in chunk {
                     let Some(accum) = message_view[l as usize] else {
@@ -446,20 +204,15 @@ fn machine_loop<P: VertexProgram>(
                 }
                 out
             });
-        for &l in &master_worklist {
+        for &l in master_worklist.iter() {
             state.message[l as usize] = None;
             state.active[l as usize] = false;
         }
-        // Early-drained update parts, stashed per sender in arrival order.
         // Updates overwrite `vdata` and append to `scatter_tasks`, whose
-        // order feeds phase 3's worklist — the commit below replays the
-        // serialized path's (sender, part) sequence exactly. Clock merges
-        // are deferred too: the serialized path merges after the
-        // `apply_time` advance, and merge/advance do not commute.
-        #[allow(clippy::type_complexity)]
-        let mut update_parts: Vec<Vec<Vec<(u32, SyncMsg<P>)>>> =
-            (0..n).map(|_| Vec::new()).collect();
-        let mut deferred_merges: Vec<f64> = Vec::new();
+        // order feeds phase 3's worklist — so this is a sender-ordered
+        // round: remote updates commit at the close, after every local
+        // one, in (sender, part) order.
+        let mut round = port.ordered_round(part_items, Phase::Apply, update_bytes);
         for block in apply_blocks {
             for (l, data, d) in block {
                 let v = shard.global_of(l);
@@ -468,34 +221,13 @@ fn machine_loop<P: VertexProgram>(
                 // now.
                 for &m in shard.mirrors[l as usize].iter() {
                     let dst = m.index();
-                    outboxes.push(
-                        dst,
-                        (
-                            v.0,
-                            SyncMsg::Update {
-                                data: data.clone(),
-                                scatter: d,
-                            },
-                        ),
-                    );
+                    let update = SyncMsg::Update {
+                        data: data.clone(),
+                        scatter: d,
+                    };
+                    round.outboxes().push(dst, (v.0, update));
                     sent_bytes += update_bytes as u64;
-                    if pipelined && outboxes.staged(dst).len() >= part_limit {
-                        w.ep.stream_part(&mut outboxes, dst, clock.now(), Phase::Apply, update_bytes, &stats)?;
-                        while let Some(mut batch) = w.ep.poll_stream() {
-                            deferred_merges.push(batch.sent_at);
-                            // Updates mutate `vdata` in sender order, so
-                            // this path materializes (the zero-copy cursor
-                            // serves the fold-routed gather/coherency
-                            // exchanges, which dominate wire volume).
-                            batch.make_items().map_err(|e| CommError::transport(me, &e))?;
-                            if !batch.items.is_empty() {
-                                update_parts[batch.from]
-                                    .push(std::mem::take(&mut batch.items));
-                            }
-                            w.ep.recycle(batch);
-                            stats.record_drain_early(1);
-                        }
-                    }
+                    round.staged(dst, clock.now())?;
                 }
                 state.vdata[l as usize] = data;
                 if let Some(d) = d {
@@ -505,83 +237,19 @@ fn machine_loop<P: VertexProgram>(
         }
         stats.record_applies(applies);
         clock.advance(cost.apply_time(applies));
-        if pipelined {
-            let mut cb_err: Option<NetError> = None;
-            let t = w.ep.finish_pipelined(
-                &mut outboxes,
-                clock.now(),
-                Phase::Apply,
-                update_bytes,
-                &stats,
-                |batch| {
-                    deferred_merges.push(batch.sent_at);
-                    if cb_err.is_none() {
-                        if let Err(e) = batch.make_items() {
-                            cb_err = Some(e);
-                            return;
-                        }
-                    }
-                    if !batch.items.is_empty() {
-                        update_parts[batch.from].push(std::mem::take(&mut batch.items));
-                    }
-                },
-            )?;
-            if let Some(e) = cb_err {
-                return Err(CommError::transport(me, &e));
-            }
-            {
-                let mut bd = timing_sink.lock();
-                bd.overlap_ms += t.overlap_ms;
-                bd.send_wait_ms += t.send_wait_ms;
-            }
-            pending_wait_ms += t.send_wait_ms;
-            pending_overlap_ms += t.overlap_ms;
-            for sent_at in deferred_merges.drain(..) {
-                clock.merge(sent_at);
-            }
-            // Commit in (sender, part) order — the exact item sequence of
-            // the serialized path's sender-sorted batches.
-            for (from, parts) in update_parts.into_iter().enumerate() {
-                for mut items in parts {
-                    for (gid, msg) in items.drain(..) {
-                        if let SyncMsg::Update { data, scatter } = msg {
-                            let l = shard
-                                .local_of(gid.into())
-                                .expect("update routed to non-replica"); // lazylint: allow(no-panic) -- replica routing table guarantees locality; a miss is a partitioner bug
-                            state.vdata[l as usize] = data;
-                            if let Some(d) = scatter {
-                                scatter_tasks.push((l, d));
-                            }
-                        }
-                    }
-                    w.ep.recycle_vec(from, items);
+        round.close(clock.now(), |(gid, msg)| {
+            if let SyncMsg::Update { data, scatter } = msg {
+                let l = shard
+                    .local_of(gid.into())
+                    .expect("update routed to non-replica"); // lazylint: allow(no-panic) -- replica routing table guarantees locality; a miss is a partitioner bug
+                state.vdata[l as usize] = data;
+                if let Some(d) = scatter {
+                    scatter_tasks.push((l, d));
                 }
             }
-        } else {
-            let received =
-                w.ep
-                    .exchange(&mut outboxes, clock.now(), Phase::Apply, update_bytes, &stats)?;
-            // Updates overwrite `vdata` in place, so this stays a serial pass
-            // (batch order = sender order); drained buffers go back to the pool.
-            for mut batch in received {
-                clock.merge(batch.sent_at);
-                batch.make_items().map_err(|e| CommError::transport(me, &e))?;
-                for (gid, msg) in batch.items.drain(..) {
-                    if let SyncMsg::Update { data, scatter } = msg {
-                        let l = shard
-                            .local_of(gid.into())
-                            .expect("update routed to non-replica"); // lazylint: allow(no-panic) -- replica routing table guarantees locality; a miss is a partitioner bug
-                        state.vdata[l as usize] = data;
-                        if let Some(d) = scatter {
-                            scatter_tasks.push((l, d));
-                        }
-                    }
-                }
-                w.ep.recycle(batch);
-            }
-        }
+        })?;
         bsp.sync(
-            &mut clock,
+            clock,
             BspReduction {
                 bytes: sent_bytes,
                 ..Default::default()
@@ -597,7 +265,7 @@ fn machine_loop<P: VertexProgram>(
         let vdata_view = &state.vdata;
         #[allow(clippy::type_complexity)]
         let scatter_blocks: Vec<(Vec<(u32, P::Delta)>, u64)> =
-            pctx.map_chunks(&scatter_tasks, |chunk| {
+            pctx.map_chunks(scatter_tasks, |chunk| {
                 let mut deliveries: Vec<(u32, P::Delta)> = Vec::new();
                 let mut edges = 0u64;
                 for &(l, d) in chunk {
@@ -625,11 +293,11 @@ fn machine_loop<P: VertexProgram>(
             deliveries.extend(block);
             edges += e;
         }
-        state.deliver_all(program, &pctx, deliveries);
+        state.deliver_all(program, pctx, deliveries);
         stats.record_edges(edges);
         clock.advance(cost.compute_time(edges));
         let red = bsp.sync(
-            &mut clock,
+            clock,
             BspReduction {
                 pending: state.pending_messages(),
                 applied: applies,
@@ -637,79 +305,17 @@ fn machine_loop<P: VertexProgram>(
             },
             CommCharge::None,
         )?;
-        if me == 0 {
-            if let Some(h) = &history {
-                h.lock().push(IterationRecord {
-                    iteration: iterations,
-                    pending: red.pending,
-                    bytes: 0, // per-phase bytes are in NetStats
-                    lazy_on: false,
-                    local_subrounds: 0,
-                    used_m2m: false,
-                    sim_time: clock.now(),
-                });
-            }
+        if let Some(h) = &f.history {
+            h.lock().push(IterationRecord {
+                iteration: f.iterations,
+                pending: red.pending,
+                bytes: 0, // per-phase bytes are in NetStats
+                lazy_on: false,
+                local_subrounds: 0,
+                used_m2m: false,
+                sim_time: clock.now(),
+            });
         }
-        // Adaptive part sizing commits at deterministic points only: every
-        // superstep bottom when recovery is off, else only at checkpoint
-        // boundaries (and before capture, so the snapshot carries the value
-        // replay regeneration needs).
-        if pipelined && adaptive_parts && (recovery.every == 0 || recovery.due(iterations)) {
-            state.part_items =
-                adapt_part_items(state.part_items, pending_wait_ms, pending_overlap_ms);
-            pending_wait_ms = 0.0;
-            pending_overlap_ms = 0.0;
-        }
-        if pipelined {
-            stats.record_adaptive_part_items(state.part_items as u64);
-        }
-        if red.pending == 0 {
-            converged = true;
-            break;
-        }
-        if recovery.due(iterations) {
-            checkpoint_at_barrier(
-                &w.ep, &bsp.coll, me, &stats, &recovery, 0, iterations, &clock, &state, None,
-                None, &[],
-            )?;
-        }
+        Ok(Vote::of(red.pending))
     }
-
-    let masters = (0..shard.num_local() as u32)
-        .filter(|&l| shard.is_master[l as usize])
-        .map(|l| (shard.global_of(l).0, state.vdata[l as usize].clone()))
-        .collect();
-    Ok(MachineOut {
-        masters,
-        iterations,
-        converged,
-        sim_time: clock.now(),
-    })
-}
-
-/// Folds per-machine outcomes into the driver-facing result. Public so a
-/// multiprocess launcher can assemble worker-shipped [`MachineOut`]s with
-/// exactly the in-process rules.
-pub fn assemble<P: VertexProgram>(
-    outs: Vec<MachineOut<P>>,
-    num_vertices: usize,
-) -> (Vec<P::VData>, u64, bool, f64) {
-    let iterations = outs[0].iterations;
-    let converged = outs[0].converged;
-    let sim_time = outs.iter().map(|o| o.sim_time).fold(0.0, f64::max);
-    let mut values: Vec<Option<P::VData>> = vec![None; num_vertices];
-    for out in outs {
-        for (gid, v) in out.masters {
-            debug_assert!(values[gid as usize].is_none(), "duplicate master {gid}");
-            values[gid as usize] = Some(v);
-        }
-    }
-    let values = values
-        .into_iter()
-        .enumerate()
-// lazylint: allow(no-panic) -- every vertex has exactly one master by
-        // partition construction; a gap here is an assembler bug
-        .map(|(gid, v)| v.unwrap_or_else(|| panic!("vertex {gid} has no master value")))
-        .collect();
-    (values, iterations, converged, sim_time)
 }

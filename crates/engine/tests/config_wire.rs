@@ -1,0 +1,184 @@
+//! The `EngineConfig` wire law a multiprocess launch rests on: the
+//! launcher ships the whole configuration to its workers, so decode ∘
+//! encode must be the identity on every field.
+
+use proptest::prelude::*;
+
+use lazygraph_cluster::{CostModel, TransportKind};
+use lazygraph_engine::{
+    CommModePolicy, EngineConfig, EngineKind, IntervalPolicy, RebalanceConfig,
+};
+use lazygraph_net::Wire;
+use lazygraph_partition::{HubFanoutConfig, PartitionStrategy, SplitterConfig};
+
+/// Every field of a configuration as text, floats as bit patterns.
+/// The destructuring is exhaustive on purpose: a field added to
+/// `EngineConfig` (or to a sub-config another crate owns) without
+/// joining this fingerprint — and so the round-trip law — fails to
+/// compile.
+fn fingerprint(cfg: &EngineConfig) -> String {
+    let EngineConfig {
+        engine,
+        partition,
+        splitter:
+            SplitterConfig {
+                teps,
+                t_extra,
+                high_degree_threshold,
+                low_degree_threshold,
+                max_fraction,
+            },
+        bidirectional,
+        comm_mode,
+        interval,
+        cost:
+            CostModel {
+                teps: cost_teps,
+                apply_cost,
+                barrier_latency,
+                async_msg_overhead,
+                async_send_cpu,
+                latency,
+                async_apply_cost,
+                async_lock_rtt,
+                bandwidth,
+            },
+        max_iterations,
+        delta_suppression,
+        record_history,
+        hybrid_switch_threshold,
+        threads_per_machine,
+        block_size,
+        pipeline,
+        adaptive_parts,
+        delta_buckets,
+        delta_tolerance,
+        transport,
+        hub_fanout: HubFanoutConfig {
+            degree_threshold,
+            fanout,
+        },
+        rebalance:
+            RebalanceConfig {
+                every,
+                ratio_milli,
+                max_moves,
+            },
+    } = cfg;
+    let interval_bits = match *interval {
+        IntervalPolicy::Adaptive {
+            ev_threshold,
+            trend_threshold,
+            local_bound_factor,
+        } => vec![
+            ev_threshold.to_bits(),
+            trend_threshold.to_bits(),
+            local_bound_factor.to_bits(),
+        ],
+        IntervalPolicy::AlwaysLazy => vec![1],
+        IntervalPolicy::NeverLazy => vec![2],
+    };
+    let float_bits = [
+        teps, t_extra, max_fraction, cost_teps, apply_cost, barrier_latency,
+        async_msg_overhead, async_send_cpu, latency, async_apply_cost, async_lock_rtt,
+        bandwidth, hybrid_switch_threshold, delta_tolerance,
+    ]
+    .map(|x| x.to_bits());
+    format!(
+        "{engine:?} {partition:?} {high_degree_threshold:?} {low_degree_threshold:?} \
+         {bidirectional} {comm_mode:?} {interval_bits:?} {max_iterations} {delta_suppression} \
+         {record_history} {threads_per_machine} {block_size} {pipeline} {adaptive_parts} \
+         {delta_buckets} {transport:?} {degree_threshold:?} {fanout} {every} {ratio_milli} \
+         {max_moves} {float_bits:?}"
+    )
+}
+
+proptest! {
+    /// The Wire law a multiprocess launch rests on: decode ∘ encode is
+    /// the identity on every field (floats by bit pattern, NaNs
+    /// included), and the encoding is a pure function of the value.
+    #[test]
+    fn engine_config_wire_round_trips(
+        tags in (0u8..6, 0u8..5, 0u8..3, 0u8..3, 0u8..2),
+        f in proptest::collection::vec(any::<u64>(), 17),
+        n in proptest::collection::vec(any::<u32>(), 8),
+        b in proptest::collection::vec(any::<bool>(), 9),
+    ) {
+        let float = |i: usize| f64::from_bits(f[i]);
+        let cfg = EngineConfig {
+            engine: EngineKind::from_wire(&[tags.0]).expect("tag in range"),
+            partition: [
+                PartitionStrategy::Random,
+                PartitionStrategy::Grid,
+                PartitionStrategy::Coordinated,
+                PartitionStrategy::Hybrid,
+                PartitionStrategy::AdversarialHubs,
+            ][tags.1 as usize],
+            splitter: SplitterConfig {
+                teps: float(0),
+                t_extra: float(1),
+                high_degree_threshold: b[0].then_some(n[0] as usize),
+                low_degree_threshold: b[1].then_some(n[1] as usize),
+                max_fraction: float(2),
+            },
+            bidirectional: b[2],
+            comm_mode: CommModePolicy::from_wire(&[tags.2]).expect("tag in range"),
+            interval: match tags.3 {
+                0 => IntervalPolicy::Adaptive {
+                    ev_threshold: float(3),
+                    trend_threshold: float(4),
+                    local_bound_factor: float(5),
+                },
+                1 => IntervalPolicy::AlwaysLazy,
+                _ => IntervalPolicy::NeverLazy,
+            },
+            cost: CostModel {
+                teps: float(6),
+                apply_cost: float(7),
+                barrier_latency: float(8),
+                async_msg_overhead: float(9),
+                async_send_cpu: float(10),
+                latency: float(11),
+                async_apply_cost: float(12),
+                async_lock_rtt: float(13),
+                bandwidth: float(14),
+            },
+            max_iterations: f[15],
+            delta_suppression: b[3],
+            record_history: b[4],
+            hybrid_switch_threshold: float(15),
+            threads_per_machine: n[2] as usize,
+            block_size: n[3] as usize,
+            pipeline: b[5],
+            adaptive_parts: b[6],
+            delta_buckets: n[4] as usize,
+            delta_tolerance: float(16),
+            transport: if tags.4 == 0 { TransportKind::InProc } else { TransportKind::Tcp },
+            hub_fanout: HubFanoutConfig {
+                degree_threshold: b[7].then_some(n[5] as usize),
+                fanout: n[6] as usize,
+            },
+            rebalance: RebalanceConfig {
+                every: u64::from(n[7]),
+                ratio_milli: f[16],
+                max_moves: n[0] as usize,
+            },
+        };
+        let bytes = cfg.to_wire();
+        let back = EngineConfig::from_wire(&bytes).expect("decode");
+        prop_assert_eq!(fingerprint(&back), fingerprint(&cfg));
+        prop_assert_eq!(back.to_wire(), bytes);
+    }
+}
+
+#[test]
+fn engine_config_wire_rejects_bad_tags_and_truncation() {
+    let bytes = EngineConfig::lazygraph().to_wire();
+    for cut in 0..bytes.len() {
+        assert!(EngineConfig::from_wire(&bytes[..cut]).is_err(), "cut at {cut}");
+    }
+    let mut bad = bytes;
+    bad[0] = 6; // no such engine
+    assert!(EngineConfig::from_wire(&bad).is_err());
+}
+

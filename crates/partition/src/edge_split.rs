@@ -166,7 +166,7 @@ pub fn plan_split(graph: &Graph, num_machines: usize, cfg: &SplitterConfig) -> S
 /// hub simply ends up replicated on every window machine and its partial
 /// accumulations ⊕-merge through the ordinary mirror machinery at the
 /// coherency exchange — no special-case state anywhere downstream.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct HubFanoutConfig {
     /// Degree at or above which a vertex counts as a hub. `None` derives
     /// 8× the average degree (matching the adversarial fixture in
@@ -175,15 +175,6 @@ pub struct HubFanoutConfig {
     /// How many machines each hub's edges spread across; 0 disables the
     /// pass entirely (the static-placement baseline).
     pub fanout: usize,
-}
-
-impl Default for HubFanoutConfig {
-    fn default() -> Self {
-        HubFanoutConfig {
-            degree_threshold: None,
-            fanout: 0,
-        }
-    }
 }
 
 impl HubFanoutConfig {

@@ -39,28 +39,56 @@ fn usage() -> ! {
     exit(2);
 }
 
+/// Prints a one-line diagnostic and exits with the usage-error status.
+fn die(msg: &str) -> ! {
+    eprintln!("{msg}");
+    exit(2);
+}
+
+/// Options of `run` and `info` (which shares the input and placement ones)
+/// that take a value.
+const RUN_VALUES: &[&str] = &[
+    "input", "algorithm", "engine", "machines", "partition", "hub-fanout",
+    "hub-degree-threshold", "rebalance-every", "rebalance-ratio", "rebalance-max-moves",
+    "delta-buckets", "delta-tolerance", "source", "k", "tolerance", "scale", "threads",
+    "block-size", "transport", "weights", "output", "checkpoint-every", "rejoin-window-ms",
+    "respawn-budget", "failpoint",
+];
+/// Boolean flags of `run` and `info`.
+const RUN_FLAGS: &[&str] = &[
+    "multiprocess", "pipeline", "no-adaptive-parts", "symmetrize", "bidirectional", "history",
+];
+/// The fault-tolerance family only the multiprocess launcher honours.
+const MULTIPROCESS_ONLY: &[&str] =
+    &["checkpoint-every", "rejoin-window-ms", "respawn-budget", "failpoint"];
+const GENERATE_VALUES: &[&str] = &["kind", "vertices", "out", "seed"];
+
 struct Opts {
     values: std::collections::HashMap<String, String>,
     flags: std::collections::HashSet<String>,
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Opts {
+    /// Strict parse: every argument is `--flag` or `--option VALUE` from
+    /// the subcommand's tables; anything else is a usage error, never
+    /// silently ignored.
+    fn parse(args: &[String], value_opts: &[&str], flag_opts: &[&str]) -> Opts {
         let mut values = std::collections::HashMap::new();
         let mut flags = std::collections::HashSet::new();
-        let mut it = args.iter().peekable();
+        let mut it = args.iter();
         while let Some(a) = it.next() {
             let Some(key) = a.strip_prefix("--") else {
-                eprintln!("unexpected argument {a}");
-                usage();
+                die(&format!("unexpected argument {a}"));
             };
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    values.insert(key.to_string(), it.next().unwrap().clone());
-                }
-                _ => {
-                    flags.insert(key.to_string());
-                }
+            if flag_opts.contains(&key) {
+                flags.insert(key.to_string());
+            } else if value_opts.contains(&key) {
+                match it.next() {
+                    Some(v) if !v.starts_with("--") => values.insert(key.to_string(), v.clone()),
+                    _ => die(&format!("--{key}: missing value")),
+                };
+            } else {
+                die(&format!("unknown option --{key}"));
             }
         }
         Opts { values, flags }
@@ -76,10 +104,9 @@ impl Opts {
 
     fn parse_num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
         match self.get(key) {
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("--{key}: cannot parse {v}");
-                exit(2);
-            }),
+            Some(v) => v
+                .parse()
+                .unwrap_or_else(|_| die(&format!("--{key}: cannot parse {v}"))),
             None => default,
         }
     }
@@ -392,6 +419,11 @@ fn cmd_run_multiprocess(opts: &Opts, graph: &Graph, machines: usize, cfg: &Engin
 }
 
 fn cmd_run(opts: &Opts) {
+    if !opts.flags.contains("multiprocess") {
+        if let Some(key) = MULTIPROCESS_ONLY.iter().find(|k| opts.get(k).is_some()) {
+            die(&format!("--{key} requires --multiprocess"));
+        }
+    }
     let graph = load_input(opts);
     let machines: usize = opts.parse_num("machines", 8);
     let cfg = engine_config(opts);
@@ -538,11 +570,10 @@ fn main() {
     let Some((cmd, rest)) = args.split_first() else {
         usage();
     };
-    let opts = Opts::parse(rest);
     match cmd.as_str() {
-        "run" => cmd_run(&opts),
-        "info" => cmd_info(&opts),
-        "generate" => cmd_generate(&opts),
+        "run" => cmd_run(&Opts::parse(rest, RUN_VALUES, RUN_FLAGS)),
+        "info" => cmd_info(&Opts::parse(rest, RUN_VALUES, RUN_FLAGS)),
+        "generate" => cmd_generate(&Opts::parse(rest, GENERATE_VALUES, &[])),
         _ => usage(),
     }
 }

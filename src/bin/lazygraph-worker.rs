@@ -5,8 +5,9 @@
 //! decodes the Wire-encoded [`WorkerJob`], deterministically rebuilds and
 //! re-partitions the graph (so all workers agree on placement without
 //! shipping shard structures), joins the control and data TCP meshes over
-//! loopback, runs its machine loop, and writes its Wire-encoded result —
-//! `MachineOut ++ StatsSnapshot ++ SimBreakdown` — to the output path.
+//! loopback, runs its machine through the shared `run_mesh_engine` entry,
+//! and writes its Wire-encoded result — `MachineOut ++ StatsSnapshot ++
+//! SimBreakdown` — to the output path.
 //!
 //! Exit status 0 means the result file is complete; any failure prints to
 //! stderr and exits 1, which the launcher surfaces as
@@ -20,14 +21,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use lazygraph::multiproc::{AlgoSpec, WorkerJob};
+use lazygraph::multiproc::{multiproc_supported, AlgoSpec, WorkerJob};
 use lazygraph_algorithms::{Bfs, ConnectedComponents, KCore, PageRankDelta, Sssp, WidestPath};
-use lazygraph_cluster::{connect_tcp_endpoint, reconnect_tcp_endpoint, Collective, NetStats};
-use lazygraph_engine::checkpoint::{EngineSnapshot, RecoveryCfg, SnapshotStore};
-use lazygraph_engine::delta_engine::{run_delta_machine, DeltaParams};
-use lazygraph_engine::lazy_block::{self, LazyParams};
-use lazygraph_engine::sync_engine::{self, SyncMsg};
-use lazygraph_engine::{EngineKind, ParallelConfig, SimBreakdown, VertexProgram};
+use lazygraph_cluster::{
+    connect_tcp_endpoint, reconnect_tcp_endpoint, Collective, CommError, NetStats,
+};
+use lazygraph_engine::checkpoint::{RecoveryCfg, SnapshotStore};
+use lazygraph_engine::{run_mesh_engine, Attach, RunShared, Seat, SimBreakdown, VertexProgram};
 use lazygraph_graph::{Edge, GraphBuilder, VertexId};
 use lazygraph_net::{TcpOptions, Wire};
 use lazygraph_partition::partition_graph_with;
@@ -113,9 +113,49 @@ fn parse_addrs(addrs: &[String]) -> Result<Vec<SocketAddr>, String> {
         .collect()
 }
 
+/// This worker's leg of the data mesh: connected fresh, or — for a
+/// resumed worker — reconnected at the snapshot's data-round watermark
+/// (`None`, crashed before the first checkpoint, means a fresh start at
+/// watermark 0; peers still hold their full replay logs in that case,
+/// because log pruning only ever happens at a completed checkpoint
+/// barrier).
+struct WorkerSeat<'a, P: VertexProgram> {
+    me: usize,
+    addrs: &'a [SocketAddr],
+    opts: &'a TcpOptions,
+    resume: bool,
+    recovery: RecoveryCfg<P>,
+}
+
+impl<P: VertexProgram> Attach<P> for WorkerSeat<'_, P> {
+    fn attach<T: Wire + Send + 'static>(
+        self,
+        stats: &Arc<NetStats>,
+    ) -> Result<Vec<Seat<P, T>>, CommError> {
+        let ep = if self.resume {
+            let round = self.recovery.resume.as_ref().map_or(0, |s| s.data_round);
+            reconnect_tcp_endpoint::<T>(self.me, self.addrs, round, stats, self.opts)
+        } else {
+            connect_tcp_endpoint::<T>(self.me, self.addrs, stats, self.opts)
+        }?;
+        Ok(vec![Seat {
+            me: self.me,
+            ep,
+            recovery: self.recovery,
+        }])
+    }
+}
+
 /// Runs this worker's machine and writes the result file.
 fn run_worker<P: VertexProgram>(job: &WorkerJob, args: Args, program: P) -> Result<(), String> {
     let me = args.me;
+    let cfg = &job.cfg;
+    if !multiproc_supported(cfg.engine) {
+        return Err(format!(
+            "engine {} cannot run multiprocess (shared-memory termination)",
+            cfg.engine.name()
+        ));
+    }
     let data_addrs = parse_addrs(&job.data_addrs)?;
     let ctrl_addrs = parse_addrs(&job.ctrl_addrs)?;
 
@@ -132,31 +172,21 @@ fn run_worker<P: VertexProgram>(job: &WorkerJob, args: Args, program: P) -> Resu
     let dg = partition_graph_with(
         &graph,
         job.num_machines,
-        job.partition,
-        &job.splitter,
-        &job.hub_fanout,
-        job.bidirectional,
+        cfg.partition,
+        &cfg.splitter,
+        &cfg.hub_fanout,
+        cfg.bidirectional,
     );
-    let shard = &dg.shards[me];
 
     let stats = Arc::new(NetStats::default());
     let breakdown = Arc::new(Mutex::new(SimBreakdown::default()));
-    let par = ParallelConfig {
-        threads: job.threads_per_machine.max(1),
-        block_size: job.block_size.max(1),
-    };
     let recovery_on = job.checkpoint_every > 0 && !job.checkpoint_dir.is_empty();
     let mut opts = TcpOptions::default();
     if recovery_on && job.rejoin_window_ms > 0 {
         opts.rejoin_window = Some(std::time::Duration::from_millis(job.rejoin_window_ms));
     }
     let store = recovery_on.then(|| SnapshotStore::new(&job.checkpoint_dir, me));
-
-    // A resumed worker loads its newest valid snapshot; `None` (crashed
-    // before the first checkpoint) means a fresh start at watermark 0 —
-    // peers still hold their full replay logs in that case, because log
-    // pruning only ever happens at a completed checkpoint barrier.
-    let resume_snap: Option<EngineSnapshot<P>> = if args.resume {
+    let resume_snap = if args.resume {
         match &store {
             Some(s) => s
                 .load_latest::<P>()
@@ -166,25 +196,7 @@ fn run_worker<P: VertexProgram>(job: &WorkerJob, args: Args, program: P) -> Resu
     } else {
         None
     };
-    if let Some(s) = &resume_snap {
-        let want = match job.engine {
-            EngineKind::PowerGraphSync => 0u8,
-            EngineKind::LazyBlockAsync => 1u8,
-            EngineKind::DeltaAccum => 2u8,
-            _ => u8::MAX,
-        };
-        if s.engine != want {
-            return Err(format!(
-                "snapshot engine tag {} does not match configured engine {}",
-                s.engine,
-                job.engine.name()
-            ));
-        }
-    }
-    let (data_round, ctrl_round) = resume_snap
-        .as_ref()
-        .map(|s| (s.data_round, s.ctrl_round))
-        .unwrap_or((0, 0));
+    let ctrl_round = resume_snap.as_ref().map_or(0, |s| s.ctrl_round);
 
     // Mesh establishment order is part of the protocol: every worker
     // joins the control mesh first, then the engine-typed data mesh.
@@ -194,152 +206,42 @@ fn run_worker<P: VertexProgram>(job: &WorkerJob, args: Args, program: P) -> Resu
         connect_tcp_endpoint::<u8>(me, &ctrl_addrs, &stats, &opts)
     }
     .map_err(|e| format!("control mesh: {e}"))?;
-    let coll = Arc::new(Collective::mesh(ctrl_ep));
-
-    let recovery = RecoveryCfg {
-        every: job.checkpoint_every,
-        store,
-        resume: resume_snap,
+    let seat = WorkerSeat {
+        me,
+        addrs: &data_addrs,
+        opts: &opts,
+        resume: args.resume,
+        recovery: RecoveryCfg {
+            every: job.checkpoint_every,
+            store,
+            resume: resume_snap,
+        },
     };
-
-    let mut result = Vec::new();
-    match job.engine {
-        EngineKind::PowerGraphSync => {
-            let ep = if args.resume {
-                reconnect_tcp_endpoint::<(u32, SyncMsg<P>)>(
-                    me,
-                    &data_addrs,
-                    data_round,
-                    &stats,
-                    &opts,
-                )
-            } else {
-                connect_tcp_endpoint::<(u32, SyncMsg<P>)>(me, &data_addrs, &stats, &opts)
-            }
-            .map_err(|e| format!("data mesh: {e}"))?;
-            let out = sync_engine::run_sync_machine(
-                shard,
-                ep,
-                coll,
-                &program,
-                dg.num_global_vertices,
-                job.cost,
-                job.max_iterations,
-                par,
-                job.exchange_fast,
-                job.pipeline,
-                job.adaptive_parts,
-                stats.clone(),
-                breakdown.clone(),
-                recovery,
-            )
-            .map_err(|e| format!("sync machine {me}: {e}"))?;
-            out.encode(&mut result);
-        }
-        EngineKind::LazyBlockAsync => {
-            let params = LazyParams {
-                cost: job.cost,
-                max_iterations: job.max_iterations,
-                comm_mode: job.comm_mode,
-                interval: job.interval,
-                delta_suppression: job.delta_suppression,
-                record_history: false,
-                exchange_fast: job.exchange_fast,
-                pipeline: job.pipeline,
-                adaptive_parts: job.adaptive_parts,
-                rebalance: job.rebalance,
-            };
-            let ep = if args.resume {
-                reconnect_tcp_endpoint::<(u32, P::Delta)>(
-                    me,
-                    &data_addrs,
-                    data_round,
-                    &stats,
-                    &opts,
-                )
-            } else {
-                connect_tcp_endpoint::<(u32, P::Delta)>(me, &data_addrs, &stats, &opts)
-            }
-            .map_err(|e| format!("data mesh: {e}"))?;
-            let out = lazy_block::run_lazy_block_machine(
-                me,
-                shard,
-                ep,
-                coll,
-                &program,
-                dg.num_global_vertices,
-                dg.ev_ratio,
-                params,
-                par,
-                stats.clone(),
-                breakdown.clone(),
-                recovery,
-            )
-            .map_err(|e| format!("lazy machine {me}: {e}"))?;
-            if std::env::var_os("LAZYGRAPH_MP_DEBUG").is_some() {
-                eprintln!(
-                    "worker {me}: iters={} converged={} counters={:?}",
-                    out.iterations, out.converged, out.counters
-                );
-            }
-            out.encode(&mut result);
-        }
-        EngineKind::DeltaAccum => {
-            let params = DeltaParams {
-                cost: job.cost,
-                max_iterations: job.max_iterations,
-                num_buckets: job.delta_buckets,
-                tolerance: job.delta_tolerance,
-                delta_suppression: job.delta_suppression,
-                exchange_fast: job.exchange_fast,
-                pipeline: job.pipeline,
-                adaptive_parts: job.adaptive_parts,
-            };
-            let ep = if args.resume {
-                reconnect_tcp_endpoint::<(u32, P::Delta)>(
-                    me,
-                    &data_addrs,
-                    data_round,
-                    &stats,
-                    &opts,
-                )
-            } else {
-                connect_tcp_endpoint::<(u32, P::Delta)>(me, &data_addrs, &stats, &opts)
-            }
-            .map_err(|e| format!("data mesh: {e}"))?;
-            let out = run_delta_machine(
-                me,
-                shard,
-                ep,
-                coll,
-                &program,
-                dg.num_global_vertices,
-                params,
-                par,
-                stats.clone(),
-                breakdown.clone(),
-                recovery,
-            )
-            .map_err(|e| format!("delta machine {me}: {e}"))?;
-            if std::env::var_os("LAZYGRAPH_MP_DEBUG").is_some() {
-                eprintln!(
-                    "worker {me}: epochs={} converged={} counters={:?}",
-                    out.iterations, out.converged, out.counters
-                );
-            }
-            out.encode(&mut result);
-        }
-        other => {
-            return Err(format!(
-                "engine {} cannot run multiprocess (shared-memory termination)",
-                other.name()
-            ))
-        }
+    let shared = RunShared {
+        coll: Arc::new(Collective::mesh(ctrl_ep)),
+        stats: stats.clone(),
+        breakdown: breakdown.clone(),
+        history: None,
+    };
+    let out = run_mesh_engine(&dg, cfg, &program, seat, &shared)
+        .map_err(|e| format!("{} machine {me}: {e}", cfg.engine.name()))?
+        .pop()
+        .ok_or("the engine returned no machine outcome")?;
+    // Tear the control mesh down too (its Shutdown frames flushed and
+    // counted) before the stats snapshot below is taken.
+    drop(shared);
+    if std::env::var_os("LAZYGRAPH_MP_DEBUG").is_some() {
+        eprintln!(
+            "worker {me}: iters={} converged={} counters={:?}",
+            out.iterations, out.converged, out.counters
+        );
     }
 
     // Result file layout: MachineOut ++ StatsSnapshot ++ SimBreakdown.
     // The snapshot is taken after the run; detached writer proxies may
     // still flush shutdown frames, so frame counters are best-effort.
+    let mut result = Vec::new();
+    out.encode(&mut result);
     stats.snapshot().encode(&mut result);
     breakdown.lock().encode(&mut result);
     std::fs::write(&args.out, &result)

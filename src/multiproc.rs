@@ -3,7 +3,7 @@
 //! the framed-TCP mesh over loopback.
 //!
 //! The launcher serialises a [`WorkerJob`] — the full edge list (weights
-//! as exact IEEE-754 bit patterns), the engine configuration slice, and
+//! as exact IEEE-754 bit patterns), the [`EngineConfig`], and
 //! the socket addresses of both meshes — spawns N `lazygraph-worker`
 //! processes, and collects each worker's Wire-encoded result file: its
 //! per-machine outcome, its `NetStats` snapshot (with *measured* frame
@@ -16,12 +16,14 @@
 //! mesh-based [`Collective`] (barriers/allreduce), and a data mesh typed
 //! by the engine's message. Workers establish them in that fixed order.
 //!
-//! Only the engines whose machine loops communicate exclusively through
-//! `Endpoint` + `Collective` can run multiprocess: **PowerGraphSync**,
-//! **LazyBlockAsync**, and **DeltaAccum**. The async-family engines
-//! coordinate termination
-//! through shared memory and stay in-process (they still support the
-//! threaded TCP transport via `EngineConfig::with_transport`).
+//! Only the engines on the superstep skeleton (DESIGN.md §17), whose
+//! machines communicate exclusively through `Endpoint` + `Collective`,
+//! can run multiprocess: **PowerGraphSync**, **LazyBlockAsync**, and
+//! **DeltaAccum** — a worker starts its machine through the same
+//! `run_mesh_engine` entry the in-process driver uses. The async-family
+//! engines coordinate termination through shared memory and stay
+//! in-process (they still support the threaded TCP transport via
+//! `EngineConfig::with_transport`).
 //!
 //! Determinism: a multiprocess run is bitwise-identical to the in-process
 //! run on the same graph and configuration — the codec is position-based
@@ -34,15 +36,13 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use lazygraph_cluster::{CostModel, StatsSnapshot, TransportKind};
-use lazygraph_engine::lazy_block::{self, LazyCounters};
-use lazygraph_engine::sync_engine;
-use lazygraph_engine::{CommModePolicy, EngineConfig, EngineKind, IntervalPolicy, SimBreakdown,
-    VertexProgram};
+use lazygraph_cluster::StatsSnapshot;
+use lazygraph_engine::lazy_block::LazyCounters;
+use lazygraph_engine::{
+    assemble, snapshot_tag, EngineConfig, EngineKind, MachineOut, SimBreakdown, VertexProgram,
+};
 use lazygraph_graph::Graph;
 use lazygraph_net::{NetError, Wire, WireReader};
-use lazygraph_engine::RebalanceConfig;
-use lazygraph_partition::{HubFanoutConfig, PartitionStrategy, SplitterConfig};
 
 /// Which vertex program a worker process should instantiate. The launcher
 /// and worker agree on this enum; the generic `P` of [`run_multiprocess`]
@@ -126,12 +126,17 @@ impl Wire for AlgoSpec {
 }
 
 /// Everything one worker process needs to run its machine: the graph (as
-/// the exact edge list), the partition/engine configuration slice, and
-/// the two mesh address lists. Written Wire-encoded to a job file read by
-/// every worker.
+/// the exact edge list), the engine configuration, and the two mesh
+/// address lists. Written Wire-encoded to a job file read by every
+/// worker.
 #[derive(Clone, Debug)]
 pub struct WorkerJob {
-    pub engine: EngineKind,
+    /// The run's configuration. `threads_per_machine` is already resolved
+    /// (the launcher resolves `0 = auto` before shipping, so all workers
+    /// agree); `transport` and `record_history` mean nothing to a worker
+    /// (its mesh is TCP by definition and the trace sink is
+    /// process-local).
+    pub cfg: EngineConfig,
     pub algo: AlgoSpec,
     pub num_machines: usize,
     /// Data-mesh socket addresses, one per machine (`127.0.0.1:port`).
@@ -142,21 +147,6 @@ pub struct WorkerJob {
     /// `(src, dst, weight)` in the launcher graph's edge order; weights
     /// cross as bit patterns so the rebuilt graph is identical.
     pub edges: Vec<(u32, u32, f32)>,
-    pub partition: PartitionStrategy,
-    pub splitter: SplitterConfig,
-    pub bidirectional: bool,
-    pub comm_mode: CommModePolicy,
-    pub interval: IntervalPolicy,
-    pub cost: CostModel,
-    pub max_iterations: u64,
-    pub delta_suppression: bool,
-    pub exchange_fast: bool,
-    /// Already-resolved thread count (the launcher resolves `0 = auto`
-    /// before shipping, so all workers agree).
-    pub threads_per_machine: usize,
-    pub block_size: usize,
-    /// Pipelined coherency exchange (DESIGN.md §11).
-    pub pipeline: bool,
     /// Snapshot every K supersteps (0 = checkpointing off, PR 4 fail-fast
     /// behaviour).
     pub checkpoint_every: u64,
@@ -165,228 +155,34 @@ pub struct WorkerJob {
     /// How long a surviving worker keeps a torn link in the "awaiting
     /// rejoin" window, in milliseconds (0 = poison immediately).
     pub rejoin_window_ms: u64,
-    /// Adaptive pipeline part sizing (DESIGN.md §14). Appended last on
-    /// the wire (PR 8) so every pre-existing field keeps its offset.
-    pub adaptive_parts: bool,
-    /// Priority-bucket count for the delta-accumulative scheduler
-    /// (DESIGN.md §15). Appended last, after the PR 8 fields.
-    pub delta_buckets: usize,
-    /// Scheduling/termination tolerance for the delta engine.
-    pub delta_tolerance: f64,
-    /// Degree-aware hub fan-out at partition time (DESIGN.md §16).
-    /// Appended last, after the PR 9 fields.
-    pub hub_fanout: HubFanoutConfig,
-    /// Online live-migration policy (DESIGN.md §16).
-    pub rebalance: RebalanceConfig,
-}
-
-fn encode_engine_kind(k: EngineKind, out: &mut Vec<u8>) {
-    out.push(match k {
-        EngineKind::PowerGraphSync => 0,
-        EngineKind::PowerGraphAsync => 1,
-        EngineKind::LazyBlockAsync => 2,
-        EngineKind::LazyVertexAsync => 3,
-        EngineKind::PowerSwitchHybrid => 4,
-        EngineKind::DeltaAccum => 5,
-    });
-}
-
-fn decode_engine_kind(r: &mut WireReader<'_>) -> Result<EngineKind, NetError> {
-    Ok(match r.take_u8()? {
-        0 => EngineKind::PowerGraphSync,
-        1 => EngineKind::PowerGraphAsync,
-        2 => EngineKind::LazyBlockAsync,
-        3 => EngineKind::LazyVertexAsync,
-        4 => EngineKind::PowerSwitchHybrid,
-        5 => EngineKind::DeltaAccum,
-        tag => return Err(NetError::BadTag { tag, ty: "EngineKind" }),
-    })
 }
 
 impl Wire for WorkerJob {
     fn encode(&self, out: &mut Vec<u8>) {
-        encode_engine_kind(self.engine, out);
+        self.cfg.encode(out);
         self.algo.encode(out);
         (self.num_machines as u64).encode(out);
         self.data_addrs.encode(out);
         self.ctrl_addrs.encode(out);
         (self.num_vertices as u64).encode(out);
         self.edges.encode(out);
-        out.push(match self.partition {
-            PartitionStrategy::Random => 0,
-            PartitionStrategy::Grid => 1,
-            PartitionStrategy::Coordinated => 2,
-            PartitionStrategy::Hybrid => 3,
-            PartitionStrategy::AdversarialHubs => 4,
-        });
-        self.splitter.teps.encode(out);
-        self.splitter.t_extra.encode(out);
-        self.splitter
-            .high_degree_threshold
-            .map(|x| x as u64)
-            .encode(out);
-        self.splitter
-            .low_degree_threshold
-            .map(|x| x as u64)
-            .encode(out);
-        self.splitter.max_fraction.encode(out);
-        self.bidirectional.encode(out);
-        out.push(match self.comm_mode {
-            CommModePolicy::Auto => 0,
-            CommModePolicy::AllToAll => 1,
-            CommModePolicy::MirrorsToMaster => 2,
-        });
-        match self.interval {
-            IntervalPolicy::Adaptive {
-                ev_threshold,
-                trend_threshold,
-                local_bound_factor,
-            } => {
-                out.push(0);
-                ev_threshold.encode(out);
-                trend_threshold.encode(out);
-                local_bound_factor.encode(out);
-            }
-            IntervalPolicy::AlwaysLazy => out.push(1),
-            IntervalPolicy::NeverLazy => out.push(2),
-        }
-        self.cost.teps.encode(out);
-        self.cost.apply_cost.encode(out);
-        self.cost.barrier_latency.encode(out);
-        self.cost.async_msg_overhead.encode(out);
-        self.cost.async_send_cpu.encode(out);
-        self.cost.latency.encode(out);
-        self.cost.async_apply_cost.encode(out);
-        self.cost.async_lock_rtt.encode(out);
-        self.cost.bandwidth.encode(out);
-        self.max_iterations.encode(out);
-        self.delta_suppression.encode(out);
-        self.exchange_fast.encode(out);
-        (self.threads_per_machine as u64).encode(out);
-        (self.block_size as u64).encode(out);
-        self.pipeline.encode(out);
-        // Fault-tolerance fields (PR 6) appended last so the layout of
-        // every pre-existing field is unchanged.
         self.checkpoint_every.encode(out);
         self.checkpoint_dir.encode(out);
         self.rejoin_window_ms.encode(out);
-        // Adaptive part sizing (PR 8), appended last.
-        self.adaptive_parts.encode(out);
-        // Delta-accumulative scheduler knobs (PR 9), appended last.
-        (self.delta_buckets as u64).encode(out);
-        self.delta_tolerance.encode(out);
-        // Skew knobs (PR 10), appended last.
-        self.hub_fanout
-            .degree_threshold
-            .map(|x| x as u64)
-            .encode(out);
-        (self.hub_fanout.fanout as u64).encode(out);
-        self.rebalance.every.encode(out);
-        self.rebalance.ratio_milli.encode(out);
-        (self.rebalance.max_moves as u64).encode(out);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        let engine = decode_engine_kind(r)?;
-        let algo = AlgoSpec::decode(r)?;
-        let num_machines = u64::decode(r)? as usize;
-        let data_addrs = Vec::<String>::decode(r)?;
-        let ctrl_addrs = Vec::<String>::decode(r)?;
-        let num_vertices = u64::decode(r)? as usize;
-        let edges = Vec::<(u32, u32, f32)>::decode(r)?;
-        let partition = match r.take_u8()? {
-            0 => PartitionStrategy::Random,
-            1 => PartitionStrategy::Grid,
-            2 => PartitionStrategy::Coordinated,
-            3 => PartitionStrategy::Hybrid,
-            4 => PartitionStrategy::AdversarialHubs,
-            tag => {
-                return Err(NetError::BadTag {
-                    tag,
-                    ty: "PartitionStrategy",
-                })
-            }
-        };
-        let splitter = SplitterConfig {
-            teps: f64::decode(r)?,
-            t_extra: f64::decode(r)?,
-            high_degree_threshold: Option::<u64>::decode(r)?.map(|x| x as usize),
-            low_degree_threshold: Option::<u64>::decode(r)?.map(|x| x as usize),
-            max_fraction: f64::decode(r)?,
-        };
-        let bidirectional = bool::decode(r)?;
-        let comm_mode = match r.take_u8()? {
-            0 => CommModePolicy::Auto,
-            1 => CommModePolicy::AllToAll,
-            2 => CommModePolicy::MirrorsToMaster,
-            tag => {
-                return Err(NetError::BadTag {
-                    tag,
-                    ty: "CommModePolicy",
-                })
-            }
-        };
-        let interval = match r.take_u8()? {
-            0 => IntervalPolicy::Adaptive {
-                ev_threshold: f64::decode(r)?,
-                trend_threshold: f64::decode(r)?,
-                local_bound_factor: f64::decode(r)?,
-            },
-            1 => IntervalPolicy::AlwaysLazy,
-            2 => IntervalPolicy::NeverLazy,
-            tag => {
-                return Err(NetError::BadTag {
-                    tag,
-                    ty: "IntervalPolicy",
-                })
-            }
-        };
-        let cost = CostModel {
-            teps: f64::decode(r)?,
-            apply_cost: f64::decode(r)?,
-            barrier_latency: f64::decode(r)?,
-            async_msg_overhead: f64::decode(r)?,
-            async_send_cpu: f64::decode(r)?,
-            latency: f64::decode(r)?,
-            async_apply_cost: f64::decode(r)?,
-            async_lock_rtt: f64::decode(r)?,
-            bandwidth: f64::decode(r)?,
-        };
         Ok(WorkerJob {
-            engine,
-            algo,
-            num_machines,
-            data_addrs,
-            ctrl_addrs,
-            num_vertices,
-            edges,
-            partition,
-            splitter,
-            bidirectional,
-            comm_mode,
-            interval,
-            cost,
-            max_iterations: u64::decode(r)?,
-            delta_suppression: bool::decode(r)?,
-            exchange_fast: bool::decode(r)?,
-            threads_per_machine: u64::decode(r)? as usize,
-            block_size: u64::decode(r)? as usize,
-            pipeline: bool::decode(r)?,
+            cfg: EngineConfig::decode(r)?,
+            algo: AlgoSpec::decode(r)?,
+            num_machines: u64::decode(r)? as usize,
+            data_addrs: Vec::<String>::decode(r)?,
+            ctrl_addrs: Vec::<String>::decode(r)?,
+            num_vertices: u64::decode(r)? as usize,
+            edges: Vec::<(u32, u32, f32)>::decode(r)?,
             checkpoint_every: u64::decode(r)?,
             checkpoint_dir: String::decode(r)?,
             rejoin_window_ms: u64::decode(r)?,
-            adaptive_parts: bool::decode(r)?,
-            delta_buckets: u64::decode(r)? as usize,
-            delta_tolerance: f64::decode(r)?,
-            hub_fanout: HubFanoutConfig {
-                degree_threshold: Option::<u64>::decode(r)?.map(|x| x as usize),
-                fanout: u64::decode(r)? as usize,
-            },
-            rebalance: RebalanceConfig {
-                every: u64::decode(r)?,
-                ratio_milli: u64::decode(r)?,
-                max_moves: u64::decode(r)? as usize,
-            },
         })
     }
 }
@@ -455,8 +251,8 @@ pub struct MultiprocOutcome<V> {
     pub converged: bool,
     /// Final simulated time (max across workers).
     pub sim_time: f64,
-    /// Lazy-engine counters (`None` for the Sync engine).
-    pub counters: Option<LazyCounters>,
+    /// Lazy-engine counters (all zero for the Sync engine).
+    pub counters: LazyCounters,
     /// Element-wise sum of all workers' `NetStats` snapshots. Wire byte
     /// counters are *measured* frame bytes — every exchange crossed a
     /// real socket.
@@ -467,12 +263,10 @@ pub struct MultiprocOutcome<V> {
     pub breakdown: SimBreakdown,
 }
 
-/// True if `engine` can run as separate processes.
+/// True if `engine` can run as separate processes: exactly the engines on
+/// the superstep skeleton, which are also the ones that can checkpoint.
 pub fn multiproc_supported(engine: EngineKind) -> bool {
-    matches!(
-        engine,
-        EngineKind::PowerGraphSync | EngineKind::LazyBlockAsync | EngineKind::DeltaAccum
-    )
+    snapshot_tag(engine).is_some()
 }
 
 static LAUNCH_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -499,19 +293,6 @@ fn alloc_loopback_addrs(n: usize) -> Result<Vec<String>, MultiprocError> {
         listeners.push(l); // hold all so the ports are distinct
     }
     Ok(addrs)
-}
-
-fn decode_worker_result<O: Wire>(
-    me: usize,
-    bytes: &[u8],
-) -> Result<(O, StatsSnapshot, SimBreakdown), MultiprocError> {
-    let mut r = WireReader::new(bytes);
-    let fail = |e: NetError| MultiprocError::Decode(format!("worker {me} result: {e}"));
-    let out = O::decode(&mut r).map_err(fail)?;
-    let stats = StatsSnapshot::decode(&mut r).map_err(fail)?;
-    let breakdown = SimBreakdown::decode(&mut r).map_err(fail)?;
-    r.finish().map_err(fail)?;
-    Ok((out, stats, breakdown))
 }
 
 /// Runs `spec` on `graph` across `num_machines` worker **processes**
@@ -547,8 +328,12 @@ pub fn run_multiprocess_with<P: VertexProgram>(
         return Err(MultiprocError::UnsupportedEngine(cfg.engine.name()));
     }
     let n = num_machines.max(1);
-    let job = WorkerJob {
-        engine: cfg.engine,
+    let mut job = WorkerJob {
+        cfg: EngineConfig {
+            threads_per_machine: cfg.resolve_threads(n),
+            block_size: cfg.block_size.max(1),
+            ..cfg.clone()
+        },
         algo: spec.clone(),
         num_machines: n,
         data_addrs: alloc_loopback_addrs(n)?,
@@ -558,18 +343,6 @@ pub fn run_multiprocess_with<P: VertexProgram>(
             .edges()
             .map(|e| (e.src.0, e.dst.0, e.weight))
             .collect(),
-        partition: cfg.partition,
-        splitter: cfg.splitter,
-        bidirectional: cfg.bidirectional,
-        comm_mode: cfg.comm_mode,
-        interval: cfg.interval,
-        cost: cfg.cost,
-        max_iterations: cfg.max_iterations,
-        delta_suppression: cfg.delta_suppression,
-        exchange_fast: cfg.exchange_fast,
-        threads_per_machine: cfg.resolve_threads(n),
-        block_size: cfg.block_size.max(1),
-        pipeline: cfg.pipeline,
         checkpoint_every: opts.checkpoint_every,
         checkpoint_dir: String::new(),
         rejoin_window_ms: if opts.checkpoint_every > 0 && opts.rejoin_window_ms == 0 {
@@ -577,13 +350,7 @@ pub fn run_multiprocess_with<P: VertexProgram>(
         } else {
             opts.rejoin_window_ms
         },
-        adaptive_parts: cfg.adaptive_parts,
-        delta_buckets: cfg.delta_buckets,
-        delta_tolerance: cfg.delta_tolerance,
-        hub_fanout: cfg.hub_fanout,
-        rebalance: cfg.rebalance,
     };
-    let mut job = job;
 
     let seq = LAUNCH_SEQ.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!(
@@ -597,7 +364,7 @@ pub fn run_multiprocess_with<P: VertexProgram>(
         job.checkpoint_dir = ckpt.to_string_lossy().into_owned();
     }
     let outcome = launch_in(&dir, &job, worker_bin, opts)
-        .and_then(|result_files| assemble_outcome::<P>(cfg.engine, &job, result_files));
+        .and_then(|result_files| assemble_outcome::<P>(&job, result_files));
     let _ = std::fs::remove_dir_all(&dir); // best-effort cleanup
     outcome
 }
@@ -777,148 +544,72 @@ fn launch_in(
         .collect()
 }
 
+/// Decodes every worker's result file (`MachineOut ++ StatsSnapshot ++
+/// SimBreakdown`) and folds the machine outcomes with the in-process
+/// rules.
 fn assemble_outcome<P: VertexProgram>(
-    engine: EngineKind,
     job: &WorkerJob,
     result_files: Vec<Vec<u8>>,
 ) -> Result<MultiprocOutcome<P::VData>, MultiprocError> {
+    let mut outs: Vec<MachineOut<P>> = Vec::with_capacity(result_files.len());
     let mut per_worker_stats = Vec::with_capacity(result_files.len());
     let mut merged = StatsSnapshot::default();
-    match engine {
-        EngineKind::PowerGraphSync => {
-            let mut outs: Vec<sync_engine::MachineOut<P>> = Vec::new();
-            let mut breakdown = SimBreakdown::default();
-            for (me, bytes) in result_files.iter().enumerate() {
-                let (out, stats, bd) =
-                    decode_worker_result::<sync_engine::MachineOut<P>>(me, bytes)?;
-                if me == 0 {
-                    breakdown = bd;
-                }
-                merged.merge(&stats);
-                per_worker_stats.push(stats);
-                outs.push(out);
-            }
-            let (values, iterations, converged, sim_time) =
-                sync_engine::assemble(outs, job.num_vertices);
-            Ok(MultiprocOutcome {
-                values,
-                iterations,
-                converged,
-                sim_time,
-                counters: None,
-                stats: merged,
-                per_worker_stats,
-                breakdown,
-            })
+    let mut breakdown = SimBreakdown::default();
+    for (me, bytes) in result_files.iter().enumerate() {
+        let mut r = WireReader::new(bytes);
+        let fail = |e: NetError| MultiprocError::Decode(format!("worker {me} result: {e}"));
+        outs.push(MachineOut::<P>::decode(&mut r).map_err(fail)?);
+        let stats = StatsSnapshot::decode(&mut r).map_err(fail)?;
+        let bd = SimBreakdown::decode(&mut r).map_err(fail)?;
+        r.finish().map_err(fail)?;
+        if me == 0 {
+            breakdown = bd; // worker 0 is the only recorder
         }
-        // The delta engine shares the lazy engine's per-machine output
-        // shape, so both assemble through the same decode path.
-        EngineKind::LazyBlockAsync | EngineKind::DeltaAccum => {
-            let mut outs: Vec<lazy_block::MachineOut<P>> = Vec::new();
-            let mut breakdown = SimBreakdown::default();
-            for (me, bytes) in result_files.iter().enumerate() {
-                let (out, stats, bd) =
-                    decode_worker_result::<lazy_block::MachineOut<P>>(me, bytes)?;
-                if me == 0 {
-                    breakdown = bd;
-                }
-                merged.merge(&stats);
-                per_worker_stats.push(stats);
-                outs.push(out);
-            }
-            let (values, iterations, converged, sim_time, counters) =
-                lazy_block::assemble(outs, job.num_vertices)
-                    .map_err(|e| MultiprocError::Decode(e.to_string()))?;
-            Ok(MultiprocOutcome {
-                values,
-                iterations,
-                converged,
-                sim_time,
-                counters: Some(counters),
-                stats: merged,
-                per_worker_stats,
-                breakdown,
-            })
-        }
-        other => Err(MultiprocError::UnsupportedEngine(other.name())),
+        merged.merge(&stats);
+        per_worker_stats.push(stats);
     }
-}
-
-/// Ignore `cfg.transport` (multiprocess is TCP by definition) but honour
-/// everything else when building the job from an [`EngineConfig`]. Kept
-/// as a free function so callers see the contract in one place.
-pub fn effective_transport(_cfg: &EngineConfig) -> TransportKind {
-    TransportKind::Tcp
+    let outcome = assemble(outs, job.num_vertices);
+    Ok(MultiprocOutcome {
+        values: outcome.values,
+        iterations: outcome.iterations,
+        converged: outcome.converged,
+        sim_time: outcome.sim_time,
+        counters: outcome.counters,
+        stats: merged,
+        per_worker_stats,
+        breakdown,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lazygraph_engine::TransportKind;
 
     fn job() -> WorkerJob {
-        let cfg = EngineConfig::lazygraph();
         WorkerJob {
-            engine: EngineKind::LazyBlockAsync,
+            cfg: EngineConfig::lazygraph().with_threads(2).with_pipeline(true),
             algo: AlgoSpec::PageRank { tolerance: 1e-3 },
             num_machines: 3,
             data_addrs: vec!["127.0.0.1:4000".into(); 3],
             ctrl_addrs: vec!["127.0.0.1:5000".into(); 3],
             num_vertices: 7,
             edges: vec![(0, 1, 1.5), (1, 2, 0.25), (6, 0, 3.0)],
-            partition: cfg.partition,
-            splitter: cfg.splitter,
-            bidirectional: false,
-            comm_mode: cfg.comm_mode,
-            interval: cfg.interval,
-            cost: cfg.cost,
-            max_iterations: 100,
-            delta_suppression: true,
-            exchange_fast: true,
-            threads_per_machine: 2,
-            block_size: 1024,
-            pipeline: true,
             checkpoint_every: 4,
             checkpoint_dir: "/tmp/lz-ckpt".into(),
             rejoin_window_ms: 15_000,
-            adaptive_parts: true,
-            delta_buckets: 16,
-            delta_tolerance: 1e-3,
-            hub_fanout: HubFanoutConfig {
-                degree_threshold: Some(32),
-                fanout: 4,
-            },
-            rebalance: RebalanceConfig::enabled(2, 1500, 8),
         }
     }
 
     #[test]
     fn worker_job_round_trips() {
+        // The configuration's own round-trip law (every field, floats by
+        // bit pattern) is `crates/engine/tests/config_wire.rs`; here only
+        // the job's own fields and the embedding are at stake.
         let j = job();
         let bytes = j.to_wire();
         let back = WorkerJob::from_wire(&bytes).expect("decode");
-        assert_eq!(back.engine, j.engine);
-        assert_eq!(back.algo, j.algo);
-        assert_eq!(back.num_machines, 3);
-        assert_eq!(back.edges, j.edges);
-        assert_eq!(back.data_addrs, j.data_addrs);
-        assert_eq!(back.max_iterations, 100);
-        assert_eq!(back.threads_per_machine, 2);
-        assert!(back.pipeline);
-        assert_eq!(back.checkpoint_every, 4);
-        assert_eq!(back.checkpoint_dir, "/tmp/lz-ckpt");
-        assert_eq!(back.rejoin_window_ms, 15_000);
-        assert!(back.adaptive_parts);
-        assert_eq!(back.delta_buckets, 16);
-        assert_eq!(back.delta_tolerance.to_bits(), 1e-3f64.to_bits());
-        assert_eq!(back.hub_fanout.degree_threshold, Some(32));
-        assert_eq!(back.hub_fanout.fanout, 4);
-        assert_eq!(back.rebalance, RebalanceConfig::enabled(2, 1500, 8));
-        assert_eq!(back.cost.bandwidth.to_bits(), j.cost.bandwidth.to_bits());
-        assert_eq!(
-            back.splitter.t_extra.to_bits(),
-            j.splitter.t_extra.to_bits()
-        );
+        assert_eq!(back.to_wire(), bytes, "re-encoding must reproduce the job file");
+        assert_eq!(format!("{back:?}"), format!("{j:?}"));
     }
 
     #[test]
@@ -944,8 +635,6 @@ mod tests {
         assert!(!multiproc_supported(EngineKind::PowerGraphAsync));
         assert!(!multiproc_supported(EngineKind::LazyVertexAsync));
         assert!(!multiproc_supported(EngineKind::PowerSwitchHybrid));
-        let cfg = EngineConfig::powergraph_async();
-        assert_eq!(effective_transport(&cfg), TransportKind::Tcp);
     }
 
     #[test]

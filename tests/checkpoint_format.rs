@@ -5,16 +5,21 @@
 //! corruption of any single byte — must surface a typed
 //! [`CheckpointError`], never a panic and never silently-wrong bytes.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use lazygraph_algorithms::Sssp;
+use lazygraph_cluster::{build_endpoints, Collective, CommError, NetStats, TransportKind};
 use lazygraph_engine::checkpoint::{
-    decode_container, encode_container, fnv1a64, CheckpointError, DeltaResume, EngineSnapshot,
-    LazyResume, CKPT_CHUNK,
+    decode_container, encode_container, fnv1a64, snapshot_tag, CheckpointError, DeltaResume,
+    EngineSnapshot, LazyResume, RecoveryCfg, CKPT_CHUNK,
 };
 use lazygraph_engine::lazy_block::LazyCounters;
 use lazygraph_engine::rebalance::{StructMigration, StructVertex};
+use lazygraph_engine::{run_mesh_engine, Attach, EngineConfig, EngineKind, RunShared, Seat};
 use lazygraph_net::Wire;
+use lazygraph_partition::partition_graph;
 
 // ---------------------------------------------------------------------------
 // Container laws
@@ -253,5 +258,107 @@ proptest! {
         let bytes = snap.to_wire();
         let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
         prop_assert!(EngineSnapshot::<Sssp>::from_wire(&bytes[..cut]).is_err());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A snapshot only resumes the engine that took it
+// ---------------------------------------------------------------------------
+
+fn snapshot_of(engine: u8) -> EngineSnapshot<Sssp> {
+    EngineSnapshot {
+        engine,
+        iterations: 2,
+        clock_bits: 0,
+        data_round: 0,
+        ctrl_round: 0,
+        vdata: vec![],
+        coherent: vec![],
+        message: vec![],
+        delta_msg: vec![],
+        active: vec![],
+        queue: vec![],
+        part_items: 1024,
+        lazy: None,
+        delta: None,
+        migrations: vec![],
+    }
+}
+
+const ALL_ENGINES: [EngineKind; 6] = [
+    EngineKind::PowerGraphSync,
+    EngineKind::PowerGraphAsync,
+    EngineKind::LazyBlockAsync,
+    EngineKind::LazyVertexAsync,
+    EngineKind::PowerSwitchHybrid,
+    EngineKind::DeltaAccum,
+];
+
+/// `snapshot_tag` is the one engine → tag mapping: distinct tags for the
+/// three checkpointable engines, none for the rest, and `check_engine`
+/// accepts exactly the snapshot's own engine.
+#[test]
+fn engine_tag_check_is_typed_and_exact() {
+    let tagged: Vec<(EngineKind, u8)> = ALL_ENGINES
+        .iter()
+        .filter_map(|&k| snapshot_tag(k).map(|t| (k, t)))
+        .collect();
+    assert_eq!(tagged.len(), 3, "Sync, LazyBlock and DeltaAccum checkpoint");
+    for &(taken_by, tag) in &tagged {
+        let snap = snapshot_of(tag);
+        for resuming in ALL_ENGINES {
+            match snap.check_engine(resuming) {
+                Ok(()) => assert_eq!(resuming, taken_by),
+                Err(CheckpointError::WrongEngine { found, resuming: name }) => {
+                    assert_ne!(resuming, taken_by);
+                    assert_eq!((found, name), (tag, resuming.name()));
+                }
+                Err(other) => panic!("expected WrongEngine, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// The skeleton refuses to resume from another engine's snapshot — a
+/// failed run, in release builds too, not a `debug_assert`.
+#[test]
+fn resuming_from_another_engines_snapshot_fails_the_run() {
+    struct ResumeFrom(u8);
+    impl Attach<Sssp> for ResumeFrom {
+        fn attach<T: Wire + Send + 'static>(
+            self,
+            stats: &Arc<NetStats>,
+        ) -> Result<Vec<Seat<Sssp, T>>, CommError> {
+            let ep = build_endpoints::<T>(TransportKind::InProc, 1, stats)?.remove(0);
+            Ok(vec![Seat {
+                me: 0,
+                ep,
+                recovery: RecoveryCfg {
+                    every: 0,
+                    store: None,
+                    resume: Some(snapshot_of(self.0)),
+                },
+            }])
+        }
+    }
+    let g = lazygraph_graph::generators::rmat(lazygraph_graph::generators::RmatConfig::graph500(5, 4, 3));
+    let lazy_tag = snapshot_tag(EngineKind::LazyBlockAsync).expect("lazy-block checkpoints");
+    for engine in [EngineKind::PowerGraphSync, EngineKind::DeltaAccum] {
+        let cfg = EngineConfig::lazygraph().with_engine(engine).with_threads(1);
+        let dg = partition_graph(&g, 1, cfg.partition, &cfg.splitter, false);
+        let shared = RunShared {
+            coll: Arc::new(Collective::new(1)),
+            stats: Arc::new(NetStats::new()),
+            breakdown: Default::default(),
+            history: None,
+        };
+        let err = run_mesh_engine(&dg, &cfg, &Sssp::new(0u32), ResumeFrom(lazy_tag), &shared)
+            .err()
+            .unwrap_or_else(|| panic!("{} resumed from a lazy-block snapshot", engine.name()));
+        let text = err.to_string();
+        assert!(
+            matches!(err, CommError::Transport { .. }) && text.contains(engine.name()),
+            "{text}"
+        );
     }
 }

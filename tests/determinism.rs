@@ -185,40 +185,6 @@ fn block_size_never_changes_results() {
 }
 
 #[test]
-fn exchange_fast_path_matches_naive_path_bitwise() {
-    // The combined/pooled/parallel-routed exchange path is a pure perf
-    // optimisation: for every gated engine it must produce bitwise-identical
-    // vertex values to the naive serial path at every thread and machine
-    // count. Counters legitimately differ (that is the point — fewer wire
-    // items), so only values are compared.
-    let g = test_graph();
-    for engine in [EngineKind::PowerGraphSync, EngineKind::LazyBlockAsync] {
-        for machines in [1usize, 2, 4] {
-            for threads in [1usize, 2, 4, 8] {
-                let fast = cfg(engine, threads, false);
-                let naive = fast.clone().with_exchange_fast(false);
-                let pr_fast = run(&g, machines, &fast, &PageRankDelta::default())
-                    .expect("cluster run");
-                let pr_naive = run(&g, machines, &naive, &PageRankDelta::default())
-                    .expect("cluster run");
-                assert_eq!(
-                    format!("{:?}", pr_fast.values),
-                    format!("{:?}", pr_naive.values),
-                    "{engine:?}/pagerank fast!=naive at threads={threads}, machines={machines}"
-                );
-                let sp_fast = run(&g, machines, &fast, &Sssp::new(0u32)).expect("cluster run");
-                let sp_naive = run(&g, machines, &naive, &Sssp::new(0u32)).expect("cluster run");
-                assert_eq!(
-                    format!("{:?}", sp_fast.values),
-                    format!("{:?}", sp_naive.values),
-                    "{engine:?}/sssp fast!=naive at threads={threads}, machines={machines}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn pipelined_path_matches_serialized_bitwise() {
     // The pipelined exchange (streamed sends + eager inbound drain,
     // DESIGN.md §11) is a pure overlap optimisation: its ⊕-commits replay

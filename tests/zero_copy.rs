@@ -11,6 +11,8 @@ use std::io::Read;
 use proptest::prelude::*;
 
 use lazygraph_cluster::{decode_batch, decode_batch_raw, encode_batch, Batch};
+use lazygraph_engine::{EdgeCtx, VertexCtx};
+use lazygraph_graph::VertexId;
 use lazygraph_net::{encode_frame_into, FrameKind, FrameReader, Wire, WireReader, HEADER_LEN};
 
 type Item = (u32, f32);
@@ -223,5 +225,89 @@ proptest! {
         let cursor_err = cursor_walk(&mut raw).is_err();
         prop_assert!(oracle_err, "oracle must reject a torn item region");
         prop_assert!(cursor_err, "cursor must reject a torn item region");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A malformed item inside a well-formed frame fails the run
+// ---------------------------------------------------------------------------
+
+/// A label whose wire form never decodes: the frame layer (length,
+/// checksum, routing header, item count) is satisfied, the item region
+/// is not — the corruption the frame layer cannot see.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Tainted(u32);
+
+impl Wire for Tainted {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, lazygraph_net::NetError> {
+        let tag = r.take_u8()?;
+        Err(lazygraph_net::NetError::BadTag { tag, ty: "Tainted" })
+    }
+}
+
+/// Min-label propagation over [`Tainted`] deltas.
+struct MinLabel;
+
+impl lazygraph_engine::VertexProgram for MinLabel {
+    type VData = u32;
+    type Delta = Tainted;
+    fn name(&self) -> &'static str {
+        "min-label"
+    }
+    fn init_data(&self, _v: VertexId, _c: &VertexCtx) -> u32 {
+        u32::MAX
+    }
+    fn init_message(&self, v: VertexId, _c: &VertexCtx) -> Option<Tainted> {
+        Some(Tainted(v.0))
+    }
+    fn sum(&self, a: Tainted, b: Tainted) -> Tainted {
+        Tainted(a.0.min(b.0))
+    }
+    fn inverse(&self, accum: Tainted, _a: Tainted) -> Tainted {
+        accum
+    }
+    fn apply(&self, _v: VertexId, data: &mut u32, a: Tainted, _c: &VertexCtx) -> Option<Tainted> {
+        (a.0 < *data).then(|| {
+            *data = a.0;
+            a
+        })
+    }
+    fn scatter(&self, _v: VertexId, _d: &u32, x: Tainted, _c: &VertexCtx, _e: &EdgeCtx) -> Option<Tainted> {
+        Some(x)
+    }
+}
+
+/// Items that fail to decode off a raw TCP batch used to be dropped with
+/// the rest of their batch (`Ok` with items missing, in release builds).
+/// They must fail the run, on the serialized and on the pipelined path;
+/// the in-process transport never encodes, so it is the control.
+#[test]
+fn malformed_item_region_fails_the_run_on_both_exchange_paths() {
+    use lazygraph_engine::{run, EngineConfig, EngineKind, TransportKind};
+    use lazygraph_graph::generators::{rmat, RmatConfig};
+    // Dense enough that both machines receive items in the same round, so
+    // both fail in it (nobody is left waiting at a shared-memory barrier).
+    let g = {
+        let g = rmat(RmatConfig::graph500(7, 6, 5));
+        let mut b = lazygraph_graph::GraphBuilder::new(g.num_vertices());
+        b.extend(g.edges());
+        b.symmetrize();
+        b.build()
+    };
+    for engine in [EngineKind::PowerGraphSync, EngineKind::LazyBlockAsync] {
+        let cfg = EngineConfig::lazygraph().with_engine(engine).with_threads(1);
+        let control = run(&g, 2, &cfg, &MinLabel).expect("in-process channels never decode");
+        assert!(control.metrics.converged);
+        for pipeline in [false, true] {
+            let tcp = cfg.clone().with_transport(TransportKind::Tcp).with_pipeline(pipeline);
+            let failed = run(&g, 2, &tcp, &MinLabel).map(|r| r.metrics.converged);
+            assert!(
+                matches!(failed, Err(lazygraph_engine::CommError::Transport { .. })),
+                "{engine:?} pipeline={pipeline}: a malformed item must fail the run, got {failed:?}"
+            );
+        }
     }
 }
