@@ -306,8 +306,9 @@ fn tcp_endpoint<T: Wire + Send + 'static>(
     let (ret_tx, ret_rx) = unbounded::<Vec<T>>();
     // Remote peers cannot take a vector's capacity back over a socket, so
     // every "return to owner" lands in our own pool instead.
+    // The writer proxies hold the remaining clones: an outbound staging
+    // vector comes home the moment it has been encoded onto the socket.
     let ret_txs: Vec<Sender<Vec<T>>> = (0..n).map(|_| ret_tx.clone()).collect();
-    drop(ret_tx);
     // Zero-copy buffer loop: recycled raw-frame payloads flow from the
     // endpoint back to the reader proxies, which park them in their
     // FrameReader pools. One shared MPMC queue serves every reader — a
@@ -348,6 +349,7 @@ fn tcp_endpoint<T: Wire + Send + 'static>(
                     me,
                     stream: wstream,
                     out_rx: out_rx.clone(),
+                    ret_tx: ret_tx.clone(),
                     stats: Arc::clone(stats),
                     poison: Arc::clone(&poison),
                     link: Arc::clone(&lshared),
@@ -400,6 +402,7 @@ fn tcp_endpoint<T: Wire + Send + 'static>(
             in_tx: in_tx.clone(),
             raw_rx: raw_ret_rx.clone(),
             out_rxs,
+            ret_tx,
             stats: Arc::clone(stats),
             poison: Arc::clone(&poison),
             opts: opts.clone(),
@@ -436,6 +439,10 @@ struct WriterCtx<T> {
     me: usize,
     stream: TcpStream,
     out_rx: Receiver<Batch<T>>,
+    /// The endpoint's buffer-pool return path: encoded staging vectors go
+    /// home through it, so `Endpoint::take_buffer` hits on TCP as it does
+    /// in-proc.
+    ret_tx: Sender<Vec<T>>,
     stats: Arc<NetStats>,
     poison: Arc<AtomicBool>,
     link: Arc<LinkShared>,
@@ -461,6 +468,7 @@ fn spawn_writer<T: Wire + Send + 'static>(ctx: WriterCtx<T>) -> std::thread::Joi
             me,
             mut stream,
             out_rx,
+            ret_tx,
             stats,
             poison,
             link,
@@ -487,13 +495,20 @@ fn spawn_writer<T: Wire + Send + 'static>(ctx: WriterCtx<T>) -> std::thread::Joi
         let mut payload = Vec::new();
         loop {
             match out_rx.recv_timeout(WRITER_TICK) {
-                Ok(batch) => {
+                Ok(mut batch) => {
                     payload.clear();
                     (batch.from as u32).encode(&mut payload);
                     batch.round.encode(&mut payload);
                     batch.sent_at.encode(&mut payload);
                     batch.last.encode(&mut payload);
                     batch.items.encode(&mut payload);
+                    // The items are on the payload now: send the emptied
+                    // staging vector home (the endpoint may already be
+                    // gone at teardown, which just drops the capacity).
+                    batch.items.clear();
+                    if batch.items.capacity() != 0 {
+                        let _ = ret_tx.send(std::mem::take(&mut batch.items));
+                    }
                     // Log before the socket write: a frame lost to a torn
                     // write must still be replayable. The log stores only
                     // the payload, so a replayed Migrate frame re-appears
@@ -758,6 +773,8 @@ struct AcceptorCtx<T> {
     /// Clones of each peer's outbound queue receiver, handed to
     /// replacement writers on swap.
     out_rxs: Vec<Option<Receiver<Batch<T>>>>,
+    /// The buffer-pool return path, cloned into replacement writers.
+    ret_tx: Sender<Vec<T>>,
     stats: Arc<NetStats>,
     poison: Arc<AtomicBool>,
     opts: TcpOptions,
@@ -863,6 +880,7 @@ fn admit_rejoin<T: Wire + Send + 'static>(
         me: ctx.me,
         stream: wstream,
         out_rx: ctx.out_rxs[peer].clone().expect("checked above"), // lazylint: allow(no-panic) -- mesh construction fills every peer != me slot, and the acceptor only serves peers
+        ret_tx: ctx.ret_tx.clone(),
         stats: Arc::clone(&ctx.stats),
         poison: Arc::clone(&ctx.poison),
         link: Arc::clone(link),
@@ -1008,6 +1026,27 @@ mod tests {
         drop(ep0);
         let err = ep1.recv().unwrap_err();
         assert_eq!(err, CommError::MeshClosed { me: 1 });
+    }
+
+    #[test]
+    fn writer_proxy_returns_the_staging_vector_to_the_pool() {
+        let stats = Arc::new(NetStats::new());
+        let mut eps = build_tcp_mesh::<u32>(2, &stats, &TcpOptions::default()).unwrap();
+        let mut ep1 = eps.pop().unwrap();
+        let mut ep0 = eps.pop().unwrap();
+        let mut staged = Vec::with_capacity(64);
+        staged.extend([5, 6]);
+        ep0.send(1, staged, 0.0, Phase::Async, 4, &stats).unwrap();
+        // The frame reached machine 1, so machine 0's writer is past its
+        // encode — which is where it sends the emptied vector home.
+        let mut got = ep1.recv().unwrap();
+        got.make_items().unwrap();
+        assert_eq!(got.items, vec![5, 6]);
+        let reused = ep0.take_buffer(&stats);
+        assert!(reused.is_empty());
+        assert!(reused.capacity() >= 64, "the travelled capacity must come home");
+        let snap = stats.snapshot();
+        assert_eq!((snap.pool_hits, snap.pool_misses), (1, 0));
     }
 
     #[test]

@@ -90,7 +90,7 @@ fn machine_loop<P: VertexProgram>(
                 .map_err(|e| CommError::transport(shard.machine.index(), &e))?;
             let bytes = batch.items.len() * update_bytes;
             clock.merge(batch.sent_at + cost.async_batch_time(bytes as u64));
-            let mut accums: Vec<(u32, P::Delta)> = Vec::new();
+            let accums = &mut state.scratch.staging.open_blocks(&pctx, shard.num_local(), 1)[0];
             for (gid, msg) in batch.items.drain(..) {
                 let l = shard
                     .local_of(gid.into())
@@ -98,7 +98,7 @@ fn machine_loop<P: VertexProgram>(
                 match msg {
                     SyncMsg::Accum(d) => {
                         debug_assert!(shard.is_master[l as usize]);
-                        accums.push((l, program.gather(gid.into(), d)));
+                        accums.stage(l, program.gather(gid.into(), d), false);
                     }
                     SyncMsg::Update { data, scatter } => {
                         state.vdata[l as usize] = data;
@@ -108,7 +108,7 @@ fn machine_loop<P: VertexProgram>(
                     }
                 }
             }
-            state.deliver_all(program, &pctx, accums);
+            state.deliver_staged(program, &pctx);
             ep.recycle(batch);
             term.note_delivered(1);
             progressed = true;
@@ -125,39 +125,34 @@ fn machine_loop<P: VertexProgram>(
             let mut applies = 0u64;
 
             // Scatter deltas received from masters along local out-edges:
-            // blocks emit delivery lists in parallel from the read-only
-            // vertex data; the block-ordered concatenation goes through
-            // `deliver_all` (see DESIGN.md, two-level threading).
+            // source blocks stage their deliveries in parallel from the
+            // read-only vertex data; `deliver_staged` folds them in block
+            // order (see DESIGN.md, two-level threading).
             let vdata_view = &state.vdata;
-            #[allow(clippy::type_complexity)]
-            let scatter_blocks: Vec<(Vec<(u32, P::Delta)>, u64)> =
-                pctx.map_chunks(&scatter_tasks, |chunk| {
-                    let mut deliveries: Vec<(u32, P::Delta)> = Vec::new();
-                    let mut edges = 0u64;
-                    for &(l, d) in chunk {
-                        let v = shard.global_of(l);
-                        let ctx = vertex_ctx(shard, l, num_vertices);
-                        let data = &vdata_view[l as usize];
-                        for (tl, weight, _mode) in shard.out_edges(l) {
-                            edges += 1;
-                            let edge = EdgeCtx {
-                                dst: shard.global_of(tl),
-                                weight,
-                            };
-                            if let Some(msg) = program.scatter(v, data, d, &ctx, &edge) {
-                                deliveries.push((tl, msg));
-                            }
+            let blocks =
+                state.scratch.staging.source_blocks(&pctx, vdata_view.len(), &scatter_tasks);
+            let block_edges: Vec<u64> = pctx.pool().map(blocks, |(chunk, b)| {
+                let mut edges = 0u64;
+                for &(l, d) in chunk {
+                    let v = shard.global_of(l);
+                    let ctx = vertex_ctx(shard, l, num_vertices);
+                    let data = &vdata_view[l as usize];
+                    for (tl, weight, _mode) in shard.out_edges(l) {
+                        edges += 1;
+                        let edge = EdgeCtx {
+                            dst: shard.global_of(tl),
+                            weight,
+                        };
+                        if let Some(msg) = program.scatter(v, data, d, &ctx, &edge) {
+                            b.stage(tl, msg, false);
                         }
                     }
-                    (deliveries, edges)
-                });
+                }
+                edges
+            });
             scatter_tasks.clear();
-            let mut deliveries: Vec<(u32, P::Delta)> = Vec::new();
-            for (block, e) in scatter_blocks {
-                deliveries.extend(block);
-                edges += e;
-            }
-            state.deliver_all(program, &pctx, deliveries);
+            state.deliver_staged(program, &pctx);
+            edges += block_edges.into_iter().sum::<u64>();
 
             // Pump the worklist once: masters apply + broadcast eagerly,
             // mirrors forward their accumulators eagerly. Blocked

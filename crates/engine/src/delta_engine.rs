@@ -52,6 +52,8 @@ pub struct DeltaStep {
     /// Ascending-id candidate scratch, rebuilt each sub-epoch (a pure
     /// function of `state`, so it needs no snapshot coverage).
     candidates: Vec<(u32, f64)>,
+    /// The sub-epoch in flight's sorted queue (capacity only in between).
+    worklist: Vec<u32>,
 }
 
 impl<P: VertexProgram> Superstep<P> for DeltaStep {
@@ -64,6 +66,7 @@ impl<P: VertexProgram> Superstep<P> for DeltaStep {
             sched: PriorityBuckets::new(f.cfg.delta_buckets, f.cfg.delta_tolerance),
             counters: LazyCounters::default(),
             candidates: Vec::new(),
+            worklist: Vec::new(),
         }
     }
 
@@ -102,10 +105,10 @@ impl<P: VertexProgram> Superstep<P> for DeltaStep {
             // Canonical order first: exchange batches arrive in
             // nondeterministic interleavings, so the sorted queue is the
             // only order the plan may ever see.
-            let mut queue = f.state.take_queue();
-            queue.sort_unstable();
+            f.state.take_queue_into(&mut self.worklist);
+            self.worklist.sort_unstable();
             self.candidates.clear();
-            for &l in &queue {
+            for &l in &self.worklist {
                 match &f.state.message[l as usize] {
                     Some(d) => {
                         let priority = program.priority(&f.state.vdata[l as usize], d);

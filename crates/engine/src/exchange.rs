@@ -18,11 +18,12 @@
 //!    local id) order, so adjacent-run combining is exhaustive per key
 //!    and the receiver's left-fold association is unchanged.
 //! 3. **Parallel inbound routing** ([`route_inbound`]) — one block-parallel
-//!    translate-and-bucket pass over the received batches, feeding
-//!    [`MachineState::deliver_segments`](crate::state::MachineState::deliver_segments)
-//!    directly. The gid → local translation reads the shard's dense route
-//!    table (`LocalShard::local_of`, an array index since PR 3), not a
-//!    hash map.
+//!    translate-and-bucket pass over the received batches into the
+//!    machine's persistent [`Inbound`] buckets, which
+//!    [`MachineState::deliver_inbound`](crate::state::MachineState::deliver_inbound)
+//!    folds in place. The gid → local translation reads the shard's dense
+//!    route table (`LocalShard::local_of`, an array index since PR 3), not
+//!    a hash map.
 //!
 //! Determinism: the router preserves (batch order, item order) within
 //! each target block, and batches arrive sorted by sender, so per-vertex
@@ -49,13 +50,7 @@ use parking_lot::Mutex;
 use crate::metrics::SimBreakdown;
 use crate::parallel::ParallelCtx;
 use crate::program::VertexProgram;
-use crate::state::MachineState;
-
-/// Routed inbound items: `[target block][segment][item]`, where each
-/// segment is one batch's contribution to that block, in batch order.
-/// Consumed by
-/// [`MachineState::deliver_segments`](crate::state::MachineState::deliver_segments).
-pub type RoutedSegments<D> = Vec<Vec<Vec<(u32, D)>>>;
+use crate::state::{num_blocks, retained, MachineState, Segments};
 
 /// Staged-item threshold at which the pipelined engines flush a
 /// destination's outbox as a streamed part
@@ -100,47 +95,50 @@ pub fn adapt_part_items(cur: u32, send_wait_ms: f64, overlap_ms: f64) -> u32 {
     next.clamp(PART_ITEMS_MIN, PART_ITEMS_MAX)
 }
 
-/// Per-sender staging for the eager inbound drain of a pipelined exchange.
+/// The inbound router's persistent buckets and the round in flight.
 ///
-/// Batches of the in-flight round are routed the moment they arrive
-/// (overlapping the sender's remaining compute) and parked here; at the
-/// coherency barrier [`Self::stitch`] re-establishes the serialized path's
-/// global order — ascending sender, then per-sender arrival (= send)
-/// order, which per-peer FIFO guarantees on both transports. Since every
-/// replicated vertex ships at most once per (sender, round), per-vertex
-/// fold order is exactly the serialized sender order, making the commit
-/// bitwise identical to `Endpoint::exchange` + one `route_inbound` pass.
-pub struct PipelineDrain<D> {
-    by_sender: Vec<Vec<RoutedSegments<D>>>,
+/// Every batch [`route_inbound`] translates lands in the next free slot —
+/// one [`Segments`] per batch, reused in place by the same slot of the
+/// next round. On a pipelined round batches are routed the moment they
+/// arrive (overlapping the sender's remaining compute), in any sender
+/// interleaving; [`Self::in_sender_order`] re-establishes the serialized
+/// path's global order at the close — ascending sender, then per-sender
+/// arrival (= send) order, which per-peer FIFO guarantees on both
+/// transports. Since every replicated vertex ships at most once per
+/// (sender, round), per-vertex fold order is exactly the serialized sender
+/// order, making the commit bitwise identical to `Endpoint::exchange` + one
+/// `route_inbound` pass.
+pub struct Inbound<D> {
+    slots: Vec<Segments<D>>,
+    /// Sender of each batch routed this round, by slot (= arrival order).
+    senders: Vec<usize>,
 }
 
-impl<D> PipelineDrain<D> {
-    /// Empty staging for an `n`-machine mesh.
-    pub fn new(n: usize) -> Self {
-        PipelineDrain {
-            by_sender: (0..n).map(|_| Vec::new()).collect(),
+impl<D> Default for Inbound<D> {
+    fn default() -> Self {
+        Inbound {
+            slots: Vec::new(),
+            senders: Vec::new(),
         }
     }
+}
 
-    /// Parks one routed part from machine `from` (arrival order per sender
-    /// is preserved by pushing, never sorting).
-    pub fn push(&mut self, from: usize, routed: RoutedSegments<D>) {
-        self.by_sender[from].push(routed);
+impl<D> Inbound<D> {
+    /// This round's routed batches in (sender, arrival) order.
+    pub(crate) fn in_sender_order(&self) -> Vec<&Segments<D>> {
+        let mut order: Vec<usize> = (0..self.senders.len()).collect();
+        // Stable: arrival order within a sender is kept, never sorted.
+        order.sort_by_key(|&slot| self.senders[slot]);
+        order.into_iter().map(|slot| &self.slots[slot]).collect()
     }
 
-    /// Drains the staging into a single per-block segment list in
-    /// (sender, part) order, ready for `deliver_segments`.
-    pub fn stitch(&mut self, num_blocks: usize) -> RoutedSegments<D> {
-        let mut out: RoutedSegments<D> = (0..num_blocks).map(|_| Vec::new()).collect();
-        for parts in &mut self.by_sender {
-            for routed in parts.drain(..) {
-                debug_assert_eq!(routed.len(), num_blocks);
-                for (b, segments) in routed.into_iter().enumerate() {
-                    out[b].extend(segments);
-                }
-            }
+    /// Ends the round after its fold, releasing the buckets if they keep
+    /// capacity for more than `limit` items.
+    pub(crate) fn finish_round(&mut self, limit: usize) {
+        self.senders.clear();
+        if self.slots.iter().map(retained).sum::<usize>() > limit {
+            self.slots.clear();
         }
-        out
     }
 }
 
@@ -192,57 +190,47 @@ pub fn local_delta<P: VertexProgram>(
 /// replacement for the serial per-item `local_of` + push loop.
 ///
 /// Each batch is drained by one pool task (batches are disjoint, so this
-/// needs no locking); every item goes through `translate` — typically a
-/// dense route-table lookup plus `program.gather` — and lands in that
-/// task's per-block bucket. `translate` returning `None` drops the item
-/// (unroutable or filtered), keeping the hot loop panic-free. An item
-/// that fails to decode off a raw frame payload is wire corruption the
-/// frame layer missed: the whole call fails with the codec error (first
-/// failing batch in batch order), which the rounds turn into a
-/// [`CommError::Transport`] that fails the run. The
-/// per-batch buckets are then stitched into per-block *segment lists* in
-/// batch order, ready for
-/// [`MachineState::deliver_segments`](crate::state::MachineState::deliver_segments):
-/// no second bucketing pass, and per-vertex fold order is identical to
-/// translating the batches serially in order.
+/// needs no locking) into the next free slot of `inbound`; every item goes
+/// through `translate` — typically a dense route-table lookup plus
+/// `program.gather` — and lands in that slot's per-block bucket.
+/// `translate` returning `None` drops the item (unroutable or filtered),
+/// keeping the hot loop panic-free. An item that fails to decode off a raw
+/// frame payload is wire corruption the frame layer missed: the whole call
+/// fails with the codec error (first failing batch in batch order), which
+/// the rounds turn into a [`CommError::Transport`] that fails the run.
+/// [`MachineState::deliver_inbound`](crate::state::MachineState::deliver_inbound)
+/// then folds the slots where they lie: no second bucketing pass, and
+/// per-vertex fold order is identical to translating the batches serially
+/// in sender order.
 ///
 /// Drained batches keep their capacity; the caller recycles them back to
 /// their senders via [`Endpoint::recycle`](lazygraph_cluster::Endpoint::recycle).
-///
-/// `scratch` is the caller's iteration-persistent pool of emptied bucket
-/// vectors (typically `MachineState::seg_scratch`): buckets are drawn from
-/// it before the parallel pass and unused (empty) ones are returned after,
-/// so steady-state supersteps stop re-growing the per-block buckets from
-/// zero. The non-empty buckets travel on as segments and come home through
-/// `deliver_segments`, which drains into the same pool.
 pub fn route_inbound<T, D, F>(
     pctx: &ParallelCtx,
     num_local: usize,
     batches: &mut [Batch<T>],
     translate: F,
-    scratch: &mut Vec<Vec<(u32, D)>>,
-) -> Result<RoutedSegments<D>, NetError>
+    inbound: &mut Inbound<D>,
+) -> Result<(), NetError>
 where
     T: Wire + Send,
     D: Send,
     F: Fn(T) -> Option<(u32, D)> + Sync,
 {
-    let bs = pctx.block_size().max(1);
-    let num_blocks = num_local.div_ceil(bs).max(1);
-    // Buckets are drawn serially here (the pool itself is never shared
-    // with tasks); capacities differ per draw but contents never do, so
-    // reuse cannot affect results.
-    #[allow(clippy::type_complexity)]
-    let work: Vec<(&mut Batch<T>, Vec<Vec<(u32, D)>>)> = batches
-        .iter_mut()
-        .map(|batch| {
-            let buckets: Vec<Vec<(u32, D)>> =
-                (0..num_blocks).map(|_| scratch.pop().unwrap_or_default()).collect();
-            (batch, buckets)
-        })
-        .collect();
-    #[allow(clippy::type_complexity)]
-    let per_batch: Vec<Result<Vec<Vec<(u32, D)>>, NetError>> = pctx.pool().map(work, |(batch, mut buckets)| {
+    let bs = pctx.block_size();
+    let num_blocks = num_blocks(num_local, bs);
+    let first = inbound.senders.len();
+    if inbound.slots.len() < first + batches.len() {
+        inbound.slots.resize_with(first + batches.len(), Vec::new);
+    }
+    inbound.senders.extend(batches.iter().map(|b| b.from));
+    let work: Vec<(&mut Batch<T>, &mut Segments<D>)> =
+        batches.iter_mut().zip(&mut inbound.slots[first..]).collect();
+    let routed: Vec<Result<(), NetError>> = pctx.pool().map(work, |(batch, buckets)| {
+        // Capacities differ per slot but contents never do: every bucket
+        // is emptied before it is filled, so reuse cannot affect results.
+        buckets.iter_mut().for_each(Vec::clear);
+        buckets.resize_with(num_blocks, Vec::new);
         // Zero-copy inbound path: a TCP batch arrives as the raw frame
         // payload, and each item decodes straight off those bytes into
         // its destination bucket — no intermediate `Vec<T>` per batch.
@@ -264,27 +252,15 @@ where
         for item in batch.items.drain(..) {
             if let Some((l, d)) = translate(item) {
                 // Out-of-range l means a corrupt route table; drop
-                // rather than panic in the hot loop (debug builds
-                // still catch it in deliver_segments).
+                // rather than panic in the hot loop.
                 if let Some(bucket) = buckets.get_mut(l as usize / bs) {
                     bucket.push((l, d));
                 }
             }
         }
-        Ok(buckets)
+        Ok(())
     });
-    // Transpose [batch][block] → [block][segment], batch order preserved.
-    let mut per_block: RoutedSegments<D> = (0..num_blocks).map(|_| Vec::new()).collect();
-    for buckets in per_batch {
-        for (b, segment) in buckets?.into_iter().enumerate() {
-            if !segment.is_empty() {
-                per_block[b].push(segment);
-            } else if segment.capacity() != 0 {
-                scratch.push(segment);
-            }
-        }
-    }
-    Ok(per_block)
+    routed.into_iter().collect()
 }
 
 /// The wire half of a machine frame: the mesh endpoint, the persistent
@@ -341,17 +317,15 @@ impl<T: Wire + Send> Port<T> {
         phase: Phase,
         bytes_per_item: usize,
         translate: F,
-    ) -> FoldRound<'a, T, D, F>
+    ) -> FoldRound<'a, T, F>
     where
         F: Fn(T) -> Option<(u32, D)> + Sync,
     {
-        let drain = PipelineDrain::new(self.ep.num_machines());
         FoldRound {
             wire: self.round_wire(part_items, phase, bytes_per_item),
             pctx,
             num_local,
             translate,
-            drain,
         }
     }
 
@@ -449,22 +423,16 @@ impl<T: Wire + Send> RoundWire<'_, T> {
 /// [`Self::outboxes`], call [`Self::staged`] after each push, and
 /// [`Self::close`] the round; the commit is bitwise identical whether the
 /// round ran serialized (one [`route_inbound`] pass over the sender-sorted
-/// batches) or pipelined (parts routed as they arrive, re-ordered by
-/// [`PipelineDrain::stitch`]).
-pub struct FoldRound<'a, T, D, F> {
+/// batches) or pipelined (parts routed as they arrive, folded in
+/// [`Inbound::in_sender_order`]).
+pub struct FoldRound<'a, T, F> {
     wire: RoundWire<'a, T>,
     pctx: &'a ParallelCtx,
     num_local: usize,
     translate: F,
-    drain: PipelineDrain<D>,
 }
 
-impl<T, D, F> FoldRound<'_, T, D, F>
-where
-    T: Wire + Send,
-    D: Send,
-    F: Fn(T) -> Option<(u32, D)> + Sync,
-{
+impl<T: Wire + Send, F> FoldRound<'_, T, F> {
     /// The staging outboxes of this round.
     pub fn outboxes(&mut self) -> &mut OutboxSet<T> {
         &mut self.wire.port.outboxes
@@ -473,27 +441,20 @@ where
     /// Notes that an item was just staged for `dst`. On a pipelined port a
     /// full part ships to the transport writers now, and whatever peers
     /// have already streamed to us is routed eagerly while the caller
-    /// keeps staging. `scratch` is `MachineState::seg_scratch`.
-    pub fn staged(
-        &mut self,
-        dst: usize,
-        now: f64,
-        scratch: &mut Vec<Vec<(u32, D)>>,
-    ) -> Result<(), CommError> {
+    /// keeps staging. `inbound` is `MachineState::scratch.inbound`.
+    pub fn staged<D>(&mut self, dst: usize, now: f64, inbound: &mut Inbound<D>) -> Result<(), CommError>
+    where
+        D: Send,
+        F: Fn(T) -> Option<(u32, D)> + Sync,
+    {
         if !self.wire.stream_if_full(dst, now)? {
             return Ok(());
         }
         let port = &mut *self.wire.port;
         while let Some(mut batch) = port.ep.poll_stream() {
-            let routed = route_inbound(
-                self.pctx,
-                self.num_local,
-                std::slice::from_mut(&mut batch),
-                &self.translate,
-                scratch,
-            )
-            .map_err(|e| CommError::transport(port.ep.me(), &e))?;
-            self.drain.push(batch.from, routed);
+            let parts = std::slice::from_mut(&mut batch);
+            route_inbound(self.pctx, self.num_local, parts, &self.translate, inbound)
+                .map_err(|e| CommError::transport(port.ep.me(), &e))?;
             port.ep.recycle(batch);
             port.stats.record_drain_early(1);
         }
@@ -503,36 +464,31 @@ where
     /// Ships what is still staged, waits for every peer's share of the
     /// round, and ⊕-folds the routed items into `state.message` in
     /// (sender, part, item) order.
-    pub fn close<P: VertexProgram<Delta = D>>(
+    pub fn close<P: VertexProgram>(
         mut self,
         program: &P,
         state: &mut MachineState<P>,
         now: f64,
-    ) -> Result<(), CommError> {
+    ) -> Result<(), CommError>
+    where
+        F: Fn(T) -> Option<(u32, P::Delta)> + Sync,
+    {
         let (pctx, num_local, translate) = (self.pctx, self.num_local, &self.translate);
-        let segments = if self.wire.port.pipeline {
-            let drain = &mut self.drain;
-            let scratch = &mut state.seg_scratch;
+        let inbound = &mut state.scratch.inbound;
+        if self.wire.port.pipeline {
             self.wire.finish(now, |batch| {
-                let routed =
-                    route_inbound(pctx, num_local, std::slice::from_mut(batch), translate, scratch)?;
-                drain.push(batch.from, routed);
-                Ok(())
+                route_inbound(pctx, num_local, std::slice::from_mut(batch), translate, inbound)
             })?;
-            let bs = pctx.block_size().max(1);
-            self.drain.stitch(num_local.div_ceil(bs).max(1))
         } else {
             let mut received = self.wire.exchange(now)?;
             let port = &mut *self.wire.port;
-            let segments =
-                route_inbound(pctx, num_local, &mut received, translate, &mut state.seg_scratch)
-                    .map_err(|e| CommError::transport(port.ep.me(), &e))?;
+            route_inbound(pctx, num_local, &mut received, translate, inbound)
+                .map_err(|e| CommError::transport(port.ep.me(), &e))?;
             for batch in received {
                 port.ep.recycle(batch);
             }
-            segments
-        };
-        let runs = state.deliver_segments(program, pctx, segments);
+        }
+        let runs = state.deliver_inbound(program, pctx);
         self.wire.port.stats.record_fold_runs(runs);
         Ok(())
     }
@@ -664,10 +620,8 @@ mod tests {
         assert_eq!(out.staged(0), &[(7, 3)]);
     }
 
-    #[test]
-    fn route_inbound_preserves_batch_then_item_order() {
-        // 3 batches (already sender-sorted), gid == local id, 2 blocks.
-        let mk = |from: usize, items: Vec<(u32, u64)>| Batch {
+    fn batch(from: usize, items: Vec<(u32, u64)>) -> Batch<(u32, u64)> {
+        Batch {
             from,
             sent_at: 0.0,
             round: 0,
@@ -675,94 +629,85 @@ mod tests {
             kind: FrameKind::Data,
             items,
             raw: None,
-        };
+        }
+    }
+
+    /// Routes `batches` (gid == local id, `d` scaled by ten) into fresh
+    /// buckets and returns them in fold order.
+    fn routed(
+        pctx: &ParallelCtx,
+        num_local: usize,
+        batches: &mut [Batch<(u32, u64)>],
+    ) -> Result<Vec<Segments<u64>>, NetError> {
+        let mut inbound = Inbound::default();
+        let translate = |(gid, d): (u32, u64)| (gid != 99).then_some((gid, d * 10));
+        route_inbound(pctx, num_local, batches, translate, &mut inbound)?;
+        Ok(inbound.in_sender_order().into_iter().cloned().collect())
+    }
+
+    #[test]
+    fn route_inbound_preserves_batch_then_item_order() {
+        // 3 batches (already sender-sorted), 2 blocks.
         for threads in [1, 4] {
             let pctx = ParallelCtx::new(ParallelConfig {
                 threads,
                 block_size: 4,
             });
             let mut batches = vec![
-                mk(0, vec![(0, 1), (5, 2), (1, 3)]),
-                mk(1, vec![(5, 4), (0, 5)]),
-                mk(2, vec![(7, 6)]),
+                batch(0, vec![(0, 1), (5, 2), (1, 3)]),
+                batch(1, vec![(5, 4), (0, 5)]),
+                batch(2, vec![(7, 6)]),
             ];
-            let segments = route_inbound(
-                &pctx,
-                8,
-                &mut batches,
-                |(gid, d): (u32, u64)| Some((gid, d * 10)),
-                &mut Vec::new(),
-            )
-            .expect("well-formed batches");
-            assert_eq!(segments.len(), 2);
-            // Block 0: batch 0's items in order, then batch 1's.
-            assert_eq!(segments[0], vec![vec![(0, 10), (1, 30)], vec![(0, 50)]]);
-            // Block 1 gets one segment per contributing batch, in order.
-            assert_eq!(segments[1], vec![vec![(5, 20)], vec![(5, 40)], vec![(7, 60)]]);
+            let slots = routed(&pctx, 8, &mut batches).expect("well-formed batches");
+            // One producer per batch, its items split by target block in
+            // item order.
+            assert_eq!(
+                slots,
+                vec![
+                    vec![vec![(0, 10), (1, 30)], vec![(5, 20)]],
+                    vec![vec![(0, 50)], vec![(5, 40)]],
+                    vec![vec![], vec![(7, 60)]],
+                ]
+            );
             // Batches were drained in place (capacity recyclable).
             assert!(batches.iter().all(|b| b.items.is_empty()));
         }
     }
 
     #[test]
-    fn route_inbound_drops_untranslatable_items() {
+    fn route_inbound_drops_untranslatable_and_out_of_range_items() {
         let pctx = ParallelCtx::new(ParallelConfig {
             threads: 2,
             block_size: 4,
         });
-        let mut batches = vec![Batch {
-            from: 0,
-            sent_at: 0.0,
-            round: 0,
-            last: true,
-            kind: FrameKind::Data,
-            items: vec![(0u32, 1u64), (99, 2), (3, 3)],
-            raw: None,
-        }];
-        let segments = route_inbound(
-            &pctx,
-            4,
-            &mut batches,
-            |(gid, d): (u32, u64)| (gid < 4).then_some((gid, d)),
-            &mut Vec::new(),
-        )
-        .expect("well-formed batch");
-        assert_eq!(segments, vec![vec![vec![(0, 1), (3, 3)]]]);
+        let mut batches = vec![batch(0, vec![(0, 1), (99, 2), (3, 3), (64, 4)])];
+        let slots = routed(&pctx, 4, &mut batches).expect("well-formed batch");
+        assert_eq!(slots, vec![vec![vec![(0, 10), (3, 30)]]]);
     }
 
     #[test]
-    fn route_inbound_draws_and_returns_scratch_buckets() {
+    fn inbound_slots_are_reused_in_place_and_released_past_the_limit() {
         let pctx = ParallelCtx::new(ParallelConfig {
             threads: 1,
             block_size: 4,
         });
-        // 2 blocks, one batch whose items all land in block 0: the block-1
-        // bucket must come back to the pool with its capacity intact.
-        let mut scratch: Vec<Vec<(u32, u64)>> =
-            vec![Vec::with_capacity(100), Vec::with_capacity(100)];
-        let mut batches = vec![Batch {
-            from: 0,
-            sent_at: 0.0,
-            round: 0,
-            last: true,
-            kind: FrameKind::Data,
-            items: vec![(0u32, 1u64), (1, 2)],
-            raw: None,
-        }];
-        let segments = route_inbound(
-            &pctx,
-            8,
-            &mut batches,
-            |(gid, d): (u32, u64)| Some((gid, d)),
-            &mut scratch,
-        )
-        .expect("well-formed batch");
-        assert_eq!(segments[0], vec![vec![(0, 1), (1, 2)]]);
-        assert!(segments[1].is_empty());
-        assert_eq!(scratch.len(), 1, "unused bucket returns to the pool");
-        assert_eq!(scratch[0].capacity(), 100);
-        // The used bucket left with pooled capacity too.
-        assert!(segments[0][0].capacity() >= 100);
+        let mut inbound: Inbound<u64> = Inbound::default();
+        let translate = |(gid, d): (u32, u64)| Some((gid, d));
+        let items: Vec<(u32, u64)> = (0..100).map(|i| (i % 4, u64::from(i))).collect();
+        for _ in 0..3 {
+            let mut batches = vec![batch(0, items.clone())];
+            route_inbound(&pctx, 8, &mut batches, translate, &mut inbound).expect("routed");
+            assert_eq!(inbound.in_sender_order()[0][0].len(), 100);
+            inbound.finish_round(usize::MAX);
+            assert!(inbound.in_sender_order().is_empty(), "the round is over");
+        }
+        // Same slot, same bucket, same capacity: the second and third
+        // rounds allocated nothing.
+        let kept = retained(&inbound.slots[0]);
+        assert!((100..=256).contains(&kept), "kept {kept}");
+        assert_eq!(inbound.slots.len(), 1);
+        inbound.finish_round(kept - 1);
+        assert!(inbound.slots.is_empty(), "over the limit: released");
     }
 
     #[test]
@@ -782,31 +727,15 @@ mod tests {
                 threads,
                 block_size: 4,
             });
-            let mut materialized = vec![Batch {
-                from: 0,
-                sent_at: 0.0,
-                round: 0,
-                last: true,
-                kind: FrameKind::Data,
-                items: items.clone(),
-                raw: None,
-            }];
-            let mut raw = vec![Batch {
-                from: 0,
-                sent_at: 0.0,
-                round: 0,
-                last: true,
-                kind: FrameKind::Data,
-                items: Vec::new(),
-                raw: Some(RawBatch {
-                    bytes: bytes.clone(),
-                    offset,
-                    count: items.len() as u32,
-                }),
-            }];
-            let translate = |(gid, d): (u32, u64)| Some((gid, d * 10));
-            let a = route_inbound(&pctx, 8, &mut materialized, translate, &mut Vec::new());
-            let b = route_inbound(&pctx, 8, &mut raw, translate, &mut Vec::new());
+            let mut materialized = vec![batch(0, items.clone())];
+            let mut raw = vec![batch(0, Vec::new())];
+            raw[0].raw = Some(RawBatch {
+                bytes: bytes.clone(),
+                offset,
+                count: items.len() as u32,
+            });
+            let a = routed(&pctx, 8, &mut materialized);
+            let b = routed(&pctx, 8, &mut raw);
             assert_eq!(a.expect("materialized"), b.expect("raw"));
             // The raw batch is drained (count zeroed) but keeps its buffer
             // for recycling back to the frame reader's free list.
@@ -831,27 +760,16 @@ mod tests {
             threads: 2,
             block_size: 4,
         });
-        let mut raw = vec![Batch {
-            from: 0,
-            sent_at: 0.0,
-            round: 0,
-            last: true,
-            kind: FrameKind::Data,
-            items: Vec::new(),
-            raw: Some(RawBatch {
-                bytes,
-                offset: 0,
-                count: 3,
-            }),
-        }];
-        let routed = route_inbound(
-            &pctx,
-            4,
-            &mut raw,
-            |(gid, d): (u32, u64)| Some((gid, d)),
-            &mut Vec::new(),
+        let mut raw = vec![batch(0, Vec::new())];
+        raw[0].raw = Some(RawBatch {
+            bytes,
+            offset: 0,
+            count: 3,
+        });
+        assert!(
+            routed(&pctx, 4, &mut raw).is_err(),
+            "a torn item region must be a typed error"
         );
-        assert!(routed.is_err(), "a torn item region must be a typed error");
     }
 
     #[test]
@@ -872,22 +790,29 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_drain_stitches_in_sender_then_part_order() {
-        let mut drain: PipelineDrain<u64> = PipelineDrain::new(3);
+    fn inbound_folds_in_sender_then_arrival_order() {
+        let pctx = ParallelCtx::new(ParallelConfig {
+            threads: 1,
+            block_size: 4,
+        });
+        let mut inbound: Inbound<u64> = Inbound::default();
+        let translate = |(gid, d): (u32, u64)| Some((gid, d));
         // Arrival order scrambles senders; parts within a sender arrive in
         // send order (per-peer FIFO).
-        drain.push(2, vec![vec![vec![(0, 200)]], vec![]]);
-        drain.push(0, vec![vec![vec![(1, 1)]], vec![vec![(5, 2)]]]);
-        drain.push(2, vec![vec![], vec![vec![(4, 201)]]]);
-        drain.push(0, vec![vec![vec![(0, 3)]], vec![]]);
-        let out = drain.stitch(2);
+        for (from, item) in [(2, (0, 200)), (0, (1, 1)), (2, (4, 201)), (0, (0, 3))] {
+            let mut part = [batch(from, vec![item])];
+            route_inbound(&pctx, 8, &mut part, translate, &mut inbound).expect("routed");
+        }
+        let order: Vec<Segments<u64>> = inbound.in_sender_order().into_iter().cloned().collect();
         assert_eq!(
-            out[0],
-            vec![vec![(1, 1)], vec![(0, 3)], vec![(0, 200)]],
-            "block 0: sender 0's parts in order, then sender 2's"
+            order,
+            vec![
+                vec![vec![(1, 1)], vec![]],
+                vec![vec![(0, 3)], vec![]],
+                vec![vec![(0, 200)], vec![]],
+                vec![vec![], vec![(4, 201)]],
+            ],
+            "sender 0's parts in arrival order, then sender 2's"
         );
-        assert_eq!(out[1], vec![vec![(5, 2)], vec![(4, 201)]]);
-        // Stitch drains: a second stitch is empty.
-        assert!(drain.stitch(2).iter().all(Vec::is_empty));
     }
 }

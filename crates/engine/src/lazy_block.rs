@@ -70,13 +70,14 @@ impl Wire for LazyCounters {
 
 /// One blocked apply+scatter sweep over a sorted worklist: the engine-side
 /// half of the two-level threading model. Phase A (parallel, read-only
-/// snapshot): each block applies its entries on *clones* of the vertex
-/// value and scatters from the clone, emitting delivery lists. Phase B
-/// (sequential, block-index order): vertex data commits, then every
-/// delivery folds through [`MachineState::deliver_all_lazy`]. All applies
-/// see only worklist-time messages — same-sweep deliveries land in fresh
-/// inboxes for the next sweep — so the outcome is bitwise-identical at
-/// every thread count. Returns `(edges, applies, delta_folds)`, where
+/// snapshot): each source block applies its entries on *clones* of the
+/// vertex value and scatters from the clone, staging every message once,
+/// straight into its target block's segment. Phase B (sequential,
+/// block-index order): vertex data commits, then every delivery folds
+/// through [`MachineState::deliver_staged`]. All applies see only
+/// worklist-time messages — same-sweep deliveries land in fresh inboxes
+/// for the next sweep — so the outcome is bitwise-identical at every
+/// thread count. Returns `(edges, applies, delta_folds)`, where
 /// `delta_folds` counts one-edge-mode deliveries folded into an occupied
 /// `deltaMsg` slot — contributions the coherency exchange will not ship
 /// as separate wire items (the fast path's `items_combined`).
@@ -89,18 +90,10 @@ pub(crate) fn blocked_apply_scatter<P: VertexProgram>(
     worklist: &[u32],
     update_coherent: bool,
 ) -> (u64, u64, u64) {
-    struct Block<P: VertexProgram> {
-        commits: Vec<(u32, Option<P::VData>)>,
-        deliveries: Vec<(u32, P::Delta, bool)>,
-        edges: u64,
-    }
     let (message_view, vdata_view) = (&state.message, &state.vdata);
-    let blocks: Vec<Block<P>> = pctx.map_chunks(worklist, |chunk| {
-        let mut b = Block::<P> {
-            commits: Vec::new(),
-            deliveries: Vec::new(),
-            edges: 0,
-        };
+    let blocks = state.scratch.staging.source_blocks(pctx, message_view.len(), worklist);
+    let block_edges: Vec<u64> = pctx.pool().map(blocks, |(chunk, b)| {
+        let mut edges = 0u64;
         for &l in chunk {
             let Some(accum) = message_view[l as usize] else {
                 b.commits.push((l, None));
@@ -111,7 +104,7 @@ pub(crate) fn blocked_apply_scatter<P: VertexProgram>(
             let mut data = vdata_view[l as usize].clone();
             if let Some(d) = program.apply(v, &mut data, accum, &ctx) {
                 for (tl, weight, mode) in shard.out_edges(l) {
-                    b.edges += 1;
+                    edges += 1;
                     let edge = EdgeCtx {
                         dst: shard.global_of(tl),
                         weight,
@@ -119,24 +112,17 @@ pub(crate) fn blocked_apply_scatter<P: VertexProgram>(
                     if let Some(msg) = program.scatter(v, &data, d, &ctx, &edge) {
                         let fold_delta =
                             mode == EdgeMode::OneEdge && shard.has_mirrors(tl);
-                        b.deliveries.push((tl, msg, fold_delta));
+                        b.stage(tl, msg, fold_delta);
                     }
                 }
             }
             b.commits.push((l, Some(data)));
         }
-        b
+        edges
     });
-    let mut edges = 0u64;
     let mut applies = 0u64;
-    // Staging draws from the iteration-persistent pool; `deliver_all_lazy`
-    // drains it and returns the emptied husk, so steady-state sweeps stop
-    // re-growing this hot-loop vector from zero.
-    let mut deliveries: Vec<(u32, P::Delta, bool)> =
-        state.lazy_scratch.pop().unwrap_or_default();
-    for b in blocks {
-        edges += b.edges;
-        for (l, data) in b.commits {
+    for b in state.scratch.staging.opened() {
+        for (l, data) in b.commits.drain(..) {
             state.message[l as usize] = None;
             state.active[l as usize] = false;
             if let Some(data) = data {
@@ -149,10 +135,9 @@ pub(crate) fn blocked_apply_scatter<P: VertexProgram>(
                 state.vdata[l as usize] = data;
             }
         }
-        deliveries.extend(b.deliveries);
     }
-    let folds = state.deliver_all_lazy(program, pctx, deliveries);
-    (edges, applies, folds)
+    let folds = state.deliver_staged(program, pctx);
+    (block_edges.into_iter().sum(), applies, folds)
 }
 
 /// One sweep on a machine frame: [`blocked_apply_scatter`] plus its
@@ -206,6 +191,8 @@ pub struct LazyStep<P: VertexProgram> {
     /// The structural log every checkpoint carries so a resumed machine
     /// can rebuild the migrated topology.
     migrations: Vec<StructMigration>,
+    /// The sweep in flight's sorted worklist (capacity only between sweeps).
+    worklist: Vec<u32>,
 }
 
 impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
@@ -225,6 +212,7 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
             my_load: 0,
             pending_migration: None,
             migrations: Vec::new(),
+            worklist: Vec::new(),
         }
     }
 
@@ -286,16 +274,16 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
         if self.do_local {
             let stage_start = f.clock.now();
             loop {
-                let mut queue = f.state.take_queue();
-                if queue.is_empty() {
+                f.state.take_queue_into(&mut self.worklist);
+                if self.worklist.is_empty() {
                     break;
                 }
                 // Canonical processing order: exchange batches arrive in
                 // nondeterministic interleavings, and the apply order
                 // decides which sub-round a scattered message lands in.
                 // Sorting makes the whole BSP engine bit-deterministic.
-                queue.sort_unstable();
-                self.my_load += sweep(f, &queue, false);
+                self.worklist.sort_unstable();
+                self.my_load += sweep(f, &self.worklist, false);
                 self.counters.local_subrounds += 1;
                 let elapsed = f.clock.now() - stage_start;
                 if !self.interval.continue_local_stage(self.first_stage_time, elapsed) {
@@ -376,13 +364,13 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
         // shares. Interleaving scatters would let same-drain local
         // deliveries (which siblings have not yet received) leak into the
         // snapshot and later suppress their own exchange.
-        let mut queue = f.state.take_queue();
-        queue.sort_unstable();
+        f.state.take_queue_into(&mut self.worklist);
+        self.worklist.sort_unstable();
         // `coherent` is only ever read by the suppression policy (the
         // volume-estimate scan and the exchange decisions both gate on
         // `delta_suppression`), so with suppression off the per-vertex
         // snapshot clone would be pure overhead — skip it.
-        self.my_load += sweep(f, &queue, cfg.delta_suppression);
+        self.my_load += sweep(f, &self.worklist, cfg.delta_suppression);
 
         // ---- Rebalance check (DESIGN.md §16). ----------------------------
         // Every `rebalance.every` barriers, allgather the per-machine
@@ -580,7 +568,7 @@ pub(crate) fn exchange_a2a<P: VertexProgram>(
                 continue;
             }
             sent += delta_bytes as u64;
-            round.staged(dst, now, &mut state.seg_scratch)?;
+            round.staged(dst, now, &mut state.scratch.inbound)?;
         }
     }
     stats.record_combined(combined, combined * delta_bytes as u64);
@@ -671,7 +659,7 @@ fn exchange_m2m<P: VertexProgram>(
             _ => None,
         },
     );
-    let mut inbound_local: Vec<(u32, P::Delta)> = state.seg_scratch.pop().unwrap_or_default();
+    let local = &mut state.scratch.staging.open_blocks(pctx, shard.num_local(), 1)[0];
     for &l in &shard.replicated {
         let li = l as usize;
         if !shard.is_master[li] {
@@ -686,17 +674,17 @@ fn exchange_m2m<P: VertexProgram>(
                 continue;
             }
             sent += delta_bytes as u64;
-            hop2.staged(dst, now, &mut state.seg_scratch)?;
+            hop2.staged(dst, now, &mut state.scratch.inbound)?;
         }
         if let Some(rest) = others(l, total) {
-            inbound_local.push((l, program.gather(gid.into(), rest)));
+            local.stage(l, program.gather(gid.into(), rest), false);
         }
     }
     stats.record_combined(combined, combined * delta_bytes as u64);
     // Every replica sees each vertex's combined total exactly once (its
     // own if master, one master broadcast otherwise), so delivering the
     // local and remote streams separately cannot change any fold.
-    state.deliver_all(program, pctx, inbound_local);
+    state.deliver_staged(program, pctx);
     hop2.close(program, state, now)?;
     // Leave the scratch arrays clean for the next coherency point; only
     // replicated entries can ever have been written.

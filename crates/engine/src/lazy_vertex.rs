@@ -97,15 +97,15 @@ fn machine_loop<P: VertexProgram>(
             // batches (`items` is empty for the latter).
             let bytes = batch.item_count() * delta_bytes;
             clock.merge(batch.sent_at + cost.async_batch_time(bytes as u64));
-            let segments = route_inbound(
+            route_inbound(
                 &pctx,
                 shard.num_local(),
                 std::slice::from_mut(&mut batch),
                 |item| local_delta(route, program, item),
-                &mut state.seg_scratch,
+                &mut state.scratch.inbound,
             )
             .map_err(|e| CommError::transport(shard.machine.index(), &e))?;
-            let runs = state.deliver_segments(program, &pctx, segments);
+            let runs = state.deliver_inbound(program, &pctx);
             stats.record_fold_runs(runs);
             ep.recycle(batch);
             term.note_delivered(1);

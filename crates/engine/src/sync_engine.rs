@@ -69,10 +69,11 @@ impl<P: VertexProgram> Wire for SyncMsg<P> {
 }
 
 /// The Sync engine on the superstep skeleton. It carries no state a
-/// checkpoint needs beyond `MachineState` — both vectors are empty at
-/// every superstep boundary and only keep their capacity.
+/// checkpoint needs beyond `MachineState` — nothing in the three vectors
+/// outlives the superstep that filled them; they only keep their capacity.
 pub struct SyncStep<P: VertexProgram> {
     scatter_tasks: Vec<(u32, P::Delta)>,
+    worklist: Vec<u32>,
     master_worklist: Vec<u32>,
 }
 
@@ -84,6 +85,7 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
     fn new(_frame: &Frame<'_, P, SyncMsg<P>>) -> Self {
         SyncStep {
             scatter_tasks: Vec::new(),
+            worklist: Vec::new(),
             master_worklist: Vec::new(),
         }
     }
@@ -94,6 +96,7 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
         let (state, port, clock, bsp) = (&mut f.state, &mut f.port, &mut f.clock, &mut f.bsp);
         let SyncStep {
             scatter_tasks,
+            worklist,
             master_worklist,
         } = self;
         let delta_bytes = program.delta_bytes();
@@ -109,7 +112,7 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
         // worklist, same outboxes, at every thread count.
         let mut sent_bytes = 0u64;
         master_worklist.clear();
-        let mut worklist = state.take_queue();
+        state.take_queue_into(worklist);
         worklist.sort_unstable();
         struct GatherBlock<P: VertexProgram> {
             masters: Vec<u32>,
@@ -117,7 +120,7 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
             deactivate: Vec<u32>,
         }
         let message_view = &state.message;
-        let gather_blocks: Vec<GatherBlock<P>> = pctx.map_chunks(&worklist, |chunk| {
+        let gather_blocks: Vec<GatherBlock<P>> = pctx.map_chunks(worklist, |chunk| {
             let mut b = GatherBlock::<P> {
                 masters: Vec::new(),
                 forwards: Vec::new(),
@@ -161,7 +164,7 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
                 state.message[l as usize] = None;
                 round.outboxes().push(dst, (shard.global_of(l).0, SyncMsg::Accum(d)));
                 sent_bytes += delta_bytes as u64;
-                round.staged(dst, clock.now(), &mut state.seg_scratch)?;
+                round.staged(dst, clock.now(), &mut state.scratch.inbound)?;
             }
             for l in b.deactivate {
                 state.active[l as usize] = false;
@@ -169,7 +172,7 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
         }
         round.close(program, state, clock.now())?;
         // Newly activated masters ended up on the queue.
-        master_worklist.extend(state.take_queue());
+        master_worklist.append(&mut state.queue);
         master_worklist.sort_unstable();
         bsp.sync(
             clock,
@@ -258,42 +261,33 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
         )?;
 
         // ---- Phase 3: scatter on every replica along local out-edges. ---
-        // Scatter reads vertex data but only `deliver` mutates anything,
-        // so blocks emit their delivery lists in parallel and the
-        // block-ordered concatenation funnels into `deliver_all`.
-        let mut edges = 0u64;
+        // Scatter reads vertex data but only the fold mutates anything, so
+        // source blocks stage their deliveries in parallel and
+        // `deliver_staged` folds them in block order.
         let vdata_view = &state.vdata;
-        #[allow(clippy::type_complexity)]
-        let scatter_blocks: Vec<(Vec<(u32, P::Delta)>, u64)> =
-            pctx.map_chunks(scatter_tasks, |chunk| {
-                let mut deliveries: Vec<(u32, P::Delta)> = Vec::new();
-                let mut edges = 0u64;
-                for &(l, d) in chunk {
-                    let v = shard.global_of(l);
-                    let ctx = vertex_ctx(shard, l, num_vertices);
-                    let data = &vdata_view[l as usize];
-                    for (tl, weight, _mode) in shard.out_edges(l) {
-                        edges += 1;
-                        let edge = EdgeCtx {
-                            dst: shard.global_of(tl),
-                            weight,
-                        };
-                        if let Some(msg) = program.scatter(v, data, d, &ctx, &edge) {
-                            deliveries.push((tl, msg));
-                        }
+        let blocks = state.scratch.staging.source_blocks(pctx, vdata_view.len(), scatter_tasks);
+        let block_edges: Vec<u64> = pctx.pool().map(blocks, |(chunk, b)| {
+            let mut edges = 0u64;
+            for &(l, d) in chunk {
+                let v = shard.global_of(l);
+                let ctx = vertex_ctx(shard, l, num_vertices);
+                let data = &vdata_view[l as usize];
+                for (tl, weight, _mode) in shard.out_edges(l) {
+                    edges += 1;
+                    let edge = EdgeCtx {
+                        dst: shard.global_of(tl),
+                        weight,
+                    };
+                    if let Some(msg) = program.scatter(v, data, d, &ctx, &edge) {
+                        b.stage(tl, msg, false);
                     }
                 }
-                (deliveries, edges)
-            });
+            }
+            edges
+        });
         scatter_tasks.clear();
-        // Staging draws from the iteration-persistent pool; `deliver_all`
-        // drains it and returns the emptied husk.
-        let mut deliveries: Vec<(u32, P::Delta)> = state.seg_scratch.pop().unwrap_or_default();
-        for (block, e) in scatter_blocks {
-            deliveries.extend(block);
-            edges += e;
-        }
-        state.deliver_all(program, pctx, deliveries);
+        state.deliver_staged(program, pctx);
+        let edges: u64 = block_edges.into_iter().sum();
         stats.record_edges(edges);
         clock.advance(cost.compute_time(edges));
         let red = bsp.sync(

@@ -1,14 +1,17 @@
-//! The ⊕-fold round against its reference (DESIGN.md §9, §17).
+//! The delivery sink against its reference (DESIGN.md §9, §11, §17).
 //!
-//! The production inbound path is block-parallel routing with zero-copy
-//! cursor decode ([`route_inbound`](lazygraph_engine::exchange::route_inbound))
-//! feeding the run-vectorised `deliver_segments`, serialized or streamed
-//! in parts. The reference is what the engines did before any of that: a
-//! serial pass over the senders in rank order, one `local_of` lookup and
-//! one push per item, then a single `deliver_all`. For randomized
-//! per-sender batches — NaN bit patterns, duplicate and unroutable
-//! targets included — every machine's `MachineState` must come out
-//! bitwise equal, on in-process items and on raw TCP cursors alike.
+//! Production delivers through one run-vectorised, block-parallel fold
+//! with two kinds of producer: inbound batches, routed block-parallel
+//! with zero-copy cursor decode
+//! ([`route_inbound`](lazygraph_engine::exchange::route_inbound)),
+//! serialized or streamed in parts; and the source blocks of a local
+//! sweep, which stage each scattered message straight into its target
+//! block's segment. The reference for both is what the engines did before
+//! any of that: one serial pass in (sender rank | source block, item)
+//! order, one `deliver` per item. For randomized streams — NaN bit
+//! patterns, duplicate and unroutable targets, empty blocks included —
+//! every `MachineState` must come out bitwise equal, activation order
+//! included, on in-process items and on raw TCP cursors alike.
 
 use std::sync::Arc;
 
@@ -80,13 +83,28 @@ fn item(shard: &LocalShard, num_vertices: usize, (sel, bits): (u16, u32)) -> (u3
     (gid, f32::from_bits(bits))
 }
 
-/// Everything of a `MachineState` the round may touch, floats as bits.
-fn fingerprint(state: &MachineState<FloatSum>) -> (Vec<Option<u32>>, Vec<bool>, Vec<u32>) {
-    (
-        state.message.iter().map(|m| m.map(f32::to_bits)).collect(),
-        state.active.clone(),
-        state.queue.clone(),
-    )
+type Fingerprint = (Vec<Option<u32>>, Vec<Option<u32>>, Vec<bool>, Vec<u32>);
+
+/// Everything of a `MachineState` a delivery may touch, floats as bits.
+fn fingerprint(state: &MachineState<FloatSum>) -> Fingerprint {
+    let bits = |v: &[Option<f32>]| v.iter().map(|m| m.map(f32::to_bits)).collect();
+    (bits(&state.message), bits(&state.delta_msg), state.active.clone(), state.queue.clone())
+}
+
+/// A fresh state and how long its worklist is before any delivery.
+fn fresh(dg: &DistributedGraph, me: usize) -> (MachineState<FloatSum>, usize) {
+    let state =
+        MachineState::init(&dg.shards[me], &FloatSum, InitMessages::AllReplicas, dg.num_global_vertices);
+    let queued = state.queue.len();
+    (state, queued)
+}
+
+/// Puts the reference's activations since `queued` in the order the
+/// blocked fold reports them: the serial pass activates in item order; the
+/// fold activates block by block, in item order within a block — a stable
+/// sort of the former by block.
+fn block_major(state: &mut MachineState<FloatSum>, queued: usize, block_size: usize) {
+    state.queue[queued..].sort_by_key(|&l| l as usize / block_size);
 }
 
 /// The reference: senders in rank order, items in send order.
@@ -94,11 +112,10 @@ fn naive(
     dg: &DistributedGraph,
     me: usize,
     streams: &[Vec<Vec<(u16, u32)>>],
-    pctx: &ParallelCtx,
-) -> MachineState<FloatSum> {
+    block_size: usize,
+) -> Fingerprint {
     let shard = &dg.shards[me];
-    let mut state = MachineState::init(shard, &FloatSum, InitMessages::AllReplicas, dg.num_global_vertices);
-    let mut inbound = Vec::new();
+    let (mut state, queued) = fresh(dg, me);
     for (from, per_dst) in streams.iter().enumerate() {
         if from == me {
             continue;
@@ -106,12 +123,12 @@ fn naive(
         for &raw in &per_dst[me] {
             let (gid, d) = item(shard, dg.num_global_vertices, raw);
             if let Some(l) = shard.local_of(gid.into()) {
-                inbound.push((l, FloatSum.gather(gid.into(), d)));
+                state.deliver(&FloatSum, l, FloatSum.gather(gid.into(), d));
             }
         }
     }
-    state.deliver_all(&FloatSum, pctx, inbound);
-    state
+    block_major(&mut state, queued, block_size);
+    fingerprint(&state)
 }
 
 proptest! {
@@ -144,9 +161,7 @@ proptest! {
                     let pctx = ParallelCtx::new(par);
                     let breakdown = Arc::new(Mutex::new(SimBreakdown::default()));
                     let mut port = Port::new(ep, stats.clone(), breakdown, pipeline);
-                    let mut state = MachineState::init(
-                        shard, &FloatSum, InitMessages::AllReplicas, dg.num_global_vertices,
-                    );
+                    let (mut state, _) = fresh(&dg, me);
                     let route = shard.route_table();
                     let mut round = port.fold_round(
                         &pctx,
@@ -163,21 +178,68 @@ proptest! {
                         for &raw in raws {
                             let wire = item(&dg.shards[dst], dg.num_global_vertices, raw);
                             round.outboxes().push(dst, wire);
-                            round.staged(dst, 0.0, &mut state.seg_scratch).expect("stream");
+                            round.staged(dst, 0.0, &mut state.scratch.inbound).expect("stream");
                         }
                     }
                     round.close(&FloatSum, &mut state, 0.0).expect("round");
                     fingerprint(&state)
                 });
-                let pctx = ParallelCtx::new(par);
                 for (me, got) in got.into_iter().enumerate() {
                     prop_assert_eq!(
                         got,
-                        fingerprint(&naive(&dg, me, &streams, &pctx)),
+                        naive(&dg, me, &streams, block_size),
                         "machine {} on {:?}, pipeline={}", me, transport, pipeline
                     );
                 }
             }
         }
+    }
+
+    /// `tasks[i]` is what worklist entry `i` scatters: `(target selector,
+    /// delta bits, also folds into deltaMsg)` per message, possibly none.
+    #[test]
+    fn local_scatter_matches_the_naive_reference_bitwise(
+        tasks in proptest::collection::vec(
+            proptest::collection::vec((any::<u16>(), any::<u32>(), any::<bool>()), 0usize..6),
+            0usize..120,
+        ),
+        threads in 0usize..3,
+        block_size in 0usize..3,
+        sweeps in 1usize..4,
+    ) {
+        let (threads, block_size) = ([1, 2, 8][threads], [1, 7, 1024][block_size]);
+        let dg = placement();
+        let shard = &dg.shards[0];
+        let n = shard.num_local();
+        let target = |sel: u16| u32::from(sel) % n as u32;
+        let pctx = ParallelCtx::new(ParallelConfig { threads, block_size });
+        let (mut got, _) = fresh(&dg, 0);
+        let (mut want, mut queued) = fresh(&dg, 0);
+        // Repeated sweeps reuse the staging buffers in place; stale
+        // contents must never leak into a later fold.
+        for sweep in 0..sweeps {
+            let tasks = &tasks[..tasks.len() / (sweep + 1)];
+            let blocks = got.scratch.staging.source_blocks(&pctx, n, tasks);
+            pctx.pool().map(blocks, |(chunk, b)| {
+                for &(sel, bits, fold_delta) in chunk.iter().flatten() {
+                    b.stage(target(sel), f32::from_bits(bits), fold_delta);
+                }
+            });
+            let folds = got.deliver_staged(&FloatSum, &pctx);
+
+            let mut occupied = 0u64;
+            for &(sel, bits, fold_delta) in tasks.iter().flatten() {
+                let (l, d) = (target(sel), f32::from_bits(bits));
+                want.deliver(&FloatSum, l, d);
+                if fold_delta {
+                    occupied += u64::from(want.delta_msg[l as usize].is_some());
+                    want.accumulate_delta(&FloatSum, l, d);
+                }
+            }
+            prop_assert_eq!(folds, occupied, "delta folds of sweep {}", sweep);
+            block_major(&mut want, queued, block_size);
+            queued = want.queue.len();
+        }
+        prop_assert_eq!(fingerprint(&got), fingerprint(&want));
     }
 }
