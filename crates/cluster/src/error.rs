@@ -7,10 +7,13 @@
 //! has died (panic or early error return). Engines propagate them to the
 //! driver instead of panicking, so one failing machine tears the run
 //! down with a diagnosable error rather than a poisoned process.
+//! [`CommError::NeedsSharedMemory`] is the exception: a
+//! configuration error, raised before anything is sent.
 
 use std::fmt;
 
-/// A communication-layer failure, always attributable to a dead peer.
+/// A communication-layer failure: a dead peer, or a run configured onto
+/// a mesh that cannot carry it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CommError {
     /// A send found the destination's mesh receiver already dropped.
@@ -45,6 +48,13 @@ pub enum CommError {
         /// The underlying transport error, rendered.
         detail: String,
     },
+    /// A barrier-free engine was started on a mesh whose machines do not
+    /// share memory: its quiescence detector (`Termination`) is an
+    /// in-process object, so the run could never agree that it is over.
+    NeedsSharedMemory {
+        /// Report name of the engine.
+        engine: &'static str,
+    },
 }
 
 impl CommError {
@@ -74,6 +84,12 @@ impl fmt::Display for CommError {
             }
             CommError::Transport { me, detail } => {
                 write!(f, "machine {me}: transport failure: {detail}")
+            }
+            CommError::NeedsSharedMemory { engine } => {
+                write!(
+                    f,
+                    "engine {engine} terminates through shared memory and cannot run across processes"
+                )
             }
         }
     }

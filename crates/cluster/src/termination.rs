@@ -95,7 +95,6 @@ impl Termination {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn immediate_quiescence() {
@@ -117,54 +116,5 @@ mod tests {
         t.note_delivered(1);
         t.enter_idle();
         assert!(t.check());
-    }
-
-    #[test]
-    fn threaded_ping_pong_terminates() {
-        // Two machines bounce a token N times, then both go idle.
-        let n = 2;
-        let term = Arc::new(Termination::new(n));
-        let (tx0, rx0) = crossbeam::channel::unbounded::<u32>();
-        let (tx1, rx1) = crossbeam::channel::unbounded::<u32>();
-        let txs = [tx0, tx1];
-        term.note_sent(1);
-        txs[0].send(16).unwrap();
-        std::thread::scope(|s| {
-            for me in 0..n {
-                let term = term.clone();
-                let rx = if me == 0 { rx0.clone() } else { rx1.clone() };
-                let txs = txs.clone();
-                s.spawn(move || {
-                    let mut idle = false;
-                    loop {
-                        match rx.try_recv() {
-                            Ok(hops) => {
-                                if idle {
-                                    term.leave_idle();
-                                    idle = false;
-                                }
-                                if hops > 0 {
-                                    term.note_sent(1);
-                                    txs[1 - me].send(hops - 1).unwrap();
-                                }
-                                term.note_delivered(1);
-                            }
-                            Err(_) => {
-                                if !idle {
-                                    term.enter_idle();
-                                    idle = true;
-                                }
-                                if term.check() {
-                                    break;
-                                }
-                                std::hint::spin_loop();
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        assert!(term.is_done());
-        assert_eq!(term.total_sent(), 17);
     }
 }

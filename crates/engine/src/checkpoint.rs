@@ -201,8 +201,9 @@ pub fn decode_container(bytes: &[u8]) -> Result<Vec<u8>, CheckpointError> {
 }
 
 /// The engine tag a snapshot carries — the one `EngineKind` → tag mapping.
-/// `None` for the engines that cannot checkpoint (they terminate through
-/// shared memory and never run on the mesh skeleton).
+/// `None` for the engines that cannot checkpoint (their pump detects
+/// quiescence through shared memory, so they never run in a worker
+/// process).
 pub fn snapshot_tag(kind: EngineKind) -> Option<u8> {
     match kind {
         EngineKind::PowerGraphSync => Some(0),

@@ -1,5 +1,5 @@
 //! The run driver: partitions the user-view graph, spins up the simulated
-//! cluster, dispatches to the configured engine, and assembles metrics.
+//! cluster, runs the configured engine on it, and assembles metrics.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -9,10 +9,8 @@ use lazygraph_graph::Graph;
 use lazygraph_partition::{partition_graph_with, DistributedGraph};
 use parking_lot::Mutex;
 
-use crate::async_engine::run_async_engine;
-use crate::config::{EngineConfig, EngineKind};
-use crate::hybrid_engine::run_hybrid_engine;
-use crate::lazy_vertex::run_lazy_vertex_engine;
+use crate::config::EngineConfig;
+use crate::exchange::Quiescence;
 use crate::machine::{assemble, run_mesh_engine, History, RunShared, ThreadedMesh};
 use crate::metrics::{RunMetrics, SimBreakdown};
 use crate::program::VertexProgram;
@@ -61,29 +59,22 @@ pub fn run_on<P: VertexProgram>(
     // lazylint: allow(nondet-source) -- host wall-clock feeds only the reported
     // runtime metric; no simulated result ever reads it
     let started = Instant::now();
-    let outcome = match cfg.engine {
-        EngineKind::PowerGraphAsync => run_async_engine(dg, program, cfg, stats.clone())?,
-        EngineKind::LazyVertexAsync => run_lazy_vertex_engine(dg, program, cfg, stats.clone())?,
-        EngineKind::PowerSwitchHybrid => {
-            run_hybrid_engine(dg, program, cfg, stats.clone(), breakdown.clone())?
-        }
-        EngineKind::PowerGraphSync | EngineKind::LazyBlockAsync | EngineKind::DeltaAccum => {
-            let mesh = ThreadedMesh {
-                transport: cfg.transport,
-                num_machines: dg.num_machines,
-            };
-            let shared = RunShared {
-                coll: Arc::new(Collective::new(dg.num_machines)),
-                stats: stats.clone(),
-                breakdown: breakdown.clone(),
-                history: cfg.record_history.then(|| history.clone()),
-            };
-            assemble(
-                run_mesh_engine(dg, cfg, program, mesh, &shared)?,
-                dg.num_global_vertices,
-            )
-        }
+    let mesh = ThreadedMesh {
+        transport: cfg.transport,
+        num_machines: dg.num_machines,
     };
+    let shared = RunShared {
+        coll: Arc::new(Collective::new(dg.num_machines)),
+        stats: stats.clone(),
+        breakdown: breakdown.clone(),
+        history: cfg.record_history.then(|| history.clone()),
+        quiescence: Some(Quiescence::shared_memory(dg.num_machines)),
+    };
+    let outcome = assemble(
+        run_mesh_engine(dg, cfg, program, mesh, &shared)?,
+        cfg.engine,
+        dg.num_global_vertices,
+    );
     let wall_time = started.elapsed();
     let metrics = RunMetrics {
         engine: cfg.engine.name(),

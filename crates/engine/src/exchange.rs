@@ -37,16 +37,20 @@
 //! coherency, mirrors-to-master hop 2) or an [`OrderedRound`] (inbound
 //! items are applied one by one in (sender, part) order: Sync updates,
 //! mirrors-to-master hop 1). Both hide whether the round is serialized
-//! or pipelined (DESIGN.md §11).
+//! or pipelined (DESIGN.md §11). The barrier-free engines have no rounds:
+//! they open the port's [`Pump`] instead, the one loop that drains,
+//! flushes and detects quiescence (DESIGN.md §17).
 
 use std::sync::Arc;
 
 use lazygraph_cluster::{
-    Batch, CommError, Endpoint, NetStats, OutboxSet, Phase, PipelineTiming,
+    Batch, CommError, CostModel, Endpoint, NetStats, OutboxSet, Phase, PipelineTiming, SimClock,
+    Termination,
 };
 use lazygraph_net::{NetError, Wire, WireReader};
 use parking_lot::Mutex;
 
+use crate::config::EngineConfig;
 use crate::metrics::SimBreakdown;
 use crate::parallel::ParallelCtx;
 use crate::program::VertexProgram;
@@ -280,6 +284,24 @@ pub struct Port<T> {
     /// Telemetry accumulated since the skeleton last committed an adaptive
     /// part size ([`adapt_part_items`]).
     pub(crate) pending: PipelineTiming,
+    /// How a barrier-free run on this mesh agrees that it is over; `None`
+    /// when the machines share no memory ([`Port::pump`]).
+    quiescence: Option<Quiescence>,
+}
+
+/// A run's quiescence detector: "no machine has work and no batch is in
+/// flight", decided without a barrier. Today that is the shared-memory
+/// counting detector, so only a mesh whose machines are threads of one
+/// process can hand one out.
+#[derive(Clone)]
+pub struct Quiescence(Arc<Termination>);
+
+impl Quiescence {
+    /// The detector for `num_machines` machines that are all threads of
+    /// this process.
+    pub fn shared_memory(num_machines: usize) -> Self {
+        Quiescence(Arc::new(Termination::new(num_machines)))
+    }
 }
 
 impl<T: Wire + Send> Port<T> {
@@ -288,6 +310,7 @@ impl<T: Wire + Send> Port<T> {
         stats: Arc<NetStats>,
         breakdown: Arc<Mutex<SimBreakdown>>,
         pipeline: bool,
+        quiescence: Option<Quiescence>,
     ) -> Self {
         let outboxes = OutboxSet::new(ep.num_machines());
         Port {
@@ -297,6 +320,7 @@ impl<T: Wire + Send> Port<T> {
             pipeline,
             breakdown,
             pending: PipelineTiming::default(),
+            quiescence,
         }
     }
 
@@ -351,6 +375,132 @@ impl<T: Wire + Send> Port<T> {
             phase,
             bytes_per_item,
             port: self,
+        }
+    }
+
+    /// Opens the barrier-free side of the port for `cfg.engine`: batches
+    /// travel out of band under `phase`, and `clock` is the machine's
+    /// clock, which the pump merges arrivals into and charges sends to.
+    /// The one place a run finds out that its mesh cannot detect
+    /// quiescence ([`CommError::NeedsSharedMemory`]) — and the one
+    /// seam a mesh-carried vote would replace.
+    pub fn pump<'a>(
+        &'a mut self,
+        clock: &'a mut SimClock,
+        cfg: &EngineConfig,
+        phase: Phase,
+        bytes_per_item: usize,
+    ) -> Result<Pump<'a, T>, CommError> {
+        let Some(Quiescence(term)) = &self.quiescence else {
+            return Err(CommError::NeedsSharedMemory {
+                engine: cfg.engine.name(),
+            });
+        };
+        Ok(Pump {
+            ep: &mut self.ep,
+            outboxes: &mut self.outboxes,
+            clock,
+            stats: &self.stats,
+            term,
+            idle: false,
+            cost: cfg.cost,
+            phase,
+            bytes_per_item,
+        })
+    }
+}
+
+/// What a barrier-free engine plugs into [`Pump::run`].
+pub trait PumpStep<T> {
+    /// Absorbs one inbound batch into the machine's state. Its arrival is
+    /// already on the clock; the pump recycles it afterwards.
+    fn absorb(&mut self, batch: &mut Batch<T>) -> Result<(), NetError>;
+
+    /// One turn of local work: whatever the machine can do without
+    /// hearing from a peer, with outbound items staged in
+    /// [`Pump::outboxes`]. Returns `false` iff there was nothing to do.
+    fn turn(&mut self, pump: &mut Pump<'_, T>) -> Result<bool, CommError>;
+}
+
+/// The barrier-free side of a [`Port`]: the endpoint's out-of-band
+/// send/receive, the staging outboxes, the machine clock, and this
+/// machine's seat at the quiescence detector (DESIGN.md §17). Every
+/// detector call of the engine crate is in this type, in the order the
+/// detector's proof needs: *sent* is counted before the push, *delivered*
+/// after the batch is absorbed, and a machine is idle only while it has
+/// neither work nor an undelivered batch.
+pub struct Pump<'a, T> {
+    ep: &'a mut Endpoint<T>,
+    /// Staging for a turn's outbound items; the loop ships every non-empty
+    /// slot when the turn returns.
+    pub outboxes: &'a mut OutboxSet<T>,
+    pub clock: &'a mut SimClock,
+    stats: &'a NetStats,
+    term: &'a Termination,
+    idle: bool,
+    cost: CostModel,
+    phase: Phase,
+    bytes_per_item: usize,
+}
+
+impl<T: Wire + Send> Pump<'_, T> {
+    /// Pumps `engine` until the whole run is quiescent: drain the
+    /// endpoint, take a turn, ship what it staged, and park at the
+    /// detector when neither made progress.
+    pub fn run(mut self, engine: &mut impl PumpStep<T>) -> Result<(), CommError> {
+        loop {
+            let mut progressed = false;
+            while let Some(mut batch) = self.ep.try_recv() {
+                self.unpark();
+                let bytes = batch.item_count() * self.bytes_per_item;
+                self.clock.merge(batch.sent_at + self.cost.async_batch_time(bytes as u64));
+                engine
+                    .absorb(&mut batch)
+                    .map_err(|e| CommError::transport(self.ep.me(), &e))?;
+                self.ep.recycle(batch);
+                self.term.note_delivered(1);
+                progressed = true;
+            }
+            if engine.turn(&mut self)? {
+                progressed = true;
+                for dst in 0..self.ep.num_machines() {
+                    self.flush(dst)?;
+                }
+            }
+            if !progressed {
+                if !self.idle {
+                    self.term.enter_idle();
+                    self.idle = true;
+                }
+                if self.term.check() {
+                    return Ok(());
+                }
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// Ships what is staged for `dst` now, as one batch paying the
+    /// per-message overhead (no-op on an empty slot). The loop calls this
+    /// for every peer after a turn; a turn calls it itself to start a wire
+    /// write early.
+    pub fn flush(&mut self, dst: usize) -> Result<(), CommError> {
+        if self.outboxes.staged(dst).is_empty() {
+            return Ok(());
+        }
+        self.unpark();
+        self.term.note_sent(1);
+        self.clock.advance(self.cost.async_send_cpu);
+        let now = self.clock.now();
+        self.ep
+            .send_staged(self.outboxes, dst, now, self.phase, self.bytes_per_item, self.stats)?;
+        Ok(())
+    }
+
+    fn unpark(&mut self) {
+        if self.idle {
+            self.term.leave_idle();
+            self.idle = false;
         }
     }
 }
@@ -787,6 +937,107 @@ mod tests {
         assert_eq!(adapt_part_items(1024, f64::NAN, f64::NAN), 1024);
         // Zero overlap with zero wait holds rather than oscillating.
         assert_eq!(adapt_part_items(1024, 0.0, 0.0), 1024);
+    }
+
+    /// A toy pump engine: tokens ride the ring `me → me + 1`, losing one
+    /// hop per forward.
+    struct Ring<'a> {
+        me: usize,
+        held: Vec<u32>,
+        absorbed: u64,
+        /// Turns in a row that found nothing to do, with no batch absorbed
+        /// in between: from the second on, the loop has parked this
+        /// machine at the detector.
+        empty_turns: u32,
+        /// Machine 2 only: tells machine 1 it is parked.
+        parked: Option<std::sync::mpsc::Sender<()>>,
+        /// Machine 1 only: awaited before its first forward.
+        await_parked: Option<std::sync::mpsc::Receiver<()>>,
+        term: &'a Termination,
+    }
+
+    impl PumpStep<u32> for Ring<'_> {
+        fn absorb(&mut self, batch: &mut Batch<u32>) -> Result<(), NetError> {
+            assert!(!self.term.is_done(), "latched with a batch in flight");
+            batch.make_items()?;
+            self.absorbed += batch.items.len() as u64;
+            self.held.append(&mut batch.items);
+            self.empty_turns = 0;
+            Ok(())
+        }
+
+        fn turn(&mut self, pump: &mut Pump<'_, u32>) -> Result<bool, CommError> {
+            if self.held.is_empty() {
+                self.empty_turns += 1;
+                if self.empty_turns == 2 {
+                    if let Some(parked) = self.parked.take() {
+                        parked.send(()).expect("machine 1 is waiting");
+                    }
+                }
+                return Ok(false);
+            }
+            // Machine 2 has never held a token, so once it reports itself
+            // parked it stays parked until this forward lands: the hop is
+            // delivered to an idle receiver.
+            if let Some(parked) = self.await_parked.take() {
+                parked.recv().expect("machine 2 parks before its first token");
+            }
+            for hops in self.held.drain(..).filter(|&hops| hops > 0) {
+                pump.outboxes.push((self.me + 1) % 3, hops - 1);
+            }
+            Ok(true)
+        }
+    }
+
+    #[test]
+    fn pump_forwards_a_token_round_the_ring_and_terminates() {
+        use lazygraph_cluster::{build_endpoints, try_run_machines, TransportKind};
+        const HOPS: u32 = 40;
+        let cfg = EngineConfig::powergraph_async();
+        for transport in [TransportKind::InProc, TransportKind::Tcp] {
+            let stats = Arc::new(NetStats::new());
+            let quiescence = Quiescence::shared_memory(3);
+            let endpoints = build_endpoints::<u32>(transport, 3, &stats).expect("mesh");
+            let (parked, await_parked) = std::sync::mpsc::channel();
+            let signals = [(None, None), (None, Some(await_parked)), (Some(parked), None)];
+            let seats: Vec<_> = endpoints.into_iter().zip(signals).collect();
+            let absorbed = try_run_machines(seats, |(ep, (parked, await_parked))| {
+                let me = ep.me();
+                let mut port =
+                    Port::new(ep, stats.clone(), Default::default(), false, Some(quiescence.clone()));
+                let mut clock = SimClock::new();
+                let mut ring = Ring {
+                    me,
+                    held: if me == 0 { vec![HOPS] } else { Vec::new() },
+                    absorbed: 0,
+                    empty_turns: 0,
+                    parked,
+                    await_parked,
+                    term: &quiescence.0,
+                };
+                port.pump(&mut clock, &cfg, Phase::Async, 4)?.run(&mut ring)?;
+                assert!(ring.held.is_empty(), "machine {me} quit holding a token");
+                Ok::<u64, CommError>(ring.absorbed)
+            })
+            .expect("pump run");
+            assert!(quiescence.0.is_done());
+            assert_eq!(quiescence.0.total_sent(), u64::from(HOPS), "{transport:?}");
+            assert_eq!(absorbed.iter().sum::<u64>(), u64::from(HOPS), "{transport:?}: {absorbed:?}");
+        }
+    }
+
+    #[test]
+    fn pump_without_a_detector_is_a_typed_error() {
+        let ep = lazygraph_cluster::build_mesh::<u32>(1).remove(0);
+        let mut port = Port::new(ep, Arc::new(NetStats::new()), Default::default(), false, None);
+        let cfg = EngineConfig::lazy_vertex_async();
+        let err = port.pump(&mut SimClock::new(), &cfg, Phase::Coherency, 4).err();
+        assert_eq!(
+            err,
+            Some(CommError::NeedsSharedMemory {
+                engine: "lazy-vertex-async"
+            })
+        );
     }
 
     #[test]

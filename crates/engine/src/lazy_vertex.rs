@@ -13,218 +13,164 @@
 //! Coherency exchanges use the all-to-all shape (delta straight to every
 //! sibling replica) since without barriers there is no collective at which
 //! a master could combine contributions.
+//!
+//! "Based on the Async engine" is literal here: the engine is a step of the
+//! same [`Pump`] loop, differing only in *when* a replica flushes — when the
+//! worklist drains rather than every turn (DESIGN.md §17).
 
-use std::sync::Arc;
+use lazygraph_cluster::{Batch, CommError, CostModel, NetStats, Phase};
+use lazygraph_net::NetError;
+use lazygraph_partition::LocalShard;
 
-use lazygraph_cluster::{
-    build_endpoints, CommError, Endpoint, NetStats, OutboxSet, Phase, SimClock, Termination,
+use crate::config::EngineKind;
+use crate::exchange::{
+    local_delta, route_inbound, stage_combining, Pump, PumpStep, PIPELINE_PART_ITEMS,
 };
-use lazygraph_partition::{DistributedGraph, LocalShard};
-
-use crate::config::EngineConfig;
-use crate::exchange::{local_delta, route_inbound, stage_combining, PIPELINE_PART_ITEMS};
 use crate::lazy_block::{blocked_apply_scatter, LazyCounters};
-use crate::machine::{assemble, EngineOutcome, MachineOut};
+use crate::machine::{Frame, Superstep, Vote};
 use crate::parallel::ParallelCtx;
 use crate::program::{DeltaExchange, VertexProgram};
 use crate::state::{InitMessages, MachineState};
 
-/// Runs LazyVertexAsync to quiescence. With `cfg.pipeline` on, coherency
-/// flushes stream per-destination as staging crosses the part threshold
-/// instead of all at once when the worklist drains — the async engine has
-/// no barrier to overlap against, so pipelining here just starts wire
-/// writes earlier (same fixpoint; batch boundaries differ).
-pub fn run_lazy_vertex_engine<P: VertexProgram>(
-    dg: &DistributedGraph,
-    program: &P,
-    cfg: &EngineConfig,
-    stats: Arc<NetStats>,
-) -> Result<EngineOutcome<P::VData>, CommError> {
-    let p = dg.num_machines;
-    let endpoints = build_endpoints::<(u32, P::Delta)>(cfg.transport, p, &stats)?;
-    let term = Termination::new(p);
-    #[allow(clippy::type_complexity)]
-    let workers: Vec<(&LocalShard, Endpoint<(u32, P::Delta)>)> =
-        dg.shards.iter().zip(endpoints).collect();
-    let outs = lazygraph_cluster::try_run_machines(workers, |(shard, ep)| {
-        machine_loop(dg, shard, ep, program, cfg, &term, &stats)
-    })?;
-    // No barriers: every machine reaches its own coherency points, so the
-    // counts are per-machine work and add up.
-    let (coherency_points, a2a_exchanges) = outs.iter().fold((0, 0), |(c, a), o| {
-        (c + o.counters.coherency_points, a + o.counters.a2a_exchanges)
-    });
-    let mut outcome = assemble(outs, dg.num_global_vertices);
-    outcome.counters.coherency_points = coherency_points;
-    outcome.counters.a2a_exchanges = a2a_exchanges;
-    Ok(outcome)
+/// LazyVertexAsync on the superstep skeleton: one step pumps the machine
+/// to quiescence. With `cfg.pipeline` on, coherency flushes stream
+/// per-destination as staging crosses the part threshold instead of all at
+/// once when the worklist drains — the engine has no barrier to overlap
+/// against, so pipelining here just starts wire writes earlier (same
+/// fixpoint; batch boundaries differ).
+pub struct LazyVertexPump {
+    /// This machine's own coherency points and sub-rounds: without
+    /// barriers they are per-machine work ([`crate::machine::assemble`]).
+    counters: LazyCounters,
 }
 
-fn machine_loop<P: VertexProgram>(
-    dg: &DistributedGraph,
-    shard: &LocalShard,
-    mut ep: Endpoint<(u32, P::Delta)>,
-    program: &P,
-    cfg: &EngineConfig,
-    term: &Termination,
-    stats: &NetStats,
-) -> Result<MachineOut<P>, CommError> {
-    let (num_vertices, cost, pipeline) = (dg.num_global_vertices, cfg.cost, cfg.pipeline);
-    let n = ep.num_machines();
-    let pctx = ParallelCtx::new(cfg.parallel(dg.num_machines));
-    let mut clock = SimClock::new();
-    let mut state: MachineState<P> =
-        MachineState::init(shard, program, InitMessages::AllReplicas, num_vertices);
-    let delta_bytes = program.delta_bytes();
-    let mut counters = LazyCounters::default();
-    let mut idle = false;
-    // Persistent staging: exchange slots keep travelled capacity
-    // (refilled from the endpoint pool on send), so steady-state
-    // coherency flushes allocate nothing.
-    let mut outboxes: OutboxSet<(u32, P::Delta)> = OutboxSet::new(n);
-    let route = shard.route_table();
+impl<P: VertexProgram> Superstep<P> for LazyVertexPump {
+    type Msg = P::Delta;
+    const KIND: EngineKind = EngineKind::LazyVertexAsync;
+    const INIT: InitMessages = InitMessages::AllReplicas;
 
-    loop {
-        let mut progressed = false;
-
-        // ---- Absorb remote deltas. ---------------------------------------
-        while let Some(mut batch) = ep.try_recv() {
-            if idle {
-                term.leave_idle();
-                idle = false;
-            }
-            // `item_count` covers both materialized and zero-copy raw
-            // batches (`items` is empty for the latter).
-            let bytes = batch.item_count() * delta_bytes;
-            clock.merge(batch.sent_at + cost.async_batch_time(bytes as u64));
-            route_inbound(
-                &pctx,
-                shard.num_local(),
-                std::slice::from_mut(&mut batch),
-                |item| local_delta(route, program, item),
-                &mut state.scratch.inbound,
-            )
-            .map_err(|e| CommError::transport(shard.machine.index(), &e))?;
-            let runs = state.deliver_inbound(program, &pctx);
-            stats.record_fold_runs(runs);
-            ep.recycle(batch);
-            term.note_delivered(1);
-            progressed = true;
-        }
-
-        // ---- Stage 1: local computation while the worklist has entries. --
-        if !state.queue.is_empty() {
-            if idle {
-                term.leave_idle();
-                idle = false;
-            }
-            progressed = true;
-            let mut queue = state.take_queue();
-            queue.sort_unstable();
-            let (edges, applies, folds) = blocked_apply_scatter(
-                shard,
-                &mut state,
-                program,
-                num_vertices,
-                &pctx,
-                &queue,
-                false,
-            );
-            stats.record_edges(edges);
-            stats.record_applies(applies);
-            stats.record_combined(folds, folds * delta_bytes as u64);
-            clock.advance(cost.compute_time(edges) + cost.apply_time(applies));
-            counters.local_subrounds += 1;
-        } else {
-            // ---- Stage 2: needDataCoherency — flush accumulated deltas. --
-            let mut any = false;
-            // Same two-phase shape as the block engine's exchanges: decide
-            // in parallel over the replicated list, commit in block order.
-            let decisions = {
-                let (delta_view, coherent_view) = (&state.delta_msg, &state.coherent);
-                pctx.map_chunks(&shard.replicated, |chunk| {
-                    let mut out: Vec<(u32, Option<P::Delta>)> = Vec::new();
-                    for &l in chunk {
-                        let Some(d) = &delta_view[l as usize] else { continue };
-                        match program.exchange_policy(&coherent_view[l as usize], d) {
-                            DeltaExchange::Send => out.push((l, Some(*d))),
-                            DeltaExchange::Drop => out.push((l, None)),
-                            DeltaExchange::Defer => {}
-                        }
-                    }
-                    out
-                })
-            };
-            let mut combined = 0u64;
-            for (l, d) in decisions.into_iter().flatten() {
-                state.delta_msg[l as usize] = None;
-                if let Some(d) = d {
-                    any = true;
-                    let gid = shard.global_of(l).0;
-                    for &m in shard.mirrors[l as usize].iter() {
-                        let dst = m.index();
-                        combined += u64::from(stage_combining(program, &mut outboxes, dst, gid, d));
-                        if pipeline && outboxes.staged(dst).len() >= PIPELINE_PART_ITEMS {
-                            // Early flush: start the wire write while the
-                            // rest of the worklist is still staging. Sent
-                            // accounting must precede the send so the
-                            // receiver's delivered count never leads it.
-                            if idle {
-                                term.leave_idle();
-                                idle = false;
-                            }
-                            term.note_sent(1);
-                            clock.advance(cost.async_send_cpu);
-                            ep.send_staged(
-                                &mut outboxes,
-                                dst,
-                                clock.now(),
-                                Phase::Coherency,
-                                delta_bytes,
-                                stats,
-                            )?;
-                        }
-                    }
-                }
-            }
-            stats.record_combined(combined, combined * delta_bytes as u64);
-            if any {
-                if idle {
-                    term.leave_idle();
-                    idle = false;
-                }
-                progressed = true;
-                counters.coherency_points += 1;
-                counters.a2a_exchanges += 1;
-                for dst in 0..n {
-                    if dst == shard.machine.index() || outboxes.staged(dst).is_empty() {
-                        continue;
-                    }
-                    term.note_sent(1);
-                    clock.advance(cost.async_send_cpu);
-                    ep.send_staged(
-                        &mut outboxes,
-                        dst,
-                        clock.now(),
-                        Phase::Coherency,
-                        delta_bytes,
-                        stats,
-                    )?;
-                }
-            }
-        }
-
-        if !progressed {
-            if !idle {
-                term.enter_idle();
-                idle = true;
-            }
-            if term.check() {
-                break;
-            }
-            std::thread::yield_now();
+    fn new(_frame: &Frame<'_, P, P::Delta>) -> Self {
+        LazyVertexPump {
+            counters: LazyCounters::default(),
         }
     }
 
-    Ok(MachineOut::collect(shard, &state, 0, true, clock.now(), counters))
+    fn step(&mut self, f: &mut Frame<'_, P, P::Delta>) -> Result<Vote, CommError> {
+        // The pump is the whole run, not a superstep: a barrier-free
+        // engine reports none (`EngineOutcome::iterations`).
+        f.iterations = 0;
+        let delta_bytes = f.program.delta_bytes();
+        let pump = f.port.pump(&mut f.clock, f.cfg, Phase::Coherency, delta_bytes)?;
+        pump.run(&mut LazyVertexTurn {
+            counters: &mut self.counters,
+            state: &mut f.state,
+            shard: &f.shard,
+            pctx: &f.pctx,
+            program: f.program,
+            stats: &f.stats,
+            num_vertices: f.num_vertices,
+            cost: f.cfg.cost,
+            pipeline: f.cfg.pipeline,
+            delta_bytes: delta_bytes as u64,
+        })?;
+        Ok(Vote::Converged)
+    }
+
+    fn counters(&self) -> LazyCounters {
+        self.counters
+    }
+}
+
+/// The frame minus its port and clock (the pump drives those) for the
+/// length of the step.
+struct LazyVertexTurn<'a, P: VertexProgram> {
+    counters: &'a mut LazyCounters,
+    state: &'a mut MachineState<P>,
+    shard: &'a LocalShard,
+    pctx: &'a ParallelCtx,
+    program: &'a P,
+    stats: &'a NetStats,
+    num_vertices: usize,
+    cost: CostModel,
+    pipeline: bool,
+    delta_bytes: u64,
+}
+
+impl<P: VertexProgram> PumpStep<(u32, P::Delta)> for LazyVertexTurn<'_, P> {
+    /// Remote deltas ⊕-fold straight into `message` (zero-copy for raw
+    /// TCP batches).
+    fn absorb(&mut self, batch: &mut Batch<(u32, P::Delta)>) -> Result<(), NetError> {
+        let (route, program) = (self.shard.route_table(), self.program);
+        route_inbound(
+            self.pctx,
+            self.shard.num_local(),
+            std::slice::from_mut(batch),
+            |item| local_delta(route, program, item),
+            &mut self.state.scratch.inbound,
+        )?;
+        let runs = self.state.deliver_inbound(program, self.pctx);
+        self.stats.record_fold_runs(runs);
+        Ok(())
+    }
+
+    fn turn(&mut self, pump: &mut Pump<'_, (u32, P::Delta)>) -> Result<bool, CommError> {
+        let (shard, program, pctx, state) = (self.shard, self.program, self.pctx, &mut *self.state);
+
+        // ---- Stage 1: local computation while the worklist has entries. --
+        if !state.queue.is_empty() {
+            let mut queue = state.take_queue();
+            queue.sort_unstable();
+            let (edges, applies, folds) =
+                blocked_apply_scatter(shard, state, program, self.num_vertices, pctx, &queue, false);
+            self.stats.record_edges(edges);
+            self.stats.record_applies(applies);
+            self.stats.record_combined(folds, folds * self.delta_bytes);
+            pump.clock
+                .advance(self.cost.compute_time(edges) + self.cost.apply_time(applies));
+            self.counters.local_subrounds += 1;
+            return Ok(true);
+        }
+
+        // ---- Stage 2: needDataCoherency — flush accumulated deltas. ------
+        // Same two-phase shape as the block engine's exchanges: decide in
+        // parallel over the replicated list, commit in block order.
+        let decisions = {
+            let (delta_view, coherent_view) = (&state.delta_msg, &state.coherent);
+            pctx.map_chunks(&shard.replicated, |chunk| {
+                let mut out: Vec<(u32, Option<P::Delta>)> = Vec::new();
+                for &l in chunk {
+                    let Some(d) = &delta_view[l as usize] else { continue };
+                    match program.exchange_policy(&coherent_view[l as usize], d) {
+                        DeltaExchange::Send => out.push((l, Some(*d))),
+                        DeltaExchange::Drop => out.push((l, None)),
+                        DeltaExchange::Defer => {}
+                    }
+                }
+                out
+            })
+        };
+        let mut any = false;
+        let mut combined = 0u64;
+        for (l, d) in decisions.into_iter().flatten() {
+            state.delta_msg[l as usize] = None;
+            let Some(d) = d else { continue };
+            any = true;
+            let gid = shard.global_of(l).0;
+            for &m in shard.mirrors[l as usize].iter() {
+                let dst = m.index();
+                combined += u64::from(stage_combining(program, pump.outboxes, dst, gid, d));
+                if self.pipeline && pump.outboxes.staged(dst).len() >= PIPELINE_PART_ITEMS {
+                    // Early flush: start the wire write while the rest of
+                    // the replicated list is still staging.
+                    pump.flush(dst)?;
+                }
+            }
+        }
+        self.stats.record_combined(combined, combined * self.delta_bytes);
+        if any {
+            self.counters.coherency_points += 1;
+            self.counters.a2a_exchanges += 1;
+        }
+        Ok(any)
+    }
 }

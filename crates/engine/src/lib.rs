@@ -10,10 +10,11 @@
 //! all-to-all / mirrors-to-master switching (§4.2.2). The
 //! [`delta_engine`] extension pushes the `⊕`/`Inverse` algebra to
 //! Maiter-style delta-accumulative iteration with the epoch-bucketed
-//! deterministic [`scheduler`] (DESIGN.md §15). The three barrier-based
-//! engines (Sync, lazy-block, delta) are [`machine::Superstep`]
-//! implementations on one machine loop, the superstep skeleton
-//! ([`machine`], DESIGN.md §17).
+//! deterministic [`scheduler`] (DESIGN.md §15), and [`hybrid_engine`]
+//! composes Sync and Async PowerSwitch-style. All six engines are
+//! [`machine::Superstep`] implementations on one machine loop, the
+//! superstep skeleton ([`machine`], DESIGN.md §17); the barrier-free ones
+//! are a single step that drives the one [`exchange::Pump`] loop.
 //!
 //! Entry point: [`run`] (or [`run_on`] to reuse a placement).
 

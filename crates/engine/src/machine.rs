@@ -1,21 +1,27 @@
-//! The superstep skeleton: one machine loop for every mesh engine.
+//! The superstep skeleton: one machine loop for every engine.
 //!
-//! The paper's engines share one shape — compute locally, exchange,
-//! ⊕-fold, vote at a barrier — with Sync as the degenerate case where
-//! every iteration is a coherency point. [`run_machine`] owns everything
-//! that shape has in common: the per-machine [`Frame`], snapshot restore
-//! and barrier re-execution, the superstep fail point, the adaptive
-//! part-size commit, the checkpoint barrier, and the masters →
-//! [`MachineOut`] epilogue. An engine is a [`Superstep`] implementation:
+//! The paper's barriered engines share one shape — compute locally,
+//! exchange, ⊕-fold, vote at a barrier — with Sync as the degenerate case
+//! where every iteration is a coherency point. [`run_machine`] owns
+//! everything that shape has in common: the per-machine [`Frame`],
+//! snapshot restore and barrier re-execution, the superstep fail point,
+//! the adaptive part-size commit, the checkpoint barrier, and the masters
+//! → [`MachineOut`] epilogue. An engine is a [`Superstep`] implementation:
 //! its cross-iteration state plus one `step` over the frame. Pipelining,
 //! checkpointing and multiprocess execution are therefore properties of
 //! the skeleton, not of any one engine (DESIGN.md §17).
 //!
-//! [`run_mesh_engine`] is the single place a mesh-engine machine loop is
-//! started: the in-process driver hands it every endpoint of a threaded
-//! mesh plus a shared-memory [`Collective`]; a `lazygraph-worker` process
-//! hands it the one endpoint it connected (or reconnected) plus a
-//! mesh-backed collective.
+//! The paper's other shape, the barrier-free loop of Async and
+//! LazyVertexAsync, is a step too: one that drives the port's
+//! [`Pump`](crate::exchange::Pump) to quiescence and votes converged. The
+//! hybrid engine is Sync's step followed, in the superstep that switches,
+//! by Async's.
+//!
+//! [`run_mesh_engine`] is the single place a machine loop is started: the
+//! in-process driver hands it every endpoint of a threaded mesh plus a
+//! shared-memory [`Collective`] and quiescence detector; a
+//! `lazygraph-worker` process hands it the one endpoint it connected (or
+//! reconnected) plus a mesh-backed collective.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -27,12 +33,15 @@ use lazygraph_net::{NetError, Wire, WireReader};
 use lazygraph_partition::{DistributedGraph, LocalShard};
 use parking_lot::Mutex;
 
+use crate::async_engine::AsyncPump;
 use crate::bsp::BspSync;
 use crate::checkpoint::{checkpoint_at_barrier, EngineSnapshot, RecoveryCfg, ResumeExtras};
 use crate::config::{EngineConfig, EngineKind};
 use crate::delta_engine::DeltaStep;
-use crate::exchange::{adapt_part_items, Port};
+use crate::exchange::{adapt_part_items, Port, Quiescence};
+use crate::hybrid_engine::HybridStep;
 use crate::lazy_block::{LazyCounters, LazyStep};
+use crate::lazy_vertex::LazyVertexPump;
 use crate::metrics::{IterationRecord, SimBreakdown};
 use crate::parallel::ParallelCtx;
 use crate::program::VertexProgram;
@@ -63,7 +72,8 @@ pub struct Frame<'a, P: VertexProgram, M> {
     pub bsp: BspSync,
     pub port: Port<(u32, M)>,
     pub stats: Arc<NetStats>,
-    /// Supersteps started so far (1-based inside `step`).
+    /// Supersteps started so far (1-based inside `step`; a pump step,
+    /// which is not a superstep, resets it to 0).
     pub iterations: u64,
     /// `Some` on the in-process driver's machines when history is on.
     pub history: Option<History>,
@@ -90,7 +100,7 @@ impl Vote {
     }
 }
 
-/// One mesh engine: its cross-iteration state and its superstep.
+/// One engine: its cross-iteration state and its superstep.
 pub trait Superstep<P: VertexProgram>: Sized {
     /// Wire message of the engine's data mesh.
     type Msg: Wire + Send + 'static;
@@ -180,8 +190,10 @@ impl<P: VertexProgram> Wire for MachineOut<P> {
 pub struct EngineOutcome<V> {
     /// Final vertex values (master copies), indexed by global vertex id.
     pub values: Vec<V>,
-    /// Supersteps (Sync, hybrid) / coherency iterations (lazy-block,
-    /// delta); the barrier-free engines report 0.
+    /// Barriered steps of the skeleton: supersteps (Sync; hybrid up to and
+    /// including the one that switched) / coherency iterations
+    /// (lazy-block, delta). The barrier-free engines report 0 — their one
+    /// step is a pump, not a superstep.
     pub iterations: u64,
     pub converged: bool,
     /// Final simulated time: the maximum machine clock.
@@ -190,11 +202,14 @@ pub struct EngineOutcome<V> {
 }
 
 /// Folds per-machine outcomes into the driver-facing result — the same
-/// rules whether the machines were threads or worker processes. The BSP
-/// counters are identical on every machine (machine 0's are taken);
-/// `local_subrounds` is per-machine work and is summed.
+/// rules whether the machines were threads or worker processes. Counters
+/// that tick at a barrier are identical on every machine (machine 0's are
+/// taken); `local_subrounds` is per-machine work and is summed — and so
+/// are LazyVertexAsync's coherency points, which every machine reaches on
+/// its own.
 pub fn assemble<P: VertexProgram>(
     outs: Vec<MachineOut<P>>,
+    engine: EngineKind,
     num_vertices: usize,
 ) -> EngineOutcome<P::VData> {
     let sim_time = outs.iter().map(|o| o.sim_time).fold(0.0, f64::max);
@@ -202,6 +217,10 @@ pub fn assemble<P: VertexProgram>(
         .first()
         .map_or((0, true, LazyCounters::default()), |o| (o.iterations, o.converged, o.counters));
     counters.local_subrounds = outs.iter().map(|o| o.counters.local_subrounds).sum();
+    if engine == EngineKind::LazyVertexAsync {
+        counters.coherency_points = outs.iter().map(|o| o.counters.coherency_points).sum();
+        counters.a2a_exchanges = outs.iter().map(|o| o.counters.a2a_exchanges).sum();
+    }
     let mut values: Vec<Option<P::VData>> = vec![None; num_vertices];
     for out in outs {
         for (gid, v) in out.masters {
@@ -245,7 +264,8 @@ pub trait Attach<P: VertexProgram> {
 }
 
 /// Every machine of the run as a thread of this process, on a freshly
-/// built mesh of the given transport; no checkpointing.
+/// built mesh of the given transport; no checkpointing. The only mesh
+/// whose [`RunShared`] can carry a [`Quiescence`].
 pub struct ThreadedMesh {
     pub transport: TransportKind,
     pub num_machines: usize,
@@ -276,13 +296,17 @@ pub struct RunShared {
     pub stats: Arc<NetStats>,
     pub breakdown: Arc<Mutex<SimBreakdown>>,
     pub history: Option<History>,
+    /// `Some` iff every machine of the run is a thread of this process;
+    /// the barrier-free engines (and the hybrid's tail) need it.
+    pub quiescence: Option<Quiescence>,
 }
 
-/// Runs this process's machines of a mesh-engine run (PowerGraphSync,
-/// LazyBlockAsync or DeltaAccum, per `cfg.engine`) and returns their
-/// outcomes in seat order. The one entry the in-process driver and the
-/// worker binary share, so a threaded run and a multiprocess run of the
-/// same job are bitwise identical by construction.
+/// Runs this process's machines of a run of `cfg.engine` — any of the six
+/// — and returns their outcomes in seat order. The one entry the
+/// in-process driver and the worker binary share, so a threaded run and a
+/// multiprocess run of the same job are bitwise identical by
+/// construction. An engine that needs a quiescence detector fails with
+/// [`CommError::NeedsSharedMemory`] when `shared` carries none.
 pub fn run_mesh_engine<P: VertexProgram>(
     dg: &DistributedGraph,
     cfg: &EngineConfig,
@@ -294,13 +318,9 @@ pub fn run_mesh_engine<P: VertexProgram>(
         EngineKind::PowerGraphSync => run_seats::<P, SyncStep<P>>(dg, cfg, program, mesh, shared),
         EngineKind::LazyBlockAsync => run_seats::<P, LazyStep<P>>(dg, cfg, program, mesh, shared),
         EngineKind::DeltaAccum => run_seats::<P, DeltaStep>(dg, cfg, program, mesh, shared),
-        other => Err(CommError::Transport {
-            me: 0,
-            detail: format!(
-                "engine {} terminates through shared memory and cannot run on the mesh skeleton",
-                other.name()
-            ),
-        }),
+        EngineKind::PowerGraphAsync => run_seats::<P, AsyncPump<P>>(dg, cfg, program, mesh, shared),
+        EngineKind::LazyVertexAsync => run_seats::<P, LazyVertexPump>(dg, cfg, program, mesh, shared),
+        EngineKind::PowerSwitchHybrid => run_seats::<P, HybridStep<P>>(dg, cfg, program, mesh, shared),
     }
 }
 
@@ -350,7 +370,13 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
             cfg.cost,
             shared.breakdown.clone(),
         ),
-        port: Port::new(ep, shared.stats.clone(), shared.breakdown, cfg.pipeline),
+        port: Port::new(
+            ep,
+            shared.stats.clone(),
+            shared.breakdown,
+            cfg.pipeline,
+            shared.quiescence,
+        ),
         stats: shared.stats,
         iterations: 0,
         history: shared.history.filter(|_| me == 0),

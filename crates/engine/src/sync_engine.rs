@@ -23,8 +23,9 @@ use crate::bsp::{BspReduction, CommCharge};
 use crate::config::EngineKind;
 use crate::machine::{Frame, Superstep, Vote};
 use crate::metrics::IterationRecord;
+use crate::parallel::ParallelCtx;
 use crate::program::{EdgeCtx, VertexProgram};
-use crate::state::{vertex_ctx, InitMessages};
+use crate::state::{vertex_ctx, InitMessages, MachineState};
 
 /// Wire message of the Sync engine.
 pub enum SyncMsg<P: VertexProgram> {
@@ -68,6 +69,46 @@ impl<P: VertexProgram> Wire for SyncMsg<P> {
     }
 }
 
+/// The eager engines' scatter: every `(replica, delta)` task scatters
+/// along the replica's local out-edges, and the deliveries fold into
+/// `message`. Scatter reads vertex data but only the fold mutates
+/// anything, so source blocks stage their deliveries in parallel and
+/// `deliver_staged` folds them in block order — the flat task order, at
+/// every thread count. Drains `tasks`; returns the edges traversed.
+pub(crate) fn scatter<P: VertexProgram>(
+    shard: &LocalShard,
+    state: &mut MachineState<P>,
+    program: &P,
+    num_vertices: usize,
+    pctx: &ParallelCtx,
+    tasks: &mut Vec<(u32, P::Delta)>,
+) -> u64 {
+    let vdata_view = &state.vdata;
+    let blocks = state.scratch.staging.source_blocks(pctx, vdata_view.len(), tasks);
+    let block_edges: Vec<u64> = pctx.pool().map(blocks, |(chunk, b)| {
+        let mut edges = 0u64;
+        for &(l, d) in chunk {
+            let v = shard.global_of(l);
+            let ctx = vertex_ctx(shard, l, num_vertices);
+            let data = &vdata_view[l as usize];
+            for (tl, weight, _mode) in shard.out_edges(l) {
+                edges += 1;
+                let edge = EdgeCtx {
+                    dst: shard.global_of(tl),
+                    weight,
+                };
+                if let Some(msg) = program.scatter(v, data, d, &ctx, &edge) {
+                    b.stage(tl, msg, false);
+                }
+            }
+        }
+        edges
+    });
+    tasks.clear();
+    state.deliver_staged(program, pctx);
+    block_edges.into_iter().sum()
+}
+
 /// The Sync engine on the superstep skeleton. It carries no state a
 /// checkpoint needs beyond `MachineState` — nothing in the three vectors
 /// outlives the superstep that filled them; they only keep their capacity.
@@ -75,6 +116,9 @@ pub struct SyncStep<P: VertexProgram> {
     scatter_tasks: Vec<(u32, P::Delta)>,
     worklist: Vec<u32>,
     master_worklist: Vec<u32>,
+    /// The globally reduced pending-message count of the last vote (what
+    /// the hybrid engine's switch rule reads).
+    pub(crate) pending: u64,
 }
 
 impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
@@ -87,6 +131,7 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
             scatter_tasks: Vec::new(),
             worklist: Vec::new(),
             master_worklist: Vec::new(),
+            pending: 0,
         }
     }
 
@@ -98,6 +143,7 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
             scatter_tasks,
             worklist,
             master_worklist,
+            pending,
         } = self;
         let delta_bytes = program.delta_bytes();
         let update_bytes = program.vdata_bytes() + std::mem::size_of::<P::Delta>();
@@ -261,33 +307,7 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
         )?;
 
         // ---- Phase 3: scatter on every replica along local out-edges. ---
-        // Scatter reads vertex data but only the fold mutates anything, so
-        // source blocks stage their deliveries in parallel and
-        // `deliver_staged` folds them in block order.
-        let vdata_view = &state.vdata;
-        let blocks = state.scratch.staging.source_blocks(pctx, vdata_view.len(), scatter_tasks);
-        let block_edges: Vec<u64> = pctx.pool().map(blocks, |(chunk, b)| {
-            let mut edges = 0u64;
-            for &(l, d) in chunk {
-                let v = shard.global_of(l);
-                let ctx = vertex_ctx(shard, l, num_vertices);
-                let data = &vdata_view[l as usize];
-                for (tl, weight, _mode) in shard.out_edges(l) {
-                    edges += 1;
-                    let edge = EdgeCtx {
-                        dst: shard.global_of(tl),
-                        weight,
-                    };
-                    if let Some(msg) = program.scatter(v, data, d, &ctx, &edge) {
-                        b.stage(tl, msg, false);
-                    }
-                }
-            }
-            edges
-        });
-        scatter_tasks.clear();
-        state.deliver_staged(program, pctx);
-        let edges: u64 = block_edges.into_iter().sum();
+        let edges = scatter(shard, state, program, num_vertices, pctx, scatter_tasks);
         stats.record_edges(edges);
         clock.advance(cost.compute_time(edges));
         let red = bsp.sync(
@@ -299,6 +319,7 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
             },
             CommCharge::None,
         )?;
+        *pending = red.pending;
         if let Some(h) = &f.history {
             h.lock().push(IterationRecord {
                 iteration: f.iterations,

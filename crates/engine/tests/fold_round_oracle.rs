@@ -160,7 +160,7 @@ proptest! {
                     let shard = &dg.shards[me];
                     let pctx = ParallelCtx::new(par);
                     let breakdown = Arc::new(Mutex::new(SimBreakdown::default()));
-                    let mut port = Port::new(ep, stats.clone(), breakdown, pipeline);
+                    let mut port = Port::new(ep, stats.clone(), breakdown, pipeline, None);
                     let (mut state, _) = fresh(&dg, me);
                     let route = shard.route_table();
                     let mut round = port.fold_round(

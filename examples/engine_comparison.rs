@@ -1,4 +1,4 @@
-//! Side-by-side engine anatomy: run one workload on all four engines and
+//! Side-by-side engine anatomy: run one workload on all six engines and
 //! dissect *why* the lazy engines win — global synchronisations,
 //! communication traffic, coherency points, comm-mode choices, and the
 //! simulated-time breakdown (compute / communication / barrier).
@@ -27,10 +27,12 @@ fn main() {
         EngineKind::PowerSwitchHybrid,
         EngineKind::LazyBlockAsync,
         EngineKind::LazyVertexAsync,
+        EngineKind::DeltaAccum,
     ] {
         let cfg = EngineConfig::lazygraph().with_engine(engine);
         let r = run(&graph, 16, &cfg, &Sssp::new(0u32)).expect("cluster run");
         let m = &r.metrics;
+        assert!(m.converged, "{} did not converge", m.engine);
         println!("── {} {}", m.engine, "─".repeat(46_usize.saturating_sub(m.engine.len())));
         println!(
             "   simulated time {:>8.3}s   (compute {:.3}s | comm {:.3}s | barrier {:.3}s)",

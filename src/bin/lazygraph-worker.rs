@@ -222,6 +222,8 @@ fn run_worker<P: VertexProgram>(job: &WorkerJob, args: Args, program: P) -> Resu
         stats: stats.clone(),
         breakdown: breakdown.clone(),
         history: None,
+        // One machine per process: nothing to detect quiescence through.
+        quiescence: None,
     };
     let out = run_mesh_engine(&dg, cfg, &program, seat, &shared)
         .map_err(|e| format!("{} machine {me}: {e}", cfg.engine.name()))?

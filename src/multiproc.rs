@@ -16,13 +16,13 @@
 //! mesh-based [`Collective`] (barriers/allreduce), and a data mesh typed
 //! by the engine's message. Workers establish them in that fixed order.
 //!
-//! Only the engines on the superstep skeleton (DESIGN.md §17), whose
-//! machines communicate exclusively through `Endpoint` + `Collective`,
-//! can run multiprocess: **PowerGraphSync**, **LazyBlockAsync**, and
-//! **DeltaAccum** — a worker starts its machine through the same
-//! `run_mesh_engine` entry the in-process driver uses. The async-family
-//! engines coordinate termination through shared memory and stay
-//! in-process (they still support the threaded TCP transport via
+//! Only the engines whose machines communicate exclusively through
+//! `Endpoint` + `Collective` can run multiprocess: **PowerGraphSync**,
+//! **LazyBlockAsync**, and **DeltaAccum** — a worker starts its machine
+//! through the same `run_mesh_engine` entry the in-process driver uses
+//! (DESIGN.md §17). The async-family engines and the hybrid's tail
+//! detect quiescence through shared memory and stay in-process (they
+//! still support the threaded TCP transport via
 //! `EngineConfig::with_transport`).
 //!
 //! Determinism: a multiprocess run is bitwise-identical to the in-process
@@ -263,8 +263,8 @@ pub struct MultiprocOutcome<V> {
     pub breakdown: SimBreakdown,
 }
 
-/// True if `engine` can run as separate processes: exactly the engines on
-/// the superstep skeleton, which are also the ones that can checkpoint.
+/// True if `engine` can run as separate processes: exactly the engines
+/// that vote at barriers only, which are also the ones that can checkpoint.
 pub fn multiproc_supported(engine: EngineKind) -> bool {
     snapshot_tag(engine).is_some()
 }
@@ -568,7 +568,7 @@ fn assemble_outcome<P: VertexProgram>(
         merged.merge(&stats);
         per_worker_stats.push(stats);
     }
-    let outcome = assemble(outs, job.num_vertices);
+    let outcome = assemble(outs, job.cfg.engine, job.num_vertices);
     Ok(MultiprocOutcome {
         values: outcome.values,
         iterations: outcome.iterations,

@@ -351,6 +351,7 @@ fn resuming_from_another_engines_snapshot_fails_the_run() {
             stats: Arc::new(NetStats::new()),
             breakdown: Default::default(),
             history: None,
+            quiescence: None,
         };
         let err = run_mesh_engine(&dg, &cfg, &Sssp::new(0u32), ResumeFrom(lazy_tag), &shared)
             .err()

@@ -7,10 +7,11 @@
 //! coherency points are barriered) are deterministic end-to-end: values,
 //! NetStats, and sim-time must all match bitwise at every thread count
 //! and machine count. The barrier-free engines (PowerGraphAsync,
-//! LazyVertexAsync) are only racy *across* machines — batch arrival order
-//! is scheduling — so they get the full bitwise bar at one machine, the
-//! bitwise value bar for idempotent algebras (SSSP, CC) at four machines,
-//! and a tolerance bar for PageRank at four machines.
+//! LazyVertexAsync, and the hybrid's tail) are only racy *across*
+//! machines — batch arrival order is scheduling — so they get the full
+//! bitwise bar at one machine, the bitwise value bar for idempotent
+//! algebras (SSSP, CC) at four machines, and a tolerance bar for PageRank
+//! at four machines.
 
 use lazygraph::prelude::*;
 use lazygraph_engine::TransportKind;
@@ -119,7 +120,11 @@ fn bsp_engines_bitwise_identical_across_threads_and_machines() {
 #[test]
 fn async_engines_bitwise_identical_at_one_machine() {
     let g = test_graph();
-    for engine in [EngineKind::PowerGraphAsync, EngineKind::LazyVertexAsync] {
+    for engine in [
+        EngineKind::PowerGraphAsync,
+        EngineKind::LazyVertexAsync,
+        EngineKind::PowerSwitchHybrid,
+    ] {
         assert_thread_invariant(&g, engine, 1, false, &Sssp::new(0u32), true);
         assert_thread_invariant(&g, engine, 1, false, &PageRankDelta::default(), true);
         assert_thread_invariant(&g, engine, 1, true, &ConnectedComponents, true);

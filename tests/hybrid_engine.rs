@@ -65,15 +65,59 @@ fn hybrid_switches_on_sparse_frontiers() {
     );
 }
 
+/// Values by bit pattern (`{:?}` on finite floats round-trips) plus every
+/// schedule-free counter — the fingerprint of the other bitwise matrices.
+fn fingerprint<P: VertexProgram>(g: &Graph, cfg: &EngineConfig, program: &P) -> String {
+    let r = run(g, 4, cfg, program).expect("cluster run");
+    let m = &r.metrics;
+    format!(
+        "values={:?} iters={} conv={} sim={:#x} syncs={} est_bytes={}",
+        r.values,
+        m.iterations,
+        m.converged,
+        m.sim_time.to_bits(),
+        m.global_syncs(),
+        m.stats.total_est_bytes(),
+    )
+}
+
 #[test]
 fn hybrid_threshold_zero_degenerates_to_sync() {
+    // Never switching is the Sync engine, not a second implementation of
+    // it: the whole fingerprint matches, float folds included.
+    let road = road();
+    let web = rmat(RmatConfig::weblike(10, 8, 73));
+    for threads in [1, 4] {
+        let sync = EngineConfig::powergraph_sync().with_threads(threads);
+        let mut hybrid = EngineConfig::powerswitch_hybrid().with_threads(threads);
+        hybrid.hybrid_switch_threshold = 0.0;
+        assert_eq!(
+            fingerprint(&road, &hybrid, &Sssp::new(0u32)),
+            fingerprint(&road, &sync, &Sssp::new(0u32)),
+            "sssp, threads={threads}"
+        );
+        let pagerank = PageRankDelta { tolerance: 1e-5 };
+        assert_eq!(
+            fingerprint(&web, &hybrid, &pagerank),
+            fingerprint(&web, &sync, &pagerank),
+            "pagerank, threads={threads}"
+        );
+    }
+}
+
+#[test]
+fn hybrid_capped_before_converging_reports_unconverged() {
+    // The superstep cap is the skeleton's: a BSP phase that runs into it
+    // without converging or switching did not converge, exactly as Sync.
     let g = road();
-    let mut cfg = EngineConfig::powerswitch_hybrid();
-    cfg.hybrid_switch_threshold = 0.0; // never switch
-    let hybrid = run(&g, 4, &cfg, &Sssp::new(0u32)).expect("cluster run");
-    let sync = run(&g, 4, &EngineConfig::powergraph_sync(), &Sssp::new(0u32)).expect("cluster run");
-    assert_eq!(hybrid.values, sync.values);
-    assert_eq!(hybrid.metrics.iterations, sync.metrics.iterations);
+    let mut hybrid = EngineConfig::powerswitch_hybrid();
+    hybrid.hybrid_switch_threshold = 0.0;
+    for mut cfg in [hybrid, EngineConfig::powergraph_sync()] {
+        cfg.max_iterations = 3;
+        let r = run(&g, 4, &cfg, &Sssp::new(0u32)).expect("cluster run");
+        assert!(!r.metrics.converged, "{}", r.metrics.engine);
+        assert_eq!(r.metrics.iterations, 3, "{}", r.metrics.engine);
+    }
 }
 
 #[test]

@@ -439,3 +439,41 @@ fn multiprocess_rejects_shared_memory_engines() {
         );
     }
 }
+
+/// Past the up-front rejection there is one more net: a machine started
+/// without a quiescence detector — what a worker process would be — gets
+/// a typed configuration error from the skeleton, never a hang.
+#[test]
+fn barrier_free_engines_without_a_detector_fail_typed() {
+    use lazygraph_engine::{run_mesh_engine, CommError, RunShared, ThreadedMesh};
+    use std::sync::Arc;
+
+    let g = test_graph();
+    for engine in [
+        EngineKind::PowerGraphAsync,
+        EngineKind::LazyVertexAsync,
+        EngineKind::PowerSwitchHybrid,
+    ] {
+        let mut cfg = cfg(engine);
+        cfg.hybrid_switch_threshold = 2.0; // the hybrid switches at superstep 2
+        let dg = lazygraph_partition::partition_graph(&g, 2, cfg.partition, &cfg.splitter, false);
+        let shared = RunShared {
+            coll: Arc::new(lazygraph_cluster::Collective::new(2)),
+            stats: Arc::new(lazygraph_cluster::NetStats::new()),
+            breakdown: Default::default(),
+            history: None,
+            quiescence: None,
+        };
+        let mesh = ThreadedMesh {
+            transport: TransportKind::InProc,
+            num_machines: 2,
+        };
+        let err = run_mesh_engine(&dg, &cfg, &Sssp::new(0u32), mesh, &shared).err();
+        assert_eq!(
+            err,
+            Some(CommError::NeedsSharedMemory {
+                engine: engine.name()
+            })
+        );
+    }
+}
