@@ -2,7 +2,7 @@
 //! the paper's four, structurally SSSP with unit weights.
 
 use lazygraph_engine::program::DeltaExchange;
-use lazygraph_engine::{EdgeCtx, VertexCtx, VertexProgram};
+use lazygraph_engine::{EdgeCtx, LocalOrder, VertexCtx, VertexProgram};
 use lazygraph_graph::VertexId;
 
 /// The BFS vertex program: each vertex converges to its hop distance from
@@ -76,6 +76,12 @@ impl VertexProgram for Bfs {
         } else {
             DeltaExchange::Send
         }
+    }
+
+    fn local_order(&self) -> Option<LocalOrder<u32, u32>> {
+        // Lowest improving level first (ties run together, so a local
+        // stage is level-synchronous).
+        Some(crate::smallest_improving_first::<u32>)
     }
 }
 

@@ -27,3 +27,18 @@ pub use pagerank::{PageRankData, PageRankDelta};
 pub use ppr::PersonalizedPageRank;
 pub use sssp::Sssp;
 pub use widest_path::WidestPath;
+
+/// The local order ([`lazygraph_engine::VertexProgram::local_order`]) of
+/// the min-algebra path programs (SSSP, BFS): the smallest candidate that
+/// improves on the current value first; a candidate `apply` will reject
+/// keys at `+∞`, so it clears at once without traversing an edge.
+pub(crate) fn smallest_improving_first<T: Copy + PartialOrd + Into<f64>>(
+    current: &T,
+    candidate: &T,
+) -> f64 {
+    if candidate < current {
+        -(*candidate).into()
+    } else {
+        f64::INFINITY
+    }
+}

@@ -3,7 +3,7 @@
 //! deliveries are harmless and `Inverse` is the identity.
 
 use lazygraph_engine::program::DeltaExchange;
-use lazygraph_engine::{EdgeCtx, VertexCtx, VertexProgram};
+use lazygraph_engine::{EdgeCtx, LocalOrder, VertexCtx, VertexProgram};
 use lazygraph_graph::VertexId;
 
 /// The SSSP vertex program. Distances are `f32` like edge weights.
@@ -81,6 +81,12 @@ impl VertexProgram for Sssp {
         } else {
             DeltaExchange::Send
         }
+    }
+
+    fn local_order(&self) -> Option<LocalOrder<f32, f32>> {
+        // Nearest improving candidate first — Dijkstra's order, so a local
+        // stage settles most vertices the first time it relaxes them.
+        Some(crate::smallest_improving_first::<f32>)
     }
 
     fn priority(&self, data: &f32, accum: &f32) -> f64 {

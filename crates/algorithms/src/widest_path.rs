@@ -4,7 +4,7 @@
 //! exercising a different corner of the delta contract.
 
 use lazygraph_engine::program::DeltaExchange;
-use lazygraph_engine::{EdgeCtx, VertexCtx, VertexProgram};
+use lazygraph_engine::{EdgeCtx, LocalOrder, VertexCtx, VertexProgram};
 use lazygraph_graph::VertexId;
 
 /// The widest-path vertex program: every vertex converges to the maximum,
@@ -82,6 +82,12 @@ impl VertexProgram for WidestPath {
         } else {
             DeltaExchange::Send
         }
+    }
+
+    fn local_order(&self) -> Option<LocalOrder<f32, f32>> {
+        // Widest improving candidate first (the max-heap order of the
+        // reference below); rejected candidates clear at once.
+        Some(|width, cand| if cand > width { f64::from(*cand) } else { f64::INFINITY })
     }
 }
 

@@ -33,11 +33,12 @@ use crate::interval::IntervalModel;
 use crate::machine::{Frame, Superstep, Vote};
 use crate::metrics::IterationRecord;
 use crate::parallel::ParallelCtx;
-use crate::program::{DeltaExchange, EdgeCtx, VertexProgram};
+use crate::program::{DeltaExchange, EdgeCtx, LocalOrder, VertexProgram};
 use crate::rebalance::{
     apply_structural, build_payload, install_states, membership_bitmap, plan_rebalance,
     resolve_migration, select_victims, MigContribution, StructMigration,
 };
+use crate::scheduler::{cut_most_urgent, LOCAL_MIN_BATCH, LOCAL_ORDER_FROM};
 use crate::state::{vertex_ctx, InitMessages, MachineState};
 
 /// Aggregated lazy-engine counters (identical on every machine except
@@ -193,6 +194,13 @@ pub struct LazyStep<P: VertexProgram> {
     migrations: Vec<StructMigration>,
     /// The sweep in flight's sorted worklist (capacity only between sweeps).
     worklist: Vec<u32>,
+    /// The program's local order, asked once: `None` keeps every local
+    /// sub-round a full sweep with no key ever computed; `Some` orders the
+    /// stages from `LOCAL_ORDER_FROM` on.
+    order: Option<LocalOrder<P::VData, P::Delta>>,
+    /// An ordered sub-round's `(key, local id)` scratch (capacity only
+    /// between sub-rounds; never touched without an order).
+    keyed: Vec<(f64, u32)>,
 }
 
 impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
@@ -213,6 +221,8 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
             pending_migration: None,
             migrations: Vec::new(),
             worklist: Vec::new(),
+            order: f.program.local_order(),
+            keyed: Vec::new(),
         }
     }
 
@@ -273,10 +283,14 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
         // ---- Stage 1: local computation. --------------------------------
         if self.do_local {
             let stage_start = f.clock.now();
+            let order = self.order.filter(|_| f.iterations >= LOCAL_ORDER_FROM);
             loop {
                 f.state.take_queue_into(&mut self.worklist);
                 if self.worklist.is_empty() {
                     break;
+                }
+                if let Some(key) = order {
+                    self.defer_less_urgent(&mut f.state, key);
                 }
                 // Canonical processing order: exchange batches arrive in
                 // nondeterministic interleavings, and the apply order
@@ -393,6 +407,38 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
 }
 
 impl<P: VertexProgram> LazyStep<P> {
+    /// The ordered local stage's scheduling cut (DESIGN.md §17): keeps in
+    /// `worklist` only the most urgent pending vertices
+    /// ([`cut_most_urgent`]) and pushes the rest back onto `state.queue`,
+    /// still `active` with their inboxes untouched — for the next
+    /// sub-round, or for the coherency-point sweep (which takes the whole
+    /// queue) if the stage ends first. The selected set depends only on
+    /// which vertices are pending and on their keys, so the sorted
+    /// worklist is as canonical as the full one.
+    fn defer_less_urgent(
+        &mut self,
+        state: &mut MachineState<P>,
+        key: LocalOrder<P::VData, P::Delta>,
+    ) {
+        if self.worklist.len() <= LOCAL_MIN_BATCH {
+            return;
+        }
+        self.keyed.clear();
+        self.keyed.extend(self.worklist.iter().map(|&l| {
+            // An empty inbox only deactivates: nothing to wait for.
+            let urgency = match &state.message[l as usize] {
+                Some(accum) => key(&state.vdata[l as usize], accum),
+                None => f64::INFINITY,
+            };
+            (urgency, l)
+        }));
+        let cut = cut_most_urgent(&mut self.keyed);
+        let (selected, deferred) = self.keyed.split_at(cut);
+        self.worklist.clear();
+        self.worklist.extend(selected.iter().map(|&(_, l)| l));
+        state.queue.extend(deferred.iter().map(|&(_, l)| l));
+    }
+
     /// The m2m scratch arrays are indexed by local id and must cover every
     /// local a migration appended.
     fn fit_scratch(&mut self, num_local: usize) {

@@ -59,4 +59,4 @@ pub use machine::{
     assemble, run_mesh_engine, Attach, EngineOutcome, MachineOut, RunShared, Seat, ThreadedMesh,
 };
 pub use metrics::{RunMetrics, SimBreakdown};
-pub use program::{EdgeCtx, VertexCtx, VertexProgram};
+pub use program::{EdgeCtx, LocalOrder, VertexCtx, VertexProgram};

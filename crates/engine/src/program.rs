@@ -57,6 +57,10 @@ pub enum DeltaExchange {
     Defer,
 }
 
+/// An urgency key over `(vertex value, pending accumulator)`, larger =
+/// sooner: what [`VertexProgram::local_order`] declares.
+pub type LocalOrder<V, D> = fn(&V, &D) -> f64;
+
 /// A push-style delta vertex program. Mirrors the paper's
 /// `GatherMsg / Sum / Inverse / Apply / Scatter` interface (§3.1, Fig. 3).
 ///
@@ -160,6 +164,28 @@ pub trait VertexProgram: Send + Sync + 'static {
     #[inline]
     fn priority(&self, _data: &Self::VData, _accum: &Self::Delta) -> f64 {
         f64::INFINITY
+    }
+
+    /// The order a lazy-block local stage should run this program's
+    /// pending vertices in: `Some(key)` makes the local sub-rounds of
+    /// coherency iteration
+    /// [`LOCAL_ORDER_FROM`](crate::scheduler::LOCAL_ORDER_FROM) and later
+    /// sweep only the most urgent part of their worklist
+    /// ([`cut_most_urgent`](crate::scheduler::cut_most_urgent)) — larger
+    /// `key(value, pending accumulator)` first — and leave the rest
+    /// pending. Worth declaring when a vertex run too early must run
+    /// again (monotone path programs: relaxing the nearest frontier first
+    /// is Dijkstra's order; a far vertex relaxed now is relaxed again
+    /// when the near wave reaches it). A candidate that `apply` will
+    /// reject should key at `f64::INFINITY`: it clears without traversing
+    /// an edge. The key must be a pure function of its arguments; any
+    /// `f64`, NaN included, is a valid key (`f64::total_cmp` order).
+    ///
+    /// The default, `None`, is "no order": local stages sweep everything
+    /// pending and never compute a key.
+    #[inline]
+    fn local_order(&self) -> Option<LocalOrder<Self::VData, Self::Delta>> {
+        None
     }
 
     /// Wire size of one `(vertex id, delta)` message, for traffic

@@ -23,6 +23,10 @@
 //! `⌊log₂⌋` is computed by IEEE-754 exponent extraction rather than
 //! `f64::log2` so the binning is bit-exact on every platform: for a
 //! normal `r ≥ 1`, the unbiased exponent *is* `⌊log₂ r⌋`.
+//!
+//! The lazy-block engine's scheduling cut ([`cut_most_urgent`], DESIGN.md
+//! §17) lives here too, under the same rules: a pure function of the
+//! pending set and its keys.
 
 /// Bucket index of a priority ratio `r = priority / tolerance`, for
 /// `r ≥ 1`: `⌊log₂ r⌋` via exponent extraction (exact, no libm).
@@ -163,9 +167,149 @@ impl PriorityBuckets {
     }
 }
 
+/// An ordered local stage — one of a program with a local order
+/// ([`VertexProgram::local_order`](crate::program::VertexProgram::local_order)),
+/// from coherency iteration [`LOCAL_ORDER_FROM`] on — sweeps, each
+/// sub-round, the most urgent `1 / LOCAL_CUT_DEN` of its pending vertices.
+/// Read off the measured curve (EXPERIMENTS.md, "Ordered local stages",
+/// road SSSP with every stage ordered): a narrower cut keeps shaving the
+/// simulated clock (½ → ¼ → ⅛ → 1⁄64: 2.87 → 2.53 → 2.42 → 2.35 s) but
+/// multiplies the sub-rounds, each a fixed cost on the wall clock (0.98 →
+/// 0.87 → 0.94 → 1.56 s) — the optimum is interior, at a quarter.
+pub const LOCAL_CUT_DEN: usize = 4;
+
+/// Fewest vertices an ordered sub-round sweeps, so the thin tail of a
+/// stage is not sliced into sweeps too small to pay for themselves; a
+/// worklist no longer than this runs whole, unkeyed. Same curve: the
+/// largest floor that costs the simulated clock nothing (within 0.3 % of
+/// no minimum; 2 % worse at 256, 25 % at 1024), with the wall clock flat
+/// up to 256 at a quarter and halved by it at narrower cuts.
+pub const LOCAL_MIN_BATCH: usize = 64;
+
+/// The first coherency iteration whose local stage is ordered; earlier
+/// stages sweep everything pending, as a program without an order does.
+/// This is not the optimum of a curve but the largest step
+/// `BENCHMARK.json` admits in one change. Ordering every stage is 4.6×
+/// faster still on road SSSP (`lazy_sim_s` 11.8 → 2.5 s, same section),
+/// but the contract holds `sim_speedup`'s spread across seeds to an
+/// absolute quarter of the *parent's* median (0.81), and the spread of a
+/// ratio grows with the ratio: 0.5 at the parent's 3.3×, 0.6–0.9 at 4.3×,
+/// 5.4 at 19×. Ordering the late stages first is the variance-cheap
+/// end: their number (28–44 coherency points, by seed) is what varies,
+/// and ordered they cost little each. The early stages are the long
+/// ones — the first runs the source's partition to quiescence and
+/// measures `T` — so `T` and the `3·T` bound also keep their old values.
+/// Lower it once the baseline has been re-measured on this tree.
+pub const LOCAL_ORDER_FROM: u64 = 6;
+
+/// The ordered local stage's cut: reorders `pending` — `(urgency key, local
+/// id)` pairs, any order — so the entries to sweep now come first, and
+/// returns how many they are: everything at or above the k-th largest key,
+/// `k = max(⌈len / LOCAL_CUT_DEN⌉, LOCAL_MIN_BATCH)`, ties included. Keys
+/// compare by `f64::total_cmp`, so a NaN key is an ordinary (extreme)
+/// value. Taking every tie makes the selected *set* a function of the key
+/// multiset alone — not of arrival order, block size or thread count — and
+/// lets equal-key programs (BFS levels) run level-synchronously; the
+/// caller sorts the selected ids into the canonical sweep order.
+pub fn cut_most_urgent(pending: &mut [(f64, u32)]) -> usize {
+    let k = pending.len().div_ceil(LOCAL_CUT_DEN).max(LOCAL_MIN_BATCH);
+    if k >= pending.len() {
+        return pending.len();
+    }
+    let (_, &mut (kth, _), rest) =
+        pending.select_nth_unstable_by(k - 1, |a, b| b.0.total_cmp(&a.0));
+    let mut ties = 0;
+    for i in 0..rest.len() {
+        if rest[i].0.total_cmp(&kth).is_eq() {
+            rest.swap(ties, i);
+            ties += 1;
+        }
+    }
+    k + ties
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ids(pairs: &[(f64, u32)]) -> Vec<u32> {
+        let mut ids: Vec<u32> = pairs.iter().map(|&(_, l)| l).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// The cut by its definition: full sort, then everything at or above
+    /// the k-th largest key.
+    fn cut_by_sorting(pending: &[(f64, u32)]) -> Vec<u32> {
+        let k = pending.len().div_ceil(LOCAL_CUT_DEN).max(LOCAL_MIN_BATCH);
+        let mut sorted = pending.to_vec();
+        sorted.sort_by(|a, b| b.0.total_cmp(&a.0));
+        let Some(&(kth, _)) = sorted.get(k - 1) else {
+            return ids(pending);
+        };
+        sorted.retain(|p| p.0.total_cmp(&kth).is_ge());
+        ids(&sorted)
+    }
+
+    #[test]
+    fn cut_takes_the_most_urgent_quarter_with_its_ties() {
+        // Keys with many duplicates, so some tie class straddles the k-th
+        // position and must ride along whole.
+        let n = 8 * LOCAL_MIN_BATCH as u32;
+        let mut pending: Vec<(f64, u32)> =
+            (0..n).map(|l| (f64::from(l.wrapping_mul(2654435761) % 97), l)).collect();
+        let want = cut_by_sorting(&pending);
+        assert!(want.len() > pending.len().div_ceil(LOCAL_CUT_DEN), "no tie crossed the cut");
+        assert!(want.len() < pending.len());
+        // The selected *set* is a function of the key multiset: the same
+        // whatever order the entries arrive in.
+        let mut rotated = pending.clone();
+        rotated.rotate_left(pending.len() / 3);
+        for input in [&mut pending, &mut rotated] {
+            let cut = cut_most_urgent(input);
+            assert_eq!(ids(&input[..cut]), want);
+        }
+    }
+
+    #[test]
+    fn all_equal_keys_select_the_whole_worklist() {
+        // The "no order" degenerate case: one tie class, nothing deferred.
+        let mut pending: Vec<(f64, u32)> = (0..10_000).map(|l| (f64::INFINITY, l)).collect();
+        assert_eq!(cut_most_urgent(&mut pending), pending.len());
+        assert_eq!(ids(&pending), (0..10_000).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn short_worklists_run_whole() {
+        let mut pending: Vec<(f64, u32)> =
+            (0..LOCAL_MIN_BATCH as u32).map(|l| (f64::from(l), l)).collect();
+        assert_eq!(cut_most_urgent(&mut pending), LOCAL_MIN_BATCH);
+        assert_eq!(cut_most_urgent(&mut []), 0);
+    }
+
+    #[test]
+    fn nan_keys_are_ordinary_values() {
+        // total_cmp: +NaN above +∞, −NaN below −∞. No panic, and the same
+        // cut whatever order the entries arrive in.
+        let n = 8 * LOCAL_MIN_BATCH as u32;
+        let key = |l: u32| match l % 7 {
+            0 => f64::NAN,
+            1 => -f64::NAN,
+            2 => f64::NEG_INFINITY,
+            _ => f64::from(l),
+        };
+        let mut a: Vec<(f64, u32)> = (0..n).map(|l| (key(l), l)).collect();
+        let mut b = a.clone();
+        b.reverse();
+        let want = cut_by_sorting(&a);
+        // Every +NaN key is in (they top the order), no −NaN key is.
+        assert!((0..n).filter(|l| l % 7 == 0).all(|l| want.binary_search(&l).is_ok()));
+        assert!((0..n).filter(|l| l % 7 == 1).all(|l| want.binary_search(&l).is_err()));
+        for input in [&mut a, &mut b] {
+            let cut = cut_most_urgent(input);
+            assert_eq!(ids(&input[..cut]), want);
+        }
+    }
 
     #[test]
     fn binning_boundaries() {

@@ -71,7 +71,9 @@ const FOLD_DELTA: u32 = 1 << 31;
 /// their shape from sweep to sweep, so this bounds both the segment
 /// headers (however small the block size) and how often a segment
 /// regrows. The fold order (source block, item) is the flat scatter order
-/// for any contiguous split, so the split cannot affect results.
+/// for any contiguous split, so the split cannot affect results. The fold
+/// splits the *target* blocks into as many contiguous runs per thread, for
+/// the same balance (`deliver_segments`).
 const SOURCE_BLOCKS_PER_THREAD: usize = 4;
 
 /// Retained-capacity bound of a scratch role, in multiples of the largest
@@ -120,8 +122,8 @@ pub struct Scratch<P: VertexProgram> {
     pub staging: Staging<P>,
     /// Inbound role: the exchange router's per-batch buckets.
     pub inbound: Inbound<P::Delta>,
-    /// `activated[b]`: block `b`'s newly activated vertices during a fold;
-    /// drained into the worklist before the fold returns.
+    /// `activated[t]`: the vertices fold task `t` newly activated, in
+    /// block order; drained into the worklist before the fold returns.
     activated: Vec<Vec<u32>>,
     /// Most items any single fold delivered so far.
     peak_items: usize,
@@ -290,12 +292,14 @@ impl<P: VertexProgram> MachineState<P> {
     ///
     /// The trick is ownership by *target block*: every producer bucketed
     /// its items by `l / block_size`, and each block exclusively owns its
-    /// slice of `message`/`delta_msg`/`active`, so one pool task per block
-    /// walks that block's segment of every producer in order. Every
-    /// vertex's fold therefore runs as the exact sequential reduction
-    /// regardless of schedule — float results cannot drift with the thread
-    /// count. Per-block activation lists join the worklist in block-index
-    /// order, so the worklist order is reproducible too.
+    /// slice of `message`/`delta_msg`/`active`, so a pool task owning a
+    /// contiguous run of blocks walks, block by block, that block's
+    /// segment of every producer in order. Every vertex's fold therefore
+    /// runs as the exact sequential reduction regardless of schedule —
+    /// float results cannot drift with the thread count. Per-task
+    /// activation lists, filled in block order, join the worklist in task
+    /// order — block-index order overall — so the worklist order is
+    /// reproducible too.
     ///
     /// The fold is *run-vectorized*: a maximal run of consecutive items
     /// with the same target loads the slot once, folds the run's deltas
@@ -315,40 +319,43 @@ impl<P: VertexProgram> MachineState<P> {
     ) -> Folded {
         let bs = ctx.block_size();
         let num_blocks = num_blocks(self.message.len(), bs);
-        self.scratch.activated.resize_with(num_blocks, Vec::new);
-        struct BlockWork<'a, P: VertexProgram> {
-            block: usize,
+        // One pool task per contiguous run of target blocks — as few runs
+        // per thread as a sweep has source blocks, and for the same
+        // reason: a sub-round of an ordered local stage delivers a few
+        // hundred items, and a task list (or an `activated` list) per
+        // target block would cost more than the fold itself.
+        let per_task = num_blocks.div_ceil(SOURCE_BLOCKS_PER_THREAD * ctx.threads()).max(1);
+        let span = per_task.saturating_mul(bs);
+        self.scratch.activated.resize_with(num_blocks.div_ceil(per_task), Vec::new);
+        struct FoldTask<'a, P: VertexProgram> {
+            first_block: usize,
             message: &'a mut [Option<P::Delta>],
             delta_msg: &'a mut [Option<P::Delta>],
             active: &'a mut [bool],
             newly: &'a mut Vec<u32>,
         }
-        // Sized up front: `filter` hides the length from `collect`.
-        let mut work: Vec<BlockWork<'_, P>> = Vec::with_capacity(num_blocks);
-        work.extend(
-            (self.message.chunks_mut(bs))
-                .zip(self.delta_msg.chunks_mut(bs))
-                .zip(self.active.chunks_mut(bs))
-                .zip(&mut self.scratch.activated)
-                .enumerate()
-                .filter(|(block, _)| producers.iter().any(|p| !p[*block].is_empty()))
-                .map(|(block, (((message, delta_msg), active), newly))| BlockWork {
-                    block,
-                    message,
-                    delta_msg,
-                    active,
-                    newly,
-                }),
-        );
+        let work: Vec<FoldTask<'_, P>> = (self.message.chunks_mut(span))
+            .zip(self.delta_msg.chunks_mut(span))
+            .zip(self.active.chunks_mut(span))
+            .zip(&mut self.scratch.activated)
+            .enumerate()
+            .map(|(task, (((message, delta_msg), active), newly))| FoldTask {
+                first_block: task * per_task,
+                message,
+                delta_msg,
+                active,
+                newly,
+            })
+            .collect();
         let folded: Vec<Folded> = ctx.pool().map(work, |w| {
-            let BlockWork {
-                block,
+            let FoldTask {
+                first_block,
                 message,
                 delta_msg,
                 active,
                 newly,
             } = w;
-            let base = block * bs;
+            let base = first_block * bs;
             let mut out = Folded::default();
             // Open run: (slot index, loaded-and-folded accumulator,
             // length). Kept across producers so a run continues through a
@@ -358,37 +365,39 @@ impl<P: VertexProgram> MachineState<P> {
                 message[i] = Some(acc);
                 out.runs += u64::from(n >= 2);
             };
-            for segments in producers {
-                let segment = &segments[block];
-                out.items += segment.len();
-                for &(tagged, d) in segment {
-                    let i = (tagged & !FOLD_DELTA) as usize - base;
-                    open = Some(match open.take() {
-                        Some((oi, acc, n)) if oi == i => (i, program.sum(acc, d), n + 1),
-                        prev => {
-                            if let Some(run) = prev {
-                                store(message, &mut out, run);
+            for block in first_block..(first_block + per_task).min(num_blocks) {
+                for segments in producers {
+                    let segment = &segments[block];
+                    out.items += segment.len();
+                    for &(tagged, d) in segment {
+                        let i = (tagged & !FOLD_DELTA) as usize - base;
+                        open = Some(match open.take() {
+                            Some((oi, acc, n)) if oi == i => (i, program.sum(acc, d), n + 1),
+                            prev => {
+                                if let Some(run) = prev {
+                                    store(message, &mut out, run);
+                                }
+                                if !active[i] {
+                                    active[i] = true;
+                                    newly.push(tagged & !FOLD_DELTA);
+                                }
+                                let acc = match message[i].take() {
+                                    Some(prev) => program.sum(prev, d),
+                                    None => d,
+                                };
+                                (i, acc, 1)
                             }
-                            if !active[i] {
-                                active[i] = true;
-                                newly.push(tagged & !FOLD_DELTA);
-                            }
-                            let acc = match message[i].take() {
-                                Some(prev) => program.sum(prev, d),
-                                None => d,
-                            };
-                            (i, acc, 1)
-                        }
-                    });
-                    if tagged & FOLD_DELTA != 0 {
-                        let slot = &mut delta_msg[i];
-                        *slot = Some(match slot.take() {
-                            Some(prev) => {
-                                out.delta_folds += 1;
-                                program.sum(prev, d)
-                            }
-                            None => d,
                         });
+                        if tagged & FOLD_DELTA != 0 {
+                            let slot = &mut delta_msg[i];
+                            *slot = Some(match slot.take() {
+                                Some(prev) => {
+                                    out.delta_folds += 1;
+                                    program.sum(prev, d)
+                                }
+                                None => d,
+                            });
+                        }
                     }
                 }
             }

@@ -13,7 +13,11 @@
 //! algebras (SSSP, CC) at four machines, and a tolerance bar for PageRank
 //! at four machines.
 
+mod common;
+
+use common::{road_lattice, Unordered};
 use lazygraph::prelude::*;
+use lazygraph_algorithms::WidestPath;
 use lazygraph_engine::TransportKind;
 use lazygraph_graph::generators::{rmat, RmatConfig};
 use lazygraph_graph::GraphBuilder;
@@ -401,6 +405,78 @@ fn delta_engine_skips_work_the_lazy_engine_processes() {
         delta.metrics.stats.applies,
         lazy.metrics.stats.applies
     );
+}
+
+// ---------------------------------------------------------------------------
+// Ordered local stages (DESIGN.md §17)
+// ---------------------------------------------------------------------------
+
+/// What an ordered run owes bitwise: the values, the simulated clock, and
+/// the two counters the scheduling cut moves.
+fn ordered_fingerprint<P: VertexProgram>(
+    g: &Graph,
+    machines: usize,
+    cfg: &EngineConfig,
+    program: &P,
+) -> (String, u64, u64, u64) {
+    let r = run(g, machines, cfg, program).expect("cluster run");
+    assert!(r.metrics.converged);
+    (
+        format!("{:?}", r.values),
+        r.metrics.sim_time.to_bits(),
+        r.metrics.stats.edges_processed,
+        r.metrics.local_subrounds,
+    )
+}
+
+fn assert_ordered_stage_invariant<P: VertexProgram + Copy>(g: &Graph, program: P) {
+    let name = program.name();
+    for machines in [1usize, 4, 8] {
+        let lazy = |threads| cfg(EngineKind::LazyBlockAsync, threads, false);
+        let baseline = ordered_fingerprint(g, machines, &lazy(1), &program);
+        for transport in [TransportKind::InProc, TransportKind::Tcp] {
+            for threads in [1usize, 2, 4] {
+                let c = lazy(threads).with_transport(transport);
+                assert_eq!(
+                    ordered_fingerprint(g, machines, &c, &program),
+                    baseline,
+                    "{name}: ordered lazy run diverged on {transport:?}, threads={threads}, \
+                     machines={machines}"
+                );
+            }
+        }
+        // The cut selects by key, never by position in the worklist, so
+        // the block size (which shapes activation order) cannot matter.
+        assert_eq!(
+            ordered_fingerprint(g, machines, &lazy(2).with_block_size(7), &program),
+            baseline,
+            "{name}: block size changed an ordered run at machines={machines}"
+        );
+        // Anti-vacuity, and the point of the order: the same program on
+        // the sweep-everything stage reaches the same values over more
+        // edges — so the cut really deferred work in the runs above. (One
+        // machine is one local stage from one source: BFS is already
+        // level-synchronous there, so only "no more" is owed.)
+        let unordered = ordered_fingerprint(g, machines, &lazy(1), &Unordered(program));
+        assert_eq!(unordered.0, baseline.0, "{name}: the order changed the fixpoint");
+        assert!(
+            baseline.2 < unordered.2 || (machines == 1 && baseline.2 == unordered.2),
+            "{name}, machines={machines}: ordered stage traversed {} edges, unordered {}",
+            baseline.2,
+            unordered.2
+        );
+    }
+}
+
+#[test]
+fn ordered_local_stages_bitwise_identical_across_threads_transports_and_machines() {
+    // The scheduling cut is a function of which vertices are pending and
+    // of their keys alone, so a run of a program with a local order is as
+    // schedule-free as any other lazy-block run.
+    let g = road_lattice(96, 11);
+    assert_ordered_stage_invariant(&g, Sssp::new(0u32));
+    assert_ordered_stage_invariant(&g, Bfs::new(0u32));
+    assert_ordered_stage_invariant(&g, WidestPath::new(0u32));
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@
 //! stopped firing, `reconnects == 0` fails the test rather than letting
 //! it pass vacuously.
 
+mod common;
+
 use lazygraph::multiproc::{
     run_multiprocess, run_multiprocess_with, AlgoSpec, MpOptions, MultiprocOutcome,
 };
@@ -100,11 +102,14 @@ fn kill_points(f: u64) -> Vec<u64> {
 /// victim at the first / middle / last superstep and demand a bitwise
 /// identical outcome each time.
 fn run_matrix(engine: EngineKind, workers: usize) {
-    let g = matrix_graph();
-    let base = cfg(engine);
+    run_matrix_on(&matrix_graph(), &cfg(engine), workers);
+}
+
+fn run_matrix_on(g: &Graph, base: &EngineConfig, workers: usize) {
+    let engine = base.engine;
     let spec = AlgoSpec::Sssp { source: 0 };
 
-    let oracle = run_multiprocess_with::<Sssp>(&g, workers, &base, &spec, worker_bin(), &mp_opts(None))
+    let oracle = run_multiprocess_with::<Sssp>(g, workers, base, &spec, worker_bin(), &mp_opts(None))
         .unwrap_or_else(|e| panic!("{} {workers}w oracle: {e}", engine.name()));
     assert!(
         oracle.iterations >= 3,
@@ -125,7 +130,7 @@ fn run_matrix(engine: EngineKind, workers: usize) {
     // Checkpointing must be observationally free: the same job without
     // any recovery machinery lands on the same bits.
     if workers == 4 {
-        let plain = run_multiprocess::<Sssp>(&g, workers, &base, &spec, worker_bin())
+        let plain = run_multiprocess::<Sssp>(g, workers, base, &spec, worker_bin())
             .unwrap_or_else(|e| panic!("{} {workers}w plain: {e}", engine.name()));
         assert_eq!(
             fingerprint(&plain),
@@ -137,7 +142,7 @@ fn run_matrix(engine: EngineKind, workers: usize) {
 
     for n in kill_points(oracle.iterations) {
         let opts = mp_opts(Some((VICTIM, format!("superstep:{n}"))));
-        let out = run_multiprocess_with::<Sssp>(&g, workers, &base, &spec, worker_bin(), &opts)
+        let out = run_multiprocess_with::<Sssp>(g, workers, base, &spec, worker_bin(), &opts)
             .unwrap_or_else(|e| panic!("{} {workers}w kill@{n}: {e}", engine.name()));
         assert_eq!(
             fingerprint(&out),
@@ -183,6 +188,42 @@ fn lazy_block_recovers_bitwise_2_workers() {
 #[test]
 fn lazy_block_recovers_bitwise_4_workers() {
     run_matrix(EngineKind::LazyBlockAsync, 4);
+}
+
+/// Kill/resume through *ordered* local stages (DESIGN.md §17): SSSP on a
+/// road lattice declares a local order, and the tight stage bound (a
+/// hundredth of `T`, which the first, whole-swept stage measures) stops
+/// the ordered stages — those from `LOCAL_ORDER_FROM` on — after a
+/// sub-round or two, while the cut still holds vertices deferred in the
+/// queue. Those run in that superstep's coherency sweep, so what a
+/// snapshot must carry for the resumed machine to repeat the oracle's
+/// cuts is what it always carried — the queue, the inboxes, `T` and the
+/// superstep number; the cut itself keeps no state. The fingerprint
+/// includes `local_subrounds`, which any replayed cut that differed would
+/// move.
+#[test]
+fn lazy_block_recovers_bitwise_through_cut_short_ordered_stages() {
+    let g = common::road_lattice(96, 5);
+    let bounded = |factor| {
+        cfg(EngineKind::LazyBlockAsync).with_interval(IntervalPolicy::Adaptive {
+            ev_threshold: 10.0,
+            trend_threshold: 0.07,
+            local_bound_factor: factor,
+        })
+    };
+    // Anti-vacuity, in-process: the tight bound really ends stages early
+    // (more coherency points than the paper's 3·T), and the cut really
+    // defers work on this graph at this machine count (fewer edges than
+    // the same program without its order).
+    let sssp = Sssp::new(0u32);
+    let tight = run(&g, 4, &bounded(0.01), &sssp).expect("tight run").metrics;
+    let paper = run(&g, 4, &bounded(3.0), &sssp).expect("3T run").metrics;
+    assert!(tight.coherency_points > paper.coherency_points, "the stage bound never fired");
+    let unordered =
+        run(&g, 4, &bounded(0.01), &common::Unordered(sssp)).expect("unordered run").metrics;
+    assert!(tight.stats.edges_processed < unordered.stats.edges_processed, "the cut never deferred");
+
+    run_matrix_on(&g, &bounded(0.01), 4);
 }
 
 #[test]

@@ -1,6 +1,8 @@
 //! Invariants of the measurement plumbing itself — the quantities the
 //! figures plot must obey the protocol's structure exactly.
 
+mod common;
+
 use lazygraph::prelude::*;
 use lazygraph_cluster::Phase;
 use lazygraph_graph::Dataset;
@@ -79,6 +81,32 @@ fn lazy_reduces_syncs_and_traffic_on_road(// the §5.3 headline mechanism
     assert!(
         lazy.sim_time < sync.sim_time,
         "lazy must be faster on road SSSP"
+    );
+}
+
+#[test]
+fn ordered_local_stages_traverse_fewer_edges_on_a_road_lattice() {
+    // A lazy local stage re-relaxes: swept whole, it is a Bellman-Ford wave
+    // per sub-round over every pending vertex. Relaxing the nearest
+    // pending vertices first (DESIGN.md §17) reaches the same fixpoint at
+    // the same coherency points over fewer edges, in less simulated time.
+    // (Not yet fewer than Sync's: only stages from `LOCAL_ORDER_FROM` on
+    // are ordered, and the early, long ones still do 3× Sync's work.)
+    let g = common::road_lattice(160, 7);
+    let sssp = Sssp::new(0u32);
+    let whole = run(&g, 4, &EngineConfig::lazygraph(), &common::Unordered(sssp)).expect("cluster run");
+    let ordered = run(&g, 4, &EngineConfig::lazygraph(), &sssp).expect("cluster run");
+    assert_eq!(ordered.values, whole.values);
+    let (o, w) = (&ordered.metrics, &whole.metrics);
+    assert_eq!(o.coherency_points, w.coherency_points);
+    assert_eq!(o.traffic_bytes(), w.traffic_bytes());
+    assert!(
+        o.stats.edges_processed < w.stats.edges_processed && o.sim_time < w.sim_time,
+        "ordered: {} edges, {} s; whole: {} edges, {} s",
+        o.stats.edges_processed,
+        o.sim_time,
+        w.stats.edges_processed,
+        w.sim_time
     );
 }
 
