@@ -51,8 +51,12 @@ pub const CKPT_MAGIC: u32 = 0x4b435a4c;
 /// state of their own. v4 appended the live-migration extras: the
 /// structural migration log (`migrations`, replayed onto the static shard
 /// before state restore so the resumed topology matches the snapshot's
-/// arrays) and the lazy engine's pending decision + load accumulator.
-pub const CKPT_VERSION: u32 = 4;
+/// arrays) and the lazy engine's pending decision + load accumulator. v5
+/// appended `coherency_cost_bits` and `last_sweep_bits` to the lazy extras:
+/// a budgeted local stage is rationed against the cost of the coherency
+/// point before it and predicts its first sub-round from the sweep before
+/// it, and a restart at a superstep boundary can recompute neither.
+pub const CKPT_VERSION: u32 = 5;
 /// Maximum payload bytes per checksummed chunk.
 pub const CKPT_CHUNK: usize = 1 << 20;
 
@@ -241,6 +245,12 @@ pub struct LazyResume {
     /// Traversed-edge count accumulated since the last rebalance check.
     /// Appended in v4.
     pub load_accum: u64,
+    /// Simulated cost the last coherency point was charged, bit-exact —
+    /// what the next local stage's budget is derived from. Appended in v5.
+    pub coherency_cost_bits: u64,
+    /// Simulated compute this machine's last sweep was charged, bit-exact —
+    /// the next local stage's first prediction. Appended in v5.
+    pub last_sweep_bits: u64,
 }
 
 impl Wire for LazyResume {
@@ -254,6 +264,8 @@ impl Wire for LazyResume {
         self.next_mode_m2m.encode(out);
         self.pending_migration.encode(out);
         self.load_accum.encode(out);
+        self.coherency_cost_bits.encode(out);
+        self.last_sweep_bits.encode(out);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
         Ok(LazyResume {
@@ -266,6 +278,8 @@ impl Wire for LazyResume {
             next_mode_m2m: bool::decode(r)?,
             pending_migration: Option::<(u32, u32, u64)>::decode(r)?,
             load_accum: u64::decode(r)?,
+            coherency_cost_bits: u64::decode(r)?,
+            last_sweep_bits: u64::decode(r)?,
         })
     }
 }
@@ -705,6 +719,8 @@ mod tests {
                 next_mode_m2m: true,
                 pending_migration: Some((2, 0, 4096)),
                 load_accum: 777,
+                coherency_cost_bits: 0.0445f64.to_bits(),
+                last_sweep_bits: 0.0031f64.to_bits(),
             }),
             delta: None,
             migrations: vec![StructMigration {
@@ -767,17 +783,20 @@ mod tests {
     }
 
     #[test]
-    fn v3_snapshots_are_rejected_by_version_check() {
-        // A v4 container with the version field rewritten to 3 must fail
-        // the strict equality check, not decode garbage: the appended
-        // `migrations` field makes the payloads incompatible.
+    fn older_snapshots_are_rejected_by_version_check() {
+        // A current container with the version field rewritten to an older
+        // one must fail the strict equality check, not decode garbage:
+        // every version appended fields (v4 `migrations`, v5 the stage
+        // budget's inputs), so the payloads are incompatible.
         let framed = encode_container(&sample_snapshot().to_wire());
-        let mut old = framed.clone();
-        old[4..8].copy_from_slice(&3u32.to_le_bytes());
-        assert!(matches!(
-            decode_container(&old),
-            Err(CheckpointError::BadHeader { .. })
-        ));
+        for version in [3u32, 4] {
+            let mut old = framed.clone();
+            old[4..8].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                decode_container(&old),
+                Err(CheckpointError::BadHeader { .. })
+            ));
+        }
     }
 
     #[test]

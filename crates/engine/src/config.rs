@@ -64,9 +64,15 @@ pub enum CommModePolicy {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum IntervalPolicy {
     /// The paper's input-behaviour-interval model: lazy mode turns on when
-    /// `E/V ≤ ev_threshold || trend ≥ trend_threshold`; each local stage is
-    /// bounded by `local_bound_factor · T` where `T` is the stage's first
-    /// sub-round time.
+    /// `E/V ≤ ev_threshold || trend ≥ trend_threshold`. How long a local
+    /// stage then runs depends on which side of `ev_threshold` the graph
+    /// sits ([`crate::interval`]). At or below it, the run's first local
+    /// *stage* runs to local quiescence, its duration is `T`, and every
+    /// later stage is bounded by `local_bound_factor · T` — the only branch
+    /// that reads `local_bound_factor`. Above it, every stage, the first
+    /// included, admits a sub-round only while it stays within half the
+    /// simulated cost of the previous coherency point; there is no `T`.
+    /// `ev_threshold = ∞` therefore selects the paper's bound on any graph.
     Adaptive {
         ev_threshold: f64,
         trend_threshold: f64,

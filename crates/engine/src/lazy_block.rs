@@ -15,9 +15,11 @@
 //!   restores the shared global view (§3.2). One barrier carries the
 //!   termination vote and clock synchronisation.
 //!
-//! `turnOnLazy()` and the `3T` local-stage bound implement the adaptive
-//! interval model (§4.2.1); the first iteration always runs without a
-//! local stage.
+//! `turnOnLazy()` and `doLC()` — the `3T` local-stage bound where locality
+//! is good, a budget of half the previous coherency point's cost where it
+//! is poor — implement the adaptive interval model (§4.2.1,
+//! [`crate::interval`]); the first iteration always runs without a local
+//! stage.
 
 use lazygraph_cluster::{CommError, Phase};
 use lazygraph_graph::MachineId;
@@ -29,7 +31,7 @@ use crate::checkpoint::{EngineSnapshot, LazyResume, ResumeExtras};
 use crate::comm_mode::{choose_mode, CommMode, VolumeEstimate};
 use crate::config::{CommModePolicy, EngineKind};
 use crate::exchange::{local_delta, stage_combining};
-use crate::interval::IntervalModel;
+use crate::interval::{IntervalModel, StageProgress};
 use crate::machine::{Frame, Superstep, Vote};
 use crate::metrics::IterationRecord;
 use crate::parallel::ParallelCtx;
@@ -178,8 +180,17 @@ pub struct LazyStep<P: VertexProgram> {
     own_scratch: Vec<Option<P::Delta>>,
     totals_scratch: Vec<Option<P::Delta>>,
     do_local: bool,
-    /// Duration T of the first local computation stage (§4.2.1's doLC bound).
+    /// Duration T of the first local computation stage (§4.2.1's doLC
+    /// bound); never measured when the stages are budgeted instead.
     first_stage_time: Option<f64>,
+    /// Simulated seconds the previous coherency point was charged (barrier
+    /// latency plus the collective time of its bytes; identical on every
+    /// machine) — what a budgeted local stage is rationed against.
+    coherency_cost: f64,
+    /// Simulated compute this machine's last sweep was charged, local
+    /// sub-round or coherency-point sweep alike: a budgeted stage's
+    /// prediction of what its next sub-round would cost.
+    last_sweep_cost: f64,
     /// Comm mode decided from the previous coherency point's volume
     /// estimates (one-round lag keeps the coherency stage at exactly one
     /// global synchronisation, as in the paper's Fig. 1(c)).
@@ -216,6 +227,8 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
             totals_scratch: vec![None; f.shard.num_local()],
             do_local: false,
             first_stage_time: None,
+            coherency_cost: 0.0,
+            last_sweep_cost: 0.0,
             next_mode: CommMode::AllToAll,
             my_load: 0,
             pending_migration: None,
@@ -250,6 +263,8 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
             };
             self.pending_migration = l.pending_migration;
             self.my_load = l.load_accum;
+            self.coherency_cost = f64::from_bits(l.coherency_cost_bits);
+            self.last_sweep_cost = f64::from_bits(l.last_sweep_bits);
         }
     }
 
@@ -266,6 +281,8 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
                 next_mode_m2m: self.next_mode == CommMode::MirrorsToMaster,
                 pending_migration: self.pending_migration,
                 load_accum: self.my_load,
+                coherency_cost_bits: self.coherency_cost.to_bits(),
+                last_sweep_bits: self.last_sweep_cost.to_bits(),
             }),
             delta: None,
             migrations: self.migrations.clone(),
@@ -281,34 +298,37 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
         let subrounds_at_round_start = self.counters.local_subrounds;
 
         // ---- Stage 1: local computation. --------------------------------
+        let stage_start = f.clock.now();
+        let mut stage_budget = 0.0;
         if self.do_local {
-            let stage_start = f.clock.now();
+            stage_budget = self.interval.stage_budget(self.first_stage_time, self.coherency_cost);
             let order = self.order.filter(|_| f.iterations >= LOCAL_ORDER_FROM);
-            loop {
-                f.state.take_queue_into(&mut self.worklist);
-                if self.worklist.is_empty() {
+            // `doLC()` is asked before the queue is touched, so a refused
+            // sub-round leaves it exactly as it stood — still `active`,
+            // inboxes untouched — for the coherency-point sweep.
+            while !f.state.queue.is_empty() {
+                let stage = StageProgress {
+                    subrounds: self.counters.local_subrounds - subrounds_at_round_start,
+                    elapsed: f.clock.now() - stage_start,
+                    predicted: self.last_sweep_cost,
+                };
+                if !self.interval.continue_local_stage(stage_budget, stage) {
                     break;
                 }
+                f.state.take_queue_into(&mut self.worklist);
                 if let Some(key) = order {
                     self.defer_less_urgent(&mut f.state, key);
                 }
-                // Canonical processing order: exchange batches arrive in
-                // nondeterministic interleavings, and the apply order
-                // decides which sub-round a scattered message lands in.
-                // Sorting makes the whole BSP engine bit-deterministic.
-                self.worklist.sort_unstable();
-                self.my_load += sweep(f, &self.worklist, false);
+                self.sweep_worklist(f, false);
                 self.counters.local_subrounds += 1;
-                let elapsed = f.clock.now() - stage_start;
-                if !self.interval.continue_local_stage(self.first_stage_time, elapsed) {
-                    break;
-                }
             }
-            // Record T online: the duration of this run's first local stage.
-            if self.first_stage_time.is_none() {
+            // Record T online: the duration of this run's first local
+            // stage. A budgeted run reads no `T` and measures none.
+            if self.first_stage_time.is_none() && !self.interval.budgets_stages() {
                 self.first_stage_time = Some(f.clock.now() - stage_start);
             }
         }
+        let local_stage_s = f.clock.now() - stage_start;
 
         // ---- Stage 2: data coherency. ------------------------------------
         // A pending migration forces this exchange to flush *everything*:
@@ -349,6 +369,10 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
             charge,
         )?;
         self.next_mode = choose_mode(&cfg.cost, red.est);
+        // What this coherency point cost on top of the slowest machine's
+        // clock — both terms come out of the reduction, so every machine
+        // reads the same bits.
+        self.coherency_cost = f.clock.now() - red.clock;
         if let Some(h) = &f.history {
             h.lock().push(IterationRecord {
                 iteration: f.iterations,
@@ -358,6 +382,8 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
                 local_subrounds: self.counters.local_subrounds - subrounds_at_round_start,
                 used_m2m: mode == CommMode::MirrorsToMaster,
                 sim_time: f.clock.now(),
+                local_stage_s,
+                stage_budget_s: stage_budget,
             });
         }
         if red.pending == 0 {
@@ -379,12 +405,11 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
         // deliveries (which siblings have not yet received) leak into the
         // snapshot and later suppress their own exchange.
         f.state.take_queue_into(&mut self.worklist);
-        self.worklist.sort_unstable();
         // `coherent` is only ever read by the suppression policy (the
         // volume-estimate scan and the exchange decisions both gate on
         // `delta_suppression`), so with suppression off the per-vertex
         // snapshot clone would be pure overhead — skip it.
-        self.my_load += sweep(f, &self.worklist, cfg.delta_suppression);
+        self.sweep_worklist(f, cfg.delta_suppression);
 
         // ---- Rebalance check (DESIGN.md §16). ----------------------------
         // Every `rebalance.every` barriers, allgather the per-machine
@@ -407,6 +432,19 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
 }
 
 impl<P: VertexProgram> LazyStep<P> {
+    /// Sweeps `self.worklist` in canonical order — exchange batches arrive
+    /// in nondeterministic interleavings, and the apply order decides which
+    /// sub-round a scattered message lands in, so sorting is what makes the
+    /// whole BSP engine bit-deterministic — and books the sweep: traversed
+    /// edges for the rebalance check, the clock's charge for the next
+    /// `doLC()` prediction.
+    fn sweep_worklist(&mut self, f: &mut Frame<'_, P, P::Delta>, update_coherent: bool) {
+        self.worklist.sort_unstable();
+        let before = f.clock.now();
+        self.my_load += sweep(f, &self.worklist, update_coherent);
+        self.last_sweep_cost = f.clock.now() - before;
+    }
+
     /// The ordered local stage's scheduling cut (DESIGN.md §17): keeps in
     /// `worklist` only the most urgent pending vertices
     /// ([`cut_most_urgent`]) and pushes the rest back onto `state.queue`,

@@ -54,7 +54,7 @@ pub use scheduler::{EpochPlan, PriorityBuckets};
 pub use parallel::{ParallelConfig, ParallelCtx};
 pub use driver::{run, run_on, RunResult};
 pub use lazygraph_cluster::{CommError, TransportKind};
-pub use interval::IntervalModel;
+pub use interval::{IntervalModel, StageProgress};
 pub use machine::{
     assemble, run_mesh_engine, Attach, EngineOutcome, MachineOut, RunShared, Seat, ThreadedMesh,
 };

@@ -102,6 +102,14 @@ pub struct IterationRecord {
     pub used_m2m: bool,
     /// Simulated clock at the end of the round.
     pub sim_time: f64,
+    /// Simulated seconds machine 0 spent in this round's local computation
+    /// stage (lazy only; 0 for a stage that admitted no sub-round).
+    pub local_stage_s: f64,
+    /// What the interval model allowed that stage, simulated seconds: half
+    /// the previous coherency point's cost where stages are budgeted,
+    /// `local_bound_factor · T` (infinite while `T` is being measured)
+    /// where they are not, 0 while lazy mode is off.
+    pub stage_budget_s: f64,
 }
 
 /// The outcome of one engine run.

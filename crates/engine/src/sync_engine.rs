@@ -325,10 +325,8 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
                 iteration: f.iterations,
                 pending: red.pending,
                 bytes: 0, // per-phase bytes are in NetStats
-                lazy_on: false,
-                local_subrounds: 0,
-                used_m2m: false,
                 sim_time: clock.now(),
+                ..Default::default()
             });
         }
         Ok(Vote::of(red.pending))

@@ -152,6 +152,7 @@ proptest! {
         next_mode_m2m in any::<bool>(),
         pending_migration in (any::<bool>(), any::<u32>(), any::<u32>(), any::<u64>()),
         load_accum in any::<u64>(),
+        stage_budget_bits in (any::<u64>(), any::<u64>()),
         with_delta in any::<bool>(),
         delta_counters in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         with_migration in any::<bool>(),
@@ -174,6 +175,11 @@ proptest! {
             pending_migration: pending_migration.0
                 .then_some((pending_migration.1, pending_migration.2, pending_migration.3)),
             load_accum,
+            // Arbitrary bit patterns, NaNs included: the stage budget's
+            // inputs ride as bits so a resumed `doLC()` reads what the
+            // oracle read.
+            coherency_cost_bits: stage_budget_bits.0,
+            last_sweep_bits: stage_budget_bits.1,
         });
         let delta = with_delta.then_some(DeltaResume {
             counters: LazyCounters {
@@ -251,7 +257,21 @@ proptest! {
             active: vec![true, false, true],
             queue: vec![2, 0],
             part_items: 1024,
-            lazy: None,
+            // With the lazy block, so cuts land inside every resume field
+            // up to the last ones appended (v5: the stage budget's inputs).
+            lazy: Some(LazyResume {
+                counters: LazyCounters::default(),
+                prev_active: Some(7),
+                last_trend_bits: 0.25f64.to_bits(),
+                iterations_seen: 3,
+                do_local: true,
+                first_stage_bits: None,
+                next_mode_m2m: false,
+                pending_migration: None,
+                load_accum: 11,
+                coherency_cost_bits: 0.041f64.to_bits(),
+                last_sweep_bits: 0.002f64.to_bits(),
+            }),
             delta: None,
             migrations: vec![],
         };

@@ -15,12 +15,12 @@
 
 mod common;
 
-use common::{road_lattice, Unordered};
+use common::{budget_withheld, road_lattice, slow_machines, social_rmat, Unordered};
 use lazygraph::prelude::*;
 use lazygraph_algorithms::WidestPath;
 use lazygraph_engine::TransportKind;
 use lazygraph_graph::generators::{rmat, RmatConfig};
-use lazygraph_graph::GraphBuilder;
+use lazygraph_graph::{Dataset, GraphBuilder};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 const MACHINES: [usize; 2] = [1, 4];
@@ -429,22 +429,35 @@ fn ordered_fingerprint<P: VertexProgram>(
     )
 }
 
+/// Runs `program` under `lazy(threads)` on {in-proc, TCP} × threads
+/// {1, 2, 4} and asserts every fingerprint equals the in-proc,
+/// single-threaded one, which it returns.
+fn assert_transport_thread_invariant<P: VertexProgram>(
+    g: &Graph,
+    machines: usize,
+    lazy: impl Fn(usize) -> EngineConfig,
+    program: &P,
+) -> (String, u64, u64, u64) {
+    let baseline = ordered_fingerprint(g, machines, &lazy(1), program);
+    for transport in [TransportKind::InProc, TransportKind::Tcp] {
+        for threads in [1usize, 2, 4] {
+            let c = lazy(threads).with_transport(transport);
+            assert_eq!(
+                ordered_fingerprint(g, machines, &c, program),
+                baseline,
+                "{}: lazy run diverged on {transport:?}, threads={threads}, machines={machines}",
+                program.name()
+            );
+        }
+    }
+    baseline
+}
+
 fn assert_ordered_stage_invariant<P: VertexProgram + Copy>(g: &Graph, program: P) {
     let name = program.name();
     for machines in [1usize, 4, 8] {
         let lazy = |threads| cfg(EngineKind::LazyBlockAsync, threads, false);
-        let baseline = ordered_fingerprint(g, machines, &lazy(1), &program);
-        for transport in [TransportKind::InProc, TransportKind::Tcp] {
-            for threads in [1usize, 2, 4] {
-                let c = lazy(threads).with_transport(transport);
-                assert_eq!(
-                    ordered_fingerprint(g, machines, &c, &program),
-                    baseline,
-                    "{name}: ordered lazy run diverged on {transport:?}, threads={threads}, \
-                     machines={machines}"
-                );
-            }
-        }
+        let baseline = assert_transport_thread_invariant(g, machines, lazy, &program);
         // The cut selects by key, never by position in the worklist, so
         // the block size (which shapes activation order) cannot matter.
         assert_eq!(
@@ -477,6 +490,58 @@ fn ordered_local_stages_bitwise_identical_across_threads_transports_and_machines
     assert_ordered_stage_invariant(&g, Sssp::new(0u32));
     assert_ordered_stage_invariant(&g, Bfs::new(0u32));
     assert_ordered_stage_invariant(&g, WidestPath::new(0u32));
+}
+
+// ---------------------------------------------------------------------------
+// Budgeted local stages (DESIGN.md §17, "How long a local stage runs")
+// ---------------------------------------------------------------------------
+
+fn assert_budgeted_stage_invariant<P: VertexProgram>(g: &Graph, program: &P) {
+    let name = program.name();
+    for machines in [1usize, 4, 8] {
+        let lazy = |threads| slow_machines(cfg(EngineKind::LazyBlockAsync, threads, false));
+        let baseline = assert_transport_thread_invariant(g, machines, lazy, program);
+        // Anti-vacuity, and the point of the budget: with it withheld the
+        // same run sweeps whole stages the budget would have refused — more
+        // sub-rounds, and (where there is anybody to be incoherent with)
+        // more edges. One machine runs the same sweeps under either name.
+        let withheld = ordered_fingerprint(g, machines, &budget_withheld(lazy(1)), program);
+        assert!(
+            baseline.3 < withheld.3
+                && (baseline.2 < withheld.2 || (machines == 1 && baseline.2 == withheld.2)),
+            "{name}, machines={machines}: budgeted {} sub-rounds over {} edges, withheld {} over {}",
+            baseline.3,
+            baseline.2,
+            withheld.3,
+            withheld.2
+        );
+    }
+}
+
+#[test]
+fn budgeted_local_stages_bitwise_identical_across_threads_transports_and_machines() {
+    // Every input of the budgeted `doLC()` is a simulated quantity: the
+    // coherency point's charge comes out of the bundled reduction, the
+    // stage's elapsed time and the previous sweep's charge off this
+    // machine's own `SimClock`. None of them sees the host, so a run whose
+    // stages are cut short by the budget is as schedule-free as any other.
+    let g = social_rmat(10, 5);
+    assert_budgeted_stage_invariant(&g, &PageRankDelta::default());
+
+    // SSSP declares a local order, so its budgeted stages from
+    // `LOCAL_ORDER_FROM` on are also cut — on a graph where it runs that
+    // long: an R-MAT's handful of supersteps are over first, the web
+    // analogue (E/V ≈ 25, strong locality) takes fourteen.
+    let web = Dataset::Uk2005Like.build_symmetric(0.1);
+    let sssp = Sssp::new(0u32);
+    assert_budgeted_stage_invariant(&web, &sssp);
+    // Both really are live in one stage: with the order withheld the same
+    // budgeted run reaches the same values in fewer, larger sub-rounds.
+    let lazy = slow_machines(cfg(EngineKind::LazyBlockAsync, 1, false));
+    let cut = ordered_fingerprint(&web, 4, &lazy, &sssp);
+    let whole = ordered_fingerprint(&web, 4, &lazy, &Unordered(sssp));
+    assert_eq!(cut.0, whole.0, "the order changed the fixpoint");
+    assert!(cut.3 > whole.3, "no budgeted stage was cut: {} sub-rounds vs {}", cut.3, whole.3);
 }
 
 // ---------------------------------------------------------------------------

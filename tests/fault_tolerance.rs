@@ -106,10 +106,21 @@ fn run_matrix(engine: EngineKind, workers: usize) {
 }
 
 fn run_matrix_on(g: &Graph, base: &EngineConfig, workers: usize) {
-    let engine = base.engine;
-    let spec = AlgoSpec::Sssp { source: 0 };
+    run_matrix_for::<Sssp>(g, base, &AlgoSpec::Sssp { source: 0 }, workers, kill_points);
+}
 
-    let oracle = run_multiprocess_with::<Sssp>(g, workers, base, &spec, worker_bin(), &mp_opts(None))
+/// The matrix for any program: `kills` picks the supersteps to kill the
+/// victim at from the oracle's superstep count.
+fn run_matrix_for<P: VertexProgram>(
+    g: &Graph,
+    base: &EngineConfig,
+    spec: &AlgoSpec,
+    workers: usize,
+    kills: impl Fn(u64) -> Vec<u64>,
+) {
+    let engine = base.engine;
+
+    let oracle = run_multiprocess_with::<P>(g, workers, base, spec, worker_bin(), &mp_opts(None))
         .unwrap_or_else(|e| panic!("{} {workers}w oracle: {e}", engine.name()));
     assert!(
         oracle.iterations >= 3,
@@ -130,7 +141,7 @@ fn run_matrix_on(g: &Graph, base: &EngineConfig, workers: usize) {
     // Checkpointing must be observationally free: the same job without
     // any recovery machinery lands on the same bits.
     if workers == 4 {
-        let plain = run_multiprocess::<Sssp>(g, workers, base, &spec, worker_bin())
+        let plain = run_multiprocess::<P>(g, workers, base, spec, worker_bin())
             .unwrap_or_else(|e| panic!("{} {workers}w plain: {e}", engine.name()));
         assert_eq!(
             fingerprint(&plain),
@@ -140,9 +151,9 @@ fn run_matrix_on(g: &Graph, base: &EngineConfig, workers: usize) {
         );
     }
 
-    for n in kill_points(oracle.iterations) {
+    for n in kills(oracle.iterations) {
         let opts = mp_opts(Some((VICTIM, format!("superstep:{n}"))));
-        let out = run_multiprocess_with::<Sssp>(g, workers, base, &spec, worker_bin(), &opts)
+        let out = run_multiprocess_with::<P>(g, workers, base, spec, worker_bin(), &opts)
             .unwrap_or_else(|e| panic!("{} {workers}w kill@{n}: {e}", engine.name()));
         assert_eq!(
             fingerprint(&out),
@@ -224,6 +235,65 @@ fn lazy_block_recovers_bitwise_through_cut_short_ordered_stages() {
     assert!(tight.stats.edges_processed < unordered.stats.edges_processed, "the cut never deferred");
 
     run_matrix_on(&g, &bounded(0.01), 4);
+}
+
+/// Kill/resume through *budgeted* local stages (DESIGN.md §17, "How long
+/// a local stage runs"): lazy-block PageRank on an `E/V > 10` R-MAT, on
+/// machines slow enough that the budget refuses the dense phase's
+/// sub-rounds and admits the tail's. What `doLC()` reads there that a
+/// restart at a superstep boundary cannot recompute — the cost of the
+/// coherency point before the stage, the charge of the sweep before it —
+/// rides in the snapshot (`LazyResume`, checkpoint v5); a resumed machine
+/// that read anything else would admit a different number of sub-rounds,
+/// which the fingerprint's `local_subrounds` and `sim_time` both see. The
+/// victim dies at the first budgeted superstep, at the last, and halfway
+/// between.
+fn run_budgeted_matrix(workers: usize) {
+    let g = common::social_rmat(10, 5);
+    let base = common::slow_machines(cfg(EngineKind::LazyBlockAsync));
+    let tolerance = 1e-3;
+
+    // The same job in-process (bitwise the multiprocess run, so the
+    // superstep numbers line up) says where lazy mode turns on, and that
+    // the budget is live on both sides: some stage admits nothing, some
+    // stage admits sub-rounds.
+    let mut traced = base.clone();
+    traced.record_history = true;
+    let history = run(&g, workers, &traced, &PageRankDelta { tolerance })
+        .expect("in-process run")
+        .metrics
+        .history;
+    let first_budgeted = history
+        .iter()
+        .find(|r| r.lazy_on)
+        .expect("lazy mode never turned on")
+        .iteration;
+    assert!(
+        history.iter().any(|r| r.lazy_on && r.local_subrounds == 0),
+        "the budget never refused a whole stage"
+    );
+    assert!(
+        history.iter().any(|r| r.local_subrounds > 0),
+        "the budget never admitted a sub-round"
+    );
+
+    let spec = AlgoSpec::PageRank { tolerance };
+    run_matrix_for::<PageRankDelta>(&g, &base, &spec, workers, |last| {
+        assert_eq!(last, history.len() as u64, "in-process and multiprocess runs disagree");
+        let mut ns = vec![first_budgeted, (first_budgeted + last) / 2, last];
+        ns.dedup();
+        ns
+    });
+}
+
+#[test]
+fn lazy_block_recovers_bitwise_through_budgeted_stages_2_workers() {
+    run_budgeted_matrix(2);
+}
+
+#[test]
+fn lazy_block_recovers_bitwise_through_budgeted_stages_4_workers() {
+    run_budgeted_matrix(4);
 }
 
 #[test]

@@ -111,6 +111,38 @@ fn ordered_local_stages_traverse_fewer_edges_on_a_road_lattice() {
 }
 
 #[test]
+fn budgeted_local_stages_keep_lazy_pagerank_near_syncs_work() {
+    // Where locality is poor a dense-phase sub-round is a full-graph sweep
+    // that buys less than the coherency point it postpones; bounded by
+    // `3·T` the stages ran dozens of them and lazy PageRank traversed 2.3×
+    // Sync's edges on `pr-social`. Budgeted by the coherency point's cost
+    // (DESIGN.md §17) the redundancy goes, and what lazy coherency is for
+    // stays: fewer global syncs and fewer bytes than Sync.
+    let g = common::social_rmat(12, 7);
+    let pr = PageRankDelta::default();
+    let on = |cfg| run(&g, 4, &common::slow_machines(cfg), &pr).expect("cluster run").metrics;
+    let sync = on(EngineConfig::powergraph_sync());
+    let lazy = on(EngineConfig::lazygraph());
+    let withheld = on(common::budget_withheld(EngineConfig::lazygraph()));
+    let edges = |m: &RunMetrics| m.stats.edges_processed;
+    assert!(
+        edges(&lazy) * 10 <= edges(&sync) * 11,
+        "budgeted lazy PageRank traversed {} edges, Sync {}",
+        edges(&lazy),
+        edges(&sync)
+    );
+    assert!(
+        edges(&withheld) * 10 > edges(&sync) * 15,
+        "the control lost its redundancy ({} edges, Sync {}): the bound above proves nothing",
+        edges(&withheld),
+        edges(&sync)
+    );
+    assert!(lazy.global_syncs() < sync.global_syncs());
+    assert!(lazy.traffic_bytes() < sync.traffic_bytes());
+    assert!(lazy.sim_time < sync.sim_time && lazy.sim_time < withheld.sim_time);
+}
+
+#[test]
 fn speedup_ordering_tracks_lambda() {
     // §5.3: "The lower λ of the input graph, the greater the speedup."
     let road = road();
