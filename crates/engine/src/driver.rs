@@ -61,7 +61,7 @@ pub fn run_on<P: VertexProgram>(
     let started = Instant::now();
     let mesh = ThreadedMesh {
         transport: cfg.transport,
-        num_machines: dg.num_machines,
+        shards: &dg.shards,
     };
     let shared = RunShared {
         coll: Arc::new(Collective::new(dg.num_machines)),
@@ -71,7 +71,7 @@ pub fn run_on<P: VertexProgram>(
         quiescence: Some(Quiescence::shared_memory(dg.num_machines)),
     };
     let outcome = assemble(
-        run_mesh_engine(dg, cfg, program, mesh, &shared)?,
+        run_mesh_engine(&dg.shape(), cfg, program, mesh, &shared)?,
         cfg.engine,
         dg.num_global_vertices,
     );

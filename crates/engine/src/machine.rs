@@ -18,10 +18,12 @@
 //! by Async's.
 //!
 //! [`run_mesh_engine`] is the single place a machine loop is started: the
-//! in-process driver hands it every endpoint of a threaded mesh plus a
-//! shared-memory [`Collective`] and quiescence detector; a
-//! `lazygraph-worker` process hands it the one endpoint it connected (or
-//! reconnected) plus a mesh-backed collective.
+//! in-process driver hands it every shard of the placement it holds, every
+//! endpoint of a threaded mesh, and a shared-memory [`Collective`] and
+//! quiescence detector; a `lazygraph-worker` process hands it the one
+//! shard it loaded, the one endpoint it connected (or reconnected), and a
+//! mesh-backed collective. Neither hands it a placement: a machine reads
+//! its own shard and the three scalars of a [`PlacementShape`].
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -30,12 +32,14 @@ use lazygraph_cluster::{
     build_endpoints, Collective, CommError, Endpoint, NetStats, SimClock, TransportKind,
 };
 use lazygraph_net::{NetError, Wire, WireReader};
-use lazygraph_partition::{DistributedGraph, LocalShard};
+use lazygraph_partition::{LocalShard, PlacementShape};
 use parking_lot::Mutex;
 
 use crate::async_engine::AsyncPump;
 use crate::bsp::BspSync;
-use crate::checkpoint::{checkpoint_at_barrier, EngineSnapshot, RecoveryCfg, ResumeExtras};
+use crate::checkpoint::{
+    checkpoint_at_barrier, snapshot_tag, EngineSnapshot, RecoveryCfg, ResumeExtras,
+};
 use crate::config::{EngineConfig, EngineKind};
 use crate::delta_engine::DeltaStep;
 use crate::exchange::{adapt_part_items, Port, Quiescence};
@@ -61,10 +65,10 @@ pub struct Frame<'a, P: VertexProgram, M> {
     pub num_vertices: usize,
     /// `|E| / |V|` of the whole graph (the interval model's input).
     pub ev_ratio: f64,
-    /// This machine's shard. Borrowed from the static partition until a
-    /// live migration patches it (every machine applies the identical
-    /// structural patch stream, so all copies stay consistent views of one
-    /// distributed graph).
+    /// This machine's shard, as its [`Seat`] carried it. A borrowed one
+    /// stays borrowed until a live migration patches it (every machine
+    /// applies the identical structural patch stream, so all copies stay
+    /// consistent views of one distributed graph).
     pub shard: Cow<'a, LocalShard>,
     pub pctx: ParallelCtx,
     pub state: MachineState<P>,
@@ -243,10 +247,13 @@ pub fn assemble<P: VertexProgram>(
     }
 }
 
-/// One machine this process runs: its rank, its leg of the data mesh, and
-/// its checkpoint/resume configuration.
-pub struct Seat<P: VertexProgram, T> {
+/// One machine this process runs: its rank, its shard — borrowed from a
+/// placement the process holds, or owned by a worker that loaded nothing
+/// else — its leg of the data mesh, and its checkpoint/resume
+/// configuration.
+pub struct Seat<'a, P: VertexProgram, T> {
     pub me: usize,
+    pub shard: Cow<'a, LocalShard>,
     pub ep: Endpoint<T>,
     pub recovery: RecoveryCfg<P>,
 }
@@ -254,34 +261,37 @@ pub struct Seat<P: VertexProgram, T> {
 /// How a process joins a run's data mesh. The mesh's item type is only
 /// known once [`run_mesh_engine`] has picked the engine, so joining is a
 /// generic method rather than a ready-made endpoint list.
-pub trait Attach<P: VertexProgram> {
+pub trait Attach<'a, P: VertexProgram> {
     /// Builds (or connects) the data mesh typed `T` and returns the seats
     /// this process runs.
     fn attach<T: Wire + Send + 'static>(
         self,
         stats: &Arc<NetStats>,
-    ) -> Result<Vec<Seat<P, T>>, CommError>;
+    ) -> Result<Vec<Seat<'a, P, T>>, CommError>;
 }
 
-/// Every machine of the run as a thread of this process, on a freshly
-/// built mesh of the given transport; no checkpointing. The only mesh
-/// whose [`RunShared`] can carry a [`Quiescence`].
-pub struct ThreadedMesh {
+/// Every machine of the run as a thread of this process — one per shard
+/// of a placement the process holds — on a freshly built mesh of the
+/// given transport; no checkpointing. The only mesh whose [`RunShared`]
+/// can carry a [`Quiescence`].
+pub struct ThreadedMesh<'a> {
     pub transport: TransportKind,
-    pub num_machines: usize,
+    pub shards: &'a [LocalShard],
 }
 
-impl<P: VertexProgram> Attach<P> for ThreadedMesh {
+impl<'a, P: VertexProgram> Attach<'a, P> for ThreadedMesh<'a> {
     fn attach<T: Wire + Send + 'static>(
         self,
         stats: &Arc<NetStats>,
-    ) -> Result<Vec<Seat<P, T>>, CommError> {
-        let endpoints = build_endpoints::<T>(self.transport, self.num_machines, stats)?;
+    ) -> Result<Vec<Seat<'a, P, T>>, CommError> {
+        let endpoints = build_endpoints::<T>(self.transport, self.shards.len(), stats)?;
         Ok(endpoints
             .into_iter()
+            .zip(self.shards)
             .enumerate()
-            .map(|(me, ep)| Seat {
+            .map(|(me, (ep, shard))| Seat {
                 me,
+                shard: Cow::Borrowed(shard),
                 ep,
                 recovery: RecoveryCfg::default(),
             })
@@ -302,64 +312,71 @@ pub struct RunShared {
 }
 
 /// Runs this process's machines of a run of `cfg.engine` — any of the six
-/// — and returns their outcomes in seat order. The one entry the
-/// in-process driver and the worker binary share, so a threaded run and a
-/// multiprocess run of the same job are bitwise identical by
-/// construction. An engine that needs a quiescence detector fails with
-/// [`CommError::NeedsSharedMemory`] when `shared` carries none.
-pub fn run_mesh_engine<P: VertexProgram>(
-    dg: &DistributedGraph,
+/// — over a placement of `shape` and returns their outcomes in seat order.
+/// The one entry the in-process driver and the worker binary share, so a
+/// threaded run and a multiprocess run of the same job are bitwise
+/// identical by construction. An engine that needs a quiescence detector
+/// fails with [`CommError::NeedsSharedMemory`] when `shared` carries none
+/// — here, before the data mesh exists, not at the first pump.
+pub fn run_mesh_engine<'a, P: VertexProgram>(
+    shape: &PlacementShape,
     cfg: &EngineConfig,
     program: &P,
-    mesh: impl Attach<P>,
+    mesh: impl Attach<'a, P>,
     shared: &RunShared,
 ) -> Result<Vec<MachineOut<P>>, CommError> {
+    // The engines that cannot checkpoint are the ones that pump.
+    if snapshot_tag(cfg.engine).is_none() && shared.quiescence.is_none() {
+        return Err(CommError::NeedsSharedMemory {
+            engine: cfg.engine.name(),
+        });
+    }
     match cfg.engine {
-        EngineKind::PowerGraphSync => run_seats::<P, SyncStep<P>>(dg, cfg, program, mesh, shared),
-        EngineKind::LazyBlockAsync => run_seats::<P, LazyStep<P>>(dg, cfg, program, mesh, shared),
-        EngineKind::DeltaAccum => run_seats::<P, DeltaStep>(dg, cfg, program, mesh, shared),
-        EngineKind::PowerGraphAsync => run_seats::<P, AsyncPump<P>>(dg, cfg, program, mesh, shared),
-        EngineKind::LazyVertexAsync => run_seats::<P, LazyVertexPump>(dg, cfg, program, mesh, shared),
-        EngineKind::PowerSwitchHybrid => run_seats::<P, HybridStep<P>>(dg, cfg, program, mesh, shared),
+        EngineKind::PowerGraphSync => run_seats::<P, SyncStep<P>>(shape, cfg, program, mesh, shared),
+        EngineKind::LazyBlockAsync => run_seats::<P, LazyStep<P>>(shape, cfg, program, mesh, shared),
+        EngineKind::DeltaAccum => run_seats::<P, DeltaStep>(shape, cfg, program, mesh, shared),
+        EngineKind::PowerGraphAsync => run_seats::<P, AsyncPump<P>>(shape, cfg, program, mesh, shared),
+        EngineKind::LazyVertexAsync => run_seats::<P, LazyVertexPump>(shape, cfg, program, mesh, shared),
+        EngineKind::PowerSwitchHybrid => run_seats::<P, HybridStep<P>>(shape, cfg, program, mesh, shared),
     }
 }
 
-fn run_seats<P: VertexProgram, S: Superstep<P>>(
-    dg: &DistributedGraph,
+fn run_seats<'a, P: VertexProgram, S: Superstep<P>>(
+    shape: &PlacementShape,
     cfg: &EngineConfig,
     program: &P,
-    mesh: impl Attach<P>,
+    mesh: impl Attach<'a, P>,
     shared: &RunShared,
 ) -> Result<Vec<MachineOut<P>>, CommError> {
     let seats = mesh.attach::<(u32, S::Msg)>(&shared.stats)?;
     lazygraph_cluster::try_run_machines(seats, |seat| {
-        run_machine::<P, S>(dg, cfg, program, seat, shared.clone())
+        run_machine::<P, S>(shape, cfg, program, seat, shared.clone())
     })
 }
 
 /// The superstep skeleton (module docs).
 fn run_machine<P: VertexProgram, S: Superstep<P>>(
-    dg: &DistributedGraph,
+    shape: &PlacementShape,
     cfg: &EngineConfig,
     program: &P,
-    seat: Seat<P, (u32, S::Msg)>,
+    seat: Seat<'_, P, (u32, S::Msg)>,
     shared: RunShared,
 ) -> Result<MachineOut<P>, CommError> {
     let Seat {
         me,
+        shard,
         ep,
         mut recovery,
     } = seat;
-    let shard = &dg.shards[me];
     let mut f = Frame {
         me,
         cfg,
         program,
-        num_vertices: dg.num_global_vertices,
-        ev_ratio: dg.ev_ratio,
-        shard: Cow::Borrowed(shard),
-        pctx: ParallelCtx::new(cfg.parallel(dg.num_machines)),
-        state: MachineState::init(shard, program, S::INIT, dg.num_global_vertices),
+        num_vertices: shape.num_global_vertices,
+        ev_ratio: shape.ev_ratio,
+        pctx: ParallelCtx::new(cfg.parallel(shape.num_machines)),
+        state: MachineState::init(&shard, program, S::INIT, shape.num_global_vertices),
+        shard,
         clock: SimClock::new(),
         // BspSync owns the breakdown's simulated components; the port's
         // clone is the sink for the pipelined rounds' wall-clock telemetry.

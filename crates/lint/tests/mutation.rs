@@ -115,6 +115,19 @@ fn deleting_an_encode_line_is_caught_by_l8() {
     assert_single_finding(&sources, "wire-symmetry", "do_local");
 }
 
+/// The shard file's codec lives in a different file from its struct's
+/// declaration; the pairing must still find it.
+#[test]
+fn deleting_a_shard_encode_line_is_caught_by_l8() {
+    let mut sources = workspace_sources();
+    delete_line(
+        &mut sources,
+        "partition/src/distributed/codec.rs",
+        "self.out_weights.encode(out);",
+    );
+    assert_single_finding(&sources, "wire-symmetry", "out_weights");
+}
+
 #[test]
 fn deleting_a_merge_line_is_caught_by_l9() {
     let mut sources = workspace_sources();

@@ -36,6 +36,14 @@ pub enum NetError {
         /// How many bytes remained.
         extra: usize,
     },
+    /// Every field decoded, but together they break a condition the type
+    /// keeps among them (an offset past its array, an id out of range).
+    Malformed {
+        /// The type being decoded.
+        ty: &'static str,
+        /// The violated condition.
+        detail: String,
+    },
     /// The peer closed the connection (EOF) outside a clean shutdown.
     PeerClosed,
     /// A socket read/write timed out past the configured deadline.
@@ -125,6 +133,7 @@ impl fmt::Display for NetError {
             NetError::TrailingBytes { extra } => {
                 write!(f, "frame decoded with {extra} trailing bytes")
             }
+            NetError::Malformed { ty, detail } => write!(f, "wire decode: malformed {ty}: {detail}"),
             NetError::PeerClosed => write!(f, "peer closed the connection without a shutdown frame"),
             NetError::Timeout { what } => write!(f, "timed out waiting for {what}"),
             NetError::ConnectFailed { addr, attempts, last } => {

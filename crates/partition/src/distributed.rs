@@ -13,6 +13,8 @@ use lazygraph_graph::{Graph, MachineId, VertexId};
 use crate::edge_split::SplitPlan;
 use crate::replication::Replication;
 
+mod codec;
+
 /// Transmission mode of a stored local edge (§3.3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EdgeMode {
@@ -272,7 +274,25 @@ pub struct DistributedGraph {
     pub ev_ratio: f64,
 }
 
+/// What a machine reads of the placement besides its own shard.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PlacementShape {
+    pub num_machines: usize,
+    pub num_global_vertices: usize,
+    /// `E/V` of the user-view graph (interval-model feature).
+    pub ev_ratio: f64,
+}
+
 impl DistributedGraph {
+    /// The placement's [`PlacementShape`].
+    pub fn shape(&self) -> PlacementShape {
+        PlacementShape {
+            num_machines: self.num_machines,
+            num_global_vertices: self.num_global_vertices,
+            ev_ratio: self.ev_ratio,
+        }
+    }
+
     /// The replication factor λ of the final placement (splitter-created
     /// replicas included).
     pub fn lambda(&self) -> f64 {

@@ -13,7 +13,8 @@ pub mod replication;
 pub mod vertex_cut;
 
 pub use distributed::{
-    build_distributed, validate_distributed, DistributedGraph, EdgeMode, LocalShard, NO_LOCAL,
+    build_distributed, validate_distributed, DistributedGraph, EdgeMode, LocalShard,
+    PlacementShape, NO_LOCAL,
 };
 pub use edge_split::{apply_hub_fanout, plan_split, HubFanoutConfig, SplitPlan, SplitterConfig};
 pub use replication::Replication;

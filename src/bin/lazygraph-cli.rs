@@ -338,6 +338,13 @@ fn mp_run<P: VertexProgram>(
             out.stats.snapshot_bytes, out.stats.reconnects, out.stats.replay_rounds,
         );
     }
+    println!(
+        "shards: {} files, {} bytes shipped (largest {}), partitioned in {:.3} s",
+        out.shard_bytes.len(),
+        out.shard_bytes.iter().sum::<u64>(),
+        out.shard_bytes.iter().max().copied().unwrap_or(0),
+        out.partition_time.as_secs_f64(),
+    );
     print_skew(&out.stats);
     out.values
 }

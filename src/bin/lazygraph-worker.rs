@@ -1,19 +1,23 @@
-//! One machine of a multiprocess LazyGraph run (DESIGN.md §10).
+//! One machine of a multiprocess run (DESIGN.md §10).
 //!
 //! Spawned by [`lazygraph::multiproc::run_multiprocess`] (or the CLI's
 //! `--multiprocess` flag) as `lazygraph-worker --job J --me I --out R`:
-//! decodes the Wire-encoded [`WorkerJob`], deterministically rebuilds and
-//! re-partitions the graph (so all workers agree on placement without
-//! shipping shard structures), joins the control and data TCP meshes over
-//! loopback, runs its machine through the shared `run_mesh_engine` entry,
-//! and writes its Wire-encoded result — `MachineOut ++ StatsSnapshot ++
-//! SimBreakdown` — to the output path.
+//! decodes the Wire-encoded [`WorkerJob`] and the one shard file the
+//! launcher wrote for rank I beside it — the only part of the graph this
+//! process ever holds — checks the shard against the job's placement
+//! shape, drops the file bytes, joins the control and data TCP meshes
+//! over loopback, runs its machine through the shared `run_mesh_engine`
+//! entry, and writes its Wire-encoded result — `MachineOut ++
+//! StatsSnapshot ++ SimBreakdown` — to the output path. A `--resume`
+//! respawn reads the same pristine shard file; the snapshot's structural
+//! patches are replayed onto it inside the engine.
 //!
 //! Exit status 0 means the result file is complete; any failure prints to
 //! stderr and exits 1, which the launcher surfaces as
 //! `MultiprocError::Worker`. A worker dying mid-run poisons its peers'
 //! mesh legs, so the whole gang fails fast instead of hanging.
 
+use std::borrow::Cow;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -21,16 +25,15 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use lazygraph::multiproc::{multiproc_supported, AlgoSpec, WorkerJob};
+use lazygraph::multiproc::{load_shard, multiproc_supported, AlgoSpec, WorkerJob};
 use lazygraph_algorithms::{Bfs, ConnectedComponents, KCore, PageRankDelta, Sssp, WidestPath};
 use lazygraph_cluster::{
     connect_tcp_endpoint, reconnect_tcp_endpoint, Collective, CommError, NetStats,
 };
 use lazygraph_engine::checkpoint::{RecoveryCfg, SnapshotStore};
 use lazygraph_engine::{run_mesh_engine, Attach, RunShared, Seat, SimBreakdown, VertexProgram};
-use lazygraph_graph::{Edge, GraphBuilder, VertexId};
 use lazygraph_net::{TcpOptions, Wire};
-use lazygraph_partition::partition_graph_with;
+use lazygraph_partition::LocalShard;
 
 fn main() -> ExitCode {
     match real_main() {
@@ -90,10 +93,10 @@ fn real_main() -> Result<(), String> {
     let bytes = std::fs::read(&args.job)
         .map_err(|e| format!("reading job file {}: {e}", args.job.display()))?;
     let job = WorkerJob::from_wire(&bytes).map_err(|e| format!("decoding job: {e}"))?;
-    if args.me >= job.num_machines {
+    if args.me >= job.shape.num_machines {
         return Err(format!(
             "--me {} out of range for {} machines",
-            args.me, job.num_machines
+            args.me, job.shape.num_machines
         ));
     }
     match job.algo.clone() {
@@ -113,25 +116,26 @@ fn parse_addrs(addrs: &[String]) -> Result<Vec<SocketAddr>, String> {
         .collect()
 }
 
-/// This worker's leg of the data mesh: connected fresh, or — for a
-/// resumed worker — reconnected at the snapshot's data-round watermark
-/// (`None`, crashed before the first checkpoint, means a fresh start at
-/// watermark 0; peers still hold their full replay logs in that case,
-/// because log pruning only ever happens at a completed checkpoint
-/// barrier).
+/// This worker's seat: the shard it loaded and its leg of the data mesh,
+/// connected fresh, or — for a resumed worker — reconnected at the
+/// snapshot's data-round watermark (`None`, crashed before the first
+/// checkpoint, means a fresh start at watermark 0; peers still hold their
+/// full replay logs in that case, because log pruning only ever happens at
+/// a completed checkpoint barrier).
 struct WorkerSeat<'a, P: VertexProgram> {
     me: usize,
+    shard: LocalShard,
     addrs: &'a [SocketAddr],
     opts: &'a TcpOptions,
     resume: bool,
     recovery: RecoveryCfg<P>,
 }
 
-impl<P: VertexProgram> Attach<P> for WorkerSeat<'_, P> {
+impl<P: VertexProgram> Attach<'static, P> for WorkerSeat<'_, P> {
     fn attach<T: Wire + Send + 'static>(
         self,
         stats: &Arc<NetStats>,
-    ) -> Result<Vec<Seat<P, T>>, CommError> {
+    ) -> Result<Vec<Seat<'static, P, T>>, CommError> {
         let ep = if self.resume {
             let round = self.recovery.resume.as_ref().map_or(0, |s| s.data_round);
             reconnect_tcp_endpoint::<T>(self.me, self.addrs, round, stats, self.opts)
@@ -140,6 +144,7 @@ impl<P: VertexProgram> Attach<P> for WorkerSeat<'_, P> {
         }?;
         Ok(vec![Seat {
             me: self.me,
+            shard: Cow::Owned(self.shard),
             ep,
             recovery: self.recovery,
         }])
@@ -158,25 +163,9 @@ fn run_worker<P: VertexProgram>(job: &WorkerJob, args: Args, program: P) -> Resu
     }
     let data_addrs = parse_addrs(&job.data_addrs)?;
     let ctrl_addrs = parse_addrs(&job.ctrl_addrs)?;
-
-    // Rebuild the graph exactly: same vertex count, same edge order, same
-    // weight bit patterns — then the deterministic partitioner puts every
-    // worker in agreement on placement.
-    let mut builder = GraphBuilder::new(job.num_vertices);
-    builder.extend(job.edges.iter().map(|&(s, d, w)| Edge {
-        src: VertexId(s),
-        dst: VertexId(d),
-        weight: w,
-    }));
-    let graph = builder.build();
-    let dg = partition_graph_with(
-        &graph,
-        job.num_machines,
-        cfg.partition,
-        &cfg.splitter,
-        &cfg.hub_fanout,
-        cfg.bidirectional,
-    );
+    // The only part of the graph this process holds; its file bytes are
+    // dropped before a mesh is dialled.
+    let shard = load_shard(&args.job, me, &job.shape).map_err(|e| e.to_string())?;
 
     let stats = Arc::new(NetStats::default());
     let breakdown = Arc::new(Mutex::new(SimBreakdown::default()));
@@ -208,6 +197,7 @@ fn run_worker<P: VertexProgram>(job: &WorkerJob, args: Args, program: P) -> Resu
     .map_err(|e| format!("control mesh: {e}"))?;
     let seat = WorkerSeat {
         me,
+        shard,
         addrs: &data_addrs,
         opts: &opts,
         resume: args.resume,
@@ -225,7 +215,7 @@ fn run_worker<P: VertexProgram>(job: &WorkerJob, args: Args, program: P) -> Resu
         // One machine per process: nothing to detect quiescence through.
         quiescence: None,
     };
-    let out = run_mesh_engine(&dg, cfg, &program, seat, &shared)
+    let out = run_mesh_engine(&job.shape, cfg, &program, seat, &shared)
         .map_err(|e| format!("{} machine {me}: {e}", cfg.engine.name()))?
         .pop()
         .ok_or("the engine returned no machine outcome")?;

@@ -2,15 +2,20 @@
 //! one engine round-trip across N **separate OS processes** connected by
 //! the framed-TCP mesh over loopback.
 //!
-//! The launcher serialises a [`WorkerJob`] — the full edge list (weights
-//! as exact IEEE-754 bit patterns), the [`EngineConfig`], and
-//! the socket addresses of both meshes — spawns N `lazygraph-worker`
-//! processes, and collects each worker's Wire-encoded result file: its
-//! per-machine outcome, its `NetStats` snapshot (with *measured* frame
-//! bytes, since every exchange crossed a real socket), and its simulated
-//! time breakdown. Every worker deterministically re-partitions the same
-//! graph, so all processes agree on the placement without shipping shard
-//! structures.
+//! The launcher places the graph **once**, then writes two kinds of file
+//! into the run's scratch directory: `job.bin`, a [`WorkerJob`] — the
+//! [`EngineConfig`], the socket addresses of both meshes and the three
+//! scalars of the placement's shape, a few hundred bytes whatever the
+//! graph — and one `shard-<rank>.bin` per machine, that machine's
+//! `LocalShard` on the `Wire` codec (floats as exact IEEE-754 bit
+//! patterns). It spawns N `lazygraph-worker` processes, each of which
+//! reads the job and *its own* shard file and nothing else of the graph,
+//! and collects each worker's Wire-encoded result file: its per-machine
+//! outcome, its `NetStats` snapshot (with *measured* frame bytes, since
+//! every exchange crossed a real socket), and its simulated time
+//! breakdown. The shards are files rather than a stream because a
+//! respawned worker reads its pristine shard again before it replays its
+//! snapshot's structural patches onto it (DESIGN.md §12).
 //!
 //! Two meshes per run: a control mesh (`Endpoint<u8>`) backing the
 //! mesh-based [`Collective`] (barriers/allreduce), and a data mesh typed
@@ -35,6 +40,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use lazygraph_cluster::StatsSnapshot;
 use lazygraph_engine::lazy_block::LazyCounters;
@@ -43,6 +49,7 @@ use lazygraph_engine::{
 };
 use lazygraph_graph::Graph;
 use lazygraph_net::{NetError, Wire, WireReader};
+use lazygraph_partition::{partition_graph_with, LocalShard, PlacementShape};
 
 /// Which vertex program a worker process should instantiate. The launcher
 /// and worker agree on this enum; the generic `P` of [`run_multiprocess`]
@@ -125,10 +132,10 @@ impl Wire for AlgoSpec {
     }
 }
 
-/// Everything one worker process needs to run its machine: the graph (as
-/// the exact edge list), the engine configuration, and the two mesh
-/// address lists. Written Wire-encoded to a job file read by every
-/// worker.
+/// Everything one worker process needs to run its machine except its
+/// shard: the engine configuration, the two mesh address lists and the
+/// shape of the placement. Written Wire-encoded to a job file read by
+/// every worker; its size does not depend on the graph.
 #[derive(Clone, Debug)]
 pub struct WorkerJob {
     /// The run's configuration. `threads_per_machine` is already resolved
@@ -138,15 +145,13 @@ pub struct WorkerJob {
     /// process-local).
     pub cfg: EngineConfig,
     pub algo: AlgoSpec,
-    pub num_machines: usize,
+    /// The placement every worker's shard must be a part of: machine
+    /// count, global vertex count, `|E| / |V|`.
+    pub shape: PlacementShape,
     /// Data-mesh socket addresses, one per machine (`127.0.0.1:port`).
     pub data_addrs: Vec<String>,
     /// Control-mesh socket addresses backing the collective.
     pub ctrl_addrs: Vec<String>,
-    pub num_vertices: usize,
-    /// `(src, dst, weight)` in the launcher graph's edge order; weights
-    /// cross as bit patterns so the rebuilt graph is identical.
-    pub edges: Vec<(u32, u32, f32)>,
     /// Snapshot every K supersteps (0 = checkpointing off, PR 4 fail-fast
     /// behaviour).
     pub checkpoint_every: u64,
@@ -161,11 +166,11 @@ impl Wire for WorkerJob {
     fn encode(&self, out: &mut Vec<u8>) {
         self.cfg.encode(out);
         self.algo.encode(out);
-        (self.num_machines as u64).encode(out);
+        (self.shape.num_machines as u64).encode(out);
+        (self.shape.num_global_vertices as u64).encode(out);
+        self.shape.ev_ratio.encode(out);
         self.data_addrs.encode(out);
         self.ctrl_addrs.encode(out);
-        (self.num_vertices as u64).encode(out);
-        self.edges.encode(out);
         self.checkpoint_every.encode(out);
         self.checkpoint_dir.encode(out);
         self.rejoin_window_ms.encode(out);
@@ -175,16 +180,23 @@ impl Wire for WorkerJob {
         Ok(WorkerJob {
             cfg: EngineConfig::decode(r)?,
             algo: AlgoSpec::decode(r)?,
-            num_machines: u64::decode(r)? as usize,
+            shape: PlacementShape {
+                num_machines: u64::decode(r)? as usize,
+                num_global_vertices: u64::decode(r)? as usize,
+                ev_ratio: f64::decode(r)?,
+            },
             data_addrs: Vec::<String>::decode(r)?,
             ctrl_addrs: Vec::<String>::decode(r)?,
-            num_vertices: u64::decode(r)? as usize,
-            edges: Vec::<(u32, u32, f32)>::decode(r)?,
             checkpoint_every: u64::decode(r)?,
             checkpoint_dir: String::decode(r)?,
             rejoin_window_ms: u64::decode(r)?,
         })
     }
+}
+
+/// Where machine `me`'s shard file lives: beside the job file.
+pub fn shard_path(job_path: &Path, me: usize) -> PathBuf {
+    job_path.with_file_name(format!("shard-{me}.bin"))
 }
 
 /// Fault-tolerance knobs for a multiprocess launch. `Default` is the
@@ -214,7 +226,8 @@ pub enum MultiprocError {
     UnsupportedEngine(&'static str),
     /// Filesystem / process-spawn failure.
     Io(String),
-    /// A worker's job or result bytes failed to decode.
+    /// A job, shard or result file failed to decode (or a shard does not
+    /// fit the job it was loaded for).
     Decode(String),
     /// A worker process exited unsuccessfully; carries its stderr.
     Worker { me: usize, detail: String },
@@ -261,6 +274,12 @@ pub struct MultiprocOutcome<V> {
     pub per_worker_stats: Vec<StatsSnapshot>,
     /// Worker 0's simulated-time breakdown (the only recorder).
     pub breakdown: SimBreakdown,
+    /// Size of the `job.bin` the launcher wrote.
+    pub job_bytes: u64,
+    /// Size of each machine's shard file, indexed by machine.
+    pub shard_bytes: Vec<u64>,
+    /// How long the launcher's one placement took.
+    pub partition_time: Duration,
 }
 
 /// True if `engine` can run as separate processes: exactly the engines
@@ -328,6 +347,26 @@ pub fn run_multiprocess_with<P: VertexProgram>(
         return Err(MultiprocError::UnsupportedEngine(cfg.engine.name()));
     }
     let n = num_machines.max(1);
+    let started = Instant::now();
+    // Only the shards outlive this block; the placement's replica table
+    // is the launcher's to drop.
+    let (shape, shards) = {
+        let dg = partition_graph_with(
+            graph,
+            n,
+            cfg.partition,
+            &cfg.splitter,
+            &cfg.hub_fanout,
+            cfg.bidirectional,
+        );
+        (dg.shape(), dg.shards)
+    };
+    let partition_time = started.elapsed();
+    // Both meshes' ports out of one reservation: two would each release
+    // their listeners, and the second could be handed a port of the first
+    // (one launch in a thousand, and the gang then fails at its handshakes).
+    let mut data_addrs = alloc_loopback_addrs(2 * n)?;
+    let ctrl_addrs = data_addrs.split_off(n);
     let mut job = WorkerJob {
         cfg: EngineConfig {
             threads_per_machine: cfg.resolve_threads(n),
@@ -335,14 +374,9 @@ pub fn run_multiprocess_with<P: VertexProgram>(
             ..cfg.clone()
         },
         algo: spec.clone(),
-        num_machines: n,
-        data_addrs: alloc_loopback_addrs(n)?,
-        ctrl_addrs: alloc_loopback_addrs(n)?,
-        num_vertices: graph.num_vertices(),
-        edges: graph
-            .edges()
-            .map(|e| (e.src.0, e.dst.0, e.weight))
-            .collect(),
+        shape,
+        data_addrs,
+        ctrl_addrs,
         checkpoint_every: opts.checkpoint_every,
         checkpoint_dir: String::new(),
         rejoin_window_ms: if opts.checkpoint_every > 0 && opts.rejoin_window_ms == 0 {
@@ -363,10 +397,61 @@ pub fn run_multiprocess_with<P: VertexProgram>(
         std::fs::create_dir_all(&ckpt).map_err(|e| io_err("creating checkpoint dir", e))?;
         job.checkpoint_dir = ckpt.to_string_lossy().into_owned();
     }
-    let outcome = launch_in(&dir, &job, worker_bin, opts)
-        .and_then(|result_files| assemble_outcome::<P>(&job, result_files));
+    let outcome = ship(&dir, &job, shards).and_then(|(job_bytes, shard_bytes)| {
+        let result_files = launch_in(&dir, &job, worker_bin, opts)?;
+        assemble_outcome::<P>(&job, result_files, job_bytes, shard_bytes, partition_time)
+    });
     let _ = std::fs::remove_dir_all(&dir); // best-effort cleanup
     outcome
+}
+
+/// Writes `job.bin` and, consuming the placement one shard at a time
+/// through one reused buffer, each machine's shard file beside it. Returns
+/// the job file's size and every shard file's.
+fn ship(
+    dir: &Path,
+    job: &WorkerJob,
+    shards: Vec<LocalShard>,
+) -> Result<(u64, Vec<u64>), MultiprocError> {
+    let job_path = dir.join("job.bin");
+    let mut buf = job.to_wire();
+    std::fs::write(&job_path, &buf).map_err(|e| io_err("writing job file", e))?;
+    let job_bytes = buf.len() as u64;
+    let mut shard_bytes = Vec::with_capacity(shards.len());
+    for (me, shard) in shards.into_iter().enumerate() {
+        buf.clear();
+        shard.encode(&mut buf);
+        std::fs::write(shard_path(&job_path, me), &buf)
+            .map_err(|e| io_err("writing shard file", e))?;
+        shard_bytes.push(buf.len() as u64);
+    }
+    Ok((job_bytes, shard_bytes))
+}
+
+/// The other end of [`ship`]: reads machine `me`'s shard file from beside
+/// the job file, decodes it and checks it is that machine's part of a
+/// placement of `shape`. The file bytes are gone when this returns.
+pub fn load_shard(
+    job_path: &Path,
+    me: usize,
+    shape: &PlacementShape,
+) -> Result<LocalShard, MultiprocError> {
+    let path = shard_path(job_path, me);
+    let started = Instant::now();
+    let bytes = std::fs::read(&path).map_err(|e| io_err("reading shard file", e))?;
+    let shard = LocalShard::from_wire(&bytes)
+        .and_then(|shard| shard.check_fits(me, shape).map(|()| shard))
+        .map_err(|e| MultiprocError::Decode(format!("shard file {}: {e}", path.display())))?;
+    if std::env::var_os("LAZYGRAPH_MP_DEBUG").is_some() {
+        eprintln!(
+            "worker {me}: shard of {} B decoded to {} locals, {} edges in {:.3}s",
+            bytes.len(),
+            shard.num_local(),
+            shard.num_local_edges(),
+            started.elapsed().as_secs_f64()
+        );
+    }
+    Ok(shard)
 }
 
 /// Spawns one worker process. `resume` adds `--resume` (load the latest
@@ -401,10 +486,10 @@ fn spawn_worker(
     cmd.spawn()
 }
 
-/// Writes the job file, spawns the workers, supervises them to completion
-/// (respawning crashed ones with `--resume` while `opts.respawn_budget`
-/// lasts and checkpointing is on), and returns the raw result bytes per
-/// machine.
+/// Spawns the workers on the files [`ship`] wrote, supervises them to
+/// completion (respawning crashed ones with `--resume` while
+/// `opts.respawn_budget` lasts and checkpointing is on), and returns the
+/// raw result bytes per machine.
 fn launch_in(
     dir: &Path,
     job: &WorkerJob,
@@ -412,12 +497,11 @@ fn launch_in(
     opts: &MpOptions,
 ) -> Result<Vec<Vec<u8>>, MultiprocError> {
     let job_path = dir.join("job.bin");
-    std::fs::write(&job_path, job.to_wire()).map_err(|e| io_err("writing job file", e))?;
-    let out_paths: Vec<PathBuf> = (0..job.num_machines)
+    let out_paths: Vec<PathBuf> = (0..job.shape.num_machines)
         .map(|i| dir.join(format!("result-{i}.bin")))
         .collect();
 
-    let mut children: Vec<Option<std::process::Child>> = Vec::with_capacity(job.num_machines);
+    let mut children: Vec<Option<std::process::Child>> = Vec::with_capacity(job.shape.num_machines);
     for (me, out_path) in out_paths.iter().enumerate() {
         let failpoint = opts
             .failpoint
@@ -445,13 +529,13 @@ fn launch_in(
     // budget lasts; the survivors hold the torn links in their rejoin
     // windows until the restarted worker dials back in.
     let mut failures: Vec<(usize, String)> = Vec::new();
-    let mut done = vec![false; job.num_machines];
+    let mut done = vec![false; job.shape.num_machines];
     let mut respawns_left = opts.respawn_budget;
     let recovery_on = job.checkpoint_every > 0 && job.rejoin_window_ms > 0;
     let debug = std::env::var_os("LAZYGRAPH_MP_DEBUG").is_some();
     while done.iter().any(|d| !d) {
         let mut progressed = false;
-        for me in 0..job.num_machines {
+        for me in 0..job.shape.num_machines {
             if done[me] {
                 continue;
             }
@@ -499,7 +583,7 @@ fn launch_in(
                 respawns_left -= 1;
                 if debug {
                     eprintln!(
-                        "[launcher] worker {me} died (exit {:?}): respawning with --resume",
+                        "[launcher] worker {me} died (exit {:?}: {stderr}): respawning with --resume",
                         out.status.code()
                     );
                 }
@@ -550,6 +634,9 @@ fn launch_in(
 fn assemble_outcome<P: VertexProgram>(
     job: &WorkerJob,
     result_files: Vec<Vec<u8>>,
+    job_bytes: u64,
+    shard_bytes: Vec<u64>,
+    partition_time: Duration,
 ) -> Result<MultiprocOutcome<P::VData>, MultiprocError> {
     let mut outs: Vec<MachineOut<P>> = Vec::with_capacity(result_files.len());
     let mut per_worker_stats = Vec::with_capacity(result_files.len());
@@ -568,7 +655,7 @@ fn assemble_outcome<P: VertexProgram>(
         merged.merge(&stats);
         per_worker_stats.push(stats);
     }
-    let outcome = assemble(outs, job.cfg.engine, job.num_vertices);
+    let outcome = assemble(outs, job.cfg.engine, job.shape.num_global_vertices);
     Ok(MultiprocOutcome {
         values: outcome.values,
         iterations: outcome.iterations,
@@ -578,6 +665,9 @@ fn assemble_outcome<P: VertexProgram>(
         stats: merged,
         per_worker_stats,
         breakdown,
+        job_bytes,
+        shard_bytes,
+        partition_time,
     })
 }
 
@@ -589,11 +679,13 @@ mod tests {
         WorkerJob {
             cfg: EngineConfig::lazygraph().with_threads(2).with_pipeline(true),
             algo: AlgoSpec::PageRank { tolerance: 1e-3 },
-            num_machines: 3,
+            shape: PlacementShape {
+                num_machines: 3,
+                num_global_vertices: 7,
+                ev_ratio: 0.1 + 0.2, // not a round bit pattern
+            },
             data_addrs: vec!["127.0.0.1:4000".into(); 3],
             ctrl_addrs: vec!["127.0.0.1:5000".into(); 3],
-            num_vertices: 7,
-            edges: vec![(0, 1, 1.5), (1, 2, 0.25), (6, 0, 3.0)],
             checkpoint_every: 4,
             checkpoint_dir: "/tmp/lz-ckpt".into(),
             rejoin_window_ms: 15_000,

@@ -5,6 +5,7 @@
 //! corruption of any single byte — must surface a typed
 //! [`CheckpointError`], never a panic and never silently-wrong bytes.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -19,7 +20,7 @@ use lazygraph_engine::lazy_block::LazyCounters;
 use lazygraph_engine::rebalance::{StructMigration, StructVertex};
 use lazygraph_engine::{run_mesh_engine, Attach, EngineConfig, EngineKind, RunShared, Seat};
 use lazygraph_net::Wire;
-use lazygraph_partition::partition_graph;
+use lazygraph_partition::{partition_graph, LocalShard};
 
 // ---------------------------------------------------------------------------
 // Container laws
@@ -343,15 +344,16 @@ fn engine_tag_check_is_typed_and_exact() {
 /// failed run, in release builds too, not a `debug_assert`.
 #[test]
 fn resuming_from_another_engines_snapshot_fails_the_run() {
-    struct ResumeFrom(u8);
-    impl Attach<Sssp> for ResumeFrom {
+    struct ResumeFrom<'a>(u8, &'a LocalShard);
+    impl<'a> Attach<'a, Sssp> for ResumeFrom<'a> {
         fn attach<T: Wire + Send + 'static>(
             self,
             stats: &Arc<NetStats>,
-        ) -> Result<Vec<Seat<Sssp, T>>, CommError> {
+        ) -> Result<Vec<Seat<'a, Sssp, T>>, CommError> {
             let ep = build_endpoints::<T>(TransportKind::InProc, 1, stats)?.remove(0);
             Ok(vec![Seat {
                 me: 0,
+                shard: Cow::Borrowed(self.1),
                 ep,
                 recovery: RecoveryCfg {
                     every: 0,
@@ -373,7 +375,8 @@ fn resuming_from_another_engines_snapshot_fails_the_run() {
             history: None,
             quiescence: None,
         };
-        let err = run_mesh_engine(&dg, &cfg, &Sssp::new(0u32), ResumeFrom(lazy_tag), &shared)
+        let mesh = ResumeFrom(lazy_tag, &dg.shards[0]);
+        let err = run_mesh_engine(&dg.shape(), &cfg, &Sssp::new(0u32), mesh, &shared)
             .err()
             .unwrap_or_else(|| panic!("{} resumed from a lazy-block snapshot", engine.name()));
         let text = err.to_string();

@@ -1,0 +1,191 @@
+//! The shipped-shard protocol and its footprint (DESIGN.md §10), in
+//! bytes rather than RSS so the assertions are deterministic: the job
+//! file is a header whose size does not depend on the graph, a shard file
+//! is its own arrays and shrinks with the machine count, a respawned
+//! worker reads the same shard file again, and a worker handed a shard
+//! that is not its part of the job's placement exits before it dials
+//! anything.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+use lazygraph::multiproc::{
+    run_multiprocess_with, shard_path, AlgoSpec, MpOptions, MultiprocOutcome, WorkerJob,
+};
+use lazygraph::prelude::*;
+use lazygraph_graph::generators::{rmat, RmatConfig};
+use lazygraph_net::Wire;
+use lazygraph_partition::{partition_graph_with, DistributedGraph};
+
+fn worker_bin() -> &'static Path {
+    Path::new(env!("CARGO_BIN_EXE_lazygraph-worker"))
+}
+
+fn cfg() -> EngineConfig {
+    EngineConfig::lazygraph().with_threads(1)
+}
+
+fn place(g: &Graph, machines: usize) -> DistributedGraph {
+    let cfg = cfg();
+    partition_graph_with(
+        g,
+        machines,
+        cfg.partition,
+        &cfg.splitter,
+        &cfg.hub_fanout,
+        cfg.bidirectional,
+    )
+}
+
+fn sssp(g: &Graph, machines: usize, opts: &MpOptions) -> MultiprocOutcome<f32> {
+    let spec = AlgoSpec::Sssp { source: 0 };
+    run_multiprocess_with::<Sssp>(g, machines, &cfg(), &spec, worker_bin(), opts)
+        .unwrap_or_else(|e| panic!("{machines} workers: {e}"))
+}
+
+/// Runs SSSP on `g` and holds what the launcher shipped to the bound a
+/// shard's own arrays allow: 9 B per stored edge, under 40 B per local
+/// replica, the 4 B route entry per global vertex — nothing per global
+/// edge, whichever machine stores it.
+fn shipped(g: &Graph, machines: usize) -> MultiprocOutcome<f32> {
+    let out = sssp(g, machines, &MpOptions::default());
+    let dg = place(g, machines);
+    let locals: usize = dg.shards.iter().map(|s| s.num_local()).sum();
+    let bound = 16 * dg.total_stored_edges + 64 * locals + 4 * machines * g.num_vertices();
+    assert_eq!(out.shard_bytes.len(), machines);
+    let total: u64 = out.shard_bytes.iter().sum();
+    assert!(
+        total < bound as u64,
+        "{machines} shard files hold {total} B, their arrays justify under {bound} B"
+    );
+    out
+}
+
+#[test]
+fn the_job_is_a_header_and_a_shard_is_its_own_arrays() {
+    let sparse = rmat(RmatConfig::graph500(14, 8, 11));
+    let dense = rmat(RmatConfig::graph500(14, 16, 11));
+    assert!(dense.num_edges() > sparse.num_edges() * 3 / 2);
+
+    let four = shipped(&sparse, 4);
+    assert!(four.job_bytes < 4096, "job.bin is {} B", four.job_bytes);
+    let four_dense = shipped(&dense, 4);
+    assert_eq!(
+        four_dense.job_bytes, four.job_bytes,
+        "the job file must not grow with the edge list"
+    );
+    assert!(four_dense.shard_bytes.iter().sum::<u64>() > four.shard_bytes.iter().sum::<u64>());
+
+    let eight = shipped(&sparse, 8);
+    let largest = |o: &MultiprocOutcome<f32>| o.shard_bytes.iter().copied().max().unwrap_or(0);
+    assert!(
+        10 * largest(&eight) < 7 * largest(&four),
+        "largest shard file: {} B on 8 machines, {} B on 4",
+        largest(&eight),
+        largest(&four)
+    );
+}
+
+/// `{:?}` on finite floats round-trips, so this is bitwise equality.
+fn fingerprint(o: &MultiprocOutcome<f32>) -> String {
+    format!(
+        "values={:?} iters={} conv={} sim={}",
+        o.values,
+        o.iterations,
+        o.converged,
+        o.sim_time.to_bits()
+    )
+}
+
+/// The respawn has no graph to re-partition: all it can start from is the
+/// shard file its predecessor read.
+#[test]
+fn a_respawned_worker_reads_the_same_shard_file_again() {
+    let g = rmat(RmatConfig::graph500(9, 8, 5));
+    let opts = |failpoint| MpOptions {
+        checkpoint_every: 2,
+        rejoin_window_ms: 30_000,
+        respawn_budget: 2,
+        failpoint,
+    };
+    let calm = sssp(&g, 4, &opts(None));
+    assert!(calm.iterations > 3, "the kill must land mid-run");
+    assert_eq!(calm.stats.reconnects, 0);
+    let killed = sssp(&g, 4, &opts(Some((1, "superstep:3".to_string()))));
+    assert!(killed.stats.reconnects > 0, "the fail point never fired");
+    assert_eq!(fingerprint(&killed), fingerprint(&calm));
+    assert_eq!(killed.shard_bytes, calm.shard_bytes);
+}
+
+/// A scratch directory holding a two-machine job whose `shard-0.bin` is
+/// whatever `shard_file` makes of the placement.
+fn stage(name: &str, shard_file: impl FnOnce(&DistributedGraph) -> Vec<u8>) -> PathBuf {
+    let g = rmat(RmatConfig::graph500(6, 4, 3));
+    let dg = place(&g, 2);
+    let job = WorkerJob {
+        cfg: cfg(),
+        algo: AlgoSpec::Sssp { source: 0 },
+        shape: dg.shape(),
+        // Never dialled: the worker must give up before it gets that far.
+        data_addrs: vec!["127.0.0.1:1".into(); 2],
+        ctrl_addrs: vec!["127.0.0.1:1".into(); 2],
+        checkpoint_every: 0,
+        checkpoint_dir: String::new(),
+        rejoin_window_ms: 0,
+    };
+    let dir = std::env::temp_dir().join(format!("lazygraph-shards-{}-{name}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let job_path = dir.join("job.bin");
+    std::fs::write(&job_path, job.to_wire()).expect("job file");
+    std::fs::write(shard_path(&job_path, 0), shard_file(&dg)).expect("shard file");
+    dir
+}
+
+/// Starts worker 0 on a staged directory and expects exit status 1 with
+/// `mention` on stderr — what the launcher reports as
+/// `MultiprocError::Worker`.
+fn assert_worker_refuses(dir: &Path, mention: &str) {
+    let out = Command::new(worker_bin())
+        .arg("--job")
+        .arg(dir.join("job.bin"))
+        .args(["--me", "0", "--out"])
+        .arg(dir.join("result-0.bin"))
+        .output()
+        .expect("spawning lazygraph-worker");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(mention),
+        "stderr does not mention `{mention}`: {stderr}"
+    );
+    assert!(!dir.join("result-0.bin").exists());
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_worker_refuses_a_shard_that_is_not_its_part_of_the_job() {
+    let dir = stage("rank", |dg| dg.shards[1].to_wire());
+    assert_worker_refuses(&dir, "shard of machine 1 loaded as machine 0");
+
+    let dir = stage("shape", |dg| {
+        let other = rmat(RmatConfig::graph500(7, 4, 3));
+        assert_ne!(other.num_vertices(), dg.num_global_vertices);
+        place(&other, 2).shards[0].to_wire()
+    });
+    assert_worker_refuses(&dir, "route table covers");
+
+    let dir = stage("cut", |dg| {
+        let mut file = dg.shards[0].to_wire();
+        file.truncate(file.len() / 2);
+        file
+    });
+    assert_worker_refuses(&dir, "truncated");
+
+    let dir = stage("damaged", |dg| {
+        // The last byte is the last edge's mode flag.
+        let mut file = dg.shards[0].to_wire();
+        *file.last_mut().expect("a non-empty file") = 7;
+        file
+    });
+    assert_worker_refuses(&dir, "not a valid bool");
+}

@@ -442,7 +442,8 @@ fn multiprocess_rejects_shared_memory_engines() {
 
 /// Past the up-front rejection there is one more net: a machine started
 /// without a quiescence detector — what a worker process would be — gets
-/// a typed configuration error from the skeleton, never a hang.
+/// a typed configuration error from the skeleton before anything runs:
+/// the hybrid does not first spend Sync supersteps getting to its switch.
 #[test]
 fn barrier_free_engines_without_a_detector_fail_typed() {
     use lazygraph_engine::{run_mesh_engine, CommError, RunShared, ThreadedMesh};
@@ -454,8 +455,7 @@ fn barrier_free_engines_without_a_detector_fail_typed() {
         EngineKind::LazyVertexAsync,
         EngineKind::PowerSwitchHybrid,
     ] {
-        let mut cfg = cfg(engine);
-        cfg.hybrid_switch_threshold = 2.0; // the hybrid switches at superstep 2
+        let cfg = cfg(engine);
         let dg = lazygraph_partition::partition_graph(&g, 2, cfg.partition, &cfg.splitter, false);
         let shared = RunShared {
             coll: Arc::new(lazygraph_cluster::Collective::new(2)),
@@ -466,14 +466,15 @@ fn barrier_free_engines_without_a_detector_fail_typed() {
         };
         let mesh = ThreadedMesh {
             transport: TransportKind::InProc,
-            num_machines: 2,
+            shards: &dg.shards,
         };
-        let err = run_mesh_engine(&dg, &cfg, &Sssp::new(0u32), mesh, &shared).err();
+        let err = run_mesh_engine(&dg.shape(), &cfg, &Sssp::new(0u32), mesh, &shared).err();
         assert_eq!(
             err,
             Some(CommError::NeedsSharedMemory {
                 engine: engine.name()
             })
         );
+        assert_eq!(shared.stats.snapshot().global_syncs, 0, "{} ran a barrier", engine.name());
     }
 }
