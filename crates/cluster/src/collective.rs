@@ -20,7 +20,7 @@
 use std::any::Any;
 use std::sync::Barrier;
 
-use lazygraph_net::{FrameKind, Wire};
+use lazygraph_net::Wire;
 use parking_lot::Mutex;
 
 use crate::comm::{Endpoint, OutboxSet};
@@ -120,27 +120,6 @@ impl Collective {
         T: Clone + Send + Wire + 'static,
         F: Fn(T, T) -> T,
     {
-        self.allreduce_kind(me, val, stats, FrameKind::Data, combine)
-    }
-
-    /// [`Self::allreduce`] with the mesh exchange's frames tagged `kind`
-    /// instead of [`FrameKind::Data`]. The fold, ordering, and failure
-    /// semantics are identical; only the wire tag differs (and only on
-    /// the mesh path — the shared path has no frames). The live-migration
-    /// allgather uses this with [`FrameKind::Migrate`] so its traffic is
-    /// countable at the transport.
-    pub fn allreduce_kind<T, F>(
-        &self,
-        me: usize,
-        val: T,
-        stats: &NetStats,
-        kind: FrameKind,
-        combine: F,
-    ) -> Result<T, CommError>
-    where
-        T: Clone + Send + Wire + 'static,
-        F: Fn(T, T) -> T,
-    {
         if me == 0 {
             stats.record_sync();
         }
@@ -180,7 +159,6 @@ impl Collective {
                         ob.slot(dst).extend_from_slice(&encoded);
                     }
                 }
-                ep.set_next_exchange_kind(kind);
                 let received = ep.exchange(&mut ob, 0.0, Phase::Control, 1, stats)?;
                 // `exchange` returns batches sorted by sender; fold in
                 // machine order with our own value at position `me`.

@@ -59,12 +59,9 @@ pub struct Batch<T> {
     /// by exactly one final (possibly empty) batch, so the round stays
     /// self-delimiting without a separate control frame.
     pub last: bool,
-    /// Frame kind this batch travels under on the TCP transport
-    /// ([`FrameKind::Data`] for everything except live-migration
-    /// exchanges, which ride [`FrameKind::Migrate`]). Routing, round
-    /// ordering, and replay treat both kinds identically; the tag exists
-    /// so migration traffic is countable at the wire. In-proc batches
-    /// carry the kind too, purely for symmetry.
+    /// Frame kind this batch travels under on the TCP transport: always
+    /// [`FrameKind::Data`] — a batch is the only thing a data frame
+    /// carries. In-proc batches carry the kind too, purely for symmetry.
     pub kind: FrameKind,
     /// Payload. Empty when the batch arrived on the zero-copy wire path
     /// (`raw` is `Some`); call [`Batch::make_items`] to materialize.
@@ -226,9 +223,6 @@ pub struct Endpoint<T> {
     /// Non-empty parts streamed so far in the current round — the index
     /// the `stream:<round>:<part>` fail point fires on.
     stream_parts: u64,
-    /// Frame kind stamped on outbound batches; [`FrameKind::Data`] except
-    /// for the one exchange following [`Self::set_next_exchange_kind`].
-    next_kind: FrameKind,
     /// Writer-proxy threads a transport backend attached to this endpoint
     /// (empty for the in-proc mesh). Joined on drop — see [`Drop`] below.
     flush_on_drop: Vec<std::thread::JoinHandle<()>>,
@@ -268,18 +262,9 @@ impl<T> Endpoint<T> {
             stream_finals: 0,
             stream_started: None,
             stream_parts: 0,
-            next_kind: FrameKind::Data,
             flush_on_drop,
             recovery: None,
         }
-    }
-
-    /// Tags every batch of the *next* exchange with `kind` instead of
-    /// [`FrameKind::Data`]; the exchange resets the tag afterwards. Used
-    /// by the live-migration allgather so its frames are countable on the
-    /// wire — the payload path is otherwise byte-identical to Data.
-    pub fn set_next_exchange_kind(&mut self, kind: FrameKind) {
-        self.next_kind = kind;
     }
 
     /// Attaches the transport's recovery state (set once, right after
@@ -548,7 +533,7 @@ impl<T: Send> Endpoint<T> {
             sent_at: sim_now,
             round,
             last,
-            kind: self.next_kind,
+            kind: FrameKind::Data,
             items,
             raw: None,
         };
@@ -653,8 +638,6 @@ impl<T: Send> Endpoint<T> {
             let items = std::mem::replace(outboxes.slot(dst), replacement);
             self.send_tagged_part(dst, items, sim_now, round, true, phase, bytes_per_item, stats)?;
         }
-        // A non-Data kind applies to exactly one exchange round.
-        self.next_kind = FrameKind::Data;
         // Rotation pass over the ahead-of-round buffer, same as `exchange`.
         for _ in 0..self.pending.len() {
             match self.pending.pop_front() {
@@ -746,8 +729,6 @@ impl<T: Send> Endpoint<T> {
             let items = std::mem::replace(outboxes.slot(dst), replacement);
             self.send_tagged(dst, items, sim_now, round, phase, bytes_per_item, stats)?;
         }
-        // A non-Data kind applies to exactly one exchange.
-        self.next_kind = FrameKind::Data;
         let mut received = Vec::with_capacity(self.n - 1);
         // Single rotation pass over the ahead-of-round buffer: matching
         // batches move to `received`, the rest keep their FIFO order.

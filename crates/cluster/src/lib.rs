@@ -14,7 +14,6 @@ pub mod collective;
 pub mod comm;
 pub mod costmodel;
 pub mod error;
-pub mod pin;
 pub mod pool;
 pub mod recovery;
 pub mod runtime;
@@ -26,7 +25,6 @@ pub use collective::Collective;
 pub use comm::{build_mesh, Batch, Endpoint, OutboxSet, PipelineTiming, RawBatch};
 pub use costmodel::{CostModel, SimClock};
 pub use error::CommError;
-pub use pin::pin_current_thread;
 pub use pool::ThreadPool;
 pub use recovery::{failpoint_stream, failpoint_superstep, FailPoint, LinkStatus};
 pub use runtime::{run_machines, try_run_machines};

@@ -7,13 +7,6 @@
 //! share-nothing structure and lets the borrow checker prove the engines
 //! race-free.
 
-/// Environment switch for benchmark core pinning: when set (any value),
-/// machine thread `i` is pinned to core `i mod ncores` before its loop
-/// starts. Measurement hygiene for `bench_exchange --pipeline-compare`;
-/// never changes computed values. Read per `run_machines` call, so a
-/// bench can enable it for exactly the runs it times.
-pub const PIN_CORES_ENV: &str = "LAZYGRAPH_PIN_CORES";
-
 /// Runs one closure per machine, each consuming its own worker state, and
 /// returns the per-machine results in machine order. Panics in any machine
 /// propagate.
@@ -24,22 +17,10 @@ where
     F: Fn(W) -> R + Sync,
 {
     let f = &f;
-    let pin = std::env::var_os(PIN_CORES_ENV).is_some();
-    let ncores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     std::thread::scope(|s| {
         let handles: Vec<_> = workers
             .into_iter()
-            .enumerate()
-            .map(|(i, w)| {
-                s.spawn(move || {
-                    if pin {
-                        // Best-effort: an unpinnable thread just runs
-                        // wherever the scheduler puts it.
-                        let _ = crate::pin::pin_current_thread(i % ncores);
-                    }
-                    f(w)
-                })
-            })
+            .map(|w| s.spawn(move || f(w)))
             .collect();
         handles
             .into_iter()

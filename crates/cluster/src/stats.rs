@@ -22,7 +22,8 @@
 //!   nothing is serialized, so there is no wire truth to report.
 //!
 //! The names are deliberately different so the two scales cannot be
-//! compared by accident; `bench_exchange` prints both side by side.
+//! compared by accident; `lazybench` reports both (`est_bytes`,
+//! `wire_bytes`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -97,11 +98,6 @@ pub struct NetStats {
     delta_skipped_vertices: AtomicU64,
     sched_epochs: AtomicU64,
     bucket_high_water: AtomicU64,
-    migrate_frames: AtomicU64,
-    migrated_vertices: AtomicU64,
-    rebalance_checks: AtomicU64,
-    load_ratio_max_milli: AtomicU64,
-    load_ratio_sum_milli: AtomicU64,
 }
 
 impl NetStats {
@@ -269,42 +265,6 @@ impl NetStats {
         self.bucket_high_water.fetch_max(occupancy, Ordering::Relaxed);
     }
 
-    /// Records `n` [`FrameKind::Migrate`] frames written to a socket by the
-    /// TCP transport (0 in-proc: no frames exist there). Migration traffic
-    /// rides the same control-mesh rounds as any collective; this counter
-    /// is what proves it crossed the wire under its own frame kind.
-    ///
-    /// [`FrameKind::Migrate`]: lazygraph_net::FrameKind::Migrate
-    #[inline]
-    pub fn record_migrate_frames(&self, n: u64) {
-        if n != 0 {
-            self.migrate_frames.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Records `n` vertices whose master moved machines in one live
-    /// migration. The decision is global (every machine computes the same
-    /// plan), so call from machine 0 only — same convention as
-    /// [`Self::record_sync`].
-    #[inline]
-    pub fn record_migrated_vertices(&self, n: u64) {
-        if n != 0 {
-            self.migrated_vertices.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one rebalance decision point: the allreduced traversed-edge
-    /// loads were inspected and their max/mean ratio was `ratio_milli`
-    /// (permille; 1000 = perfectly balanced). Call from machine 0 only.
-    /// The max tracks the worst skew any check saw; the sum divided by
-    /// `rebalance_checks` gives the mean ratio a bench gates on.
-    #[inline]
-    pub fn record_rebalance_check(&self, ratio_milli: u64) {
-        self.rebalance_checks.fetch_add(1, Ordering::Relaxed);
-        self.load_ratio_sum_milli.fetch_add(ratio_milli, Ordering::Relaxed);
-        self.load_ratio_max_milli.fetch_max(ratio_milli, Ordering::Relaxed);
-    }
-
     /// A consistent snapshot (exact once all machine threads have joined).
     pub fn snapshot(&self) -> StatsSnapshot {
         let mut per_phase = [PhaseStats::default(); NUM_PHASES];
@@ -337,11 +297,6 @@ impl NetStats {
             delta_skipped_vertices: self.delta_skipped_vertices.load(Ordering::Relaxed),
             sched_epochs: self.sched_epochs.load(Ordering::Relaxed),
             bucket_high_water: self.bucket_high_water.load(Ordering::Relaxed),
-            migrate_frames: self.migrate_frames.load(Ordering::Relaxed),
-            migrated_vertices: self.migrated_vertices.load(Ordering::Relaxed),
-            rebalance_checks: self.rebalance_checks.load(Ordering::Relaxed),
-            load_ratio_max_milli: self.load_ratio_max_milli.load(Ordering::Relaxed),
-            load_ratio_sum_milli: self.load_ratio_sum_milli.load(Ordering::Relaxed),
         }
     }
 }
@@ -443,22 +398,6 @@ pub struct StatsSnapshot {
     /// High-water mark of any single priority bucket's occupancy in one
     /// epoch. Merged by `max`, not `+`, like `adaptive_part_items`.
     pub bucket_high_water: u64,
-    /// Migrate-kind frames written to sockets (TCP only; 0 in-proc, where
-    /// no frames exist). Deterministic per (configuration, transport):
-    /// one frame per non-empty peer send of a migration exchange.
-    pub migrate_frames: u64,
-    /// Vertices whose master moved machines in live migrations. Recorded
-    /// by machine 0 only (the plan is global), so worker merges sum to
-    /// the cluster figure without multiplying it.
-    pub migrated_vertices: u64,
-    /// Rebalance decision points evaluated (machine 0 only).
-    pub rebalance_checks: u64,
-    /// Worst max/mean traversed-edge load ratio (permille) any rebalance
-    /// check observed. Merged by `max`, like `adaptive_part_items`.
-    pub load_ratio_max_milli: u64,
-    /// Sum of the per-check load ratios (permille); divided by
-    /// `rebalance_checks` this is the mean skew the skew bench gates on.
-    pub load_ratio_sum_milli: u64,
 }
 
 impl StatsSnapshot {
@@ -516,11 +455,6 @@ impl StatsSnapshot {
         self.delta_skipped_vertices += other.delta_skipped_vertices;
         self.sched_epochs += other.sched_epochs;
         self.bucket_high_water = self.bucket_high_water.max(other.bucket_high_water);
-        self.migrate_frames += other.migrate_frames;
-        self.migrated_vertices += other.migrated_vertices;
-        self.rebalance_checks += other.rebalance_checks;
-        self.load_ratio_max_milli = self.load_ratio_max_milli.max(other.load_ratio_max_milli);
-        self.load_ratio_sum_milli += other.load_ratio_sum_milli;
     }
 
     /// Labelled report lines: every counter of the snapshot appears here
@@ -566,15 +500,6 @@ impl StatsSnapshot {
         lines.push(format!(
             "delta_skipped_vertices={} sched_epochs={} bucket_high_water={}",
             self.delta_skipped_vertices, self.sched_epochs, self.bucket_high_water
-        ));
-        lines.push(format!(
-            "migrate_frames={} migrated_vertices={} rebalance_checks={} \
-             load_ratio_max_milli={} load_ratio_sum_milli={}",
-            self.migrate_frames,
-            self.migrated_vertices,
-            self.rebalance_checks,
-            self.load_ratio_max_milli,
-            self.load_ratio_sum_milli
         ));
         lines
     }
@@ -622,11 +547,6 @@ impl Wire for StatsSnapshot {
         self.delta_skipped_vertices.encode(out);
         self.sched_epochs.encode(out);
         self.bucket_high_water.encode(out);
-        self.migrate_frames.encode(out);
-        self.migrated_vertices.encode(out);
-        self.rebalance_checks.encode(out);
-        self.load_ratio_max_milli.encode(out);
-        self.load_ratio_sum_milli.encode(out);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
         let mut per_phase = [PhaseStats::default(); NUM_PHASES];
@@ -657,11 +577,6 @@ impl Wire for StatsSnapshot {
             delta_skipped_vertices: u64::decode(r)?,
             sched_epochs: u64::decode(r)?,
             bucket_high_water: u64::decode(r)?,
-            migrate_frames: u64::decode(r)?,
-            migrated_vertices: u64::decode(r)?,
-            rebalance_checks: u64::decode(r)?,
-            load_ratio_max_milli: u64::decode(r)?,
-            load_ratio_sum_milli: u64::decode(r)?,
         })
     }
 }
@@ -846,34 +761,6 @@ mod tests {
         assert_eq!(m.delta_skipped_vertices, 50, "event counts sum");
         assert_eq!(m.sched_epochs, 4);
         assert_eq!(m.bucket_high_water, 1500, "high-water merges by max");
-        let back = StatsSnapshot::from_wire(&m.to_wire()).unwrap();
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn migration_counters_accumulate_and_merge() {
-        let s = NetStats::new();
-        s.record_migrate_frames(3);
-        s.record_migrate_frames(0); // no-op
-        s.record_migrated_vertices(2);
-        s.record_rebalance_check(2500);
-        s.record_rebalance_check(1200); // max must not drop
-        let snap = s.snapshot();
-        assert_eq!(snap.migrate_frames, 3);
-        assert_eq!(snap.migrated_vertices, 2);
-        assert_eq!(snap.rebalance_checks, 2);
-        assert_eq!(snap.load_ratio_max_milli, 2500);
-        assert_eq!(snap.load_ratio_sum_milli, 3700);
-
-        let other = NetStats::new();
-        other.record_migrate_frames(1);
-        other.record_rebalance_check(4000);
-        let mut m = snap;
-        m.merge(&other.snapshot());
-        assert_eq!(m.migrate_frames, 4, "event counts sum");
-        assert_eq!(m.rebalance_checks, 3);
-        assert_eq!(m.load_ratio_max_milli, 4000, "high-water merges by max");
-        assert_eq!(m.load_ratio_sum_milli, 7700);
         let back = StatsSnapshot::from_wire(&m.to_wire()).unwrap();
         assert_eq!(back, m);
     }

@@ -153,8 +153,6 @@ pub fn decode_batch_raw<T: Wire>(payload: Vec<u8>) -> Result<Batch<T>, NetError>
         sent_at,
         round,
         last,
-        // The caller (the reader proxy) overwrites this with the frame's
-        // actual kind; Migrate payloads are laid out identically.
         kind: FrameKind::Data,
         items: Vec::new(),
         raw: Some(RawBatch { bytes: payload, offset, count }),
@@ -510,19 +508,13 @@ fn spawn_writer<T: Wire + Send + 'static>(ctx: WriterCtx<T>) -> std::thread::Joi
                         let _ = ret_tx.send(std::mem::take(&mut batch.items));
                     }
                     // Log before the socket write: a frame lost to a torn
-                    // write must still be replayable. The log stores only
-                    // the payload, so a replayed Migrate frame re-appears
-                    // as Data — byte-identical payload, and the reader
-                    // routes both kinds the same way.
+                    // write must still be replayable.
                     if logging && batch.round != ASYNC_ROUND {
                         link.log_frame(batch.round, &payload);
                     }
                     match write_frame(&mut stream, batch.kind, &payload) {
                         Ok(total) => {
                             stats.record_wire_sent(1, total as u64);
-                            if batch.kind == FrameKind::Migrate {
-                                stats.record_migrate_frames(1);
-                            }
                         }
                         Err(_) => {
                             writer_write_failure(&link, &poison, &opts, gen);
@@ -647,10 +639,7 @@ fn spawn_reader<T: Wire + Send + 'static>(
             }
             match reader.poll(&mut stream) {
                 Ok(Some(frame)) => match frame.kind {
-                    // Migrate frames are Data frames with a countable tag:
-                    // same payload layout, same round ordering and dedupe.
-                    FrameKind::Data | FrameKind::Migrate => {
-                        let frame_kind = frame.kind;
+                    FrameKind::Data => {
                         stats.record_wire_recv(1, frame.wire_len() as u64);
                         if reader.last_frame_pooled() {
                             // Handed off zero-copy AND assembled in a
@@ -658,14 +647,13 @@ fn spawn_reader<T: Wire + Send + 'static>(
                             // inbound batch allocates nothing.
                             stats.record_zero_copy_frames(1);
                         }
-                        let mut batch = match decode_batch_raw::<T>(frame.payload) {
+                        let batch = match decode_batch_raw::<T>(frame.payload) {
                             Ok(batch) => batch,
                             Err(_) => {
                                 poison.store(true, Ordering::Release);
                                 return;
                             }
                         };
-                        batch.kind = frame_kind;
                         debug_assert_eq!(batch.from, peer, "machine {me}: spoofed sender");
                         if recovery_mode {
                             debug_assert_ne!(

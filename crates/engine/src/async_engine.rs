@@ -41,7 +41,7 @@ impl<P: VertexProgram> AsyncPump<P> {
         pump.run(&mut AsyncTurn {
             scatter_tasks: &mut self.scatter_tasks,
             state: &mut f.state,
-            shard: &f.shard,
+            shard: f.shard,
             pctx: &f.pctx,
             program: f.program,
             stats: &f.stats,

@@ -37,7 +37,6 @@ use crate::config::EngineKind;
 use crate::lazy_block::LazyCounters;
 use crate::machine::Frame;
 use crate::program::VertexProgram;
-use crate::rebalance::StructMigration;
 use crate::state::MachineState;
 
 /// Magic prefix of every checkpoint file ("LZCK", little-endian).
@@ -48,15 +47,15 @@ pub const CKPT_MAGIC: u32 = 0x4b435a4c;
 /// the snapshot. v3 appended the DeltaAccum engine's resume extras
 /// (`delta`): the engine's cross-iteration counters; the scheduler's
 /// buckets themselves are a pure function of `MachineState` and carry no
-/// state of their own. v4 appended the live-migration extras: the
-/// structural migration log (`migrations`, replayed onto the static shard
-/// before state restore so the resumed topology matches the snapshot's
-/// arrays) and the lazy engine's pending decision + load accumulator. v5
+/// state of their own. v4 appended a structural patch log and two lazy
+/// extras for moving vertices between machines at run time; v6 removed all
+/// three with the feature (EXPERIMENTS.md, PR 19's verdict): replicas are
+/// placed once, so a resumed machine's shard file is its topology. v5
 /// appended `coherency_cost_bits` and `last_sweep_bits` to the lazy extras:
 /// a budgeted local stage is rationed against the cost of the coherency
 /// point before it and predicts its first sub-round from the sweep before
 /// it, and a restart at a superstep boundary can recompute neither.
-pub const CKPT_VERSION: u32 = 5;
+pub const CKPT_VERSION: u32 = 6;
 /// Maximum payload bytes per checksummed chunk.
 pub const CKPT_CHUNK: usize = 1 << 20;
 
@@ -238,13 +237,6 @@ pub struct LazyResume {
     pub first_stage_bits: Option<u64>,
     /// The comm mode the next coherency point will use.
     pub next_mode_m2m: bool,
-    /// A rebalance decision taken at the last coherency point but not yet
-    /// executed (the migration runs one superstep later, after the forced
-    /// full-flush exchange). Appended in v4.
-    pub pending_migration: Option<(u32, u32, u64)>,
-    /// Traversed-edge count accumulated since the last rebalance check.
-    /// Appended in v4.
-    pub load_accum: u64,
     /// Simulated cost the last coherency point was charged, bit-exact —
     /// what the next local stage's budget is derived from. Appended in v5.
     pub coherency_cost_bits: u64,
@@ -262,8 +254,6 @@ impl Wire for LazyResume {
         self.do_local.encode(out);
         self.first_stage_bits.encode(out);
         self.next_mode_m2m.encode(out);
-        self.pending_migration.encode(out);
-        self.load_accum.encode(out);
         self.coherency_cost_bits.encode(out);
         self.last_sweep_bits.encode(out);
     }
@@ -276,8 +266,6 @@ impl Wire for LazyResume {
             do_local: bool::decode(r)?,
             first_stage_bits: Option::<u64>::decode(r)?,
             next_mode_m2m: bool::decode(r)?,
-            pending_migration: Option::<(u32, u32, u64)>::decode(r)?,
-            load_accum: u64::decode(r)?,
             coherency_cost_bits: u64::decode(r)?,
             last_sweep_bits: u64::decode(r)?,
         })
@@ -313,7 +301,6 @@ impl Wire for DeltaResume {
 pub struct ResumeExtras {
     pub lazy: Option<LazyResume>,
     pub delta: Option<DeltaResume>,
-    pub migrations: Vec<StructMigration>,
 }
 
 /// One machine's complete resumable state at a checkpoint boundary (the
@@ -355,11 +342,6 @@ pub struct EngineSnapshot<P: VertexProgram> {
     /// DeltaAccum extras (None for every other engine). Appended last —
     /// wire evolution rule — hence the v3 version bump.
     pub delta: Option<DeltaResume>,
-    /// Structural migration log: every live migration executed so far, in
-    /// order. A resumed machine replays this onto its freshly-partitioned
-    /// shard *before* `restore_into`, so the topology the state arrays
-    /// index into matches the snapshot. Appended in v4.
-    pub migrations: Vec<StructMigration>,
 }
 
 impl<P: VertexProgram> PartialEq for EngineSnapshot<P> {
@@ -378,7 +360,6 @@ impl<P: VertexProgram> PartialEq for EngineSnapshot<P> {
             && self.part_items == other.part_items
             && self.lazy == other.lazy
             && self.delta == other.delta
-            && self.migrations == other.migrations
     }
 }
 
@@ -398,7 +379,6 @@ impl<P: VertexProgram> Wire for EngineSnapshot<P> {
         self.part_items.encode(out);
         self.lazy.encode(out);
         self.delta.encode(out);
-        self.migrations.encode(out);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
         Ok(EngineSnapshot {
@@ -416,7 +396,6 @@ impl<P: VertexProgram> Wire for EngineSnapshot<P> {
             part_items: u32::decode(r)?,
             lazy: Option::<LazyResume>::decode(r)?,
             delta: Option::<DeltaResume>::decode(r)?,
-            migrations: Vec::<StructMigration>::decode(r)?,
         })
     }
 }
@@ -460,7 +439,6 @@ impl<P: VertexProgram> EngineSnapshot<P> {
             part_items: state.part_items,
             lazy: extras.lazy,
             delta: extras.delta,
-            migrations: extras.migrations,
         }
     }
 
@@ -717,29 +695,10 @@ mod tests {
                 do_local: true,
                 first_stage_bits: Some(0.001f64.to_bits()),
                 next_mode_m2m: true,
-                pending_migration: Some((2, 0, 4096)),
-                load_accum: 777,
                 coherency_cost_bits: 0.0445f64.to_bits(),
                 last_sweep_bits: 0.0031f64.to_bits(),
             }),
             delta: None,
-            migrations: vec![StructMigration {
-                from: 1,
-                to: 0,
-                victims: vec![(
-                    crate::rebalance::StructVertex {
-                        gid: 9,
-                        master: 0,
-                        holders: vec![0, 1],
-                        global_out: 3,
-                        global_in: 1,
-                        global_deg: 4,
-                    },
-                    vec![(10, 1.0), (11, 0.5)],
-                )],
-                targets: vec![],
-                new_at_to: vec![9, 10, 11],
-            }],
         }
     }
 
@@ -786,10 +745,10 @@ mod tests {
     fn older_snapshots_are_rejected_by_version_check() {
         // A current container with the version field rewritten to an older
         // one must fail the strict equality check, not decode garbage:
-        // every version appended fields (v4 `migrations`, v5 the stage
-        // budget's inputs), so the payloads are incompatible.
+        // every version changed the field list (v4 and v5 appended fields,
+        // v6 dropped v4's), so the payloads are incompatible.
         let framed = encode_container(&sample_snapshot().to_wire());
-        for version in [3u32, 4] {
+        for version in [3u32, 4, 5] {
             let mut old = framed.clone();
             old[4..8].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(

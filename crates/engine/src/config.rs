@@ -6,7 +6,6 @@ use lazygraph_net::{NetError, Wire, WireReader};
 use lazygraph_partition::{HubFanoutConfig, PartitionStrategy, SplitterConfig};
 
 use crate::parallel::ParallelConfig;
-use crate::rebalance::RebalanceConfig;
 
 /// The execution engines.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -164,11 +163,6 @@ pub struct EngineConfig {
     /// ordinary multi-mirror vertex downstream. Disabled by default —
     /// the paper's static placements stay the reference.
     pub hub_fanout: HubFanoutConfig,
-    /// Online skew rebalancing (DESIGN.md §16): the lazy engine samples
-    /// per-machine traversed-edge loads at coherency barriers and, past
-    /// the configured imbalance threshold, deterministically migrates hot
-    /// master vertices to the lightest machine. Disabled by default.
-    pub rebalance: RebalanceConfig,
 }
 
 impl EngineConfig {
@@ -195,7 +189,6 @@ impl EngineConfig {
             delta_tolerance: DEFAULT_DELTA_TOLERANCE,
             transport: TransportKind::InProc,
             hub_fanout: HubFanoutConfig::default(),
-            rebalance: RebalanceConfig::DISABLED,
         }
     }
 
@@ -337,13 +330,6 @@ impl EngineConfig {
     /// [`Self::hub_fanout`]).
     pub fn with_hub_fanout(mut self, hub_fanout: HubFanoutConfig) -> Self {
         self.hub_fanout = hub_fanout;
-        self
-    }
-
-    /// Builder-style override of online skew rebalancing (see
-    /// [`Self::rebalance`]).
-    pub fn with_rebalance(mut self, rebalance: RebalanceConfig) -> Self {
-        self.rebalance = rebalance;
         self
     }
 
@@ -520,9 +506,6 @@ impl Wire for EngineConfig {
         });
         encode_opt_usize(self.hub_fanout.degree_threshold, out);
         (self.hub_fanout.fanout as u64).encode(out);
-        self.rebalance.every.encode(out);
-        self.rebalance.ratio_milli.encode(out);
-        (self.rebalance.max_moves as u64).encode(out);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
@@ -575,11 +558,6 @@ impl Wire for EngineConfig {
             hub_fanout: HubFanoutConfig {
                 degree_threshold: decode_opt_usize(r)?,
                 fanout: decode_usize(r)?,
-            },
-            rebalance: RebalanceConfig {
-                every: u64::decode(r)?,
-                ratio_milli: u64::decode(r)?,
-                max_moves: decode_usize(r)?,
             },
         })
     }
@@ -685,16 +663,10 @@ mod tests {
     }
 
     #[test]
-    fn skew_knobs_default_off_and_build() {
-        let cfg = EngineConfig::lazygraph();
-        assert!(cfg.hub_fanout.is_disabled());
-        assert!(cfg.rebalance.is_disabled());
-        let tuned = EngineConfig::lazygraph()
-            .with_hub_fanout(HubFanoutConfig::all_machines())
-            .with_rebalance(RebalanceConfig::enabled(2, 1500, 8));
+    fn hub_fanout_defaults_off_and_builds() {
+        assert!(EngineConfig::lazygraph().hub_fanout.is_disabled());
+        let tuned = EngineConfig::lazygraph().with_hub_fanout(HubFanoutConfig::all_machines());
         assert!(!tuned.hub_fanout.is_disabled());
-        assert_eq!(tuned.rebalance.every, 2);
-        assert_eq!(tuned.rebalance.max_moves, 8);
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl<P: VertexProgram> Superstep<P> for DeltaStep {
         }
     }
 
-    fn restore(&mut self, _f: &mut Frame<'_, P, P::Delta>, snap: &EngineSnapshot<P>) {
+    fn restore(&mut self, snap: &EngineSnapshot<P>) {
         if let Some(d) = &snap.delta {
             self.counters = d.counters;
         }

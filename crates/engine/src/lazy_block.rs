@@ -22,9 +22,8 @@
 //! stage.
 
 use lazygraph_cluster::{CommError, Phase};
-use lazygraph_graph::MachineId;
-use lazygraph_net::{FrameKind, NetError, Wire, WireReader};
-use lazygraph_partition::{load_ratio_milli, EdgeMode, LocalShard, NO_LOCAL};
+use lazygraph_net::{NetError, Wire, WireReader};
+use lazygraph_partition::{EdgeMode, LocalShard, NO_LOCAL};
 
 use crate::bsp::{BspReduction, CommCharge};
 use crate::checkpoint::{EngineSnapshot, LazyResume, ResumeExtras};
@@ -36,10 +35,6 @@ use crate::machine::{Frame, Superstep, Vote};
 use crate::metrics::IterationRecord;
 use crate::parallel::ParallelCtx;
 use crate::program::{DeltaExchange, EdgeCtx, LocalOrder, VertexProgram};
-use crate::rebalance::{
-    apply_structural, build_payload, install_states, membership_bitmap, plan_rebalance,
-    resolve_migration, select_victims, MigContribution, StructMigration,
-};
 use crate::scheduler::{cut_most_urgent, LOCAL_MIN_BATCH, LOCAL_ORDER_FROM};
 use crate::state::{vertex_ctx, InitMessages, MachineState};
 
@@ -146,14 +141,14 @@ pub(crate) fn blocked_apply_scatter<P: VertexProgram>(
 /// One sweep on a machine frame: [`blocked_apply_scatter`] plus its
 /// bookkeeping — work counters, the sender-side-combining credit for
 /// deltas folded into an occupied `deltaMsg` slot, and the simulated
-/// compute charge. Returns the edges traversed.
+/// compute charge.
 pub(crate) fn sweep<P: VertexProgram, M>(
     f: &mut Frame<'_, P, M>,
     worklist: &[u32],
     update_coherent: bool,
-) -> u64 {
+) {
     let (edges, applies, folds) = blocked_apply_scatter(
-        &f.shard,
+        f.shard,
         &mut f.state,
         f.program,
         f.num_vertices,
@@ -166,12 +161,10 @@ pub(crate) fn sweep<P: VertexProgram, M>(
     f.stats.record_combined(folds, folds * f.program.delta_bytes() as u64);
     let cost = &f.cfg.cost;
     f.clock.advance(cost.compute_time(edges) + cost.apply_time(applies));
-    edges
 }
 
-/// LazyBlockAsync on the superstep skeleton: the interval model, the
-/// comm-mode lag and the live-migration state that survive from one
-/// coherency iteration to the next.
+/// LazyBlockAsync on the superstep skeleton: the interval model and the
+/// comm-mode lag that survive from one coherency iteration to the next.
 pub struct LazyStep<P: VertexProgram> {
     interval: IntervalModel,
     counters: LazyCounters,
@@ -195,14 +188,6 @@ pub struct LazyStep<P: VertexProgram> {
     /// estimates (one-round lag keeps the coherency stage at exactly one
     /// global synchronisation, as in the paper's Fig. 1(c)).
     next_mode: CommMode,
-    /// Traversed edges since the last rebalance check.
-    my_load: u64,
-    /// The decision taken at the last rebalance check `(from, to, budget)`,
-    /// executed one superstep later, after a forced full-flush exchange.
-    pending_migration: Option<(u32, u32, u64)>,
-    /// The structural log every checkpoint carries so a resumed machine
-    /// can rebuild the migrated topology.
-    migrations: Vec<StructMigration>,
     /// The sweep in flight's sorted worklist (capacity only between sweeps).
     worklist: Vec<u32>,
     /// The program's local order, asked once: `None` keeps every local
@@ -230,23 +215,13 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
             coherency_cost: 0.0,
             last_sweep_cost: 0.0,
             next_mode: CommMode::AllToAll,
-            my_load: 0,
-            pending_migration: None,
-            migrations: Vec::new(),
             worklist: Vec::new(),
             order: f.program.local_order(),
             keyed: Vec::new(),
         }
     }
 
-    fn restore(&mut self, f: &mut Frame<'_, P, P::Delta>, snap: &EngineSnapshot<P>) {
-        // Replay the structural migration log: the snapshot's state
-        // arrays index into the *migrated* topology, not the static one.
-        for mig in &snap.migrations {
-            apply_structural(f.shard.to_mut(), mig);
-        }
-        self.migrations = snap.migrations.clone();
-        self.fit_scratch(f.shard.num_local());
+    fn restore(&mut self, snap: &EngineSnapshot<P>) {
         if let Some(l) = &snap.lazy {
             self.counters = l.counters;
             self.interval.import_state((
@@ -261,8 +236,6 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
             } else {
                 CommMode::AllToAll
             };
-            self.pending_migration = l.pending_migration;
-            self.my_load = l.load_accum;
             self.coherency_cost = f64::from_bits(l.coherency_cost_bits);
             self.last_sweep_cost = f64::from_bits(l.last_sweep_bits);
         }
@@ -279,13 +252,10 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
                 do_local: self.do_local,
                 first_stage_bits: self.first_stage_time.map(f64::to_bits),
                 next_mode_m2m: self.next_mode == CommMode::MirrorsToMaster,
-                pending_migration: self.pending_migration,
-                load_accum: self.my_load,
                 coherency_cost_bits: self.coherency_cost.to_bits(),
                 last_sweep_bits: self.last_sweep_cost.to_bits(),
             }),
             delta: None,
-            migrations: self.migrations.clone(),
         }
     }
 
@@ -331,16 +301,10 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
         let local_stage_s = f.clock.now() - stage_start;
 
         // ---- Stage 2: data coherency. ------------------------------------
-        // A pending migration forces this exchange to flush *everything*:
-        // suppression off means both exchange paths clear every occupied
-        // `deltaMsg` slot (only `Defer` parks a delta, and `Defer` is
-        // gated on suppression), so the migration at the next barrier
-        // moves vertices with provably empty delta slots.
-        let suppress = cfg.delta_suppression && self.pending_migration.is_none();
         // Local volume-estimate partials (§4.2.2 formulas), computed from
         // the deltas about to be exchanged; the summed estimates decide the
         // *next* coherency point's mode (one-round lag, one sync per point).
-        let est = volume_estimate(&f.shard, &f.state, f.program, &f.pctx, suppress);
+        let est = volume_estimate(f.shard, &f.state, f.program, &f.pctx, cfg.delta_suppression);
         let mode = match cfg.comm_mode {
             CommModePolicy::AllToAll => CommMode::AllToAll,
             CommModePolicy::MirrorsToMaster => CommMode::MirrorsToMaster,
@@ -349,12 +313,12 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
         let (sent_bytes, charge) = match mode {
             CommMode::AllToAll => {
                 self.counters.a2a_exchanges += 1;
-                (exchange_a2a(f, suppress)?, CommCharge::A2A)
+                (exchange_a2a(f, cfg.delta_suppression)?, CommCharge::A2A)
             }
             CommMode::MirrorsToMaster => {
                 self.counters.m2m_exchanges += 1;
                 let (own, totals) = (&mut self.own_scratch, &mut self.totals_scratch);
-                (exchange_m2m(f, own, totals, suppress)?, CommCharge::M2M)
+                (exchange_m2m(f, own, totals, cfg.delta_suppression)?, CommCharge::M2M)
             }
         };
         self.counters.coherency_points += 1;
@@ -394,10 +358,6 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
             self.do_local = true;
         }
 
-        if let Some(plan) = self.pending_migration.take() {
-            self.migrate(f, plan)?;
-        }
-
         // ---- Data coherency point: apply merged views, then scatter. -----
         // Two phases: every apply must see only exchange-time messages, so
         // the `coherent` snapshot records a view every replica provably
@@ -410,23 +370,6 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
         // `delta_suppression`), so with suppression off the per-vertex
         // snapshot clone would be pure overhead — skip it.
         self.sweep_worklist(f, cfg.delta_suppression);
-
-        // ---- Rebalance check (DESIGN.md §16). ----------------------------
-        // Every `rebalance.every` barriers, allgather the per-machine
-        // traversed-edge loads and run the pure-integer decision. The
-        // planned move executes at the *next* barrier, after a forced
-        // full-flush exchange empties the delta slots.
-        if cfg.rebalance.every != 0 && f.iterations.is_multiple_of(cfg.rebalance.every) {
-            let loads = f.bsp.coll.allreduce(f.me, vec![self.my_load], &f.stats, |mut a, b| {
-                a.extend(b);
-                a
-            })?;
-            if f.me == 0 {
-                f.stats.record_rebalance_check(load_ratio_milli(&loads));
-            }
-            self.pending_migration = plan_rebalance(&loads, &cfg.rebalance);
-            self.my_load = 0;
-        }
         Ok(Vote::Continue)
     }
 }
@@ -435,13 +378,12 @@ impl<P: VertexProgram> LazyStep<P> {
     /// Sweeps `self.worklist` in canonical order — exchange batches arrive
     /// in nondeterministic interleavings, and the apply order decides which
     /// sub-round a scattered message lands in, so sorting is what makes the
-    /// whole BSP engine bit-deterministic — and books the sweep: traversed
-    /// edges for the rebalance check, the clock's charge for the next
-    /// `doLC()` prediction.
+    /// whole BSP engine bit-deterministic — and books the clock's charge
+    /// for the next `doLC()` prediction.
     fn sweep_worklist(&mut self, f: &mut Frame<'_, P, P::Delta>, update_coherent: bool) {
         self.worklist.sort_unstable();
         let before = f.clock.now();
-        self.my_load += sweep(f, &self.worklist, update_coherent);
+        sweep(f, &self.worklist, update_coherent);
         self.last_sweep_cost = f.clock.now() - before;
     }
 
@@ -475,77 +417,6 @@ impl<P: VertexProgram> LazyStep<P> {
         self.worklist.clear();
         self.worklist.extend(selected.iter().map(|&(_, l)| l));
         state.queue.extend(deferred.iter().map(|&(_, l)| l));
-    }
-
-    /// The m2m scratch arrays are indexed by local id and must cover every
-    /// local a migration appended.
-    fn fit_scratch(&mut self, num_local: usize) {
-        self.own_scratch.resize(num_local, None);
-        self.totals_scratch.resize(num_local, None);
-    }
-
-    /// Executes the live migration planned at the previous rebalance check
-    /// (DESIGN.md §16). The exchange before it ran with suppression forced
-    /// off, so every `deltaMsg` slot is provably empty. One Migrate-tagged
-    /// allgather ships the donor's plan + state and the receiver's
-    /// membership bitmap to everyone; every machine then derives the
-    /// identical structural patch and applies it to its own shard copy,
-    /// keeping the distributed views consistent without further traffic.
-    fn migrate(
-        &mut self,
-        f: &mut Frame<'_, P, P::Delta>,
-        (from, to, budget): (u32, u32, u64),
-    ) -> Result<(), CommError> {
-        let me = f.me as u32;
-        let rebalance = &f.cfg.rebalance;
-        let contribution = if me == from {
-            // The planner's budget is in traversed edges over the
-            // `every`-superstep window; stage 1 and apply each walk a
-            // master's local out-edges once per active superstep, so
-            // out-degree units are budget / (2 · every).
-            let budget_deg = budget / (2 * rebalance.every.max(1));
-            let victims = select_victims(&f.shard, rebalance.max_moves, budget_deg.max(1));
-            MigContribution::<P> {
-                payload: Some(build_payload(
-                    &f.shard,
-                    &f.state,
-                    &victims,
-                    MachineId::from(to as usize),
-                )),
-                bitmap: Vec::new(),
-            }
-        } else if me == to {
-            MigContribution {
-                payload: None,
-                bitmap: membership_bitmap(&f.shard),
-            }
-        } else {
-            MigContribution::empty()
-        };
-        // Machine-order concat makes the fold an allgather:
-        // `gathered[i]` is machine `i`'s contribution on every machine.
-        let gathered = f.bsp.coll.allreduce_kind(
-            f.me,
-            vec![contribution],
-            &f.stats,
-            FrameKind::Migrate,
-            |mut a, b| {
-                a.extend(b);
-                a
-            },
-        )?;
-        if let Some((mig, payload)) = resolve_migration::<P>(&gathered, from, to) {
-            apply_structural(f.shard.to_mut(), &mig);
-            if me == mig.to {
-                install_states(&f.shard, &mut f.state, &mig, payload);
-            }
-            self.fit_scratch(f.shard.num_local());
-            if me == 0 {
-                f.stats.record_migrated_vertices(mig.victims.len() as u64);
-            }
-            self.migrations.push(mig);
-        }
-        Ok(())
     }
 }
 
@@ -626,7 +497,7 @@ pub(crate) fn exchange_a2a<P: VertexProgram>(
     suppression: bool,
 ) -> Result<u64, CommError> {
     let (program, now) = (f.program, f.clock.now());
-    let (shard, pctx, stats): (&LocalShard, _, _) = (&f.shard, &f.pctx, &*f.stats);
+    let (shard, pctx, stats) = (f.shard, &f.pctx, &*f.stats);
     let (state, port) = (&mut f.state, &mut f.port);
     let delta_bytes = program.delta_bytes();
     let mut sent = 0u64;
@@ -679,7 +550,7 @@ fn exchange_m2m<P: VertexProgram>(
     suppression: bool,
 ) -> Result<u64, CommError> {
     let (program, now) = (f.program, f.clock.now());
-    let (shard, pctx, stats): (&LocalShard, _, _) = (&f.shard, &f.pctx, &*f.stats);
+    let (shard, pctx, stats) = (f.shard, &f.pctx, &*f.stats);
     let (state, port) = (&mut f.state, &mut f.port);
     let delta_bytes = program.delta_bytes();
     let part_items = state.part_items;

@@ -64,7 +64,7 @@ impl<P: VertexProgram> Superstep<P> for LazyVertexPump {
         pump.run(&mut LazyVertexTurn {
             counters: &mut self.counters,
             state: &mut f.state,
-            shard: &f.shard,
+            shard: f.shard,
             pctx: &f.pctx,
             program: f.program,
             stats: &f.stats,

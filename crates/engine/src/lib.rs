@@ -35,7 +35,6 @@ pub mod metrics;
 pub mod oracle;
 pub mod parallel;
 pub mod program;
-pub mod rebalance;
 pub mod scheduler;
 pub mod state;
 pub mod sync_engine;
@@ -49,7 +48,6 @@ pub use config::{
     CommModePolicy, EngineConfig, EngineKind, IntervalPolicy, DEFAULT_BLOCK_SIZE,
     DEFAULT_DELTA_BUCKETS, DEFAULT_DELTA_TOLERANCE,
 };
-pub use rebalance::{plan_rebalance, RebalanceConfig, StructMigration};
 pub use scheduler::{EpochPlan, PriorityBuckets};
 pub use parallel::{ParallelConfig, ParallelCtx};
 pub use driver::{run, run_on, RunResult};

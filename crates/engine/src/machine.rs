@@ -25,7 +25,6 @@
 //! mesh-backed collective. Neither hands it a placement: a machine reads
 //! its own shard and the three scalars of a [`PlacementShape`].
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use lazygraph_cluster::{
@@ -65,11 +64,9 @@ pub struct Frame<'a, P: VertexProgram, M> {
     pub num_vertices: usize,
     /// `|E| / |V|` of the whole graph (the interval model's input).
     pub ev_ratio: f64,
-    /// This machine's shard, as its [`Seat`] carried it. A borrowed one
-    /// stays borrowed until a live migration patches it (every machine
-    /// applies the identical structural patch stream, so all copies stay
-    /// consistent views of one distributed graph).
-    pub shard: Cow<'a, LocalShard>,
+    /// This machine's shard, as its [`Seat`] carried it: placed once,
+    /// read-only for the whole run.
+    pub shard: &'a LocalShard,
     pub pctx: ParallelCtx,
     pub state: MachineState<P>,
     pub clock: SimClock,
@@ -119,7 +116,7 @@ pub trait Superstep<P: VertexProgram>: Sized {
 
     /// Rehydrates the engine's own state from `snap` (the skeleton has
     /// already restored `frame.state`, the clock and the superstep count).
-    fn restore(&mut self, _frame: &mut Frame<'_, P, Self::Msg>, _snap: &EngineSnapshot<P>) {}
+    fn restore(&mut self, _snap: &EngineSnapshot<P>) {}
 
     /// Runs superstep `frame.iterations`. Returns [`Vote::Converged`]
     /// straight after the deciding barrier, before any post-vote work.
@@ -247,13 +244,12 @@ pub fn assemble<P: VertexProgram>(
     }
 }
 
-/// One machine this process runs: its rank, its shard — borrowed from a
-/// placement the process holds, or owned by a worker that loaded nothing
-/// else — its leg of the data mesh, and its checkpoint/resume
-/// configuration.
+/// One machine this process runs: its rank, its shard — one of a
+/// placement the process holds, or the only one a worker loaded — its leg
+/// of the data mesh, and its checkpoint/resume configuration.
 pub struct Seat<'a, P: VertexProgram, T> {
     pub me: usize,
-    pub shard: Cow<'a, LocalShard>,
+    pub shard: &'a LocalShard,
     pub ep: Endpoint<T>,
     pub recovery: RecoveryCfg<P>,
 }
@@ -291,7 +287,7 @@ impl<'a, P: VertexProgram> Attach<'a, P> for ThreadedMesh<'a> {
             .enumerate()
             .map(|(me, (ep, shard))| Seat {
                 me,
-                shard: Cow::Borrowed(shard),
+                shard,
                 ep,
                 recovery: RecoveryCfg::default(),
             })
@@ -375,7 +371,7 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
         num_vertices: shape.num_global_vertices,
         ev_ratio: shape.ev_ratio,
         pctx: ParallelCtx::new(cfg.parallel(shape.num_machines)),
-        state: MachineState::init(&shard, program, S::INIT, shape.num_global_vertices),
+        state: MachineState::init(shard, program, S::INIT, shape.num_global_vertices),
         shard,
         clock: SimClock::new(),
         // BspSync owns the breakdown's simulated components; the port's
@@ -408,7 +404,7 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
         snap.restore_into(&mut f.state);
         f.clock.set(f64::from_bits(snap.clock_bits));
         f.iterations = snap.iterations;
-        engine.restore(&mut f, &snap);
+        engine.restore(&snap);
         // Re-execute the checkpoint barrier unconditionally: if the crash
         // landed before it, the peers are still blocked in it and this
         // completes it; if after, their count-based dedupe drops the
@@ -444,7 +440,7 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
     }
 
     Ok(MachineOut::collect(
-        &f.shard,
+        f.shard,
         &f.state,
         f.iterations,
         converged,

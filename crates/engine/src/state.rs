@@ -154,7 +154,8 @@ pub struct Staging<P: VertexProgram> {
 
 impl<P: VertexProgram> Staging<P> {
     /// Opens `n` emptied source blocks for a sweep on a machine with
-    /// `num_local` vertices.
+    /// `num_local` vertices (the same count, and the same block size, on
+    /// every sweep of a run: a block is built with its segments).
     pub fn open_blocks(
         &mut self,
         pctx: &ParallelCtx,
@@ -166,7 +167,7 @@ impl<P: VertexProgram> Staging<P> {
         if self.blocks.len() < n {
             self.blocks.resize_with(n, || SourceBlock {
                 commits: Vec::new(),
-                segments: Vec::new(),
+                segments: std::iter::repeat_with(Vec::new).take(num_blocks).collect(),
                 block_size,
             });
         }
@@ -175,9 +176,6 @@ impl<P: VertexProgram> Staging<P> {
         for b in blocks.iter_mut() {
             b.commits.clear();
             b.segments.iter_mut().for_each(Vec::clear);
-            // A live migration may have appended vertices since last sweep.
-            b.segments.resize_with(num_blocks, Vec::new);
-            b.block_size = block_size;
         }
         blocks
     }
@@ -433,7 +431,7 @@ impl<P: VertexProgram> MachineState<P> {
         let folded = self.deliver_segments(program, ctx, &producers);
         let retained: usize = blocks.iter().map(|b| retained(&b.segments)).sum();
         if retained > self.retention_limit() {
-            blocks.iter_mut().for_each(|b| b.segments.clear());
+            blocks.iter_mut().flat_map(|b| &mut b.segments).for_each(|s| *s = Vec::new());
         }
         self.scratch.staging.blocks = blocks;
         folded.delta_folds

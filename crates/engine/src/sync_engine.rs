@@ -137,7 +137,7 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
 
     fn step(&mut self, f: &mut Frame<'_, P, SyncMsg<P>>) -> Result<Vote, CommError> {
         let (program, num_vertices, cost) = (f.program, f.num_vertices, f.cfg.cost);
-        let (shard, pctx, stats): (&LocalShard, _, _) = (&f.shard, &f.pctx, &*f.stats);
+        let (shard, pctx, stats) = (f.shard, &f.pctx, &*f.stats);
         let (state, port, clock, bsp) = (&mut f.state, &mut f.port, &mut f.clock, &mut f.bsp);
         let SyncStep {
             scatter_tasks,

@@ -5,10 +5,8 @@
 use proptest::prelude::*;
 
 use lazygraph_cluster::{CostModel, TransportKind};
-use lazygraph_engine::{
-    CommModePolicy, EngineConfig, EngineKind, IntervalPolicy, RebalanceConfig,
-};
-use lazygraph_net::Wire;
+use lazygraph_engine::{CommModePolicy, EngineConfig, EngineKind, IntervalPolicy};
+use lazygraph_net::{NetError, Wire};
 use lazygraph_partition::{HubFanoutConfig, PartitionStrategy, SplitterConfig};
 
 /// Every field of a configuration as text, floats as bit patterns.
@@ -58,12 +56,6 @@ fn fingerprint(cfg: &EngineConfig) -> String {
             degree_threshold,
             fanout,
         },
-        rebalance:
-            RebalanceConfig {
-                every,
-                ratio_milli,
-                max_moves,
-            },
     } = cfg;
     let interval_bits = match *interval {
         IntervalPolicy::Adaptive {
@@ -88,8 +80,8 @@ fn fingerprint(cfg: &EngineConfig) -> String {
         "{engine:?} {partition:?} {high_degree_threshold:?} {low_degree_threshold:?} \
          {bidirectional} {comm_mode:?} {interval_bits:?} {max_iterations} {delta_suppression} \
          {record_history} {threads_per_machine} {block_size} {pipeline} {adaptive_parts} \
-         {delta_buckets} {transport:?} {degree_threshold:?} {fanout} {every} {ratio_milli} \
-         {max_moves} {float_bits:?}"
+         {delta_buckets} {transport:?} {degree_threshold:?} {fanout} \
+         {float_bits:?}"
     )
 }
 
@@ -101,7 +93,7 @@ proptest! {
     fn engine_config_wire_round_trips(
         tags in (0u8..6, 0u8..5, 0u8..3, 0u8..3, 0u8..2),
         f in proptest::collection::vec(any::<u64>(), 17),
-        n in proptest::collection::vec(any::<u32>(), 8),
+        n in proptest::collection::vec(any::<u32>(), 7),
         b in proptest::collection::vec(any::<bool>(), 9),
     ) {
         let float = |i: usize| f64::from_bits(f[i]);
@@ -158,11 +150,6 @@ proptest! {
                 degree_threshold: b[7].then_some(n[5] as usize),
                 fanout: n[6] as usize,
             },
-            rebalance: RebalanceConfig {
-                every: u64::from(n[7]),
-                ratio_milli: f[16],
-                max_moves: n[0] as usize,
-            },
         };
         let bytes = cfg.to_wire();
         let back = EngineConfig::from_wire(&bytes).expect("decode");
@@ -182,3 +169,18 @@ fn engine_config_wire_rejects_bad_tags_and_truncation() {
     assert!(EngineConfig::from_wire(&bad).is_err());
 }
 
+
+/// The 19-field configuration is the whole encoding: what a 20-field
+/// launcher would append (three retired `u64` words, 24 bytes) is trailing
+/// bytes, not silently dropped.
+#[test]
+fn engine_config_wire_rejects_the_retired_longer_encoding() {
+    let mut old = EngineConfig::lazygraph().to_wire();
+    for word in [0u64, 1500, 16] {
+        word.encode(&mut old);
+    }
+    assert_eq!(
+        EngineConfig::from_wire(&old).err(),
+        Some(NetError::TrailingBytes { extra: 24 })
+    );
+}

@@ -3,8 +3,7 @@
 //! A static vertex-cut is only as good as where the hubs land. The
 //! fixture here constructs the worst reasonable placement — every edge
 //! touching a hub piled onto machine 0, everything else spread evenly —
-//! so the skew-aware machinery (hub fan-out, live migration) has a
-//! measurable baseline to flatten.
+//! so hub fan-out has a measurable baseline to flatten.
 
 use crate::hash::mix64;
 use crate::{Graph, MachineId, VertexId};

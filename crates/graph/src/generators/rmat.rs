@@ -73,7 +73,7 @@ impl RmatConfig {
     /// High-skew benchmark preset (a=0.7): a handful of hubs own a large
     /// share of all edges, so machine load under a static vertex-cut is
     /// dominated by wherever those hubs land. The stress input for
-    /// skew-aware fan-out and live migration.
+    /// skew-aware hub fan-out.
     pub fn skewed(scale: u32, edge_factor: usize, seed: u64) -> Self {
         RmatConfig {
             scale,

@@ -59,12 +59,6 @@ pub enum FrameKind {
     /// payload also carries the round the dialer will resume sending
     /// from, so the acceptor knows which logged rounds to replay.
     Rejoin,
-    /// A live-migration exchange: replica state and topology records for
-    /// vertices moving between machines at a coherency barrier. Routed
-    /// exactly like [`FrameKind::Data`] (same round ordering, same replay
-    /// log); the distinct tag exists so migration traffic is countable on
-    /// the wire.
-    Migrate,
 }
 
 impl FrameKind {
@@ -76,7 +70,6 @@ impl FrameKind {
             FrameKind::Hello => 1,
             FrameKind::Shutdown => 2,
             FrameKind::Rejoin => 3,
-            FrameKind::Migrate => 4,
         }
     }
 
@@ -88,7 +81,6 @@ impl FrameKind {
             1 => Ok(FrameKind::Hello),
             2 => Ok(FrameKind::Shutdown),
             3 => Ok(FrameKind::Rejoin),
-            4 => Ok(FrameKind::Migrate),
             tag => Err(NetError::BadTag { tag, ty: "FrameKind" }),
         }
     }
@@ -462,11 +454,16 @@ mod tests {
         assert!(matches!(err, NetError::FrameTooLarge { .. }));
     }
 
+    /// Tag 4 was a fifth kind once; a peer that still sends it is speaking
+    /// another protocol, like one that sends a byte never assigned.
     #[test]
     fn unknown_kind_rejected() {
-        let bytes = vec![0, 0, 0, 0, 9];
-        let err = FrameReader::new().poll(&mut Cursor::new(&bytes)).unwrap_err();
-        assert!(matches!(err, NetError::BadTag { tag: 9, .. }));
+        for tag in [4u8, 9] {
+            let bad = NetError::BadTag { tag, ty: "FrameKind" };
+            assert_eq!(FrameKind::from_u8(tag), Err(bad.clone()));
+            let header = vec![0, 0, 0, 0, tag];
+            assert_eq!(FrameReader::new().poll(&mut Cursor::new(&header)), Err(bad));
+        }
     }
 
     #[test]

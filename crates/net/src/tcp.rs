@@ -228,9 +228,8 @@ pub fn await_shutdown(stream: &mut TcpStream, timeout: Duration) -> Result<usize
         let frame = read_frame_deadline(stream, deadline)?;
         match frame.kind {
             FrameKind::Shutdown => return decode_control_payload(&frame.payload),
-            // Late data/migrate frames during teardown are dropped, not
-            // errors.
-            FrameKind::Data | FrameKind::Migrate => continue,
+            // Late data frames during teardown are dropped, not errors.
+            FrameKind::Data => continue,
             FrameKind::Hello => {
                 return Err(NetError::Handshake { detail: "Hello after establishment".into() })
             }

@@ -123,138 +123,6 @@ impl LocalShard {
     pub fn has_mirrors(&self, l: u32) -> bool {
         !self.mirrors[l as usize].is_empty()
     }
-
-    // --- Live-migration patch API ---------------------------------------
-    //
-    // Live vertex migration edits a shard *in place* instead of a full
-    // rebuild-and-repartition: new replicas append at the end of `globals`
-    // (so `globals` is no longer gid-sorted after a migration — the dense
-    // route table is the lookup that matters, and `validate_distributed`
-    // only runs on fresh builds), the CSR is spliced, and the
-    // mirror/replicated metadata is patched incrementally. Every mutation
-    // here is driven by the deterministic migration record, so replaying
-    // the same records yields bit-identical shards.
-
-    /// Appends a replica of global vertex `v` (which must not be present),
-    /// returning its new local id. `holders` is the complete post-migration
-    /// replica set including this machine and the master.
-    pub fn migrate_add_local(
-        &mut self,
-        v: VertexId,
-        master: MachineId,
-        holders: &[MachineId],
-        global_out: u32,
-        global_in: u32,
-        global_deg: u32,
-    ) -> u32 {
-        debug_assert_eq!(self.route[v.index()], NO_LOCAL, "replica already present");
-        let l = self.globals.len() as u32;
-        self.globals.push(v);
-        self.route[v.index()] = l;
-        self.is_master.push(master == self.machine);
-        self.master_of.push(master);
-        let mut mirr: Vec<MachineId> = holders
-            .iter()
-            .copied()
-            .filter(|&m| m != self.machine)
-            .collect();
-        mirr.sort();
-        if !mirr.is_empty() {
-            // New local id is the largest, so push keeps `replicated` sorted.
-            self.replicated.push(l);
-        }
-        self.mirrors.push(mirr.into_boxed_slice());
-        self.global_out_degree.push(global_out);
-        self.global_in_degree.push(global_in);
-        self.global_degree.push(global_deg);
-        let last = *self.out_offsets.last().expect("offsets never empty"); // lazylint: allow(no-panic) -- out_offsets is seeded with a leading 0 at construction and only ever grows
-        self.out_offsets.push(last); // zero edges until installed
-        l
-    }
-
-    /// Adds machine `m` to local `l`'s mirror list (sorted insert, no-op
-    /// if already present) and keeps `replicated` consistent.
-    pub fn migrate_add_mirror(&mut self, l: u32, m: MachineId) {
-        debug_assert_ne!(m, self.machine);
-        let mirr = &mut self.mirrors[l as usize];
-        if let Err(pos) = mirr.binary_search(&m) {
-            let mut v = mirr.to_vec();
-            v.insert(pos, m);
-            let newly_replicated = mirr.is_empty();
-            *mirr = v.into_boxed_slice();
-            if newly_replicated {
-                if let Err(rpos) = self.replicated.binary_search(&l) {
-                    self.replicated.insert(rpos, l);
-                }
-            }
-        }
-    }
-
-    /// Reassigns local `l`'s master machine.
-    pub fn migrate_set_master(&mut self, l: u32, master: MachineId) {
-        self.is_master[l as usize] = master == self.machine;
-        self.master_of[l as usize] = master;
-    }
-
-    /// Removes and returns local `l`'s out-edges as `(target local id,
-    /// weight)`. Only callable when none of them are parallel-mode (the
-    /// migration eligibility rule guarantees this).
-    pub fn migrate_take_out_edges(&mut self, l: u32) -> Vec<(u32, f32)> {
-        let start = self.out_offsets[l as usize] as usize;
-        let end = self.out_offsets[l as usize + 1] as usize;
-        debug_assert!(
-            self.out_parallel[start..end].iter().all(|&p| !p),
-            "cannot migrate parallel-mode edges"
-        );
-        let taken: Vec<(u32, f32)> = self.out_targets[start..end]
-            .iter()
-            .copied()
-            .zip(self.out_weights[start..end].iter().copied())
-            .collect();
-        self.out_targets.drain(start..end);
-        self.out_weights.drain(start..end);
-        self.out_parallel.drain(start..end);
-        let removed = (end - start) as u32;
-        for off in self.out_offsets[l as usize + 1..].iter_mut() {
-            *off -= removed;
-        }
-        taken
-    }
-
-    /// Installs `edges` (target local id, weight; one-edge mode) at the
-    /// end of local `l`'s out-edge row.
-    pub fn migrate_install_out_edges(&mut self, l: u32, edges: &[(u32, f32)]) {
-        let at = self.out_offsets[l as usize + 1] as usize;
-        self.out_targets
-            .splice(at..at, edges.iter().map(|&(t, _)| t));
-        self.out_weights
-            .splice(at..at, edges.iter().map(|&(_, w)| w));
-        self.out_parallel
-            .splice(at..at, std::iter::repeat_n(false, edges.len()));
-        let added = edges.len() as u32;
-        for off in self.out_offsets[l as usize + 1..].iter_mut() {
-            *off += added;
-        }
-    }
-
-    /// Per-local flag: does any locally stored parallel-mode edge touch
-    /// this vertex (as source or target)? Vertices in a migration's
-    /// replica-growth set must all be untouched — a parallel edge's
-    /// dispatch set is derived from replica sets at build time, and
-    /// growing those sets would silently violate the dispatch invariant.
-    pub fn parallel_touched_locals(&self) -> Vec<bool> {
-        let mut touched = vec![false; self.num_local()];
-        for l in 0..self.num_local() {
-            let r = self.out_offsets[l] as usize..self.out_offsets[l + 1] as usize;
-            for (i, &p) in self.out_parallel[r.clone()].iter().enumerate() {
-                if p {
-                    touched[l] = true;
-                    touched[self.out_targets[r.start + i] as usize] = true;
-                }
-            }
-        }
-        touched
-    }
 }
 
 /// The partitioned graph: all shards plus global metadata.
@@ -738,74 +606,6 @@ mod tests {
                 assert_eq!(shard.local_of(v), Some(l as u32));
             }
         }
-    }
-
-    #[test]
-    fn migration_patch_round_trips_the_csr() {
-        let g = rmat(RmatConfig::graph500(8, 6, 6));
-        let a = CoordinatedCut.assign(&g, 2);
-        let plan = SplitPlan::none(g.num_edges());
-        let dg = build_distributed(&g, &a, 2, &plan, false);
-        let mut shard = dg.shards[0].clone();
-        let l = (0..shard.num_local() as u32)
-            .find(|&l| shard.local_out_degree(l) > 0)
-            .expect("some local with edges");
-        let before: Vec<Vec<(u32, f32, EdgeMode)>> = (0..shard.num_local() as u32)
-            .map(|x| shard.out_edges(x).collect())
-            .collect();
-        let taken = shard.migrate_take_out_edges(l);
-        assert_eq!(taken.len(), before[l as usize].len());
-        assert_eq!(shard.local_out_degree(l), 0);
-        // Other rows are untouched by the splice.
-        for x in 0..shard.num_local() as u32 {
-            if x != l {
-                let row: Vec<(u32, f32, EdgeMode)> = shard.out_edges(x).collect();
-                assert_eq!(row, before[x as usize], "row {x} disturbed");
-            }
-        }
-        shard.migrate_install_out_edges(l, &taken);
-        for x in 0..shard.num_local() as u32 {
-            let row: Vec<(u32, f32, EdgeMode)> = shard.out_edges(x).collect();
-            assert_eq!(row, before[x as usize], "row {x} failed to round-trip");
-        }
-        assert_eq!(shard.num_local_edges(), dg.shards[0].num_local_edges());
-    }
-
-    #[test]
-    fn migration_add_local_and_mirror_bookkeeping() {
-        let g = rmat(RmatConfig::graph500(8, 6, 7));
-        let a = CoordinatedCut.assign(&g, 2);
-        let plan = SplitPlan::none(g.num_edges());
-        let dg = build_distributed(&g, &a, 2, &plan, false);
-        let mut shard = dg.shards[0].clone();
-        let absent = g
-            .vertices()
-            .find(|&v| shard.local_of(v).is_none())
-            .expect("some vertex absent from shard 0");
-        let nl = shard.num_local() as u32;
-        let holders = [MachineId::from(0usize), MachineId::from(1usize)];
-        let l = shard.migrate_add_local(absent, MachineId::from(1usize), &holders, 3, 2, 5);
-        assert_eq!(l, nl);
-        assert_eq!(shard.local_of(absent), Some(l));
-        assert_eq!(shard.global_of(l), absent);
-        assert!(!shard.is_master[l as usize]);
-        assert_eq!(shard.master_of[l as usize], MachineId::from(1usize));
-        assert!(shard.has_mirrors(l));
-        assert_eq!(*shard.replicated.last().unwrap(), l);
-        assert_eq!(shard.local_out_degree(l), 0);
-        assert_eq!(shard.global_out_degree[l as usize], 3);
-        // Idempotent mirror insert keeps the list sorted and deduped.
-        let lone = (0..shard.num_local() as u32)
-            .find(|&x| !shard.has_mirrors(x))
-            .expect("some unreplicated local");
-        shard.migrate_add_mirror(lone, MachineId::from(1usize));
-        shard.migrate_add_mirror(lone, MachineId::from(1usize));
-        assert_eq!(shard.mirrors[lone as usize].len(), 1);
-        assert!(shard.replicated.binary_search(&lone).is_ok());
-        shard.migrate_set_master(lone, MachineId::from(1usize));
-        assert!(!shard.is_master[lone as usize]);
-        shard.migrate_set_master(lone, MachineId::from(0usize));
-        assert!(shard.is_master[lone as usize]);
     }
 
     #[test]

@@ -61,11 +61,11 @@ pub fn partition_graph_with(
     build_distributed(graph, &assignment, num_machines, &plan, bidirectional)
 }
 
-/// Max/mean machine-load ratio in permille from per-machine traversed-edge
-/// counts: `max(loads) * 1000 * n / sum(loads)`. 1000 is perfect balance;
-/// `1000 * n` means one machine did all the work. Integer arithmetic so
-/// the rebalance decision built on it stays bitwise-deterministic; returns
-/// 1000 (balanced) when no work was recorded.
+/// Max/mean machine-load ratio in permille from per-machine edge counts
+/// (stored or traversed): `max(loads) * 1000 * n / sum(loads)`. 1000 is
+/// perfect balance; `1000 * n` means one machine holds all the work.
+/// Integer arithmetic, so every host prints the same figure; returns 1000
+/// (balanced) when no work was recorded.
 pub fn load_ratio_milli(loads: &[u64]) -> u64 {
     let n = loads.len() as u128;
     let sum: u128 = loads.iter().map(|&x| x as u128).sum();

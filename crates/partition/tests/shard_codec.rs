@@ -1,7 +1,7 @@
 //! Laws of the shard file (DESIGN.md §10): a [`LocalShard`] survives the
 //! `Wire` codec exactly — every accessor equal, re-encoding
-//! byte-identical — on every kind of placement the partitioner builds and
-//! on a shard live migration has patched; and a damaged file — cut at any
+//! byte-identical — on every kind of placement the partitioner builds;
+//! and a damaged file — cut at any
 //! prefix, any single byte changed — is a typed error or a shard that
 //! still holds every condition the engine indexes by. Never a panic, and
 //! never an allocation the file's own length does not justify, which a
@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use lazygraph_graph::generators::{grid2d, rmat, Grid2dConfig, RmatConfig};
-use lazygraph_graph::{Graph, MachineId};
+use lazygraph_graph::Graph;
 use lazygraph_net::{NetError, Wire};
 use lazygraph_partition::{
     partition_graph_with, DistributedGraph, EdgeMode, HubFanoutConfig, LocalShard,
@@ -163,43 +163,6 @@ fn single_machine_round_trips() {
     let dg = place(&g, 1, &HubFanoutConfig::default(), false);
     assert!(dg.shards[0].replicated.is_empty());
     assert_placement_round_trips(&dg);
-}
-
-/// A migrated shard's `globals` are no longer gid-sorted and its CSR has
-/// been spliced; the file carries it as it stands.
-#[test]
-fn migrated_shard_round_trips() {
-    let g = rmat(RmatConfig::graph500(8, 6, 7));
-    let dg = partition_graph_with(
-        &g,
-        2,
-        PartitionStrategy::Coordinated,
-        &SplitterConfig::disabled(),
-        &HubFanoutConfig::default(),
-        false,
-    );
-    let mut shard = dg.shards[0].clone();
-    let absent = g
-        .vertices()
-        .find(|&v| shard.local_of(v).is_none())
-        .expect("some vertex absent from shard 0");
-    let donor = (0..shard.num_local() as u32)
-        .find(|&l| shard.local_out_degree(l) > 0)
-        .expect("some local with edges");
-    let holders = [MachineId(0), MachineId(1)];
-    let l = shard.migrate_add_local(absent, MachineId(1), &holders, 3, 2, 5);
-    let moved = shard.migrate_take_out_edges(donor);
-    shard.migrate_install_out_edges(l, &moved);
-    let lone = (0..shard.num_local() as u32)
-        .find(|&x| !shard.has_mirrors(x))
-        .expect("some unreplicated local");
-    shard.migrate_add_mirror(lone, MachineId(1));
-    shard.migrate_set_master(lone, MachineId(1));
-    assert!(
-        shard.globals.windows(2).any(|w| w[0] > w[1]),
-        "globals must be unsorted"
-    );
-    assert_round_trips(&shard, &dg.shape());
 }
 
 fn small_shard_file() -> Vec<u8> {

@@ -6,7 +6,6 @@
 //!                    [--engine lazy|sync|async|lazy-vertex|hybrid|delta] [--machines 8]
 //!                    [--partition coordinated|random|grid|hybrid|adversarial-hubs]
 //!                    [--hub-fanout N] [--hub-degree-threshold D]
-//!                    [--rebalance-every K] [--rebalance-ratio MILLI] [--rebalance-max-moves N]
 //!                    [--delta-buckets 16] [--delta-tolerance 1e-3]
 //!                    [--source 0] [--k 3] [--tolerance 1e-3] [--scale 0.1]
 //!                    [--threads N] [--block-size 1024]
@@ -15,6 +14,8 @@
 //!                    [--checkpoint-every K] [--rejoin-window-ms MS] [--respawn-budget N]
 //!                    [--symmetrize] [--weights LO:HI] [--output values.txt]
 //! lazygraph-cli info --input <...> [--machines 48] [--scale 0.1]
+//!                    [--partition ...] [--hub-fanout N] [--hub-degree-threshold D]
+//!                    [--symmetrize] [--weights LO:HI] [--bidirectional]
 //! lazygraph-cli generate --kind rmat|road|web|social --vertices N --out FILE
 //! ```
 
@@ -49,10 +50,9 @@ fn die(msg: &str) -> ! {
 /// that take a value.
 const RUN_VALUES: &[&str] = &[
     "input", "algorithm", "engine", "machines", "partition", "hub-fanout",
-    "hub-degree-threshold", "rebalance-every", "rebalance-ratio", "rebalance-max-moves",
-    "delta-buckets", "delta-tolerance", "source", "k", "tolerance", "scale", "threads",
-    "block-size", "transport", "weights", "output", "checkpoint-every", "rejoin-window-ms",
-    "respawn-budget", "failpoint",
+    "hub-degree-threshold", "delta-buckets", "delta-tolerance", "source", "k", "tolerance",
+    "scale", "threads", "block-size", "transport", "weights", "output", "checkpoint-every",
+    "rejoin-window-ms", "respawn-budget", "failpoint",
 ];
 /// Boolean flags of `run` and `info`.
 const RUN_FLAGS: &[&str] = &[
@@ -239,7 +239,7 @@ fn engine_config(opts: &Opts) -> EngineConfig {
         cfg = cfg.with_transport(kind);
     }
     // Skew handling (DESIGN.md §16): degree-aware hub fan-out at partition
-    // time, and online live migration at coherency barriers.
+    // time.
     let fanout: usize = opts.parse_num("hub-fanout", 0usize);
     if fanout > 0 || opts.get("hub-degree-threshold").is_some() {
         cfg = cfg.with_hub_fanout(lazygraph_partition::HubFanoutConfig {
@@ -249,32 +249,7 @@ fn engine_config(opts: &Opts) -> EngineConfig {
             fanout: if fanout > 0 { fanout } else { usize::MAX },
         });
     }
-    let every: u64 = opts.parse_num("rebalance-every", 0u64);
-    if every > 0 {
-        cfg = cfg.with_rebalance(lazygraph_engine::RebalanceConfig::enabled(
-            every,
-            opts.parse_num("rebalance-ratio", 1500u64),
-            opts.parse_num("rebalance-max-moves", 16usize),
-        ));
-    }
     cfg
-}
-
-/// Prints the skew/migration summary for a finished run, when the run
-/// actually checked balance (`--rebalance-every` on).
-fn print_skew(stats: &lazygraph_cluster::StatsSnapshot) {
-    if stats.rebalance_checks == 0 {
-        return;
-    }
-    println!(
-        "load ratio (max/mean, milli): mean {} max {} over {} checks; \
-         {} vertices migrated, {} migrate frames",
-        stats.load_ratio_sum_milli / stats.rebalance_checks,
-        stats.load_ratio_max_milli,
-        stats.rebalance_checks,
-        stats.migrated_vertices,
-        stats.migrate_frames,
-    );
 }
 
 fn write_values<T: std::fmt::Display>(opts: &Opts, values: &[T]) {
@@ -345,7 +320,6 @@ fn mp_run<P: VertexProgram>(
         out.shard_bytes.iter().max().copied().unwrap_or(0),
         out.partition_time.as_secs_f64(),
     );
-    print_skew(&out.stats);
     out.values
 }
 
@@ -450,28 +424,24 @@ fn cmd_run(opts: &Opts) {
             let source = VertexId(opts.parse_num("source", 0u32));
             let r = run(&graph, machines, &cfg, &Sssp::new(source)).expect("cluster run");
             println!("{}", r.metrics.summary());
-            print_skew(&r.metrics.stats);
             write_values(opts, &r.values);
         }
         "bfs" => {
             let source = VertexId(opts.parse_num("source", 0u32));
             let r = run(&graph, machines, &cfg, &Bfs::new(source)).expect("cluster run");
             println!("{}", r.metrics.summary());
-            print_skew(&r.metrics.stats);
             write_values(opts, &r.values);
         }
         "widest" => {
             let source = VertexId(opts.parse_num("source", 0u32));
             let r = run(&graph, machines, &cfg, &WidestPath::new(source)).expect("cluster run");
             println!("{}", r.metrics.summary());
-            print_skew(&r.metrics.stats);
             write_values(opts, &r.values);
         }
         "pagerank" => {
             let tolerance: f64 = opts.parse_num("tolerance", 1e-3);
             let r = run(&graph, machines, &cfg, &PageRankDelta { tolerance }).expect("cluster run");
             println!("{}", r.metrics.summary());
-            print_skew(&r.metrics.stats);
             let ranks: Vec<String> = r.values.iter().map(|d| format!("{:.6}", d.rank)).collect();
             write_values(opts, &ranks);
         }
@@ -479,7 +449,6 @@ fn cmd_run(opts: &Opts) {
             let cfg = cfg.with_bidirectional(true);
             let r = run(&graph, machines, &cfg, &ConnectedComponents).expect("cluster run");
             println!("{}", r.metrics.summary());
-            print_skew(&r.metrics.stats);
             let components: std::collections::HashSet<_> = r.values.iter().collect();
             println!("{} connected components", components.len());
             write_values(opts, &r.values);
@@ -489,7 +458,6 @@ fn cmd_run(opts: &Opts) {
             let cfg = cfg.with_bidirectional(true);
             let r = run(&graph, machines, &cfg, &KCore::new(k)).expect("cluster run");
             println!("{}", r.metrics.summary());
-            print_skew(&r.metrics.stats);
             let survivors = r.values.iter().filter(|&&c| c > 0).count();
             println!("{survivors} vertices in the {k}-core");
             write_values(opts, &r.values);
@@ -513,11 +481,12 @@ fn cmd_info(opts: &Opts) {
     println!("top-1% share:    {:.3}", s.top1pct_edge_share);
     println!("symmetric:       {}", graph.is_symmetric());
     let cfg = engine_config(opts);
-    let dg = lazygraph_partition::partition_graph(
+    let dg = lazygraph_partition::partition_graph_with(
         &graph,
         machines,
         cfg.partition,
         &cfg.splitter,
+        &cfg.hub_fanout,
         cfg.bidirectional,
     );
     println!(
@@ -528,6 +497,13 @@ fn cmd_info(opts: &Opts) {
     );
     println!("parallel edges:  {}", dg.num_parallel_edges);
     println!("storage overhead:{:.3}", dg.storage_overhead());
+    // What each machine will traverse, known at placement time: its
+    // stored out-edges.
+    let stored: Vec<u64> = dg.shards.iter().map(|s| s.num_local_edges() as u64).collect();
+    println!(
+        "edge load (max/mean): {:.3}",
+        lazygraph_partition::load_ratio_milli(&stored) as f64 / 1000.0
+    );
     let levels = reference::bfs_levels(&graph, VertexId(0));
     let reachable = levels.iter().filter(|&&l| l != u32::MAX).count();
     println!(

@@ -9,15 +9,13 @@
 //! over loopback, runs its machine through the shared `run_mesh_engine`
 //! entry, and writes its Wire-encoded result — `MachineOut ++
 //! StatsSnapshot ++ SimBreakdown` — to the output path. A `--resume`
-//! respawn reads the same pristine shard file; the snapshot's structural
-//! patches are replayed onto it inside the engine.
+//! respawn reads the same shard file: nothing a run does changes a shard.
 //!
 //! Exit status 0 means the result file is complete; any failure prints to
 //! stderr and exits 1, which the launcher surfaces as
 //! `MultiprocError::Worker`. A worker dying mid-run poisons its peers'
 //! mesh legs, so the whole gang fails fast instead of hanging.
 
-use std::borrow::Cow;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -124,18 +122,18 @@ fn parse_addrs(addrs: &[String]) -> Result<Vec<SocketAddr>, String> {
 /// a completed checkpoint barrier).
 struct WorkerSeat<'a, P: VertexProgram> {
     me: usize,
-    shard: LocalShard,
+    shard: &'a LocalShard,
     addrs: &'a [SocketAddr],
     opts: &'a TcpOptions,
     resume: bool,
     recovery: RecoveryCfg<P>,
 }
 
-impl<P: VertexProgram> Attach<'static, P> for WorkerSeat<'_, P> {
+impl<'a, P: VertexProgram> Attach<'a, P> for WorkerSeat<'a, P> {
     fn attach<T: Wire + Send + 'static>(
         self,
         stats: &Arc<NetStats>,
-    ) -> Result<Vec<Seat<'static, P, T>>, CommError> {
+    ) -> Result<Vec<Seat<'a, P, T>>, CommError> {
         let ep = if self.resume {
             let round = self.recovery.resume.as_ref().map_or(0, |s| s.data_round);
             reconnect_tcp_endpoint::<T>(self.me, self.addrs, round, stats, self.opts)
@@ -144,7 +142,7 @@ impl<P: VertexProgram> Attach<'static, P> for WorkerSeat<'_, P> {
         }?;
         Ok(vec![Seat {
             me: self.me,
-            shard: Cow::Owned(self.shard),
+            shard: self.shard,
             ep,
             recovery: self.recovery,
         }])
@@ -197,7 +195,7 @@ fn run_worker<P: VertexProgram>(job: &WorkerJob, args: Args, program: P) -> Resu
     .map_err(|e| format!("control mesh: {e}"))?;
     let seat = WorkerSeat {
         me,
-        shard,
+        shard: &shard,
         addrs: &data_addrs,
         opts: &opts,
         resume: args.resume,

@@ -5,7 +5,6 @@
 //! corruption of any single byte — must surface a typed
 //! [`CheckpointError`], never a panic and never silently-wrong bytes.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -17,7 +16,6 @@ use lazygraph_engine::checkpoint::{
     EngineSnapshot, LazyResume, RecoveryCfg, CKPT_CHUNK,
 };
 use lazygraph_engine::lazy_block::LazyCounters;
-use lazygraph_engine::rebalance::{StructMigration, StructVertex};
 use lazygraph_engine::{run_mesh_engine, Attach, EngineConfig, EngineKind, RunShared, Seat};
 use lazygraph_net::Wire;
 use lazygraph_partition::{partition_graph, LocalShard};
@@ -151,12 +149,9 @@ proptest! {
         do_local in any::<bool>(),
         first_stage_bits in (any::<bool>(), any::<u64>()),
         next_mode_m2m in any::<bool>(),
-        pending_migration in (any::<bool>(), any::<u32>(), any::<u32>(), any::<u64>()),
-        load_accum in any::<u64>(),
         stage_budget_bits in (any::<u64>(), any::<u64>()),
         with_delta in any::<bool>(),
         delta_counters in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        with_migration in any::<bool>(),
     ) {
         let prev_active = prev_active.0.then_some(prev_active.1);
         let first_stage_bits = first_stage_bits.0.then_some(first_stage_bits.1);
@@ -173,9 +168,6 @@ proptest! {
             do_local,
             first_stage_bits,
             next_mode_m2m,
-            pending_migration: pending_migration.0
-                .then_some((pending_migration.1, pending_migration.2, pending_migration.3)),
-            load_accum,
             // Arbitrary bit patterns, NaNs included: the stage budget's
             // inputs ride as bits so a resumed `doLC()` reads what the
             // oracle read.
@@ -205,27 +197,6 @@ proptest! {
             part_items,
             lazy: lazy.clone(),
             delta,
-            migrations: if with_migration {
-                vec![StructMigration {
-                    from: 0,
-                    to: 1,
-                    victims: vec![(
-                        StructVertex {
-                            gid: 3,
-                            master: 1,
-                            holders: vec![0, 1],
-                            global_out: 2,
-                            global_in: 0,
-                            global_deg: 2,
-                        },
-                        vec![(4, 1.0), (5, 2.0)],
-                    )],
-                    targets: vec![],
-                    new_at_to: vec![3, 4, 5],
-                }]
-            } else {
-                vec![]
-            },
         };
         let bytes = snap.to_wire();
         prop_assert_eq!(&bytes, &snap.to_wire(), "encode must be deterministic");
@@ -268,13 +239,10 @@ proptest! {
                 do_local: true,
                 first_stage_bits: None,
                 next_mode_m2m: false,
-                pending_migration: None,
-                load_accum: 11,
                 coherency_cost_bits: 0.041f64.to_bits(),
                 last_sweep_bits: 0.002f64.to_bits(),
             }),
             delta: None,
-            migrations: vec![],
         };
         let bytes = snap.to_wire();
         let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
@@ -302,7 +270,6 @@ fn snapshot_of(engine: u8) -> EngineSnapshot<Sssp> {
         part_items: 1024,
         lazy: None,
         delta: None,
-        migrations: vec![],
     }
 }
 
@@ -353,7 +320,7 @@ fn resuming_from_another_engines_snapshot_fails_the_run() {
             let ep = build_endpoints::<T>(TransportKind::InProc, 1, stats)?.remove(0);
             Ok(vec![Seat {
                 me: 0,
-                shard: Cow::Borrowed(self.1),
+                shard: self.1,
                 ep,
                 recovery: RecoveryCfg {
                     every: 0,

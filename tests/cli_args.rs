@@ -42,6 +42,17 @@ fn unknown_option_is_rejected() {
     assert_usage_error(&run_with(&["--thraeds", "4"]), "unknown option --thraeds");
     assert_usage_error(&run_with(&["--kind", "rmat"]), "unknown option --kind");
     assert_usage_error(&["generate", "--engine", "sync"], "unknown option --engine");
+    // The run-time rebalancing options went with the feature: a script that
+    // still passes one is told so instead of running unbalanced.
+    for (opt, value) in [
+        ("--rebalance-every", "2"),
+        ("--rebalance-ratio", "1200"),
+        ("--rebalance-max-moves", "16"),
+    ] {
+        let unknown = format!("unknown option {opt}");
+        assert_usage_error(&run_with(&[opt, value]), &unknown);
+        assert_usage_error(&["info", "--input", "dataset:web-google", opt, value], &unknown);
+    }
 }
 
 #[test]
@@ -56,19 +67,59 @@ fn fault_tolerance_options_need_multiprocess() {
     }
 }
 
+/// `generate`s a `vertices`-vertex R-MAT into a scratch directory of its
+/// own (the caller removes it) and returns the directory and the file.
+fn generated_rmat(tag: &str, vertices: &str) -> (std::path::PathBuf, String) {
+    let dir = std::env::temp_dir().join(format!("lazygraph-cli-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let graph = dir.join("g.el").to_str().expect("utf-8 temp path").to_string();
+    let out = cli(&["generate", "--kind", "rmat", "--vertices", vertices, "--seed", "7", "--out", &graph]);
+    assert!(out.status.success(), "generate: {}", String::from_utf8_lossy(&out.stderr));
+    (dir, graph)
+}
+
 #[test]
 fn valid_invocations_still_run() {
-    let dir = std::env::temp_dir().join(format!("lazygraph-cli-args-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let graph = dir.join("g.el");
-    let graph = graph.to_str().expect("utf-8 temp path");
-    let out = cli(&["generate", "--kind", "rmat", "--vertices", "64", "--out", graph]);
-    assert!(out.status.success(), "generate: {}", String::from_utf8_lossy(&out.stderr));
+    let (dir, graph) = generated_rmat("args", "64");
+    let graph = graph.as_str();
     let out = cli(&[
         "run", "--input", graph, "--algorithm", "sssp", "--machines", "2", "--threads", "1",
         "--pipeline", "--no-adaptive-parts", "--transport", "tcp",
     ]);
     assert!(out.status.success(), "run: {}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("lazy-block-async"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The figure after `label` on the `info` line that starts with it.
+fn info_figure(stdout: &str, label: &str) -> f64 {
+    let line = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix(label))
+        .unwrap_or_else(|| panic!("no `{label}` line in:\n{stdout}"));
+    let figure = line.split_whitespace().next().expect("a figure after the label");
+    figure.parse().unwrap_or_else(|_| panic!("`{label}` figure {figure}"))
+}
+
+/// `info` places the graph the way `run` would, hub fan-out included: on
+/// a skewed R-MAT with every hub piled on machine 0, fanning the hubs out
+/// buys a flatter edge load with more replicas — and both show.
+#[test]
+fn info_honours_hub_fanout() {
+    let (dir, graph) = generated_rmat("info", "4096");
+    let graph = graph.as_str();
+    let info = |extra: &[&str]| {
+        let mut args =
+            vec!["info", "--input", graph, "--machines", "4", "--partition", "adversarial-hubs"];
+        args.extend_from_slice(extra);
+        let out = cli(&args);
+        assert!(out.status.success(), "info: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        (info_figure(&stdout, "lambda:"), info_figure(&stdout, "edge load (max/mean):"))
+    };
+    let (plain_lambda, plain_load) = info(&[]);
+    let (fanned_lambda, fanned_load) = info(&["--hub-fanout", "4"]);
+    assert!(fanned_lambda > plain_lambda, "lambda {plain_lambda} -> {fanned_lambda}");
+    assert!(fanned_load < plain_load, "edge load {plain_load} -> {fanned_load}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -545,12 +545,12 @@ fn budgeted_local_stages_bitwise_identical_across_threads_transports_and_machine
 }
 
 // ---------------------------------------------------------------------------
-// Skew-aware hub fan-out + deterministic live migration (DESIGN.md §16)
+// Skew-aware hub fan-out (DESIGN.md §16)
 // ---------------------------------------------------------------------------
 
 /// High-skew R-MAT (a = 0.7): a handful of hubs own a large share of all
 /// edges, and the adversarial partition drops every hub shard on machine
-/// 0 — the stress input the rebalancer exists for.
+/// 0 — the stress input hub fan-out exists for.
 fn skew_graph() -> Graph {
     let g = rmat(RmatConfig::skewed(9, 8, 9));
     let mut b = GraphBuilder::new(g.num_vertices());
@@ -558,94 +558,6 @@ fn skew_graph() -> Graph {
     b.symmetrize();
     b.randomize_weights(1.0, 9.0, 5);
     b.build()
-}
-
-/// Adversarial placement + live migration every 2 barriers. Hub fan-out
-/// stays *off* here on purpose: fanning the hubs out would balance the
-/// load at partition time and the rebalance trigger would never fire —
-/// these tests exercise the migration path, so the static placement must
-/// stay skewed. Fan-out determinism is pinned separately below.
-fn skew_cfg(threads: usize) -> EngineConfig {
-    EngineConfig::lazygraph()
-        .with_engine(EngineKind::LazyBlockAsync)
-        .with_threads(threads)
-        .with_block_size(64)
-        .with_partition(PartitionStrategy::AdversarialHubs)
-        .with_rebalance(RebalanceConfig::enabled(2, 1200, 16))
-}
-
-#[test]
-fn migrated_runs_bitwise_identical_across_transports_and_threads() {
-    // Live migration is an identical structural patch stream applied by
-    // every machine (DESIGN.md §16): for a fixed machine count the values
-    // AND the full counter fingerprint must stay bitwise identical on
-    // every transport and thread count. TCP runs owe the same values but
-    // not the same counters (wire bytes are measured frame bytes, part of
-    // the wire contract rather than the thread contract).
-    let g = skew_graph();
-    let program = Sssp::new(0u32);
-    for machines in [1usize, 2, 4] {
-        let baseline = run_fingerprint(&g, machines, &skew_cfg(1), &program);
-        for transport in [TransportKind::InProc, TransportKind::Tcp] {
-            for threads in THREADS {
-                let c = skew_cfg(threads).with_transport(transport);
-                let got = run_fingerprint(&g, machines, &c, &program);
-                assert_eq!(
-                    got.0, baseline.0,
-                    "migrated values diverged on {transport:?}, threads={threads}, \
-                     machines={machines}"
-                );
-                if transport == TransportKind::InProc {
-                    assert_eq!(
-                        got.1, baseline.1,
-                        "migrated counters diverged at threads={threads}, machines={machines}"
-                    );
-                }
-            }
-        }
-    }
-    // PageRank exercises the float ⊕ path through a migrated topology:
-    // bitwise across both transports at the largest machine count.
-    let pr = PageRankDelta::default();
-    let base = run_fingerprint(&g, 4, &skew_cfg(1), &pr);
-    for transport in [TransportKind::InProc, TransportKind::Tcp] {
-        let got = run_fingerprint(&g, 4, &skew_cfg(4).with_transport(transport), &pr);
-        assert_eq!(
-            got.0, base.0,
-            "migrated pagerank values diverged on {transport:?}"
-        );
-    }
-}
-
-#[test]
-fn migration_actually_fires_and_preserves_min_algebra_values() {
-    // Two bars at once. Anti-vacuity: with every hub adversarially packed
-    // onto machine 0, the rebalance trigger must actually fire and move
-    // vertices — otherwise the matrix test above passes without ever
-    // exercising migration. Value-neutrality: migration only moves
-    // ownership, never work, so an idempotent min-algebra program must
-    // land on the same bits with the rebalancer on or off.
-    let g = skew_graph();
-    let program = Sssp::new(0u32);
-    for machines in [2usize, 4] {
-        let on = run(&g, machines, &skew_cfg(4), &program).expect("cluster run");
-        assert!(
-            on.metrics.stats.rebalance_checks > 0,
-            "machines={machines}: rebalance checks never ran"
-        );
-        assert!(
-            on.metrics.stats.migrated_vertices > 0,
-            "machines={machines}: adversarial hub placement triggered no migration — \
-             the matrix test is vacuous"
-        );
-        let off_cfg = skew_cfg(4).with_rebalance(RebalanceConfig::DISABLED);
-        let off = run(&g, machines, &off_cfg, &program).expect("cluster run");
-        assert_eq!(
-            format!("{:?}", on.values),
-            format!("{:?}", off.values),
-            "machines={machines}: live migration changed SSSP values"
-        );
-    }
 }
 
 #[test]

@@ -352,82 +352,3 @@ fn kill_during_pipelined_exchange_recovers_bitwise() {
     );
     assert!(out.stats.replay_rounds >= 1, "nothing was replayed on rejoin");
 }
-
-/// Kill the victim around a live migration (DESIGN.md §16): the skewed
-/// graph plus the adversarial all-hubs-on-machine-0 placement guarantees
-/// the rebalancer plans a move at the superstep-2 check and executes it
-/// at the superstep-3 barrier. The kill matrix hits the superstep that
-/// *plans* the move (its checkpoint carries `pending_migration`), the
-/// superstep that *executes* it (the Migrate allgather must replay from
-/// the survivors' logs), and the steady state after — every recovery must
-/// land on the oracle's bits, and the oracle itself must prove a
-/// migration actually happened.
-#[test]
-fn kill_during_live_migration_recovers_bitwise() {
-    let g = {
-        let g = rmat(RmatConfig::skewed(8, 8, 9));
-        let mut b = GraphBuilder::new(g.num_vertices());
-        b.extend(g.edges());
-        b.symmetrize();
-        b.randomize_weights(1.0, 9.0, 5);
-        b.build()
-    };
-    let workers = 4;
-    let base = cfg(EngineKind::LazyBlockAsync)
-        .with_partition(PartitionStrategy::AdversarialHubs)
-        .with_rebalance(RebalanceConfig::enabled(2, 1200, 16));
-    let spec = AlgoSpec::Sssp { source: 0 };
-
-    let oracle =
-        run_multiprocess_with::<Sssp>(&g, workers, &base, &spec, worker_bin(), &mp_opts(None))
-            .expect("migration oracle");
-    assert!(
-        oracle.stats.migrated_vertices > 0,
-        "adversarial placement triggered no migration — the kill matrix is vacuous"
-    );
-    // Multiprocess workers run the migration allgather over the real TCP
-    // control mesh, so this is the one place Migrate frames are
-    // observable on a wire (the single-process driver folds collectives
-    // through shared memory, even on the TCP data transport).
-    assert!(
-        oracle.stats.migrate_frames > 0,
-        "no Migrate-tagged frames crossed the control mesh"
-    );
-    assert!(
-        oracle.iterations >= 4,
-        "oracle converged in {} supersteps — too few to kill around the \
-         superstep-3 migration barrier, grow the graph",
-        oracle.iterations
-    );
-    let want = fingerprint(&oracle);
-
-    // Checkpointing plus migration must still be observationally free.
-    let plain = run_multiprocess::<Sssp>(&g, workers, &base, &spec, worker_bin())
-        .expect("migration plain run");
-    assert_eq!(
-        fingerprint(&plain),
-        want,
-        "enabling checkpoints changed a migrated run"
-    );
-
-    // Superstep 2 plans the move, 3 executes it, 4 is post-migration
-    // steady state; the final superstep exercises resume from a snapshot
-    // whose shard was patched by the full migration log.
-    let mut kills = vec![2u64, 3, 4, oracle.iterations];
-    kills.dedup();
-    for n in kills {
-        let opts = mp_opts(Some((VICTIM, format!("superstep:{n}"))));
-        let out = run_multiprocess_with::<Sssp>(&g, workers, &base, &spec, worker_bin(), &opts)
-            .unwrap_or_else(|e| panic!("migration kill@{n}: {e}"));
-        assert_eq!(
-            fingerprint(&out),
-            want,
-            "recovery after a kill at superstep {n} of a migrated run is not \
-             bitwise identical to the oracle"
-        );
-        assert!(
-            out.stats.reconnects >= 1,
-            "kill@{n}: fail point never fired (no reconnects)"
-        );
-    }
-}
