@@ -53,11 +53,10 @@ pub struct Batch<T> {
     pub sent_at: f64,
     /// BSP round this batch belongs to ([`ASYNC_ROUND`] for out-of-band).
     pub round: u64,
-    /// Whether this is the sender's final batch for `round`. A serialized
-    /// exchange ships exactly one batch per (sender, round), always final;
-    /// the pipelined path streams any number of non-final *parts* followed
-    /// by exactly one final (possibly empty) batch, so the round stays
-    /// self-delimiting without a separate control frame.
+    /// Always `true`: a round is exactly one batch per (sender, round).
+    /// Residue of the retired pipelined exchange, whose non-final *parts*
+    /// cleared it; kept, with its header byte, only because the frozen
+    /// benchmark harness builds a `Batch` literal (ROADMAP item 2).
     pub last: bool,
     /// Frame kind this batch travels under on the TCP transport: always
     /// [`FrameKind::Data`] — a batch is the only thing a data frame
@@ -213,16 +212,6 @@ pub struct Endpoint<T> {
     /// Batches received ahead of the round currently being collected
     /// (two-hop exchanges can race ahead on fast peers).
     pending: VecDeque<Batch<T>>,
-    /// Final (`last == true`) batches already seen for the streaming round
-    /// currently in flight. [`Self::finish_pipelined`] blocks until this
-    /// reaches `n - 1`.
-    stream_finals: usize,
-    /// When the first part of the current streaming round left this
-    /// endpoint — the start of the compute/IO overlap window.
-    stream_started: Option<std::time::Instant>,
-    /// Non-empty parts streamed so far in the current round — the index
-    /// the `stream:<round>:<part>` fail point fires on.
-    stream_parts: u64,
     /// Writer-proxy threads a transport backend attached to this endpoint
     /// (empty for the in-proc mesh). Joined on drop — see [`Drop`] below.
     flush_on_drop: Vec<std::thread::JoinHandle<()>>,
@@ -259,9 +248,6 @@ impl<T> Endpoint<T> {
             pending_evictions: 0,
             next_round: 0,
             pending: VecDeque::new(),
-            stream_finals: 0,
-            stream_started: None,
-            stream_parts: 0,
             flush_on_drop,
             recovery: None,
         }
@@ -288,8 +274,8 @@ impl<T> Endpoint<T> {
         self.recovery.as_ref()
     }
 
-    /// The round the next `exchange`/`finish_pipelined` will be tagged
-    /// with — the replay watermark a checkpoint records.
+    /// The round the next `exchange` will be tagged with — the replay
+    /// watermark a checkpoint records.
     #[inline]
     pub fn next_round(&self) -> u64 {
         self.next_round
@@ -326,21 +312,6 @@ impl<T> Endpoint<T> {
         }
         drop(self);
     }
-}
-
-/// Wall-clock telemetry for one pipelined exchange round, returned by
-/// [`Endpoint::finish_pipelined`]. These are *measurements*, not simulated
-/// time: they are excluded from the determinism contract and only feed the
-/// `overlap_ms` / `send_wait_ms` breakdown counters.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct PipelineTiming {
-    /// Milliseconds between the first streamed part leaving this endpoint
-    /// and the barrier being entered — the window in which wire encoding
-    /// and TCP writes overlapped local compute.
-    pub overlap_ms: f64,
-    /// Milliseconds spent blocked at the barrier waiting for the remaining
-    /// final batches after local compute finished.
-    pub send_wait_ms: f64,
 }
 
 /// Dropping an endpoint *is* the clean-shutdown handshake. For transport
@@ -509,21 +480,6 @@ impl<T: Send> Endpoint<T> {
         bytes_per_item: usize,
         stats: &NetStats,
     ) -> Result<(), CommError> {
-        self.send_tagged_part(dst, items, sim_now, round, true, phase, bytes_per_item, stats)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn send_tagged_part(
-        &self,
-        dst: usize,
-        items: Vec<T>,
-        sim_now: f64,
-        round: u64,
-        last: bool,
-        phase: Phase,
-        bytes_per_item: usize,
-        stats: &NetStats,
-    ) -> Result<(), CommError> {
         debug_assert_ne!(dst, self.me, "self-sends must be handled locally");
         if !items.is_empty() {
             stats.record_batch(phase, items.len() as u64, (items.len() * bytes_per_item) as u64);
@@ -532,7 +488,7 @@ impl<T: Send> Endpoint<T> {
             from: self.me,
             sent_at: sim_now,
             round,
-            last,
+            last: true,
             kind: FrameKind::Data,
             items,
             raw: None,
@@ -541,136 +497,6 @@ impl<T: Send> Endpoint<T> {
             from: self.me,
             to: dst,
         })
-    }
-
-    /// Streams one non-final part of the *upcoming* exchange round: ships
-    /// `outboxes[dst]` immediately (refilling the slot from the buffer pool)
-    /// so Wire encoding and socket writes start while the caller is still
-    /// computing the rest of the round. No-op on an empty slot. The round is
-    /// closed later by [`Self::finish_pipelined`], which sends the finals.
-    pub fn stream_part(
-        &mut self,
-        outboxes: &mut OutboxSet<T>,
-        dst: usize,
-        sim_now: f64,
-        phase: Phase,
-        bytes_per_item: usize,
-        stats: &NetStats,
-    ) -> Result<bool, CommError> {
-        if outboxes.staged(dst).is_empty() {
-            return Ok(false);
-        }
-        if self.stream_started.is_none() {
-            self.stream_started = Some(std::time::Instant::now());
-        }
-        let round = self.next_round;
-        self.stream_parts += 1;
-        crate::recovery::failpoint_stream(round, self.stream_parts);
-        let replacement = self.take_buffer(stats);
-        let items = std::mem::replace(outboxes.slot(dst), replacement);
-        self.send_tagged_part(dst, items, sim_now, round, false, phase, bytes_per_item, stats)?;
-        Ok(true)
-    }
-
-    /// Non-blocking receive of a batch belonging to the streaming round
-    /// currently in flight (parts *and* early finals). Batches from other
-    /// rounds are parked in `pending` exactly like [`Self::exchange`] does.
-    /// Returns `None` when nothing for this round is available right now —
-    /// including on a torn connection, which is surfaced as an error by the
-    /// blocking [`Self::finish_pipelined`] instead of being swallowed here.
-    pub fn poll_stream(&mut self) -> Option<Batch<T>> {
-        let round = self.next_round;
-        if let Some(pos) = self.pending.iter().position(|b| b.round == round) {
-            let b = self.pending.remove(pos)?;
-            if b.last {
-                self.stream_finals += 1;
-            }
-            return Some(b);
-        }
-        loop {
-            match self.rx.try_recv() {
-                Ok(b) if b.round == round => {
-                    if b.last {
-                        self.stream_finals += 1;
-                    }
-                    return Some(b);
-                }
-                Ok(b) => self.pending.push_back(b),
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => return None,
-            }
-        }
-    }
-
-    /// Closes a pipelined exchange round: sends the final (possibly empty)
-    /// batch to every peer, then blocks until all `n - 1` peer finals have
-    /// arrived, handing every remaining batch of the round to `on_batch` in
-    /// arrival order. The caller recycles or stashes payloads inside the
-    /// callback; the batch husk is recycled here afterwards.
-    ///
-    /// Per-peer FIFO (both transports preserve it) plus the one-final-per-
-    /// sender protocol means the callback sees each sender's parts in send
-    /// order — the engine-side drain re-establishes global (sender, part)
-    /// order before committing folds, which is what keeps the pipelined
-    /// path bitwise identical to [`Self::exchange`].
-    pub fn finish_pipelined(
-        &mut self,
-        outboxes: &mut OutboxSet<T>,
-        sim_now: f64,
-        phase: Phase,
-        bytes_per_item: usize,
-        stats: &NetStats,
-        mut on_batch: impl FnMut(&mut Batch<T>),
-    ) -> Result<PipelineTiming, CommError> {
-        assert_eq!(outboxes.num_machines(), self.n, "need one outbox per machine");
-        let overlap_ms = self
-            .stream_started
-            .take()
-            .map(|t| t.elapsed().as_secs_f64() * 1e3)
-            .unwrap_or(0.0);
-        let round = self.next_round;
-        self.next_round += 1;
-        self.stream_parts = 0;
-        for dst in 0..self.n {
-            if dst == self.me {
-                continue;
-            }
-            let replacement = self.take_buffer(stats);
-            let items = std::mem::replace(outboxes.slot(dst), replacement);
-            self.send_tagged_part(dst, items, sim_now, round, true, phase, bytes_per_item, stats)?;
-        }
-        // Rotation pass over the ahead-of-round buffer, same as `exchange`.
-        for _ in 0..self.pending.len() {
-            match self.pending.pop_front() {
-                Some(mut b) if b.round == round => {
-                    if b.last {
-                        self.stream_finals += 1;
-                    }
-                    on_batch(&mut b);
-                    self.recycle(b);
-                }
-                Some(b) => self.pending.push_back(b),
-                None => break,
-            }
-        }
-        let wait_started = std::time::Instant::now();
-        while self.stream_finals < self.n - 1 {
-            let mut b = self
-                .rx
-                .recv()
-                .map_err(|_| CommError::MeshClosed { me: self.me })?;
-            if b.round == round {
-                if b.last {
-                    self.stream_finals += 1;
-                }
-                on_batch(&mut b);
-                self.recycle(b);
-            } else {
-                self.pending.push_back(b);
-            }
-        }
-        let send_wait_ms = wait_started.elapsed().as_secs_f64() * 1e3;
-        self.stream_finals = 0;
-        Ok(PipelineTiming { overlap_ms, send_wait_ms })
     }
 
     /// Blocking receive of the next batch of any round. Fails with
@@ -718,10 +544,14 @@ impl<T: Send> Endpoint<T> {
         assert_eq!(outboxes.num_machines(), self.n, "need one outbox per machine");
         let round = self.next_round;
         self.next_round += 1;
-        self.stream_parts = 0;
+        let mut sends = 0;
         for dst in 0..self.n {
             if dst == self.me {
                 continue;
+            }
+            if phase != Phase::Control {
+                sends += 1;
+                crate::recovery::failpoint_send(round, sends);
             }
             // The staged vector goes on the wire; the slot is refilled from
             // the pool so next round's staging reuses travelled capacity.
@@ -1059,140 +889,6 @@ mod tests {
         assert!(ob.last_mut(0).is_none());
         ob.clear();
         assert_eq!(ob.total_staged(), 0);
-    }
-
-    #[test]
-    fn pipelined_round_delivers_parts_then_finals_per_sender_fifo() {
-        let n = 3;
-        let eps = build_mesh::<u32>(n);
-        let stats = Arc::new(NetStats::new());
-        let per_machine: Vec<Vec<(usize, Vec<u32>)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = eps
-                .into_iter()
-                .map(|mut ep| {
-                    let stats = stats.clone();
-                    s.spawn(move || {
-                        let me = ep.me();
-                        let mut ob = OutboxSet::new(n);
-                        // Two streamed parts then a final per destination.
-                        for part in 0..2u32 {
-                            for dst in 0..n {
-                                if dst == me {
-                                    continue;
-                                }
-                                ob.push(dst, (me as u32) * 100 + part);
-                                ep.stream_part(&mut ob, dst, 0.0, Phase::Coherency, 4, &stats)
-                                    .unwrap();
-                            }
-                        }
-                        for dst in 0..n {
-                            if dst == me {
-                                continue;
-                            }
-                            ob.push(dst, (me as u32) * 100 + 9);
-                        }
-                        let mut got: Vec<(usize, Vec<u32>)> = Vec::new();
-                        // Opportunistic drain while "computing".
-                        while let Some(b) = ep.poll_stream() {
-                            got.push((b.from, b.items.clone()));
-                            ep.recycle(b);
-                        }
-                        ep.finish_pipelined(&mut ob, 0.0, Phase::Coherency, 4, &stats, |b| {
-                            got.push((b.from, std::mem::take(&mut b.items)));
-                        })
-                        .unwrap();
-                        got
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for (me, got) in per_machine.iter().enumerate() {
-            // Per sender: parts 0, 1 then the final 9, in FIFO order.
-            for s in 0..n {
-                if s == me {
-                    continue;
-                }
-                let from_s: Vec<u32> = got
-                    .iter()
-                    .filter(|(f, _)| *f == s)
-                    .flat_map(|(_, items)| items.iter().copied())
-                    .collect();
-                let want: Vec<u32> =
-                    vec![s as u32 * 100, s as u32 * 100 + 1, s as u32 * 100 + 9];
-                assert_eq!(from_s, want, "machine {me} from {s}");
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_round_interoperates_with_later_exchange_rounds() {
-        // A pipelined round and a plain exchange must share round numbering:
-        // batches for the later exchange that arrive during the pipelined
-        // drain are parked, not lost.
-        let mut eps = build_mesh::<u32>(2);
-        let ep1 = eps.pop().unwrap();
-        let mut ep0 = eps.pop().unwrap();
-        let stats = NetStats::new();
-        // Peer's round-1 (future exchange) batch lands first, then its
-        // round-0 part and final.
-        ep1.send_tagged(0, vec![88], 0.0, 1, Phase::Coherency, 4, &stats).unwrap();
-        ep1.send_tagged_part(0, vec![1], 0.0, 0, false, Phase::Coherency, 4, &stats)
-            .unwrap();
-        ep1.send_tagged_part(0, vec![2], 0.0, 0, true, Phase::Coherency, 4, &stats)
-            .unwrap();
-        let mut ob = OutboxSet::new(2);
-        let mut seen = Vec::new();
-        let timing = ep0
-            .finish_pipelined(&mut ob, 0.0, Phase::Coherency, 4, &stats, |b| {
-                seen.append(&mut b.items);
-            })
-            .unwrap();
-        assert_eq!(seen, vec![1, 2]);
-        assert!(timing.overlap_ms >= 0.0 && timing.send_wait_ms >= 0.0);
-        // No parts streamed from ep0, so there was no overlap window.
-        assert_eq!(timing.overlap_ms, 0.0);
-        let r1 = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
-        assert_eq!(r1[0].items, vec![88]);
-    }
-
-    #[test]
-    fn poll_stream_buffers_foreign_rounds_and_counts_finals() {
-        let mut eps = build_mesh::<u32>(2);
-        let ep1 = eps.pop().unwrap();
-        let mut ep0 = eps.pop().unwrap();
-        let stats = NetStats::new();
-        ep1.send(0, vec![7], 0.0, Phase::Async, 4, &stats).unwrap();
-        ep1.send_tagged_part(0, vec![5], 0.0, 0, true, Phase::Coherency, 4, &stats)
-            .unwrap();
-        // poll_stream skips the async batch (parks it) and surfaces the
-        // round-0 final; the following finish must not wait for a second
-        // final from the same peer.
-        let b = ep0.poll_stream().unwrap();
-        assert_eq!(b.items, vec![5]);
-        assert!(b.last);
-        ep0.recycle(b);
-        let mut ob = OutboxSet::new(2);
-        let mut extra = 0usize;
-        ep0.finish_pipelined(&mut ob, 0.0, Phase::Coherency, 4, &stats, |_| extra += 1)
-            .unwrap();
-        assert_eq!(extra, 0);
-        assert_eq!(ep0.try_recv().unwrap().items, vec![7]);
-    }
-
-    #[test]
-    fn single_machine_pipelined_round_degenerates_cleanly() {
-        let mut eps = build_mesh::<u32>(1);
-        let mut ep = eps.pop().unwrap();
-        let stats = NetStats::new();
-        let mut ob = OutboxSet::new(1);
-        assert!(ep.poll_stream().is_none());
-        let timing = ep
-            .finish_pipelined(&mut ob, 0.0, Phase::Coherency, 4, &stats, |_| {
-                panic!("no peers, no batches")
-            })
-            .unwrap();
-        assert_eq!(timing.overlap_ms, 0.0);
     }
 
     #[test]

@@ -8,15 +8,15 @@
 //! logged outbound frames for the rounds the dead worker lost. Rounds
 //! are dense per link (every exchange sends to every peer, empty batches
 //! included), so receive-side deduplication is pure counting: a reader
-//! tracks how many rounds (and, mid-round, how many pipelined parts) it
-//! has already forwarded, and drops exactly that prefix of the replayed
-//! or regenerated stream. DESIGN.md §12 walks through the full protocol.
+//! tracks how many rounds it has already forwarded, and drops exactly
+//! that prefix of the replayed or regenerated stream. DESIGN.md §12 walks
+//! through the full protocol.
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -24,8 +24,9 @@ use parking_lot::Mutex;
 /// `LAZYGRAPH_FAILPOINT` environment variable:
 ///
 /// * `superstep:<N>` — abort when superstep `N` (1-based) begins;
-/// * `stream:<round>:<part>` — abort just before the `<part>`-th
-///   (1-based) streamed pipeline part of data round `<round>` goes out.
+/// * `send:<round>:<n>` — abort inside data round `<round>`, just before
+///   its `<n>`-th (1-based) per-peer send: peers `< n` got the round,
+///   the rest did not.
 ///
 /// Firing is `std::process::abort()` — no unwinding, no Shutdown frame —
 /// so the harness exercises the genuinely torn-connection path.
@@ -33,18 +34,19 @@ use parking_lot::Mutex;
 pub enum FailPoint {
     /// Abort at the start of the given 1-based superstep.
     Superstep(u64),
-    /// Abort before the given 1-based pipelined part of a data round.
-    Stream {
-        /// The data-mesh round being streamed.
+    /// Abort before the given 1-based per-peer send of a data round.
+    Send {
+        /// The data-mesh round being exchanged.
         round: u64,
-        /// Which `stream_part` call within that round (1-based).
-        part: u64,
+        /// Which send of that round's `Endpoint::exchange` loop (1-based).
+        n: u64,
     },
 }
 
 impl FailPoint {
-    /// Parses the `LAZYGRAPH_FAILPOINT` syntax. Returns `None` on any
-    /// malformed input (fault injection is best-effort test plumbing).
+    /// Parses the `LAZYGRAPH_FAILPOINT` syntax; `None` on any malformed
+    /// input. Callers reject that: a chaos run that injects nothing must
+    /// not pass ([`armed_failpoint`], `lazygraph-cli --failpoint`).
     pub fn parse(s: &str) -> Option<FailPoint> {
         let mut parts = s.split(':');
         match parts.next()? {
@@ -52,33 +54,47 @@ impl FailPoint {
                 let n = parts.next()?.parse().ok()?;
                 parts.next().is_none().then_some(FailPoint::Superstep(n))
             }
-            "stream" => {
+            "send" => {
                 let round = parts.next()?.parse().ok()?;
-                let part = parts.next()?.parse().ok()?;
-                parts
-                    .next()
-                    .is_none()
-                    .then_some(FailPoint::Stream { round, part })
+                let n = parts.next()?.parse().ok()?;
+                parts.next().is_none().then_some(FailPoint::Send { round, n })
             }
             _ => None,
         }
     }
 }
 
-fn armed() -> Option<&'static FailPoint> {
-    static FP: OnceLock<Option<FailPoint>> = OnceLock::new();
-    FP.get_or_init(|| {
-        let v = std::env::var("LAZYGRAPH_FAILPOINT").ok()?;
-        FailPoint::parse(&v)
+/// The inverse of [`FailPoint::parse`]: what the launcher puts in a
+/// victim's `LAZYGRAPH_FAILPOINT`.
+impl std::fmt::Display for FailPoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FailPoint::Superstep(n) => write!(f, "superstep:{n}"),
+            FailPoint::Send { round, n } => write!(f, "send:{round}:{n}"),
+        }
+    }
+}
+
+/// The fail point `LAZYGRAPH_FAILPOINT` arms in this process, read once.
+/// `Err` when the variable is set to something [`FailPoint::parse`]
+/// rejects: a worker checks this at start-up, so a chaos run cannot pass
+/// by silently injecting nothing.
+pub fn armed_failpoint() -> &'static Result<Option<FailPoint>, String> {
+    static FP: OnceLock<Result<Option<FailPoint>, String>> = OnceLock::new();
+    FP.get_or_init(|| match std::env::var("LAZYGRAPH_FAILPOINT") {
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Ok(v) => FailPoint::parse(&v).map(Some).ok_or_else(|| {
+            format!("LAZYGRAPH_FAILPOINT: cannot parse '{v}' (superstep:<N> | send:<round>:<n>)")
+        }),
+        Err(e) => Err(format!("LAZYGRAPH_FAILPOINT: {e}")),
     })
-    .as_ref()
 }
 
 /// Engine hook: called at the top of every superstep body with the
 /// 1-based superstep number. Aborts the process if the seeded fail point
 /// names this superstep.
 pub fn failpoint_superstep(superstep: u64) {
-    if let Some(FailPoint::Superstep(n)) = armed() {
+    if let Ok(Some(FailPoint::Superstep(n))) = armed_failpoint() {
         if *n == superstep {
             eprintln!("lazygraph: failpoint superstep:{superstep} firing");
             std::process::abort();
@@ -86,12 +102,17 @@ pub fn failpoint_superstep(superstep: u64) {
     }
 }
 
-/// Transport hook: called before each non-empty `stream_part` send with
-/// the current data round and the 1-based part index within it.
-pub fn failpoint_stream(round: u64, part: u64) {
-    if let Some(FailPoint::Stream { round: r, part: p }) = armed() {
-        if *r == round && *p == part {
-            eprintln!("lazygraph: failpoint stream:{round}:{part} firing");
+/// Transport hook: called before each per-peer send of a data round's
+/// `Endpoint::exchange` with the round and the 1-based index of the send.
+/// A send only queues its batch for the peer's writer thread, so the hook
+/// first gives the sends already issued time to reach the wire: the kill
+/// then lands *between* two peers' frames, leaving the survivors at
+/// different watermarks for the victim, rather than before all of them.
+pub fn failpoint_send(round: u64, n: u64) {
+    if let Ok(Some(FailPoint::Send { round: r, n: k })) = armed_failpoint() {
+        if *r == round && *k == n {
+            std::thread::sleep(Duration::from_millis(100));
+            eprintln!("lazygraph: failpoint send:{round}:{n} firing");
             std::process::abort();
         }
     }
@@ -131,10 +152,8 @@ pub struct LinkShared {
     /// Outbound Data-frame payloads by round, kept since the last
     /// checkpoint prune — the replay source for a rejoining peer.
     log: Mutex<Vec<(u64, Vec<u8>)>>,
-    /// Rounds fully forwarded to the endpoint by this link's reader.
+    /// Rounds forwarded to the endpoint by this link's reader.
     pub fwd_rounds: AtomicU64,
-    /// Pipelined parts forwarded within round `fwd_rounds` so far.
-    pub cur_parts: AtomicU64,
     /// A clone of the link's current stream, so the acceptor can sever
     /// it when swapping in a rejoined connection.
     pub stream: Mutex<Option<TcpStream>>,
@@ -155,7 +174,6 @@ impl LinkShared {
             gen: AtomicU64::new(0),
             log: Mutex::new(Vec::new()),
             fwd_rounds: AtomicU64::new(start_round),
-            cur_parts: AtomicU64::new(0),
             stream: Mutex::new(None),
             writer: Mutex::new(None),
             reader: Mutex::new(None),
@@ -258,12 +276,15 @@ mod tests {
     #[test]
     fn failpoint_syntax_parses() {
         assert_eq!(FailPoint::parse("superstep:4"), Some(FailPoint::Superstep(4)));
-        assert_eq!(
-            FailPoint::parse("stream:7:2"),
-            Some(FailPoint::Stream { round: 7, part: 2 })
-        );
-        for bad in ["", "superstep", "superstep:x", "superstep:1:2", "stream:1", "boom:1"] {
+        assert_eq!(FailPoint::parse("send:7:2"), Some(FailPoint::Send { round: 7, n: 2 }));
+        // `stream:<round>:<part>` is retired: the path it fired in is gone.
+        for bad in
+            ["", "superstep", "superstep:x", "superstep:1:2", "send:1", "stream:1:1", "boom:1"]
+        {
             assert_eq!(FailPoint::parse(bad), None, "{bad:?} must not parse");
+        }
+        for fp in [FailPoint::Superstep(4), FailPoint::Send { round: 7, n: 2 }] {
+            assert_eq!(FailPoint::parse(&fp.to_string()), Some(fp));
         }
     }
 

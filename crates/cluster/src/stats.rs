@@ -88,13 +88,11 @@ pub struct NetStats {
     wire_bytes_recv: AtomicU64,
     wire_frames_sent: AtomicU64,
     wire_frames_recv: AtomicU64,
-    drain_batches_early: AtomicU64,
     reconnects: AtomicU64,
     snapshot_bytes: AtomicU64,
     replay_rounds: AtomicU64,
     zero_copy_frames: AtomicU64,
     fold_runs: AtomicU64,
-    adaptive_part_items: AtomicU64,
     delta_skipped_vertices: AtomicU64,
     sched_epochs: AtomicU64,
     bucket_high_water: AtomicU64,
@@ -182,15 +180,6 @@ impl NetStats {
         self.wire_bytes_recv.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Records `n` inbound batches routed eagerly by a pipelined exchange
-    /// (i.e. before the coherency barrier rather than at it).
-    #[inline]
-    pub fn record_drain_early(&self, n: u64) {
-        if n != 0 {
-            self.drain_batches_early.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     /// Records one rejoin admitted by this endpoint's acceptor (a torn
     /// link swapped onto a restarted peer's new connection).
     #[inline]
@@ -231,14 +220,6 @@ impl NetStats {
         }
     }
 
-    /// Records the pipeline part size a superstep committed; the counter
-    /// keeps the high-water mark (`fetch_max`), so reports show the
-    /// largest part size the adaptive controller reached.
-    #[inline]
-    pub fn record_adaptive_part_items(&self, part_items: u64) {
-        self.adaptive_part_items.fetch_max(part_items, Ordering::Relaxed);
-    }
-
     /// Records `n` pending vertices the delta engine's bucket scheduler
     /// parked this epoch (sub-tolerance accumulated mass — work the dense
     /// reference would have processed).
@@ -258,8 +239,7 @@ impl NetStats {
     }
 
     /// Records an epoch's largest single-bucket occupancy; the counter
-    /// keeps the high-water mark (`fetch_max`) like
-    /// [`Self::record_adaptive_part_items`].
+    /// keeps the high-water mark (`fetch_max`).
     #[inline]
     pub fn record_bucket_high_water(&self, occupancy: u64) {
         self.bucket_high_water.fetch_max(occupancy, Ordering::Relaxed);
@@ -287,13 +267,11 @@ impl NetStats {
             wire_bytes_recv: self.wire_bytes_recv.load(Ordering::Relaxed),
             wire_frames_sent: self.wire_frames_sent.load(Ordering::Relaxed),
             wire_frames_recv: self.wire_frames_recv.load(Ordering::Relaxed),
-            drain_batches_early: self.drain_batches_early.load(Ordering::Relaxed),
             reconnects: self.reconnects.load(Ordering::Relaxed),
             snapshot_bytes: self.snapshot_bytes.load(Ordering::Relaxed),
             replay_rounds: self.replay_rounds.load(Ordering::Relaxed),
             zero_copy_frames: self.zero_copy_frames.load(Ordering::Relaxed),
             fold_runs: self.fold_runs.load(Ordering::Relaxed),
-            adaptive_part_items: self.adaptive_part_items.load(Ordering::Relaxed),
             delta_skipped_vertices: self.delta_skipped_vertices.load(Ordering::Relaxed),
             sched_epochs: self.sched_epochs.load(Ordering::Relaxed),
             bucket_high_water: self.bucket_high_water.load(Ordering::Relaxed),
@@ -358,11 +336,6 @@ pub struct StatsSnapshot {
     pub wire_frames_sent: u64,
     /// Frames read from sockets.
     pub wire_frames_recv: u64,
-    /// Inbound batches routed eagerly (during compute) by the pipelined
-    /// exchange path, instead of at the coherency barrier. Timing
-    /// telemetry: like pool hit/miss, the value depends on scheduling and
-    /// is excluded from the determinism counter contract.
-    pub drain_batches_early: u64,
     /// Rejoins admitted after a torn link (recovery mode only; 0 on
     /// undisturbed runs). Fault telemetry, outside the determinism
     /// counter contract.
@@ -382,12 +355,6 @@ pub struct StatsSnapshot {
     /// vectorized ⊕ loop in segment delivery. Deterministic per
     /// configuration: run boundaries follow the routed segment contents.
     pub fold_runs: u64,
-    /// High-water mark of the adaptive pipeline part size committed by
-    /// any superstep (0 when adaptive sizing is off). Merged by `max`,
-    /// not `+`: a high-water mark across workers is the largest any of
-    /// them reached. Wall-clock-fed telemetry, outside the determinism
-    /// counter contract.
-    pub adaptive_part_items: u64,
     /// Pending vertices the delta engine's scheduler parked as
     /// sub-tolerance instead of processing. Deterministic per
     /// configuration: the plan is a pure function of state.
@@ -396,7 +363,8 @@ pub struct StatsSnapshot {
     /// run records `n` per epoch). Deterministic per configuration.
     pub sched_epochs: u64,
     /// High-water mark of any single priority bucket's occupancy in one
-    /// epoch. Merged by `max`, not `+`, like `adaptive_part_items`.
+    /// epoch. Merged by `max`, not `+`: a high-water mark across workers
+    /// is the largest any of them reached.
     pub bucket_high_water: u64,
 }
 
@@ -443,15 +411,11 @@ impl StatsSnapshot {
         self.wire_bytes_recv += other.wire_bytes_recv;
         self.wire_frames_sent += other.wire_frames_sent;
         self.wire_frames_recv += other.wire_frames_recv;
-        self.drain_batches_early += other.drain_batches_early;
         self.reconnects += other.reconnects;
         self.snapshot_bytes += other.snapshot_bytes;
         self.replay_rounds += other.replay_rounds;
         self.zero_copy_frames += other.zero_copy_frames;
         self.fold_runs += other.fold_runs;
-        // High-water mark, not an event count: the cluster-wide value is
-        // the largest part size any worker committed.
-        self.adaptive_part_items = self.adaptive_part_items.max(other.adaptive_part_items);
         self.delta_skipped_vertices += other.delta_skipped_vertices;
         self.sched_epochs += other.sched_epochs;
         self.bucket_high_water = self.bucket_high_water.max(other.bucket_high_water);
@@ -490,12 +454,12 @@ impl StatsSnapshot {
             self.wire_frames_recv
         ));
         lines.push(format!(
-            "drain_batches_early={} reconnects={} snapshot_bytes={} replay_rounds={}",
-            self.drain_batches_early, self.reconnects, self.snapshot_bytes, self.replay_rounds
+            "reconnects={} snapshot_bytes={} replay_rounds={}",
+            self.reconnects, self.snapshot_bytes, self.replay_rounds
         ));
         lines.push(format!(
-            "zero_copy_frames={} fold_runs={} adaptive_part_items={}",
-            self.zero_copy_frames, self.fold_runs, self.adaptive_part_items
+            "zero_copy_frames={} fold_runs={}",
+            self.zero_copy_frames, self.fold_runs
         ));
         lines.push(format!(
             "delta_skipped_vertices={} sched_epochs={} bucket_high_water={}",
@@ -537,13 +501,11 @@ impl Wire for StatsSnapshot {
         self.wire_bytes_recv.encode(out);
         self.wire_frames_sent.encode(out);
         self.wire_frames_recv.encode(out);
-        self.drain_batches_early.encode(out);
         self.reconnects.encode(out);
         self.snapshot_bytes.encode(out);
         self.replay_rounds.encode(out);
         self.zero_copy_frames.encode(out);
         self.fold_runs.encode(out);
-        self.adaptive_part_items.encode(out);
         self.delta_skipped_vertices.encode(out);
         self.sched_epochs.encode(out);
         self.bucket_high_water.encode(out);
@@ -567,13 +529,11 @@ impl Wire for StatsSnapshot {
             wire_bytes_recv: u64::decode(r)?,
             wire_frames_sent: u64::decode(r)?,
             wire_frames_recv: u64::decode(r)?,
-            drain_batches_early: u64::decode(r)?,
             reconnects: u64::decode(r)?,
             snapshot_bytes: u64::decode(r)?,
             replay_rounds: u64::decode(r)?,
             zero_copy_frames: u64::decode(r)?,
             fold_runs: u64::decode(r)?,
-            adaptive_part_items: u64::decode(r)?,
             delta_skipped_vertices: u64::decode(r)?,
             sched_epochs: u64::decode(r)?,
             bucket_high_water: u64::decode(r)?,
@@ -692,14 +652,11 @@ mod tests {
         s.record_pool_evictions(3);
         s.record_wire_sent(7, 700);
         s.record_wire_recv(8, 800);
-        s.record_drain_early(5);
-        s.record_drain_early(0); // no-op
         s.record_reconnect();
         s.record_snapshot_bytes(4096);
         s.record_replay_round();
         s.record_replay_round();
         let snap = s.snapshot();
-        assert_eq!(snap.drain_batches_early, 5);
         assert_eq!(snap.reconnects, 1);
         assert_eq!(snap.snapshot_bytes, 4096);
         assert_eq!(snap.replay_rounds, 2);
@@ -713,24 +670,17 @@ mod tests {
         s.record_zero_copy_frames(3);
         s.record_zero_copy_frames(0); // no-op
         s.record_fold_runs(7);
-        // High-water: later smaller commits must not lower it.
-        s.record_adaptive_part_items(512);
-        s.record_adaptive_part_items(2048);
-        s.record_adaptive_part_items(1024);
         let snap = s.snapshot();
         assert_eq!(snap.zero_copy_frames, 3);
         assert_eq!(snap.fold_runs, 7);
-        assert_eq!(snap.adaptive_part_items, 2048);
 
         let other = NetStats::new();
         other.record_zero_copy_frames(4);
         other.record_fold_runs(1);
-        other.record_adaptive_part_items(4096);
         let mut m = snap;
         m.merge(&other.snapshot());
         assert_eq!(m.zero_copy_frames, 7, "event counts sum");
         assert_eq!(m.fold_runs, 8);
-        assert_eq!(m.adaptive_part_items, 4096, "high-water merges by max");
         let back = StatsSnapshot::from_wire(&m.to_wire()).unwrap();
         assert_eq!(back, m);
     }

@@ -381,7 +381,6 @@ fn tcp_endpoint<T: Wire + Send + 'static>(
             shared: Arc::clone(&shared),
             recovery_mode,
             gen: 0,
-            skip: 0,
         });
         if recovery_mode {
             *lshared.reader.lock() = handle;
@@ -598,9 +597,6 @@ struct ReaderCtx<T> {
     recovery_mode: bool,
     /// The link generation this reader belongs to (recovery mode).
     gen: u64,
-    /// Pipelined parts of the current round already forwarded by the
-    /// predecessor reader before a rejoin swap; dropped, not re-delivered.
-    skip: u64,
 }
 
 /// Reader proxy: reassembles frames into inbound batches. Exits on the
@@ -627,7 +623,6 @@ fn spawn_reader<T: Wire + Send + 'static>(
             shared,
             recovery_mode,
             gen,
-            mut skip,
         } = ctx;
         let peer = link.peer;
         let mut reader = FrameReader::new();
@@ -661,29 +656,18 @@ fn spawn_reader<T: Wire + Send + 'static>(
                                 "recovery mode requires dense BSP rounds"
                             );
                             // Count-based dedupe: rounds are dense per
-                            // link, so anything below the forwarded
-                            // watermark is a replayed duplicate, and the
-                            // first `skip` parts of the current round were
-                            // already forwarded before a swap.
+                            // link, one batch each, so anything below the
+                            // forwarded watermark is a replayed or
+                            // regenerated duplicate.
                             let fwd = link.fwd_rounds.load(Ordering::Acquire);
                             if batch.round < fwd {
                                 continue;
                             }
                             debug_assert_eq!(batch.round, fwd, "rounds are dense per link");
-                            if skip > 0 {
-                                skip -= 1;
-                                continue;
-                            }
-                            let last = batch.last;
                             if in_tx.send(batch).is_err() {
                                 return;
                             }
-                            if last {
-                                link.fwd_rounds.store(fwd + 1, Ordering::Release);
-                                link.cur_parts.store(0, Ordering::Release);
-                            } else {
-                                link.cur_parts.fetch_add(1, Ordering::AcqRel);
-                            }
+                            link.fwd_rounds.store(fwd + 1, Ordering::Release);
                         } else if in_tx.send(batch).is_err() {
                             // Our endpoint is gone; nothing left to
                             // deliver to.
@@ -857,7 +841,6 @@ fn admit_rejoin<T: Wire + Send + 'static>(
     if let Some(h) = link.reader.lock().take() {
         let _ = h.join();
     }
-    let skip = link.cur_parts.load(Ordering::Acquire);
     let replay = link.replay_from(resume_round);
     let wstream = stream
         .try_clone()
@@ -888,7 +871,6 @@ fn admit_rejoin<T: Wire + Send + 'static>(
         shared: Arc::clone(&ctx.shared),
         recovery_mode: true,
         gen: new_gen,
-        skip,
     });
     ctx.stats.record_reconnect();
     Ok(())
@@ -914,7 +896,7 @@ mod tests {
             from: 3,
             sent_at: 1.25,
             round: 42,
-            last: false,
+            last: true,
             kind: FrameKind::Data,
             items: vec![(7u32, -1.5f64), (9, 0.0)],
             raw: None,
@@ -924,7 +906,7 @@ mod tests {
         assert_eq!(back.from, 3);
         assert_eq!(back.round, 42);
         assert_eq!(back.sent_at.to_bits(), 1.25f64.to_bits());
-        assert!(!back.last);
+        assert!(back.last);
         assert_eq!(back.items, b.items);
         // The zero-copy header decode agrees field-for-field, and its
         // cursor materializes the identical item vector.
@@ -1014,6 +996,12 @@ mod tests {
         drop(ep0);
         let err = ep1.recv().unwrap_err();
         assert_eq!(err, CommError::MeshClosed { me: 1 });
+        // A round the departed peer can no longer complete reports the
+        // closed mesh too, instead of blocking on a batch that cannot come.
+        let err = ep1
+            .exchange(&mut OutboxSet::new(n), 0.0, Phase::Coherency, 4, &stats)
+            .unwrap_err();
+        assert_eq!(err, CommError::MeshClosed { me: 1 });
     }
 
     #[test]
@@ -1035,67 +1023,6 @@ mod tests {
         assert!(reused.capacity() >= 64, "the travelled capacity must come home");
         let snap = stats.snapshot();
         assert_eq!((snap.pool_hits, snap.pool_misses), (1, 0));
-    }
-
-    #[test]
-    fn pipelined_round_streams_parts_over_tcp() {
-        let n = 2;
-        let stats = Arc::new(NetStats::new());
-        let eps = build_tcp_mesh::<u32>(n, &stats, &TcpOptions::default()).unwrap();
-        let per_machine: Vec<Vec<u32>> = std::thread::scope(|s| {
-            let handles: Vec<_> = eps
-                .into_iter()
-                .map(|mut ep| {
-                    let stats = Arc::clone(&stats);
-                    s.spawn(move || {
-                        let me = ep.me();
-                        let dst = 1 - me;
-                        let mut ob = OutboxSet::new(n);
-                        let mut got = Vec::new();
-                        for part in 0..3u32 {
-                            ob.push(dst, me as u32 * 10 + part);
-                            ep.stream_part(&mut ob, dst, 0.0, Phase::Coherency, 4, &stats)
-                                .unwrap();
-                            while let Some(mut b) = ep.poll_stream() {
-                                b.make_items().unwrap();
-                                got.extend_from_slice(&b.items);
-                                ep.recycle(b);
-                            }
-                        }
-                        ob.push(dst, me as u32 * 10 + 9);
-                        ep.finish_pipelined(&mut ob, 0.0, Phase::Coherency, 4, &stats, |b| {
-                            b.make_items().unwrap();
-                            got.append(&mut b.items);
-                        })
-                        .unwrap();
-                        got
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        // Per-sender FIFO survives serialization: parts in send order, then
-        // the final, regardless of how eagerly the drain caught them.
-        assert_eq!(per_machine[0], vec![10, 11, 12, 19]);
-        assert_eq!(per_machine[1], vec![0, 1, 2, 9]);
-    }
-
-    #[test]
-    fn torn_connection_surfaces_error_in_pipelined_finish() {
-        let n = 2;
-        let stats = Arc::new(NetStats::new());
-        let mut eps = build_tcp_mesh::<u32>(n, &stats, &TcpOptions::default()).unwrap();
-        let mut ep1 = eps.pop().unwrap();
-        let ep0 = eps.pop().unwrap();
-        // Peer 0 leaves the mesh before ever sending its final for the
-        // pipelined round; the barrier must report the closed mesh instead
-        // of blocking forever on a final that can no longer arrive.
-        drop(ep0);
-        let mut ob = OutboxSet::new(n);
-        let err = ep1
-            .finish_pipelined(&mut ob, 0.0, Phase::Coherency, 4, &stats, |_| {})
-            .unwrap_err();
-        assert_eq!(err, CommError::MeshClosed { me: 1 });
     }
 
     #[test]

@@ -41,10 +41,11 @@ use crate::state::MachineState;
 
 /// Magic prefix of every checkpoint file ("LZCK", little-endian).
 pub const CKPT_MAGIC: u32 = 0x4b435a4c;
-/// Current checkpoint format version. v2 added `part_items` (adaptive
-/// pipelined part sizing, PR 8) — replay regeneration must reproduce the
-/// exact wire stream, part boundaries included, so the part size rides in
-/// the snapshot. v3 appended the DeltaAccum engine's resume extras
+/// Current checkpoint format version. v2 added the size of the parts a
+/// round was once streamed in; v7 removed it with that path
+/// (EXPERIMENTS.md, PR 20's verdict): a round is one batch per peer, so
+/// there is no part boundary for replay to reproduce. v3 appended the
+/// DeltaAccum engine's resume extras
 /// (`delta`): the engine's cross-iteration counters; the scheduler's
 /// buckets themselves are a pure function of `MachineState` and carry no
 /// state of their own. v4 appended a structural patch log and two lazy
@@ -55,7 +56,7 @@ pub const CKPT_MAGIC: u32 = 0x4b435a4c;
 /// a budgeted local stage is rationed against the cost of the coherency
 /// point before it and predicts its first sub-round from the sweep before
 /// it, and a restart at a superstep boundary can recompute neither.
-pub const CKPT_VERSION: u32 = 6;
+pub const CKPT_VERSION: u32 = 7;
 /// Maximum payload bytes per checksummed chunk.
 pub const CKPT_CHUNK: usize = 1 << 20;
 
@@ -333,10 +334,6 @@ pub struct EngineSnapshot<P: VertexProgram> {
     pub active: Vec<bool>,
     /// `MachineState::queue`.
     pub queue: Vec<u32>,
-    /// `MachineState::part_items` — the adaptive pipelined part size in
-    /// force at the snapshot, so regenerated rounds reproduce the logged
-    /// part boundaries byte-for-byte.
-    pub part_items: u32,
     /// Lazy-engine extras (None for the Sync and DeltaAccum engines).
     pub lazy: Option<LazyResume>,
     /// DeltaAccum extras (None for every other engine). Appended last —
@@ -357,7 +354,6 @@ impl<P: VertexProgram> PartialEq for EngineSnapshot<P> {
             && self.delta_msg == other.delta_msg
             && self.active == other.active
             && self.queue == other.queue
-            && self.part_items == other.part_items
             && self.lazy == other.lazy
             && self.delta == other.delta
     }
@@ -376,7 +372,6 @@ impl<P: VertexProgram> Wire for EngineSnapshot<P> {
         self.delta_msg.encode(out);
         self.active.encode(out);
         self.queue.encode(out);
-        self.part_items.encode(out);
         self.lazy.encode(out);
         self.delta.encode(out);
     }
@@ -393,7 +388,6 @@ impl<P: VertexProgram> Wire for EngineSnapshot<P> {
             delta_msg: Vec::<Option<P::Delta>>::decode(r)?,
             active: Vec::<bool>::decode(r)?,
             queue: Vec::<u32>::decode(r)?,
-            part_items: u32::decode(r)?,
             lazy: Option::<LazyResume>::decode(r)?,
             delta: Option::<DeltaResume>::decode(r)?,
         })
@@ -436,7 +430,6 @@ impl<P: VertexProgram> EngineSnapshot<P> {
             delta_msg: state.delta_msg.clone(),
             active: state.active.clone(),
             queue: state.queue.clone(),
-            part_items: state.part_items,
             lazy: extras.lazy,
             delta: extras.delta,
         }
@@ -450,7 +443,6 @@ impl<P: VertexProgram> EngineSnapshot<P> {
         state.delta_msg = self.delta_msg.clone();
         state.active = self.active.clone();
         state.queue = self.queue.clone();
-        state.part_items = self.part_items;
     }
 }
 
@@ -681,7 +673,6 @@ mod tests {
             delta_msg: vec![Some(4), None, None],
             active: vec![false, true, false],
             queue: vec![1],
-            part_items: 2048,
             lazy: Some(LazyResume {
                 counters: LazyCounters {
                     coherency_points: 6,
@@ -746,9 +737,10 @@ mod tests {
         // A current container with the version field rewritten to an older
         // one must fail the strict equality check, not decode garbage:
         // every version changed the field list (v4 and v5 appended fields,
-        // v6 dropped v4's), so the payloads are incompatible.
+        // v6 dropped v4's, v7 dropped v2's), so the payloads are
+        // incompatible.
         let framed = encode_container(&sample_snapshot().to_wire());
-        for version in [3u32, 4, 5] {
+        for version in [3u32, 4, 5, 6] {
             let mut old = framed.clone();
             old[4..8].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(

@@ -129,19 +129,6 @@ pub struct EngineConfig {
     /// Vertices per work block handed to the machine-local pool. Also
     /// never changes results; tune for load balance vs dispatch overhead.
     pub block_size: usize,
-    /// Pipeline coherency exchanges (DESIGN.md §11): stream staged outbox
-    /// parts to the transport as staging fills them and drain arriving
-    /// batches concurrently with compute, deferring only the ⊕-commit to
-    /// the barrier. Bitwise result-identical to the serialized exchange.
-    /// Off by default — the serialized path is the reference oracle.
-    pub pipeline: bool,
-    /// Adapt the pipelined exchange's part size per superstep from the
-    /// measured send-wait / overlap balance (DESIGN.md §14). Only
-    /// meaningful with `pipeline`; part boundaries never affect results
-    /// (the (sender, part) stitch is split-invariant), so this is on by
-    /// default. With checkpointing enabled the size only commits at
-    /// checkpoint barriers so replay regenerates identical rounds.
-    pub adaptive_parts: bool,
     /// Number of power-of-two priority buckets the DeltaAccum scheduler
     /// bins pending vertices into (DESIGN.md §15). More buckets = finer
     /// magnitude classes = stricter largest-first ordering; ignored by
@@ -183,8 +170,6 @@ impl EngineConfig {
             hybrid_switch_threshold: 0.05,
             threads_per_machine: 0,
             block_size: DEFAULT_BLOCK_SIZE,
-            pipeline: false,
-            adaptive_parts: true,
             delta_buckets: DEFAULT_DELTA_BUCKETS,
             delta_tolerance: DEFAULT_DELTA_TOLERANCE,
             transport: TransportKind::InProc,
@@ -284,20 +269,6 @@ impl EngineConfig {
     /// Builder-style override of the local-work block size.
     pub fn with_block_size(mut self, block_size: usize) -> Self {
         self.block_size = block_size.max(1);
-        self
-    }
-
-    /// Builder-style override of the pipelined coherency exchange (see
-    /// [`Self::pipeline`]).
-    pub fn with_pipeline(mut self, pipeline: bool) -> Self {
-        self.pipeline = pipeline;
-        self
-    }
-
-    /// Builder-style override of adaptive pipeline part sizing (see
-    /// [`Self::adaptive_parts`]).
-    pub fn with_adaptive_parts(mut self, adaptive: bool) -> Self {
-        self.adaptive_parts = adaptive;
         self
     }
 
@@ -496,8 +467,6 @@ impl Wire for EngineConfig {
         self.hybrid_switch_threshold.encode(out);
         (self.threads_per_machine as u64).encode(out);
         (self.block_size as u64).encode(out);
-        self.pipeline.encode(out);
-        self.adaptive_parts.encode(out);
         (self.delta_buckets as u64).encode(out);
         self.delta_tolerance.encode(out);
         out.push(match self.transport {
@@ -546,8 +515,6 @@ impl Wire for EngineConfig {
             hybrid_switch_threshold: f64::decode(r)?,
             threads_per_machine: decode_usize(r)?,
             block_size: decode_usize(r)?,
-            pipeline: bool::decode(r)?,
-            adaptive_parts: bool::decode(r)?,
             delta_buckets: decode_usize(r)?,
             delta_tolerance: f64::decode(r)?,
             transport: match r.take_u8()? {
@@ -641,18 +608,6 @@ mod tests {
     fn block_size_floor_is_one() {
         assert_eq!(EngineConfig::lazygraph().block_size, DEFAULT_BLOCK_SIZE);
         assert_eq!(EngineConfig::lazygraph().with_block_size(0).block_size, 1);
-    }
-
-    #[test]
-    fn pipeline_defaults_off() {
-        assert!(!EngineConfig::lazygraph().pipeline);
-        assert!(EngineConfig::lazygraph().with_pipeline(true).pipeline);
-    }
-
-    #[test]
-    fn adaptive_parts_defaults_on() {
-        assert!(EngineConfig::lazygraph().adaptive_parts);
-        assert!(!EngineConfig::lazygraph().with_adaptive_parts(false).adaptive_parts);
     }
 
     #[test]

@@ -35,111 +35,57 @@
 //! exchange is one of the two rounds a [`Port`] opens — a [`FoldRound`]
 //! (inbound items ⊕-fold into `message`: Sync gather, all-to-all
 //! coherency, mirrors-to-master hop 2) or an [`OrderedRound`] (inbound
-//! items are applied one by one in (sender, part) order: Sync updates,
-//! mirrors-to-master hop 1). Both hide whether the round is serialized
-//! or pipelined (DESIGN.md §11). The barrier-free engines have no rounds:
-//! they open the port's [`Pump`] instead, the one loop that drains,
-//! flushes and detects quiescence (DESIGN.md §17).
+//! items are applied one by one in sender order: Sync updates,
+//! mirrors-to-master hop 1). Either way a round is one batch per (sender,
+//! round), collected sorted by sender (DESIGN.md §11 records why rounds
+//! are not cut into streamed parts). The barrier-free engines have no
+//! rounds: they open the port's [`Pump`] instead, the one loop that
+//! drains, flushes and detects quiescence (DESIGN.md §17).
 
 use std::sync::Arc;
 
 use lazygraph_cluster::{
-    Batch, CommError, CostModel, Endpoint, NetStats, OutboxSet, Phase, PipelineTiming, SimClock,
-    Termination,
+    Batch, CommError, CostModel, Endpoint, NetStats, OutboxSet, Phase, SimClock, Termination,
 };
 use lazygraph_net::{NetError, Wire, WireReader};
-use parking_lot::Mutex;
 
 use crate::config::EngineConfig;
-use crate::metrics::SimBreakdown;
 use crate::parallel::ParallelCtx;
 use crate::program::VertexProgram;
 use crate::state::{num_blocks, retained, MachineState, Segments};
-
-/// Staged-item threshold at which the pipelined engines flush a
-/// destination's outbox as a streamed part
-/// ([`Endpoint::stream_part`](lazygraph_cluster::Endpoint)). Chosen so a
-/// PageRank-sized delta part encodes to roughly one socket write's worth
-/// of payload; correctness is threshold-independent (any split between
-/// distinct local ids preserves fold order).
-pub const PIPELINE_PART_ITEMS: usize = 1024;
-
-/// Lower clamp for adaptive part sizing: below this, per-part framing
-/// overhead (header + flush syscall) dominates the payload.
-pub const PART_ITEMS_MIN: u32 = 256;
-
-/// Upper clamp for adaptive part sizing: above this, a part holds enough
-/// of the round that the receiver's eager drain loses its overlap window.
-pub const PART_ITEMS_MAX: u32 = 16384;
-
-/// One step of the adaptive part-size controller, run from the previous
-/// superstep's [`PipelineTiming`](lazygraph_cluster::PipelineTiming):
-///
-/// - sends blocked longer than routing overlapped (`send_wait > overlap`)
-///   → parts are too big for the socket, halve;
-/// - sends essentially never blocked (`send_wait < overlap / 10`)
-///   → framing overhead dominates, double to amortise it;
-/// - otherwise hold.
-///
-/// Pure and clamped to `[PART_ITEMS_MIN, PART_ITEMS_MAX]`, so the
-/// part-size trajectory is a deterministic function of the measured
-/// timings — and because any part split between distinct local ids
-/// preserves the (sender, part) fold order, the *values* computed are
-/// invariant to whatever trajectory the timings produce. NaN or negative
-/// timings (never produced, but wall-clock is untrusted input) hold the
-/// current size.
-pub fn adapt_part_items(cur: u32, send_wait_ms: f64, overlap_ms: f64) -> u32 {
-    let next = if send_wait_ms > overlap_ms {
-        cur / 2
-    } else if send_wait_ms < overlap_ms * 0.1 {
-        cur.saturating_mul(2)
-    } else {
-        cur
-    };
-    next.clamp(PART_ITEMS_MIN, PART_ITEMS_MAX)
-}
 
 /// The inbound router's persistent buckets and the round in flight.
 ///
 /// Every batch [`route_inbound`] translates lands in the next free slot —
 /// one [`Segments`] per batch, reused in place by the same slot of the
-/// next round. On a pipelined round batches are routed the moment they
-/// arrive (overlapping the sender's remaining compute), in any sender
-/// interleaving; [`Self::in_sender_order`] re-establishes the serialized
-/// path's global order at the close — ascending sender, then per-sender
-/// arrival (= send) order, which per-peer FIFO guarantees on both
-/// transports. Since every replicated vertex ships at most once per
-/// (sender, round), per-vertex fold order is exactly the serialized sender
-/// order, making the commit bitwise identical to `Endpoint::exchange` + one
-/// `route_inbound` pass.
+/// next round. A round's batches arrive sorted by sender
+/// (`Endpoint::exchange`) and every replicated vertex ships at most once
+/// per (sender, round), so slot order *is* the per-vertex fold order.
 pub struct Inbound<D> {
     slots: Vec<Segments<D>>,
-    /// Sender of each batch routed this round, by slot (= arrival order).
-    senders: Vec<usize>,
+    /// Leading slots holding this round's routed batches.
+    routed: usize,
 }
 
 impl<D> Default for Inbound<D> {
     fn default() -> Self {
         Inbound {
             slots: Vec::new(),
-            senders: Vec::new(),
+            routed: 0,
         }
     }
 }
 
 impl<D> Inbound<D> {
-    /// This round's routed batches in (sender, arrival) order.
-    pub(crate) fn in_sender_order(&self) -> Vec<&Segments<D>> {
-        let mut order: Vec<usize> = (0..self.senders.len()).collect();
-        // Stable: arrival order within a sender is kept, never sorted.
-        order.sort_by_key(|&slot| self.senders[slot]);
-        order.into_iter().map(|slot| &self.slots[slot]).collect()
+    /// This round's routed batches, in the order they were routed.
+    pub(crate) fn routed(&self) -> &[Segments<D>] {
+        &self.slots[..self.routed]
     }
 
     /// Ends the round after its fold, releasing the buckets if they keep
     /// capacity for more than `limit` items.
     pub(crate) fn finish_round(&mut self, limit: usize) {
-        self.senders.clear();
+        self.routed = 0;
         if self.slots.iter().map(retained).sum::<usize>() > limit {
             self.slots.clear();
         }
@@ -223,11 +169,11 @@ where
 {
     let bs = pctx.block_size();
     let num_blocks = num_blocks(num_local, bs);
-    let first = inbound.senders.len();
-    if inbound.slots.len() < first + batches.len() {
-        inbound.slots.resize_with(first + batches.len(), Vec::new);
+    let first = inbound.routed;
+    inbound.routed += batches.len();
+    if inbound.slots.len() < inbound.routed {
+        inbound.slots.resize_with(inbound.routed, Vec::new);
     }
-    inbound.senders.extend(batches.iter().map(|b| b.from));
     let work: Vec<(&mut Batch<T>, &mut Segments<D>)> =
         batches.iter_mut().zip(&mut inbound.slots[first..]).collect();
     let routed: Vec<Result<(), NetError>> = pctx.pool().map(work, |(batch, buckets)| {
@@ -267,23 +213,15 @@ where
     routed.into_iter().collect()
 }
 
-/// The wire half of a machine frame: the mesh endpoint, the persistent
+/// The wire half of a machine frame: the mesh endpoint and the persistent
 /// staging outboxes (every round refills shipped slots from the buffer
-/// pool, so steady-state supersteps allocate nothing — DESIGN.md §9), and
-/// the pipelined rounds' wall-clock telemetry. Engines exchange only by
-/// opening a [`FoldRound`] or an [`OrderedRound`] on it.
+/// pool, so steady-state supersteps allocate nothing — DESIGN.md §9).
+/// Engines exchange only by opening a [`FoldRound`] or an [`OrderedRound`]
+/// on it.
 pub struct Port<T> {
     pub ep: Endpoint<T>,
     pub outboxes: OutboxSet<T>,
     stats: Arc<NetStats>,
-    /// Stream each round part by part and drain arrivals eagerly
-    /// (DESIGN.md §11) instead of shipping one batch per peer at the close.
-    /// Bitwise result-identical either way.
-    pipeline: bool,
-    breakdown: Arc<Mutex<SimBreakdown>>,
-    /// Telemetry accumulated since the skeleton last committed an adaptive
-    /// part size ([`adapt_part_items`]).
-    pub(crate) pending: PipelineTiming,
     /// How a barrier-free run on this mesh agrees that it is over; `None`
     /// when the machines share no memory ([`Port::pump`]).
     quiescence: Option<Quiescence>,
@@ -308,8 +246,6 @@ impl<T: Wire + Send> Port<T> {
     pub fn new(
         ep: Endpoint<T>,
         stats: Arc<NetStats>,
-        breakdown: Arc<Mutex<SimBreakdown>>,
-        pipeline: bool,
         quiescence: Option<Quiescence>,
     ) -> Self {
         let outboxes = OutboxSet::new(ep.num_machines());
@@ -317,27 +253,17 @@ impl<T: Wire + Send> Port<T> {
             ep,
             outboxes,
             stats,
-            pipeline,
-            breakdown,
-            pending: PipelineTiming::default(),
             quiescence,
         }
     }
 
-    /// Whether rounds on this port stream.
-    pub fn pipelined(&self) -> bool {
-        self.pipeline
-    }
-
     /// Opens a ⊕-fold round: inbound items go through `translate` and
-    /// fold into `message` at [`FoldRound::close`]. `part_items` is the
-    /// streamed-part threshold (`MachineState::part_items`), constant for
-    /// the round; `num_local` is the shard's local-vertex count.
+    /// fold into `message` at [`FoldRound::close`]. `num_local` is the
+    /// shard's local-vertex count.
     pub fn fold_round<'a, D, F>(
         &'a mut self,
         pctx: &'a ParallelCtx,
         num_local: usize,
-        part_items: u32,
         phase: Phase,
         bytes_per_item: usize,
         translate: F,
@@ -346,7 +272,7 @@ impl<T: Wire + Send> Port<T> {
         F: Fn(T) -> Option<(u32, D)> + Sync,
     {
         FoldRound {
-            wire: self.round_wire(part_items, phase, bytes_per_item),
+            wire: self.round_wire(phase, bytes_per_item),
             pctx,
             num_local,
             translate,
@@ -354,24 +280,16 @@ impl<T: Wire + Send> Port<T> {
     }
 
     /// Opens a sender-ordered round: inbound items are handed to the
-    /// [`OrderedRound::close`] callback one by one, in (sender, part)
+    /// [`OrderedRound::close`] callback one by one, in (sender, item)
     /// order.
-    pub fn ordered_round(
-        &mut self,
-        part_items: u32,
-        phase: Phase,
-        bytes_per_item: usize,
-    ) -> OrderedRound<'_, T> {
-        let parts = (0..self.ep.num_machines()).map(|_| Vec::new()).collect();
+    pub fn ordered_round(&mut self, phase: Phase, bytes_per_item: usize) -> OrderedRound<'_, T> {
         OrderedRound {
-            wire: self.round_wire(part_items, phase, bytes_per_item),
-            parts,
+            wire: self.round_wire(phase, bytes_per_item),
         }
     }
 
-    fn round_wire(&mut self, part_items: u32, phase: Phase, bytes_per_item: usize) -> RoundWire<'_, T> {
+    fn round_wire(&mut self, phase: Phase, bytes_per_item: usize) -> RoundWire<'_, T> {
         RoundWire {
-            part_limit: part_items as usize,
             phase,
             bytes_per_item,
             port: self,
@@ -480,11 +398,9 @@ impl<T: Wire + Send> Pump<'_, T> {
         }
     }
 
-    /// Ships what is staged for `dst` now, as one batch paying the
-    /// per-message overhead (no-op on an empty slot). The loop calls this
-    /// for every peer after a turn; a turn calls it itself to start a wire
-    /// write early.
-    pub fn flush(&mut self, dst: usize) -> Result<(), CommError> {
+    /// Ships what is staged for `dst`, as one batch paying the per-message
+    /// overhead (no-op on an empty slot).
+    fn flush(&mut self, dst: usize) -> Result<(), CommError> {
         if self.outboxes.staged(dst).is_empty() {
             return Ok(());
         }
@@ -508,60 +424,13 @@ impl<T: Wire + Send> Pump<'_, T> {
 /// What both round shapes share: the port and the round's wire parameters.
 struct RoundWire<'a, T> {
     port: &'a mut Port<T>,
-    part_limit: usize,
     phase: Phase,
     bytes_per_item: usize,
 }
 
 impl<T: Wire + Send> RoundWire<'_, T> {
-    /// Streams `dst`'s staged part if the round is pipelined and the part
-    /// is full; returns whether arrivals should now be polled.
-    fn stream_if_full(&mut self, dst: usize, now: f64) -> Result<bool, CommError> {
-        let port = &mut *self.port;
-        if !port.pipeline || port.outboxes.staged(dst).len() < self.part_limit {
-            return Ok(false);
-        }
-        port.ep
-            .stream_part(&mut port.outboxes, dst, now, self.phase, self.bytes_per_item, &port.stats)?;
-        Ok(true)
-    }
-
-    /// Closes a pipelined round: ships the finals, hands every remaining
-    /// batch to `on_batch`, and books the round's telemetry. The first
-    /// codec error `on_batch` reports fails the round.
-    fn finish(
-        &mut self,
-        now: f64,
-        mut on_batch: impl FnMut(&mut Batch<T>) -> Result<(), NetError>,
-    ) -> Result<(), CommError> {
-        let port = &mut *self.port;
-        let mut failed: Option<NetError> = None;
-        let t = port.ep.finish_pipelined(
-            &mut port.outboxes,
-            now,
-            self.phase,
-            self.bytes_per_item,
-            &port.stats,
-            |batch| {
-                if failed.is_none() {
-                    failed = on_batch(batch).err();
-                }
-            },
-        )?;
-        if let Some(e) = failed {
-            return Err(CommError::transport(port.ep.me(), &e));
-        }
-        {
-            let mut bd = port.breakdown.lock();
-            bd.overlap_ms += t.overlap_ms;
-            bd.send_wait_ms += t.send_wait_ms;
-        }
-        port.pending.overlap_ms += t.overlap_ms;
-        port.pending.send_wait_ms += t.send_wait_ms;
-        Ok(())
-    }
-
-    /// The serialized round: one batch per peer, sorted by sender.
+    /// The round itself: one batch to and from every peer, the received
+    /// ones sorted by sender.
     fn exchange(&mut self, now: f64) -> Result<Vec<Batch<T>>, CommError> {
         let port = &mut *self.port;
         port.ep
@@ -570,11 +439,7 @@ impl<T: Wire + Send> RoundWire<'_, T> {
 }
 
 /// One ⊕-fold exchange round (see [`Port::fold_round`]). Stage items into
-/// [`Self::outboxes`], call [`Self::staged`] after each push, and
-/// [`Self::close`] the round; the commit is bitwise identical whether the
-/// round ran serialized (one [`route_inbound`] pass over the sender-sorted
-/// batches) or pipelined (parts routed as they arrive, folded in
-/// [`Inbound::in_sender_order`]).
+/// [`Self::outboxes`] and [`Self::close`] the round.
 pub struct FoldRound<'a, T, F> {
     wire: RoundWire<'a, T>,
     pctx: &'a ParallelCtx,
@@ -588,32 +453,9 @@ impl<T: Wire + Send, F> FoldRound<'_, T, F> {
         &mut self.wire.port.outboxes
     }
 
-    /// Notes that an item was just staged for `dst`. On a pipelined port a
-    /// full part ships to the transport writers now, and whatever peers
-    /// have already streamed to us is routed eagerly while the caller
-    /// keeps staging. `inbound` is `MachineState::scratch.inbound`.
-    pub fn staged<D>(&mut self, dst: usize, now: f64, inbound: &mut Inbound<D>) -> Result<(), CommError>
-    where
-        D: Send,
-        F: Fn(T) -> Option<(u32, D)> + Sync,
-    {
-        if !self.wire.stream_if_full(dst, now)? {
-            return Ok(());
-        }
-        let port = &mut *self.wire.port;
-        while let Some(mut batch) = port.ep.poll_stream() {
-            let parts = std::slice::from_mut(&mut batch);
-            route_inbound(self.pctx, self.num_local, parts, &self.translate, inbound)
-                .map_err(|e| CommError::transport(port.ep.me(), &e))?;
-            port.ep.recycle(batch);
-            port.stats.record_drain_early(1);
-        }
-        Ok(())
-    }
-
-    /// Ships what is still staged, waits for every peer's share of the
-    /// round, and ⊕-folds the routed items into `state.message` in
-    /// (sender, part, item) order.
+    /// Ships what is staged, waits for every peer's batch of the round,
+    /// and ⊕-folds the routed items into `state.message` in (sender, item)
+    /// order: one [`route_inbound`] pass over the sender-sorted batches.
     pub fn close<P: VertexProgram>(
         mut self,
         program: &P,
@@ -623,23 +465,21 @@ impl<T: Wire + Send, F> FoldRound<'_, T, F> {
     where
         F: Fn(T) -> Option<(u32, P::Delta)> + Sync,
     {
-        let (pctx, num_local, translate) = (self.pctx, self.num_local, &self.translate);
-        let inbound = &mut state.scratch.inbound;
-        if self.wire.port.pipeline {
-            self.wire.finish(now, |batch| {
-                route_inbound(pctx, num_local, std::slice::from_mut(batch), translate, inbound)
-            })?;
-        } else {
-            let mut received = self.wire.exchange(now)?;
-            let port = &mut *self.wire.port;
-            route_inbound(pctx, num_local, &mut received, translate, inbound)
-                .map_err(|e| CommError::transport(port.ep.me(), &e))?;
-            for batch in received {
-                port.ep.recycle(batch);
-            }
+        let mut received = self.wire.exchange(now)?;
+        let port = self.wire.port;
+        route_inbound(
+            self.pctx,
+            self.num_local,
+            &mut received,
+            &self.translate,
+            &mut state.scratch.inbound,
+        )
+        .map_err(|e| CommError::transport(port.ep.me(), &e))?;
+        for batch in received {
+            port.ep.recycle(batch);
         }
-        let runs = state.deliver_inbound(program, pctx);
-        self.wire.port.stats.record_fold_runs(runs);
+        let runs = state.deliver_inbound(program, self.pctx);
+        port.stats.record_fold_runs(runs);
         Ok(())
     }
 }
@@ -647,13 +487,9 @@ impl<T: Wire + Send, F> FoldRound<'_, T, F> {
 /// One sender-ordered exchange round (see [`Port::ordered_round`]): the
 /// inbound items are not a commutative stream — Sync updates overwrite
 /// `vdata`, mirrors-to-master hop 1 folds into the master's total — so
-/// early arrivals are stashed per sender and replayed at the close in
-/// (sender, part) order, the exact item sequence of the serialized
-/// round's sender-sorted batches (per-peer FIFO preserves part order).
+/// they are applied one by one, walking the sender-sorted batches.
 pub struct OrderedRound<'a, T> {
     wire: RoundWire<'a, T>,
-    /// `parts[sender]`: that sender's item vectors in arrival order.
-    parts: Vec<Vec<Vec<T>>>,
 }
 
 impl<T: Wire + Send> OrderedRound<'_, T> {
@@ -662,56 +498,20 @@ impl<T: Wire + Send> OrderedRound<'_, T> {
         &mut self.wire.port.outboxes
     }
 
-    /// Notes that an item was just staged for `dst` (see
-    /// [`FoldRound::staged`]); arrivals are stashed, not applied.
-    pub fn staged(&mut self, dst: usize, now: f64) -> Result<(), CommError> {
-        if !self.wire.stream_if_full(dst, now)? {
-            return Ok(());
-        }
-        let port = &mut *self.wire.port;
-        while let Some(mut batch) = port.ep.poll_stream() {
-            stash(&mut self.parts, &mut batch).map_err(|e| CommError::transport(port.ep.me(), &e))?;
-            port.ep.recycle(batch);
-            port.stats.record_drain_early(1);
-        }
-        Ok(())
-    }
-
-    /// Ships what is still staged, waits for every peer's share of the
-    /// round, and hands each inbound item to `apply` in (sender, part,
-    /// item) order.
+    /// Ships what is staged, waits for every peer's batch of the round,
+    /// and hands each inbound item to `apply` in (sender, item) order.
     pub fn close(mut self, now: f64, mut apply: impl FnMut(T)) -> Result<(), CommError> {
-        if self.wire.port.pipeline {
-            let parts = &mut self.parts;
-            self.wire.finish(now, |batch| stash(parts, batch))?;
-        } else {
-            // Nothing was stashed: the sender-sorted batches are the order.
-            for mut batch in self.wire.exchange(now)? {
-                let port = &mut *self.wire.port;
-                batch
-                    .make_items()
-                    .map_err(|e| CommError::transport(port.ep.me(), &e))?;
-                batch.items.drain(..).for_each(&mut apply);
-                port.ep.recycle(batch);
-            }
-        }
-        for (from, parts) in self.parts.into_iter().enumerate() {
-            for mut items in parts {
-                items.drain(..).for_each(&mut apply);
-                self.wire.port.ep.recycle_vec(from, items);
-            }
+        let received = self.wire.exchange(now)?;
+        let port = self.wire.port;
+        for mut batch in received {
+            batch
+                .make_items()
+                .map_err(|e| CommError::transport(port.ep.me(), &e))?;
+            batch.items.drain(..).for_each(&mut apply);
+            port.ep.recycle(batch);
         }
         Ok(())
     }
-}
-
-/// Materializes `batch` and parks its items under its sender.
-fn stash<T: Wire>(parts: &mut [Vec<Vec<T>>], batch: &mut Batch<T>) -> Result<(), NetError> {
-    batch.make_items()?;
-    if !batch.items.is_empty() {
-        parts[batch.from].push(std::mem::take(&mut batch.items));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -792,7 +592,7 @@ mod tests {
         let mut inbound = Inbound::default();
         let translate = |(gid, d): (u32, u64)| (gid != 99).then_some((gid, d * 10));
         route_inbound(pctx, num_local, batches, translate, &mut inbound)?;
-        Ok(inbound.in_sender_order().into_iter().cloned().collect())
+        Ok(inbound.routed().to_vec())
     }
 
     #[test]
@@ -847,9 +647,9 @@ mod tests {
         for _ in 0..3 {
             let mut batches = vec![batch(0, items.clone())];
             route_inbound(&pctx, 8, &mut batches, translate, &mut inbound).expect("routed");
-            assert_eq!(inbound.in_sender_order()[0][0].len(), 100);
+            assert_eq!(inbound.routed()[0][0].len(), 100);
             inbound.finish_round(usize::MAX);
-            assert!(inbound.in_sender_order().is_empty(), "the round is over");
+            assert!(inbound.routed().is_empty(), "the round is over");
         }
         // Same slot, same bucket, same capacity: the second and third
         // rounds allocated nothing.
@@ -922,23 +722,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn adapt_part_items_halves_doubles_and_clamps() {
-        // Send-bound: halve.
-        assert_eq!(adapt_part_items(1024, 5.0, 1.0), 512);
-        // Fully overlapped: double.
-        assert_eq!(adapt_part_items(1024, 0.01, 1.0), 2048);
-        // In between: hold.
-        assert_eq!(adapt_part_items(1024, 0.5, 1.0), 1024);
-        // Clamps at both ends.
-        assert_eq!(adapt_part_items(PART_ITEMS_MIN, 5.0, 1.0), PART_ITEMS_MIN);
-        assert_eq!(adapt_part_items(PART_ITEMS_MAX, 0.0, 1.0), PART_ITEMS_MAX);
-        // Untrusted wall-clock: NaN holds (after clamping into range).
-        assert_eq!(adapt_part_items(1024, f64::NAN, f64::NAN), 1024);
-        // Zero overlap with zero wait holds rather than oscillating.
-        assert_eq!(adapt_part_items(1024, 0.0, 0.0), 1024);
-    }
-
     /// A toy pump engine: tokens ride the ring `me → me + 1`, losing one
     /// hop per forward.
     struct Ring<'a> {
@@ -1003,8 +786,7 @@ mod tests {
             let seats: Vec<_> = endpoints.into_iter().zip(signals).collect();
             let absorbed = try_run_machines(seats, |(ep, (parked, await_parked))| {
                 let me = ep.me();
-                let mut port =
-                    Port::new(ep, stats.clone(), Default::default(), false, Some(quiescence.clone()));
+                let mut port = Port::new(ep, stats.clone(), Some(quiescence.clone()));
                 let mut clock = SimClock::new();
                 let mut ring = Ring {
                     me,
@@ -1029,7 +811,7 @@ mod tests {
     #[test]
     fn pump_without_a_detector_is_a_typed_error() {
         let ep = lazygraph_cluster::build_mesh::<u32>(1).remove(0);
-        let mut port = Port::new(ep, Arc::new(NetStats::new()), Default::default(), false, None);
+        let mut port = Port::new(ep, Arc::new(NetStats::new()), None);
         let cfg = EngineConfig::lazy_vertex_async();
         let err = port.pump(&mut SimClock::new(), &cfg, Phase::Coherency, 4).err();
         assert_eq!(
@@ -1037,33 +819,6 @@ mod tests {
             Some(CommError::NeedsSharedMemory {
                 engine: "lazy-vertex-async"
             })
-        );
-    }
-
-    #[test]
-    fn inbound_folds_in_sender_then_arrival_order() {
-        let pctx = ParallelCtx::new(ParallelConfig {
-            threads: 1,
-            block_size: 4,
-        });
-        let mut inbound: Inbound<u64> = Inbound::default();
-        let translate = |(gid, d): (u32, u64)| Some((gid, d));
-        // Arrival order scrambles senders; parts within a sender arrive in
-        // send order (per-peer FIFO).
-        for (from, item) in [(2, (0, 200)), (0, (1, 1)), (2, (4, 201)), (0, (0, 3))] {
-            let mut part = [batch(from, vec![item])];
-            route_inbound(&pctx, 8, &mut part, translate, &mut inbound).expect("routed");
-        }
-        let order: Vec<Segments<u64>> = inbound.in_sender_order().into_iter().cloned().collect();
-        assert_eq!(
-            order,
-            vec![
-                vec![vec![(1, 1)], vec![]],
-                vec![vec![(0, 3)], vec![]],
-                vec![vec![(0, 200)], vec![]],
-                vec![vec![], vec![(4, 201)]],
-            ],
-            "sender 0's parts in arrival order, then sender 2's"
         );
     }
 }

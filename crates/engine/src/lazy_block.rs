@@ -507,7 +507,6 @@ pub(crate) fn exchange_a2a<P: VertexProgram>(
     let mut round = port.fold_round(
         pctx,
         shard.num_local(),
-        state.part_items,
         Phase::Coherency,
         delta_bytes,
         |item| local_delta(route, program, item),
@@ -523,7 +522,6 @@ pub(crate) fn exchange_a2a<P: VertexProgram>(
                 continue;
             }
             sent += delta_bytes as u64;
-            round.staged(dst, now, &mut state.scratch.inbound)?;
         }
     }
     stats.record_combined(combined, combined * delta_bytes as u64);
@@ -534,9 +532,8 @@ pub(crate) fn exchange_a2a<P: VertexProgram>(
 /// Mirrors-to-master deltaMsg exchange (Fig. 5(b)): mirrors send up, the
 /// master combines with `Sum`, broadcasts the combined delta, and every
 /// replica removes its own contribution with `Inverse`. Hop 1 is a
-/// sender-ordered round (masters fold mirror contributions in (sender,
-/// part) order), hop 2 a ⊕-fold round, so the two-sync shape is the same
-/// serialized or pipelined. Returns bytes sent locally (both hops).
+/// sender-ordered round (masters fold mirror contributions in sender
+/// order), hop 2 a ⊕-fold round. Returns bytes sent locally (both hops).
 ///
 /// `own` and `totals` are caller-owned dense scratch arrays indexed by
 /// local id; this function leaves them fully `None` again on return.
@@ -553,13 +550,12 @@ fn exchange_m2m<P: VertexProgram>(
     let (shard, pctx, stats) = (f.shard, &f.pctx, &*f.stats);
     let (state, port) = (&mut f.state, &mut f.port);
     let delta_bytes = program.delta_bytes();
-    let part_items = state.part_items;
     let mut sent = 0u64;
     let mut combined = 0u64;
 
     // Hop 1: mirrors → master.
     let decisions = coherency_decisions(shard, state, program, pctx, suppression);
-    let mut hop1 = port.ordered_round(part_items, Phase::Coherency, delta_bytes);
+    let mut hop1 = port.ordered_round(Phase::Coherency, delta_bytes);
     for (l, d) in decisions.into_iter().flatten() {
         let li = l as usize;
         state.delta_msg[li] = None;
@@ -575,7 +571,6 @@ fn exchange_m2m<P: VertexProgram>(
             continue;
         }
         sent += delta_bytes as u64;
-        hop1.staged(dst, now)?;
     }
     hop1.close(now, |(gid, d)| {
         let l = shard.local_of(gid.into());
@@ -604,7 +599,6 @@ fn exchange_m2m<P: VertexProgram>(
     let mut hop2 = port.fold_round(
         pctx,
         shard.num_local(),
-        part_items,
         Phase::Coherency,
         delta_bytes,
         |(gid, total): (u32, P::Delta)| match route.get(gid as usize) {
@@ -629,7 +623,6 @@ fn exchange_m2m<P: VertexProgram>(
                 continue;
             }
             sent += delta_bytes as u64;
-            hop2.staged(dst, now, &mut state.scratch.inbound)?;
         }
         if let Some(rest) = others(l, total) {
             local.stage(l, program.gather(gid.into(), rest), false);

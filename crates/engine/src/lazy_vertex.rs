@@ -23,9 +23,7 @@ use lazygraph_net::NetError;
 use lazygraph_partition::LocalShard;
 
 use crate::config::EngineKind;
-use crate::exchange::{
-    local_delta, route_inbound, stage_combining, Pump, PumpStep, PIPELINE_PART_ITEMS,
-};
+use crate::exchange::{local_delta, route_inbound, stage_combining, Pump, PumpStep};
 use crate::lazy_block::{blocked_apply_scatter, LazyCounters};
 use crate::machine::{Frame, Superstep, Vote};
 use crate::parallel::ParallelCtx;
@@ -33,11 +31,7 @@ use crate::program::{DeltaExchange, VertexProgram};
 use crate::state::{InitMessages, MachineState};
 
 /// LazyVertexAsync on the superstep skeleton: one step pumps the machine
-/// to quiescence. With `cfg.pipeline` on, coherency flushes stream
-/// per-destination as staging crosses the part threshold instead of all at
-/// once when the worklist drains — the engine has no barrier to overlap
-/// against, so pipelining here just starts wire writes earlier (same
-/// fixpoint; batch boundaries differ).
+/// to quiescence.
 pub struct LazyVertexPump {
     /// This machine's own coherency points and sub-rounds: without
     /// barriers they are per-machine work ([`crate::machine::assemble`]).
@@ -70,7 +64,6 @@ impl<P: VertexProgram> Superstep<P> for LazyVertexPump {
             stats: &f.stats,
             num_vertices: f.num_vertices,
             cost: f.cfg.cost,
-            pipeline: f.cfg.pipeline,
             delta_bytes: delta_bytes as u64,
         })?;
         Ok(Vote::Converged)
@@ -92,7 +85,6 @@ struct LazyVertexTurn<'a, P: VertexProgram> {
     stats: &'a NetStats,
     num_vertices: usize,
     cost: CostModel,
-    pipeline: bool,
     delta_bytes: u64,
 }
 
@@ -157,13 +149,7 @@ impl<P: VertexProgram> PumpStep<(u32, P::Delta)> for LazyVertexTurn<'_, P> {
             any = true;
             let gid = shard.global_of(l).0;
             for &m in shard.mirrors[l as usize].iter() {
-                let dst = m.index();
-                combined += u64::from(stage_combining(program, pump.outboxes, dst, gid, d));
-                if self.pipeline && pump.outboxes.staged(dst).len() >= PIPELINE_PART_ITEMS {
-                    // Early flush: start the wire write while the rest of
-                    // the replicated list is still staging.
-                    pump.flush(dst)?;
-                }
+                combined += u64::from(stage_combining(program, pump.outboxes, m.index(), gid, d));
             }
         }
         self.stats.record_combined(combined, combined * self.delta_bytes);

@@ -5,11 +5,11 @@
 //! where every iteration is a coherency point. [`run_machine`] owns
 //! everything that shape has in common: the per-machine [`Frame`],
 //! snapshot restore and barrier re-execution, the superstep fail point,
-//! the adaptive part-size commit, the checkpoint barrier, and the masters
-//! → [`MachineOut`] epilogue. An engine is a [`Superstep`] implementation:
-//! its cross-iteration state plus one `step` over the frame. Pipelining,
-//! checkpointing and multiprocess execution are therefore properties of
-//! the skeleton, not of any one engine (DESIGN.md §17).
+//! the checkpoint barrier, and the masters → [`MachineOut`] epilogue. An
+//! engine is a [`Superstep`] implementation: its cross-iteration state
+//! plus one `step` over the frame. Checkpointing and multiprocess
+//! execution are therefore properties of the skeleton, not of any one
+//! engine (DESIGN.md §17).
 //!
 //! The paper's other shape, the barrier-free loop of Async and
 //! LazyVertexAsync, is a step too: one that drives the port's
@@ -41,7 +41,7 @@ use crate::checkpoint::{
 };
 use crate::config::{EngineConfig, EngineKind};
 use crate::delta_engine::DeltaStep;
-use crate::exchange::{adapt_part_items, Port, Quiescence};
+use crate::exchange::{Port, Quiescence};
 use crate::hybrid_engine::HybridStep;
 use crate::lazy_block::{LazyCounters, LazyStep};
 use crate::lazy_vertex::LazyVertexPump;
@@ -374,22 +374,14 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
         state: MachineState::init(shard, program, S::INIT, shape.num_global_vertices),
         shard,
         clock: SimClock::new(),
-        // BspSync owns the breakdown's simulated components; the port's
-        // clone is the sink for the pipelined rounds' wall-clock telemetry.
         bsp: BspSync::new(
             me,
             shared.coll,
             shared.stats.clone(),
             cfg.cost,
-            shared.breakdown.clone(),
-        ),
-        port: Port::new(
-            ep,
-            shared.stats.clone(),
             shared.breakdown,
-            cfg.pipeline,
-            shared.quiescence,
         ),
+        port: Port::new(ep, shared.stats.clone(), shared.quiescence),
         stats: shared.stats,
         iterations: 0,
         history: shared.history.filter(|_| me == 0),
@@ -421,20 +413,7 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
             converged = true;
             break;
         }
-        // The one place a part size commits. Wall-clock feedback may only
-        // move `part_items` at deterministic points: every superstep when
-        // recovery is off, else only at checkpoint boundaries — before
-        // the capture, so the snapshot carries the value replay needs to
-        // regenerate identical part boundaries (DESIGN.md §14).
-        let due = recovery.due(f.iterations);
-        if f.port.pipelined() {
-            if cfg.adaptive_parts && (recovery.every == 0 || due) {
-                let t = std::mem::take(&mut f.port.pending);
-                f.state.part_items = adapt_part_items(f.state.part_items, t.send_wait_ms, t.overlap_ms);
-            }
-            f.stats.record_adaptive_part_items(f.state.part_items as u64);
-        }
-        if let Some(store) = recovery.store.as_ref().filter(|_| due) {
+        if let Some(store) = recovery.store.as_ref().filter(|_| recovery.due(f.iterations)) {
             checkpoint_at_barrier(&f, store, S::KIND, engine.resume_extras())?;
         }
     }

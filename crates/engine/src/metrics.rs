@@ -14,28 +14,24 @@ pub struct SimBreakdown {
     pub comm: f64,
     /// Barrier latency.
     pub barrier: f64,
-    /// Measured wall-clock milliseconds (summed over machines) during which
-    /// the pipelined exchange overlapped wire I/O with local compute. Host
-    /// telemetry, not simulated time: excluded from [`Self::total`] and from
-    /// the determinism contract.
+    /// Always 0: wall-clock telemetry of the retired pipelined exchange,
+    /// which nothing writes any more. Kept, like [`Self::send_wait_ms`],
+    /// only because the frozen benchmark harness reads the field (ROADMAP
+    /// item 2); excluded from [`Self::total`].
     pub overlap_ms: f64,
-    /// Measured wall-clock milliseconds (summed over machines) spent blocked
-    /// at the coherency barrier waiting for peer finals after local compute
-    /// finished. Host telemetry, same caveats as `overlap_ms`.
+    /// Always 0; see [`Self::overlap_ms`].
     pub send_wait_ms: f64,
 }
 
 impl SimBreakdown {
-    /// Total of the tracked *simulated* components. The measured overlap
-    /// counters are a different scale (host milliseconds) and stay out.
+    /// Total of the simulated components.
     pub fn total(&self) -> f64 {
         self.compute + self.comm + self.barrier
     }
 
     /// Element-wise sum — folds another worker's breakdown into this one.
     /// Only machine 0 records the simulated components, so across workers
-    /// the sum is the identity there; the wall-clock overlap counters are
-    /// genuinely per-machine and add up.
+    /// the sum is the identity.
     pub fn merge(&mut self, other: &SimBreakdown) {
         self.compute += other.compute;
         self.comm += other.comm;
@@ -44,20 +40,13 @@ impl SimBreakdown {
         self.send_wait_ms += other.send_wait_ms;
     }
 
-    /// Labelled report lines: every component appears under its own field
-    /// name (the L9 `stats-coverage` obligation). Simulated seconds and
-    /// measured milliseconds stay visually separate.
+    /// Labelled report lines: every simulated component appears under its
+    /// own field name (the L9 `stats-coverage` obligation).
     pub fn report_lines(&self) -> Vec<String> {
-        vec![
-            format!(
-                "sim breakdown: compute={:.6}s comm={:.6}s barrier={:.6}s",
-                self.compute, self.comm, self.barrier
-            ),
-            format!(
-                "host overlap:  overlap_ms={:.1} send_wait_ms={:.1}",
-                self.overlap_ms, self.send_wait_ms
-            ),
-        ]
+        vec![format!(
+            "sim breakdown: compute={:.6}s comm={:.6}s barrier={:.6}s",
+            self.compute, self.comm, self.barrier
+        )]
     }
 }
 
@@ -195,7 +184,7 @@ mod tests {
                 compute: 1.0,
                 comm: 0.4,
                 barrier: 0.1,
-                // Must not leak into total(): it's a wall-clock scale.
+                // Must not leak into total(): not simulated seconds.
                 overlap_ms: 250.0,
                 send_wait_ms: 30.0,
             },

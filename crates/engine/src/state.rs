@@ -36,21 +36,11 @@ pub struct MachineState<P: VertexProgram> {
     pub active: Vec<bool>,
     /// Worklist of active local vertices.
     pub queue: Vec<u32>,
-    /// Iteration-persistent delivery scratch (DESIGN.md §11). Capacity-only
+    /// Iteration-persistent delivery scratch (DESIGN.md §9). Capacity-only
     /// state: contents are always written before being read, so reuse
     /// cannot affect results.
     // lazylint: allow(snapshot-coverage) -- capacity-only buffers, always written before read; a recovered worker regrows them from empty with bitwise-identical results
     pub scratch: Scratch<P>,
-    /// Current pipelined-part size for this machine's streamed sends,
-    /// adapted each superstep from the previous superstep's
-    /// [`PipelineTiming`](lazygraph_cluster::PipelineTiming) via
-    /// [`crate::exchange::adapt_part_items`]. Part boundaries never affect
-    /// computed values (any split between distinct local ids preserves the
-    /// (sender, part) fold order), but replay regeneration must reproduce
-    /// the exact wire stream, so this is snapshot-covered state: captured
-    /// in [`EngineSnapshot`](crate::checkpoint::EngineSnapshot) and
-    /// restored on rejoin.
-    pub part_items: u32,
 }
 
 /// One producer's deliveries, bucketed by target block: `segments[b]` holds,
@@ -114,7 +104,7 @@ impl<P: VertexProgram> SourceBlock<P> {
 }
 
 /// Iteration-persistent delivery scratch, one owner per role (DESIGN.md
-/// §11): a buffer is only ever reused in the role it grew in, so a steady
+/// §9): a buffer is only ever reused in the role it grew in, so a steady
 /// sweep reuses every per-item buffer and none is regrown to another
 /// role's size.
 pub struct Scratch<P: VertexProgram> {
@@ -254,7 +244,6 @@ impl<P: VertexProgram> MachineState<P> {
             active,
             queue,
             scratch: Scratch::default(),
-            part_items: crate::exchange::PIPELINE_PART_ITEMS as u32,
         }
     }
 
@@ -438,13 +427,15 @@ impl<P: VertexProgram> MachineState<P> {
     }
 
     /// Folds the batches the inbound router parked this round
-    /// ([`crate::exchange::route_inbound`]) in (sender, arrival) order.
+    /// ([`crate::exchange::route_inbound`]) in the order it routed them —
+    /// sender order.
     /// Returns the number of vectorized runs (length ≥ 2) folded — the
     /// engines record it as `fold_runs` in
     /// [`NetStats`](lazygraph_cluster::NetStats).
     pub fn deliver_inbound(&mut self, program: &P, ctx: &ParallelCtx) -> u64 {
         let mut inbound = std::mem::take(&mut self.scratch.inbound);
-        let folded = self.deliver_segments(program, ctx, &inbound.in_sender_order());
+        let producers: Vec<&Segments<P::Delta>> = inbound.routed().iter().collect();
+        let folded = self.deliver_segments(program, ctx, &producers);
         inbound.finish_round(self.retention_limit());
         self.scratch.inbound = inbound;
         folded.runs

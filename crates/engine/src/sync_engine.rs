@@ -147,9 +147,6 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
         } = self;
         let delta_bytes = program.delta_bytes();
         let update_bytes = program.vdata_bytes() + std::mem::size_of::<P::Delta>();
-        // Constant within a superstep: both phases flush at the same
-        // threshold, and adaptation commits only between supersteps.
-        let part_items = state.part_items;
 
         // ---- Phase 1: gather (mirrors forward partials to masters). ----
         // Blocked two-phase: the sorted worklist is chunked, each block
@@ -193,7 +190,6 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
         let mut round = port.fold_round(
             pctx,
             shard.num_local(),
-            part_items,
             Phase::Gather,
             delta_bytes,
             |(gid, msg): (u32, SyncMsg<P>)| match msg {
@@ -210,7 +206,6 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
                 state.message[l as usize] = None;
                 round.outboxes().push(dst, (shard.global_of(l).0, SyncMsg::Accum(d)));
                 sent_bytes += delta_bytes as u64;
-                round.staged(dst, clock.now(), &mut state.scratch.inbound)?;
             }
             for l in b.deactivate {
                 state.active[l as usize] = false;
@@ -260,8 +255,8 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
         // Updates overwrite `vdata` and append to `scatter_tasks`, whose
         // order feeds phase 3's worklist — so this is a sender-ordered
         // round: remote updates commit at the close, after every local
-        // one, in (sender, part) order.
-        let mut round = port.ordered_round(part_items, Phase::Apply, update_bytes);
+        // one, in sender order.
+        let mut round = port.ordered_round(Phase::Apply, update_bytes);
         for block in apply_blocks {
             for (l, data, d) in block {
                 let v = shard.global_of(l);
@@ -276,7 +271,6 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
                     };
                     round.outboxes().push(dst, (v.0, update));
                     sent_bytes += update_bytes as u64;
-                    round.staged(dst, clock.now())?;
                 }
                 state.vdata[l as usize] = data;
                 if let Some(d) = d {

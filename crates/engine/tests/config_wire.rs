@@ -47,8 +47,6 @@ fn fingerprint(cfg: &EngineConfig) -> String {
         hybrid_switch_threshold,
         threads_per_machine,
         block_size,
-        pipeline,
-        adaptive_parts,
         delta_buckets,
         delta_tolerance,
         transport,
@@ -79,7 +77,7 @@ fn fingerprint(cfg: &EngineConfig) -> String {
     format!(
         "{engine:?} {partition:?} {high_degree_threshold:?} {low_degree_threshold:?} \
          {bidirectional} {comm_mode:?} {interval_bits:?} {max_iterations} {delta_suppression} \
-         {record_history} {threads_per_machine} {block_size} {pipeline} {adaptive_parts} \
+         {record_history} {threads_per_machine} {block_size} \
          {delta_buckets} {transport:?} {degree_threshold:?} {fanout} \
          {float_bits:?}"
     )
@@ -94,7 +92,7 @@ proptest! {
         tags in (0u8..6, 0u8..5, 0u8..3, 0u8..3, 0u8..2),
         f in proptest::collection::vec(any::<u64>(), 17),
         n in proptest::collection::vec(any::<u32>(), 7),
-        b in proptest::collection::vec(any::<bool>(), 9),
+        b in proptest::collection::vec(any::<bool>(), 6),
     ) {
         let float = |i: usize| f64::from_bits(f[i]);
         let cfg = EngineConfig {
@@ -141,13 +139,11 @@ proptest! {
             hybrid_switch_threshold: float(15),
             threads_per_machine: n[2] as usize,
             block_size: n[3] as usize,
-            pipeline: b[5],
-            adaptive_parts: b[6],
             delta_buckets: n[4] as usize,
             delta_tolerance: float(16),
             transport: if tags.4 == 0 { TransportKind::InProc } else { TransportKind::Tcp },
             hub_fanout: HubFanoutConfig {
-                degree_threshold: b[7].then_some(n[5] as usize),
+                degree_threshold: b[5].then_some(n[5] as usize),
                 fanout: n[6] as usize,
             },
         };
@@ -170,12 +166,16 @@ fn engine_config_wire_rejects_bad_tags_and_truncation() {
 }
 
 
-/// The 19-field configuration is the whole encoding: what a 20-field
+/// The 17-field configuration is the whole encoding. What a 20-field
 /// launcher would append (three retired `u64` words, 24 bytes) is trailing
-/// bytes, not silently dropped.
+/// bytes, not silently dropped; and the two retired `bool` bytes a
+/// 19-field launcher writes between `block_size` and `delta_buckets`
+/// shift every later field, which no setting of them survives — an error,
+/// never a different configuration.
 #[test]
 fn engine_config_wire_rejects_the_retired_longer_encoding() {
-    let mut old = EngineConfig::lazygraph().to_wire();
+    let cfg = EngineConfig::lazygraph();
+    let mut old = cfg.to_wire();
     for word in [0u64, 1500, 16] {
         word.encode(&mut old);
     }
@@ -183,4 +183,15 @@ fn engine_config_wire_rejects_the_retired_longer_encoding() {
         EngineConfig::from_wire(&old).err(),
         Some(NetError::TrailingBytes { extra: 24 })
     );
+
+    // delta_buckets, delta_tolerance, transport tag, hub threshold, fanout.
+    assert!(cfg.hub_fanout.degree_threshold.is_none(), "a `None` is one byte");
+    let tail = 8 + 8 + 1 + 1 + 8;
+    for (pipeline, adaptive_parts) in [(0, 1), (1, 1), (1, 0), (0, 0)] {
+        let mut old = cfg.to_wire();
+        let at = old.len() - tail;
+        old.splice(at..at, [pipeline, adaptive_parts]);
+        let back = EngineConfig::from_wire(&old);
+        assert!(back.is_err(), "a 19-field encoding decoded as {back:?}");
+    }
 }

@@ -1,10 +1,10 @@
-//! The delivery sink against its reference (DESIGN.md §9, §11, §17).
+//! The delivery sink against its reference (DESIGN.md §9, §17).
 //!
 //! Production delivers through one run-vectorised, block-parallel fold
 //! with two kinds of producer: inbound batches, routed block-parallel
 //! with zero-copy cursor decode
-//! ([`route_inbound`](lazygraph_engine::exchange::route_inbound)),
-//! serialized or streamed in parts; and the source blocks of a local
+//! ([`route_inbound`](lazygraph_engine::exchange::route_inbound));
+//! and the source blocks of a local
 //! sweep, which stage each scattered message straight into its target
 //! block's segment. The reference for both is what the engines did before
 //! any of that: one serial pass in (sender rank | source block, item)
@@ -15,15 +15,12 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use lazygraph_cluster::{build_endpoints, run_machines, NetStats, Phase, TransportKind};
 use lazygraph_engine::exchange::{local_delta, Port};
 use lazygraph_engine::state::{InitMessages, MachineState};
-use lazygraph_engine::{
-    EdgeCtx, ParallelConfig, ParallelCtx, SimBreakdown, VertexCtx, VertexProgram,
-};
+use lazygraph_engine::{EdgeCtx, ParallelConfig, ParallelCtx, VertexCtx, VertexProgram};
 use lazygraph_graph::generators::{rmat, RmatConfig};
 use lazygraph_graph::VertexId;
 use lazygraph_partition::{
@@ -146,51 +143,45 @@ proptest! {
         ),
         threads in 1usize..4,
         block_size in 1usize..9,
-        part_items in 1u32..9,
     ) {
         let dg = placement();
         let par = ParallelConfig { threads, block_size };
         for transport in [TransportKind::InProc, TransportKind::Tcp] {
-            for pipeline in [false, true] {
-                let stats = Arc::new(NetStats::new());
-                let endpoints = build_endpoints::<(u32, f32)>(transport, MACHINES, &stats)
-                    .expect("mesh");
-                let got = run_machines(endpoints, |ep| {
-                    let me = ep.me();
-                    let shard = &dg.shards[me];
-                    let pctx = ParallelCtx::new(par);
-                    let breakdown = Arc::new(Mutex::new(SimBreakdown::default()));
-                    let mut port = Port::new(ep, stats.clone(), breakdown, pipeline, None);
-                    let (mut state, _) = fresh(&dg, me);
-                    let route = shard.route_table();
-                    let mut round = port.fold_round(
-                        &pctx,
-                        shard.num_local(),
-                        part_items,
-                        Phase::Coherency,
-                        4,
-                        |item| local_delta(route, &FloatSum, item),
-                    );
-                    for (dst, raws) in streams[me].iter().enumerate() {
-                        if dst == me {
-                            continue;
-                        }
-                        for &raw in raws {
-                            let wire = item(&dg.shards[dst], dg.num_global_vertices, raw);
-                            round.outboxes().push(dst, wire);
-                            round.staged(dst, 0.0, &mut state.scratch.inbound).expect("stream");
-                        }
+            let stats = Arc::new(NetStats::new());
+            let endpoints = build_endpoints::<(u32, f32)>(transport, MACHINES, &stats)
+                .expect("mesh");
+            let got = run_machines(endpoints, |ep| {
+                let me = ep.me();
+                let shard = &dg.shards[me];
+                let pctx = ParallelCtx::new(par);
+                let mut port = Port::new(ep, stats.clone(), None);
+                let (mut state, _) = fresh(&dg, me);
+                let route = shard.route_table();
+                let mut round = port.fold_round(
+                    &pctx,
+                    shard.num_local(),
+                    Phase::Coherency,
+                    4,
+                    |item| local_delta(route, &FloatSum, item),
+                );
+                for (dst, raws) in streams[me].iter().enumerate() {
+                    if dst == me {
+                        continue;
                     }
-                    round.close(&FloatSum, &mut state, 0.0).expect("round");
-                    fingerprint(&state)
-                });
-                for (me, got) in got.into_iter().enumerate() {
-                    prop_assert_eq!(
-                        got,
-                        naive(&dg, me, &streams, block_size),
-                        "machine {} on {:?}, pipeline={}", me, transport, pipeline
-                    );
+                    for &raw in raws {
+                        let wire = item(&dg.shards[dst], dg.num_global_vertices, raw);
+                        round.outboxes().push(dst, wire);
+                    }
                 }
+                round.close(&FloatSum, &mut state, 0.0).expect("round");
+                fingerprint(&state)
+            });
+            for (me, got) in got.into_iter().enumerate() {
+                prop_assert_eq!(
+                    got,
+                    naive(&dg, me, &streams, block_size),
+                    "machine {} on {:?}", me, transport
+                );
             }
         }
     }

@@ -9,9 +9,9 @@
 //!                    [--delta-buckets 16] [--delta-tolerance 1e-3]
 //!                    [--source 0] [--k 3] [--tolerance 1e-3] [--scale 0.1]
 //!                    [--threads N] [--block-size 1024]
-//!                    [--transport inproc|tcp] [--multiprocess] [--pipeline]
-//!                    [--no-adaptive-parts]
+//!                    [--transport inproc|tcp] [--multiprocess]
 //!                    [--checkpoint-every K] [--rejoin-window-ms MS] [--respawn-budget N]
+//!                    [--failpoint RANK:superstep:N|RANK:send:ROUND:N]
 //!                    [--symmetrize] [--weights LO:HI] [--output values.txt]
 //! lazygraph-cli info --input <...> [--machines 48] [--scale 0.1]
 //!                    [--partition ...] [--hub-fanout N] [--hub-degree-threshold D]
@@ -21,7 +21,9 @@
 
 use std::process::exit;
 
-use lazygraph::multiproc::{run_multiprocess_with, AlgoSpec, MpOptions, MultiprocOutcome};
+use lazygraph::multiproc::{
+    run_multiprocess_with, AlgoSpec, FailPoint, MpOptions, MultiprocOutcome,
+};
 use lazygraph::prelude::*;
 use lazygraph_engine::TransportKind;
 use lazygraph_algorithms::{
@@ -55,9 +57,7 @@ const RUN_VALUES: &[&str] = &[
     "rejoin-window-ms", "respawn-budget", "failpoint",
 ];
 /// Boolean flags of `run` and `info`.
-const RUN_FLAGS: &[&str] = &[
-    "multiprocess", "pipeline", "no-adaptive-parts", "symmetrize", "bidirectional", "history",
-];
+const RUN_FLAGS: &[&str] = &["multiprocess", "symmetrize", "bidirectional", "history"];
 /// The fault-tolerance family only the multiprocess launcher honours.
 const MULTIPROCESS_ONLY: &[&str] =
     &["checkpoint-every", "rejoin-window-ms", "respawn-budget", "failpoint"];
@@ -211,12 +211,6 @@ fn engine_config(opts: &Opts) -> EngineConfig {
     if opts.flags.contains("history") {
         cfg.record_history = true;
     }
-    if opts.flags.contains("pipeline") {
-        cfg = cfg.with_pipeline(true);
-    }
-    if opts.flags.contains("no-adaptive-parts") {
-        cfg = cfg.with_adaptive_parts(false);
-    }
     if let Some(b) = opts.get("delta-buckets") {
         let buckets: usize = b.parse().unwrap_or_else(|_| {
             eprintln!("--delta-buckets: cannot parse {b}");
@@ -323,30 +317,47 @@ fn mp_run<P: VertexProgram>(
     out.values
 }
 
-fn cmd_run_multiprocess(opts: &Opts, graph: &Graph, machines: usize, cfg: &EngineConfig) {
-    let algorithm = opts.get("algorithm").unwrap_or_else(|| usage());
-    // `--failpoint RANK:SPEC` (e.g. `1:superstep:3`) arms a deterministic
-    // crash in one worker — chaos testing for the recovery path
-    // (DESIGN.md §12); requires `--checkpoint-every` so the launcher
-    // respawns the victim.
+/// The launcher's fault-tolerance options off the command line.
+/// `--failpoint RANK:SPEC` (e.g. `1:superstep:3`) arms a deterministic
+/// crash in one worker — chaos testing for the recovery path (DESIGN.md
+/// §12). A spec that could not fire (unparseable, a rank the job does not
+/// have, no checkpoints for the launcher to respawn the victim from) is a
+/// usage error: a chaos run that injected nothing must not pass.
+fn mp_options(opts: &Opts, machines: usize) -> MpOptions {
+    let checkpoint_every = opts.parse_num("checkpoint-every", 0u64);
     let failpoint = opts.get("failpoint").map(|s| {
-        let Some((rank, spec)) = s.split_once(':') else {
-            eprintln!("--failpoint needs RANK:SPEC (e.g. 1:superstep:3)");
-            exit(2);
-        };
-        let rank = rank.parse().unwrap_or_else(|_| {
-            eprintln!("--failpoint: cannot parse rank {rank}");
-            exit(2);
+        let parsed = s.split_once(':').and_then(|(rank, spec)| {
+            Some((rank.parse::<usize>().ok()?, FailPoint::parse(spec)?))
         });
-        (rank, spec.to_string())
+        let Some((rank, point)) = parsed else {
+            die(&format!(
+                "--failpoint: cannot parse {s} (RANK:superstep:N | RANK:send:ROUND:N)"
+            ));
+        };
+        if rank >= machines {
+            die(&format!("--failpoint: rank {rank} out of range for {machines} machines"));
+        }
+        if checkpoint_every == 0 {
+            die("--failpoint requires --checkpoint-every");
+        }
+        (rank, point)
     });
-    let mp = MpOptions {
-        checkpoint_every: opts.parse_num("checkpoint-every", 0u64),
+    MpOptions {
+        checkpoint_every,
         rejoin_window_ms: opts.parse_num("rejoin-window-ms", 0u64),
         respawn_budget: opts.parse_num("respawn-budget", 2u32),
         failpoint,
-    };
-    let mp = &mp;
+    }
+}
+
+fn cmd_run_multiprocess(
+    opts: &Opts,
+    graph: &Graph,
+    machines: usize,
+    cfg: &EngineConfig,
+    mp: &MpOptions,
+) {
+    let algorithm = opts.get("algorithm").unwrap_or_else(|| usage());
     match algorithm {
         "sssp" => {
             let spec = AlgoSpec::Sssp {
@@ -400,13 +411,16 @@ fn cmd_run_multiprocess(opts: &Opts, graph: &Graph, machines: usize, cfg: &Engin
 }
 
 fn cmd_run(opts: &Opts) {
-    if !opts.flags.contains("multiprocess") {
+    let machines: usize = opts.parse_num("machines", 8);
+    let mp = if opts.flags.contains("multiprocess") {
+        Some(mp_options(opts, machines))
+    } else {
         if let Some(key) = MULTIPROCESS_ONLY.iter().find(|k| opts.get(k).is_some()) {
             die(&format!("--{key} requires --multiprocess"));
         }
-    }
+        None
+    };
     let graph = load_input(opts);
-    let machines: usize = opts.parse_num("machines", 8);
     let cfg = engine_config(opts);
     let algorithm = opts.get("algorithm").unwrap_or_else(|| usage());
     println!(
@@ -416,8 +430,8 @@ fn cmd_run(opts: &Opts) {
         machines,
         cfg.engine.name()
     );
-    if opts.flags.contains("multiprocess") {
-        return cmd_run_multiprocess(opts, &graph, machines, &cfg);
+    if let Some(mp) = &mp {
+        return cmd_run_multiprocess(opts, &graph, machines, &cfg, mp);
     }
     match algorithm {
         "sssp" => {

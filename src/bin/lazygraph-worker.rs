@@ -88,6 +88,11 @@ fn parse_args() -> Result<Args, String> {
 
 fn real_main() -> Result<(), String> {
     let args = parse_args()?;
+    // A fail point this process cannot parse would never fire: refuse to
+    // start rather than let a chaos run pass with nothing injected.
+    if let Err(e) = lazygraph_cluster::armed_failpoint() {
+        return Err(e.clone());
+    }
     let bytes = std::fs::read(&args.job)
         .map_err(|e| format!("reading job file {}: {e}", args.job.display()))?;
     let job = WorkerJob::from_wire(&bytes).map_err(|e| format!("decoding job: {e}"))?;

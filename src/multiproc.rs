@@ -42,6 +42,7 @@ use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+pub use lazygraph_cluster::FailPoint;
 use lazygraph_cluster::StatsSnapshot;
 use lazygraph_engine::lazy_block::LazyCounters;
 use lazygraph_engine::{
@@ -213,9 +214,10 @@ pub struct MpOptions {
     /// the failure instead.
     pub respawn_budget: u32,
     /// Arm `LAZYGRAPH_FAILPOINT` on one rank's *first* spawn
-    /// (`(rank, spec)`, e.g. `(2, "superstep:3")`). Respawns never re-arm
-    /// it. Deterministic fault-injection hook for the test harness.
-    pub failpoint: Option<(usize, String)>,
+    /// (`(rank, point)`, e.g. `(2, FailPoint::Superstep(3))`). Respawns
+    /// never re-arm it. Deterministic fault-injection hook for the test
+    /// harness.
+    pub failpoint: Option<(usize, FailPoint)>,
 }
 
 /// A multiprocess launch failure.
@@ -464,7 +466,7 @@ fn spawn_worker(
     me: usize,
     out_path: &Path,
     resume: bool,
-    failpoint: Option<&str>,
+    failpoint: Option<FailPoint>,
 ) -> std::io::Result<std::process::Child> {
     let mut cmd = Command::new(worker_bin);
     cmd.arg("--job")
@@ -480,8 +482,8 @@ fn spawn_worker(
     if resume {
         cmd.arg("--resume");
     }
-    if let Some(spec) = failpoint {
-        cmd.env("LAZYGRAPH_FAILPOINT", spec);
+    if let Some(point) = failpoint {
+        cmd.env("LAZYGRAPH_FAILPOINT", point.to_string());
     }
     cmd.spawn()
 }
@@ -505,9 +507,8 @@ fn launch_in(
     for (me, out_path) in out_paths.iter().enumerate() {
         let failpoint = opts
             .failpoint
-            .as_ref()
             .filter(|(rank, _)| *rank == me)
-            .map(|(_, spec)| spec.as_str());
+            .map(|(_, point)| point);
         match spawn_worker(worker_bin, &job_path, me, out_path, false, failpoint) {
             Ok(child) => children.push(Some(child)),
             Err(e) => {
@@ -677,7 +678,7 @@ mod tests {
 
     fn job() -> WorkerJob {
         WorkerJob {
-            cfg: EngineConfig::lazygraph().with_threads(2).with_pipeline(true),
+            cfg: EngineConfig::lazygraph().with_threads(2).with_block_size(64),
             algo: AlgoSpec::PageRank { tolerance: 1e-3 },
             shape: PlacementShape {
                 num_machines: 3,

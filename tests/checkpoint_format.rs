@@ -141,7 +141,6 @@ proptest! {
         mbits in proptest::collection::vec((any::<bool>(), any::<u32>()), 0usize..32),
         active in proptest::collection::vec(any::<bool>(), 0usize..32),
         queue in proptest::collection::vec(any::<u32>(), 0usize..32),
-        part_items in any::<u32>(),
         with_lazy in any::<bool>(),
         counters in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         prev_active in (any::<bool>(), any::<u64>()),
@@ -194,7 +193,6 @@ proptest! {
             delta_msg: mbits.iter().map(|&(s, b)| s.then(|| f32::from_bits(!b))).collect(),
             active,
             queue,
-            part_items,
             lazy: lazy.clone(),
             delta,
         };
@@ -228,7 +226,6 @@ proptest! {
             delta_msg: vec![Some(1.5), None, None],
             active: vec![true, false, true],
             queue: vec![2, 0],
-            part_items: 1024,
             // With the lazy block, so cuts land inside every resume field
             // up to the last ones appended (v5: the stage budget's inputs).
             lazy: Some(LazyResume {
@@ -267,7 +264,6 @@ fn snapshot_of(engine: u8) -> EngineSnapshot<Sssp> {
         delta_msg: vec![],
         active: vec![],
         queue: vec![],
-        part_items: 1024,
         lazy: None,
         delta: None,
     }

@@ -1,7 +1,8 @@
 //! `lazygraph-cli` argument validation: nothing on the command line is
 //! silently ignored. A value-taking option without its value, an unknown
-//! option, and the fault-tolerance family without `--multiprocess` each
-//! exit 2 with a one-line message — before any graph is loaded or run.
+//! option, the fault-tolerance family without `--multiprocess` and a
+//! `--failpoint` that could not fire each exit 2 with a one-line message —
+//! before any graph is loaded or run.
 
 use std::ffi::OsStr;
 use std::process::{Command, Output};
@@ -32,8 +33,8 @@ fn run_with<'a>(extra: &[&'a str]) -> Vec<&'a str> {
 
 #[test]
 fn value_option_without_a_value_is_rejected() {
-    // `--threads --pipeline` used to run with auto threads.
-    assert_usage_error(&run_with(&["--threads", "--pipeline"]), "--threads: missing value");
+    // `--threads --history` used to run with auto threads.
+    assert_usage_error(&run_with(&["--threads", "--history"]), "--threads: missing value");
     assert_usage_error(&run_with(&["--machines"]), "--machines: missing value");
 }
 
@@ -53,6 +54,12 @@ fn unknown_option_is_rejected() {
         assert_usage_error(&run_with(&[opt, value]), &unknown);
         assert_usage_error(&["info", "--input", "dataset:web-google", opt, value], &unknown);
     }
+    // So did the pipelined exchange's two flags.
+    for flag in ["--pipeline", "--no-adaptive-parts"] {
+        let unknown = format!("unknown option {flag}");
+        assert_usage_error(&run_with(&[flag]), &unknown);
+        assert_usage_error(&["info", "--input", "dataset:web-google", flag], &unknown);
+    }
 }
 
 #[test]
@@ -65,6 +72,29 @@ fn fault_tolerance_options_need_multiprocess() {
     ] {
         assert_usage_error(&run_with(&[opt, value]), &format!("{opt} requires --multiprocess"));
     }
+    // With `--multiprocess`, a fail point that could not fire is refused:
+    // each of these used to run to completion with nothing injected.
+    let chaos = |spec, extra: &[&'static str]| {
+        let mut args = run_with(&["--multiprocess", "--machines", "2", "--failpoint", spec]);
+        args.extend_from_slice(extra);
+        args
+    };
+    let checkpointed = ["--checkpoint-every", "2"];
+    for spec in ["1:bogus:3", "1:superstep:x", "1:stream:1", "1:stream:1:1", "x:superstep:3", "superstep:3"] {
+        assert_usage_error(&chaos(spec, &checkpointed), &format!("--failpoint: cannot parse {spec}"));
+    }
+    assert_usage_error(&chaos("9:superstep:3", &checkpointed), "rank 9 out of range for 2 machines");
+    assert_usage_error(&chaos("1:send:3:1", &[]), "--failpoint requires --checkpoint-every");
+    // The same rule at the worker's own entry, for a gang started by hand:
+    // it stops before it reads its job.
+    let out = Command::new(env!("CARGO_BIN_EXE_lazygraph-worker"))
+        .env("LAZYGRAPH_FAILPOINT", "stream:1:1")
+        .args(["--job", "no-such-job.bin", "--me", "0", "--out", "no-such-result.bin"])
+        .output()
+        .expect("spawn lazygraph-worker");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("LAZYGRAPH_FAILPOINT: cannot parse 'stream:1:1'"), "{stderr}");
 }
 
 /// `generate`s a `vertices`-vertex R-MAT into a scratch directory of its
@@ -84,7 +114,7 @@ fn valid_invocations_still_run() {
     let graph = graph.as_str();
     let out = cli(&[
         "run", "--input", graph, "--algorithm", "sssp", "--machines", "2", "--threads", "1",
-        "--pipeline", "--no-adaptive-parts", "--transport", "tcp",
+        "--transport", "tcp",
     ]);
     assert!(out.status.success(), "run: {}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("lazy-block-async"));

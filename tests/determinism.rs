@@ -58,9 +58,6 @@ fn run_fingerprint<P: VertexProgram>(
     let mut stats = r.metrics.stats;
     stats.pool_hits = 0;
     stats.pool_misses = 0;
-    // How many streamed parts land before the coherency barrier is a race
-    // between compute and the wire — telemetry, not part of the contract.
-    stats.drain_batches_early = 0;
     // How many deliveries coalesce into vectorized runs depends on the
     // block partitioning (a run cannot cross a block boundary), so the
     // counter varies with block_size by design — vectorization telemetry,
@@ -189,115 +186,6 @@ fn block_size_never_changes_results() {
             (got.0, got.1),
             (baseline.0.clone(), baseline.1.clone()),
             "block_size={block_size} changed the run"
-        );
-    }
-}
-
-#[test]
-fn pipelined_path_matches_serialized_bitwise() {
-    // The pipelined exchange (streamed sends + eager inbound drain,
-    // DESIGN.md §11) is a pure overlap optimisation: its ⊕-commits replay
-    // in the serialized path's (sender, part) order, so vertex values AND
-    // simulated time must match the serialized fast path bitwise on every
-    // transport and machine count. Wire-level counters legitimately differ
-    // (more, smaller frames), so they are not compared.
-    let g = test_graph();
-    for engine in [EngineKind::PowerGraphSync, EngineKind::LazyBlockAsync] {
-        for transport in [TransportKind::InProc, TransportKind::Tcp] {
-            for machines in [1usize, 2, 4] {
-                let serial = cfg(engine, 4, false).with_transport(transport);
-                let piped = serial.clone().with_pipeline(true);
-                let pr_serial =
-                    run(&g, machines, &serial, &PageRankDelta::default()).expect("cluster run");
-                let pr_piped =
-                    run(&g, machines, &piped, &PageRankDelta::default()).expect("cluster run");
-                assert_eq!(
-                    format!("{:?}", pr_serial.values),
-                    format!("{:?}", pr_piped.values),
-                    "{engine:?}/pagerank pipelined!=serialized on {transport:?}, machines={machines}"
-                );
-                assert_eq!(
-                    pr_serial.metrics.sim_time.to_bits(),
-                    pr_piped.metrics.sim_time.to_bits(),
-                    "{engine:?}/pagerank sim_time diverged on {transport:?}, machines={machines}"
-                );
-                let sp_serial = run(&g, machines, &serial, &Sssp::new(0u32)).expect("cluster run");
-                let sp_piped = run(&g, machines, &piped, &Sssp::new(0u32)).expect("cluster run");
-                assert_eq!(
-                    format!("{:?}", sp_serial.values),
-                    format!("{:?}", sp_piped.values),
-                    "{engine:?}/sssp pipelined!=serialized on {transport:?}, machines={machines}"
-                );
-                assert_eq!(
-                    sp_serial.metrics.sim_time.to_bits(),
-                    sp_piped.metrics.sim_time.to_bits(),
-                    "{engine:?}/sssp sim_time diverged on {transport:?}, machines={machines}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn adaptive_part_sizing_never_changes_results() {
-    // Adaptive pipeline sizing (DESIGN.md §14) only moves *part
-    // boundaries*, and part boundaries are proven value- and
-    // sim_time-invariant by `pipelined_path_matches_serialized_bitwise`
-    // (which already runs with the adaptive default). This pins the
-    // stronger explicit triangle: adaptive-on ≡ adaptive-off ≡
-    // serialized, bitwise, on the wire transport where adaptation
-    // actually engages.
-    let g = test_graph();
-    for engine in [EngineKind::PowerGraphSync, EngineKind::LazyBlockAsync] {
-        for machines in [2usize, 4] {
-            let serial = cfg(engine, 4, false).with_transport(TransportKind::Tcp);
-            let fixed = serial
-                .clone()
-                .with_pipeline(true)
-                .with_adaptive_parts(false);
-            let adaptive = serial.clone().with_pipeline(true);
-            let r_serial =
-                run(&g, machines, &serial, &PageRankDelta::default()).expect("cluster run");
-            let r_fixed =
-                run(&g, machines, &fixed, &PageRankDelta::default()).expect("cluster run");
-            let r_adaptive =
-                run(&g, machines, &adaptive, &PageRankDelta::default()).expect("cluster run");
-            let vals = |r: &RunResult<PageRankDelta>| format!("{:?}", r.values);
-            assert_eq!(
-                vals(&r_adaptive),
-                vals(&r_fixed),
-                "{engine:?} adaptive changed values at machines={machines}"
-            );
-            assert_eq!(
-                vals(&r_adaptive),
-                vals(&r_serial),
-                "{engine:?} pipelined diverged from serialized at machines={machines}"
-            );
-            assert_eq!(
-                r_adaptive.metrics.sim_time.to_bits(),
-                r_fixed.metrics.sim_time.to_bits(),
-                "{engine:?} adaptive changed sim_time at machines={machines}"
-            );
-        }
-    }
-}
-
-#[test]
-fn lazy_vertex_pipelined_reaches_same_fixpoint() {
-    // The barrier-free engine has no round structure to replay, so
-    // pipelining legitimately changes batch boundaries and float-fold
-    // order; only min-algebra programs (unique fixpoint) owe bitwise
-    // values here.
-    let g = test_graph();
-    for machines in [1usize, 4] {
-        let serial = cfg(EngineKind::LazyVertexAsync, 4, false);
-        let piped = serial.clone().with_pipeline(true);
-        let a = run(&g, machines, &serial, &Sssp::new(0u32)).expect("cluster run");
-        let b = run(&g, machines, &piped, &Sssp::new(0u32)).expect("cluster run");
-        assert_eq!(
-            format!("{:?}", a.values),
-            format!("{:?}", b.values),
-            "lazy-vertex/sssp pipelined fixpoint diverged at machines={machines}"
         );
     }
 }

@@ -10,9 +10,12 @@
 //! forward. The recovered run must be **bitwise identical** to the
 //! oracle: same values, same iteration count, same simulated time bits.
 //!
-//! Nothing here sleeps or polls wall-clock state: fail points key on
+//! No test here sleeps or polls wall-clock state: fail points key on
 //! superstep / round counters (deterministic under the PR 1 bitwise-
-//! determinism contract), and recovery is proven by output equality plus
+//! determinism contract; the mid-round `send:` point alone lets the
+//! victim's already-issued sends drain to the wire before it aborts — the
+//! outcome must be the oracle's either way), and recovery is proven by
+//! output equality plus
 //! the `reconnects` / `replay_rounds` counters — if a fail point silently
 //! stopped firing, `reconnects == 0` fails the test rather than letting
 //! it pass vacuously.
@@ -20,7 +23,7 @@
 mod common;
 
 use lazygraph::multiproc::{
-    run_multiprocess, run_multiprocess_with, AlgoSpec, MpOptions, MultiprocOutcome,
+    run_multiprocess, run_multiprocess_with, AlgoSpec, FailPoint, MpOptions, MultiprocOutcome,
 };
 use lazygraph::prelude::*;
 use lazygraph_graph::generators::{rmat, RmatConfig};
@@ -41,19 +44,6 @@ fn matrix_graph() -> Graph {
     b.build()
 }
 
-/// Larger graph for the pipelined-streaming kill: the pipelined exchange
-/// only streams a part once ≥ `PIPELINE_PART_ITEMS` (1024) updates are
-/// staged for one destination, so the 2-machine apply broadcast needs
-/// over a thousand replicated masters on the victim.
-fn stream_graph() -> Graph {
-    let g = rmat(RmatConfig::graph500(13, 8, 5));
-    let mut b = GraphBuilder::new(g.num_vertices());
-    b.extend(g.edges());
-    b.symmetrize();
-    b.randomize_weights(1.0, 9.0, 5);
-    b.build()
-}
-
 fn cfg(engine: EngineKind) -> EngineConfig {
     EngineConfig::lazygraph()
         .with_engine(engine)
@@ -65,7 +55,7 @@ fn cfg(engine: EngineKind) -> EngineConfig {
 /// not a wait — recovery is event-driven), budget for one respawn plus
 /// slack. The oracle uses the same options minus the fail point so both
 /// runs share a checkpoint cadence.
-fn mp_opts(failpoint: Option<(usize, String)>) -> MpOptions {
+fn mp_opts(failpoint: Option<(usize, FailPoint)>) -> MpOptions {
     MpOptions {
         checkpoint_every: 2,
         rejoin_window_ms: 30_000,
@@ -152,7 +142,7 @@ fn run_matrix_for<P: VertexProgram>(
     }
 
     for n in kills(oracle.iterations) {
-        let opts = mp_opts(Some((VICTIM, format!("superstep:{n}"))));
+        let opts = mp_opts(Some((VICTIM, FailPoint::Superstep(n))));
         let out = run_multiprocess_with::<P>(g, workers, base, spec, worker_bin(), &opts)
             .unwrap_or_else(|e| panic!("{} {workers}w kill@{n}: {e}", engine.name()));
         assert_eq!(
@@ -310,45 +300,35 @@ fn delta_recovers_bitwise_4_workers() {
     run_matrix(EngineKind::DeltaAccum, 4);
 }
 
-/// Kill the victim *mid pipelined exchange*: the `stream:<round>:<part>`
-/// fail point aborts just before the victim streams its first part of
-/// data round 1 (the apply broadcast of superstep 1) — peers are left
-/// holding a torn, partially-streamed round. The respawned victim has no
-/// snapshot yet (first checkpoint lands after superstep 2), so this is
-/// the watermark-zero path: full regeneration on the victim, full log
-/// replay from the survivor, count-based dedupe discarding every
-/// duplicate frame.
+/// Kill the victim *inside* a round: `send:<round>:<n>` aborts it in the
+/// apply broadcast of superstep 3 (data round 5; a Sync superstep is a
+/// gather round and an apply round) after it sent the round to worker 0
+/// and before it sends it to workers 2 and 3. The survivors are left at
+/// *different* watermarks for the same victim: worker 0 has forwarded its
+/// round 5, the other two have not. The respawned victim resumes from the
+/// superstep-2 snapshot (watermark 4) and regenerates rounds 4 and 5; the
+/// count-based dedupe has to drop round 5 on one link and accept it on
+/// the other two, per link, with no round-level agreement between them.
 #[test]
-fn kill_during_pipelined_exchange_recovers_bitwise() {
-    let g = stream_graph();
-    let workers = 2;
-    let tolerance = 1e-5;
-    let mut base = cfg(EngineKind::PowerGraphSync).with_pipeline(true);
-    // Bounded run: recovery equivalence does not require convergence,
-    // and eight supersteps of a scale-12 graph keep the test quick.
-    base.max_iterations = 8;
-    let spec = AlgoSpec::PageRank { tolerance };
+fn kill_between_two_peers_sends_recovers_bitwise() {
+    let g = matrix_graph();
+    let workers = 4;
+    let base = cfg(EngineKind::PowerGraphSync);
+    let spec = AlgoSpec::Sssp { source: 0 };
 
-    let oracle =
-        run_multiprocess_with::<PageRankDelta>(&g, workers, &base, &spec, worker_bin(), &mp_opts(None))
-            .expect("pipelined oracle");
+    let oracle = run_multiprocess_with::<Sssp>(&g, workers, &base, &spec, worker_bin(), &mp_opts(None))
+        .expect("oracle");
+    assert!(oracle.iterations > 3, "the kill must land before the last superstep");
 
-    let opts = mp_opts(Some((VICTIM, "stream:1:1".into())));
-    let out = run_multiprocess_with::<PageRankDelta>(&g, workers, &base, &spec, worker_bin(), &opts)
-        .expect("pipelined kill run");
+    let opts = mp_opts(Some((VICTIM, FailPoint::Send { round: 5, n: 2 })));
+    let out = run_multiprocess_with::<Sssp>(&g, workers, &base, &spec, worker_bin(), &opts)
+        .expect("mid-round kill run");
 
     assert_eq!(
         fingerprint(&out),
         fingerprint(&oracle),
-        "recovery after a kill mid pipelined exchange is not bitwise identical"
+        "recovery after a kill between two peers' sends is not bitwise identical"
     );
-    // The fail point only fires if round 1 actually streamed a part
-    // (≥ 1024 staged updates for one destination). A vacuous pass would
-    // mean the graph stopped exercising the pipelined path.
-    assert!(
-        out.stats.reconnects >= 1,
-        "stream:1:1 never fired — superstep 1's apply broadcast no longer \
-         streams parts; grow stream_graph()"
-    );
+    assert!(out.stats.reconnects >= 1, "send:5:2 never fired (no reconnects)");
     assert!(out.stats.replay_rounds >= 1, "nothing was replayed on rejoin");
 }

@@ -1,4 +1,4 @@
-//! Fixed-footprint delivery (DESIGN.md §11): a run's heap is the graph,
+//! Fixed-footprint delivery (DESIGN.md §9): a run's heap is the graph,
 //! the per-vertex state and scratch bounded by the largest sweep — it must
 //! not climb with the number of sweeps, and steady-state sweeps must reuse
 //! their delivery buffers instead of reallocating them.

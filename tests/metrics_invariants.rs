@@ -277,28 +277,21 @@ fn zero_copy_counters_survive_wire_and_merge() {
     use lazygraph_net::Wire;
 
     // PR 8 counters: `zero_copy_frames` and `fold_runs` are sums across
-    // workers, `adaptive_part_items` is a high-water mark — merge must
-    // take the max, not add (two workers both cruising at 2048 did not
-    // jointly reach 4096).
+    // workers.
     let stats = NetStats::default();
     stats.record_zero_copy_frames(5);
     stats.record_fold_runs(17);
-    stats.record_adaptive_part_items(2048);
-    stats.record_adaptive_part_items(512); // later, smaller: high-water holds
     let snap = stats.snapshot();
     assert_eq!(snap.zero_copy_frames, 5);
     assert_eq!(snap.fold_runs, 17);
-    assert_eq!(snap.adaptive_part_items, 2048);
 
     let back = StatsSnapshot::from_wire(&snap.to_wire()).expect("decode");
     assert_eq!(back.zero_copy_frames, snap.zero_copy_frames);
     assert_eq!(back.fold_runs, snap.fold_runs);
-    assert_eq!(back.adaptive_part_items, snap.adaptive_part_items);
 
     let other = StatsSnapshot {
         zero_copy_frames: 3,
         fold_runs: 4,
-        adaptive_part_items: 1024,
         ..Default::default()
     };
     let mut merged = StatsSnapshot::default();
@@ -306,45 +299,33 @@ fn zero_copy_counters_survive_wire_and_merge() {
     merged.merge(&other);
     assert_eq!(merged.zero_copy_frames, 8);
     assert_eq!(merged.fold_runs, 21);
-    assert_eq!(merged.adaptive_part_items, 2048, "merge must max, not sum");
 
-    // The report must surface all three so a perf log names them.
+    // The report must surface both so a perf log names them.
     let lines = merged.report_lines();
     assert!(
-        lines.iter().any(|l| l.contains("zero_copy_frames=8")
-            && l.contains("fold_runs=21")
-            && l.contains("adaptive_part_items=2048")),
+        lines.iter().any(|l| l.contains("zero_copy_frames=8") && l.contains("fold_runs=21")),
         "report lines missing PR 8 counters: {lines:?}"
     );
 }
 
 #[test]
-fn tcp_inbound_path_is_zero_copy_and_adaptation_stays_clamped() {
-    use lazygraph_engine::exchange::{PART_ITEMS_MAX, PART_ITEMS_MIN};
+fn tcp_inbound_path_is_zero_copy() {
     use lazygraph_engine::TransportKind;
 
     // Every framed-TCP data batch should draw its payload buffer from the
     // reader's pool after warmup and route through the borrowing cursor —
     // `zero_copy_frames` is counted at the only place payload buffers are
     // born, so frames ≈ zero-copy frames proves the per-batch `Vec<Item>`
-    // is gone. The adaptive controller's high-water must stay inside its
-    // clamp window whenever it records at all.
+    // is gone.
     let g = road();
     for base in [EngineConfig::powergraph_sync(), EngineConfig::lazygraph()] {
-        let cfg = base.with_transport(TransportKind::Tcp).with_pipeline(true);
+        let cfg = base.with_transport(TransportKind::Tcp);
         let r = run(&g, 4, &cfg, &Sssp::new(0u32)).expect("cluster run");
         let s = &r.metrics.stats;
         assert!(
             s.zero_copy_frames > 0,
             "{}: tcp run recorded no zero-copy frames",
             r.metrics.engine
-        );
-        assert!(
-            s.adaptive_part_items >= PART_ITEMS_MIN as u64
-                && s.adaptive_part_items <= PART_ITEMS_MAX as u64,
-            "{}: adaptive high-water {} outside [{PART_ITEMS_MIN}, {PART_ITEMS_MAX}]",
-            r.metrics.engine,
-            s.adaptive_part_items
         );
     }
     // In-proc ships no frames, so the counter must stay zero there: it

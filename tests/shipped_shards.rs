@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use lazygraph::multiproc::{
-    run_multiprocess_with, shard_path, AlgoSpec, MpOptions, MultiprocOutcome, WorkerJob,
+    run_multiprocess_with, shard_path, AlgoSpec, FailPoint, MpOptions, MultiprocOutcome, WorkerJob,
 };
 use lazygraph::prelude::*;
 use lazygraph_graph::generators::{rmat, RmatConfig};
@@ -111,7 +111,7 @@ fn a_respawned_worker_reads_the_same_shard_file_again() {
     let calm = sssp(&g, 4, &opts(None));
     assert!(calm.iterations > 3, "the kill must land mid-run");
     assert_eq!(calm.stats.reconnects, 0);
-    let killed = sssp(&g, 4, &opts(Some((1, "superstep:3".to_string()))));
+    let killed = sssp(&g, 4, &opts(Some((1, FailPoint::Superstep(3)))));
     assert!(killed.stats.reconnects > 0, "the fail point never fired");
     assert_eq!(fingerprint(&killed), fingerprint(&calm));
     assert_eq!(killed.shard_bytes, calm.shard_bytes);

@@ -2,9 +2,7 @@
 //! (`decode_batch_raw` + in-place item walk) must be *byte-equal* to the
 //! materializing oracle (`decode_batch`) for every payload — including
 //! NaN bit patterns, empty batches, and frames reassembled from torn
-//! reads into dirty recycled buffers — and the pipelined exchange with
-//! adaptive part sizing must stay bitwise-identical to the serialized
-//! path (that half lives in `tests/determinism.rs`).
+//! reads into dirty recycled buffers.
 
 use std::io::Read;
 
@@ -282,10 +280,10 @@ impl lazygraph_engine::VertexProgram for MinLabel {
 
 /// Items that fail to decode off a raw TCP batch used to be dropped with
 /// the rest of their batch (`Ok` with items missing, in release builds).
-/// They must fail the run, on the serialized and on the pipelined path;
-/// the in-process transport never encodes, so it is the control.
+/// They must fail the run; the in-process transport never encodes, so it
+/// is the control.
 #[test]
-fn malformed_item_region_fails_the_run_on_both_exchange_paths() {
+fn malformed_item_region_fails_the_run() {
     use lazygraph_engine::{run, EngineConfig, EngineKind, TransportKind};
     use lazygraph_graph::generators::{rmat, RmatConfig};
     // Dense enough that both machines receive items in the same round, so
@@ -301,13 +299,11 @@ fn malformed_item_region_fails_the_run_on_both_exchange_paths() {
         let cfg = EngineConfig::lazygraph().with_engine(engine).with_threads(1);
         let control = run(&g, 2, &cfg, &MinLabel).expect("in-process channels never decode");
         assert!(control.metrics.converged);
-        for pipeline in [false, true] {
-            let tcp = cfg.clone().with_transport(TransportKind::Tcp).with_pipeline(pipeline);
-            let failed = run(&g, 2, &tcp, &MinLabel).map(|r| r.metrics.converged);
-            assert!(
-                matches!(failed, Err(lazygraph_engine::CommError::Transport { .. })),
-                "{engine:?} pipeline={pipeline}: a malformed item must fail the run, got {failed:?}"
-            );
-        }
+        let tcp = cfg.clone().with_transport(TransportKind::Tcp);
+        let failed = run(&g, 2, &tcp, &MinLabel).map(|r| r.metrics.converged);
+        assert!(
+            matches!(failed, Err(lazygraph_engine::CommError::Transport { .. })),
+            "{engine:?}: a malformed item must fail the run, got {failed:?}"
+        );
     }
 }
