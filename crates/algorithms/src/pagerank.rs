@@ -13,7 +13,7 @@
 use lazygraph_engine::program::DeltaExchange;
 use lazygraph_engine::{EdgeCtx, VertexCtx, VertexProgram};
 use lazygraph_graph::VertexId;
-use lazygraph_net::{NetError, Wire, WireReader};
+use lazygraph_net::wire_record;
 
 /// Vertex state: the converged rank plus the not-yet-flushed delta.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
@@ -24,21 +24,9 @@ pub struct PageRankData {
     pub pending: f64,
 }
 
-/// Both components ride as IEEE-754 bit patterns, so a TCP run's vertex
-/// data is bit-identical to an in-proc run's.
-impl Wire for PageRankData {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.rank.encode(out);
-        self.pending.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(PageRankData {
-            rank: f64::decode(r)?,
-            pending: f64::decode(r)?,
-        })
-    }
-}
+// Both components ride as IEEE-754 bit patterns, so a TCP run's vertex
+// data is bit-identical to an in-proc run's.
+wire_record!(PageRankData { rank, pending });
 
 /// The PageRank-Delta vertex program.
 #[derive(Clone, Copy, Debug)]

@@ -27,7 +27,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use lazygraph_net::{NetError, Wire, WireReader};
+use lazygraph_net::wire_record;
 
 /// Which protocol phase a communication belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,45 +57,120 @@ impl Phase {
             Phase::Control => 4,
         }
     }
-
-    /// Phase name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Gather => "gather",
-            Phase::Apply => "apply",
-            Phase::Coherency => "coherency",
-            Phase::Async => "async",
-            Phase::Control => "control",
-        }
-    }
 }
 
-/// Shared counters, one instance per engine run.
-#[derive(Debug, Default)]
-pub struct NetStats {
-    est_bytes: [AtomicU64; NUM_PHASES],
-    batches: [AtomicU64; NUM_PHASES],
-    items: [AtomicU64; NUM_PHASES],
-    global_syncs: AtomicU64,
-    edges_processed: AtomicU64,
-    applies: AtomicU64,
-    items_combined: AtomicU64,
-    bytes_saved: AtomicU64,
-    pool_hits: AtomicU64,
-    pool_misses: AtomicU64,
-    pool_evictions: AtomicU64,
-    wire_bytes_sent: AtomicU64,
-    wire_bytes_recv: AtomicU64,
-    wire_frames_sent: AtomicU64,
-    wire_frames_recv: AtomicU64,
-    reconnects: AtomicU64,
-    snapshot_bytes: AtomicU64,
-    replay_rounds: AtomicU64,
-    zero_copy_frames: AtomicU64,
-    fold_runs: AtomicU64,
-    delta_skipped_vertices: AtomicU64,
-    sched_epochs: AtomicU64,
-    bucket_high_water: AtomicU64,
+/// The counter table: one row per counter — its doc, its name, and how
+/// per-worker snapshots of it aggregate (`sum` for event counts, `max` for
+/// a high-water mark). The row is the only place a counter is listed: it
+/// becomes a [`NetStats`] atomic, a public [`StatsSnapshot`] field, and
+/// its slot in [`NetStats::snapshot`], [`StatsSnapshot::merge`] and the
+/// `Wire` encoding, in row order. A counter is written through its
+/// `record_*` method below; the per-phase triple rides in [`PhaseStats`].
+macro_rules! counters {
+    (@merge sum $mine:expr, $theirs:expr) => { $mine += $theirs };
+    (@merge max $mine:expr, $theirs:expr) => { $mine = $mine.max($theirs) };
+    ($($(#[$doc:meta])* $name:ident: $rule:ident,)+) => {
+        /// Shared counters, one instance per engine run.
+        #[derive(Debug, Default)]
+        pub struct NetStats {
+            est_bytes: [AtomicU64; NUM_PHASES],
+            batches: [AtomicU64; NUM_PHASES],
+            items: [AtomicU64; NUM_PHASES],
+            $($name: AtomicU64,)+
+        }
+
+        /// Immutable snapshot of [`NetStats`].
+        #[derive(Clone, Copy, Debug, Default, PartialEq)]
+        pub struct StatsSnapshot {
+            pub per_phase: [PhaseStats; NUM_PHASES],
+            $($(#[$doc])* pub $name: u64,)+
+        }
+
+        impl NetStats {
+            /// A consistent snapshot (exact once every machine thread joined).
+            pub fn snapshot(&self) -> StatsSnapshot {
+                let per_phase = std::array::from_fn(|i| PhaseStats {
+                    est_bytes: self.est_bytes[i].load(Ordering::Relaxed),
+                    batches: self.batches[i].load(Ordering::Relaxed),
+                    items: self.items[i].load(Ordering::Relaxed),
+                });
+                StatsSnapshot { per_phase, $($name: self.$name.load(Ordering::Relaxed),)+ }
+            }
+        }
+
+        impl StatsSnapshot {
+            /// Aggregates per-worker snapshots into a cluster total, each
+            /// counter by its table rule. A `sum` counter is a plain sum
+            /// over events; the one cluster-wide event (a global sync) is
+            /// recorded by machine 0 only, so adding does not multiply it.
+            pub fn merge(&mut self, other: &StatsSnapshot) {
+                let StatsSnapshot { per_phase, $($name),+ } = other;
+                for (mine, theirs) in self.per_phase.iter_mut().zip(per_phase) {
+                    mine.merge(theirs);
+                }
+                $(counters!(@merge $rule self.$name, *$name);)+
+            }
+        }
+
+        wire_record!(StatsSnapshot { per_phase, $($name),+ });
+    };
+}
+
+counters! {
+    /// Global synchronisations (Fig. 10), one per collective.
+    global_syncs: sum,
+    /// Scatter edge traversals — the local compute work.
+    edges_processed: sum,
+    /// Apply-operator executions.
+    applies: sum,
+    /// Contributions folded into an existing wire item before enqueue
+    /// (sender-side combining + deltaMsg pre-accumulation).
+    items_combined: sum,
+    /// Estimated payload bytes those folds avoided shipping.
+    bytes_saved: sum,
+    /// Buffer-pool acquisitions served from a recycled vector.
+    pool_hits: sum,
+    /// Buffer-pool acquisitions that had to allocate.
+    pool_misses: sum,
+    /// Recycled vectors dropped because the free list was at capacity.
+    pool_evictions: sum,
+    /// Measured frame bytes written to sockets (0 on the in-proc backend).
+    wire_bytes_sent: sum,
+    /// Measured frame bytes read from sockets (0 on the in-proc backend).
+    wire_bytes_recv: sum,
+    /// Frames written to sockets.
+    wire_frames_sent: sum,
+    /// Frames read from sockets.
+    wire_frames_recv: sum,
+    /// Rejoins admitted after a torn link (recovery mode only; 0 on
+    /// undisturbed runs). Fault telemetry, outside the determinism
+    /// counter contract.
+    reconnects: sum,
+    /// Checkpoint snapshot bytes written to disk (0 with checkpointing
+    /// disabled).
+    snapshot_bytes: sum,
+    /// Logged frames retransmitted to rejoined peers (0 on undisturbed
+    /// runs). Fault telemetry, outside the determinism counter contract.
+    replay_rounds: sum,
+    /// Inbound Data frames handed off zero-copy in a recycled payload
+    /// buffer (TCP only; 0 in-proc). Timing/pool telemetry like
+    /// `pool_hits`: the warmup tail depends on scheduling, so this is
+    /// excluded from the determinism counter contract.
+    zero_copy_frames: sum,
+    /// Contiguous same-destination runs (length ≥ 2) folded by the
+    /// vectorized ⊕ loop in segment delivery. Deterministic per
+    /// configuration: run boundaries follow the routed segment contents.
+    fold_runs: sum,
+    /// Pending vertices the delta engine's scheduler parked as
+    /// sub-tolerance instead of processing. Deterministic per
+    /// configuration: the plan is a pure function of state.
+    delta_skipped_vertices: sum,
+    /// Scheduler epochs executed, summed over machines (an `n`-machine
+    /// run records `n` per epoch). Deterministic per configuration.
+    sched_epochs: sum,
+    /// High-water mark of any single priority bucket's occupancy in one
+    /// epoch: across workers it is the largest any of them reached.
+    bucket_high_water: max,
 }
 
 impl NetStats {
@@ -244,39 +319,6 @@ impl NetStats {
     pub fn record_bucket_high_water(&self, occupancy: u64) {
         self.bucket_high_water.fetch_max(occupancy, Ordering::Relaxed);
     }
-
-    /// A consistent snapshot (exact once all machine threads have joined).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let mut per_phase = [PhaseStats::default(); NUM_PHASES];
-        for (i, p) in per_phase.iter_mut().enumerate() {
-            p.est_bytes = self.est_bytes[i].load(Ordering::Relaxed);
-            p.batches = self.batches[i].load(Ordering::Relaxed);
-            p.items = self.items[i].load(Ordering::Relaxed);
-        }
-        StatsSnapshot {
-            per_phase,
-            global_syncs: self.global_syncs.load(Ordering::Relaxed),
-            edges_processed: self.edges_processed.load(Ordering::Relaxed),
-            applies: self.applies.load(Ordering::Relaxed),
-            items_combined: self.items_combined.load(Ordering::Relaxed),
-            bytes_saved: self.bytes_saved.load(Ordering::Relaxed),
-            pool_hits: self.pool_hits.load(Ordering::Relaxed),
-            pool_misses: self.pool_misses.load(Ordering::Relaxed),
-            pool_evictions: self.pool_evictions.load(Ordering::Relaxed),
-            wire_bytes_sent: self.wire_bytes_sent.load(Ordering::Relaxed),
-            wire_bytes_recv: self.wire_bytes_recv.load(Ordering::Relaxed),
-            wire_frames_sent: self.wire_frames_sent.load(Ordering::Relaxed),
-            wire_frames_recv: self.wire_frames_recv.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-            snapshot_bytes: self.snapshot_bytes.load(Ordering::Relaxed),
-            replay_rounds: self.replay_rounds.load(Ordering::Relaxed),
-            zero_copy_frames: self.zero_copy_frames.load(Ordering::Relaxed),
-            fold_runs: self.fold_runs.load(Ordering::Relaxed),
-            delta_skipped_vertices: self.delta_skipped_vertices.load(Ordering::Relaxed),
-            sched_epochs: self.sched_epochs.load(Ordering::Relaxed),
-            bucket_high_water: self.bucket_high_water.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// Per-phase communication totals. `est_bytes` is the `size_of`-based
@@ -296,77 +338,14 @@ impl PhaseStats {
     /// Element-wise sum — folds another worker's phase totals into this
     /// one (every counter is a plain event sum, so addition aggregates).
     pub fn merge(&mut self, other: &PhaseStats) {
-        self.est_bytes += other.est_bytes;
-        self.batches += other.batches;
-        self.items += other.items;
-    }
-
-    /// One labelled report line for this phase's totals.
-    pub fn report_line(&self, name: &str) -> String {
-        format!(
-            "phase {:<9} est_bytes={:<12} batches={:<8} items={}",
-            name, self.est_bytes, self.batches, self.items
-        )
+        let PhaseStats { est_bytes, batches, items } = other;
+        self.est_bytes += est_bytes;
+        self.batches += batches;
+        self.items += items;
     }
 }
 
-/// Immutable snapshot of [`NetStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct StatsSnapshot {
-    pub per_phase: [PhaseStats; NUM_PHASES],
-    pub global_syncs: u64,
-    pub edges_processed: u64,
-    pub applies: u64,
-    /// Contributions folded into an existing wire item before enqueue
-    /// (sender-side combining + deltaMsg pre-accumulation).
-    pub items_combined: u64,
-    /// Estimated payload bytes those folds avoided shipping.
-    pub bytes_saved: u64,
-    /// Buffer-pool acquisitions served from a recycled vector.
-    pub pool_hits: u64,
-    /// Buffer-pool acquisitions that had to allocate.
-    pub pool_misses: u64,
-    /// Recycled vectors dropped because the free list was at capacity.
-    pub pool_evictions: u64,
-    /// Measured frame bytes written to sockets (0 on the in-proc backend).
-    pub wire_bytes_sent: u64,
-    /// Measured frame bytes read from sockets (0 on the in-proc backend).
-    pub wire_bytes_recv: u64,
-    /// Frames written to sockets.
-    pub wire_frames_sent: u64,
-    /// Frames read from sockets.
-    pub wire_frames_recv: u64,
-    /// Rejoins admitted after a torn link (recovery mode only; 0 on
-    /// undisturbed runs). Fault telemetry, outside the determinism
-    /// counter contract.
-    pub reconnects: u64,
-    /// Checkpoint snapshot bytes written to disk (0 with checkpointing
-    /// disabled).
-    pub snapshot_bytes: u64,
-    /// Logged frames retransmitted to rejoined peers (0 on undisturbed
-    /// runs). Fault telemetry, outside the determinism counter contract.
-    pub replay_rounds: u64,
-    /// Inbound Data frames handed off zero-copy in a recycled payload
-    /// buffer (TCP only; 0 in-proc). Timing/pool telemetry like
-    /// `pool_hits`: the warmup tail depends on scheduling, so this is
-    /// excluded from the determinism counter contract.
-    pub zero_copy_frames: u64,
-    /// Contiguous same-destination runs (length ≥ 2) folded by the
-    /// vectorized ⊕ loop in segment delivery. Deterministic per
-    /// configuration: run boundaries follow the routed segment contents.
-    pub fold_runs: u64,
-    /// Pending vertices the delta engine's scheduler parked as
-    /// sub-tolerance instead of processing. Deterministic per
-    /// configuration: the plan is a pure function of state.
-    pub delta_skipped_vertices: u64,
-    /// Scheduler epochs executed, summed over machines (an `n`-machine
-    /// run records `n` per epoch). Deterministic per configuration.
-    pub sched_epochs: u64,
-    /// High-water mark of any single priority bucket's occupancy in one
-    /// epoch. Merged by `max`, not `+`: a high-water mark across workers
-    /// is the largest any of them reached.
-    pub bucket_high_water: u64,
-}
+wire_record!(PhaseStats { est_bytes, batches, items });
 
 impl StatsSnapshot {
     /// Total *estimated* payload bytes across phases — the Fig. 11
@@ -390,160 +369,12 @@ impl StatsSnapshot {
     pub fn phase(&self, p: Phase) -> PhaseStats {
         self.per_phase[p.index()]
     }
-
-    /// Element-wise sum — aggregates per-worker snapshots into a cluster
-    /// total. Valid because every counter is a plain sum over events and
-    /// `global_syncs` is recorded by machine 0 only (so summing worker
-    /// snapshots does not multiply it).
-    pub fn merge(&mut self, other: &StatsSnapshot) {
-        for (a, b) in self.per_phase.iter_mut().zip(other.per_phase.iter()) {
-            a.merge(b);
-        }
-        self.global_syncs += other.global_syncs;
-        self.edges_processed += other.edges_processed;
-        self.applies += other.applies;
-        self.items_combined += other.items_combined;
-        self.bytes_saved += other.bytes_saved;
-        self.pool_hits += other.pool_hits;
-        self.pool_misses += other.pool_misses;
-        self.pool_evictions += other.pool_evictions;
-        self.wire_bytes_sent += other.wire_bytes_sent;
-        self.wire_bytes_recv += other.wire_bytes_recv;
-        self.wire_frames_sent += other.wire_frames_sent;
-        self.wire_frames_recv += other.wire_frames_recv;
-        self.reconnects += other.reconnects;
-        self.snapshot_bytes += other.snapshot_bytes;
-        self.replay_rounds += other.replay_rounds;
-        self.zero_copy_frames += other.zero_copy_frames;
-        self.fold_runs += other.fold_runs;
-        self.delta_skipped_vertices += other.delta_skipped_vertices;
-        self.sched_epochs += other.sched_epochs;
-        self.bucket_high_water = self.bucket_high_water.max(other.bucket_high_water);
-    }
-
-    /// Labelled report lines: every counter of the snapshot appears here
-    /// under its own field name (the L9 `stats-coverage` obligation), so
-    /// a counter can never be recorded yet invisible in reports. The
-    /// est/wire split keeps its deliberate naming — see the module docs.
-    pub fn report_lines(&self) -> Vec<String> {
-        let mut lines: Vec<String> = [
-            Phase::Gather,
-            Phase::Apply,
-            Phase::Coherency,
-            Phase::Async,
-            Phase::Control,
-        ]
-        .iter()
-        .map(|p| self.phase(*p).report_line(p.name()))
-        .collect();
-        lines.push(format!(
-            "global_syncs={} edges_processed={} applies={}",
-            self.global_syncs, self.edges_processed, self.applies
-        ));
-        lines.push(format!(
-            "items_combined={} bytes_saved={}",
-            self.items_combined, self.bytes_saved
-        ));
-        lines.push(format!(
-            "pool_hits={} pool_misses={} pool_evictions={}",
-            self.pool_hits, self.pool_misses, self.pool_evictions
-        ));
-        lines.push(format!(
-            "wire_bytes_sent={} wire_bytes_recv={} wire_frames_sent={} wire_frames_recv={}",
-            self.wire_bytes_sent, self.wire_bytes_recv, self.wire_frames_sent,
-            self.wire_frames_recv
-        ));
-        lines.push(format!(
-            "reconnects={} snapshot_bytes={} replay_rounds={}",
-            self.reconnects, self.snapshot_bytes, self.replay_rounds
-        ));
-        lines.push(format!(
-            "zero_copy_frames={} fold_runs={}",
-            self.zero_copy_frames, self.fold_runs
-        ));
-        lines.push(format!(
-            "delta_skipped_vertices={} sched_epochs={} bucket_high_water={}",
-            self.delta_skipped_vertices, self.sched_epochs, self.bucket_high_water
-        ));
-        lines
-    }
-}
-
-impl Wire for PhaseStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.est_bytes.encode(out);
-        self.batches.encode(out);
-        self.items.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(PhaseStats {
-            est_bytes: u64::decode(r)?,
-            batches: u64::decode(r)?,
-            items: u64::decode(r)?,
-        })
-    }
-}
-
-impl Wire for StatsSnapshot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        for p in &self.per_phase {
-            p.encode(out);
-        }
-        self.global_syncs.encode(out);
-        self.edges_processed.encode(out);
-        self.applies.encode(out);
-        self.items_combined.encode(out);
-        self.bytes_saved.encode(out);
-        self.pool_hits.encode(out);
-        self.pool_misses.encode(out);
-        self.pool_evictions.encode(out);
-        self.wire_bytes_sent.encode(out);
-        self.wire_bytes_recv.encode(out);
-        self.wire_frames_sent.encode(out);
-        self.wire_frames_recv.encode(out);
-        self.reconnects.encode(out);
-        self.snapshot_bytes.encode(out);
-        self.replay_rounds.encode(out);
-        self.zero_copy_frames.encode(out);
-        self.fold_runs.encode(out);
-        self.delta_skipped_vertices.encode(out);
-        self.sched_epochs.encode(out);
-        self.bucket_high_water.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        let mut per_phase = [PhaseStats::default(); NUM_PHASES];
-        for p in per_phase.iter_mut() {
-            *p = PhaseStats::decode(r)?;
-        }
-        Ok(StatsSnapshot {
-            per_phase,
-            global_syncs: u64::decode(r)?,
-            edges_processed: u64::decode(r)?,
-            applies: u64::decode(r)?,
-            items_combined: u64::decode(r)?,
-            bytes_saved: u64::decode(r)?,
-            pool_hits: u64::decode(r)?,
-            pool_misses: u64::decode(r)?,
-            pool_evictions: u64::decode(r)?,
-            wire_bytes_sent: u64::decode(r)?,
-            wire_bytes_recv: u64::decode(r)?,
-            wire_frames_sent: u64::decode(r)?,
-            wire_frames_recv: u64::decode(r)?,
-            reconnects: u64::decode(r)?,
-            snapshot_bytes: u64::decode(r)?,
-            replay_rounds: u64::decode(r)?,
-            zero_copy_frames: u64::decode(r)?,
-            fold_runs: u64::decode(r)?,
-            delta_skipped_vertices: u64::decode(r)?,
-            sched_epochs: u64::decode(r)?,
-            bucket_high_water: u64::decode(r)?,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lazygraph_net::Wire;
 
     #[test]
     fn counts_accumulate() {
@@ -586,25 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_counters_accumulate() {
-        let s = NetStats::new();
-        s.record_combined(3, 36);
-        s.record_combined(0, 999); // no-op: nothing was folded
-        s.record_combined(2, 24);
-        s.record_pool(true);
-        s.record_pool(true);
-        s.record_pool(false);
-        s.record_pool_evictions(2);
-        s.record_pool_evictions(0); // no-op
-        let snap = s.snapshot();
-        assert_eq!(snap.items_combined, 5);
-        assert_eq!(snap.bytes_saved, 60);
-        assert_eq!(snap.pool_hits, 2);
-        assert_eq!(snap.pool_misses, 1);
-        assert_eq!(snap.pool_evictions, 2);
-    }
-
-    #[test]
     fn wire_counters_are_separate_from_estimates() {
         let s = NetStats::new();
         s.record_batch(Phase::Gather, 4, 32); // estimate path
@@ -618,26 +430,6 @@ mod tests {
         assert_eq!(snap.wire_frames_recv, 1);
         // The two scales measure different things and must differ here.
         assert_ne!(snap.total_est_bytes(), snap.wire_bytes_sent);
-    }
-
-    #[test]
-    fn snapshot_merge_sums_everything() {
-        let a = NetStats::new();
-        a.record_batch(Phase::Coherency, 2, 16);
-        a.record_sync();
-        a.record_wire_sent(3, 300);
-        a.record_pool_evictions(1);
-        let b = NetStats::new();
-        b.record_batch(Phase::Coherency, 3, 24);
-        b.record_wire_recv(2, 200);
-        let mut m = a.snapshot();
-        m.merge(&b.snapshot());
-        assert_eq!(m.phase(Phase::Coherency).items, 5);
-        assert_eq!(m.phase(Phase::Coherency).est_bytes, 40);
-        assert_eq!(m.global_syncs, 1);
-        assert_eq!(m.wire_bytes_sent, 300);
-        assert_eq!(m.wire_bytes_recv, 200);
-        assert_eq!(m.pool_evictions, 1);
     }
 
     #[test]
@@ -664,68 +456,41 @@ mod tests {
         assert_eq!(back, snap);
     }
 
+    /// Every row of a rule expands to the same code, so this covers the
+    /// table per *rule* — `sum` rows (through the two `record_*` methods that
+    /// branch), the `max` row, the per-phase arrays — up to the wire.
     #[test]
-    fn zero_copy_counters_accumulate_and_merge() {
-        let s = NetStats::new();
-        s.record_zero_copy_frames(3);
-        s.record_zero_copy_frames(0); // no-op
-        s.record_fold_runs(7);
-        let snap = s.snapshot();
-        assert_eq!(snap.zero_copy_frames, 3);
-        assert_eq!(snap.fold_runs, 7);
-
-        let other = NetStats::new();
-        other.record_zero_copy_frames(4);
-        other.record_fold_runs(1);
-        let mut m = snap;
-        m.merge(&other.snapshot());
-        assert_eq!(m.zero_copy_frames, 7, "event counts sum");
-        assert_eq!(m.fold_runs, 8);
-        let back = StatsSnapshot::from_wire(&m.to_wire()).unwrap();
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn delta_scheduler_counters_accumulate_and_merge() {
-        let s = NetStats::new();
-        s.record_delta_skipped(40);
-        s.record_delta_skipped(0); // no-op
-        s.record_delta_skipped(2);
-        s.record_sched_epochs(1);
-        s.record_sched_epochs(1);
-        // High-water: later smaller epochs must not lower it.
-        s.record_bucket_high_water(100);
-        s.record_bucket_high_water(900);
-        s.record_bucket_high_water(300);
-        let snap = s.snapshot();
-        assert_eq!(snap.delta_skipped_vertices, 42);
-        assert_eq!(snap.sched_epochs, 2);
+    fn table_rules_hold_through_snapshot_merge_and_wire() {
+        let a = NetStats::new();
+        a.record_batch(Phase::Coherency, 2, 16);
+        a.record_sync();
+        a.record_combined(3, 36);
+        a.record_combined(0, 999); // nothing was folded: the bytes do not count
+        a.record_pool(true);
+        a.record_pool(true);
+        a.record_pool(false);
+        // High-water: a later, smaller epoch must not lower it.
+        a.record_bucket_high_water(900);
+        a.record_bucket_high_water(300);
+        let snap = a.snapshot();
+        assert_eq!((snap.items_combined, snap.bytes_saved), (3, 36));
+        assert_eq!((snap.pool_hits, snap.pool_misses), (2, 1));
         assert_eq!(snap.bucket_high_water, 900);
 
-        let other = NetStats::new();
-        other.record_delta_skipped(8);
-        other.record_sched_epochs(2);
-        other.record_bucket_high_water(1500);
-        let mut m = snap;
-        m.merge(&other.snapshot());
-        assert_eq!(m.delta_skipped_vertices, 50, "event counts sum");
-        assert_eq!(m.sched_epochs, 4);
-        assert_eq!(m.bucket_high_water, 1500, "high-water merges by max");
-        let back = StatsSnapshot::from_wire(&m.to_wire()).unwrap();
-        assert_eq!(back, m);
-    }
+        let b = NetStats::new();
+        b.record_batch(Phase::Coherency, 3, 24);
+        b.record_combined(2, 24);
+        b.record_bucket_high_water(1500);
+        let (mut ab, mut ba) = (snap, b.snapshot());
+        ab.merge(&b.snapshot());
+        ba.merge(&snap);
+        assert_eq!(ab, ba, "both rules commute");
+        let coherency = PhaseStats { est_bytes: 40, batches: 2, items: 5 };
+        assert_eq!(ab.phase(Phase::Coherency), coherency);
+        assert_eq!(ab.global_syncs, 1, "machine 0's count is not multiplied");
+        assert_eq!((ab.items_combined, ab.bytes_saved), (5, 60), "event counts sum");
+        assert_eq!(ab.bucket_high_water, 1500, "a high-water mark merges by max");
 
-    #[test]
-    fn phase_names_unique() {
-        let names = [
-            Phase::Gather,
-            Phase::Apply,
-            Phase::Coherency,
-            Phase::Async,
-            Phase::Control,
-        ]
-        .map(Phase::name);
-        let set: std::collections::BTreeSet<_> = names.iter().collect();
-        assert_eq!(set.len(), names.len());
+        assert_eq!(StatsSnapshot::from_wire(&ab.to_wire()).unwrap(), ab);
     }
 }

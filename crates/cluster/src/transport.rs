@@ -216,6 +216,17 @@ pub fn build_tcp_mesh<T: Wire + Send + 'static>(
     Ok(endpoints)
 }
 
+/// Machine `me`'s own address in the mesh `addrs` describes. A rank the
+/// list has no entry for is a typed error — the list comes out of a job
+/// file, and a short one must not index out of bounds or quietly shrink
+/// the mesh.
+fn own_addr(me: usize, addrs: &[SocketAddr]) -> Result<SocketAddr, CommError> {
+    addrs.get(me).copied().ok_or_else(|| CommError::Transport {
+        me,
+        detail: format!("rank {me} has no address in a mesh of {} machines", addrs.len()),
+    })
+}
+
 /// Binds `addrs[me]`, joins the mesh, and returns this machine's endpoint.
 /// The worker-process entry point: one data (or control) mesh per call.
 pub fn connect_tcp_endpoint<T: Wire + Send + 'static>(
@@ -225,13 +236,13 @@ pub fn connect_tcp_endpoint<T: Wire + Send + 'static>(
     opts: &TcpOptions,
 ) -> Result<Endpoint<T>, CommError> {
     let n = addrs.len();
+    let mine = own_addr(me, addrs)?;
     if n == 1 {
         let mut eps = build_mesh(1);
         // `build_mesh(1)` returns exactly one endpoint.
         return eps.pop().ok_or(CommError::MeshClosed { me });
     }
-    let listener =
-        TcpListener::bind(addrs[me]).map_err(|e| io_err(me, "worker mesh bind", &e))?;
+    let listener = TcpListener::bind(mine).map_err(|e| io_err(me, "worker mesh bind", &e))?;
     let links = connect_mesh(me, addrs, &listener, opts).map_err(|e| CommError::transport(me, &e))?;
     let keep = opts.rejoin_window.map(|_| listener);
     Ok(tcp_endpoint(me, n, links, stats, opts, keep, 0))
@@ -255,6 +266,7 @@ pub fn reconnect_tcp_endpoint<T: Wire + Send + 'static>(
     opts: &TcpOptions,
 ) -> Result<Endpoint<T>, CommError> {
     let n = addrs.len();
+    let mine = own_addr(me, addrs)?;
     let mut opts = opts.clone();
     opts.rejoin_window.get_or_insert(Duration::from_secs(10));
     if n == 1 {
@@ -267,7 +279,7 @@ pub fn reconnect_tcp_endpoint<T: Wire + Send + 'static>(
     // of *other* workers can still rejoin through us. Lingering kernel
     // state from the dead process can make the bind fail; single-failure
     // runs never need it, so that is not an error.
-    let listener = TcpListener::bind(addrs[me]).ok();
+    let listener = TcpListener::bind(mine).ok();
     let mut links = Vec::with_capacity(n - 1);
     for (j, addr) in addrs.iter().enumerate() {
         if j == me {
@@ -888,6 +900,24 @@ mod tests {
         assert_eq!("tcp".parse::<TransportKind>().unwrap(), TransportKind::Tcp);
         assert!("smoke-signals".parse::<TransportKind>().is_err());
         assert_eq!(TransportKind::Tcp.name(), "tcp");
+    }
+
+    #[test]
+    fn a_rank_outside_the_address_list_is_a_typed_error() {
+        let stats = Arc::new(NetStats::new());
+        let opts = TcpOptions::default();
+        // Also with a one-entry list, which must not become a 1-machine mesh.
+        for n in [1, 2] {
+            let addrs: Vec<SocketAddr> = vec!["127.0.0.1:1".parse().unwrap(); n];
+            let fresh = connect_tcp_endpoint::<u8>(3, &addrs, &stats, &opts).err();
+            let rejoin = reconnect_tcp_endpoint::<u8>(3, &addrs, 0, &stats, &opts).err();
+            for err in [fresh, rejoin] {
+                let Some(CommError::Transport { me: 3, detail }) = err else {
+                    panic!("expected a transport error for rank 3 of {n}, got {err:?}");
+                };
+                assert!(detail.contains(&format!("mesh of {n} machines")), "{detail}");
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use lazygraph_cluster::{Collective, CommError, CostModel, NetStats, SimClock};
-use lazygraph_net::{NetError, Wire, WireReader};
+use lazygraph_net::wire_record;
 use parking_lot::Mutex;
 
 use crate::comm_mode::VolumeEstimate;
@@ -41,28 +41,10 @@ pub struct BspReduction {
     pub est: VolumeEstimate,
 }
 
-/// The reduction crosses the mesh-backed [`Collective`] in multiprocess
-/// runs; `clock` rides as its IEEE-754 bit pattern so the folded max is
-/// bitwise-identical to the shared-memory path.
-impl Wire for BspReduction {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.clock.encode(out);
-        self.bytes.encode(out);
-        self.pending.encode(out);
-        self.applied.encode(out);
-        self.est.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(BspReduction {
-            clock: f64::decode(r)?,
-            bytes: u64::decode(r)?,
-            pending: u64::decode(r)?,
-            applied: u64::decode(r)?,
-            est: VolumeEstimate::decode(r)?,
-        })
-    }
-}
+// The reduction crosses the mesh-backed `Collective` in multiprocess
+// runs; `clock` rides as its IEEE-754 bit pattern so the folded max is
+// bitwise-identical to the shared-memory path.
+wire_record!(BspReduction { clock, bytes, pending, applied, est });
 
 fn combine(a: BspReduction, b: BspReduction) -> BspReduction {
     BspReduction {

@@ -31,7 +31,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use lazygraph_cluster::CommError;
-use lazygraph_net::{NetError, Wire, WireReader};
+use lazygraph_net::{wire_record, NetError, Wire, WireReader};
 
 use crate::config::EngineKind;
 use crate::lazy_block::LazyCounters;
@@ -246,32 +246,17 @@ pub struct LazyResume {
     pub last_sweep_bits: u64,
 }
 
-impl Wire for LazyResume {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.counters.encode(out);
-        self.prev_active.encode(out);
-        self.last_trend_bits.encode(out);
-        self.iterations_seen.encode(out);
-        self.do_local.encode(out);
-        self.first_stage_bits.encode(out);
-        self.next_mode_m2m.encode(out);
-        self.coherency_cost_bits.encode(out);
-        self.last_sweep_bits.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(LazyResume {
-            counters: LazyCounters::decode(r)?,
-            prev_active: Option::<u64>::decode(r)?,
-            last_trend_bits: u64::decode(r)?,
-            iterations_seen: u64::decode(r)?,
-            do_local: bool::decode(r)?,
-            first_stage_bits: Option::<u64>::decode(r)?,
-            next_mode_m2m: bool::decode(r)?,
-            coherency_cost_bits: u64::decode(r)?,
-            last_sweep_bits: u64::decode(r)?,
-        })
-    }
-}
+wire_record!(LazyResume {
+    counters,
+    prev_active,
+    last_trend_bits,
+    iterations_seen,
+    do_local,
+    first_stage_bits,
+    next_mode_m2m,
+    coherency_cost_bits,
+    last_sweep_bits,
+});
 
 /// Extra cross-iteration state of the DeltaAccum engine. The bucket
 /// scheduler is deliberately stateless across epochs — every epoch's plan
@@ -285,16 +270,7 @@ pub struct DeltaResume {
     pub counters: LazyCounters,
 }
 
-impl Wire for DeltaResume {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.counters.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(DeltaResume {
-            counters: LazyCounters::decode(r)?,
-        })
-    }
-}
+wire_record!(DeltaResume { counters });
 
 /// What an engine adds to a snapshot beside `MachineState`
 /// ([`Superstep::resume_extras`](crate::machine::Superstep::resume_extras)).
@@ -341,58 +317,57 @@ pub struct EngineSnapshot<P: VertexProgram> {
     pub delta: Option<DeltaResume>,
 }
 
+// `derive(PartialEq)` would demand `P: PartialEq` of the program itself.
+// Opening `self` without `..` keeps the comparison list checked: a field
+// that is not compared is an unused binding.
 impl<P: VertexProgram> PartialEq for EngineSnapshot<P> {
     fn eq(&self, other: &Self) -> bool {
-        self.engine == other.engine
-            && self.iterations == other.iterations
-            && self.clock_bits == other.clock_bits
-            && self.data_round == other.data_round
-            && self.ctrl_round == other.ctrl_round
-            && self.vdata == other.vdata
-            && self.coherent == other.coherent
-            && self.message == other.message
-            && self.delta_msg == other.delta_msg
-            && self.active == other.active
-            && self.queue == other.queue
-            && self.lazy == other.lazy
-            && self.delta == other.delta
+        let EngineSnapshot {
+            engine,
+            iterations,
+            clock_bits,
+            data_round,
+            ctrl_round,
+            vdata,
+            coherent,
+            message,
+            delta_msg,
+            active,
+            queue,
+            lazy,
+            delta,
+        } = self;
+        *engine == other.engine
+            && *iterations == other.iterations
+            && *clock_bits == other.clock_bits
+            && *data_round == other.data_round
+            && *ctrl_round == other.ctrl_round
+            && *vdata == other.vdata
+            && *coherent == other.coherent
+            && *message == other.message
+            && *delta_msg == other.delta_msg
+            && *active == other.active
+            && *queue == other.queue
+            && *lazy == other.lazy
+            && *delta == other.delta
     }
 }
 
-impl<P: VertexProgram> Wire for EngineSnapshot<P> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.engine.encode(out);
-        self.iterations.encode(out);
-        self.clock_bits.encode(out);
-        self.data_round.encode(out);
-        self.ctrl_round.encode(out);
-        self.vdata.encode(out);
-        self.coherent.encode(out);
-        self.message.encode(out);
-        self.delta_msg.encode(out);
-        self.active.encode(out);
-        self.queue.encode(out);
-        self.lazy.encode(out);
-        self.delta.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(EngineSnapshot {
-            engine: u8::decode(r)?,
-            iterations: u64::decode(r)?,
-            clock_bits: u64::decode(r)?,
-            data_round: u64::decode(r)?,
-            ctrl_round: u64::decode(r)?,
-            vdata: Vec::<P::VData>::decode(r)?,
-            coherent: Vec::<P::VData>::decode(r)?,
-            message: Vec::<Option<P::Delta>>::decode(r)?,
-            delta_msg: Vec::<Option<P::Delta>>::decode(r)?,
-            active: Vec::<bool>::decode(r)?,
-            queue: Vec::<u32>::decode(r)?,
-            lazy: Option::<LazyResume>::decode(r)?,
-            delta: Option::<DeltaResume>::decode(r)?,
-        })
-    }
-}
+wire_record!(EngineSnapshot<P> where P: VertexProgram {
+    engine,
+    iterations,
+    clock_bits,
+    data_round,
+    ctrl_round,
+    vdata,
+    coherent,
+    message,
+    delta_msg,
+    active,
+    queue,
+    lazy,
+    delta,
+});
 
 impl<P: VertexProgram> EngineSnapshot<P> {
     /// Fails unless this snapshot was taken by engine `kind`.
@@ -407,8 +382,9 @@ impl<P: VertexProgram> EngineSnapshot<P> {
         }
     }
 
-    /// Captures the state arrays from `state` (scratch pools excluded —
-    /// they are allocation caches, not state).
+    /// Captures the state arrays from `state`. The pattern has no `..`: a
+    /// new `MachineState` array that is neither captured nor exempted here
+    /// (and in [`Self::restore_into`]) does not compile.
     pub fn capture(
         engine: u8,
         iterations: u64,
@@ -418,18 +394,22 @@ impl<P: VertexProgram> EngineSnapshot<P> {
         state: &MachineState<P>,
         extras: ResumeExtras,
     ) -> Self {
+        // `scratch` is exempt: capacity-only buffers, always written before
+        // read; a recovered worker regrows them from empty with
+        // bitwise-identical results.
+        let MachineState { vdata, coherent, message, delta_msg, active, queue, scratch: _ } = state;
         EngineSnapshot {
             engine,
             iterations,
             clock_bits: clock_now.to_bits(),
             data_round,
             ctrl_round,
-            vdata: state.vdata.clone(),
-            coherent: state.coherent.clone(),
-            message: state.message.clone(),
-            delta_msg: state.delta_msg.clone(),
-            active: state.active.clone(),
-            queue: state.queue.clone(),
+            vdata: vdata.clone(),
+            coherent: coherent.clone(),
+            message: message.clone(),
+            delta_msg: delta_msg.clone(),
+            active: active.clone(),
+            queue: queue.clone(),
             lazy: extras.lazy,
             delta: extras.delta,
         }
@@ -437,12 +417,13 @@ impl<P: VertexProgram> EngineSnapshot<P> {
 
     /// Restores the state arrays into `state` (scratch pools untouched).
     pub fn restore_into(&self, state: &mut MachineState<P>) {
-        state.vdata = self.vdata.clone();
-        state.coherent = self.coherent.clone();
-        state.message = self.message.clone();
-        state.delta_msg = self.delta_msg.clone();
-        state.active = self.active.clone();
-        state.queue = self.queue.clone();
+        let MachineState { vdata, coherent, message, delta_msg, active, queue, scratch: _ } = state;
+        *vdata = self.vdata.clone();
+        *coherent = self.coherent.clone();
+        *message = self.message.clone();
+        *delta_msg = self.delta_msg.clone();
+        *active = self.active.clone();
+        *queue = self.queue.clone();
     }
 }
 

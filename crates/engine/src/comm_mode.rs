@@ -11,7 +11,7 @@
 //! ```
 
 use lazygraph_cluster::CostModel;
-use lazygraph_net::{NetError, Wire, WireReader};
+use lazygraph_net::wire_record;
 
 /// Which mode a coherency exchange used.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,19 +63,7 @@ impl VolumeEstimate {
     }
 }
 
-impl Wire for VolumeEstimate {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.a2a_bytes.encode(out);
-        self.m2m_bytes.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(VolumeEstimate {
-            a2a_bytes: u64::decode(r)?,
-            m2m_bytes: u64::decode(r)?,
-        })
-    }
-}
+wire_record!(VolumeEstimate { a2a_bytes, m2m_bytes });
 
 /// Chooses the faster mode from the global volume estimates using the
 /// fitted time equations.

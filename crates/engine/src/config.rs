@@ -430,51 +430,90 @@ fn decode_opt_usize(r: &mut WireReader<'_>) -> Result<Option<usize>, NetError> {
 /// walked here field by field.
 impl Wire for EngineConfig {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.engine.encode(out);
-        out.push(match self.partition {
+        // Every pattern below is exhaustive (no `..`): a new field of the
+        // configuration, or of a foreign struct it carries, does not
+        // compile until it is encoded; `config_wire.rs` pins the order.
+        let EngineConfig {
+            engine,
+            partition,
+            splitter,
+            bidirectional,
+            comm_mode,
+            interval,
+            cost,
+            max_iterations,
+            delta_suppression,
+            record_history,
+            hybrid_switch_threshold,
+            threads_per_machine,
+            block_size,
+            delta_buckets,
+            delta_tolerance,
+            transport,
+            hub_fanout,
+        } = self;
+        engine.encode(out);
+        out.push(match partition {
             PartitionStrategy::Random => 0,
             PartitionStrategy::Grid => 1,
             PartitionStrategy::Coordinated => 2,
             PartitionStrategy::Hybrid => 3,
             PartitionStrategy::AdversarialHubs => 4,
         });
-        let s = &self.splitter;
-        s.teps.encode(out);
-        s.t_extra.encode(out);
-        encode_opt_usize(s.high_degree_threshold, out);
-        encode_opt_usize(s.low_degree_threshold, out);
-        s.max_fraction.encode(out);
-        self.bidirectional.encode(out);
-        self.comm_mode.encode(out);
-        self.interval.encode(out);
-        let c = &self.cost;
+        let SplitterConfig {
+            teps,
+            t_extra,
+            high_degree_threshold,
+            low_degree_threshold,
+            max_fraction,
+        } = splitter;
+        teps.encode(out);
+        t_extra.encode(out);
+        encode_opt_usize(*high_degree_threshold, out);
+        encode_opt_usize(*low_degree_threshold, out);
+        max_fraction.encode(out);
+        bidirectional.encode(out);
+        comm_mode.encode(out);
+        interval.encode(out);
+        let CostModel {
+            teps,
+            apply_cost,
+            barrier_latency,
+            async_msg_overhead,
+            async_send_cpu,
+            latency,
+            async_apply_cost,
+            async_lock_rtt,
+            bandwidth,
+        } = cost;
         for x in [
-            c.teps,
-            c.apply_cost,
-            c.barrier_latency,
-            c.async_msg_overhead,
-            c.async_send_cpu,
-            c.latency,
-            c.async_apply_cost,
-            c.async_lock_rtt,
-            c.bandwidth,
+            teps,
+            apply_cost,
+            barrier_latency,
+            async_msg_overhead,
+            async_send_cpu,
+            latency,
+            async_apply_cost,
+            async_lock_rtt,
+            bandwidth,
         ] {
             x.encode(out);
         }
-        self.max_iterations.encode(out);
-        self.delta_suppression.encode(out);
-        self.record_history.encode(out);
-        self.hybrid_switch_threshold.encode(out);
-        (self.threads_per_machine as u64).encode(out);
-        (self.block_size as u64).encode(out);
-        (self.delta_buckets as u64).encode(out);
-        self.delta_tolerance.encode(out);
-        out.push(match self.transport {
+        max_iterations.encode(out);
+        delta_suppression.encode(out);
+        record_history.encode(out);
+        hybrid_switch_threshold.encode(out);
+        (*threads_per_machine as u64).encode(out);
+        (*block_size as u64).encode(out);
+        (*delta_buckets as u64).encode(out);
+        delta_tolerance.encode(out);
+        out.push(match transport {
             TransportKind::InProc => 0,
             TransportKind::Tcp => 1,
         });
-        encode_opt_usize(self.hub_fanout.degree_threshold, out);
-        (self.hub_fanout.fanout as u64).encode(out);
+        let HubFanoutConfig { degree_threshold, fanout } = hub_fanout;
+        encode_opt_usize(*degree_threshold, out);
+        (*fanout as u64).encode(out);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {

@@ -22,7 +22,7 @@
 //! stage.
 
 use lazygraph_cluster::{CommError, Phase};
-use lazygraph_net::{NetError, Wire, WireReader};
+use lazygraph_net::wire_record;
 use lazygraph_partition::{EdgeMode, LocalShard, NO_LOCAL};
 
 use crate::bsp::{BspReduction, CommCharge};
@@ -48,23 +48,7 @@ pub struct LazyCounters {
     pub m2m_exchanges: u64,
 }
 
-impl Wire for LazyCounters {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.coherency_points.encode(out);
-        self.local_subrounds.encode(out);
-        self.a2a_exchanges.encode(out);
-        self.m2m_exchanges.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(LazyCounters {
-            coherency_points: u64::decode(r)?,
-            local_subrounds: u64::decode(r)?,
-            a2a_exchanges: u64::decode(r)?,
-            m2m_exchanges: u64::decode(r)?,
-        })
-    }
-}
+wire_record!(LazyCounters { coherency_points, local_subrounds, a2a_exchanges, m2m_exchanges });
 
 /// One blocked apply+scatter sweep over a sorted worklist: the engine-side
 /// half of the two-level threading model. Phase A (parallel, read-only

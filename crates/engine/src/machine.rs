@@ -30,7 +30,7 @@ use std::sync::Arc;
 use lazygraph_cluster::{
     build_endpoints, Collective, CommError, Endpoint, NetStats, SimClock, TransportKind,
 };
-use lazygraph_net::{NetError, Wire, WireReader};
+use lazygraph_net::{wire_record, Wire};
 use lazygraph_partition::{LocalShard, PlacementShape};
 use parking_lot::Mutex;
 
@@ -167,25 +167,13 @@ impl<P: VertexProgram> MachineOut<P> {
     }
 }
 
-impl<P: VertexProgram> Wire for MachineOut<P> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.masters.encode(out);
-        self.iterations.encode(out);
-        self.converged.encode(out);
-        self.sim_time.encode(out);
-        self.counters.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(MachineOut {
-            masters: Vec::<(u32, P::VData)>::decode(r)?,
-            iterations: u64::decode(r)?,
-            converged: bool::decode(r)?,
-            sim_time: f64::decode(r)?,
-            counters: LazyCounters::decode(r)?,
-        })
-    }
-}
+wire_record!(MachineOut<P> where P: VertexProgram {
+    masters,
+    iterations,
+    converged,
+    sim_time,
+    counters,
+});
 
 /// What every engine returns to the driver.
 pub struct EngineOutcome<V> {

@@ -3,7 +3,7 @@
 use std::time::Duration;
 
 use lazygraph_cluster::StatsSnapshot;
-use lazygraph_net::{NetError, Wire, WireReader};
+use lazygraph_net::wire_record;
 
 /// Simulated-time breakdown, accumulated by machine 0 at each collective.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -28,49 +28,11 @@ impl SimBreakdown {
     pub fn total(&self) -> f64 {
         self.compute + self.comm + self.barrier
     }
-
-    /// Element-wise sum — folds another worker's breakdown into this one.
-    /// Only machine 0 records the simulated components, so across workers
-    /// the sum is the identity.
-    pub fn merge(&mut self, other: &SimBreakdown) {
-        self.compute += other.compute;
-        self.comm += other.comm;
-        self.barrier += other.barrier;
-        self.overlap_ms += other.overlap_ms;
-        self.send_wait_ms += other.send_wait_ms;
-    }
-
-    /// Labelled report lines: every simulated component appears under its
-    /// own field name (the L9 `stats-coverage` obligation).
-    pub fn report_lines(&self) -> Vec<String> {
-        vec![format!(
-            "sim breakdown: compute={:.6}s comm={:.6}s barrier={:.6}s",
-            self.compute, self.comm, self.barrier
-        )]
-    }
 }
 
-/// Shipped from multiprocess worker 0 (the only recorder) back to the
-/// launcher; f64 components ride as IEEE-754 bit patterns.
-impl Wire for SimBreakdown {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.compute.encode(out);
-        self.comm.encode(out);
-        self.barrier.encode(out);
-        self.overlap_ms.encode(out);
-        self.send_wait_ms.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(SimBreakdown {
-            compute: f64::decode(r)?,
-            comm: f64::decode(r)?,
-            barrier: f64::decode(r)?,
-            overlap_ms: f64::decode(r)?,
-            send_wait_ms: f64::decode(r)?,
-        })
-    }
-}
+// Shipped from multiprocess worker 0 (the only recorder) back to the
+// launcher; f64 components ride as IEEE-754 bit patterns.
+wire_record!(SimBreakdown { compute, comm, barrier, overlap_ms, send_wait_ms });
 
 /// One BSP round's trace entry (superstep for Sync, coherency iteration
 /// for LazyBlockAsync), recorded when `EngineConfig::record_history` is on.

@@ -38,8 +38,8 @@ pub struct MachineState<P: VertexProgram> {
     pub queue: Vec<u32>,
     /// Iteration-persistent delivery scratch (DESIGN.md §9). Capacity-only
     /// state: contents are always written before being read, so reuse
-    /// cannot affect results.
-    // lazylint: allow(snapshot-coverage) -- capacity-only buffers, always written before read; a recovered worker regrows them from empty with bitwise-identical results
+    /// cannot affect results — which is why a snapshot leaves it out
+    /// (`EngineSnapshot::capture`'s `scratch: _`).
     pub scratch: Scratch<P>,
 }
 

@@ -18,7 +18,7 @@ pub enum Role {
     Bin,
     /// Integration tests: any `tests/` directory.
     Tests,
-    /// Criterion benches: any `benches/` directory.
+    /// Bench targets: any `benches/` directory.
     Benches,
     /// Examples: any `examples/` directory.
     Examples,

@@ -1,7 +1,7 @@
 //! # lazygraph-lint
 //!
 //! An offline, registry-free static analyzer enforcing the workspace's
-//! determinism & coherency contract as nine named rules:
+//! determinism & coherency contract as six named rules:
 //!
 //! | id | meaning |
 //! |----|---------|
@@ -11,15 +11,11 @@
 //! | `no-panic`          | L4: no `unwrap()`/`expect()`/`panic!` in library crates outside tests |
 //! | `lock-order`        | L5: Mutex/RwLock acquisition order consistent across the `cluster` crate |
 //! | `detached-spawn`    | L6: `thread::spawn` in `engine`/`cluster` must join its `JoinHandle` |
-//! | `snapshot-coverage` | L7: every `MachineState` field must be read by `EngineSnapshot::capture` and written by `restore_into` |
-//! | `wire-symmetry`     | L8: each `Wire` impl's encode and decode must walk the same fields in the same order |
-//! | `stats-coverage`    | L9: every `NetStats`/`StatsSnapshot`/`SimBreakdown` counter must survive `merge()` and have a labelled report path |
 //!
-//! L1–L6 are per-file token heuristics. L7–L9 are **workspace rules**:
-//! phase 1 builds a cross-file model ([`model::WorkspaceCtx`] — struct
-//! declarations with field lists, impl blocks mapped to types, and a
-//! per-function field-access index) and phase 2 checks coverage and
-//! symmetry obligations across files. See DESIGN.md §13.
+//! All six are per-file token heuristics; `lock-order` additionally checks
+//! that the acquisition order it saw is consistent across files. What the
+//! retired L7–L9 policed (snapshot coverage, `Wire` symmetry, counter
+//! coverage) is declared once and checked by rustc — see DESIGN.md §13.
 //!
 //! Suppression: `// lazylint: allow(rule-id) -- reason` (line-scoped) or
 //! `// lazylint: allow-file(rule-id) -- reason` (whole file). The reason
@@ -36,13 +32,11 @@ use std::path::Path;
 
 pub mod files;
 pub mod lexer;
-pub mod model;
 pub mod pragma;
 pub mod report;
 pub mod rules;
 
 pub use files::{classify, discover, Role, SourceFile};
-pub use model::WorkspaceCtx;
 pub use report::{render_human, render_json, Finding, REPORT_VERSION};
 pub use rules::{RULE_DESCRIPTIONS, RULE_IDS};
 
@@ -71,17 +65,14 @@ pub struct Analysis {
 }
 
 /// Analyzes a set of sources as one workspace: per-file rules on each
-/// file, then the cross-file phases (`lock-order` order consistency and
-/// the L7–L9 coverage rules) over the union. Pragmas are applied per
-/// file with usage tracking — a pragma that suppressed nothing becomes a
-/// `stale-pragma` finding.
+/// file, then `lock-order`'s order consistency over the union. Pragmas are
+/// applied per file with usage tracking — a pragma that suppressed nothing
+/// becomes a `stale-pragma` finding.
 pub fn analyze_sources(sources: &[SourceSpec]) -> Analysis {
     let mut raw = Vec::new();
     let mut all_acq: Vec<Vec<rules::lock_order::Acquisition>> = Vec::new();
     let mut lexed: Vec<(String, Vec<lexer::Token>)> = Vec::new();
-    let mut ws = WorkspaceCtx::default();
 
-    // Phase 1: per-file rules + model building.
     for spec in sources {
         let Some((krate, role)) = files::classify(&spec.rel) else {
             continue;
@@ -94,13 +85,10 @@ pub fn analyze_sources(sources: &[SourceSpec]) -> Analysis {
         raw.extend(rules::no_panic::check(&ctx));
         raw.extend(rules::detached_spawn::check(&ctx));
         all_acq.extend(rules::lock_order::acquisitions(&ctx));
-        ws.files.push(model::build_file_model(&ctx));
         lexed.push((spec.rel.clone(), toks));
     }
 
-    // Phase 2: cross-file rules over the union.
     raw.extend(rules::lock_order::cross_check(&all_acq));
-    raw.extend(rules::run_workspace(&ws));
 
     // Pragma application, one pass per file, with usage tracking.
     let mut findings = Vec::new();
@@ -152,12 +140,10 @@ pub fn analyze_sources(sources: &[SourceSpec]) -> Analysis {
 }
 
 /// Analyzes one file's source under a virtual workspace-relative path
-/// (the path decides crate and role scoping). The file is treated as a
-/// one-file workspace, so the L7–L9 rules see any structs and impls it
-/// declares. Pragmas are honoured; malformed pragmas are reported; stale
-/// pragmas are *not* (fixtures legitimately carry pragmas whose findings
-/// depend on context the fixture omits). This is the entry point the
-/// fixture tests drive.
+/// (the path decides crate and role scoping). Pragmas are honoured;
+/// malformed pragmas are reported; stale pragmas are *not* (fixtures
+/// legitimately carry pragmas whose findings depend on context the fixture
+/// omits). This is the entry point the fixture tests drive.
 pub fn analyze_file(virtual_path: &str, src: &str) -> Vec<Finding> {
     analyze_sources(&[SourceSpec {
         rel: virtual_path.to_string(),
@@ -245,25 +231,6 @@ mod tests {
         }]);
         assert!(a.findings.is_empty());
         assert!(a.stale_pragmas.is_empty());
-    }
-
-    #[test]
-    fn workspace_rules_fire_across_files() {
-        // MachineState in one file, the snapshot impl in another: the
-        // uncaptured field is found cross-file.
-        let state = SourceSpec {
-            rel: "crates/engine/src/state.rs".into(),
-            src: "pub struct MachineState<P> {\n pub vdata: Vec<P>,\n pub extra: u64,\n}".into(),
-        };
-        let ckpt = SourceSpec {
-            rel: "crates/engine/src/checkpoint.rs".into(),
-            src: "impl<P> EngineSnapshot<P> {\n pub fn capture(s: &MachineState<P>) -> Self { let v = s.vdata.clone(); Self {} }\n pub fn restore_into(&self, s: &mut MachineState<P>) { s.vdata = v; }\n}"
-                .into(),
-        };
-        let a = analyze_sources(&[state, ckpt]);
-        let l7: Vec<_> = a.findings.iter().filter(|f| f.rule == "snapshot-coverage").collect();
-        assert_eq!(l7.len(), 2); // `extra` missing from capture AND restore
-        assert!(l7.iter().all(|f| f.file == "crates/engine/src/state.rs"));
     }
 
     #[test]

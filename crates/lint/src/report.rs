@@ -4,7 +4,7 @@ use std::fmt::Write as _;
 
 /// JSON report schema version. Bumped when the shape changes:
 /// 1 — `{count, findings}`; 2 — adds this `version` field (and the
-/// workspace rules L7–L9 plus the `stale-pragma` channel upstream).
+/// `stale-pragma` channel upstream).
 pub const REPORT_VERSION: u32 = 2;
 
 /// Sorts findings into the canonical deterministic order:

@@ -15,10 +15,7 @@ pub mod float_commit;
 pub mod lock_order;
 pub mod no_panic;
 pub mod nondet_source;
-pub mod snapshot_coverage;
-pub mod stats_coverage;
 pub mod unordered_iter;
-pub mod wire_symmetry;
 
 /// Identifiers of all real rules (the `pragma` and `stale-pragma`
 /// pseudo-rules are implicit).
@@ -29,9 +26,6 @@ pub const RULE_IDS: &[&str] = &[
     "no-panic",
     "lock-order",
     "detached-spawn",
-    "snapshot-coverage",
-    "wire-symmetry",
-    "stats-coverage",
 ];
 
 /// Short per-rule descriptions for `--list-rules`.
@@ -59,18 +53,6 @@ pub const RULE_DESCRIPTIONS: &[(&str, &str)] = &[
     (
         "detached-spawn",
         "L6: thread::spawn in engine/cluster must join its JoinHandle (or justify the detach)",
-    ),
-    (
-        "snapshot-coverage",
-        "L7: every MachineState field must be read by EngineSnapshot::capture and written by restore_into",
-    ),
-    (
-        "wire-symmetry",
-        "L8: each Wire impl's encode and decode must walk the same fields in the same order",
-    ),
-    (
-        "stats-coverage",
-        "L9: every NetStats/StatsSnapshot/SimBreakdown counter must survive merge() and have a labelled report path",
     ),
 ];
 
@@ -137,15 +119,6 @@ pub fn run_all(ctx: &FileCtx) -> Vec<Finding> {
     out.extend(no_panic::check(ctx));
     out.extend(lock_order::check(ctx));
     out.extend(detached_spawn::check(ctx));
-    out
-}
-
-/// Runs the phase-2 workspace rules (L7–L9) over the cross-file model.
-pub fn run_workspace(ws: &crate::model::WorkspaceCtx) -> Vec<Finding> {
-    let mut out = Vec::new();
-    out.extend(snapshot_coverage::check(ws));
-    out.extend(wire_symmetry::check(ws));
-    out.extend(stats_coverage::check(ws));
     out
 }
 

@@ -1,15 +1,18 @@
 //! The `Wire` codec: hand-rolled, deterministic little-endian encoding.
 //!
-//! The build container has no crates.io access, so there is no serde;
-//! every type that crosses the mesh implements [`Wire`] by hand. The
-//! format is position-based (no field names, no varints, no padding):
+//! The build container has no crates.io access, so there is no serde:
+//! a regular record declares its field list once through
+//! [`wire_record!`](crate::wire_record), and the few whose two directions
+//! differ on purpose implement [`Wire`] by hand. The format is
+//! position-based (no field names, no varints, no padding):
 //!
 //! * fixed-width integers are little-endian;
 //! * `f32`/`f64` are their IEEE-754 bit patterns, little-endian — decode
 //!   reproduces the *bit-exact* value, which is what makes TCP runs
 //!   bitwise-identical to in-proc runs;
 //! * `bool` and `Option` discriminants are single tag bytes (0/1);
-//! * sequences are a `u32` count followed by the elements.
+//! * sequences are a `u32` count followed by the elements; a fixed-size
+//!   array is its elements alone.
 //!
 //! Laws (tested here and property-tested in `tests/wire_transport.rs`):
 //!
@@ -103,6 +106,63 @@ pub trait Wire: Sized {
         r.finish()?;
         Ok(v)
     }
+}
+
+/// Implements [`Wire`] for a struct from **one** ordered field list: the
+/// fields are encoded, and decoded, in the order written.
+///
+/// `encode` opens `let Self { a, b, … } = self` without `..` and `decode`
+/// builds `Self { a: …, b: … }`, so a field missing from the list — or a
+/// name that is not a field — does not compile, and the two directions
+/// cannot disagree because there is only the one list (DESIGN.md §13).
+/// Every listed field's type must itself be [`Wire`]; a record whose two
+/// directions are *meant* to differ (a hardened decode, a foreign field
+/// type) keeps a hand-written impl.
+///
+/// ```
+/// use lazygraph_net::{wire_record, Wire};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Pair { a: u32, b: Option<u64> }
+/// wire_record!(Pair { a, b });
+///
+/// let p = Pair { a: 7, b: Some(9) };
+/// assert_eq!(p.to_wire(), [7, 0, 0, 0, 1, 9, 0, 0, 0, 0, 0, 0, 0]);
+/// assert_eq!(Pair::from_wire(&p.to_wire()).unwrap(), p);
+/// ```
+///
+/// The same record with a field left out of its list is rejected by rustc
+/// on both sides — `encode`'s pattern does not cover `b`, and `decode` is
+/// E0063, "missing field `b` in initializer of `Pair`":
+///
+/// ```compile_fail
+/// use lazygraph_net::{wire_record, Wire};
+///
+/// struct Pair { a: u32, b: Option<u64> }
+/// wire_record!(Pair { a });
+/// ```
+///
+/// A type generic over one bounded parameter names it after `where`:
+/// `wire_record!(Snapshot<P> where P: Program { … })`.
+#[macro_export]
+macro_rules! wire_record {
+    (@impl [$($generics:tt)*] $T:ty { $($field:ident),+ }) => {
+        impl<$($generics)*> $crate::Wire for $T {
+            fn encode(&self, out: &mut Vec<u8>) {
+                let Self { $($field),+ } = self;
+                $($crate::Wire::encode($field, out);)+
+            }
+            fn decode(r: &mut $crate::WireReader<'_>) -> Result<Self, $crate::NetError> {
+                Ok(Self { $($field: $crate::Wire::decode(r)?),+ })
+            }
+        }
+    };
+    ($T:ty { $($field:ident),+ $(,)? }) => {
+        $crate::wire_record!(@impl [] $T { $($field),+ });
+    };
+    ($T:ty where $P:ident: $Bound:path { $($field:ident),+ $(,)? }) => {
+        $crate::wire_record!(@impl [$P: $Bound] $T { $($field),+ });
+    };
 }
 
 macro_rules! wire_int {
@@ -218,6 +278,24 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
+/// A fixed-size array is its elements in order, without a count: the
+/// length is part of the type. Decoded in place over a default-initialised
+/// array, hence the `Default` bound.
+impl<T: Wire + Default, const N: usize> Wire for [T; N] {
+    fn encode(&self, out: &mut Vec<u8>) {
+        for v in self {
+            v.encode(out);
+        }
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
+        let mut out: [T; N] = std::array::from_fn(|_| T::default());
+        for v in out.iter_mut() {
+            *v = T::decode(r)?;
+        }
+        Ok(out)
+    }
+}
+
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u32).encode(out);
@@ -309,6 +387,8 @@ mod tests {
         round_trip(Vec::<f64>::new());
         round_trip("héllo wörld".to_string());
         round_trip(vec![(3u32, 1.25f32), (9, -0.5)]);
+        round_trip([7u16, 8, 9]);
+        assert_eq!([7u16, 8].to_wire(), vec![7, 0, 8, 0], "an array has no count prefix");
     }
 
     #[test]

@@ -57,23 +57,41 @@ fn malformed<T>(detail: String) -> Result<T, NetError> {
 
 impl Wire for LocalShard {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.machine.0.encode(out);
-        put_array(out, self.globals.iter().map(|v| v.0));
-        put_array(out, self.route.iter().copied());
-        self.is_master.encode(out);
-        put_array(out, self.master_of.iter().map(|m| m.0));
-        (self.mirrors.len() as u32).encode(out);
-        for list in &self.mirrors {
+        // No `..`: an array added to the shard does not compile until it
+        // is shipped (decode's struct literal is exhaustive by itself).
+        let LocalShard {
+            machine,
+            globals,
+            route,
+            is_master,
+            master_of,
+            mirrors,
+            replicated,
+            global_out_degree,
+            global_in_degree,
+            global_degree,
+            out_offsets,
+            out_targets,
+            out_weights,
+            out_parallel,
+        } = self;
+        machine.0.encode(out);
+        put_array(out, globals.iter().map(|v| v.0));
+        put_array(out, route.iter().copied());
+        is_master.encode(out);
+        put_array(out, master_of.iter().map(|m| m.0));
+        (mirrors.len() as u32).encode(out);
+        for list in mirrors {
             put_array(out, list.iter().map(|m| m.0));
         }
-        self.replicated.encode(out);
-        self.global_out_degree.encode(out);
-        self.global_in_degree.encode(out);
-        self.global_degree.encode(out);
-        self.out_offsets.encode(out);
-        self.out_targets.encode(out);
-        self.out_weights.encode(out);
-        self.out_parallel.encode(out);
+        replicated.encode(out);
+        global_out_degree.encode(out);
+        global_in_degree.encode(out);
+        global_degree.encode(out);
+        out_offsets.encode(out);
+        out_targets.encode(out);
+        out_weights.encode(out);
+        out_parallel.encode(out);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {

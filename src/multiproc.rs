@@ -165,20 +165,30 @@ pub struct WorkerJob {
 
 impl Wire for WorkerJob {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.cfg.encode(out);
-        self.algo.encode(out);
-        (self.shape.num_machines as u64).encode(out);
-        (self.shape.num_global_vertices as u64).encode(out);
-        self.shape.ev_ratio.encode(out);
-        self.data_addrs.encode(out);
-        self.ctrl_addrs.encode(out);
-        self.checkpoint_every.encode(out);
-        self.checkpoint_dir.encode(out);
-        self.rejoin_window_ms.encode(out);
+        let WorkerJob {
+            cfg,
+            algo,
+            shape: PlacementShape { num_machines, num_global_vertices, ev_ratio },
+            data_addrs,
+            ctrl_addrs,
+            checkpoint_every,
+            checkpoint_dir,
+            rejoin_window_ms,
+        } = self;
+        cfg.encode(out);
+        algo.encode(out);
+        (*num_machines as u64).encode(out);
+        (*num_global_vertices as u64).encode(out);
+        ev_ratio.encode(out);
+        data_addrs.encode(out);
+        ctrl_addrs.encode(out);
+        checkpoint_every.encode(out);
+        checkpoint_dir.encode(out);
+        rejoin_window_ms.encode(out);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(WorkerJob {
+        let job = WorkerJob {
             cfg: EngineConfig::decode(r)?,
             algo: AlgoSpec::decode(r)?,
             shape: PlacementShape {
@@ -191,7 +201,21 @@ impl Wire for WorkerJob {
             checkpoint_every: u64::decode(r)?,
             checkpoint_dir: String::decode(r)?,
             rejoin_window_ms: u64::decode(r)?,
-        })
+        };
+        // The bytes come from a file: every rank of the placement must find
+        // its own address in both meshes before anything indexes by rank.
+        let machines = job.shape.num_machines;
+        if job.data_addrs.len() != machines || job.ctrl_addrs.len() != machines {
+            return Err(NetError::Malformed {
+                ty: "WorkerJob",
+                detail: format!(
+                    "{} data and {} control addresses for {machines} machines",
+                    job.data_addrs.len(),
+                    job.ctrl_addrs.len()
+                ),
+            });
+        }
+        Ok(job)
     }
 }
 

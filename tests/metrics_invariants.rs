@@ -299,13 +299,6 @@ fn zero_copy_counters_survive_wire_and_merge() {
     merged.merge(&other);
     assert_eq!(merged.zero_copy_frames, 8);
     assert_eq!(merged.fold_runs, 21);
-
-    // The report must surface both so a perf log names them.
-    let lines = merged.report_lines();
-    assert!(
-        lines.iter().any(|l| l.contains("zero_copy_frames=8") && l.contains("fold_runs=21")),
-        "report lines missing PR 8 counters: {lines:?}"
-    );
 }
 
 #[test]

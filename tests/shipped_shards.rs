@@ -3,8 +3,8 @@
 //! file is a header whose size does not depend on the graph, a shard file
 //! is its own arrays and shrinks with the machine count, a respawned
 //! worker reads the same shard file again, and a worker handed a shard
-//! that is not its part of the job's placement exits before it dials
-//! anything.
+//! that is not its part of the job's placement — or a job whose address
+//! lists do not cover that placement — exits before it dials anything.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -117,18 +117,31 @@ fn a_respawned_worker_reads_the_same_shard_file_again() {
     assert_eq!(killed.shard_bytes, calm.shard_bytes);
 }
 
-/// A scratch directory holding a two-machine job whose `shard-0.bin` is
-/// whatever `shard_file` makes of the placement.
-fn stage(name: &str, shard_file: impl FnOnce(&DistributedGraph) -> Vec<u8>) -> PathBuf {
+/// What [`stage`] lays out for one worker: a job for `machines` machines
+/// whose two address lists have `addrs` entries each, and the rank the
+/// worker is started as.
+#[derive(Clone, Copy)]
+struct Staged {
+    machines: usize,
+    addrs: usize,
+    rank: usize,
+}
+
+/// Worker 0 of a well-formed two-machine job.
+const TWO: Staged = Staged { machines: 2, addrs: 2, rank: 0 };
+
+/// A scratch directory holding the job `at` describes, whose
+/// `shard-<rank>.bin` is whatever `shard_file` makes of the placement.
+fn stage(name: &str, at: Staged, shard_file: impl FnOnce(&DistributedGraph) -> Vec<u8>) -> PathBuf {
     let g = rmat(RmatConfig::graph500(6, 4, 3));
-    let dg = place(&g, 2);
+    let dg = place(&g, at.machines);
     let job = WorkerJob {
         cfg: cfg(),
         algo: AlgoSpec::Sssp { source: 0 },
         shape: dg.shape(),
         // Never dialled: the worker must give up before it gets that far.
-        data_addrs: vec!["127.0.0.1:1".into(); 2],
-        ctrl_addrs: vec!["127.0.0.1:1".into(); 2],
+        data_addrs: vec!["127.0.0.1:1".into(); at.addrs],
+        ctrl_addrs: vec!["127.0.0.1:1".into(); at.addrs],
         checkpoint_every: 0,
         checkpoint_dir: String::new(),
         rejoin_window_ms: 0,
@@ -137,19 +150,20 @@ fn stage(name: &str, shard_file: impl FnOnce(&DistributedGraph) -> Vec<u8>) -> P
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let job_path = dir.join("job.bin");
     std::fs::write(&job_path, job.to_wire()).expect("job file");
-    std::fs::write(shard_path(&job_path, 0), shard_file(&dg)).expect("shard file");
+    std::fs::write(shard_path(&job_path, at.rank), shard_file(&dg)).expect("shard file");
     dir
 }
 
-/// Starts worker 0 on a staged directory and expects exit status 1 with
-/// `mention` on stderr — what the launcher reports as
-/// `MultiprocError::Worker`.
-fn assert_worker_refuses(dir: &Path, mention: &str) {
+/// Starts worker `at.rank` on a staged directory and expects exit status 1
+/// (a panic would be 101) with `mention` on stderr — what the launcher
+/// reports as `MultiprocError::Worker` — and no result file.
+fn assert_worker_refuses(dir: &Path, at: Staged, mention: &str) {
+    let result = dir.join(format!("result-{}.bin", at.rank));
     let out = Command::new(worker_bin())
         .arg("--job")
         .arg(dir.join("job.bin"))
-        .args(["--me", "0", "--out"])
-        .arg(dir.join("result-0.bin"))
+        .args(["--me", &at.rank.to_string(), "--out"])
+        .arg(&result)
         .output()
         .expect("spawning lazygraph-worker");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -158,34 +172,49 @@ fn assert_worker_refuses(dir: &Path, mention: &str) {
         stderr.contains(mention),
         "stderr does not mention `{mention}`: {stderr}"
     );
-    assert!(!dir.join("result-0.bin").exists());
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!result.exists());
     let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
 fn a_worker_refuses_a_shard_that_is_not_its_part_of_the_job() {
-    let dir = stage("rank", |dg| dg.shards[1].to_wire());
-    assert_worker_refuses(&dir, "shard of machine 1 loaded as machine 0");
+    let dir = stage("rank", TWO, |dg| dg.shards[1].to_wire());
+    assert_worker_refuses(&dir, TWO, "shard of machine 1 loaded as machine 0");
 
-    let dir = stage("shape", |dg| {
+    let dir = stage("shape", TWO, |dg| {
         let other = rmat(RmatConfig::graph500(7, 4, 3));
         assert_ne!(other.num_vertices(), dg.num_global_vertices);
         place(&other, 2).shards[0].to_wire()
     });
-    assert_worker_refuses(&dir, "route table covers");
+    assert_worker_refuses(&dir, TWO, "route table covers");
 
-    let dir = stage("cut", |dg| {
+    let dir = stage("cut", TWO, |dg| {
         let mut file = dg.shards[0].to_wire();
         file.truncate(file.len() / 2);
         file
     });
-    assert_worker_refuses(&dir, "truncated");
+    assert_worker_refuses(&dir, TWO, "truncated");
 
-    let dir = stage("damaged", |dg| {
+    let dir = stage("damaged", TWO, |dg| {
         // The last byte is the last edge's mode flag.
         let mut file = dg.shards[0].to_wire();
         *file.last_mut().expect("a non-empty file") = 7;
         file
     });
-    assert_worker_refuses(&dir, "not a valid bool");
+    assert_worker_refuses(&dir, TWO, "not a valid bool");
+}
+
+/// The job file is outside input too: address lists that do not cover the
+/// placement's machines are refused where the job is decoded — rank 3 of a
+/// list of two used to index out of bounds, and a list of one used to
+/// build a one-machine mesh for a four-machine shape.
+#[test]
+fn a_worker_refuses_a_job_whose_address_lists_do_not_cover_its_machines() {
+    for addrs in [2, 1] {
+        let at = Staged { machines: 4, addrs, rank: 3 };
+        let dir = stage(&format!("addrs{addrs}"), at, |dg| dg.shards[3].to_wire());
+        let counts = format!("{addrs} data and {addrs} control addresses for 4 machines");
+        assert_worker_refuses(&dir, at, &counts);
+    }
 }
