@@ -169,7 +169,7 @@ impl<P: VertexProgram> PumpStep<(u32, SyncMsg<P>)> for AsyncTurn<'_, P> {
                     pump.clock.advance(cost.async_apply_time());
                     applies += 1;
                     let gid = shard.global_of(l).0;
-                    for &m in shard.mirrors[l as usize].iter() {
+                    for &m in shard.mirrors(l).iter() {
                         let update = SyncMsg::Update {
                             data: data.clone(),
                             scatter: d,

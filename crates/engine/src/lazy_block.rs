@@ -428,7 +428,7 @@ fn volume_estimate<P: VertexProgram>(
                 {
                     continue;
                 }
-                e.add_holder(shard.mirrors[l].len(), shard.is_master[l], delta_bytes);
+                e.add_holder(shard.mirrors(l as u32).len(), shard.is_master[l], delta_bytes);
             }
         }
         e
@@ -499,7 +499,7 @@ pub(crate) fn exchange_a2a<P: VertexProgram>(
         state.delta_msg[l as usize] = None;
         let Some(d) = d else { continue };
         let gid = shard.global_of(l).0;
-        for &m in shard.mirrors[l as usize].iter() {
+        for &m in shard.mirrors(l).iter() {
             let dst = m.index();
             if stage_combining(program, round.outboxes(), dst, gid, d) {
                 combined += 1;
@@ -600,7 +600,7 @@ fn exchange_m2m<P: VertexProgram>(
         }
         let Some(total) = totals[li] else { continue };
         let gid = shard.global_of(l).0;
-        for &m in shard.mirrors[li].iter() {
+        for &m in shard.mirrors(l).iter() {
             let dst = m.index();
             if stage_combining(program, hop2.outboxes(), dst, gid, total) {
                 combined += 1;

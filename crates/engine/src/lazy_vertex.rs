@@ -148,7 +148,7 @@ impl<P: VertexProgram> PumpStep<(u32, P::Delta)> for LazyVertexTurn<'_, P> {
             let Some(d) = d else { continue };
             any = true;
             let gid = shard.global_of(l).0;
-            for &m in shard.mirrors[l as usize].iter() {
+            for &m in shard.mirrors(l).iter() {
                 combined += u64::from(stage_combining(program, pump.outboxes, m.index(), gid, d));
             }
         }

@@ -263,7 +263,7 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
                 applies += 1;
                 // Eager coherency: the changed data goes to every mirror
                 // now.
-                for &m in shard.mirrors[l as usize].iter() {
+                for &m in shard.mirrors(l).iter() {
                     let dst = m.index();
                     let update = SyncMsg::Update {
                         data: data.clone(),

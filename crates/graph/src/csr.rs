@@ -5,7 +5,7 @@
 //! the per-machine local shards built by the partitioner: one allocation per
 //! array, cache-friendly sequential scans, and O(1) per-vertex slicing.
 
-use crate::types::VertexId;
+use crate::types::{Edge, VertexId};
 
 /// Immutable CSR adjacency: `offsets[v]..offsets[v+1]` indexes into
 /// `targets`/`weights`.
@@ -16,23 +16,76 @@ pub struct Csr {
     weights: Vec<f32>,
 }
 
+/// Turns per-row counts stored at `counts[row + 1]` into row offsets.
+fn prefix_sum(counts: &mut [u64]) {
+    for i in 1..counts.len() {
+        counts[i] += counts[i - 1];
+    }
+}
+
 impl Csr {
-    /// Builds a CSR from `(src, dst, weight)` triples via counting sort.
+    /// Builds a CSR straight from an edge slice: one counting pass for the
+    /// offsets, one pass that drops every edge into its row's next slot.
     ///
-    /// The relative order of edges sharing a source is preserved (the
-    /// counting sort is stable), which keeps builds deterministic.
-    pub fn from_edges(num_vertices: usize, edges: &[(VertexId, VertexId, f32)]) -> Self {
+    /// The relative order of edges sharing a source is preserved, which
+    /// keeps builds deterministic; on input already in row order (what a
+    /// deduplicated builder holds) the second pass is a sequential copy.
+    ///
+    /// # Panics
+    /// If an endpoint is not below `num_vertices`.
+    pub fn from_edges(num_vertices: usize, edges: &[Edge]) -> Self {
+        for e in edges {
+            assert!(
+                e.src.index() < num_vertices && e.dst.index() < num_vertices,
+                "edge {:?}->{:?} out of range {num_vertices}",
+                e.src,
+                e.dst,
+            );
+        }
+        Csr::by_rows(
+            num_vertices,
+            edges.iter().map(|e| (e.src, e.dst, e.weight)),
+        )
+    }
+
+    /// The CSR of `(row, target, weight)` entries, every row below
+    /// `num_rows`: rows counted, then each entry dropped into its row's
+    /// next slot, so a row keeps the order its entries arrive in.
+    fn by_rows(
+        num_rows: usize,
+        entries: impl ExactSizeIterator<Item = (VertexId, VertexId, f32)> + Clone,
+    ) -> Self {
+        let mut offsets = vec![0u64; num_rows + 1];
+        for (row, ..) in entries.clone() {
+            offsets[row.index() + 1] += 1;
+        }
+        prefix_sum(&mut offsets);
+        let mut cursor = offsets.clone();
+        let mut targets = vec![VertexId::default(); entries.len()];
+        let mut weights = vec![0.0f32; entries.len()];
+        for (row, target, weight) in entries {
+            let slot = &mut cursor[row.index()];
+            targets[*slot as usize] = target;
+            weights[*slot as usize] = weight;
+            *slot += 1;
+        }
+        Csr {
+            offsets,
+            targets,
+            weights,
+        }
+    }
+
+    /// The build [`Csr::from_edges`] and [`Csr::transpose`] replaced — a
+    /// counting sort over materialised `(src, dst, weight)` triples — kept
+    /// as the oracle they are tested against.
+    #[cfg(test)]
+    pub(crate) fn from_triples(num_vertices: usize, edges: &[(VertexId, VertexId, f32)]) -> Self {
         let mut counts = vec![0u64; num_vertices + 1];
         for &(src, _, _) in edges {
-            debug_assert!(
-                src.index() < num_vertices,
-                "edge source {src:?} out of range {num_vertices}"
-            );
             counts[src.index() + 1] += 1;
         }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
+        prefix_sum(&mut counts);
         let offsets = counts.clone();
         let mut cursor = counts;
         let mut targets = vec![VertexId::default(); edges.len()];
@@ -48,6 +101,13 @@ impl Csr {
             targets,
             weights,
         }
+    }
+
+    /// The three arrays with weights as bits, for bitwise comparison.
+    #[cfg(test)]
+    pub(crate) fn bits(&self) -> (&[u64], &[VertexId], Vec<u32>) {
+        let weights = self.weights.iter().map(|w| w.to_bits()).collect();
+        (&self.offsets, &self.targets, weights)
     }
 
     /// An empty CSR over `num_vertices` vertices.
@@ -106,20 +166,31 @@ impl Csr {
     }
 
     /// Iterates every `(src, dst, weight)` triple in row order.
-    pub fn iter_all(&self) -> impl Iterator<Item = (VertexId, VertexId, f32)> + '_ {
-        (0..self.num_vertices()).flat_map(move |v| {
-            let v = VertexId::from(v);
-            self.edges_of(v).map(move |(dst, w)| (v, dst, w))
-        })
+    pub fn iter_all(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (VertexId, VertexId, f32)> + Clone + '_ {
+        let mut row = 0usize;
+        self.targets
+            .iter()
+            .zip(&self.weights)
+            .enumerate()
+            .map(move |(i, (&dst, &w))| {
+                while self.offsets[row + 1] as usize <= i {
+                    row += 1;
+                }
+                (VertexId(row as u32), dst, w)
+            })
     }
 
-    /// Builds the transpose (reverse) of this CSR.
+    /// Builds the transpose (reverse) of this CSR by a counting pass over
+    /// its own arrays: in-degrees counted, then every edge dropped into its
+    /// target's next slot in row order, so a reverse row lists its sources
+    /// in the order the forward rows name it.
     pub fn transpose(&self) -> Csr {
-        let flipped: Vec<(VertexId, VertexId, f32)> = self
-            .iter_all()
-            .map(|(src, dst, w)| (dst, src, w))
-            .collect();
-        Csr::from_edges(self.num_vertices(), &flipped)
+        Csr::by_rows(
+            self.num_vertices(),
+            self.iter_all().map(|(src, dst, w)| (dst, src, w)),
+        )
     }
 
     /// Checks structural invariants; used by tests and debug assertions.
@@ -155,15 +226,13 @@ impl Csr {
 mod tests {
     use super::*;
 
-    fn triples(list: &[(u32, u32)]) -> Vec<(VertexId, VertexId, f32)> {
-        list.iter()
-            .map(|&(s, d)| (VertexId(s), VertexId(d), 1.0))
-            .collect()
+    fn edges(list: &[(u32, u32)]) -> Vec<Edge> {
+        list.iter().map(|&(s, d)| Edge::new(s, d)).collect()
     }
 
     #[test]
     fn builds_and_indexes() {
-        let csr = Csr::from_edges(4, &triples(&[(0, 1), (0, 2), (2, 3), (3, 0)]));
+        let csr = Csr::from_edges(4, &edges(&[(0, 1), (0, 2), (2, 3), (3, 0)]));
         csr.validate().unwrap();
         assert_eq!(csr.num_vertices(), 4);
         assert_eq!(csr.num_edges(), 4);
@@ -178,8 +247,8 @@ mod tests {
         let csr = Csr::from_edges(
             2,
             &[
-                (VertexId(0), VertexId(1), 2.5),
-                (VertexId(1), VertexId(0), 0.5),
+                Edge::weighted(0u32, 1u32, 2.5),
+                Edge::weighted(1u32, 0u32, 0.5),
             ],
         );
         assert_eq!(csr.weights(VertexId(0)), &[2.5]);
@@ -189,7 +258,7 @@ mod tests {
     #[test]
     fn stable_within_row() {
         // Three parallel edges 0->{3,1,2} must keep insertion order.
-        let csr = Csr::from_edges(4, &triples(&[(0, 3), (0, 1), (0, 2)]));
+        let csr = Csr::from_edges(4, &edges(&[(0, 3), (0, 1), (0, 2)]));
         assert_eq!(
             csr.neighbors(VertexId(0)),
             &[VertexId(3), VertexId(1), VertexId(2)]
@@ -198,7 +267,7 @@ mod tests {
 
     #[test]
     fn transpose_roundtrip() {
-        let csr = Csr::from_edges(5, &triples(&[(0, 1), (1, 2), (2, 0), (4, 1)]));
+        let csr = Csr::from_edges(5, &edges(&[(0, 1), (1, 2), (2, 0), (4, 1)]));
         let t = csr.transpose();
         t.validate().unwrap();
         assert_eq!(t.degree(VertexId(1)), 2); // from 0 and 4
@@ -226,12 +295,11 @@ mod tests {
 
     #[test]
     fn iter_all_covers_everything() {
-        let edges = triples(&[(0, 1), (1, 0), (1, 2), (2, 2)]);
+        let edges = edges(&[(0, 1), (1, 0), (1, 2), (2, 2)]);
         let csr = Csr::from_edges(3, &edges);
-        let collected: Vec<_> = csr.iter_all().collect();
-        assert_eq!(collected.len(), 4);
-        let mut expected = edges.clone();
-        let mut got = collected.clone();
+        assert_eq!(csr.iter_all().len(), 4);
+        let mut expected: Vec<_> = edges.iter().map(|e| (e.src, e.dst, e.weight)).collect();
+        let mut got: Vec<_> = csr.iter_all().collect();
         expected.sort_by_key(|e| (e.0, e.1));
         got.sort_by_key(|e| (e.0, e.1));
         assert_eq!(expected, got);

@@ -102,19 +102,16 @@ pub fn rmat(cfg: RmatConfig) -> Graph {
     let c_frac = cfg.c / (cfg.c + d.max(0.0)).max(f64::EPSILON);
     for _ in 0..m {
         let (mut src, mut dst) = (0usize, 0usize);
-        for depth in (0..cfg.scale).rev() {
-            let bit = 1usize << depth;
-            // Noise keeps the recursion from producing a deterministic
-            // fractal; standard R-MAT practice.
-            let go_right: bool = rng.random::<f64>() > ab;
-            if go_right {
-                src |= bit;
-                if rng.random::<f64>() > c_frac {
-                    dst |= bit;
-                }
-            } else if rng.random::<f64>() > a_frac {
-                dst |= bit;
-            }
+        // One level per bit, most significant first. Either way a level
+        // takes two draws (noise keeps the recursion from producing a
+        // deterministic fractal; standard R-MAT practice), so the quadrant
+        // is picked by selecting the second threshold, not by branching on
+        // a coin the predictor cannot call.
+        for _ in 0..cfg.scale {
+            let go_right = rng.random::<f64>() > ab;
+            let go_down = rng.random::<f64>() > if go_right { c_frac } else { a_frac };
+            src = src << 1 | usize::from(go_right);
+            dst = dst << 1 | usize::from(go_down);
         }
         builder.add_edge(src, dst);
     }

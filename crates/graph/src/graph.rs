@@ -21,15 +21,7 @@ impl Graph {
     /// Builds a graph from an edge list. Prefer [`crate::GraphBuilder`] for
     /// deduplication / symmetrisation options.
     pub fn from_edges(num_vertices: usize, edges: &[Edge]) -> Self {
-        let triples: Vec<(VertexId, VertexId, f32)> =
-            edges.iter().map(|e| (e.src, e.dst, e.weight)).collect();
-        let out = Csr::from_edges(num_vertices, &triples);
-        let inc = out.transpose();
-        Graph {
-            out,
-            inc,
-            symmetric: false,
-        }
+        Graph::from_csr(Csr::from_edges(num_vertices, edges), false)
     }
 
     pub(crate) fn from_csr(out: Csr, symmetric: bool) -> Self {
@@ -101,13 +93,13 @@ impl Graph {
         self.inc.edges_of(v)
     }
 
-    /// Iterates every directed edge.
-    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.out.iter_all().map(|(src, dst, weight)| Edge {
-            src,
-            dst,
-            weight,
-        })
+    /// Iterates every directed edge in row order: ascending source, a
+    /// row's edges as the forward CSR stores them. An edge's position here
+    /// is its *edge index* — what assignments and split plans are keyed by.
+    pub fn edges(&self) -> impl ExactSizeIterator<Item = Edge> + '_ {
+        self.out
+            .iter_all()
+            .map(|(src, dst, weight)| Edge { src, dst, weight })
     }
 
     /// All vertex ids, `0..V`.

@@ -13,6 +13,7 @@ use std::path::Path;
 
 use crate::builder::GraphBuilder;
 use crate::graph::Graph;
+use crate::io::invalid;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Field {
@@ -27,14 +28,12 @@ enum Symmetry {
     Symmetric,
 }
 
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
 /// Loads a Matrix Market coordinate file as a directed graph (row → col).
 /// Self-loops are dropped; duplicate entries keep the minimum weight.
 pub fn load_matrix_market<P: AsRef<Path>>(path: P) -> io::Result<Graph> {
-    let mut reader = BufReader::new(File::open(path)?);
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut reader = BufReader::new(file);
     let mut header = String::new();
     reader.read_line(&mut header)?;
     let header = header.trim().to_ascii_lowercase();
@@ -76,6 +75,16 @@ pub fn load_matrix_market<P: AsRef<Path>>(path: P) -> io::Result<Graph> {
     let [rows, cols, nnz] = dims[..] else {
         return Err(invalid("size line needs rows cols nnz".into()));
     };
+    // The size line is untrusted: an entry is at least `r c` and a line
+    // break, so a file cannot hold more of them than a quarter of its length.
+    if nnz as u64 > file_len.saturating_add(1) / 4 {
+        return Err(invalid(format!(
+            "size line claims {nnz} entries, a {file_len}-byte file cannot hold them"
+        )));
+    }
+    if rows.max(cols) > u32::MAX as usize {
+        return Err(invalid(format!("{rows}x{cols} overflows 32-bit ids")));
+    }
     let n = rows.max(cols);
     let mut builder = GraphBuilder::new(n.max(1));
     builder.reserve(if symmetry == Symmetry::Symmetric {
@@ -218,6 +227,22 @@ mod tests {
         )
         .unwrap();
         assert!(load_matrix_market(&path).is_err());
+        std::fs::remove_file(path).ok();
+    }
+
+    /// The size line's entry count used to be doubled and reserved as read.
+    #[test]
+    fn an_entry_count_the_file_cannot_hold_is_refused_unreserved() {
+        let path = tmp("nnz.mtx");
+        for nnz in [usize::MAX, usize::MAX / 2 + 1, 1 << 40, 4] {
+            std::fs::write(
+                &path,
+                format!("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 {nnz}\n1 2\n"),
+            )
+            .unwrap();
+            let err = load_matrix_market(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{nnz}: {err}");
+        }
         std::fs::remove_file(path).ok();
     }
 

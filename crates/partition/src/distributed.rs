@@ -11,7 +11,7 @@
 use lazygraph_graph::{Graph, MachineId, VertexId};
 
 use crate::edge_split::SplitPlan;
-use crate::replication::Replication;
+use crate::replication::{bit, machines_of, MachineMask, Replication};
 
 mod codec;
 
@@ -46,8 +46,12 @@ pub struct LocalShard {
     pub is_master: Vec<bool>,
     /// Per local vertex: the machine hosting the master replica.
     pub master_of: Vec<MachineId>,
-    /// Per local vertex: the *other* machines holding replicas.
-    pub mirrors: Vec<Box<[MachineId]>>,
+    /// The *other* machines holding replicas of each local vertex, all
+    /// lists in one array: local `l`'s are
+    /// `mirror_machines[mirror_offsets[l]..mirror_offsets[l + 1]]`, sorted.
+    /// See [`LocalShard::mirrors`].
+    mirror_offsets: Vec<u32>,
+    mirror_machines: Vec<MachineId>,
     /// Sorted local ids of the vertices that have remote replicas — the
     /// only candidates a coherency exchange can ever ship. Block-chunked
     /// coherency scans iterate this instead of `0..num_local`.
@@ -118,10 +122,17 @@ impl LocalShard {
         (self.out_offsets[l as usize + 1] - self.out_offsets[l as usize]) as usize
     }
 
+    /// The *other* machines holding replicas of local vertex `l`, sorted.
+    #[inline]
+    pub fn mirrors(&self, l: u32) -> &[MachineId] {
+        let l = l as usize;
+        &self.mirror_machines[self.mirror_offsets[l] as usize..self.mirror_offsets[l + 1] as usize]
+    }
+
     /// Whether this replica has any remote siblings.
     #[inline]
     pub fn has_mirrors(&self, l: u32) -> bool {
-        !self.mirrors[l as usize].is_empty()
+        self.mirror_offsets[l as usize] != self.mirror_offsets[l as usize + 1]
     }
 }
 
@@ -178,23 +189,66 @@ impl DistributedGraph {
     }
 }
 
-/// Computes the dispatch rule's required machine set for a parallel edge.
+/// The dispatch rule's required machine set for a parallel edge.
 fn required_machines(
     replication: &Replication,
     src: VertexId,
     dst: VertexId,
     bidirectional: bool,
-) -> Vec<MachineId> {
-    let mut req = replication.replicas[dst.index()].clone();
+) -> MachineMask {
+    let req = replication.mask(dst.index());
     if bidirectional {
-        for &m in &replication.replicas[src.index()] {
-            if !req.contains(&m) {
-                req.push(m);
-            }
-        }
-        req.sort();
+        req | replication.mask(src.index())
+    } else {
+        req
     }
-    req
+}
+
+/// The final lengths of one shard's arrays, counted before any is filled so
+/// that each is allocated once.
+#[derive(Clone, Copy, Default)]
+struct ShardSize {
+    locals: usize,
+    /// Locals that have mirrors.
+    replicated: usize,
+    /// Mirror-list entries over all locals.
+    mirrors: usize,
+    edges: usize,
+}
+
+impl LocalShard {
+    /// An empty shard of machine `m` with every array reserved to `size`.
+    fn reserved(m: usize, num_global: usize, size: ShardSize) -> LocalShard {
+        let offsets = || {
+            let mut offsets = Vec::with_capacity(size.locals + 1);
+            offsets.push(0);
+            offsets
+        };
+        LocalShard {
+            machine: MachineId::from(m),
+            globals: Vec::with_capacity(size.locals),
+            route: vec![NO_LOCAL; num_global].into_boxed_slice(),
+            is_master: Vec::with_capacity(size.locals),
+            master_of: Vec::with_capacity(size.locals),
+            mirror_offsets: offsets(),
+            mirror_machines: Vec::with_capacity(size.mirrors),
+            replicated: Vec::with_capacity(size.replicated),
+            global_out_degree: Vec::with_capacity(size.locals),
+            global_in_degree: Vec::with_capacity(size.locals),
+            global_degree: Vec::with_capacity(size.locals),
+            out_offsets: offsets(),
+            out_targets: Vec::with_capacity(size.edges),
+            out_weights: Vec::with_capacity(size.edges),
+            out_parallel: Vec::with_capacity(size.edges),
+        }
+    }
+
+    /// Appends an edge of the row being filled.
+    fn push_edge(&mut self, dst: VertexId, weight: f32, parallel: bool) {
+        self.out_targets.push(self.route[dst.index()]);
+        self.out_weights.push(weight);
+        self.out_parallel.push(parallel);
+    }
 }
 
 /// Builds the distributed graph from a one-edge assignment and a split
@@ -202,6 +256,12 @@ fn required_machines(
 /// set it for algorithms that propagate against edge direction too (CC,
 /// k-core on symmetrised graphs still work with `false` since both
 /// directions exist as edges; `true` matches the paper's stricter rule).
+///
+/// Two walks over the graph's rows and nothing edge-sized in between: the
+/// first ORs every one-edge placement into its endpoints' replica masks,
+/// the second appends every edge to the arrays of the shards that store it.
+/// Rows ascend and a shard's local ids ascend with them, so what a shard
+/// receives is already its CSR (DESIGN.md §18).
 pub fn build_distributed(
     graph: &Graph,
     assignment: &[MachineId],
@@ -212,147 +272,105 @@ pub fn build_distributed(
     assert_eq!(assignment.len(), graph.num_edges());
     assert_eq!(plan.is_parallel.len(), graph.num_edges());
     let n = graph.num_vertices();
+    let out = graph.out_csr();
 
     // --- Replica sets from one-edge placements only. -------------------
-    let mut replica_sets: Vec<Vec<MachineId>> = vec![Vec::new(); n];
-    let edges: Vec<(VertexId, VertexId, f32)> = graph
-        .edges()
-        .map(|e| (e.src, e.dst, e.weight))
-        .collect();
-    for (idx, &(src, dst, _)) in edges.iter().enumerate() {
-        if plan.is_parallel[idx] {
-            continue;
-        }
-        let m = assignment[idx];
-        for v in [src, dst] {
-            if !replica_sets[v.index()].contains(&m) {
-                replica_sets[v.index()].push(m);
+    let mut masks: Vec<MachineMask> = vec![0; n];
+    let mut sizes = vec![ShardSize::default(); num_machines];
+    let mut parallel_edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(plan.num_parallel());
+    for src in graph.vertices() {
+        let mut src_mask = 0;
+        for (idx, &dst) in out.range(src).zip(out.neighbors(src)) {
+            if plan.is_parallel[idx] {
+                parallel_edges.push((src, dst));
+            } else {
+                let m = assignment[idx];
+                src_mask |= bit(m);
+                masks[dst.index()] |= bit(m);
+                sizes[m.index()].edges += 1;
             }
         }
+        masks[src.index()] |= src_mask;
     }
-    let mut replication = Replication::new(replica_sets, num_machines);
+    let mut replication = Replication::new(masks, num_machines);
 
     // --- Fixpoint dispatch of parallel edges (may create replicas). ----
-    let parallel_indices: Vec<usize> = plan
-        .is_parallel
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &p)| p.then_some(i))
-        .collect();
     loop {
         let mut changed = false;
-        for &idx in &parallel_indices {
-            let (src, dst, _) = edges[idx];
+        for &(src, dst) in &parallel_edges {
             let req = required_machines(&replication, src, dst, bidirectional);
-            for m in req {
-                changed |= replication.ensure_replica(src.index(), m);
-                changed |= replication.ensure_replica(dst.index(), m);
-            }
+            changed |= replication.ensure_replicas(src.index(), req);
+            changed |= replication.ensure_replicas(dst.index(), req);
         }
         if !changed {
             break;
         }
     }
     replication.reelect_masters();
+    for &(src, dst) in &parallel_edges {
+        for m in machines_of(required_machines(&replication, src, dst, bidirectional)) {
+            sizes[m.index()].edges += 1;
+        }
+    }
+    drop(parallel_edges);
 
     // --- Shard assembly. ------------------------------------------------
-    let mut shard_vertices: Vec<Vec<VertexId>> = vec![Vec::new(); num_machines];
+    for v in 0..n {
+        let others = replication.num_replicas(v) - 1;
+        for m in replication.replicas(v) {
+            let size = &mut sizes[m.index()];
+            size.locals += 1;
+            size.replicated += usize::from(others > 0);
+            size.mirrors += others;
+        }
+    }
+    let mut shards: Vec<LocalShard> = sizes
+        .iter()
+        .enumerate()
+        .map(|(m, &size)| LocalShard::reserved(m, n, size))
+        .collect();
+    // Per-vertex arrays and the route tables first: an edge's target is
+    // translated through its shard's table, whichever row it sits in.
     for v in graph.vertices() {
-        for &m in &replication.replicas[v.index()] {
-            shard_vertices[m.index()].push(v); // already in ascending v order
-        }
-    }
-    let mut routes: Vec<Box<[u32]>> = Vec::with_capacity(num_machines);
-    for verts in &shard_vertices {
-        let mut route = vec![NO_LOCAL; n].into_boxed_slice();
-        for (l, v) in verts.iter().enumerate() {
-            route[v.index()] = l as u32;
-        }
-        routes.push(route);
-    }
-
-    // Per-shard raw edge lists: (src_local, dst_local, weight, parallel).
-    let mut shard_edges: Vec<Vec<(u32, u32, f32, bool)>> = vec![Vec::new(); num_machines];
-    let mut total_stored = 0usize;
-    for (idx, &(src, dst, w)) in edges.iter().enumerate() {
-        if plan.is_parallel[idx] {
-            let req = required_machines(&replication, src, dst, bidirectional);
-            for m in req {
-                let route = &routes[m.index()];
-                let sl = route[src.index()];
-                let dl = route[dst.index()];
-                shard_edges[m.index()].push((sl, dl, w, true));
-                total_stored += 1;
+        let mask = replication.mask(v.index());
+        let master = replication.masters[v.index()];
+        for m in machines_of(mask) {
+            let shard = &mut shards[m.index()];
+            let l = shard.globals.len() as u32;
+            shard.route[v.index()] = l;
+            shard.globals.push(v);
+            shard.is_master.push(master == m);
+            shard.master_of.push(master);
+            let others = mask & !bit(m);
+            if others != 0 {
+                shard.replicated.push(l);
+                shard.mirror_machines.extend(machines_of(others));
             }
-        } else {
-            let m = assignment[idx];
-            let route = &routes[m.index()];
-            let sl = route[src.index()];
-            let dl = route[dst.index()];
-            shard_edges[m.index()].push((sl, dl, w, false));
-            total_stored += 1;
+            let mirrors_end = shard.mirror_machines.len() as u32;
+            shard.mirror_offsets.push(mirrors_end);
+            shard.global_out_degree.push(graph.out_degree(v) as u32);
+            shard.global_in_degree.push(graph.in_degree(v) as u32);
+            shard.global_degree.push(graph.degree(v) as u32);
         }
     }
-
-    let mut shards = Vec::with_capacity(num_machines);
-    for m in 0..num_machines {
-        let verts = std::mem::take(&mut shard_vertices[m]);
-        let route = std::mem::replace(&mut routes[m], Box::new([]));
-        let mut es = std::mem::take(&mut shard_edges[m]);
-        es.sort_by_key(|&(sl, ..)| sl); // stable: keeps edge-index order per row
-        let nl = verts.len();
-        let mut out_offsets = vec![0u32; nl + 1];
-        for &(sl, ..) in &es {
-            out_offsets[sl as usize + 1] += 1;
-        }
-        for i in 1..out_offsets.len() {
-            out_offsets[i] += out_offsets[i - 1];
-        }
-        let out_targets: Vec<u32> = es.iter().map(|&(_, dl, ..)| dl).collect();
-        let out_weights: Vec<f32> = es.iter().map(|&(_, _, w, _)| w).collect();
-        let out_parallel: Vec<bool> = es.iter().map(|&(.., p)| p).collect();
-        let machine = MachineId::from(m);
-        let mut is_master = Vec::with_capacity(nl);
-        let mut master_of = Vec::with_capacity(nl);
-        let mut mirrors = Vec::with_capacity(nl);
-        let mut god = Vec::with_capacity(nl);
-        let mut gid_ = Vec::with_capacity(nl);
-        let mut gdeg = Vec::with_capacity(nl);
-        let mut replicated = Vec::new();
-        for (l, &v) in verts.iter().enumerate() {
-            let master = replication.masters[v.index()];
-            is_master.push(master == machine);
-            master_of.push(master);
-            let mirr: Vec<MachineId> = replication.replicas[v.index()]
-                .iter()
-                .copied()
-                .filter(|&x| x != machine)
-                .collect();
-            if !mirr.is_empty() {
-                replicated.push(l as u32);
+    for src in graph.vertices() {
+        let edges = out.range(src).zip(out.neighbors(src)).zip(out.weights(src));
+        for ((idx, &dst), &w) in edges {
+            if plan.is_parallel[idx] {
+                for m in machines_of(required_machines(&replication, src, dst, bidirectional)) {
+                    shards[m.index()].push_edge(dst, w, true);
+                }
+            } else {
+                shards[assignment[idx].index()].push_edge(dst, w, false);
             }
-            mirrors.push(mirr.into_boxed_slice());
-            god.push(graph.out_degree(v) as u32);
-            gid_.push(graph.in_degree(v) as u32);
-            gdeg.push(graph.degree(v) as u32);
         }
-        shards.push(LocalShard {
-            machine,
-            globals: verts,
-            route,
-            is_master,
-            master_of,
-            mirrors,
-            replicated,
-            global_out_degree: god,
-            global_in_degree: gid_,
-            global_degree: gdeg,
-            out_offsets,
-            out_targets,
-            out_weights,
-            out_parallel,
-        });
+        // Close the row on every shard that holds `src`.
+        for m in replication.replicas(src.index()) {
+            let shard = &mut shards[m.index()];
+            shard.out_offsets.push(shard.out_targets.len() as u32);
+        }
     }
+    let total_stored = shards.iter().map(LocalShard::num_local_edges).sum();
 
     DistributedGraph {
         shards,
@@ -416,9 +434,12 @@ pub fn validate_distributed(
                     return Err("master_of disagrees with is_master".into());
                 }
             }
-            let expected_mirrors = dg.replication.replicas[v.index()].len() - 1;
-            if shard.mirrors[l].len() != expected_mirrors {
-                return Err(format!("{v:?}: mirror list size mismatch"));
+            let expected_mirrors = dg
+                .replication
+                .replicas(v.index())
+                .filter(|&m| m != shard.machine);
+            if !expected_mirrors.eq(shard.mirrors(l as u32).iter().copied()) {
+                return Err(format!("{v:?}: mirror list is not the other replicas"));
             }
             if shard.global_out_degree[l] as usize != graph.out_degree(v) {
                 return Err(format!("{v:?}: global out-degree wrong"));
@@ -438,7 +459,7 @@ pub fn validate_distributed(
         if master_count[v] != 1 {
             return Err(format!("vertex {v} has {} masters", master_count[v]));
         }
-        if replica_count[v] != dg.replication.replicas[v].len() {
+        if replica_count[v] != dg.replication.num_replicas(v) {
             return Err(format!("vertex {v} replica count mismatch"));
         }
     }
@@ -464,8 +485,8 @@ pub fn validate_distributed(
             .get(&key)
             .ok_or_else(|| format!("edge {idx} missing from all shards"))?;
         if plan.is_parallel[idx] {
-            let mut req = required_machines(&dg.replication, e.src, e.dst, bidirectional);
-            req.sort();
+            let req = required_machines(&dg.replication, e.src, e.dst, bidirectional);
+            let req: Vec<MachineId> = machines_of(req).collect();
             let mut got = machines.clone();
             got.sort();
             if got != req {
@@ -496,8 +517,95 @@ pub fn validate_distributed(
 mod tests {
     use super::*;
     use crate::edge_split::{plan_split, SplitPlan, SplitterConfig};
+    use crate::replication::reference;
     use crate::vertex_cut::{CoordinatedCut, Partitioner, RandomCut};
     use lazygraph_graph::generators::{grid2d, rmat, Grid2dConfig, RmatConfig};
+    use lazygraph_graph::GraphBuilder;
+    use proptest::prelude::*;
+
+    /// Replica sets as they were derived before they were masks: one list
+    /// per vertex from the one-edge placements, then the dispatch fix-point
+    /// inserting into sorted lists. Kept as the oracle.
+    fn replicas_by_lists(
+        graph: &Graph,
+        assignment: &[MachineId],
+        num_machines: usize,
+        plan: &SplitPlan,
+        bidirectional: bool,
+    ) -> Vec<Vec<MachineId>> {
+        let mut replicas =
+            reference::replica_lists(graph, assignment, &plan.is_parallel, num_machines);
+        let parallel: Vec<_> = graph
+            .edges()
+            .zip(&plan.is_parallel)
+            .filter_map(|(e, &p)| p.then_some((e.src.index(), e.dst.index())))
+            .collect();
+        loop {
+            let mut changed = false;
+            for &(src, dst) in &parallel {
+                let mut req = replicas[dst].clone();
+                if bidirectional {
+                    req.extend(&replicas[src]);
+                }
+                for m in req {
+                    for v in [src, dst] {
+                        if let Err(at) = replicas[v].binary_search(&m) {
+                            replicas[v].insert(at, m);
+                            changed = true;
+                        }
+                    }
+                }
+            }
+            if !changed {
+                return replicas;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Masks against lists on arbitrary placements and arbitrary split
+        /// flags (chains of parallel edges make the fix-point take several
+        /// passes), with isolated and trailing vertices, and the shards
+        /// against the exhaustive structural check.
+        #[test]
+        fn replica_masks_match_the_lists_they_replaced(
+            n in 2usize..40,
+            links in proptest::collection::vec((0u32..40, 0u32..40, 0u16..128, 0u32..4), 0..200),
+            machines in 1usize..12,
+            bidirectional in any::<bool>(),
+        ) {
+            let mut b = GraphBuilder::new(n + 3);
+            for &(s, d, _, _) in &links {
+                b.add_edge(s % n as u32, d % n as u32);
+            }
+            // `validate_distributed` tells edges apart by their endpoints.
+            b.dedup();
+            let g = b.build();
+            let assignment: Vec<MachineId> = g
+                .edges()
+                .zip(&links)
+                .map(|(_, &(_, _, m, _))| MachineId(m % machines as u16))
+                .collect();
+            let mut plan = SplitPlan::none(g.num_edges());
+            for (flag, &(_, _, _, split)) in plan.is_parallel.iter_mut().zip(&links) {
+                *flag = split == 0;
+            }
+            plan.num_low = plan.is_parallel.iter().filter(|&&p| p).count();
+
+            let dg = build_distributed(&g, &assignment, machines, &plan, bidirectional);
+            let lists = replicas_by_lists(&g, &assignment, machines, &plan, bidirectional);
+            for (v, list) in lists.iter().enumerate() {
+                prop_assert!(dg.replication.replicas(v).eq(list.iter().copied()), "vertex {}", v);
+            }
+            prop_assert_eq!(&dg.replication.masters, &reference::elect_masters(&lists));
+            validate_distributed(&dg, &g, &assignment, &plan, bidirectional).unwrap();
+            for shard in &dg.shards {
+                shard.validate().unwrap();
+            }
+        }
+    }
 
     #[test]
     fn one_edge_only_build_validates() {
@@ -566,7 +674,7 @@ mod tests {
         let plan = SplitPlan::none(g.num_edges());
         let dg = build_distributed(&g, &a, 4, &plan, false);
         let manual: usize = (0..g.num_vertices())
-            .map(|v| dg.replication.replicas[v].len())
+            .map(|v| dg.replication.num_replicas(v))
             .sum();
         assert_eq!(dg.lambda(), manual as f64 / g.num_vertices() as f64);
     }

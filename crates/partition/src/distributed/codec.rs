@@ -22,13 +22,10 @@ fn put_array<T: Wire>(out: &mut Vec<u8>, items: impl ExactSizeIterator<Item = T>
     }
 }
 
-/// A counted array whose elements take at least `width` bytes each, so a
-/// corrupt count is a [`NetError::Truncated`] before it is a reservation.
-fn array<T>(
-    r: &mut WireReader<'_>,
-    width: usize,
-    item: impl Fn(&mut WireReader<'_>) -> Result<T, NetError>,
-) -> Result<Vec<T>, NetError> {
+/// The count of an array whose elements take at least `width` bytes each,
+/// checked against the bytes present: a corrupt count is a
+/// [`NetError::Truncated`] before it is a reservation.
+fn counted(r: &mut WireReader<'_>, width: usize) -> Result<usize, NetError> {
     let len = u32::decode(r)? as usize;
     let needed = len.saturating_mul(width);
     if needed > r.remaining() {
@@ -37,6 +34,15 @@ fn array<T>(
             have: r.remaining(),
         });
     }
+    Ok(len)
+}
+
+fn array<T>(
+    r: &mut WireReader<'_>,
+    width: usize,
+    item: impl Fn(&mut WireReader<'_>) -> Result<T, NetError>,
+) -> Result<Vec<T>, NetError> {
+    let len = counted(r, width)?;
     let mut out = Vec::with_capacity(len);
     for _ in 0..len {
         out.push(item(r)?);
@@ -65,7 +71,8 @@ impl Wire for LocalShard {
             route,
             is_master,
             master_of,
-            mirrors,
+            mirror_offsets,
+            mirror_machines: _,
             replicated,
             global_out_degree,
             global_in_degree,
@@ -80,9 +87,11 @@ impl Wire for LocalShard {
         put_array(out, route.iter().copied());
         is_master.encode(out);
         put_array(out, master_of.iter().map(|m| m.0));
-        (mirrors.len() as u32).encode(out);
-        for list in mirrors {
-            put_array(out, list.iter().map(|m| m.0));
+        // The file keeps one counted list per local (the layout it had when
+        // a shard held one box per local); memory keeps them flat.
+        ((mirror_offsets.len() - 1) as u32).encode(out);
+        for l in 0..mirror_offsets.len() - 1 {
+            put_array(out, self.mirrors(l as u32).iter().map(|m| m.0));
         }
         replicated.encode(out);
         global_out_degree.encode(out);
@@ -95,13 +104,30 @@ impl Wire for LocalShard {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
+        let machine = machine_id(r)?;
+        let globals = array(r, 4, |r| u32::decode(r).map(VertexId))?;
+        let route = array(r, 4, u32::decode)?.into_boxed_slice();
+        let is_master = array(r, 1, bool::decode)?;
+        let master_of = array(r, 2, machine_id)?;
+        // One counted list per local, flattened as it is read.
+        let lists = counted(r, 4)?;
+        let mut mirror_offsets = Vec::with_capacity(lists + 1);
+        mirror_offsets.push(0);
+        let mut mirror_machines = Vec::new();
+        for _ in 0..lists {
+            for _ in 0..counted(r, 2)? {
+                mirror_machines.push(machine_id(r)?);
+            }
+            mirror_offsets.push(mirror_machines.len() as u32);
+        }
         let shard = LocalShard {
-            machine: machine_id(r)?,
-            globals: array(r, 4, |r| u32::decode(r).map(VertexId))?,
-            route: array(r, 4, u32::decode)?.into_boxed_slice(),
-            is_master: array(r, 1, bool::decode)?,
-            master_of: array(r, 2, machine_id)?,
-            mirrors: array(r, 4, |r| array(r, 2, machine_id).map(Vec::into_boxed_slice))?,
+            machine,
+            globals,
+            route,
+            is_master,
+            master_of,
+            mirror_offsets,
+            mirror_machines,
             replicated: array(r, 4, u32::decode)?,
             global_out_degree: array(r, 4, u32::decode)?,
             global_in_degree: array(r, 4, u32::decode)?,
@@ -129,7 +155,6 @@ impl LocalShard {
         for (name, len) in [
             ("is_master", self.is_master.len()),
             ("master_of", self.master_of.len()),
-            ("mirrors", self.mirrors.len()),
             ("global_out_degree", self.global_out_degree.len()),
             ("global_in_degree", self.global_in_degree.len()),
             ("global_degree", self.global_degree.len()),
@@ -178,8 +203,24 @@ impl LocalShard {
             return malformed(format!("route table has {routed} entries for {nl} locals"));
         }
 
+        // The mirror lists: a monotone walk over one array, as the CSR is.
+        if self.mirror_offsets.len() != nl + 1 {
+            return malformed(format!(
+                "mirrors has {} entries for {nl} locals",
+                self.mirror_offsets.len().saturating_sub(1)
+            ));
+        }
+        if self.mirror_offsets[0] != 0
+            || self.mirror_offsets[nl] as usize != self.mirror_machines.len()
+            || self.mirror_offsets.windows(2).any(|w| w[0] > w[1])
+        {
+            return malformed(format!(
+                "mirror_offsets is not a monotone walk from 0 to {}",
+                self.mirror_machines.len()
+            ));
+        }
         for l in 0..nl {
-            let mirrors = &self.mirrors[l];
+            let mirrors = self.mirrors(l as u32);
             if mirrors.contains(&self.machine) || mirrors.windows(2).any(|w| w[0] >= w[1]) {
                 return malformed(format!(
                     "local {l}: mirror list {mirrors:?} is not sorted other machines"
@@ -218,7 +259,7 @@ impl LocalShard {
         }
         let mut machines = std::iter::once(&self.machine)
             .chain(&self.master_of)
-            .chain(self.mirrors.iter().flat_map(|list| list.iter()));
+            .chain(&self.mirror_machines);
         if let Some(m) = machines.find(|m| m.index() >= shape.num_machines) {
             return malformed(format!(
                 "machine {m} is outside a {}-machine run",
@@ -278,7 +319,9 @@ mod tests {
         rejects("master_of has", |s| {
             s.master_of.pop();
         });
-        rejects("mirrors has", |s| s.mirrors.push(Box::new([])));
+        rejects("mirrors has", |s| {
+            s.mirror_offsets.push(s.mirror_machines.len() as u32)
+        });
         rejects("global_out_degree has", |s| s.global_out_degree.push(0));
         rejects("global_in_degree has", |s| s.global_in_degree.push(0));
         rejects("global_degree has", |s| {
@@ -321,27 +364,55 @@ mod tests {
 
     #[test]
     fn replica_metadata_must_agree_with_itself() {
-        let me = |s: &LocalShard| s.machine;
+        // Local 0 of this shard (machine 1 of 3) is replicated everywhere:
+        // its mirror list is the first two entries of the flat array.
+        let first_list = |s: &mut LocalShard, list: [MachineId; 2]| {
+            assert_eq!(s.mirrors(0), [MachineId(0), MachineId(2)]);
+            s.mirror_machines[..2].copy_from_slice(&list);
+        };
         rejects("not sorted other machines", |s| {
-            s.mirrors[0] = Box::new([me(s)])
+            first_list(s, [MachineId(0), s.machine])
         });
         rejects("not sorted other machines", |s| {
-            s.mirrors[0] = Box::new([MachineId(2), MachineId(0)])
+            first_list(s, [MachineId(2), MachineId(0)])
         });
         rejects("not sorted other machines", |s| {
-            s.mirrors[0] = Box::new([MachineId(0), MachineId(0)])
+            first_list(s, [MachineId(0), MachineId(0)])
         });
+
         rejects("is_master disagrees", |s| s.is_master[0] = !s.is_master[0]);
         rejects("replicated is not", |s| {
             s.replicated.pop();
         });
         rejects("replicated is not", |s| {
             let lone = (0..s.globals.len())
-                .find(|&l| s.mirrors[l].is_empty())
+                .find(|&l| !s.has_mirrors(l as u32))
                 .unwrap();
             s.replicated.push(lone as u32);
             s.replicated.sort_unstable();
         });
+    }
+
+    /// The file holds one counted list per local, so it cannot express a
+    /// broken walk; a shard damaged in memory can, and `validate` says so.
+    #[test]
+    fn the_flat_mirror_lists_must_be_a_walk_over_one_array() {
+        let broken: [fn(&mut LocalShard); 3] = [
+            |s| s.mirror_offsets[0] = 1,
+            |s| s.mirror_machines.push(MachineId(0)),
+            |s| {
+                let l = s.replicated[0] as usize;
+                s.mirror_offsets[l] = s.mirror_offsets[l + 1] + 1;
+            },
+        ];
+        for damage in broken {
+            let mut s = shard();
+            damage(&mut s);
+            assert!(matches!(
+                s.validate(),
+                Err(NetError::Malformed { detail, .. }) if detail.contains("mirror_offsets is not")
+            ));
+        }
     }
 
     #[test]

@@ -114,46 +114,67 @@ pub fn plan_split(graph: &Graph, num_machines: usize, cfg: &SplitterConfig) -> S
     if pe_high + pe_low == 0 {
         return SplitPlan::none(m);
     }
+    let degree: Vec<u32> = graph.vertices().map(|v| graph.degree(v) as u32).collect();
     let low_thresh = cfg.low_degree_threshold.unwrap_or_else(|| {
         ((2 * graph.num_edges()).div_ceil(graph.num_vertices().max(1))).max(3)
     });
     let high_thresh = cfg.high_degree_threshold.unwrap_or_else(|| {
         // 99th-percentile total degree.
-        let mut degs: Vec<usize> = graph.vertices().map(|v| graph.degree(v)).collect();
-        degs.sort_unstable();
-        let idx = (degs.len() * 99) / 100;
-        degs[idx.min(degs.len() - 1)].max(2)
+        let mut degs = degree.clone();
+        let idx = ((degs.len() * 99) / 100).min(degs.len() - 1);
+        (*degs.select_nth_unstable(idx).1 as usize).max(2)
     });
+    let (low_thresh, high_thresh) = (low_thresh as u64, high_thresh as u64);
 
     // Rank candidates: high-high by combined degree (descending, biggest
     // hubs first → fastest local convergence payoff); low-low by combined
-    // degree (ascending, cheapest replication first).
-    let mut high_candidates: Vec<(usize, usize)> = Vec::new(); // (edge idx, score)
-    let mut low_candidates: Vec<(usize, usize)> = Vec::new();
-    for (idx, e) in graph.edges().enumerate() {
-        let ds = graph.degree(e.src);
-        let dd = graph.degree(e.dst);
-        if ds >= high_thresh && dd >= high_thresh {
-            high_candidates.push((idx, ds + dd));
-        } else if graph.out_degree(e.src) <= low_thresh && dd <= low_thresh {
-            low_candidates.push((idx, ds + dd));
+    // degree (ascending, cheapest replication first), ties to the smaller
+    // edge index. A candidate is one word, rank in the high half and edge
+    // index in the low, so that ascending words are the ranking.
+    assert!(
+        m <= u32::MAX as usize / 4,
+        "ranks are 32-bit and a combined degree can reach 4·E"
+    );
+    let mut high_candidates: Vec<u64> = Vec::new();
+    let mut low_candidates: Vec<u64> = Vec::new();
+    let out = graph.out_csr();
+    for src in graph.vertices() {
+        let ds = u64::from(degree[src.index()]);
+        let src_is_low = out.degree(src) as u64 <= low_thresh;
+        for (idx, dst) in out.range(src).zip(out.neighbors(src)) {
+            let dd = u64::from(degree[dst.index()]);
+            if ds >= high_thresh && dd >= high_thresh {
+                high_candidates.push((u64::from(u32::MAX) - (ds + dd)) << 32 | idx as u64);
+            } else if src_is_low && dd <= low_thresh {
+                low_candidates.push((ds + dd) << 32 | idx as u64);
+            }
         }
     }
-    high_candidates.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    low_candidates.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
 
     let mut plan = SplitPlan::none(m);
-    for &(idx, _) in high_candidates.iter().take(pe_high) {
-        plan.is_parallel[idx] = true;
-        plan.num_high += 1;
-    }
-    for &(idx, _) in low_candidates.iter().take(pe_low) {
-        if !plan.is_parallel[idx] {
-            plan.is_parallel[idx] = true;
-            plan.num_low += 1;
+    // The two candidate lists are disjoint, so marking is order-free.
+    let mut mark = |candidates: &mut [u64], budget: usize| {
+        let chosen = best_ranked(candidates, budget);
+        for &c in chosen.iter() {
+            plan.is_parallel[c as u32 as usize] = true;
         }
-    }
+        chosen.len()
+    };
+    plan.num_high = mark(&mut high_candidates, pe_high);
+    plan.num_low = mark(&mut low_candidates, pe_low);
     plan
+}
+
+/// The `budget` smallest of `candidates`, in no particular order. No two
+/// candidates are equal (each carries its edge index), so the ranking is
+/// strict and its first `budget` entries are one set however a selection
+/// arranges them — a linear-time selection picks what a full sort would.
+fn best_ranked(candidates: &mut [u64], budget: usize) -> &[u64] {
+    if budget < candidates.len() {
+        candidates.select_nth_unstable(budget).0
+    } else {
+        candidates
+    }
 }
 
 /// Degree-aware hub fan-out: a post-pass over a per-edge assignment that
@@ -243,6 +264,136 @@ pub fn apply_hub_fanout(
 mod tests {
     use super::*;
     use lazygraph_graph::generators::{grid2d, rmat, Grid2dConfig, RmatConfig};
+    use lazygraph_graph::GraphBuilder;
+    use proptest::prelude::*;
+
+    /// `plan_split` as it was before it selected: every candidate fully
+    /// sorted to take a prefix. Kept as the oracle.
+    fn plan_by_full_sort(graph: &Graph, num_machines: usize, cfg: &SplitterConfig) -> SplitPlan {
+        let m = graph.num_edges();
+        let (mut pe_high, mut pe_low) = cfg.budget(num_machines);
+        let cap = (m as f64 * cfg.max_fraction) as usize;
+        if pe_high + pe_low > cap {
+            let scale = cap as f64 / (pe_high + pe_low).max(1) as f64;
+            pe_high = (pe_high as f64 * scale) as usize;
+            pe_low = (pe_low as f64 * scale) as usize;
+        }
+        if pe_high + pe_low == 0 {
+            return SplitPlan::none(m);
+        }
+        let low_thresh = cfg.low_degree_threshold.unwrap_or_else(|| {
+            ((2 * graph.num_edges()).div_ceil(graph.num_vertices().max(1))).max(3)
+        });
+        let high_thresh = cfg.high_degree_threshold.unwrap_or_else(|| {
+            let mut degs: Vec<usize> = graph.vertices().map(|v| graph.degree(v)).collect();
+            degs.sort_unstable();
+            let idx = (degs.len() * 99) / 100;
+            degs[idx.min(degs.len() - 1)].max(2)
+        });
+        let mut high_candidates: Vec<(usize, usize)> = Vec::new();
+        let mut low_candidates: Vec<(usize, usize)> = Vec::new();
+        for (idx, e) in graph.edges().enumerate() {
+            let ds = graph.degree(e.src);
+            let dd = graph.degree(e.dst);
+            if ds >= high_thresh && dd >= high_thresh {
+                high_candidates.push((idx, ds + dd));
+            } else if graph.out_degree(e.src) <= low_thresh && dd <= low_thresh {
+                low_candidates.push((idx, ds + dd));
+            }
+        }
+        high_candidates.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        low_candidates.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
+        let mut plan = SplitPlan::none(m);
+        for &(idx, _) in high_candidates.iter().take(pe_high) {
+            plan.is_parallel[idx] = true;
+            plan.num_high += 1;
+        }
+        for &(idx, _) in low_candidates.iter().take(pe_low) {
+            if !plan.is_parallel[idx] {
+                plan.is_parallel[idx] = true;
+                plan.num_low += 1;
+            }
+        }
+        plan
+    }
+
+    fn assert_same_plan(g: &Graph, machines: usize, cfg: &SplitterConfig) {
+        let got = plan_split(g, machines, cfg);
+        let want = plan_by_full_sort(g, machines, cfg);
+        assert_eq!(got.is_parallel, want.is_parallel);
+        assert_eq!((got.num_high, got.num_low), (want.num_high, want.num_low));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A selected prefix is the sorted prefix, whether the budget
+        /// undercuts, equals or exceeds the candidate count; scores collide
+        /// constantly, so the edge-index tie-break decides most of it.
+        #[test]
+        fn selection_takes_what_a_full_sort_takes(
+            scores in proptest::collection::vec(0u64..6, 0..60),
+            budget in 0usize..70,
+        ) {
+            let mut candidates: Vec<u64> =
+                scores.iter().zip(0u64..).map(|(s, idx)| s << 32 | idx).collect();
+            for budget in [budget, candidates.len(), candidates.len().saturating_sub(1)] {
+                let mut want = candidates.clone();
+                want.sort_unstable();
+                want.truncate(budget);
+                let mut got = best_ranked(&mut candidates, budget).to_vec();
+                got.sort_unstable();
+                prop_assert_eq!(got, want);
+            }
+        }
+
+        /// Whole plans against the full sort, over budgets from nothing to
+        /// every edge and thresholds that make both criteria bite.
+        #[test]
+        fn plans_match_the_full_sort(
+            n in 4usize..50,
+            links in proptest::collection::vec((0u32..50, 0u32..50), 1..250),
+            machines in 2usize..9,
+            t_extra in 0.0f64..0.00002,
+            max_fraction in 0.0f64..1.0,
+            thresholds in (0usize..12, 0usize..12, any::<bool>()),
+        ) {
+            let mut b = GraphBuilder::new(n);
+            for (s, d) in links {
+                b.add_edge(s % n as u32, d % n as u32);
+            }
+            let g = b.build();
+            let (high, low, derived) = thresholds;
+            let cfg = SplitterConfig {
+                t_extra,
+                max_fraction,
+                high_degree_threshold: (!derived).then_some(high),
+                low_degree_threshold: (!derived).then_some(low),
+                ..SplitterConfig::default()
+            };
+            assert_same_plan(&g, machines, &cfg);
+        }
+    }
+
+    #[test]
+    fn plans_match_the_full_sort_on_generated_graphs() {
+        let graphs = [
+            rmat(RmatConfig::graph500(11, 8, 2)),
+            grid2d(Grid2dConfig::road(30, 30, 3)),
+        ];
+        for g in &graphs {
+            for t_extra in [0.0, 0.00001, 0.0005, 10.0] {
+                for max_fraction in [0.01, 0.05, 1.0] {
+                    let cfg = SplitterConfig {
+                        t_extra,
+                        max_fraction,
+                        ..SplitterConfig::default()
+                    };
+                    assert_same_plan(g, 8, &cfg);
+                }
+            }
+        }
+    }
 
     #[test]
     fn budget_equation_matches_paper_form() {

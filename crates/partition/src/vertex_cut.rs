@@ -129,53 +129,70 @@ impl Partitioner for CoordinatedCut {
         // overloaded, growth is redirected to a persistent front machine
         // (rotated to the globally least-loaded when it too fills up), so
         // diverted regions stay contiguous instead of fragmenting.
-        let mut order: Vec<(u32, u32, u32)> = graph
-            .edges()
-            .enumerate()
-            .map(|(i, e)| (e.src.0, (e.src.0 as i64 - e.dst.0 as i64).unsigned_abs() as u32, i as u32))
-            .collect();
-        order.sort_unstable();
-        let all_edges: Vec<(usize, usize)> = graph
-            .edges()
-            .map(|e| (e.src.index(), e.dst.index()))
-            .collect();
-        let mut out = vec![MachineId::default(); all_edges.len()];
+        //
+        // The global order is `(src, |src − dst|, edge index)` and edge
+        // indices already ascend with `src`, so it is each CSR row ordered
+        // by `(|src − dst|, edge index)` in turn: a hub row costs its own
+        // sort, and nothing edge-sized is built besides the result.
+        let csr = graph.out_csr();
+        assert!(
+            graph.num_edges() <= u32::MAX as usize,
+            "edge indices are 32-bit"
+        );
+        let mut out = vec![MachineId::default(); graph.num_edges()];
+        let mut row_order: Vec<u64> = Vec::new();
         let mut front = 0usize;
-        for (k, &(_, _, edge_idx)) in order.iter().enumerate() {
-            let (u, v) = all_edges[edge_idx as usize];
-            let mu = placed[u];
-            let mv = placed[v];
-            let both = mu & mv;
-            let target = if both != 0 {
-                least_loaded_in(both, &load)
-            } else if mu != 0 && mv != 0 {
-                // Degree heuristic (PowerGraph): choose among the machines
-                // of the endpoint with more unplaced edges.
-                let mask = if remaining[u] >= remaining[v] { mu } else { mv };
-                least_loaded_in(mask, &load)
-            } else if mu != 0 {
-                least_loaded_in(mu, &load)
-            } else if mv != 0 {
-                least_loaded_in(mv, &load)
-            } else {
-                front
-            };
-            let avg = k as f64 / p as f64;
-            let overloaded = |m: usize, load: &[u64]| load[m] as f64 > 1.2 * avg + 8.0;
-            let target = if overloaded(target, &load) {
-                if overloaded(front, &load) {
-                    front = least_loaded_in(u128::MAX >> (128 - p), &load);
-                }
-                front
-            } else {
-                target
-            };
-            placed[u] |= 1u128 << target;
-            placed[v] |= 1u128 << target;
-            load[target] += 1;
-            remaining[u] = remaining[u].saturating_sub(1);
-            remaining[v] = remaining[v].saturating_sub(1);
-            out[edge_idx as usize] = MachineId::from(target);
+        let mut k = 0usize;
+        for src in graph.vertices() {
+            let u = src.index();
+            let neighbors = csr.neighbors(src);
+            let first = csr.range(src).start;
+            row_order.clear();
+            row_order.extend(
+                neighbors
+                    .iter()
+                    .zip(0u64..)
+                    .map(|(dst, j)| u64::from(src.0.abs_diff(dst.0)) << 32 | j),
+            );
+            row_order.sort_unstable();
+            for &key in &row_order {
+                let j = key as u32 as usize;
+                let v = neighbors[j].index();
+                let mu = placed[u];
+                let mv = placed[v];
+                let both = mu & mv;
+                let target = if both != 0 {
+                    least_loaded_in(both, &load)
+                } else if mu != 0 && mv != 0 {
+                    // Degree heuristic (PowerGraph): choose among the
+                    // machines of the endpoint with more unplaced edges.
+                    let mask = if remaining[u] >= remaining[v] { mu } else { mv };
+                    least_loaded_in(mask, &load)
+                } else if mu != 0 {
+                    least_loaded_in(mu, &load)
+                } else if mv != 0 {
+                    least_loaded_in(mv, &load)
+                } else {
+                    front
+                };
+                let avg = k as f64 / p as f64;
+                let overloaded = |m: usize, load: &[u64]| load[m] as f64 > 1.2 * avg + 8.0;
+                let target = if overloaded(target, &load) {
+                    if overloaded(front, &load) {
+                        front = least_loaded_in(u128::MAX >> (128 - p), &load);
+                    }
+                    front
+                } else {
+                    target
+                };
+                placed[u] |= 1u128 << target;
+                placed[v] |= 1u128 << target;
+                load[target] += 1;
+                remaining[u] = remaining[u].saturating_sub(1);
+                remaining[v] = remaining[v].saturating_sub(1);
+                out[first + j] = MachineId::from(target);
+                k += 1;
+            }
         }
         out
     }
@@ -308,6 +325,117 @@ pub fn touched_machines(
 mod tests {
     use super::*;
     use lazygraph_graph::generators::{grid2d, rmat, Grid2dConfig, RmatConfig};
+    use lazygraph_graph::GraphBuilder;
+    use proptest::prelude::*;
+
+    /// The coordinated cut as it was before it walked rows: one global sort
+    /// of `(src, |src − dst|, edge index)` keys over a copy of every edge.
+    /// Kept as the oracle for the visit order.
+    fn coordinated_by_global_sort(graph: &Graph, p: usize) -> Vec<MachineId> {
+        let mut placed = vec![0u128; graph.num_vertices()];
+        let mut load = vec![0u64; p];
+        let mut remaining: Vec<u32> = graph.vertices().map(|v| graph.degree(v) as u32).collect();
+        let least_loaded_in = |mask: u128, load: &[u64]| -> usize {
+            let mut best = usize::MAX;
+            let mut best_load = u64::MAX;
+            for (m, &l) in load.iter().enumerate() {
+                if mask & (1u128 << m) != 0 && l < best_load {
+                    best_load = l;
+                    best = m;
+                }
+            }
+            best
+        };
+        let mut order: Vec<(u32, u32, u32)> = graph
+            .edges()
+            .enumerate()
+            .map(|(i, e)| (e.src.0, e.src.0.abs_diff(e.dst.0), i as u32))
+            .collect();
+        order.sort_unstable();
+        let all_edges: Vec<(usize, usize)> = graph
+            .edges()
+            .map(|e| (e.src.index(), e.dst.index()))
+            .collect();
+        let mut out = vec![MachineId::default(); all_edges.len()];
+        let mut front = 0usize;
+        for (k, &(_, _, edge_idx)) in order.iter().enumerate() {
+            let (u, v) = all_edges[edge_idx as usize];
+            let (mu, mv) = (placed[u], placed[v]);
+            let target = if mu & mv != 0 {
+                least_loaded_in(mu & mv, &load)
+            } else if mu != 0 && mv != 0 {
+                let mask = if remaining[u] >= remaining[v] { mu } else { mv };
+                least_loaded_in(mask, &load)
+            } else if mu != 0 {
+                least_loaded_in(mu, &load)
+            } else if mv != 0 {
+                least_loaded_in(mv, &load)
+            } else {
+                front
+            };
+            let avg = k as f64 / p as f64;
+            let overloaded = |m: usize, load: &[u64]| load[m] as f64 > 1.2 * avg + 8.0;
+            let target = if overloaded(target, &load) {
+                if overloaded(front, &load) {
+                    front = least_loaded_in(u128::MAX >> (128 - p), &load);
+                }
+                front
+            } else {
+                target
+            };
+            placed[u] |= 1u128 << target;
+            placed[v] |= 1u128 << target;
+            load[target] += 1;
+            remaining[u] = remaining[u].saturating_sub(1);
+            remaining[v] = remaining[v].saturating_sub(1);
+            out[edge_idx as usize] = MachineId::from(target);
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Row by row is the global order: on graphs whose rows are not
+        /// sorted by target (no dedup), with duplicates and self-loops, and
+        /// with hub rows — every vertex also links to and from a few hubs —
+        /// long enough for a row's own sort to matter.
+        #[test]
+        fn row_order_is_the_global_sort_order(
+            n in 8usize..80,
+            links in proptest::collection::vec((0u32..80, 0u32..80), 0..300),
+            hubs in 0usize..4,
+            machines in 1usize..10,
+        ) {
+            let mut b = GraphBuilder::new(n);
+            for (s, d) in links {
+                b.add_edge(s % n as u32, d % n as u32);
+            }
+            for hub in 0..hubs as u32 {
+                for v in (0..n as u32).rev() {
+                    b.add_edge(hub * 7 % n as u32, v);
+                    b.add_edge(v, hub * 7 % n as u32);
+                }
+            }
+            let g = b.build();
+            prop_assert_eq!(
+                CoordinatedCut.assign(&g, machines),
+                coordinated_by_global_sort(&g, machines)
+            );
+        }
+    }
+
+    #[test]
+    fn row_order_is_the_global_sort_order_on_generated_graphs() {
+        for g in [rmat(RmatConfig::skewed(10, 8, 3)), social(), road()] {
+            for machines in [1, 4, 7, 128] {
+                assert_eq!(
+                    CoordinatedCut.assign(&g, machines),
+                    coordinated_by_global_sort(&g, machines)
+                );
+            }
+        }
+    }
 
     fn social() -> Graph {
         rmat(RmatConfig::graph500(11, 8, 7))

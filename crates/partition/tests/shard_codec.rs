@@ -97,7 +97,9 @@ fn assert_same(a: &LocalShard, b: &LocalShard) {
     assert_eq!(a.route_table(), b.route_table());
     assert_eq!(a.is_master, b.is_master);
     assert_eq!(a.master_of, b.master_of);
-    assert_eq!(a.mirrors, b.mirrors);
+    for l in 0..a.num_local() as u32 {
+        assert_eq!(a.mirrors(l), b.mirrors(l));
+    }
     assert_eq!(a.replicated, b.replicated);
     assert_eq!(a.global_out_degree, b.global_out_degree);
     assert_eq!(a.global_in_degree, b.global_in_degree);

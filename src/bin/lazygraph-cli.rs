@@ -126,8 +126,21 @@ fn dataset_by_name(name: &str) -> Option<Dataset> {
     })
 }
 
+/// `--weights LO:HI`: two numbers with `LO < HI`, or a usage error.
+fn weight_range(opts: &Opts) -> Option<(f32, f32)> {
+    let spec = opts.get("weights")?;
+    let range = spec
+        .split_once(':')
+        .and_then(|(lo, hi)| Some((lo.parse::<f32>().ok()?, hi.parse::<f32>().ok()?)));
+    match range {
+        Some((lo, hi)) if lo < hi => Some((lo, hi)),
+        _ => die(&format!("--weights: {spec} is not LO:HI with LO < HI")),
+    }
+}
+
 fn load_input(opts: &Opts) -> Graph {
     let input = opts.get("input").unwrap_or_else(|| usage());
+    let weights = weight_range(opts);
     let scale: f64 = opts.parse_num("scale", 0.1);
     let mut graph = if let Some(name) = input.strip_prefix("dataset:") {
         let ds = dataset_by_name(name).unwrap_or_else(|| {
@@ -152,16 +165,6 @@ fn load_input(opts: &Opts) -> Graph {
     };
     let needs_symmetrize =
         opts.flags.contains("symmetrize") && !graph.is_symmetric();
-    let weights = opts.get("weights").map(|w| {
-        let (lo, hi) = w.split_once(':').unwrap_or_else(|| {
-            eprintln!("--weights needs LO:HI");
-            exit(2);
-        });
-        (
-            lo.parse::<f32>().expect("weights lo"),
-            hi.parse::<f32>().expect("weights hi"),
-        )
-    });
     if needs_symmetrize || weights.is_some() {
         let mut b = GraphBuilder::new(graph.num_vertices());
         b.extend(graph.edges());

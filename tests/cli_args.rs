@@ -62,6 +62,18 @@ fn unknown_option_is_rejected() {
     }
 }
 
+/// `--weights` used to `expect` its two numbers and then trip the
+/// builder's `lo < hi` assertion.
+#[test]
+fn a_weight_range_that_is_not_one_is_rejected() {
+    for spec in ["abc:1", "5:1", "1:1", "1:", "7", "1:NaN"] {
+        assert_usage_error(
+            &run_with(&["--weights", spec]),
+            &format!("--weights: {spec} is not LO:HI"),
+        );
+    }
+}
+
 #[test]
 fn fault_tolerance_options_need_multiprocess() {
     for (opt, value) in [

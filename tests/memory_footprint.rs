@@ -10,6 +10,9 @@
 //! now peaks under 3× and allocates 2.5 (lazy), 4.5 (delta) and 12.4
 //! (Sync) — what is left are the per-round decision lists of the exchange
 //! and of Sync's gather/apply phases, which are sized by active vertices.
+//!
+//! The same allocator holds set-up to holding the graph once (DESIGN.md
+//! §18): see `assert_set_up_holds_the_graph_once`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -23,11 +26,12 @@ use lazygraph_partition::partition_graph_with;
 
 struct Counting;
 
-/// Bytes currently allocated, their high-water mark, and bytes ever
-/// allocated.
+/// Bytes currently allocated, their high-water mark, bytes ever
+/// allocated, and allocations ever made.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static TOTAL: AtomicUsize = AtomicUsize::new(0);
+static COUNT: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: defers every request to `System` unchanged; the counters are
 // plain relaxed statistics that publish no other data.
@@ -38,6 +42,7 @@ unsafe impl GlobalAlloc for Counting {
             let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
             PEAK.fetch_max(live, Ordering::Relaxed);
             TOTAL.fetch_add(layout.size(), Ordering::Relaxed);
+            COUNT.fetch_add(1, Ordering::Relaxed);
         }
         p
     }
@@ -115,9 +120,88 @@ fn assert_flat_and_steady<P: VertexProgram>(g: &Graph, engine: EngineKind, progr
     );
 }
 
+/// What one set-up call did to the heap.
+struct SetUpCall {
+    /// High-water mark of live bytes during the call, over the live bytes
+    /// before it.
+    peak: usize,
+    /// Bytes the returned value keeps alive.
+    result: usize,
+    /// Allocations made.
+    allocs: usize,
+}
+
+fn measure_call<T>(call: impl FnOnce() -> T) -> (T, SetUpCall) {
+    let live_before = LIVE.load(Ordering::Relaxed);
+    let allocs_before = COUNT.load(Ordering::Relaxed);
+    PEAK.store(live_before, Ordering::Relaxed);
+    let value = call();
+    let measured = SetUpCall {
+        peak: PEAK.load(Ordering::Relaxed) - live_before,
+        result: LIVE.load(Ordering::Relaxed) - live_before,
+        allocs: COUNT.load(Ordering::Relaxed) - allocs_before,
+    };
+    (value, measured)
+}
+
+/// Set-up holds the graph once (DESIGN.md §18). At the commit before the
+/// linear-time set-up (`8fdd981`), on this graph (1 904 912 B as a `Graph`):
+///
+/// - `load_edge_list` peaked at 7 044 208 B, 3.70× the `Graph` it returned
+///   (a `String` per line, the `edges` vector, the builder's copy, the
+///   triples and both CSRs together) — now 1.24×: the edges once, then the
+///   forward CSR beside them, then the two CSRs;
+/// - `build_distributed` held 3 089 185 B, 1.62× the input `Graph`, beyond
+///   its own result (the edge triples, the per-shard edge tuples and one
+///   `Vec<MachineId>` per vertex) — now under 1 KiB;
+/// - one `build_distributed` call made 56 397 allocations (a replica `Vec`
+///   per vertex, a mirror box per replicated local, a required-set clone
+///   per parallel edge and pass) — now 62, a fixed number per shard.
+///
+/// Each is pinned at no more than half the parent's figure.
+fn assert_set_up_holds_the_graph_once(g: &Graph) {
+    const PARENT_LOAD_PEAK: f64 = 3.70;
+    const PARENT_BUILD_TRANSIENT: f64 = 1.62;
+    const PARENT_BUILD_ALLOCS: usize = 56_397;
+
+    let path = std::env::temp_dir().join(format!("lazygraph-footprint-{}.el", std::process::id()));
+    lazygraph_graph::io::save_edge_list(g, &path).expect("save");
+    let (loaded, load) = measure_call(|| lazygraph_graph::io::load_edge_list(&path, None));
+    std::fs::remove_file(&path).ok();
+    let loaded = loaded.expect("load");
+    assert_eq!(loaded.num_edges(), g.num_edges());
+    let graph_bytes = load.result as f64;
+    drop(loaded);
+
+    let cfg = EngineConfig::lazygraph();
+    let assignment = cfg.partition.assign(g, 4);
+    let plan = lazygraph_partition::plan_split(g, 4, &cfg.splitter);
+    assert!(plan.num_parallel() > 0, "the splitter's dispatch must be part of the figure");
+    let (dg, build) =
+        measure_call(|| lazygraph_partition::build_distributed(g, &assignment, 4, &plan, false));
+    assert_eq!(dg.num_global_edges, g.num_edges());
+    let transient = (build.peak - build.result) as f64;
+
+    assert!(
+        load.peak as f64 <= PARENT_LOAD_PEAK / 2.0 * graph_bytes,
+        "load_edge_list peaked at {} B for a {graph_bytes} B graph",
+        load.peak
+    );
+    assert!(
+        transient <= PARENT_BUILD_TRANSIENT / 2.0 * graph_bytes,
+        "build_distributed held {transient} B beyond its result for a {graph_bytes} B graph"
+    );
+    assert!(
+        build.allocs <= PARENT_BUILD_ALLOCS / 2,
+        "build_distributed made {} allocations",
+        build.allocs
+    );
+}
+
 #[test]
 fn run_heap_is_flat_and_steady_sweeps_reuse_their_buffers() {
     let g = rmat(RmatConfig::graph500(13, 16, 7));
+    assert_set_up_holds_the_graph_once(&g);
     for engine in [
         EngineKind::LazyBlockAsync,
         EngineKind::PowerGraphSync,
