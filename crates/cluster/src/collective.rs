@@ -205,9 +205,9 @@ impl Collective {
 
     /// Prunes the control mesh's replay logs below `watermark`; no-op on
     /// the shared-memory path.
-    pub fn prune_log(&self, watermark: u64) {
+    pub fn prune_log(&self, watermark: u64, stats: &NetStats) {
         if let Inner::Mesh { ep, .. } = &self.inner {
-            ep.lock().prune_log(watermark);
+            ep.lock().prune_log(watermark, stats);
         }
     }
 

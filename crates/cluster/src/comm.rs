@@ -289,9 +289,9 @@ impl<T> Endpoint<T> {
 
     /// Drops replay-log entries below `watermark` on every link; no-op
     /// for transports without recovery state.
-    pub fn prune_log(&self, watermark: u64) {
+    pub fn prune_log(&self, watermark: u64, stats: &NetStats) {
         if let Some(r) = &self.recovery {
-            r.prune_logs(watermark);
+            r.prune_logs(watermark, stats);
         }
     }
 

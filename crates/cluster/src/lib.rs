@@ -26,7 +26,7 @@ pub use comm::{build_mesh, Batch, Endpoint, OutboxSet, RawBatch};
 pub use costmodel::{CostModel, SimClock};
 pub use error::CommError;
 pub use pool::ThreadPool;
-pub use recovery::{armed_failpoint, failpoint_superstep, FailPoint, LinkStatus};
+pub use recovery::{armed_failpoint, failpoint_ckpt, failpoint_superstep, FailPoint, LinkStatus};
 pub use runtime::{run_machines, try_run_machines};
 pub use stats::{NetStats, Phase, PhaseStats, StatsSnapshot};
 pub use termination::Termination;

@@ -20,13 +20,19 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
+use crate::stats::NetStats;
+
 /// A seeded fault-injection point, parsed once from the
 /// `LAZYGRAPH_FAILPOINT` environment variable:
 ///
 /// * `superstep:<N>` — abort when superstep `N` (1-based) begins;
 /// * `send:<round>:<n>` — abort inside data round `<round>`, just before
 ///   its `<n>`-th (1-based) per-peer send: peers `< n` got the round,
-///   the rest did not.
+///   the rest did not;
+/// * `ckpt:<iteration>:<chunk>` — abort inside the save of the snapshot
+///   taken after superstep `<iteration>`, once its `<chunk>`-th (1-based)
+///   chunk has reached the temp file and before the rename: the torn file
+///   never becomes a generation.
 ///
 /// Firing is `std::process::abort()` — no unwinding, no Shutdown frame —
 /// so the harness exercises the genuinely torn-connection path.
@@ -40,6 +46,13 @@ pub enum FailPoint {
         round: u64,
         /// Which send of that round's `Endpoint::exchange` loop (1-based).
         n: u64,
+    },
+    /// Abort after the given 1-based chunk of a snapshot reached its file.
+    Ckpt {
+        /// The superstep the snapshot is taken after (its generation).
+        iteration: u64,
+        /// Which chunk of that snapshot's container (1-based).
+        chunk: u64,
     },
 }
 
@@ -59,6 +72,11 @@ impl FailPoint {
                 let n = parts.next()?.parse().ok()?;
                 parts.next().is_none().then_some(FailPoint::Send { round, n })
             }
+            "ckpt" => {
+                let iteration = parts.next()?.parse().ok()?;
+                let chunk = parts.next()?.parse().ok()?;
+                parts.next().is_none().then_some(FailPoint::Ckpt { iteration, chunk })
+            }
             _ => None,
         }
     }
@@ -71,6 +89,7 @@ impl std::fmt::Display for FailPoint {
         match self {
             FailPoint::Superstep(n) => write!(f, "superstep:{n}"),
             FailPoint::Send { round, n } => write!(f, "send:{round}:{n}"),
+            FailPoint::Ckpt { iteration, chunk } => write!(f, "ckpt:{iteration}:{chunk}"),
         }
     }
 }
@@ -84,7 +103,10 @@ pub fn armed_failpoint() -> &'static Result<Option<FailPoint>, String> {
     FP.get_or_init(|| match std::env::var("LAZYGRAPH_FAILPOINT") {
         Err(std::env::VarError::NotPresent) => Ok(None),
         Ok(v) => FailPoint::parse(&v).map(Some).ok_or_else(|| {
-            format!("LAZYGRAPH_FAILPOINT: cannot parse '{v}' (superstep:<N> | send:<round>:<n>)")
+            format!(
+                "LAZYGRAPH_FAILPOINT: cannot parse '{v}' \
+                 (superstep:<N> | send:<round>:<n> | ckpt:<iteration>:<chunk>)"
+            )
         }),
         Err(e) => Err(format!("LAZYGRAPH_FAILPOINT: {e}")),
     })
@@ -113,6 +135,19 @@ pub fn failpoint_send(round: u64, n: u64) {
         if *r == round && *k == n {
             std::thread::sleep(Duration::from_millis(100));
             eprintln!("lazygraph: failpoint send:{round}:{n} firing");
+            std::process::abort();
+        }
+    }
+}
+
+/// Checkpoint hook: called after each chunk of the snapshot taken after
+/// superstep `iteration` has been written to its temp file, with the
+/// 1-based index of that chunk. The file is still unrenamed, so the kill
+/// leaves a torn temp file and the previous generation as the newest.
+pub fn failpoint_ckpt(iteration: u64, chunk: u64) {
+    if let Ok(Some(FailPoint::Ckpt { iteration: i, chunk: c })) = armed_failpoint() {
+        if *i == iteration && *c == chunk {
+            eprintln!("lazygraph: failpoint ckpt:{iteration}:{chunk} firing");
             std::process::abort();
         }
     }
@@ -198,9 +233,11 @@ impl LinkShared {
 
     /// Appends one outbound Data-frame payload to the replay log.
     /// Called by the writer *before* the socket write, so a frame lost
-    /// to a torn write is still replayable.
-    pub fn log_frame(&self, round: u64, payload: &[u8]) {
+    /// to a torn write is still replayable. `stats` keeps the size of
+    /// every link's log together and its high-water mark.
+    pub fn log_frame(&self, round: u64, payload: &[u8], stats: &NetStats) {
         self.log.lock().push((round, payload.to_vec()));
+        stats.record_frame_logged(payload.len() as u64);
     }
 
     /// Clones the logged payloads for rounds `>= from`, in log (= send)
@@ -216,8 +253,16 @@ impl LinkShared {
 
     /// Drops log entries below `watermark` — called after a checkpoint
     /// barrier proves every peer has durably passed those rounds.
-    pub fn prune_log(&self, watermark: u64) {
-        self.log.lock().retain(|(r, _)| *r >= watermark);
+    pub fn prune_log(&self, watermark: u64, stats: &NetStats) {
+        let mut pruned = 0u64;
+        self.log.lock().retain(|(r, p)| {
+            let keep = *r >= watermark;
+            if !keep {
+                pruned += p.len() as u64;
+            }
+            keep
+        });
+        stats.record_frame_log_pruned(pruned);
     }
 
     /// Number of logged frames (for tests and diagnostics).
@@ -262,9 +307,9 @@ impl RecoveryShared {
     }
 
     /// Prunes every link's replay log below `watermark`.
-    pub fn prune_logs(&self, watermark: u64) {
+    pub fn prune_logs(&self, watermark: u64, stats: &NetStats) {
         for l in &self.links {
-            l.prune_log(watermark);
+            l.prune_log(watermark, stats);
         }
     }
 }
@@ -277,13 +322,16 @@ mod tests {
     fn failpoint_syntax_parses() {
         assert_eq!(FailPoint::parse("superstep:4"), Some(FailPoint::Superstep(4)));
         assert_eq!(FailPoint::parse("send:7:2"), Some(FailPoint::Send { round: 7, n: 2 }));
+        let ckpt = FailPoint::Ckpt { iteration: 4, chunk: 1 };
+        assert_eq!(FailPoint::parse("ckpt:4:1"), Some(ckpt));
         // `stream:<round>:<part>` is retired: the path it fired in is gone.
-        for bad in
-            ["", "superstep", "superstep:x", "superstep:1:2", "send:1", "stream:1:1", "boom:1"]
-        {
+        for bad in [
+            "", "superstep", "superstep:x", "superstep:1:2", "send:1", "stream:1:1", "boom:1",
+            "ckpt", "ckpt:4", "ckpt:4:x", "ckpt:4:1:1",
+        ] {
             assert_eq!(FailPoint::parse(bad), None, "{bad:?} must not parse");
         }
-        for fp in [FailPoint::Superstep(4), FailPoint::Send { round: 7, n: 2 }] {
+        for fp in [FailPoint::Superstep(4), FailPoint::Send { round: 7, n: 2 }, ckpt] {
             assert_eq!(FailPoint::parse(&fp.to_string()), Some(fp));
         }
     }
@@ -298,13 +346,17 @@ mod tests {
 
     #[test]
     fn log_replay_and_prune() {
-        let l = LinkShared::new(2, 0);
+        let (l, stats) = (LinkShared::new(2, 0), NetStats::new());
         for r in 0..5u64 {
-            l.log_frame(r, &[r as u8]);
+            l.log_frame(r, &[r as u8], &stats);
         }
         assert_eq!(l.replay_from(3), vec![vec![3u8], vec![4u8]]);
-        l.prune_log(4);
+        l.prune_log(4, &stats);
         assert_eq!(l.log_len(), 1);
         assert_eq!(l.replay_from(0), vec![vec![4u8]]);
+        // The mark is the most the log ever held, not what it holds now:
+        // one more frame after the prune makes two bytes live, five at peak.
+        l.log_frame(5, &[5], &stats);
+        assert_eq!(stats.snapshot().frame_log_high_water, 5);
     }
 }

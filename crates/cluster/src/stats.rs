@@ -76,6 +76,10 @@ macro_rules! counters {
             est_bytes: [AtomicU64; NUM_PHASES],
             batches: [AtomicU64; NUM_PHASES],
             items: [AtomicU64; NUM_PHASES],
+            /// Bytes the outbound frame logs hold right now — the level
+            /// `frame_log_high_water` is the mark of; not a counter, so
+            /// not a row.
+            frame_log_bytes: AtomicU64,
             $($name: AtomicU64,)+
         }
 
@@ -171,6 +175,12 @@ counters! {
     /// High-water mark of any single priority bucket's occupancy in one
     /// epoch: across workers it is the largest any of them reached.
     bucket_high_water: max,
+    /// High-water mark, in bytes, of the outbound frames a worker's links
+    /// keep logged for replay between two checkpoint prunes (both meshes;
+    /// 0 without a rejoin window): across workers, the largest any of them
+    /// held. Timing telemetry like `pool_hits` — the writer threads log as
+    /// they drain — outside the determinism counter contract.
+    frame_log_high_water: max,
 }
 
 impl NetStats {
@@ -266,6 +276,19 @@ impl NetStats {
     #[inline]
     pub fn record_snapshot_bytes(&self, bytes: u64) {
         self.snapshot_bytes.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// Records `bytes` of outbound frame appended to a replay log.
+    #[inline]
+    pub fn record_frame_logged(&self, bytes: u64) {
+        let held = self.frame_log_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        self.frame_log_high_water.fetch_max(held, Ordering::Relaxed);
+    }
+
+    /// Records `bytes` of logged frames dropped by a checkpoint prune.
+    #[inline]
+    pub fn record_frame_log_pruned(&self, bytes: u64) {
+        self.frame_log_bytes.fetch_sub(bytes, Ordering::Relaxed);
     }
 
     /// Records one logged frame retransmitted to a rejoined peer.

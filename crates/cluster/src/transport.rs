@@ -521,7 +521,7 @@ fn spawn_writer<T: Wire + Send + 'static>(ctx: WriterCtx<T>) -> std::thread::Joi
                     // Log before the socket write: a frame lost to a torn
                     // write must still be replayable.
                     if logging && batch.round != ASYNC_ROUND {
-                        link.log_frame(batch.round, &payload);
+                        link.log_frame(batch.round, &payload, &stats);
                     }
                     match write_frame(&mut stream, batch.kind, &payload) {
                         Ok(total) => {

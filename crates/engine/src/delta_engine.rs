@@ -26,7 +26,7 @@
 use lazygraph_cluster::CommError;
 
 use crate::bsp::{BspReduction, CommCharge};
-use crate::checkpoint::{DeltaResume, EngineSnapshot, ResumeExtras};
+use crate::checkpoint::{DeltaResume, ResumeExtras, SnapshotHeader};
 use crate::config::EngineKind;
 use crate::lazy_block::{exchange_a2a, sweep, LazyCounters};
 use crate::machine::{Frame, Superstep, Vote};
@@ -70,8 +70,8 @@ impl<P: VertexProgram> Superstep<P> for DeltaStep {
         }
     }
 
-    fn restore(&mut self, snap: &EngineSnapshot<P>) {
-        if let Some(d) = &snap.delta {
+    fn restore(&mut self, header: &SnapshotHeader) {
+        if let Some(d) = &header.delta {
             self.counters = d.counters;
         }
     }

@@ -26,7 +26,7 @@ use lazygraph_net::wire_record;
 use lazygraph_partition::{EdgeMode, LocalShard, NO_LOCAL};
 
 use crate::bsp::{BspReduction, CommCharge};
-use crate::checkpoint::{EngineSnapshot, LazyResume, ResumeExtras};
+use crate::checkpoint::{LazyResume, ResumeExtras, SnapshotHeader};
 use crate::comm_mode::{choose_mode, CommMode, VolumeEstimate};
 use crate::config::{CommModePolicy, EngineKind};
 use crate::exchange::{local_delta, stage_combining};
@@ -205,8 +205,8 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
         }
     }
 
-    fn restore(&mut self, snap: &EngineSnapshot<P>) {
-        if let Some(l) = &snap.lazy {
+    fn restore(&mut self, header: &SnapshotHeader) {
+        if let Some(l) = &header.lazy {
             self.counters = l.counters;
             self.interval.import_state((
                 l.prev_active,

@@ -40,8 +40,8 @@ pub mod state;
 pub mod sync_engine;
 
 pub use checkpoint::{
-    snapshot_tag, CheckpointError, DeltaResume, EngineSnapshot, LazyResume, RecoveryCfg,
-    SnapshotStore,
+    snapshot_tag, CheckpointError, DeltaResume, LazyResume, RecoveryCfg, SnapshotHeader,
+    SnapshotReader, SnapshotStore,
 };
 pub use comm_mode::{choose_mode, CommMode, VolumeEstimate};
 pub use config::{

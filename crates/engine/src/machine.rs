@@ -37,7 +37,8 @@ use parking_lot::Mutex;
 use crate::async_engine::AsyncPump;
 use crate::bsp::BspSync;
 use crate::checkpoint::{
-    checkpoint_at_barrier, snapshot_tag, EngineSnapshot, RecoveryCfg, ResumeExtras,
+    checkpoint_at_barrier, snapshot_tag, CheckpointError, RecoveryCfg, ResumeExtras,
+    SnapshotHeader,
 };
 use crate::config::{EngineConfig, EngineKind};
 use crate::delta_engine::DeltaStep;
@@ -114,9 +115,10 @@ pub trait Superstep<P: VertexProgram>: Sized {
     /// Fresh engine state for a run starting at superstep 1.
     fn new(frame: &Frame<'_, P, Self::Msg>) -> Self;
 
-    /// Rehydrates the engine's own state from `snap` (the skeleton has
-    /// already restored `frame.state`, the clock and the superstep count).
-    fn restore(&mut self, _snap: &EngineSnapshot<P>) {}
+    /// Rehydrates the engine's own state from a snapshot's header (the
+    /// skeleton has already restored `frame.state`, the clock and the
+    /// superstep count).
+    fn restore(&mut self, _header: &SnapshotHeader) {}
 
     /// Runs superstep `frame.iterations`. Returns [`Vote::Converged`]
     /// straight after the deciding barrier, before any post-vote work.
@@ -235,23 +237,23 @@ pub fn assemble<P: VertexProgram>(
 /// One machine this process runs: its rank, its shard — one of a
 /// placement the process holds, or the only one a worker loaded — its leg
 /// of the data mesh, and its checkpoint/resume configuration.
-pub struct Seat<'a, P: VertexProgram, T> {
+pub struct Seat<'a, T> {
     pub me: usize,
     pub shard: &'a LocalShard,
     pub ep: Endpoint<T>,
-    pub recovery: RecoveryCfg<P>,
+    pub recovery: RecoveryCfg,
 }
 
 /// How a process joins a run's data mesh. The mesh's item type is only
 /// known once [`run_mesh_engine`] has picked the engine, so joining is a
 /// generic method rather than a ready-made endpoint list.
-pub trait Attach<'a, P: VertexProgram> {
+pub trait Attach<'a> {
     /// Builds (or connects) the data mesh typed `T` and returns the seats
     /// this process runs.
     fn attach<T: Wire + Send + 'static>(
         self,
         stats: &Arc<NetStats>,
-    ) -> Result<Vec<Seat<'a, P, T>>, CommError>;
+    ) -> Result<Vec<Seat<'a, T>>, CommError>;
 }
 
 /// Every machine of the run as a thread of this process — one per shard
@@ -263,11 +265,11 @@ pub struct ThreadedMesh<'a> {
     pub shards: &'a [LocalShard],
 }
 
-impl<'a, P: VertexProgram> Attach<'a, P> for ThreadedMesh<'a> {
+impl<'a> Attach<'a> for ThreadedMesh<'a> {
     fn attach<T: Wire + Send + 'static>(
         self,
         stats: &Arc<NetStats>,
-    ) -> Result<Vec<Seat<'a, P, T>>, CommError> {
+    ) -> Result<Vec<Seat<'a, T>>, CommError> {
         let endpoints = build_endpoints::<T>(self.transport, self.shards.len(), stats)?;
         Ok(endpoints
             .into_iter()
@@ -306,7 +308,7 @@ pub fn run_mesh_engine<'a, P: VertexProgram>(
     shape: &PlacementShape,
     cfg: &EngineConfig,
     program: &P,
-    mesh: impl Attach<'a, P>,
+    mesh: impl Attach<'a>,
     shared: &RunShared,
 ) -> Result<Vec<MachineOut<P>>, CommError> {
     // The engines that cannot checkpoint are the ones that pump.
@@ -329,7 +331,7 @@ fn run_seats<'a, P: VertexProgram, S: Superstep<P>>(
     shape: &PlacementShape,
     cfg: &EngineConfig,
     program: &P,
-    mesh: impl Attach<'a, P>,
+    mesh: impl Attach<'a>,
     shared: &RunShared,
 ) -> Result<Vec<MachineOut<P>>, CommError> {
     let seats = mesh.attach::<(u32, S::Msg)>(&shared.stats)?;
@@ -343,7 +345,7 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
     shape: &PlacementShape,
     cfg: &EngineConfig,
     program: &P,
-    seat: Seat<'_, P, (u32, S::Msg)>,
+    seat: Seat<'_, (u32, S::Msg)>,
     shared: RunShared,
 ) -> Result<MachineOut<P>, CommError> {
     let Seat {
@@ -376,15 +378,17 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
     };
     let mut engine = S::new(&f);
 
-    if let Some(snap) = recovery.resume.take() {
-        snap.check_engine(S::KIND).map_err(|e| CommError::Transport {
+    if let Some(snapshot) = recovery.resume.take() {
+        let fail = |e: CheckpointError| CommError::Transport {
             me,
             detail: e.to_string(),
-        })?;
-        snap.restore_into(&mut f.state);
-        f.clock.set(f64::from_bits(snap.clock_bits));
-        f.iterations = snap.iterations;
-        engine.restore(&snap);
+        };
+        snapshot.header().check_engine(S::KIND).map_err(fail)?;
+        // Straight from the file into the arrays `init` has just built.
+        let header = snapshot.restore_into(&mut f.state).map_err(fail)?;
+        f.clock.set(f64::from_bits(header.clock_bits));
+        f.iterations = header.iterations;
+        engine.restore(&header);
         // Re-execute the checkpoint barrier unconditionally: if the crash
         // landed before it, the peers are still blocked in it and this
         // completes it; if after, their count-based dedupe drops the

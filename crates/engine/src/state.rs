@@ -39,7 +39,7 @@ pub struct MachineState<P: VertexProgram> {
     /// Iteration-persistent delivery scratch (DESIGN.md §9). Capacity-only
     /// state: contents are always written before being read, so reuse
     /// cannot affect results — which is why a snapshot leaves it out
-    /// (`EngineSnapshot::capture`'s `scratch: _`).
+    /// (`checkpoint::write_snapshot`'s `scratch: _`).
     pub scratch: Scratch<P>,
 }
 
@@ -219,7 +219,7 @@ impl<P: VertexProgram> MachineState<P> {
         for l in 0..n as u32 {
             let v = shard.global_of(l);
             let ctx = vertex_ctx(shard, l, num_vertices);
-            vdata.push(program.init_data(v, &ctx));
+            vdata.push(initial_data(shard, program, l, num_vertices));
             let eligible = match init {
                 InitMessages::AllReplicas => true,
                 InitMessages::MastersOnly => shard.is_master[l as usize],
@@ -465,6 +465,19 @@ impl<P: VertexProgram> MachineState<P> {
         worklist.clear();
         std::mem::swap(&mut self.queue, worklist);
     }
+}
+
+/// The value [`MachineState::init`] gives local vertex `l` in `vdata` and
+/// `coherent` — the *initial view* a snapshot does not write where
+/// `coherent[l]` still holds it (`checkpoint::write_snapshot`).
+#[inline]
+pub fn initial_data<P: VertexProgram>(
+    shard: &LocalShard,
+    program: &P,
+    l: u32,
+    num_vertices: usize,
+) -> P::VData {
+    program.init_data(shard.global_of(l), &vertex_ctx(shard, l, num_vertices))
 }
 
 /// Builds the [`VertexCtx`] of local vertex `l` from shard metadata.

@@ -148,6 +148,14 @@ pub fn save_binary<P: AsRef<Path>>(graph: &Graph, path: P) -> io::Result<()> {
     out.flush()
 }
 
+/// Whether the file at `path` starts with the binary format's magic. A
+/// file that cannot be opened or is shorter is not binary: the loader it
+/// is handed to instead reports why.
+pub fn is_binary<P: AsRef<Path>>(path: P) -> bool {
+    let mut magic = [0u8; 8];
+    File::open(path).is_ok_and(|mut f| f.read_exact(&mut magic).is_ok() && &magic == BINARY_MAGIC)
+}
+
 /// Loads a graph written by [`save_binary`].
 pub fn load_binary<P: AsRef<Path>>(path: P) -> io::Result<Graph> {
     let file = File::open(path)?;

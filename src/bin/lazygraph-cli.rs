@@ -2,7 +2,7 @@
 //! dataset analogues from the command line.
 //!
 //! ```text
-//! lazygraph-cli run  --input <file.el|file.mtx|dataset:NAME> --algorithm sssp
+//! lazygraph-cli run  --input <file.el|file.mtx|file.lzg|dataset:NAME> --algorithm sssp
 //!                    [--engine lazy|sync|async|lazy-vertex|hybrid|delta] [--machines 8]
 //!                    [--partition coordinated|random|grid|hybrid|adversarial-hubs]
 //!                    [--hub-fanout N] [--hub-degree-threshold D]
@@ -11,13 +11,18 @@
 //!                    [--threads N] [--block-size 1024]
 //!                    [--transport inproc|tcp] [--multiprocess]
 //!                    [--checkpoint-every K] [--rejoin-window-ms MS] [--respawn-budget N]
-//!                    [--failpoint RANK:superstep:N|RANK:send:ROUND:N]
+//!                    [--failpoint RANK:superstep:N|RANK:send:ROUND:N|RANK:ckpt:ITER:CHUNK]
 //!                    [--symmetrize] [--weights LO:HI] [--output values.txt]
 //! lazygraph-cli info --input <...> [--machines 48] [--scale 0.1]
 //!                    [--partition ...] [--hub-fanout N] [--hub-degree-threshold D]
 //!                    [--symmetrize] [--weights LO:HI] [--bidirectional]
 //! lazygraph-cli generate --kind rmat|road|web|social --vertices N --out FILE
 //! ```
+//!
+//! `generate` picks the format by `--out`'s extension — `.mtx` Matrix
+//! Market, `.lzg` the binary format, anything else a text edge list —
+//! and `--input` recognises a binary file by its `LZGRAPH1` magic, whatever
+//! it is called.
 
 use std::process::exit;
 
@@ -152,13 +157,15 @@ fn load_input(opts: &Opts) -> Graph {
         } else {
             ds.build(scale)
         }
-    } else if input.ends_with(".mtx") {
-        mtx::load_matrix_market(input).unwrap_or_else(|e| {
-            eprintln!("failed to load {input}: {e}");
-            exit(1);
-        })
     } else {
-        gio::load_edge_list(input, None).unwrap_or_else(|e| {
+        let loaded = if input.ends_with(".mtx") {
+            mtx::load_matrix_market(input)
+        } else if gio::is_binary(input) {
+            gio::load_binary(input)
+        } else {
+            gio::load_edge_list(input, None)
+        };
+        loaded.unwrap_or_else(|e| {
             eprintln!("failed to load {input}: {e}");
             exit(1);
         })
@@ -305,9 +312,15 @@ fn mp_run<P: VertexProgram>(
         out.stats.wire_frames_sent,
     );
     if mp.checkpoint_every > 0 {
+        // New figures go at the end: `lazybench` reads the first number
+        // after `recovery: ` as the snapshot bytes.
         println!(
-            "recovery: {} snapshot B written, {} reconnects, {} rounds replayed",
-            out.stats.snapshot_bytes, out.stats.reconnects, out.stats.replay_rounds,
+            "recovery: {} snapshot B written, {} reconnects, {} rounds replayed, \
+             frame log peak {} B",
+            out.stats.snapshot_bytes,
+            out.stats.reconnects,
+            out.stats.replay_rounds,
+            out.stats.frame_log_high_water,
         );
     }
     println!(
@@ -334,7 +347,8 @@ fn mp_options(opts: &Opts, machines: usize) -> MpOptions {
         });
         let Some((rank, point)) = parsed else {
             die(&format!(
-                "--failpoint: cannot parse {s} (RANK:superstep:N | RANK:send:ROUND:N)"
+                "--failpoint: cannot parse {s} \
+                 (RANK:superstep:N | RANK:send:ROUND:N | RANK:ckpt:ITER:CHUNK)"
             ));
         };
         if rank >= machines {
@@ -551,6 +565,8 @@ fn cmd_generate(opts: &Opts) {
     };
     let result = if out.ends_with(".mtx") {
         mtx::save_matrix_market(&graph, out)
+    } else if out.ends_with(".lzg") {
+        gio::save_binary(&graph, out)
     } else {
         gio::save_edge_list(&graph, out)
     };

@@ -28,7 +28,7 @@ use lazygraph_algorithms::{Bfs, ConnectedComponents, KCore, PageRankDelta, Sssp,
 use lazygraph_cluster::{
     connect_tcp_endpoint, reconnect_tcp_endpoint, Collective, CommError, NetStats,
 };
-use lazygraph_engine::checkpoint::{RecoveryCfg, SnapshotStore};
+use lazygraph_engine::checkpoint::{CheckpointError, RecoveryCfg, SnapshotStore};
 use lazygraph_engine::{run_mesh_engine, Attach, RunShared, Seat, SimBreakdown, VertexProgram};
 use lazygraph_net::{TcpOptions, Wire};
 use lazygraph_partition::LocalShard;
@@ -47,9 +47,9 @@ struct Args {
     job: PathBuf,
     me: usize,
     out: PathBuf,
-    /// Rejoin an already-running gang: load the latest valid snapshot (if
-    /// any), reconnect both meshes at the recorded round watermarks, and
-    /// replay forward (DESIGN.md §12).
+    /// Rejoin an already-running gang: open the latest valid snapshot (if
+    /// any), reconnect both meshes at the round watermarks its header
+    /// records, and replay forward (DESIGN.md §12).
     resume: bool,
 }
 
@@ -121,26 +121,26 @@ fn parse_addrs(addrs: &[String]) -> Result<Vec<SocketAddr>, String> {
 
 /// This worker's seat: the shard it loaded and its leg of the data mesh,
 /// connected fresh, or — for a resumed worker — reconnected at the
-/// snapshot's data-round watermark (`None`, crashed before the first
+/// snapshot's data-round watermark (no snapshot, crashed before the first
 /// checkpoint, means a fresh start at watermark 0; peers still hold their
 /// full replay logs in that case, because log pruning only ever happens at
 /// a completed checkpoint barrier).
-struct WorkerSeat<'a, P: VertexProgram> {
+struct WorkerSeat<'a> {
     me: usize,
     shard: &'a LocalShard,
     addrs: &'a [SocketAddr],
     opts: &'a TcpOptions,
     resume: bool,
-    recovery: RecoveryCfg<P>,
+    recovery: RecoveryCfg,
 }
 
-impl<'a, P: VertexProgram> Attach<'a, P> for WorkerSeat<'a, P> {
+impl<'a> Attach<'a> for WorkerSeat<'a> {
     fn attach<T: Wire + Send + 'static>(
         self,
         stats: &Arc<NetStats>,
-    ) -> Result<Vec<Seat<'a, P, T>>, CommError> {
+    ) -> Result<Vec<Seat<'a, T>>, CommError> {
         let ep = if self.resume {
-            let round = self.recovery.resume.as_ref().map_or(0, |s| s.data_round);
+            let round = self.recovery.resume.as_ref().map_or(0, |s| s.header().data_round);
             reconnect_tcp_endpoint::<T>(self.me, self.addrs, round, stats, self.opts)
         } else {
             connect_tcp_endpoint::<T>(self.me, self.addrs, stats, self.opts)
@@ -178,17 +178,20 @@ fn run_worker<P: VertexProgram>(job: &WorkerJob, args: Args, program: P) -> Resu
         opts.rejoin_window = Some(std::time::Duration::from_millis(job.rejoin_window_ms));
     }
     let store = recovery_on.then(|| SnapshotStore::new(&job.checkpoint_dir, me));
-    let resume_snap = if args.resume {
-        match &store {
-            Some(s) => s
-                .load_latest::<P>()
-                .map_err(|e| format!("loading snapshot: {e}"))?,
-            None => return Err("--resume without checkpointing configured".into()),
-        }
+    // Only the header is read here — the watermarks are all the meshes
+    // need; the arrays stay in the open file until the machine loop has
+    // built the state they stream into.
+    let snapshot = if args.resume {
+        let store = store.as_ref().ok_or("--resume without checkpointing configured")?;
+        let skipped = |path: &std::path::Path, why: &CheckpointError| {
+            let name = path.file_name().unwrap_or(path.as_os_str());
+            eprintln!("worker {me}: skipping {}: {why}", name.to_string_lossy());
+        };
+        store.open_latest(skipped).map_err(|e| format!("loading snapshot: {e}"))?
     } else {
         None
     };
-    let ctrl_round = resume_snap.as_ref().map_or(0, |s| s.ctrl_round);
+    let ctrl_round = snapshot.as_ref().map_or(0, |s| s.header().ctrl_round);
 
     // Mesh establishment order is part of the protocol: every worker
     // joins the control mesh first, then the engine-typed data mesh.
@@ -207,7 +210,7 @@ fn run_worker<P: VertexProgram>(job: &WorkerJob, args: Args, program: P) -> Resu
         recovery: RecoveryCfg {
             every: job.checkpoint_every,
             store,
-            resume: resume_snap,
+            resume: snapshot,
         },
     };
     let shared = RunShared {

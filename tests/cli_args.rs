@@ -2,7 +2,8 @@
 //! silently ignored. A value-taking option without its value, an unknown
 //! option, the fault-tolerance family without `--multiprocess` and a
 //! `--failpoint` that could not fire each exit 2 with a one-line message —
-//! before any graph is loaded or run.
+//! before any graph is loaded or run. What *is* read off the input is its
+//! format: a binary graph is recognised by its magic.
 
 use std::ffi::OsStr;
 use std::process::{Command, Output};
@@ -92,11 +93,15 @@ fn fault_tolerance_options_need_multiprocess() {
         args
     };
     let checkpointed = ["--checkpoint-every", "2"];
-    for spec in ["1:bogus:3", "1:superstep:x", "1:stream:1", "1:stream:1:1", "x:superstep:3", "superstep:3"] {
+    for spec in [
+        "1:bogus:3", "1:superstep:x", "1:stream:1", "1:stream:1:1", "x:superstep:3", "superstep:3",
+        "1:ckpt:2", "1:ckpt:x:1", "1:ckpt:2:1:1", "ckpt:2:1",
+    ] {
         assert_usage_error(&chaos(spec, &checkpointed), &format!("--failpoint: cannot parse {spec}"));
     }
     assert_usage_error(&chaos("9:superstep:3", &checkpointed), "rank 9 out of range for 2 machines");
     assert_usage_error(&chaos("1:send:3:1", &[]), "--failpoint requires --checkpoint-every");
+    assert_usage_error(&chaos("1:ckpt:2:1", &[]), "--failpoint requires --checkpoint-every");
     // The same rule at the worker's own entry, for a gang started by hand:
     // it stops before it reads its job.
     let out = Command::new(env!("CARGO_BIN_EXE_lazygraph-worker"))
@@ -130,6 +135,49 @@ fn valid_invocations_still_run() {
     ]);
     assert!(out.status.success(), "run: {}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("lazy-block-async"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--input` recognises the binary format by its magic, not its name:
+/// one generated graph, saved as text and as `.lzg` (and the binary again
+/// under a name that says nothing), loads to the same edges — `info`
+/// counts the same and a run writes the same bytes. (`info`'s `symmetric:`
+/// line may differ: the binary format carries the flag, text cannot.)
+#[test]
+fn text_and_binary_inputs_of_one_graph_give_the_same_output() {
+    let dir = std::env::temp_dir().join(format!("lazygraph-cli-lzg-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 temp path").to_string();
+    // A road lattice: every vertex has an edge, so the text file (which
+    // has no vertex count of its own) names the same vertex set.
+    for out in ["g.el", "g.lzg"] {
+        let out = cli(&["generate", "--kind", "road", "--vertices", "400", "--seed", "7", "--out", &path(out)]);
+        assert!(out.status.success(), "generate: {}", String::from_utf8_lossy(&out.stderr));
+    }
+    let binary = std::fs::read(path("g.lzg")).expect("read");
+    assert!(binary.starts_with(b"LZGRAPH1"), "`.lzg` must select the binary format");
+    std::fs::write(path("renamed.graph"), &binary).expect("write");
+
+    let mut outputs = Vec::new();
+    for input in ["g.el", "g.lzg", "renamed.graph"] {
+        let info = cli(&["info", "--input", &path(input), "--machines", "2"]);
+        assert!(info.status.success(), "info {input}: {}", String::from_utf8_lossy(&info.stderr));
+        let values = path(&format!("{input}.values"));
+        let run = cli(&[
+            "run", "--input", &path(input), "--algorithm", "sssp", "--machines", "2", "--threads", "1",
+            "--output", &values,
+        ]);
+        assert!(run.status.success(), "run {input}: {}", String::from_utf8_lossy(&run.stderr));
+        let info = String::from_utf8_lossy(&info.stdout).into_owned();
+        let counts = (info_figure(&info, "vertices:"), info_figure(&info, "edges:"));
+        outputs.push((counts, std::fs::read(&values).expect("values")));
+    }
+    assert_eq!(outputs[0].0 .0, 400.0);
+    assert!(outputs[0].1.len() > 400, "SSSP wrote a line per vertex");
+    for (input, got) in ["g.lzg", "renamed.graph"].iter().zip(&outputs[1..]) {
+        assert_eq!(got.0, outputs[0].0, "info of {input} differs from the text input's");
+        assert_eq!(got.1, outputs[0].1, "--output of {input} differs from the text input's");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -11,7 +11,7 @@
 //! oracle: same values, same iteration count, same simulated time bits.
 //!
 //! No test here sleeps or polls wall-clock state: fail points key on
-//! superstep / round counters (deterministic under the PR 1 bitwise-
+//! superstep / round / snapshot-chunk counters (deterministic under the PR 1 bitwise-
 //! determinism contract; the mid-round `send:` point alone lets the
 //! victim's already-issued sends drain to the wire before it aborts — the
 //! outcome must be the oracle's either way), and recovery is proven by
@@ -169,6 +169,39 @@ fn run_matrix_for<P: VertexProgram>(
             );
         }
     }
+
+    // A kill *inside* a save: the victim dies with the header chunk of the
+    // run's last generation in its temp file and nothing renamed, while
+    // its peers wait in that checkpoint's barrier. The respawn clears the
+    // torn file and resumes from the generation before it — the survivors
+    // pruned nothing past that one, the barrier never having completed —
+    // or, where the torn generation was the first (the delta engine's few
+    // epochs), from the start.
+    let last_generation = (oracle.iterations - 1) / 2 * 2;
+    assert!(last_generation >= 2, "{} {workers}w: no generation to tear", engine.name());
+    let point = FailPoint::Ckpt {
+        iteration: last_generation,
+        chunk: 1,
+    };
+    let out = run_multiprocess_with::<P>(g, workers, base, spec, worker_bin(), &mp_opts(Some((VICTIM, point))))
+        .unwrap_or_else(|e| panic!("{} {workers}w kill@{point}: {e}", engine.name()));
+    assert_eq!(
+        fingerprint(&out),
+        want,
+        "{} {workers}w: recovery after a kill inside the save of generation \
+         {last_generation} is not bitwise identical to the oracle",
+        engine.name()
+    );
+    assert!(
+        out.stats.reconnects >= 1,
+        "{} {workers}w kill@{point}: fail point never fired (no reconnects)",
+        engine.name()
+    );
+    assert!(
+        out.stats.replay_rounds >= 1,
+        "{} {workers}w kill@{point}: rejoin happened but nothing was replayed",
+        engine.name()
+    );
 }
 
 #[test]

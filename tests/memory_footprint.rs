@@ -12,7 +12,9 @@
 //! and of Sync's gather/apply phases, which are sized by active vertices.
 //!
 //! The same allocator holds set-up to holding the graph once (DESIGN.md
-//! §18): see `assert_set_up_holds_the_graph_once`.
+//! §18): see `assert_set_up_holds_the_graph_once` — and a checkpoint to one
+//! chunk buffer whatever the state's size (DESIGN.md §12): see
+//! `assert_checkpoints_stream_through_one_chunk`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,6 +22,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 mod common;
 
 use lazygraph::prelude::*;
+use lazygraph_algorithms::PageRankData;
+use lazygraph_engine::checkpoint::{SnapshotHeader, SnapshotStore, CKPT_CHUNK};
+use lazygraph_engine::state::{InitMessages, MachineState};
 use lazygraph_engine::{run_on, DEFAULT_BLOCK_SIZE};
 use lazygraph_graph::generators::{rmat, RmatConfig};
 use lazygraph_partition::partition_graph_with;
@@ -198,8 +203,89 @@ fn assert_set_up_holds_the_graph_once(g: &Graph) {
     );
 }
 
+/// A checkpoint costs one chunk buffer, not copies of the state (DESIGN.md
+/// §12). On this 202 500-vertex machine (a 13 567 500 B state; 9 112 719 B
+/// on disk as v7, 6 446 507 B as v8) the commit before the streaming codec
+/// (`c51ebe2`) allocated 56 235 544 B to save it — `capture`'s clones,
+/// `to_wire`'s vector with its doublings, `encode_container`'s copy: 4.1×
+/// the state, 39 457 579 B (2.9×) of it live at once — and 68 753 972 B to
+/// load and restore it (the file, the payload, the decoded snapshot,
+/// `restore_into`'s clones: 5.1×, the same 2.9× live at once). Both are now
+/// 1 114 863 B and 1 114 636 B: the chunk buffer and a few file names,
+/// whatever the vertex count.
+fn assert_checkpoints_stream_through_one_chunk() {
+    let program = PageRankDelta::default();
+    let g = common::road_lattice(450, 7);
+    let cfg = EngineConfig::lazygraph();
+    let dg = partition_graph_with(&g, 1, cfg.partition, &cfg.splitter, &cfg.hub_fanout, false);
+    let n = g.num_vertices();
+    let shard = &dg.shards[0];
+    let init = || MachineState::init(shard, &program, InitMessages::AllReplicas, n);
+    let initial = |_| PageRankData::default();
+
+    // A mid-run state: every array holds something of each kind the format
+    // treats apart, and half the vertices are queued.
+    let mut state = init();
+    for l in 0..n {
+        state.vdata[l] = PageRankData { rank: l as f64, pending: 0.5 };
+        match l % 3 {
+            0 => state.coherent[l] = state.vdata[l],
+            1 => state.coherent[l] = PageRankData { rank: -1.0, pending: l as f64 },
+            _ => {}
+        }
+        state.delta_msg[l] = (l % 2 == 0).then_some(l as f64);
+    }
+    state.queue.retain(|l| l % 2 == 1);
+    for (l, active) in state.active.iter_mut().enumerate() {
+        *active = l % 2 == 1;
+        if !*active {
+            state.message[l] = None;
+        }
+    }
+    let state_bytes = n * (2 * std::mem::size_of::<PageRankData>() + 2 * std::mem::size_of::<Option<f64>>() + 1)
+        + 4 * state.queue.len();
+    assert!(state_bytes > 8 * CKPT_CHUNK, "the state must dwarf a chunk: {state_bytes} B");
+
+    let dir = std::env::temp_dir().join(format!("lazygraph-footprint-ckpt-{}", std::process::id()));
+    let store = SnapshotStore::new(&dir, 0);
+    let header = SnapshotHeader {
+        engine: 1,
+        iterations: 5,
+        clock_bits: 0,
+        data_round: 10,
+        ctrl_round: 15,
+        lazy: None,
+        delta: None,
+    };
+    let before = TOTAL.load(Ordering::Relaxed);
+    let file_bytes = store.save(&header, &state, initial).expect("save");
+    let save_allocated = TOTAL.load(Ordering::Relaxed) - before;
+
+    let mut restored = init();
+    let before = TOTAL.load(Ordering::Relaxed);
+    let snapshot = store.open_latest(|_, why| panic!("{why}")).expect("open").expect("saved");
+    snapshot.restore_into(&mut restored).expect("restore");
+    let restore_allocated = TOTAL.load(Ordering::Relaxed) - before;
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert!(file_bytes as usize > 4 * CKPT_CHUNK, "a {file_bytes} B file is not several chunks");
+    assert_eq!(restored.vdata, state.vdata);
+    assert_eq!(restored.coherent, state.coherent);
+    assert_eq!(restored.message, state.message);
+    assert_eq!(restored.delta_msg, state.delta_msg);
+    assert_eq!(restored.active, state.active);
+    assert_eq!(restored.queue, state.queue);
+    for (what, allocated) in [("save", save_allocated), ("restore", restore_allocated)] {
+        assert!(
+            allocated < 2 * CKPT_CHUNK,
+            "a {what} of a {state_bytes} B state allocated {allocated} B"
+        );
+    }
+}
+
 #[test]
 fn run_heap_is_flat_and_steady_sweeps_reuse_their_buffers() {
+    assert_checkpoints_stream_through_one_chunk();
     let g = rmat(RmatConfig::graph500(13, 16, 7));
     assert_set_up_holds_the_graph_once(&g);
     for engine in [
