@@ -5,7 +5,9 @@
 //! [`KCore`] (Fig. 1(a)) — plus [`Bfs`] as an extra unidirectional
 //! workload, and [`reference`] implementations (sequential executor,
 //! Dijkstra, union-find, peeling, power iteration) used as ground truth by
-//! the test suite.
+//! the test suite. [`spec`] is the table of the six programs the binaries
+//! ship: the only place a request for one is parsed, shipped or turned
+//! into the program.
 
 pub mod bfs;
 pub mod cc;
@@ -15,6 +17,7 @@ pub mod multi_bfs;
 pub mod pagerank;
 pub mod ppr;
 pub mod reference;
+pub mod spec;
 pub mod sssp;
 pub mod widest_path;
 
@@ -25,6 +28,7 @@ pub use kcore::KCore;
 pub use multi_bfs::MultiSourceBfs;
 pub use pagerank::{PageRankData, PageRankDelta};
 pub use ppr::PersonalizedPageRank;
+pub use spec::{AlgoSpec, Shipped, Visitor};
 pub use sssp::Sssp;
 pub use widest_path::WidestPath;
 

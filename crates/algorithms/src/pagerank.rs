@@ -28,6 +28,13 @@ pub struct PageRankData {
 // data is bit-identical to an in-proc run's.
 wire_record!(PageRankData { rank, pending });
 
+/// A vertex's value as a report prints it: its rank, to six places.
+impl std::fmt::Display for PageRankData {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:.6}", self.rank)
+    }
+}
+
 /// The PageRank-Delta vertex program.
 #[derive(Clone, Copy, Debug)]
 pub struct PageRankDelta {

@@ -47,9 +47,7 @@ fn main() {
             CommModePolicy::AllToAll,
             CommModePolicy::MirrorsToMaster,
         ] {
-            let cfg = EngineConfig::lazygraph()
-                .with_bidirectional(true)
-                .with_comm_mode(policy);
+            let cfg = EngineConfig::lazygraph().with_comm_mode(policy);
             let m = run_full(&g, machines, Workload::KCore, ds, &cfg);
             if policy == CommModePolicy::Auto {
                 auto_traffic = m.traffic_bytes();
@@ -67,9 +65,7 @@ fn main() {
     for ds in [Dataset::RoadNetCaLike, Dataset::TwitterLike] {
         let g = suite_graph(ds, args.scale);
         for strategy in PartitionStrategy::all() {
-            let cfg = EngineConfig::lazygraph()
-                .with_bidirectional(true)
-                .with_partition(strategy);
+            let cfg = EngineConfig::lazygraph().with_partition(strategy);
             let m = run_full(&g, machines, Workload::Cc, ds, &cfg);
             table.row(vec![
                 ds.name().into(),

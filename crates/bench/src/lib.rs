@@ -3,10 +3,10 @@
 //! executable regenerates one table or figure of the paper (see DESIGN.md's
 //! experiment index).
 
-use lazygraph_algorithms::{ConnectedComponents, KCore, PageRankDelta, Sssp};
-use lazygraph_engine::{run_on, EngineConfig, RunMetrics};
+use lazygraph_algorithms::{AlgoSpec, Shipped, Visitor};
+use lazygraph_engine::{place, run_on, EngineConfig, RunMetrics};
 use lazygraph_graph::{Dataset, Graph, GraphClass};
-use lazygraph_partition::{partition_graph, DistributedGraph};
+use lazygraph_partition::DistributedGraph;
 
 /// Command-line arguments shared by the harness binaries.
 #[derive(Clone, Copy, Debug)]
@@ -98,6 +98,19 @@ impl Workload {
             _ => 10,
         }
     }
+
+    /// The workload's row of the shipped-program table as the paper runs
+    /// it on `dataset`: default tolerance, source 0, [`Self::kcore_k`].
+    pub fn spec(self, dataset: Dataset) -> AlgoSpec {
+        match self {
+            Workload::KCore => AlgoSpec::KCore {
+                k: Workload::kcore_k(dataset),
+            },
+            Workload::PageRank => AlgoSpec::PageRank { tolerance: 1e-3 },
+            Workload::Sssp => AlgoSpec::Sssp { source: 0 },
+            Workload::Cc => AlgoSpec::Cc,
+        }
+    }
 }
 
 /// Builds the evaluation form of a dataset: symmetrised with deterministic
@@ -109,13 +122,7 @@ pub fn suite_graph(dataset: Dataset, scale: f64) -> Graph {
 /// Partitions once with `cfg`'s strategy/splitter (the paper reuses one
 /// coordinated cut across engine comparisons).
 pub fn partition_for(graph: &Graph, machines: usize, cfg: &EngineConfig) -> DistributedGraph {
-    partition_graph(
-        graph,
-        machines,
-        cfg.partition,
-        &cfg.splitter,
-        cfg.bidirectional,
-    )
+    place(graph, machines, cfg).expect("a machine count the placement holds")
 }
 
 /// Runs one workload on a pre-partitioned graph.
@@ -125,30 +132,22 @@ pub fn run_workload(
     dataset: Dataset,
     cfg: &EngineConfig,
 ) -> RunMetrics {
-    // lazylint: allow-file(no-panic) -- measurement harness: a dead machine
-    // thread invalidates the whole figure, so abort rather than plot it.
-    match workload {
-        Workload::KCore => {
-            run_on(dg, cfg, &KCore::new(Workload::kcore_k(dataset)))
-                .expect("cluster run")
-                .metrics
-        }
-        Workload::PageRank => {
-            run_on(dg, cfg, &PageRankDelta::default())
-                .expect("cluster run")
-                .metrics
-        }
-        Workload::Sssp => run_on(dg, cfg, &Sssp::new(0u32)).expect("cluster run").metrics,
-        Workload::Cc => {
-            run_on(dg, cfg, &ConnectedComponents)
-                .expect("cluster run")
-                .metrics
+    struct Measure<'a>(&'a DistributedGraph, &'a EngineConfig);
+    impl Visitor for Measure<'_> {
+        type Out = RunMetrics;
+        fn visit<P: Shipped>(self, program: P) -> RunMetrics {
+            // lazylint: allow-file(no-panic) -- measurement harness: a dead machine
+            // thread invalidates the whole figure, so abort rather than plot it.
+            run_on(self.0, self.1, &program).expect("cluster run").metrics
         }
     }
+    workload.spec(dataset).dispatch(Measure(dg, cfg))
 }
 
 /// Convenience: partition + run in one call (used where each engine needs
-/// its own splitter configuration).
+/// its own splitter configuration). The table's placement rule — CC and
+/// k-core dispatch parallel edges both ways — is applied here, for every
+/// caller.
 pub fn run_full(
     graph: &Graph,
     machines: usize,
@@ -156,8 +155,10 @@ pub fn run_full(
     dataset: Dataset,
     cfg: &EngineConfig,
 ) -> RunMetrics {
-    let dg = partition_for(graph, machines, cfg);
-    run_workload(&dg, workload, dataset, cfg)
+    let bidirectional = cfg.bidirectional || workload.spec(dataset).bidirectional();
+    let cfg = cfg.clone().with_bidirectional(bidirectional);
+    let dg = partition_for(graph, machines, &cfg);
+    run_workload(&dg, workload, dataset, &cfg)
 }
 
 /// One cell of the Fig. 9/10/11 run matrix: a dataset × workload pair
@@ -183,11 +184,8 @@ pub fn headline_matrix(args: &Args) -> Vec<HeadlineRow> {
     for ds in datasets {
         let g = suite_graph(ds, args.scale);
         for w in Workload::all() {
-            let bidir = matches!(w, Workload::KCore | Workload::Cc);
-            let sync_cfg = EngineConfig::powergraph_sync().with_bidirectional(bidir);
-            let lazy_cfg = EngineConfig::lazygraph().with_bidirectional(bidir);
-            let sync = run_full(&g, args.machines, w, ds, &sync_cfg);
-            let lazy = run_full(&g, args.machines, w, ds, &lazy_cfg);
+            let sync = run_full(&g, args.machines, w, ds, &EngineConfig::powergraph_sync());
+            let lazy = run_full(&g, args.machines, w, ds, &EngineConfig::lazygraph());
             eprintln!(
                 "  ran {} / {}: sync {:.3}s vs lazy {:.3}s",
                 ds.name(),

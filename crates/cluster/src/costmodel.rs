@@ -50,6 +50,13 @@ pub struct CostModel {
     pub bandwidth: f64,
 }
 
+// Part of the `EngineConfig` a multiprocess launcher ships to its workers;
+// every constant as its exact bit pattern.
+lazygraph_net::wire_record!(CostModel {
+    teps, apply_cost, barrier_latency, async_msg_overhead, async_send_cpu, latency,
+    async_apply_cost, async_lock_rtt, bandwidth,
+});
+
 impl CostModel {
     /// Constants matching the paper's EC2-like cluster (8-core nodes,
     /// 1 GigE): TEPS in the tens of millions, millisecond barriers.

@@ -7,8 +7,9 @@
 //! has died (panic or early error return). Engines propagate them to the
 //! driver instead of panicking, so one failing machine tears the run
 //! down with a diagnosable error rather than a poisoned process.
-//! [`CommError::NeedsSharedMemory`] is the exception: a
-//! configuration error, raised before anything is sent.
+//! [`CommError::NeedsSharedMemory`], [`CommError::MachineCount`] and
+//! [`CommError::PoolSpawn`] are the exceptions: a run that cannot start
+//! as configured, refused before anything is sent.
 
 use std::fmt;
 
@@ -55,6 +56,19 @@ pub enum CommError {
         /// Report name of the engine.
         engine: &'static str,
     },
+    /// The run was asked for a machine count no placement can hold.
+    MachineCount {
+        /// The count asked for.
+        got: usize,
+        /// The largest count a replica mask covers.
+        max: usize,
+    },
+    /// The host refused a thread of a machine's worker pool
+    /// (`threads_per_machine` past what the process may start).
+    PoolSpawn {
+        /// Which worker of how many, and the OS error.
+        detail: String,
+    },
 }
 
 impl CommError {
@@ -90,6 +104,12 @@ impl fmt::Display for CommError {
                     f,
                     "engine {engine} terminates through shared memory and cannot run across processes"
                 )
+            }
+            CommError::MachineCount { got, max } => {
+                write!(f, "machine count {got} is outside 1..={max}")
+            }
+            CommError::PoolSpawn { detail } => {
+                write!(f, "cannot start a machine's worker pool: {detail}")
             }
         }
     }

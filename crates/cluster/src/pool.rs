@@ -19,6 +19,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
+use crate::error::CommError;
+
 /// Type-erased handle to one in-flight `map` call. `run` drains the item
 /// counter of the job context behind `ctx`; the pointer stays valid until
 /// the publishing `map` call observes every worker's completion.
@@ -105,8 +107,9 @@ unsafe fn run_erased<T, R, F: Fn(T) -> R>(ctx: *const ()) {
 impl ThreadPool {
     /// A pool executing on `threads` threads total: `threads − 1` workers
     /// plus the calling thread. `threads <= 1` spawns nothing and makes
-    /// [`map`](Self::map) run inline.
-    pub fn new(threads: usize) -> Self {
+    /// [`map`](Self::map) run inline. Fails, with the workers already
+    /// started joined again, when the host refuses a thread.
+    pub fn new(threads: usize) -> Result<Self, CommError> {
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {
                 epoch: 0,
@@ -117,16 +120,20 @@ impl ThreadPool {
             job_ready: Condvar::new(),
             all_done: Condvar::new(),
         });
-        let workers = (1..threads)
-            .map(|i| {
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("lazygraph-pool-{i}"))
-                    .spawn(move || worker_loop(shared))
-                    .expect("spawn pool worker") // lazylint: allow(no-panic) -- thread spawn at pool construction; nothing can proceed without workers
-            })
-            .collect();
-        ThreadPool { shared, workers }
+        // Built first so that an early return drops — shuts down and
+        // joins — the workers spawned so far.
+        let mut pool = ThreadPool { shared, workers: Vec::new() };
+        for i in 1..threads {
+            let shared = pool.shared.clone();
+            let worker = std::thread::Builder::new()
+                .name(format!("lazygraph-pool-{i}"))
+                .spawn(move || worker_loop(shared))
+                .map_err(|e| CommError::PoolSpawn {
+                    detail: format!("thread {i} of {threads}: {e}"),
+                })?;
+            pool.workers.push(worker);
+        }
+        Ok(pool)
     }
 
     /// Total executing threads (workers + caller).
@@ -242,7 +249,7 @@ mod tests {
     fn map_preserves_order_at_every_width() {
         let expected: Vec<usize> = (0..1000).map(|i| i * i).collect();
         for threads in [1, 2, 3, 8] {
-            let pool = ThreadPool::new(threads);
+            let pool = ThreadPool::new(threads).expect("spawn pool");
             let got = pool.map((0..1000).collect::<Vec<usize>>(), |i| i * i);
             assert_eq!(got, expected, "threads={threads}");
         }
@@ -250,7 +257,7 @@ mod tests {
 
     #[test]
     fn map_is_reusable_and_handles_empty() {
-        let pool = ThreadPool::new(4);
+        let pool = ThreadPool::new(4).expect("spawn pool");
         assert_eq!(pool.map(Vec::<u32>::new(), |x| x), Vec::<u32>::new());
         for round in 0..50u32 {
             let got = pool.map(vec![round, round + 1], |x| x * 2);
@@ -260,7 +267,7 @@ mod tests {
 
     #[test]
     fn owned_items_pass_through() {
-        let pool = ThreadPool::new(3);
+        let pool = ThreadPool::new(3).expect("spawn pool");
         let items: Vec<Vec<u32>> = (0..10).map(|i| vec![i; i as usize]).collect();
         let lens = pool.map(items, |v| v.len());
         assert_eq!(lens, (0..10usize).collect::<Vec<_>>());
@@ -268,7 +275,7 @@ mod tests {
 
     #[test]
     fn panics_propagate() {
-        let pool = ThreadPool::new(4);
+        let pool = ThreadPool::new(4).expect("spawn pool");
         let result = catch_unwind(AssertUnwindSafe(|| {
             pool.map((0..64).collect::<Vec<u32>>(), |i| {
                 if i == 13 {
@@ -284,7 +291,7 @@ mod tests {
 
     #[test]
     fn single_thread_runs_inline() {
-        let pool = ThreadPool::new(1);
+        let pool = ThreadPool::new(1).expect("spawn pool");
         assert_eq!(pool.threads(), 1);
         let tid = std::thread::current().id();
         let ids = pool.map(vec![(); 8], |()| std::thread::current().id());

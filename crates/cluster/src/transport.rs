@@ -63,6 +63,8 @@ pub enum TransportKind {
     Tcp,
 }
 
+lazygraph_net::wire_enum!(TransportKind { InProc = 0, Tcp = 1 });
+
 impl TransportKind {
     /// Name for reports and CLI round-tripping.
     pub fn name(self) -> &'static str {

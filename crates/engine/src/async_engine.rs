@@ -64,7 +64,7 @@ impl<P: VertexProgram> Superstep<P> for AsyncPump<P> {
 
     fn step(&mut self, f: &mut Frame<'_, P, SyncMsg<P>>) -> Result<Vote, CommError> {
         // The pump is the whole run, not a superstep: a barrier-free
-        // engine reports none (`EngineOutcome::iterations`).
+        // engine reports none (`RunMetrics::iterations`).
         f.iterations = 0;
         self.pump(f)?;
         Ok(Vote::Converged)

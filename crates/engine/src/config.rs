@@ -2,7 +2,7 @@
 //! graph-aware optimisations (§4.2).
 
 use lazygraph_cluster::{CostModel, TransportKind};
-use lazygraph_net::{NetError, Wire, WireReader};
+use lazygraph_net::{wire_enum, wire_record, NetError, Wire, WireReader};
 use lazygraph_partition::{HubFanoutConfig, PartitionStrategy, SplitterConfig};
 
 use crate::parallel::ParallelConfig;
@@ -332,54 +332,14 @@ impl EngineConfig {
     }
 }
 
-fn bad_tag<T>(tag: u8, ty: &'static str) -> Result<T, NetError> {
-    Err(NetError::BadTag { tag, ty })
-}
+wire_enum!(EngineKind {
+    PowerGraphSync = 0, PowerGraphAsync = 1, LazyBlockAsync = 2, LazyVertexAsync = 3,
+    PowerSwitchHybrid = 4, DeltaAccum = 5,
+});
 
-impl Wire for EngineKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            EngineKind::PowerGraphSync => 0,
-            EngineKind::PowerGraphAsync => 1,
-            EngineKind::LazyBlockAsync => 2,
-            EngineKind::LazyVertexAsync => 3,
-            EngineKind::PowerSwitchHybrid => 4,
-            EngineKind::DeltaAccum => 5,
-        });
-    }
+wire_enum!(CommModePolicy { Auto = 0, AllToAll = 1, MirrorsToMaster = 2 });
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(match r.take_u8()? {
-            0 => EngineKind::PowerGraphSync,
-            1 => EngineKind::PowerGraphAsync,
-            2 => EngineKind::LazyBlockAsync,
-            3 => EngineKind::LazyVertexAsync,
-            4 => EngineKind::PowerSwitchHybrid,
-            5 => EngineKind::DeltaAccum,
-            tag => return bad_tag(tag, "EngineKind"),
-        })
-    }
-}
-
-impl Wire for CommModePolicy {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            CommModePolicy::Auto => 0,
-            CommModePolicy::AllToAll => 1,
-            CommModePolicy::MirrorsToMaster => 2,
-        });
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(match r.take_u8()? {
-            0 => CommModePolicy::Auto,
-            1 => CommModePolicy::AllToAll,
-            2 => CommModePolicy::MirrorsToMaster,
-            tag => return bad_tag(tag, "CommModePolicy"),
-        })
-    }
-}
-
+// By hand: what follows the tag depends on it.
 impl Wire for IntervalPolicy {
     fn encode(&self, out: &mut Vec<u8>) {
         match *self {
@@ -407,167 +367,19 @@ impl Wire for IntervalPolicy {
             },
             1 => IntervalPolicy::AlwaysLazy,
             2 => IntervalPolicy::NeverLazy,
-            tag => return bad_tag(tag, "IntervalPolicy"),
+            tag => return Err(NetError::BadTag { tag, ty: "IntervalPolicy" }),
         })
     }
 }
 
-fn decode_usize(r: &mut WireReader<'_>) -> Result<usize, NetError> {
-    Ok(u64::decode(r)? as usize)
-}
-
-fn encode_opt_usize(x: Option<usize>, out: &mut Vec<u8>) {
-    x.map(|x| x as u64).encode(out);
-}
-
-fn decode_opt_usize(r: &mut WireReader<'_>) -> Result<Option<usize>, NetError> {
-    Ok(Option::<u64>::decode(r)?.map(|x| x as usize))
-}
-
-/// The whole configuration crosses the wire (a multiprocess launcher
-/// ships it to its workers), floats as exact bit patterns. The partition,
-/// cluster and transport crates own some of the field types, so those are
-/// walked here field by field.
-impl Wire for EngineConfig {
-    fn encode(&self, out: &mut Vec<u8>) {
-        // Every pattern below is exhaustive (no `..`): a new field of the
-        // configuration, or of a foreign struct it carries, does not
-        // compile until it is encoded; `config_wire.rs` pins the order.
-        let EngineConfig {
-            engine,
-            partition,
-            splitter,
-            bidirectional,
-            comm_mode,
-            interval,
-            cost,
-            max_iterations,
-            delta_suppression,
-            record_history,
-            hybrid_switch_threshold,
-            threads_per_machine,
-            block_size,
-            delta_buckets,
-            delta_tolerance,
-            transport,
-            hub_fanout,
-        } = self;
-        engine.encode(out);
-        out.push(match partition {
-            PartitionStrategy::Random => 0,
-            PartitionStrategy::Grid => 1,
-            PartitionStrategy::Coordinated => 2,
-            PartitionStrategy::Hybrid => 3,
-            PartitionStrategy::AdversarialHubs => 4,
-        });
-        let SplitterConfig {
-            teps,
-            t_extra,
-            high_degree_threshold,
-            low_degree_threshold,
-            max_fraction,
-        } = splitter;
-        teps.encode(out);
-        t_extra.encode(out);
-        encode_opt_usize(*high_degree_threshold, out);
-        encode_opt_usize(*low_degree_threshold, out);
-        max_fraction.encode(out);
-        bidirectional.encode(out);
-        comm_mode.encode(out);
-        interval.encode(out);
-        let CostModel {
-            teps,
-            apply_cost,
-            barrier_latency,
-            async_msg_overhead,
-            async_send_cpu,
-            latency,
-            async_apply_cost,
-            async_lock_rtt,
-            bandwidth,
-        } = cost;
-        for x in [
-            teps,
-            apply_cost,
-            barrier_latency,
-            async_msg_overhead,
-            async_send_cpu,
-            latency,
-            async_apply_cost,
-            async_lock_rtt,
-            bandwidth,
-        ] {
-            x.encode(out);
-        }
-        max_iterations.encode(out);
-        delta_suppression.encode(out);
-        record_history.encode(out);
-        hybrid_switch_threshold.encode(out);
-        (*threads_per_machine as u64).encode(out);
-        (*block_size as u64).encode(out);
-        (*delta_buckets as u64).encode(out);
-        delta_tolerance.encode(out);
-        out.push(match transport {
-            TransportKind::InProc => 0,
-            TransportKind::Tcp => 1,
-        });
-        let HubFanoutConfig { degree_threshold, fanout } = hub_fanout;
-        encode_opt_usize(*degree_threshold, out);
-        (*fanout as u64).encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(EngineConfig {
-            engine: EngineKind::decode(r)?,
-            partition: match r.take_u8()? {
-                0 => PartitionStrategy::Random,
-                1 => PartitionStrategy::Grid,
-                2 => PartitionStrategy::Coordinated,
-                3 => PartitionStrategy::Hybrid,
-                4 => PartitionStrategy::AdversarialHubs,
-                tag => return bad_tag(tag, "PartitionStrategy"),
-            },
-            splitter: SplitterConfig {
-                teps: f64::decode(r)?,
-                t_extra: f64::decode(r)?,
-                high_degree_threshold: decode_opt_usize(r)?,
-                low_degree_threshold: decode_opt_usize(r)?,
-                max_fraction: f64::decode(r)?,
-            },
-            bidirectional: bool::decode(r)?,
-            comm_mode: CommModePolicy::decode(r)?,
-            interval: IntervalPolicy::decode(r)?,
-            cost: CostModel {
-                teps: f64::decode(r)?,
-                apply_cost: f64::decode(r)?,
-                barrier_latency: f64::decode(r)?,
-                async_msg_overhead: f64::decode(r)?,
-                async_send_cpu: f64::decode(r)?,
-                latency: f64::decode(r)?,
-                async_apply_cost: f64::decode(r)?,
-                async_lock_rtt: f64::decode(r)?,
-                bandwidth: f64::decode(r)?,
-            },
-            max_iterations: u64::decode(r)?,
-            delta_suppression: bool::decode(r)?,
-            record_history: bool::decode(r)?,
-            hybrid_switch_threshold: f64::decode(r)?,
-            threads_per_machine: decode_usize(r)?,
-            block_size: decode_usize(r)?,
-            delta_buckets: decode_usize(r)?,
-            delta_tolerance: f64::decode(r)?,
-            transport: match r.take_u8()? {
-                0 => TransportKind::InProc,
-                1 => TransportKind::Tcp,
-                tag => return bad_tag(tag, "TransportKind"),
-            },
-            hub_fanout: HubFanoutConfig {
-                degree_threshold: decode_opt_usize(r)?,
-                fanout: decode_usize(r)?,
-            },
-        })
-    }
-}
+// The whole configuration crosses the wire (a multiprocess launcher ships
+// it to its workers), every float as its exact bit pattern.
+// `config_wire.rs` pins the bytes and the round trip.
+wire_record!(EngineConfig {
+    engine, partition, splitter, bidirectional, comm_mode, interval, cost, max_iterations,
+    delta_suppression, record_history, hybrid_switch_threshold, threads_per_machine, block_size,
+    delta_buckets, delta_tolerance, transport, hub_fanout,
+});
 
 /// Default vertices-per-block for the machine-local pools.
 pub const DEFAULT_BLOCK_SIZE: usize = 1024;

@@ -6,12 +6,12 @@ use std::time::Instant;
 
 use lazygraph_cluster::{Collective, CommError, NetStats};
 use lazygraph_graph::Graph;
-use lazygraph_partition::{partition_graph_with, DistributedGraph};
+use lazygraph_partition::{partition_graph_with, DistributedGraph, MAX_MACHINES};
 use parking_lot::Mutex;
 
 use crate::config::EngineConfig;
 use crate::exchange::Quiescence;
-use crate::machine::{assemble, run_mesh_engine, History, RunShared, ThreadedMesh};
+use crate::machine::{assemble, run_mesh_engine, History, Measured, RunShared, ThreadedMesh};
 use crate::metrics::{RunMetrics, SimBreakdown};
 use crate::program::VertexProgram;
 
@@ -23,26 +23,43 @@ pub struct RunResult<P: VertexProgram> {
     pub metrics: RunMetrics,
 }
 
-/// Partitions `graph` over `num_machines` per `cfg` and runs `program` on
-/// the configured engine.
-///
-/// Fails only if a machine thread dies mid-run (see
-/// [`CommError`]); a healthy run always returns `Ok`.
-pub fn run<P: VertexProgram>(
+/// Places `graph` on `num_machines` machines the way `cfg` asks. A count
+/// outside `1..=`[`MAX_MACHINES`] is a typed error here, before the
+/// partitioner's own assertions.
+pub fn place(
     graph: &Graph,
     num_machines: usize,
     cfg: &EngineConfig,
-    program: &P,
-) -> Result<RunResult<P>, CommError> {
-    let dg = partition_graph_with(
+) -> Result<DistributedGraph, CommError> {
+    if !(1..=MAX_MACHINES).contains(&num_machines) {
+        return Err(CommError::MachineCount {
+            got: num_machines,
+            max: MAX_MACHINES,
+        });
+    }
+    Ok(partition_graph_with(
         graph,
         num_machines,
         cfg.partition,
         &cfg.splitter,
         &cfg.hub_fanout,
         cfg.bidirectional,
-    );
-    run_on(&dg, cfg, program)
+    ))
+}
+
+/// Partitions `graph` over `num_machines` per `cfg` and runs `program` on
+/// the configured engine.
+///
+/// Fails if the run cannot start as configured (machine count, pool
+/// threads) or a machine thread dies mid-run (see [`CommError`]); a
+/// healthy run always returns `Ok`.
+pub fn run<P: VertexProgram>(
+    graph: &Graph,
+    num_machines: usize,
+    cfg: &EngineConfig,
+    program: &P,
+) -> Result<RunResult<P>, CommError> {
+    run_on(&place(graph, num_machines, cfg)?, cfg, program)
 }
 
 /// Runs on an already-partitioned graph (reuse a placement across engine
@@ -70,30 +87,13 @@ pub fn run_on<P: VertexProgram>(
         history: cfg.record_history.then(|| history.clone()),
         quiescence: Some(Quiescence::shared_memory(dg.num_machines)),
     };
-    let outcome = assemble(
-        run_mesh_engine(&dg.shape(), cfg, program, mesh, &shared)?,
-        cfg.engine,
-        dg.num_global_vertices,
-    );
-    let wall_time = started.elapsed();
-    let metrics = RunMetrics {
-        engine: cfg.engine.name(),
-        algorithm: program.name(),
-        iterations: outcome.iterations,
-        coherency_points: outcome.counters.coherency_points,
-        local_subrounds: outcome.counters.local_subrounds,
-        a2a_exchanges: outcome.counters.a2a_exchanges,
-        m2m_exchanges: outcome.counters.m2m_exchanges,
-        sim_time: outcome.sim_time,
-        breakdown: *breakdown.lock(),
-        wall_time,
-        stats: stats.snapshot(),
-        converged: outcome.converged,
+    let outs = run_mesh_engine(&dg.shape(), cfg, program, mesh, &shared)?;
+    let measured = Measured {
         lambda: dg.lambda(),
+        wall_time: started.elapsed(),
+        stats: stats.snapshot(),
+        breakdown: *breakdown.lock(),
         history: std::mem::take(&mut history.lock()),
     };
-    Ok(RunResult {
-        values: outcome.values,
-        metrics,
-    })
+    Ok(assemble(outs, cfg, program, dg.num_global_vertices, measured))
 }

@@ -602,7 +602,7 @@ mod tests {
             let pctx = ParallelCtx::new(ParallelConfig {
                 threads,
                 block_size: 4,
-            });
+            }).expect("spawn pool");
             let mut batches = vec![
                 batch(0, vec![(0, 1), (5, 2), (1, 3)]),
                 batch(1, vec![(5, 4), (0, 5)]),
@@ -629,7 +629,7 @@ mod tests {
         let pctx = ParallelCtx::new(ParallelConfig {
             threads: 2,
             block_size: 4,
-        });
+        }).expect("spawn pool");
         let mut batches = vec![batch(0, vec![(0, 1), (99, 2), (3, 3), (64, 4)])];
         let slots = routed(&pctx, 4, &mut batches).expect("well-formed batch");
         assert_eq!(slots, vec![vec![vec![(0, 10), (3, 30)]]]);
@@ -640,7 +640,7 @@ mod tests {
         let pctx = ParallelCtx::new(ParallelConfig {
             threads: 1,
             block_size: 4,
-        });
+        }).expect("spawn pool");
         let mut inbound: Inbound<u64> = Inbound::default();
         let translate = |(gid, d): (u32, u64)| Some((gid, d));
         let items: Vec<(u32, u64)> = (0..100).map(|i| (i % 4, u64::from(i))).collect();
@@ -676,7 +676,7 @@ mod tests {
             let pctx = ParallelCtx::new(ParallelConfig {
                 threads,
                 block_size: 4,
-            });
+            }).expect("spawn pool");
             let mut materialized = vec![batch(0, items.clone())];
             let mut raw = vec![batch(0, Vec::new())];
             raw[0].raw = Some(RawBatch {
@@ -709,7 +709,7 @@ mod tests {
         let pctx = ParallelCtx::new(ParallelConfig {
             threads: 2,
             block_size: 4,
-        });
+        }).expect("spawn pool");
         let mut raw = vec![batch(0, Vec::new())];
         raw[0].raw = Some(RawBatch {
             bytes,

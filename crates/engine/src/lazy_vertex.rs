@@ -51,7 +51,7 @@ impl<P: VertexProgram> Superstep<P> for LazyVertexPump {
 
     fn step(&mut self, f: &mut Frame<'_, P, P::Delta>) -> Result<Vote, CommError> {
         // The pump is the whole run, not a superstep: a barrier-free
-        // engine reports none (`EngineOutcome::iterations`).
+        // engine reports none (`RunMetrics::iterations`).
         f.iterations = 0;
         let delta_bytes = f.program.delta_bytes();
         let pump = f.port.pump(&mut f.clock, f.cfg, Phase::Coherency, delta_bytes)?;

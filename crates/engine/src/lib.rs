@@ -50,11 +50,11 @@ pub use config::{
 };
 pub use scheduler::{EpochPlan, PriorityBuckets};
 pub use parallel::{ParallelConfig, ParallelCtx};
-pub use driver::{run, run_on, RunResult};
+pub use driver::{place, run, run_on, RunResult};
 pub use lazygraph_cluster::{CommError, TransportKind};
 pub use interval::{IntervalModel, StageProgress};
 pub use machine::{
-    assemble, run_mesh_engine, Attach, EngineOutcome, MachineOut, RunShared, Seat, ThreadedMesh,
+    assemble, run_mesh_engine, Attach, MachineOut, Measured, RunShared, Seat, ThreadedMesh,
 };
 pub use metrics::{RunMetrics, SimBreakdown};
 pub use program::{EdgeCtx, LocalOrder, VertexCtx, VertexProgram};

@@ -26,9 +26,11 @@
 //! its own shard and the three scalars of a [`PlacementShape`].
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use lazygraph_cluster::{
-    build_endpoints, Collective, CommError, Endpoint, NetStats, SimClock, TransportKind,
+    build_endpoints, Collective, CommError, Endpoint, NetStats, SimClock, StatsSnapshot,
+    TransportKind,
 };
 use lazygraph_net::{wire_record, Wire};
 use lazygraph_partition::{LocalShard, PlacementShape};
@@ -42,11 +44,12 @@ use crate::checkpoint::{
 };
 use crate::config::{EngineConfig, EngineKind};
 use crate::delta_engine::DeltaStep;
+use crate::driver::RunResult;
 use crate::exchange::{Port, Quiescence};
 use crate::hybrid_engine::HybridStep;
 use crate::lazy_block::{LazyCounters, LazyStep};
 use crate::lazy_vertex::LazyVertexPump;
-use crate::metrics::{IterationRecord, SimBreakdown};
+use crate::metrics::{IterationRecord, RunMetrics, SimBreakdown};
 use crate::parallel::ParallelCtx;
 use crate::program::VertexProgram;
 use crate::state::{InitMessages, MachineState};
@@ -177,38 +180,41 @@ wire_record!(MachineOut<P> where P: VertexProgram {
     counters,
 });
 
-/// What every engine returns to the driver.
-pub struct EngineOutcome<V> {
-    /// Final vertex values (master copies), indexed by global vertex id.
-    pub values: Vec<V>,
-    /// Barriered steps of the skeleton: supersteps (Sync; hybrid up to and
-    /// including the one that switched) / coherency iterations
-    /// (lazy-block, delta). The barrier-free engines report 0 — their one
-    /// step is a pump, not a superstep.
-    pub iterations: u64,
-    pub converged: bool,
-    /// Final simulated time: the maximum machine clock.
-    pub sim_time: f64,
-    pub counters: LazyCounters,
+/// What a route observed around its machines: the part of [`RunMetrics`]
+/// that does not come out of the machines' own outcomes.
+pub struct Measured {
+    /// Replication factor of the placement the machines ran on.
+    pub lambda: f64,
+    /// Host wall-clock of the machines' run (set-up excluded).
+    pub wall_time: Duration,
+    /// Every machine's counters, merged.
+    pub stats: StatsSnapshot,
+    /// Machine 0's simulated-time breakdown (the only recorder).
+    pub breakdown: SimBreakdown,
+    /// Machine 0's per-round trace (empty unless recorded).
+    pub history: Vec<IterationRecord>,
 }
 
-/// Folds per-machine outcomes into the driver-facing result — the same
-/// rules whether the machines were threads or worker processes. Counters
+/// The one epilogue of every route: folds per-machine outcomes into the
+/// caller-facing result — the same rules whether the machines were threads
+/// or worker processes — and attaches what the route measured. Counters
 /// that tick at a barrier are identical on every machine (machine 0's are
 /// taken); `local_subrounds` is per-machine work and is summed — and so
 /// are LazyVertexAsync's coherency points, which every machine reaches on
-/// its own.
+/// its own. The simulated time is the maximum machine clock.
 pub fn assemble<P: VertexProgram>(
     outs: Vec<MachineOut<P>>,
-    engine: EngineKind,
+    cfg: &EngineConfig,
+    program: &P,
     num_vertices: usize,
-) -> EngineOutcome<P::VData> {
+    measured: Measured,
+) -> RunResult<P> {
     let sim_time = outs.iter().map(|o| o.sim_time).fold(0.0, f64::max);
     let (iterations, converged, mut counters) = outs
         .first()
         .map_or((0, true, LazyCounters::default()), |o| (o.iterations, o.converged, o.counters));
     counters.local_subrounds = outs.iter().map(|o| o.counters.local_subrounds).sum();
-    if engine == EngineKind::LazyVertexAsync {
+    if cfg.engine == EngineKind::LazyVertexAsync {
         counters.coherency_points = outs.iter().map(|o| o.counters.coherency_points).sum();
         counters.a2a_exchanges = outs.iter().map(|o| o.counters.a2a_exchanges).sum();
     }
@@ -225,12 +231,25 @@ pub fn assemble<P: VertexProgram>(
         // lazylint: allow(no-panic) -- every vertex has exactly one master by partition construction; a gap here is an assembler bug
         .map(|(gid, v)| v.unwrap_or_else(|| panic!("vertex {gid} has no master value")))
         .collect();
-    EngineOutcome {
+    let Measured { lambda, wall_time, stats, breakdown, history } = measured;
+    RunResult {
         values,
-        iterations,
-        converged,
-        sim_time,
-        counters,
+        metrics: RunMetrics {
+            engine: cfg.engine.name(),
+            algorithm: program.name(),
+            iterations,
+            coherency_points: counters.coherency_points,
+            local_subrounds: counters.local_subrounds,
+            a2a_exchanges: counters.a2a_exchanges,
+            m2m_exchanges: counters.m2m_exchanges,
+            sim_time,
+            breakdown,
+            wall_time,
+            stats,
+            converged,
+            lambda,
+            history,
+        },
     }
 }
 
@@ -334,9 +353,16 @@ fn run_seats<'a, P: VertexProgram, S: Superstep<P>>(
     mesh: impl Attach<'a>,
     shared: &RunShared,
 ) -> Result<Vec<MachineOut<P>>, CommError> {
-    let seats = mesh.attach::<(u32, S::Msg)>(&shared.stats)?;
-    lazygraph_cluster::try_run_machines(seats, |seat| {
-        run_machine::<P, S>(shape, cfg, program, seat, shared.clone())
+    // Every pool exists before the first machine thread does: a host that
+    // refuses a pool thread fails the run here, where no machine is yet
+    // waiting at a barrier for the one that could not start.
+    let seats = mesh
+        .attach::<(u32, S::Msg)>(&shared.stats)?
+        .into_iter()
+        .map(|seat| Ok((seat, ParallelCtx::new(cfg.parallel(shape.num_machines))?)))
+        .collect::<Result<Vec<_>, CommError>>()?;
+    lazygraph_cluster::try_run_machines(seats, |(seat, pctx)| {
+        run_machine::<P, S>(shape, cfg, program, seat, pctx, shared.clone())
     })
 }
 
@@ -346,6 +372,7 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
     cfg: &EngineConfig,
     program: &P,
     seat: Seat<'_, (u32, S::Msg)>,
+    pctx: ParallelCtx,
     shared: RunShared,
 ) -> Result<MachineOut<P>, CommError> {
     let Seat {
@@ -360,7 +387,7 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
         program,
         num_vertices: shape.num_global_vertices,
         ev_ratio: shape.ev_ratio,
-        pctx: ParallelCtx::new(cfg.parallel(shape.num_machines)),
+        pctx,
         state: MachineState::init(shard, program, S::INIT, shape.num_global_vertices),
         shard,
         clock: SimClock::new(),

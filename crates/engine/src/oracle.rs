@@ -35,7 +35,9 @@ pub fn delta_dense_fixpoint<P: VertexProgram>(
     let pctx = ParallelCtx::new(ParallelConfig {
         threads: 1,
         block_size: crate::config::DEFAULT_BLOCK_SIZE,
-    });
+    })
+    // lazylint: allow(no-panic) -- a one-thread pool spawns nothing, so there is no spawn to fail
+    .expect("a one-thread pool spawns nothing");
     let mut state: MachineState<P> =
         MachineState::init(shard, program, InitMessages::AllReplicas, num_vertices);
     let mut epochs = 0u64;

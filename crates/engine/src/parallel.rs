@@ -14,7 +14,7 @@
 
 use std::ops::Range;
 
-use lazygraph_cluster::ThreadPool;
+use lazygraph_cluster::{CommError, ThreadPool};
 
 /// Resolved per-machine parallelism settings, shared by all engines.
 #[derive(Clone, Copy, Debug)]
@@ -50,11 +50,12 @@ pub struct ParallelCtx {
 }
 
 impl ParallelCtx {
-    pub fn new(cfg: ParallelConfig) -> Self {
-        ParallelCtx {
-            pool: ThreadPool::new(cfg.threads.max(1)),
+    /// Starts the machine's pool; fails when the host refuses a thread.
+    pub fn new(cfg: ParallelConfig) -> Result<Self, CommError> {
+        Ok(ParallelCtx {
+            pool: ThreadPool::new(cfg.threads.max(1))?,
             block_size: cfg.block_size.max(1),
-        }
+        })
     }
 
     #[inline]
@@ -127,7 +128,7 @@ mod tests {
             let ctx = ParallelCtx::new(ParallelConfig {
                 threads,
                 block_size: 64,
-            });
+            }).expect("spawn pool");
             let partials = ctx.map_chunks(&items, |c| c.iter().sum::<u64>());
             assert_eq!(partials.len(), block_ranges(items.len(), 64).len());
             assert_eq!(partials.iter().sum::<u64>(), expected);
@@ -138,7 +139,7 @@ mod tests {
 
     #[test]
     fn sequential_config_uses_one_giant_block() {
-        let ctx = ParallelCtx::new(ParallelConfig::sequential());
+        let ctx = ParallelCtx::new(ParallelConfig::sequential()).expect("spawn pool");
         assert_eq!(ctx.threads(), 1);
         let out = ctx.map_ranges(10, |r| r.len());
         assert_eq!(out, vec![10]);

@@ -689,7 +689,7 @@ mod tests {
                 let ctx = ParallelCtx::new(ParallelConfig {
                     threads,
                     block_size,
-                });
+                }).expect("spawn pool");
                 let mut st = MachineState::init(
                     shard,
                     &FSum,
@@ -722,7 +722,7 @@ mod tests {
             let ctx = ParallelCtx::new(ParallelConfig {
                 threads,
                 block_size: 1,
-            });
+            }).expect("spawn pool");
             let mut st =
                 MachineState::init(shard, &P0, InitMessages::MastersOnly, dg.num_global_vertices);
             let folds = stage_and_fold(&mut st, &P0, &ctx, &items);
@@ -744,7 +744,7 @@ mod tests {
         let ctx = ParallelCtx::new(ParallelConfig {
             threads: 2,
             block_size,
-        });
+        }).expect("spawn pool");
         let mut st =
             MachineState::init(shard, &P0, InitMessages::MastersOnly, dg.num_global_vertices);
         // Skewed and wandering: nine tenths of every sweep lands in one hot

@@ -154,6 +154,24 @@ proptest! {
     }
 }
 
+/// The bytes of the paper's configuration as the hand-written codec wrote
+/// them (recorded at `145e8f4`, before the codec became a field list): 187
+/// bytes, and a launcher and a worker built either side of that change
+/// read each other's job files. Never re-record to make this pass.
+#[test]
+fn engine_config_wire_bytes_are_the_hand_written_codecs() {
+    let golden = "\
+         020200000000d0127341fca9f1d24d62403f00009a9999999999a93f0000000000000000002440ec51b81e85\
+         ebb13f000000000000084000000000d012734148afbc9af2d77a3efca9f1d24d62503f691d554d10750f3ff1\
+         68e388b5f8d43e2d431cebe2361a3f54e41071732ac93efa7e6abc7493583f0000000065cd9d4140420f0000\
+         00000001009a9999999999a93f000000000000000000040000000000001000000000000000fca9f1d24d6250\
+         3f00000000000000000000";
+    let bytes = EngineConfig::lazygraph().to_wire();
+    let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, golden);
+    assert_eq!(bytes.len(), 187);
+}
+
 #[test]
 fn engine_config_wire_rejects_bad_tags_and_truncation() {
     let bytes = EngineConfig::lazygraph().to_wire();

@@ -153,7 +153,7 @@ proptest! {
             let got = run_machines(endpoints, |ep| {
                 let me = ep.me();
                 let shard = &dg.shards[me];
-                let pctx = ParallelCtx::new(par);
+                let pctx = ParallelCtx::new(par).expect("spawn pool");
                 let mut port = Port::new(ep, stats.clone(), None);
                 let (mut state, _) = fresh(&dg, me);
                 let route = shard.route_table();
@@ -203,7 +203,7 @@ proptest! {
         let shard = &dg.shards[0];
         let n = shard.num_local();
         let target = |sel: u16| u32::from(sel) % n as u32;
-        let pctx = ParallelCtx::new(ParallelConfig { threads, block_size });
+        let pctx = ParallelCtx::new(ParallelConfig { threads, block_size }).expect("spawn pool");
         let (mut got, _) = fresh(&dg, 0);
         let (mut want, mut queued) = fresh(&dg, 0);
         // Repeated sweeps reuse the staging buffers in place; stale

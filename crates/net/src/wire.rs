@@ -10,7 +10,11 @@
 //! * `f32`/`f64` are their IEEE-754 bit patterns, little-endian — decode
 //!   reproduces the *bit-exact* value, which is what makes TCP runs
 //!   bitwise-identical to in-proc runs;
-//! * `bool` and `Option` discriminants are single tag bytes (0/1);
+//! * `bool` and `Option` discriminants are single tag bytes (0/1), a
+//!   unit enum is the tag byte its [`wire_enum!`](crate::wire_enum) list
+//!   gives each variant;
+//! * `usize` is a `u64` (a count means the same on every host; one this
+//!   host cannot hold is refused);
 //! * sequences are a `u32` count followed by the elements; a fixed-size
 //!   array is its elements alone.
 //!
@@ -116,8 +120,8 @@ pub trait Wire: Sized {
 /// name that is not a field — does not compile, and the two directions
 /// cannot disagree because there is only the one list (DESIGN.md §13).
 /// Every listed field's type must itself be [`Wire`]; a record whose two
-/// directions are *meant* to differ (a hardened decode, a foreign field
-/// type) keeps a hand-written impl.
+/// directions are *meant* to differ (a hardened decode, a payload that
+/// depends on a tag) keeps a hand-written impl.
 ///
 /// ```
 /// use lazygraph_net::{wire_record, Wire};
@@ -165,6 +169,40 @@ macro_rules! wire_record {
     };
 }
 
+/// Implements [`Wire`] for a field-less enum from **one** `Variant = tag`
+/// list: a value is its one tag byte. Both directions come from the list,
+/// `encode`'s `match` has no wildcard — a variant missing from the list
+/// does not compile — and a byte that is no variant's tag decodes to
+/// [`NetError::BadTag`] naming the type.
+///
+/// ```
+/// use lazygraph_net::{wire_enum, NetError, Wire};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Mode { Eager, Lazy }
+/// wire_enum!(Mode { Eager = 0, Lazy = 1 });
+///
+/// assert_eq!(Mode::Lazy.to_wire(), [1]);
+/// assert_eq!(Mode::from_wire(&[0]).unwrap(), Mode::Eager);
+/// assert_eq!(Mode::from_wire(&[2]).unwrap_err(), NetError::BadTag { tag: 2, ty: "Mode" });
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($T:ident { $($variant:ident = $tag:literal),+ $(,)? }) => {
+        impl $crate::Wire for $T {
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.push(match self { $($T::$variant => $tag),+ });
+            }
+            fn decode(r: &mut $crate::WireReader<'_>) -> Result<Self, $crate::NetError> {
+                match r.take_u8()? {
+                    $($tag => Ok($T::$variant),)+
+                    tag => Err($crate::NetError::BadTag { tag, ty: stringify!($T) }),
+                }
+            }
+        }
+    };
+}
+
 macro_rules! wire_int {
     ($($t:ty),*) => {$(
         impl Wire for $t {
@@ -185,6 +223,23 @@ macro_rules! wire_int {
 }
 
 wire_int!(u8, u16, u32, u64, i8, i16, i32, i64);
+
+/// A count or index. Shipped as `u64` whatever the host's word size; a
+/// value the decoding host cannot index with is malformed, not truncated.
+impl Wire for usize {
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        (*self as u64).encode(out);
+    }
+    #[inline]
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
+        let x = u64::decode(r)?;
+        usize::try_from(x).map_err(|_| NetError::Malformed {
+            ty: "usize",
+            detail: format!("{x} does not fit this host's usize"),
+        })
+    }
+}
 
 impl Wire for f32 {
     #[inline]
@@ -353,6 +408,8 @@ mod tests {
         round_trip(i16::MIN);
         round_trip(-123_456i32);
         round_trip(i64::MIN);
+        round_trip(usize::MAX);
+        assert_eq!(7usize.to_wire(), 7u64.to_wire(), "a usize is a u64 on the wire");
         round_trip(true);
         round_trip(false);
         round_trip(());

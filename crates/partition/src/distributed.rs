@@ -9,6 +9,7 @@
 //! created replicas can enlarge the required set of other parallel edges.
 
 use lazygraph_graph::{Graph, MachineId, VertexId};
+use lazygraph_net::wire_record;
 
 use crate::edge_split::SplitPlan;
 use crate::replication::{bit, machines_of, MachineMask, Replication};
@@ -161,6 +162,9 @@ pub struct PlacementShape {
     /// `E/V` of the user-view graph (interval-model feature).
     pub ev_ratio: f64,
 }
+
+// The part of a multiprocess job file every shard is checked against.
+wire_record!(PlacementShape { num_machines, num_global_vertices, ev_ratio });
 
 impl DistributedGraph {
     /// The placement's [`PlacementShape`].

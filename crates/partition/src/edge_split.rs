@@ -15,6 +15,7 @@
 
 use lazygraph_graph::hash::mix64;
 use lazygraph_graph::{Graph, MachineId};
+use lazygraph_net::wire_record;
 
 /// Splitter tuning parameters.
 #[derive(Clone, Copy, Debug)]
@@ -35,6 +36,13 @@ pub struct SplitterConfig {
     /// configurations).
     pub max_fraction: f64,
 }
+
+// A launcher ships both splitter and fan-out settings to its workers
+// inside the `EngineConfig` (floats as bit patterns).
+wire_record!(SplitterConfig {
+    teps, t_extra, high_degree_threshold, low_degree_threshold, max_fraction,
+});
+wire_record!(HubFanoutConfig { degree_threshold, fanout });
 
 impl Default for SplitterConfig {
     fn default() -> Self {

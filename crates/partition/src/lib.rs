@@ -17,7 +17,7 @@ pub use distributed::{
     PlacementShape, NO_LOCAL,
 };
 pub use edge_split::{apply_hub_fanout, plan_split, HubFanoutConfig, SplitPlan, SplitterConfig};
-pub use replication::Replication;
+pub use replication::{Replication, MAX_MACHINES};
 pub use vertex_cut::{
     load_imbalance, CoordinatedCut, GridCut, HybridCut, PartitionStrategy, Partitioner, RandomCut,
 };

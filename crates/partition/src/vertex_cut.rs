@@ -8,6 +8,7 @@
 
 use lazygraph_graph::hash::mix64;
 use lazygraph_graph::{Graph, MachineId, VertexId};
+use lazygraph_net::wire_enum;
 
 /// Assigns each edge of `graph` (in [`Graph::edges`] iteration order) to a
 /// machine.
@@ -248,6 +249,8 @@ pub enum PartitionStrategy {
     /// [`PartitionStrategy::all`] sweeps.
     AdversarialHubs,
 }
+
+wire_enum!(PartitionStrategy { Random = 0, Grid = 1, Coordinated = 2, Hybrid = 3, AdversarialHubs = 4 });
 
 impl PartitionStrategy {
     /// All *real* strategies, for sweep experiments (the adversarial

@@ -24,25 +24,26 @@
 //! and `--input` recognises a binary file by its `LZGRAPH1` magic, whatever
 //! it is called.
 
+use std::fmt::Write as _;
 use std::process::exit;
 
 use lazygraph::multiproc::{
-    run_multiprocess_with, AlgoSpec, FailPoint, MpOptions, MultiprocOutcome,
+    run_multiprocess, AlgoSpec, FailPoint, LaunchReport, MpOptions, Shipped,
 };
 use lazygraph::prelude::*;
-use lazygraph_engine::TransportKind;
-use lazygraph_algorithms::{
-    reference, Bfs, ConnectedComponents, KCore, PageRankDelta, Sssp, WidestPath,
-};
+use lazygraph_algorithms::{reference, Visitor};
+use lazygraph_engine::{place, TransportKind};
 use lazygraph_graph::generators::{grid2d, rmat, web_crawl, Grid2dConfig, RmatConfig, WebCrawlConfig};
 use lazygraph_graph::{graph_stats, io as gio, mtx, Dataset};
+use lazygraph_partition::MAX_MACHINES;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  lazygraph-cli run --input <file|dataset:NAME> --algorithm \
-         <sssp|pagerank|cc|kcore|bfs|widest> [options]\n  lazygraph-cli info --input <file|dataset:NAME>\n  \
+        "usage:\n  lazygraph-cli run --input <file|dataset:NAME> --algorithm <{}> [options]\n  \
+         lazygraph-cli info --input <file|dataset:NAME>\n  \
          lazygraph-cli generate --kind <rmat|road|web|social> --vertices N --out FILE\n\
-         datasets: uk2005 web-google road-usa roadnet-ca twitter livejournal enwiki youtube"
+         datasets: uk2005 web-google road-usa roadnet-ca twitter livejournal enwiki youtube",
+        AlgoSpec::CLI_NAMES.join("|")
     );
     exit(2);
 }
@@ -51,6 +52,13 @@ fn usage() -> ! {
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
     exit(2);
+}
+
+/// Prints the one line of a run that could not start or did not finish and
+/// exits with the failure status.
+fn fail(what: &str, e: impl std::fmt::Display) -> ! {
+    eprintln!("{what}: {e}");
+    exit(1);
 }
 
 /// Options of `run` and `info` (which shares the input and placement ones)
@@ -62,7 +70,7 @@ const RUN_VALUES: &[&str] = &[
     "rejoin-window-ms", "respawn-budget", "failpoint",
 ];
 /// Boolean flags of `run` and `info`.
-const RUN_FLAGS: &[&str] = &["multiprocess", "symmetrize", "bidirectional", "history"];
+const RUN_FLAGS: &[&str] = &["multiprocess", "symmetrize", "bidirectional"];
 /// The fault-tolerance family only the multiprocess launcher honours.
 const MULTIPROCESS_ONLY: &[&str] =
     &["checkpoint-every", "rejoin-window-ms", "respawn-budget", "failpoint"];
@@ -117,6 +125,16 @@ impl Opts {
     }
 }
 
+/// `--machines N` (or the subcommand's default): a count the replica masks
+/// can hold, or a usage error — on `run` and `info`, both routes.
+fn machine_count(opts: &Opts, default: usize) -> usize {
+    let machines: usize = opts.parse_num("machines", default);
+    if !(1..=MAX_MACHINES).contains(&machines) {
+        die(&format!("--machines: {machines} is outside 1..={MAX_MACHINES}"));
+    }
+    machines
+}
+
 fn dataset_by_name(name: &str) -> Option<Dataset> {
     Some(match name.to_ascii_lowercase().as_str() {
         "uk2005" | "uk-2005" => Dataset::Uk2005Like,
@@ -165,10 +183,7 @@ fn load_input(opts: &Opts) -> Graph {
         } else {
             gio::load_edge_list(input, None)
         };
-        loaded.unwrap_or_else(|e| {
-            eprintln!("failed to load {input}: {e}");
-            exit(1);
-        })
+        loaded.unwrap_or_else(|e| fail(&format!("failed to load {input}"), e))
     };
     let needs_symmetrize =
         opts.flags.contains("symmetrize") && !graph.is_symmetric();
@@ -213,27 +228,14 @@ fn engine_config(opts: &Opts) -> EngineConfig {
     let mut cfg = EngineConfig::lazygraph()
         .with_engine(engine)
         .with_partition(partition)
+        .with_bidirectional(opts.flags.contains("bidirectional"))
         .with_threads(opts.parse_num("threads", 0usize))
         .with_block_size(opts.parse_num("block-size", lazygraph_engine::DEFAULT_BLOCK_SIZE));
-    if opts.flags.contains("bidirectional") {
-        cfg = cfg.with_bidirectional(true);
+    if opts.get("delta-buckets").is_some() {
+        cfg = cfg.with_delta_buckets(opts.parse_num("delta-buckets", 0usize));
     }
-    if opts.flags.contains("history") {
-        cfg.record_history = true;
-    }
-    if let Some(b) = opts.get("delta-buckets") {
-        let buckets: usize = b.parse().unwrap_or_else(|_| {
-            eprintln!("--delta-buckets: cannot parse {b}");
-            exit(2);
-        });
-        cfg = cfg.with_delta_buckets(buckets);
-    }
-    if let Some(t) = opts.get("delta-tolerance") {
-        let tol: f64 = t.parse().unwrap_or_else(|_| {
-            eprintln!("--delta-tolerance: cannot parse {t}");
-            exit(2);
-        });
-        cfg = cfg.with_delta_tolerance(tol);
+    if opts.get("delta-tolerance").is_some() {
+        cfg = cfg.with_delta_tolerance(opts.parse_num("delta-tolerance", 0.0));
     }
     if let Some(t) = opts.get("transport") {
         let kind: TransportKind = t.parse().unwrap_or_else(|e: String| {
@@ -256,81 +258,16 @@ fn engine_config(opts: &Opts) -> EngineConfig {
     cfg
 }
 
-fn write_values<T: std::fmt::Display>(opts: &Opts, values: &[T]) {
-    if let Some(path) = opts.get("output") {
-        let body: String = values
-            .iter()
-            .enumerate()
-            .map(|(v, x)| format!("{v}\t{x}\n"))
-            .collect();
-        std::fs::write(path, body).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            exit(1);
-        });
-        println!("wrote {} values to {path}", values.len());
-    }
-}
-
 /// Locates the `lazygraph-worker` binary next to the running CLI.
 fn worker_bin() -> std::path::PathBuf {
-    let exe = std::env::current_exe().unwrap_or_else(|e| {
-        eprintln!("cannot locate current executable: {e}");
-        exit(1);
-    });
+    let exe = std::env::current_exe()
+        .unwrap_or_else(|e| fail("cannot locate current executable", e));
     let name = if cfg!(windows) {
         "lazygraph-worker.exe"
     } else {
         "lazygraph-worker"
     };
     exe.with_file_name(name)
-}
-
-/// Launches a multiprocess run and prints its summary line; returns the
-/// final vertex values.
-fn mp_run<P: VertexProgram>(
-    graph: &Graph,
-    machines: usize,
-    cfg: &EngineConfig,
-    spec: &AlgoSpec,
-    mp: &MpOptions,
-) -> Vec<P::VData> {
-    let out: MultiprocOutcome<P::VData> =
-        run_multiprocess_with::<P>(graph, machines, cfg, spec, &worker_bin(), mp)
-            .unwrap_or_else(|e| {
-                eprintln!("multiprocess run failed: {e}");
-                exit(1);
-            });
-    println!(
-        "multiprocess {} workers: {} iterations, converged={}, sim_time {:.4}s, \
-         est {} B (cost model), wire {} B sent / {} frames (measured)",
-        machines,
-        out.iterations,
-        out.converged,
-        out.sim_time,
-        out.stats.total_est_bytes(),
-        out.stats.wire_bytes_sent,
-        out.stats.wire_frames_sent,
-    );
-    if mp.checkpoint_every > 0 {
-        // New figures go at the end: `lazybench` reads the first number
-        // after `recovery: ` as the snapshot bytes.
-        println!(
-            "recovery: {} snapshot B written, {} reconnects, {} rounds replayed, \
-             frame log peak {} B",
-            out.stats.snapshot_bytes,
-            out.stats.reconnects,
-            out.stats.replay_rounds,
-            out.stats.frame_log_high_water,
-        );
-    }
-    println!(
-        "shards: {} files, {} bytes shipped (largest {}), partitioned in {:.3} s",
-        out.shard_bytes.len(),
-        out.shard_bytes.iter().sum::<u64>(),
-        out.shard_bytes.iter().max().copied().unwrap_or(0),
-        out.partition_time.as_secs_f64(),
-    );
-    out.values
 }
 
 /// The launcher's fault-tolerance options off the command line.
@@ -367,68 +304,91 @@ fn mp_options(opts: &Opts, machines: usize) -> MpOptions {
     }
 }
 
-fn cmd_run_multiprocess(
-    opts: &Opts,
-    graph: &Graph,
+/// A validated `run` request, waiting for [`AlgoSpec::dispatch`] to hand it
+/// the program: the one place either route is started and reported.
+struct Request<'a> {
+    graph: &'a Graph,
     machines: usize,
-    cfg: &EngineConfig,
-    mp: &MpOptions,
-) {
-    let algorithm = opts.get("algorithm").unwrap_or_else(|| usage());
-    match algorithm {
-        "sssp" => {
-            let spec = AlgoSpec::Sssp {
-                source: opts.parse_num("source", 0u32),
-            };
-            let values = mp_run::<Sssp>(graph, machines, cfg, &spec, mp);
-            write_values(opts, &values);
+    cfg: EngineConfig,
+    /// `Some` selects the multiprocess route.
+    mp: Option<MpOptions>,
+    output: Option<&'a str>,
+}
+
+impl Visitor for Request<'_> {
+    type Out = ();
+
+    fn visit<P: Shipped>(self, program: P) {
+        let Request { graph, machines, cfg, mp, output } = self;
+        let result = match &mp {
+            None => {
+                let result = run(graph, machines, &cfg, &program)
+                    .unwrap_or_else(|e| fail("run failed", e));
+                println!("{}", result.metrics.summary());
+                result
+            }
+            Some(mp) => {
+                let (result, launch) =
+                    run_multiprocess(graph, machines, &cfg, &program, &worker_bin(), mp)
+                        .unwrap_or_else(|e| fail("multiprocess run failed", e));
+                report_launch(&result.metrics, &launch, mp);
+                result
+            }
+        };
+        if let Some(line) = program.headline(&result.values) {
+            println!("{line}");
         }
-        "bfs" => {
-            let spec = AlgoSpec::Bfs {
-                source: opts.parse_num("source", 0u32),
-            };
-            let values = mp_run::<Bfs>(graph, machines, cfg, &spec, mp);
-            write_values(opts, &values);
-        }
-        "widest" => {
-            let spec = AlgoSpec::Widest {
-                source: opts.parse_num("source", 0u32),
-            };
-            let values = mp_run::<WidestPath>(graph, machines, cfg, &spec, mp);
-            write_values(opts, &values);
-        }
-        "pagerank" => {
-            let spec = AlgoSpec::PageRank {
-                tolerance: opts.parse_num("tolerance", 1e-3),
-            };
-            let values = mp_run::<PageRankDelta>(graph, machines, cfg, &spec, mp);
-            let ranks: Vec<String> = values.iter().map(|d| format!("{:.6}", d.rank)).collect();
-            write_values(opts, &ranks);
-        }
-        "cc" => {
-            let cfg = cfg.clone().with_bidirectional(true);
-            let values = mp_run::<ConnectedComponents>(graph, machines, &cfg, &AlgoSpec::Cc, mp);
-            let components: std::collections::HashSet<_> = values.iter().collect();
-            println!("{} connected components", components.len());
-            write_values(opts, &values);
-        }
-        "kcore" => {
-            let k: u32 = opts.parse_num("k", 3);
-            let cfg = cfg.clone().with_bidirectional(true);
-            let values = mp_run::<KCore>(graph, machines, &cfg, &AlgoSpec::KCore { k }, mp);
-            let survivors = values.iter().filter(|&&c| c > 0).count();
-            println!("{survivors} vertices in the {k}-core");
-            write_values(opts, &values);
-        }
-        other => {
-            eprintln!("unknown algorithm {other}");
-            usage();
+        if let Some(path) = output {
+            let mut body = String::new();
+            for (v, x) in result.values.iter().enumerate() {
+                let _ = writeln!(body, "{v}\t{x}");
+            }
+            std::fs::write(path, body)
+                .unwrap_or_else(|e| fail(&format!("cannot write {path}"), e));
+            println!("wrote {} values to {path}", result.values.len());
         }
     }
 }
 
+/// The multiprocess route's report lines. `lazybench` reads `sim_time `,
+/// `, est `, `converged=true` and the first number after `recovery: `:
+/// new figures go at the end of a line, never in between.
+fn report_launch(m: &RunMetrics, launch: &LaunchReport, mp: &MpOptions) {
+    let shard_bytes = &launch.shard_bytes;
+    println!(
+        "multiprocess {} workers: {} iterations, converged={}, sim_time {:.4}s, \
+         est {} B (cost model), wire {} B sent / {} frames (measured)",
+        shard_bytes.len(),
+        m.iterations,
+        m.converged,
+        m.sim_time,
+        m.stats.total_est_bytes(),
+        m.stats.wire_bytes_sent,
+        m.stats.wire_frames_sent,
+    );
+    if mp.checkpoint_every > 0 {
+        println!(
+            "recovery: {} snapshot B written, {} reconnects, {} rounds replayed, \
+             frame log peak {} B",
+            m.stats.snapshot_bytes,
+            m.stats.reconnects,
+            m.stats.replay_rounds,
+            m.stats.frame_log_high_water,
+        );
+    }
+    println!(
+        "shards: {} files, {} bytes shipped (largest {}), partitioned in {:.3} s",
+        shard_bytes.len(),
+        shard_bytes.iter().sum::<u64>(),
+        shard_bytes.iter().max().copied().unwrap_or(0),
+        launch.partition_time.as_secs_f64(),
+    );
+}
+
+/// `run`: the request is parsed and validated once — everything that can
+/// be refused before the input is loaded first — then handed to the table.
 fn cmd_run(opts: &Opts) {
-    let machines: usize = opts.parse_num("machines", 8);
+    let machines = machine_count(opts, 8);
     let mp = if opts.flags.contains("multiprocess") {
         Some(mp_options(opts, machines))
     } else {
@@ -437,9 +397,12 @@ fn cmd_run(opts: &Opts) {
         }
         None
     };
-    let graph = load_input(opts);
-    let cfg = engine_config(opts);
     let algorithm = opts.get("algorithm").unwrap_or_else(|| usage());
+    let spec = AlgoSpec::parse(algorithm, |key| opts.get(key)).unwrap_or_else(|e| die(&e));
+    let mut cfg = engine_config(opts);
+    cfg.bidirectional |= spec.bidirectional();
+    let graph = load_input(opts);
+    spec.check_graph(graph.num_vertices()).unwrap_or_else(|e| die(&e));
     println!(
         "running {algorithm} on {} vertices / {} edges, {} machines, engine {}",
         graph.num_vertices(),
@@ -447,62 +410,18 @@ fn cmd_run(opts: &Opts) {
         machines,
         cfg.engine.name()
     );
-    if let Some(mp) = &mp {
-        return cmd_run_multiprocess(opts, &graph, machines, &cfg, mp);
-    }
-    match algorithm {
-        "sssp" => {
-            let source = VertexId(opts.parse_num("source", 0u32));
-            let r = run(&graph, machines, &cfg, &Sssp::new(source)).expect("cluster run");
-            println!("{}", r.metrics.summary());
-            write_values(opts, &r.values);
-        }
-        "bfs" => {
-            let source = VertexId(opts.parse_num("source", 0u32));
-            let r = run(&graph, machines, &cfg, &Bfs::new(source)).expect("cluster run");
-            println!("{}", r.metrics.summary());
-            write_values(opts, &r.values);
-        }
-        "widest" => {
-            let source = VertexId(opts.parse_num("source", 0u32));
-            let r = run(&graph, machines, &cfg, &WidestPath::new(source)).expect("cluster run");
-            println!("{}", r.metrics.summary());
-            write_values(opts, &r.values);
-        }
-        "pagerank" => {
-            let tolerance: f64 = opts.parse_num("tolerance", 1e-3);
-            let r = run(&graph, machines, &cfg, &PageRankDelta { tolerance }).expect("cluster run");
-            println!("{}", r.metrics.summary());
-            let ranks: Vec<String> = r.values.iter().map(|d| format!("{:.6}", d.rank)).collect();
-            write_values(opts, &ranks);
-        }
-        "cc" => {
-            let cfg = cfg.with_bidirectional(true);
-            let r = run(&graph, machines, &cfg, &ConnectedComponents).expect("cluster run");
-            println!("{}", r.metrics.summary());
-            let components: std::collections::HashSet<_> = r.values.iter().collect();
-            println!("{} connected components", components.len());
-            write_values(opts, &r.values);
-        }
-        "kcore" => {
-            let k: u32 = opts.parse_num("k", 3);
-            let cfg = cfg.with_bidirectional(true);
-            let r = run(&graph, machines, &cfg, &KCore::new(k)).expect("cluster run");
-            println!("{}", r.metrics.summary());
-            let survivors = r.values.iter().filter(|&&c| c > 0).count();
-            println!("{survivors} vertices in the {k}-core");
-            write_values(opts, &r.values);
-        }
-        other => {
-            eprintln!("unknown algorithm {other}");
-            usage();
-        }
-    }
+    spec.dispatch(Request {
+        graph: &graph,
+        machines,
+        cfg,
+        mp,
+        output: opts.get("output"),
+    });
 }
 
 fn cmd_info(opts: &Opts) {
+    let machines = machine_count(opts, 48);
     let graph = load_input(opts);
-    let machines: usize = opts.parse_num("machines", 48);
     let s = graph_stats(&graph);
     println!("vertices:        {}", s.num_vertices);
     println!("edges:           {}", s.num_edges);
@@ -512,14 +431,8 @@ fn cmd_info(opts: &Opts) {
     println!("top-1% share:    {:.3}", s.top1pct_edge_share);
     println!("symmetric:       {}", graph.is_symmetric());
     let cfg = engine_config(opts);
-    let dg = lazygraph_partition::partition_graph_with(
-        &graph,
-        machines,
-        cfg.partition,
-        &cfg.splitter,
-        &cfg.hub_fanout,
-        cfg.bidirectional,
-    );
+    // `machine_count` checked the one thing placement can refuse.
+    let dg = place(&graph, machines, &cfg).unwrap_or_else(|e| die(&e.to_string()));
     println!(
         "lambda:          {:.2}  ({} partitions, {} cut)",
         dg.lambda(),
@@ -570,10 +483,7 @@ fn cmd_generate(opts: &Opts) {
     } else {
         gio::save_edge_list(&graph, out)
     };
-    result.unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        exit(1);
-    });
+    result.unwrap_or_else(|e| fail(&format!("cannot write {out}"), e));
     println!(
         "wrote {} vertices / {} edges to {out}",
         graph.num_vertices(),

@@ -23,13 +23,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use lazygraph::multiproc::{load_shard, multiproc_supported, AlgoSpec, WorkerJob};
-use lazygraph_algorithms::{Bfs, ConnectedComponents, KCore, PageRankDelta, Sssp, WidestPath};
+use lazygraph::multiproc::{load_shard, multiproc_supported, Shipped, WorkerJob};
+use lazygraph_algorithms::Visitor;
 use lazygraph_cluster::{
     connect_tcp_endpoint, reconnect_tcp_endpoint, Collective, CommError, NetStats,
 };
 use lazygraph_engine::checkpoint::{CheckpointError, RecoveryCfg, SnapshotStore};
-use lazygraph_engine::{run_mesh_engine, Attach, RunShared, Seat, SimBreakdown, VertexProgram};
+use lazygraph_engine::{run_mesh_engine, Attach, RunShared, Seat, SimBreakdown};
 use lazygraph_net::{TcpOptions, Wire};
 use lazygraph_partition::LocalShard;
 
@@ -93,23 +93,14 @@ fn real_main() -> Result<(), String> {
     if let Err(e) = lazygraph_cluster::armed_failpoint() {
         return Err(e.clone());
     }
-    let bytes = std::fs::read(&args.job)
-        .map_err(|e| format!("reading job file {}: {e}", args.job.display()))?;
-    let job = WorkerJob::from_wire(&bytes).map_err(|e| format!("decoding job: {e}"))?;
+    let job = WorkerJob::read(&args.job).map_err(|e| e.to_string())?;
     if args.me >= job.shape.num_machines {
         return Err(format!(
             "--me {} out of range for {} machines",
             args.me, job.shape.num_machines
         ));
     }
-    match job.algo.clone() {
-        AlgoSpec::PageRank { tolerance } => run_worker(&job, args, PageRankDelta { tolerance }),
-        AlgoSpec::Sssp { source } => run_worker(&job, args, Sssp::new(source)),
-        AlgoSpec::Bfs { source } => run_worker(&job, args, Bfs::new(source)),
-        AlgoSpec::Cc => run_worker(&job, args, ConnectedComponents),
-        AlgoSpec::KCore { k } => run_worker(&job, args, KCore::new(k)),
-        AlgoSpec::Widest { source } => run_worker(&job, args, WidestPath::new(source)),
-    }
+    job.algo.dispatch(Worker { job: &job, args })
 }
 
 fn parse_addrs(addrs: &[String]) -> Result<Vec<SocketAddr>, String> {
@@ -154,8 +145,23 @@ impl<'a> Attach<'a> for WorkerSeat<'a> {
     }
 }
 
+/// This process's part of the job, waiting for the table to hand it the
+/// program the job names.
+struct Worker<'a> {
+    job: &'a WorkerJob,
+    args: Args,
+}
+
+impl Visitor for Worker<'_> {
+    type Out = Result<(), String>;
+
+    fn visit<P: Shipped>(self, program: P) -> Result<(), String> {
+        run_worker(self.job, self.args, program)
+    }
+}
+
 /// Runs this worker's machine and writes the result file.
-fn run_worker<P: VertexProgram>(job: &WorkerJob, args: Args, program: P) -> Result<(), String> {
+fn run_worker<P: Shipped>(job: &WorkerJob, args: Args, program: P) -> Result<(), String> {
     let me = args.me;
     let cfg = &job.cfg;
     if !multiproc_supported(cfg.engine) {

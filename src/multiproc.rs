@@ -14,8 +14,10 @@
 //! outcome, its `NetStats` snapshot (with *measured* frame bytes, since
 //! every exchange crossed a real socket), and its simulated time
 //! breakdown. The shards are files rather than a stream because a
-//! respawned worker reads its pristine shard again before it replays its
-//! snapshot's structural patches onto it (DESIGN.md §12).
+//! respawned worker reads the same shard again: nothing a run does changes
+//! a shard, so a restart is that file plus the worker's latest snapshot
+//! (DESIGN.md §12). The launcher folds the results with the in-process
+//! driver's own epilogue, so both routes return one `RunResult`.
 //!
 //! Two meshes per run: a control mesh (`Endpoint<u8>`) backing the
 //! mesh-based [`Collective`] (barriers/allreduce), and a data mesh typed
@@ -42,96 +44,16 @@ use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+pub use lazygraph_algorithms::{AlgoSpec, Shipped};
 pub use lazygraph_cluster::FailPoint;
-use lazygraph_cluster::StatsSnapshot;
-use lazygraph_engine::lazy_block::LazyCounters;
+use lazygraph_cluster::{CommError, StatsSnapshot};
 use lazygraph_engine::{
-    assemble, snapshot_tag, EngineConfig, EngineKind, MachineOut, SimBreakdown, VertexProgram,
+    assemble, place, snapshot_tag, EngineConfig, EngineKind, MachineOut, Measured, RunResult,
+    SimBreakdown,
 };
 use lazygraph_graph::Graph;
-use lazygraph_net::{NetError, Wire, WireReader};
-use lazygraph_partition::{partition_graph_with, LocalShard, PlacementShape};
-
-/// Which vertex program a worker process should instantiate. The launcher
-/// and worker agree on this enum; the generic `P` of [`run_multiprocess`]
-/// must be the program type the spec names, or result decoding fails.
-#[derive(Clone, Debug, PartialEq)]
-pub enum AlgoSpec {
-    /// PageRank-Delta with the given flush tolerance.
-    PageRank { tolerance: f64 },
-    /// Single-source shortest paths from `source`.
-    Sssp { source: u32 },
-    /// BFS levels from `source`.
-    Bfs { source: u32 },
-    /// Connected components (label propagation).
-    Cc,
-    /// k-core decomposition.
-    KCore { k: u32 },
-    /// Widest path from `source`.
-    Widest { source: u32 },
-}
-
-impl AlgoSpec {
-    /// Report name, matching the in-process program names.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AlgoSpec::PageRank { .. } => "pagerank",
-            AlgoSpec::Sssp { .. } => "sssp",
-            AlgoSpec::Bfs { .. } => "bfs",
-            AlgoSpec::Cc => "cc",
-            AlgoSpec::KCore { .. } => "kcore",
-            AlgoSpec::Widest { .. } => "widest-path",
-        }
-    }
-}
-
-impl Wire for AlgoSpec {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            AlgoSpec::PageRank { tolerance } => {
-                out.push(0);
-                tolerance.encode(out);
-            }
-            AlgoSpec::Sssp { source } => {
-                out.push(1);
-                source.encode(out);
-            }
-            AlgoSpec::Bfs { source } => {
-                out.push(2);
-                source.encode(out);
-            }
-            AlgoSpec::Cc => out.push(3),
-            AlgoSpec::KCore { k } => {
-                out.push(4);
-                k.encode(out);
-            }
-            AlgoSpec::Widest { source } => {
-                out.push(5);
-                source.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        Ok(match r.take_u8()? {
-            0 => AlgoSpec::PageRank {
-                tolerance: f64::decode(r)?,
-            },
-            1 => AlgoSpec::Sssp {
-                source: u32::decode(r)?,
-            },
-            2 => AlgoSpec::Bfs {
-                source: u32::decode(r)?,
-            },
-            3 => AlgoSpec::Cc,
-            4 => AlgoSpec::KCore { k: u32::decode(r)? },
-            5 => AlgoSpec::Widest {
-                source: u32::decode(r)?,
-            },
-            tag => return Err(NetError::BadTag { tag, ty: "AlgoSpec" }),
-        })
-    }
-}
+use lazygraph_net::{wire_record, NetError, Wire, WireReader};
+use lazygraph_partition::{LocalShard, PlacementShape};
 
 /// Everything one worker process needs to run its machine except its
 /// shard: the engine configuration, the two mesh address lists and the
@@ -163,59 +85,31 @@ pub struct WorkerJob {
     pub rejoin_window_ms: u64,
 }
 
-impl Wire for WorkerJob {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let WorkerJob {
-            cfg,
-            algo,
-            shape: PlacementShape { num_machines, num_global_vertices, ev_ratio },
-            data_addrs,
-            ctrl_addrs,
-            checkpoint_every,
-            checkpoint_dir,
-            rejoin_window_ms,
-        } = self;
-        cfg.encode(out);
-        algo.encode(out);
-        (*num_machines as u64).encode(out);
-        (*num_global_vertices as u64).encode(out);
-        ev_ratio.encode(out);
-        data_addrs.encode(out);
-        ctrl_addrs.encode(out);
-        checkpoint_every.encode(out);
-        checkpoint_dir.encode(out);
-        rejoin_window_ms.encode(out);
-    }
+wire_record!(WorkerJob {
+    cfg, algo, shape, data_addrs, ctrl_addrs, checkpoint_every, checkpoint_dir, rejoin_window_ms,
+});
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-        let job = WorkerJob {
-            cfg: EngineConfig::decode(r)?,
-            algo: AlgoSpec::decode(r)?,
-            shape: PlacementShape {
-                num_machines: u64::decode(r)? as usize,
-                num_global_vertices: u64::decode(r)? as usize,
-                ev_ratio: f64::decode(r)?,
-            },
-            data_addrs: Vec::<String>::decode(r)?,
-            ctrl_addrs: Vec::<String>::decode(r)?,
-            checkpoint_every: u64::decode(r)?,
-            checkpoint_dir: String::decode(r)?,
-            rejoin_window_ms: u64::decode(r)?,
-        };
-        // The bytes come from a file: every rank of the placement must find
-        // its own address in both meshes before anything indexes by rank.
-        let machines = job.shape.num_machines;
-        if job.data_addrs.len() != machines || job.ctrl_addrs.len() != machines {
-            return Err(NetError::Malformed {
-                ty: "WorkerJob",
-                detail: format!(
-                    "{} data and {} control addresses for {machines} machines",
-                    job.data_addrs.len(),
-                    job.ctrl_addrs.len()
-                ),
-            });
-        }
-        Ok(job)
+impl WorkerJob {
+    /// Reads the job file a worker was started on. The bytes come from a
+    /// file: besides decoding, every rank of the placement must find its
+    /// own address in both meshes before anything indexes by rank.
+    pub fn read(path: &Path) -> Result<WorkerJob, MultiprocError> {
+        let bytes = std::fs::read(path).map_err(|e| io_err("reading job file", e))?;
+        let job = WorkerJob::from_wire(&bytes).and_then(|job| {
+            let machines = job.shape.num_machines;
+            if job.data_addrs.len() != machines || job.ctrl_addrs.len() != machines {
+                return Err(NetError::Malformed {
+                    ty: "WorkerJob",
+                    detail: format!(
+                        "{} data and {} control addresses for {machines} machines",
+                        job.data_addrs.len(),
+                        job.ctrl_addrs.len()
+                    ),
+                });
+            }
+            Ok(job)
+        });
+        job.map_err(|e| MultiprocError::Decode(format!("job file {}: {e}", path.display())))
     }
 }
 
@@ -250,6 +144,9 @@ pub enum MultiprocError {
     /// The configured engine cannot run multiprocess (async-family
     /// engines coordinate termination through shared memory).
     UnsupportedEngine(&'static str),
+    /// The run cannot start as configured (a machine count no placement
+    /// holds): the in-process route's error for the same request.
+    Config(CommError),
     /// Filesystem / process-spawn failure.
     Io(String),
     /// A job, shard or result file failed to decode (or a shard does not
@@ -269,6 +166,7 @@ impl fmt::Display for MultiprocError {
                      use powergraph-sync, lazy-block-async, or delta-accum"
                 )
             }
+            MultiprocError::Config(e) => e.fmt(f),
             MultiprocError::Io(detail) => write!(f, "multiprocess launcher I/O: {detail}"),
             MultiprocError::Decode(detail) => write!(f, "multiprocess codec: {detail}"),
             MultiprocError::Worker { me, detail } => {
@@ -280,32 +178,18 @@ impl fmt::Display for MultiprocError {
 
 impl std::error::Error for MultiprocError {}
 
-/// The assembled outcome of a multiprocess run.
-pub struct MultiprocOutcome<V> {
-    /// Final vertex values, indexed by global vertex id — bitwise equal
-    /// to the in-process run's.
-    pub values: Vec<V>,
-    /// Supersteps (Sync) / coherency iterations (LazyBlockAsync).
-    pub iterations: u64,
-    pub converged: bool,
-    /// Final simulated time (max across workers).
-    pub sim_time: f64,
-    /// Lazy-engine counters (all zero for the Sync engine).
-    pub counters: LazyCounters,
-    /// Element-wise sum of all workers' `NetStats` snapshots. Wire byte
-    /// counters are *measured* frame bytes — every exchange crossed a
-    /// real socket.
-    pub stats: StatsSnapshot,
-    /// Each worker's own snapshot, indexed by machine.
-    pub per_worker_stats: Vec<StatsSnapshot>,
-    /// Worker 0's simulated-time breakdown (the only recorder).
-    pub breakdown: SimBreakdown,
+/// What only a multiprocess launch has to report, beside the
+/// [`RunResult`] both routes share.
+pub struct LaunchReport {
     /// Size of the `job.bin` the launcher wrote.
     pub job_bytes: u64,
     /// Size of each machine's shard file, indexed by machine.
     pub shard_bytes: Vec<u64>,
     /// How long the launcher's one placement took.
     pub partition_time: Duration,
+    /// Each worker's own counters, indexed by machine (the result's
+    /// `metrics.stats` is their merge).
+    pub per_worker_stats: Vec<StatsSnapshot>,
 }
 
 /// True if `engine` can run as separate processes: exactly the engines
@@ -340,53 +224,69 @@ fn alloc_loopback_addrs(n: usize) -> Result<Vec<String>, MultiprocError> {
     Ok(addrs)
 }
 
-/// Runs `spec` on `graph` across `num_machines` worker **processes**
-/// connected by framed TCP over loopback. `P` must be the program type
-/// `spec` names (e.g. `Sssp` for [`AlgoSpec::Sssp`]); `worker_bin` is the
-/// path to the `lazygraph-worker` binary.
+/// Runs `program` on `graph` across `num_machines` worker **processes**
+/// connected by framed TCP over loopback — [`lazygraph_engine::run`] with
+/// the machines as processes: same arguments, same [`RunResult`] (its
+/// values bitwise the threaded run's, its byte counters *measured* — every
+/// exchange crossed a socket), plus the launch's own [`LaunchReport`]. The
+/// program must be a row of the shipped table ([`Shipped`]), since a
+/// worker rebuilds it from `program.spec()`. `worker_bin` is the path to
+/// the `lazygraph-worker` binary.
 ///
+/// ```no_run
+/// use lazygraph::multiproc::{run_multiprocess, MpOptions};
+/// use lazygraph::prelude::*;
+///
+/// let graph = Dataset::RoadNetCaLike.build(0.02);
+/// let worker = std::path::Path::new("target/release/lazygraph-worker");
+/// let cfg = EngineConfig::lazygraph();
+/// let (result, launch) =
+///     run_multiprocess(&graph, 4, &cfg, &Sssp::new(0u32), worker, &MpOptions::default())?;
+/// assert_eq!(launch.shard_bytes.len(), 4);
+/// assert!(result.metrics.converged);
+/// # Ok::<(), lazygraph::multiproc::MultiprocError>(())
+/// ```
+///
+/// A program that is not in the table has no spec to ship, and is refused
+/// by the signature:
+///
+/// ```compile_fail
+/// use lazygraph::multiproc::{run_multiprocess, MpOptions};
+/// use lazygraph::prelude::*;
+/// use lazygraph::algorithms::MultiSourceBfs;
+///
+/// let graph = Dataset::RoadNetCaLike.build(0.02);
+/// let worker = std::path::Path::new("target/release/lazygraph-worker");
+/// let cfg = EngineConfig::lazygraph();
+/// let program = MultiSourceBfs::new(vec![VertexId(0), VertexId(5)]);
+/// run(&graph, 4, &cfg, &program).expect("any VertexProgram runs in-process");
+/// run_multiprocess(&graph, 4, &cfg, &program, worker, &MpOptions::default());
+/// ```
+///
+/// `opts` adds periodic worker checkpoints, a rejoin window on every mesh
+/// link and a launcher-side respawn policy — a crashed worker is restarted
+/// with `--resume`, loads its latest snapshot, rejoins the mesh, and the
+/// run completes bitwise-identical to an undisturbed one (DESIGN.md §12).
 /// `cfg.transport` is ignored — a multiprocess run is TCP by definition.
-pub fn run_multiprocess<P: VertexProgram>(
+pub fn run_multiprocess<P: Shipped>(
     graph: &Graph,
     num_machines: usize,
     cfg: &EngineConfig,
-    spec: &AlgoSpec,
-    worker_bin: &Path,
-) -> Result<MultiprocOutcome<P::VData>, MultiprocError> {
-    run_multiprocess_with::<P>(graph, num_machines, cfg, spec, worker_bin, &MpOptions::default())
-}
-
-/// [`run_multiprocess`] with fault-tolerance options: periodic worker
-/// checkpoints, a rejoin window on every mesh link, and a launcher-side
-/// respawn policy — a crashed worker is restarted with `--resume`, loads
-/// its latest snapshot, rejoins the mesh, and the run completes with
-/// results bitwise-identical to an undisturbed run (DESIGN.md §12).
-pub fn run_multiprocess_with<P: VertexProgram>(
-    graph: &Graph,
-    num_machines: usize,
-    cfg: &EngineConfig,
-    spec: &AlgoSpec,
+    program: &P,
     worker_bin: &Path,
     opts: &MpOptions,
-) -> Result<MultiprocOutcome<P::VData>, MultiprocError> {
+) -> Result<(RunResult<P>, LaunchReport), MultiprocError> {
     if !multiproc_supported(cfg.engine) {
         return Err(MultiprocError::UnsupportedEngine(cfg.engine.name()));
     }
-    let n = num_machines.max(1);
     let started = Instant::now();
     // Only the shards outlive this block; the placement's replica table
     // is the launcher's to drop.
-    let (shape, shards) = {
-        let dg = partition_graph_with(
-            graph,
-            n,
-            cfg.partition,
-            &cfg.splitter,
-            &cfg.hub_fanout,
-            cfg.bidirectional,
-        );
-        (dg.shape(), dg.shards)
+    let (shape, lambda, shards) = {
+        let dg = place(graph, num_machines, cfg).map_err(MultiprocError::Config)?;
+        (dg.shape(), dg.lambda(), dg.shards)
     };
+    let n = shape.num_machines;
     let partition_time = started.elapsed();
     // Both meshes' ports out of one reservation: two would each release
     // their listeners, and the second could be handed a port of the first
@@ -399,7 +299,7 @@ pub fn run_multiprocess_with<P: VertexProgram>(
             block_size: cfg.block_size.max(1),
             ..cfg.clone()
         },
-        algo: spec.clone(),
+        algo: program.spec(),
         shape,
         data_addrs,
         ctrl_addrs,
@@ -424,8 +324,12 @@ pub fn run_multiprocess_with<P: VertexProgram>(
         job.checkpoint_dir = ckpt.to_string_lossy().into_owned();
     }
     let outcome = ship(&dir, &job, shards).and_then(|(job_bytes, shard_bytes)| {
+        let launched = Instant::now();
         let result_files = launch_in(&dir, &job, worker_bin, opts)?;
-        assemble_outcome::<P>(&job, result_files, job_bytes, shard_bytes, partition_time)
+        let (result, per_worker_stats) =
+            assemble_result(&job, program, lambda, launched, result_files)?;
+        let report = LaunchReport { job_bytes, shard_bytes, partition_time, per_worker_stats };
+        Ok((result, report))
     });
     let _ = std::fs::remove_dir_all(&dir); // best-effort cleanup
     outcome
@@ -654,15 +558,15 @@ fn launch_in(
 }
 
 /// Decodes every worker's result file (`MachineOut ++ StatsSnapshot ++
-/// SimBreakdown`) and folds the machine outcomes with the in-process
-/// rules.
-fn assemble_outcome<P: VertexProgram>(
+/// SimBreakdown`) and folds the machine outcomes through the in-process
+/// driver's own epilogue. Returns each worker's own counters beside it.
+fn assemble_result<P: Shipped>(
     job: &WorkerJob,
+    program: &P,
+    lambda: f64,
+    launched: Instant,
     result_files: Vec<Vec<u8>>,
-    job_bytes: u64,
-    shard_bytes: Vec<u64>,
-    partition_time: Duration,
-) -> Result<MultiprocOutcome<P::VData>, MultiprocError> {
+) -> Result<(RunResult<P>, Vec<StatsSnapshot>), MultiprocError> {
     let mut outs: Vec<MachineOut<P>> = Vec::with_capacity(result_files.len());
     let mut per_worker_stats = Vec::with_capacity(result_files.len());
     let mut merged = StatsSnapshot::default();
@@ -680,20 +584,15 @@ fn assemble_outcome<P: VertexProgram>(
         merged.merge(&stats);
         per_worker_stats.push(stats);
     }
-    let outcome = assemble(outs, job.cfg.engine, job.shape.num_global_vertices);
-    Ok(MultiprocOutcome {
-        values: outcome.values,
-        iterations: outcome.iterations,
-        converged: outcome.converged,
-        sim_time: outcome.sim_time,
-        counters: outcome.counters,
+    let measured = Measured {
+        lambda,
+        wall_time: launched.elapsed(),
         stats: merged,
-        per_worker_stats,
         breakdown,
-        job_bytes,
-        shard_bytes,
-        partition_time,
-    })
+        history: Vec::new(), // the trace sink is process-local
+    };
+    let result = assemble(outs, &job.cfg, program, job.shape.num_global_vertices, measured);
+    Ok((result, per_worker_stats))
 }
 
 #[cfg(test)]
@@ -752,6 +651,22 @@ mod tests {
         assert!(!multiproc_supported(EngineKind::PowerGraphAsync));
         assert!(!multiproc_supported(EngineKind::LazyVertexAsync));
         assert!(!multiproc_supported(EngineKind::PowerSwitchHybrid));
+    }
+
+    /// The launcher no longer clamps `0` to one worker: both routes refuse
+    /// the same counts with the same error, before anything is placed.
+    #[test]
+    fn a_machine_count_no_placement_holds_is_a_typed_error() {
+        let g = lazygraph_graph::Dataset::RoadNetCaLike.build(0.01);
+        let cfg = EngineConfig::lazygraph();
+        let sssp = lazygraph_algorithms::Sssp::new(0u32);
+        for n in [0, 129] {
+            let refused = CommError::MachineCount { got: n, max: 128 };
+            assert_eq!(lazygraph_engine::run(&g, n, &cfg, &sssp).err(), Some(refused.clone()));
+            let launched =
+                run_multiprocess(&g, n, &cfg, &sssp, Path::new("unused"), &MpOptions::default());
+            assert!(matches!(launched, Err(MultiprocError::Config(e)) if e == refused), "{n}");
+        }
     }
 
     #[test]

@@ -658,7 +658,7 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
             num_vertices: shape.num_global_vertices,
             ev_ratio: shape.ev_ratio,
             shard,
-            pctx: ParallelCtx::new(cfg.parallel(machines)),
+            pctx: ParallelCtx::new(cfg.parallel(machines)).expect("spawn pool"),
             state: init(),
             clock: SimClock::new(),
             bsp: BspSync::new(me, coll.clone(), stats.clone(), cfg.cost, Default::default()),

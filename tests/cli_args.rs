@@ -2,8 +2,10 @@
 //! silently ignored. A value-taking option without its value, an unknown
 //! option, the fault-tolerance family without `--multiprocess` and a
 //! `--failpoint` that could not fire each exit 2 with a one-line message —
-//! before any graph is loaded or run. What *is* read off the input is its
-//! format: a binary graph is recognised by its magic.
+//! before any graph is loaded or run — and so do a machine count no
+//! placement holds and a program parameter the table refuses. What *is*
+//! read off the input is its format: a binary graph is recognised by its
+//! magic. Every program of the table runs on both routes to the same file.
 
 use std::ffi::OsStr;
 use std::process::{Command, Output};
@@ -55,12 +57,75 @@ fn unknown_option_is_rejected() {
         assert_usage_error(&run_with(&[opt, value]), &unknown);
         assert_usage_error(&["info", "--input", "dataset:web-google", opt, value], &unknown);
     }
-    // So did the pipelined exchange's two flags.
-    for flag in ["--pipeline", "--no-adaptive-parts"] {
+    // So did the pipelined exchange's two flags — and `--history`, which
+    // recorded a trace that nothing printed.
+    for flag in ["--pipeline", "--no-adaptive-parts", "--history"] {
         let unknown = format!("unknown option {flag}");
         assert_usage_error(&run_with(&[flag]), &unknown);
         assert_usage_error(&["info", "--input", "dataset:web-google", flag], &unknown);
     }
+}
+
+/// A machine count outside `1..=MAX_MACHINES` used to reach the
+/// partitioner's assertions in-process (exit 101) and, with
+/// `--multiprocess`, run one worker and report "0 workers".
+#[test]
+fn a_machine_count_no_placement_holds_is_rejected() {
+    for count in ["0", "129"] {
+        let refused = format!("--machines: {count} is outside 1..=128");
+        assert_usage_error(&run_with(&["--machines", count]), &refused);
+        assert_usage_error(&run_with(&["--machines", count, "--multiprocess"]), &refused);
+        assert_usage_error(&["info", "--input", "dataset:web-google", "--machines", count], &refused);
+    }
+}
+
+/// The table validates a program's parameter where it enters: `--k 0`
+/// used to panic the CLI (multiprocess: every worker), `--tolerance 0`
+/// ran towards the iteration cap, and a source past the last vertex
+/// "converged" in one iteration having reached nothing.
+#[test]
+fn a_program_parameter_the_table_refuses_is_rejected() {
+    let run = |algorithm: &'static str, extra: &[&'static str]| {
+        let mut args = vec!["run", "--input", "dataset:web-google", "--algorithm", algorithm];
+        args.extend_from_slice(extra);
+        args
+    };
+    assert_usage_error(&run("kcore", &["--k", "0"]), "--k: 0 is not a core");
+    assert_usage_error(&run("kcore", &["--k", "0", "--multiprocess"]), "--k: 0 is not a core");
+    for tolerance in ["0", "-1", "nan", "inf"] {
+        assert_usage_error(&run("pagerank", &["--tolerance", tolerance]), "--tolerance: ");
+    }
+    for algorithm in ["sssp", "bfs", "widest"] {
+        assert_usage_error(&run(algorithm, &["--source", "99999999"]), "is not in a graph of |V| = ");
+    }
+    assert_usage_error(&run("louvain", &[]), "unknown algorithm louvain (expected pagerank|");
+}
+
+/// A pool thread the host refuses used to panic inside a machine thread
+/// and abort the process (exit 134). The address-space limit makes the
+/// host refuse after a few hundred stacks instead of after tens of
+/// thousands of threads.
+#[cfg(unix)]
+#[test]
+fn a_thread_count_the_host_refuses_fails_the_run_with_one_line() {
+    let (dir, graph) = generated_rmat("threads", "64");
+    for route in ["", "--multiprocess"] {
+        let out = Command::new("sh")
+            .arg("-c")
+            .arg(format!(
+                "ulimit -v 3000000; exec {} run --input {graph} --algorithm pagerank \
+                 --machines 2 --threads 100000 {route}",
+                env!("CARGO_BIN_EXE_lazygraph-cli")
+            ))
+            .output()
+            .expect("spawn sh");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{route}: {stderr}");
+        assert_eq!(stderr.trim_end().lines().count(), 1, "{route}: {stderr}");
+        assert!(stderr.contains("cannot start a machine's worker pool"), "{route}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{route}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `--weights` used to `expect` its two numbers and then trip the
@@ -135,6 +200,41 @@ fn valid_invocations_still_run() {
     ]);
     assert!(out.status.success(), "run: {}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("lazy-block-async"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every program of the table through `lazygraph-cli` on both routes: two
+/// worker processes must write the file the in-process run writes, and
+/// print the same headline.
+#[test]
+fn every_shipped_program_writes_the_same_file_on_both_routes() {
+    let (dir, graph) = generated_rmat("table", "256");
+    for algorithm in lazygraph::algorithms::AlgoSpec::CLI_NAMES {
+        let run = |route: &[&str]| {
+            let values = dir.join(format!("{algorithm}{}.values", route.len()));
+            let values = values.to_str().expect("utf-8 temp path");
+            let mut args = vec![
+                "run", "--input", &graph, "--algorithm", algorithm, "--machines", "2", "--threads", "1",
+                "--symmetrize", "--weights", "1:9", "--output", values,
+            ];
+            args.extend_from_slice(route);
+            let out = cli(&args);
+            assert!(out.status.success(), "{algorithm} {route:?}: {}", String::from_utf8_lossy(&out.stderr));
+            let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+            // Between the route's own report and `wrote …`: the headline.
+            let headline: Vec<String> = stdout
+                .lines()
+                .filter(|l| l.contains(" connected components") || l.contains("-core"))
+                .map(str::to_string)
+                .collect();
+            (std::fs::read(values).expect("values"), headline)
+        };
+        let inproc = run(&[]);
+        // (A text edge list names no vertex count: trailing isolated ones drop.)
+        assert!(inproc.0.iter().filter(|&&b| b == b'\n').count() > 200, "{algorithm}: a line per vertex");
+        assert_eq!(inproc.1.len(), usize::from(matches!(algorithm, "cc" | "kcore")), "{algorithm}");
+        assert_eq!(run(&["--multiprocess"]), inproc, "{algorithm}: --multiprocess differs");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -22,9 +22,7 @@
 
 mod common;
 
-use lazygraph::multiproc::{
-    run_multiprocess, run_multiprocess_with, AlgoSpec, FailPoint, MpOptions, MultiprocOutcome,
-};
+use lazygraph::multiproc::{run_multiprocess, FailPoint, MpOptions, Shipped};
 use lazygraph::prelude::*;
 use lazygraph_graph::generators::{rmat, RmatConfig};
 
@@ -66,15 +64,27 @@ fn mp_opts(failpoint: Option<(usize, FailPoint)>) -> MpOptions {
 
 /// `{:?}` on finite floats round-trips, so string equality on the value
 /// vector is bitwise equality; `sim_time` is compared as raw bits.
-fn fingerprint<V: std::fmt::Debug>(o: &MultiprocOutcome<V>) -> String {
+fn fingerprint<P: VertexProgram>(o: &RunResult<P>) -> String {
+    let m = &o.metrics;
     format!(
         "values={:?} iters={} conv={} sim={} counters={:?}",
         o.values,
-        o.iterations,
-        o.converged,
-        o.sim_time.to_bits(),
-        o.counters
+        m.iterations,
+        m.converged,
+        m.sim_time.to_bits(),
+        (m.coherency_points, m.local_subrounds, m.a2a_exchanges, m.m2m_exchanges)
     )
+}
+
+/// One launch of the gang; the launch report is not this suite's subject.
+fn launch<P: Shipped>(
+    g: &Graph,
+    workers: usize,
+    cfg: &EngineConfig,
+    program: &P,
+    opts: &MpOptions,
+) -> Result<RunResult<P>, lazygraph::multiproc::MultiprocError> {
+    run_multiprocess(g, workers, cfg, program, worker_bin(), opts).map(|(result, _)| result)
 }
 
 /// Worker rank that gets killed in every fault run.
@@ -96,33 +106,33 @@ fn run_matrix(engine: EngineKind, workers: usize) {
 }
 
 fn run_matrix_on(g: &Graph, base: &EngineConfig, workers: usize) {
-    run_matrix_for::<Sssp>(g, base, &AlgoSpec::Sssp { source: 0 }, workers, kill_points);
+    run_matrix_for(g, base, &Sssp::new(0u32), workers, kill_points);
 }
 
 /// The matrix for any program: `kills` picks the supersteps to kill the
 /// victim at from the oracle's superstep count.
-fn run_matrix_for<P: VertexProgram>(
+fn run_matrix_for<P: Shipped>(
     g: &Graph,
     base: &EngineConfig,
-    spec: &AlgoSpec,
+    program: &P,
     workers: usize,
     kills: impl Fn(u64) -> Vec<u64>,
 ) {
     let engine = base.engine;
 
-    let oracle = run_multiprocess_with::<P>(g, workers, base, spec, worker_bin(), &mp_opts(None))
+    let oracle = launch(g, workers, base, program, &mp_opts(None))
         .unwrap_or_else(|e| panic!("{} {workers}w oracle: {e}", engine.name()));
     assert!(
-        oracle.iterations >= 3,
+        oracle.metrics.iterations >= 3,
         "{} {workers}w: oracle converged in {} supersteps — too few for a \
          first/middle/last kill matrix, grow the graph",
         engine.name(),
-        oracle.iterations
+        oracle.metrics.iterations
     );
-    assert_eq!(oracle.stats.reconnects, 0, "oracle must run undisturbed");
-    assert_eq!(oracle.stats.replay_rounds, 0, "oracle must run undisturbed");
+    assert_eq!(oracle.metrics.stats.reconnects, 0, "oracle must run undisturbed");
+    assert_eq!(oracle.metrics.stats.replay_rounds, 0, "oracle must run undisturbed");
     assert!(
-        oracle.stats.snapshot_bytes > 0,
+        oracle.metrics.stats.snapshot_bytes > 0,
         "{} {workers}w: checkpointing was on but no snapshot was written",
         engine.name()
     );
@@ -131,7 +141,7 @@ fn run_matrix_for<P: VertexProgram>(
     // Checkpointing must be observationally free: the same job without
     // any recovery machinery lands on the same bits.
     if workers == 4 {
-        let plain = run_multiprocess::<P>(g, workers, base, spec, worker_bin())
+        let plain = launch(g, workers, base, program, &MpOptions::default())
             .unwrap_or_else(|e| panic!("{} {workers}w plain: {e}", engine.name()));
         assert_eq!(
             fingerprint(&plain),
@@ -141,9 +151,9 @@ fn run_matrix_for<P: VertexProgram>(
         );
     }
 
-    for n in kills(oracle.iterations) {
+    for n in kills(oracle.metrics.iterations) {
         let opts = mp_opts(Some((VICTIM, FailPoint::Superstep(n))));
-        let out = run_multiprocess_with::<P>(g, workers, base, spec, worker_bin(), &opts)
+        let out = launch(g, workers, base, program, &opts)
             .unwrap_or_else(|e| panic!("{} {workers}w kill@{n}: {e}", engine.name()));
         assert_eq!(
             fingerprint(&out),
@@ -155,7 +165,7 @@ fn run_matrix_for<P: VertexProgram>(
         // If the fail point never fired the run degenerates to the oracle
         // and would pass vacuously — the reconnect counters catch that.
         assert!(
-            out.stats.reconnects >= 1,
+            out.metrics.stats.reconnects >= 1,
             "{} {workers}w kill@{n}: fail point never fired (no reconnects)",
             engine.name()
         );
@@ -163,7 +173,7 @@ fn run_matrix_for<P: VertexProgram>(
             // To reach superstep n ≥ 2 the gang completed superstep n-1,
             // so the survivors' logs hold rounds the rejoiner needs.
             assert!(
-                out.stats.replay_rounds >= 1,
+                out.metrics.stats.replay_rounds >= 1,
                 "{} {workers}w kill@{n}: rejoin happened but nothing was replayed",
                 engine.name()
             );
@@ -177,13 +187,13 @@ fn run_matrix_for<P: VertexProgram>(
     // pruned nothing past that one, the barrier never having completed —
     // or, where the torn generation was the first (the delta engine's few
     // epochs), from the start.
-    let last_generation = (oracle.iterations - 1) / 2 * 2;
+    let last_generation = (oracle.metrics.iterations - 1) / 2 * 2;
     assert!(last_generation >= 2, "{} {workers}w: no generation to tear", engine.name());
     let point = FailPoint::Ckpt {
         iteration: last_generation,
         chunk: 1,
     };
-    let out = run_multiprocess_with::<P>(g, workers, base, spec, worker_bin(), &mp_opts(Some((VICTIM, point))))
+    let out = launch(g, workers, base, program, &mp_opts(Some((VICTIM, point))))
         .unwrap_or_else(|e| panic!("{} {workers}w kill@{point}: {e}", engine.name()));
     assert_eq!(
         fingerprint(&out),
@@ -193,12 +203,12 @@ fn run_matrix_for<P: VertexProgram>(
         engine.name()
     );
     assert!(
-        out.stats.reconnects >= 1,
+        out.metrics.stats.reconnects >= 1,
         "{} {workers}w kill@{point}: fail point never fired (no reconnects)",
         engine.name()
     );
     assert!(
-        out.stats.replay_rounds >= 1,
+        out.metrics.stats.replay_rounds >= 1,
         "{} {workers}w kill@{point}: rejoin happened but nothing was replayed",
         engine.name()
     );
@@ -300,8 +310,7 @@ fn run_budgeted_matrix(workers: usize) {
         "the budget never admitted a sub-round"
     );
 
-    let spec = AlgoSpec::PageRank { tolerance };
-    run_matrix_for::<PageRankDelta>(&g, &base, &spec, workers, |last| {
+    run_matrix_for(&g, &base, &PageRankDelta { tolerance }, workers, |last| {
         assert_eq!(last, history.len() as u64, "in-process and multiprocess runs disagree");
         let mut ns = vec![first_budgeted, (first_budgeted + last) / 2, last];
         ns.dedup();
@@ -347,21 +356,19 @@ fn kill_between_two_peers_sends_recovers_bitwise() {
     let g = matrix_graph();
     let workers = 4;
     let base = cfg(EngineKind::PowerGraphSync);
-    let spec = AlgoSpec::Sssp { source: 0 };
+    let sssp = Sssp::new(0u32);
 
-    let oracle = run_multiprocess_with::<Sssp>(&g, workers, &base, &spec, worker_bin(), &mp_opts(None))
-        .expect("oracle");
-    assert!(oracle.iterations > 3, "the kill must land before the last superstep");
+    let oracle = launch(&g, workers, &base, &sssp, &mp_opts(None)).expect("oracle");
+    assert!(oracle.metrics.iterations > 3, "the kill must land before the last superstep");
 
     let opts = mp_opts(Some((VICTIM, FailPoint::Send { round: 5, n: 2 })));
-    let out = run_multiprocess_with::<Sssp>(&g, workers, &base, &spec, worker_bin(), &opts)
-        .expect("mid-round kill run");
+    let out = launch(&g, workers, &base, &sssp, &opts).expect("mid-round kill run");
 
     assert_eq!(
         fingerprint(&out),
         fingerprint(&oracle),
         "recovery after a kill between two peers' sends is not bitwise identical"
     );
-    assert!(out.stats.reconnects >= 1, "send:5:2 never fired (no reconnects)");
-    assert!(out.stats.replay_rounds >= 1, "nothing was replayed on rejoin");
+    assert!(out.metrics.stats.reconnects >= 1, "send:5:2 never fired (no reconnects)");
+    assert!(out.metrics.stats.replay_rounds >= 1, "nothing was replayed on rejoin");
 }

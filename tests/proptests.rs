@@ -203,7 +203,7 @@ proptest! {
             }
         }
 
-        let pctx = ParallelCtx::new(ParallelConfig { threads, block_size });
+        let pctx = ParallelCtx::new(ParallelConfig { threads, block_size }).expect("spawn pool");
         let mut par = blank();
         let blocks = par.scratch.staging.source_blocks(&pctx, shard.num_local(), &items);
         pctx.pool().map(blocks, |(chunk, b)| {

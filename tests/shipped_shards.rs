@@ -10,12 +10,12 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use lazygraph::multiproc::{
-    run_multiprocess_with, shard_path, AlgoSpec, FailPoint, MpOptions, MultiprocOutcome, WorkerJob,
+    run_multiprocess, shard_path, FailPoint, LaunchReport, MpOptions, Shipped, WorkerJob,
 };
 use lazygraph::prelude::*;
 use lazygraph_graph::generators::{rmat, RmatConfig};
 use lazygraph_net::Wire;
-use lazygraph_partition::{partition_graph_with, DistributedGraph};
+use lazygraph_partition::DistributedGraph;
 
 fn worker_bin() -> &'static Path {
     Path::new(env!("CARGO_BIN_EXE_lazygraph-worker"))
@@ -26,20 +26,11 @@ fn cfg() -> EngineConfig {
 }
 
 fn place(g: &Graph, machines: usize) -> DistributedGraph {
-    let cfg = cfg();
-    partition_graph_with(
-        g,
-        machines,
-        cfg.partition,
-        &cfg.splitter,
-        &cfg.hub_fanout,
-        cfg.bidirectional,
-    )
+    lazygraph_engine::place(g, machines, &cfg()).expect("a machine count in range")
 }
 
-fn sssp(g: &Graph, machines: usize, opts: &MpOptions) -> MultiprocOutcome<f32> {
-    let spec = AlgoSpec::Sssp { source: 0 };
-    run_multiprocess_with::<Sssp>(g, machines, &cfg(), &spec, worker_bin(), opts)
+fn sssp(g: &Graph, machines: usize, opts: &MpOptions) -> (RunResult<Sssp>, LaunchReport) {
+    run_multiprocess(g, machines, &cfg(), &Sssp::new(0u32), worker_bin(), opts)
         .unwrap_or_else(|e| panic!("{machines} workers: {e}"))
 }
 
@@ -47,8 +38,8 @@ fn sssp(g: &Graph, machines: usize, opts: &MpOptions) -> MultiprocOutcome<f32> {
 /// shard's own arrays allow: 9 B per stored edge, under 40 B per local
 /// replica, the 4 B route entry per global vertex — nothing per global
 /// edge, whichever machine stores it.
-fn shipped(g: &Graph, machines: usize) -> MultiprocOutcome<f32> {
-    let out = sssp(g, machines, &MpOptions::default());
+fn shipped(g: &Graph, machines: usize) -> LaunchReport {
+    let (_, out) = sssp(g, machines, &MpOptions::default());
     let dg = place(g, machines);
     let locals: usize = dg.shards.iter().map(|s| s.num_local()).sum();
     let bound = 16 * dg.total_stored_edges + 64 * locals + 4 * machines * g.num_vertices();
@@ -77,7 +68,7 @@ fn the_job_is_a_header_and_a_shard_is_its_own_arrays() {
     assert!(four_dense.shard_bytes.iter().sum::<u64>() > four.shard_bytes.iter().sum::<u64>());
 
     let eight = shipped(&sparse, 8);
-    let largest = |o: &MultiprocOutcome<f32>| o.shard_bytes.iter().copied().max().unwrap_or(0);
+    let largest = |o: &LaunchReport| o.shard_bytes.iter().copied().max().unwrap_or(0);
     assert!(
         10 * largest(&eight) < 7 * largest(&four),
         "largest shard file: {} B on 8 machines, {} B on 4",
@@ -87,13 +78,13 @@ fn the_job_is_a_header_and_a_shard_is_its_own_arrays() {
 }
 
 /// `{:?}` on finite floats round-trips, so this is bitwise equality.
-fn fingerprint(o: &MultiprocOutcome<f32>) -> String {
+fn fingerprint(o: &RunResult<Sssp>) -> String {
     format!(
         "values={:?} iters={} conv={} sim={}",
         o.values,
-        o.iterations,
-        o.converged,
-        o.sim_time.to_bits()
+        o.metrics.iterations,
+        o.metrics.converged,
+        o.metrics.sim_time.to_bits()
     )
 }
 
@@ -108,13 +99,13 @@ fn a_respawned_worker_reads_the_same_shard_file_again() {
         respawn_budget: 2,
         failpoint,
     };
-    let calm = sssp(&g, 4, &opts(None));
-    assert!(calm.iterations > 3, "the kill must land mid-run");
-    assert_eq!(calm.stats.reconnects, 0);
-    let killed = sssp(&g, 4, &opts(Some((1, FailPoint::Superstep(3)))));
-    assert!(killed.stats.reconnects > 0, "the fail point never fired");
+    let (calm, calm_launch) = sssp(&g, 4, &opts(None));
+    assert!(calm.metrics.iterations > 3, "the kill must land mid-run");
+    assert_eq!(calm.metrics.stats.reconnects, 0);
+    let (killed, killed_launch) = sssp(&g, 4, &opts(Some((1, FailPoint::Superstep(3)))));
+    assert!(killed.metrics.stats.reconnects > 0, "the fail point never fired");
     assert_eq!(fingerprint(&killed), fingerprint(&calm));
-    assert_eq!(killed.shard_bytes, calm.shard_bytes);
+    assert_eq!(killed_launch.shard_bytes, calm_launch.shard_bytes);
 }
 
 /// What [`stage`] lays out for one worker: a job for `machines` machines
@@ -137,7 +128,7 @@ fn stage(name: &str, at: Staged, shard_file: impl FnOnce(&DistributedGraph) -> V
     let dg = place(&g, at.machines);
     let job = WorkerJob {
         cfg: cfg(),
-        algo: AlgoSpec::Sssp { source: 0 },
+        algo: Sssp::new(0u32).spec(),
         shape: dg.shape(),
         // Never dialled: the worker must give up before it gets that far.
         data_addrs: vec!["127.0.0.1:1".into(); at.addrs],
@@ -152,6 +143,29 @@ fn stage(name: &str, at: Staged, shard_file: impl FnOnce(&DistributedGraph) -> V
     std::fs::write(&job_path, job.to_wire()).expect("job file");
     std::fs::write(shard_path(&job_path, at.rank), shard_file(&dg)).expect("shard file");
     dir
+}
+
+/// The staged job file's bytes as the hand-written codecs wrote them
+/// (recorded at `145e8f4`, before `WorkerJob`, `EngineConfig` and
+/// `PlacementShape` became field lists): 304 bytes. Never re-record to
+/// make this pass.
+#[test]
+fn the_staged_job_file_is_byte_for_byte_the_hand_written_codecs() {
+    let golden = "\
+         020200000000d0127341fca9f1d24d62403f00009a9999999999a93f0000000000000000002440ec51b81e85\
+         ebb13f000000000000084000000000d012734148afbc9af2d77a3efca9f1d24d62503f691d554d10750f3ff1\
+         68e388b5f8d43e2d431cebe2361a3f54e41071732ac93efa7e6abc7493583f0000000065cd9d4140420f0000\
+         00000001009a9999999999a93f010000000000000000040000000000001000000000000000fca9f1d24d6250\
+         3f00000000000000000000010000000002000000000000004000000000000000000000000040074002000000\
+         0b0000003132372e302e302e313a310b0000003132372e302e302e313a31020000000b0000003132372e302e\
+         302e313a310b0000003132372e302e302e313a310000000000000000000000000000000000000000";
+    let dir = stage("golden", TWO, |dg| dg.shards[0].to_wire());
+    let bytes = std::fs::read(dir.join("job.bin")).expect("job file");
+    let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, golden);
+    let job = WorkerJob::read(&dir.join("job.bin")).expect("the worker's own entry reads it");
+    assert_eq!(job.to_wire(), bytes);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Starts worker `at.rank` on a staged directory and expects exit status 1

@@ -19,7 +19,7 @@ use std::io::Read;
 
 use proptest::prelude::*;
 
-use lazygraph::multiproc::{run_multiprocess, AlgoSpec};
+use lazygraph::multiproc::{run_multiprocess, MpOptions};
 use lazygraph::prelude::*;
 use lazygraph_algorithms::PageRankData;
 use lazygraph_graph::generators::{rmat, RmatConfig};
@@ -345,14 +345,9 @@ fn multiprocess_pagerank_matches_inproc_bitwise() {
     for engine in [EngineKind::PowerGraphSync, EngineKind::LazyBlockAsync] {
         let base = cfg(engine);
         let inproc = run(&g, machines, &base, &program).expect("in-proc");
-        let mp = run_multiprocess::<PageRankDelta>(
-            &g,
-            machines,
-            &base,
-            &AlgoSpec::PageRank { tolerance },
-            worker_bin(),
-        )
-        .expect("multiprocess");
+        let (mp, launch) =
+            run_multiprocess(&g, machines, &base, &program, worker_bin(), &MpOptions::default())
+                .expect("multiprocess");
 
         assert_eq!(
             format!("{:?}", inproc.values),
@@ -360,20 +355,20 @@ fn multiprocess_pagerank_matches_inproc_bitwise() {
             "pagerank values diverged on {}",
             engine.name()
         );
-        assert_eq!(inproc.metrics.iterations, mp.iterations, "{}", engine.name());
+        assert_eq!(inproc.metrics.iterations, mp.metrics.iterations, "{}", engine.name());
         assert_eq!(
             inproc.metrics.sim_time.to_bits(),
-            mp.sim_time.to_bits(),
+            mp.metrics.sim_time.to_bits(),
             "{}",
             engine.name()
         );
-        assert!(mp.converged, "{}", engine.name());
+        assert!(mp.metrics.converged, "{}", engine.name());
 
         // Every exchange crossed a real socket; the merged snapshot must
         // show measured traffic on all four workers.
-        assert!(mp.stats.wire_bytes_sent > 0);
-        assert_eq!(mp.per_worker_stats.len(), machines);
-        for (i, s) in mp.per_worker_stats.iter().enumerate() {
+        assert!(mp.metrics.stats.wire_bytes_sent > 0);
+        assert_eq!(launch.per_worker_stats.len(), machines);
+        for (i, s) in launch.per_worker_stats.iter().enumerate() {
             assert!(s.wire_bytes_sent > 0, "worker {i} sent no frames");
             assert!(s.wire_bytes_recv > 0, "worker {i} received no frames");
         }
@@ -389,14 +384,9 @@ fn multiprocess_sssp_matches_inproc_bitwise() {
     for engine in [EngineKind::PowerGraphSync, EngineKind::LazyBlockAsync] {
         let base = cfg(engine);
         let inproc = run(&g, machines, &base, &program).expect("in-proc");
-        let mp = run_multiprocess::<Sssp>(
-            &g,
-            machines,
-            &base,
-            &AlgoSpec::Sssp { source: 0 },
-            worker_bin(),
-        )
-        .expect("multiprocess");
+        let (mp, _) =
+            run_multiprocess(&g, machines, &base, &program, worker_bin(), &MpOptions::default())
+                .expect("multiprocess");
 
         assert_eq!(
             format!("{:?}", inproc.values),
@@ -404,14 +394,14 @@ fn multiprocess_sssp_matches_inproc_bitwise() {
             "sssp values diverged on {}",
             engine.name()
         );
-        assert_eq!(inproc.metrics.iterations, mp.iterations, "{}", engine.name());
+        assert_eq!(inproc.metrics.iterations, mp.metrics.iterations, "{}", engine.name());
         assert_eq!(
             inproc.metrics.sim_time.to_bits(),
-            mp.sim_time.to_bits(),
+            mp.metrics.sim_time.to_bits(),
             "{}",
             engine.name()
         );
-        assert!(mp.stats.wire_bytes_sent > 0);
+        assert!(mp.metrics.stats.wire_bytes_sent > 0);
     }
 }
 
@@ -425,12 +415,13 @@ fn multiprocess_rejects_shared_memory_engines() {
         EngineKind::LazyVertexAsync,
         EngineKind::PowerSwitchHybrid,
     ] {
-        let err = run_multiprocess::<Sssp>(
+        let err = run_multiprocess(
             &g,
             2,
             &cfg(engine),
-            &AlgoSpec::Sssp { source: 0 },
+            &Sssp::new(0u32),
             worker_bin(),
+            &MpOptions::default(),
         );
         assert!(
             matches!(err, Err(lazygraph::multiproc::MultiprocError::UnsupportedEngine(_))),
