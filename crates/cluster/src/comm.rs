@@ -7,10 +7,11 @@
 
 use std::collections::VecDeque;
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use lazygraph_net::{FrameKind, NetError, Wire, WireReader};
 
 use crate::error::CommError;
+use crate::io_loop::SocketMesh;
 use crate::stats::{NetStats, Phase};
 
 /// Round tag for out-of-band (non-BSP) sends.
@@ -185,22 +186,12 @@ impl<T> OutboxSet<T> {
     }
 }
 
-/// One machine's endpoint into the mesh: senders to every peer plus its own
-/// receiver, and the machine's side of the shared buffer pool.
+/// One machine's endpoint into the mesh, and the machine's side of the
+/// buffer pool.
 pub struct Endpoint<T> {
     me: usize,
     n: usize,
-    txs: Vec<Sender<Batch<T>>>,
-    rx: Receiver<Batch<T>>,
-    /// Return path of the buffer pool: `ret_txs[m]` carries drained payload
-    /// vectors back to machine `m`, their original allocator.
-    ret_txs: Vec<Sender<Vec<T>>>,
-    /// Vectors coming home from peers that finished consuming them.
-    ret_rx: Receiver<Vec<T>>,
-    /// Return path for zero-copy frame buffers: recycled raw payloads go
-    /// back to the transport's reader proxies, which feed them to their
-    /// `FrameReader` pools. `None` on the in-proc mesh (no raw batches).
-    raw_ret: Option<Sender<Vec<u8>>>,
+    wiring: Wiring<T>,
     /// Local free list of ready-to-reuse payload vectors, capped at
     /// [`POOL_FREE_CAP`] entries.
     free: Vec<Vec<T>>,
@@ -212,66 +203,40 @@ pub struct Endpoint<T> {
     /// Batches received ahead of the round currently being collected
     /// (two-hop exchanges can race ahead on fast peers).
     pending: VecDeque<Batch<T>>,
-    /// Writer-proxy threads a transport backend attached to this endpoint
-    /// (empty for the in-proc mesh). Joined on drop — see [`Drop`] below.
-    flush_on_drop: Vec<std::thread::JoinHandle<()>>,
-    /// Fault-tolerance state shared with the transport's reader/writer/
-    /// acceptor threads (`None` for the in-proc mesh and for TCP meshes
-    /// running in the PR 4 fail-fast mode).
-    recovery: Option<std::sync::Arc<crate::recovery::RecoveryShared>>,
+}
+
+/// What carries an endpoint's batches.
+enum Wiring<T> {
+    /// The in-process channel mesh: batches move as values.
+    Channels {
+        txs: Vec<Sender<Batch<T>>>,
+        rx: Receiver<Batch<T>>,
+        /// Return path of the buffer pool: `ret_txs[m]` carries drained
+        /// payload vectors back to machine `m`, their original allocator.
+        ret_txs: Vec<Sender<Vec<T>>>,
+        /// Vectors coming home from peers that finished consuming them.
+        ret_rx: Receiver<Vec<T>>,
+    },
+    /// Framed sockets, moved by this machine's I/O loop (`io_loop`).
+    Sockets(Box<dyn SocketMesh<T>>),
 }
 
 impl<T> Endpoint<T> {
-    /// Assembles an endpoint from transport-built channel halves. Used by
-    /// `transport` to put proxy-thread channels behind the same API the
-    /// in-proc mesh hands out. `flush_on_drop` carries the backend's
-    /// writer-proxy handles, whose termination implies all outbound frames
-    /// (including the clean-close Shutdown) reached the socket.
-    pub(crate) fn from_parts(
-        me: usize,
-        n: usize,
-        txs: Vec<Sender<Batch<T>>>,
-        rx: Receiver<Batch<T>>,
-        ret_txs: Vec<Sender<Vec<T>>>,
-        ret_rx: Receiver<Vec<T>>,
-        flush_on_drop: Vec<std::thread::JoinHandle<()>>,
-    ) -> Self {
+    fn with_wiring(me: usize, n: usize, wiring: Wiring<T>) -> Self {
         Endpoint {
             me,
             n,
-            txs,
-            rx,
-            ret_txs,
-            ret_rx,
-            raw_ret: None,
+            wiring,
             free: Vec::new(),
             pending_evictions: 0,
             next_round: 0,
             pending: VecDeque::new(),
-            flush_on_drop,
-            recovery: None,
         }
     }
 
-    /// Attaches the transport's recovery state (set once, right after
-    /// `from_parts`, by the TCP backend).
-    pub(crate) fn set_recovery(&mut self, r: std::sync::Arc<crate::recovery::RecoveryShared>) {
-        self.recovery = Some(r);
-    }
-
-    /// Attaches the zero-copy buffer return channel (set once, right
-    /// after `from_parts`, by the TCP backend). Recycled raw payloads
-    /// flow back to the reader proxies' `FrameReader` pools through it.
-    pub(crate) fn set_raw_return(&mut self, tx: Sender<Vec<u8>>) {
-        self.raw_ret = Some(tx);
-    }
-
-    /// The recovery state, if this endpoint's transport has one.
-    #[cfg(test)]
-    pub(crate) fn recovery_shared(
-        &self,
-    ) -> Option<&std::sync::Arc<crate::recovery::RecoveryShared>> {
-        self.recovery.as_ref()
+    /// An endpoint over a socket mesh (built by `transport`).
+    pub(crate) fn on_sockets(me: usize, n: usize, links: Box<dyn SocketMesh<T>>) -> Self {
+        Endpoint::with_wiring(me, n, Wiring::Sockets(links))
     }
 
     /// The round the next `exchange` will be tagged with — the replay
@@ -290,72 +255,39 @@ impl<T> Endpoint<T> {
     /// Drops replay-log entries below `watermark` on every link; no-op
     /// for transports without recovery state.
     pub fn prune_log(&self, watermark: u64, stats: &NetStats) {
-        if let Some(r) = &self.recovery {
-            r.prune_logs(watermark, stats);
+        if let Wiring::Sockets(s) = &self.wiring {
+            s.prune_log(watermark, stats);
         }
     }
 
     /// Simulates a process death for in-process tests: severs every live
     /// socket without sending Shutdown frames (peers observe a bare EOF,
     /// exactly like a killed worker), then drops the endpoint. Only
-    /// meaningful on recovery-mode TCP transports.
+    /// meaningful on TCP transports.
     #[cfg(test)]
-    pub(crate) fn crash_for_test(mut self) {
-        if let Some(r) = self.recovery.take() {
-            r.close();
-            for link in &r.links {
-                if let Some(s) = link.stream.lock().take() {
-                    let _ = s.shutdown(std::net::Shutdown::Both);
-                }
-            }
-            self.recovery = Some(r);
+    pub(crate) fn crash_for_test(self) {
+        if let Wiring::Sockets(s) = &self.wiring {
+            s.crash();
         }
-        drop(self);
+    }
+
+    /// The status of the link to `peer` after one pass over the sockets;
+    /// `None` on the channel mesh.
+    #[cfg(test)]
+    pub(crate) fn link_status(&self, peer: usize) -> Option<crate::recovery::LinkStatus> {
+        match &self.wiring {
+            Wiring::Sockets(s) => s.status(peer),
+            Wiring::Channels { .. } => None,
+        }
     }
 }
 
-/// Dropping an endpoint *is* the clean-shutdown handshake. For transport
-/// backends with writer proxies, the outbound channels are disconnected
-/// first (each writer then drains what is queued and sends its Shutdown
-/// frame) and the writers are joined. Without the join, a worker process
-/// could exit between its machine loop returning and its proxies
-/// flushing, and peers would see a torn connection — a poisoned mesh —
-/// on what was actually a completed run. Reader proxies are *not* joined:
-/// they exit on the peer's Shutdown, which may arrive arbitrarily later.
-impl<T> Drop for Endpoint<T> {
-    fn drop(&mut self) {
-        if self.flush_on_drop.is_empty() {
-            return;
-        }
-        // Recovery-mode teardown: latch `closed` first so the acceptor
-        // thread (riding in `flush_on_drop`) knows to retire its links
-        // and exit instead of awaiting further rejoins.
-        if let Some(r) = &self.recovery {
-            r.close();
-        }
-        self.txs.clear();
-        self.ret_txs.clear();
-        self.raw_ret = None;
-        for h in self.flush_on_drop.drain(..) {
-            let _ = h.join();
-        }
-        // In recovery mode the per-link writer/reader threads are parked
-        // in `LinkShared` (the acceptor swaps them on rejoin); join them
-        // after the acceptor so nobody respawns what we just joined.
-        // Writers see the cleared `txs` as a disconnect and flush their
-        // Shutdown frames; readers notice `closed` on a timeout tick.
-        if let Some(r) = self.recovery.take() {
-            for link in &r.links {
-                let writer = link.writer.lock().take();
-                if let Some(h) = writer {
-                    let _ = h.join();
-                }
-                let reader = link.reader.lock().take();
-                if let Some(h) = reader {
-                    let _ = h.join();
-                }
-            }
-        }
+/// Parks a vector on a capped free list, counting what the cap turns away.
+fn park<T>(free: &mut Vec<Vec<T>>, evictions: &mut u64, v: Vec<T>) {
+    if free.len() < POOL_FREE_CAP {
+        free.push(v);
+    } else {
+        *evictions += 1;
     }
 }
 
@@ -373,14 +305,20 @@ impl<T: Send> Endpoint<T> {
     }
 
     /// Takes a payload vector from the buffer pool, pulling home any
-    /// vectors peers have returned first. A pool hit reuses capacity that
-    /// already travelled the mesh; a miss allocates a fresh (empty) vector.
+    /// vectors peers (or, on sockets, encodes) have returned first. A pool
+    /// hit reuses capacity that already travelled the mesh; a miss
+    /// allocates a fresh (empty) vector.
     pub fn take_buffer(&mut self, stats: &NetStats) -> Vec<T> {
-        while let Ok(v) = self.ret_rx.try_recv() {
-            if self.free.len() < POOL_FREE_CAP {
-                self.free.push(v);
-            } else {
-                self.pending_evictions += 1;
+        match &self.wiring {
+            Wiring::Channels { ret_rx, .. } => {
+                while let Ok(v) = ret_rx.try_recv() {
+                    park(&mut self.free, &mut self.pending_evictions, v);
+                }
+            }
+            Wiring::Sockets(s) => {
+                while let Some(v) = s.take_returned() {
+                    park(&mut self.free, &mut self.pending_evictions, v);
+                }
             }
         }
         if self.pending_evictions != 0 {
@@ -402,13 +340,12 @@ impl<T: Send> Endpoint<T> {
     /// Returns a consumed batch's payload vector to its allocating
     /// machine's free list (or our own, for locally produced vectors).
     /// If the owner already left the mesh the capacity is simply dropped.
-    /// Zero-copy frame buffers go back to the reader proxies instead, so
-    /// steady-state inbound decode allocates nothing per batch.
+    /// A zero-copy frame buffer goes back to the frame reader of the link
+    /// it arrived on, so steady-state inbound decode allocates nothing per
+    /// batch.
     pub fn recycle(&mut self, mut batch: Batch<T>) {
-        if let Some(raw) = batch.raw.take() {
-            if let Some(tx) = &self.raw_ret {
-                let _ = tx.send(raw.bytes);
-            }
+        if let (Some(raw), Wiring::Sockets(s)) = (batch.raw.take(), &self.wiring) {
+            s.recycle_raw(batch.from, raw.bytes);
         }
         self.recycle_vec(batch.from, batch.items);
     }
@@ -419,22 +356,22 @@ impl<T: Send> Endpoint<T> {
         if items.capacity() == 0 {
             return;
         }
-        if owner == self.me {
-            if self.free.len() < POOL_FREE_CAP {
-                self.free.push(items);
-            } else {
-                self.pending_evictions += 1;
+        match &self.wiring {
+            Wiring::Channels { ret_txs, .. } if owner != self.me => {
+                let _ = ret_txs[owner].send(items);
             }
-        } else {
-            let _ = self.ret_txs[owner].send(items);
+            // Our own vectors, and every vector on a socket mesh: a remote
+            // owner cannot take capacity back over a socket.
+            _ => park(&mut self.free, &mut self.pending_evictions, items),
         }
     }
 
     /// Sends an out-of-band batch to `dst`, charging `bytes_per_item · len`
     /// payload bytes to `phase`. Used by the asynchronous engines.
     ///
-    /// Fails with [`CommError::PeerDisconnected`] only if `dst`'s machine
-    /// thread has already died and dropped its endpoint.
+    /// Fails with [`CommError::PeerDisconnected`] if `dst`'s machine has
+    /// already left the mesh, and on a socket mesh with the mesh's failure
+    /// once a link has torn (see [`Self::try_recv`]).
     pub fn send(
         &self,
         dst: usize,
@@ -484,45 +421,74 @@ impl<T: Send> Endpoint<T> {
         if !items.is_empty() {
             stats.record_batch(phase, items.len() as u64, (items.len() * bytes_per_item) as u64);
         }
-        let batch = Batch {
-            from: self.me,
-            sent_at: sim_now,
-            round,
-            last: true,
-            kind: FrameKind::Data,
-            items,
-            raw: None,
-        };
-        self.txs[dst].send(batch).map_err(|_| CommError::PeerDisconnected {
-            from: self.me,
-            to: dst,
-        })
+        match &self.wiring {
+            Wiring::Channels { txs, .. } => {
+                let batch = Batch {
+                    from: self.me,
+                    sent_at: sim_now,
+                    round,
+                    last: true,
+                    kind: FrameKind::Data,
+                    items,
+                    raw: None,
+                };
+                txs[dst].send(batch).map_err(|_| CommError::PeerDisconnected {
+                    from: self.me,
+                    to: dst,
+                })
+            }
+            Wiring::Sockets(s) => s.send(dst, items, sim_now, round),
+        }
+    }
+
+    /// The next batch the wiring delivers (see `io_loop` for `needed`).
+    fn next_batch(
+        &self,
+        block: bool,
+        needed: &dyn Fn(usize) -> bool,
+    ) -> Result<Option<Batch<T>>, CommError> {
+        match &self.wiring {
+            Wiring::Channels { rx, .. } if block => {
+                rx.recv().map(Some).map_err(|_| CommError::MeshClosed { me: self.me })
+            }
+            Wiring::Channels { rx, .. } => Ok(rx.try_recv().ok()),
+            Wiring::Sockets(s) => s.next(block, needed),
+        }
+    }
+
+    /// Waits until everything sent so far is on the wire (sockets only).
+    fn flush(&self) -> Result<(), CommError> {
+        match &self.wiring {
+            Wiring::Sockets(s) => s.flush(),
+            Wiring::Channels { .. } => Ok(()),
+        }
     }
 
     /// Blocking receive of the next batch of any round. Fails with
-    /// [`CommError::MeshClosed`] if every peer endpoint has been dropped.
+    /// [`CommError::MeshClosed`] once every peer has left, and on a socket
+    /// mesh with the mesh's failure once a link has torn.
     pub fn recv(&mut self) -> Result<Batch<T>, CommError> {
         if let Some(b) = self.pending.pop_front() {
             return Ok(b);
         }
-        self.rx.recv().map_err(|_| CommError::MeshClosed { me: self.me })
+        let me = self.me;
+        self.next_batch(true, &|p| p != me)?
+            .ok_or(CommError::MeshClosed { me })
     }
 
     /// Non-blocking receive of an out-of-band batch (asynchronous engines).
     ///
-    /// Returns `None` both when the channel is momentarily empty and when
-    /// every sender has been dropped: in either case no batch is available,
-    /// and the termination detector — not channel state — decides whether
-    /// more work can still arrive.
-    pub fn try_recv(&mut self) -> Option<Batch<T>> {
+    /// `Ok(None)` when no batch is available — also once peers have left
+    /// cleanly: the termination detector, not the mesh, decides whether
+    /// more work can still arrive. A torn link is an error, as on every
+    /// call: a peer that died without its Shutdown frame (fail-fast mode)
+    /// or did not rejoin in time (recovery mode) is
+    /// [`CommError::Transport`].
+    pub fn try_recv(&mut self) -> Result<Option<Batch<T>>, CommError> {
         if let Some(pos) = self.pending.iter().position(|b| b.round == ASYNC_ROUND) {
-            return self.pending.remove(pos);
+            return Ok(self.pending.remove(pos));
         }
-        match self.rx.try_recv() {
-            Ok(b) => Some(b),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => None,
-        }
+        self.next_batch(false, &|_| true)
     }
 
     /// BSP exchange round: sends `outboxes[dst]` to every other machine
@@ -532,7 +498,9 @@ impl<T: Send> Endpoint<T> {
     /// Rounds are tagged: every machine must issue the same sequence of
     /// `exchange` calls (BSP lockstep), and batches from a later round that
     /// arrive early are buffered, which makes back-to-back exchanges (the
-    /// two hops of mirrors-to-master coherency) safe.
+    /// two hops of mirrors-to-master coherency) safe. On a socket mesh the
+    /// round returns only once its own frames are on the wire too, so no
+    /// peer ever waits on a machine that has moved on to local work.
     pub fn exchange(
         &mut self,
         outboxes: &mut OutboxSet<T>,
@@ -542,24 +510,32 @@ impl<T: Send> Endpoint<T> {
         stats: &NetStats,
     ) -> Result<Vec<Batch<T>>, CommError> {
         assert_eq!(outboxes.num_machines(), self.n, "need one outbox per machine");
+        let me = self.me;
         let round = self.next_round;
         self.next_round += 1;
         let mut sends = 0;
         for dst in 0..self.n {
-            if dst == self.me {
+            if dst == me {
                 continue;
             }
             if phase != Phase::Control {
                 sends += 1;
-                crate::recovery::failpoint_send(round, sends);
+                crate::recovery::failpoint_send(round, sends, || {
+                    let _ = self.flush();
+                });
             }
             // The staged vector goes on the wire; the slot is refilled from
             // the pool so next round's staging reuses travelled capacity.
             let replacement = self.take_buffer(stats);
             let items = std::mem::replace(outboxes.slot(dst), replacement);
-            self.send_tagged(dst, items, sim_now, round, phase, bytes_per_item, stats)?;
+            self.send_tagged(dst, items, sim_now, round, phase, bytes_per_item, stats)
+                .map_err(|e| match e {
+                    // A peer that has left can no longer complete the round.
+                    CommError::PeerDisconnected { .. } => CommError::MeshClosed { me },
+                    e => e,
+                })?;
         }
-        let mut received = Vec::with_capacity(self.n - 1);
+        let mut received: Vec<Batch<T>> = Vec::with_capacity(self.n - 1);
         // Single rotation pass over the ahead-of-round buffer: matching
         // batches move to `received`, the rest keep their FIFO order.
         for _ in 0..self.pending.len() {
@@ -570,16 +546,17 @@ impl<T: Send> Endpoint<T> {
             }
         }
         while received.len() < self.n - 1 {
+            let needed = |p: usize| p != me && received.iter().all(|b| b.from != p);
             let b = self
-                .rx
-                .recv()
-                .map_err(|_| CommError::MeshClosed { me: self.me })?;
+                .next_batch(true, &needed)?
+                .ok_or(CommError::MeshClosed { me })?;
             if b.round == round {
                 received.push(b);
             } else {
                 self.pending.push_back(b);
             }
         }
+        self.flush()?;
         // Arrival order depends on peer scheduling; sender order does not.
         // Engines fold received deltas in batch order, so this sort is what
         // makes cross-machine float accumulation run-to-run deterministic.
@@ -607,15 +584,13 @@ pub fn build_mesh<T: Send>(n: usize) -> Vec<Endpoint<T>> {
         .zip(ret_rxs)
         .enumerate()
         .map(|(me, (rx, ret_rx))| {
-            Endpoint::from_parts(
-                me,
-                n,
-                channel_txs.clone(),
+            let wiring = Wiring::Channels {
+                txs: channel_txs.clone(),
                 rx,
-                ret_channel_txs.clone(),
+                ret_txs: ret_channel_txs.clone(),
                 ret_rx,
-                Vec::new(),
-            )
+            };
+            Endpoint::with_wiring(me, n, wiring)
         })
         .collect()
 }
@@ -750,9 +725,9 @@ mod tests {
             .unwrap();
         assert_eq!(got[0].items, vec![40]);
         // …and try_recv must then surface them, oldest first.
-        assert_eq!(ep0.try_recv().unwrap().items, vec![7]);
-        assert_eq!(ep0.try_recv().unwrap().items, vec![8]);
-        assert!(ep0.try_recv().is_none());
+        assert_eq!(ep0.try_recv().unwrap().unwrap().items, vec![7]);
+        assert_eq!(ep0.try_recv().unwrap().unwrap().items, vec![8]);
+        assert!(ep0.try_recv().unwrap().is_none());
     }
 
     #[test]
@@ -774,7 +749,7 @@ mod tests {
         assert_eq!(ep0.recv().unwrap().items, vec![1]);
         assert_eq!(ep0.recv().unwrap().items, vec![2]);
         assert_eq!(ep0.recv().unwrap().items, vec![3]);
-        assert!(ep0.try_recv().is_none());
+        assert!(ep0.try_recv().unwrap().is_none());
     }
 
     #[test]
@@ -800,8 +775,8 @@ mod tests {
         let r2 = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
         assert_eq!(r2[0].items, vec![22]);
         // The out-of-band batch survived all three rotation passes.
-        assert_eq!(ep0.try_recv().unwrap().items, vec![99]);
-        assert!(ep0.try_recv().is_none());
+        assert_eq!(ep0.try_recv().unwrap().unwrap().items, vec![99]);
+        assert!(ep0.try_recv().unwrap().is_none());
     }
 
     #[test]
@@ -866,8 +841,11 @@ mod tests {
         assert_eq!(stats.snapshot().pool_evictions, 10);
 
         // The return-channel path is capped on drain too.
+        let Wiring::Channels { ret_txs, .. } = &ep.wiring else {
+            panic!("build_mesh wires channels")
+        };
         for _ in 0..(POOL_FREE_CAP + 5) {
-            ep.ret_txs[0].send(Vec::with_capacity(4)).unwrap();
+            ret_txs[0].send(Vec::with_capacity(4)).unwrap();
         }
         let _ = ep.take_buffer(&stats); // drains ret_rx: pool was at cap-1
         let snap = stats.snapshot();

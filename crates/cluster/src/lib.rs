@@ -14,6 +14,7 @@ pub mod collective;
 pub mod comm;
 pub mod costmodel;
 pub mod error;
+mod io_loop;
 pub mod pool;
 pub mod recovery;
 pub mod runtime;

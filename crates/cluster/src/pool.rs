@@ -123,15 +123,25 @@ impl ThreadPool {
         // Built first so that an early return drops — shuts down and
         // joins — the workers spawned so far.
         let mut pool = ThreadPool { shared, workers: Vec::new() };
+        // One worker at a time: each reports in before the next is spawned.
+        // A thread the runtime has created but not yet set up still needs
+        // memory of its own (its signal stack), and a spawn racing ahead
+        // could take that memory and abort the process instead of failing
+        // the next spawn, which is a typed error.
+        let (started_tx, started) = std::sync::mpsc::channel::<()>();
         for i in 1..threads {
-            let shared = pool.shared.clone();
+            let (shared, started_tx) = (pool.shared.clone(), started_tx.clone());
             let worker = std::thread::Builder::new()
                 .name(format!("lazygraph-pool-{i}"))
-                .spawn(move || worker_loop(shared))
+                .spawn(move || {
+                    let _ = started_tx.send(());
+                    worker_loop(shared)
+                })
                 .map_err(|e| CommError::PoolSpawn {
                     detail: format!("thread {i} of {threads}: {e}"),
                 })?;
             pool.workers.push(worker);
+            let _ = started.recv();
         }
         Ok(pool)
     }

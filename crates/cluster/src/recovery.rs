@@ -1,24 +1,21 @@
-//! Fault-tolerance plumbing under the TCP mesh: seeded fail points, the
-//! per-link state that survives a peer's death, and the outbound frame
-//! log that makes a restarted worker's rejoin exact.
+//! Fault-tolerance plumbing under the TCP mesh: seeded fail points, what
+//! a link knows about its far end, and the outbound frame log that makes
+//! a restarted worker's rejoin exact.
 //!
 //! The design rides the determinism contract from PR 1: a restarted
 //! worker re-executes from its last snapshot and regenerates *bitwise
 //! identical* outbound rounds, while each surviving peer replays its
 //! logged outbound frames for the rounds the dead worker lost. Rounds
 //! are dense per link (every exchange sends to every peer, empty batches
-//! included), so receive-side deduplication is pure counting: a reader
-//! tracks how many rounds it has already forwarded, and drops exactly
+//! included), so receive-side deduplication is pure counting: a link
+//! tracks how many rounds it has already delivered, and drops exactly
 //! that prefix of the replayed or regenerated stream. DESIGN.md §12 walks
 //! through the full protocol.
 
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::OnceLock;
+use std::time::Instant;
 
-use parking_lot::Mutex;
+use lazygraph_net::HEADER_LEN;
 
 use crate::stats::NetStats;
 
@@ -126,14 +123,14 @@ pub fn failpoint_superstep(superstep: u64) {
 
 /// Transport hook: called before each per-peer send of a data round's
 /// `Endpoint::exchange` with the round and the 1-based index of the send.
-/// A send only queues its batch for the peer's writer thread, so the hook
-/// first gives the sends already issued time to reach the wire: the kill
-/// then lands *between* two peers' frames, leaving the survivors at
-/// different watermarks for the victim, rather than before all of them.
-pub fn failpoint_send(round: u64, n: u64) {
+/// When it fires, `flush` first writes the frames already encoded for the
+/// earlier peers to their sockets: the kill then lands *between* two
+/// peers' frames, leaving the survivors at different watermarks for the
+/// victim, rather than before all of them.
+pub fn failpoint_send(round: u64, n: u64, flush: impl FnOnce()) {
     if let Ok(Some(FailPoint::Send { round: r, n: k })) = armed_failpoint() {
         if *r == round && *k == n {
-            std::thread::sleep(Duration::from_millis(100));
+            flush();
             eprintln!("lazygraph: failpoint send:{round}:{n} firing");
             std::process::abort();
         }
@@ -167,156 +164,64 @@ pub enum LinkStatus {
     /// the configured window expires; the instant records when the tear
     /// was noticed.
     Down(Instant),
-    /// Our own writer flushed its Shutdown: local teardown.
+    /// This endpoint closed the link: local teardown.
     Finished,
 }
 
-/// Per-peer-link state shared between the writer thread, the reader
-/// thread, the rejoin acceptor, and the endpoint. Created for every TCP
-/// mesh link; the outbound log is populated only when the mesh runs in
-/// recovery mode (`TcpOptions::rejoin_window` set).
-pub struct LinkShared {
-    /// The peer machine id on the far end.
-    pub peer: usize,
-    /// Link liveness as observed by reader/writer.
-    status: Mutex<LinkStatus>,
-    /// Bumped by the acceptor each time the link's socket is replaced;
-    /// writer/reader threads capture the value at spawn and retire when
-    /// it moves on.
-    pub gen: AtomicU64,
-    /// Outbound Data-frame payloads by round, kept since the last
-    /// checkpoint prune — the replay source for a rejoining peer.
-    log: Mutex<Vec<(u64, Vec<u8>)>>,
-    /// Rounds forwarded to the endpoint by this link's reader.
-    pub fwd_rounds: AtomicU64,
-    /// A clone of the link's current stream, so the acceptor can sever
-    /// it when swapping in a rejoined connection.
-    pub stream: Mutex<Option<TcpStream>>,
-    /// The current writer thread (recovery mode only; joined on swap).
-    pub writer: Mutex<Option<JoinHandle<()>>>,
-    /// The current reader thread (recovery mode only; joined on swap).
-    pub reader: Mutex<Option<JoinHandle<()>>>,
+/// One link's outbound Data frames since the last checkpoint prune, by
+/// round — what a rejoining peer is replayed. A frame's buffer moves in
+/// once the socket has taken all of it (it is never copied) and moves out
+/// again, to the link's pool, when a checkpoint prunes it. Populated only
+/// in recovery mode (`TcpOptions::rejoin_window` set).
+#[derive(Debug, Default)]
+pub struct FrameLog {
+    /// Whole frames, header included, in send order — which is round
+    /// order, since a link carries one batch per round.
+    frames: Vec<(u64, Vec<u8>)>,
 }
 
-impl LinkShared {
-    /// Fresh link state for `peer`, starting `Up` with the round
-    /// counters at `start_round` (non-zero when this machine is itself
-    /// rejoining and resumes mid-run).
-    pub fn new(peer: usize, start_round: u64) -> Self {
-        LinkShared {
-            peer,
-            status: Mutex::new(LinkStatus::Up),
-            gen: AtomicU64::new(0),
-            log: Mutex::new(Vec::new()),
-            fwd_rounds: AtomicU64::new(start_round),
-            stream: Mutex::new(None),
-            writer: Mutex::new(None),
-            reader: Mutex::new(None),
-        }
+impl FrameLog {
+    /// Logs the written frame of `round`. `stats` keeps the payload bytes
+    /// of every link's log together, and their high-water mark.
+    pub fn push(&mut self, round: u64, frame: Vec<u8>, stats: &NetStats) {
+        stats.record_frame_logged(payload_len(&frame));
+        self.frames.push((round, frame));
     }
 
-    /// Current link status.
-    pub fn status(&self) -> LinkStatus {
-        *self.status.lock()
-    }
-
-    /// Records a status transition. `CleanClosed` and `Finished` are
-    /// terminal: a later socket error must not overwrite the evidence
-    /// that the peer left on purpose.
-    pub fn set_status(&self, s: LinkStatus) {
-        let mut cur = self.status.lock();
-        match *cur {
-            LinkStatus::CleanClosed | LinkStatus::Finished => {}
-            _ => *cur = s,
-        }
-    }
-
-    /// Appends one outbound Data-frame payload to the replay log.
-    /// Called by the writer *before* the socket write, so a frame lost
-    /// to a torn write is still replayable. `stats` keeps the size of
-    /// every link's log together and its high-water mark.
-    pub fn log_frame(&self, round: u64, payload: &[u8], stats: &NetStats) {
-        self.log.lock().push((round, payload.to_vec()));
-        stats.record_frame_logged(payload.len() as u64);
-    }
-
-    /// Clones the logged payloads for rounds `>= from`, in log (= send)
-    /// order, for replay to a rejoined peer.
+    /// Copies of the logged frames for rounds `>= from`, in send order,
+    /// for replay to a rejoined peer.
     pub fn replay_from(&self, from: u64) -> Vec<Vec<u8>> {
-        self.log
-            .lock()
+        self.frames
             .iter()
             .filter(|(r, _)| *r >= from)
-            .map(|(_, p)| p.clone())
+            .map(|(_, f)| f.clone())
             .collect()
     }
 
-    /// Drops log entries below `watermark` — called after a checkpoint
-    /// barrier proves every peer has durably passed those rounds.
-    pub fn prune_log(&self, watermark: u64, stats: &NetStats) {
+    /// Drops the frames below `watermark` — called after a checkpoint
+    /// barrier proves every peer has durably passed those rounds — and
+    /// hands each pruned buffer to `spare`.
+    pub fn prune(&mut self, watermark: u64, stats: &NetStats, mut spare: impl FnMut(Vec<u8>)) {
+        let cut = self.frames.partition_point(|(r, _)| *r < watermark);
         let mut pruned = 0u64;
-        self.log.lock().retain(|(r, p)| {
-            let keep = *r >= watermark;
-            if !keep {
-                pruned += p.len() as u64;
-            }
-            keep
-        });
+        for (_, frame) in self.frames.drain(..cut) {
+            pruned += payload_len(&frame);
+            spare(frame);
+        }
         stats.record_frame_log_pruned(pruned);
     }
-
-    /// Number of logged frames (for tests and diagnostics).
-    pub fn log_len(&self) -> usize {
-        self.log.lock().len()
-    }
 }
 
-/// Recovery state for one endpoint's whole mesh: the per-link shares
-/// plus the teardown latch the acceptor thread watches.
-pub struct RecoveryShared {
-    /// One entry per machine; the self slot is present but unused.
-    pub links: Vec<Arc<LinkShared>>,
-    /// Set by `Endpoint::drop` before joining its threads, so the
-    /// acceptor (which holds the mesh listener) knows to exit.
-    pub closed: AtomicBool,
-    /// Whether outbound frames are logged for replay (recovery mode).
-    pub logging: bool,
-}
-
-impl RecoveryShared {
-    /// Fresh recovery state for an `n`-machine mesh.
-    pub fn new(me: usize, n: usize, logging: bool, start_round: u64) -> Arc<Self> {
-        let _ = me;
-        Arc::new(RecoveryShared {
-            links: (0..n)
-                .map(|p| Arc::new(LinkShared::new(p, start_round)))
-                .collect(),
-            closed: AtomicBool::new(false),
-            logging,
-        })
-    }
-
-    /// Marks the endpoint as shutting down.
-    pub fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether the endpoint is shutting down.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::SeqCst)
-    }
-
-    /// Prunes every link's replay log below `watermark`.
-    pub fn prune_logs(&self, watermark: u64, stats: &NetStats) {
-        for l in &self.links {
-            l.prune_log(watermark, stats);
-        }
-    }
+/// What the log counts of a frame: its payload, as the bytes a batch
+/// costs on the wire beyond the fixed header.
+fn payload_len(frame: &[u8]) -> u64 {
+    frame.len().saturating_sub(HEADER_LEN) as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lazygraph_net::{encode_frame_into, FrameKind};
 
     #[test]
     fn failpoint_syntax_parses() {
@@ -336,27 +241,27 @@ mod tests {
         }
     }
 
-    #[test]
-    fn clean_close_is_sticky() {
-        let l = LinkShared::new(1, 0);
-        l.set_status(LinkStatus::CleanClosed);
-        l.set_status(LinkStatus::Down(Instant::now()));
-        assert_eq!(l.status(), LinkStatus::CleanClosed);
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_frame_into(FrameKind::Data, payload, &mut out).unwrap();
+        out
     }
 
     #[test]
     fn log_replay_and_prune() {
-        let (l, stats) = (LinkShared::new(2, 0), NetStats::new());
+        let (mut l, stats) = (FrameLog::default(), NetStats::new());
         for r in 0..5u64 {
-            l.log_frame(r, &[r as u8], &stats);
+            l.push(r, frame(&[r as u8]), &stats);
         }
-        assert_eq!(l.replay_from(3), vec![vec![3u8], vec![4u8]]);
-        l.prune_log(4, &stats);
-        assert_eq!(l.log_len(), 1);
-        assert_eq!(l.replay_from(0), vec![vec![4u8]]);
+        assert_eq!(l.replay_from(3), vec![frame(&[3]), frame(&[4])]);
+        let mut spared = Vec::new();
+        l.prune(4, &stats, |f| spared.push(f));
+        assert_eq!(l.replay_from(0), vec![frame(&[4])]);
+        // Pruned buffers go back whole, in round order, for the next encode.
+        assert_eq!(spared, (0..4u8).map(|r| frame(&[r])).collect::<Vec<_>>());
         // The mark is the most the log ever held, not what it holds now:
         // one more frame after the prune makes two bytes live, five at peak.
-        l.log_frame(5, &[5], &stats);
+        l.push(5, frame(&[5]), &stats);
         assert_eq!(stats.snapshot().frame_log_high_water, 5);
     }
 }

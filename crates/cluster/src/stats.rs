@@ -17,8 +17,9 @@
 //!   comparisons use; it is identical whether batches cross a channel or
 //!   a socket.
 //! * **`wire_bytes_sent` / `wire_bytes_recv`** — *measured* frame bytes
-//!   (header + encoded payload) recorded only by the TCP transport's
-//!   writer/reader threads. On the in-proc channel backend these stay 0:
+//!   (header + encoded payload) recorded only by the TCP transport, as
+//!   its sockets take and deliver frames. On the in-proc channel backend
+//!   these stay 0:
 //!   nothing is serialized, so there is no wire truth to report.
 //!
 //! The names are deliberately different so the two scales cannot be
@@ -178,8 +179,9 @@ counters! {
     /// High-water mark, in bytes, of the outbound frames a worker's links
     /// keep logged for replay between two checkpoint prunes (both meshes;
     /// 0 without a rejoin window): across workers, the largest any of them
-    /// held. Timing telemetry like `pool_hits` — the writer threads log as
-    /// they drain — outside the determinism counter contract.
+    /// held. A frame is logged once its socket has taken all of it;
+    /// outside the determinism counter contract like the other fault
+    /// telemetry.
     frame_log_high_water: max,
 }
 
@@ -265,8 +267,8 @@ impl NetStats {
         self.wire_bytes_recv.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Records one rejoin admitted by this endpoint's acceptor (a torn
-    /// link swapped onto a restarted peer's new connection).
+    /// Records one rejoin admitted from this endpoint's listener (a torn
+    /// link moved onto a restarted peer's new connection).
     #[inline]
     pub fn record_reconnect(&self) {
         self.reconnects.fetch_add(1, Ordering::Relaxed);

@@ -368,7 +368,7 @@ impl<T: Wire + Send> Pump<'_, T> {
     pub fn run(mut self, engine: &mut impl PumpStep<T>) -> Result<(), CommError> {
         loop {
             let mut progressed = false;
-            while let Some(mut batch) = self.ep.try_recv() {
+            while let Some(mut batch) = self.ep.try_recv()? {
                 self.unpark();
                 let bytes = batch.item_count() * self.bytes_per_item;
                 self.clock.merge(batch.sent_at + self.cost.async_batch_time(bytes as u64));
@@ -806,6 +806,63 @@ mod tests {
             assert_eq!(quiescence.0.total_sent(), u64::from(HOPS), "{transport:?}");
             assert_eq!(absorbed.iter().sum::<u64>(), u64::from(HOPS), "{transport:?}: {absorbed:?}");
         }
+    }
+
+    /// A pump engine whose machine 2 dies in its first turn.
+    struct DiesOnTwo {
+        me: usize,
+    }
+
+    impl PumpStep<u32> for DiesOnTwo {
+        fn absorb(&mut self, _batch: &mut Batch<u32>) -> Result<(), NetError> {
+            Ok(())
+        }
+
+        fn turn(&mut self, _pump: &mut Pump<'_, u32>) -> Result<bool, CommError> {
+            assert_ne!(self.me, 2, "machine 2 dies");
+            Ok(false)
+        }
+    }
+
+    #[test]
+    fn a_pump_whose_peer_died_fails_typed() {
+        use lazygraph_cluster::{build_endpoints, TransportKind};
+        // Machine 2 panics: its endpoint unwinds without a Shutdown frame,
+        // so its sockets tear as a killed process's would. Machines 0 and
+        // 1 sit parked at the detector, which can never see machine 2
+        // idle; only the torn links can end their pumps.
+        let cfg = EngineConfig::powergraph_async();
+        let stats = Arc::new(NetStats::new());
+        let quiescence = Quiescence::shared_memory(3);
+        let endpoints = build_endpoints::<u32>(TransportKind::Tcp, 3, &stats).expect("mesh");
+        let outcomes: Vec<_> = std::thread::scope(|s| {
+            let machines: Vec<_> = endpoints
+                .into_iter()
+                .map(|ep| {
+                    let (stats, quiescence, cfg) = (stats.clone(), quiescence.clone(), &cfg);
+                    s.spawn(move || {
+                        let me = ep.me();
+                        let mut port = Port::new(ep, stats, Some(quiescence));
+                        let mut clock = SimClock::new();
+                        port.pump(&mut clock, cfg, Phase::Async, 4)?
+                            .run(&mut DiesOnTwo { me })
+                    })
+                })
+                .collect();
+            machines.into_iter().map(|m| m.join()).collect()
+        });
+        assert!(outcomes[2].is_err(), "machine 2 was to panic");
+        // A machine whose mesh failed severs its own links on the way out,
+        // so the survivor that notices second may see either tear.
+        let torn: Vec<&str> = outcomes[..2]
+            .iter()
+            .enumerate()
+            .map(|(me, outcome)| match outcome {
+                Ok(Err(CommError::Transport { detail, .. })) => detail.as_str(),
+                other => panic!("machine {me}: expected a torn link, got {other:?}"),
+            })
+            .collect();
+        assert!(torn.iter().any(|d| d.contains("machine 2")), "{torn:?}");
     }
 
     #[test]

@@ -77,8 +77,8 @@ pub type LocalOrder<V, D> = fn(&V, &D) -> f64;
 /// transport-agnostic: the in-proc mesh moves the values untouched, while
 /// the TCP backend encodes them with the deterministic little-endian codec
 /// (bit-identical on every platform, so a TCP run reproduces an in-proc
-/// run exactly). The `'static` supertrait lets the TCP proxy threads hold
-/// program message types beyond the engine scope.
+/// run exactly). The `'static` supertrait lets a TCP endpoint's links
+/// join its machine's I/O loop, which holds them type-erased.
 pub trait VertexProgram: Send + Sync + 'static {
     /// Vertex value type.
     type VData: Clone + Send + Sync + PartialEq + Debug + Wire + 'static;

@@ -3,12 +3,11 @@
 //!
 //! A spawned thread whose `JoinHandle` is dropped unjoined cannot
 //! propagate its panic or its typed error back to the machine loop; in
-//! the cluster crates a silently-dead proxy thread wedges its peers at
+//! the cluster crates a silently-dead helper thread wedges its peers at
 //! the next coherency barrier instead of failing fast. Every spawn must
 //! either bind its handle (so something joins it) or carry a line pragma
-//! justifying the detach — e.g. the reader proxies, which block on the
-//! peer's Shutdown frame and would deadlock a clean endpoint drop if
-//! joined.
+//! justifying the detach — e.g. a thread that blocks on a peer's frame
+//! and would deadlock a clean shutdown if joined.
 //!
 //! The heuristic: a `thread::spawn(...)` (optionally `std::`-qualified)
 //! whose call expression is a `;`-terminated statement — or whose handle
@@ -149,7 +148,7 @@ mod tests {
 
     #[test]
     fn tail_expression_is_silent() {
-        // Handle returned to the caller (the writer-proxy shape).
+        // Handle returned to the caller (a spawn helper's shape).
         let src = "fn f() -> JoinHandle<()> { std::thread::spawn(move || { run() }) }";
         assert!(cluster(src).is_empty());
     }

@@ -19,11 +19,11 @@
 //!   machine id. A peer that disappears *without* sending this surfaces
 //!   as [`NetError::PeerClosed`] instead of a silent hang.
 //!
-//! [`FrameReader`] is deliberately *incremental*: mesh sockets run with
-//! a read timeout so reader threads can notice a poisoned mesh, and a
-//! timeout can fire mid-frame. The reader keeps partial header/payload
-//! bytes across `poll` calls, so torn reads (even 1 byte at a time) and
-//! timeout ticks never lose data.
+//! [`FrameReader`] is deliberately *incremental*: mesh sockets are
+//! non-blocking (handshake sockets run with a read timeout), so a read
+//! can stop mid-frame whenever the socket has nothing more. The reader
+//! keeps partial header/payload bytes across `poll` calls, so torn reads
+//! (even 1 byte at a time) and would-block returns never lose data.
 
 use std::io::{Read, Write};
 
@@ -163,8 +163,9 @@ impl RawFrame {
 /// Call [`FrameReader::poll`] in a loop:
 ///
 /// * `Ok(Some(frame))` — a complete frame arrived;
-/// * `Ok(None)` — the read timed out (a *tick*: check your poison flag
-///   and poll again; any partial bytes are retained);
+/// * `Ok(None)` — the socket has nothing more for now (would block, or a
+///   read timeout's tick): poll again later; any partial bytes are
+///   retained;
 /// * `Err(PeerClosed)` — EOF, whether mid-frame or between frames;
 /// * `Err(_)` — a hard socket or protocol error.
 #[derive(Debug)]

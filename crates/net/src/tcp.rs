@@ -31,18 +31,20 @@ pub struct TcpOptions {
     pub backoff_base: Duration,
     /// Ceiling on the per-attempt delay.
     pub backoff_max: Duration,
-    /// Socket read timeout: the reader-thread tick interval. Short, so a
-    /// poisoned mesh is noticed quickly; partial frames survive ticks.
+    /// Read timeout of the blocking handshake reads (Hello, Rejoin): the
+    /// tick at which a handshake deadline is checked; partial frames
+    /// survive ticks. Established mesh sockets are non-blocking.
     pub read_timeout: Duration,
-    /// Socket write timeout: a peer that stops draining for this long is
-    /// treated as dead.
+    /// Write timeout of the blocking handshake writes, and how long a
+    /// closing endpoint waits for a peer that has stopped draining its
+    /// socket before it gives the peer up.
     pub write_timeout: Duration,
     /// Overall deadline for mesh establishment (accepting + Hello).
     pub handshake_timeout: Duration,
     /// Fault-tolerance mode: how long a torn peer connection may sit in
-    /// "awaiting rejoin" before the mesh is poisoned. `None` (the
-    /// default) keeps the PR 4 fail-fast behaviour: any torn connection
-    /// poisons the mesh immediately.
+    /// "awaiting rejoin" before the mesh fails. `None` (the default)
+    /// keeps the PR 4 fail-fast behaviour: any torn connection fails the
+    /// mesh immediately.
     pub rejoin_window: Option<Duration>,
 }
 
@@ -79,8 +81,8 @@ pub fn connect_with_backoff(addr: &SocketAddr, opts: &TcpOptions) -> Result<TcpS
 }
 
 /// Applies the per-socket options every mesh stream runs with. Public so
-/// the cluster layer's rejoin acceptor can configure accepted sockets the
-/// same way establishment does.
+/// the cluster layer's rejoin admission can configure accepted sockets
+/// the same way establishment does.
 pub fn configure(stream: &TcpStream, opts: &TcpOptions) -> Result<(), NetError> {
     stream.set_nodelay(true).map_err(|e| NetError::from_io(&e, "set_nodelay"))?;
     stream

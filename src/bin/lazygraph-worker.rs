@@ -13,7 +13,7 @@
 //!
 //! Exit status 0 means the result file is complete; any failure prints to
 //! stderr and exits 1, which the launcher surfaces as
-//! `MultiprocError::Worker`. A worker dying mid-run poisons its peers'
+//! `MultiprocError::Worker`. A worker dying mid-run tears its peers'
 //! mesh legs, so the whole gang fails fast instead of hanging.
 
 use std::net::SocketAddr;
@@ -242,8 +242,8 @@ fn run_worker<P: Shipped>(job: &WorkerJob, args: Args, program: P) -> Result<(),
     }
 
     // Result file layout: MachineOut ++ StatsSnapshot ++ SimBreakdown.
-    // The snapshot is taken after the run; detached writer proxies may
-    // still flush shutdown frames, so frame counters are best-effort.
+    // The snapshot is taken after both meshes closed: every frame this
+    // worker sent, its Shutdown frames included, is counted.
     let mut result = Vec::new();
     out.encode(&mut result);
     stats.snapshot().encode(&mut result);

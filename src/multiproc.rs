@@ -81,7 +81,7 @@ pub struct WorkerJob {
     /// Directory for the per-rank snapshot files (empty = none).
     pub checkpoint_dir: String,
     /// How long a surviving worker keeps a torn link in the "awaiting
-    /// rejoin" window, in milliseconds (0 = poison immediately).
+    /// rejoin" window, in milliseconds (0 = fail the gang at once).
     pub rejoin_window_ms: u64,
 }
 
@@ -120,7 +120,7 @@ pub fn shard_path(job_path: &Path, me: usize) -> PathBuf {
 
 /// Fault-tolerance knobs for a multiprocess launch. `Default` is the
 /// PR 4 behaviour: no checkpoints, no rejoin window, a dying worker
-/// poisons the gang and the launch fails fast.
+/// fails the gang and the launch fails fast.
 #[derive(Clone, Debug, Default)]
 pub struct MpOptions {
     /// Snapshot every K supersteps (0 = checkpointing off).
@@ -452,7 +452,7 @@ fn launch_in(
     }
 
     // Supervision loop. Without recovery a dying worker surfaces on its
-    // peers as a transport error (shutdown handshake / poisoned readers),
+    // peers as a transport error (a link torn without its Shutdown frame),
     // so every process exits rather than hangs. With recovery, a non-zero
     // exit is respawned with `--resume` (failpoint disarmed) while the
     // budget lasts; the survivors hold the torn links in their rejoin

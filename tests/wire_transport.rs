@@ -14,6 +14,9 @@
 //!    values, iteration counts, and simulated time as the in-proc channel
 //!    mesh, while reporting measured wire bytes that the channel mesh
 //!    (which never serializes) reports as zero.
+//! 4. **One loop per machine** — a TCP mesh runs no thread of its own, and
+//!    rounds and bursts far larger than socket buffers still complete
+//!    (`lazygraph-cluster`'s `tests/one_loop.rs`, run here as well).
 
 use std::io::Read;
 
@@ -469,3 +472,10 @@ fn barrier_free_engines_without_a_detector_fail_typed() {
         assert_eq!(shared.stats.snapshot().global_syncs, 0, "{} ran a barrier", engine.name());
     }
 }
+
+// ---------------------------------------------------------------------------
+// 4. One loop per machine
+// ---------------------------------------------------------------------------
+
+#[path = "../crates/cluster/tests/one_loop.rs"]
+mod one_loop;
