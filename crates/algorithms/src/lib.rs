@@ -9,6 +9,19 @@
 //! ship: the only place a request for one is parsed, shipped or turned
 //! into the program.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 pub mod bfs;
 pub mod cc;
 pub mod coreness;

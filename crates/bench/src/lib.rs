@@ -3,6 +3,19 @@
 //! executable regenerates one table or figure of the paper (see DESIGN.md's
 //! experiment index).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 use lazygraph_algorithms::{AlgoSpec, Shipped, Visitor};
 use lazygraph_engine::{place, run_on, EngineConfig, RunMetrics};
 use lazygraph_graph::{Dataset, Graph, GraphClass};
@@ -32,6 +45,11 @@ impl Default for Args {
 
 impl Args {
     /// Parses `--scale X`, `--machines N`, `--quick` from the process args.
+    #[expect(
+        clippy::expect_used,
+        clippy::panic,
+        reason = "a harness binary's bad argument aborts it with the usage"
+    )]
     pub fn parse() -> Args {
         let mut args = Args::default();
         let mut it = std::env::args().skip(1);
@@ -121,6 +139,10 @@ pub fn suite_graph(dataset: Dataset, scale: f64) -> Graph {
 
 /// Partitions once with `cfg`'s strategy/splitter (the paper reuses one
 /// coordinated cut across engine comparisons).
+#[expect(
+    clippy::expect_used,
+    reason = "measurement harness: a figure's machine count is a constant of its binary"
+)]
 pub fn partition_for(graph: &Graph, machines: usize, cfg: &EngineConfig) -> DistributedGraph {
     place(graph, machines, cfg).expect("a machine count the placement holds")
 }
@@ -135,9 +157,12 @@ pub fn run_workload(
     struct Measure<'a>(&'a DistributedGraph, &'a EngineConfig);
     impl Visitor for Measure<'_> {
         type Out = RunMetrics;
+        #[expect(
+            clippy::expect_used,
+            reason = "measurement harness: a dead machine thread invalidates the whole figure, \
+                      so abort rather than plot it"
+        )]
         fn visit<P: Shipped>(self, program: P) -> RunMetrics {
-            // lazylint: allow-file(no-panic) -- measurement harness: a dead machine
-            // thread invalidates the whole figure, so abort rather than plot it.
             run_on(self.0, self.1, &program).expect("cluster run").metrics
         }
     }

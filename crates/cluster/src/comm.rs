@@ -6,8 +6,8 @@
 //! causal virtual time, and every send is accounted in [`NetStats`].
 
 use std::collections::VecDeque;
+use std::sync::mpsc::{channel, Receiver, Sender};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use lazygraph_net::{FrameKind, NetError, Wire, WireReader};
 
 use crate::error::CommError;
@@ -406,7 +406,10 @@ impl<T: Send> Endpoint<T> {
         Ok(true)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "`send`'s arguments plus the round tag it fixes to ASYNC_ROUND"
+    )]
     fn send_tagged(
         &self,
         dst: usize,
@@ -573,10 +576,10 @@ pub fn build_mesh<T: Send>(n: usize) -> Vec<Endpoint<T>> {
     let mut ret_rxs: Vec<Receiver<Vec<T>>> = Vec::with_capacity(n);
     let mut ret_channel_txs: Vec<Sender<Vec<T>>> = Vec::with_capacity(n);
     for _ in 0..n {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         channel_txs.push(tx);
         rxs.push(rx);
-        let (rtx, rrx) = unbounded();
+        let (rtx, rrx) = channel();
         ret_channel_txs.push(rtx);
         ret_rxs.push(rrx);
     }

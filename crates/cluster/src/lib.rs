@@ -10,6 +10,19 @@
 //! equations (§4.2.2). DESIGN.md §2 documents why this substitution
 //! preserves the paper's measured behaviour.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 pub mod collective;
 pub mod comm;
 pub mod costmodel;

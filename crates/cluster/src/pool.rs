@@ -82,7 +82,11 @@ impl<T, R, F: Fn(T) -> R> JobCtx<T, R, F> {
                 return;
             }
             // Sole owner of cell `i` by the fetch_add above.
-            let item = unsafe { (*self.items[i].get()).take() }.expect("item claimed twice"); // lazylint: allow(no-panic) -- the fetch_add above gives this thread sole ownership of cell i
+            #[expect(
+                clippy::expect_used,
+                reason = "the fetch_add above gives this thread sole ownership of cell i"
+            )]
+            let item = unsafe { (*self.items[i].get()).take() }.expect("item claimed twice");
             if self.poisoned.load(Ordering::Relaxed) {
                 continue; // a sibling panicked; drain without running
             }
@@ -131,6 +135,11 @@ impl ThreadPool {
         let (started_tx, started) = std::sync::mpsc::channel::<()>();
         for i in 1..threads {
             let (shared, started_tx) = (pool.shared.clone(), started_tx.clone());
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the pool's workers outlive any one scope; \
+                          Drop shuts them down and joins them"
+            )]
             let worker = std::thread::Builder::new()
                 .name(format!("lazygraph-pool-{i}"))
                 .spawn(move || {
@@ -203,8 +212,13 @@ impl ThreadPool {
         }
         ctx.slots
             .into_iter()
-            // lazylint: allow(no-panic) -- the epoch protocol fills every slot before join returns
-            .map(|c| c.into_inner().expect("unfilled result slot"))
+            .map(
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the epoch protocol fills every slot before join returns"
+                )]
+                |c| c.into_inner().expect("unfilled result slot"),
+            )
             .collect()
     }
 }
@@ -220,7 +234,10 @@ fn worker_loop(shared: Arc<Shared>) {
                 }
                 if st.epoch > seen_epoch {
                     seen_epoch = st.epoch;
-                    // lazylint: allow(no-panic) -- the submitter stores the job before bumping the epoch
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the submitter stores the job before bumping the epoch"
+                    )]
                     break st.job.expect("epoch bumped without a job");
                 }
                 st = shared

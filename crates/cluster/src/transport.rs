@@ -218,34 +218,33 @@ pub fn build_tcp_mesh<T: Wire + Send + 'static>(
         listeners.push(l);
         addrs.push(addr);
     }
-    let handles: Vec<_> = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(me, listener)| {
-            let addrs = addrs.clone();
-            let stats = Arc::clone(stats);
-            let opts = opts.clone();
-            std::thread::spawn(move || -> Result<Endpoint<T>, CommError> {
-                let links = connect_mesh(me, &addrs, &listener, &opts)
-                    .map_err(|e| CommError::transport(me, &e))?;
-                // In recovery mode the listener joins the endpoint's poll
-                // set so a restarted peer can dial back in.
-                let keep = opts.rejoin_window.map(|_| listener);
-                tcp_endpoint(me, n, links, &stats, &opts, keep, 0)
+    let addrs = &addrs;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(me, listener)| {
+                s.spawn(move || -> Result<Endpoint<T>, CommError> {
+                    let links = connect_mesh(me, addrs, &listener, opts)
+                        .map_err(|e| CommError::transport(me, &e))?;
+                    // In recovery mode the listener joins the endpoint's
+                    // poll set so a restarted peer can dial back in.
+                    let keep = opts.rejoin_window.map(|_| listener);
+                    tcp_endpoint(me, n, links, stats, opts, keep, 0)
+                })
             })
-        })
-        .collect();
-    let mut endpoints = Vec::with_capacity(n);
-    for (me, h) in handles.into_iter().enumerate() {
-        let ep = h
-            .join()
-            .map_err(|_| CommError::Transport {
-                me,
-                detail: "mesh establishment thread panicked".into(),
-            })??;
-        endpoints.push(ep);
-    }
-    Ok(endpoints)
+            .collect();
+        handles
+            .into_iter()
+            .enumerate()
+            .map(|(me, h)| {
+                h.join().map_err(|_| CommError::Transport {
+                    me,
+                    detail: "mesh establishment thread panicked".into(),
+                })?
+            })
+            .collect()
+    })
 }
 
 /// Machine `me`'s own address in the mesh `addrs` describes. A rank the
@@ -354,7 +353,7 @@ mod tests {
     use crate::comm::OutboxSet;
     use crate::recovery::LinkStatus;
     use crate::stats::Phase;
-    use crossbeam::channel::unbounded;
+    use std::sync::mpsc::channel;
     use std::time::Instant;
 
     #[test]
@@ -629,23 +628,26 @@ mod tests {
             got
         };
 
-        let (m0_done_tx, m0_done_rx) = unbounded::<()>();
-        let (m1_done_tx, m1_done_rx) = unbounded::<()>();
-        let (crash_tx, crash_rx) = unbounded::<()>();
+        let (m0_done_tx, m0_done_rx) = channel::<()>();
+        let (m1_done_tx, m1_done_rx) = channel::<()>();
+        let (crash_tx, crash_rx) = channel::<()>();
 
+        // The doomed machine takes `crash_rx` by move (a receiver is not
+        // `Sync`), so everything else it uses is a reference.
+        let (addrs, stats, opts) = (&addrs, &stats, &opts);
         let (got0, got1) = std::thread::scope(|s| {
             let survivor = s.spawn(|| {
-                let mut ep = connect_tcp_endpoint::<u32>(1, &addrs, &stats, &opts).unwrap();
+                let mut ep = connect_tcp_endpoint::<u32>(1, addrs, stats, opts).unwrap();
                 // Rounds 0..3 against the doomed first incarnation...
-                let mut got = run_rounds(&mut ep, 0..crash_after, &stats);
+                let mut got = run_rounds(&mut ep, 0..crash_after, stats);
                 m1_done_tx.send(()).unwrap();
                 // ...then block mid-exchange until the rejoin completes.
-                got.extend(run_rounds(&mut ep, crash_after..rounds_total, &stats));
+                got.extend(run_rounds(&mut ep, crash_after..rounds_total, stats));
                 got
             });
-            let doomed = s.spawn(|| {
-                let mut ep = connect_tcp_endpoint::<u32>(0, &addrs, &stats, &opts).unwrap();
-                run_rounds(&mut ep, 0..crash_after, &stats);
+            let doomed = s.spawn(move || {
+                let mut ep = connect_tcp_endpoint::<u32>(0, addrs, stats, opts).unwrap();
+                run_rounds(&mut ep, 0..crash_after, stats);
                 m0_done_tx.send(()).unwrap();
                 crash_rx.recv().unwrap();
                 // Bare EOF everywhere — no Shutdown frames, like a kill.
@@ -660,11 +662,11 @@ mod tests {
             doomed.join().unwrap();
 
             let mut ep =
-                reconnect_tcp_endpoint::<u32>(0, &addrs, resume_round, &stats, &opts).unwrap();
+                reconnect_tcp_endpoint::<u32>(0, addrs, resume_round, stats, opts).unwrap();
             // Regenerate rounds 2..6 bit-identically; the survivor's dedupe
             // drops the repeated round 2, and its replay log covers the
             // rounds 2..4 the dead instance took with it.
-            let got0 = run_rounds(&mut ep, resume_round..rounds_total, &stats);
+            let got0 = run_rounds(&mut ep, resume_round..rounds_total, stats);
             drop(ep);
             (got0, survivor.join().unwrap())
         });

@@ -56,8 +56,12 @@ fn huge_rounds_and_bursts_at_a_busy_peer_complete() {
     let (done_tx, done_rx) = mpsc::channel();
     for mut ep in eps {
         let (stats, done_tx) = (Arc::clone(&stats), done_tx.clone());
-        // Detached on purpose: a deadlocked machine must fail the test at
-        // the timeout below, not hang it in a join.
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "detached on purpose: a deadlocked machine must fail the test at the \
+                      timeout below, not hang it in a join (an allow, not an expect: the root \
+                      package compiles this file too, without this crate's clippy.toml)"
+        )]
         std::thread::spawn(move || {
             let me = ep.me();
             let mut ob = OutboxSet::new(MACHINES);
@@ -163,6 +167,11 @@ fn no_transport_threads(opts: TcpOptions) {
         .into_iter()
         .map(|seat| {
             let (stats, count_tx) = (Arc::clone(&stats), count_tx.clone());
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "joined below; in a scope, a failed assertion would wait forever on \
+                          machines still blocked for their seat"
+            )]
             std::thread::spawn(move || {
                 let mut ep = seat.recv().unwrap();
                 for round in 0..4u64 {

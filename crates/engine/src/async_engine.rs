@@ -18,7 +18,7 @@ use lazygraph_net::NetError;
 use lazygraph_partition::LocalShard;
 
 use crate::config::EngineKind;
-use crate::exchange::{Pump, PumpStep};
+use crate::exchange::{misrouted, route_item, Pump, PumpStep};
 use crate::machine::{Frame, Superstep, Vote};
 use crate::parallel::ParallelCtx;
 use crate::program::VertexProgram;
@@ -100,16 +100,16 @@ impl<P: VertexProgram> PumpStep<(u32, SyncMsg<P>)> for AsyncTurn<'_, P> {
     /// `vdata` in place (so this path cannot cursor-route raw TCP batches),
     /// and async batches are small by design.
     fn absorb(&mut self, batch: &mut Batch<(u32, SyncMsg<P>)>) -> Result<(), NetError> {
-        let (shard, program) = (self.shard, self.program);
+        let (shard, program, from) = (self.shard, self.program, batch.from);
         batch.make_items()?;
         let accums = &mut self.state.scratch.staging.open_blocks(self.pctx, shard.num_local(), 1)[0];
         for (gid, msg) in batch.items.drain(..) {
-            let l = shard
-                .local_of(gid.into())
-                .expect("async message routed to non-replica"); // lazylint: allow(no-panic) -- replica routing table guarantees locality; a miss is a partitioner bug
+            let l = route_item(shard.route_table(), from, gid)?;
             match msg {
                 SyncMsg::Accum(d) => {
-                    debug_assert!(shard.is_master[l as usize]);
+                    if !shard.is_master[l as usize] {
+                        return Err(misrouted(from, "an accumulator", gid, "is not the master"));
+                    }
                     accums.stage(l, program.gather(gid.into(), d), false);
                 }
                 SyncMsg::Update { data, scatter } => {

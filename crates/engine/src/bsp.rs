@@ -107,7 +107,9 @@ impl BspSync {
         let new_global = red.clock + self.cost.barrier_latency + comm_time;
         if self.me == 0 {
             let mut b = self.breakdown.lock();
-            b.compute += (red.clock - self.last_global).max(0.0); // lazylint: allow(float-commit) -- machine-0-only accounting of an allreduced clock; order is fixed by the superstep sequence
+            // Machine 0 only, on an allreduced clock: the superstep
+            // sequence fixes the order of these sums.
+            b.compute += (red.clock - self.last_global).max(0.0);
             b.barrier += self.cost.barrier_latency;
             b.comm += comm_time;
         }

@@ -486,7 +486,7 @@ mod tests {
             EngineKind::DeltaAccum,
         ]
         .map(EngineKind::name);
-        let set: std::collections::HashSet<_> = names.iter().collect();
+        let set: std::collections::BTreeSet<_> = names.iter().collect();
         assert_eq!(set.len(), names.len());
     }
 }

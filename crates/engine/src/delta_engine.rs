@@ -8,7 +8,7 @@
 //! The scheduler ([`PriorityBuckets`]) selects the highest non-empty
 //! power-of-two |delta| buckets down to the portion cut, so high-impact
 //! mass propagates first — Maiter's selective execution — while the plan
-//! stays a pure function of state (lazylint L1/L3 clean, no pragma).
+//! stays a pure function of state (no hash container, no clock read).
 //! Sub-epochs repeat until the machine quiesces within tolerance; only
 //! then does an outer epoch pay a coherency exchange, shipping the
 //! `delta_msg` accumulators (⊕-combined sender-side by

@@ -73,8 +73,11 @@ pub fn run_on<P: VertexProgram>(
     let stats = Arc::new(NetStats::new());
     let breakdown = Arc::new(Mutex::new(SimBreakdown::default()));
     let history: History = Arc::new(Mutex::new(Vec::new()));
-    // lazylint: allow(nondet-source) -- host wall-clock feeds only the reported
-    // runtime metric; no simulated result ever reads it
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host wall-clock feeds only the reported runtime metric; \
+                  no simulated result ever reads it"
+    )]
     let started = Instant::now();
     let mesh = ThreadedMesh {
         transport: cfg.transport,

@@ -136,6 +136,27 @@ pub fn local_delta<P: VertexProgram>(
     }
 }
 
+/// The local id of `gid` in an item machine `from` sent here, through the
+/// shard's dense route table. A vertex this machine holds no replica of is
+/// a malformed frame, not a partitioner bug to panic on: the caller fails
+/// the run with it, naming the sender.
+pub(crate) fn route_item(route: &[u32], from: usize, gid: u32) -> Result<u32, NetError> {
+    match route.get(gid as usize) {
+        Some(&l) if l != lazygraph_partition::NO_LOCAL => Ok(l),
+        _ => Err(misrouted(from, "an item", gid, "holds no replica")),
+    }
+}
+
+/// The error for a peer's item that names a vertex it may not send here.
+pub(crate) fn misrouted(from: usize, what: &str, gid: u32, here: &str) -> NetError {
+    NetError::Malformed {
+        ty: "routed item",
+        detail: format!(
+            "machine {from} sent {what} for vertex {gid}, of which this machine {here}"
+        ),
+    }
+}
+
 /// Block-parallel translate-and-bucket over received batches: the
 /// replacement for the serial per-item `local_of` + push loop.
 ///
@@ -497,17 +518,32 @@ impl<T: Wire + Send> OrderedRound<'_, T> {
     pub fn outboxes(&mut self) -> &mut OutboxSet<T> {
         &mut self.wire.port.outboxes
     }
+}
 
+impl<X> OrderedRound<'_, (u32, X)>
+where
+    (u32, X): Wire + Send,
+{
     /// Ships what is staged, waits for every peer's batch of the round,
-    /// and hands each inbound item to `apply` in (sender, item) order.
-    pub fn close(mut self, now: f64, mut apply: impl FnMut(T)) -> Result<(), CommError> {
+    /// and hands each inbound `(gid, x)` to `apply` as `(local id, x)`
+    /// through `route`, in (sender, item) order. An item for a vertex this
+    /// machine holds no replica of fails the round ([`route_item`]).
+    pub fn close(
+        mut self,
+        now: f64,
+        route: &[u32],
+        mut apply: impl FnMut(u32, X),
+    ) -> Result<(), CommError> {
         let received = self.wire.exchange(now)?;
         let port = self.wire.port;
+        let me = port.ep.me();
         for mut batch in received {
-            batch
-                .make_items()
-                .map_err(|e| CommError::transport(port.ep.me(), &e))?;
-            batch.items.drain(..).for_each(&mut apply);
+            batch.make_items().map_err(|e| CommError::transport(me, &e))?;
+            for (gid, x) in batch.items.drain(..) {
+                let l = route_item(route, batch.from, gid)
+                    .map_err(|e| CommError::transport(me, &e))?;
+                apply(l, x);
+            }
             port.ep.recycle(batch);
         }
         Ok(())
@@ -720,6 +756,36 @@ mod tests {
             routed(&pctx, 4, &mut raw).is_err(),
             "a torn item region must be a typed error"
         );
+    }
+
+    #[test]
+    fn an_item_for_a_vertex_without_a_replica_here_fails_the_round_typed() {
+        use lazygraph_cluster::{build_endpoints, run_machines, TransportKind};
+        // Machine 1 holds vertices 0 and 1 only, and machine 0 sends it
+        // vertex 7: the round fails on machine 1, naming machine 0.
+        let route = [0, 1];
+        for transport in [TransportKind::InProc, TransportKind::Tcp] {
+            let stats = Arc::new(NetStats::new());
+            let endpoints = build_endpoints::<(u32, u64)>(transport, 2, &stats).expect("mesh");
+            let outcomes = run_machines(endpoints, |ep| {
+                let me = ep.me();
+                let mut port = Port::new(ep, stats.clone(), None);
+                let mut round = port.ordered_round(Phase::Apply, 12);
+                if me == 0 {
+                    round.outboxes().push(1, (1, 10));
+                    round.outboxes().push(1, (7, 70));
+                }
+                round.close(0.0, &route, |_, _| {})
+            });
+            assert_eq!(outcomes[0], Ok(()), "{transport:?}");
+            match &outcomes[1] {
+                Err(CommError::Transport { me: 1, detail }) => assert!(
+                    detail.contains("machine 0 sent an item for vertex 7"),
+                    "{transport:?}: {detail}"
+                ),
+                other => panic!("{transport:?}: expected a typed transport error, got {other:?}"),
+            }
+        }
     }
 
     /// A toy pump engine: tokens ride the ring `me → me + 1`, losing one

@@ -442,7 +442,6 @@ fn volume_estimate<P: VertexProgram>(
 /// absent defers it — in ascending local-id order per block. Phase B
 /// (the caller, block order) clears slots and fills outboxes, so the wire
 /// byte stream is schedule-independent.
-#[allow(clippy::type_complexity)]
 fn coherency_decisions<P: VertexProgram>(
     shard: &LocalShard,
     state: &MachineState<P>,
@@ -556,16 +555,13 @@ fn exchange_m2m<P: VertexProgram>(
         }
         sent += delta_bytes as u64;
     }
-    hop1.close(now, |(gid, d)| {
-        let l = shard.local_of(gid.into());
-        debug_assert!(l.is_some(), "hop-1 delta routed to non-replica");
-        if let Some(l) = l {
-            let slot = &mut totals[l as usize];
-            *slot = Some(match slot.take() {
-                Some(t) => program.sum(t, d),
-                None => d,
-            });
-        }
+    let route = shard.route_table();
+    hop1.close(now, route, |l, d| {
+        let slot = &mut totals[l as usize];
+        *slot = Some(match slot.take() {
+            Some(t) => program.sum(t, d),
+            None => d,
+        });
     })?;
 
     // Hop 2: master → mirrors (combined delta), plus local master handling.
@@ -579,7 +575,6 @@ fn exchange_m2m<P: VertexProgram>(
         Some(mine) => Some(program.inverse(total, mine)),
         None => Some(total),
     };
-    let route = shard.route_table();
     let mut hop2 = port.fold_round(
         pctx,
         shard.num_local(),

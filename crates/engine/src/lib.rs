@@ -18,6 +18,19 @@
 //!
 //! Entry point: [`run`] (or [`run_on`] to reuse a placement).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 pub mod async_engine;
 pub mod bsp;
 pub mod checkpoint;

@@ -228,8 +228,14 @@ pub fn assemble<P: VertexProgram>(
     let values = values
         .into_iter()
         .enumerate()
-        // lazylint: allow(no-panic) -- every vertex has exactly one master by partition construction; a gap here is an assembler bug
-        .map(|(gid, v)| v.unwrap_or_else(|| panic!("vertex {gid} has no master value")))
+        .map(
+            #[expect(
+                clippy::panic,
+                reason = "every vertex has exactly one master by partition construction; \
+                          a gap here is an assembler bug"
+            )]
+            |(gid, v)| v.unwrap_or_else(|| panic!("vertex {gid} has no master value")),
+        )
         .collect();
     let Measured { lambda, wall_time, stats, breakdown, history } = measured;
     RunResult {

@@ -32,11 +32,14 @@ pub fn delta_dense_fixpoint<P: VertexProgram>(
     );
     let shard = &dg.shards[0];
     let num_vertices = dg.num_global_vertices;
+    #[expect(
+        clippy::expect_used,
+        reason = "a one-thread pool spawns nothing, so there is no spawn to fail"
+    )]
     let pctx = ParallelCtx::new(ParallelConfig {
         threads: 1,
         block_size: crate::config::DEFAULT_BLOCK_SIZE,
     })
-    // lazylint: allow(no-panic) -- a one-thread pool spawns nothing, so there is no spawn to fail
     .expect("a one-thread pool spawns nothing");
     let mut state: MachineState<P> =
         MachineState::init(shard, program, InitMessages::AllReplicas, num_vertices);
@@ -77,9 +80,13 @@ pub fn delta_dense_fixpoint<P: VertexProgram>(
     }
     let mut values: Vec<P::VData> = Vec::with_capacity(num_vertices);
     for gid in 0..num_vertices as u32 {
+        #[expect(
+            clippy::expect_used,
+            reason = "a 1-machine partition is total by construction"
+        )]
         let l = shard
             .local_of(gid.into())
-            .expect("single-machine shard holds every vertex"); // lazylint: allow(no-panic) -- a 1-machine partition is total by construction
+            .expect("single-machine shard holds every vertex");
         values.push(state.vdata[l as usize].clone());
     }
     (values, epochs, converged)

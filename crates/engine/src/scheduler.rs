@@ -5,7 +5,7 @@
 //! first, but a literal priority queue breaks the repo's bitwise
 //! determinism contract: heap pop order depends on insertion history and
 //! float ties, and any hash-based bucket map iterates in nondeterministic
-//! order (lazylint L1/L3). This module replaces the queue with
+//! order (DESIGN.md §8). This module replaces the queue with
 //! **power-of-two priority buckets**: a pending vertex with priority `p`
 //! lands in bucket `⌊log₂(p / tolerance)⌋` (clamped to the bucket range),
 //! and each epoch the scheduler selects whole buckets from the top down
@@ -18,7 +18,7 @@
 //! so the plan is a pure function of
 //! `(candidates, tolerance, num_buckets)` — no clocks, no hashes, no
 //! allocation-order dependence — so execution order is reproducible at
-//! every thread count and across reruns, and no lint pragma is needed.
+//! every thread count and across reruns, and no lint exemption is needed.
 //!
 //! `⌊log₂⌋` is computed by IEEE-754 exponent extraction rather than
 //! `f64::log2` so the binning is bit-exact on every platform: for a

@@ -232,7 +232,10 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
         let mut sent_bytes = 0u64;
         let mut applies = 0u64;
         let (message_view, vdata_view) = (&state.message, &state.vdata);
-        #[allow(clippy::type_complexity)]
+        #[expect(
+            clippy::type_complexity,
+            reason = "one (vertex, new value, scatter delta) per apply, per block; used here only"
+        )]
         let apply_blocks: Vec<Vec<(u32, P::VData, Option<P::Delta>)>> =
             pctx.map_chunks(master_worklist, |chunk| {
                 let mut out = Vec::new();
@@ -280,11 +283,8 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
         }
         stats.record_applies(applies);
         clock.advance(cost.apply_time(applies));
-        round.close(clock.now(), |(gid, msg)| {
+        round.close(clock.now(), shard.route_table(), |l, msg| {
             if let SyncMsg::Update { data, scatter } = msg {
-                let l = shard
-                    .local_of(gid.into())
-                    .expect("update routed to non-replica"); // lazylint: allow(no-panic) -- replica routing table guarantees locality; a miss is a partitioner bug
                 state.vdata[l as usize] = data;
                 if let Some(d) = scatter {
                     scatter_tasks.push((l, d));

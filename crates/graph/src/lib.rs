@@ -11,6 +11,19 @@
 //!
 //! The *system-view* (partitioned) graph lives in `lazygraph-partition`.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 pub mod builder;
 pub mod csr;
 pub mod datasets;

@@ -14,6 +14,18 @@
 //! See DESIGN.md §10 for the frame format and the transport-selection
 //! matrix.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 #![forbid(unsafe_code)]
 
 pub mod error;

@@ -469,8 +469,8 @@ pub fn validate_distributed(
     }
     // Edge multiset: every one-edge exactly once on its assigned machine;
     // every parallel edge on exactly its required set.
-    use std::collections::HashMap;
-    let mut stored: HashMap<(u32, u32, u32), Vec<MachineId>> = HashMap::new();
+    let mut stored: std::collections::BTreeMap<(u32, u32, u32), Vec<MachineId>> =
+        std::collections::BTreeMap::new();
     for shard in &dg.shards {
         for l in 0..shard.num_local() as u32 {
             let src = shard.global_of(l);

@@ -7,6 +7,19 @@
 //! the construction of per-machine [`LocalShard`]s with per-edge
 //! transmission modes.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 pub mod distributed;
 pub mod edge_split;
 pub mod replication;

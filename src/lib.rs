@@ -31,6 +31,19 @@
 //! assert_eq!(result.values.len(), graph.num_vertices());
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 pub use lazygraph_algorithms as algorithms;
 pub use lazygraph_cluster as cluster;
 pub use lazygraph_engine as engine;

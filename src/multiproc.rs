@@ -489,12 +489,12 @@ fn launch_in(
             progressed = true;
             // Already exited, so this drains the stderr pipe and reaps
             // without blocking on a live process.
-            let out = match children[me]
-                .take()
-                // lazylint: allow(no-panic) -- the `exited` branch above only runs when this slot held a live child
-                .expect("checked above")
-                .wait_with_output()
-            {
+            #[expect(
+                clippy::expect_used,
+                reason = "the `exited` branch above only runs when this slot held a live child"
+            )]
+            let child = children[me].take().expect("checked above");
+            let out = match child.wait_with_output() {
                 Ok(out) => out,
                 Err(e) => {
                     done[me] = true;

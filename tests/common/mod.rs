@@ -1,6 +1,6 @@
 //! Helpers shared by the integration-test crates (`mod common;`).
 
-#![allow(dead_code)] // each test crate uses its own subset
+#![allow(dead_code, reason = "each test crate uses its own subset")]
 
 use lazygraph::prelude::*;
 use lazygraph_engine::program::DeltaExchange;
