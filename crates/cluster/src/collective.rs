@@ -123,6 +123,23 @@ impl Collective {
         if me == 0 {
             stats.record_sync();
         }
+        self.reduce(me, val, stats, combine)
+    }
+
+    /// Or-reduce that is *not* a global synchronisation: the barrier-free
+    /// engines' end-of-run vote (DESIGN.md §17). It records no sync and
+    /// takes no clock, so a run of them reports no global synchronisations
+    /// and the vote moves no simulated time.
+    pub fn vote(&self, me: usize, val: bool, stats: &NetStats) -> Result<bool, CommError> {
+        self.reduce(me, val, stats, |a, b| a || b)
+    }
+
+    /// [`Self::allreduce`] without the sync count.
+    fn reduce<T, F>(&self, me: usize, val: T, stats: &NetStats, combine: F) -> Result<T, CommError>
+    where
+        T: Clone + Send + Wire + 'static,
+        F: Fn(T, T) -> T,
+    {
         match &self.inner {
             Inner::Shared { barrier, slots, .. } => {
                 *slots[me].lock() = Some(Box::new(val));
@@ -294,6 +311,33 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert!(results.iter().all(|&r| r));
+    }
+
+    /// The end-of-run vote is an or on both paths, and neither counts it.
+    #[test]
+    fn vote_is_an_or_that_records_no_sync() {
+        let n = 3;
+        let stats = Arc::new(NetStats::new());
+        let shared = Arc::new(Collective::new(n));
+        let eps = build_mesh::<u8>(n);
+        let votes: Vec<(bool, bool)> = std::thread::scope(|s| {
+            let handles: Vec<_> = eps
+                .into_iter()
+                .enumerate()
+                .map(|(me, ep)| {
+                    let (shared, stats) = (shared.clone(), stats.clone());
+                    s.spawn(move || {
+                        let mesh = Collective::mesh(ep);
+                        let quiet = shared.vote(me, false, &stats).unwrap();
+                        let held = mesh.vote(me, me == 2, &stats).unwrap();
+                        (quiet, held)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(votes.iter().all(|&v| v == (false, true)), "{votes:?}");
+        assert_eq!(stats.snapshot().global_syncs, 0);
     }
 
     #[test]

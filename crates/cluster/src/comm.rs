@@ -482,16 +482,30 @@ impl<T: Send> Endpoint<T> {
     /// Non-blocking receive of an out-of-band batch (asynchronous engines).
     ///
     /// `Ok(None)` when no batch is available — also once peers have left
-    /// cleanly: the termination detector, not the mesh, decides whether
-    /// more work can still arrive. A torn link is an error, as on every
-    /// call: a peer that died without its Shutdown frame (fail-fast mode)
-    /// or did not rejoin in time (recovery mode) is
-    /// [`CommError::Transport`].
+    /// cleanly: the pump's vote, not the mesh, decides whether more work
+    /// can still arrive. A round's batch is never returned: it waits in
+    /// `pending` for the [`Self::exchange`] it belongs to, since a peer
+    /// already in the pump's vote round may send one before this machine
+    /// enters it. A torn link is an error, as on every call: a peer that
+    /// died without its Shutdown frame (fail-fast mode) or did not rejoin
+    /// in time (recovery mode) is [`CommError::Transport`].
     pub fn try_recv(&mut self) -> Result<Option<Batch<T>>, CommError> {
         if let Some(pos) = self.pending.iter().position(|b| b.round == ASYNC_ROUND) {
             return Ok(self.pending.remove(pos));
         }
-        self.next_batch(false, &|_| true)
+        while let Some(b) = self.next_batch(false, &|_| true)? {
+            if b.round == ASYNC_ROUND {
+                return Ok(Some(b));
+            }
+            self.pending.push_back(b);
+        }
+        Ok(None)
+    }
+
+    /// Whether an out-of-band batch has arrived that [`Self::try_recv`] has
+    /// not handed out yet: what a machine brings to the pump's vote.
+    pub fn holds_async(&self) -> bool {
+        self.pending.iter().any(|b| b.round == ASYNC_ROUND)
     }
 
     /// BSP exchange round: sends `outboxes[dst]` to every other machine
@@ -727,10 +741,30 @@ mod tests {
             .exchange(&mut OutboxSet::new(2), 0.0, Phase::Coherency, 4, &stats)
             .unwrap();
         assert_eq!(got[0].items, vec![40]);
+        assert!(ep0.holds_async(), "both wait in `pending` now");
         // …and try_recv must then surface them, oldest first.
         assert_eq!(ep0.try_recv().unwrap().unwrap().items, vec![7]);
         assert_eq!(ep0.try_recv().unwrap().unwrap().items, vec![8]);
         assert!(ep0.try_recv().unwrap().is_none());
+    }
+
+    /// A peer already in the pump's vote round sends its round batch while
+    /// this machine is still pumping: `try_recv` must leave it for the
+    /// round's `exchange`, or the round would wait for it forever.
+    #[test]
+    fn a_round_batch_that_arrives_early_is_never_returned_by_try_recv() {
+        let mut eps = build_mesh::<u32>(2);
+        let ep1 = eps.pop().unwrap();
+        let mut ep0 = eps.pop().unwrap();
+        let stats = NetStats::new();
+        ep1.send(0, vec![7], 0.0, Phase::Async, 4, &stats).unwrap();
+        ep1.send_tagged(0, vec![], 0.0, 0, Phase::Async, 4, &stats).unwrap();
+        assert_eq!(ep0.try_recv().unwrap().unwrap().items, vec![7]);
+        assert!(ep0.try_recv().unwrap().is_none(), "the round's batch is not async work");
+        assert!(!ep0.holds_async());
+        let round = ep0.exchange(&mut OutboxSet::new(2), 0.0, Phase::Async, 4, &stats).unwrap();
+        assert_eq!(round.len(), 1, "the round found its batch in `pending`");
+        assert_eq!((round[0].from, round[0].round), (1, 0));
     }
 
     #[test]
@@ -748,7 +782,7 @@ mod tests {
             .unwrap();
         // …then a fresh channel batch arrives behind them.
         ep1.send(0, vec![3], 0.0, Phase::Async, 4, &stats).unwrap();
-        // Termination-time drain sees every batch exactly once, FIFO.
+        // A blocking drain sees every batch exactly once, FIFO.
         assert_eq!(ep0.recv().unwrap().items, vec![1]);
         assert_eq!(ep0.recv().unwrap().items, vec![2]);
         assert_eq!(ep0.recv().unwrap().items, vec![3]);

@@ -7,14 +7,14 @@
 //! has died (panic or early error return). Engines propagate them to the
 //! driver instead of panicking, so one failing machine tears the run
 //! down with a diagnosable error rather than a poisoned process.
-//! [`CommError::NeedsSharedMemory`], [`CommError::MachineCount`] and
-//! [`CommError::PoolSpawn`] are the exceptions: a run that cannot start
-//! as configured, refused before anything is sent.
+//! [`CommError::MachineCount`] and [`CommError::PoolSpawn`] are the
+//! exceptions: a run that cannot start as configured, refused before
+//! anything is sent.
 
 use std::fmt;
 
-/// A communication-layer failure: a dead peer, or a run configured onto
-/// a mesh that cannot carry it.
+/// A communication-layer failure: a dead peer, or a run that cannot start
+/// as configured.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CommError {
     /// A send found the destination's mesh receiver already dropped.
@@ -48,13 +48,6 @@ pub enum CommError {
         me: usize,
         /// The underlying transport error, rendered.
         detail: String,
-    },
-    /// A barrier-free engine was started on a mesh whose machines do not
-    /// share memory: its quiescence detector (`Termination`) is an
-    /// in-process object, so the run could never agree that it is over.
-    NeedsSharedMemory {
-        /// Report name of the engine.
-        engine: &'static str,
     },
     /// The run was asked for a machine count no placement can hold.
     MachineCount {
@@ -98,12 +91,6 @@ impl fmt::Display for CommError {
             }
             CommError::Transport { me, detail } => {
                 write!(f, "machine {me}: transport failure: {detail}")
-            }
-            CommError::NeedsSharedMemory { engine } => {
-                write!(
-                    f,
-                    "engine {engine} terminates through shared memory and cannot run across processes"
-                )
             }
             CommError::MachineCount { got, max } => {
                 write!(f, "machine count {got} is outside 1..={max}")

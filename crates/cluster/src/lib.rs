@@ -32,7 +32,6 @@ pub mod pool;
 pub mod recovery;
 pub mod runtime;
 pub mod stats;
-pub mod termination;
 pub mod transport;
 
 pub use collective::Collective;
@@ -43,7 +42,6 @@ pub use pool::ThreadPool;
 pub use recovery::{armed_failpoint, failpoint_ckpt, failpoint_superstep, FailPoint, LinkStatus};
 pub use runtime::{run_machines, try_run_machines};
 pub use stats::{NetStats, Phase, PhaseStats, StatsSnapshot};
-pub use termination::Termination;
 pub use transport::{
     build_endpoints, connect_tcp_endpoint, decode_batch, decode_batch_raw, encode_batch,
     reconnect_tcp_endpoint, TransportKind,

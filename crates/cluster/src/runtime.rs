@@ -2,8 +2,8 @@
 //!
 //! Each simulated machine runs on its own OS thread with exclusively-owned
 //! per-machine state (its shard, its mesh endpoint, its vertex arrays);
-//! shared state is limited to the [`crate::Collective`], [`crate::NetStats`]
-//! counters, and the termination detector. This mirrors a real cluster's
+//! shared state is limited to the [`crate::Collective`] and the
+//! [`crate::NetStats`] counters. This mirrors a real cluster's
 //! share-nothing structure and lets the borrow checker prove the engines
 //! race-free.
 

@@ -11,7 +11,8 @@
 //! Async beyond ~16 machines.
 //!
 //! On the superstep skeleton the whole run is one step: [`AsyncPump`] drives
-//! the port's [`Pump`] to quiescence and votes converged (DESIGN.md §17).
+//! the port's [`Pump`] until the machines' vote ends it, and votes
+//! converged (DESIGN.md §17).
 
 use lazygraph_cluster::{Batch, CommError, CostModel, NetStats, Phase};
 use lazygraph_net::NetError;
@@ -37,7 +38,7 @@ impl<P: VertexProgram> AsyncPump<P> {
     /// Pumps `f`'s machine until the whole run is quiescent.
     pub(crate) fn pump(&mut self, f: &mut Frame<'_, P, SyncMsg<P>>) -> Result<(), CommError> {
         let update_bytes = f.program.vdata_bytes() + std::mem::size_of::<P::Delta>();
-        let pump = f.port.pump(&mut f.clock, f.cfg, Phase::Async, update_bytes)?;
+        let pump = f.port.pump(&mut f.clock, &f.bsp.coll, f.cfg.cost, Phase::Async, update_bytes);
         pump.run(&mut AsyncTurn {
             scatter_tasks: &mut self.scatter_tasks,
             state: &mut f.state,

@@ -497,9 +497,9 @@ impl<R: Read + Seek> ChunkReader<R> {
 }
 
 /// The engine tag a snapshot carries — the one `EngineKind` → tag mapping.
-/// `None` for the engines that cannot checkpoint (their pump detects
-/// quiescence through shared memory, so they never run in a worker
-/// process).
+/// `None` for the engines that cannot checkpoint: those that pump, whose
+/// out-of-band batches have no barrier to cut a snapshot at and no round
+/// to replay.
 pub fn snapshot_tag(kind: EngineKind) -> Option<u8> {
     match kind {
         EngineKind::PowerGraphSync => Some(0),

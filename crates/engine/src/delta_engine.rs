@@ -17,7 +17,7 @@
 //! superstep skeleton the engine differs from LazyBlockAsync only in
 //! *which* pending vertices a local stage schedules.
 //!
-//! Termination is tolerance-based: a vertex whose pending priority falls
+//! The run ends on a tolerance: a vertex whose pending priority falls
 //! below the scheduler tolerance is parked (its mass stays in the inbox
 //! and folds with the next arrival), and the epoch barrier's allreduce
 //! counts schedulable vertices globally — zero means the fixpoint has

@@ -10,7 +10,6 @@ use lazygraph_partition::{partition_graph_with, DistributedGraph, MAX_MACHINES};
 use parking_lot::Mutex;
 
 use crate::config::EngineConfig;
-use crate::exchange::Quiescence;
 use crate::machine::{assemble, run_mesh_engine, History, Measured, RunShared, ThreadedMesh};
 use crate::metrics::{RunMetrics, SimBreakdown};
 use crate::program::VertexProgram;
@@ -88,7 +87,6 @@ pub fn run_on<P: VertexProgram>(
         stats: stats.clone(),
         breakdown: breakdown.clone(),
         history: cfg.record_history.then(|| history.clone()),
-        quiescence: Some(Quiescence::shared_memory(dg.num_machines)),
     };
     let outs = run_mesh_engine(&dg.shape(), cfg, program, mesh, &shared)?;
     let measured = Measured {

@@ -39,17 +39,17 @@
 //! mirrors-to-master hop 1). Either way a round is one batch per (sender,
 //! round), collected sorted by sender (DESIGN.md §11 records why rounds
 //! are not cut into streamed parts). The barrier-free engines have no
-//! rounds: they open the port's [`Pump`] instead, the one loop that
-//! drains, flushes and detects quiescence (DESIGN.md §17).
+//! rounds of their own: they open the port's [`Pump`] instead, the one
+//! loop that drains, flushes and votes on whether the run is over
+//! (DESIGN.md §17).
 
 use std::sync::Arc;
 
 use lazygraph_cluster::{
-    Batch, CommError, CostModel, Endpoint, NetStats, OutboxSet, Phase, SimClock, Termination,
+    Batch, Collective, CommError, CostModel, Endpoint, NetStats, OutboxSet, Phase, SimClock,
 };
 use lazygraph_net::{NetError, Wire, WireReader};
 
-use crate::config::EngineConfig;
 use crate::parallel::ParallelCtx;
 use crate::program::VertexProgram;
 use crate::state::{num_blocks, retained, MachineState, Segments};
@@ -243,39 +243,12 @@ pub struct Port<T> {
     pub ep: Endpoint<T>,
     pub outboxes: OutboxSet<T>,
     stats: Arc<NetStats>,
-    /// How a barrier-free run on this mesh agrees that it is over; `None`
-    /// when the machines share no memory ([`Port::pump`]).
-    quiescence: Option<Quiescence>,
-}
-
-/// A run's quiescence detector: "no machine has work and no batch is in
-/// flight", decided without a barrier. Today that is the shared-memory
-/// counting detector, so only a mesh whose machines are threads of one
-/// process can hand one out.
-#[derive(Clone)]
-pub struct Quiescence(Arc<Termination>);
-
-impl Quiescence {
-    /// The detector for `num_machines` machines that are all threads of
-    /// this process.
-    pub fn shared_memory(num_machines: usize) -> Self {
-        Quiescence(Arc::new(Termination::new(num_machines)))
-    }
 }
 
 impl<T: Wire + Send> Port<T> {
-    pub fn new(
-        ep: Endpoint<T>,
-        stats: Arc<NetStats>,
-        quiescence: Option<Quiescence>,
-    ) -> Self {
+    pub fn new(ep: Endpoint<T>, stats: Arc<NetStats>) -> Self {
         let outboxes = OutboxSet::new(ep.num_machines());
-        Port {
-            ep,
-            outboxes,
-            stats,
-            quiescence,
-        }
+        Port { ep, outboxes, stats }
     }
 
     /// Opens a ⊕-fold round: inbound items go through `translate` and
@@ -317,35 +290,28 @@ impl<T: Wire + Send> Port<T> {
         }
     }
 
-    /// Opens the barrier-free side of the port for `cfg.engine`: batches
-    /// travel out of band under `phase`, and `clock` is the machine's
-    /// clock, which the pump merges arrivals into and charges sends to.
-    /// The one place a run finds out that its mesh cannot detect
-    /// quiescence ([`CommError::NeedsSharedMemory`]) — and the one
-    /// seam a mesh-carried vote would replace.
+    /// Opens the barrier-free side of the port: batches travel out of
+    /// band under `phase`, `clock` is the machine's clock, which the pump
+    /// merges arrivals into and charges sends to under `cost`, and `coll`
+    /// is the run's collective, which carries the pump's vote.
     pub fn pump<'a>(
         &'a mut self,
         clock: &'a mut SimClock,
-        cfg: &EngineConfig,
+        coll: &'a Collective,
+        cost: CostModel,
         phase: Phase,
         bytes_per_item: usize,
-    ) -> Result<Pump<'a, T>, CommError> {
-        let Some(Quiescence(term)) = &self.quiescence else {
-            return Err(CommError::NeedsSharedMemory {
-                engine: cfg.engine.name(),
-            });
-        };
-        Ok(Pump {
+    ) -> Pump<'a, T> {
+        Pump {
             ep: &mut self.ep,
             outboxes: &mut self.outboxes,
             clock,
             stats: &self.stats,
-            term,
-            idle: false,
-            cost: cfg.cost,
+            coll,
+            cost,
             phase,
             bytes_per_item,
-        })
+        }
     }
 }
 
@@ -362,12 +328,8 @@ pub trait PumpStep<T> {
 }
 
 /// The barrier-free side of a [`Port`]: the endpoint's out-of-band
-/// send/receive, the staging outboxes, the machine clock, and this
-/// machine's seat at the quiescence detector (DESIGN.md §17). Every
-/// detector call of the engine crate is in this type, in the order the
-/// detector's proof needs: *sent* is counted before the push, *delivered*
-/// after the batch is absorbed, and a machine is idle only while it has
-/// neither work nor an undelivered batch.
+/// send/receive, the staging outboxes, the machine clock, and the
+/// collective its vote runs over (DESIGN.md §17).
 pub struct Pump<'a, T> {
     ep: &'a mut Endpoint<T>,
     /// Staging for a turn's outbound items; the loop ships every non-empty
@@ -375,8 +337,7 @@ pub struct Pump<'a, T> {
     pub outboxes: &'a mut OutboxSet<T>,
     pub clock: &'a mut SimClock,
     stats: &'a NetStats,
-    term: &'a Termination,
-    idle: bool,
+    coll: &'a Collective,
     cost: CostModel,
     phase: Phase,
     bytes_per_item: usize,
@@ -384,39 +345,50 @@ pub struct Pump<'a, T> {
 
 impl<T: Wire + Send> Pump<'_, T> {
     /// Pumps `engine` until the whole run is quiescent: drain the
-    /// endpoint, take a turn, ship what it staged, and park at the
-    /// detector when neither made progress.
+    /// endpoint, take a turn, ship what it staged, and vote when neither
+    /// made progress.
     pub fn run(mut self, engine: &mut impl PumpStep<T>) -> Result<(), CommError> {
         loop {
             let mut progressed = false;
             while let Some(mut batch) = self.ep.try_recv()? {
-                self.unpark();
                 let bytes = batch.item_count() * self.bytes_per_item;
                 self.clock.merge(batch.sent_at + self.cost.async_batch_time(bytes as u64));
                 engine
                     .absorb(&mut batch)
                     .map_err(|e| CommError::transport(self.ep.me(), &e))?;
                 self.ep.recycle(batch);
-                self.term.note_delivered(1);
                 progressed = true;
             }
-            if engine.turn(&mut self)? {
-                progressed = true;
-                for dst in 0..self.ep.num_machines() {
-                    self.flush(dst)?;
-                }
+            progressed |= engine.turn(&mut self)?;
+            // Every turn's items leave before any vote round can: the
+            // round ships whatever is staged as its own payload.
+            for dst in 0..self.ep.num_machines() {
+                self.flush(dst)?;
             }
-            if !progressed {
-                if !self.idle {
-                    self.term.enter_idle();
-                    self.idle = true;
-                }
-                if self.term.check() {
-                    return Ok(());
-                }
-                std::thread::yield_now();
+            if !progressed && self.vote()? {
+                return Ok(());
             }
         }
+    }
+
+    /// The vote of a machine with no work and nothing received: one empty
+    /// round on the data mesh, then an or-reduce of "I hold an undelivered
+    /// batch". Links are FIFO per peer and every machine sends its round
+    /// batch after everything it sent before it, so once the round is
+    /// complete every batch sent before the vote waits in its receiver's
+    /// `pending`; nothing is in flight. All false: no machine has work and
+    /// none can get any, and the run is over (`true`). Any true: every
+    /// machine pumps on. Neither part is a global synchronisation or
+    /// simulated time.
+    fn vote(&mut self) -> Result<bool, CommError> {
+        let now = self.clock.now();
+        let round =
+            self.ep.exchange(self.outboxes, now, self.phase, self.bytes_per_item, self.stats)?;
+        for batch in round {
+            self.ep.recycle(batch);
+        }
+        let held = self.ep.holds_async();
+        Ok(!self.coll.vote(self.ep.me(), held, self.stats)?)
     }
 
     /// Ships what is staged for `dst`, as one batch paying the per-message
@@ -425,20 +397,11 @@ impl<T: Wire + Send> Pump<'_, T> {
         if self.outboxes.staged(dst).is_empty() {
             return Ok(());
         }
-        self.unpark();
-        self.term.note_sent(1);
         self.clock.advance(self.cost.async_send_cpu);
         let now = self.clock.now();
         self.ep
             .send_staged(self.outboxes, dst, now, self.phase, self.bytes_per_item, self.stats)?;
         Ok(())
-    }
-
-    fn unpark(&mut self) {
-        if self.idle {
-            self.term.leave_idle();
-            self.idle = false;
-        }
     }
 }
 
@@ -769,7 +732,7 @@ mod tests {
             let endpoints = build_endpoints::<(u32, u64)>(transport, 2, &stats).expect("mesh");
             let outcomes = run_machines(endpoints, |ep| {
                 let me = ep.me();
-                let mut port = Port::new(ep, stats.clone(), None);
+                let mut port = Port::new(ep, stats.clone());
                 let mut round = port.ordered_round(Phase::Apply, 12);
                 if me == 0 {
                     round.outboxes().push(1, (1, 10));
@@ -790,46 +753,44 @@ mod tests {
 
     /// A toy pump engine: tokens ride the ring `me → me + 1`, losing one
     /// hop per forward.
-    struct Ring<'a> {
+    struct Ring {
         me: usize,
         held: Vec<u32>,
         absorbed: u64,
-        /// Turns in a row that found nothing to do, with no batch absorbed
-        /// in between: from the second on, the loop has parked this
-        /// machine at the detector.
-        empty_turns: u32,
-        /// Machine 2 only: tells machine 1 it is parked.
+        /// Machine 2 only: tells machine 1, in its first empty turn, that
+        /// the loop is about to take it into the vote.
         parked: Option<std::sync::mpsc::Sender<()>>,
         /// Machine 1 only: awaited before its first forward.
         await_parked: Option<std::sync::mpsc::Receiver<()>>,
-        term: &'a Termination,
+        /// A batch reached this machine after it said it was parked.
+        woken: bool,
     }
 
-    impl PumpStep<u32> for Ring<'_> {
+    impl PumpStep<u32> for Ring {
         fn absorb(&mut self, batch: &mut Batch<u32>) -> Result<(), NetError> {
-            assert!(!self.term.is_done(), "latched with a batch in flight");
             batch.make_items()?;
             self.absorbed += batch.items.len() as u64;
             self.held.append(&mut batch.items);
-            self.empty_turns = 0;
+            self.woken |= self.me == 2 && self.parked.is_none();
             Ok(())
         }
 
         fn turn(&mut self, pump: &mut Pump<'_, u32>) -> Result<bool, CommError> {
             if self.held.is_empty() {
-                self.empty_turns += 1;
-                if self.empty_turns == 2 {
-                    if let Some(parked) = self.parked.take() {
-                        parked.send(()).expect("machine 1 is waiting");
-                    }
+                if let Some(parked) = self.parked.take() {
+                    parked.send(()).expect("machine 1 is waiting");
                 }
                 return Ok(false);
             }
             // Machine 2 has never held a token, so once it reports itself
-            // parked it stays parked until this forward lands: the hop is
-            // delivered to an idle receiver.
+            // parked it is in the vote's round, or about to be, and stays
+            // there until this forward lands: the hop is delivered to a
+            // machine that has voted, and that vote must fail. Nothing can
+            // signal from inside the round, so the pause only makes "in"
+            // the likely case; the assertions hold for "about to be" too.
             if let Some(parked) = self.await_parked.take() {
                 parked.recv().expect("machine 2 parks before its first token");
+                std::thread::sleep(std::time::Duration::from_millis(20));
             }
             for hops in self.held.drain(..).filter(|&hops| hops > 0) {
                 pump.outboxes.push((self.me + 1) % 3, hops - 1);
@@ -838,40 +799,80 @@ mod tests {
         }
     }
 
+    /// The vote's law on both transports, with one shared collective and
+    /// with one mesh collective per machine: the run ends only once every
+    /// token has been absorbed, and a forward that lands on a machine
+    /// already in the vote fails that vote instead of being lost.
     #[test]
     fn pump_forwards_a_token_round_the_ring_and_terminates() {
-        use lazygraph_cluster::{build_endpoints, try_run_machines, TransportKind};
+        use lazygraph_cluster::{build_endpoints, build_mesh, try_run_machines, TransportKind};
         const HOPS: u32 = 40;
-        let cfg = EngineConfig::powergraph_async();
+        let cost = CostModel::paper_cluster();
         for transport in [TransportKind::InProc, TransportKind::Tcp] {
-            let stats = Arc::new(NetStats::new());
-            let quiescence = Quiescence::shared_memory(3);
-            let endpoints = build_endpoints::<u32>(transport, 3, &stats).expect("mesh");
-            let (parked, await_parked) = std::sync::mpsc::channel();
-            let signals = [(None, None), (None, Some(await_parked)), (Some(parked), None)];
-            let seats: Vec<_> = endpoints.into_iter().zip(signals).collect();
-            let absorbed = try_run_machines(seats, |(ep, (parked, await_parked))| {
-                let me = ep.me();
-                let mut port = Port::new(ep, stats.clone(), Some(quiescence.clone()));
-                let mut clock = SimClock::new();
-                let mut ring = Ring {
-                    me,
-                    held: if me == 0 { vec![HOPS] } else { Vec::new() },
-                    absorbed: 0,
-                    empty_turns: 0,
-                    parked,
-                    await_parked,
-                    term: &quiescence.0,
-                };
-                port.pump(&mut clock, &cfg, Phase::Async, 4)?.run(&mut ring)?;
-                assert!(ring.held.is_empty(), "machine {me} quit holding a token");
-                Ok::<u64, CommError>(ring.absorbed)
-            })
-            .expect("pump run");
-            assert!(quiescence.0.is_done());
-            assert_eq!(quiescence.0.total_sent(), u64::from(HOPS), "{transport:?}");
-            assert_eq!(absorbed.iter().sum::<u64>(), u64::from(HOPS), "{transport:?}: {absorbed:?}");
+            for per_machine in [false, true] {
+                let stats = Arc::new(NetStats::new());
+                let shared = Collective::new(3);
+                let endpoints = build_endpoints::<u32>(transport, 3, &stats).expect("mesh");
+                let (parked, await_parked) = std::sync::mpsc::channel();
+                let signals = [(None, None), (None, Some(await_parked)), (Some(parked), None)];
+                let seats: Vec<_> =
+                    endpoints.into_iter().zip(build_mesh::<u8>(3)).zip(signals).collect();
+                let rings = try_run_machines(seats, |((ep, ctrl), (parked, await_parked))| {
+                    let me = ep.me();
+                    let own = Collective::mesh(ctrl);
+                    let coll = if per_machine { &own } else { &shared };
+                    let mut port = Port::new(ep, stats.clone());
+                    let mut clock = SimClock::new();
+                    let mut ring = Ring {
+                        me,
+                        held: if me == 0 { vec![HOPS] } else { Vec::new() },
+                        absorbed: 0,
+                        parked,
+                        await_parked,
+                        woken: false,
+                    };
+                    port.pump(&mut clock, coll, cost, Phase::Async, 4).run(&mut ring)?;
+                    assert!(ring.held.is_empty(), "machine {me} quit holding a token");
+                    Ok::<(u64, bool), CommError>((ring.absorbed, ring.woken))
+                })
+                .expect("pump run");
+                let what = format!("{transport:?}, per-machine collective {per_machine}");
+                let absorbed: u64 = rings.iter().map(|r| r.0).sum();
+                assert_eq!(absorbed, u64::from(HOPS), "{what}: {rings:?}");
+                assert!(rings[2].1, "{what}: machine 2 left its vote with the forward unread");
+                assert_eq!(stats.snapshot().global_syncs, 0, "{what}: a vote is not a sync");
+            }
         }
+    }
+
+    /// What a pump engine with nothing to do does: no turn finds work.
+    struct Idle {
+        turns: u32,
+    }
+
+    impl PumpStep<u32> for Idle {
+        fn absorb(&mut self, _batch: &mut Batch<u32>) -> Result<(), NetError> {
+            Ok(())
+        }
+
+        fn turn(&mut self, _pump: &mut Pump<'_, u32>) -> Result<bool, CommError> {
+            self.turns += 1;
+            Ok(false)
+        }
+    }
+
+    #[test]
+    fn a_one_machine_pump_ends_at_its_first_vote() {
+        let ep = lazygraph_cluster::build_mesh::<u32>(1).remove(0);
+        let stats = Arc::new(NetStats::new());
+        let mut port = Port::new(ep, stats.clone());
+        let (mut clock, coll) = (SimClock::new(), Collective::new(1));
+        let mut idle = Idle { turns: 0 };
+        let pump = port.pump(&mut clock, &coll, CostModel::paper_cluster(), Phase::Coherency, 4);
+        pump.run(&mut idle).expect("a lone machine's vote");
+        assert_eq!(idle.turns, 1);
+        assert_eq!(clock.now(), 0.0, "the vote is not simulated time");
+        assert_eq!(stats.snapshot().global_syncs, 0);
     }
 
     /// A pump engine whose machine 2 dies in its first turn.
@@ -895,22 +896,22 @@ mod tests {
         use lazygraph_cluster::{build_endpoints, TransportKind};
         // Machine 2 panics: its endpoint unwinds without a Shutdown frame,
         // so its sockets tear as a killed process's would. Machines 0 and
-        // 1 sit parked at the detector, which can never see machine 2
-        // idle; only the torn links can end their pumps.
-        let cfg = EngineConfig::powergraph_async();
+        // 1 find nothing to do and enter the vote's round, which machine 2
+        // never joins; only the torn links can end their pumps.
+        let cost = CostModel::paper_cluster();
         let stats = Arc::new(NetStats::new());
-        let quiescence = Quiescence::shared_memory(3);
+        let coll = Collective::new(3);
         let endpoints = build_endpoints::<u32>(TransportKind::Tcp, 3, &stats).expect("mesh");
         let outcomes: Vec<_> = std::thread::scope(|s| {
             let machines: Vec<_> = endpoints
                 .into_iter()
                 .map(|ep| {
-                    let (stats, quiescence, cfg) = (stats.clone(), quiescence.clone(), &cfg);
+                    let (stats, coll) = (stats.clone(), &coll);
                     s.spawn(move || {
                         let me = ep.me();
-                        let mut port = Port::new(ep, stats, Some(quiescence));
+                        let mut port = Port::new(ep, stats);
                         let mut clock = SimClock::new();
-                        port.pump(&mut clock, cfg, Phase::Async, 4)?
+                        port.pump(&mut clock, coll, cost, Phase::Async, 4)
                             .run(&mut DiesOnTwo { me })
                     })
                 })
@@ -929,19 +930,5 @@ mod tests {
             })
             .collect();
         assert!(torn.iter().any(|d| d.contains("machine 2")), "{torn:?}");
-    }
-
-    #[test]
-    fn pump_without_a_detector_is_a_typed_error() {
-        let ep = lazygraph_cluster::build_mesh::<u32>(1).remove(0);
-        let mut port = Port::new(ep, Arc::new(NetStats::new()), None);
-        let cfg = EngineConfig::lazy_vertex_async();
-        let err = port.pump(&mut SimClock::new(), &cfg, Phase::Coherency, 4).err();
-        assert_eq!(
-            err,
-            Some(CommError::NeedsSharedMemory {
-                engine: "lazy-vertex-async"
-            })
-        );
     }
 }

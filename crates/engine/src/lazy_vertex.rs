@@ -31,7 +31,7 @@ use crate::program::{DeltaExchange, VertexProgram};
 use crate::state::{InitMessages, MachineState};
 
 /// LazyVertexAsync on the superstep skeleton: one step pumps the machine
-/// to quiescence.
+/// until the machines' vote ends the run.
 pub struct LazyVertexPump {
     /// This machine's own coherency points and sub-rounds: without
     /// barriers they are per-machine work ([`crate::machine::assemble`]).
@@ -54,7 +54,7 @@ impl<P: VertexProgram> Superstep<P> for LazyVertexPump {
         // engine reports none (`RunMetrics::iterations`).
         f.iterations = 0;
         let delta_bytes = f.program.delta_bytes();
-        let pump = f.port.pump(&mut f.clock, f.cfg, Phase::Coherency, delta_bytes)?;
+        let pump = f.port.pump(&mut f.clock, &f.bsp.coll, f.cfg.cost, Phase::Coherency, delta_bytes);
         pump.run(&mut LazyVertexTurn {
             counters: &mut self.counters,
             state: &mut f.state,

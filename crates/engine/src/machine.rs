@@ -13,17 +13,17 @@
 //!
 //! The paper's other shape, the barrier-free loop of Async and
 //! LazyVertexAsync, is a step too: one that drives the port's
-//! [`Pump`](crate::exchange::Pump) to quiescence and votes converged. The
-//! hybrid engine is Sync's step followed, in the superstep that switches,
-//! by Async's.
+//! [`Pump`](crate::exchange::Pump) until the machines' vote says the run
+//! is over, and votes converged. The hybrid engine is Sync's step
+//! followed, in the superstep that switches, by Async's.
 //!
 //! [`run_mesh_engine`] is the single place a machine loop is started: the
 //! in-process driver hands it every shard of the placement it holds, every
-//! endpoint of a threaded mesh, and a shared-memory [`Collective`] and
-//! quiescence detector; a `lazygraph-worker` process hands it the one
-//! shard it loaded, the one endpoint it connected (or reconnected), and a
-//! mesh-backed collective. Neither hands it a placement: a machine reads
-//! its own shard and the three scalars of a [`PlacementShape`].
+//! endpoint of a threaded mesh, and a shared-memory [`Collective`]; a
+//! `lazygraph-worker` process hands it the one shard it loaded, the one
+//! endpoint it connected (or reconnected), and a mesh-backed collective.
+//! Every engine runs on either. Neither hands it a placement: a machine
+//! reads its own shard and the three scalars of a [`PlacementShape`].
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,13 +39,12 @@ use parking_lot::Mutex;
 use crate::async_engine::AsyncPump;
 use crate::bsp::BspSync;
 use crate::checkpoint::{
-    checkpoint_at_barrier, snapshot_tag, CheckpointError, RecoveryCfg, ResumeExtras,
-    SnapshotHeader,
+    checkpoint_at_barrier, CheckpointError, RecoveryCfg, ResumeExtras, SnapshotHeader,
 };
 use crate::config::{EngineConfig, EngineKind};
 use crate::delta_engine::DeltaStep;
 use crate::driver::RunResult;
-use crate::exchange::{Port, Quiescence};
+use crate::exchange::Port;
 use crate::hybrid_engine::HybridStep;
 use crate::lazy_block::{LazyCounters, LazyStep};
 use crate::lazy_vertex::LazyVertexPump;
@@ -283,8 +282,7 @@ pub trait Attach<'a> {
 
 /// Every machine of the run as a thread of this process — one per shard
 /// of a placement the process holds — on a freshly built mesh of the
-/// given transport; no checkpointing. The only mesh whose [`RunShared`]
-/// can carry a [`Quiescence`].
+/// given transport; no checkpointing.
 pub struct ThreadedMesh<'a> {
     pub transport: TransportKind,
     pub shards: &'a [LocalShard],
@@ -317,18 +315,13 @@ pub struct RunShared {
     pub stats: Arc<NetStats>,
     pub breakdown: Arc<Mutex<SimBreakdown>>,
     pub history: Option<History>,
-    /// `Some` iff every machine of the run is a thread of this process;
-    /// the barrier-free engines (and the hybrid's tail) need it.
-    pub quiescence: Option<Quiescence>,
 }
 
 /// Runs this process's machines of a run of `cfg.engine` — any of the six
 /// — over a placement of `shape` and returns their outcomes in seat order.
 /// The one entry the in-process driver and the worker binary share, so a
 /// threaded run and a multiprocess run of the same job are bitwise
-/// identical by construction. An engine that needs a quiescence detector
-/// fails with [`CommError::NeedsSharedMemory`] when `shared` carries none
-/// — here, before the data mesh exists, not at the first pump.
+/// identical by construction.
 pub fn run_mesh_engine<'a, P: VertexProgram>(
     shape: &PlacementShape,
     cfg: &EngineConfig,
@@ -336,12 +329,6 @@ pub fn run_mesh_engine<'a, P: VertexProgram>(
     mesh: impl Attach<'a>,
     shared: &RunShared,
 ) -> Result<Vec<MachineOut<P>>, CommError> {
-    // The engines that cannot checkpoint are the ones that pump.
-    if snapshot_tag(cfg.engine).is_none() && shared.quiescence.is_none() {
-        return Err(CommError::NeedsSharedMemory {
-            engine: cfg.engine.name(),
-        });
-    }
     match cfg.engine {
         EngineKind::PowerGraphSync => run_seats::<P, SyncStep<P>>(shape, cfg, program, mesh, shared),
         EngineKind::LazyBlockAsync => run_seats::<P, LazyStep<P>>(shape, cfg, program, mesh, shared),
@@ -404,7 +391,7 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
             cfg.cost,
             shared.breakdown,
         ),
-        port: Port::new(ep, shared.stats.clone(), shared.quiescence),
+        port: Port::new(ep, shared.stats.clone()),
         stats: shared.stats,
         iterations: 0,
         history: shared.history.filter(|_| me == 0),

@@ -154,7 +154,7 @@ proptest! {
                 let me = ep.me();
                 let shard = &dg.shards[me];
                 let pctx = ParallelCtx::new(par).expect("spawn pool");
-                let mut port = Port::new(ep, stats.clone(), None);
+                let mut port = Port::new(ep, stats.clone());
                 let (mut state, _) = fresh(&dg, me);
                 let route = shard.route_table();
                 let mut round = port.fold_round(

@@ -28,7 +28,7 @@ use std::fmt::Write as _;
 use std::process::exit;
 
 use lazygraph::multiproc::{
-    run_multiprocess, AlgoSpec, FailPoint, LaunchReport, MpOptions, Shipped,
+    check_recovery, run_multiprocess, AlgoSpec, FailPoint, LaunchReport, MpOptions, Shipped,
 };
 use lazygraph::prelude::*;
 use lazygraph_algorithms::{reference, Visitor};
@@ -74,6 +74,8 @@ const RUN_FLAGS: &[&str] = &["multiprocess", "symmetrize", "bidirectional"];
 /// The fault-tolerance family only the multiprocess launcher honours.
 const MULTIPROCESS_ONLY: &[&str] =
     &["checkpoint-every", "rejoin-window-ms", "respawn-budget", "failpoint"];
+/// The part of that family with nothing to act on without checkpoints.
+const CHECKPOINT_ONLY: &[&str] = &["rejoin-window-ms", "respawn-budget", "failpoint"];
 const GENERATE_VALUES: &[&str] = &["kind", "vertices", "out", "seed"];
 
 struct Opts {
@@ -274,10 +276,17 @@ fn worker_bin() -> std::path::PathBuf {
 /// `--failpoint RANK:SPEC` (e.g. `1:superstep:3`) arms a deterministic
 /// crash in one worker — chaos testing for the recovery path (DESIGN.md
 /// §12). A spec that could not fire (unparseable, a rank the job does not
-/// have, no checkpoints for the launcher to respawn the victim from) is a
-/// usage error: a chaos run that injected nothing must not pass.
+/// have) is a usage error: a chaos run that injected nothing must not
+/// pass. So is every recovery option but `--checkpoint-every` itself
+/// without it: no worker is respawned, and no link is held for a rejoin,
+/// unless there is a snapshot to resume from.
 fn mp_options(opts: &Opts, machines: usize) -> MpOptions {
     let checkpoint_every = opts.parse_num("checkpoint-every", 0u64);
+    if checkpoint_every == 0 {
+        if let Some(key) = CHECKPOINT_ONLY.iter().find(|k| opts.get(k).is_some()) {
+            die(&format!("--{key} requires --checkpoint-every"));
+        }
+    }
     let failpoint = opts.get("failpoint").map(|s| {
         let parsed = s.split_once(':').and_then(|(rank, spec)| {
             Some((rank.parse::<usize>().ok()?, FailPoint::parse(spec)?))
@@ -290,9 +299,6 @@ fn mp_options(opts: &Opts, machines: usize) -> MpOptions {
         };
         if rank >= machines {
             die(&format!("--failpoint: rank {rank} out of range for {machines} machines"));
-        }
-        if checkpoint_every == 0 {
-            die("--failpoint requires --checkpoint-every");
         }
         (rank, point)
     });
@@ -400,6 +406,10 @@ fn cmd_run(opts: &Opts) {
     let algorithm = opts.get("algorithm").unwrap_or_else(|| usage());
     let spec = AlgoSpec::parse(algorithm, |key| opts.get(key)).unwrap_or_else(|e| die(&e));
     let mut cfg = engine_config(opts);
+    if let Some(mp) = &mp {
+        check_recovery(cfg.engine, mp.checkpoint_every, mp.rejoin_window_ms)
+            .unwrap_or_else(|e| die(&e.to_string()));
+    }
     cfg.bidirectional |= spec.bidirectional();
     let graph = load_input(opts);
     spec.check_graph(graph.num_vertices()).unwrap_or_else(|e| die(&e));

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use lazygraph::multiproc::{load_shard, multiproc_supported, Shipped, WorkerJob};
+use lazygraph::multiproc::{load_shard, Shipped, WorkerJob};
 use lazygraph_algorithms::Visitor;
 use lazygraph_cluster::{
     connect_tcp_endpoint, reconnect_tcp_endpoint, Collective, CommError, NetStats,
@@ -164,12 +164,6 @@ impl Visitor for Worker<'_> {
 fn run_worker<P: Shipped>(job: &WorkerJob, args: Args, program: P) -> Result<(), String> {
     let me = args.me;
     let cfg = &job.cfg;
-    if !multiproc_supported(cfg.engine) {
-        return Err(format!(
-            "engine {} cannot run multiprocess (shared-memory termination)",
-            cfg.engine.name()
-        ));
-    }
     let data_addrs = parse_addrs(&job.data_addrs)?;
     let ctrl_addrs = parse_addrs(&job.ctrl_addrs)?;
     // The only part of the graph this process holds; its file bytes are
@@ -224,8 +218,6 @@ fn run_worker<P: Shipped>(job: &WorkerJob, args: Args, program: P) -> Result<(),
         stats: stats.clone(),
         breakdown: breakdown.clone(),
         history: None,
-        // One machine per process: nothing to detect quiescence through.
-        quiescence: None,
     };
     let out = run_mesh_engine(&job.shape, cfg, &program, seat, &shared)
         .map_err(|e| format!("{} machine {me}: {e}", cfg.engine.name()))?

@@ -23,14 +23,13 @@
 //! mesh-based [`Collective`] (barriers/allreduce), and a data mesh typed
 //! by the engine's message. Workers establish them in that fixed order.
 //!
-//! Only the engines whose machines communicate exclusively through
-//! `Endpoint` + `Collective` can run multiprocess: **PowerGraphSync**,
-//! **LazyBlockAsync**, and **DeltaAccum** — a worker starts its machine
-//! through the same `run_mesh_engine` entry the in-process driver uses
-//! (DESIGN.md §17). The async-family engines and the hybrid's tail
-//! detect quiescence through shared memory and stay in-process (they
-//! still support the threaded TCP transport via
-//! `EngineConfig::with_transport`).
+//! All six engines run multiprocess: every machine communicates only
+//! through `Endpoint` + `Collective`, the pump engines' end-of-run vote
+//! included, and a worker starts its machine through the same
+//! `run_mesh_engine` entry the in-process driver uses (DESIGN.md §17).
+//! Recovery is the barriered engines' alone: [`check_recovery`] refuses
+//! checkpoints and rejoin windows for the rest before anything is placed,
+//! and again in each worker reading its job.
 //!
 //! Determinism: a multiprocess run is bitwise-identical to the in-process
 //! run on the same graph and configuration — the codec is position-based
@@ -89,10 +88,34 @@ wire_record!(WorkerJob {
     cfg, algo, shape, data_addrs, ctrl_addrs, checkpoint_every, checkpoint_dir, rejoin_window_ms,
 });
 
+/// Refuses the recovery requests only the barriered engines can honour:
+/// a checkpoint needs the engine's snapshot tag, and a rejoin window needs
+/// dense BSP rounds, since a survivor replays and dedupes by round and a
+/// pump's batches carry none. One check for the CLI, the launcher (before
+/// anything is placed) and a worker reading its job.
+pub fn check_recovery(
+    engine: EngineKind,
+    checkpoint_every: u64,
+    rejoin_window_ms: u64,
+) -> Result<(), MultiprocError> {
+    if snapshot_tag(engine).is_some() {
+        return Ok(());
+    }
+    let refused = if checkpoint_every > 0 {
+        "cannot checkpoint: it has no snapshot tag"
+    } else if rejoin_window_ms > 0 {
+        "cannot hold a rejoin window: recovery mode requires dense BSP rounds"
+    } else {
+        return Ok(());
+    };
+    Err(MultiprocError::Refused(format!("engine {} {refused}", engine.name())))
+}
+
 impl WorkerJob {
     /// Reads the job file a worker was started on. The bytes come from a
     /// file: besides decoding, every rank of the placement must find its
-    /// own address in both meshes before anything indexes by rank.
+    /// own address in both meshes before anything indexes by rank, and the
+    /// job must pass [`check_recovery`].
     pub fn read(path: &Path) -> Result<WorkerJob, MultiprocError> {
         let bytes = std::fs::read(path).map_err(|e| io_err("reading job file", e))?;
         let job = WorkerJob::from_wire(&bytes).and_then(|job| {
@@ -109,7 +132,10 @@ impl WorkerJob {
             }
             Ok(job)
         });
-        job.map_err(|e| MultiprocError::Decode(format!("job file {}: {e}", path.display())))
+        let job =
+            job.map_err(|e| MultiprocError::Decode(format!("job file {}: {e}", path.display())))?;
+        check_recovery(job.cfg.engine, job.checkpoint_every, job.rejoin_window_ms)?;
+        Ok(job)
     }
 }
 
@@ -141,9 +167,8 @@ pub struct MpOptions {
 /// A multiprocess launch failure.
 #[derive(Debug)]
 pub enum MultiprocError {
-    /// The configured engine cannot run multiprocess (async-family
-    /// engines coordinate termination through shared memory).
-    UnsupportedEngine(&'static str),
+    /// The engine cannot honour a recovery option ([`check_recovery`]).
+    Refused(String),
     /// The run cannot start as configured (a machine count no placement
     /// holds): the in-process route's error for the same request.
     Config(CommError),
@@ -159,13 +184,7 @@ pub enum MultiprocError {
 impl fmt::Display for MultiprocError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MultiprocError::UnsupportedEngine(name) => {
-                write!(
-                    f,
-                    "engine {name} cannot run multiprocess (shared-memory termination); \
-                     use powergraph-sync, lazy-block-async, or delta-accum"
-                )
-            }
+            MultiprocError::Refused(detail) => f.write_str(detail),
             MultiprocError::Config(e) => e.fmt(f),
             MultiprocError::Io(detail) => write!(f, "multiprocess launcher I/O: {detail}"),
             MultiprocError::Decode(detail) => write!(f, "multiprocess codec: {detail}"),
@@ -190,12 +209,6 @@ pub struct LaunchReport {
     /// Each worker's own counters, indexed by machine (the result's
     /// `metrics.stats` is their merge).
     pub per_worker_stats: Vec<StatsSnapshot>,
-}
-
-/// True if `engine` can run as separate processes: exactly the engines
-/// that vote at barriers only, which are also the ones that can checkpoint.
-pub fn multiproc_supported(engine: EngineKind) -> bool {
-    snapshot_tag(engine).is_some()
 }
 
 static LAUNCH_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -276,9 +289,7 @@ pub fn run_multiprocess<P: Shipped>(
     worker_bin: &Path,
     opts: &MpOptions,
 ) -> Result<(RunResult<P>, LaunchReport), MultiprocError> {
-    if !multiproc_supported(cfg.engine) {
-        return Err(MultiprocError::UnsupportedEngine(cfg.engine.name()));
-    }
+    check_recovery(cfg.engine, opts.checkpoint_every, opts.rejoin_window_ms)?;
     let started = Instant::now();
     // Only the shards outlive this block; the placement's replica table
     // is the launcher's to drop.
@@ -643,14 +654,41 @@ mod tests {
         }
     }
 
+    /// Every engine runs multiprocess now; what an engine can still be
+    /// refused is recovery. The pump engines may not checkpoint or hold a
+    /// rejoin window, and a worker reading such a job refuses it too.
     #[test]
     fn unsupported_engines_are_rejected() {
-        assert!(multiproc_supported(EngineKind::PowerGraphSync));
-        assert!(multiproc_supported(EngineKind::LazyBlockAsync));
-        assert!(multiproc_supported(EngineKind::DeltaAccum));
-        assert!(!multiproc_supported(EngineKind::PowerGraphAsync));
-        assert!(!multiproc_supported(EngineKind::LazyVertexAsync));
-        assert!(!multiproc_supported(EngineKind::PowerSwitchHybrid));
+        for engine in [EngineKind::PowerGraphSync, EngineKind::LazyBlockAsync, EngineKind::DeltaAccum] {
+            assert!(check_recovery(engine, 4, 500).is_ok(), "{}", engine.name());
+        }
+        let dir = std::env::temp_dir().join(format!("lazygraph-refused-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        for engine in [
+            EngineKind::PowerGraphAsync,
+            EngineKind::LazyVertexAsync,
+            EngineKind::PowerSwitchHybrid,
+        ] {
+            assert!(check_recovery(engine, 0, 0).is_ok(), "{} runs without recovery", engine.name());
+            for (every, window, why) in [(4, 0, "cannot checkpoint"), (0, 500, "dense BSP rounds")] {
+                let refused = check_recovery(engine, every, window).map_err(|e| e.to_string());
+                assert!(
+                    matches!(&refused, Err(e) if e.contains(engine.name()) && e.contains(why)),
+                    "{refused:?}"
+                );
+                let path = dir.join("job.bin");
+                let j = WorkerJob {
+                    cfg: EngineConfig::lazygraph().with_engine(engine),
+                    checkpoint_every: every,
+                    rejoin_window_ms: window,
+                    ..job()
+                };
+                std::fs::write(&path, j.to_wire()).expect("write job");
+                let read = WorkerJob::read(&path).map(|_| ()).map_err(|e| e.to_string());
+                assert_eq!(read, refused, "the worker refuses what the launcher does");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The launcher no longer clamps `0` to one worker: both routes refuse

@@ -596,7 +596,6 @@ fn resuming_from_another_engines_snapshot_fails_the_run() {
             stats: Arc::new(NetStats::new()),
             breakdown: Default::default(),
             history: None,
-            quiescence: None,
         };
         let mesh = ResumeFrom(&store, &dg.shards[0]);
         let err = run_mesh_engine(&dg.shape(), &cfg, &Sssp::new(0u32), mesh, &shared)
@@ -662,7 +661,7 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
             state: init(),
             clock: SimClock::new(),
             bsp: BspSync::new(me, coll.clone(), stats.clone(), cfg.cost, Default::default()),
-            port: Port::new(ep, stats.clone(), None),
+            port: Port::new(ep, stats.clone()),
             stats: stats.clone(),
             iterations: 0,
             history: None,

@@ -1,7 +1,9 @@
 //! `lazygraph-cli` argument validation: nothing on the command line is
 //! silently ignored. A value-taking option without its value, an unknown
-//! option, the fault-tolerance family without `--multiprocess` and a
-//! `--failpoint` that could not fire each exit 2 with a one-line message —
+//! option, the fault-tolerance family without `--multiprocess`, a
+//! `--failpoint` that could not fire and recovery no run could honour
+//! (no `--checkpoint-every`, an engine with no snapshot) each exit 2 with
+//! a one-line message —
 //! before any graph is loaded or run — and so do a machine count no
 //! placement holds and a program parameter the table refuses. What *is*
 //! read off the input is its format: a binary graph is recognised by its
@@ -167,6 +169,23 @@ fn fault_tolerance_options_need_multiprocess() {
     assert_usage_error(&chaos("9:superstep:3", &checkpointed), "rank 9 out of range for 2 machines");
     assert_usage_error(&chaos("1:send:3:1", &[]), "--failpoint requires --checkpoint-every");
     assert_usage_error(&chaos("1:ckpt:2:1", &[]), "--failpoint requires --checkpoint-every");
+    // So is recovery with nothing to recover from: without checkpoints no
+    // worker is respawned and no link is held for a rejoin. Both used to
+    // run to completion and print no `recovery:` line.
+    for (opt, value) in [("--rejoin-window-ms", "500"), ("--respawn-budget", "5")] {
+        let args = run_with(&["--multiprocess", "--machines", "2", opt, value]);
+        assert_usage_error(&args, &format!("{opt} requires --checkpoint-every"));
+    }
+    // An engine that pumps runs multiprocess but has no snapshot to take:
+    // refused by name, before a worker spawns.
+    for (engine, name) in [
+        ("async", "powergraph-async"),
+        ("lazy-vertex", "lazy-vertex-async"),
+        ("hybrid", "powerswitch-hybrid"),
+    ] {
+        let args = run_with(&["--multiprocess", "--engine", engine, "--checkpoint-every", "2"]);
+        assert_usage_error(&args, &format!("engine {name} cannot checkpoint"));
+    }
     // The same rule at the worker's own entry, for a gang started by hand:
     // it stops before it reads its job.
     let out = Command::new(env!("CARGO_BIN_EXE_lazygraph-worker"))

@@ -13,7 +13,9 @@
 //!    (threaded and multiprocess) produces *bitwise* identical vertex
 //!    values, iteration counts, and simulated time as the in-proc channel
 //!    mesh, while reporting measured wire bytes that the channel mesh
-//!    (which never serializes) reports as zero.
+//!    (which never serializes) reports as zero. The barrier-free engines,
+//!    whose schedule is the host's, match on values: bitwise for the
+//!    min-algebras, within a tolerance band for PageRank.
 //! 4. **One loop per machine** — a TCP mesh runs no thread of its own, and
 //!    rounds and bursts far larger than socket buffers still complete
 //!    (`lazygraph-cluster`'s `tests/one_loop.rs`, run here as well).
@@ -22,12 +24,17 @@ use std::io::Read;
 
 use proptest::prelude::*;
 
-use lazygraph::multiproc::{run_multiprocess, MpOptions};
+use std::sync::Arc;
+
+use lazygraph::multiproc::{run_multiprocess, MpOptions, MultiprocError, Shipped};
 use lazygraph::prelude::*;
 use lazygraph_algorithms::PageRankData;
+use lazygraph_cluster::{connect_tcp_endpoint, Collective, NetStats};
+use lazygraph_engine::{
+    place, run_mesh_engine, Attach, CommError, RecoveryCfg, RunShared, Seat, TransportKind,
+};
 use lazygraph_graph::generators::{rmat, RmatConfig};
-use lazygraph_net::{FrameKind, FrameReader, NetError, Wire, WireReader, HEADER_LEN};
-use lazygraph_engine::TransportKind;
+use lazygraph_net::{FrameKind, FrameReader, NetError, TcpOptions, Wire, WireReader, HEADER_LEN};
 
 // ---------------------------------------------------------------------------
 // 1. Codec laws
@@ -408,68 +415,176 @@ fn multiprocess_sssp_matches_inproc_bitwise() {
     }
 }
 
-/// The unsupported engines fail fast with a typed error instead of
-/// spawning workers that would deadlock on shared-memory termination.
+/// `program`'s values on `engine` over `machines` machines: in-process,
+/// over threaded TCP, and across worker processes.
+fn on_every_route<P: Shipped>(
+    g: &Graph,
+    machines: usize,
+    engine: EngineKind,
+    program: &P,
+) -> [(&'static str, Vec<P::VData>); 3] {
+    let base = cfg(engine);
+    let tcp = base.clone().with_transport(TransportKind::Tcp);
+    let (mp, _) = run_multiprocess(g, machines, &base, program, worker_bin(), &MpOptions::default())
+        .expect("multiprocess");
+    [
+        ("in-proc", run(g, machines, &base, program).expect("in-proc").values),
+        ("threaded tcp", run(g, machines, &tcp, program).expect("threaded tcp").values),
+        ("multiprocess", mp.values),
+    ]
+}
+
+/// The barrier-free engines on every route, at 2 and 4 machines. Their
+/// clocks and counters follow the schedule on any transport, so
+/// `sim_time` is not compared. Their values are bitwise for the
+/// min-algebras, and PageRank's land inside the tolerance band
+/// `tests/determinism.rs` holds them to across thread counts.
 #[test]
-fn multiprocess_rejects_shared_memory_engines() {
+fn pump_engines_match_inproc_on_every_route() {
     let g = test_graph();
+    let pagerank = PageRankDelta::default();
+    let band = 10.0 * pagerank.tolerance;
     for engine in [
         EngineKind::PowerGraphAsync,
         EngineKind::LazyVertexAsync,
         EngineKind::PowerSwitchHybrid,
     ] {
-        let err = run_multiprocess(
-            &g,
-            2,
-            &cfg(engine),
-            &Sssp::new(0u32),
-            worker_bin(),
-            &MpOptions::default(),
-        );
+        let name = engine.name();
+        for machines in [2, 4] {
+            let [(_, sssp), rest @ ..] = on_every_route(&g, machines, engine, &Sssp::new(0u32));
+            for (route, values) in rest {
+                assert_eq!(format!("{values:?}"), format!("{sssp:?}"), "sssp, {name}, {machines}, {route}");
+            }
+            let [(_, cc), rest @ ..] = on_every_route(&g, machines, engine, &ConnectedComponents);
+            for (route, values) in rest {
+                assert_eq!(values, cc, "cc, {name}, {machines} machines, {route}");
+            }
+            let [(_, ranks), rest @ ..] = on_every_route(&g, machines, engine, &pagerank);
+            for (route, values) in rest {
+                for (v, (a, b)) in ranks.iter().zip(&values).enumerate() {
+                    assert!(
+                        (a.rank - b.rank).abs() <= band * a.rank.abs().max(1.0),
+                        "pagerank, {name}, {machines} machines, {route}: vertex {v} {} vs {}",
+                        a.rank,
+                        b.rank
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// What a multiprocess launch still refuses is recovery for an engine
+/// that pumps (it used to refuse the engine outright): checkpointing one
+/// fails typed before any worker spawns, so no worker binary is needed.
+#[test]
+fn multiprocess_rejects_shared_memory_engines() {
+    let g = test_graph();
+    let checkpointed = MpOptions {
+        checkpoint_every: 2,
+        ..MpOptions::default()
+    };
+    for engine in [
+        EngineKind::PowerGraphAsync,
+        EngineKind::LazyVertexAsync,
+        EngineKind::PowerSwitchHybrid,
+    ] {
+        let no_worker = std::path::Path::new("no-such-lazygraph-worker");
+        let err = run_multiprocess(&g, 2, &cfg(engine), &Sssp::new(0u32), no_worker, &checkpointed);
         assert!(
-            matches!(err, Err(lazygraph::multiproc::MultiprocError::UnsupportedEngine(_))),
-            "{} must be rejected up front",
+            matches!(&err, Err(MultiprocError::Refused(e)) if e.contains(engine.name())),
+            "{} must be refused up front",
             engine.name()
         );
     }
 }
 
-/// Past the up-front rejection there is one more net: a machine started
-/// without a quiescence detector — what a worker process would be — gets
-/// a typed configuration error from the skeleton before anything runs:
-/// the hybrid does not first spend Sync supersteps getting to its switch.
+/// Distinct loopback addresses, reserved the way the launcher does.
+fn loopback_addrs(n: usize) -> Vec<std::net::SocketAddr> {
+    let listeners: Vec<_> = (0..n)
+        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("reserve a port"))
+        .collect();
+    listeners.iter().map(|l| l.local_addr().expect("reserved address")).collect()
+}
+
+/// One machine of a worker-shaped run: its own shard and its own leg of
+/// the data mesh.
+struct OwnSeat<'a> {
+    me: usize,
+    shard: &'a lazygraph_partition::LocalShard,
+    addrs: &'a [std::net::SocketAddr],
+}
+
+impl<'a> Attach<'a> for OwnSeat<'a> {
+    fn attach<T: Wire + Send + 'static>(
+        self,
+        stats: &Arc<NetStats>,
+    ) -> Result<Vec<Seat<'a, T>>, CommError> {
+        let ep = connect_tcp_endpoint::<T>(self.me, self.addrs, stats, &TcpOptions::default())?;
+        Ok(vec![Seat {
+            me: self.me,
+            shard: self.shard,
+            ep,
+            recovery: RecoveryCfg::default(),
+        }])
+    }
+}
+
+/// What replaced the typed refusal this test used to pin: a run shaped
+/// like a worker gang, with each machine on a thread of its own holding
+/// one `Collective::mesh` and its own data-mesh leg, so the machines share
+/// no memory, runs every barrier-free engine to the in-process values.
 #[test]
 fn barrier_free_engines_without_a_detector_fail_typed() {
-    use lazygraph_engine::{run_mesh_engine, CommError, RunShared, ThreadedMesh};
-    use std::sync::Arc;
-
     let g = test_graph();
+    let machines = 3;
+    let program = Sssp::new(0u32);
     for engine in [
         EngineKind::PowerGraphAsync,
         EngineKind::LazyVertexAsync,
         EngineKind::PowerSwitchHybrid,
     ] {
         let cfg = cfg(engine);
-        let dg = lazygraph_partition::partition_graph(&g, 2, cfg.partition, &cfg.splitter, false);
-        let shared = RunShared {
-            coll: Arc::new(lazygraph_cluster::Collective::new(2)),
-            stats: Arc::new(lazygraph_cluster::NetStats::new()),
-            breakdown: Default::default(),
-            history: None,
-            quiescence: None,
-        };
-        let mesh = ThreadedMesh {
-            transport: TransportKind::InProc,
-            shards: &dg.shards,
-        };
-        let err = run_mesh_engine(&dg.shape(), &cfg, &Sssp::new(0u32), mesh, &shared).err();
-        assert_eq!(
-            err,
-            Some(CommError::NeedsSharedMemory {
-                engine: engine.name()
-            })
-        );
-        assert_eq!(shared.stats.snapshot().global_syncs, 0, "{} ran a barrier", engine.name());
+        let expected = run(&g, machines, &cfg, &program).expect("in-proc").values;
+        let dg = place(&g, machines, &cfg).expect("placement");
+        let shape = dg.shape();
+        let addrs = loopback_addrs(2 * machines);
+        let (data, ctrl) = addrs.split_at(machines);
+        let outs = std::thread::scope(|s| {
+            let machines: Vec<_> = dg
+                .shards
+                .iter()
+                .enumerate()
+                .map(|(me, shard)| {
+                    let (cfg, shape, program) = (&cfg, &shape, &program);
+                    s.spawn(move || {
+                        let stats = Arc::new(NetStats::new());
+                        let opts = TcpOptions::default();
+                        let ctrl_ep = connect_tcp_endpoint::<u8>(me, ctrl, &stats, &opts)?;
+                        let shared = RunShared {
+                            coll: Arc::new(Collective::mesh(ctrl_ep)),
+                            stats,
+                            breakdown: Default::default(),
+                            history: None,
+                        };
+                        let seat = OwnSeat { me, shard, addrs: data };
+                        let mut outs = run_mesh_engine(shape, cfg, program, seat, &shared)?;
+                        outs.pop().ok_or(CommError::MeshClosed { me })
+                    })
+                })
+                .collect();
+            machines
+                .into_iter()
+                .map(|m| m.join().expect("machine thread"))
+                .collect::<Result<Vec<_>, CommError>>()
+        })
+        .unwrap_or_else(|e| panic!("{}: {e}", engine.name()));
+        let mut values = vec![None; g.num_vertices()];
+        for (gid, v) in outs.into_iter().flat_map(|out| out.masters) {
+            values[gid as usize] = Some(v);
+        }
+        let values: Vec<_> = values.into_iter().map(|v| v.expect("every vertex has a master")).collect();
+        assert_eq!(format!("{values:?}"), format!("{expected:?}"), "{}", engine.name());
     }
 }
 
