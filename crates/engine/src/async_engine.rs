@@ -24,7 +24,7 @@ use crate::machine::{Frame, Superstep, Vote};
 use crate::parallel::ParallelCtx;
 use crate::program::VertexProgram;
 use crate::state::{vertex_ctx, InitMessages, MachineState};
-use crate::sync_engine::{scatter, SyncMsg};
+use crate::sync_engine::{scatter, Receipt, SyncMsg, SCATTER_WINDOW};
 
 /// The Async engine: an eager pump over a machine's state. Also the tail
 /// of the hybrid engine, which pumps the state its Sync supersteps left.
@@ -135,7 +135,9 @@ impl<P: VertexProgram> PumpStep<(u32, SyncMsg<P>)> for AsyncTurn<'_, P> {
         }
         let (shard, program, pctx, cost) = (self.shard, self.program, self.pctx, self.cost);
         let (state, num_vertices) = (&mut *self.state, self.num_vertices);
-        let edges = scatter(shard, state, program, num_vertices, pctx, self.scatter_tasks);
+        let (tasks, window) = (&mut *self.scatter_tasks, SCATTER_WINDOW);
+        let (edges, _) =
+            scatter(shard, state, program, num_vertices, pctx, tasks, Receipt::Inbox, window);
 
         // Blocked two-phase: applies run on clones of the vertex value
         // against a read-only snapshot, then everything commits in block

@@ -8,7 +8,9 @@
 //!   received over one-edge-mode edges are additionally folded into
 //!   `deltaMsg` for the next coherency point; parallel-edges deliveries are
 //!   not (every sibling receives them locally). No communication, no
-//!   synchronisation.
+//!   synchronisation. A sweep is [`apply_scatter`]: an in-place apply pass
+//!   over the sorted worklist, then the one scatter every engine shares
+//!   ([`crate::sync_engine::scatter`]), one window at a time.
 //! * **Data coherency stage**: replicas exchange `deltaMsg` (all-to-all or
 //!   mirrors-to-master, chosen dynamically per §4.2.2), then everyone
 //!   applies the merged remote deltas — computation, not broadcast,
@@ -21,9 +23,9 @@
 //! [`crate::interval`]); the first iteration always runs without a local
 //! stage.
 
-use lazygraph_cluster::{CommError, Phase};
+use lazygraph_cluster::{CommError, CostModel, NetStats, Phase};
 use lazygraph_net::wire_record;
-use lazygraph_partition::{EdgeMode, LocalShard, NO_LOCAL};
+use lazygraph_partition::{LocalShard, NO_LOCAL};
 
 use crate::bsp::{BspReduction, CommCharge};
 use crate::checkpoint::{LazyResume, ResumeExtras, SnapshotHeader};
@@ -34,9 +36,10 @@ use crate::interval::{IntervalModel, StageProgress};
 use crate::machine::{Frame, Superstep, Vote};
 use crate::metrics::IterationRecord;
 use crate::parallel::ParallelCtx;
-use crate::program::{DeltaExchange, EdgeCtx, LocalOrder, VertexProgram};
+use crate::program::{DeltaExchange, LocalOrder, VertexProgram};
 use crate::scheduler::{cut_most_urgent, LOCAL_MIN_BATCH, LOCAL_ORDER_FROM};
 use crate::state::{vertex_ctx, InitMessages, MachineState};
+use crate::sync_engine::{scatter, Receipt, SCATTER_WINDOW};
 
 /// Aggregated lazy-engine counters (identical on every machine except
 /// `local_subrounds`, which is summed by the driver).
@@ -50,20 +53,24 @@ pub struct LazyCounters {
 
 wire_record!(LazyCounters { coherency_points, local_subrounds, a2a_exchanges, m2m_exchanges });
 
-/// One blocked apply+scatter sweep over a sorted worklist: the engine-side
-/// half of the two-level threading model. Phase A (parallel, read-only
-/// snapshot): each source block applies its entries on *clones* of the
-/// vertex value and scatters from the clone, staging every message once,
-/// straight into its target block's segment. Phase B (sequential,
-/// block-index order): vertex data commits, then every delivery folds
-/// through [`MachineState::deliver_staged`]. All applies see only
-/// worklist-time messages — same-sweep deliveries land in fresh inboxes
-/// for the next sweep — so the outcome is bitwise-identical at every
-/// thread count. Returns `(edges, applies, delta_folds)`, where
-/// `delta_folds` counts one-edge-mode deliveries folded into an occupied
-/// `deltaMsg` slot — contributions the coherency exchange will not ship
-/// as separate wire items (the fast path's `items_combined`).
-pub(crate) fn blocked_apply_scatter<P: VertexProgram>(
+/// One lazy sweep over a sorted worklist (each vertex once), in two
+/// passes. The apply pass reads worklist-time inboxes only: it empties
+/// each entry's inbox, deactivates it, applies in place (and refreshes
+/// `coherent`), and emits one scatter task per apply that activates
+/// neighbours, in worklist order. Then the one [`scatter`] folds the tasks'
+/// deliveries — one-edge receipts on replicated targets into `deltaMsg`
+/// too — a `window` at a time, into fresh inboxes for the next sweep. An
+/// apply touches only its own vertex and nothing folds before the last
+/// apply, so the outcome is a pure function of the worklist, bitwise at
+/// every thread count and window. Returns `(edges, applies, delta_folds)`,
+/// where `delta_folds` counts deliveries folded into an occupied
+/// `deltaMsg` slot — contributions the coherency exchange will not ship as
+/// separate wire items (the fast path's `items_combined`).
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the sweep's inputs, its `coherent` rule and its window"
+)]
+pub(crate) fn apply_scatter<P: VertexProgram>(
     shard: &LocalShard,
     state: &mut MachineState<P>,
     program: &P,
@@ -71,80 +78,56 @@ pub(crate) fn blocked_apply_scatter<P: VertexProgram>(
     pctx: &ParallelCtx,
     worklist: &[u32],
     update_coherent: bool,
+    window: usize,
 ) -> (u64, u64, u64) {
-    let (message_view, vdata_view) = (&state.message, &state.vdata);
-    let blocks = state.scratch.staging.source_blocks(pctx, message_view.len(), worklist);
-    let block_edges: Vec<u64> = pctx.pool().map(blocks, |(chunk, b)| {
-        let mut edges = 0u64;
-        for &l in chunk {
-            let Some(accum) = message_view[l as usize] else {
-                b.commits.push((l, None));
-                continue;
-            };
-            let v = shard.global_of(l);
-            let ctx = vertex_ctx(shard, l, num_vertices);
-            let mut data = vdata_view[l as usize].clone();
-            if let Some(d) = program.apply(v, &mut data, accum, &ctx) {
-                for (tl, weight, mode) in shard.out_edges(l) {
-                    edges += 1;
-                    let edge = EdgeCtx {
-                        dst: shard.global_of(tl),
-                        weight,
-                    };
-                    if let Some(msg) = program.scatter(v, &data, d, &ctx, &edge) {
-                        let fold_delta =
-                            mode == EdgeMode::OneEdge && shard.has_mirrors(tl);
-                        b.stage(tl, msg, fold_delta);
-                    }
-                }
-            }
-            b.commits.push((l, Some(data)));
-        }
-        edges
-    });
+    let mut tasks = std::mem::take(&mut state.scratch.tasks);
     let mut applies = 0u64;
-    for b in state.scratch.staging.opened() {
-        for (l, data) in b.commits.drain(..) {
-            state.message[l as usize] = None;
-            state.active[l as usize] = false;
-            if let Some(data) = data {
-                applies += 1;
-                if update_coherent {
-                    // The new common view (exact for Send/Drop policies;
-                    // within the program's tolerance for Defer).
-                    state.coherent[l as usize] = data.clone();
-                }
-                state.vdata[l as usize] = data;
-            }
+    for &l in worklist {
+        let li = l as usize;
+        state.active[li] = false;
+        let Some(accum) = state.message[li].take() else { continue };
+        applies += 1;
+        let ctx = vertex_ctx(shard, l, num_vertices);
+        let d = program.apply(shard.global_of(l), &mut state.vdata[li], accum, &ctx);
+        if update_coherent {
+            // The new common view (exact for Send/Drop policies; within
+            // the program's tolerance for Defer).
+            state.coherent[li] = state.vdata[li].clone();
         }
+        tasks.extend(d.map(|d| (l, d)));
     }
-    let folds = state.deliver_staged(program, pctx);
-    (block_edges.into_iter().sum(), applies, folds)
+    let receipt = Receipt::InboxAndDelta;
+    let (edges, folds) =
+        scatter(shard, state, program, num_vertices, pctx, &mut tasks, receipt, window);
+    state.scratch.tasks = tasks;
+    (edges, applies, folds)
 }
 
-/// One sweep on a machine frame: [`blocked_apply_scatter`] plus its
-/// bookkeeping — work counters, the sender-side-combining credit for
-/// deltas folded into an occupied `deltaMsg` slot, and the simulated
-/// compute charge.
+/// One sweep's bookkeeping: work counters, the sender-side-combining
+/// credit for deltas folded into an occupied `deltaMsg` slot, and the
+/// simulated compute charge it returns.
+pub(crate) fn book<P: VertexProgram>(
+    stats: &NetStats,
+    cost: &CostModel,
+    program: &P,
+    (edges, applies, folds): (u64, u64, u64),
+) -> f64 {
+    stats.record_edges(edges);
+    stats.record_applies(applies);
+    stats.record_combined(folds, folds * program.delta_bytes() as u64);
+    cost.compute_time(edges) + cost.apply_time(applies)
+}
+
+/// One sweep on a machine frame: [`apply_scatter`] plus its [`book`]ing.
 pub(crate) fn sweep<P: VertexProgram, M>(
     f: &mut Frame<'_, P, M>,
     worklist: &[u32],
     update_coherent: bool,
 ) {
-    let (edges, applies, folds) = blocked_apply_scatter(
-        f.shard,
-        &mut f.state,
-        f.program,
-        f.num_vertices,
-        &f.pctx,
-        worklist,
-        update_coherent,
-    );
-    f.stats.record_edges(edges);
-    f.stats.record_applies(applies);
-    f.stats.record_combined(folds, folds * f.program.delta_bytes() as u64);
-    let cost = &f.cfg.cost;
-    f.clock.advance(cost.compute_time(edges) + cost.apply_time(applies));
+    let (shard, program, n, pctx) = (f.shard, f.program, f.num_vertices, &f.pctx);
+    let (state, window) = (&mut f.state, SCATTER_WINDOW);
+    let done = apply_scatter(shard, state, program, n, pctx, worklist, update_coherent, window);
+    f.clock.advance(book(&f.stats, &f.cfg.cost, program, done));
 }
 
 /// LazyBlockAsync on the superstep skeleton: the interval model and the

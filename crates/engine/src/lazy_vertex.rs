@@ -24,11 +24,12 @@ use lazygraph_partition::LocalShard;
 
 use crate::config::EngineKind;
 use crate::exchange::{local_delta, route_inbound, stage_combining, Pump, PumpStep};
-use crate::lazy_block::{blocked_apply_scatter, LazyCounters};
+use crate::lazy_block::{apply_scatter, book, LazyCounters};
 use crate::machine::{Frame, Superstep, Vote};
 use crate::parallel::ParallelCtx;
 use crate::program::{DeltaExchange, VertexProgram};
 use crate::state::{InitMessages, MachineState};
+use crate::sync_engine::SCATTER_WINDOW;
 
 /// LazyVertexAsync on the superstep skeleton: one step pumps the machine
 /// until the machines' vote ends the run.
@@ -112,13 +113,9 @@ impl<P: VertexProgram> PumpStep<(u32, P::Delta)> for LazyVertexTurn<'_, P> {
         if !state.queue.is_empty() {
             let mut queue = state.take_queue();
             queue.sort_unstable();
-            let (edges, applies, folds) =
-                blocked_apply_scatter(shard, state, program, self.num_vertices, pctx, &queue, false);
-            self.stats.record_edges(edges);
-            self.stats.record_applies(applies);
-            self.stats.record_combined(folds, folds * self.delta_bytes);
-            pump.clock
-                .advance(self.cost.compute_time(edges) + self.cost.apply_time(applies));
+            let n = self.num_vertices;
+            let done = apply_scatter(shard, state, program, n, pctx, &queue, false, SCATTER_WINDOW);
+            pump.clock.advance(book(self.stats, &self.cost, program, done));
             self.counters.local_subrounds += 1;
             return Ok(true);
         }

@@ -45,7 +45,7 @@ pub struct MachineState<P: VertexProgram> {
 
 /// One producer's deliveries, bucketed by target block: `segments[b]` holds,
 /// in production order, the items whose target falls in block `b`
-/// (`l / block_size`). A producer is one source block of a local sweep
+/// (`l / block_size`). A producer is one source block of a scatter window
 /// ([`SourceBlock`]) or one routed inbound batch
 /// ([`Inbound`](crate::exchange::Inbound)).
 pub type Segments<D> = Vec<Vec<(u32, D)>>;
@@ -81,13 +81,10 @@ pub(crate) fn num_blocks(num_local: usize, block_size: usize) -> usize {
     num_local.div_ceil(block_size.max(1))
 }
 
-/// The staging buffers of one source block of a sweep: phase A fills them
-/// from a read-only view of the state, phase B commits them in block
-/// order. Reused in place by the same source block of the next sweep.
+/// The staging buffers of one source block of a scatter window, filled
+/// from a read-only view of the state and folded in block order. Reused
+/// in place by the same source block of the next window.
 pub struct SourceBlock<P: VertexProgram> {
-    /// Apply outcomes of this block's worklist entries (`None`: the entry
-    /// had an empty inbox and only deactivates).
-    pub commits: Vec<(u32, Option<P::VData>)>,
     segments: Segments<P::Delta>,
     block_size: usize,
 }
@@ -108,8 +105,10 @@ impl<P: VertexProgram> SourceBlock<P> {
 /// sweep reuses every per-item buffer and none is regrown to another
 /// role's size.
 pub struct Scratch<P: VertexProgram> {
-    /// Local-scatter role: the source blocks of a sweep.
+    /// Local-scatter role: the source blocks of a sweep's window.
     pub staging: Staging<P>,
+    /// A lazy sweep's scatter tasks, between its apply pass and its scatter.
+    pub tasks: Vec<(u32, P::Delta)>,
     /// Inbound role: the exchange router's per-batch buckets.
     pub inbound: Inbound<P::Delta>,
     /// `activated[t]`: the vertices fold task `t` newly activated, in
@@ -127,17 +126,18 @@ impl<P: VertexProgram> Default for Scratch<P> {
                 open: 0,
             },
             inbound: Inbound::default(),
+            tasks: Vec::new(),
             activated: Vec::new(),
             peak_items: 0,
         }
     }
 }
 
-/// The source blocks of a machine's sweeps: `blocks[s]` belongs to source
-/// block `s` of every sweep.
+/// The source blocks of a machine's scatter windows: `blocks[s]` belongs to
+/// source block `s` of every window.
 pub struct Staging<P: VertexProgram> {
     blocks: Vec<SourceBlock<P>>,
-    /// Source blocks the sweep in flight opened; `blocks[..open]` feed the
+    /// Source blocks the window in flight opened; `blocks[..open]` feed the
     /// next [`MachineState::deliver_staged`].
     open: usize,
 }
@@ -156,7 +156,6 @@ impl<P: VertexProgram> Staging<P> {
         let num_blocks = num_blocks(num_local, block_size);
         if self.blocks.len() < n {
             self.blocks.resize_with(n, || SourceBlock {
-                commits: Vec::new(),
                 segments: std::iter::repeat_with(Vec::new).take(num_blocks).collect(),
                 block_size,
             });
@@ -164,7 +163,6 @@ impl<P: VertexProgram> Staging<P> {
         self.open = n;
         let blocks = &mut self.blocks[..n];
         for b in blocks.iter_mut() {
-            b.commits.clear();
             b.segments.iter_mut().for_each(Vec::clear);
         }
         blocks
@@ -183,11 +181,6 @@ impl<P: VertexProgram> Staging<P> {
         let chunk = pctx.block_size().max(tasks.len().div_ceil(most));
         let n = tasks.len().div_ceil(chunk);
         tasks.chunks(chunk).zip(self.open_blocks(pctx, num_local, n)).collect()
-    }
-
-    /// The source blocks of the sweep in flight, for phase B's commits.
-    pub fn opened(&mut self) -> &mut [SourceBlock<P>] {
-        &mut self.blocks[..self.open]
     }
 }
 
@@ -405,9 +398,9 @@ impl<P: VertexProgram> MachineState<P> {
         total
     }
 
-    /// Folds what the current sweep's source blocks staged
+    /// Folds what the current window's source blocks staged
     /// ([`Staging::source_blocks`]) in (source block, item) order — exactly
-    /// the flat order the sweep scattered in. Returns the number of items
+    /// the flat order the window scattered in. Returns the number of items
     /// folded into an *occupied* `deltaMsg` slot: each such fold is one
     /// contribution the coherency exchange will not ship as its own wire
     /// item (the sender-side combining the exchange counts as
@@ -782,6 +775,57 @@ mod tests {
             stage_and_fold(&mut st, &P0, &ctx, &items);
         }
         assert_eq!(retained_items(&st), settled);
+    }
+
+    /// A sweep holds one window, not the sweep: sweeps of 10 to 80 windows'
+    /// worth of items leave the staging role holding at most
+    /// `SCRATCH_SLACK` windows (or vertex counts), where staging a whole
+    /// sweep kept capacity for all of it.
+    #[test]
+    fn retained_staging_is_bounded_by_the_window_not_the_sweep() {
+        use crate::parallel::{ParallelConfig, ParallelCtx};
+        use crate::sync_engine::{scatter, Receipt};
+
+        let dg = dist();
+        let shard = &dg.shards[0];
+        let n = shard.num_local();
+        let window = 4 * n;
+        let ctx = ParallelCtx::new(ParallelConfig {
+            threads: 2,
+            block_size: 4,
+        }).expect("spawn pool");
+        let mut st =
+            MachineState::init(shard, &P0, InitMessages::MastersOnly, dg.num_global_vertices);
+        let sources: Vec<u32> = (0..n as u32).filter(|&l| shard.local_out_degree(l) > 0).collect();
+        let mut tasks = Vec::new();
+        for sweep in 1..=8 {
+            let mut staged = 0;
+            for i in 0.. {
+                if staged >= 10 * sweep * window {
+                    break;
+                }
+                let l = sources[(i * 7 + sweep) % sources.len()];
+                tasks.push((l, 1));
+                staged += shard.local_out_degree(l);
+            }
+            let (edges, _) = scatter(
+                shard,
+                &mut st,
+                &P0,
+                dg.num_global_vertices,
+                &ctx,
+                &mut tasks,
+                Receipt::InboxAndDelta,
+                window,
+            );
+            assert_eq!(edges as usize, staged);
+            let blocks = &st.scratch.staging.blocks;
+            let retained: usize = blocks.iter().map(|b| retained(&b.segments)).sum();
+            assert!(
+                retained <= SCRATCH_SLACK * window.max(n),
+                "sweep of {staged} items: staging keeps capacity for {retained}, window {window}"
+            );
+        }
     }
 
     #[test]

@@ -14,10 +14,16 @@
 //!
 //! That is exactly the paper's "two communications and three
 //! synchronizations to update vertex data".
+//!
+//! Phase 3 is [`scatter`], the one per-edge loop of all six engines: Async
+//! and hybrid call it as Sync does, and the lazy family after its apply
+//! pass, with a receipt rule that also folds into `deltaMsg`
+//! ([`crate::lazy_block::apply_scatter`]). It stages and folds one window
+//! of [`SCATTER_WINDOW`] items at a time, so a sweep never holds more.
 
 use lazygraph_cluster::{CommError, Phase};
 use lazygraph_net::{NetError, Wire, WireReader};
-use lazygraph_partition::{LocalShard, NO_LOCAL};
+use lazygraph_partition::{EdgeMode, LocalShard, NO_LOCAL};
 
 use crate::bsp::{BspReduction, CommCharge};
 use crate::config::EngineKind;
@@ -69,12 +75,36 @@ impl<P: VertexProgram> Wire for SyncMsg<P> {
     }
 }
 
-/// The eager engines' scatter: every `(replica, delta)` task scatters
-/// along the replica's local out-edges, and the deliveries fold into
-/// `message`. Scatter reads vertex data but only the fold mutates
-/// anything, so source blocks stage their deliveries in parallel and
-/// `deliver_staged` folds them in block order — the flat task order, at
-/// every thread count. Drains `tasks`; returns the edges traversed.
+/// Most items one scatter window stages before they fold: 1 MiB of 16-byte
+/// items. A constant, not a knob — window boundaries decide the order of
+/// `queue`, which a snapshot records, so they may depend on neither the
+/// thread count nor the block size.
+pub(crate) const SCATTER_WINDOW: usize = 1 << 16;
+
+/// Where a local delivery folds besides the target's inbox.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Receipt {
+    /// Nowhere: the eager engines broadcast instead.
+    Inbox,
+    /// A one-edge-mode receipt on a replicated target also folds into
+    /// `deltaMsg` (the lazy family, §3.2).
+    InboxAndDelta,
+}
+
+/// Every engine's one scatter: each `(replica, delta)` task scatters along
+/// the replica's local out-edges from its committed `vdata`, and the
+/// deliveries fold per `receipt`. Tasks go in windows whose local
+/// out-degrees sum to at most `window` (a task with more out-edges is a
+/// window alone). In a window, source blocks stage in parallel and
+/// `deliver_staged` folds in block order; windows fold in task order. So
+/// every target's ⊕ sequence is the flat task order at every thread count
+/// and window, and staging never holds more than one window. Drains
+/// `tasks`; returns the edges traversed and the `deltaMsg` folds into an
+/// occupied slot.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the scatter's inputs, its receipt rule and its window"
+)]
 pub(crate) fn scatter<P: VertexProgram>(
     shard: &LocalShard,
     state: &mut MachineState<P>,
@@ -82,31 +112,45 @@ pub(crate) fn scatter<P: VertexProgram>(
     num_vertices: usize,
     pctx: &ParallelCtx,
     tasks: &mut Vec<(u32, P::Delta)>,
-) -> u64 {
-    let vdata_view = &state.vdata;
-    let blocks = state.scratch.staging.source_blocks(pctx, vdata_view.len(), tasks);
-    let block_edges: Vec<u64> = pctx.pool().map(blocks, |(chunk, b)| {
-        let mut edges = 0u64;
-        for &(l, d) in chunk {
-            let v = shard.global_of(l);
-            let ctx = vertex_ctx(shard, l, num_vertices);
-            let data = &vdata_view[l as usize];
-            for (tl, weight, _mode) in shard.out_edges(l) {
-                edges += 1;
-                let edge = EdgeCtx {
-                    dst: shard.global_of(tl),
-                    weight,
-                };
-                if let Some(msg) = program.scatter(v, data, d, &ctx, &edge) {
-                    b.stage(tl, msg, false);
+    receipt: Receipt,
+    window: usize,
+) -> (u64, u64) {
+    let (mut edges, mut folds, mut rest) = (0, 0, &tasks[..]);
+    while !rest.is_empty() {
+        let (mut len, mut staged) = (0, 0);
+        while let Some(&(l, _)) = rest.get(len) {
+            let degree = shard.local_out_degree(l);
+            if len > 0 && staged + degree > window {
+                break;
+            }
+            (len, staged) = (len + 1, staged + degree);
+        }
+        let vdata_view = &state.vdata;
+        let blocks = state.scratch.staging.source_blocks(pctx, vdata_view.len(), &rest[..len]);
+        pctx.pool().map(blocks, |(chunk, b)| {
+            for &(l, d) in chunk {
+                let (v, data) = (shard.global_of(l), &vdata_view[l as usize]);
+                let ctx = vertex_ctx(shard, l, num_vertices);
+                for (tl, weight, mode) in shard.out_edges(l) {
+                    let edge = EdgeCtx {
+                        dst: shard.global_of(tl),
+                        weight,
+                    };
+                    if let Some(msg) = program.scatter(v, data, d, &ctx, &edge) {
+                        let fold_delta = receipt == Receipt::InboxAndDelta
+                            && mode == EdgeMode::OneEdge
+                            && shard.has_mirrors(tl);
+                        b.stage(tl, msg, fold_delta);
+                    }
                 }
             }
-        }
-        edges
-    });
+        });
+        folds += state.deliver_staged(program, pctx);
+        edges += staged as u64;
+        rest = &rest[len..];
+    }
     tasks.clear();
-    state.deliver_staged(program, pctx);
-    block_edges.into_iter().sum()
+    (edges, folds)
 }
 
 /// The Sync engine on the superstep skeleton. It carries no state a
@@ -225,61 +269,29 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
         )?;
 
         // ---- Phase 2: apply at masters, broadcast updates. --------------
-        // Blocked two-phase again: each block applies into a *clone* of
-        // the vertex value (apply is a pure function of value + accum),
-        // then the clones, broadcasts and scatter tasks commit in block
-        // order.
+        // In place, in worklist order, as the lazy sweep applies: an apply
+        // reads and writes only its own vertex, and nothing folds before
+        // the last one. Updates overwrite `vdata` and append to
+        // `scatter_tasks`, whose order feeds phase 3's worklist — so this
+        // is a sender-ordered round: remote updates commit at the close,
+        // after every local one, in sender order.
         let mut sent_bytes = 0u64;
         let mut applies = 0u64;
-        let (message_view, vdata_view) = (&state.message, &state.vdata);
-        #[expect(
-            clippy::type_complexity,
-            reason = "one (vertex, new value, scatter delta) per apply, per block; used here only"
-        )]
-        let apply_blocks: Vec<Vec<(u32, P::VData, Option<P::Delta>)>> =
-            pctx.map_chunks(master_worklist, |chunk| {
-                let mut out = Vec::new();
-                for &l in chunk {
-                    let Some(accum) = message_view[l as usize] else {
-                        continue;
-                    };
-                    let v = shard.global_of(l);
-                    let ctx = vertex_ctx(shard, l, num_vertices);
-                    let mut data = vdata_view[l as usize].clone();
-                    let d = program.apply(v, &mut data, accum, &ctx);
-                    out.push((l, data, d));
-                }
-                out
-            });
-        for &l in master_worklist.iter() {
-            state.message[l as usize] = None;
-            state.active[l as usize] = false;
-        }
-        // Updates overwrite `vdata` and append to `scatter_tasks`, whose
-        // order feeds phase 3's worklist — so this is a sender-ordered
-        // round: remote updates commit at the close, after every local
-        // one, in sender order.
         let mut round = port.ordered_round(Phase::Apply, update_bytes);
-        for block in apply_blocks {
-            for (l, data, d) in block {
-                let v = shard.global_of(l);
-                applies += 1;
-                // Eager coherency: the changed data goes to every mirror
-                // now.
-                for &m in shard.mirrors(l).iter() {
-                    let dst = m.index();
-                    let update = SyncMsg::Update {
-                        data: data.clone(),
-                        scatter: d,
-                    };
-                    round.outboxes().push(dst, (v.0, update));
-                    sent_bytes += update_bytes as u64;
-                }
-                state.vdata[l as usize] = data;
-                if let Some(d) = d {
-                    scatter_tasks.push((l, d));
-                }
+        for &l in master_worklist.iter() {
+            state.active[l as usize] = false;
+            let Some(accum) = state.message[l as usize].take() else { continue };
+            let (v, ctx) = (shard.global_of(l), vertex_ctx(shard, l, num_vertices));
+            let data = &mut state.vdata[l as usize];
+            let d = program.apply(v, data, accum, &ctx);
+            applies += 1;
+            // Eager coherency: the changed data goes to every mirror now.
+            for &m in shard.mirrors(l).iter() {
+                let update = SyncMsg::Update { data: data.clone(), scatter: d };
+                round.outboxes().push(m.index(), (v.0, update));
+                sent_bytes += update_bytes as u64;
             }
+            scatter_tasks.extend(d.map(|d| (l, d)));
         }
         stats.record_applies(applies);
         clock.advance(cost.apply_time(applies));
@@ -301,7 +313,16 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
         )?;
 
         // ---- Phase 3: scatter on every replica along local out-edges. ---
-        let edges = scatter(shard, state, program, num_vertices, pctx, scatter_tasks);
+        let (edges, _) = scatter(
+            shard,
+            state,
+            program,
+            num_vertices,
+            pctx,
+            scatter_tasks,
+            Receipt::Inbox,
+            SCATTER_WINDOW,
+        );
         stats.record_edges(edges);
         clock.advance(cost.compute_time(edges));
         let red = bsp.sync(
