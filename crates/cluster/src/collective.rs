@@ -1,4 +1,4 @@
-//! Global barriers and allreduce over the machine threads.
+//! Global barriers and allreduce over a control mesh.
 //!
 //! A [`Collective`] gives every BSP synchronisation point one structure:
 //! `allreduce` collects each machine's contribution, folds them **in
@@ -6,109 +6,92 @@
 //! allreduce/barrier is counted as exactly one *global synchronisation* —
 //! the quantity Fig. 10 plots.
 //!
-//! Two implementations share the API:
+//! There is one implementation, a message round. Every machine owns its
+//! *leg* of a dedicated `Endpoint<u8>` control mesh, of the transport that
+//! carries the run's data: it `Wire`-encodes its contribution, sends it to
+//! every peer in one [`Endpoint::exchange`], and folds the decoded values,
+//! its own at position `me`, in machine order. The codec is bit-exact for
+//! floats, so a reduction returns the same bits on every route — channel
+//! mesh, threaded TCP, worker processes. A control round charges no
+//! `est_bytes`: what the cost model sees is the engines' payload on every
+//! route. And because a leg belongs to its machine, a machine that fails
+//! drops it: over TCP its peers' round fails typed instead of waiting for
+//! a contribution that never comes.
 //!
-//! * **Shared** — threads in one process: slot-write, barrier, fold,
-//!   barrier. Zero communication; contributions are cloned in memory.
-//! * **Mesh** — worker processes: each contribution is `Wire`-encoded and
-//!   exchanged over a dedicated `Endpoint<u8>` control mesh, then folded
-//!   from the decoded values. Because both paths fold in machine order
-//!   with the same combine function, and the codec is bit-exact for
-//!   floats, a mesh allreduce returns *bitwise* the same value as a
-//!   shared one — the property the multiprocess equivalence tests pin.
-
-use std::any::Any;
-use std::sync::Barrier;
+//! A collective hosts either one leg ([`Collective::mesh`], what each
+//! machine of an engine run holds) or all `n` legs of an in-process mesh
+//! ([`Collective::new`], one object that `n` threads share); `me` names the
+//! leg a call runs on.
 
 use lazygraph_net::Wire;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
-use crate::comm::{Endpoint, OutboxSet};
+use crate::comm::{build_mesh, Endpoint, OutboxSet};
 use crate::error::CommError;
 use crate::stats::{NetStats, Phase};
 
 /// One collective synchronisation domain over `n` machines.
 pub struct Collective {
-    inner: Inner,
+    /// `legs[m]` is machine `m`'s leg, `None` where this collective does
+    /// not host it. A leg's lock is only ever taken by its own machine's
+    /// thread; it threads `&mut` through `&self`.
+    legs: Vec<Option<Mutex<Leg>>>,
 }
 
-enum Inner {
-    /// All participants are threads of this process.
-    Shared {
-        n: usize,
-        barrier: Barrier,
-        slots: Vec<Mutex<Option<Box<dyn Any + Send>>>>,
-    },
-    /// This process hosts exactly one participant; the rest are reached
-    /// over a control mesh. The mutex only threads `&mut` through `&self`
-    /// — a worker's collective is used by its one machine thread.
-    Mesh { n: usize, ep: Mutex<Endpoint<u8>> },
+/// One machine's end of the control mesh and its reused staging.
+struct Leg {
+    ep: Endpoint<u8>,
+    outboxes: OutboxSet<u8>,
+}
+
+impl Leg {
+    fn new(ep: Endpoint<u8>) -> Mutex<Leg> {
+        let outboxes = OutboxSet::new(ep.num_machines());
+        Mutex::new(Leg { ep, outboxes })
+    }
 }
 
 impl Collective {
-    /// A shared-memory collective over `n` machine threads.
+    /// All `n` legs of a fresh in-process control mesh, for `n` threads
+    /// that share this one object, each calling as its own `me`.
     pub fn new(n: usize) -> Self {
-        assert!(n > 0);
         Collective {
-            inner: Inner::Shared {
-                n,
-                barrier: Barrier::new(n),
-                slots: (0..n).map(|_| Mutex::new(None)).collect(),
-            },
+            legs: build_mesh(n).into_iter().map(|ep| Some(Leg::new(ep))).collect(),
         }
     }
 
-    /// A mesh-backed collective for a worker process hosting machine
-    /// `ep.me()` of `ep.num_machines()`.
+    /// Machine `ep.me()`'s leg of a control mesh of `ep.num_machines()`.
     pub fn mesh(ep: Endpoint<u8>) -> Self {
-        Collective {
-            inner: Inner::Mesh {
-                n: ep.num_machines(),
-                ep: Mutex::new(ep),
-            },
-        }
+        let me = ep.me();
+        let mut legs: Vec<Option<Mutex<Leg>>> = (0..ep.num_machines()).map(|_| None).collect();
+        legs[me] = Some(Leg::new(ep));
+        Collective { legs }
     }
 
-    /// Number of participating machines.
-    pub fn num_machines(&self) -> usize {
-        match &self.inner {
-            Inner::Shared { n, .. } | Inner::Mesh { n, .. } => *n,
-        }
+    /// Machine `me`'s leg, or a typed error if this collective does not
+    /// host it.
+    fn leg(&self, me: usize) -> Result<MutexGuard<'_, Leg>, CommError> {
+        let leg = self.legs.get(me).and_then(Option::as_ref);
+        leg.map(Mutex::lock).ok_or(CommError::CollectiveLeg {
+            me,
+            machines: self.legs.len(),
+        })
     }
 
-    /// Plain barrier; records one global sync (from machine 0 only so the
-    /// count is per-collective, not per-participant). On the mesh path
-    /// this is a real message exchange and can fail like any send.
+    /// Plain barrier: an empty-payload allreduce, counted as one global
+    /// sync. A message round, so it fails like any exchange.
     pub fn barrier(&self, me: usize, stats: &NetStats) -> Result<(), CommError> {
-        match &self.inner {
-            Inner::Shared { barrier, .. } => {
-                if me == 0 {
-                    stats.record_sync();
-                }
-                barrier.wait();
-                Ok(())
-            }
-            Inner::Mesh { .. } => {
-                // An empty-payload allreduce: synchronises and counts
-                // exactly once, same as the shared barrier.
-                self.allreduce(me, (), stats, |_, _| ())?;
-                Ok(())
-            }
-        }
+        self.allreduce(me, (), stats, |_, _| ())
     }
 
     /// All-reduce: every machine contributes `val`; everyone receives the
     /// fold of all contributions under `combine` (which must be commutative
-    /// and associative). Counts as one global synchronisation.
+    /// and associative). Counts as one global synchronisation, recorded by
+    /// machine 0 only so the count is per collective, not per participant.
     ///
     /// Contributions are always folded in machine order `0..n`, so float
     /// reductions are run-to-run *and* transport-to-transport
     /// deterministic.
-    ///
-    /// On the shared path this fails only if a slot is empty or
-    /// type-mismatched at fold time (two collectives of different element
-    /// types interleaved — a protocol violation by the calling engine).
-    /// On the mesh path it additionally fails if the transport does.
     pub fn allreduce<T, F>(
         &self,
         me: usize,
@@ -117,13 +100,14 @@ impl Collective {
         combine: F,
     ) -> Result<T, CommError>
     where
-        T: Clone + Send + Wire + 'static,
+        T: Wire,
         F: Fn(T, T) -> T,
     {
+        let red = self.reduce(me, val, stats, combine)?;
         if me == 0 {
             stats.record_sync();
         }
-        self.reduce(me, val, stats, combine)
+        Ok(red)
     }
 
     /// Or-reduce that is *not* a global synchronisation: the barrier-free
@@ -134,207 +118,106 @@ impl Collective {
         self.reduce(me, val, stats, |a, b| a || b)
     }
 
-    /// [`Self::allreduce`] without the sync count.
-    fn reduce<T, F>(&self, me: usize, val: T, stats: &NetStats, combine: F) -> Result<T, CommError>
-    where
-        T: Clone + Send + Wire + 'static,
-        F: Fn(T, T) -> T,
-    {
-        match &self.inner {
-            Inner::Shared { barrier, slots, .. } => {
-                *slots[me].lock() = Some(Box::new(val));
-                barrier.wait();
-                let mut acc: Option<T> = None;
-                for (machine, slot) in slots.iter().enumerate() {
-                    let guard = slot.lock();
-                    let v = guard
-                        .as_ref()
-                        .ok_or(CommError::CollectiveSlotEmpty { machine })?
-                        .downcast_ref::<T>()
-                        .ok_or(CommError::CollectiveTypeMismatch { machine })?
-                        .clone();
-                    acc = Some(match acc {
-                        None => v,
-                        Some(a) => combine(a, v),
-                    });
-                }
-                // Second barrier: nobody may overwrite a slot before all
-                // have read.
-                barrier.wait();
-                // `slots` is non-empty (`new` asserts n > 0), so the fold
-                // ran.
-                acc.ok_or(CommError::CollectiveSlotEmpty { machine: me })
-            }
-            Inner::Mesh { n, ep } => {
-                let n = *n;
-                let mut ep = ep.lock();
-                debug_assert_eq!(me, ep.me(), "mesh collective is bound to one machine");
-                let encoded = val.to_wire();
-                let mut ob = OutboxSet::new(n);
-                for dst in 0..n {
-                    if dst != me {
-                        ob.slot(dst).extend_from_slice(&encoded);
-                    }
-                }
-                let received = ep.exchange(&mut ob, 0.0, Phase::Control, 1, stats)?;
-                // `exchange` returns batches sorted by sender; fold in
-                // machine order with our own value at position `me`.
-                let mut acc: Option<T> = None;
-                let mut batches = received.into_iter().peekable();
-                for machine in 0..n {
-                    let v = if machine == me {
-                        val.clone()
-                    } else {
-                        let mut b = batches
-                            .next()
-                            .ok_or(CommError::CollectiveSlotEmpty { machine })?;
-                        if b.from != machine {
-                            return Err(CommError::CollectiveSlotEmpty { machine });
-                        }
-                        // Zero-copy TCP batches arrive still-encoded; the
-                        // collective is cold-path, so materializing here
-                        // (a byte copy) is the right trade.
-                        b.make_items().map_err(|e| CommError::transport(me, &e))?;
-                        let v = T::from_wire(&b.items)
-                            .map_err(|e| CommError::transport(me, &e))?;
-                        ep.recycle(b);
-                        v
-                    };
-                    acc = Some(match acc {
-                        None => v,
-                        Some(a) => combine(a, v),
-                    });
-                }
-                acc.ok_or(CommError::CollectiveSlotEmpty { machine: me })
-            }
-        }
-    }
-
-    /// The control-mesh round the next collective will consume — the
-    /// ctrl-side replay watermark a checkpoint records. Always 0 on the
-    /// shared-memory path (nothing to replay).
-    pub fn next_round(&self) -> u64 {
-        match &self.inner {
-            Inner::Shared { .. } => 0,
-            Inner::Mesh { ep, .. } => ep.lock().next_round(),
-        }
-    }
-
-    /// Prunes the control mesh's replay logs below `watermark`; no-op on
-    /// the shared-memory path.
-    pub fn prune_log(&self, watermark: u64, stats: &NetStats) {
-        if let Inner::Mesh { ep, .. } = &self.inner {
-            ep.lock().prune_log(watermark, stats);
-        }
-    }
-
     /// Allreduce-sum over u64.
     pub fn sum_u64(&self, me: usize, val: u64, stats: &NetStats) -> Result<u64, CommError> {
         self.allreduce(me, val, stats, |a, b| a + b)
     }
 
-    /// Allreduce-max over f64 (simulated-clock synchronisation).
-    pub fn max_f64(&self, me: usize, val: f64, stats: &NetStats) -> Result<f64, CommError> {
-        self.allreduce(me, val, stats, f64::max)
+    /// [`Self::allreduce`] without the sync count: the one reduce path.
+    fn reduce<T, F>(&self, me: usize, val: T, stats: &NetStats, combine: F) -> Result<T, CommError>
+    where
+        T: Wire,
+        F: Fn(T, T) -> T,
+    {
+        let mut leg = self.leg(me)?;
+        let Leg { ep, outboxes } = &mut *leg;
+        let n = ep.num_machines();
+        let encoded = val.to_wire();
+        for dst in (0..n).filter(|&dst| dst != me) {
+            outboxes.slot(dst).extend_from_slice(&encoded);
+        }
+        let received = ep.exchange(outboxes, 0.0, Phase::Control, 0, stats)?;
+        // `exchange` returns one batch per peer, sorted by sender.
+        let mut batches = received.into_iter();
+        let mut values = Vec::with_capacity(n);
+        for machine in (0..n).filter(|&m| m != me) {
+            let mut b = batches
+                .next()
+                .filter(|b| b.from == machine)
+                .ok_or(CommError::CollectiveSlotEmpty { machine })?;
+            // Zero-copy TCP batches arrive still-encoded; the collective
+            // is cold-path, so materializing here (a byte copy) is the
+            // right trade.
+            b.make_items().map_err(|e| CommError::transport(me, &e))?;
+            values.push(T::from_wire(&b.items).map_err(|e| CommError::transport(me, &e))?);
+            ep.recycle(b);
+        }
+        values.insert(me, val);
+        values
+            .into_iter()
+            .reduce(combine)
+            .ok_or(CommError::CollectiveSlotEmpty { machine: me })
     }
 
-    /// Allreduce-or over bool.
-    pub fn any(&self, me: usize, val: bool, stats: &NetStats) -> Result<bool, CommError> {
-        self.allreduce(me, val, stats, |a, b| a || b)
+    /// The control-mesh round machine `me`'s next collective will consume
+    /// — the ctrl-side replay watermark a checkpoint records.
+    pub fn next_round(&self, me: usize) -> Result<u64, CommError> {
+        Ok(self.leg(me)?.ep.next_round())
+    }
+
+    /// Prunes machine `me`'s control-mesh replay logs below `watermark`.
+    pub fn prune_log(&self, me: usize, watermark: u64, stats: &NetStats) -> Result<(), CommError> {
+        self.leg(me)?.ep.prune_log(watermark, stats);
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::build_mesh;
+    use crate::transport::{build_endpoints, TransportKind};
     use std::sync::Arc;
+
+    /// Runs `f(me)` on one thread per machine and returns the results in
+    /// machine order.
+    fn on_threads<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+        crate::runtime::run_machines((0..n).collect(), f)
+    }
 
     #[test]
     fn sum_across_threads() {
-        let n = 4;
-        let coll = Arc::new(Collective::new(n));
-        let stats = Arc::new(NetStats::new());
-        let results: Vec<u64> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|me| {
-                    let coll = coll.clone();
-                    let stats = stats.clone();
-                    s.spawn(move || coll.sum_u64(me, (me + 1) as u64, &stats).unwrap())
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+        let coll = Collective::new(4);
+        let stats = NetStats::new();
+        let results = on_threads(4, |me| coll.sum_u64(me, (me + 1) as u64, &stats).unwrap());
         assert!(results.iter().all(|&r| r == 10));
         assert_eq!(stats.snapshot().global_syncs, 1);
     }
 
     #[test]
     fn repeated_allreduce_rounds() {
-        let n = 3;
-        let coll = Arc::new(Collective::new(n));
-        let stats = Arc::new(NetStats::new());
-        let results: Vec<f64> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|me| {
-                    let coll = coll.clone();
-                    let stats = stats.clone();
-                    s.spawn(move || {
-                        let mut acc = 0.0;
-                        for round in 0..50 {
-                            acc = coll.max_f64(me, (me * round) as f64, &stats).unwrap();
-                        }
-                        acc
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let coll = Collective::new(3);
+        let stats = NetStats::new();
+        let results = on_threads(3, |me| {
+            let mut acc = 0.0;
+            for round in 0..50 {
+                acc = coll.allreduce(me, (me * round) as f64, &stats, f64::max).unwrap();
+            }
+            acc
         });
         // Final round: max(0, 49, 98) = 98.
         assert!(results.iter().all(|&r| r == 98.0));
         assert_eq!(stats.snapshot().global_syncs, 50);
     }
 
-    #[test]
-    fn any_detects_single_true() {
-        let n = 5;
-        let coll = Arc::new(Collective::new(n));
-        let stats = Arc::new(NetStats::new());
-        let results: Vec<bool> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|me| {
-                    let coll = coll.clone();
-                    let stats = stats.clone();
-                    s.spawn(move || coll.any(me, me == 3, &stats).unwrap())
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert!(results.iter().all(|&r| r));
-    }
-
-    /// The end-of-run vote is an or on both paths, and neither counts it.
+    /// The end-of-run vote is an or, and it is not counted.
     #[test]
     fn vote_is_an_or_that_records_no_sync() {
-        let n = 3;
-        let stats = Arc::new(NetStats::new());
-        let shared = Arc::new(Collective::new(n));
-        let eps = build_mesh::<u8>(n);
-        let votes: Vec<(bool, bool)> = std::thread::scope(|s| {
-            let handles: Vec<_> = eps
-                .into_iter()
-                .enumerate()
-                .map(|(me, ep)| {
-                    let (shared, stats) = (shared.clone(), stats.clone());
-                    s.spawn(move || {
-                        let mesh = Collective::mesh(ep);
-                        let quiet = shared.vote(me, false, &stats).unwrap();
-                        let held = mesh.vote(me, me == 2, &stats).unwrap();
-                        (quiet, held)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let coll = Collective::new(3);
+        let stats = NetStats::new();
+        let votes = on_threads(3, |me| {
+            let quiet = coll.vote(me, false, &stats).unwrap();
+            let held = coll.vote(me, me == 2, &stats).unwrap();
+            (quiet, held)
         });
         assert!(votes.iter().all(|&v| v == (false, true)), "{votes:?}");
         assert_eq!(stats.snapshot().global_syncs, 0);
@@ -349,80 +232,72 @@ mod tests {
         assert_eq!(stats.snapshot().global_syncs, 2);
     }
 
-    /// A mesh collective per machine (over an in-proc u8 mesh) must fold
-    /// to *bitwise* the same result as the shared collective.
+    /// The one fold, over in-proc legs shared by the threads and over one
+    /// TCP leg per machine: contributions chosen so that fold order
+    /// matters for floats give the same bits on both, and those of the
+    /// machine-order sequential sum. Neither round charges `est_bytes`.
     #[test]
-    fn mesh_allreduce_matches_shared_bitwise() {
-        let n = 4;
-        // Contributions chosen so that fold order matters for floats:
-        // only the machine-order fold gives one specific bit pattern.
-        let contribs: Vec<f64> = vec![0.1, 1e16, -1e16, 0.2];
-        let shared = Arc::new(Collective::new(n));
+    fn allreduce_folds_in_machine_order_on_every_transport() {
+        let contribs = [0.1, 1e16, -1e16, 0.2];
+        let n = contribs.len();
+        let expected = ((0.1f64 + 1e16) + -1e16) + 0.2;
+        assert_ne!(expected.to_bits(), contribs.iter().rev().sum::<f64>().to_bits());
         let stats = Arc::new(NetStats::new());
-        let shared_results: Vec<f64> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|me| {
-                    let coll = shared.clone();
-                    let stats = stats.clone();
-                    let v = contribs[me];
-                    s.spawn(move || coll.allreduce(me, v, &stats, |a, b| a + b).unwrap())
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let shared = Collective::new(n);
+        let inproc = on_threads(n, |me| {
+            shared.allreduce(me, contribs[me], &stats, |a, b| a + b).unwrap()
         });
-
-        let eps = build_mesh::<u8>(n);
-        let mesh_results: Vec<f64> = std::thread::scope(|s| {
-            let handles: Vec<_> = eps
-                .into_iter()
-                .enumerate()
-                .map(|(me, ep)| {
-                    let stats = stats.clone();
-                    let v = contribs[me];
-                    s.spawn(move || {
-                        let coll = Collective::mesh(ep);
-                        coll.allreduce(me, v, &stats, |a, b| a + b).unwrap()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let legs = build_endpoints::<u8>(TransportKind::Tcp, n, &stats).unwrap();
+        let tcp = crate::runtime::run_machines(legs, |ep| {
+            let me = ep.me();
+            Collective::mesh(ep).allreduce(me, contribs[me], &stats, |a, b| a + b).unwrap()
         });
-        for me in 0..n {
-            assert_eq!(
-                shared_results[me].to_bits(),
-                mesh_results[me].to_bits(),
-                "machine {me}: mesh fold must be bitwise identical"
-            );
+        for (me, (a, b)) in inproc.iter().zip(&tcp).enumerate() {
+            assert_eq!(a.to_bits(), expected.to_bits(), "machine {me}, in-proc");
+            assert_eq!(b.to_bits(), expected.to_bits(), "machine {me}, tcp");
         }
+        let snap = stats.snapshot();
+        assert_eq!(snap.global_syncs, 2);
+        assert_eq!(snap.total_est_bytes(), 0, "a control round is not payload");
+        assert!(snap.wire_frames_sent > 0, "the TCP legs crossed sockets");
     }
 
     #[test]
     fn mesh_collective_repeated_rounds_and_barrier() {
-        let n = 3;
-        let eps = build_mesh::<u8>(n);
-        let stats = Arc::new(NetStats::new());
-        let results: Vec<u64> = std::thread::scope(|s| {
-            let handles: Vec<_> = eps
-                .into_iter()
-                .enumerate()
-                .map(|(me, ep)| {
-                    let stats = stats.clone();
-                    s.spawn(move || {
-                        let coll = Collective::mesh(ep);
-                        let mut acc = 0;
-                        for round in 0..20u64 {
-                            acc = coll.sum_u64(me, round + me as u64, &stats).unwrap();
-                            coll.barrier(me, &stats).unwrap();
-                        }
-                        acc
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let stats = NetStats::new();
+        let results = crate::runtime::run_machines(build_mesh::<u8>(3), |ep| {
+            let me = ep.me();
+            let coll = Collective::mesh(ep);
+            let mut acc = 0;
+            for round in 0..20u64 {
+                acc = coll.sum_u64(me, round + me as u64, &stats).unwrap();
+                coll.barrier(me, &stats).unwrap();
+            }
+            (acc, coll.next_round(me).unwrap())
         });
-        // Final round: (19+0) + (19+1) + (19+2).
-        assert!(results.iter().all(|&r| r == 60));
+        // Final round: (19+0) + (19+1) + (19+2), after 40 control rounds.
+        assert!(results.iter().all(|&r| r == (60, 40)), "{results:?}");
         // 20 allreduces + 20 barriers, each counted once.
         assert_eq!(stats.snapshot().global_syncs, 40);
+    }
+
+    /// A `me` whose leg the collective does not host is a typed error on
+    /// every call, before anything is sent.
+    #[test]
+    fn a_leg_the_collective_does_not_host_is_a_typed_error() {
+        let stats = NetStats::new();
+        let own = Collective::mesh(build_mesh::<u8>(3).remove(1));
+        let shared = Collective::new(2);
+        for (coll, me) in [(&own, 0), (&own, 2), (&own, 7), (&shared, 2)] {
+            let machines = coll.legs.len();
+            let want = CommError::CollectiveLeg { me, machines };
+            assert_eq!(coll.sum_u64(me, 1, &stats), Err(want.clone()));
+            assert_eq!(coll.barrier(me, &stats), Err(want.clone()));
+            assert_eq!(coll.vote(me, true, &stats), Err(want.clone()));
+            assert_eq!(coll.next_round(me), Err(want.clone()));
+            assert_eq!(coll.prune_log(me, 0, &stats), Err(want));
+        }
+        let snap = stats.snapshot();
+        assert_eq!((snap.global_syncs, snap.total_batches()), (0, 0));
     }
 }

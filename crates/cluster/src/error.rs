@@ -1,15 +1,18 @@
 //! Typed errors for the communication fabric.
 //!
-//! The mesh and the collectives are infallible in a healthy run: every
-//! endpoint lives for the whole scope of `run_machines`, and every
-//! allreduce slot is filled before the barrier releases. The failure
-//! modes below can therefore only be reached when a peer machine thread
-//! has died (panic or early error return). Engines propagate them to the
-//! driver instead of panicking, so one failing machine tears the run
-//! down with a diagnosable error rather than a poisoned process.
-//! [`CommError::MachineCount`] and [`CommError::PoolSpawn`] are the
-//! exceptions: a run that cannot start as configured, refused before
-//! anything is sent.
+//! The data mesh and the control mesh the collectives run on are
+//! infallible in a healthy run: every machine holds its leg of each for
+//! its whole run, and every round hears from every peer. The failure
+//! modes below can therefore only be reached when a peer machine has died
+//! (panic, early error return, process exit): it drops both of its legs,
+//! and over TCP a peer's next round on either mesh fails instead of
+//! waiting.
+//! Engines propagate them to the driver instead of panicking, so one
+//! failing machine tears the run down with a diagnosable error rather
+//! than a poisoned process. [`CommError::MachineCount`],
+//! [`CommError::PoolSpawn`] and [`CommError::CollectiveLeg`] are the
+//! exceptions: a run that cannot start as configured, or a call on a
+//! machine the collective does not host, refused before anything is sent.
 
 use std::fmt;
 
@@ -29,16 +32,18 @@ pub enum CommError {
         /// The machine whose receive failed.
         me: usize,
     },
-    /// An allreduce fold found a peer's contribution slot empty.
+    /// An allreduce round came back without a peer's contribution.
     CollectiveSlotEmpty {
-        /// Machine whose slot was empty.
+        /// Machine whose contribution was missing.
         machine: usize,
     },
-    /// An allreduce contribution downcast to an unexpected concrete type
-    /// (two collectives of different element types interleaved).
-    CollectiveTypeMismatch {
-        /// Machine whose slot held the wrong type.
-        machine: usize,
+    /// A collective call named a machine whose control-mesh leg the
+    /// collective does not host.
+    CollectiveLeg {
+        /// The machine the call was made as.
+        me: usize,
+        /// The collective's machine count.
+        machines: usize,
     },
     /// The wire transport failed: a socket error, a codec failure, or a
     /// peer that died without the shutdown handshake. Carries the
@@ -83,10 +88,10 @@ impl fmt::Display for CommError {
             CommError::CollectiveSlotEmpty { machine } => {
                 write!(f, "allreduce slot for machine {machine} empty at fold time")
             }
-            CommError::CollectiveTypeMismatch { machine } => {
+            CommError::CollectiveLeg { me, machines } => {
                 write!(
                     f,
-                    "allreduce contribution from machine {machine} has mismatched type"
+                    "machine {me}: this collective over {machines} machines hosts no leg of it"
                 )
             }
             CommError::Transport { me, detail } => {

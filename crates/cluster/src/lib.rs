@@ -4,7 +4,8 @@
 //! EC2-like cluster. Each machine is an OS thread owning its shard; all
 //! inter-machine traffic crosses a typed channel [`comm`] mesh with exact
 //! byte/message accounting; [`Collective`] provides barriers and allreduce
-//! (each counted as one global synchronisation — the Fig. 10 quantity);
+//! as rounds on a control mesh beside it (each counted as one global
+//! synchronisation — the Fig. 10 quantity);
 //! [`CostModel`] + [`SimClock`] convert the counted work into deterministic
 //! simulated seconds using the paper's own fitted communication-time
 //! equations (§4.2.2). DESIGN.md §2 documents why this substitution

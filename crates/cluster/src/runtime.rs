@@ -1,11 +1,10 @@
 //! Machine-thread spawning.
 //!
 //! Each simulated machine runs on its own OS thread with exclusively-owned
-//! per-machine state (its shard, its mesh endpoint, its vertex arrays);
-//! shared state is limited to the [`crate::Collective`] and the
-//! [`crate::NetStats`] counters. This mirrors a real cluster's
-//! share-nothing structure and lets the borrow checker prove the engines
-//! race-free.
+//! per-machine state (its shard, its legs of the data and control meshes,
+//! its vertex arrays); shared state is limited to the [`crate::NetStats`]
+//! counters. This mirrors a real cluster's share-nothing structure and
+//! lets the borrow checker prove the engines race-free.
 
 /// Runs one closure per machine, each consuming its own worker state, and
 /// returns the per-machine results in machine order. Panics in any machine
@@ -36,9 +35,10 @@ where
 /// Fallible variant of [`run_machines`]: every machine returns a `Result`,
 /// and the first error (in machine order) is propagated to the caller.
 ///
-/// A machine that errors drops its mesh endpoint on the way out, which
-/// surfaces as [`crate::CommError`] on every peer still exchanging with it,
-/// so an error tears the whole run down instead of wedging it.
+/// A machine that errors drops its legs of both meshes on the way out.
+/// Over TCP that surfaces as [`crate::CommError`] on every peer still
+/// exchanging with it, at a barrier too, so an error tears the whole run
+/// down instead of wedging it.
 pub fn try_run_machines<W, R, E, F>(workers: Vec<W>, f: F) -> Result<Vec<R>, E>
 where
     W: Send,

@@ -85,17 +85,6 @@ struct AsyncTurn<'a, P: VertexProgram> {
     cost: CostModel,
 }
 
-/// What one worklist entry of a turn comes to.
-enum Pumped<P: VertexProgram> {
-    Applied {
-        l: u32,
-        data: P::VData,
-        d: Option<P::Delta>,
-    },
-    Forward { l: u32, accum: P::Delta },
-    Quiet { l: u32 },
-}
-
 impl<P: VertexProgram> PumpStep<(u32, SyncMsg<P>)> for AsyncTurn<'_, P> {
     /// Accum/Update translation stays serial per batch — Updates overwrite
     /// `vdata` in place (so this path cannot cursor-route raw TCP batches),
@@ -139,62 +128,32 @@ impl<P: VertexProgram> PumpStep<(u32, SyncMsg<P>)> for AsyncTurn<'_, P> {
         let (edges, _) =
             scatter(shard, state, program, num_vertices, pctx, tasks, Receipt::Inbox, window);
 
-        // Blocked two-phase: applies run on clones of the vertex value
-        // against a read-only snapshot, then everything commits in block
-        // order (the sorted worklist makes the blocking reproducible).
+        // In place, in worklist order, as Sync's phase 2 applies: an apply
+        // reads and writes only its own vertex, so the sorted worklist
+        // alone fixes the order of clock advances, outbox items and
+        // scatter tasks.
         let mut worklist = state.take_queue();
         worklist.sort_unstable();
-        let (message_view, vdata_view) = (&state.message, &state.vdata);
-        let pump_blocks: Vec<Vec<Pumped<P>>> = pctx.map_chunks(&worklist, |chunk| {
-            chunk
-                .iter()
-                .map(|&l| {
-                    let Some(accum) = message_view[l as usize] else {
-                        return Pumped::Quiet { l };
-                    };
-                    if shard.is_master[l as usize] {
-                        let ctx = vertex_ctx(shard, l, num_vertices);
-                        let mut data = vdata_view[l as usize].clone();
-                        let d = program.apply(shard.global_of(l), &mut data, accum, &ctx);
-                        Pumped::Applied { l, data, d }
-                    } else {
-                        Pumped::Forward { l, accum }
-                    }
-                })
-                .collect()
-        });
         let mut applies = 0u64;
-        for entry in pump_blocks.into_iter().flatten() {
-            match entry {
-                Pumped::Applied { l, data, d } => {
-                    state.message[l as usize] = None;
-                    state.active[l as usize] = false;
-                    pump.clock.advance(cost.async_apply_time());
-                    applies += 1;
-                    let gid = shard.global_of(l).0;
-                    for &m in shard.mirrors(l).iter() {
-                        let update = SyncMsg::Update {
-                            data: data.clone(),
-                            scatter: d,
-                        };
-                        pump.outboxes.push(m.index(), (gid, update));
-                    }
-                    state.vdata[l as usize] = data;
-                    if let Some(d) = d {
-                        self.scatter_tasks.push((l, d));
-                    }
-                }
-                Pumped::Forward { l, accum } => {
-                    state.message[l as usize] = None;
-                    state.active[l as usize] = false;
-                    let gid = shard.global_of(l).0;
-                    pump.outboxes
-                        .push(shard.master_of[l as usize].index(), (gid, SyncMsg::Accum(accum)));
-                }
-                Pumped::Quiet { l } => {
-                    state.active[l as usize] = false;
-                }
+        for &l in &worklist {
+            state.active[l as usize] = false;
+            let Some(accum) = state.message[l as usize].take() else { continue };
+            let v = shard.global_of(l);
+            if !shard.is_master[l as usize] {
+                let master = shard.master_of[l as usize].index();
+                pump.outboxes.push(master, (v.0, SyncMsg::Accum(accum)));
+                continue;
             }
+            let ctx = vertex_ctx(shard, l, num_vertices);
+            let data = &mut state.vdata[l as usize];
+            let d = program.apply(v, data, accum, &ctx);
+            pump.clock.advance(cost.async_apply_time());
+            applies += 1;
+            for &m in shard.mirrors(l).iter() {
+                let update = SyncMsg::Update { data: data.clone(), scatter: d };
+                pump.outboxes.push(m.index(), (v.0, update));
+            }
+            tasks.extend(d.map(|d| (l, d)));
         }
         self.stats.record_edges(edges);
         self.stats.record_applies(applies);

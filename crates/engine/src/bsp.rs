@@ -41,9 +41,9 @@ pub struct BspReduction {
     pub est: VolumeEstimate,
 }
 
-// The reduction crosses the mesh-backed `Collective` in multiprocess
-// runs; `clock` rides as its IEEE-754 bit pattern so the folded max is
-// bitwise-identical to the shared-memory path.
+// The reduction crosses the machine's control-mesh leg on every route;
+// `clock` rides as its IEEE-754 bit pattern, so the folded max is the
+// same bits whether the leg is a channel or a socket.
 wire_record!(BspReduction { clock, bytes, pending, applied, est });
 
 fn combine(a: BspReduction, b: BspReduction) -> BspReduction {
@@ -60,7 +60,8 @@ fn combine(a: BspReduction, b: BspReduction) -> BspReduction {
 /// accumulating the global simulated-time breakdown.
 pub struct BspSync {
     pub me: usize,
-    pub coll: Arc<Collective>,
+    /// This machine's leg of the control mesh.
+    pub coll: Collective,
     pub stats: Arc<NetStats>,
     pub cost: CostModel,
     breakdown: Arc<Mutex<SimBreakdown>>,
@@ -68,11 +69,11 @@ pub struct BspSync {
 }
 
 impl BspSync {
-    /// A new handle; every machine of a run shares `coll`, `stats`, and
-    /// `breakdown`.
+    /// A new handle over machine `me`'s collective leg; every machine of a
+    /// run shares `stats` and `breakdown`.
     pub fn new(
         me: usize,
-        coll: Arc<Collective>,
+        coll: Collective,
         stats: Arc<NetStats>,
         cost: CostModel,
         breakdown: Arc<Mutex<SimBreakdown>>,
@@ -125,15 +126,15 @@ mod tests {
 
     #[test]
     fn sync_advances_all_clocks_to_max_plus_costs() {
-        let n = 3;
-        let coll = Arc::new(Collective::new(n));
         let stats = Arc::new(NetStats::new());
         let breakdown = Arc::new(Mutex::new(SimBreakdown::default()));
         let cost = CostModel::paper_cluster();
         let clocks: Vec<f64> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|me| {
-                    let coll = coll.clone();
+            let handles: Vec<_> = lazygraph_cluster::build_mesh::<u8>(3)
+                .into_iter()
+                .map(|leg| {
+                    let me = leg.me();
+                    let coll = Collective::mesh(leg);
                     let stats = stats.clone();
                     let breakdown = breakdown.clone();
                     s.spawn(move || {
@@ -171,7 +172,7 @@ mod tests {
 
     #[test]
     fn pure_barrier_charges_no_comm() {
-        let coll = Arc::new(Collective::new(1));
+        let coll = Collective::new(1);
         let stats = Arc::new(NetStats::new());
         let breakdown = Arc::new(Mutex::new(SimBreakdown::default()));
         let cost = CostModel::paper_cluster();

@@ -1022,7 +1022,7 @@ pub fn checkpoint_at_barrier<P: VertexProgram, M>(
         .ok_or_else(|| fail("refused", &format_args!("{} has no snapshot tag", engine.name())))?;
     let coll = &f.bsp.coll;
     let data_round = f.port.ep.next_round();
-    let ctrl_round = coll.next_round();
+    let ctrl_round = coll.next_round(f.me)?;
     let header = SnapshotHeader {
         engine: tag,
         iterations: f.iterations,
@@ -1037,8 +1037,7 @@ pub fn checkpoint_at_barrier<P: VertexProgram, M>(
     f.stats.record_snapshot_bytes(bytes);
     coll.barrier(f.me, &f.stats)?;
     f.port.ep.prune_log(data_round, &f.stats);
-    coll.prune_log(ctrl_round, &f.stats);
-    Ok(())
+    coll.prune_log(f.me, ctrl_round, &f.stats)
 }
 
 #[cfg(test)]

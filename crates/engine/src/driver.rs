@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use lazygraph_cluster::{Collective, CommError, NetStats};
+use lazygraph_cluster::{CommError, NetStats};
 use lazygraph_graph::Graph;
 use lazygraph_partition::{partition_graph_with, DistributedGraph, MAX_MACHINES};
 use parking_lot::Mutex;
@@ -83,7 +83,6 @@ pub fn run_on<P: VertexProgram>(
         shards: &dg.shards,
     };
     let shared = RunShared {
-        coll: Arc::new(Collective::new(dg.num_machines)),
         stats: stats.clone(),
         breakdown: breakdown.clone(),
         history: cfg.record_history.then(|| history.clone()),

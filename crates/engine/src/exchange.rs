@@ -293,7 +293,7 @@ impl<T: Wire + Send> Port<T> {
     /// Opens the barrier-free side of the port: batches travel out of
     /// band under `phase`, `clock` is the machine's clock, which the pump
     /// merges arrivals into and charges sends to under `cost`, and `coll`
-    /// is the run's collective, which carries the pump's vote.
+    /// is the machine's collective, which carries the pump's vote.
     pub fn pump<'a>(
         &'a mut self,
         clock: &'a mut SimClock,
@@ -799,8 +799,8 @@ mod tests {
         }
     }
 
-    /// The vote's law on both transports, with one shared collective and
-    /// with one mesh collective per machine: the run ends only once every
+    /// The vote's law on both transports, with one collective hosting
+    /// every machine's leg and with one per machine: the run ends only once every
     /// token has been absorbed, and a forward that lands on a machine
     /// already in the vote fails that vote instead of being lost.
     #[test]

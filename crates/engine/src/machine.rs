@@ -18,12 +18,13 @@
 //! followed, in the superstep that switches, by Async's.
 //!
 //! [`run_mesh_engine`] is the single place a machine loop is started: the
-//! in-process driver hands it every shard of the placement it holds, every
-//! endpoint of a threaded mesh, and a shared-memory [`Collective`]; a
-//! `lazygraph-worker` process hands it the one shard it loaded, the one
-//! endpoint it connected (or reconnected), and a mesh-backed collective.
-//! Every engine runs on either. Neither hands it a placement: a machine
-//! reads its own shard and the three scalars of a [`PlacementShape`].
+//! in-process driver hands it every shard of the placement it holds, with
+//! every leg of a threaded control mesh and data mesh; a
+//! `lazygraph-worker` process hands it the one shard it loaded, with the
+//! one leg of each mesh it connected (or reconnected). Either way a
+//! machine owns its legs and reduces over its own [`Collective`]. Every
+//! engine runs on either. Neither hands it a placement: a machine reads
+//! its own shard and the three scalars of a [`PlacementShape`].
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -259,21 +260,25 @@ pub fn assemble<P: VertexProgram>(
 }
 
 /// One machine this process runs: its rank, its shard — one of a
-/// placement the process holds, or the only one a worker loaded — its leg
-/// of the data mesh, and its checkpoint/resume configuration.
+/// placement the process holds, or the only one a worker loaded — its legs
+/// of the control mesh (its collective) and of the data mesh, and its
+/// checkpoint/resume configuration. The machine owns both legs: when it
+/// ends, or fails, they close.
 pub struct Seat<'a, T> {
     pub me: usize,
     pub shard: &'a LocalShard,
+    pub ctrl: Endpoint<u8>,
     pub ep: Endpoint<T>,
     pub recovery: RecoveryCfg,
 }
 
-/// How a process joins a run's data mesh. The mesh's item type is only
-/// known once [`run_mesh_engine`] has picked the engine, so joining is a
-/// generic method rather than a ready-made endpoint list.
+/// How a process joins a run's two meshes. The data mesh's item type is
+/// only known once [`run_mesh_engine`] has picked the engine, so joining
+/// is a generic method rather than a ready-made endpoint list.
 pub trait Attach<'a> {
-    /// Builds (or connects) the data mesh typed `T` and returns the seats
-    /// this process runs.
+    /// Builds (or connects) the control mesh, then the data mesh typed
+    /// `T` — the protocol's order — and returns the seats this process
+    /// runs.
     fn attach<T: Wire + Send + 'static>(
         self,
         stats: &Arc<NetStats>,
@@ -281,8 +286,8 @@ pub trait Attach<'a> {
 }
 
 /// Every machine of the run as a thread of this process — one per shard
-/// of a placement the process holds — on a freshly built mesh of the
-/// given transport; no checkpointing.
+/// of a placement the process holds — on a freshly built control mesh and
+/// data mesh of the given transport; no checkpointing.
 pub struct ThreadedMesh<'a> {
     pub transport: TransportKind,
     pub shards: &'a [LocalShard],
@@ -293,14 +298,18 @@ impl<'a> Attach<'a> for ThreadedMesh<'a> {
         self,
         stats: &Arc<NetStats>,
     ) -> Result<Vec<Seat<'a, T>>, CommError> {
-        let endpoints = build_endpoints::<T>(self.transport, self.shards.len(), stats)?;
-        Ok(endpoints
+        let n = self.shards.len();
+        let ctrl = build_endpoints::<u8>(self.transport, n, stats)?;
+        let data = build_endpoints::<T>(self.transport, n, stats)?;
+        Ok(ctrl
             .into_iter()
+            .zip(data)
             .zip(self.shards)
             .enumerate()
-            .map(|(me, (ep, shard))| Seat {
+            .map(|(me, ((ctrl, ep), shard))| Seat {
                 me,
                 shard,
+                ctrl,
                 ep,
                 recovery: RecoveryCfg::default(),
             })
@@ -311,7 +320,6 @@ impl<'a> Attach<'a> for ThreadedMesh<'a> {
 /// The run-wide handles every machine of a process shares.
 #[derive(Clone)]
 pub struct RunShared {
-    pub coll: Arc<Collective>,
     pub stats: Arc<NetStats>,
     pub breakdown: Arc<Mutex<SimBreakdown>>,
     pub history: Option<History>,
@@ -371,6 +379,7 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
     let Seat {
         me,
         shard,
+        ctrl,
         ep,
         mut recovery,
     } = seat;
@@ -386,7 +395,7 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
         clock: SimClock::new(),
         bsp: BspSync::new(
             me,
-            shared.coll,
+            Collective::mesh(ctrl),
             shared.stats.clone(),
             cfg.cost,
             shared.breakdown,

@@ -26,9 +26,9 @@ use parking_lot::Mutex;
 use lazygraph::multiproc::{load_shard, Shipped, WorkerJob};
 use lazygraph_algorithms::Visitor;
 use lazygraph_cluster::{
-    connect_tcp_endpoint, reconnect_tcp_endpoint, Collective, CommError, NetStats,
+    connect_tcp_endpoint, reconnect_tcp_endpoint, CommError, Endpoint, NetStats,
 };
-use lazygraph_engine::checkpoint::{CheckpointError, RecoveryCfg, SnapshotStore};
+use lazygraph_engine::checkpoint::{CheckpointError, RecoveryCfg, SnapshotHeader, SnapshotStore};
 use lazygraph_engine::{run_mesh_engine, Attach, RunShared, Seat, SimBreakdown};
 use lazygraph_net::{TcpOptions, Wire};
 use lazygraph_partition::LocalShard;
@@ -110,19 +110,38 @@ fn parse_addrs(addrs: &[String]) -> Result<Vec<SocketAddr>, String> {
         .collect()
 }
 
-/// This worker's seat: the shard it loaded and its leg of the data mesh,
-/// connected fresh, or — for a resumed worker — reconnected at the
-/// snapshot's data-round watermark (no snapshot, crashed before the first
-/// checkpoint, means a fresh start at watermark 0; peers still hold their
-/// full replay logs in that case, because log pruning only ever happens at
-/// a completed checkpoint barrier).
+/// This worker's seat: the shard it loaded and its legs of the control
+/// and data meshes, connected fresh, or — for a resumed worker —
+/// reconnected at the snapshot's two round watermarks (no snapshot,
+/// crashed before the first checkpoint, means a fresh start at watermark
+/// 0; peers still hold their full replay logs in that case, because log
+/// pruning only ever happens at a completed checkpoint barrier).
 struct WorkerSeat<'a> {
     me: usize,
     shard: &'a LocalShard,
-    addrs: &'a [SocketAddr],
+    ctrl_addrs: &'a [SocketAddr],
+    data_addrs: &'a [SocketAddr],
     opts: &'a TcpOptions,
     resume: bool,
     recovery: RecoveryCfg,
+}
+
+impl WorkerSeat<'_> {
+    /// This worker's leg of the mesh at `addrs`; a resumed worker rejoins
+    /// it at the round `watermark` reads off the snapshot header.
+    fn join<T: Wire + Send + 'static>(
+        &self,
+        addrs: &[SocketAddr],
+        watermark: impl Fn(&SnapshotHeader) -> u64,
+        stats: &Arc<NetStats>,
+    ) -> Result<Endpoint<T>, CommError> {
+        if self.resume {
+            let round = self.recovery.resume.as_ref().map_or(0, |s| watermark(s.header()));
+            reconnect_tcp_endpoint::<T>(self.me, addrs, round, stats, self.opts)
+        } else {
+            connect_tcp_endpoint::<T>(self.me, addrs, stats, self.opts)
+        }
+    }
 }
 
 impl<'a> Attach<'a> for WorkerSeat<'a> {
@@ -130,15 +149,14 @@ impl<'a> Attach<'a> for WorkerSeat<'a> {
         self,
         stats: &Arc<NetStats>,
     ) -> Result<Vec<Seat<'a, T>>, CommError> {
-        let ep = if self.resume {
-            let round = self.recovery.resume.as_ref().map_or(0, |s| s.header().data_round);
-            reconnect_tcp_endpoint::<T>(self.me, self.addrs, round, stats, self.opts)
-        } else {
-            connect_tcp_endpoint::<T>(self.me, self.addrs, stats, self.opts)
-        }?;
+        // Mesh establishment order is part of the protocol: every worker
+        // joins the control mesh first, then the engine-typed data mesh.
+        let ctrl = self.join::<u8>(self.ctrl_addrs, |h| h.ctrl_round, stats)?;
+        let ep = self.join::<T>(self.data_addrs, |h| h.data_round, stats)?;
         Ok(vec![Seat {
             me: self.me,
             shard: self.shard,
+            ctrl,
             ep,
             recovery: self.recovery,
         }])
@@ -191,20 +209,11 @@ fn run_worker<P: Shipped>(job: &WorkerJob, args: Args, program: P) -> Result<(),
     } else {
         None
     };
-    let ctrl_round = snapshot.as_ref().map_or(0, |s| s.header().ctrl_round);
-
-    // Mesh establishment order is part of the protocol: every worker
-    // joins the control mesh first, then the engine-typed data mesh.
-    let ctrl_ep = if args.resume {
-        reconnect_tcp_endpoint::<u8>(me, &ctrl_addrs, ctrl_round, &stats, &opts)
-    } else {
-        connect_tcp_endpoint::<u8>(me, &ctrl_addrs, &stats, &opts)
-    }
-    .map_err(|e| format!("control mesh: {e}"))?;
     let seat = WorkerSeat {
         me,
         shard: &shard,
-        addrs: &data_addrs,
+        ctrl_addrs: &ctrl_addrs,
+        data_addrs: &data_addrs,
         opts: &opts,
         resume: args.resume,
         recovery: RecoveryCfg {
@@ -214,7 +223,6 @@ fn run_worker<P: Shipped>(job: &WorkerJob, args: Args, program: P) -> Result<(),
         },
     };
     let shared = RunShared {
-        coll: Arc::new(Collective::mesh(ctrl_ep)),
         stats: stats.clone(),
         breakdown: breakdown.clone(),
         history: None,
@@ -223,9 +231,6 @@ fn run_worker<P: Shipped>(job: &WorkerJob, args: Args, program: P) -> Result<(),
         .map_err(|e| format!("{} machine {me}: {e}", cfg.engine.name()))?
         .pop()
         .ok_or("the engine returned no machine outcome")?;
-    // Tear the control mesh down too (its Shutdown frames flushed and
-    // counted) before the stats snapshot below is taken.
-    drop(shared);
     if std::env::var_os("LAZYGRAPH_MP_DEBUG").is_some() {
         eprintln!(
             "worker {me}: iters={} converged={} counters={:?}",
@@ -234,8 +239,8 @@ fn run_worker<P: Shipped>(job: &WorkerJob, args: Args, program: P) -> Result<(),
     }
 
     // Result file layout: MachineOut ++ StatsSnapshot ++ SimBreakdown.
-    // The snapshot is taken after both meshes closed: every frame this
-    // worker sent, its Shutdown frames included, is counted.
+    // The machine loop has returned, so both of its legs are closed: every
+    // frame this worker sent, its Shutdown frames included, is counted.
     let mut result = Vec::new();
     out.encode(&mut result);
     stats.snapshot().encode(&mut result);

@@ -568,10 +568,12 @@ fn resuming_from_another_engines_snapshot_fails_the_run() {
             self,
             stats: &Arc<NetStats>,
         ) -> Result<Vec<Seat<'a, T>>, CommError> {
+            let ctrl = build_endpoints::<u8>(TransportKind::InProc, 1, stats)?.remove(0);
             let ep = build_endpoints::<T>(TransportKind::InProc, 1, stats)?.remove(0);
             Ok(vec![Seat {
                 me: 0,
                 shard: self.1,
+                ctrl,
                 ep,
                 recovery: RecoveryCfg {
                     every: 0,
@@ -592,7 +594,6 @@ fn resuming_from_another_engines_snapshot_fails_the_run() {
         let cfg = EngineConfig::lazygraph().with_engine(engine).with_threads(1);
         let dg = partition_graph(&g, 1, cfg.partition, &cfg.splitter, false);
         let shared = RunShared {
-            coll: Arc::new(Collective::new(1)),
             stats: Arc::new(NetStats::new()),
             breakdown: Default::default(),
             history: None,
@@ -643,11 +644,12 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
     let dg = partition_graph(g, machines, cfg.partition, &cfg.splitter, cfg.bidirectional);
     let shape = dg.shape();
     let stats = Arc::new(NetStats::new());
-    let coll = Arc::new(Collective::new(machines));
+    let ctrl =
+        build_endpoints::<u8>(TransportKind::InProc, machines, &stats).expect("control mesh");
     let endpoints = build_endpoints::<(u32, S::Msg)>(TransportKind::InProc, machines, &stats)
         .expect("in-process mesh");
-    let seats: Vec<_> = endpoints.into_iter().zip(&dg.shards).enumerate().collect();
-    let seen = try_run_machines(seats, |(me, (ep, shard))| -> Result<Seen, CommError> {
+    let seats: Vec<_> = ctrl.into_iter().zip(endpoints).zip(&dg.shards).enumerate().collect();
+    let seen = try_run_machines(seats, |(me, ((ctrl, ep), shard))| -> Result<Seen, CommError> {
         let init = || MachineState::init(shard, program, S::INIT, shape.num_global_vertices);
         let initial = init();
         let mut f = Frame {
@@ -660,7 +662,13 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
             pctx: ParallelCtx::new(cfg.parallel(machines)).expect("spawn pool"),
             state: init(),
             clock: SimClock::new(),
-            bsp: BspSync::new(me, coll.clone(), stats.clone(), cfg.cost, Default::default()),
+            bsp: BspSync::new(
+                me,
+                Collective::mesh(ctrl),
+                stats.clone(),
+                cfg.cost,
+                Default::default(),
+            ),
             port: Port::new(ep, stats.clone()),
             stats: stats.clone(),
             iterations: 0,

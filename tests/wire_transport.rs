@@ -29,7 +29,7 @@ use std::sync::Arc;
 use lazygraph::multiproc::{run_multiprocess, MpOptions, MultiprocError, Shipped};
 use lazygraph::prelude::*;
 use lazygraph_algorithms::PageRankData;
-use lazygraph_cluster::{connect_tcp_endpoint, Collective, NetStats};
+use lazygraph_cluster::{connect_tcp_endpoint, NetStats};
 use lazygraph_engine::{
     place, run_mesh_engine, Attach, CommError, RecoveryCfg, RunShared, Seat, TransportKind,
 };
@@ -304,6 +304,10 @@ fn threaded_tcp_matches_inproc_bitwise() {
                 "sssp on {} diverged across transports",
                 engine.name()
             );
+            // Both routes reduce over a control mesh, so they count the
+            // same syncs and the same batches of every phase.
+            assert_eq!(a.metrics.global_syncs(), b.metrics.global_syncs(), "{}", engine.name());
+            assert_eq!(a.metrics.stats.per_phase, b.metrics.stats.per_phase, "{}", engine.name());
         } else {
             assert_eq!(
                 format!("{:?}", a.values),
@@ -343,8 +347,18 @@ fn worker_bin() -> &'static std::path::Path {
     std::path::Path::new(env!("CARGO_BIN_EXE_lazygraph-worker"))
 }
 
+/// What every route counts alike, because every route reduces over the
+/// same control-mesh round and a control round is not payload: global
+/// syncs, traffic, and the cost model's estimate per phase.
+fn counted(m: &lazygraph_engine::RunMetrics) -> (u64, u64, Vec<u64>) {
+    let per_phase = m.stats.per_phase.iter().map(|p| p.est_bytes).collect();
+    (m.global_syncs(), m.traffic_bytes(), per_phase)
+}
+
 /// Four real OS processes over loopback TCP must reproduce the in-proc
-/// run bitwise: values, iterations, convergence, and simulated time.
+/// run bitwise: values, iterations, convergence, simulated time, and
+/// what the run counted. Four threads over loopback TCP send the same
+/// frames the four processes do, control frames included.
 #[test]
 fn multiprocess_pagerank_matches_inproc_bitwise() {
     let g = test_graph();
@@ -358,6 +372,12 @@ fn multiprocess_pagerank_matches_inproc_bitwise() {
         let (mp, launch) =
             run_multiprocess(&g, machines, &base, &program, worker_bin(), &MpOptions::default())
                 .expect("multiprocess");
+        assert_eq!(counted(&inproc.metrics), counted(&mp.metrics), "{}", engine.name());
+        let tcp = run(&g, machines, &base.clone().with_transport(TransportKind::Tcp), &program)
+            .expect("threaded tcp");
+        let frames =
+            |m: &lazygraph_engine::RunMetrics| (m.stats.wire_frames_sent, m.stats.wire_bytes_sent);
+        assert_eq!(frames(&tcp.metrics), frames(&mp.metrics), "{}", engine.name());
 
         assert_eq!(
             format!("{:?}", inproc.values),
@@ -404,6 +424,7 @@ fn multiprocess_sssp_matches_inproc_bitwise() {
             "sssp values diverged on {}",
             engine.name()
         );
+        assert_eq!(counted(&inproc.metrics), counted(&mp.metrics), "{}", engine.name());
         assert_eq!(inproc.metrics.iterations, mp.metrics.iterations, "{}", engine.name());
         assert_eq!(
             inproc.metrics.sim_time.to_bits(),
@@ -507,12 +528,13 @@ fn loopback_addrs(n: usize) -> Vec<std::net::SocketAddr> {
     listeners.iter().map(|l| l.local_addr().expect("reserved address")).collect()
 }
 
-/// One machine of a worker-shaped run: its own shard and its own leg of
-/// the data mesh.
+/// One machine of a worker-shaped run: its own shard and its own legs of
+/// the control and data meshes.
 struct OwnSeat<'a> {
     me: usize,
     shard: &'a lazygraph_partition::LocalShard,
-    addrs: &'a [std::net::SocketAddr],
+    ctrl: &'a [std::net::SocketAddr],
+    data: &'a [std::net::SocketAddr],
 }
 
 impl<'a> Attach<'a> for OwnSeat<'a> {
@@ -520,10 +542,13 @@ impl<'a> Attach<'a> for OwnSeat<'a> {
         self,
         stats: &Arc<NetStats>,
     ) -> Result<Vec<Seat<'a, T>>, CommError> {
-        let ep = connect_tcp_endpoint::<T>(self.me, self.addrs, stats, &TcpOptions::default())?;
+        let opts = TcpOptions::default();
+        let ctrl = connect_tcp_endpoint::<u8>(self.me, self.ctrl, stats, &opts)?;
+        let ep = connect_tcp_endpoint::<T>(self.me, self.data, stats, &opts)?;
         Ok(vec![Seat {
             me: self.me,
             shard: self.shard,
+            ctrl,
             ep,
             recovery: RecoveryCfg::default(),
         }])
@@ -531,9 +556,9 @@ impl<'a> Attach<'a> for OwnSeat<'a> {
 }
 
 /// What replaced the typed refusal this test used to pin: a run shaped
-/// like a worker gang, with each machine on a thread of its own holding
-/// one `Collective::mesh` and its own data-mesh leg, so the machines share
-/// no memory, runs every barrier-free engine to the in-process values.
+/// like a worker gang, with each machine on a thread of its own connecting
+/// its own legs of the control and data meshes, so the machines share no
+/// memory, runs every barrier-free engine to the in-process values.
 #[test]
 fn barrier_free_engines_without_a_detector_fail_typed() {
     let g = test_graph();
@@ -558,16 +583,12 @@ fn barrier_free_engines_without_a_detector_fail_typed() {
                 .map(|(me, shard)| {
                     let (cfg, shape, program) = (&cfg, &shape, &program);
                     s.spawn(move || {
-                        let stats = Arc::new(NetStats::new());
-                        let opts = TcpOptions::default();
-                        let ctrl_ep = connect_tcp_endpoint::<u8>(me, ctrl, &stats, &opts)?;
                         let shared = RunShared {
-                            coll: Arc::new(Collective::mesh(ctrl_ep)),
-                            stats,
+                            stats: Arc::new(NetStats::new()),
                             breakdown: Default::default(),
                             history: None,
                         };
-                        let seat = OwnSeat { me, shard, addrs: data };
+                        let seat = OwnSeat { me, shard, ctrl, data };
                         let mut outs = run_mesh_engine(shape, cfg, program, seat, &shared)?;
                         outs.pop().ok_or(CommError::MeshClosed { me })
                     })

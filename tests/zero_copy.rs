@@ -287,7 +287,7 @@ fn malformed_item_region_fails_the_run() {
     use lazygraph_engine::{run, EngineConfig, EngineKind, TransportKind};
     use lazygraph_graph::generators::{rmat, RmatConfig};
     // Dense enough that both machines receive items in the same round, so
-    // both fail in it (nobody is left waiting at a shared-memory barrier).
+    // both fail in it, on the item they could not decode.
     let g = {
         let g = rmat(RmatConfig::graph500(7, 6, 5));
         let mut b = lazygraph_graph::GraphBuilder::new(g.num_vertices());
@@ -306,4 +306,55 @@ fn malformed_item_region_fails_the_run() {
             "{engine:?}: a malformed item must fail the run, got {failed:?}"
         );
     }
+}
+
+/// One machine alone receives a malformed item, so one machine fails and
+/// its peer goes on to the next barrier. The failed machine's legs close
+/// with it, and the peer's barrier round must fail typed instead of
+/// waiting for it forever. The run goes behind a deadline, so a hang is a
+/// failure of this test, not a stuck suite.
+#[test]
+fn one_failing_machine_does_not_strand_its_peer_at_a_barrier() {
+    use lazygraph_engine::{place, run, CommError, EngineConfig, EngineKind, TransportKind};
+    use std::time::Duration;
+    // A star: the hub is the one vertex with edges on both machines, so
+    // it is the one replica with a mirror. A Sync superstep applies it at
+    // its master and broadcasts the update — a malformed item — to the
+    // mirror's machine only.
+    let g = {
+        let mut b = lazygraph_graph::GraphBuilder::new(64);
+        b.extend((1..64u32).map(|leaf| lazygraph_graph::Edge::new(0u32, leaf)));
+        b.symmetrize();
+        b.build()
+    };
+    let cfg = EngineConfig::lazygraph()
+        .with_engine(EngineKind::PowerGraphSync)
+        .with_threads(1)
+        .with_transport(TransportKind::Tcp);
+    let dg = place(&g, 2, &cfg).expect("placement");
+    let replicated: Vec<usize> = dg
+        .shards
+        .iter()
+        .map(|s| {
+            let masters = (0..s.num_local() as u32).filter(|&l| s.is_master[l as usize]);
+            masters.filter(|&l| !s.mirrors(l).is_empty()).count()
+        })
+        .collect();
+    let with_mirror = replicated.iter().sum::<usize>();
+    assert_eq!(with_mirror, 1, "masters with a mirror, per machine: {replicated:?}");
+
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(run(&g, 2, &cfg, &MinLabel).map(|r| r.metrics.converged));
+    });
+    let failed = outcome
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the run hung: a peer still waits for the machine that failed");
+    assert!(
+        matches!(
+            failed,
+            Err(CommError::Transport { .. } | CommError::MeshClosed { .. })
+        ),
+        "a malformed item on one machine must fail the run typed, got {failed:?}"
+    );
 }
