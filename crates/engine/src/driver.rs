@@ -1,12 +1,16 @@
 //! The run driver: partitions the user-view graph, spins up the simulated
 //! cluster, runs the configured engine on it, and assembles metrics.
 
+use std::io;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
 use lazygraph_cluster::{CommError, NetStats};
 use lazygraph_graph::Graph;
-use lazygraph_partition::{partition_graph_with, DistributedGraph, MAX_MACHINES};
+use lazygraph_partition::{
+    partition_graph_to_files, partition_graph_with, DistributedGraph, ShardFiles, MAX_MACHINES,
+};
 use parking_lot::Mutex;
 
 use crate::config::EngineConfig;
@@ -30,12 +34,7 @@ pub fn place(
     num_machines: usize,
     cfg: &EngineConfig,
 ) -> Result<DistributedGraph, CommError> {
-    if !(1..=MAX_MACHINES).contains(&num_machines) {
-        return Err(CommError::MachineCount {
-            got: num_machines,
-            max: MAX_MACHINES,
-        });
-    }
+    check_machine_count(num_machines)?;
     Ok(partition_graph_with(
         graph,
         num_machines,
@@ -44,6 +43,39 @@ pub fn place(
         &cfg.hub_fanout,
         cfg.bidirectional,
     ))
+}
+
+/// [`place`] with machine `m`'s shard streamed into the file `path(m)` as
+/// it is placed, instead of held: the multiprocess launcher's placement
+/// (DESIGN.md §10). The outer error refuses the machine count as `place`
+/// does, before anything is written; the inner one is the file system's.
+pub fn place_files(
+    graph: &Graph,
+    num_machines: usize,
+    cfg: &EngineConfig,
+    path: impl Fn(usize) -> PathBuf,
+) -> Result<io::Result<ShardFiles>, CommError> {
+    check_machine_count(num_machines)?;
+    Ok(partition_graph_to_files(
+        graph,
+        num_machines,
+        cfg.partition,
+        &cfg.splitter,
+        &cfg.hub_fanout,
+        cfg.bidirectional,
+        path,
+    ))
+}
+
+fn check_machine_count(num_machines: usize) -> Result<(), CommError> {
+    if (1..=MAX_MACHINES).contains(&num_machines) {
+        Ok(())
+    } else {
+        Err(CommError::MachineCount {
+            got: num_machines,
+            max: MAX_MACHINES,
+        })
+    }
 }
 
 /// Partitions `graph` over `num_machines` per `cfg` and runs `program` on

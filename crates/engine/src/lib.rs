@@ -63,7 +63,7 @@ pub use config::{
 };
 pub use scheduler::{EpochPlan, PriorityBuckets};
 pub use parallel::{ParallelConfig, ParallelCtx};
-pub use driver::{place, run, run_on, RunResult};
+pub use driver::{place, place_files, run, run_on, RunResult};
 pub use lazygraph_cluster::{CommError, TransportKind};
 pub use interval::{IntervalModel, StageProgress};
 pub use machine::{

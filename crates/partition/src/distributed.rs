@@ -8,13 +8,19 @@
 //! needed (Fig. 7(b)) — the dispatch therefore runs to a fixpoint, since
 //! created replicas can enlarge the required set of other parallel edges.
 
+use std::convert::Infallible;
+use std::io;
+use std::path::PathBuf;
+
 use lazygraph_graph::{Graph, MachineId, VertexId};
 use lazygraph_net::wire_record;
 
 use crate::edge_split::SplitPlan;
 use crate::replication::{bit, machines_of, MachineMask, Replication};
+use file::ShardFile;
 
 mod codec;
+mod file;
 
 /// Transmission mode of a stored local edge (§3.3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -208,8 +214,9 @@ fn required_machines(
     }
 }
 
-/// The final lengths of one shard's arrays, counted before any is filled so
-/// that each is allocated once.
+/// The final lengths of one shard's arrays, counted before any is filled:
+/// in memory each array is allocated once, and in a shard file every
+/// array's byte offset is known before its first byte is written.
 #[derive(Clone, Copy, Default)]
 struct ShardSize {
     locals: usize,
@@ -218,6 +225,38 @@ struct ShardSize {
     /// Mirror-list entries over all locals.
     mirrors: usize,
     edges: usize,
+}
+
+/// A vertex's user-view degrees, which every replica of it records.
+#[derive(Clone, Copy)]
+struct Degrees {
+    out: u32,
+    inward: u32,
+    total: u32,
+}
+
+/// Where the placement walk puts one shard: a [`LocalShard`] in memory,
+/// or the shard's file ([`file::ShardFile`]). The walk hands a sink its
+/// locals ascending by gid, then its rows in the same order, so every
+/// array of the shard only ever grows at its end.
+trait ShardSink {
+    type Error;
+
+    /// Appends the next local, a replica of `v`: routes `v` to it and
+    /// records its master, the other machines holding `v` and its degrees.
+    fn push_vertex(
+        &mut self,
+        v: VertexId,
+        master: MachineId,
+        others: MachineMask,
+        degrees: Degrees,
+    ) -> Result<(), Self::Error>;
+
+    /// Appends an edge of the row being filled; `dst` is a local here.
+    fn push_edge(&mut self, dst: VertexId, weight: f32, parallel: bool) -> Result<(), Self::Error>;
+
+    /// Closes the row being filled.
+    fn close_row(&mut self) -> Result<(), Self::Error>;
 }
 
 impl LocalShard {
@@ -246,33 +285,59 @@ impl LocalShard {
             out_parallel: Vec::with_capacity(size.edges),
         }
     }
+}
 
-    /// Appends an edge of the row being filled.
-    fn push_edge(&mut self, dst: VertexId, weight: f32, parallel: bool) {
+impl ShardSink for LocalShard {
+    type Error = Infallible;
+
+    fn push_vertex(
+        &mut self,
+        v: VertexId,
+        master: MachineId,
+        others: MachineMask,
+        degrees: Degrees,
+    ) -> Result<(), Infallible> {
+        let l = self.globals.len() as u32;
+        self.route[v.index()] = l;
+        self.globals.push(v);
+        self.is_master.push(master == self.machine);
+        self.master_of.push(master);
+        if others != 0 {
+            self.replicated.push(l);
+            self.mirror_machines.extend(machines_of(others));
+        }
+        self.mirror_offsets.push(self.mirror_machines.len() as u32);
+        self.global_out_degree.push(degrees.out);
+        self.global_in_degree.push(degrees.inward);
+        self.global_degree.push(degrees.total);
+        Ok(())
+    }
+
+    fn push_edge(&mut self, dst: VertexId, weight: f32, parallel: bool) -> Result<(), Infallible> {
         self.out_targets.push(self.route[dst.index()]);
         self.out_weights.push(weight);
         self.out_parallel.push(parallel);
+        Ok(())
+    }
+
+    fn close_row(&mut self) -> Result<(), Infallible> {
+        self.out_offsets.push(self.out_targets.len() as u32);
+        Ok(())
     }
 }
 
-/// Builds the distributed graph from a one-edge assignment and a split
-/// plan. `bidirectional` selects the dispatch rule variant (§4.1 element 3):
-/// set it for algorithms that propagate against edge direction too (CC,
-/// k-core on symmetrised graphs still work with `false` since both
-/// directions exist as edges; `true` matches the paper's stricter rule).
-///
-/// Two walks over the graph's rows and nothing edge-sized in between: the
-/// first ORs every one-edge placement into its endpoints' replica masks,
-/// the second appends every edge to the arrays of the shards that store it.
-/// Rows ascend and a shard's local ids ascend with them, so what a shard
-/// receives is already its CSR (DESIGN.md §18).
-pub fn build_distributed(
+/// The first walk over the graph's rows and what it settles before any
+/// shard exists: every vertex's replica set and master, and every shard's
+/// array lengths. It ORs every one-edge placement into its endpoints'
+/// replica masks, then runs the dispatch fix-point along the (few)
+/// parallel edges.
+fn replicate(
     graph: &Graph,
     assignment: &[MachineId],
     num_machines: usize,
     plan: &SplitPlan,
     bidirectional: bool,
-) -> DistributedGraph {
+) -> (Replication, Vec<ShardSize>) {
     assert_eq!(assignment.len(), graph.num_edges());
     assert_eq!(plan.is_parallel.len(), graph.num_edges());
     let n = graph.num_vertices();
@@ -318,7 +383,6 @@ pub fn build_distributed(
     }
     drop(parallel_edges);
 
-    // --- Shard assembly. ------------------------------------------------
     for v in 0..n {
         let others = replication.num_replicas(v) - 1;
         for m in replication.replicas(v) {
@@ -328,52 +392,80 @@ pub fn build_distributed(
             size.mirrors += others;
         }
     }
+    (replication, sizes)
+}
+
+/// The second walk: hands every shard's sink its locals, then every edge
+/// it stores. Per-vertex entries and the route tables come first, since an
+/// edge's target is translated through its shard's table whichever row it
+/// sits in. Rows ascend and a shard's local ids ascend with them, so what
+/// a sink receives is already its CSR (DESIGN.md §18).
+fn fill<S: ShardSink>(
+    graph: &Graph,
+    assignment: &[MachineId],
+    plan: &SplitPlan,
+    replication: &Replication,
+    bidirectional: bool,
+    sinks: &mut [S],
+) -> Result<(), S::Error> {
+    for v in graph.vertices() {
+        let mask = replication.mask(v.index());
+        let master = replication.masters[v.index()];
+        let degrees = Degrees {
+            out: graph.out_degree(v) as u32,
+            inward: graph.in_degree(v) as u32,
+            total: graph.degree(v) as u32,
+        };
+        for m in machines_of(mask) {
+            sinks[m.index()].push_vertex(v, master, mask & !bit(m), degrees)?;
+        }
+    }
+    let out = graph.out_csr();
+    for src in graph.vertices() {
+        let edges = out.range(src).zip(out.neighbors(src)).zip(out.weights(src));
+        for ((idx, &dst), &w) in edges {
+            if plan.is_parallel[idx] {
+                for m in machines_of(required_machines(replication, src, dst, bidirectional)) {
+                    sinks[m.index()].push_edge(dst, w, true)?;
+                }
+            } else {
+                sinks[assignment[idx].index()].push_edge(dst, w, false)?;
+            }
+        }
+        // Close the row on every shard that holds `src`.
+        for m in replication.replicas(src.index()) {
+            sinks[m.index()].close_row()?;
+        }
+    }
+    Ok(())
+}
+
+/// Builds the distributed graph from a one-edge assignment and a split
+/// plan. `bidirectional` selects the dispatch rule variant (§4.1 element 3):
+/// set it for algorithms that propagate against edge direction too (CC,
+/// k-core on symmetrised graphs still work with `false` since both
+/// directions exist as edges; `true` matches the paper's stricter rule).
+///
+/// Two walks over the graph's rows and nothing edge-sized in between: the
+/// first ORs every one-edge placement into its endpoints' replica masks,
+/// the second appends every edge to the arrays of the shards that store it.
+/// Rows ascend and a shard's local ids ascend with them, so what a shard
+/// receives is already its CSR (DESIGN.md §18).
+pub fn build_distributed(
+    graph: &Graph,
+    assignment: &[MachineId],
+    num_machines: usize,
+    plan: &SplitPlan,
+    bidirectional: bool,
+) -> DistributedGraph {
+    let (replication, sizes) = replicate(graph, assignment, num_machines, plan, bidirectional);
+    let n = graph.num_vertices();
     let mut shards: Vec<LocalShard> = sizes
         .iter()
         .enumerate()
         .map(|(m, &size)| LocalShard::reserved(m, n, size))
         .collect();
-    // Per-vertex arrays and the route tables first: an edge's target is
-    // translated through its shard's table, whichever row it sits in.
-    for v in graph.vertices() {
-        let mask = replication.mask(v.index());
-        let master = replication.masters[v.index()];
-        for m in machines_of(mask) {
-            let shard = &mut shards[m.index()];
-            let l = shard.globals.len() as u32;
-            shard.route[v.index()] = l;
-            shard.globals.push(v);
-            shard.is_master.push(master == m);
-            shard.master_of.push(master);
-            let others = mask & !bit(m);
-            if others != 0 {
-                shard.replicated.push(l);
-                shard.mirror_machines.extend(machines_of(others));
-            }
-            let mirrors_end = shard.mirror_machines.len() as u32;
-            shard.mirror_offsets.push(mirrors_end);
-            shard.global_out_degree.push(graph.out_degree(v) as u32);
-            shard.global_in_degree.push(graph.in_degree(v) as u32);
-            shard.global_degree.push(graph.degree(v) as u32);
-        }
-    }
-    for src in graph.vertices() {
-        let edges = out.range(src).zip(out.neighbors(src)).zip(out.weights(src));
-        for ((idx, &dst), &w) in edges {
-            if plan.is_parallel[idx] {
-                for m in machines_of(required_machines(&replication, src, dst, bidirectional)) {
-                    shards[m.index()].push_edge(dst, w, true);
-                }
-            } else {
-                shards[assignment[idx].index()].push_edge(dst, w, false);
-            }
-        }
-        // Close the row on every shard that holds `src`.
-        for m in replication.replicas(src.index()) {
-            let shard = &mut shards[m.index()];
-            shard.out_offsets.push(shard.out_targets.len() as u32);
-        }
-    }
+    let Ok(()) = fill(graph, assignment, plan, &replication, bidirectional, &mut shards);
     let total_stored = shards.iter().map(LocalShard::num_local_edges).sum();
 
     DistributedGraph {
@@ -386,6 +478,57 @@ pub fn build_distributed(
         total_stored_edges: total_stored,
         ev_ratio: graph.ev_ratio(),
     }
+}
+
+/// What a placement streamed into shard files leaves its caller: the
+/// three scalars every machine reads of it, its λ, the master table, and
+/// each file's size. No shard.
+#[derive(Clone, Debug)]
+pub struct ShardFiles {
+    pub shape: PlacementShape,
+    /// The replication factor λ (splitter-created replicas included).
+    pub lambda: f64,
+    /// The machine holding each vertex's master replica, indexed by gid.
+    pub masters: Vec<MachineId>,
+    /// Each shard file's size in bytes, indexed by machine.
+    pub bytes: Vec<u64>,
+}
+
+/// [`build_distributed`] into files: the same two walks, but machine
+/// `m`'s shard goes to the file `path(m)` as it is placed — byte for byte
+/// `build_distributed(..).shards[m].to_wire()` — instead of into memory.
+/// The second walk still visits every row once and fills all N files as it
+/// goes. Besides its arguments it holds the replica masks, one route table
+/// per shard (4 B per vertex) and a small buffer per array of each file;
+/// no placed shard exists at any point (DESIGN.md §10). On an error the
+/// files already created are left for the caller to remove.
+pub fn write_shard_files(
+    graph: &Graph,
+    assignment: &[MachineId],
+    num_machines: usize,
+    plan: &SplitPlan,
+    bidirectional: bool,
+    path: impl Fn(usize) -> PathBuf,
+) -> io::Result<ShardFiles> {
+    let (replication, sizes) = replicate(graph, assignment, num_machines, plan, bidirectional);
+    let n = graph.num_vertices();
+    let mut files = sizes
+        .iter()
+        .enumerate()
+        .map(|(m, &size)| ShardFile::create(&path(m), MachineId::from(m), size, n))
+        .collect::<io::Result<Vec<_>>>()?;
+    fill(graph, assignment, plan, &replication, bidirectional, &mut files)?;
+    let bytes = files.into_iter().map(ShardFile::finish).collect::<io::Result<_>>()?;
+    Ok(ShardFiles {
+        shape: PlacementShape {
+            num_machines,
+            num_global_vertices: n,
+            ev_ratio: graph.ev_ratio(),
+        },
+        lambda: replication.lambda(),
+        masters: replication.masters,
+        bytes,
+    })
 }
 
 /// Exhaustive structural validation against the source graph; used by tests

@@ -1,19 +1,106 @@
 //! The shard file: [`LocalShard`] on the [`Wire`] codec (DESIGN.md §10).
 //!
 //! A shard crosses a process boundary as its own flat arrays in
-//! declaration order, each a `u32` count followed by fixed-width
+//! [`SECTIONS`] order, each a `u32` count followed by fixed-width
 //! little-endian elements — nothing per global edge, nothing another
-//! machine owns. The bytes come from a file, so decode trusts none of
-//! them: a count is checked against the bytes actually present before
-//! anything is reserved for it, and [`LocalShard::validate`] re-establishes
-//! every condition the engine indexes by before the shard is handed out.
-//! [`LocalShard::check_fits`] then ties a decoded shard to the run it was
-//! loaded for.
+//! machine owns. [`Section`] is the one declaration of that layout: the
+//! encoder below writes the sections in its order, and a shard streamed
+//! into its file as it is placed (`super::file`) writes each at the offset
+//! the sections before it add up to. The bytes come from a file, so
+//! decode trusts none of them: a count is checked against the bytes
+//! actually present before anything is reserved for it, and
+//! [`LocalShard::validate`] re-establishes every condition the engine
+//! indexes by before the shard is handed out. [`LocalShard::check_fits`]
+//! then ties a decoded shard to the run it was loaded for.
 
 use lazygraph_graph::{MachineId, VertexId};
 use lazygraph_net::{NetError, Wire, WireReader};
 
-use super::{LocalShard, PlacementShape, NO_LOCAL};
+use super::{LocalShard, PlacementShape, ShardSize, NO_LOCAL};
+
+/// One array of the shard file. The file is the machine id
+/// ([`HEADER_BYTES`]), then one section per array in [`SECTIONS`] order:
+/// a `u32` count and that many fixed-width elements — except `Mirrors`, a
+/// count of lists and then one counted list of `u16` machine ids per
+/// local (the layout from when a shard held one box per local).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum Section {
+    Globals,
+    Route,
+    IsMaster,
+    MasterOf,
+    Mirrors,
+    Replicated,
+    GlobalOutDegree,
+    GlobalInDegree,
+    GlobalDegree,
+    OutOffsets,
+    OutTargets,
+    OutWeights,
+    OutParallel,
+}
+
+/// The sections in file order, which is their declaration order: a
+/// section's discriminant is its index here.
+pub(super) const SECTIONS: [Section; 13] = [
+    Section::Globals,
+    Section::Route,
+    Section::IsMaster,
+    Section::MasterOf,
+    Section::Mirrors,
+    Section::Replicated,
+    Section::GlobalOutDegree,
+    Section::GlobalInDegree,
+    Section::GlobalDegree,
+    Section::OutOffsets,
+    Section::OutTargets,
+    Section::OutWeights,
+    Section::OutParallel,
+];
+
+const _: () = {
+    let mut i = 0;
+    while i < SECTIONS.len() {
+        assert!(SECTIONS[i] as usize == i, "SECTIONS must list the sections in declaration order");
+        i += 1;
+    }
+};
+
+/// Bytes ahead of the first section: the machine id.
+pub(super) const HEADER_BYTES: u64 = 2;
+
+impl Section {
+    /// The section's count word in a shard of `size` placed over
+    /// `num_global` vertices: its elements, or for `Mirrors` its lists.
+    pub(super) fn count(self, size: &ShardSize, num_global: usize) -> usize {
+        match self {
+            Section::Route => num_global,
+            Section::Replicated => size.replicated,
+            Section::OutOffsets => size.locals + 1,
+            Section::OutTargets | Section::OutWeights | Section::OutParallel => size.edges,
+            Section::Globals
+            | Section::IsMaster
+            | Section::MasterOf
+            | Section::Mirrors
+            | Section::GlobalOutDegree
+            | Section::GlobalInDegree
+            | Section::GlobalDegree => size.locals,
+        }
+    }
+
+    /// The section's length in bytes, count word included.
+    pub(super) fn bytes(self, size: &ShardSize, num_global: usize) -> u64 {
+        let width = match self {
+            Section::IsMaster | Section::OutParallel => 1,
+            Section::MasterOf => 2,
+            _ => 4,
+        };
+        // Each list's own count word is the width above; its entries are
+        // machine ids.
+        let entries = if self == Section::Mirrors { 2 * size.mirrors } else { 0 };
+        (4 + width * self.count(size, num_global) + entries) as u64
+    }
+}
 
 fn put_array<T: Wire>(out: &mut Vec<u8>, items: impl ExactSizeIterator<Item = T>) {
     (items.len() as u32).encode(out);
@@ -83,26 +170,34 @@ impl Wire for LocalShard {
             out_parallel,
         } = self;
         machine.0.encode(out);
-        put_array(out, globals.iter().map(|v| v.0));
-        put_array(out, route.iter().copied());
-        is_master.encode(out);
-        put_array(out, master_of.iter().map(|m| m.0));
-        // The file keeps one counted list per local (the layout it had when
-        // a shard held one box per local); memory keeps them flat.
-        ((mirror_offsets.len() - 1) as u32).encode(out);
-        for l in 0..mirror_offsets.len() - 1 {
-            put_array(out, self.mirrors(l as u32).iter().map(|m| m.0));
+        for section in SECTIONS {
+            match section {
+                Section::Globals => put_array(out, globals.iter().map(|v| v.0)),
+                Section::Route => put_array(out, route.iter().copied()),
+                Section::IsMaster => is_master.encode(out),
+                Section::MasterOf => put_array(out, master_of.iter().map(|m| m.0)),
+                // The file keeps one counted list per local; memory keeps
+                // them flat.
+                Section::Mirrors => {
+                    ((mirror_offsets.len() - 1) as u32).encode(out);
+                    for l in 0..mirror_offsets.len() - 1 {
+                        put_array(out, self.mirrors(l as u32).iter().map(|m| m.0));
+                    }
+                }
+                Section::Replicated => replicated.encode(out),
+                Section::GlobalOutDegree => global_out_degree.encode(out),
+                Section::GlobalInDegree => global_in_degree.encode(out),
+                Section::GlobalDegree => global_degree.encode(out),
+                Section::OutOffsets => out_offsets.encode(out),
+                Section::OutTargets => out_targets.encode(out),
+                Section::OutWeights => out_weights.encode(out),
+                Section::OutParallel => out_parallel.encode(out),
+            }
         }
-        replicated.encode(out);
-        global_out_degree.encode(out);
-        global_in_degree.encode(out);
-        global_degree.encode(out);
-        out_offsets.encode(out);
-        out_targets.encode(out);
-        out_weights.encode(out);
-        out_parallel.encode(out);
     }
 
+    /// Reads the sections in [`SECTIONS`] order (the shard codec tests
+    /// hold the round trip byte for byte).
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
         let machine = machine_id(r)?;
         let globals = array(r, 4, |r| u32::decode(r).map(VertexId))?;

@@ -26,8 +26,8 @@ pub mod replication;
 pub mod vertex_cut;
 
 pub use distributed::{
-    build_distributed, validate_distributed, DistributedGraph, EdgeMode, LocalShard,
-    PlacementShape, NO_LOCAL,
+    build_distributed, validate_distributed, write_shard_files, DistributedGraph, EdgeMode,
+    LocalShard, PlacementShape, ShardFiles, NO_LOCAL,
 };
 pub use edge_split::{apply_hub_fanout, plan_split, HubFanoutConfig, SplitPlan, SplitterConfig};
 pub use replication::{Replication, MAX_MACHINES};
@@ -35,7 +35,10 @@ pub use vertex_cut::{
     load_imbalance, CoordinatedCut, GridCut, HybridCut, PartitionStrategy, Partitioner, RandomCut,
 };
 
-use lazygraph_graph::Graph;
+use std::io;
+use std::path::PathBuf;
+
+use lazygraph_graph::{Graph, MachineId};
 
 /// One-call convenience: partition `graph` over `num_machines` with
 /// `strategy`, apply `splitter`, and build the distributed graph.
@@ -68,10 +71,36 @@ pub fn partition_graph_with(
     hub_fanout: &HubFanoutConfig,
     bidirectional: bool,
 ) -> DistributedGraph {
+    let (assignment, plan) = assign_and_plan(graph, num_machines, strategy, splitter, hub_fanout);
+    build_distributed(graph, &assignment, num_machines, &plan, bidirectional)
+}
+
+/// [`partition_graph_with`] with machine `m`'s shard streamed into the
+/// file `path(m)` as it is placed, instead of held ([`write_shard_files`]).
+pub fn partition_graph_to_files(
+    graph: &Graph,
+    num_machines: usize,
+    strategy: PartitionStrategy,
+    splitter: &SplitterConfig,
+    hub_fanout: &HubFanoutConfig,
+    bidirectional: bool,
+    path: impl Fn(usize) -> PathBuf,
+) -> io::Result<ShardFiles> {
+    let (assignment, plan) = assign_and_plan(graph, num_machines, strategy, splitter, hub_fanout);
+    write_shard_files(graph, &assignment, num_machines, &plan, bidirectional, path)
+}
+
+/// The cut with the hub fan-out applied, and the split plan.
+fn assign_and_plan(
+    graph: &Graph,
+    num_machines: usize,
+    strategy: PartitionStrategy,
+    splitter: &SplitterConfig,
+    hub_fanout: &HubFanoutConfig,
+) -> (Vec<MachineId>, SplitPlan) {
     let mut assignment = strategy.assign(graph, num_machines);
     apply_hub_fanout(graph, &mut assignment, num_machines, hub_fanout);
-    let plan = plan_split(graph, num_machines, splitter);
-    build_distributed(graph, &assignment, num_machines, &plan, bidirectional)
+    (assignment, plan_split(graph, num_machines, splitter))
 }
 
 /// Max/mean machine-load ratio in permille from per-machine edge counts

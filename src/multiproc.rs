@@ -2,22 +2,25 @@
 //! one engine round-trip across N **separate OS processes** connected by
 //! the framed-TCP mesh over loopback.
 //!
-//! The launcher places the graph **once**, then writes two kinds of file
-//! into the run's scratch directory: `job.bin`, a [`WorkerJob`] — the
-//! [`EngineConfig`], the socket addresses of both meshes and the three
-//! scalars of the placement's shape, a few hundred bytes whatever the
-//! graph — and one `shard-<rank>.bin` per machine, that machine's
+//! The launcher places the graph **once**, straight into the run's
+//! scratch directory: one `shard-<rank>.bin` per machine, that machine's
 //! `LocalShard` on the `Wire` codec (floats as exact IEEE-754 bit
-//! patterns). It spawns N `lazygraph-worker` processes, each of which
-//! reads the job and *its own* shard file and nothing else of the graph,
-//! and collects each worker's Wire-encoded result file: its per-machine
-//! outcome, its `NetStats` snapshot (with *measured* frame bytes, since
-//! every exchange crossed a real socket), and its simulated time
-//! breakdown. The shards are files rather than a stream because a
+//! patterns), streamed into its file as the placement walks — the
+//! launcher never holds a placed shard. Beside them goes `job.bin`, a
+//! [`WorkerJob`]: the [`EngineConfig`], the socket addresses of both
+//! meshes and the three scalars of the placement's shape, a few hundred
+//! bytes whatever the graph. It spawns N `lazygraph-worker` processes,
+//! each of which reads the job and *its own* shard file and nothing else
+//! of the graph, and collects each worker's Wire-encoded result file: its
+//! per-machine outcome, its `NetStats` snapshot (with *measured* frame
+//! bytes, since every exchange crossed a real socket), and its simulated
+//! time breakdown. The shards are files rather than a stream because a
 //! respawned worker reads the same shard again: nothing a run does changes
 //! a shard, so a restart is that file plus the worker's latest snapshot
-//! (DESIGN.md §12). The launcher folds the results with the in-process
-//! driver's own epilogue, so both routes return one `RunResult`.
+//! (DESIGN.md §12). Of the placement the launcher keeps its shape, its λ
+//! and its master table; it holds each worker's result to that table,
+//! then folds the results with the in-process driver's own epilogue, so
+//! both routes return one `RunResult`.
 //!
 //! Two meshes per run: a control mesh (`Endpoint<u8>`) backing the
 //! mesh-based [`Collective`] (barriers/allreduce), and a data mesh typed
@@ -47,12 +50,12 @@ pub use lazygraph_algorithms::{AlgoSpec, Shipped};
 pub use lazygraph_cluster::FailPoint;
 use lazygraph_cluster::{CommError, StatsSnapshot};
 use lazygraph_engine::{
-    assemble, place, snapshot_tag, EngineConfig, EngineKind, MachineOut, Measured, RunResult,
+    assemble, place_files, snapshot_tag, EngineConfig, EngineKind, MachineOut, Measured, RunResult,
     SimBreakdown,
 };
-use lazygraph_graph::Graph;
+use lazygraph_graph::{Graph, MachineId};
 use lazygraph_net::{wire_record, NetError, Wire, WireReader};
-use lazygraph_partition::{LocalShard, PlacementShape};
+use lazygraph_partition::{LocalShard, PlacementShape, ShardFiles};
 
 /// Everything one worker process needs to run its machine except its
 /// shard: the engine configuration, the two mesh address lists and the
@@ -204,7 +207,9 @@ pub struct LaunchReport {
     pub job_bytes: u64,
     /// Size of each machine's shard file, indexed by machine.
     pub shard_bytes: Vec<u64>,
-    /// How long the launcher's one placement took.
+    /// How long the launcher's one placement took, shard file writes
+    /// included: the placement streams every shard into its file as it
+    /// walks, so the two are one span.
     pub partition_time: Duration,
     /// Each worker's own counters, indexed by machine (the result's
     /// `metrics.stats` is their merge).
@@ -290,15 +295,53 @@ pub fn run_multiprocess<P: Shipped>(
     opts: &MpOptions,
 ) -> Result<(RunResult<P>, LaunchReport), MultiprocError> {
     check_recovery(cfg.engine, opts.checkpoint_every, opts.rejoin_window_ms)?;
+    let seq = LAUNCH_SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!(
+        "lazygraph-mp-{}-{seq}",
+        std::process::id()
+    ));
+    launch_from(&dir, graph, num_machines, cfg, program, worker_bin, opts)
+}
+
+/// The launch in scratch directory `dir`, which it creates and always
+/// removes, whatever the outcome.
+fn launch_from<P: Shipped>(
+    dir: &Path,
+    graph: &Graph,
+    num_machines: usize,
+    cfg: &EngineConfig,
+    program: &P,
+    worker_bin: &Path,
+    opts: &MpOptions,
+) -> Result<(RunResult<P>, LaunchReport), MultiprocError> {
+    let outcome = std::fs::create_dir_all(dir)
+        .map_err(|e| io_err("creating scratch dir", e))
+        .and_then(|()| launch_in(dir, graph, num_machines, cfg, program, worker_bin, opts));
+    let _ = std::fs::remove_dir_all(dir); // best-effort cleanup
+    outcome
+}
+
+/// Places the graph straight into one shard file per machine in `dir`,
+/// writes `job.bin` beside them, runs the gang on them and folds its
+/// results. Of the placement the launcher keeps only its shape, its λ
+/// and its master table.
+fn launch_in<P: Shipped>(
+    dir: &Path,
+    graph: &Graph,
+    num_machines: usize,
+    cfg: &EngineConfig,
+    program: &P,
+    worker_bin: &Path,
+    opts: &MpOptions,
+) -> Result<(RunResult<P>, LaunchReport), MultiprocError> {
+    let job_path = dir.join("job.bin");
     let started = Instant::now();
-    // Only the shards outlive this block; the placement's replica table
-    // is the launcher's to drop.
-    let (shape, lambda, shards) = {
-        let dg = place(graph, num_machines, cfg).map_err(MultiprocError::Config)?;
-        (dg.shape(), dg.lambda(), dg.shards)
-    };
-    let n = shape.num_machines;
+    let placed = place_files(graph, num_machines, cfg, |me| shard_path(&job_path, me))
+        .map_err(MultiprocError::Config)?
+        .map_err(|e| io_err("writing shard files", e))?;
     let partition_time = started.elapsed();
+    let ShardFiles { shape, lambda, masters, bytes: shard_bytes } = placed;
+    let n = shape.num_machines;
     // Both meshes' ports out of one reservation: two would each release
     // their listeners, and the second could be handed a port of the first
     // (one launch in a thousand, and the gang then fails at its handshakes).
@@ -322,55 +365,29 @@ pub fn run_multiprocess<P: Shipped>(
             opts.rejoin_window_ms
         },
     };
-
-    let seq = LAUNCH_SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "lazygraph-mp-{}-{seq}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).map_err(|e| io_err("creating scratch dir", e))?;
     if job.checkpoint_every > 0 {
         let ckpt = dir.join("ckpt");
         std::fs::create_dir_all(&ckpt).map_err(|e| io_err("creating checkpoint dir", e))?;
         job.checkpoint_dir = ckpt.to_string_lossy().into_owned();
     }
-    let outcome = ship(&dir, &job, shards).and_then(|(job_bytes, shard_bytes)| {
-        let launched = Instant::now();
-        let result_files = launch_in(&dir, &job, worker_bin, opts)?;
-        let (result, per_worker_stats) =
-            assemble_result(&job, program, lambda, launched, result_files)?;
-        let report = LaunchReport { job_bytes, shard_bytes, partition_time, per_worker_stats };
-        Ok((result, report))
-    });
-    let _ = std::fs::remove_dir_all(&dir); // best-effort cleanup
-    outcome
+    let job_file = job.to_wire();
+    std::fs::write(&job_path, &job_file).map_err(|e| io_err("writing job file", e))?;
+
+    let launched = Instant::now();
+    let result_files = supervise(dir, &job, worker_bin, opts)?;
+    let (result, per_worker_stats) =
+        assemble_result(&job, program, lambda, &masters, launched, result_files)?;
+    let report = LaunchReport {
+        job_bytes: job_file.len() as u64,
+        shard_bytes,
+        partition_time,
+        per_worker_stats,
+    };
+    Ok((result, report))
 }
 
-/// Writes `job.bin` and, consuming the placement one shard at a time
-/// through one reused buffer, each machine's shard file beside it. Returns
-/// the job file's size and every shard file's.
-fn ship(
-    dir: &Path,
-    job: &WorkerJob,
-    shards: Vec<LocalShard>,
-) -> Result<(u64, Vec<u64>), MultiprocError> {
-    let job_path = dir.join("job.bin");
-    let mut buf = job.to_wire();
-    std::fs::write(&job_path, &buf).map_err(|e| io_err("writing job file", e))?;
-    let job_bytes = buf.len() as u64;
-    let mut shard_bytes = Vec::with_capacity(shards.len());
-    for (me, shard) in shards.into_iter().enumerate() {
-        buf.clear();
-        shard.encode(&mut buf);
-        std::fs::write(shard_path(&job_path, me), &buf)
-            .map_err(|e| io_err("writing shard file", e))?;
-        shard_bytes.push(buf.len() as u64);
-    }
-    Ok((job_bytes, shard_bytes))
-}
-
-/// The other end of [`ship`]: reads machine `me`'s shard file from beside
-/// the job file, decodes it and checks it is that machine's part of a
+/// The worker's end of the launcher's placement: reads machine `me`'s shard
+/// file from beside the job file, decodes it and checks it is that machine's part of a
 /// placement of `shape`. The file bytes are gone when this returns.
 pub fn load_shard(
     job_path: &Path,
@@ -427,11 +444,11 @@ fn spawn_worker(
     cmd.spawn()
 }
 
-/// Spawns the workers on the files [`ship`] wrote, supervises them to
+/// Spawns the workers on the files in `dir`, supervises them to
 /// completion (respawning crashed ones with `--resume` while
 /// `opts.respawn_budget` lasts and checkpointing is on), and returns the
 /// raw result bytes per machine.
-fn launch_in(
+fn supervise(
     dir: &Path,
     job: &WorkerJob,
     worker_bin: &Path,
@@ -569,12 +586,15 @@ fn launch_in(
 }
 
 /// Decodes every worker's result file (`MachineOut ++ StatsSnapshot ++
-/// SimBreakdown`) and folds the machine outcomes through the in-process
-/// driver's own epilogue. Returns each worker's own counters beside it.
+/// SimBreakdown`), checks the master values it carries against the
+/// placement's master table, and folds the machine outcomes through the
+/// in-process driver's own epilogue. Returns each worker's own counters
+/// beside it.
 fn assemble_result<P: Shipped>(
     job: &WorkerJob,
     program: &P,
     lambda: f64,
+    masters: &[MachineId],
     launched: Instant,
     result_files: Vec<Vec<u8>>,
 ) -> Result<(RunResult<P>, Vec<StatsSnapshot>), MultiprocError> {
@@ -582,18 +602,27 @@ fn assemble_result<P: Shipped>(
     let mut per_worker_stats = Vec::with_capacity(result_files.len());
     let mut merged = StatsSnapshot::default();
     let mut breakdown = SimBreakdown::default();
+    let mut sent = vec![false; masters.len()];
     for (me, bytes) in result_files.iter().enumerate() {
         let mut r = WireReader::new(bytes);
         let fail = |e: NetError| MultiprocError::Decode(format!("worker {me} result: {e}"));
-        outs.push(MachineOut::<P>::decode(&mut r).map_err(fail)?);
+        let out = MachineOut::<P>::decode(&mut r).map_err(fail)?;
         let stats = StatsSnapshot::decode(&mut r).map_err(fail)?;
         let bd = SimBreakdown::decode(&mut r).map_err(fail)?;
         r.finish().map_err(fail)?;
+        check_masters(me, out.masters.iter().map(|&(gid, _)| gid), masters, &mut sent)?;
         if me == 0 {
             breakdown = bd; // worker 0 is the only recorder
         }
+        outs.push(out);
         merged.merge(&stats);
         per_worker_stats.push(stats);
+    }
+    if let Some(gid) = sent.iter().position(|&s| !s) {
+        return Err(MultiprocError::Decode(format!(
+            "worker {} result: no value for vertex {gid}, whose master it holds",
+            masters[gid]
+        )));
     }
     let measured = Measured {
         lambda,
@@ -606,9 +635,36 @@ fn assemble_result<P: Shipped>(
     Ok((result, per_worker_stats))
 }
 
+/// Holds the gids of worker `me`'s master values to the master table: each
+/// is a vertex of the graph whose master is `me`, sent once. `sent` marks
+/// the vertices seen so far, over all workers.
+fn check_masters(
+    me: usize,
+    gids: impl Iterator<Item = u32>,
+    masters: &[MachineId],
+    sent: &mut [bool],
+) -> Result<(), MultiprocError> {
+    for gid in gids {
+        let refused = match masters.get(gid as usize) {
+            None => format!("is not one of the graph's {} vertices", masters.len()),
+            Some(m) if m.index() != me => format!("has its master on worker {m}"),
+            Some(_) if sent[gid as usize] => "is sent twice".to_string(),
+            Some(_) => {
+                sent[gid as usize] = true;
+                continue;
+            }
+        };
+        return Err(MultiprocError::Decode(format!(
+            "worker {me} result: a value for vertex {gid}, which {refused}"
+        )));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lazygraph_algorithms::ConnectedComponents;
 
     fn job() -> WorkerJob {
         WorkerJob {
@@ -705,6 +761,89 @@ mod tests {
                 run_multiprocess(&g, n, &cfg, &sssp, Path::new("unused"), &MpOptions::default());
             assert!(matches!(launched, Err(MultiprocError::Config(e)) if e == refused), "{n}");
         }
+    }
+
+    /// The result file of a worker that sends `gids`' CC labels.
+    fn result_file(gids: &[u32]) -> Vec<u8> {
+        let out = MachineOut::<ConnectedComponents> {
+            masters: gids.iter().map(|&gid| (gid, gid)).collect(),
+            iterations: 3,
+            converged: true,
+            sim_time: 1.0,
+            counters: Default::default(),
+        };
+        let mut bytes = out.to_wire();
+        StatsSnapshot::default().encode(&mut bytes);
+        SimBreakdown::default().encode(&mut bytes);
+        bytes
+    }
+
+    /// A result file decodes from bytes a worker wrote, so the gids in it
+    /// are held to the launcher's master table before anything indexes by
+    /// them: out of range, sent twice, mastered elsewhere or missing is a
+    /// typed error naming the worker and the vertex, never a panic or a
+    /// silently overwritten value.
+    #[test]
+    fn a_result_file_is_held_to_the_master_table() {
+        // `job()`'s 7 vertices over its 3 machines.
+        let masters: Vec<MachineId> = [0, 1, 2, 0, 1, 2, 0].map(MachineId).to_vec();
+        let assembled = |files: [&[u32]; 3]| {
+            let files = files.map(result_file).to_vec();
+            assemble_result(&job(), &ConnectedComponents, 1.0, &masters, Instant::now(), files)
+                .map(|(result, _)| result.values)
+        };
+        let values = assembled([&[0, 3, 6], &[1, 4], &[2, 5]]).expect("every master once");
+        assert_eq!(values, (0..7).collect::<Vec<u32>>());
+        for (files, worker, gid, why) in [
+            ([&[0, 3, 6, 7][..], &[1, 4], &[2, 5]], 0, 7, "not one of the graph's 7 vertices"),
+            ([&[0, 3, 6, 3], &[1, 4], &[2, 5]], 0, 3, "sent twice"),
+            ([&[0, 3, 6], &[1, 4, 0], &[2, 5]], 1, 0, "master on worker 0"),
+            ([&[0, 3, 6], &[1, 4], &[2]], 2, 5, "no value"),
+        ] {
+            match assembled(files) {
+                Err(MultiprocError::Decode(detail)) => assert!(
+                    detail.starts_with(&format!("worker {worker} result: "))
+                        && detail.contains(&format!("vertex {gid},"))
+                        && detail.contains(why),
+                    "{detail}"
+                ),
+                Err(e) => panic!("expected a decode error, got {e}"),
+                Ok(_) => panic!("{files:?} assembled"),
+            }
+        }
+    }
+
+    /// A scratch path the launcher cannot write fails the launch as a typed
+    /// I/O error, whether the directory itself or a shard file in it cannot
+    /// be created, and leaves no scratch directory behind.
+    #[test]
+    fn an_unwritable_scratch_path_is_a_typed_io_error_and_leaves_nothing() {
+        let g = lazygraph_graph::Dataset::RoadNetCaLike.build(0.01);
+        let cfg = EngineConfig::lazygraph();
+        let sssp = lazygraph_algorithms::Sssp::new(0u32);
+        let root = std::env::temp_dir().join(format!("lazygraph-unwritable-{}", std::process::id()));
+        // A directory where shard 1's file belongs: no file can be created
+        // there, whoever runs the test.
+        let blocked = root.join("blocked");
+        std::fs::create_dir_all(blocked.join("shard-1.bin")).expect("scratch");
+        // A regular file where the scratch directory's parent belongs.
+        let file = root.join("a-file");
+        std::fs::write(&file, b"").expect("a file");
+        for (dir, stage) in [
+            (blocked, "writing shard files"),
+            (file.join("scratch"), "creating scratch dir"),
+        ] {
+            let launched =
+                launch_from(&dir, &g, 3, &cfg, &sssp, Path::new("unused"), &MpOptions::default());
+            match launched {
+                Err(MultiprocError::Io(detail)) => assert!(detail.starts_with(stage), "{detail}"),
+                Err(e) => panic!("expected an I/O error, got {e}"),
+                Ok(_) => panic!("{} was written", dir.display()),
+            }
+            assert!(!dir.exists(), "{} was left behind", dir.display());
+        }
+        assert!(file.is_file());
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

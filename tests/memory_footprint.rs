@@ -16,7 +16,9 @@
 //! vertices.
 //!
 //! The same allocator holds set-up to holding the graph once (DESIGN.md
-//! §18): see `assert_set_up_holds_the_graph_once` — and a checkpoint to one
+//! §18): see `assert_set_up_holds_the_graph_once` — the launcher's
+//! placement to no placed shard (DESIGN.md §10): see
+//! `assert_placement_streams_into_files` — and a checkpoint to one
 //! chunk buffer whatever the state's size (DESIGN.md §12): see
 //! `assert_checkpoints_stream_through_one_chunk`.
 
@@ -208,6 +210,51 @@ fn assert_set_up_holds_the_graph_once(g: &Graph) {
     );
 }
 
+/// The launcher's placement streams every shard into its file (DESIGN.md
+/// §10) instead of placing all of them in memory first. At the parent
+/// commit (`db3c888`) the launcher placed all four shards of this graph,
+/// then encoded them one at a time through one reused buffer: that peaked
+/// at 2 743 227 B beyond the graph, the assignment and the plan — 1.52×
+/// the 1 808 195 B of shard files it wrote. Streamed, it peaks at 706 922
+/// B (0.39×): the replica masks and the master table, one route table per
+/// shard, the dispatch fix-point's parallel-edge list and a buffer per
+/// array of each open file. Pinned at that sum, and under half the files.
+fn assert_placement_streams_into_files(g: &Graph) {
+    const MACHINES: usize = 4;
+    /// Per vertex: its replica mask, its master and its entry in each
+    /// shard's route table.
+    const PER_VERTEX: usize = size_of::<u128>() + size_of::<MachineId>() + 4 * MACHINES;
+    /// Per shard file: a write buffer for each of its 13 arrays, and slack.
+    const PER_FILE: usize = 128 << 10;
+
+    let cfg = EngineConfig::lazygraph();
+    let assignment = cfg.partition.assign(g, MACHINES);
+    let plan = lazygraph_partition::plan_split(g, MACHINES, &cfg.splitter);
+    assert!(plan.num_parallel() > 0, "the dispatch fix-point must be part of the figure");
+    let dir = std::env::temp_dir().join(format!("lazygraph-footprint-shards-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let (files, placed) = measure_call(|| {
+        let path = |m: usize| dir.join(format!("shard-{m}.bin"));
+        lazygraph_partition::write_shard_files(g, &assignment, MACHINES, &plan, false, path)
+    });
+    std::fs::remove_dir_all(&dir).ok();
+    let shard_bytes: u64 = files.expect("shard files").bytes.iter().sum();
+
+    let bound = PER_VERTEX * g.num_vertices()
+        + size_of::<(VertexId, VertexId)>() * plan.num_parallel()
+        + PER_FILE * MACHINES;
+    assert!(
+        placed.peak <= bound,
+        "placing into files peaked at {} B, over the {bound} B of replica state and buffers",
+        placed.peak
+    );
+    assert!(
+        2 * placed.peak < shard_bytes as usize,
+        "placing into files peaked at {} B for {shard_bytes} B of shard files",
+        placed.peak
+    );
+}
+
 /// A checkpoint costs one chunk buffer, not copies of the state (DESIGN.md
 /// §12). On this 202 500-vertex machine (a 13 567 500 B state; 9 112 719 B
 /// on disk as v7, 6 446 507 B as v8) the commit before the streaming codec
@@ -291,7 +338,9 @@ fn assert_checkpoints_stream_through_one_chunk() {
 #[test]
 fn run_heap_is_flat_and_steady_sweeps_reuse_their_buffers() {
     assert_checkpoints_stream_through_one_chunk();
-    assert_set_up_holds_the_graph_once(&rmat(RmatConfig::graph500(13, 16, 7)));
+    let set_up = rmat(RmatConfig::graph500(13, 16, 7));
+    assert_set_up_holds_the_graph_once(&set_up);
+    assert_placement_streams_into_files(&set_up);
     // Large enough that every machine's full sweep (≈ 131 k local edges)
     // is two scatter windows.
     let g = rmat(RmatConfig::graph500(15, 16, 7));
