@@ -16,6 +16,11 @@ pub struct Csr {
     weights: Vec<f32>,
 }
 
+/// A count/fill walk whose second run handed over other entries than its
+/// first counted ([`Csr::try_by_rows`]).
+#[derive(Debug)]
+pub(crate) struct WalkChanged;
+
 /// Turns per-row counts stored at `counts[row + 1]` into row offsets.
 fn prefix_sum(counts: &mut [u64]) {
     for i in 1..counts.len() {
@@ -48,32 +53,96 @@ impl Csr {
         )
     }
 
-    /// The CSR of `(row, target, weight)` entries, every row below
-    /// `num_rows`: rows counted, then each entry dropped into its row's
-    /// next slot, so a row keeps the order its entries arrive in.
+    /// The CSR of `(row, target, weight)` entries, every row and target
+    /// below `num_rows`: [`Csr::try_by_rows`] over a walk that a clone
+    /// replays.
+    #[expect(
+        clippy::panic,
+        reason = "a clone replays the entries of the iterator it was cloned from, and every \
+                  caller has checked them against `num_rows`"
+    )]
     fn by_rows(
         num_rows: usize,
         entries: impl ExactSizeIterator<Item = (VertexId, VertexId, f32)> + Clone,
     ) -> Self {
-        let mut offsets = vec![0u64; num_rows + 1];
-        for (row, ..) in entries.clone() {
-            offsets[row.index() + 1] += 1;
+        let built = Csr::try_by_rows(|sink| {
+            for (row, target, weight) in entries.clone() {
+                sink(row, target, weight);
+            }
+            Ok::<_, WalkChanged>(num_rows)
+        });
+        built.unwrap_or_else(|WalkChanged| panic!("a replayed walk over {num_rows} rows changed"))
+    }
+
+    /// The count/fill core every CSR is built by. `walk` hands each
+    /// `(row, target, weight)` entry to the sink it is given and returns
+    /// the number of rows, more than any row or target it handed over. It
+    /// runs twice and must hand over the same entries both times: the first
+    /// run counts each row's entries, the second drops each entry into its
+    /// row's next slot, so a row keeps the order its entries arrive in.
+    ///
+    /// An error of `walk`'s own is returned as it is. A second run that
+    /// hands over anything else than the first counted — a file rewritten
+    /// between two reads — is [`WalkChanged`], never a panic or a CSR that
+    /// breaks its invariants.
+    pub(crate) fn try_by_rows<E: From<WalkChanged>>(
+        mut walk: impl FnMut(&mut dyn FnMut(VertexId, VertexId, f32)) -> Result<usize, E>,
+    ) -> Result<Self, E> {
+        // Counts at `row + 1`, grown as rows appear: a loader learns how
+        // many rows there are only at the end of its first read.
+        let mut offsets: Vec<u64> = Vec::new();
+        let num_rows = walk(&mut |row, _, _| {
+            let at = row.index() + 1;
+            if at >= offsets.len() {
+                offsets.resize(at + 1, 0);
+            }
+            offsets[at] += 1;
+        })?;
+        if offsets.len() > num_rows + 1 {
+            return Err(WalkChanged.into());
         }
+        offsets.resize(num_rows + 1, 0);
+        offsets.shrink_to_fit();
         prefix_sum(&mut offsets);
+        let num_entries = offsets[num_rows] as usize;
         let mut cursor = offsets.clone();
-        let mut targets = vec![VertexId::default(); entries.len()];
-        let mut weights = vec![0.0f32; entries.len()];
-        for (row, target, weight) in entries {
-            let slot = &mut cursor[row.index()];
-            targets[*slot as usize] = target;
-            weights[*slot as usize] = weight;
-            *slot += 1;
+        let mut targets = vec![VertexId::default(); num_entries];
+        let mut weights = vec![0.0f32; num_entries];
+        let mut fits = true;
+        walk(&mut |row, target, weight| {
+            let Some(slot) = cursor.get_mut(row.index()) else {
+                fits = false;
+                return;
+            };
+            let at = *slot as usize;
+            if at < num_entries && target.index() < num_rows {
+                targets[at] = target;
+                weights[at] = weight;
+                *slot += 1;
+            } else {
+                fits = false;
+            }
+        })?;
+        // Every row filled to the count, and no further, leaves each
+        // cursor where the next row starts.
+        if !fits || cursor[..num_rows] != offsets[1..] {
+            return Err(WalkChanged.into());
         }
-        Csr {
+        Ok(Csr {
             offsets,
             targets,
             weights,
+        })
+    }
+
+    /// How many entries name each vertex as their target, in one pass
+    /// over `targets`: a graph's in-degrees, read off its forward CSR.
+    pub(crate) fn in_degrees(&self) -> Vec<u32> {
+        let mut counts = vec![0u32; self.num_vertices()];
+        for t in &self.targets {
+            counts[t.index()] += 1;
         }
+        counts
     }
 
     /// The build [`Csr::from_edges`] and [`Csr::transpose`] replaced — a
@@ -282,6 +351,39 @@ mod tests {
             b.sort();
             assert_eq!(a, b);
         }
+    }
+
+    /// A second run that differs from the counted one in any way — an
+    /// entry fewer or more, one moved to another row, a row or target past
+    /// the row count — is refused, not a panic or a broken CSR.
+    #[test]
+    fn a_changed_walk_is_refused() {
+        let counted = [(0, 1), (1, 0), (1, 2)];
+        let seconds: [&[(u32, u32)]; 6] = [
+            &counted,
+            &[(0, 1), (1, 0)],
+            &[(0, 1), (1, 0), (1, 2), (2, 0)],
+            &[(0, 1), (0, 0), (1, 2)],
+            &[(0, 1), (1, 0), (1, 3)],
+            &[(0, 1), (1, 0), (3, 2)],
+        ];
+        for (i, second) in seconds.into_iter().enumerate() {
+            let mut runs = 0;
+            let built = Csr::try_by_rows(|sink| {
+                let entries = if runs == 0 { &counted[..] } else { second };
+                runs += 1;
+                for &(row, target) in entries {
+                    sink(VertexId(row), VertexId(target), 1.0);
+                }
+                Ok::<_, WalkChanged>(3)
+            });
+            assert_eq!(built.is_ok(), i == 0, "{second:?}");
+        }
+        let past_its_rows = Csr::try_by_rows(|sink| {
+            sink(VertexId(3), VertexId(0), 1.0);
+            Ok::<_, WalkChanged>(3)
+        });
+        assert!(past_its_rows.is_err());
     }
 
     #[test]

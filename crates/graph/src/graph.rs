@@ -1,10 +1,12 @@
 //! The global (user-view) directed graph.
 //!
 //! In the paper's terms this is the graph "from a user view" (§2.2): the
-//! partitioner turns it into the per-machine system view. Both the forward
-//! and reverse CSR are kept so that degree queries — needed by the k-core
-//! initialiser, PageRank's out-degree scaling, and the edge splitter's
-//! selection criterion — are O(1).
+//! partitioner turns it into the per-machine system view. It keeps the
+//! forward CSR and each vertex's in-degree: every reader of the user view —
+//! the coordinated vertex-cut, the edge splitter's degree criterion (§4),
+//! the k-core initialiser, PageRank's out-degree scaling — walks edges
+//! forward and asks for degrees, so a reverse CSR (as large as the forward
+//! one) would be held for nothing.
 
 use crate::csr::Csr;
 use crate::types::{Edge, VertexId};
@@ -13,7 +15,7 @@ use crate::types::{Edge, VertexId};
 #[derive(Clone, Debug)]
 pub struct Graph {
     out: Csr,
-    inc: Csr,
+    in_degree: Vec<u32>,
     symmetric: bool,
 }
 
@@ -25,10 +27,10 @@ impl Graph {
     }
 
     pub(crate) fn from_csr(out: Csr, symmetric: bool) -> Self {
-        let inc = out.transpose();
+        let in_degree = out.in_degrees();
         Graph {
             out,
-            inc,
+            in_degree,
             symmetric,
         }
     }
@@ -71,7 +73,7 @@ impl Graph {
     /// In-degree of `v`.
     #[inline]
     pub fn in_degree(&self, v: VertexId) -> usize {
-        self.inc.degree(v)
+        self.in_degree[v.index()] as usize
     }
 
     /// Total degree (`in + out`) of `v` — the "degree" used by k-core and
@@ -85,12 +87,6 @@ impl Graph {
     #[inline]
     pub fn out_edges(&self, v: VertexId) -> impl Iterator<Item = (VertexId, f32)> + '_ {
         self.out.edges_of(v)
-    }
-
-    /// In-neighbours of `v` (sources of edges into `v`) with weights.
-    #[inline]
-    pub fn in_edges(&self, v: VertexId) -> impl Iterator<Item = (VertexId, f32)> + '_ {
-        self.inc.edges_of(v)
     }
 
     /// Iterates every directed edge in row order: ascending source, a
@@ -113,22 +109,12 @@ impl Graph {
         &self.out
     }
 
-    /// The reverse CSR.
-    #[inline]
-    pub fn in_csr(&self) -> &Csr {
-        &self.inc
-    }
-
-    /// Structural validation (CSR invariants on both directions, edge-count
-    /// agreement).
+    /// Structural validation: the forward CSR's invariants, and in-degrees
+    /// that count its targets.
     pub fn validate(&self) -> Result<(), String> {
         self.out.validate()?;
-        self.inc.validate()?;
-        if self.out.num_edges() != self.inc.num_edges() {
-            return Err("forward/reverse edge counts disagree".into());
-        }
-        if self.out.num_vertices() != self.inc.num_vertices() {
-            return Err("forward/reverse vertex counts disagree".into());
+        if self.in_degree != self.out.in_degrees() {
+            return Err("in-degrees disagree with the forward CSR".into());
         }
         Ok(())
     }
@@ -162,12 +148,12 @@ mod tests {
     }
 
     #[test]
-    fn in_edges_are_reverse_of_out() {
+    fn in_degrees_are_the_transpose_degrees() {
         let g = diamond();
-        let ins: Vec<_> = g.in_edges(VertexId(3)).map(|(s, _)| s).collect();
-        assert_eq!(ins.len(), 2);
-        assert!(ins.contains(&VertexId(1)));
-        assert!(ins.contains(&VertexId(2)));
+        let reverse = g.out_csr().transpose();
+        for v in g.vertices() {
+            assert_eq!(g.in_degree(v), reverse.degree(v), "{v:?}");
+        }
     }
 
     #[test]

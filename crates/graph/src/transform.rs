@@ -79,6 +79,9 @@ pub fn bfs_relabel(graph: &Graph) -> (Graph, Vec<VertexId>) {
         .vertices()
         .max_by_key(|&v| graph.degree(v))
         .unwrap_or(VertexId(0));
+    // Edges are undirected for visitation: a vertex's in-edges are its
+    // out-edges when the graph is symmetric, else its transposed row.
+    let reverse = (!graph.is_symmetric()).then(|| graph.out_csr().transpose());
     let mut order: Vec<u32> = Vec::with_capacity(n);
     let mut seen = vec![false; n];
     let mut frontier = vec![root];
@@ -87,8 +90,8 @@ pub fn bfs_relabel(graph: &Graph) -> (Graph, Vec<VertexId>) {
         let mut next = Vec::new();
         for v in frontier {
             order.push(v.0);
-            // Treat edges as undirected for visitation.
-            for (u, _) in graph.out_edges(v).chain(graph.in_edges(v)) {
+            let ins = reverse.iter().flat_map(|r| r.neighbors(v));
+            for &u in graph.out_csr().neighbors(v).iter().chain(ins) {
                 if !seen[u.index()] {
                     seen[u.index()] = true;
                     next.push(u);

@@ -63,11 +63,19 @@ fn csr_into(h: &mut Fnv, csr: &Csr) {
     }
 }
 
+/// The graph's flag, its forward CSR and the reverse CSR the `Graph` held
+/// when the digests were recorded. It keeps in-degrees now, so the
+/// reverse is the forward one's transpose, and each in-degree must be the
+/// degree of its row there.
 fn graph_digest(g: &Graph) -> u64 {
+    let reverse = g.out_csr().transpose();
+    for v in g.vertices() {
+        assert_eq!(g.in_degree(v), reverse.degree(v), "in-degree of {v:?}");
+    }
     let mut h = Fnv::new();
     h.word(u64::from(g.is_symmetric()));
     csr_into(&mut h, g.out_csr());
-    csr_into(&mut h, g.in_csr());
+    csr_into(&mut h, &reverse);
     h.0
 }
 

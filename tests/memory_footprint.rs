@@ -9,16 +9,19 @@
 //! started from and allocated 67–95 bytes per traversed edge. On the
 //! scale-15 R-MAT below, a PageRank run peaked at 2.33 (Sync) to 2.63×
 //! (lazy) while a sweep staged every edge it traversed before the first
-//! fold; with one scatter window staged at a time it peaks at 2.11–2.30×,
-//! and allocates 1.3 (lazy), 2.6 (delta) and 5.4 (Sync) bytes per
-//! traversed edge — what is left are the per-round decision lists of the
-//! exchange and of Sync's gather phase, which are sized by active
-//! vertices.
+//! fold; with one scatter window staged at a time it peaks at 2.11–2.30×
+//! (2.35–2.56× since the `Graph` the test holds lost its reverse CSR: the
+//! same peak over a smaller heap before the run), and allocates 1.3
+//! (lazy), 2.6 (delta) and 5.4 (Sync) bytes per traversed edge — what is
+//! left are the per-round decision lists of the exchange and of Sync's
+//! gather phase, which are sized by active vertices.
 //!
 //! The same allocator holds set-up to holding the graph once (DESIGN.md
 //! §18): see `assert_set_up_holds_the_graph_once` — the launcher's
 //! placement to no placed shard (DESIGN.md §10): see
-//! `assert_placement_streams_into_files` — and a checkpoint to one
+//! `assert_placement_streams_into_files` — the launcher's load and
+//! placement together to the forward CSR and what each stage adds (DESIGN.md
+//! §18): see `assert_the_launcher_holds_its_floor` — and a checkpoint to one
 //! chunk buffer whatever the state's size (DESIGN.md §12): see
 //! `assert_checkpoints_stream_through_one_chunk`.
 
@@ -69,8 +72,14 @@ static ALLOC: Counting = Counting;
 
 /// Peak live heap may reach this multiple of the live heap before the run
 /// (graph + shards): state arrays, outboxes and one scatter window's
-/// staging. Staging a whole sweep (2.59–2.63× for lazy and delta) fails it.
-const PEAK_FACTOR: f64 = 2.45;
+/// staging. It was 2.45 while the `Graph` held a reverse CSR (4 795 210 B
+/// of the 19 221 766 B before the lazy run), which staging a whole sweep
+/// (2.59–2.63× for lazy and delta) failed. Without it the same run peaks
+/// the same 22.5 MB over the same shards, but over 4.8 MB less graph
+/// (14.4 MB before it): 2.56× where it read 2.17×, and a whole sweep
+/// staged would read 3.12–3.17×. 2.9 is 41.8 MB on this graph, where 2.45
+/// allowed 47.1 MB.
+const PEAK_FACTOR: f64 = 2.9;
 
 /// Bytes a run may allocate per edge it traverses after its first two
 /// supersteps: one staged `(u32, f64)` item. A delivery path that
@@ -161,8 +170,9 @@ fn measure_call<T>(call: impl FnOnce() -> T) -> (T, SetUpCall) {
 ///
 /// - `load_edge_list` peaked at 7 044 208 B, 3.70× the `Graph` it returned
 ///   (a `String` per line, the `edges` vector, the builder's copy, the
-///   triples and both CSRs together) — now 1.24×: the edges once, then the
-///   forward CSR beside them, then the two CSRs;
+///   triples and both CSRs together) — 1.24× with the edges once, then the
+///   forward CSR beside them, then the two CSRs; now 1.04×, the forward
+///   CSR filled in place (see `assert_the_launcher_holds_its_floor`);
 /// - `build_distributed` held 3 089 185 B, 1.62× the input `Graph`, beyond
 ///   its own result (the edge triples, the per-shard edge tuples and one
 ///   `Vec<MachineId>` per vertex) — now under 1 KiB;
@@ -210,6 +220,15 @@ fn assert_set_up_holds_the_graph_once(g: &Graph) {
     );
 }
 
+/// Machines the launcher's placement is measured at.
+const MACHINES: usize = 4;
+/// What placing into files holds per vertex: its replica mask, its master
+/// and its entry in each shard's route table.
+const PER_VERTEX: usize = size_of::<u128>() + size_of::<MachineId>() + 4 * MACHINES;
+/// What placing into files holds per shard file: a write buffer for each
+/// of its 13 arrays, and slack.
+const PER_FILE: usize = 128 << 10;
+
 /// The launcher's placement streams every shard into its file (DESIGN.md
 /// §10) instead of placing all of them in memory first. At the parent
 /// commit (`db3c888`) the launcher placed all four shards of this graph,
@@ -220,13 +239,6 @@ fn assert_set_up_holds_the_graph_once(g: &Graph) {
 /// shard, the dispatch fix-point's parallel-edge list and a buffer per
 /// array of each open file. Pinned at that sum, and under half the files.
 fn assert_placement_streams_into_files(g: &Graph) {
-    const MACHINES: usize = 4;
-    /// Per vertex: its replica mask, its master and its entry in each
-    /// shard's route table.
-    const PER_VERTEX: usize = size_of::<u128>() + size_of::<MachineId>() + 4 * MACHINES;
-    /// Per shard file: a write buffer for each of its 13 arrays, and slack.
-    const PER_FILE: usize = 128 << 10;
-
     let cfg = EngineConfig::lazygraph();
     let assignment = cfg.partition.assign(g, MACHINES);
     let plan = lazygraph_partition::plan_split(g, MACHINES, &cfg.splitter);
@@ -252,6 +264,74 @@ fn assert_placement_streams_into_files(g: &Graph) {
         2 * placed.peak < shard_bytes as usize,
         "placing into files peaked at {} B for {shard_bytes} B of shard files",
         placed.peak
+    );
+}
+
+/// The multiprocess launcher's set-up holds the forward CSR and what each
+/// stage adds to it, never a reverse CSR or a staged edge list (DESIGN.md
+/// §18, "Two reads, one fill"). At the parent commit (`17e37a8`), on this
+/// graph (8 177 vertices and 110 879 edges once saved, a 952 456 B forward
+/// CSR):
+///
+/// - `load_edge_list` peaked at 2 356 695 B — the staged edge list (12 B an
+///   edge) beside the forward CSR, then both CSRs — where filling the CSR
+///   in place from two reads of the file peaks at 1 026 096 B: the CSR, a
+///   cursor per row and the reader's buffer. Pinned at the CSR plus 16 B a
+///   vertex.
+/// - load, cut, plan and the placement into shard files together peaked at
+///   2 943 957 B: both CSRs beside the assignment, the plan and the
+///   placement's replica state. Without the reverse CSR it is 2 024 209 B.
+///   Pinned at the forward CSR, the in-degrees, the assignment and the
+///   plan, plus the bound `assert_placement_streams_into_files` holds the
+///   placement to.
+fn assert_the_launcher_holds_its_floor(g: &Graph) {
+    let path = std::env::temp_dir().join(format!("lazygraph-footprint-floor-{}.el", std::process::id()));
+    lazygraph_graph::io::save_edge_list(g, &path).expect("save");
+    let cfg = EngineConfig::lazygraph();
+    let (loaded, load) = measure_call(|| lazygraph_graph::io::load_edge_list(&path, None));
+    let loaded = loaded.expect("load");
+    let (vertices, edges) = (loaded.num_vertices(), loaded.num_edges());
+    let parallel = lazygraph_partition::plan_split(&loaded, MACHINES, &cfg.splitter).num_parallel();
+    assert!(parallel > 0, "the dispatch fix-point must be part of the figure");
+    drop(loaded);
+    let csr = size_of::<u64>() * (vertices + 1) + (size_of::<VertexId>() + size_of::<f32>()) * edges;
+
+    let dir = std::env::temp_dir().join(format!("lazygraph-footprint-floor-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let (files, launcher) = measure_call(|| {
+        let g = lazygraph_graph::io::load_edge_list(&path, None).expect("load");
+        lazygraph_partition::partition_graph_to_files(
+            &g,
+            MACHINES,
+            cfg.partition,
+            &cfg.splitter,
+            &cfg.hub_fanout,
+            false,
+            |m| dir.join(format!("shard-{m}.bin")),
+        )
+    });
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
+    files.expect("shard files");
+
+    let load_bound = csr + 16 * vertices;
+    assert!(
+        load.peak <= load_bound,
+        "load_edge_list peaked at {} B, over the {csr} B forward CSR + 16 B a vertex",
+        load.peak
+    );
+    let in_degrees = size_of::<u32>() * vertices;
+    let assignment = size_of::<MachineId>() * edges;
+    let plan = size_of::<bool>() * edges;
+    let placement = PER_VERTEX * vertices
+        + size_of::<(VertexId, VertexId)>() * parallel
+        + PER_FILE * MACHINES;
+    let bound = csr + in_degrees + assignment + plan + placement;
+    assert!(
+        launcher.peak <= bound,
+        "load and placement into files peaked at {} B, over the {bound} B of the forward CSR, \
+         the in-degrees, the assignment, the plan and the placement's state",
+        launcher.peak
     );
 }
 
@@ -341,6 +421,7 @@ fn run_heap_is_flat_and_steady_sweeps_reuse_their_buffers() {
     let set_up = rmat(RmatConfig::graph500(13, 16, 7));
     assert_set_up_holds_the_graph_once(&set_up);
     assert_placement_streams_into_files(&set_up);
+    assert_the_launcher_holds_its_floor(&set_up);
     // Large enough that every machine's full sweep (≈ 131 k local edges)
     // is two scatter windows.
     let g = rmat(RmatConfig::graph500(15, 16, 7));
