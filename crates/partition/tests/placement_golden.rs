@@ -1,8 +1,13 @@
-//! Golden placement: FNV-1a digests of everything set-up produces, recorded
-//! at commit `8fdd981` (the parent of the linear-time set-up rewrite) and
-//! never edited since. A set-up change that alters one bit of a `Graph`, a
-//! coordinated assignment, a `SplitPlan` or a shipped shard fails here, so
-//! every simulated and traffic figure downstream is unchanged for free.
+//! Golden placement: FNV-1a digests of everything set-up produces. The
+//! graph, assignment and plan digests were recorded at commit `8fdd981`
+//! (the parent of the linear-time set-up rewrite) and never edited since.
+//! The shard digests hashed each shard's `Wire` bytes until commit
+//! `f720604`, where they were re-keyed on each shard's content read through
+//! its public accessors (`shard_into`) and recorded again at that commit:
+//! the shard file's layout may change, what is placed may not. A set-up
+//! change that alters one bit of a `Graph`, a coordinated assignment, a
+//! `SplitPlan` or a placed shard fails here, so every simulated and
+//! traffic figure downstream is unchanged for free.
 //!
 //! The graphs are built the way `lazybench` builds its workloads: generate,
 //! re-stage the generated edges in a fresh builder, symmetrise (the road
@@ -10,9 +15,9 @@
 
 use lazygraph_graph::generators::{grid2d, rmat, Grid2dConfig, RmatConfig};
 use lazygraph_graph::{Csr, Graph, GraphBuilder};
-use lazygraph_net::Wire;
 use lazygraph_partition::{
-    build_distributed, plan_split, CoordinatedCut, Partitioner, SplitPlan, SplitterConfig,
+    build_distributed, plan_split, CoordinatedCut, EdgeMode, LocalShard, Partitioner, SplitPlan,
+    SplitterConfig,
 };
 
 struct Fnv(u64);
@@ -90,9 +95,50 @@ fn plan_digest(plan: &SplitPlan) -> u64 {
     h.0
 }
 
+/// Everything a shard holds, read through its public accessors: its
+/// machine, its locals and route table, each local's master, mirrors and
+/// user-view degrees, the replicated locals, and every local's out-edges
+/// with their weight bits and modes. Keyed on content, not on the shard
+/// file's layout, so a layout change that places the same shards leaves it
+/// fixed.
+fn shard_into(h: &mut Fnv, shard: &LocalShard) {
+    h.word(u64::from(shard.machine.0));
+    h.word(shard.num_local() as u64);
+    for v in &shard.globals {
+        h.word(u64::from(v.0));
+    }
+    h.word(shard.route_table().len() as u64);
+    for &l in shard.route_table() {
+        h.word(u64::from(l));
+    }
+    for l in 0..shard.num_local() {
+        h.word(u64::from(shard.master_of[l].0));
+        h.word(u64::from(shard.global_out_degree[l]));
+        h.word(u64::from(shard.global_in_degree[l]));
+        let mirrors = shard.mirrors(l as u32);
+        h.word(mirrors.len() as u64);
+        for m in mirrors {
+            h.word(u64::from(m.0));
+        }
+    }
+    h.word(shard.replicated.len() as u64);
+    for &l in &shard.replicated {
+        h.word(u64::from(l));
+    }
+    h.word(shard.num_local_edges() as u64);
+    for l in 0..shard.num_local() as u32 {
+        h.word(shard.local_out_degree(l) as u64);
+        for (t, w, mode) in shard.out_edges(l) {
+            h.word(u64::from(t));
+            h.word(u64::from(w.to_bits()));
+            h.bytes(&[u8::from(mode == EdgeMode::Parallel)]);
+        }
+    }
+}
+
 /// `[assignment, lazy plan, Sync plan, lazy shards, lazy shards under the
 /// bidirectional dispatch rule, Sync shards]` at one machine count; a
-/// shard digest folds every machine's `Wire` bytes, length first.
+/// shard digest folds every machine's [`shard_into`] content.
 fn placement_digests(g: &Graph, machines: usize) -> [u64; 6] {
     let assignment = CoordinatedCut.assign(g, machines);
     let mut h = Fnv::new();
@@ -108,9 +154,7 @@ fn placement_digests(g: &Graph, machines: usize) -> [u64; 6] {
         let dg = build_distributed(g, &assignment, machines, plan, bidirectional);
         let mut h = Fnv::new();
         for shard in &dg.shards {
-            let bytes = shard.to_wire();
-            h.word(bytes.len() as u64);
-            h.bytes(&bytes);
+            shard_into(&mut h, shard);
         }
         h.word(dg.total_stored_edges as u64);
         h.word(dg.lambda().to_bits());
@@ -152,17 +196,17 @@ const SOCIAL_SEED_7: Golden = (
         0xf37bc2b7b1e562fd,
         0xf258729e60c152b9,
         0x7f4da924e269f157,
-        0x8ae0e81d2de5b19c,
-        0x81428ee77b4e4765,
-        0x8a92e0b13ef04b9d,
+        0xfac1efc1d7639b6d,
+        0x1352829800af32f1,
+        0x12e44cf166262acc,
     ],
     [
         0x1e422aa2a01254bd,
         0xf258729e60c152b9,
         0x7f4da924e269f157,
-        0xd7882c890436c9bf,
-        0xbc50d85402d0e3b1,
-        0x6643f8d83bef4dae,
+        0x0119ad1afcfa5f08,
+        0x5ad58bf1eb2a3c7b,
+        0xa0555c510254a0ae,
     ],
 );
 const SOCIAL_SEED_23: Golden = (
@@ -171,17 +215,17 @@ const SOCIAL_SEED_23: Golden = (
         0x32ff8e3a574227ec,
         0xb1692eb973e88539,
         0xee7d0898306ee0ad,
-        0xea0df627a8810496,
-        0x61ec39d0ff96e0e1,
-        0xe95eace8dddb8ec0,
+        0x319e8bd4a0636c76,
+        0x9101bc048ae75397,
+        0xd4a4a6e4e1de2a65,
     ],
     [
         0x754075356c33816e,
         0xb1692eb973e88539,
         0xee7d0898306ee0ad,
-        0xfa913f7d2637aa3b,
-        0x125c9bd9c17ab5dd,
-        0x5c853da69e13d328,
+        0x8f23fc5c65a3ba62,
+        0x595bdfc72e940d58,
+        0x857e3e2f6f84849b,
     ],
 );
 const ROAD_SEED_7: Golden = (
@@ -190,17 +234,17 @@ const ROAD_SEED_7: Golden = (
         0xff0576b70fea7b9a,
         0xe417e532f1c357a3,
         0xbad7a16aaee368f8,
-        0xc7d621cb6413bee0,
-        0xc7d621cb6413bee0,
-        0x31445d06d4cdae2a,
+        0x2c538ff7ae1c8ce7,
+        0x2c538ff7ae1c8ce7,
+        0x8042b9e44f913dd0,
     ],
     [
         0xc17247a2980e4fff,
         0xe417e532f1c357a3,
         0xbad7a16aaee368f8,
-        0xb1f5b4fd25a97b43,
-        0xb1f5b4fd25a97b43,
-        0x4d135f72675ab035,
+        0x48919667b8945cb8,
+        0x48919667b8945cb8,
+        0xbb2901d4c0cbbf28,
     ],
 );
 const ROAD_SEED_23: Golden = (
@@ -209,17 +253,17 @@ const ROAD_SEED_23: Golden = (
         0x164dcc5e2fc92f40,
         0xf2c543e3758c9823,
         0x2c592110421308c0,
-        0x3d8215d75b2d1066,
-        0x08e1c3576422f4ca,
-        0x4d6391fc081e5a40,
+        0x81cac3e14bfab88c,
+        0xf918395a1b09d980,
+        0x6893815e34e11450,
     ],
     [
         0x1710eeb38093c927,
         0xf2c543e3758c9823,
         0x2c592110421308c0,
-        0xdbb403ea474db315,
-        0x5a30170c6d3fb1fe,
-        0xf5523d3bbaed07c1,
+        0xf3cd0b8dfa860eb5,
+        0x1a1f2e7190155e69,
+        0xf35019c5849072a7,
     ],
 );
 
