@@ -97,7 +97,7 @@ impl<P: VertexProgram> PumpStep<(u32, SyncMsg<P>)> for AsyncTurn<'_, P> {
             let l = route_item(shard.route_table(), from, gid)?;
             match msg {
                 SyncMsg::Accum(d) => {
-                    if !shard.is_master[l as usize] {
+                    if !shard.is_master(l) {
                         return Err(misrouted(from, "an accumulator", gid, "is not the master"));
                     }
                     accums.stage(l, program.gather(gid.into(), d), false);
@@ -139,7 +139,7 @@ impl<P: VertexProgram> PumpStep<(u32, SyncMsg<P>)> for AsyncTurn<'_, P> {
             state.active[l as usize] = false;
             let Some(accum) = state.message[l as usize].take() else { continue };
             let v = shard.global_of(l);
-            if !shard.is_master[l as usize] {
+            if !shard.is_master(l) {
                 let master = shard.master_of[l as usize].index();
                 pump.outboxes.push(master, (v.0, SyncMsg::Accum(accum)));
                 continue;

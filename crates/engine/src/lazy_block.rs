@@ -411,7 +411,7 @@ fn volume_estimate<P: VertexProgram>(
                 {
                     continue;
                 }
-                e.add_holder(shard.mirrors(l as u32).len(), shard.is_master[l], delta_bytes);
+                e.add_holder(shard.mirrors(l as u32).len(), shard.is_master(l as u32), delta_bytes);
             }
         }
         e
@@ -527,7 +527,7 @@ fn exchange_m2m<P: VertexProgram>(
         state.delta_msg[li] = None;
         let Some(d) = d else { continue };
         own[li] = Some(d);
-        if shard.is_master[li] {
+        if shard.is_master(l) {
             totals[li] = Some(d);
             continue;
         }
@@ -573,7 +573,7 @@ fn exchange_m2m<P: VertexProgram>(
     let local = &mut state.scratch.staging.open_blocks(pctx, shard.num_local(), 1)[0];
     for &l in &shard.replicated {
         let li = l as usize;
-        if !shard.is_master[li] {
+        if !shard.is_master(l) {
             continue;
         }
         let Some(total) = totals[li] else { continue };

@@ -159,7 +159,7 @@ impl<P: VertexProgram> MachineOut<P> {
         counters: LazyCounters,
     ) -> Self {
         let masters = (0..shard.num_local() as u32)
-            .filter(|&l| shard.is_master[l as usize])
+            .filter(|&l| shard.is_master(l))
             .map(|l| (shard.global_of(l).0, state.vdata[l as usize].clone()))
             .collect();
         MachineOut {

@@ -215,7 +215,7 @@ impl<P: VertexProgram> MachineState<P> {
             vdata.push(initial_data(shard, program, l, num_vertices));
             let eligible = match init {
                 InitMessages::AllReplicas => true,
-                InitMessages::MastersOnly => shard.is_master[l as usize],
+                InitMessages::MastersOnly => shard.is_master(l),
             };
             let msg = if eligible {
                 program.init_message(v, &ctx)
@@ -479,7 +479,7 @@ pub fn vertex_ctx(shard: &LocalShard, l: u32, num_vertices: usize) -> VertexCtx 
     VertexCtx {
         out_degree: shard.global_out_degree[l as usize],
         in_degree: shard.global_in_degree[l as usize],
-        degree: shard.global_degree[l as usize],
+        degree: shard.global_degree(l),
         num_vertices,
     }
 }
@@ -559,7 +559,7 @@ mod tests {
             let st = MachineState::init(shard, &P0, InitMessages::MastersOnly, dg.num_global_vertices);
             for l in 0..shard.num_local() as u32 {
                 let v = shard.global_of(l);
-                let expect = v.0 % 2 == 0 && shard.is_master[l as usize];
+                let expect = v.0 % 2 == 0 && shard.is_master(l);
                 assert_eq!(st.message[l as usize].is_some(), expect);
             }
         }

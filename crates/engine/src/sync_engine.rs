@@ -214,7 +214,7 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
                 deactivate: Vec::new(),
             };
             for &l in chunk {
-                if shard.is_master[l as usize] {
+                if shard.is_master(l) {
                     // Masters keep their accumulator; active flag stays set
                     // so late deliveries do not double-queue them.
                     b.masters.push(l);

@@ -293,6 +293,30 @@ mod tests {
         })
     }
 
+    /// [`arb_edges`] as drawn, or with every weight `1.0`, or with every
+    /// weight `1.0` but one nudged to an awkward weight — `1.0` itself
+    /// among them.
+    fn arb_unitish_edges() -> impl Strategy<Value = (usize, Vec<Edge>)> {
+        (
+            arb_edges(),
+            0u8..3,
+            any::<usize>(),
+            0..AWKWARD_WEIGHTS.len(),
+        )
+            .prop_map(|((n, mut edges), kind, at, w)| {
+                if kind > 0 {
+                    for e in &mut edges {
+                        e.weight = 1.0;
+                    }
+                }
+                if kind == 2 && !edges.is_empty() {
+                    let at = at % edges.len();
+                    edges[at].weight = f32::from_bits(AWKWARD_WEIGHTS[w]);
+                }
+                (n, edges)
+            })
+    }
+
     fn bits(edges: &[Edge]) -> Vec<(u32, u32, u32)> {
         edges
             .iter()
@@ -319,6 +343,31 @@ mod tests {
             b.extend(edges.iter().copied());
             assert_same_graph(&b.build(), n, &edges);
             assert_same_graph(&Graph::from_edges(n, &edges), n, &edges);
+        }
+
+        /// A graph drops its weights iff every weight is bitwise `1.0`
+        /// (`-0.0`, NaNs and subnormals are kept), and its edges read the
+        /// same bits either way: the input's, in row order.
+        #[test]
+        fn unit_weights_are_elided_bitwise((n, edges) in arb_unitish_edges()) {
+            let unit = edges.iter().all(|e| e.weight.to_bits() == 1.0f32.to_bits());
+            let mut b = GraphBuilder::new(n);
+            b.extend(edges.iter().copied());
+            let g = b.build();
+            g.validate().unwrap();
+            prop_assert_eq!(g.out_csr().is_unweighted(), unit);
+            for v in g.vertices() {
+                prop_assert_eq!(g.out_csr().weights(v).is_none(), unit);
+            }
+            let mut want = edges.clone();
+            want.sort_by_key(|e| e.src);
+            let got: Vec<Edge> = g.edges().collect();
+            prop_assert_eq!(bits(&got), bits(&want));
+            let rows: Vec<Edge> = g
+                .vertices()
+                .flat_map(|v| g.out_edges(v).map(move |(dst, w)| Edge::weighted(v, dst, w)))
+                .collect();
+            prop_assert_eq!(bits(&rows), bits(&want));
         }
 
         #[test]

@@ -1,19 +1,31 @@
 //! Compressed sparse row (CSR) adjacency storage.
 //!
-//! A [`Csr`] stores, for every vertex, a contiguous slice of (target, weight)
-//! pairs. It is the storage backbone of both the global [`crate::Graph`] and
-//! the per-machine local shards built by the partitioner: one allocation per
+//! A [`Csr`] stores, for every vertex, a contiguous slice of targets and,
+//! when some weight is not `1.0`, a parallel slice of weights. It is the
+//! storage backbone of the global [`crate::Graph`]: one allocation per
 //! array, cache-friendly sequential scans, and O(1) per-vertex slicing.
 
 use crate::types::{Edge, VertexId};
 
 /// Immutable CSR adjacency: `offsets[v]..offsets[v+1]` indexes into
 /// `targets`/`weights`.
+///
+/// An unweighted edge costs only its target, as PowerGraph's empty edge
+/// data does: `weights` is empty when every weight is bitwise `1.0f32`,
+/// and parallel to `targets` otherwise. Every accessor reads a missing
+/// weight as `1.0`, so the two cases differ in bytes only.
 #[derive(Clone, Debug, Default)]
 pub struct Csr {
     offsets: Vec<u64>,
     targets: Vec<VertexId>,
     weights: Vec<f32>,
+}
+
+/// Whether `weight` is the unit weight an unweighted edge stands for —
+/// bitwise, so `-0.0`-style lookalikes and NaNs are never elided.
+#[inline]
+fn is_unit(weight: f32) -> bool {
+    weight.to_bits() == 1.0f32.to_bits()
 }
 
 /// A count/fill walk whose second run handed over other entries than its
@@ -78,8 +90,10 @@ impl Csr {
     /// `(row, target, weight)` entry to the sink it is given and returns
     /// the number of rows, more than any row or target it handed over. It
     /// runs twice and must hand over the same entries both times: the first
-    /// run counts each row's entries, the second drops each entry into its
-    /// row's next slot, so a row keeps the order its entries arrive in.
+    /// run counts each row's entries and notes whether every weight is
+    /// unit, the second drops each entry into its row's next slot, so a row
+    /// keeps the order its entries arrive in. A unit CSR never allocates a
+    /// weight array.
     ///
     /// An error of `walk`'s own is returned as it is. A second run that
     /// hands over anything else than the first counted — a file rewritten
@@ -91,12 +105,14 @@ impl Csr {
         // Counts at `row + 1`, grown as rows appear: a loader learns how
         // many rows there are only at the end of its first read.
         let mut offsets: Vec<u64> = Vec::new();
-        let num_rows = walk(&mut |row, _, _| {
+        let mut unit = true;
+        let num_rows = walk(&mut |row, _, weight| {
             let at = row.index() + 1;
             if at >= offsets.len() {
                 offsets.resize(at + 1, 0);
             }
             offsets[at] += 1;
+            unit &= is_unit(weight);
         })?;
         if offsets.len() > num_rows + 1 {
             return Err(WalkChanged.into());
@@ -107,7 +123,11 @@ impl Csr {
         let num_entries = offsets[num_rows] as usize;
         let mut cursor = offsets.clone();
         let mut targets = vec![VertexId::default(); num_entries];
-        let mut weights = vec![0.0f32; num_entries];
+        let mut weights = if unit {
+            Vec::new()
+        } else {
+            vec![0.0f32; num_entries]
+        };
         let mut fits = true;
         walk(&mut |row, target, weight| {
             let Some(slot) = cursor.get_mut(row.index()) else {
@@ -117,7 +137,12 @@ impl Csr {
             let at = *slot as usize;
             if at < num_entries && target.index() < num_rows {
                 targets[at] = target;
-                weights[at] = weight;
+                if unit {
+                    // A weight the first run did not see is a changed walk.
+                    fits &= is_unit(weight);
+                } else {
+                    weights[at] = weight;
+                }
                 *slot += 1;
             } else {
                 fits = false;
@@ -147,7 +172,8 @@ impl Csr {
 
     /// The build [`Csr::from_edges`] and [`Csr::transpose`] replaced — a
     /// counting sort over materialised `(src, dst, weight)` triples — kept
-    /// as the oracle they are tested against.
+    /// as the oracle they are tested against. It drops the weights of a
+    /// unit edge list by the same rule, decided over the whole list.
     #[cfg(test)]
     pub(crate) fn from_triples(num_vertices: usize, edges: &[(VertexId, VertexId, f32)]) -> Self {
         let mut counts = vec![0u64; num_vertices + 1];
@@ -165,6 +191,9 @@ impl Csr {
             weights[slot] = w;
             cursor[src.index()] += 1;
         }
+        if edges.iter().all(|&(_, _, w)| is_unit(w)) {
+            weights = Vec::new();
+        }
         Csr {
             offsets,
             targets,
@@ -172,7 +201,8 @@ impl Csr {
         }
     }
 
-    /// The three arrays with weights as bits, for bitwise comparison.
+    /// The three arrays with the stored weights as bits (none for a unit
+    /// CSR), for bitwise comparison of content and representation.
     #[cfg(test)]
     pub(crate) fn bits(&self) -> (&[u64], &[VertexId], Vec<u32>) {
         let weights = self.weights.iter().map(|w| w.to_bits()).collect();
@@ -218,10 +248,23 @@ impl Csr {
         &self.targets[self.range(v)]
     }
 
-    /// Weight slice of `v`, parallel to [`Csr::neighbors`].
+    /// Whether every weight is bitwise `1.0`, so none is stored.
     #[inline]
-    pub fn weights(&self, v: VertexId) -> &[f32] {
-        &self.weights[self.range(v)]
+    pub fn is_unweighted(&self) -> bool {
+        self.weights.is_empty()
+    }
+
+    /// Weight slice of `v`, parallel to [`Csr::neighbors`]; `None` when
+    /// the CSR is unweighted and every weight is `1.0`.
+    #[inline]
+    pub fn weights(&self, v: VertexId) -> Option<&[f32]> {
+        (!self.is_unweighted()).then(|| &self.weights[self.range(v)])
+    }
+
+    /// The weight of the entry at index `i`: `1.0` where none is stored.
+    #[inline]
+    fn weight_at(&self, i: usize) -> f32 {
+        self.weights.get(i).copied().unwrap_or(1.0)
     }
 
     /// Iterates `(target, weight)` pairs of `v`.
@@ -230,8 +273,8 @@ impl Csr {
         let r = self.range(v);
         self.targets[r.clone()]
             .iter()
-            .copied()
-            .zip(self.weights[r].iter().copied())
+            .zip(r)
+            .map(|(&dst, i)| (dst, self.weight_at(i)))
     }
 
     /// Iterates every `(src, dst, weight)` triple in row order.
@@ -239,16 +282,12 @@ impl Csr {
         &self,
     ) -> impl ExactSizeIterator<Item = (VertexId, VertexId, f32)> + Clone + '_ {
         let mut row = 0usize;
-        self.targets
-            .iter()
-            .zip(&self.weights)
-            .enumerate()
-            .map(move |(i, (&dst, &w))| {
-                while self.offsets[row + 1] as usize <= i {
-                    row += 1;
-                }
-                (VertexId(row as u32), dst, w)
-            })
+        self.targets.iter().enumerate().map(move |(i, &dst)| {
+            while self.offsets[row + 1] as usize <= i {
+                row += 1;
+            }
+            (VertexId(row as u32), dst, self.weight_at(i))
+        })
     }
 
     /// Builds the transpose (reverse) of this CSR by a counting pass over
@@ -273,8 +312,13 @@ impl Csr {
         if self.offsets.last().copied().unwrap_or(0) as usize != self.targets.len() {
             return Err("last offset must equal edge count".into());
         }
-        if self.targets.len() != self.weights.len() {
-            return Err("targets and weights must be parallel".into());
+        if !self.is_unweighted() {
+            if self.targets.len() != self.weights.len() {
+                return Err("targets and weights must be parallel".into());
+            }
+            if self.weights.iter().all(|&w| is_unit(w)) {
+                return Err("a unit CSR must store no weights".into());
+            }
         }
         for w in self.offsets.windows(2) {
             if w[0] > w[1] {
@@ -320,8 +364,8 @@ mod tests {
                 Edge::weighted(1u32, 0u32, 0.5),
             ],
         );
-        assert_eq!(csr.weights(VertexId(0)), &[2.5]);
-        assert_eq!(csr.weights(VertexId(1)), &[0.5]);
+        assert_eq!(csr.weights(VertexId(0)), Some(&[2.5][..]));
+        assert_eq!(csr.weights(VertexId(1)), Some(&[0.5][..]));
     }
 
     #[test]
@@ -384,6 +428,46 @@ mod tests {
             Ok::<_, WalkChanged>(3)
         });
         assert!(past_its_rows.is_err());
+    }
+
+    /// A walk whose weights are all bitwise `1.0` stores none and reads
+    /// `1.0` back; a second run that hands over any other weight is a
+    /// changed walk, refused like any other.
+    #[test]
+    fn a_unit_walk_stores_no_weights_and_must_stay_unit() {
+        let build = |second: f32| {
+            let mut runs = 0;
+            Csr::try_by_rows(|sink| {
+                let weight = if runs == 0 { 1.0 } else { second };
+                runs += 1;
+                sink(VertexId(0), VertexId(1), 1.0);
+                sink(VertexId(1), VertexId(0), weight);
+                Ok::<_, WalkChanged>(2)
+            })
+        };
+        let unit = build(1.0).unwrap();
+        unit.validate().unwrap();
+        assert!(unit.is_unweighted());
+        assert_eq!(unit.weights(VertexId(1)), None);
+        assert!(unit.edges_of(VertexId(1)).eq([(VertexId(0), 1.0)]));
+        assert!(unit
+            .iter_all()
+            .all(|(_, _, w)| w.to_bits() == 1.0f32.to_bits()));
+        for changed in [2.0, -1.0, 0.0, f32::NAN, f32::from_bits(0x3f80_0001)] {
+            assert!(build(changed).is_err(), "{changed}");
+        }
+    }
+
+    /// One representation per CSR: a weight array that only repeats `1.0`
+    /// is refused.
+    #[test]
+    fn stored_unit_weights_are_invalid() {
+        let csr = Csr {
+            offsets: vec![0, 1, 1],
+            targets: vec![VertexId(1)],
+            weights: vec![1.0],
+        };
+        assert!(csr.validate().is_err());
     }
 
     #[test]

@@ -11,7 +11,9 @@
 use crate::csr::Csr;
 use crate::types::{Edge, VertexId};
 
-/// An immutable directed graph with per-edge `f32` weights.
+/// An immutable directed graph with per-edge `f32` weights. An unweighted
+/// graph — every weight bitwise `1.0` — stores none; its edges read `1.0`
+/// ([`Csr::is_unweighted`]).
 #[derive(Clone, Debug)]
 pub struct Graph {
     out: Csr,

@@ -303,13 +303,15 @@ fn check_symmetric(csr: &Csr) -> io::Result<()> {
             )));
         }
     }
+    // The weight of row `v`'s entry `at`: 1.0 in an unweighted CSR.
+    let reverse_weight = |v: VertexId, at: usize| csr.weights(v).map_or(1.0, |w| w[at]);
     // Sources ascend, so the edges into `v` arrive in the order row `v`
     // lists their reverses: one cursor per row pairs every edge in one pass.
     let mut paired = vec![0u32; csr.num_vertices()];
     let all_paired = csr.iter_all().all(|(u, v, weight)| {
         let at = &mut paired[v.index()];
         let reverse = csr.neighbors(v).get(*at as usize) == Some(&u);
-        let same = reverse && csr.weights(v)[*at as usize].to_bits() == weight.to_bits();
+        let same = reverse && reverse_weight(v, *at as usize).to_bits() == weight.to_bits();
         *at += 1;
         same
     });
@@ -319,7 +321,7 @@ fn check_symmetric(csr: &Csr) -> io::Result<()> {
     // Some edge is unpaired: a search per edge names the first.
     let reverse_of = |u: VertexId, v: VertexId| {
         let at = csr.neighbors(v).binary_search(&u).ok()?;
-        Some(csr.weights(v)[at])
+        Some(reverse_weight(v, at))
     };
     match csr
         .iter_all()
@@ -616,6 +618,54 @@ mod tests {
             assert_eq!(loaded.out_csr().bits(), g.out_csr().bits());
             loaded.validate().unwrap();
         }
+    }
+
+    /// The builder, the text loader and the binary loader make one
+    /// decision on one edge list: no weights stored iff every weight is
+    /// bitwise `1.0` — also when a text file spells a unit weight out.
+    #[test]
+    fn every_route_drops_the_same_weights() {
+        let raw = rmat(RmatConfig::graph500(8, 4, 9));
+        let nudges = [
+            None,
+            Some(1.0),
+            Some(2.0),
+            Some(-0.0),
+            Some(f32::from_bits(0x3f80_0001)),
+        ];
+        for nudge in nudges {
+            let mut edges: Vec<Edge> = raw.edges().collect();
+            if let Some(w) = nudge {
+                let at = edges.len() / 2;
+                edges[at].weight = w;
+            }
+            let unit = edges.iter().all(|e| e.weight.to_bits() == 1.0f32.to_bits());
+            let mut b = GraphBuilder::new(raw.num_vertices());
+            b.extend(edges);
+            let g = b.build();
+            assert_eq!(g.out_csr().is_unweighted(), unit, "{nudge:?}");
+            let (text, binary) = (tmp("routes.el"), tmp("routes.lzg"));
+            save_edge_list(&g, &text).unwrap();
+            save_binary(&g, &binary).unwrap();
+            let loaded = [
+                load_edge_list(&text, Some(g.num_vertices())),
+                load_binary(&binary),
+            ];
+            std::fs::remove_file(text).ok();
+            std::fs::remove_file(binary).ok();
+            for loaded in loaded {
+                assert_eq!(
+                    loaded.unwrap().out_csr().bits(),
+                    g.out_csr().bits(),
+                    "{nudge:?}"
+                );
+            }
+        }
+        let path = tmp("spelled.el");
+        std::fs::write(&path, "0 1 1\n1 2 1.0\n2 0 1e0\n2 1\n").unwrap();
+        let spelled = load_edge_list(&path, None).unwrap();
+        std::fs::remove_file(path).ok();
+        assert!(spelled.out_csr().is_unweighted());
     }
 
     #[test]

@@ -36,7 +36,15 @@ pub enum EdgeMode {
 /// here.
 pub const NO_LOCAL: u32 = u32::MAX;
 
-/// Everything one machine knows about its part of the graph.
+/// Top bit of an `out_targets` entry: the edge is a parallel-edges-mode
+/// copy. Local ids stay below it — the engine tags its staged items with
+/// the same bit — so a stored edge's mode costs no byte of its own.
+const PARALLEL: u32 = 1 << 31;
+
+/// Everything one machine knows about its part of the graph. It stores no
+/// byte it can derive: a replica's master flag and total degree are read
+/// off `master_of` and the two degrees, an edge's mode rides in its
+/// target's top bit, and the weights of an unweighted graph are not kept.
 #[derive(Clone, Debug)]
 pub struct LocalShard {
     /// This machine's id.
@@ -49,8 +57,6 @@ pub struct LocalShard {
     /// vertex per machine, which the simulator trades happily for the
     /// branch-free lookup.
     route: Box<[u32]>,
-    /// Per local vertex: is this replica the master?
-    pub is_master: Vec<bool>,
     /// Per local vertex: the machine hosting the master replica.
     pub master_of: Vec<MachineId>,
     /// The *other* machines holding replicas of each local vertex, all
@@ -67,12 +73,12 @@ pub struct LocalShard {
     pub global_out_degree: Vec<u32>,
     /// Per local vertex: user-view in-degree.
     pub global_in_degree: Vec<u32>,
-    /// Per local vertex: user-view total degree (k-core initialisation).
-    pub global_degree: Vec<u32>,
     out_offsets: Vec<u32>,
+    /// Target local ids, [`PARALLEL`] set on a parallel-edges-mode copy.
     out_targets: Vec<u32>,
+    /// Parallel to `out_targets`, or empty when the placed graph is
+    /// unweighted and every weight is `1.0`.
     out_weights: Vec<f32>,
-    out_parallel: Vec<bool>,
 }
 
 impl LocalShard {
@@ -111,16 +117,36 @@ impl LocalShard {
     }
 
     /// Local out-edges of local vertex `l`: `(target local id, weight,
-    /// mode)`.
+    /// mode)`, the weight `1.0` where none is stored.
     #[inline]
     pub fn out_edges(&self, l: u32) -> impl Iterator<Item = (u32, f32, EdgeMode)> + '_ {
         let r = self.out_offsets[l as usize] as usize..self.out_offsets[l as usize + 1] as usize;
-        self.out_targets[r.clone()]
-            .iter()
-            .copied()
-            .zip(self.out_weights[r.clone()].iter().copied())
-            .zip(self.out_parallel[r].iter().copied())
-            .map(|((t, w), p)| (t, w, if p { EdgeMode::Parallel } else { EdgeMode::OneEdge }))
+        self.out_targets[r.clone()].iter().zip(r).map(|(&t, i)| {
+            let mode = if t & PARALLEL != 0 {
+                EdgeMode::Parallel
+            } else {
+                EdgeMode::OneEdge
+            };
+            (
+                t & !PARALLEL,
+                self.out_weights.get(i).copied().unwrap_or(1.0),
+                mode,
+            )
+        })
+    }
+
+    /// Whether local `l` is the master replica of its vertex.
+    #[inline]
+    pub fn is_master(&self, l: u32) -> bool {
+        self.master_of[l as usize] == self.machine
+    }
+
+    /// User-view total degree (`in + out`) of local `l` — k-core's
+    /// initialisation.
+    #[inline]
+    pub fn global_degree(&self, l: u32) -> u32 {
+        let l = l as usize;
+        self.global_out_degree[l].saturating_add(self.global_in_degree[l])
     }
 
     /// Local out-degree of local vertex `l`.
@@ -225,6 +251,9 @@ struct ShardSize {
     /// Mirror-list entries over all locals.
     mirrors: usize,
     edges: usize,
+    /// Whether the shard stores a weight per edge: the placed graph is not
+    /// unweighted.
+    weighted: bool,
 }
 
 /// A vertex's user-view degrees, which every replica of it records.
@@ -232,7 +261,6 @@ struct ShardSize {
 struct Degrees {
     out: u32,
     inward: u32,
-    total: u32,
 }
 
 /// Where the placement walk puts one shard: a [`LocalShard`] in memory,
@@ -252,11 +280,26 @@ trait ShardSink {
         degrees: Degrees,
     ) -> Result<(), Self::Error>;
 
-    /// Appends an edge of the row being filled; `dst` is a local here.
-    fn push_edge(&mut self, dst: VertexId, weight: f32, parallel: bool) -> Result<(), Self::Error>;
+    /// Appends an edge of the row being filled; `dst` is a local here, and
+    /// `weight` is `None` in a placement of an unweighted graph.
+    fn push_edge(
+        &mut self,
+        dst: VertexId,
+        weight: Option<f32>,
+        parallel: bool,
+    ) -> Result<(), Self::Error>;
 
     /// Closes the row being filled.
     fn close_row(&mut self) -> Result<(), Self::Error>;
+}
+
+/// The `out_targets` entry of an edge into local `l`.
+fn target(l: u32, parallel: bool) -> u32 {
+    if parallel {
+        l | PARALLEL
+    } else {
+        l
+    }
 }
 
 impl LocalShard {
@@ -271,18 +314,15 @@ impl LocalShard {
             machine: MachineId::from(m),
             globals: Vec::with_capacity(size.locals),
             route: vec![NO_LOCAL; num_global].into_boxed_slice(),
-            is_master: Vec::with_capacity(size.locals),
             master_of: Vec::with_capacity(size.locals),
             mirror_offsets: offsets(),
             mirror_machines: Vec::with_capacity(size.mirrors),
             replicated: Vec::with_capacity(size.replicated),
             global_out_degree: Vec::with_capacity(size.locals),
             global_in_degree: Vec::with_capacity(size.locals),
-            global_degree: Vec::with_capacity(size.locals),
             out_offsets: offsets(),
             out_targets: Vec::with_capacity(size.edges),
-            out_weights: Vec::with_capacity(size.edges),
-            out_parallel: Vec::with_capacity(size.edges),
+            out_weights: Vec::with_capacity(if size.weighted { size.edges } else { 0 }),
         }
     }
 }
@@ -300,7 +340,6 @@ impl ShardSink for LocalShard {
         let l = self.globals.len() as u32;
         self.route[v.index()] = l;
         self.globals.push(v);
-        self.is_master.push(master == self.machine);
         self.master_of.push(master);
         if others != 0 {
             self.replicated.push(l);
@@ -309,14 +348,18 @@ impl ShardSink for LocalShard {
         self.mirror_offsets.push(self.mirror_machines.len() as u32);
         self.global_out_degree.push(degrees.out);
         self.global_in_degree.push(degrees.inward);
-        self.global_degree.push(degrees.total);
         Ok(())
     }
 
-    fn push_edge(&mut self, dst: VertexId, weight: f32, parallel: bool) -> Result<(), Infallible> {
-        self.out_targets.push(self.route[dst.index()]);
-        self.out_weights.push(weight);
-        self.out_parallel.push(parallel);
+    fn push_edge(
+        &mut self,
+        dst: VertexId,
+        weight: Option<f32>,
+        parallel: bool,
+    ) -> Result<(), Infallible> {
+        self.out_targets
+            .push(target(self.route[dst.index()], parallel));
+        self.out_weights.extend(weight);
         Ok(())
     }
 
@@ -345,7 +388,11 @@ fn replicate(
 
     // --- Replica sets from one-edge placements only. -------------------
     let mut masks: Vec<MachineMask> = vec![0; n];
-    let mut sizes = vec![ShardSize::default(); num_machines];
+    let size = ShardSize {
+        weighted: !out.is_unweighted(),
+        ..ShardSize::default()
+    };
+    let mut sizes = vec![size; num_machines];
     let mut parallel_edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(plan.num_parallel());
     for src in graph.vertices() {
         let mut src_mask = 0;
@@ -414,16 +461,16 @@ fn fill<S: ShardSink>(
         let degrees = Degrees {
             out: graph.out_degree(v) as u32,
             inward: graph.in_degree(v) as u32,
-            total: graph.degree(v) as u32,
         };
         for m in machines_of(mask) {
             sinks[m.index()].push_vertex(v, master, mask & !bit(m), degrees)?;
         }
     }
     let out = graph.out_csr();
+    let weighted = !out.is_unweighted();
     for src in graph.vertices() {
-        let edges = out.range(src).zip(out.neighbors(src)).zip(out.weights(src));
-        for ((idx, &dst), &w) in edges {
+        for (idx, (dst, w)) in out.range(src).zip(out.edges_of(src)) {
+            let w = weighted.then_some(w);
             if plan.is_parallel[idx] {
                 for m in machines_of(required_machines(replication, src, dst, bidirectional)) {
                     sinks[m.index()].push_edge(dst, w, true)?;
@@ -575,11 +622,8 @@ pub fn validate_distributed(
                 return Err(format!("{:?}: local map broken for {v:?}", shard.machine));
             }
             replica_count[v.index()] += 1;
-            if shard.is_master[l] {
+            if shard.is_master(l as u32) {
                 master_count[v.index()] += 1;
-                if shard.master_of[l] != shard.machine {
-                    return Err("master_of disagrees with is_master".into());
-                }
             }
             let expected_mirrors = dg
                 .replication
@@ -836,7 +880,7 @@ mod tests {
         assert_eq!(dg.shards[0].num_local(), g.num_vertices());
         assert_eq!(dg.shards[0].num_local_edges(), g.num_edges());
         assert_eq!(dg.lambda(), 1.0);
-        assert!(dg.shards[0].is_master.iter().all(|&b| b));
+        assert!((0..g.num_vertices() as u32).all(|l| dg.shards[0].is_master(l)));
     }
 
     #[test]

@@ -16,46 +16,45 @@
 use lazygraph_graph::{MachineId, VertexId};
 use lazygraph_net::{NetError, Wire, WireReader};
 
-use super::{LocalShard, PlacementShape, ShardSize, NO_LOCAL};
+use super::{LocalShard, PlacementShape, ShardSize, NO_LOCAL, PARALLEL};
 
 /// One array of the shard file. The file is the machine id
 /// ([`HEADER_BYTES`]), then one section per array in [`SECTIONS`] order:
 /// a `u32` count and that many fixed-width elements — except `Mirrors`, a
 /// count of lists and then one counted list of `u16` machine ids per
-/// local (the layout from when a shard held one box per local).
+/// local (the layout from when a shard held one box per local), and
+/// `Route`, the route table's length and one bit per global vertex, set
+/// where the vertex has a local here: which local is `globals`' to say,
+/// so decode rebuilds the dense table from the two. `OutTargets` carries
+/// each edge's mode in its top bit, and `OutWeights` is empty in a
+/// placement of an unweighted graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) enum Section {
     Globals,
     Route,
-    IsMaster,
     MasterOf,
     Mirrors,
     Replicated,
     GlobalOutDegree,
     GlobalInDegree,
-    GlobalDegree,
     OutOffsets,
     OutTargets,
     OutWeights,
-    OutParallel,
 }
 
 /// The sections in file order, which is their declaration order: a
 /// section's discriminant is its index here.
-pub(super) const SECTIONS: [Section; 13] = [
+pub(super) const SECTIONS: [Section; 10] = [
     Section::Globals,
     Section::Route,
-    Section::IsMaster,
     Section::MasterOf,
     Section::Mirrors,
     Section::Replicated,
     Section::GlobalOutDegree,
     Section::GlobalInDegree,
-    Section::GlobalDegree,
     Section::OutOffsets,
     Section::OutTargets,
     Section::OutWeights,
-    Section::OutParallel,
 ];
 
 const _: () = {
@@ -77,29 +76,60 @@ impl Section {
             Section::Route => num_global,
             Section::Replicated => size.replicated,
             Section::OutOffsets => size.locals + 1,
-            Section::OutTargets | Section::OutWeights | Section::OutParallel => size.edges,
+            Section::OutTargets => size.edges,
+            Section::OutWeights if size.weighted => size.edges,
+            Section::OutWeights => 0,
             Section::Globals
-            | Section::IsMaster
             | Section::MasterOf
             | Section::Mirrors
             | Section::GlobalOutDegree
-            | Section::GlobalInDegree
-            | Section::GlobalDegree => size.locals,
+            | Section::GlobalInDegree => size.locals,
         }
     }
 
     /// The section's length in bytes, count word included.
     pub(super) fn bytes(self, size: &ShardSize, num_global: usize) -> u64 {
-        let width = match self {
-            Section::IsMaster | Section::OutParallel => 1,
-            Section::MasterOf => 2,
-            _ => 4,
+        let count = self.count(size, num_global);
+        let body = match self {
+            Section::Route => count.div_ceil(8),
+            Section::MasterOf => 2 * count,
+            // Each list's own count word, then its machine ids.
+            Section::Mirrors => 4 * count + 2 * size.mirrors,
+            _ => 4 * count,
         };
-        // Each list's own count word is the width above; its entries are
-        // machine ids.
-        let entries = if self == Section::Mirrors { 2 * size.mirrors } else { 0 };
-        (4 + width * self.count(size, num_global) + entries) as u64
+        (4 + body) as u64
     }
+}
+
+/// The `Route` section's bits: bit `v % 8` of byte `v / 8` is set where
+/// global vertex `v` has a local.
+pub(super) fn route_bits(route: &[u32]) -> impl Iterator<Item = u8> + '_ {
+    route.chunks(8).map(|vertices| {
+        vertices
+            .iter()
+            .enumerate()
+            .fold(0, |bits, (i, &l)| bits | u8::from(l != NO_LOCAL) << i)
+    })
+}
+
+/// The dense route table of a shard whose `Route` section is `bits` over
+/// `num_global` vertices: each local's gid routes to it where its bit is
+/// set. A bit no local claims stays marked, and a local whose bit is
+/// clear stays unrouted, so [`LocalShard::validate`] refuses both.
+fn route_from_bits(bits: &[u8], num_global: usize, globals: &[VertexId]) -> Box<[u32]> {
+    const MARKED: u32 = NO_LOCAL - 1;
+    let mut route = vec![NO_LOCAL; num_global].into_boxed_slice();
+    for (v, slot) in route.iter_mut().enumerate() {
+        if bits[v / 8] >> (v % 8) & 1 == 1 {
+            *slot = MARKED;
+        }
+    }
+    for (l, v) in globals.iter().enumerate() {
+        if let Some(slot) = route.get_mut(v.index()).filter(|slot| **slot == MARKED) {
+            *slot = l as u32;
+        }
+    }
+    route
 }
 
 fn put_array<T: Wire>(out: &mut Vec<u8>, items: impl ExactSizeIterator<Item = T>) {
@@ -156,25 +186,24 @@ impl Wire for LocalShard {
             machine,
             globals,
             route,
-            is_master,
             master_of,
             mirror_offsets,
             mirror_machines: _,
             replicated,
             global_out_degree,
             global_in_degree,
-            global_degree,
             out_offsets,
             out_targets,
             out_weights,
-            out_parallel,
         } = self;
         machine.0.encode(out);
         for section in SECTIONS {
             match section {
                 Section::Globals => put_array(out, globals.iter().map(|v| v.0)),
-                Section::Route => put_array(out, route.iter().copied()),
-                Section::IsMaster => is_master.encode(out),
+                Section::Route => {
+                    (route.len() as u32).encode(out);
+                    out.extend(route_bits(route));
+                }
                 Section::MasterOf => put_array(out, master_of.iter().map(|m| m.0)),
                 // The file keeps one counted list per local; memory keeps
                 // them flat.
@@ -187,11 +216,9 @@ impl Wire for LocalShard {
                 Section::Replicated => replicated.encode(out),
                 Section::GlobalOutDegree => global_out_degree.encode(out),
                 Section::GlobalInDegree => global_in_degree.encode(out),
-                Section::GlobalDegree => global_degree.encode(out),
                 Section::OutOffsets => out_offsets.encode(out),
                 Section::OutTargets => out_targets.encode(out),
                 Section::OutWeights => out_weights.encode(out),
-                Section::OutParallel => out_parallel.encode(out),
             }
         }
     }
@@ -201,8 +228,12 @@ impl Wire for LocalShard {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
         let machine = machine_id(r)?;
         let globals = array(r, 4, |r| u32::decode(r).map(VertexId))?;
-        let route = array(r, 4, u32::decode)?.into_boxed_slice();
-        let is_master = array(r, 1, bool::decode)?;
+        let num_global = u32::decode(r)? as usize;
+        let bits = r.take(num_global.div_ceil(8))?;
+        if !num_global.is_multiple_of(8) && bits[num_global / 8] >> (num_global % 8) != 0 {
+            return malformed(format!("route bits past its {num_global} vertices are set"));
+        }
+        let route = route_from_bits(bits, num_global, &globals);
         let master_of = array(r, 2, machine_id)?;
         // One counted list per local, flattened as it is read.
         let lists = counted(r, 4)?;
@@ -219,18 +250,15 @@ impl Wire for LocalShard {
             machine,
             globals,
             route,
-            is_master,
             master_of,
             mirror_offsets,
             mirror_machines,
             replicated: array(r, 4, u32::decode)?,
             global_out_degree: array(r, 4, u32::decode)?,
             global_in_degree: array(r, 4, u32::decode)?,
-            global_degree: array(r, 4, u32::decode)?,
             out_offsets: array(r, 4, u32::decode)?,
             out_targets: array(r, 4, u32::decode)?,
             out_weights: array(r, 4, f32::decode)?,
-            out_parallel: array(r, 1, bool::decode)?,
         };
         shard.validate()?;
         Ok(shard)
@@ -244,29 +272,28 @@ impl LocalShard {
     /// [`NetError::Malformed`].
     pub fn validate(&self) -> Result<(), NetError> {
         let nl = self.globals.len();
-        if nl >= NO_LOCAL as usize {
+        // Local ids leave the mode bit free.
+        if nl >= PARALLEL as usize {
             return malformed(format!("{nl} locals overflow the local-id space"));
         }
         for (name, len) in [
-            ("is_master", self.is_master.len()),
             ("master_of", self.master_of.len()),
             ("global_out_degree", self.global_out_degree.len()),
             ("global_in_degree", self.global_in_degree.len()),
-            ("global_degree", self.global_degree.len()),
         ] {
             if len != nl {
                 return malformed(format!("{name} has {len} entries for {nl} locals"));
             }
         }
 
-        // The CSR: nl + 1 monotone offsets from 0 to the edge count, three
-        // parallel edge arrays, every target a local id.
+        // The CSR: nl + 1 monotone offsets from 0 to the edge count, no
+        // weight or one per edge, every target a local id under its mode
+        // bit.
         let ne = self.out_targets.len();
-        if self.out_weights.len() != ne || self.out_parallel.len() != ne {
+        if !self.out_weights.is_empty() && self.out_weights.len() != ne {
             return malformed(format!(
-                "edge arrays disagree: {ne} targets, {} weights, {} modes",
-                self.out_weights.len(),
-                self.out_parallel.len()
+                "edge arrays disagree: {ne} targets, {} weights",
+                self.out_weights.len()
             ));
         }
         if self.out_offsets.len() != nl + 1 {
@@ -281,8 +308,15 @@ impl LocalShard {
         {
             return malformed(format!("out_offsets is not a monotone walk from 0 to {ne}"));
         }
-        if let Some(&t) = self.out_targets.iter().find(|&&t| t as usize >= nl) {
-            return malformed(format!("edge target {t} is not one of {nl} locals"));
+        if let Some(&t) = self
+            .out_targets
+            .iter()
+            .find(|&&t| (t & !PARALLEL) as usize >= nl)
+        {
+            return malformed(format!(
+                "edge target {} is not one of {nl} locals",
+                t & !PARALLEL
+            ));
         }
 
         // `globals` and the route table are the two directions of one
@@ -319,12 +353,6 @@ impl LocalShard {
             if mirrors.contains(&self.machine) || mirrors.windows(2).any(|w| w[0] >= w[1]) {
                 return malformed(format!(
                     "local {l}: mirror list {mirrors:?} is not sorted other machines"
-                ));
-            }
-            if self.is_master[l] != (self.master_of[l] == self.machine) {
-                return malformed(format!(
-                    "local {l}: is_master disagrees with master {:?}",
-                    self.master_of[l]
                 ));
             }
         }
@@ -410,7 +438,6 @@ mod tests {
 
     #[test]
     fn per_local_arrays_must_have_one_entry_per_local() {
-        rejects("is_master has", |s| s.is_master.push(false));
         rejects("master_of has", |s| {
             s.master_of.pop();
         });
@@ -418,9 +445,8 @@ mod tests {
             s.mirror_offsets.push(s.mirror_machines.len() as u32)
         });
         rejects("global_out_degree has", |s| s.global_out_degree.push(0));
-        rejects("global_in_degree has", |s| s.global_in_degree.push(0));
-        rejects("global_degree has", |s| {
-            s.global_degree.pop();
+        rejects("global_in_degree has", |s| {
+            s.global_in_degree.pop();
         });
     }
 
@@ -435,11 +461,32 @@ mod tests {
                 .unwrap();
             s.out_offsets[row - 1] = s.out_offsets[row] + 1;
         });
-        rejects("edge arrays disagree", |s| s.out_weights.push(1.0));
-        rejects("edge arrays disagree", |s| {
-            s.out_parallel.pop();
-        });
         rejects("edge target", |s| s.out_targets[0] = s.globals.len() as u32);
+        // The mode bit is not part of the id it rides on.
+        rejects("edge target", |s| {
+            s.out_targets[0] = PARALLEL | s.globals.len() as u32
+        });
+        rejects("edge target", |s| s.out_targets[0] = u32::MAX);
+    }
+
+    /// `out_weights` holds no weight, in a placement of an unweighted
+    /// graph, or one per edge — nothing in between.
+    #[test]
+    fn weights_are_none_or_one_per_edge() {
+        let mut s = shard();
+        assert!(s.out_weights.is_empty(), "an R-MAT graph is unweighted");
+        let ne = s.num_local_edges();
+        s.out_weights = vec![1.0; ne];
+        s.validate().expect("a weight per edge is valid");
+        let back = LocalShard::from_wire(&s.to_wire()).expect("decodes");
+        assert_eq!(back.out_weights.len(), ne);
+        rejects("edge arrays disagree", |s| s.out_weights.push(2.0));
+        rejects("edge arrays disagree", |s| {
+            s.out_weights = vec![2.0; s.num_local_edges() - 1]
+        });
+        rejects("edge arrays disagree", |s| {
+            s.out_weights = vec![2.0; s.num_local_edges() + 1]
+        });
     }
 
     #[test]
@@ -475,7 +522,6 @@ mod tests {
             first_list(s, [MachineId(0), MachineId(0)])
         });
 
-        rejects("is_master disagrees", |s| s.is_master[0] = !s.is_master[0]);
         rejects("replicated is not", |s| {
             s.replicated.pop();
         });
@@ -486,6 +532,34 @@ mod tests {
             s.replicated.push(lone as u32);
             s.replicated.sort_unstable();
         });
+    }
+
+    /// The route bits cover exactly the route table's vertices: a bit set
+    /// past them in the section's last byte is refused, not ignored.
+    #[test]
+    fn route_bits_past_the_vertex_count_are_refused() {
+        let mut b = lazygraph_graph::GraphBuilder::new(13);
+        for v in 0..12u32 {
+            b.add_edge(v, v + 1);
+        }
+        let dg = partition_graph(
+            &b.build(),
+            2,
+            PartitionStrategy::Coordinated,
+            &SplitterConfig::default(),
+            false,
+        );
+        let mut file = dg.shards[0].to_wire();
+        // Machine id, the globals section, the route count: then the bits,
+        // the last of the two bytes holding vertices 8..13.
+        let at = HEADER_BYTES as usize + 4 + 4 * dg.shards[0].num_local() + 4 + 1;
+        assert_eq!(file[at] >> 5, 0);
+        LocalShard::from_wire(&file).expect("the shard as written");
+        file[at] |= 1 << 6;
+        assert!(matches!(
+            LocalShard::from_wire(&file),
+            Err(NetError::Malformed { detail, .. }) if detail.contains("route bits past")
+        ));
     }
 
     /// The file holds one counted list per local, so it cannot express a

@@ -16,12 +16,12 @@ use std::path::Path;
 use lazygraph_graph::{MachineId, VertexId};
 use lazygraph_net::Wire;
 
-use super::codec::{Section, HEADER_BYTES, SECTIONS};
-use super::{Degrees, ShardSink, ShardSize, NO_LOCAL};
+use super::codec::{route_bits, Section, HEADER_BYTES, SECTIONS};
+use super::{target, Degrees, ShardSink, ShardSize, NO_LOCAL};
 use crate::replication::{machines_of, MachineMask};
 
 /// Bytes a section gathers before it writes them out.
-const SECTION_BUF: usize = 8 << 10;
+const SECTION_BUF: usize = 4 << 10;
 
 /// The part of one section not yet in the file: `buf` belongs at byte
 /// `at`, and the section ends at byte `end`.
@@ -65,8 +65,11 @@ impl ShardFile {
         file.write_all(&machine.0.to_wire())?;
         let mut at = HEADER_BYTES;
         let mut cursors = SECTIONS.map(|section| {
-            let end = at + section.bytes(&size, num_global);
-            let mut buf = Vec::with_capacity(SECTION_BUF);
+            let bytes = section.bytes(&size, num_global);
+            let end = at + bytes;
+            // A short section — the empty weights of an unweighted graph —
+            // needs no more than its own length.
+            let mut buf = Vec::with_capacity(SECTION_BUF.min(bytes as usize));
             (section.count(&size, num_global) as u32).encode(&mut buf);
             let cursor = Cursor { at, end, buf };
             at = end;
@@ -100,8 +103,8 @@ impl ShardFile {
     /// length.
     pub(super) fn finish(mut self) -> io::Result<u64> {
         let route = std::mem::take(&mut self.route);
-        for &l in route.iter() {
-            self.put(Section::Route, l)?;
+        for bits in route_bits(&route) {
+            self.put(Section::Route, bits)?;
         }
         for (section, cursor) in SECTIONS.iter().zip(&mut self.cursors) {
             cursor.flush(&self.file)?;
@@ -133,7 +136,6 @@ impl ShardSink for ShardFile {
         self.locals += 1;
         self.route[v.index()] = l;
         self.put(Section::Globals, v.0)?;
-        self.put(Section::IsMaster, master == self.machine)?;
         self.put(Section::MasterOf, master.0)?;
         self.put(Section::Mirrors, others.count_ones())?;
         for m in machines_of(others) {
@@ -143,15 +145,19 @@ impl ShardSink for ShardFile {
             self.put(Section::Replicated, l)?;
         }
         self.put(Section::GlobalOutDegree, degrees.out)?;
-        self.put(Section::GlobalInDegree, degrees.inward)?;
-        self.put(Section::GlobalDegree, degrees.total)
+        self.put(Section::GlobalInDegree, degrees.inward)
     }
 
-    fn push_edge(&mut self, dst: VertexId, weight: f32, parallel: bool) -> io::Result<()> {
+    fn push_edge(&mut self, dst: VertexId, weight: Option<f32>, parallel: bool) -> io::Result<()> {
         self.edges += 1;
-        self.put(Section::OutTargets, self.route[dst.index()])?;
-        self.put(Section::OutWeights, weight)?;
-        self.put(Section::OutParallel, parallel)
+        self.put(
+            Section::OutTargets,
+            target(self.route[dst.index()], parallel),
+        )?;
+        match weight {
+            Some(weight) => self.put(Section::OutWeights, weight),
+            None => Ok(()),
+        }
     }
 
     fn close_row(&mut self) -> io::Result<()> {

@@ -61,7 +61,7 @@ fn csr_into(h: &mut Fnv, csr: &Csr) {
     for v in 0..csr.num_vertices() {
         let v = v.into();
         h.word(csr.degree(v) as u64);
-        for (t, w) in csr.neighbors(v).iter().zip(csr.weights(v)) {
+        for (t, w) in csr.edges_of(v) {
             h.word(u64::from(t.0));
             h.word(u64::from(w.to_bits()));
         }

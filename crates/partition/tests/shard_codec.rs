@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use lazygraph_graph::generators::{grid2d, rmat, Grid2dConfig, RmatConfig};
-use lazygraph_graph::Graph;
+use lazygraph_graph::{Graph, GraphBuilder};
 use lazygraph_net::{NetError, Wire};
 use lazygraph_partition::{
     partition_graph_with, DistributedGraph, EdgeMode, HubFanoutConfig, LocalShard,
@@ -95,7 +95,6 @@ fn assert_same(a: &LocalShard, b: &LocalShard) {
     assert_eq!(a.machine, b.machine);
     assert_eq!(a.globals, b.globals);
     assert_eq!(a.route_table(), b.route_table());
-    assert_eq!(a.is_master, b.is_master);
     assert_eq!(a.master_of, b.master_of);
     for l in 0..a.num_local() as u32 {
         assert_eq!(a.mirrors(l), b.mirrors(l));
@@ -103,10 +102,11 @@ fn assert_same(a: &LocalShard, b: &LocalShard) {
     assert_eq!(a.replicated, b.replicated);
     assert_eq!(a.global_out_degree, b.global_out_degree);
     assert_eq!(a.global_in_degree, b.global_in_degree);
-    assert_eq!(a.global_degree, b.global_degree);
     assert_eq!(a.num_local_edges(), b.num_local_edges());
     assert_eq!(rows(a), rows(b));
     for l in 0..a.num_local() as u32 {
+        assert_eq!(a.is_master(l), b.is_master(l));
+        assert_eq!(a.global_degree(l), b.global_degree(l));
         assert_eq!(a.local_out_degree(l), b.local_out_degree(l));
         assert_eq!(a.local_of(a.global_of(l)), b.local_of(a.global_of(l)));
     }
@@ -167,10 +167,25 @@ fn single_machine_round_trips() {
     assert_placement_round_trips(&dg);
 }
 
-fn small_shard_file() -> Vec<u8> {
-    let g = rmat(RmatConfig::graph500(5, 4, 3));
+/// Shard 1 of a small placement: of an unweighted R-MAT graph, whose
+/// shards store no weight, or of the same graph with weights drawn, whose
+/// shards store one per edge.
+fn small_shard_file(weighted: bool) -> Vec<u8> {
+    let raw = rmat(RmatConfig::graph500(5, 4, 3));
+    let g = if weighted {
+        let mut b = GraphBuilder::new(raw.num_vertices());
+        b.extend(raw.edges());
+        b.randomize_weights(1.0, 64.0, 3);
+        b.build()
+    } else {
+        raw
+    };
     let dg = place(&g, 3, &HubFanoutConfig::default(), false);
-    let bytes = dg.shards[1].to_wire();
+    let shard = &dg.shards[1];
+    let stored =
+        (0..shard.num_local() as u32).any(|l| shard.out_edges(l).any(|(_, w, _)| w != 1.0));
+    assert_eq!(stored, weighted);
+    let bytes = shard.to_wire();
     assert!(
         bytes.len() < 4096,
         "the sweeps are quadratic in this: {}",
@@ -181,23 +196,36 @@ fn small_shard_file() -> Vec<u8> {
 
 #[test]
 fn a_file_cut_at_any_prefix_is_a_typed_error() {
-    let bytes = small_shard_file();
-    for cut in 0..bytes.len() {
-        let err = decode_bounded(&bytes[..cut]).expect_err("a prefix cannot be a whole shard");
-        assert!(
-            matches!(err, NetError::Truncated { .. }),
-            "cut at {cut}: {err}"
-        );
+    for weighted in [false, true] {
+        let bytes = small_shard_file(weighted);
+        for cut in 0..bytes.len() {
+            let err = decode_bounded(&bytes[..cut]).expect_err("a prefix cannot be a whole shard");
+            assert!(
+                matches!(err, NetError::Truncated { .. }),
+                "weighted {weighted}, cut at {cut}: {err}"
+            );
+        }
     }
 }
 
 #[test]
 fn any_single_corrupt_byte_is_an_error_or_a_valid_shard() {
-    let bytes = small_shard_file();
+    for weighted in [false, true] {
+        let (rejected, accepted) = corrupt_every_byte(&small_shard_file(weighted));
+        assert!(
+            rejected > accepted,
+            "weighted {weighted}: {rejected} rejected, {accepted} accepted"
+        );
+    }
+}
+
+/// Flips bits of every byte of `bytes` in turn and decodes each damaged
+/// file: `(rejected, accepted)`.
+fn corrupt_every_byte(bytes: &[u8]) -> (usize, usize) {
     let (mut rejected, mut accepted) = (0, 0);
     for at in 0..bytes.len() {
         for flip in [0x01, 0x80, 0xff] {
-            let mut file = bytes.clone();
+            let mut file = bytes.to_vec();
             file[at] ^= flip;
             match decode_bounded(&file) {
                 // A changed weight, degree or gid-for-gid swap can still be a
@@ -213,10 +241,7 @@ fn any_single_corrupt_byte_is_an_error_or_a_valid_shard() {
             }
         }
     }
-    assert!(
-        rejected > accepted,
-        "{rejected} rejected, {accepted} accepted"
-    );
+    (rejected, accepted)
 }
 
 #[test]

@@ -21,6 +21,7 @@ use lazygraph_algorithms::WidestPath;
 use lazygraph_engine::TransportKind;
 use lazygraph_graph::generators::{rmat, RmatConfig};
 use lazygraph_graph::{Dataset, GraphBuilder};
+use lazygraph_net::Wire;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 const MACHINES: [usize; 2] = [1, 4];
@@ -502,4 +503,95 @@ fn repeated_runs_are_reproducible() {
         let b = run_fingerprint(&g, 4, &c, &PageRankDelta::default());
         assert_eq!(a, b, "{engine:?} not reproducible run-to-run");
     }
+}
+
+/// A graph whose weights are all `1.0` stores none, in its CSR and in its
+/// shards. The same graph with one weight nudged to 2.0 is weighted, so
+/// every shard of it stores a weight per edge; with that weight set back
+/// to exactly `1.0` in its shard file, both placements hold the same
+/// edges, and SSSP (which reads weights) and PageRank must run on them
+/// bitwise alike — values, `sim_time`, traffic and every other counter.
+#[test]
+fn unit_weights_run_alike_stored_or_elided() {
+    let raw = road_lattice(24, 5);
+    let mut edges: Vec<Edge> = raw.edges().map(|e| Edge::new(e.src, e.dst)).collect();
+    let unit = Graph::from_edges(raw.num_vertices(), &edges);
+    let at = edges.len() / 3;
+    edges[at].weight = 2.0;
+    let nudged = Graph::from_edges(raw.num_vertices(), &edges);
+    assert!(unit.out_csr().is_unweighted() && !nudged.out_csr().is_unweighted());
+
+    for engine in [EngineKind::LazyBlockAsync, EngineKind::PowerGraphSync] {
+        let cfg = EngineConfig::lazygraph()
+            .with_engine(engine)
+            .with_threads(1)
+            .with_block_size(64);
+        let elided = lazygraph_engine::place(&unit, 4, &cfg).expect("placed");
+        let stored =
+            unit_weights_stored(lazygraph_engine::place(&nudged, 4, &cfg).expect("placed"));
+        for (shard, unit_shard) in stored.shards.iter().zip(&elided.shards) {
+            assert_eq!(
+                shard.to_wire().len(),
+                unit_shard.to_wire().len() + 4 * shard.num_local_edges()
+            );
+            for l in 0..shard.num_local() as u32 {
+                assert!(shard.out_edges(l).eq(unit_shard.out_edges(l)), "local {l}");
+            }
+        }
+        for (what, a, b) in [
+            (
+                "sssp",
+                placed_fingerprint(&elided, &cfg, &Sssp::new(0u32)),
+                placed_fingerprint(&stored, &cfg, &Sssp::new(0u32)),
+            ),
+            (
+                "pagerank",
+                placed_fingerprint(&elided, &cfg, &PageRankDelta::default()),
+                placed_fingerprint(&stored, &cfg, &PageRankDelta::default()),
+            ),
+        ] {
+            assert!(a.contains("conv=true"), "{engine:?}/{what}: {a}");
+            assert_eq!(a, b, "{engine:?}/{what}");
+        }
+    }
+}
+
+/// `dg` with every stored weight of 2.0 set back to exactly `1.0` in its
+/// shard file — the last section, one `f32` per edge — and decoded again.
+fn unit_weights_stored(
+    mut dg: lazygraph_partition::DistributedGraph,
+) -> lazygraph_partition::DistributedGraph {
+    for shard in &mut dg.shards {
+        let mut file = shard.to_wire();
+        let weights = file.len() - 4 * shard.num_local_edges();
+        for w in file[weights..].chunks_exact_mut(4) {
+            if w == 2.0f32.to_le_bytes() {
+                w.copy_from_slice(&1.0f32.to_le_bytes());
+            }
+        }
+        *shard =
+            lazygraph_partition::LocalShard::from_wire(&file).expect("a patched shard decodes");
+    }
+    dg
+}
+
+/// Byte-faithful values and counters of one run on a given placement.
+fn placed_fingerprint<P: VertexProgram>(
+    dg: &lazygraph_partition::DistributedGraph,
+    cfg: &EngineConfig,
+    program: &P,
+) -> String {
+    let r = lazygraph_engine::run_on(dg, cfg, program).expect("cluster run");
+    let mut stats = r.metrics.stats;
+    stats.pool_hits = 0;
+    stats.pool_misses = 0;
+    format!(
+        "{:?} iters={} syncs={} stats={:?} sim={:?} conv={}",
+        r.values,
+        r.metrics.iterations,
+        r.metrics.global_syncs(),
+        stats,
+        r.metrics.sim_time,
+        r.metrics.converged
+    )
 }

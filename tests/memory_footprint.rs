@@ -77,9 +77,13 @@ static ALLOC: Counting = Counting;
 /// (2.59–2.63× for lazy and delta) failed. Without it the same run peaks
 /// the same 22.5 MB over the same shards, but over 4.8 MB less graph
 /// (14.4 MB before it): 2.56× where it read 2.17×, and a whole sweep
-/// staged would read 3.12–3.17×. 2.9 is 41.8 MB on this graph, where 2.45
-/// allowed 47.1 MB.
-const PEAK_FACTOR: f64 = 2.9;
+/// staged would read 3.12–3.17× (a 30.6–31.2 MB rise); the factor was 2.9,
+/// 41.8 MB on this graph. Since the graph and its shards store no weight,
+/// mode flag, master flag or total degree, the lazy run starts from 9.33
+/// MB and peaks the same 22.6 MB above it, at 31.9 MB: 3.42× (Sync 3.07×,
+/// delta 3.37×). 3.9 allows 36.4 MB, less than 2.9 allowed before, and the
+/// rise of a whole sweep staged over the smaller heap would read 4.3×.
+const PEAK_FACTOR: f64 = 3.9;
 
 /// Bytes a run may allocate per edge it traverses after its first two
 /// supersteps: one staged `(u32, f64)` item. A delivery path that
@@ -218,6 +222,38 @@ fn assert_set_up_holds_the_graph_once(g: &Graph) {
         "build_distributed made {} allocations",
         build.allocs
     );
+    assert_shards_store_nothing_derivable(&dg);
+}
+
+/// What a shard may hold per local replica: its gid, master, mirror-list
+/// offset, two user-view degrees, CSR offset and `replicated` entry (4 B
+/// each but the 2 B master), and at most one mirror entry (2 B) for each
+/// other machine.
+const PER_LOCAL: usize = 6 * size_of::<u32>() + size_of::<MachineId>() * MACHINES;
+
+/// A shard of an unweighted graph stores 4 B per edge — the target, its
+/// mode in the top bit, no weight — beside its per-local arrays and its
+/// route table (DESIGN.md §10). At commit `f720604` a shard also held a
+/// weight and a mode flag per edge and a master flag and total degree per
+/// local, 5 B more of each: on this graph's placement 411 313 – 470 944 B
+/// a shard, 49–56 % over the bound; now 262 148 – 291 364 B, at most 95 %
+/// of it.
+fn assert_shards_store_nothing_derivable(dg: &lazygraph_partition::DistributedGraph) {
+    for shard in &dg.shards {
+        let (_, held) = measure_call(|| shard.clone());
+        let bound = size_of::<u32>() * shard.num_local_edges()
+            + PER_LOCAL * shard.num_local()
+            + size_of::<u32>() * (shard.route_table().len() + 2);
+        assert!(
+            held.result <= bound,
+            "shard {} holds {} B: over 4 B for each of its {} edges, {PER_LOCAL} B for each of \
+             its {} locals and its route table ({bound} B)",
+            shard.machine,
+            held.result,
+            shard.num_local_edges(),
+            shard.num_local()
+        );
+    }
 }
 
 /// Machines the launcher's placement is measured at.
@@ -226,18 +262,21 @@ const MACHINES: usize = 4;
 /// and its entry in each shard's route table.
 const PER_VERTEX: usize = size_of::<u128>() + size_of::<MachineId>() + 4 * MACHINES;
 /// What placing into files holds per shard file: a write buffer for each
-/// of its 13 arrays, and slack.
+/// of its 10 arrays, and slack.
 const PER_FILE: usize = 128 << 10;
 
 /// The launcher's placement streams every shard into its file (DESIGN.md
-/// §10) instead of placing all of them in memory first. At the parent
-/// commit (`db3c888`) the launcher placed all four shards of this graph,
-/// then encoded them one at a time through one reused buffer: that peaked
-/// at 2 743 227 B beyond the graph, the assignment and the plan — 1.52×
-/// the 1 808 195 B of shard files it wrote. Streamed, it peaks at 706 922
-/// B (0.39×): the replica masks and the master table, one route table per
-/// shard, the dispatch fix-point's parallel-edge list and a buffer per
-/// array of each open file. Pinned at that sum, and under half the files.
+/// §10) instead of placing all of them in memory first. At commit
+/// `db3c888` the launcher placed all four shards of this graph, then
+/// encoded them one at a time through one reused buffer: that peaked at
+/// 2 743 227 B beyond the graph, the assignment and the plan — 1.52× the
+/// 1 808 195 B of shard files it wrote. Streamed, it peaked at 706 922 B
+/// (0.39×): the replica masks and the master table, one route table per
+/// shard, the dispatch fix-point's parallel-edge list and an 8 KiB buffer
+/// per array of each open file. Shard files that store no derivable byte
+/// (and a route bit, not a route entry, per vertex) are 996 516 B; with
+/// 4 KiB buffers, none longer than its array, the placement peaks at
+/// 415 690 B (0.42×). Pinned at that sum, and under half the files.
 fn assert_placement_streams_into_files(g: &Graph) {
     let cfg = EngineConfig::lazygraph();
     let assignment = cfg.partition.assign(g, MACHINES);
@@ -269,21 +308,23 @@ fn assert_placement_streams_into_files(g: &Graph) {
 
 /// The multiprocess launcher's set-up holds the forward CSR and what each
 /// stage adds to it, never a reverse CSR or a staged edge list (DESIGN.md
-/// §18, "Two reads, one fill"). At the parent commit (`17e37a8`), on this
-/// graph (8 177 vertices and 110 879 edges once saved, a 952 456 B forward
-/// CSR):
+/// §18, "Two reads, one fill"). At commit `17e37a8`, on this graph (8 177
+/// vertices and 110 879 edges once saved, a 952 456 B forward CSR with a
+/// weight per edge; 508 940 B since an unweighted CSR stores none):
 ///
 /// - `load_edge_list` peaked at 2 356 695 B — the staged edge list (12 B an
 ///   edge) beside the forward CSR, then both CSRs — where filling the CSR
-///   in place from two reads of the file peaks at 1 026 096 B: the CSR, a
-///   cursor per row and the reader's buffer. Pinned at the CSR plus 16 B a
-///   vertex.
+///   in place from two reads of the file peaks at 1 026 096 B (582 580 B
+///   without weights): the CSR, a cursor per row and the reader's buffer.
+///   Pinned at the CSR plus 16 B a vertex.
 /// - load, cut, plan and the placement into shard files together peaked at
 ///   2 943 957 B: both CSRs beside the assignment, the plan and the
-///   placement's replica state. Without the reverse CSR it is 2 024 209 B.
-///   Pinned at the forward CSR, the in-degrees, the assignment and the
-///   plan, plus the bound `assert_placement_streams_into_files` holds the
-///   placement to.
+///   placement's replica state. Without the reverse CSR it is 2 024 209 B,
+///   and 1 301 733 B without the weights. Pinned at the forward CSR, the
+///   in-degrees, the assignment and the plan, plus the bound
+///   `assert_placement_streams_into_files` holds the placement to.
+/// - the loaded `Graph` is the forward CSR and the in-degrees exactly: 4 B
+///   an edge, 12 B a vertex (541 648 B; 985 164 B with a weight per edge).
 fn assert_the_launcher_holds_its_floor(g: &Graph) {
     let path = std::env::temp_dir().join(format!("lazygraph-footprint-floor-{}.el", std::process::id()));
     lazygraph_graph::io::save_edge_list(g, &path).expect("save");
@@ -293,8 +334,10 @@ fn assert_the_launcher_holds_its_floor(g: &Graph) {
     let (vertices, edges) = (loaded.num_vertices(), loaded.num_edges());
     let parallel = lazygraph_partition::plan_split(&loaded, MACHINES, &cfg.splitter).num_parallel();
     assert!(parallel > 0, "the dispatch fix-point must be part of the figure");
+    assert!(loaded.out_csr().is_unweighted());
     drop(loaded);
-    let csr = size_of::<u64>() * (vertices + 1) + (size_of::<VertexId>() + size_of::<f32>()) * edges;
+    // The graph is unweighted: its CSR is offsets and targets, no weight.
+    let csr = size_of::<u64>() * (vertices + 1) + size_of::<VertexId>() * edges;
 
     let dir = std::env::temp_dir().join(format!("lazygraph-footprint-floor-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
@@ -314,13 +357,20 @@ fn assert_the_launcher_holds_its_floor(g: &Graph) {
     std::fs::remove_dir_all(&dir).ok();
     files.expect("shard files");
 
+    let in_degrees = size_of::<u32>() * vertices;
+    assert!(
+        load.result <= csr + in_degrees,
+        "an unweighted graph holds {} B, over 4 B for each of its {edges} edges and its {} B of \
+         offsets and in-degrees",
+        load.result,
+        csr + in_degrees - size_of::<VertexId>() * edges
+    );
     let load_bound = csr + 16 * vertices;
     assert!(
         load.peak <= load_bound,
         "load_edge_list peaked at {} B, over the {csr} B forward CSR + 16 B a vertex",
         load.peak
     );
-    let in_degrees = size_of::<u32>() * vertices;
     let assignment = size_of::<MachineId>() * edges;
     let plan = size_of::<bool>() * edges;
     let placement = PER_VERTEX * vertices

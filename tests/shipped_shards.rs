@@ -35,14 +35,14 @@ fn sssp(g: &Graph, machines: usize, opts: &MpOptions) -> (RunResult<Sssp>, Launc
 }
 
 /// Runs SSSP on `g` and holds what the launcher shipped to the bound a
-/// shard's own arrays allow: 9 B per stored edge, under 40 B per local
-/// replica, the 4 B route entry per global vertex — nothing per global
-/// edge, whichever machine stores it.
+/// shard's own arrays allow: 4 B per stored edge of an unweighted graph (8
+/// B with weights), under 40 B per local replica, a route bit per global
+/// vertex — nothing per global edge, whichever machine stores it.
 fn shipped(g: &Graph, machines: usize) -> LaunchReport {
     let (_, out) = sssp(g, machines, &MpOptions::default());
     let dg = place(g, machines);
     let locals: usize = dg.shards.iter().map(|s| s.num_local()).sum();
-    let bound = 16 * dg.total_stored_edges + 64 * locals + 4 * machines * g.num_vertices();
+    let bound = 8 * dg.total_stored_edges + 64 * locals + machines * g.num_vertices().div_ceil(8);
     assert_eq!(out.shard_bytes.len(), machines);
     let total: u64 = out.shard_bytes.iter().sum();
     assert!(
@@ -211,12 +211,16 @@ fn a_worker_refuses_a_shard_that_is_not_its_part_of_the_job() {
     assert_worker_refuses(&dir, TWO, "truncated");
 
     let dir = stage("damaged", TWO, |dg| {
-        // The last byte is the last edge's mode flag.
+        // The graph is unweighted, so the file ends with the last edge's
+        // target and an empty weight section: raise that target's id (its
+        // last byte sits under the mode bit) past every local.
         let mut file = dg.shards[0].to_wire();
-        *file.last_mut().expect("a non-empty file") = 7;
+        let weights = file.len() - 4;
+        assert_eq!(file[weights..], [0; 4], "no weight is stored");
+        file[weights - 1] |= 0x7f;
         file
     });
-    assert_worker_refuses(&dir, TWO, "not a valid bool");
+    assert_worker_refuses(&dir, TWO, "is not one of");
 }
 
 /// The job file is outside input too: address lists that do not cover the

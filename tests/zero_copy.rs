@@ -336,7 +336,7 @@ fn one_failing_machine_does_not_strand_its_peer_at_a_barrier() {
         .shards
         .iter()
         .map(|s| {
-            let masters = (0..s.num_local() as u32).filter(|&l| s.is_master[l as usize]);
+            let masters = (0..s.num_local() as u32).filter(|&l| s.is_master(l));
             masters.filter(|&l| !s.mirrors(l).is_empty()).count()
         })
         .collect();
