@@ -6,8 +6,9 @@
 //! appends to every section of every file at once, and each section gathers
 //! its bytes in a small buffer of its own that goes to the file in one
 //! positioned write when it fills. The route table is the one array kept
-//! whole until the end: edge targets are translated through it. The file
-//! that results is the shard's `to_wire()`, byte for byte.
+//! whole until the end, when it is written as its bits: edge targets are
+//! translated through it. The file that results is the shard's
+//! `to_wire()`, byte for byte.
 
 use std::fs::File;
 use std::io::{self, Seek, SeekFrom, Write};
@@ -98,9 +99,9 @@ impl ShardFile {
         Ok(())
     }
 
-    /// Writes the route table and every buffered byte, checks that every
-    /// section ended where the layout put its end, and returns the file's
-    /// length.
+    /// Writes the route table's bits and every buffered byte, checks that
+    /// every section ended where the layout put its end, and returns the
+    /// file's length.
     pub(super) fn finish(mut self) -> io::Result<u64> {
         let route = std::mem::take(&mut self.route);
         for bits in route_bits(&route) {
