@@ -22,7 +22,7 @@ pub struct Csr {
 }
 
 /// Whether `weight` is the unit weight an unweighted edge stands for —
-/// bitwise, so `-0.0`-style lookalikes and NaNs are never elided.
+/// bitwise, so no other bit pattern (a NaN, say) is ever dropped.
 #[inline]
 fn is_unit(weight: f32) -> bool {
     weight.to_bits() == 1.0f32.to_bits()
