@@ -23,8 +23,9 @@
 //! ([`Collective::new`], one object that `n` threads share); `me` names the
 //! leg a call runs on.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use lazygraph_net::Wire;
-use parking_lot::{Mutex, MutexGuard};
 
 use crate::comm::{build_mesh, Endpoint, OutboxSet};
 use crate::error::CommError;
@@ -69,13 +70,14 @@ impl Collective {
     }
 
     /// Machine `me`'s leg, or a typed error if this collective does not
-    /// host it.
+    /// host it. Only machine `me`'s thread takes this lock; a leg whose
+    /// holder panicked is handed back as the panic left it, not refused.
     fn leg(&self, me: usize) -> Result<MutexGuard<'_, Leg>, CommError> {
-        let leg = self.legs.get(me).and_then(Option::as_ref);
-        leg.map(Mutex::lock).ok_or(CommError::CollectiveLeg {
+        let leg = self.legs.get(me).and_then(Option::as_ref).ok_or(CommError::CollectiveLeg {
             me,
             machines: self.legs.len(),
-        })
+        })?;
+        Ok(leg.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Plain barrier: an empty-payload allreduce, counted as one global
@@ -299,5 +301,22 @@ mod tests {
         }
         let snap = stats.snapshot();
         assert_eq!((snap.global_syncs, snap.total_batches()), (0, 0));
+    }
+
+    /// A thread that panicked holding a leg released it: the leg's next
+    /// round runs instead of failing on a poisoned lock.
+    #[test]
+    fn a_leg_a_panicking_holder_left_still_runs_rounds() {
+        let coll = Collective::new(1);
+        let stats = NetStats::new();
+        std::thread::scope(|s| {
+            let held = s.spawn(|| {
+                let _leg = coll.leg(0);
+                panic!("holder dies");
+            });
+            assert!(held.join().is_err());
+        });
+        assert!(coll.legs[0].as_ref().is_some_and(Mutex::is_poisoned));
+        assert_eq!(coll.sum_u64(0, 42, &stats), Ok(42));
     }
 }

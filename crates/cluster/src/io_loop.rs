@@ -23,7 +23,7 @@ use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError, Weak};
 use std::time::{Duration, Instant};
 
 use lazygraph_net::frame::FRAME_POOL_CAP;
@@ -32,7 +32,6 @@ use lazygraph_net::{
     control_payload, decode_rejoin_payload, encode_frame_into, read_frame_deadline, FrameKind,
     FrameReader, NetError, PeerLink, RawFrame, TcpOptions, Wire,
 };
-use parking_lot::Mutex;
 
 use crate::comm::{Batch, ASYNC_ROUND, POOL_FREE_CAP};
 use crate::error::CommError;
@@ -762,17 +761,36 @@ struct Shared<T> {
     io: Mutex<Io<T>>,
 }
 
+impl<T> Shared<T> {
+    /// The endpoint's links. Only the thread that owns the endpoint takes
+    /// this lock, so a holder that panicked is that thread unwinding, and
+    /// the one left to take it is the endpoint's own `Drop`, which must
+    /// not panic: it gets the links as the panic left them.
+    fn lock(&self) -> MutexGuard<'_, Io<T>> {
+        self.io.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// [`Self::lock`] without waiting: `None` while another call holds it.
+    fn try_lock(&self) -> Option<MutexGuard<'_, Io<T>>> {
+        match self.io.try_lock() {
+            Ok(io) => Some(io),
+            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+}
+
 impl<T: Wire + Send + 'static> Member for Shared<T> {
     fn home(&self) -> u64 {
         self.home.load(Ordering::Relaxed)
     }
 
     fn interest(&self, fds: &mut Vec<PollFd>) -> Option<Instant> {
-        self.io.try_lock().and_then(|io| io.interest(fds))
+        self.try_lock().and_then(|io| io.interest(fds))
     }
 
     fn advance(&self) {
-        if let Some(mut io) = self.io.try_lock() {
+        if let Some(mut io) = self.try_lock() {
             io.pass();
         }
     }
@@ -881,9 +899,9 @@ impl<T: Wire + Send + 'static> TcpLinks<T> {
         });
     }
 
-    fn io(&self) -> parking_lot::MutexGuard<'_, Io<T>> {
+    fn io(&self) -> MutexGuard<'_, Io<T>> {
         self.enlist();
-        self.shared.io.lock()
+        self.shared.lock()
     }
 }
 
@@ -911,7 +929,7 @@ impl<T: Wire + Send + 'static> SocketMesh<T> for TcpLinks<T> {
     }
 
     fn take_returned(&self) -> Option<Vec<T>> {
-        self.shared.io.lock().returned.pop()
+        self.shared.lock().returned.pop()
     }
 
     fn prune_log(&self, watermark: u64, stats: &NetStats) {
@@ -942,6 +960,6 @@ impl<T: Wire + Send + 'static> SocketMesh<T> for TcpLinks<T> {
 impl<T: Wire + Send + 'static> Drop for TcpLinks<T> {
     fn drop(&mut self) {
         let own = self.own();
-        self.shared.io.lock().close(own);
+        self.shared.lock().close(own);
     }
 }

@@ -10,7 +10,6 @@ use std::sync::Arc;
 
 use lazygraph_cluster::{Collective, CommError, CostModel, NetStats, SimClock};
 use lazygraph_net::wire_record;
-use parking_lot::Mutex;
 
 use crate::comm_mode::VolumeEstimate;
 use crate::metrics::SimBreakdown;
@@ -56,34 +55,33 @@ fn combine(a: BspReduction, b: BspReduction) -> BspReduction {
     }
 }
 
-/// Per-machine handle performing bundled syncs and (on machine 0)
-/// accumulating the global simulated-time breakdown.
+/// Per-machine handle performing bundled syncs and accumulating the
+/// simulated-time breakdown. Every term the breakdown adds comes out of
+/// the allreduce, so every machine of a run holds the same bits.
 pub struct BspSync {
     pub me: usize,
     /// This machine's leg of the control mesh.
     pub coll: Collective,
     pub stats: Arc<NetStats>,
     pub cost: CostModel,
-    breakdown: Arc<Mutex<SimBreakdown>>,
-    last_global: f64,
+    /// The breakdown of the simulated time up to the last sync.
+    pub breakdown: SimBreakdown,
+    /// The global clock the last sync set (0 before the first). A
+    /// snapshot carries it with the breakdown: the next sync books the
+    /// clock's advance past it as compute.
+    pub last_global: f64,
 }
 
 impl BspSync {
     /// A new handle over machine `me`'s collective leg; every machine of a
-    /// run shares `stats` and `breakdown`.
-    pub fn new(
-        me: usize,
-        coll: Collective,
-        stats: Arc<NetStats>,
-        cost: CostModel,
-        breakdown: Arc<Mutex<SimBreakdown>>,
-    ) -> Self {
+    /// run shares `stats`.
+    pub fn new(me: usize, coll: Collective, stats: Arc<NetStats>, cost: CostModel) -> Self {
         BspSync {
             me,
             coll,
             stats,
             cost,
-            breakdown,
+            breakdown: SimBreakdown::default(),
             last_global: 0.0,
         }
     }
@@ -106,14 +104,12 @@ impl BspSync {
             _ => 0.0,
         };
         let new_global = red.clock + self.cost.barrier_latency + comm_time;
-        if self.me == 0 {
-            let mut b = self.breakdown.lock();
-            // Machine 0 only, on an allreduced clock: the superstep
-            // sequence fixes the order of these sums.
-            b.compute += (red.clock - self.last_global).max(0.0);
-            b.barrier += self.cost.barrier_latency;
-            b.comm += comm_time;
-        }
+        // Allreduced terms only, added in superstep order: the same bits
+        // on every machine.
+        let b = &mut self.breakdown;
+        b.compute += (red.clock - self.last_global).max(0.0);
+        b.barrier += self.cost.barrier_latency;
+        b.comm += comm_time;
         self.last_global = new_global;
         clock.set(new_global);
         Ok(red)
@@ -123,22 +119,21 @@ impl BspSync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lazygraph_net::Wire;
 
     #[test]
     fn sync_advances_all_clocks_to_max_plus_costs() {
         let stats = Arc::new(NetStats::new());
-        let breakdown = Arc::new(Mutex::new(SimBreakdown::default()));
         let cost = CostModel::paper_cluster();
-        let clocks: Vec<f64> = std::thread::scope(|s| {
+        let outs: Vec<(f64, SimBreakdown)> = std::thread::scope(|s| {
             let handles: Vec<_> = lazygraph_cluster::build_mesh::<u8>(3)
                 .into_iter()
                 .map(|leg| {
                     let me = leg.me();
                     let coll = Collective::mesh(leg);
                     let stats = stats.clone();
-                    let breakdown = breakdown.clone();
                     s.spawn(move || {
-                        let mut bsp = BspSync::new(me, coll, stats, cost, breakdown);
+                        let mut bsp = BspSync::new(me, coll, stats, cost);
                         let mut clock = SimClock::new();
                         clock.advance(me as f64); // machine 2 is slowest
                         let red = bsp.sync(
@@ -153,7 +148,7 @@ mod tests {
                         let red = red.unwrap();
                         assert_eq!(red.pending, 3);
                         assert_eq!(red.bytes, 3_000_000);
-                        clock.now()
+                        (clock.now(), bsp.breakdown)
                     })
                 })
                 .collect();
@@ -161,10 +156,14 @@ mod tests {
         });
         // All clocks equal: max(2.0) + barrier + t_a2a(3 MB).
         let expected = 2.0 + cost.barrier_latency + cost.t_a2a(3_000_000);
-        for c in clocks {
+        for (c, _) in &outs {
             assert!((c - expected).abs() < 1e-9, "clock {c} vs {expected}");
         }
-        let b = breakdown.lock();
+        // Every machine books the same breakdown, bit for bit.
+        let b = outs[0].1;
+        for (_, other) in &outs {
+            assert_eq!(other.to_wire(), b.to_wire());
+        }
         assert!((b.compute - 2.0).abs() < 1e-9);
         assert!((b.comm - cost.t_a2a(3_000_000)).abs() < 1e-12);
         assert!((b.barrier - cost.barrier_latency).abs() < 1e-12);
@@ -174,12 +173,11 @@ mod tests {
     fn pure_barrier_charges_no_comm() {
         let coll = Collective::new(1);
         let stats = Arc::new(NetStats::new());
-        let breakdown = Arc::new(Mutex::new(SimBreakdown::default()));
         let cost = CostModel::paper_cluster();
-        let mut bsp = BspSync::new(0, coll, stats, cost, breakdown.clone());
+        let mut bsp = BspSync::new(0, coll, stats, cost);
         let mut clock = SimClock::new();
         bsp.sync(&mut clock, BspReduction::default(), CommCharge::None).unwrap();
         assert!((clock.now() - cost.barrier_latency).abs() < 1e-12);
-        assert_eq!(breakdown.lock().comm, 0.0);
+        assert_eq!(bsp.breakdown.comm, 0.0);
     }
 }

@@ -12,7 +12,7 @@
 //! `>= W` — so the rejoined mesh is indistinguishable from one that never
 //! tore. DESIGN.md §12 walks through the protocol.
 //!
-//! ## On-disk format (v8)
+//! ## On-disk format (v9)
 //!
 //! ```text
 //! [magic "LZCK" u32 LE][version u32]
@@ -62,6 +62,7 @@ use lazygraph_net::{wire_record, NetError, Wire, WireReader};
 use crate::config::EngineKind;
 use crate::lazy_block::LazyCounters;
 use crate::machine::Frame;
+use crate::metrics::SimBreakdown;
 use crate::program::VertexProgram;
 use crate::state::{initial_data, MachineState};
 
@@ -84,8 +85,10 @@ pub const CKPT_MAGIC: u32 = 0x4b435a4c;
 /// it, and a restart at a superstep boundary can recompute neither. v8 is
 /// the streamed layout of the module docs: the header record first, the
 /// arrays as sections of whole elements, an end record, and only what a
-/// restart cannot rebuild.
-pub const CKPT_VERSION: u32 = 8;
+/// restart cannot rebuild. v9 added the simulated-time breakdown and the
+/// last sync's global clock to the header: every machine books the
+/// breakdown, so a resumed one must continue its sums, not restart them.
+pub const CKPT_VERSION: u32 = 9;
 /// Payload bytes after which the writer closes a chunk.
 pub const CKPT_CHUNK: usize = 1 << 20;
 /// Largest encoding of one element (a value, or a mask word with the
@@ -586,6 +589,12 @@ pub struct SnapshotHeader {
     pub iterations: u64,
     /// `SimClock::now().to_bits()` — bit-exact simulated time.
     pub clock_bits: u64,
+    /// The machine's simulated-time breakdown so far (its sums ride as
+    /// bit patterns).
+    pub breakdown: SimBreakdown,
+    /// `BspSync::last_global.to_bits()`: the global clock the last sync
+    /// set, from which the next sync books compute.
+    pub last_global_bits: u64,
     /// Data-mesh replay watermark `W`: the round the resumed machine will
     /// send next; peers replay their logged rounds `>= W`.
     pub data_round: u64,
@@ -602,6 +611,8 @@ wire_record!(SnapshotHeader {
     engine,
     iterations,
     clock_bits,
+    breakdown,
+    last_global_bits,
     data_round,
     ctrl_round,
     lazy,
@@ -1027,6 +1038,8 @@ pub fn checkpoint_at_barrier<P: VertexProgram, M>(
         engine: tag,
         iterations: f.iterations,
         clock_bits: f.clock.now().to_bits(),
+        breakdown: f.bsp.breakdown,
+        last_global_bits: f.bsp.last_global.to_bits(),
         data_round,
         ctrl_round,
         lazy: extras.lazy,
@@ -1086,6 +1099,13 @@ mod tests {
             engine: 1,
             iterations: 6,
             clock_bits: 1.5f64.to_bits(),
+            breakdown: SimBreakdown {
+                compute: 1.25,
+                comm: 0.125,
+                barrier: 0.0625,
+                ..Default::default()
+            },
+            last_global_bits: 1.4375f64.to_bits(),
             data_round: 41,
             ctrl_round: 17,
             lazy: Some(LazyResume {
@@ -1243,7 +1263,7 @@ mod tests {
         // must fail the strict equality check, not decode garbage: every
         // version changed the layout.
         let file = sample_file();
-        for version in [3u32, 4, 5, 6, 7] {
+        for version in [3u32, 4, 5, 6, 7, 8] {
             let mut old = file.clone();
             old[4..8].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(verify(&old), Err(CheckpointError::BadHeader { .. })));

@@ -115,8 +115,10 @@ pub struct EngineConfig {
     /// defer sub-tolerance). Semantics-preserving; off reproduces the
     /// paper's literal ship-everything protocol.
     pub delta_suppression: bool,
-    /// Record a per-round [`crate::metrics::IterationRecord`] trace
-    /// (convergence analysis; small extra cost per round).
+    /// Record a per-round [`crate::metrics::IterationRecord`] trace on
+    /// every machine, returned in its outcome on both routes; the run
+    /// reports machine 0's (convergence analysis; small extra cost per
+    /// round).
     pub record_history: bool,
     /// Active-vertex fraction below which the PowerSwitch hybrid engine
     /// flips from BSP to asynchronous execution.

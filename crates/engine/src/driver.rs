@@ -11,11 +11,10 @@ use lazygraph_graph::Graph;
 use lazygraph_partition::{
     partition_graph_to_files, partition_graph_with, DistributedGraph, ShardFiles, MAX_MACHINES,
 };
-use parking_lot::Mutex;
 
 use crate::config::EngineConfig;
-use crate::machine::{assemble, run_mesh_engine, History, Measured, RunShared, ThreadedMesh};
-use crate::metrics::{RunMetrics, SimBreakdown};
+use crate::machine::{assemble, run_mesh_engine, Measured, ThreadedMesh};
+use crate::metrics::RunMetrics;
 use crate::program::VertexProgram;
 
 /// The outcome of [`run`]: final per-vertex values plus metrics.
@@ -102,8 +101,6 @@ pub fn run_on<P: VertexProgram>(
     program: &P,
 ) -> Result<RunResult<P>, CommError> {
     let stats = Arc::new(NetStats::new());
-    let breakdown = Arc::new(Mutex::new(SimBreakdown::default()));
-    let history: History = Arc::new(Mutex::new(Vec::new()));
     #[expect(
         clippy::disallowed_methods,
         reason = "host wall-clock feeds only the reported runtime metric; \
@@ -114,18 +111,11 @@ pub fn run_on<P: VertexProgram>(
         transport: cfg.transport,
         shards: &dg.shards,
     };
-    let shared = RunShared {
-        stats: stats.clone(),
-        breakdown: breakdown.clone(),
-        history: cfg.record_history.then(|| history.clone()),
-    };
-    let outs = run_mesh_engine(&dg.shape(), cfg, program, mesh, &shared)?;
+    let outs = run_mesh_engine(&dg.shape(), cfg, program, mesh, &stats)?;
     let measured = Measured {
         lambda: dg.lambda(),
         wall_time: started.elapsed(),
         stats: stats.snapshot(),
-        breakdown: *breakdown.lock(),
-        history: std::mem::take(&mut history.lock()),
     };
     Ok(assemble(outs, cfg, program, dg.num_global_vertices, measured))
 }

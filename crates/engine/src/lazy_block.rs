@@ -304,8 +304,8 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
         // clock — both terms come out of the reduction, so every machine
         // reads the same bits.
         self.coherency_cost = f.clock.now() - red.clock;
-        if let Some(h) = &f.history {
-            h.lock().push(IterationRecord {
+        if cfg.record_history {
+            f.history.push(IterationRecord {
                 iteration: f.iterations,
                 pending: red.pending,
                 bytes: red.bytes,

@@ -66,8 +66,6 @@ pub use parallel::{ParallelConfig, ParallelCtx};
 pub use driver::{place, place_files, run, run_on, RunResult};
 pub use lazygraph_cluster::{CommError, TransportKind};
 pub use interval::{IntervalModel, StageProgress};
-pub use machine::{
-    assemble, run_mesh_engine, Attach, MachineOut, Measured, RunShared, Seat, ThreadedMesh,
-};
+pub use machine::{assemble, run_mesh_engine, Attach, MachineOut, Measured, Seat, ThreadedMesh};
 pub use metrics::{RunMetrics, SimBreakdown};
 pub use program::{EdgeCtx, LocalOrder, VertexCtx, VertexProgram};

@@ -35,7 +35,6 @@ use lazygraph_cluster::{
 };
 use lazygraph_net::{wire_record, Wire};
 use lazygraph_partition::{LocalShard, PlacementShape};
-use parking_lot::Mutex;
 
 use crate::async_engine::AsyncPump;
 use crate::bsp::BspSync;
@@ -54,10 +53,6 @@ use crate::parallel::ParallelCtx;
 use crate::program::VertexProgram;
 use crate::state::{InitMessages, MachineState};
 use crate::sync_engine::SyncStep;
-
-/// Sink of the per-round trace machine 0 records under
-/// `EngineConfig::record_history`.
-pub type History = Arc<Mutex<Vec<IterationRecord>>>;
 
 /// Everything one machine's superstep works on. `M` is the engine's wire
 /// message; the mesh carries `(global vertex id, M)` items.
@@ -80,8 +75,9 @@ pub struct Frame<'a, P: VertexProgram, M> {
     /// Supersteps started so far (1-based inside `step`; a pump step,
     /// which is not a superstep, resets it to 0).
     pub iterations: u64,
-    /// `Some` on the in-process driver's machines when history is on.
-    pub history: Option<History>,
+    /// This machine's per-round trace: engines push to it when
+    /// `cfg.record_history` is set.
+    pub history: Vec<IterationRecord>,
 }
 
 /// The termination vote a superstep ends with (identical on every
@@ -138,36 +134,38 @@ pub trait Superstep<P: VertexProgram>: Sized {
     }
 }
 
-/// One machine's share of an engine run. Carries a [`Wire`] impl so a
-/// worker process can ship it back to the launcher for [`assemble`].
+/// One machine's share of an engine run, and the only way anything leaves
+/// a machine. Carries a [`Wire`] impl so a worker process can ship it
+/// back to the launcher for [`assemble`].
 pub struct MachineOut<P: VertexProgram> {
     pub masters: Vec<(u32, P::VData)>,
     pub iterations: u64,
     pub converged: bool,
     pub sim_time: f64,
     pub counters: LazyCounters,
+    /// This machine's simulated-time breakdown: the same bits on every
+    /// machine of the run.
+    pub breakdown: SimBreakdown,
+    /// This machine's per-round trace (empty unless recorded).
+    pub history: Vec<IterationRecord>,
 }
 
 impl<P: VertexProgram> MachineOut<P> {
-    /// The epilogue every engine shares: this machine's master values.
-    pub fn collect(
-        shard: &LocalShard,
-        state: &MachineState<P>,
-        iterations: u64,
-        converged: bool,
-        sim_time: f64,
-        counters: LazyCounters,
-    ) -> Self {
-        let masters = (0..shard.num_local() as u32)
-            .filter(|&l| shard.is_master(l))
-            .map(|l| (shard.global_of(l).0, state.vdata[l as usize].clone()))
+    /// The epilogue every engine shares: this machine's master values and
+    /// what its frame recorded.
+    pub fn collect<M>(f: Frame<'_, P, M>, converged: bool, counters: LazyCounters) -> Self {
+        let masters = (0..f.shard.num_local() as u32)
+            .filter(|&l| f.shard.is_master(l))
+            .map(|l| (f.shard.global_of(l).0, f.state.vdata[l as usize].clone()))
             .collect();
         MachineOut {
             masters,
-            iterations,
+            iterations: f.iterations,
             converged,
-            sim_time,
+            sim_time: f.clock.now(),
             counters,
+            breakdown: f.bsp.breakdown,
+            history: f.history,
         }
     }
 }
@@ -178,6 +176,8 @@ wire_record!(MachineOut<P> where P: VertexProgram {
     converged,
     sim_time,
     counters,
+    breakdown,
+    history,
 });
 
 /// What a route observed around its machines: the part of [`RunMetrics`]
@@ -189,10 +189,6 @@ pub struct Measured {
     pub wall_time: Duration,
     /// Every machine's counters, merged.
     pub stats: StatsSnapshot,
-    /// Machine 0's simulated-time breakdown (the only recorder).
-    pub breakdown: SimBreakdown,
-    /// Machine 0's per-round trace (empty unless recorded).
-    pub history: Vec<IterationRecord>,
 }
 
 /// The one epilogue of every route: folds per-machine outcomes into the
@@ -201,18 +197,22 @@ pub struct Measured {
 /// that tick at a barrier are identical on every machine (machine 0's are
 /// taken); `local_subrounds` is per-machine work and is summed — and so
 /// are LazyVertexAsync's coherency points, which every machine reaches on
-/// its own. The simulated time is the maximum machine clock.
+/// its own. The simulated time is the maximum machine clock; the
+/// breakdown and the trace are machine 0's.
 pub fn assemble<P: VertexProgram>(
-    outs: Vec<MachineOut<P>>,
+    mut outs: Vec<MachineOut<P>>,
     cfg: &EngineConfig,
     program: &P,
     num_vertices: usize,
     measured: Measured,
 ) -> RunResult<P> {
     let sim_time = outs.iter().map(|o| o.sim_time).fold(0.0, f64::max);
-    let (iterations, converged, mut counters) = outs
-        .first()
-        .map_or((0, true, LazyCounters::default()), |o| (o.iterations, o.converged, o.counters));
+    let (iterations, converged, mut counters, breakdown, history) = match outs.first_mut() {
+        Some(o) => {
+            (o.iterations, o.converged, o.counters, o.breakdown, std::mem::take(&mut o.history))
+        }
+        None => (0, true, LazyCounters::default(), SimBreakdown::default(), Vec::new()),
+    };
     counters.local_subrounds = outs.iter().map(|o| o.counters.local_subrounds).sum();
     if cfg.engine == EngineKind::LazyVertexAsync {
         counters.coherency_points = outs.iter().map(|o| o.counters.coherency_points).sum();
@@ -237,7 +237,7 @@ pub fn assemble<P: VertexProgram>(
             |(gid, v)| v.unwrap_or_else(|| panic!("vertex {gid} has no master value")),
         )
         .collect();
-    let Measured { lambda, wall_time, stats, breakdown, history } = measured;
+    let Measured { lambda, wall_time, stats } = measured;
     RunResult {
         values,
         metrics: RunMetrics {
@@ -317,33 +317,26 @@ impl<'a> Attach<'a> for ThreadedMesh<'a> {
     }
 }
 
-/// The run-wide handles every machine of a process shares.
-#[derive(Clone)]
-pub struct RunShared {
-    pub stats: Arc<NetStats>,
-    pub breakdown: Arc<Mutex<SimBreakdown>>,
-    pub history: Option<History>,
-}
-
 /// Runs this process's machines of a run of `cfg.engine` — any of the six
 /// — over a placement of `shape` and returns their outcomes in seat order.
 /// The one entry the in-process driver and the worker binary share, so a
 /// threaded run and a multiprocess run of the same job are bitwise
-/// identical by construction.
+/// identical by construction. Every machine of the process counts into
+/// `stats`; everything else a machine records comes back in its outcome.
 pub fn run_mesh_engine<'a, P: VertexProgram>(
     shape: &PlacementShape,
     cfg: &EngineConfig,
     program: &P,
     mesh: impl Attach<'a>,
-    shared: &RunShared,
+    stats: &Arc<NetStats>,
 ) -> Result<Vec<MachineOut<P>>, CommError> {
     match cfg.engine {
-        EngineKind::PowerGraphSync => run_seats::<P, SyncStep<P>>(shape, cfg, program, mesh, shared),
-        EngineKind::LazyBlockAsync => run_seats::<P, LazyStep<P>>(shape, cfg, program, mesh, shared),
-        EngineKind::DeltaAccum => run_seats::<P, DeltaStep>(shape, cfg, program, mesh, shared),
-        EngineKind::PowerGraphAsync => run_seats::<P, AsyncPump<P>>(shape, cfg, program, mesh, shared),
-        EngineKind::LazyVertexAsync => run_seats::<P, LazyVertexPump>(shape, cfg, program, mesh, shared),
-        EngineKind::PowerSwitchHybrid => run_seats::<P, HybridStep<P>>(shape, cfg, program, mesh, shared),
+        EngineKind::PowerGraphSync => run_seats::<P, SyncStep<P>>(shape, cfg, program, mesh, stats),
+        EngineKind::LazyBlockAsync => run_seats::<P, LazyStep<P>>(shape, cfg, program, mesh, stats),
+        EngineKind::DeltaAccum => run_seats::<P, DeltaStep>(shape, cfg, program, mesh, stats),
+        EngineKind::PowerGraphAsync => run_seats::<P, AsyncPump<P>>(shape, cfg, program, mesh, stats),
+        EngineKind::LazyVertexAsync => run_seats::<P, LazyVertexPump>(shape, cfg, program, mesh, stats),
+        EngineKind::PowerSwitchHybrid => run_seats::<P, HybridStep<P>>(shape, cfg, program, mesh, stats),
     }
 }
 
@@ -352,18 +345,18 @@ fn run_seats<'a, P: VertexProgram, S: Superstep<P>>(
     cfg: &EngineConfig,
     program: &P,
     mesh: impl Attach<'a>,
-    shared: &RunShared,
+    stats: &Arc<NetStats>,
 ) -> Result<Vec<MachineOut<P>>, CommError> {
     // Every pool exists before the first machine thread does: a host that
     // refuses a pool thread fails the run here, where no machine is yet
     // waiting at a barrier for the one that could not start.
     let seats = mesh
-        .attach::<(u32, S::Msg)>(&shared.stats)?
+        .attach::<(u32, S::Msg)>(stats)?
         .into_iter()
         .map(|seat| Ok((seat, ParallelCtx::new(cfg.parallel(shape.num_machines))?)))
         .collect::<Result<Vec<_>, CommError>>()?;
     lazygraph_cluster::try_run_machines(seats, |(seat, pctx)| {
-        run_machine::<P, S>(shape, cfg, program, seat, pctx, shared.clone())
+        run_machine::<P, S>(shape, cfg, program, seat, pctx, stats.clone())
     })
 }
 
@@ -374,7 +367,7 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
     program: &P,
     seat: Seat<'_, (u32, S::Msg)>,
     pctx: ParallelCtx,
-    shared: RunShared,
+    stats: Arc<NetStats>,
 ) -> Result<MachineOut<P>, CommError> {
     let Seat {
         me,
@@ -393,17 +386,11 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
         state: MachineState::init(shard, program, S::INIT, shape.num_global_vertices),
         shard,
         clock: SimClock::new(),
-        bsp: BspSync::new(
-            me,
-            Collective::mesh(ctrl),
-            shared.stats.clone(),
-            cfg.cost,
-            shared.breakdown,
-        ),
-        port: Port::new(ep, shared.stats.clone()),
-        stats: shared.stats,
+        bsp: BspSync::new(me, Collective::mesh(ctrl), stats.clone(), cfg.cost),
+        port: Port::new(ep, stats.clone()),
+        stats,
         iterations: 0,
-        history: shared.history.filter(|_| me == 0),
+        history: Vec::new(),
     };
     let mut engine = S::new(&f);
 
@@ -416,6 +403,8 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
         // Straight from the file into the arrays `init` has just built.
         let header = snapshot.restore_into(&mut f.state).map_err(fail)?;
         f.clock.set(f64::from_bits(header.clock_bits));
+        f.bsp.breakdown = header.breakdown;
+        f.bsp.last_global = f64::from_bits(header.last_global_bits);
         f.iterations = header.iterations;
         engine.restore(&header);
         // Re-execute the checkpoint barrier unconditionally: if the crash
@@ -439,12 +428,5 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
         }
     }
 
-    Ok(MachineOut::collect(
-        f.shard,
-        &f.state,
-        f.iterations,
-        converged,
-        f.clock.now(),
-        engine.counters(),
-    ))
+    Ok(MachineOut::collect(f, converged, engine.counters()))
 }

@@ -5,7 +5,9 @@ use std::time::Duration;
 use lazygraph_cluster::StatsSnapshot;
 use lazygraph_net::wire_record;
 
-/// Simulated-time breakdown, accumulated by machine 0 at each collective.
+/// Simulated-time breakdown, accumulated at each collective by every
+/// machine from the allreduced values alone (`BspSync::sync`), so every
+/// machine of a run holds the same bits.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SimBreakdown {
     /// Bottleneck compute time (max across machines per stage, summed).
@@ -30,12 +32,13 @@ impl SimBreakdown {
     }
 }
 
-// Shipped from multiprocess worker 0 (the only recorder) back to the
-// launcher; f64 components ride as IEEE-754 bit patterns.
+// Rides in every `MachineOut` and in every snapshot header; f64
+// components as IEEE-754 bit patterns.
 wire_record!(SimBreakdown { compute, comm, barrier, overlap_ms, send_wait_ms });
 
 /// One BSP round's trace entry (superstep for Sync, coherency iteration
-/// for LazyBlockAsync), recorded when `EngineConfig::record_history` is on.
+/// for LazyBlockAsync), recorded by every machine when
+/// `EngineConfig::record_history` is on.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct IterationRecord {
     /// 1-based round number.
@@ -47,14 +50,15 @@ pub struct IterationRecord {
     pub bytes: u64,
     /// Whether the lazy engine's local computation stage was enabled.
     pub lazy_on: bool,
-    /// Local sub-rounds executed on machine 0 this round (lazy only).
+    /// Local sub-rounds executed on this machine this round (lazy only).
     pub local_subrounds: u64,
     /// Whether the round's coherency exchange used mirrors-to-master.
     pub used_m2m: bool,
     /// Simulated clock at the end of the round.
     pub sim_time: f64,
-    /// Simulated seconds machine 0 spent in this round's local computation
-    /// stage (lazy only; 0 for a stage that admitted no sub-round).
+    /// Simulated seconds this machine spent in this round's local
+    /// computation stage (lazy only; 0 for a stage that admitted no
+    /// sub-round).
     pub local_stage_s: f64,
     /// What the interval model allowed that stage, simulated seconds: half
     /// the previous coherency point's cost where stages are budgeted,
@@ -62,6 +66,19 @@ pub struct IterationRecord {
     /// where they are not, 0 while lazy mode is off.
     pub stage_budget_s: f64,
 }
+
+// Rides in every `MachineOut`; f64 fields as IEEE-754 bit patterns.
+wire_record!(IterationRecord {
+    iteration,
+    pending,
+    bytes,
+    lazy_on,
+    local_subrounds,
+    used_m2m,
+    sim_time,
+    local_stage_s,
+    stage_budget_s,
+});
 
 /// The outcome of one engine run.
 #[derive(Clone, Debug)]
@@ -84,7 +101,8 @@ pub struct RunMetrics {
     /// Final simulated time: the maximum machine clock, seconds. The
     /// headline "runtime" of every figure.
     pub sim_time: f64,
-    /// Simulated-time breakdown.
+    /// Simulated-time breakdown (machine 0's; every machine's is the same
+    /// bits).
     pub breakdown: SimBreakdown,
     /// Wall-clock duration of the run on the build host (informational —
     /// machine threads timeshare host cores).
@@ -95,7 +113,8 @@ pub struct RunMetrics {
     pub converged: bool,
     /// Replication factor of the placement used.
     pub lambda: f64,
-    /// Per-round trace (empty unless `EngineConfig::record_history`).
+    /// Machine 0's per-round trace (empty unless
+    /// `EngineConfig::record_history`).
     pub history: Vec<IterationRecord>,
 }
 

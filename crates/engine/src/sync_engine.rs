@@ -335,8 +335,8 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
             CommCharge::None,
         )?;
         *pending = red.pending;
-        if let Some(h) = &f.history {
-            h.lock().push(IterationRecord {
+        if f.cfg.record_history {
+            f.history.push(IterationRecord {
                 iteration: f.iterations,
                 pending: red.pending,
                 bytes: 0, // per-phase bytes are in NetStats

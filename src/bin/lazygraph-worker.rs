@@ -8,8 +8,10 @@
 //! shape, drops the file bytes, joins the control and data TCP meshes
 //! over loopback, runs its machine through the shared `run_mesh_engine`
 //! entry, and writes its Wire-encoded result — `MachineOut ++
-//! StatsSnapshot ++ SimBreakdown` — to the output path. A `--resume`
-//! respawn reads the same shard file: nothing a run does changes a shard.
+//! StatsSnapshot`: its master values, counters, simulated-time breakdown
+//! and per-round trace, then its `NetStats` — to the output path. A
+//! `--resume` respawn reads the same shard file: nothing a run does
+//! changes a shard.
 //!
 //! Exit status 0 means the result file is complete; any failure prints to
 //! stderr and exits 1, which the launcher surfaces as
@@ -21,15 +23,13 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use lazygraph::multiproc::{load_shard, Shipped, WorkerJob};
 use lazygraph_algorithms::Visitor;
 use lazygraph_cluster::{
     connect_tcp_endpoint, reconnect_tcp_endpoint, CommError, Endpoint, NetStats,
 };
 use lazygraph_engine::checkpoint::{CheckpointError, RecoveryCfg, SnapshotHeader, SnapshotStore};
-use lazygraph_engine::{run_mesh_engine, Attach, RunShared, Seat, SimBreakdown};
+use lazygraph_engine::{run_mesh_engine, Attach, Seat};
 use lazygraph_net::{TcpOptions, Wire};
 use lazygraph_partition::LocalShard;
 
@@ -189,7 +189,6 @@ fn run_worker<P: Shipped>(job: &WorkerJob, args: Args, program: P) -> Result<(),
     let shard = load_shard(&args.job, me, &job.shape).map_err(|e| e.to_string())?;
 
     let stats = Arc::new(NetStats::default());
-    let breakdown = Arc::new(Mutex::new(SimBreakdown::default()));
     let recovery_on = job.checkpoint_every > 0 && !job.checkpoint_dir.is_empty();
     let mut opts = TcpOptions::default();
     if recovery_on && job.rejoin_window_ms > 0 {
@@ -222,12 +221,7 @@ fn run_worker<P: Shipped>(job: &WorkerJob, args: Args, program: P) -> Result<(),
             resume: snapshot,
         },
     };
-    let shared = RunShared {
-        stats: stats.clone(),
-        breakdown: breakdown.clone(),
-        history: None,
-    };
-    let out = run_mesh_engine(&job.shape, cfg, &program, seat, &shared)
+    let out = run_mesh_engine(&job.shape, cfg, &program, seat, &stats)
         .map_err(|e| format!("{} machine {me}: {e}", cfg.engine.name()))?
         .pop()
         .ok_or("the engine returned no machine outcome")?;
@@ -238,13 +232,11 @@ fn run_worker<P: Shipped>(job: &WorkerJob, args: Args, program: P) -> Result<(),
         );
     }
 
-    // Result file layout: MachineOut ++ StatsSnapshot ++ SimBreakdown.
-    // The machine loop has returned, so both of its legs are closed: every
-    // frame this worker sent, its Shutdown frames included, is counted.
-    let mut result = Vec::new();
-    out.encode(&mut result);
+    // Result file layout: MachineOut ++ StatsSnapshot. The machine loop
+    // has returned, so both of its legs are closed: every frame this
+    // worker sent, its Shutdown frames included, is counted.
+    let mut result = out.to_wire();
     stats.snapshot().encode(&mut result);
-    breakdown.lock().encode(&mut result);
     std::fs::write(&args.out, &result)
         .map_err(|e| format!("writing result {}: {e}", args.out.display()))?;
     Ok(())

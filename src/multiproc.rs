@@ -13,14 +13,15 @@
 //! each of which reads the job and *its own* shard file and nothing else
 //! of the graph, and collects each worker's Wire-encoded result file: its
 //! per-machine outcome, its `NetStats` snapshot (with *measured* frame
-//! bytes, since every exchange crossed a real socket), and its simulated
-//! time breakdown. The shards are files rather than a stream because a
-//! respawned worker reads the same shard again: nothing a run does changes
-//! a shard, so a restart is that file plus the worker's latest snapshot
-//! (DESIGN.md §12). Of the placement the launcher keeps its shape, its λ
-//! and its master table; it holds each worker's result to that table,
-//! then folds the results with the in-process driver's own epilogue, so
-//! both routes return one `RunResult`.
+//! bytes, since every exchange crossed a real socket); the outcome carries
+//! its simulated-time breakdown and per-round trace. The shards are files
+//! rather than a stream because a respawned worker reads the same shard
+//! again: nothing a run does changes a shard, so a restart is that file
+//! plus the worker's latest snapshot (DESIGN.md §12). Of the placement
+//! the launcher keeps its shape, its λ and its master table; it holds each
+//! worker's result to that table, then folds the results with the
+//! in-process driver's own epilogue, so both routes return one
+//! `RunResult`.
 //!
 //! Two meshes per run: a control mesh (`Endpoint<u8>`) backing the
 //! mesh-based [`Collective`] (barriers/allreduce), and a data mesh typed
@@ -51,7 +52,6 @@ pub use lazygraph_cluster::FailPoint;
 use lazygraph_cluster::{CommError, StatsSnapshot};
 use lazygraph_engine::{
     assemble, place_files, snapshot_tag, EngineConfig, EngineKind, MachineOut, Measured, RunResult,
-    SimBreakdown,
 };
 use lazygraph_graph::{Graph, MachineId};
 use lazygraph_net::{wire_record, NetError, Wire, WireReader};
@@ -65,9 +65,8 @@ use lazygraph_partition::{LocalShard, PlacementShape, ShardFiles};
 pub struct WorkerJob {
     /// The run's configuration. `threads_per_machine` is already resolved
     /// (the launcher resolves `0 = auto` before shipping, so all workers
-    /// agree); `transport` and `record_history` mean nothing to a worker
-    /// (its mesh is TCP by definition and the trace sink is
-    /// process-local).
+    /// agree); `transport` means nothing to a worker (its mesh is TCP by
+    /// definition).
     pub cfg: EngineConfig,
     pub algo: AlgoSpec,
     /// The placement every worker's shard must be a part of: machine
@@ -585,11 +584,10 @@ fn supervise(
         .collect()
 }
 
-/// Decodes every worker's result file (`MachineOut ++ StatsSnapshot ++
-/// SimBreakdown`), checks the master values it carries against the
-/// placement's master table, and folds the machine outcomes through the
-/// in-process driver's own epilogue. Returns each worker's own counters
-/// beside it.
+/// Decodes every worker's result file (`MachineOut ++ StatsSnapshot`),
+/// checks the master values it carries against the placement's master
+/// table, and folds the machine outcomes through the in-process driver's
+/// own epilogue. Returns each worker's own counters beside it.
 fn assemble_result<P: Shipped>(
     job: &WorkerJob,
     program: &P,
@@ -601,19 +599,14 @@ fn assemble_result<P: Shipped>(
     let mut outs: Vec<MachineOut<P>> = Vec::with_capacity(result_files.len());
     let mut per_worker_stats = Vec::with_capacity(result_files.len());
     let mut merged = StatsSnapshot::default();
-    let mut breakdown = SimBreakdown::default();
     let mut sent = vec![false; masters.len()];
     for (me, bytes) in result_files.iter().enumerate() {
         let mut r = WireReader::new(bytes);
         let fail = |e: NetError| MultiprocError::Decode(format!("worker {me} result: {e}"));
         let out = MachineOut::<P>::decode(&mut r).map_err(fail)?;
         let stats = StatsSnapshot::decode(&mut r).map_err(fail)?;
-        let bd = SimBreakdown::decode(&mut r).map_err(fail)?;
         r.finish().map_err(fail)?;
         check_masters(me, out.masters.iter().map(|&(gid, _)| gid), masters, &mut sent)?;
-        if me == 0 {
-            breakdown = bd; // worker 0 is the only recorder
-        }
         outs.push(out);
         merged.merge(&stats);
         per_worker_stats.push(stats);
@@ -628,8 +621,6 @@ fn assemble_result<P: Shipped>(
         lambda,
         wall_time: launched.elapsed(),
         stats: merged,
-        breakdown,
-        history: Vec::new(), // the trace sink is process-local
     };
     let result = assemble(outs, &job.cfg, program, job.shape.num_global_vertices, measured);
     Ok((result, per_worker_stats))
@@ -665,6 +656,7 @@ fn check_masters(
 mod tests {
     use super::*;
     use lazygraph_algorithms::ConnectedComponents;
+    use lazygraph_engine::SimBreakdown;
 
     fn job() -> WorkerJob {
         WorkerJob {
@@ -763,18 +755,23 @@ mod tests {
         }
     }
 
-    /// The result file of a worker that sends `gids`' CC labels.
-    fn result_file(gids: &[u32]) -> Vec<u8> {
-        let out = MachineOut::<ConnectedComponents> {
+    /// The outcome of a worker that sends `gids`' CC labels.
+    fn machine_out(gids: &[u32]) -> MachineOut<ConnectedComponents> {
+        MachineOut {
             masters: gids.iter().map(|&gid| (gid, gid)).collect(),
             iterations: 3,
             converged: true,
             sim_time: 1.0,
             counters: Default::default(),
-        };
-        let mut bytes = out.to_wire();
+            breakdown: Default::default(),
+            history: Vec::new(),
+        }
+    }
+
+    /// The result file of a worker that sends `gids`' CC labels.
+    fn result_file(gids: &[u32]) -> Vec<u8> {
+        let mut bytes = machine_out(gids).to_wire();
         StatsSnapshot::default().encode(&mut bytes);
-        SimBreakdown::default().encode(&mut bytes);
         bytes
     }
 
@@ -809,6 +806,34 @@ mod tests {
                 ),
                 Err(e) => panic!("expected a decode error, got {e}"),
                 Ok(_) => panic!("{files:?} assembled"),
+            }
+        }
+
+        // The three-record layout — a `SimBreakdown` after the counters —
+        // is refused whether its outcome has the fields a machine now
+        // returns (40 bytes past the end) or only those it once did (the
+        // trace's length prefix missing).
+        let breakdown = SimBreakdown::default().to_wire();
+        let mut trailing = result_file(&[2, 5]);
+        trailing.extend_from_slice(&breakdown);
+        let out = machine_out(&[2, 5]);
+        let mut once = Vec::new();
+        out.masters.encode(&mut once);
+        out.iterations.encode(&mut once);
+        out.converged.encode(&mut once);
+        out.sim_time.encode(&mut once);
+        out.counters.encode(&mut once);
+        StatsSnapshot::default().encode(&mut once);
+        once.extend_from_slice(&breakdown);
+        for (file, why) in [(trailing, "40 trailing bytes"), (once, "truncated")] {
+            let files = vec![result_file(&[0, 3, 6]), result_file(&[1, 4]), file];
+            match assemble_result(&job(), &ConnectedComponents, 1.0, &masters, Instant::now(), files)
+            {
+                Err(MultiprocError::Decode(detail)) => {
+                    assert!(detail.starts_with("worker 2 result: ") && detail.contains(why), "{detail}")
+                }
+                Err(e) => panic!("expected a decode error, got {e}"),
+                Ok(_) => panic!("a three-record result file assembled ({why})"),
             }
         }
     }

@@ -30,7 +30,7 @@ use lazygraph_engine::lazy_block::{LazyCounters, LazyStep};
 use lazygraph_engine::machine::{Frame, Superstep, Vote};
 use lazygraph_engine::state::MachineState;
 use lazygraph_engine::sync_engine::SyncStep;
-use lazygraph_engine::{run_mesh_engine, Attach, ParallelCtx, RunShared, Seat};
+use lazygraph_engine::{run_mesh_engine, Attach, ParallelCtx, Seat, SimBreakdown};
 use lazygraph_net::Wire;
 use lazygraph_partition::{partition_graph, LocalShard};
 
@@ -293,6 +293,7 @@ proptest! {
     fn snapshot_round_trips(
         engine in 0u8..3,
         words in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        sums in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u64>()),
         vertices in proptest::collection::vec(
             (any::<u32>(), (0u8..3, any::<u32>()), (any::<bool>(), any::<u32>()),
              (any::<bool>(), any::<u32>()), any::<bool>()),
@@ -306,6 +307,13 @@ proptest! {
             engine,
             iterations: words.0,
             clock_bits: words.1,
+            breakdown: SimBreakdown {
+                compute: f64::from(sums.0) / 7.0,
+                comm: f64::from(sums.1) / 7.0,
+                barrier: f64::from(sums.2) / 7.0,
+                ..Default::default()
+            },
+            last_global_bits: sums.3,
             data_round: words.2,
             ctrl_round: words.3,
             lazy: lazy.0.then(|| lazy_resume(lazy.1)),
@@ -331,6 +339,8 @@ proptest! {
             engine: 1,
             iterations: 3,
             clock_bits: 42,
+            breakdown: SimBreakdown { compute: 0.5, comm: 0.25, barrier: 0.125, ..Default::default() },
+            last_global_bits: 0.75f64.to_bits(),
             data_round: 6,
             ctrl_round: 9,
             // With the lazy block, so cuts land inside every resume field.
@@ -372,6 +382,8 @@ fn every_damaged_snapshot_is_refused_or_restores_the_same_state() {
         engine: 2,
         iterations: 8,
         clock_bits: 2.5f64.to_bits(),
+        breakdown: SimBreakdown { compute: 2.0, comm: 0.25, barrier: 0.125, ..Default::default() },
+        last_global_bits: 2.375f64.to_bits(),
         data_round: 16,
         ctrl_round: 25,
         lazy: None,
@@ -426,6 +438,8 @@ fn header_at(engine: u8, iterations: u64) -> SnapshotHeader {
         engine,
         iterations,
         clock_bits: 0,
+        breakdown: SimBreakdown::default(),
+        last_global_bits: 0,
         data_round: 2 * iterations,
         ctrl_round: 3 * iterations,
         lazy: None,
@@ -593,13 +607,9 @@ fn resuming_from_another_engines_snapshot_fails_the_run() {
     for engine in [EngineKind::PowerGraphSync, EngineKind::DeltaAccum] {
         let cfg = EngineConfig::lazygraph().with_engine(engine).with_threads(1);
         let dg = partition_graph(&g, 1, cfg.partition, &cfg.splitter, false);
-        let shared = RunShared {
-            stats: Arc::new(NetStats::new()),
-            breakdown: Default::default(),
-            history: None,
-        };
+        let stats = Arc::new(NetStats::new());
         let mesh = ResumeFrom(&store, &dg.shards[0]);
-        let err = run_mesh_engine(&dg.shape(), &cfg, &Sssp::new(0u32), mesh, &shared)
+        let err = run_mesh_engine(&dg.shape(), &cfg, &Sssp::new(0u32), mesh, &stats)
             .err()
             .unwrap_or_else(|| panic!("{} resumed from a lazy-block snapshot", engine.name()));
         let text = err.to_string();
@@ -662,17 +672,11 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
             pctx: ParallelCtx::new(cfg.parallel(machines)).expect("spawn pool"),
             state: init(),
             clock: SimClock::new(),
-            bsp: BspSync::new(
-                me,
-                Collective::mesh(ctrl),
-                stats.clone(),
-                cfg.cost,
-                Default::default(),
-            ),
+            bsp: BspSync::new(me, Collective::mesh(ctrl), stats.clone(), cfg.cost),
             port: Port::new(ep, stats.clone()),
             stats: stats.clone(),
             iterations: 0,
-            history: None,
+            history: Vec::new(),
         };
         let mut engine = S::new(&f);
         let store = SnapshotStore::new(&dir.0, me);
@@ -690,6 +694,8 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
             let header = snapshot.restore_into(&mut restored).expect("restore");
             assert_eq!(header.iterations, f.iterations, "{at}");
             assert_eq!(header.clock_bits, f.clock.now().to_bits(), "{at}");
+            assert_eq!(header.breakdown.to_wire(), f.bsp.breakdown.to_wire(), "{at}");
+            assert_eq!(header.last_global_bits, f.bsp.last_global.to_bits(), "{at}");
             assert_same_state(&restored, &f.state, &at);
 
             seen.checkpoints += 1;

@@ -63,16 +63,20 @@ fn mp_opts(failpoint: Option<(usize, FailPoint)>) -> MpOptions {
 }
 
 /// `{:?}` on finite floats round-trips, so string equality on the value
-/// vector is bitwise equality; `sim_time` is compared as raw bits.
+/// vector is bitwise equality; `sim_time` and the breakdown — machine 0's,
+/// which a resumed machine 0 must continue, not restart — are compared as
+/// raw bits.
 fn fingerprint<P: VertexProgram>(o: &RunResult<P>) -> String {
     let m = &o.metrics;
+    let b = &m.breakdown;
     format!(
-        "values={:?} iters={} conv={} sim={} counters={:?}",
+        "values={:?} iters={} conv={} sim={} counters={:?} breakdown={:?}",
         o.values,
         m.iterations,
         m.converged,
         m.sim_time.to_bits(),
-        (m.coherency_points, m.local_subrounds, m.a2a_exchanges, m.m2m_exchanges)
+        (m.coherency_points, m.local_subrounds, m.a2a_exchanges, m.m2m_exchanges),
+        (b.compute.to_bits(), b.comm.to_bits(), b.barrier.to_bits())
     )
 }
 
@@ -87,7 +91,8 @@ fn launch<P: Shipped>(
     run_multiprocess(g, workers, cfg, program, worker_bin(), opts).map(|(result, _)| result)
 }
 
-/// Worker rank that gets killed in every fault run.
+/// Worker rank that gets killed in the fault runs, but for the one row
+/// that kills worker 0.
 const VICTIM: usize = 1;
 
 /// Kill points for a run of `f` supersteps: first, middle, last.
@@ -106,16 +111,17 @@ fn run_matrix(engine: EngineKind, workers: usize) {
 }
 
 fn run_matrix_on(g: &Graph, base: &EngineConfig, workers: usize) {
-    run_matrix_for(g, base, &Sssp::new(0u32), workers, kill_points);
+    run_matrix_for(g, base, &Sssp::new(0u32), workers, VICTIM, kill_points);
 }
 
-/// The matrix for any program: `kills` picks the supersteps to kill the
-/// victim at from the oracle's superstep count.
+/// The matrix for any program: `kills` picks the supersteps to kill
+/// worker `victim` at from the oracle's superstep count.
 fn run_matrix_for<P: Shipped>(
     g: &Graph,
     base: &EngineConfig,
     program: &P,
     workers: usize,
+    victim: usize,
     kills: impl Fn(u64) -> Vec<u64>,
 ) {
     let engine = base.engine;
@@ -152,7 +158,7 @@ fn run_matrix_for<P: Shipped>(
     }
 
     for n in kills(oracle.metrics.iterations) {
-        let opts = mp_opts(Some((VICTIM, FailPoint::Superstep(n))));
+        let opts = mp_opts(Some((victim, FailPoint::Superstep(n))));
         let out = launch(g, workers, base, program, &opts)
             .unwrap_or_else(|e| panic!("{} {workers}w kill@{n}: {e}", engine.name()));
         assert_eq!(
@@ -193,7 +199,7 @@ fn run_matrix_for<P: Shipped>(
         iteration: last_generation,
         chunk: 1,
     };
-    let out = launch(g, workers, base, program, &mp_opts(Some((VICTIM, point))))
+    let out = launch(g, workers, base, program, &mp_opts(Some((victim, point))))
         .unwrap_or_else(|e| panic!("{} {workers}w kill@{point}: {e}", engine.name()));
     assert_eq!(
         fingerprint(&out),
@@ -232,6 +238,16 @@ fn lazy_block_recovers_bitwise_2_workers() {
 #[test]
 fn lazy_block_recovers_bitwise_4_workers() {
     run_matrix(EngineKind::LazyBlockAsync, 4);
+}
+
+/// Machine 0's outcome is where the run's breakdown comes from: killed
+/// and resumed, it continues the breakdown its snapshot carries, so the
+/// recovered run books the oracle's compute, communication and barrier
+/// time, not the whole pre-crash clock as compute.
+#[test]
+fn lazy_block_recovers_bitwise_when_worker_0_dies() {
+    let base = cfg(EngineKind::LazyBlockAsync);
+    run_matrix_for(&matrix_graph(), &base, &Sssp::new(0u32), 2, 0, kill_points);
 }
 
 /// Kill/resume through *ordered* local stages (DESIGN.md §17): SSSP on a
@@ -310,7 +326,7 @@ fn run_budgeted_matrix(workers: usize) {
         "the budget never admitted a sub-round"
     );
 
-    run_matrix_for(&g, &base, &PageRankDelta { tolerance }, workers, |last| {
+    run_matrix_for(&g, &base, &PageRankDelta { tolerance }, workers, VICTIM, |last| {
         assert_eq!(last, history.len() as u64, "in-process and multiprocess runs disagree");
         let mut ns = vec![first_budgeted, (first_budgeted + last) / 2, last];
         ns.dedup();

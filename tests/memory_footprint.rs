@@ -434,6 +434,8 @@ fn assert_checkpoints_stream_through_one_chunk() {
         engine: 1,
         iterations: 5,
         clock_bits: 0,
+        breakdown: Default::default(),
+        last_global_bits: 0,
         data_round: 10,
         ctrl_round: 15,
         lazy: None,

@@ -3,9 +3,13 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use lazygraph::prelude::*;
-use lazygraph_cluster::Phase;
+use lazygraph_cluster::{NetStats, Phase};
+use lazygraph_engine::{place, run_mesh_engine, SimBreakdown, ThreadedMesh, TransportKind};
 use lazygraph_graph::Dataset;
+use lazygraph_net::Wire;
 
 fn road() -> Graph {
     Dataset::RoadNetCaLike.build_symmetric(0.1)
@@ -173,6 +177,40 @@ fn sim_breakdown_sums_to_sim_time_for_bsp_engines() {
             r.metrics.engine,
             r.metrics.sim_time
         );
+    }
+}
+
+/// Every machine books the simulated-time breakdown from allreduced
+/// values alone, so every machine's outcome carries the same bits, on
+/// every engine. The engines that sync book a non-zero one, which `run_on`
+/// reports again; the barrier-free ones sync nothing and book zeros.
+#[test]
+fn every_machine_returns_the_same_breakdown() {
+    let g = road();
+    let sssp = Sssp::new(0u32);
+    for engine in [
+        EngineKind::PowerGraphSync,
+        EngineKind::LazyBlockAsync,
+        EngineKind::DeltaAccum,
+        EngineKind::PowerGraphAsync,
+        EngineKind::LazyVertexAsync,
+        EngineKind::PowerSwitchHybrid,
+    ] {
+        let cfg = EngineConfig::lazygraph().with_engine(engine).with_threads(2);
+        let dg = place(&g, 4, &cfg).expect("placement");
+        let mesh = ThreadedMesh { transport: TransportKind::InProc, shards: &dg.shards };
+        let outs = run_mesh_engine(&dg.shape(), &cfg, &sssp, mesh, &Arc::new(NetStats::new()))
+            .unwrap_or_else(|e| panic!("{}: {e}", engine.name()));
+        let bits = |b: &SimBreakdown| b.to_wire();
+        for (me, out) in outs.iter().enumerate() {
+            assert_eq!(bits(&out.breakdown), bits(&outs[0].breakdown), "{} machine {me}", engine.name());
+        }
+        let pump = matches!(engine, EngineKind::PowerGraphAsync | EngineKind::LazyVertexAsync);
+        assert_eq!(outs[0].breakdown.total() > 0.0, !pump, "{}", engine.name());
+        if !pump {
+            let reported = run_on(&dg, &cfg, &sssp).expect("cluster run").metrics.breakdown;
+            assert_eq!(bits(&reported), bits(&outs[0].breakdown), "{}", engine.name());
+        }
     }
 }
 

@@ -31,7 +31,7 @@ use lazygraph::prelude::*;
 use lazygraph_algorithms::PageRankData;
 use lazygraph_cluster::{connect_tcp_endpoint, NetStats};
 use lazygraph_engine::{
-    place, run_mesh_engine, Attach, CommError, RecoveryCfg, RunShared, Seat, TransportKind,
+    place, run_mesh_engine, Attach, CommError, RecoveryCfg, Seat, TransportKind,
 };
 use lazygraph_graph::generators::{rmat, RmatConfig};
 use lazygraph_net::{FrameKind, FrameReader, NetError, TcpOptions, Wire, WireReader, HEADER_LEN};
@@ -436,6 +436,25 @@ fn multiprocess_sssp_matches_inproc_bitwise() {
     }
 }
 
+/// Machine 0's per-round trace comes back in its outcome on both routes:
+/// two worker processes return the in-process trace bit for bit, and a
+/// non-empty one.
+#[test]
+fn multiprocess_returns_the_inproc_trace_bitwise() {
+    fn check<P: Shipped>(g: &Graph, engine: EngineKind, program: &P) {
+        let mut traced = cfg(engine);
+        traced.record_history = true;
+        let inproc = run(g, 2, &traced, program).expect("in-proc").metrics.history;
+        let (mp, _) = run_multiprocess(g, 2, &traced, program, worker_bin(), &MpOptions::default())
+            .expect("multiprocess");
+        assert!(!inproc.is_empty(), "{}: nothing was recorded", engine.name());
+        assert_eq!(inproc.to_wire(), mp.metrics.history.to_wire(), "{}", engine.name());
+    }
+    let g = test_graph();
+    check(&g, EngineKind::LazyBlockAsync, &PageRankDelta { tolerance: 1e-5 });
+    check(&g, EngineKind::PowerGraphSync, &Sssp::new(0u32));
+}
+
 /// `program`'s values on `engine` over `machines` machines: in-process,
 /// over threaded TCP, and across worker processes.
 fn on_every_route<P: Shipped>(
@@ -583,13 +602,9 @@ fn barrier_free_engines_without_a_detector_fail_typed() {
                 .map(|(me, shard)| {
                     let (cfg, shape, program) = (&cfg, &shape, &program);
                     s.spawn(move || {
-                        let shared = RunShared {
-                            stats: Arc::new(NetStats::new()),
-                            breakdown: Default::default(),
-                            history: None,
-                        };
+                        let stats = Arc::new(NetStats::new());
                         let seat = OwnSeat { me, shard, ctrl, data };
-                        let mut outs = run_mesh_engine(shape, cfg, program, seat, &shared)?;
+                        let mut outs = run_mesh_engine(shape, cfg, program, seat, &stats)?;
                         outs.pop().ok_or(CommError::MeshClosed { me })
                     })
                 })
