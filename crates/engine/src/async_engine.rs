@@ -54,13 +54,18 @@ impl<P: VertexProgram> AsyncPump<P> {
 
 impl<P: VertexProgram> Superstep<P> for AsyncPump<P> {
     type Msg = SyncMsg<P>;
+    type Carry = ();
     const KIND: EngineKind = EngineKind::PowerGraphAsync;
     const INIT: InitMessages = InitMessages::MastersOnly;
 
-    fn new(_frame: &Frame<'_, P, SyncMsg<P>>) -> Self {
+    fn new(_frame: &Frame<'_, P, SyncMsg<P>>, (): ()) -> Self {
         AsyncPump {
             scatter_tasks: Vec::new(),
         }
+    }
+
+    fn carry(&self) -> &() {
+        &()
     }
 
     fn step(&mut self, f: &mut Frame<'_, P, SyncMsg<P>>) -> Result<Vote, CommError> {

@@ -3,7 +3,9 @@
 //!
 //! A checkpoint is one machine's complete cross-iteration state — the
 //! [`MachineState`](crate::state::MachineState) arrays, the simulated
-//! clock, the iteration counter, and the two mesh *round watermarks* (the
+//! clock and its breakdown, the iteration counter, the engine's carried
+//! record ([`Superstep::Carry`](crate::machine::Superstep::Carry)), the
+//! machine's trace, and the two mesh *round watermarks* (the
 //! next data-mesh round and the next control-mesh round). The watermarks
 //! are what make the log-based replay in `lazygraph-cluster::recovery`
 //! sound: PR 1's determinism contract guarantees a restarted worker
@@ -12,7 +14,7 @@
 //! `>= W` — so the rejoined mesh is indistinguishable from one that never
 //! tore. DESIGN.md §12 walks through the protocol.
 //!
-//! ## On-disk format (v9)
+//! ## On-disk format (v10)
 //!
 //! ```text
 //! [magic "LZCK" u32 LE][version u32]
@@ -35,15 +37,20 @@
 //!            occupied slots' values
 //! delta_msg: as message
 //! queue:     its length, then its entries
+//! history:   its length, then its records
 //! ```
 //!
 //! and nothing of it is ever held whole: [`write_snapshot`] encodes
 //! straight off `&MachineState` and [`SnapshotReader::restore_into`]
 //! decodes straight into the arrays `MachineState::init` has just built,
-//! both through one chunk buffer. What a restart rebuilds exactly is not
-//! written — `active` (it is `queue`'s membership), a `coherent` entry
-//! that is bitwise `vdata`'s or still the initial view, an empty inbox
-//! slot; DESIGN.md §12 has the table. Each chunk carries its own FNV-1a 64
+//! both through one chunk buffer. The header holds the engine's carried
+//! record as the bytes of its `Wire` encoding: the skeleton that wrote
+//! them is the one that decodes them, into the resuming engine's own
+//! `Carry`. The trace is a section, not a header field, because it grows
+//! with the run and the header is one element. What a restart rebuilds
+//! exactly is not written — `active` (it is `queue`'s membership), a
+//! `coherent` entry that is bitwise `vdata`'s or still the initial view, an
+//! empty inbox slot; DESIGN.md §12 has the table. Each chunk carries its own FNV-1a 64
 //! checksum and the end record the chunk count and total length, so a torn
 //! write, a flipped bit or a file cut at a chunk boundary surfaces as a
 //! typed [`CheckpointError`] — never a panic, mirroring the torn-frame
@@ -60,9 +67,8 @@ use lazygraph_cluster::CommError;
 use lazygraph_net::{wire_record, NetError, Wire, WireReader};
 
 use crate::config::EngineKind;
-use crate::lazy_block::LazyCounters;
 use crate::machine::Frame;
-use crate::metrics::SimBreakdown;
+use crate::metrics::{IterationRecord, SimBreakdown};
 use crate::program::VertexProgram;
 use crate::state::{initial_data, MachineState};
 
@@ -72,23 +78,27 @@ pub const CKPT_MAGIC: u32 = 0x4b435a4c;
 /// round was once streamed in; v7 removed it with that path
 /// (EXPERIMENTS.md, PR 20's verdict): a round is one batch per peer, so
 /// there is no part boundary for replay to reproduce. v3 appended the
-/// DeltaAccum engine's resume extras
-/// (`delta`): the engine's cross-iteration counters; the scheduler's
+/// DeltaAccum engine's counters; the scheduler's
 /// buckets themselves are a pure function of `MachineState` and carry no
 /// state of their own. v4 appended a structural patch log and two lazy
 /// extras for moving vertices between machines at run time; v6 removed all
 /// three with the feature (EXPERIMENTS.md, PR 19's verdict): replicas are
 /// placed once, so a resumed machine's shard file is its topology. v5
-/// appended `coherency_cost_bits` and `last_sweep_bits` to the lazy extras:
-/// a budgeted local stage is rationed against the cost of the coherency
-/// point before it and predicts its first sub-round from the sweep before
-/// it, and a restart at a superstep boundary can recompute neither. v8 is
+/// appended the last coherency point's cost and the last sweep's charge to
+/// the lazy extras: a budgeted local stage is rationed against the cost of
+/// the coherency point before it and predicts its first sub-round from the
+/// sweep before it, and a restart at a superstep boundary can recompute neither. v8 is
 /// the streamed layout of the module docs: the header record first, the
 /// arrays as sections of whole elements, an end record, and only what a
 /// restart cannot rebuild. v9 added the simulated-time breakdown and the
 /// last sync's global clock to the header: every machine books the
 /// breakdown, so a resumed one must continue its sums, not restart them.
-pub const CKPT_VERSION: u32 = 9;
+/// v10 replaced the per-engine extras (a lazy block and a delta block,
+/// each a hand-kept copy of engine fields) with `carry`, the bytes of the
+/// engine's one carried record, and appended the trace as a section: a
+/// resumed machine's trace continues from its snapshot instead of
+/// restarting there.
+pub const CKPT_VERSION: u32 = 10;
 /// Payload bytes after which the writer closes a chunk.
 pub const CKPT_CHUNK: usize = 1 << 20;
 /// Largest encoding of one element (a value, or a mask word with the
@@ -514,71 +524,10 @@ pub fn snapshot_tag(kind: EngineKind) -> Option<u8> {
     }
 }
 
-/// Extra cross-iteration state of the LazyBlockAsync engine (absent for
-/// the Sync engine, whose loop carries nothing beyond [`MachineState`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct LazyResume {
-    /// The per-machine counters (coherency points, subrounds, exchanges).
-    pub counters: LazyCounters,
-    /// `IntervalModel::export_state` — active count, trend, iterations.
-    pub prev_active: Option<u64>,
-    /// Trend value, bit-exact.
-    pub last_trend_bits: u64,
-    /// Coherency points the interval model has observed.
-    pub iterations_seen: u64,
-    /// Whether the lazy local-computation stage is switched on.
-    pub do_local: bool,
-    /// Duration `T` of the first local stage, bit-exact (None while
-    /// unmeasured).
-    pub first_stage_bits: Option<u64>,
-    /// The comm mode the next coherency point will use.
-    pub next_mode_m2m: bool,
-    /// Simulated cost the last coherency point was charged, bit-exact —
-    /// what the next local stage's budget is derived from. Appended in v5.
-    pub coherency_cost_bits: u64,
-    /// Simulated compute this machine's last sweep was charged, bit-exact —
-    /// the next local stage's first prediction. Appended in v5.
-    pub last_sweep_bits: u64,
-}
-
-wire_record!(LazyResume {
-    counters,
-    prev_active,
-    last_trend_bits,
-    iterations_seen,
-    do_local,
-    first_stage_bits,
-    next_mode_m2m,
-    coherency_cost_bits,
-    last_sweep_bits,
-});
-
-/// Extra cross-iteration state of the DeltaAccum engine. The bucket
-/// scheduler is deliberately stateless across epochs — every epoch's plan
-/// is recomputed from `MachineState` alone — so the engine's counters are
-/// all that must survive a crash for the resumed trajectory to stay
-/// bitwise-identical.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DeltaResume {
-    /// The per-machine counters (epochs double as coherency points; every
-    /// exchange is all-to-all).
-    pub counters: LazyCounters,
-}
-
-wire_record!(DeltaResume { counters });
-
-/// What an engine adds to a snapshot beside `MachineState`
-/// ([`Superstep::resume_extras`](crate::machine::Superstep::resume_extras)).
-#[derive(Clone, Debug, Default)]
-pub struct ResumeExtras {
-    pub lazy: Option<LazyResume>,
-    pub delta: Option<DeltaResume>,
-}
-
 /// What a snapshot says before its arrays: everything a resumed worker
 /// needs to rejoin the meshes (the two watermarks) and everything of the
 /// skeleton's and the engine's cross-iteration state that is not a
-/// per-vertex array. Alone in the file's first chunk.
+/// per-vertex array or the trace. Alone in the file's first chunk.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SnapshotHeader {
     /// Engine tag ([`snapshot_tag`]): 0 = Sync, 1 = LazyBlock,
@@ -587,36 +536,34 @@ pub struct SnapshotHeader {
     pub engine: u8,
     /// Supersteps completed when the snapshot was taken.
     pub iterations: u64,
-    /// `SimClock::now().to_bits()` — bit-exact simulated time.
-    pub clock_bits: u64,
-    /// The machine's simulated-time breakdown so far (its sums ride as
-    /// bit patterns).
+    /// The machine's simulated clock.
+    pub clock: f64,
+    /// The machine's simulated-time breakdown so far.
     pub breakdown: SimBreakdown,
-    /// `BspSync::last_global.to_bits()`: the global clock the last sync
-    /// set, from which the next sync books compute.
-    pub last_global_bits: u64,
+    /// `BspSync::last_global`: the global clock the last sync set, from
+    /// which the next sync books compute.
+    pub last_global: f64,
     /// Data-mesh replay watermark `W`: the round the resumed machine will
     /// send next; peers replay their logged rounds `>= W`.
     pub data_round: u64,
     /// Control-mesh replay watermark: the round of the checkpoint barrier
     /// itself, which a resumed machine always re-executes.
     pub ctrl_round: u64,
-    /// Lazy-engine extras (None for the Sync and DeltaAccum engines).
-    pub lazy: Option<LazyResume>,
-    /// DeltaAccum extras (None for every other engine).
-    pub delta: Option<DeltaResume>,
+    /// The `Wire` bytes of the engine's
+    /// [`Carry`](crate::machine::Superstep::Carry) (none for an engine
+    /// that carries nothing).
+    pub carry: Vec<u8>,
 }
 
 wire_record!(SnapshotHeader {
     engine,
     iterations,
-    clock_bits,
+    clock,
     breakdown,
-    last_global_bits,
+    last_global,
     data_round,
     ctrl_round,
-    lazy,
-    delta,
+    carry,
 });
 
 impl SnapshotHeader {
@@ -681,8 +628,9 @@ fn write_slots<D: Wire, W: Write>(
     Ok(())
 }
 
-/// Streams one snapshot — `header`, then `state`'s arrays — into `out`
-/// and returns the container's size. `initial(l)` is the value
+/// Streams one snapshot — `header`, then `state`'s arrays, then the
+/// machine's trace `history` — into `out` and returns the container's
+/// size. `initial(l)` is the value
 /// `MachineState::init` gives local vertex `l`: where `coherent[l]` still
 /// holds it, nothing is written. The pattern has no `..`: a new
 /// `MachineState` array that is neither written, rebuilt nor exempted here
@@ -691,6 +639,7 @@ pub fn write_snapshot<P: VertexProgram, W: Write>(
     out: W,
     header: &SnapshotHeader,
     state: &MachineState<P>,
+    history: &[IterationRecord],
     initial: impl Fn(u32) -> P::VData,
 ) -> Result<u64, CheckpointError> {
     // `scratch` is exempt: capacity-only buffers, always written before
@@ -743,6 +692,11 @@ pub fn write_snapshot<P: VertexProgram, W: Write>(
     w.put(&(queue.len() as u64))?;
     for l in queue {
         w.put(l)?;
+    }
+
+    w.put(&(history.len() as u64))?;
+    for record in history {
+        w.put(record)?;
     }
     w.finish()
 }
@@ -808,12 +762,15 @@ impl<R: Read> SnapshotReader<R> {
     /// Streams the arrays into `state`, which must be as
     /// `MachineState::init` built it for the machine that saved them — a
     /// `coherent` entry saved as the initial view is left as it stands —
-    /// and hands the header back. Every section's length is checked
-    /// against the state's before a slot of it is filled; on an error the
-    /// state is part old, part new, and the run it belonged to is over.
+    /// and the trace into `history`, and hands the header back. Every
+    /// section's length is checked against the state's (the trace's against
+    /// the superstep count: at most one record a superstep) before a slot
+    /// of it is filled; on an error the state is part old, part new, and
+    /// the run it belonged to is over.
     pub fn restore_into<P: VertexProgram>(
         self,
         state: &mut MachineState<P>,
+        history: &mut Vec<IterationRecord>,
     ) -> Result<SnapshotHeader, CheckpointError> {
         let SnapshotReader { header, mut chunks } = self;
         let MachineState { vdata, coherent, message, delta_msg, active, queue, scratch: _ } = state;
@@ -864,6 +821,18 @@ impl<R: Read> SnapshotReader<R> {
             }
             queue.push(l);
         }
+
+        let len: u64 = chunks.get()?;
+        if len > header.iterations {
+            return Err(malformed(format!(
+                "history: {len} records after {} supersteps",
+                header.iterations
+            )));
+        }
+        history.clear();
+        for _ in 0..len {
+            history.push(chunks.get()?);
+        }
         chunks.finish()?;
         Ok(header)
     }
@@ -898,13 +867,14 @@ impl SnapshotStore {
         &self,
         header: &SnapshotHeader,
         state: &MachineState<P>,
+        history: &[IterationRecord],
         initial: impl Fn(u32) -> P::VData,
     ) -> Result<u64, CheckpointError> {
         std::fs::create_dir_all(&self.dir).map_err(|e| io_err("create_dir_all", &e))?;
         let tmp = self.dir.join(format!("ckpt-{}-{:012}.tmp", self.me, header.iterations));
         let bytes = {
             let mut f = File::create(&tmp).map_err(|e| io_err("create", &e))?;
-            let bytes = write_snapshot(&mut f, header, state, initial)?;
+            let bytes = write_snapshot(&mut f, header, state, history, initial)?;
             f.sync_all().map_err(|e| io_err("sync", &e))?;
             bytes
         };
@@ -1008,7 +978,8 @@ impl RecoveryCfg {
 }
 
 /// Takes one checkpoint at a superstep boundary (the skeleton's only
-/// caller has already checked the cadence).
+/// caller has already checked the cadence): the frame, and `carry`, the
+/// engine's carried record.
 ///
 /// Ordering is load-bearing (DESIGN.md §12): the two replay watermarks are
 /// captured *before* the barrier — `data_round` is the round this machine
@@ -1023,7 +994,7 @@ pub fn checkpoint_at_barrier<P: VertexProgram, M>(
     f: &Frame<'_, P, M>,
     store: &SnapshotStore,
     engine: EngineKind,
-    extras: ResumeExtras,
+    carry: &impl Wire,
 ) -> Result<(), CommError> {
     let fail = |what: &str, e: &dyn std::fmt::Display| CommError::Transport {
         me: f.me,
@@ -1037,16 +1008,16 @@ pub fn checkpoint_at_barrier<P: VertexProgram, M>(
     let header = SnapshotHeader {
         engine: tag,
         iterations: f.iterations,
-        clock_bits: f.clock.now().to_bits(),
+        clock: f.clock.now(),
         breakdown: f.bsp.breakdown,
-        last_global_bits: f.bsp.last_global.to_bits(),
+        last_global: f.bsp.last_global,
         data_round,
         ctrl_round,
-        lazy: extras.lazy,
-        delta: extras.delta,
+        carry: carry.to_wire(),
     };
     let initial = |l| initial_data(f.shard, f.program, l, f.num_vertices);
-    let bytes = store.save(&header, &f.state, initial).map_err(|e| fail("save", &e))?;
+    let bytes =
+        store.save(&header, &f.state, &f.history, initial).map_err(|e| fail("save", &e))?;
     f.stats.record_snapshot_bytes(bytes);
     coll.barrier(f.me, &f.stats)?;
     f.port.ep.prune_log(data_round, &f.stats);
@@ -1056,6 +1027,8 @@ pub fn checkpoint_at_barrier<P: VertexProgram, M>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm_mode::CommMode;
+    use crate::lazy_block::{LazyCarry, LazyCounters};
     use crate::program::{EdgeCtx, VertexCtx, VertexProgram};
     use lazygraph_graph::VertexId;
 
@@ -1095,37 +1068,46 @@ mod tests {
     }
 
     fn sample_header() -> SnapshotHeader {
+        let carry = LazyCarry {
+            counters: LazyCounters {
+                coherency_points: 6,
+                local_subrounds: 11,
+                a2a_exchanges: 4,
+                m2m_exchanges: 2,
+            },
+            do_local: true,
+            first_stage_time: Some(0.001),
+            coherency_cost: 0.0445,
+            last_sweep_cost: 0.0031,
+            next_mode: CommMode::MirrorsToMaster,
+            ..Default::default()
+        };
         SnapshotHeader {
             engine: 1,
             iterations: 6,
-            clock_bits: 1.5f64.to_bits(),
+            clock: 1.5,
             breakdown: SimBreakdown {
                 compute: 1.25,
                 comm: 0.125,
                 barrier: 0.0625,
                 ..Default::default()
             },
-            last_global_bits: 1.4375f64.to_bits(),
+            last_global: 1.4375,
             data_round: 41,
             ctrl_round: 17,
-            lazy: Some(LazyResume {
-                counters: LazyCounters {
-                    coherency_points: 6,
-                    local_subrounds: 11,
-                    a2a_exchanges: 4,
-                    m2m_exchanges: 2,
-                },
-                prev_active: Some(100),
-                last_trend_bits: 0.25f64.to_bits(),
-                iterations_seen: 5,
-                do_local: true,
-                first_stage_bits: Some(0.001f64.to_bits()),
-                next_mode_m2m: true,
-                coherency_cost_bits: 0.0445f64.to_bits(),
-                last_sweep_bits: 0.0031f64.to_bits(),
-            }),
-            delta: None,
+            carry: carry.to_wire(),
         }
+    }
+
+    /// A one-record trace.
+    fn sample_history() -> Vec<IterationRecord> {
+        vec![IterationRecord {
+            iteration: 6,
+            pending: 12,
+            lazy_on: true,
+            sim_time: 1.5,
+            ..Default::default()
+        }]
     }
 
     /// The initial view of `sample_state`'s machine.
@@ -1166,7 +1148,8 @@ mod tests {
 
     fn sample_file() -> Vec<u8> {
         let mut file = Vec::new();
-        let bytes = write_snapshot(&mut file, &sample_header(), &sample_state(), initial).unwrap();
+        let (header, history) = (sample_header(), sample_history());
+        let bytes = write_snapshot(&mut file, &header, &sample_state(), &history, initial).unwrap();
         assert_eq!(bytes, file.len() as u64);
         file
     }
@@ -1196,7 +1179,9 @@ mod tests {
         let reader = SnapshotReader::open(&file[..]).unwrap();
         assert_eq!(reader.header(), &sample_header());
         let (mut state, saved) = (fresh_state(), sample_state());
-        assert_eq!(reader.restore_into(&mut state).unwrap(), sample_header());
+        let mut history = Vec::new();
+        assert_eq!(reader.restore_into(&mut state, &mut history).unwrap(), sample_header());
+        assert_eq!(history, sample_history());
         assert_eq!(state.vdata, saved.vdata);
         assert_eq!(state.coherent, saved.coherent);
         assert_eq!(state.message, saved.message);
@@ -1210,9 +1195,11 @@ mod tests {
         // 8 magic + version; the header chunk; then one chunk: vdata n + 3
         // values, coherent n + one code word + the one explicit value,
         // message and delta_msg n + one occupancy word + one value each,
-        // queue length + one entry; the end record.
+        // queue length + one entry, history length + one record; the end
+        // record.
         let header = sample_header().to_wire().len();
-        let arrays = (8 + 3 * 8) + (8 + 8 + 8) + 2 * (8 + 8 + 8) + (8 + 4);
+        let record = sample_history()[0].to_wire().len();
+        let arrays = (8 + 3 * 8) + (8 + 8 + 8) + 2 * (8 + 8 + 8) + (8 + 4) + (8 + record);
         assert_eq!(sample_file().len(), 8 + (16 + header) + (16 + arrays) + 24);
     }
 
@@ -1226,7 +1213,8 @@ mod tests {
         state.message.push(None);
         state.delta_msg.push(None);
         state.active.push(false);
-        let err = SnapshotReader::open(&file[..]).unwrap().restore_into(&mut state).unwrap_err();
+        let reader = SnapshotReader::open(&file[..]).unwrap();
+        let err = reader.restore_into(&mut state, &mut Vec::new()).unwrap_err();
         assert!(
             matches!(err, CheckpointError::WrongShape { array: "vdata", found: 3, expected: 4 }),
             "{err}"
@@ -1263,7 +1251,7 @@ mod tests {
         // must fail the strict equality check, not decode garbage: every
         // version changed the layout.
         let file = sample_file();
-        for version in [3u32, 4, 5, 6, 7, 8] {
+        for version in [3u32, 4, 5, 6, 7, 8, 9] {
             let mut old = file.clone();
             old[4..8].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(verify(&old), Err(CheckpointError::BadHeader { .. })));
@@ -1284,7 +1272,7 @@ mod tests {
         // The header chunk verifies on its own; the arrays do not restore.
         let reader = SnapshotReader::open(&bad[..]).unwrap();
         assert!(matches!(
-            reader.restore_into(&mut fresh_state()),
+            reader.restore_into(&mut fresh_state(), &mut Vec::new()),
             Err(CheckpointError::ChecksumMismatch { chunk: 1 })
         ));
     }
@@ -1297,7 +1285,7 @@ mod tests {
             // chunk boundary included: the end record is missing.
             assert!(verify(&file[..cut]).is_err(), "cut at {cut}");
             let restored = SnapshotReader::open(&file[..cut])
-                .and_then(|r| r.restore_into(&mut fresh_state()));
+                .and_then(|r| r.restore_into(&mut fresh_state(), &mut Vec::new()));
             assert!(restored.is_err(), "cut at {cut}");
         }
     }
@@ -1310,7 +1298,7 @@ mod tests {
         let mut header = sample_header();
         for it in [2u64, 4, 6] {
             header.iterations = it;
-            let bytes = store.save(&header, &sample_state(), initial).unwrap();
+            let bytes = store.save(&header, &sample_state(), &sample_history(), initial).unwrap();
             assert!(bytes > 0);
         }
         // Newest-2 retention: iteration 2 is gone, 4 and 6 remain.

@@ -11,14 +11,17 @@
 //! ```
 
 use lazygraph_cluster::CostModel;
-use lazygraph_net::wire_record;
+use lazygraph_net::{wire_enum, wire_record};
 
 /// Which mode a coherency exchange used.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CommMode {
+    #[default]
     AllToAll,
     MirrorsToMaster,
 }
+
+wire_enum!(CommMode { AllToAll = 0, MirrorsToMaster = 1 });
 
 /// Per-machine partial contributions to the two volume estimates. Summed
 /// across machines by the pre-exchange allreduce vote.

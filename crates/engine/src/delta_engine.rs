@@ -26,7 +26,6 @@
 use lazygraph_cluster::CommError;
 
 use crate::bsp::{BspReduction, CommCharge};
-use crate::checkpoint::{DeltaResume, ResumeExtras, SnapshotHeader};
 use crate::config::EngineKind;
 use crate::lazy_block::{exchange_a2a, sweep, LazyCounters};
 use crate::machine::{Frame, Superstep, Vote};
@@ -44,8 +43,8 @@ const MAX_SUBEPOCHS: u64 = 4096;
 /// DeltaAccum on the superstep skeleton. One epoch is one coherency
 /// point and every exchange is all-to-all, so the counters reuse the lazy
 /// engines' shape. The bucket scheduler is stateless across epochs — each
-/// plan is recomputed from `MachineState` alone — so the counters are all
-/// a checkpoint must carry.
+/// plan is recomputed from `MachineState` alone — so the counters are the
+/// engine's whole [`Superstep::Carry`].
 pub struct DeltaStep {
     sched: PriorityBuckets,
     counters: LazyCounters,
@@ -58,31 +57,21 @@ pub struct DeltaStep {
 
 impl<P: VertexProgram> Superstep<P> for DeltaStep {
     type Msg = P::Delta;
+    type Carry = LazyCounters;
     const KIND: EngineKind = EngineKind::DeltaAccum;
     const INIT: InitMessages = InitMessages::AllReplicas;
 
-    fn new(f: &Frame<'_, P, P::Delta>) -> Self {
+    fn new(f: &Frame<'_, P, P::Delta>, counters: LazyCounters) -> Self {
         DeltaStep {
             sched: PriorityBuckets::new(f.cfg.delta_buckets, f.cfg.delta_tolerance),
-            counters: LazyCounters::default(),
+            counters,
             candidates: Vec::new(),
             worklist: Vec::new(),
         }
     }
 
-    fn restore(&mut self, header: &SnapshotHeader) {
-        if let Some(d) = &header.delta {
-            self.counters = d.counters;
-        }
-    }
-
-    fn resume_extras(&self) -> ResumeExtras {
-        ResumeExtras {
-            delta: Some(DeltaResume {
-                counters: self.counters,
-            }),
-            ..Default::default()
-        }
+    fn carry(&self) -> &LazyCounters {
+        &self.counters
     }
 
     fn counters(&self) -> LazyCounters {

@@ -49,6 +49,7 @@ use lazygraph_cluster::{
     Batch, Collective, CommError, CostModel, Endpoint, NetStats, OutboxSet, Phase, SimClock,
 };
 use lazygraph_net::{NetError, Wire, WireReader};
+use lazygraph_partition::{LocalShard, NO_LOCAL};
 
 use crate::parallel::ParallelCtx;
 use crate::program::VertexProgram;
@@ -121,28 +122,13 @@ pub fn stage_combining<P: VertexProgram>(
     false
 }
 
-/// The plain inbound translation of a `(gid, delta)` item: dense
-/// route-table lookup (`LocalShard::route_table`) plus `program.gather`;
-/// an item for a vertex this machine does not hold is dropped.
-#[inline]
-pub fn local_delta<P: VertexProgram>(
-    route: &[u32],
-    program: &P,
-    (gid, d): (u32, P::Delta),
-) -> Option<(u32, P::Delta)> {
-    match route.get(gid as usize) {
-        Some(&l) if l != lazygraph_partition::NO_LOCAL => Some((l, program.gather(gid.into(), d))),
-        _ => None,
-    }
-}
-
 /// The local id of `gid` in an item machine `from` sent here, through the
 /// shard's dense route table. A vertex this machine holds no replica of is
 /// a malformed frame, not a partitioner bug to panic on: the caller fails
 /// the run with it, naming the sender.
 pub(crate) fn route_item(route: &[u32], from: usize, gid: u32) -> Result<u32, NetError> {
     match route.get(gid as usize) {
-        Some(&l) if l != lazygraph_partition::NO_LOCAL => Ok(l),
+        Some(&l) if l != NO_LOCAL => Ok(l),
         _ => Err(misrouted(from, "an item", gid, "holds no replica")),
     }
 }
@@ -161,14 +147,18 @@ pub(crate) fn misrouted(from: usize, what: &str, gid: u32, here: &str) -> NetErr
 /// replacement for the serial per-item `local_of` + push loop.
 ///
 /// Each batch is drained by one pool task (batches are disjoint, so this
-/// needs no locking) into the next free slot of `inbound`; every item goes
-/// through `translate` — typically a dense route-table lookup plus
-/// `program.gather` — and lands in that slot's per-block bucket.
-/// `translate` returning `None` drops the item (unroutable or filtered),
-/// keeping the hot loop panic-free. An item that fails to decode off a raw
-/// frame payload is wire corruption the frame layer missed: the whole call
-/// fails with the codec error (first failing batch in batch order), which
-/// the rounds turn into a [`CommError::Transport`] that fails the run.
+/// needs no locking) into the next free slot of `inbound`. Every
+/// `(gid, x)` item is routed to its local id through the dense `route`
+/// table ([`route_item`]) and handed to `translate` as `(local id, gid,
+/// x)` — typically `program.gather` — and what `translate` returns lands
+/// in that slot's per-block bucket; `Ok(None)` means there is nothing to
+/// fold (mirrors-to-master hop 2: a replica that contributed the whole
+/// total). An item for a vertex this machine holds no replica of, or one
+/// the table routes past the last local vertex, fails the whole call
+/// naming its sender, as does an item `translate` refuses or one that
+/// fails to decode off a raw frame payload (first failing batch in batch
+/// order); the rounds turn that into a [`CommError::Transport`] that fails
+/// the run.
 /// [`MachineState::deliver_inbound`](crate::state::MachineState::deliver_inbound)
 /// then folds the slots where they lie: no second bucketing pass, and
 /// per-vertex fold order is identical to translating the batches serially
@@ -176,17 +166,18 @@ pub(crate) fn misrouted(from: usize, what: &str, gid: u32, here: &str) -> NetErr
 ///
 /// Drained batches keep their capacity; the caller recycles them back to
 /// their senders via [`Endpoint::recycle`](lazygraph_cluster::Endpoint::recycle).
-pub fn route_inbound<T, D, F>(
+pub fn route_inbound<X, D, F>(
     pctx: &ParallelCtx,
+    route: &[u32],
     num_local: usize,
-    batches: &mut [Batch<T>],
+    batches: &mut [Batch<(u32, X)>],
     translate: F,
     inbound: &mut Inbound<D>,
 ) -> Result<(), NetError>
 where
-    T: Wire + Send,
+    (u32, X): Wire + Send,
     D: Send,
-    F: Fn(T) -> Option<(u32, D)> + Sync,
+    F: Fn(u32, u32, X) -> Result<Option<D>, NetError> + Sync,
 {
     let bs = pctx.block_size();
     let num_blocks = num_blocks(num_local, bs);
@@ -195,13 +186,24 @@ where
     if inbound.slots.len() < inbound.routed {
         inbound.slots.resize_with(inbound.routed, Vec::new);
     }
-    let work: Vec<(&mut Batch<T>, &mut Segments<D>)> =
-        batches.iter_mut().zip(&mut inbound.slots[first..]).collect();
+    let work: Vec<_> = batches.iter_mut().zip(&mut inbound.slots[first..]).collect();
     let routed: Vec<Result<(), NetError>> = pctx.pool().map(work, |(batch, buckets)| {
         // Capacities differ per slot but contents never do: every bucket
         // is emptied before it is filled, so reuse cannot affect results.
         buckets.iter_mut().for_each(Vec::clear);
         buckets.resize_with(num_blocks, Vec::new);
+        let from = batch.from;
+        let mut route_one = |(gid, x): (u32, X)| -> Result<(), NetError> {
+            let l = route_item(route, from, gid)?;
+            let bucket = buckets.get_mut(l as usize / bs).filter(|_| (l as usize) < num_local);
+            let Some(bucket) = bucket else {
+                return Err(misrouted(from, "an item", gid, "routes past its last local vertex"));
+            };
+            if let Some(d) = translate(l, gid, x)? {
+                bucket.push((l, d));
+            }
+            Ok(())
+        };
         // Zero-copy inbound path: a TCP batch arrives as the raw frame
         // payload, and each item decodes straight off those bytes into
         // its destination bucket — no intermediate `Vec<T>` per batch.
@@ -210,26 +212,13 @@ where
         if let Some(raw) = batch.raw.as_mut() {
             let mut r = WireReader::new(&raw.bytes[raw.offset..]);
             for _ in 0..raw.count {
-                if let Some((l, d)) = translate(T::decode(&mut r)?) {
-                    if let Some(bucket) = buckets.get_mut(l as usize / bs) {
-                        bucket.push((l, d));
-                    }
-                }
+                route_one(<(u32, X)>::decode(&mut r)?)?;
             }
             // Mark drained; the buffer itself rides home through
             // `Endpoint::recycle` back to the reader's free list.
             raw.count = 0;
         }
-        for item in batch.items.drain(..) {
-            if let Some((l, d)) = translate(item) {
-                // Out-of-range l means a corrupt route table; drop
-                // rather than panic in the hot loop.
-                if let Some(bucket) = buckets.get_mut(l as usize / bs) {
-                    bucket.push((l, d));
-                }
-            }
-        }
-        Ok(())
+        batch.items.drain(..).try_for_each(route_one)
     });
     routed.into_iter().collect()
 }
@@ -249,28 +238,6 @@ impl<T: Wire + Send> Port<T> {
     pub fn new(ep: Endpoint<T>, stats: Arc<NetStats>) -> Self {
         let outboxes = OutboxSet::new(ep.num_machines());
         Port { ep, outboxes, stats }
-    }
-
-    /// Opens a ⊕-fold round: inbound items go through `translate` and
-    /// fold into `message` at [`FoldRound::close`]. `num_local` is the
-    /// shard's local-vertex count.
-    pub fn fold_round<'a, D, F>(
-        &'a mut self,
-        pctx: &'a ParallelCtx,
-        num_local: usize,
-        phase: Phase,
-        bytes_per_item: usize,
-        translate: F,
-    ) -> FoldRound<'a, T, F>
-    where
-        F: Fn(T) -> Option<(u32, D)> + Sync,
-    {
-        FoldRound {
-            wire: self.round_wire(phase, bytes_per_item),
-            pctx,
-            num_local,
-            translate,
-        }
     }
 
     /// Opens a sender-ordered round: inbound items are handed to the
@@ -311,6 +278,33 @@ impl<T: Wire + Send> Port<T> {
             cost,
             phase,
             bytes_per_item,
+        }
+    }
+}
+
+impl<X> Port<(u32, X)>
+where
+    (u32, X): Wire + Send,
+{
+    /// Opens a ⊕-fold round: inbound items are routed through `shard`'s
+    /// route table, go through `translate` ([`route_inbound`]) and fold
+    /// into `message` at [`FoldRound::close`].
+    pub fn fold_round<'a, D, F>(
+        &'a mut self,
+        pctx: &'a ParallelCtx,
+        shard: &'a LocalShard,
+        phase: Phase,
+        bytes_per_item: usize,
+        translate: F,
+    ) -> FoldRound<'a, (u32, X), F>
+    where
+        F: Fn(u32, u32, X) -> Result<Option<D>, NetError> + Sync,
+    {
+        FoldRound {
+            wire: self.round_wire(phase, bytes_per_item),
+            pctx,
+            shard,
+            translate,
         }
     }
 }
@@ -427,13 +421,16 @@ impl<T: Wire + Send> RoundWire<'_, T> {
 pub struct FoldRound<'a, T, F> {
     wire: RoundWire<'a, T>,
     pctx: &'a ParallelCtx,
-    num_local: usize,
+    shard: &'a LocalShard,
     translate: F,
 }
 
-impl<T: Wire + Send, F> FoldRound<'_, T, F> {
+impl<X, F> FoldRound<'_, (u32, X), F>
+where
+    (u32, X): Wire + Send,
+{
     /// The staging outboxes of this round.
-    pub fn outboxes(&mut self) -> &mut OutboxSet<T> {
+    pub fn outboxes(&mut self) -> &mut OutboxSet<(u32, X)> {
         &mut self.wire.port.outboxes
     }
 
@@ -447,13 +444,14 @@ impl<T: Wire + Send, F> FoldRound<'_, T, F> {
         now: f64,
     ) -> Result<(), CommError>
     where
-        F: Fn(T) -> Option<(u32, P::Delta)> + Sync,
+        F: Fn(u32, u32, X) -> Result<Option<P::Delta>, NetError> + Sync,
     {
         let mut received = self.wire.exchange(now)?;
         let port = self.wire.port;
         route_inbound(
             self.pctx,
-            self.num_local,
+            self.shard.route_table(),
+            self.shard.num_local(),
             &mut received,
             &self.translate,
             &mut state.scratch.inbound,
@@ -588,9 +586,19 @@ mod tests {
         num_local: usize,
         batches: &mut [Batch<(u32, u64)>],
     ) -> Result<Vec<Segments<u64>>, NetError> {
+        let route: Vec<u32> = (0..num_local as u32).collect();
+        routed_through(pctx, &route, num_local, batches)
+    }
+
+    fn routed_through(
+        pctx: &ParallelCtx,
+        route: &[u32],
+        num_local: usize,
+        batches: &mut [Batch<(u32, u64)>],
+    ) -> Result<Vec<Segments<u64>>, NetError> {
         let mut inbound = Inbound::default();
-        let translate = |(gid, d): (u32, u64)| (gid != 99).then_some((gid, d * 10));
-        route_inbound(pctx, num_local, batches, translate, &mut inbound)?;
+        let translate = |_, _, d: u64| Ok(Some(d * 10));
+        route_inbound(pctx, route, num_local, batches, translate, &mut inbound)?;
         Ok(inbound.routed().to_vec())
     }
 
@@ -624,14 +632,44 @@ mod tests {
     }
 
     #[test]
-    fn route_inbound_drops_untranslatable_and_out_of_range_items() {
+    fn route_inbound_refuses_a_misrouted_item_naming_its_sender() {
         let pctx = ParallelCtx::new(ParallelConfig {
             threads: 2,
             block_size: 4,
         }).expect("spawn pool");
-        let mut batches = vec![batch(0, vec![(0, 1), (99, 2), (3, 3), (64, 4)])];
-        let slots = routed(&pctx, 4, &mut batches).expect("well-formed batch");
-        assert_eq!(slots, vec![vec![vec![(0, 10), (3, 30)]]]);
+        let refused = |result: Result<Vec<Segments<u64>>, NetError>, sender: &str, why: &str| {
+            match result {
+                Err(NetError::Malformed { ty: "routed item", detail }) => {
+                    assert!(detail.contains(sender) && detail.contains(why), "{detail}")
+                }
+                other => panic!("expected a misrouted item, got {other:?}"),
+            }
+        };
+        // A vertex this machine holds no replica of, inside the route
+        // table and past its end, from sender 2 after two good items.
+        for gid in [2, 99] {
+            let route = [0, 1, NO_LOCAL, 3];
+            let mut batches =
+                vec![batch(0, vec![(0, 1)]), batch(2, vec![(3, 3), (gid, 2), (1, 4)])];
+            let sender = format!("machine 2 sent an item for vertex {gid},");
+            refused(routed_through(&pctx, &route, 4, &mut batches), &sender, "holds no replica");
+        }
+        // A table that routes past the last local vertex, inside the last
+        // block and past it.
+        for gid in [3, 4] {
+            let mut batches = vec![batch(1, vec![(0, 1), (gid, 5)])];
+            let sender = format!("machine 1 sent an item for vertex {gid},");
+            let why = "routes past its last local vertex";
+            refused(routed_through(&pctx, &[0, 1, 2, 3, 9], 3, &mut batches), &sender, why);
+        }
+        // On a raw cursor too.
+        let mut bytes = Vec::new();
+        for it in [(0u32, 1u64), (64, 4)] {
+            it.encode(&mut bytes);
+        }
+        let mut raw = vec![batch(3, Vec::new())];
+        raw[0].raw = Some(lazygraph_cluster::RawBatch { bytes, offset: 0, count: 2 });
+        refused(routed(&pctx, 4, &mut raw), "machine 3 sent an item for vertex 64,", "no replica");
     }
 
     #[test]
@@ -641,11 +679,12 @@ mod tests {
             block_size: 4,
         }).expect("spawn pool");
         let mut inbound: Inbound<u64> = Inbound::default();
-        let translate = |(gid, d): (u32, u64)| Some((gid, d));
+        let translate = |_, _, d: u64| Ok(Some(d));
+        let route: Vec<u32> = (0..8).collect();
         let items: Vec<(u32, u64)> = (0..100).map(|i| (i % 4, u64::from(i))).collect();
         for _ in 0..3 {
             let mut batches = vec![batch(0, items.clone())];
-            route_inbound(&pctx, 8, &mut batches, translate, &mut inbound).expect("routed");
+            route_inbound(&pctx, &route, 8, &mut batches, translate, &mut inbound).expect("routed");
             assert_eq!(inbound.routed()[0][0].len(), 100);
             inbound.finish_round(usize::MAX);
             assert!(inbound.routed().is_empty(), "the round is over");
@@ -744,6 +783,54 @@ mod tests {
             match &outcomes[1] {
                 Err(CommError::Transport { me: 1, detail }) => assert!(
                     detail.contains("machine 0 sent an item for vertex 7"),
+                    "{transport:?}: {detail}"
+                ),
+                other => panic!("{transport:?}: expected a typed transport error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_fold_round_item_for_a_vertex_without_a_replica_here_fails_typed() {
+        use lazygraph_cluster::{build_endpoints, run_machines, TransportKind};
+        use lazygraph_graph::generators::{rmat, RmatConfig};
+        use lazygraph_partition::{partition_graph, PartitionStrategy, SplitterConfig};
+        // Machine 0 sends machine 1 one of its vertices, then one it does
+        // not hold: the round fails on machine 1, naming machine 0.
+        let g = rmat(RmatConfig::graph500(6, 4, 11));
+        let strategy = PartitionStrategy::Random;
+        let dg = partition_graph(&g, 2, strategy, &SplitterConfig::disabled(), false);
+        let held = dg.shards[1].global_of(0).0;
+        let stranger = (0..dg.num_global_vertices as u32)
+            .find(|&v| dg.shards[1].local_of(v.into()).is_none())
+            .expect("machine 1 does not hold every vertex");
+        let par = ParallelConfig { threads: 1, block_size: 4 };
+        let pctx = ParallelCtx::new(par).expect("spawn pool");
+        for transport in [TransportKind::InProc, TransportKind::Tcp] {
+            let stats = Arc::new(NetStats::new());
+            let endpoints = build_endpoints::<(u32, u64)>(transport, 2, &stats).expect("mesh");
+            let outcomes = run_machines(endpoints, |ep| {
+                let me = ep.me();
+                let shard = &dg.shards[me];
+                let mut state = MachineState::init(
+                    shard,
+                    &Sum,
+                    crate::state::InitMessages::AllReplicas,
+                    dg.num_global_vertices,
+                );
+                let mut port = Port::new(ep, stats.clone());
+                let mut round =
+                    port.fold_round(&pctx, shard, Phase::Coherency, 12, |_, _, d| Ok(Some(d)));
+                if me == 0 {
+                    round.outboxes().push(1, (held, 10));
+                    round.outboxes().push(1, (stranger, 70));
+                }
+                round.close(&Sum, &mut state, 0.0).map(|()| state.message)
+            });
+            assert!(outcomes[0].is_ok(), "{transport:?}");
+            match &outcomes[1] {
+                Err(CommError::Transport { me: 1, detail }) => assert!(
+                    detail.contains(&format!("machine 0 sent an item for vertex {stranger}")),
                     "{transport:?}: {detail}"
                 ),
                 other => panic!("{transport:?}: expected a typed transport error, got {other:?}"),

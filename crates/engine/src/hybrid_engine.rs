@@ -39,14 +39,19 @@ pub struct HybridStep<P: VertexProgram> {
 
 impl<P: VertexProgram> Superstep<P> for HybridStep<P> {
     type Msg = SyncMsg<P>;
+    type Carry = ();
     const KIND: EngineKind = EngineKind::PowerSwitchHybrid;
     const INIT: InitMessages = InitMessages::MastersOnly;
 
-    fn new(frame: &Frame<'_, P, SyncMsg<P>>) -> Self {
+    fn new(frame: &Frame<'_, P, SyncMsg<P>>, (): ()) -> Self {
         HybridStep {
-            sync: SyncStep::new(frame),
-            tail: AsyncPump::new(frame),
+            sync: SyncStep::new(frame, ()),
+            tail: AsyncPump::new(frame, ()),
         }
+    }
+
+    fn carry(&self) -> &() {
+        &()
     }
 
     fn step(&mut self, f: &mut Frame<'_, P, SyncMsg<P>>) -> Result<Vote, CommError> {

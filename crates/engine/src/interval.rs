@@ -24,6 +24,8 @@
 //! edges in the tail, and only the second is cheap next to the barrier and
 //! exchange it postpones.
 
+use lazygraph_net::wire_record;
+
 use crate::config::IntervalPolicy;
 
 /// The share κ of the previous coherency point's simulated cost a budgeted
@@ -48,64 +50,55 @@ pub struct StageProgress {
     pub predicted: f64,
 }
 
-/// Tracks the active-vertex trend and answers `turnOnLazy()` / `doLC()`.
+/// The active-vertex trend at successive coherency points: everything of
+/// the interval model that changes during a run, and so the part of it a
+/// checkpoint carries (the policy and `E/V` are reconstruction inputs).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Trend {
+    prev_active: Option<u64>,
+    last: f64,
+    observed: u64,
+}
+
+wire_record!(Trend { prev_active, last, observed });
+
+impl Trend {
+    /// Records the global active-vertex count observed at a data coherency
+    /// stage and updates the trend.
+    pub fn observe(&mut self, count: u64) {
+        if let Some(prev) = self.prev_active {
+            if prev > 0 {
+                self.last = (prev as f64 - count as f64) / prev as f64;
+            }
+        }
+        self.prev_active = Some(count);
+        self.observed += 1;
+    }
+
+    /// The current trend value (positive = descent part of the algorithm).
+    pub fn value(&self) -> f64 {
+        self.last
+    }
+}
+
+/// Answers `turnOnLazy()` / `doLC()` for one run's policy and graph.
 #[derive(Clone, Debug)]
 pub struct IntervalModel {
     policy: IntervalPolicy,
     ev_ratio: f64,
-    prev_active: Option<u64>,
-    last_trend: f64,
-    iterations_seen: u64,
 }
 
 impl IntervalModel {
     /// A model for one run over a graph with the given `E/V`.
     pub fn new(policy: IntervalPolicy, ev_ratio: f64) -> Self {
-        IntervalModel {
-            policy,
-            ev_ratio,
-            prev_active: None,
-            last_trend: 0.0,
-            iterations_seen: 0,
-        }
+        IntervalModel { policy, ev_ratio }
     }
 
-    /// Records the global active-vertex count observed at a data coherency
-    /// stage and updates the trend.
-    pub fn observe_active(&mut self, count: u64) {
-        if let Some(prev) = self.prev_active {
-            if prev > 0 {
-                self.last_trend = (prev as f64 - count as f64) / prev as f64;
-            }
-        }
-        self.prev_active = Some(count);
-        self.iterations_seen += 1;
-    }
-
-    /// The current trend value (positive = descent part of the algorithm).
-    pub fn trend(&self) -> f64 {
-        self.last_trend
-    }
-
-    /// The model's mutable state, for checkpointing:
-    /// `(prev_active, last_trend, iterations_seen)`.
-    pub fn export_state(&self) -> (Option<u64>, f64, u64) {
-        (self.prev_active, self.last_trend, self.iterations_seen)
-    }
-
-    /// Restores state captured by [`Self::export_state`] — the policy and
-    /// `E/V` are reconstruction inputs, not state, so only the trend
-    /// tracker moves.
-    pub fn import_state(&mut self, state: (Option<u64>, f64, u64)) {
-        self.prev_active = state.0;
-        self.last_trend = state.1;
-        self.iterations_seen = state.2;
-    }
-
-    /// `turnOnLazy()` — may the engine enter the local computation stage?
-    pub fn turn_on_lazy(&self) -> bool {
+    /// `turnOnLazy()` — may the engine enter the local computation stage,
+    /// given the trend observed so far?
+    pub fn turn_on_lazy(&self, trend: &Trend) -> bool {
         // The first iteration always runs eagerly (establishes x^(1), Δ^(1)).
-        if self.iterations_seen < 1 {
+        if trend.observed < 1 {
             return false;
         }
         match self.policy {
@@ -115,7 +108,7 @@ impl IntervalModel {
                 ev_threshold,
                 trend_threshold,
                 ..
-            } => self.ev_ratio <= ev_threshold || self.last_trend >= trend_threshold,
+            } => self.ev_ratio <= ev_threshold || trend.last >= trend_threshold,
         }
     }
 
@@ -185,45 +178,45 @@ mod tests {
     #[test]
     fn first_iteration_is_always_eager() {
         let m = IntervalModel::new(adaptive(), 2.0);
-        assert!(!m.turn_on_lazy(), "paper: first iteration without local stage");
+        assert!(!m.turn_on_lazy(&Trend::default()), "paper: first iteration without local stage");
         let m2 = IntervalModel::new(IntervalPolicy::AlwaysLazy, 2.0);
-        assert!(!m2.turn_on_lazy());
+        assert!(!m2.turn_on_lazy(&Trend::default()));
     }
 
     #[test]
     fn good_locality_turns_on_after_first() {
         // Road graph: E/V ≈ 2.4 ≤ 10 → lazy on regardless of trend.
-        let mut m = IntervalModel::new(adaptive(), 2.4);
-        m.observe_active(1000);
-        assert!(m.turn_on_lazy());
+        let (m, mut t) = (IntervalModel::new(adaptive(), 2.4), Trend::default());
+        t.observe(1000);
+        assert!(m.turn_on_lazy(&t));
         // Even in the ascent phase (growing active set → negative trend).
-        m.observe_active(5000);
-        assert!(m.trend() < 0.0);
-        assert!(m.turn_on_lazy());
+        t.observe(5000);
+        assert!(t.value() < 0.0);
+        assert!(m.turn_on_lazy(&t));
     }
 
     #[test]
     fn poor_locality_needs_descent() {
         // Twitter-like: E/V ≈ 24 > 10 → lazy only when trend ≥ 0.07.
-        let mut m = IntervalModel::new(adaptive(), 24.0);
-        m.observe_active(1000);
-        assert!(!m.turn_on_lazy(), "no trend yet");
-        m.observe_active(2000); // ascent
-        assert!(m.trend() < 0.0);
-        assert!(!m.turn_on_lazy());
-        m.observe_active(1000); // sharp descent: trend = 0.5
-        assert!((m.trend() - 0.5).abs() < 1e-12);
-        assert!(m.turn_on_lazy());
+        let (m, mut t) = (IntervalModel::new(adaptive(), 24.0), Trend::default());
+        t.observe(1000);
+        assert!(!m.turn_on_lazy(&t), "no trend yet");
+        t.observe(2000); // ascent
+        assert!(t.value() < 0.0);
+        assert!(!m.turn_on_lazy(&t));
+        t.observe(1000); // sharp descent: trend = 0.5
+        assert!((t.value() - 0.5).abs() < 1e-12);
+        assert!(m.turn_on_lazy(&t));
     }
 
     #[test]
     fn shallow_descent_below_threshold_stays_eager() {
-        let mut m = IntervalModel::new(adaptive(), 24.0);
-        m.observe_active(1000);
-        m.observe_active(950); // trend = 0.05 < 0.07
-        assert!(!m.turn_on_lazy());
-        m.observe_active(870); // trend ≈ 0.084 ≥ 0.07
-        assert!(m.turn_on_lazy());
+        let (m, mut t) = (IntervalModel::new(adaptive(), 24.0), Trend::default());
+        t.observe(1000);
+        t.observe(950); // trend = 0.05 < 0.07
+        assert!(!m.turn_on_lazy(&t));
+        t.observe(870); // trend ≈ 0.084 ≥ 0.07
+        assert!(m.turn_on_lazy(&t));
     }
 
     /// `doLC()` between two sub-rounds of a stage `elapsed` seconds old,
@@ -257,17 +250,17 @@ mod tests {
     fn always_lazy_never_bounds() {
         let m = IntervalModel::new(IntervalPolicy::AlwaysLazy, 50.0);
         assert!(between_subrounds(&m, Some(0.001), 1.0e9));
-        let mut m2 = m.clone();
-        m2.observe_active(10);
-        assert!(m2.turn_on_lazy());
+        let mut t = Trend::default();
+        t.observe(10);
+        assert!(m.turn_on_lazy(&t));
     }
 
     #[test]
     fn never_lazy_never_enters() {
-        let mut m = IntervalModel::new(IntervalPolicy::NeverLazy, 2.0);
-        m.observe_active(10);
-        m.observe_active(1);
-        assert!(!m.turn_on_lazy());
+        let (m, mut t) = (IntervalModel::new(IntervalPolicy::NeverLazy, 2.0), Trend::default());
+        t.observe(10);
+        t.observe(1);
+        assert!(!m.turn_on_lazy(&t));
         assert!(!between_subrounds(&m, Some(1.0), 0.0));
     }
 
@@ -344,10 +337,10 @@ mod tests {
 
     #[test]
     fn trend_handles_zero_prev() {
-        let mut m = IntervalModel::new(adaptive(), 24.0);
-        m.observe_active(0);
-        m.observe_active(100);
+        let mut t = Trend::default();
+        t.observe(0);
+        t.observe(100);
         // prev == 0: trend untouched, no division by zero.
-        assert_eq!(m.trend(), 0.0);
+        assert_eq!(t.value(), 0.0);
     }
 }

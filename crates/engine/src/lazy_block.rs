@@ -25,14 +25,13 @@
 
 use lazygraph_cluster::{CommError, CostModel, NetStats, Phase};
 use lazygraph_net::wire_record;
-use lazygraph_partition::{LocalShard, NO_LOCAL};
+use lazygraph_partition::LocalShard;
 
 use crate::bsp::{BspReduction, CommCharge};
-use crate::checkpoint::{LazyResume, ResumeExtras, SnapshotHeader};
 use crate::comm_mode::{choose_mode, CommMode, VolumeEstimate};
 use crate::config::{CommModePolicy, EngineKind};
-use crate::exchange::{local_delta, stage_combining};
-use crate::interval::{IntervalModel, StageProgress};
+use crate::exchange::stage_combining;
+use crate::interval::{IntervalModel, StageProgress, Trend};
 use crate::machine::{Frame, Superstep, Vote};
 use crate::metrics::IterationRecord;
 use crate::parallel::ParallelCtx;
@@ -130,31 +129,54 @@ pub(crate) fn sweep<P: VertexProgram, M>(
     f.clock.advance(book(&f.stats, &f.cfg.cost, program, done));
 }
 
-/// LazyBlockAsync on the superstep skeleton: the interval model and the
-/// comm-mode lag that survive from one coherency iteration to the next.
+/// What of LazyBlockAsync survives from one coherency iteration to the
+/// next: the interval model's trend and the stage bounds it is read with,
+/// and the comm-mode lag. The engine's [`Superstep::Carry`], so exactly
+/// what a snapshot carries.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct LazyCarry {
+    /// Coherency points, sub-rounds and exchanges so far.
+    pub(crate) counters: LazyCounters,
+    /// The active-vertex trend `turnOnLazy()` reads.
+    pub(crate) trend: Trend,
+    /// Whether the local computation stage is switched on.
+    pub(crate) do_local: bool,
+    /// Duration T of the first local computation stage (§4.2.1's doLC
+    /// bound); never measured when the stages are budgeted instead.
+    pub(crate) first_stage_time: Option<f64>,
+    /// Simulated seconds the previous coherency point was charged (barrier
+    /// latency plus the collective time of its bytes; identical on every
+    /// machine) — what a budgeted local stage is rationed against.
+    pub(crate) coherency_cost: f64,
+    /// Simulated compute this machine's last sweep was charged, local
+    /// sub-round or coherency-point sweep alike: a budgeted stage's
+    /// prediction of what its next sub-round would cost.
+    pub(crate) last_sweep_cost: f64,
+    /// Comm mode decided from the previous coherency point's volume
+    /// estimates (one-round lag keeps the coherency stage at exactly one
+    /// global synchronisation, as in the paper's Fig. 1(c)).
+    pub(crate) next_mode: CommMode,
+}
+
+wire_record!(LazyCarry {
+    counters,
+    trend,
+    do_local,
+    first_stage_time,
+    coherency_cost,
+    last_sweep_cost,
+    next_mode,
+});
+
+/// LazyBlockAsync on the superstep skeleton: its [`LazyCarry`], and
+/// scratch no superstep boundary sees.
 pub struct LazyStep<P: VertexProgram> {
+    carry: LazyCarry,
     interval: IntervalModel,
-    counters: LazyCounters,
     /// Dense m2m scratch arrays indexed by local id (zero steady-state
     /// allocation); fully `None` between coherency points.
     own_scratch: Vec<Option<P::Delta>>,
     totals_scratch: Vec<Option<P::Delta>>,
-    do_local: bool,
-    /// Duration T of the first local computation stage (§4.2.1's doLC
-    /// bound); never measured when the stages are budgeted instead.
-    first_stage_time: Option<f64>,
-    /// Simulated seconds the previous coherency point was charged (barrier
-    /// latency plus the collective time of its bytes; identical on every
-    /// machine) — what a budgeted local stage is rationed against.
-    coherency_cost: f64,
-    /// Simulated compute this machine's last sweep was charged, local
-    /// sub-round or coherency-point sweep alike: a budgeted stage's
-    /// prediction of what its next sub-round would cost.
-    last_sweep_cost: f64,
-    /// Comm mode decided from the previous coherency point's volume
-    /// estimates (one-round lag keeps the coherency stage at exactly one
-    /// global synchronisation, as in the paper's Fig. 1(c)).
-    next_mode: CommMode,
     /// The sweep in flight's sorted worklist (capacity only between sweeps).
     worklist: Vec<u32>,
     /// The program's local order, asked once: `None` keeps every local
@@ -168,86 +190,49 @@ pub struct LazyStep<P: VertexProgram> {
 
 impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
     type Msg = P::Delta;
+    type Carry = LazyCarry;
     const KIND: EngineKind = EngineKind::LazyBlockAsync;
     const INIT: InitMessages = InitMessages::AllReplicas;
 
-    fn new(f: &Frame<'_, P, P::Delta>) -> Self {
+    fn new(f: &Frame<'_, P, P::Delta>, carry: LazyCarry) -> Self {
         LazyStep {
+            carry,
             interval: IntervalModel::new(f.cfg.interval, f.ev_ratio),
-            counters: LazyCounters::default(),
             own_scratch: vec![None; f.shard.num_local()],
             totals_scratch: vec![None; f.shard.num_local()],
-            do_local: false,
-            first_stage_time: None,
-            coherency_cost: 0.0,
-            last_sweep_cost: 0.0,
-            next_mode: CommMode::AllToAll,
             worklist: Vec::new(),
             order: f.program.local_order(),
             keyed: Vec::new(),
         }
     }
 
-    fn restore(&mut self, header: &SnapshotHeader) {
-        if let Some(l) = &header.lazy {
-            self.counters = l.counters;
-            self.interval.import_state((
-                l.prev_active,
-                f64::from_bits(l.last_trend_bits),
-                l.iterations_seen,
-            ));
-            self.do_local = l.do_local;
-            self.first_stage_time = l.first_stage_bits.map(f64::from_bits);
-            self.next_mode = if l.next_mode_m2m {
-                CommMode::MirrorsToMaster
-            } else {
-                CommMode::AllToAll
-            };
-            self.coherency_cost = f64::from_bits(l.coherency_cost_bits);
-            self.last_sweep_cost = f64::from_bits(l.last_sweep_bits);
-        }
-    }
-
-    fn resume_extras(&self) -> ResumeExtras {
-        let (prev_active, last_trend, iterations_seen) = self.interval.export_state();
-        ResumeExtras {
-            lazy: Some(LazyResume {
-                counters: self.counters,
-                prev_active,
-                last_trend_bits: last_trend.to_bits(),
-                iterations_seen,
-                do_local: self.do_local,
-                first_stage_bits: self.first_stage_time.map(f64::to_bits),
-                next_mode_m2m: self.next_mode == CommMode::MirrorsToMaster,
-                coherency_cost_bits: self.coherency_cost.to_bits(),
-                last_sweep_bits: self.last_sweep_cost.to_bits(),
-            }),
-            delta: None,
-        }
+    fn carry(&self) -> &LazyCarry {
+        &self.carry
     }
 
     fn counters(&self) -> LazyCounters {
-        self.counters
+        self.carry.counters
     }
 
     fn step(&mut self, f: &mut Frame<'_, P, P::Delta>) -> Result<Vote, CommError> {
         let cfg = f.cfg;
-        let subrounds_at_round_start = self.counters.local_subrounds;
+        let subrounds_at_round_start = self.carry.counters.local_subrounds;
 
         // ---- Stage 1: local computation. --------------------------------
         let stage_start = f.clock.now();
         let mut stage_budget = 0.0;
-        if self.do_local {
-            stage_budget = self.interval.stage_budget(self.first_stage_time, self.coherency_cost);
+        if self.carry.do_local {
+            let LazyCarry { first_stage_time, coherency_cost, .. } = self.carry;
+            stage_budget = self.interval.stage_budget(first_stage_time, coherency_cost);
             let order = self.order.filter(|_| f.iterations >= LOCAL_ORDER_FROM);
             // `doLC()` is asked before the queue is touched, so a refused
             // sub-round leaves it exactly as it stood — still `active`,
             // inboxes untouched — for the coherency-point sweep.
             while !f.state.queue.is_empty() {
                 let stage = StageProgress {
-                    subrounds: self.counters.local_subrounds - subrounds_at_round_start,
+                    subrounds: self.carry.counters.local_subrounds - subrounds_at_round_start,
                     elapsed: f.clock.now() - stage_start,
-                    predicted: self.last_sweep_cost,
+                    predicted: self.carry.last_sweep_cost,
                 };
                 if !self.interval.continue_local_stage(stage_budget, stage) {
                     break;
@@ -257,12 +242,12 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
                     self.defer_less_urgent(&mut f.state, key);
                 }
                 self.sweep_worklist(f, false);
-                self.counters.local_subrounds += 1;
+                self.carry.counters.local_subrounds += 1;
             }
             // Record T online: the duration of this run's first local
             // stage. A budgeted run reads no `T` and measures none.
-            if self.first_stage_time.is_none() && !self.interval.budgets_stages() {
-                self.first_stage_time = Some(f.clock.now() - stage_start);
+            if self.carry.first_stage_time.is_none() && !self.interval.budgets_stages() {
+                self.carry.first_stage_time = Some(f.clock.now() - stage_start);
             }
         }
         let local_stage_s = f.clock.now() - stage_start;
@@ -275,20 +260,20 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
         let mode = match cfg.comm_mode {
             CommModePolicy::AllToAll => CommMode::AllToAll,
             CommModePolicy::MirrorsToMaster => CommMode::MirrorsToMaster,
-            CommModePolicy::Auto => self.next_mode,
+            CommModePolicy::Auto => self.carry.next_mode,
         };
         let (sent_bytes, charge) = match mode {
             CommMode::AllToAll => {
-                self.counters.a2a_exchanges += 1;
+                self.carry.counters.a2a_exchanges += 1;
                 (exchange_a2a(f, cfg.delta_suppression)?, CommCharge::A2A)
             }
             CommMode::MirrorsToMaster => {
-                self.counters.m2m_exchanges += 1;
+                self.carry.counters.m2m_exchanges += 1;
                 let (own, totals) = (&mut self.own_scratch, &mut self.totals_scratch);
                 (exchange_m2m(f, own, totals, cfg.delta_suppression)?, CommCharge::M2M)
             }
         };
-        self.counters.coherency_points += 1;
+        self.carry.counters.coherency_points += 1;
         let red = f.bsp.sync(
             &mut f.clock,
             BspReduction {
@@ -299,18 +284,18 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
             },
             charge,
         )?;
-        self.next_mode = choose_mode(&cfg.cost, red.est);
+        self.carry.next_mode = choose_mode(&cfg.cost, red.est);
         // What this coherency point cost on top of the slowest machine's
         // clock — both terms come out of the reduction, so every machine
         // reads the same bits.
-        self.coherency_cost = f.clock.now() - red.clock;
+        self.carry.coherency_cost = f.clock.now() - red.clock;
         if cfg.record_history {
             f.history.push(IterationRecord {
                 iteration: f.iterations,
                 pending: red.pending,
                 bytes: red.bytes,
-                lazy_on: self.do_local,
-                local_subrounds: self.counters.local_subrounds - subrounds_at_round_start,
+                lazy_on: self.carry.do_local,
+                local_subrounds: self.carry.counters.local_subrounds - subrounds_at_round_start,
                 used_m2m: mode == CommMode::MirrorsToMaster,
                 sim_time: f.clock.now(),
                 local_stage_s,
@@ -320,9 +305,9 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
         if red.pending == 0 {
             return Ok(Vote::Converged);
         }
-        self.interval.observe_active(red.pending);
-        if !self.do_local && self.interval.turn_on_lazy() {
-            self.do_local = true;
+        self.carry.trend.observe(red.pending);
+        if !self.carry.do_local && self.interval.turn_on_lazy(&self.carry.trend) {
+            self.carry.do_local = true;
         }
 
         // ---- Data coherency point: apply merged views, then scatter. -----
@@ -351,7 +336,7 @@ impl<P: VertexProgram> LazyStep<P> {
         self.worklist.sort_unstable();
         let before = f.clock.now();
         sweep(f, &self.worklist, update_coherent);
-        self.last_sweep_cost = f.clock.now() - before;
+        self.carry.last_sweep_cost = f.clock.now() - before;
     }
 
     /// The ordered local stage's scheduling cut (DESIGN.md §17): keeps in
@@ -469,14 +454,9 @@ pub(crate) fn exchange_a2a<P: VertexProgram>(
     let mut sent = 0u64;
     let mut combined = 0u64;
     let decisions = coherency_decisions(shard, state, program, pctx, suppression);
-    let route = shard.route_table();
-    let mut round = port.fold_round(
-        pctx,
-        shard.num_local(),
-        Phase::Coherency,
-        delta_bytes,
-        |item| local_delta(route, program, item),
-    );
+    let mut round = port.fold_round(pctx, shard, Phase::Coherency, delta_bytes, |_, gid, d| {
+        Ok(Some(program.gather(gid.into(), d)))
+    });
     for (l, d) in decisions.into_iter().flatten() {
         state.delta_msg[l as usize] = None;
         let Some(d) = d else { continue };
@@ -558,18 +538,9 @@ fn exchange_m2m<P: VertexProgram>(
         Some(mine) => Some(program.inverse(total, mine)),
         None => Some(total),
     };
-    let mut hop2 = port.fold_round(
-        pctx,
-        shard.num_local(),
-        Phase::Coherency,
-        delta_bytes,
-        |(gid, total): (u32, P::Delta)| match route.get(gid as usize) {
-            Some(&l) if l != NO_LOCAL => {
-                others(l, total).map(|rest| (l, program.gather(gid.into(), rest)))
-            }
-            _ => None,
-        },
-    );
+    let mut hop2 = port.fold_round(pctx, shard, Phase::Coherency, delta_bytes, |l, gid, total| {
+        Ok(others(l, total).map(|rest| program.gather(gid.into(), rest)))
+    });
     let local = &mut state.scratch.staging.open_blocks(pctx, shard.num_local(), 1)[0];
     for &l in &shard.replicated {
         let li = l as usize;

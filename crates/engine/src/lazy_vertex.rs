@@ -23,7 +23,7 @@ use lazygraph_net::NetError;
 use lazygraph_partition::LocalShard;
 
 use crate::config::EngineKind;
-use crate::exchange::{local_delta, route_inbound, stage_combining, Pump, PumpStep};
+use crate::exchange::{route_inbound, stage_combining, Pump, PumpStep};
 use crate::lazy_block::{apply_scatter, book, LazyCounters};
 use crate::machine::{Frame, Superstep, Vote};
 use crate::parallel::ParallelCtx;
@@ -41,13 +41,18 @@ pub struct LazyVertexPump {
 
 impl<P: VertexProgram> Superstep<P> for LazyVertexPump {
     type Msg = P::Delta;
+    type Carry = ();
     const KIND: EngineKind = EngineKind::LazyVertexAsync;
     const INIT: InitMessages = InitMessages::AllReplicas;
 
-    fn new(_frame: &Frame<'_, P, P::Delta>) -> Self {
+    fn new(_frame: &Frame<'_, P, P::Delta>, (): ()) -> Self {
         LazyVertexPump {
             counters: LazyCounters::default(),
         }
+    }
+
+    fn carry(&self) -> &() {
+        &()
     }
 
     fn step(&mut self, f: &mut Frame<'_, P, P::Delta>) -> Result<Vote, CommError> {
@@ -93,12 +98,13 @@ impl<P: VertexProgram> PumpStep<(u32, P::Delta)> for LazyVertexTurn<'_, P> {
     /// Remote deltas ⊕-fold straight into `message` (zero-copy for raw
     /// TCP batches).
     fn absorb(&mut self, batch: &mut Batch<(u32, P::Delta)>) -> Result<(), NetError> {
-        let (route, program) = (self.shard.route_table(), self.program);
+        let (shard, program) = (self.shard, self.program);
         route_inbound(
             self.pctx,
-            self.shard.num_local(),
+            shard.route_table(),
+            shard.num_local(),
             std::slice::from_mut(batch),
-            |item| local_delta(route, program, item),
+            |_, gid, d| Ok(Some(program.gather(gid.into(), d))),
             &mut self.state.scratch.inbound,
         )?;
         let runs = self.state.deliver_inbound(program, self.pctx);

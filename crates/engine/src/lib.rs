@@ -53,8 +53,7 @@ pub mod state;
 pub mod sync_engine;
 
 pub use checkpoint::{
-    snapshot_tag, CheckpointError, DeltaResume, LazyResume, RecoveryCfg, SnapshotHeader,
-    SnapshotReader, SnapshotStore,
+    snapshot_tag, CheckpointError, RecoveryCfg, SnapshotHeader, SnapshotReader, SnapshotStore,
 };
 pub use comm_mode::{choose_mode, CommMode, VolumeEstimate};
 pub use config::{
@@ -65,7 +64,7 @@ pub use scheduler::{EpochPlan, PriorityBuckets};
 pub use parallel::{ParallelConfig, ParallelCtx};
 pub use driver::{place, place_files, run, run_on, RunResult};
 pub use lazygraph_cluster::{CommError, TransportKind};
-pub use interval::{IntervalModel, StageProgress};
+pub use interval::{IntervalModel, StageProgress, Trend};
 pub use machine::{assemble, run_mesh_engine, Attach, MachineOut, Measured, Seat, ThreadedMesh};
 pub use metrics::{RunMetrics, SimBreakdown};
 pub use program::{EdgeCtx, LocalOrder, VertexCtx, VertexProgram};

@@ -6,10 +6,10 @@
 //! everything that shape has in common: the per-machine [`Frame`],
 //! snapshot restore and barrier re-execution, the superstep fail point,
 //! the checkpoint barrier, and the masters → [`MachineOut`] epilogue. An
-//! engine is a [`Superstep`] implementation: its cross-iteration state
-//! plus one `step` over the frame. Checkpointing and multiprocess
-//! execution are therefore properties of the skeleton, not of any one
-//! engine (DESIGN.md §17).
+//! engine is a [`Superstep`] implementation: its carried state, declared
+//! once as one record ([`Superstep::Carry`]), plus one `step` over the
+//! frame. Checkpointing and multiprocess execution are therefore
+//! properties of the skeleton, not of any one engine (DESIGN.md §17).
 //!
 //! The paper's other shape, the barrier-free loop of Async and
 //! LazyVertexAsync, is a step too: one that drives the port's
@@ -38,9 +38,7 @@ use lazygraph_partition::{LocalShard, PlacementShape};
 
 use crate::async_engine::AsyncPump;
 use crate::bsp::BspSync;
-use crate::checkpoint::{
-    checkpoint_at_barrier, CheckpointError, RecoveryCfg, ResumeExtras, SnapshotHeader,
-};
+use crate::checkpoint::{checkpoint_at_barrier, CheckpointError, RecoveryCfg};
 use crate::config::{EngineConfig, EngineKind};
 use crate::delta_engine::DeltaStep;
 use crate::driver::RunResult;
@@ -101,32 +99,34 @@ impl Vote {
     }
 }
 
-/// One engine: its cross-iteration state and its superstep.
+/// One engine: its carried state and its superstep.
 pub trait Superstep<P: VertexProgram>: Sized {
     /// Wire message of the engine's data mesh.
     type Msg: Wire + Send + 'static;
+    /// Everything of the engine that survives a superstep boundary, as one
+    /// record the engine keeps as a field and works on in place: what a
+    /// checkpoint writes beside `MachineState` and a resume hands back to
+    /// [`Self::new`]. Any other field of an engine is scratch that a
+    /// superstep fills before it reads, or an input `new` derives from the
+    /// frame. `Default` is its value before superstep 1.
+    type Carry: Wire + Default;
     /// Which engine this is — names it in errors and keys its snapshot
     /// tag ([`crate::checkpoint::snapshot_tag`]).
     const KIND: EngineKind;
     /// Which replicas the program's initial messages are loaded into.
     const INIT: InitMessages;
 
-    /// Fresh engine state for a run starting at superstep 1.
-    fn new(frame: &Frame<'_, P, Self::Msg>) -> Self;
+    /// The engine at a superstep boundary, carrying `carry`: the default
+    /// for a run starting at superstep 1, a snapshot's for a resumed one
+    /// (the skeleton has then already restored the frame).
+    fn new(frame: &Frame<'_, P, Self::Msg>, carry: Self::Carry) -> Self;
 
-    /// Rehydrates the engine's own state from a snapshot's header (the
-    /// skeleton has already restored `frame.state`, the clock and the
-    /// superstep count).
-    fn restore(&mut self, _header: &SnapshotHeader) {}
+    /// The carried state as it stands.
+    fn carry(&self) -> &Self::Carry;
 
     /// Runs superstep `frame.iterations`. Returns [`Vote::Converged`]
     /// straight after the deciding barrier, before any post-vote work.
     fn step(&mut self, frame: &mut Frame<'_, P, Self::Msg>) -> Result<Vote, CommError>;
-
-    /// The engine state a checkpoint must carry beside `MachineState`.
-    fn resume_extras(&self) -> ResumeExtras {
-        ResumeExtras::default()
-    }
 
     /// Counters reported with the outcome.
     fn counters(&self) -> LazyCounters {
@@ -392,21 +392,22 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
         iterations: 0,
         history: Vec::new(),
     };
-    let mut engine = S::new(&f);
 
+    let mut carry = S::Carry::default();
     if let Some(snapshot) = recovery.resume.take() {
         let fail = |e: CheckpointError| CommError::Transport {
             me,
             detail: e.to_string(),
         };
-        snapshot.header().check_engine(S::KIND).map_err(fail)?;
+        let header = snapshot.header();
+        header.check_engine(S::KIND).map_err(fail)?;
+        carry = S::Carry::from_wire(&header.carry).map_err(|e| fail(e.into()))?;
         // Straight from the file into the arrays `init` has just built.
-        let header = snapshot.restore_into(&mut f.state).map_err(fail)?;
-        f.clock.set(f64::from_bits(header.clock_bits));
+        let header = snapshot.restore_into(&mut f.state, &mut f.history).map_err(fail)?;
+        f.clock.set(header.clock);
         f.bsp.breakdown = header.breakdown;
-        f.bsp.last_global = f64::from_bits(header.last_global_bits);
+        f.bsp.last_global = header.last_global;
         f.iterations = header.iterations;
-        engine.restore(&header);
         // Re-execute the checkpoint barrier unconditionally: if the crash
         // landed before it, the peers are still blocked in it and this
         // completes it; if after, their count-based dedupe drops the
@@ -414,6 +415,7 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
         // their replay logs (DESIGN.md §12).
         f.bsp.coll.barrier(me, &f.stats)?;
     }
+    let mut engine = S::new(&f, carry);
 
     let mut converged = false;
     while f.iterations < cfg.max_iterations {
@@ -424,7 +426,7 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
             break;
         }
         if let Some(store) = recovery.store.as_ref().filter(|_| recovery.due(f.iterations)) {
-            checkpoint_at_barrier(&f, store, S::KIND, engine.resume_extras())?;
+            checkpoint_at_barrier(&f, store, S::KIND, engine.carry())?;
         }
     }
 

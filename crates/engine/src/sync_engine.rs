@@ -23,7 +23,7 @@
 
 use lazygraph_cluster::{CommError, Phase};
 use lazygraph_net::{NetError, Wire, WireReader};
-use lazygraph_partition::{EdgeMode, LocalShard, NO_LOCAL};
+use lazygraph_partition::{EdgeMode, LocalShard};
 
 use crate::bsp::{BspReduction, CommCharge};
 use crate::config::EngineKind;
@@ -153,8 +153,8 @@ pub(crate) fn scatter<P: VertexProgram>(
     (edges, folds)
 }
 
-/// The Sync engine on the superstep skeleton. It carries no state a
-/// checkpoint needs beyond `MachineState` — nothing in the three vectors
+/// The Sync engine on the superstep skeleton. It carries nothing across a
+/// superstep boundary (`Carry = ()`): nothing in the three vectors
 /// outlives the superstep that filled them; they only keep their capacity.
 pub struct SyncStep<P: VertexProgram> {
     scatter_tasks: Vec<(u32, P::Delta)>,
@@ -167,16 +167,21 @@ pub struct SyncStep<P: VertexProgram> {
 
 impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
     type Msg = SyncMsg<P>;
+    type Carry = ();
     const KIND: EngineKind = EngineKind::PowerGraphSync;
     const INIT: InitMessages = InitMessages::MastersOnly;
 
-    fn new(_frame: &Frame<'_, P, SyncMsg<P>>) -> Self {
+    fn new(_frame: &Frame<'_, P, SyncMsg<P>>, (): ()) -> Self {
         SyncStep {
             scatter_tasks: Vec::new(),
             worklist: Vec::new(),
             master_worklist: Vec::new(),
             pending: 0,
         }
+    }
+
+    fn carry(&self) -> &() {
+        &()
     }
 
     fn step(&mut self, f: &mut Frame<'_, P, SyncMsg<P>>) -> Result<Vote, CommError> {
@@ -230,20 +235,15 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
         });
         // Gather-round batches carry only Accums (phase-tagged BSP
         // lockstep); block-parallel routing feeds the masters directly.
-        let route = shard.route_table();
-        let mut round = port.fold_round(
-            pctx,
-            shard.num_local(),
-            Phase::Gather,
-            delta_bytes,
-            |(gid, msg): (u32, SyncMsg<P>)| match msg {
-                SyncMsg::Accum(d) => match route.get(gid as usize) {
-                    Some(&l) if l != NO_LOCAL => Some((l, program.gather(gid.into(), d))),
-                    _ => None,
-                },
-                SyncMsg::Update { .. } => None,
-            },
-        );
+        let mut round = port.fold_round(pctx, shard, Phase::Gather, delta_bytes, |_, gid, msg| {
+            match msg {
+                SyncMsg::Accum(d) => Ok(Some(program.gather(gid.into(), d))),
+                SyncMsg::Update { .. } => Err(NetError::Malformed {
+                    ty: "SyncMsg",
+                    detail: format!("an update for vertex {gid} in a gather round"),
+                }),
+            }
+        });
         for b in gather_blocks {
             master_worklist.extend(b.masters);
             for (dst, l, d) in b.forwards {

@@ -9,7 +9,7 @@
 //! block's segment. The reference for both is what the engines did before
 //! any of that: one serial pass in (sender rank | source block, item)
 //! order, one `deliver` per item. For randomized streams — NaN bit
-//! patterns, duplicate and unroutable targets, empty blocks included —
+//! patterns, duplicate targets, empty blocks included —
 //! every `MachineState` must come out bitwise equal, activation order
 //! included, on in-process items and on raw TCP cursors alike.
 
@@ -18,7 +18,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use lazygraph_cluster::{build_endpoints, run_machines, NetStats, Phase, TransportKind};
-use lazygraph_engine::exchange::{local_delta, Port};
+use lazygraph_engine::exchange::Port;
 use lazygraph_engine::state::{InitMessages, MachineState};
 use lazygraph_engine::{EdgeCtx, ParallelConfig, ParallelCtx, VertexCtx, VertexProgram};
 use lazygraph_graph::generators::{rmat, RmatConfig};
@@ -66,17 +66,11 @@ fn placement() -> DistributedGraph {
     partition_graph(&g, MACHINES, PartitionStrategy::Random, &SplitterConfig::disabled(), false)
 }
 
-/// `(target selector, delta bits)` → a wire item for `shard`'s machine:
-/// mostly one of its local vertices, now and then a vertex it does not
-/// hold (which both paths must drop).
-fn item(shard: &LocalShard, num_vertices: usize, (sel, bits): (u16, u32)) -> (u32, f32) {
-    let gid = if sel.is_multiple_of(13) {
-        (0..num_vertices as u32)
-            .find(|&g| shard.local_of(g.into()).is_none())
-            .unwrap_or(u32::MAX)
-    } else {
-        shard.global_of(u32::from(sel) % shard.num_local() as u32).0
-    };
+/// `(target selector, delta bits)` → a wire item for one of `shard`'s
+/// local vertices. (An item for a vertex a machine does not hold fails the
+/// round: `exchange`'s unit tests.)
+fn item(shard: &LocalShard, (sel, bits): (u16, u32)) -> (u32, f32) {
+    let gid = shard.global_of(u32::from(sel) % shard.num_local() as u32).0;
     (gid, f32::from_bits(bits))
 }
 
@@ -118,10 +112,9 @@ fn naive(
             continue;
         }
         for &raw in &per_dst[me] {
-            let (gid, d) = item(shard, dg.num_global_vertices, raw);
-            if let Some(l) = shard.local_of(gid.into()) {
-                state.deliver(&FloatSum, l, FloatSum.gather(gid.into(), d));
-            }
+            let (gid, d) = item(shard, raw);
+            let l = shard.local_of(gid.into()).expect("a local vertex");
+            state.deliver(&FloatSum, l, FloatSum.gather(gid.into(), d));
         }
     }
     block_major(&mut state, queued, block_size);
@@ -156,20 +149,15 @@ proptest! {
                 let pctx = ParallelCtx::new(par).expect("spawn pool");
                 let mut port = Port::new(ep, stats.clone());
                 let (mut state, _) = fresh(&dg, me);
-                let route = shard.route_table();
-                let mut round = port.fold_round(
-                    &pctx,
-                    shard.num_local(),
-                    Phase::Coherency,
-                    4,
-                    |item| local_delta(route, &FloatSum, item),
-                );
+                let mut round = port.fold_round(&pctx, shard, Phase::Coherency, 4, |_, gid, d| {
+                    Ok(Some(FloatSum.gather(gid.into(), d)))
+                });
                 for (dst, raws) in streams[me].iter().enumerate() {
                     if dst == me {
                         continue;
                     }
                     for &raw in raws {
-                        let wire = item(&dg.shards[dst], dg.num_global_vertices, raw);
+                        let wire = item(&dg.shards[dst], raw);
                         round.outboxes().push(dst, wire);
                     }
                 }

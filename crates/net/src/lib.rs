@@ -39,7 +39,6 @@ pub use frame::{
     rejoin_payload, write_frame, FrameKind, FrameReader, RawFrame, HEADER_LEN, MAX_FRAME,
 };
 pub use tcp::{
-    await_shutdown, connect_mesh, connect_with_backoff, dial_rejoin, drain_until_eof,
-    read_frame_deadline, send_shutdown, PeerLink, TcpOptions,
+    connect_mesh, connect_with_backoff, dial_rejoin, read_frame_deadline, PeerLink, TcpOptions,
 };
 pub use wire::{Wire, WireReader};

@@ -14,7 +14,6 @@
 //! listener under a deadline so a worker that never comes up surfaces as
 //! a typed [`NetError::Timeout`] instead of a hang.
 
-use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -196,12 +195,6 @@ pub fn connect_mesh(
     Ok(links)
 }
 
-/// Drains stray bytes then closes; best-effort counterpart of the
-/// Shutdown frame for tests and teardown paths.
-pub fn send_shutdown(stream: &mut TcpStream, me: usize) -> Result<usize, NetError> {
-    write_frame(stream, FrameKind::Shutdown, &control_payload(me))
-}
-
 /// Dials `addr` and opens with a Rejoin frame instead of a Hello: a
 /// restarted worker re-entering an established mesh. Every rejoin leg is
 /// dialed by the restarted side (no rank-based dial/accept split and
@@ -220,46 +213,6 @@ pub fn dial_rejoin(
         &crate::frame::rejoin_payload(me, resume_round),
     )?;
     Ok(stream)
-}
-
-/// Reads frames until Shutdown (clean) or EOF/error, with a deadline.
-/// Returns `Ok(peer_id)` on a clean shutdown.
-pub fn await_shutdown(stream: &mut TcpStream, timeout: Duration) -> Result<usize, NetError> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        let frame = read_frame_deadline(stream, deadline)?;
-        match frame.kind {
-            FrameKind::Shutdown => return decode_control_payload(&frame.payload),
-            // Late data frames during teardown are dropped, not errors.
-            FrameKind::Data => continue,
-            FrameKind::Hello => {
-                return Err(NetError::Handshake { detail: "Hello after establishment".into() })
-            }
-            FrameKind::Rejoin => {
-                return Err(NetError::Handshake { detail: "Rejoin during teardown".into() })
-            }
-        }
-    }
-}
-
-/// Reads and discards everything until EOF or timeout; lets the peer's
-/// close complete without RST-ing unread data.
-pub fn drain_until_eof(stream: &mut TcpStream, timeout: Duration) {
-    let deadline = Instant::now() + timeout;
-    let mut sink = [0u8; 4096];
-    while Instant::now() < deadline {
-        match stream.read(&mut sink) {
-            Ok(0) => return,
-            Ok(_) => continue,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(_) => return,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -325,39 +278,5 @@ mod tests {
             let expected: Vec<usize> = (0..n).filter(|&j| j != me).collect();
             assert_eq!(peers, expected, "machine {me} peer set");
         }
-    }
-
-    #[test]
-    fn shutdown_handshake_round_trips() {
-        let (l, addr) = loopback_listener();
-        let opts = TcpOptions::default();
-        let t = std::thread::spawn(move || {
-            let mut s = connect_with_backoff(&addr, &opts).unwrap();
-            configure(&s, &opts).unwrap();
-            send_shutdown(&mut s, 7).unwrap();
-            drain_until_eof(&mut s, Duration::from_secs(1));
-        });
-        let (mut s, _) = l.accept().unwrap();
-        configure(&s, &TcpOptions::default()).unwrap();
-        let peer = await_shutdown(&mut s, Duration::from_secs(5)).unwrap();
-        assert_eq!(peer, 7);
-        drop(s);
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn unclean_death_is_peer_closed() {
-        let (l, addr) = loopback_listener();
-        let opts = TcpOptions::default();
-        let t = std::thread::spawn(move || {
-            // Connect and vanish without a Shutdown frame.
-            let s = connect_with_backoff(&addr, &opts).unwrap();
-            drop(s);
-        });
-        let (mut s, _) = l.accept().unwrap();
-        configure(&s, &TcpOptions::default()).unwrap();
-        let err = await_shutdown(&mut s, Duration::from_secs(5)).unwrap_err();
-        assert_eq!(err, NetError::PeerClosed);
-        t.join().unwrap();
     }
 }

@@ -21,13 +21,14 @@ use lazygraph_cluster::{
 use lazygraph_engine::bsp::BspSync;
 use lazygraph_engine::checkpoint::{
     checkpoint_at_barrier, fnv1a64, snapshot_tag, write_snapshot, CheckpointError,
-    ChunkReader, ChunkWriter, DeltaResume, LazyResume, RecoveryCfg, SnapshotHeader,
-    SnapshotReader, SnapshotStore, CKPT_CHUNK, CKPT_MAGIC,
+    ChunkReader, ChunkWriter, RecoveryCfg, SnapshotHeader, SnapshotReader, SnapshotStore,
+    CKPT_CHUNK, CKPT_MAGIC,
 };
 use lazygraph_engine::delta_engine::DeltaStep;
 use lazygraph_engine::exchange::Port;
-use lazygraph_engine::lazy_block::{LazyCounters, LazyStep};
+use lazygraph_engine::lazy_block::{LazyCarry, LazyCounters, LazyStep};
 use lazygraph_engine::machine::{Frame, Superstep, Vote};
+use lazygraph_engine::metrics::IterationRecord;
 use lazygraph_engine::state::MachineState;
 use lazygraph_engine::sync_engine::SyncStep;
 use lazygraph_engine::{run_mesh_engine, Attach, ParallelCtx, Seat, SimBreakdown};
@@ -218,17 +219,46 @@ fn assert_same_state<P: VertexProgram>(got: &MachineState<P>, want: &MachineStat
     assert_eq!(got.queue, want.queue, "{at}: queue");
 }
 
-fn snapshot_file(header: &SnapshotHeader, state: &MachineState<Sssp>) -> Vec<u8> {
+fn snapshot_file(
+    header: &SnapshotHeader,
+    state: &MachineState<Sssp>,
+    history: &[IterationRecord],
+) -> Vec<u8> {
     let mut file = Vec::new();
-    let bytes = write_snapshot(&mut file, header, state, initial).expect("write");
+    let bytes = write_snapshot(&mut file, header, state, history, initial).expect("write");
     assert_eq!(bytes, file.len() as u64);
     file
 }
 
-fn restore(file: &[u8], n: usize) -> Result<(SnapshotHeader, MachineState<Sssp>), CheckpointError> {
+/// A restored header, state and trace.
+type Restored = (SnapshotHeader, MachineState<Sssp>, Vec<IterationRecord>);
+
+fn restore(file: &[u8], n: usize) -> Result<Restored, CheckpointError> {
     let mut state = fresh_state(n);
-    let header = SnapshotReader::open(file)?.restore_into(&mut state)?;
-    Ok((header, state))
+    // Junk a restore must replace.
+    let mut history = vec![IterationRecord::default(); 3];
+    let header = SnapshotReader::open(file)?.restore_into(&mut state, &mut history)?;
+    Ok((header, state, history))
+}
+
+/// A trace of `len` records of arbitrary bits.
+fn history_of(len: u64, bits: u64) -> Vec<IterationRecord> {
+    (0..len)
+        .map(|i| {
+            let b = bits.rotate_left(i as u32) ^ i;
+            IterationRecord {
+                iteration: i + 1,
+                pending: b >> 3,
+                bytes: b >> 11,
+                lazy_on: b & 1 == 1,
+                local_subrounds: b >> 29,
+                used_m2m: b & 2 == 2,
+                sim_time: f64::from_bits(b),
+                local_stage_s: f64::from_bits(b.rotate_left(17)),
+                stage_budget_s: f64::from_bits(b.rotate_left(31)),
+            }
+        })
+        .collect()
 }
 
 /// One vertex of an arbitrary state: value bits, how `coherent` relates to
@@ -260,35 +290,23 @@ fn state_of(vertices: &[VertexBits], rotate: usize) -> MachineState<Sssp> {
     }
 }
 
-fn lazy_resume(bits: u64) -> LazyResume {
-    LazyResume {
-        counters: LazyCounters {
-            coherency_points: bits,
-            local_subrounds: bits >> 7,
-            a2a_exchanges: bits >> 13,
-            m2m_exchanges: bits >> 29,
-        },
-        prev_active: (bits & 1 == 1).then_some(bits.rotate_left(9)),
-        last_trend_bits: bits.rotate_left(17),
-        iterations_seen: bits >> 3,
-        do_local: bits & 2 == 2,
-        first_stage_bits: (bits & 4 == 4).then_some(bits.rotate_left(23)),
-        next_mode_m2m: bits & 8 == 8,
-        // Arbitrary bit patterns, NaNs included: the stage budget's inputs
-        // ride as bits so a resumed `doLC()` reads what the oracle read.
-        coherency_cost_bits: bits.rotate_left(31),
-        last_sweep_bits: bits.rotate_left(41),
+fn counters(bits: u64) -> LazyCounters {
+    LazyCounters {
+        coherency_points: bits,
+        local_subrounds: bits >> 7,
+        a2a_exchanges: bits >> 13,
+        m2m_exchanges: bits >> 29,
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A header and a state of arbitrary bits — NaN payloads, empty inbox
-    /// slots, every `coherent` code, the optional resume blocks, vertex
-    /// counts on both sides of the 32- and 64-vertex mask words — restore
-    /// bit-exactly into a freshly initialised state, `active` included,
-    /// which is not in the file.
+    /// A header, a state and a trace of arbitrary bits — NaN payloads,
+    /// empty inbox slots, every `coherent` code, carried bytes of any
+    /// length, vertex counts on both sides of the 32- and 64-vertex mask
+    /// words — restore bit-exactly into a freshly initialised state,
+    /// `active` included, which is not in the file.
     #[test]
     fn snapshot_round_trips(
         engine in 0u8..3,
@@ -300,33 +318,36 @@ proptest! {
             0usize..150,
         ),
         rotate in any::<usize>(),
-        lazy in (any::<bool>(), any::<u64>()),
-        delta in (any::<bool>(), any::<u64>()),
+        carry in proptest::collection::vec(any::<u8>(), 0usize..200),
+        history in (0u64..40, any::<u64>()),
     ) {
+        let history = history_of(history.0.min(words.0), history.1);
         let header = SnapshotHeader {
             engine,
             iterations: words.0,
-            clock_bits: words.1,
+            clock: f64::from_bits(words.1),
             breakdown: SimBreakdown {
                 compute: f64::from(sums.0) / 7.0,
                 comm: f64::from(sums.1) / 7.0,
                 barrier: f64::from(sums.2) / 7.0,
                 ..Default::default()
             },
-            last_global_bits: sums.3,
+            last_global: f64::from_bits(sums.3),
             data_round: words.2,
             ctrl_round: words.3,
-            lazy: lazy.0.then(|| lazy_resume(lazy.1)),
-            delta: delta.0.then(|| DeltaResume { counters: lazy_resume(delta.1).counters }),
+            carry,
         };
         let state = state_of(&vertices, rotate);
-        let file = snapshot_file(&header, &state);
-        prop_assert_eq!(&file, &snapshot_file(&header, &state), "encode must be deterministic");
+        let file = snapshot_file(&header, &state, &history);
+        let again = snapshot_file(&header, &state, &history);
+        prop_assert_eq!(&file, &again, "encode must be deterministic");
         verify(&file).expect("verify");
-        prop_assert_eq!(SnapshotReader::open(&file[..]).expect("open").header(), &header);
-        let (back, restored) = restore(&file, vertices.len()).expect("restore");
-        prop_assert_eq!(back, header);
+        let opened = SnapshotReader::open(&file[..]).expect("open").header().to_wire();
+        prop_assert_eq!(opened, header.to_wire());
+        let (back, restored, back_history) = restore(&file, vertices.len()).expect("restore");
+        prop_assert_eq!(back.to_wire(), header.to_wire());
         assert_same_state(&restored, &state, "round trip");
+        prop_assert_eq!(back_history.to_wire(), history.to_wire());
     }
 
     /// Truncating the *element stream inside a valid container* (a short
@@ -338,22 +359,21 @@ proptest! {
         let header = SnapshotHeader {
             engine: 1,
             iterations: 3,
-            clock_bits: 42,
+            clock: f64::from_bits(42),
             breakdown: SimBreakdown { compute: 0.5, comm: 0.25, barrier: 0.125, ..Default::default() },
-            last_global_bits: 0.75f64.to_bits(),
+            last_global: 0.75,
             data_round: 6,
             ctrl_round: 9,
-            // With the lazy block, so cuts land inside every resume field.
-            lazy: Some(lazy_resume(0x0123_4567_89ab_cdef)),
-            delta: None,
+            // Carried bytes, so cuts land inside them too.
+            carry: counters(0x0123_4567_89ab_cdef).to_wire(),
         };
         let state = state_of(
             &[(7, (0, 0), (false, 0), (true, 15), true), (8, (2, 9), (true, 5), (false, 0), false),
               (9, (1, 0), (false, 0), (false, 0), true)],
             1,
         );
-        // The file's element stream, out of its two chunks.
-        let file = snapshot_file(&header, &state);
+        // The file's element stream, out of its two chunks; a trace too.
+        let file = snapshot_file(&header, &state, &history_of(2, 0x5eed));
         let header_len = header.to_wire().len();
         let arrays = &file[8 + 16 + header_len + 16..file.len() - 24];
         let stream: Vec<u8> = [&header.to_wire()[..], arrays].concat();
@@ -381,19 +401,23 @@ fn every_damaged_snapshot_is_refused_or_restores_the_same_state() {
     let header = SnapshotHeader {
         engine: 2,
         iterations: 8,
-        clock_bits: 2.5f64.to_bits(),
+        clock: 2.5,
         breakdown: SimBreakdown { compute: 2.0, comm: 0.25, barrier: 0.125, ..Default::default() },
-        last_global_bits: 2.375f64.to_bits(),
+        last_global: 2.375,
         data_round: 16,
         ctrl_round: 25,
-        lazy: None,
-        delta: Some(DeltaResume { counters: lazy_resume(77).counters }),
+        carry: counters(77).to_wire(),
     };
     let vertices: Vec<VertexBits> = (0..70u32)
         .map(|l| (l * 3, ((l % 3) as u8, l + 1000), (l % 4 == 0, l), (l % 5 == 0, l * 7), l % 2 == 0))
         .collect();
     let state = state_of(&vertices, 11);
-    let file = snapshot_file(&header, &state);
+    // Finite times, so `PartialEq` is bitwise equality below.
+    let history: Vec<IterationRecord> = history_of(3, 99)
+        .into_iter()
+        .map(|r| IterationRecord { sim_time: 0.5, local_stage_s: 0.25, stage_budget_s: 0.125, ..r })
+        .collect();
+    let file = snapshot_file(&header, &state, &history);
     for cut in 0..file.len() {
         assert!(verify(&file[..cut]).is_err(), "a {cut}-byte prefix verified");
         assert!(restore(&file[..cut], vertices.len()).is_err(), "a {cut}-byte prefix restored");
@@ -403,9 +427,10 @@ fn every_damaged_snapshot_is_refused_or_restores_the_same_state() {
             let mut bad = file.clone();
             bad[pos] ^= flip;
             assert!(verify(&bad).is_err(), "byte {pos} ^ {flip:#x} verified");
-            if let Ok((back, restored)) = restore(&bad, vertices.len()) {
+            if let Ok((back, restored, back_history)) = restore(&bad, vertices.len()) {
                 assert_eq!(back, header, "byte {pos} ^ {flip:#x}");
                 assert_same_state(&restored, &state, &format!("byte {pos} ^ {flip:#x}"));
+                assert_eq!(back_history, history, "byte {pos} ^ {flip:#x}");
             }
         }
     }
@@ -437,13 +462,12 @@ fn header_at(engine: u8, iterations: u64) -> SnapshotHeader {
     SnapshotHeader {
         engine,
         iterations,
-        clock_bits: 0,
+        clock: 0.0,
         breakdown: SimBreakdown::default(),
-        last_global_bits: 0,
+        last_global: 0.0,
         data_round: 2 * iterations,
         ctrl_round: 3 * iterations,
-        lazy: None,
-        delta: None,
+        carry: Vec::new(),
     }
 }
 
@@ -452,7 +476,7 @@ fn two_generations(dir: &Path) -> SnapshotStore {
     let store = SnapshotStore::new(dir, 2);
     let state = state_of(&[(1, (0, 0), (true, 2), (false, 0), true); 40], 0);
     for iterations in [4, 6] {
-        store.save(&header_at(0, iterations), &state, initial).expect("save");
+        store.save(&header_at(0, iterations), &state, &[], initial).expect("save");
     }
     store
 }
@@ -571,53 +595,96 @@ fn engine_tag_check_is_typed_and_exact() {
     }
 }
 
+/// One machine resuming from `store`'s newest snapshot, on in-process
+/// meshes of one.
+struct ResumeFrom<'a>(&'a SnapshotStore, &'a LocalShard);
+
+impl<'a> Attach<'a> for ResumeFrom<'a> {
+    fn attach<T: Wire + Send + 'static>(
+        self,
+        stats: &Arc<NetStats>,
+    ) -> Result<Vec<Seat<'a, T>>, CommError> {
+        let ctrl = build_endpoints::<u8>(TransportKind::InProc, 1, stats)?.remove(0);
+        let ep = build_endpoints::<T>(TransportKind::InProc, 1, stats)?.remove(0);
+        Ok(vec![Seat {
+            me: 0,
+            shard: self.1,
+            ctrl,
+            ep,
+            recovery: RecoveryCfg {
+                every: 0,
+                store: None,
+                resume: self.0.open_latest(|_, why| panic!("{why}")).expect("open"),
+            },
+        }])
+    }
+}
+
+/// Resumes `engine`'s SSSP on one machine from `store` and returns the
+/// typed error the run must fail with.
+fn failed_resume(store: &SnapshotStore, engine: EngineKind) -> CommError {
+    let g = lazygraph_graph::generators::rmat(lazygraph_graph::generators::RmatConfig::graph500(5, 4, 3));
+    let cfg = EngineConfig::lazygraph().with_engine(engine).with_threads(1);
+    let dg = partition_graph(&g, 1, cfg.partition, &cfg.splitter, false);
+    let stats = Arc::new(NetStats::new());
+    let mesh = ResumeFrom(store, &dg.shards[0]);
+    run_mesh_engine(&dg.shape(), &cfg, &Sssp::new(0u32), mesh, &stats)
+        .err()
+        .unwrap_or_else(|| panic!("{} resumed", engine.name()))
+}
+
 /// The skeleton refuses to resume from another engine's snapshot — a
 /// failed run, in release builds too, not a `debug_assert` — before it
 /// streams a byte of it into the state.
 #[test]
 fn resuming_from_another_engines_snapshot_fails_the_run() {
-    struct ResumeFrom<'a>(&'a SnapshotStore, &'a LocalShard);
-    impl<'a> Attach<'a> for ResumeFrom<'a> {
-        fn attach<T: Wire + Send + 'static>(
-            self,
-            stats: &Arc<NetStats>,
-        ) -> Result<Vec<Seat<'a, T>>, CommError> {
-            let ctrl = build_endpoints::<u8>(TransportKind::InProc, 1, stats)?.remove(0);
-            let ep = build_endpoints::<T>(TransportKind::InProc, 1, stats)?.remove(0);
-            Ok(vec![Seat {
-                me: 0,
-                shard: self.1,
-                ctrl,
-                ep,
-                recovery: RecoveryCfg {
-                    every: 0,
-                    store: None,
-                    resume: self.0.open_latest(|_, why| panic!("{why}")).expect("open"),
-                },
-            }])
-        }
-    }
     let dir = ScratchDir::new("engine");
-    let g = lazygraph_graph::generators::rmat(lazygraph_graph::generators::RmatConfig::graph500(5, 4, 3));
     let lazy_tag = snapshot_tag(EngineKind::LazyBlockAsync).expect("lazy-block checkpoints");
     // A lazy-block snapshot of no vertices: were the tag not checked first,
     // the arrays would be refused for their shape instead.
     let store = SnapshotStore::new(&dir.0, 0);
-    store.save(&header_at(lazy_tag, 2), &state_of(&[], 0), initial).expect("save");
+    store.save(&header_at(lazy_tag, 2), &state_of(&[], 0), &[], initial).expect("save");
     for engine in [EngineKind::PowerGraphSync, EngineKind::DeltaAccum] {
-        let cfg = EngineConfig::lazygraph().with_engine(engine).with_threads(1);
-        let dg = partition_graph(&g, 1, cfg.partition, &cfg.splitter, false);
-        let stats = Arc::new(NetStats::new());
-        let mesh = ResumeFrom(&store, &dg.shards[0]);
-        let err = run_mesh_engine(&dg.shape(), &cfg, &Sssp::new(0u32), mesh, &stats)
-            .err()
-            .unwrap_or_else(|| panic!("{} resumed from a lazy-block snapshot", engine.name()));
+        let err = failed_resume(&store, engine);
         let text = err.to_string();
         assert!(
             matches!(err, CommError::Transport { .. })
                 && text.contains(engine.name())
                 && text.contains("engine tag"),
             "{text}"
+        );
+    }
+}
+
+/// A snapshot of the right engine whose carried bytes are not that
+/// engine's `Carry` — too few, one too many, a tag no variant has — fails
+/// the run typed, never a panic and never a default carry.
+#[test]
+fn a_carry_the_engine_cannot_decode_fails_the_resume() {
+    let lazy_carry = LazyCarry::default().to_wire();
+    let mut bad_mode = lazy_carry.clone();
+    *bad_mode.last_mut().expect("next_mode is the last byte") = 7;
+    let cases: [(EngineKind, Vec<u8>); 5] = [
+        (EngineKind::LazyBlockAsync, lazy_carry[..lazy_carry.len() - 1].to_vec()),
+        (EngineKind::LazyBlockAsync, [&lazy_carry[..], &[0]].concat()),
+        (EngineKind::LazyBlockAsync, bad_mode),
+        (EngineKind::DeltaAccum, counters(5).to_wire()[..31].to_vec()),
+        (EngineKind::PowerGraphSync, vec![0]),
+    ];
+    for (engine, carry) in cases {
+        let dir = ScratchDir::new("carry");
+        let store = SnapshotStore::new(&dir.0, 0);
+        let tag = snapshot_tag(engine).expect("a checkpointing engine");
+        let header = SnapshotHeader { carry, ..header_at(tag, 2) };
+        // No vertices: were the carry not decoded first, the arrays would
+        // be refused for their shape instead.
+        store.save(&header, &state_of(&[], 0), &[], initial).expect("save");
+        let err = failed_resume(&store, engine);
+        let text = err.to_string();
+        assert!(
+            matches!(err, CommError::Transport { me: 0, .. }) && text.contains("decode"),
+            "{}: {text}",
+            engine.name()
         );
     }
 }
@@ -636,6 +703,8 @@ struct Seen {
     /// Some vertex held a message without being active (the delta
     /// engine's parked, sub-tolerance mass).
     parked_message: bool,
+    /// A snapshot held a trace.
+    traced: bool,
 }
 
 /// Runs `S` on `machines` threads of this process through a skeleton of
@@ -678,7 +747,7 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
             iterations: 0,
             history: Vec::new(),
         };
-        let mut engine = S::new(&f);
+        let mut engine = S::new(&f, S::Carry::default());
         let store = SnapshotStore::new(&dir.0, me);
         let mut seen = Seen::default();
         while f.iterations < cfg.max_iterations {
@@ -686,16 +755,18 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
             if engine.step(&mut f)? == Vote::Converged {
                 return Ok(seen);
             }
-            checkpoint_at_barrier(&f, &store, S::KIND, engine.resume_extras())?;
+            checkpoint_at_barrier(&f, &store, S::KIND, engine.carry())?;
             let at = format!("{tag}: machine {me}, superstep {}", f.iterations);
             let snapshot = store.open_latest(|path, why| panic!("{at}: {}: {why}", path.display()));
             let snapshot = snapshot.expect("open").expect("a generation was just saved");
-            let mut restored = init();
-            let header = snapshot.restore_into(&mut restored).expect("restore");
+            let (mut restored, mut history) = (init(), Vec::new());
+            let header = snapshot.restore_into(&mut restored, &mut history).expect("restore");
             assert_eq!(header.iterations, f.iterations, "{at}");
-            assert_eq!(header.clock_bits, f.clock.now().to_bits(), "{at}");
+            assert_eq!(header.clock.to_bits(), f.clock.now().to_bits(), "{at}");
             assert_eq!(header.breakdown.to_wire(), f.bsp.breakdown.to_wire(), "{at}");
-            assert_eq!(header.last_global_bits, f.bsp.last_global.to_bits(), "{at}");
+            assert_eq!(header.last_global.to_bits(), f.bsp.last_global.to_bits(), "{at}");
+            assert_eq!(header.carry, engine.carry().to_wire(), "{at}: carry");
+            assert_eq!(history.to_wire(), f.history.to_wire(), "{at}: history");
             assert_same_state(&restored, &f.state, &at);
 
             seen.checkpoints += 1;
@@ -708,6 +779,7 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
             seen.occupied_delta_msg |= state.delta_msg.iter().any(Option::is_some);
             seen.parked_message |=
                 state.message.iter().zip(&state.active).any(|(m, &a)| m.is_some() && !a);
+            seen.traced |= !history.is_empty();
         }
         panic!("{tag}: machine {me} did not converge");
     })
@@ -717,6 +789,7 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
         explicit_coherent: a.explicit_coherent | b.explicit_coherent,
         occupied_delta_msg: a.occupied_delta_msg | b.occupied_delta_msg,
         parked_message: a.parked_message | b.parked_message,
+        traced: a.traced | b.traced,
     })
 }
 
@@ -724,11 +797,17 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
 /// checkpointing engines at every superstep boundary — including the
 /// parts the file does not hold: `active` (rebuilt from `queue`), the
 /// `coherent` entries that are `vdata`'s or still initial, the empty
-/// inbox slots. Each run is checked to have reached the cases the format
-/// treats apart.
+/// inbox slots — and on the recorded trace, and the header carries the
+/// engine's `Carry` byte for byte. Each run is checked to have reached the
+/// cases the format treats apart.
 #[test]
 fn save_then_restore_is_the_identity_on_live_state() {
-    let cfg = |engine| EngineConfig::lazygraph().with_engine(engine).with_threads(2).with_block_size(64);
+    let cfg = |engine| {
+        let mut cfg =
+            EngineConfig::lazygraph().with_engine(engine).with_threads(2).with_block_size(64);
+        cfg.record_history = true;
+        cfg
+    };
     let social = common::social_rmat(9, 5);
     let pagerank = PageRankDelta { tolerance: 1e-3 };
 
@@ -736,6 +815,7 @@ fn save_then_restore_is_the_identity_on_live_state() {
         "sync", &social, 4, &cfg(EngineKind::PowerGraphSync), &pagerank,
     );
     assert!(sync.checkpoints >= 4 * 5, "Sync barely ran: {}", sync.checkpoints);
+    assert!(sync.traced, "Sync recorded no trace");
     assert!(!sync.explicit_coherent && !sync.occupied_delta_msg, "Sync never writes either");
 
     // Budgeted local stages on slow machines: `vdata` runs ahead of the
@@ -743,6 +823,7 @@ fn save_then_restore_is_the_identity_on_live_state() {
     let lazy_cfg = common::slow_machines(cfg(EngineKind::LazyBlockAsync));
     let lazy = live_state_law::<_, LazyStep<_>>("lazy", &social, 4, &lazy_cfg, &pagerank);
     assert!(lazy.checkpoints >= 4 * 5, "lazy-block barely ran: {}", lazy.checkpoints);
+    assert!(lazy.traced, "lazy-block recorded no trace");
     assert!(lazy.explicit_coherent, "no local stage ever moved vdata off the coherent view");
     assert!(lazy.occupied_delta_msg, "the coherency sweep's scatter never refilled delta_msg");
 

@@ -25,6 +25,7 @@ mod common;
 use lazygraph::multiproc::{run_multiprocess, FailPoint, MpOptions, Shipped};
 use lazygraph::prelude::*;
 use lazygraph_graph::generators::{rmat, RmatConfig};
+use lazygraph_net::Wire;
 
 fn worker_bin() -> &'static std::path::Path {
     std::path::Path::new(env!("CARGO_BIN_EXE_lazygraph-worker"))
@@ -63,20 +64,22 @@ fn mp_opts(failpoint: Option<(usize, FailPoint)>) -> MpOptions {
 }
 
 /// `{:?}` on finite floats round-trips, so string equality on the value
-/// vector is bitwise equality; `sim_time` and the breakdown — machine 0's,
-/// which a resumed machine 0 must continue, not restart — are compared as
-/// raw bits.
+/// vector is bitwise equality; `sim_time`, the breakdown and the trace —
+/// machine 0's, which a resumed machine 0 must continue, not restart — are
+/// compared as raw bits (the trace as its wire bytes, empty unless the
+/// run records it).
 fn fingerprint<P: VertexProgram>(o: &RunResult<P>) -> String {
     let m = &o.metrics;
     let b = &m.breakdown;
     format!(
-        "values={:?} iters={} conv={} sim={} counters={:?} breakdown={:?}",
+        "values={:?} iters={} conv={} sim={} counters={:?} breakdown={:?} history={:?}",
         o.values,
         m.iterations,
         m.converged,
         m.sim_time.to_bits(),
         (m.coherency_points, m.local_subrounds, m.a2a_exchanges, m.m2m_exchanges),
-        (b.compute.to_bits(), b.comm.to_bits(), b.barrier.to_bits())
+        (b.compute.to_bits(), b.comm.to_bits(), b.barrier.to_bits()),
+        m.history.to_wire()
     )
 }
 
@@ -240,13 +243,16 @@ fn lazy_block_recovers_bitwise_4_workers() {
     run_matrix(EngineKind::LazyBlockAsync, 4);
 }
 
-/// Machine 0's outcome is where the run's breakdown comes from: killed
-/// and resumed, it continues the breakdown its snapshot carries, so the
-/// recovered run books the oracle's compute, communication and barrier
-/// time, not the whole pre-crash clock as compute.
+/// Machine 0's outcome is where the run's breakdown and trace come from:
+/// killed and resumed, it continues the breakdown and the trace its
+/// snapshot carries, so the recovered run books the oracle's compute,
+/// communication and barrier time, not the whole pre-crash clock as
+/// compute, and reports every superstep's record, not only those after
+/// its snapshot.
 #[test]
 fn lazy_block_recovers_bitwise_when_worker_0_dies() {
-    let base = cfg(EngineKind::LazyBlockAsync);
+    let mut base = cfg(EngineKind::LazyBlockAsync);
+    base.record_history = true;
     run_matrix_for(&matrix_graph(), &base, &Sssp::new(0u32), 2, 0, kill_points);
 }
 
@@ -292,7 +298,7 @@ fn lazy_block_recovers_bitwise_through_cut_short_ordered_stages() {
 /// sub-rounds and admits the tail's. What `doLC()` reads there that a
 /// restart at a superstep boundary cannot recompute — the cost of the
 /// coherency point before the stage, the charge of the sweep before it —
-/// rides in the snapshot (`LazyResume`, checkpoint v5); a resumed machine
+/// rides in the snapshot (the engine's carried record); a resumed machine
 /// that read anything else would admit a different number of sub-rounds,
 /// which the fingerprint's `local_subrounds` and `sim_time` both see. The
 /// victim dies at the first budgeted superstep, at the last, and halfway
@@ -347,7 +353,7 @@ fn lazy_block_recovers_bitwise_through_budgeted_stages_4_workers() {
 #[test]
 fn delta_recovers_bitwise_2_workers() {
     // Delta checkpoints carry `(value, delta)` state implicitly through
-    // the MachineState snapshot plus the DeltaResume counter extras; the
+    // the MachineState snapshot plus the engine's carried counters; the
     // scheduler itself is stateless across epochs, so resume re-plans
     // from the restored state and must land on the oracle's bits.
     run_matrix(EngineKind::DeltaAccum, 2);

@@ -433,22 +433,21 @@ fn assert_checkpoints_stream_through_one_chunk() {
     let header = SnapshotHeader {
         engine: 1,
         iterations: 5,
-        clock_bits: 0,
+        clock: 0.0,
         breakdown: Default::default(),
-        last_global_bits: 0,
+        last_global: 0.0,
         data_round: 10,
         ctrl_round: 15,
-        lazy: None,
-        delta: None,
+        carry: Vec::new(),
     };
     let before = TOTAL.load(Ordering::Relaxed);
-    let file_bytes = store.save(&header, &state, initial).expect("save");
+    let file_bytes = store.save(&header, &state, &[], initial).expect("save");
     let save_allocated = TOTAL.load(Ordering::Relaxed) - before;
 
     let mut restored = init();
     let before = TOTAL.load(Ordering::Relaxed);
     let snapshot = store.open_latest(|_, why| panic!("{why}")).expect("open").expect("saved");
-    snapshot.restore_into(&mut restored).expect("restore");
+    snapshot.restore_into(&mut restored, &mut Vec::new()).expect("restore");
     let restore_allocated = TOTAL.load(Ordering::Relaxed) - before;
     std::fs::remove_dir_all(&dir).ok();
 
