@@ -64,7 +64,7 @@ pub struct Batch<T> {
     /// carries. In-proc batches carry the kind too, purely for symmetry.
     pub kind: FrameKind,
     /// Payload. Empty when the batch arrived on the zero-copy wire path
-    /// (`raw` is `Some`); call [`Batch::make_items`] to materialize.
+    /// (`raw` is `Some`); [`Batch::drain_each`] walks either.
     pub items: Vec<T>,
     /// Still-encoded payload from the zero-copy inbound wire path.
     /// `None` for in-proc batches and for materialized ones. Exactly one
@@ -80,10 +80,29 @@ impl<T> Batch<T> {
 }
 
 impl<T: Wire> Batch<T> {
+    /// Hands every item to `f` once, in wire order, and leaves the batch
+    /// empty: a zero-copy payload decodes item by item straight off its
+    /// cursor (no `Vec<T>` is built), then any materialized `items` drain.
+    /// The batch keeps its buffers for [`Endpoint::recycle`]. A malformed
+    /// item, or an error from `f`, ends the walk and is returned.
+    pub fn drain_each(
+        &mut self,
+        mut f: impl FnMut(T) -> Result<(), NetError>,
+    ) -> Result<(), NetError> {
+        if let Some(raw) = &mut self.raw {
+            let mut r = WireReader::new(&raw.bytes[raw.offset..]);
+            for _ in 0..raw.count {
+                f(T::decode(&mut r)?)?;
+            }
+            raw.count = 0;
+        }
+        self.items.drain(..).try_for_each(f)
+    }
+
     /// Materializes a zero-copy payload into `items` — the escape hatch
-    /// for consumers that genuinely need a `Vec<T>` (collectives, the
-    /// naive oracle paths, tests). Hot paths decode the raw cursor in
-    /// place instead and never call this.
+    /// for consumers that genuinely need a `Vec<T>`: the collectives'
+    /// control rounds and tests. Every engine round walks its batches
+    /// with [`Batch::drain_each`] instead.
     pub fn make_items(&mut self) -> Result<(), NetError> {
         let Some(raw) = &mut self.raw else {
             return Ok(());

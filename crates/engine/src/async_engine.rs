@@ -92,13 +92,14 @@ struct AsyncTurn<'a, P: VertexProgram> {
 
 impl<P: VertexProgram> PumpStep<(u32, SyncMsg<P>)> for AsyncTurn<'_, P> {
     /// Accum/Update translation stays serial per batch — Updates overwrite
-    /// `vdata` in place (so this path cannot cursor-route raw TCP batches),
-    /// and async batches are small by design.
+    /// `vdata` in place, and async batches are small by design — and walks
+    /// a TCP batch straight off its frame ([`Batch::drain_each`]).
     fn absorb(&mut self, batch: &mut Batch<(u32, SyncMsg<P>)>) -> Result<(), NetError> {
         let (shard, program, from) = (self.shard, self.program, batch.from);
-        batch.make_items()?;
-        let accums = &mut self.state.scratch.staging.open_blocks(self.pctx, shard.num_local(), 1)[0];
-        for (gid, msg) in batch.items.drain(..) {
+        let (state, tasks) = (&mut *self.state, &mut *self.scatter_tasks);
+        let accums = &mut state.scratch.staging.open_blocks(self.pctx, shard.num_local(), 1)[0];
+        let vdata = &mut state.vdata;
+        batch.drain_each(|(gid, msg)| {
             let l = route_item(shard.route_table(), from, gid)?;
             match msg {
                 SyncMsg::Accum(d) => {
@@ -108,14 +109,13 @@ impl<P: VertexProgram> PumpStep<(u32, SyncMsg<P>)> for AsyncTurn<'_, P> {
                     accums.stage(l, program.gather(gid.into(), d), false);
                 }
                 SyncMsg::Update { data, scatter } => {
-                    self.state.vdata[l as usize] = data;
-                    if let Some(d) = scatter {
-                        self.scatter_tasks.push((l, d));
-                    }
+                    vdata[l as usize] = data;
+                    tasks.extend(scatter.map(|d| (l, d)));
                 }
             }
-        }
-        self.state.deliver_staged(program, self.pctx);
+            Ok(())
+        })?;
+        state.deliver_staged(program, self.pctx);
         Ok(())
     }
 
@@ -164,5 +164,94 @@ impl<P: VertexProgram> PumpStep<(u32, SyncMsg<P>)> for AsyncTurn<'_, P> {
         self.stats.record_applies(applies);
         pump.clock.advance(cost.compute_time(edges) + cost.apply_time(applies));
         Ok(true)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use lazygraph_cluster::RawBatch;
+    use lazygraph_graph::generators::{rmat, RmatConfig};
+    use lazygraph_net::{FrameKind, Wire};
+    use lazygraph_partition::{partition_graph, PartitionStrategy, SplitterConfig};
+
+    use super::*;
+    use crate::exchange::tests::Sum;
+    use crate::parallel::ParallelConfig;
+
+    type Absorbed = (Vec<u64>, Vec<Option<u64>>, Vec<(u32, u64)>);
+
+    /// Absorbs `batch` into a fresh state of `shard`: its `vdata`, its
+    /// messages and the scatter tasks the batch left.
+    fn absorbed(
+        shard: &LocalShard,
+        num_vertices: usize,
+        batch: &mut Batch<(u32, SyncMsg<Sum>)>,
+    ) -> Result<Absorbed, NetError> {
+        let pctx = ParallelCtx::new(ParallelConfig { threads: 1, block_size: 4 }).expect("spawn pool");
+        let mut state = MachineState::init(shard, &Sum, InitMessages::MastersOnly, num_vertices);
+        let (mut tasks, stats) = (Vec::new(), NetStats::new());
+        let mut turn = AsyncTurn {
+            scatter_tasks: &mut tasks,
+            state: &mut state,
+            shard,
+            pctx: &pctx,
+            program: &Sum,
+            stats: &stats,
+            num_vertices,
+            cost: CostModel::paper_cluster(),
+        };
+        turn.absorb(batch)?;
+        Ok((state.vdata, state.message, tasks))
+    }
+
+    #[test]
+    fn absorb_walks_a_raw_cursor_as_it_walks_materialized_items() {
+        let g = rmat(RmatConfig::graph500(6, 4, 11));
+        let dg = partition_graph(&g, 2, PartitionStrategy::Random, &SplitterConfig::disabled(), false);
+        let (shard, n) = (&dg.shards[1], dg.num_global_vertices);
+        // What machine 0 may send machine 1: an accumulator for each of
+        // its masters, an update for each of its mirrors.
+        let items = || -> Vec<(u32, SyncMsg<Sum>)> {
+            (0..shard.num_local() as u32)
+                .map(|l| {
+                    let (gid, x) = (shard.global_of(l).0, u64::from(l) + 1);
+                    let msg = if shard.is_master(l) {
+                        SyncMsg::Accum(x)
+                    } else {
+                        SyncMsg::Update { data: 100 * x, scatter: (l % 2 == 0).then_some(x) }
+                    };
+                    (gid, msg)
+                })
+                .collect()
+        };
+        let kinds = items().iter().map(|(_, m)| matches!(m, SyncMsg::Accum(_))).collect::<Vec<_>>();
+        assert!(kinds.contains(&true) && kinds.contains(&false), "both kinds of message");
+        let batch = |items, raw| Batch {
+            from: 0,
+            sent_at: 0.0,
+            round: u64::MAX,
+            last: true,
+            kind: FrameKind::Data,
+            items,
+            raw,
+        };
+        let wire = |items: &[(u32, SyncMsg<Sum>)]| {
+            let mut bytes = vec![0xAB; 5];
+            items.iter().for_each(|it| it.encode(&mut bytes));
+            RawBatch { bytes, offset: 5, count: items.len() as u32 }
+        };
+
+        let materialized = absorbed(shard, n, &mut batch(items(), None)).expect("materialized");
+        let mut raw = batch(Vec::new(), Some(wire(&items())));
+        assert_eq!(absorbed(shard, n, &mut raw).expect("raw"), materialized);
+        assert!(!materialized.2.is_empty() && materialized.1.iter().any(Option::is_some));
+        assert_eq!(raw.item_count(), 0, "absorb drains the batch");
+        assert_eq!(raw.items.capacity(), 0, "a raw batch is recycled with no item vector");
+
+        // A torn item region fails typed.
+        let mut torn = wire(&items());
+        torn.bytes.truncate(torn.bytes.len() - 2);
+        let refused = absorbed(shard, n, &mut batch(Vec::new(), Some(torn)));
+        assert!(matches!(refused, Err(NetError::Truncated { .. })), "{refused:?}");
     }
 }

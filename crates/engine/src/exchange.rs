@@ -48,7 +48,7 @@ use std::sync::Arc;
 use lazygraph_cluster::{
     Batch, Collective, CommError, CostModel, Endpoint, NetStats, OutboxSet, Phase, SimClock,
 };
-use lazygraph_net::{NetError, Wire, WireReader};
+use lazygraph_net::{NetError, Wire};
 use lazygraph_partition::{LocalShard, NO_LOCAL};
 
 use crate::parallel::ParallelCtx;
@@ -193,7 +193,7 @@ where
         buckets.iter_mut().for_each(Vec::clear);
         buckets.resize_with(num_blocks, Vec::new);
         let from = batch.from;
-        let mut route_one = |(gid, x): (u32, X)| -> Result<(), NetError> {
+        let route_one = |(gid, x): (u32, X)| -> Result<(), NetError> {
             let l = route_item(route, from, gid)?;
             let bucket = buckets.get_mut(l as usize / bs).filter(|_| (l as usize) < num_local);
             let Some(bucket) = bucket else {
@@ -204,21 +204,10 @@ where
             }
             Ok(())
         };
-        // Zero-copy inbound path: a TCP batch arrives as the raw frame
-        // payload, and each item decodes straight off those bytes into
-        // its destination bucket — no intermediate `Vec<T>` per batch.
-        // Decode order equals wire order equals the materialized path's
-        // item order, so fold order (and thus every value) is identical.
-        if let Some(raw) = batch.raw.as_mut() {
-            let mut r = WireReader::new(&raw.bytes[raw.offset..]);
-            for _ in 0..raw.count {
-                route_one(<(u32, X)>::decode(&mut r)?)?;
-            }
-            // Mark drained; the buffer itself rides home through
-            // `Endpoint::recycle` back to the reader's free list.
-            raw.count = 0;
-        }
-        batch.items.drain(..).try_for_each(route_one)
+        // A TCP batch's items decode straight off the frame payload into
+        // their buckets; decode order is wire order is the materialized
+        // path's item order, so fold order (and every value) is identical.
+        batch.drain_each(route_one)
     });
     routed.into_iter().collect()
 }
@@ -497,22 +486,36 @@ where
     ) -> Result<(), CommError> {
         let received = self.wire.exchange(now)?;
         let port = self.wire.port;
-        let me = port.ep.me();
         for mut batch in received {
-            batch.make_items().map_err(|e| CommError::transport(me, &e))?;
-            for (gid, x) in batch.items.drain(..) {
-                let l = route_item(route, batch.from, gid)
-                    .map_err(|e| CommError::transport(me, &e))?;
-                apply(l, x);
-            }
+            apply_routed(&mut batch, route, &mut apply)
+                .map_err(|e| CommError::transport(port.ep.me(), &e))?;
             port.ep.recycle(batch);
         }
         Ok(())
     }
 }
 
+/// Hands each `(gid, x)` of `batch` to `apply` as `(local id, x)` through
+/// `route`, in item order, decoding a zero-copy payload in place: the walk
+/// of an [`OrderedRound`]. An item for a vertex this machine holds no
+/// replica of, or a malformed one, ends the walk ([`route_item`]).
+fn apply_routed<X>(
+    batch: &mut Batch<(u32, X)>,
+    route: &[u32],
+    apply: &mut impl FnMut(u32, X),
+) -> Result<(), NetError>
+where
+    (u32, X): Wire,
+{
+    let from = batch.from;
+    batch.drain_each(|(gid, x)| {
+        apply(route_item(route, from, gid)?, x);
+        Ok(())
+    })
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::parallel::{ParallelConfig, ParallelCtx};
     use crate::program::{EdgeCtx, VertexCtx};
@@ -520,7 +523,8 @@ mod tests {
     use lazygraph_graph::VertexId;
     use lazygraph_net::FrameKind;
 
-    struct Sum;
+    /// A program whose vertex data and deltas are plain `u64` sums.
+    pub(crate) struct Sum;
     impl VertexProgram for Sum {
         type VData = u64;
         type Delta = u64;
@@ -577,6 +581,18 @@ mod tests {
             items,
             raw: None,
         }
+    }
+
+    /// `items` as a zero-copy batch: encoded behind `header` stand-in
+    /// bytes, the way the TCP reader hands a frame payload off.
+    fn raw_batch(from: usize, items: &[(u32, u64)], header: usize) -> Batch<(u32, u64)> {
+        let mut bytes = vec![0xAB; header];
+        for it in items {
+            it.encode(&mut bytes);
+        }
+        let mut b = batch(from, Vec::new());
+        b.raw = Some(lazygraph_cluster::RawBatch { bytes, offset: header, count: items.len() as u32 });
+        b
     }
 
     /// Routes `batches` (gid == local id, `d` scaled by ten) into fresh
@@ -663,12 +679,7 @@ mod tests {
             refused(routed_through(&pctx, &[0, 1, 2, 3, 9], 3, &mut batches), &sender, why);
         }
         // On a raw cursor too.
-        let mut bytes = Vec::new();
-        for it in [(0u32, 1u64), (64, 4)] {
-            it.encode(&mut bytes);
-        }
-        let mut raw = vec![batch(3, Vec::new())];
-        raw[0].raw = Some(lazygraph_cluster::RawBatch { bytes, offset: 0, count: 2 });
+        let mut raw = vec![raw_batch(3, &[(0, 1), (64, 4)], 0)];
         refused(routed(&pctx, 4, &mut raw), "machine 3 sent an item for vertex 64,", "no replica");
     }
 
@@ -700,28 +711,17 @@ mod tests {
 
     #[test]
     fn route_inbound_raw_cursor_matches_materialized_routing() {
-        use lazygraph_cluster::RawBatch;
         // Same logical items twice: once materialized, once as raw wire
         // bytes behind a cursor (with a nonzero offset, as a real frame
         // payload has). Routing must be identical.
         let items: Vec<(u32, u64)> = vec![(0, 1), (5, 2), (1, 3), (5, 4), (7, 5)];
-        let mut bytes = vec![0xAB, 0xCD, 0xEF]; // stand-in header bytes
-        let offset = bytes.len();
-        for it in &items {
-            it.encode(&mut bytes);
-        }
         for threads in [1, 4] {
             let pctx = ParallelCtx::new(ParallelConfig {
                 threads,
                 block_size: 4,
             }).expect("spawn pool");
             let mut materialized = vec![batch(0, items.clone())];
-            let mut raw = vec![batch(0, Vec::new())];
-            raw[0].raw = Some(RawBatch {
-                bytes: bytes.clone(),
-                offset,
-                count: items.len() as u32,
-            });
+            let mut raw = vec![raw_batch(0, &items, 3)];
             let a = routed(&pctx, 8, &mut materialized);
             let b = routed(&pctx, 8, &mut raw);
             assert_eq!(a.expect("materialized"), b.expect("raw"));
@@ -734,26 +734,80 @@ mod tests {
     }
 
     #[test]
+    fn an_ordered_round_walks_a_raw_cursor_as_it_walks_materialized_items() {
+        // gid g is local 7 - g here, so the walk's translation shows.
+        let route: Vec<u32> = (0..8).rev().collect();
+        let sent = [(0, vec![(0, 1), (5, 2), (1, 3)]), (2, vec![(5, 4), (7, 5)])];
+        let walk = |raw: bool| {
+            let mut seen = Vec::new();
+            for (from, items) in &sent {
+                let mut b = if raw { raw_batch(*from, items, 3) } else { batch(*from, items.clone()) };
+                apply_routed(&mut b, &route, &mut |l, x| seen.push((l, x))).expect("well-formed");
+                assert_eq!(b.item_count(), 0, "the walk drains the batch");
+                // What goes to `Endpoint::recycle`: the frame buffer, and
+                // no item vector a raw payload was decoded into.
+                assert_eq!(b.items.capacity() == 0, raw, "raw: {raw}");
+                assert_eq!(b.raw.is_some_and(|r| !r.bytes.is_empty()), raw);
+            }
+            seen
+        };
+        assert_eq!(walk(false), vec![(7, 1), (2, 2), (6, 3), (2, 4), (0, 5)]);
+        assert_eq!(walk(true), walk(false));
+        // A torn item region fails the walk typed, after the whole prefix.
+        let mut torn = raw_batch(1, &[(0, 1), (1, 2), (2, 3)], 3);
+        let bytes = &mut torn.raw.as_mut().expect("raw").bytes;
+        bytes.truncate(bytes.len() - 3);
+        let mut seen = Vec::new();
+        let walked = apply_routed(&mut torn, &route, &mut |l, x| seen.push((l, x)));
+        assert!(matches!(walked, Err(NetError::Truncated { .. })), "{walked:?}");
+        assert_eq!(seen, vec![(7, 1), (6, 2)]);
+    }
+
+    /// The same rounds over both transports: in-proc batches carry their
+    /// items, TCP batches arrive as raw frame payloads, and every
+    /// machine's `close` sees one `(local id, x)` sequence either way.
+    #[test]
+    fn an_ordered_round_applies_the_same_sequence_on_both_transports() {
+        use lazygraph_cluster::{build_endpoints, run_machines, TransportKind};
+        const N: usize = 3;
+        let route: Vec<u32> = (0..64).rev().collect();
+        let applied = |transport| {
+            let stats = Arc::new(NetStats::new());
+            let endpoints = build_endpoints::<(u32, u64)>(transport, N, &stats).expect("mesh");
+            run_machines(endpoints, |ep| {
+                let me = ep.me() as u32;
+                let mut port = Port::new(ep, stats.clone());
+                let mut seen = Vec::new();
+                for round in 0..3u32 {
+                    let mut r = port.ordered_round(Phase::Apply, 12);
+                    for dst in 0..N as u32 {
+                        for k in 0..(me + round + dst) % 5 {
+                            let gid = (7 * me + 3 * k + round) % 64;
+                            r.outboxes().push(dst as usize, (gid, u64::from(me << 16 | round << 8 | k)));
+                        }
+                    }
+                    r.close(0.0, &route, |l, x| seen.push((l, x)))?;
+                }
+                Ok::<_, CommError>(seen)
+            })
+        };
+        let inproc = applied(TransportKind::InProc);
+        assert!(inproc.iter().all(|seen| seen.as_ref().is_ok_and(|s| s.len() > 10)), "{inproc:?}");
+        assert_eq!(applied(TransportKind::Tcp), inproc);
+    }
+
+    #[test]
     fn route_inbound_fails_on_a_malformed_raw_item() {
-        use lazygraph_cluster::RawBatch;
         // Three items claimed, the third cut short: the frame layer let it
         // through, so the router must fail the round — never deliver the
         // well-formed prefix as if it were the whole batch.
-        let mut bytes = Vec::new();
-        for it in [(0u32, 1u64), (1, 2), (2, 3)] {
-            it.encode(&mut bytes);
-        }
-        bytes.truncate(bytes.len() - 3);
         let pctx = ParallelCtx::new(ParallelConfig {
             threads: 2,
             block_size: 4,
         }).expect("spawn pool");
-        let mut raw = vec![batch(0, Vec::new())];
-        raw[0].raw = Some(RawBatch {
-            bytes,
-            offset: 0,
-            count: 3,
-        });
+        let mut raw = vec![raw_batch(0, &[(0, 1), (1, 2), (2, 3)], 0)];
+        let bytes = &mut raw[0].raw.as_mut().expect("raw").bytes;
+        bytes.truncate(bytes.len() - 3);
         assert!(
             routed(&pctx, 4, &mut raw).is_err(),
             "a torn item region must be a typed error"

@@ -173,8 +173,9 @@ wire_record!(LazyCarry {
 pub struct LazyStep<P: VertexProgram> {
     carry: LazyCarry,
     interval: IntervalModel,
-    /// Dense m2m scratch arrays indexed by local id (zero steady-state
-    /// allocation); fully `None` between coherency points.
+    /// Dense m2m scratch arrays indexed by local id: empty until this
+    /// machine's first mirrors-to-master exchange sizes them, then fully
+    /// `None` between coherency points (no steady-state allocation).
     own_scratch: Vec<Option<P::Delta>>,
     totals_scratch: Vec<Option<P::Delta>>,
     /// The sweep in flight's sorted worklist (capacity only between sweeps).
@@ -198,8 +199,8 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
         LazyStep {
             carry,
             interval: IntervalModel::new(f.cfg.interval, f.ev_ratio),
-            own_scratch: vec![None; f.shard.num_local()],
-            totals_scratch: vec![None; f.shard.num_local()],
+            own_scratch: Vec::new(),
+            totals_scratch: Vec::new(),
             worklist: Vec::new(),
             order: f.program.local_order(),
             keyed: Vec::new(),
@@ -270,6 +271,8 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
             CommMode::MirrorsToMaster => {
                 self.carry.counters.m2m_exchanges += 1;
                 let (own, totals) = (&mut self.own_scratch, &mut self.totals_scratch);
+                own.resize(f.shard.num_local(), None);
+                totals.resize(f.shard.num_local(), None);
                 (exchange_m2m(f, own, totals, cfg.delta_suppression)?, CommCharge::M2M)
             }
         };

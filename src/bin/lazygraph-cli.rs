@@ -25,6 +25,7 @@
 //! it is called.
 
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::process::exit;
 
 use lazygraph::multiproc::{
@@ -59,6 +60,20 @@ fn die(msg: &str) -> ! {
 fn fail(what: &str, e: impl std::fmt::Display) -> ! {
     eprintln!("{what}: {e}");
     exit(1);
+}
+
+/// `println!` for the report: a reader that went away (`| head -1`)
+/// silences the rest of it but not the run, which still writes `--output`
+/// and exits 0. Any other stdout error fails the run.
+macro_rules! say {
+    ($($line:tt)*) => {
+        match writeln!(std::io::stdout(), $($line)*) {
+            Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+                fail("cannot write to stdout", e)
+            }
+            _ => {}
+        }
+    };
 }
 
 /// Options of `run` and `info` (which shares the input and placement ones)
@@ -326,24 +341,20 @@ impl Visitor for Request<'_> {
 
     fn visit<P: Shipped>(self, program: P) {
         let Request { graph, machines, cfg, mp, output } = self;
-        let result = match &mp {
+        let (result, launch) = match &mp {
             None => {
                 let result = run(graph, machines, &cfg, &program)
                     .unwrap_or_else(|e| fail("run failed", e));
-                println!("{}", result.metrics.summary());
-                result
+                (result, None)
             }
             Some(mp) => {
                 let (result, launch) =
                     run_multiprocess(graph, machines, &cfg, &program, &worker_bin(), mp)
                         .unwrap_or_else(|e| fail("multiprocess run failed", e));
-                report_launch(&result.metrics, &launch, mp);
-                result
+                (result, Some((launch, mp)))
             }
         };
-        if let Some(line) = program.headline(&result.values) {
-            println!("{line}");
-        }
+        // The file first: it must not depend on anyone reading the report.
         if let Some(path) = output {
             let mut body = String::new();
             for (v, x) in result.values.iter().enumerate() {
@@ -351,7 +362,16 @@ impl Visitor for Request<'_> {
             }
             std::fs::write(path, body)
                 .unwrap_or_else(|e| fail(&format!("cannot write {path}"), e));
-            println!("wrote {} values to {path}", result.values.len());
+        }
+        match launch {
+            None => say!("{}", result.metrics.summary()),
+            Some((launch, mp)) => report_launch(&result.metrics, &launch, mp),
+        }
+        if let Some(line) = program.headline(&result.values) {
+            say!("{line}");
+        }
+        if let Some(path) = output {
+            say!("wrote {} values to {path}", result.values.len());
         }
     }
 }
@@ -361,7 +381,7 @@ impl Visitor for Request<'_> {
 /// new figures go at the end of a line, never in between.
 fn report_launch(m: &RunMetrics, launch: &LaunchReport, mp: &MpOptions) {
     let shard_bytes = &launch.shard_bytes;
-    println!(
+    say!(
         "multiprocess {} workers: {} iterations, converged={}, sim_time {:.4}s, \
          est {} B (cost model), wire {} B sent / {} frames (measured)",
         shard_bytes.len(),
@@ -373,7 +393,7 @@ fn report_launch(m: &RunMetrics, launch: &LaunchReport, mp: &MpOptions) {
         m.stats.wire_frames_sent,
     );
     if mp.checkpoint_every > 0 {
-        println!(
+        say!(
             "recovery: {} snapshot B written, {} reconnects, {} rounds replayed, \
              frame log peak {} B",
             m.stats.snapshot_bytes,
@@ -382,7 +402,7 @@ fn report_launch(m: &RunMetrics, launch: &LaunchReport, mp: &MpOptions) {
             m.stats.frame_log_high_water,
         );
     }
-    println!(
+    say!(
         "shards: {} files, {} bytes shipped (largest {}), partitioned in {:.3} s",
         shard_bytes.len(),
         shard_bytes.iter().sum::<u64>(),
@@ -413,7 +433,7 @@ fn cmd_run(opts: &Opts) {
     cfg.bidirectional |= spec.bidirectional();
     let graph = load_input(opts);
     spec.check_graph(graph.num_vertices()).unwrap_or_else(|e| die(&e));
-    println!(
+    say!(
         "running {algorithm} on {} vertices / {} edges, {} machines, engine {}",
         graph.num_vertices(),
         graph.num_edges(),
@@ -433,34 +453,34 @@ fn cmd_info(opts: &Opts) {
     let machines = machine_count(opts, 48);
     let graph = load_input(opts);
     let s = graph_stats(&graph);
-    println!("vertices:        {}", s.num_vertices);
-    println!("edges:           {}", s.num_edges);
-    println!("E/V:             {:.2}", s.ev_ratio);
-    println!("max out-degree:  {}", s.max_out_degree);
-    println!("max in-degree:   {}", s.max_in_degree);
-    println!("top-1% share:    {:.3}", s.top1pct_edge_share);
-    println!("symmetric:       {}", graph.is_symmetric());
+    say!("vertices:        {}", s.num_vertices);
+    say!("edges:           {}", s.num_edges);
+    say!("E/V:             {:.2}", s.ev_ratio);
+    say!("max out-degree:  {}", s.max_out_degree);
+    say!("max in-degree:   {}", s.max_in_degree);
+    say!("top-1% share:    {:.3}", s.top1pct_edge_share);
+    say!("symmetric:       {}", graph.is_symmetric());
     let cfg = engine_config(opts);
     // `machine_count` checked the one thing placement can refuse.
     let dg = place(&graph, machines, &cfg).unwrap_or_else(|e| die(&e.to_string()));
-    println!(
+    say!(
         "lambda:          {:.2}  ({} partitions, {} cut)",
         dg.lambda(),
         machines,
         cfg.partition.name()
     );
-    println!("parallel edges:  {}", dg.num_parallel_edges);
-    println!("storage overhead:{:.3}", dg.storage_overhead());
+    say!("parallel edges:  {}", dg.num_parallel_edges);
+    say!("storage overhead:{:.3}", dg.storage_overhead());
     // What each machine will traverse, known at placement time: its
     // stored out-edges.
     let stored: Vec<u64> = dg.shards.iter().map(|s| s.num_local_edges() as u64).collect();
-    println!(
+    say!(
         "edge load (max/mean): {:.3}",
         lazygraph_partition::load_ratio_milli(&stored) as f64 / 1000.0
     );
     let levels = reference::bfs_levels(&graph, VertexId(0));
     let reachable = levels.iter().filter(|&&l| l != u32::MAX).count();
-    println!(
+    say!(
         "reach from v0:   {} vertices, eccentricity {}",
         reachable,
         levels.iter().filter(|&&l| l != u32::MAX).max().unwrap_or(&0)
@@ -494,7 +514,7 @@ fn cmd_generate(opts: &Opts) {
         gio::save_edge_list(&graph, out)
     };
     result.unwrap_or_else(|e| fail(&format!("cannot write {out}"), e));
-    println!(
+    say!(
         "wrote {} vertices / {} edges to {out}",
         graph.num_vertices(),
         graph.num_edges()

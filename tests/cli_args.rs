@@ -10,7 +10,7 @@
 //! magic. Every program of the table runs on both routes to the same file.
 
 use std::ffi::OsStr;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn cli<S: AsRef<OsStr>>(args: &[S]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_lazygraph-cli"))
@@ -219,6 +219,45 @@ fn valid_invocations_still_run() {
     ]);
     assert!(out.status.success(), "run: {}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("lazy-block-async"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A report nobody reads does not cost the run its output. With stdout's
+/// read end closed before the first line (`| head -1` closes it after
+/// one), `run` panicked on the broken pipe (status 101) before it wrote
+/// `--output`; now it writes the file a read run writes, on both routes.
+#[test]
+fn a_closed_stdout_neither_panics_nor_loses_the_output() {
+    let (dir, graph) = generated_rmat("pipe", "256");
+    for route in [&[][..], &["--multiprocess"]] {
+        let args = |values: &str| {
+            let mut args = vec![
+                "run", "--input", &graph, "--algorithm", "pagerank", "--machines", "2", "--threads", "1",
+                "--output",
+            ];
+            args.push(values);
+            args.extend_from_slice(route);
+            args.into_iter().map(str::to_string).collect::<Vec<_>>()
+        };
+        let path = |name: &str| dir.join(name).to_str().expect("utf-8 temp path").to_string();
+        let (read, unread) = (path("read.values"), path("unread.values"));
+        let out = cli(&args(&read));
+        assert!(out.status.success(), "{route:?}: {}", String::from_utf8_lossy(&out.stderr));
+
+        let mut child = Command::new(env!("CARGO_BIN_EXE_lazygraph-cli"))
+            .args(args(&unread))
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn lazygraph-cli");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait for lazygraph-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{route:?}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "{route:?}: {stderr}");
+        let written = std::fs::read(&unread).unwrap_or_else(|e| panic!("{route:?}: no --output: {e}"));
+        assert_eq!(written, std::fs::read(&read).expect("values"), "{route:?}: --output differs");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -64,16 +64,17 @@ impl Read for Torn<'_> {
     }
 }
 
-/// Decodes a raw-cursor batch the way `route_inbound` does: walk the
-/// encoded item region item-by-item, never materializing a `Vec`.
+/// Decodes a raw-cursor batch through `Batch::drain_each`, the walk every
+/// engine round uses: item by item off the encoded region, never
+/// materializing the batch's own `Vec`.
 fn cursor_walk(b: &mut Batch<Item>) -> Result<Vec<Item>, lazygraph_net::NetError> {
-    let raw = b.raw.as_mut().expect("cursor walk needs a raw batch");
-    let mut r = WireReader::new(&raw.bytes[raw.offset..]);
+    assert!(b.raw.is_some(), "cursor walk needs a raw batch");
     let mut out = Vec::new();
-    for _ in 0..raw.count {
-        out.push(Item::decode(&mut r)?);
-    }
-    raw.count = 0;
+    b.drain_each(|item| {
+        out.push(item);
+        Ok(())
+    })?;
+    assert_eq!(b.items.capacity(), 0, "the walk decoded into the batch");
     Ok(out)
 }
 
