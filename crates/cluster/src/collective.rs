@@ -160,18 +160,6 @@ impl Collective {
             .reduce(combine)
             .ok_or(CommError::CollectiveSlotEmpty { machine: me })
     }
-
-    /// The control-mesh round machine `me`'s next collective will consume
-    /// — the ctrl-side replay watermark a checkpoint records.
-    pub fn next_round(&self, me: usize) -> Result<u64, CommError> {
-        Ok(self.leg(me)?.ep.next_round())
-    }
-
-    /// Prunes machine `me`'s control-mesh replay logs below `watermark`.
-    pub fn prune_log(&self, me: usize, watermark: u64, stats: &NetStats) -> Result<(), CommError> {
-        self.leg(me)?.ep.prune_log(watermark, stats);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -275,7 +263,8 @@ mod tests {
                 acc = coll.sum_u64(me, round + me as u64, &stats).unwrap();
                 coll.barrier(me, &stats).unwrap();
             }
-            (acc, coll.next_round(me).unwrap())
+            let rounds = coll.leg(me).unwrap().ep.next_round();
+            (acc, rounds)
         });
         // Final round: (19+0) + (19+1) + (19+2), after 40 control rounds.
         assert!(results.iter().all(|&r| r == (60, 40)), "{results:?}");
@@ -295,9 +284,7 @@ mod tests {
             let want = CommError::CollectiveLeg { me, machines };
             assert_eq!(coll.sum_u64(me, 1, &stats), Err(want.clone()));
             assert_eq!(coll.barrier(me, &stats), Err(want.clone()));
-            assert_eq!(coll.vote(me, true, &stats), Err(want.clone()));
-            assert_eq!(coll.next_round(me), Err(want.clone()));
-            assert_eq!(coll.prune_log(me, 0, &stats), Err(want));
+            assert_eq!(coll.vote(me, true, &stats), Err(want));
         }
         let snap = stats.snapshot();
         assert_eq!((snap.global_syncs, snap.total_batches()), (0, 0));

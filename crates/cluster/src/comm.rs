@@ -258,25 +258,10 @@ impl<T> Endpoint<T> {
         Endpoint::with_wiring(me, n, Wiring::Sockets(links))
     }
 
-    /// The round the next `exchange` will be tagged with — the replay
-    /// watermark a checkpoint records.
+    /// The round the next `exchange` will be tagged with.
     #[inline]
     pub fn next_round(&self) -> u64 {
         self.next_round
-    }
-
-    /// Fast-forwards the round counter; used when resuming a machine
-    /// from a snapshot so regenerated rounds keep their original tags.
-    pub fn set_next_round(&mut self, round: u64) {
-        self.next_round = round;
-    }
-
-    /// Drops replay-log entries below `watermark` on every link; no-op
-    /// for transports without recovery state.
-    pub fn prune_log(&self, watermark: u64, stats: &NetStats) {
-        if let Wiring::Sockets(s) = &self.wiring {
-            s.prune_log(watermark, stats);
-        }
     }
 
     /// Simulates a process death for in-process tests: severs every live
@@ -506,8 +491,7 @@ impl<T: Send> Endpoint<T> {
     /// `pending` for the [`Self::exchange`] it belongs to, since a peer
     /// already in the pump's vote round may send one before this machine
     /// enters it. A torn link is an error, as on every call: a peer that
-    /// died without its Shutdown frame (fail-fast mode) or did not rejoin
-    /// in time (recovery mode) is [`CommError::Transport`].
+    /// died without its Shutdown frame is [`CommError::Transport`].
     pub fn try_recv(&mut self) -> Result<Option<Batch<T>>, CommError> {
         if let Some(pos) = self.pending.iter().position(|b| b.round == ASYNC_ROUND) {
             return Ok(self.pending.remove(pos));

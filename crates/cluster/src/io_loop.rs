@@ -2,40 +2,38 @@
 //! machine thread itself through `poll(2)`.
 //!
 //! A TCP [`Endpoint`](crate::Endpoint) owns its links. Per peer that is a
-//! non-blocking socket, a [`FrameReader`] assembling inbound frames, a
-//! queue of whole outbound frames and, in recovery mode, the [`FrameLog`]
-//! of what the link has written. Every endpoint call moves every socket
-//! forward — it writes what the kernel will take, reads whole frames,
-//! and admits rejoin dials on the listener — and a call that has to wait
-//! blocks in one `poll(2)`.
+//! non-blocking socket, a [`FrameReader`] assembling inbound frames and a
+//! queue of whole outbound frames. Every endpoint call moves every socket
+//! forward — it writes what the kernel will take and reads whole frames —
+//! and a call that has to wait blocks in one `poll(2)`.
 //!
 //! That poll covers the sockets of *every* endpoint the calling thread
 //! has used, not just the caller's: a thread is a machine, and a worker
 //! process's machine has two meshes, control and data. Waiting on one
-//! must keep serving the other — a peer that rejoins the data mesh while
-//! this machine waits in a control barrier needs its replay now, not
-//! when the barrier is over (DESIGN.md §10, §12). No thread carries a
-//! byte: a mesh costs its sockets and its buffers, nothing else.
+//! must keep serving the other — the tail of a data round still queued
+//! when this machine enters a control barrier is what a peer needs to
+//! finish that round and reach the barrier at all (DESIGN.md §10). No
+//! thread carries a byte: a mesh costs its sockets and its buffers,
+//! nothing else.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError, Weak};
 use std::time::{Duration, Instant};
 
 use lazygraph_net::frame::FRAME_POOL_CAP;
-use lazygraph_net::tcp::configure;
 use lazygraph_net::{
-    control_payload, decode_rejoin_payload, encode_frame_into, read_frame_deadline, FrameKind,
-    FrameReader, NetError, PeerLink, RawFrame, TcpOptions, Wire,
+    control_payload, encode_frame_into, FrameKind, FrameReader, NetError, PeerLink, RawFrame,
+    TcpOptions, Wire,
 };
 
-use crate::comm::{Batch, ASYNC_ROUND, POOL_FREE_CAP};
+use crate::comm::{Batch, POOL_FREE_CAP};
 use crate::error::CommError;
-use crate::recovery::{FrameLog, LinkStatus};
+use crate::recovery::LinkStatus;
 use crate::stats::NetStats;
 use crate::transport::{decode_batch_raw, encode_data_frame};
 
@@ -89,9 +87,6 @@ mod sys {
 
 use sys::{PollFd, POLLIN, POLLOUT};
 
-/// How long an accepted rejoin dial may take to send its `Rejoin` frame.
-const REJOIN_HANDSHAKE: Duration = Duration::from_secs(2);
-
 // ---------------------------------------------------------------------------
 // The machine loop
 // ---------------------------------------------------------------------------
@@ -144,31 +139,15 @@ fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
 // One endpoint's links
 // ---------------------------------------------------------------------------
 
-/// What becomes of an outbound frame once the socket has taken all of it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum After {
-    /// Back to the link's pool.
-    Recycle,
-    /// Into the link's replay log under this round (recovery mode).
-    Log(u64),
-    /// A logged frame sent again to a rejoined peer: counted, then pooled.
-    Replayed,
-}
-
-/// A whole frame, header included, waiting for the socket.
-struct Outgoing {
-    bytes: Vec<u8>,
-    after: After,
-}
-
 /// One peer connection.
 struct Link {
     peer: usize,
     stream: TcpStream,
     reader: FrameReader,
     status: LinkStatus,
-    /// Frames not yet fully written, oldest first.
-    out: VecDeque<Outgoing>,
+    /// Whole frames, header included, not yet fully written, oldest
+    /// first. A written frame's buffer goes back to `spare`.
+    out: VecDeque<Vec<u8>>,
     /// Bytes of `out.front()` the socket has already taken.
     written: usize,
     /// Since when the socket has refused bytes that are waiting — a peer
@@ -176,14 +155,10 @@ struct Link {
     stalled: Option<Instant>,
     /// Emptied frame buffers to encode the next frames into.
     spare: Vec<Vec<u8>>,
-    log: FrameLog,
-    /// Data rounds delivered from this peer. In recovery mode a frame of
-    /// an earlier round is a replayed or regenerated duplicate.
-    delivered: u64,
 }
 
 impl Link {
-    fn new(peer: usize, stream: TcpStream, start_round: u64) -> Self {
+    fn new(peer: usize, stream: TcpStream) -> Self {
         Link {
             peer,
             stream,
@@ -193,8 +168,6 @@ impl Link {
             written: 0,
             stalled: None,
             spare: Vec::new(),
-            log: FrameLog::default(),
-            delivered: start_round,
         }
     }
 
@@ -207,14 +180,18 @@ impl Link {
         matches!(self.status, LinkStatus::CleanClosed | LinkStatus::Finished)
     }
 
-    fn spare(&mut self, bytes: Vec<u8>) {
-        pool_frame(&mut self.spare, bytes);
+    /// Keeps an emptied frame buffer for the next encode, up to the cap.
+    fn spare(&mut self, mut bytes: Vec<u8>) {
+        if self.spare.len() < FRAME_POOL_CAP {
+            bytes.clear();
+            self.spare.push(bytes);
+        }
     }
 
     /// Drops every frame still waiting: the peer will never read them.
     fn discard_out(&mut self) {
-        while let Some(o) = self.out.pop_front() {
-            self.spare(o.bytes);
+        while let Some(bytes) = self.out.pop_front() {
+            self.spare(bytes);
         }
         self.written = 0;
         self.stalled = None;
@@ -223,15 +200,16 @@ impl Link {
     /// Writes what the socket will take. `Err` is a socket failure.
     fn write_out(&mut self, stats: &NetStats) -> std::io::Result<()> {
         while let Some(front) = self.out.front() {
-            match self.stream.write(&front.bytes[self.written..]) {
+            match self.stream.write(&front[self.written..]) {
                 Ok(0) => return Err(ErrorKind::WriteZero.into()),
                 Ok(k) => {
                     self.stalled = None;
                     self.written += k;
-                    if self.written == front.bytes.len() {
+                    if self.written == front.len() {
                         self.written = 0;
                         if let Some(done) = self.out.pop_front() {
-                            self.sent(done, stats);
+                            stats.record_wire_sent(1, done.len() as u64);
+                            self.spare(done);
                         }
                     }
                 }
@@ -245,47 +223,6 @@ impl Link {
         }
         Ok(())
     }
-
-    /// A frame the socket has taken all of.
-    fn sent(&mut self, frame: Outgoing, stats: &NetStats) {
-        stats.record_wire_sent(1, frame.bytes.len() as u64);
-        match frame.after {
-            After::Log(round) => self.log.push(round, frame.bytes, stats),
-            After::Replayed => {
-                stats.record_replay_round();
-                self.spare(frame.bytes);
-            }
-            After::Recycle => self.spare(frame.bytes),
-        }
-    }
-
-    /// Moves the link onto a restarted peer's socket. The peer lost what
-    /// this link wrote from `resume` on: the logged frames go out again,
-    /// ahead of the frames still queued, and a frame the old socket took
-    /// only part of starts over.
-    fn rejoin(&mut self, stream: TcpStream, resume: u64) {
-        let _ = self.stream.shutdown(Shutdown::Both);
-        self.stream = stream;
-        self.reader = FrameReader::new();
-        self.written = 0;
-        self.stalled = None;
-        self.out.retain(|o| o.after != After::Replayed);
-        for bytes in self.log.replay_from(resume).into_iter().rev() {
-            self.out.push_front(Outgoing {
-                bytes,
-                after: After::Replayed,
-            });
-        }
-        self.status = LinkStatus::Up;
-    }
-}
-
-/// Keeps an emptied frame buffer for the next encode, up to the cap.
-fn pool_frame(spare: &mut Vec<Vec<u8>>, mut bytes: Vec<u8>) {
-    if spare.len() < FRAME_POOL_CAP {
-        bytes.clear();
-        spare.push(bytes);
-    }
 }
 
 /// Everything one TCP endpoint keeps between calls.
@@ -293,13 +230,8 @@ struct Io<T> {
     me: usize,
     /// Indexed by peer; `None` at `me`.
     links: Vec<Option<Link>>,
-    /// Recovery mode's mesh listener, where restarted peers dial back in.
-    /// `None` in fail-fast mode, and when a restarted machine could not
-    /// bind its old address again (it cannot admit a *second* failure).
-    listener: Option<TcpListener>,
-    /// `rejoin_window` set is recovery mode: how long a torn link waits
-    /// for its peer to rejoin.
-    opts: TcpOptions,
+    /// How long a closing endpoint waits on a peer that stopped draining.
+    write_timeout: Duration,
     /// Batches read off the sockets, not yet taken by the endpoint.
     inbound: VecDeque<Batch<T>>,
     /// Staging vectors emptied by an encode, for the endpoint's pool.
@@ -326,10 +258,9 @@ impl<T: Wire> Io<T> {
         self.failure.clone().map_or(Ok(()), Err)
     }
 
-    /// One non-blocking pass: admit rejoin dials, read and write every
-    /// link, and expire rejoin windows (and, closing, stalled writes).
+    /// One non-blocking pass: read and write every link and, closing,
+    /// give up on stalled writes.
     fn pass(&mut self) {
-        self.admit_rejoins();
         for peer in 0..self.links.len() {
             self.read_link(peer);
             self.write_link(peer);
@@ -356,7 +287,6 @@ impl<T: Wire> Io<T> {
 
     fn on_frame(&mut self, peer: usize, frame: RawFrame, pooled: bool) {
         let me = self.me;
-        let logging = self.opts.rejoin_window.is_some();
         match frame.kind {
             FrameKind::Data => {
                 self.stats.record_wire_recv(1, frame.wire_len() as u64);
@@ -379,24 +309,6 @@ impl<T: Wire> Io<T> {
                     }
                     Err(e) => return self.fail(CommError::transport(me, &e)),
                 };
-                let Some(link) = self.link(peer) else { return };
-                if logging {
-                    debug_assert_ne!(
-                        batch.round, ASYNC_ROUND,
-                        "recovery mode requires dense BSP rounds"
-                    );
-                    // Count-based dedupe: rounds are dense per link, one
-                    // batch each, so anything below the delivered count is
-                    // a replayed or regenerated duplicate.
-                    if batch.round < link.delivered {
-                        if let Some(raw) = batch.raw {
-                            link.reader.supply_buffer(raw.bytes);
-                        }
-                        return;
-                    }
-                    debug_assert_eq!(batch.round, link.delivered, "rounds are dense per link");
-                    link.delivered += 1;
-                }
                 self.inbound.push_back(batch);
             }
             FrameKind::Shutdown => {
@@ -409,9 +321,8 @@ impl<T: Wire> Io<T> {
                     link.discard_out();
                 }
             }
-            // Handshake frames never appear on an established link
-            // (rejoins arrive on the listener).
-            FrameKind::Hello | FrameKind::Rejoin => self.fail(CommError::Transport {
+            // The handshake frame never appears on an established link.
+            FrameKind::Hello => self.fail(CommError::Transport {
                 me,
                 detail: format!(
                     "machine {peer} sent a {:?} frame on an established link",
@@ -438,133 +349,57 @@ impl<T: Wire> Io<T> {
         }
     }
 
-    /// A connection that ended without a Shutdown frame. In recovery mode
-    /// it waits for the peer to rejoin; in fail-fast mode the mesh fails.
+    /// A connection that ended without a Shutdown frame: the mesh fails.
     fn tear(&mut self, peer: usize, why: &NetError) {
         let me = self.me;
-        let recovering = self.opts.rejoin_window.is_some();
         let Some(link) = self.link(peer) else { return };
         if !link.is_up() {
             // Left cleanly, closed here, or already torn: nothing new.
             return;
         }
-        link.status = LinkStatus::Down(Instant::now());
-        if !recovering {
-            self.fail(CommError::Transport {
-                me,
-                detail: format!("link to machine {peer}: {why}"),
-            });
-        }
+        link.status = LinkStatus::Down;
+        self.fail(CommError::Transport {
+            me,
+            detail: format!("link to machine {peer}: {why}"),
+        });
     }
 
-    /// Fails the mesh on a rejoin window that ran out, and while closing
-    /// tears a link whose peer has not drained its socket within the
-    /// write timeout.
+    /// While closing, tears a link whose peer has not drained its socket
+    /// within the write timeout.
     fn expire(&mut self) {
-        let me = self.me;
-        if self.closing {
-            let timeout = self.opts.write_timeout;
-            for peer in 0..self.links.len() {
-                let Some(link) = self.link(peer) else {
-                    continue;
+        if !self.closing {
+            return;
+        }
+        for peer in 0..self.links.len() {
+            let Some(link) = self.link(peer) else {
+                continue;
+            };
+            if link.stalled.is_some_and(|since| since.elapsed() > self.write_timeout) {
+                let why = NetError::Timeout {
+                    what: "the peer to drain its socket",
                 };
-                if link.stalled.is_some_and(|since| since.elapsed() > timeout) {
-                    let why = NetError::Timeout {
-                        what: "the peer to drain its socket",
-                    };
-                    self.tear(peer, &why);
-                }
+                self.tear(peer, &why);
             }
         }
-        let Some(window) = self.opts.rejoin_window else {
-            return;
-        };
-        let expired = self.links.iter().flatten().find_map(|l| match l.status {
-            LinkStatus::Down(since) if since.elapsed() > window => Some(l.peer),
-            _ => None,
-        });
-        if let Some(peer) = expired {
-            self.fail(CommError::Transport {
-                me,
-                detail: format!("machine {peer} did not rejoin within {window:?}"),
-            });
-        }
-    }
-
-    /// Admits every restarted peer dialing back in (recovery mode). A
-    /// malformed dial never takes the mesh down; the window clock keeps
-    /// running for the real rejoin.
-    fn admit_rejoins(&mut self) {
-        while let Some(listener) = &self.listener {
-            let stream = match listener.accept() {
-                Ok((stream, _)) => stream,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            };
-            let _ = self.admit(stream);
-        }
-    }
-
-    /// Validates one rejoin dial and moves the peer's link onto it.
-    fn admit(&mut self, mut stream: TcpStream) -> Result<(), NetError> {
-        stream
-            .set_nonblocking(false)
-            .map_err(|e| NetError::from_io(&e, "rejoin unblock"))?;
-        configure(&stream, &self.opts)?;
-        let frame = read_frame_deadline(&mut stream, Instant::now() + REJOIN_HANDSHAKE)?;
-        if frame.kind != FrameKind::Rejoin {
-            return Err(NetError::Handshake {
-                detail: format!("expected Rejoin, got {:?}", frame.kind),
-            });
-        }
-        let (peer, resume) = decode_rejoin_payload(&frame.payload)?;
-        stream
-            .set_nonblocking(true)
-            .map_err(|e| NetError::from_io(&e, "rejoin set_nonblocking"))?;
-        let link = self
-            .link(peer)
-            .filter(|l| l.status != LinkStatus::CleanClosed)
-            .ok_or_else(|| NetError::Handshake {
-                detail: format!("rejoin from invalid peer {peer}"),
-            })?;
-        link.rejoin(stream, resume);
-        self.stats.record_reconnect();
-        Ok(())
     }
 
     /// The descriptors this endpoint waits on, and the next instant it
-    /// must act on regardless: a rejoin window or, closing, a write
-    /// timeout ending.
+    /// must act on regardless: closing, a write timeout ending.
     fn interest(&self, fds: &mut Vec<PollFd>) -> Option<Instant> {
-        if let Some(l) = &self.listener {
+        let mut deadline = None;
+        for link in self.links.iter().flatten().filter(|l| l.is_up()) {
+            let events = if link.out.is_empty() {
+                POLLIN
+            } else {
+                POLLIN | POLLOUT
+            };
             fds.push(PollFd {
-                fd: l.as_raw_fd(),
-                events: POLLIN,
+                fd: link.stream.as_raw_fd(),
+                events,
                 revents: 0,
             });
-        }
-        let mut deadline = None;
-        for link in self.links.iter().flatten() {
-            match link.status {
-                LinkStatus::Up => {
-                    let events = if link.out.is_empty() {
-                        POLLIN
-                    } else {
-                        POLLIN | POLLOUT
-                    };
-                    fds.push(PollFd {
-                        fd: link.stream.as_raw_fd(),
-                        events,
-                        revents: 0,
-                    });
-                    let stall = link.stalled.filter(|_| self.closing);
-                    deadline = earliest(deadline, stall.map(|s| s + self.opts.write_timeout));
-                }
-                LinkStatus::Down(since) => {
-                    deadline = earliest(deadline, self.opts.rejoin_window.map(|w| since + w));
-                }
-                LinkStatus::CleanClosed | LinkStatus::Finished => {}
-            }
+            let stall = link.stalled.filter(|_| self.closing);
+            deadline = earliest(deadline, stall.map(|s| s + self.write_timeout));
         }
         deadline
     }
@@ -625,7 +460,6 @@ impl<T: Wire> Io<T> {
     ) -> Result<(), CommError> {
         self.check()?;
         let me = self.me;
-        let logging = self.opts.rejoin_window.is_some();
         let disconnected = CommError::PeerDisconnected { from: me, to: dst };
         let link = self.link(dst).ok_or_else(|| disconnected.clone())?;
         if link.is_closed() {
@@ -634,12 +468,7 @@ impl<T: Wire> Io<T> {
         let mut bytes = link.spare.pop().unwrap_or_default();
         encode_data_frame(&mut bytes, me, round, sim_now, &items)
             .map_err(|e| CommError::transport(me, &e))?;
-        let after = if logging && round != ASYNC_ROUND {
-            After::Log(round)
-        } else {
-            After::Recycle
-        };
-        link.out.push_back(Outgoing { bytes, after });
+        link.out.push_back(bytes);
         // The items are on the frame now: the emptied vector goes to the
         // endpoint's pool, so its next staging reuses the capacity.
         items.clear();
@@ -686,8 +515,7 @@ impl<T: Wire> Io<T> {
         }
     }
 
-    /// Waits until every live link has written all it holds. Links
-    /// awaiting a rejoin keep theirs for the new socket.
+    /// Waits until every live link has written all it holds.
     fn flush(&mut self, own: *const ()) -> Result<(), CommError> {
         loop {
             self.pass();
@@ -728,10 +556,7 @@ impl<T: Wire> Io<T> {
             for link in self.links.iter_mut().flatten().filter(live) {
                 let mut bytes = link.spare.pop().unwrap_or_default();
                 if encode_frame_into(FrameKind::Shutdown, &shutdown, &mut bytes).is_ok() {
-                    link.out.push_back(Outgoing {
-                        bytes,
-                        after: After::Recycle,
-                    });
+                    link.out.push_back(bytes);
                 }
                 // Written at once, before a pass can read the peer's own
                 // Shutdown and drop what is queued for it: every peer is
@@ -814,8 +639,6 @@ pub(crate) trait SocketMesh<T>: Send {
     fn recycle_raw(&self, from: usize, bytes: Vec<u8>);
     /// A staging vector an encode has emptied, if any is waiting.
     fn take_returned(&self) -> Option<Vec<T>>;
-    /// Prunes every link's replay log below `watermark`.
-    fn prune_log(&self, watermark: u64, stats: &NetStats);
     /// Severs every link without Shutdown frames, as a killed process would.
     #[cfg(test)]
     fn crash(&self);
@@ -831,20 +654,13 @@ pub(crate) struct TcpLinks<T: Wire + Send + 'static> {
 }
 
 impl<T: Wire + Send + 'static> TcpLinks<T> {
-    /// Takes over established connections. With `opts.rejoin_window` set
-    /// the links run in recovery mode: written Data frames are logged for
-    /// replay, a torn link waits for its peer instead of failing the
-    /// mesh, and `listener` admits the peer's rejoin dial. `start_round`
-    /// is the first round each link expects (non-zero when this machine
-    /// itself rejoins mid-run).
+    /// Takes over established connections; a torn one fails the mesh.
     pub(crate) fn new(
         me: usize,
         n: usize,
         peers: Vec<PeerLink>,
         stats: &Arc<NetStats>,
         opts: &TcpOptions,
-        listener: Option<TcpListener>,
-        start_round: u64,
     ) -> Result<Self, CommError> {
         let mut links: Vec<Option<Link>> = (0..n).map(|_| None).collect();
         for PeerLink { peer, stream } in peers {
@@ -855,16 +671,12 @@ impl<T: Wire + Send + 'static> TcpLinks<T> {
                 me,
                 detail: format!("peer {peer} is outside a mesh of {n} machines"),
             })?;
-            *slot = Some(Link::new(peer, stream, start_round));
+            *slot = Some(Link::new(peer, stream));
         }
-        // A listener that cannot go non-blocking cannot sit in the loop;
-        // the mesh still works without it, it just cannot admit a rejoin.
-        let listener = listener.filter(|l| l.set_nonblocking(true).is_ok());
         let io = Io {
             me,
             links,
-            listener,
-            opts: opts.clone(),
+            write_timeout: opts.write_timeout,
             inbound: VecDeque::new(),
             returned: Vec::new(),
             failure: None,
@@ -932,18 +744,9 @@ impl<T: Wire + Send + 'static> SocketMesh<T> for TcpLinks<T> {
         self.shared.lock().returned.pop()
     }
 
-    fn prune_log(&self, watermark: u64, stats: &NetStats) {
-        for link in self.io().links.iter_mut().flatten() {
-            let Link { log, spare, .. } = link;
-            log.prune(watermark, stats, |bytes| pool_frame(spare, bytes));
-        }
-    }
-
     #[cfg(test)]
     fn crash(&self) {
-        let mut io = self.io();
-        io.sever();
-        io.listener = None;
+        self.io().sever();
     }
 
     #[cfg(test)]

@@ -45,5 +45,5 @@ pub use runtime::{run_machines, try_run_machines};
 pub use stats::{NetStats, Phase, PhaseStats, StatsSnapshot};
 pub use transport::{
     build_endpoints, connect_tcp_endpoint, decode_batch, decode_batch_raw, encode_batch,
-    reconnect_tcp_endpoint, TransportKind,
+    TransportKind,
 };

@@ -1,23 +1,12 @@
-//! Fault-tolerance plumbing under the TCP mesh: seeded fail points, what
-//! a link knows about its far end, and the outbound frame log that makes
-//! a restarted worker's rejoin exact.
+//! Fault-injection plumbing under the TCP mesh: seeded fail points, and
+//! what a link knows about its far end.
 //!
-//! The design rides the determinism contract from PR 1: a restarted
-//! worker re-executes from its last snapshot and regenerates *bitwise
-//! identical* outbound rounds, while each surviving peer replays its
-//! logged outbound frames for the rounds the dead worker lost. Rounds
-//! are dense per link (every exchange sends to every peer, empty batches
-//! included), so receive-side deduplication is pure counting: a link
-//! tracks how many rounds it has already delivered, and drops exactly
-//! that prefix of the replayed or regenerated stream. DESIGN.md §12 walks
-//! through the full protocol.
+//! Recovery itself is not here: a worker that dies fails its peers' links,
+//! the whole gang exits, and the launcher restarts every worker from the
+//! newest checkpoint generation all of them hold (DESIGN.md §12). The
+//! fail points below are how the test harness kills one deterministically.
 
 use std::sync::OnceLock;
-use std::time::Instant;
-
-use lazygraph_net::HEADER_LEN;
-
-use crate::stats::NetStats;
 
 /// A seeded fault-injection point, parsed once from the
 /// `LAZYGRAPH_FAILPOINT` environment variable:
@@ -125,8 +114,8 @@ pub fn failpoint_superstep(superstep: u64) {
 /// `Endpoint::exchange` with the round and the 1-based index of the send.
 /// When it fires, `flush` first writes the frames already encoded for the
 /// earlier peers to their sockets: the kill then lands *between* two
-/// peers' frames, leaving the survivors at different watermarks for the
-/// victim, rather than before all of them.
+/// peers' frames — some survivors hold the victim's round, the rest do
+/// not — rather than before all of them.
 pub fn failpoint_send(round: u64, n: u64, flush: impl FnOnce()) {
     if let Ok(Some(FailPoint::Send { round: r, n: k })) = armed_failpoint() {
         if *r == round && *k == n {
@@ -159,69 +148,16 @@ pub enum LinkStatus {
     /// errors observed afterwards (a close can RST buffered bytes) must
     /// never be reported as a failure.
     CleanClosed,
-    /// The connection tore without a Shutdown — the peer likely died.
-    /// In recovery mode the link waits in this state for a rejoin until
-    /// the configured window expires; the instant records when the tear
-    /// was noticed.
-    Down(Instant),
+    /// The connection tore without a Shutdown — the peer likely died, and
+    /// the mesh has failed.
+    Down,
     /// This endpoint closed the link: local teardown.
     Finished,
-}
-
-/// One link's outbound Data frames since the last checkpoint prune, by
-/// round — what a rejoining peer is replayed. A frame's buffer moves in
-/// once the socket has taken all of it (it is never copied) and moves out
-/// again, to the link's pool, when a checkpoint prunes it. Populated only
-/// in recovery mode (`TcpOptions::rejoin_window` set).
-#[derive(Debug, Default)]
-pub struct FrameLog {
-    /// Whole frames, header included, in send order — which is round
-    /// order, since a link carries one batch per round.
-    frames: Vec<(u64, Vec<u8>)>,
-}
-
-impl FrameLog {
-    /// Logs the written frame of `round`. `stats` keeps the payload bytes
-    /// of every link's log together, and their high-water mark.
-    pub fn push(&mut self, round: u64, frame: Vec<u8>, stats: &NetStats) {
-        stats.record_frame_logged(payload_len(&frame));
-        self.frames.push((round, frame));
-    }
-
-    /// Copies of the logged frames for rounds `>= from`, in send order,
-    /// for replay to a rejoined peer.
-    pub fn replay_from(&self, from: u64) -> Vec<Vec<u8>> {
-        self.frames
-            .iter()
-            .filter(|(r, _)| *r >= from)
-            .map(|(_, f)| f.clone())
-            .collect()
-    }
-
-    /// Drops the frames below `watermark` — called after a checkpoint
-    /// barrier proves every peer has durably passed those rounds — and
-    /// hands each pruned buffer to `spare`.
-    pub fn prune(&mut self, watermark: u64, stats: &NetStats, mut spare: impl FnMut(Vec<u8>)) {
-        let cut = self.frames.partition_point(|(r, _)| *r < watermark);
-        let mut pruned = 0u64;
-        for (_, frame) in self.frames.drain(..cut) {
-            pruned += payload_len(&frame);
-            spare(frame);
-        }
-        stats.record_frame_log_pruned(pruned);
-    }
-}
-
-/// What the log counts of a frame: its payload, as the bytes a batch
-/// costs on the wire beyond the fixed header.
-fn payload_len(frame: &[u8]) -> u64 {
-    frame.len().saturating_sub(HEADER_LEN) as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lazygraph_net::{encode_frame_into, FrameKind};
 
     #[test]
     fn failpoint_syntax_parses() {
@@ -239,29 +175,5 @@ mod tests {
         for fp in [FailPoint::Superstep(4), FailPoint::Send { round: 7, n: 2 }, ckpt] {
             assert_eq!(FailPoint::parse(&fp.to_string()), Some(fp));
         }
-    }
-
-    fn frame(payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        encode_frame_into(FrameKind::Data, payload, &mut out).unwrap();
-        out
-    }
-
-    #[test]
-    fn log_replay_and_prune() {
-        let (mut l, stats) = (FrameLog::default(), NetStats::new());
-        for r in 0..5u64 {
-            l.push(r, frame(&[r as u8]), &stats);
-        }
-        assert_eq!(l.replay_from(3), vec![frame(&[3]), frame(&[4])]);
-        let mut spared = Vec::new();
-        l.prune(4, &stats, |f| spared.push(f));
-        assert_eq!(l.replay_from(0), vec![frame(&[4])]);
-        // Pruned buffers go back whole, in round order, for the next encode.
-        assert_eq!(spared, (0..4u8).map(|r| frame(&[r])).collect::<Vec<_>>());
-        // The mark is the most the log ever held, not what it holds now:
-        // one more frame after the prune makes two bytes live, five at peak.
-        l.push(5, frame(&[5]), &stats);
-        assert_eq!(stats.snapshot().frame_log_high_water, 5);
     }
 }

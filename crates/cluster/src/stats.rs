@@ -77,10 +77,6 @@ macro_rules! counters {
             est_bytes: [AtomicU64; NUM_PHASES],
             batches: [AtomicU64; NUM_PHASES],
             items: [AtomicU64; NUM_PHASES],
-            /// Bytes the outbound frame logs hold right now — the level
-            /// `frame_log_high_water` is the mark of; not a counter, so
-            /// not a row.
-            frame_log_bytes: AtomicU64,
             $($name: AtomicU64,)+
         }
 
@@ -147,16 +143,9 @@ counters! {
     wire_frames_sent: sum,
     /// Frames read from sockets.
     wire_frames_recv: sum,
-    /// Rejoins admitted after a torn link (recovery mode only; 0 on
-    /// undisturbed runs). Fault telemetry, outside the determinism
-    /// counter contract.
-    reconnects: sum,
     /// Checkpoint snapshot bytes written to disk (0 with checkpointing
     /// disabled).
     snapshot_bytes: sum,
-    /// Logged frames retransmitted to rejoined peers (0 on undisturbed
-    /// runs). Fault telemetry, outside the determinism counter contract.
-    replay_rounds: sum,
     /// Inbound Data frames handed off zero-copy in a recycled payload
     /// buffer (TCP only; 0 in-proc). Timing/pool telemetry like
     /// `pool_hits`: the warmup tail depends on scheduling, so this is
@@ -176,13 +165,6 @@ counters! {
     /// High-water mark of any single priority bucket's occupancy in one
     /// epoch: across workers it is the largest any of them reached.
     bucket_high_water: max,
-    /// High-water mark, in bytes, of the outbound frames a worker's links
-    /// keep logged for replay between two checkpoint prunes (both meshes;
-    /// 0 without a rejoin window): across workers, the largest any of them
-    /// held. A frame is logged once its socket has taken all of it;
-    /// outside the determinism counter contract like the other fault
-    /// telemetry.
-    frame_log_high_water: max,
 }
 
 impl NetStats {
@@ -267,36 +249,10 @@ impl NetStats {
         self.wire_bytes_recv.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Records one rejoin admitted from this endpoint's listener (a torn
-    /// link moved onto a restarted peer's new connection).
-    #[inline]
-    pub fn record_reconnect(&self) {
-        self.reconnects.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records `bytes` of checkpoint snapshot written to disk.
     #[inline]
     pub fn record_snapshot_bytes(&self, bytes: u64) {
         self.snapshot_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Records `bytes` of outbound frame appended to a replay log.
-    #[inline]
-    pub fn record_frame_logged(&self, bytes: u64) {
-        let held = self.frame_log_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.frame_log_high_water.fetch_max(held, Ordering::Relaxed);
-    }
-
-    /// Records `bytes` of logged frames dropped by a checkpoint prune.
-    #[inline]
-    pub fn record_frame_log_pruned(&self, bytes: u64) {
-        self.frame_log_bytes.fetch_sub(bytes, Ordering::Relaxed);
-    }
-
-    /// Records one logged frame retransmitted to a rejoined peer.
-    #[inline]
-    pub fn record_replay_round(&self) {
-        self.replay_rounds.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records `n` inbound Data frames handed off zero-copy in a payload
@@ -469,14 +425,9 @@ mod tests {
         s.record_pool_evictions(3);
         s.record_wire_sent(7, 700);
         s.record_wire_recv(8, 800);
-        s.record_reconnect();
         s.record_snapshot_bytes(4096);
-        s.record_replay_round();
-        s.record_replay_round();
         let snap = s.snapshot();
-        assert_eq!(snap.reconnects, 1);
         assert_eq!(snap.snapshot_bytes, 4096);
-        assert_eq!(snap.replay_rounds, 2);
         let back = StatsSnapshot::from_wire(&snap.to_wire()).unwrap();
         assert_eq!(back, snap);
     }

@@ -21,8 +21,8 @@
 //! fails the mesh, and every later call — `exchange`, `send`, `recv`,
 //! `try_recv` — reports [`CommError::Transport`]; a blocking call whose
 //! peers have all left cleanly reports [`CommError::MeshClosed`] instead
-//! of waiting forever. In recovery mode a torn link waits for its peer to
-//! rejoin, and fails the mesh when the rejoin window runs out.
+//! of waiting forever. A failed mesh is never mended: recovery restarts
+//! the whole gang on fresh meshes (DESIGN.md §12).
 //!
 //! ## Wire format of a Data frame payload
 //!
@@ -34,11 +34,10 @@
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::time::Duration;
 
 use lazygraph_net::{
-    connect_mesh, dial_rejoin, FrameKind, NetError, PeerLink, TcpOptions, Wire, WireReader,
-    HEADER_LEN, MAX_FRAME,
+    connect_mesh, FrameKind, NetError, PeerLink, TcpOptions, Wire, WireReader, HEADER_LEN,
+    MAX_FRAME,
 };
 
 use crate::comm::{build_mesh, Batch, Endpoint, RawBatch};
@@ -227,10 +226,7 @@ pub fn build_tcp_mesh<T: Wire + Send + 'static>(
                 s.spawn(move || -> Result<Endpoint<T>, CommError> {
                     let links = connect_mesh(me, addrs, &listener, opts)
                         .map_err(|e| CommError::transport(me, &e))?;
-                    // In recovery mode the listener joins the endpoint's
-                    // poll set so a restarted peer can dial back in.
-                    let keep = opts.rejoin_window.map(|_| listener);
-                    tcp_endpoint(me, n, links, stats, opts, keep, 0)
+                    tcp_endpoint(me, n, links, stats, opts)
                 })
             })
             .collect();
@@ -259,7 +255,8 @@ fn own_addr(me: usize, addrs: &[SocketAddr]) -> Result<SocketAddr, CommError> {
 }
 
 /// Binds `addrs[me]`, joins the mesh, and returns this machine's endpoint.
-/// The worker-process entry point: one data (or control) mesh per call.
+/// The worker-process entry point: one data (or control) mesh per call,
+/// the same on a gang's first start and on every restart.
 pub fn connect_tcp_endpoint<T: Wire + Send + 'static>(
     me: usize,
     addrs: &[SocketAddr],
@@ -275,75 +272,19 @@ pub fn connect_tcp_endpoint<T: Wire + Send + 'static>(
     }
     let listener = TcpListener::bind(mine).map_err(|e| io_err(me, "worker mesh bind", &e))?;
     let links = connect_mesh(me, addrs, &listener, opts).map_err(|e| CommError::transport(me, &e))?;
-    let keep = opts.rejoin_window.map(|_| listener);
-    tcp_endpoint(me, n, links, stats, opts, keep, 0)
-}
-
-/// Rejoins established meshes after a worker restart: dials *every* peer
-/// (no rank split — every rejoin leg is dialed by the restarted side, so
-/// there is no glare) with a `Rejoin` frame carrying `resume_round`, the
-/// first round this worker will regenerate. Each peer's loop admits the
-/// dial from its listener, moves the torn link onto the new socket and
-/// replays its logged outbound frames for rounds `>= resume_round`; this
-/// endpoint's round counter and per-link dedupe baselines start at
-/// `resume_round` likewise.
-///
-/// Recovery mode is mandatory here; if `opts.rejoin_window` is unset a
-/// default window is applied.
-pub fn reconnect_tcp_endpoint<T: Wire + Send + 'static>(
-    me: usize,
-    addrs: &[SocketAddr],
-    resume_round: u64,
-    stats: &Arc<NetStats>,
-    opts: &TcpOptions,
-) -> Result<Endpoint<T>, CommError> {
-    let n = addrs.len();
-    let mine = own_addr(me, addrs)?;
-    let mut opts = opts.clone();
-    opts.rejoin_window.get_or_insert(Duration::from_secs(10));
-    if n == 1 {
-        let mut eps = build_mesh(1);
-        let mut ep = eps.pop().ok_or(CommError::MeshClosed { me })?;
-        ep.set_next_round(resume_round);
-        return Ok(ep);
-    }
-    // Best-effort rebind of our original mesh address so later failures
-    // of *other* workers can still rejoin through us. Lingering kernel
-    // state from the dead process can make the bind fail; single-failure
-    // runs never need it, so that is not an error.
-    let listener = TcpListener::bind(mine).ok();
-    let mut links = Vec::with_capacity(n - 1);
-    for (j, addr) in addrs.iter().enumerate() {
-        if j == me {
-            continue;
-        }
-        let stream =
-            dial_rejoin(addr, me, resume_round, &opts).map_err(|e| CommError::transport(me, &e))?;
-        links.push(PeerLink { peer: j, stream });
-    }
-    let mut ep = tcp_endpoint(me, n, links, stats, &opts, listener, resume_round)?;
-    ep.set_next_round(resume_round);
-    Ok(ep)
+    tcp_endpoint(me, n, links, stats, opts)
 }
 
 /// Wraps established peer connections into an [`Endpoint`] whose machine
-/// thread drives them.
-///
-/// With `opts.rejoin_window` unset this is fail-fast: a torn connection
-/// fails the mesh. With a window set the mesh runs in *recovery mode*:
-/// written Data rounds are logged for replay, a torn link waits for its
-/// peer instead of failing, and `listener` admits a restarted peer
-/// dialing back in with a [`FrameKind::Rejoin`] handshake.
+/// thread drives them. A torn connection fails the mesh.
 fn tcp_endpoint<T: Wire + Send + 'static>(
     me: usize,
     n: usize,
     links: Vec<PeerLink>,
     stats: &Arc<NetStats>,
     opts: &TcpOptions,
-    listener: Option<TcpListener>,
-    start_round: u64,
 ) -> Result<Endpoint<T>, CommError> {
-    let links = TcpLinks::<T>::new(me, n, links, stats, opts, listener, start_round)?;
+    let links = TcpLinks::<T>::new(me, n, links, stats, opts)?;
     Ok(Endpoint::on_sockets(me, n, Box::new(links)))
 }
 
@@ -353,8 +294,7 @@ mod tests {
     use crate::comm::OutboxSet;
     use crate::recovery::LinkStatus;
     use crate::stats::Phase;
-    use std::sync::mpsc::channel;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn transport_kind_parses() {
@@ -371,14 +311,11 @@ mod tests {
         // Also with a one-entry list, which must not become a 1-machine mesh.
         for n in [1, 2] {
             let addrs: Vec<SocketAddr> = vec!["127.0.0.1:1".parse().unwrap(); n];
-            let fresh = connect_tcp_endpoint::<u8>(3, &addrs, &stats, &opts).err();
-            let rejoin = reconnect_tcp_endpoint::<u8>(3, &addrs, 0, &stats, &opts).err();
-            for err in [fresh, rejoin] {
-                let Some(CommError::Transport { me: 3, detail }) = err else {
-                    panic!("expected a transport error for rank 3 of {n}, got {err:?}");
-                };
-                assert!(detail.contains(&format!("mesh of {n} machines")), "{detail}");
-            }
+            let err = connect_tcp_endpoint::<u8>(3, &addrs, &stats, &opts).err();
+            let Some(CommError::Transport { me: 3, detail }) = err else {
+                panic!("expected a transport error for rank 3 of {n}, got {err:?}");
+            };
+            assert!(detail.contains(&format!("mesh of {n} machines")), "{detail}");
         }
     }
 
@@ -576,114 +513,13 @@ mod tests {
         let mut b2 = ep2.recv().unwrap();
         b2.make_items().unwrap();
         assert_eq!(b2.items, vec![11]);
-        assert_eq!(stats.snapshot().reconnects, 0);
-    }
-
-    /// Reserves `n` distinct loopback addresses (bind, record, release) —
-    /// the same trick the multiprocess launcher uses.
-    fn alloc_addrs(n: usize) -> Vec<SocketAddr> {
-        let listeners: Vec<_> = (0..n)
-            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
-            .collect();
-        listeners.iter().map(|l| l.local_addr().unwrap()).collect()
-    }
-
-    #[test]
-    fn crashed_machine_rejoins_with_exact_replay() {
-        // End-to-end rejoin over a live 2-machine recovery-mode mesh:
-        // machine 0 completes rounds 0..3, dies without Shutdown frames,
-        // and a fresh endpoint rejoins with resume_round = 2 (as if its
-        // last checkpoint was taken there). The survivor must see every
-        // round's payload exactly once (replay duplicates deduped), and
-        // the rejoiner must receive the survivor's rounds 2..6 — round 2
-        // from the replay log, the rest live.
-        let n = 2;
-        let stats = Arc::new(NetStats::new());
-        let opts = TcpOptions {
-            rejoin_window: Some(Duration::from_secs(30)),
-            ..TcpOptions::default()
-        };
-        let addrs = alloc_addrs(n);
-        let payload = |me: usize, round: u64| (me as u32 + 1) * 100 + round as u32;
-        let rounds_total = 6u64;
-        let crash_after = 3u64; // machine 0 dies with next_round == 3
-        let resume_round = 2u64; // pretend checkpoint watermark
-
-        let run_rounds = move |ep: &mut Endpoint<u32>,
-                          rounds: std::ops::Range<u64>,
-                          stats: &Arc<NetStats>|
-         -> Vec<u32> {
-            let me = ep.me();
-            let mut got = Vec::new();
-            for round in rounds {
-                let mut ob = OutboxSet::new(n);
-                ob.push(1 - me, payload(me, round));
-                let batches = ep.exchange(&mut ob, 0.0, Phase::Coherency, 4, stats).unwrap();
-                for mut b in batches {
-                    b.make_items().unwrap();
-                    got.extend_from_slice(&b.items);
-                    ep.recycle(b);
-                }
-            }
-            got
-        };
-
-        let (m0_done_tx, m0_done_rx) = channel::<()>();
-        let (m1_done_tx, m1_done_rx) = channel::<()>();
-        let (crash_tx, crash_rx) = channel::<()>();
-
-        // The doomed machine takes `crash_rx` by move (a receiver is not
-        // `Sync`), so everything else it uses is a reference.
-        let (addrs, stats, opts) = (&addrs, &stats, &opts);
-        let (got0, got1) = std::thread::scope(|s| {
-            let survivor = s.spawn(|| {
-                let mut ep = connect_tcp_endpoint::<u32>(1, addrs, stats, opts).unwrap();
-                // Rounds 0..3 against the doomed first incarnation...
-                let mut got = run_rounds(&mut ep, 0..crash_after, stats);
-                m1_done_tx.send(()).unwrap();
-                // ...then block mid-exchange until the rejoin completes.
-                got.extend(run_rounds(&mut ep, crash_after..rounds_total, stats));
-                got
-            });
-            let doomed = s.spawn(move || {
-                let mut ep = connect_tcp_endpoint::<u32>(0, addrs, stats, opts).unwrap();
-                run_rounds(&mut ep, 0..crash_after, stats);
-                m0_done_tx.send(()).unwrap();
-                crash_rx.recv().unwrap();
-                // Bare EOF everywhere — no Shutdown frames, like a kill.
-                ep.crash_for_test();
-            });
-            // Only crash once both sides have fully delivered rounds < 3 —
-            // exactly the guarantee a checkpoint barrier provides for rounds
-            // below the snapshot watermark.
-            m0_done_rx.recv().unwrap();
-            m1_done_rx.recv().unwrap();
-            crash_tx.send(()).unwrap();
-            doomed.join().unwrap();
-
-            let mut ep =
-                reconnect_tcp_endpoint::<u32>(0, addrs, resume_round, stats, opts).unwrap();
-            // Regenerate rounds 2..6 bit-identically; the survivor's dedupe
-            // drops the repeated round 2, and its replay log covers the
-            // rounds 2..4 the dead instance took with it.
-            let got0 = run_rounds(&mut ep, resume_round..rounds_total, stats);
-            drop(ep);
-            (got0, survivor.join().unwrap())
-        });
-        let want1: Vec<u32> = (0..rounds_total).map(|r| payload(0, r)).collect();
-        let want0: Vec<u32> = (resume_round..rounds_total).map(|r| payload(1, r)).collect();
-        assert_eq!(got1, want1, "survivor saw every round exactly once");
-        assert_eq!(got0, want0, "rejoiner saw replayed + live rounds");
-        let snap = stats.snapshot();
-        assert_eq!(snap.reconnects, 1);
-        assert!(snap.replay_rounds >= 1, "round 2 must come from the log");
     }
 
     /// Machines 0 and 1 of a 3-machine mesh whose machine 2 has died: bare
     /// EOF on both of its links, as from a killed process.
-    fn mesh_without_machine_2(opts: &TcpOptions) -> (Endpoint<u32>, Endpoint<u32>, Arc<NetStats>) {
+    fn mesh_without_machine_2() -> (Endpoint<u32>, Endpoint<u32>, Arc<NetStats>) {
         let stats = Arc::new(NetStats::new());
-        let mut eps = build_tcp_mesh::<u32>(3, &stats, opts).unwrap();
+        let mut eps = build_tcp_mesh::<u32>(3, &stats, &TcpOptions::default()).unwrap();
         eps.pop().unwrap().crash_for_test();
         let ep1 = eps.pop().unwrap();
         (eps.pop().unwrap(), ep1, stats)
@@ -696,7 +532,7 @@ mod tests {
 
     #[test]
     fn exchange_over_a_torn_link_is_a_transport_error() {
-        let (mut ep0, _ep1, stats) = mesh_without_machine_2(&TcpOptions::default());
+        let (mut ep0, _ep1, stats) = mesh_without_machine_2();
         let err = ep0
             .exchange(&mut OutboxSet::new(3), 0.0, Phase::Coherency, 4, &stats)
             .unwrap_err();
@@ -705,14 +541,14 @@ mod tests {
 
     #[test]
     fn recv_over_a_torn_link_is_a_transport_error() {
-        let (mut ep0, _ep1, _) = mesh_without_machine_2(&TcpOptions::default());
+        let (mut ep0, _ep1, _) = mesh_without_machine_2();
         let err = ep0.recv().unwrap_err();
         assert!(torn_by_machine_2(&err, 0), "{err:?}");
     }
 
     #[test]
     fn try_recv_over_a_torn_link_is_a_transport_error() {
-        let (mut ep0, ep1, stats) = mesh_without_machine_2(&TcpOptions::default());
+        let (mut ep0, ep1, stats) = mesh_without_machine_2();
         // A batch that arrived before the failure is still delivered...
         ep1.send(0, vec![7], 0.0, Phase::Async, 4, &stats).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -730,19 +566,5 @@ mod tests {
         assert!(torn_by_machine_2(&err, 0), "{err:?}");
         assert_eq!(ep0.try_recv().unwrap_err(), err);
         assert_eq!(ep0.send(1, vec![8], 0.0, Phase::Async, 4, &stats).unwrap_err(), err);
-    }
-
-    #[test]
-    fn a_rejoin_window_that_runs_out_fails_the_mesh() {
-        let window = Duration::from_millis(300);
-        let opts = TcpOptions { rejoin_window: Some(window), ..TcpOptions::default() };
-        let (mut ep0, _ep1, _) = mesh_without_machine_2(&opts);
-        let torn = Instant::now();
-        // In recovery mode the torn link waits for machine 2 to come back;
-        // nobody does, so the wait ends with the window.
-        let err = ep0.recv().unwrap_err();
-        assert!(torn.elapsed() >= window, "failed before the window ran out");
-        assert!(torn_by_machine_2(&err, 0), "{err:?}");
-        assert!(err.to_string().contains("did not rejoin"), "{err}");
     }
 }

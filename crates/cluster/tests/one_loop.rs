@@ -157,7 +157,7 @@ fn alone(name: &str, body: impl FnOnce()) {
 /// during exchanges: the mesh adds none. The machine threads exist before
 /// the mesh does, so the only threads that could appear are the
 /// transport's.
-fn no_transport_threads(opts: TcpOptions) {
+fn no_transport_threads() {
     let stats = Arc::new(NetStats::new());
     let (seat_txs, seat_rxs): (Vec<_>, Vec<_>) = (0..MACHINES)
         .map(|_| mpsc::channel::<Endpoint<u64>>())
@@ -196,7 +196,7 @@ fn no_transport_threads(opts: TcpOptions) {
         .collect();
     drop(count_tx);
     let before = threads();
-    let eps = build_tcp_mesh::<u64>(MACHINES, &stats, &opts).unwrap();
+    let eps = build_tcp_mesh::<u64>(MACHINES, &stats, &TcpOptions::default()).unwrap();
     assert_eq!(
         settled(before),
         before,
@@ -219,16 +219,6 @@ fn no_transport_threads(opts: TcpOptions) {
 #[test]
 fn a_fail_fast_mesh_runs_no_thread() {
     alone("a_fail_fast_mesh_runs_no_thread", || {
-        no_transport_threads(TcpOptions::default())
-    });
-}
-
-#[test]
-fn a_recovery_mode_mesh_runs_no_thread() {
-    alone("a_recovery_mode_mesh_runs_no_thread", || {
-        no_transport_threads(TcpOptions {
-            rejoin_window: Some(Duration::from_secs(30)),
-            ..TcpOptions::default()
-        })
+        no_transport_threads()
     });
 }

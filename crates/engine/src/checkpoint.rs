@@ -1,20 +1,18 @@
-//! Checkpoint/replay fault tolerance (PR 6): periodic vertex snapshots
-//! riding the engines' existing coherency barriers.
+//! Checkpoint/restart fault tolerance: periodic vertex snapshots riding
+//! the engines' existing coherency barriers.
 //!
 //! A checkpoint is one machine's complete cross-iteration state — the
 //! [`MachineState`](crate::state::MachineState) arrays, the simulated
 //! clock and its breakdown, the iteration counter, the engine's carried
-//! record ([`Superstep::Carry`](crate::machine::Superstep::Carry)), the
-//! machine's trace, and the two mesh *round watermarks* (the
-//! next data-mesh round and the next control-mesh round). The watermarks
-//! are what make the log-based replay in `lazygraph-cluster::recovery`
-//! sound: PR 1's determinism contract guarantees a restarted worker
-//! re-executing from iteration `i` regenerates byte-identical outbound
-//! rounds `>= W`, while every surviving peer replays its logged rounds
-//! `>= W` — so the rejoined mesh is indistinguishable from one that never
-//! tore. DESIGN.md §12 walks through the protocol.
+//! record ([`Superstep::Carry`](crate::machine::Superstep::Carry)) and the
+//! machine's trace. Every machine snapshots at the same barrier, so one
+//! generation across all machines is a consistent cut: no message is in
+//! flight across it. A gang restarted from a generation every machine
+//! holds re-executes from there, and the determinism contract makes the
+//! rest of the run bitwise the undisturbed one's. DESIGN.md §12 walks
+//! through the protocol.
 //!
-//! ## On-disk format (v10)
+//! ## On-disk format (v11)
 //!
 //! ```text
 //! [magic "LZCK" u32 LE][version u32]
@@ -97,8 +95,10 @@ pub const CKPT_MAGIC: u32 = 0x4b435a4c;
 /// each a hand-kept copy of engine fields) with `carry`, the bytes of the
 /// engine's one carried record, and appended the trace as a section: a
 /// resumed machine's trace continues from its snapshot instead of
-/// restarting there.
-pub const CKPT_VERSION: u32 = 10;
+/// restarting there. v11 dropped the two mesh round watermarks from the
+/// header: a restarted gang builds fresh meshes at round 0 and replays
+/// nothing.
+pub const CKPT_VERSION: u32 = 11;
 /// Payload bytes after which the writer closes a chunk.
 pub const CKPT_CHUNK: usize = 1 << 20;
 /// Largest encoding of one element (a value, or a mask word with the
@@ -511,8 +511,7 @@ impl<R: Read + Seek> ChunkReader<R> {
 
 /// The engine tag a snapshot carries — the one `EngineKind` → tag mapping.
 /// `None` for the engines that cannot checkpoint: those that pump, whose
-/// out-of-band batches have no barrier to cut a snapshot at and no round
-/// to replay.
+/// out-of-band batches have no barrier to cut a snapshot at.
 pub fn snapshot_tag(kind: EngineKind) -> Option<u8> {
     match kind {
         EngineKind::PowerGraphSync => Some(0),
@@ -524,10 +523,9 @@ pub fn snapshot_tag(kind: EngineKind) -> Option<u8> {
     }
 }
 
-/// What a snapshot says before its arrays: everything a resumed worker
-/// needs to rejoin the meshes (the two watermarks) and everything of the
-/// skeleton's and the engine's cross-iteration state that is not a
-/// per-vertex array or the trace. Alone in the file's first chunk.
+/// What a snapshot says before its arrays: everything of the skeleton's
+/// and the engine's cross-iteration state that is not a per-vertex array
+/// or the trace. Alone in the file's first chunk.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SnapshotHeader {
     /// Engine tag ([`snapshot_tag`]): 0 = Sync, 1 = LazyBlock,
@@ -543,12 +541,6 @@ pub struct SnapshotHeader {
     /// `BspSync::last_global`: the global clock the last sync set, from
     /// which the next sync books compute.
     pub last_global: f64,
-    /// Data-mesh replay watermark `W`: the round the resumed machine will
-    /// send next; peers replay their logged rounds `>= W`.
-    pub data_round: u64,
-    /// Control-mesh replay watermark: the round of the checkpoint barrier
-    /// itself, which a resumed machine always re-executes.
-    pub ctrl_round: u64,
     /// The `Wire` bytes of the engine's
     /// [`Carry`](crate::machine::Superstep::Carry) (none for an engine
     /// that carries nothing).
@@ -561,8 +553,6 @@ wire_record!(SnapshotHeader {
     clock,
     breakdown,
     last_global,
-    data_round,
-    ctrl_round,
     carry,
 });
 
@@ -920,40 +910,51 @@ impl SnapshotStore {
         Ok(())
     }
 
-    /// Opens the newest snapshot that verifies, for a resume: first
-    /// removes what a save this machine died in left behind (its
-    /// `ckpt-<rank>-*.tmp`), then walks the generations newest first. A
-    /// file's whole container is verified before its header is trusted —
-    /// a corrupt chunk must be found while an older generation can still
-    /// be chosen, not after the meshes were joined at this one's
-    /// watermarks. A corrupt generation
-    /// ([`CheckpointError::is_corruption`]) is reported to `skipped` and
-    /// passed over — that is what its predecessor is kept for; any other
-    /// failure is the caller's. `Ok(None)` means no snapshot exists (a
-    /// fresh start, not an error).
-    pub fn open_latest(
+    /// The generations of this machine whose files verify, newest first:
+    /// what the launcher intersects over the gang to choose the generation
+    /// a restart resumes from. First removes what a save this machine died
+    /// in left behind: its `ckpt-<rank>-*.tmp`, never another rank's. A
+    /// corrupt generation ([`CheckpointError::is_corruption`]) is reported
+    /// to `skipped` and passed over — that is what its predecessor is kept
+    /// for; any other failure is the caller's. Empty means a fresh start.
+    pub fn verified(
         &self,
         mut skipped: impl FnMut(&Path, &CheckpointError),
-    ) -> Result<Option<SnapshotReader<File>>, CheckpointError> {
+    ) -> Result<Vec<u64>, CheckpointError> {
         for (_, torn) in self.list(".tmp")? {
             let _ = std::fs::remove_file(torn);
         }
-        for (_, path) in self.generations()? {
-            let file = match File::open(&path) {
-                Ok(file) => file,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(io_err("open", &e)),
-            };
-            let opened = ChunkReader::new(file)
-                .and_then(ChunkReader::verified)
-                .and_then(SnapshotReader::at_first_chunk);
-            match opened {
-                Ok(snapshot) => return Ok(Some(snapshot)),
+        let mut found = Vec::new();
+        for (iteration, path) in self.generations()? {
+            match self.open_at(iteration) {
+                Ok(_) => found.push(iteration),
                 Err(e) if e.is_corruption() => skipped(&path, &e),
                 Err(e) => return Err(e),
             }
         }
-        Ok(None)
+        Ok(found)
+    }
+
+    /// Opens generation `iteration` for a resume. Its whole container is
+    /// verified before its header is trusted, so a corrupt chunk is found
+    /// while an older generation can still be chosen.
+    pub fn open_at(&self, iteration: u64) -> Result<SnapshotReader<File>, CheckpointError> {
+        let file = File::open(self.file_name(iteration)).map_err(|e| io_err("open", &e))?;
+        ChunkReader::new(file)
+            .and_then(ChunkReader::verified)
+            .and_then(SnapshotReader::at_first_chunk)
+    }
+
+    /// Removes every generation newer than `keep` — all of them when
+    /// `None` — so that a restart from `keep` saves its own next
+    /// generations over nothing the retention could mistake for newer.
+    pub fn discard_after(&self, keep: Option<u64>) -> Result<(), CheckpointError> {
+        for (iteration, path) in self.generations()? {
+            if keep.is_none_or(|keep| iteration > keep) {
+                std::fs::remove_file(path).map_err(|e| io_err("remove", &e))?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -981,15 +982,13 @@ impl RecoveryCfg {
 /// caller has already checked the cadence): the frame, and `carry`, the
 /// engine's carried record.
 ///
-/// Ordering is load-bearing (DESIGN.md §12): the two replay watermarks are
-/// captured *before* the barrier — `data_round` is the round this machine
-/// sends next, `ctrl_round` is the round of the checkpoint barrier itself
-/// (a resumed machine always re-executes that barrier, so `prune_log`'s
-/// `>= watermark` retention keeps exactly the rounds replay needs). The
-/// barrier guarantees every machine has durably saved before anyone prunes
-/// the logs a rejoiner would replay from; it charges no simulated time, so
-/// checkpointed and checkpoint-free oracle runs report identical
-/// `sim_time` when both use the same cadence.
+/// The barrier after the save is load-bearing (DESIGN.md §12): no machine
+/// starts the next generation's save — whose retention would delete the
+/// generation before this one — until every machine has durably saved
+/// this one. So every machine stays within one generation of every other,
+/// and with two generations kept a generation all of them hold always
+/// exists. The barrier charges no simulated time, so checkpointed and
+/// checkpoint-free runs report identical `sim_time`.
 pub fn checkpoint_at_barrier<P: VertexProgram, M>(
     f: &Frame<'_, P, M>,
     store: &SnapshotStore,
@@ -1002,26 +1001,19 @@ pub fn checkpoint_at_barrier<P: VertexProgram, M>(
     };
     let tag = snapshot_tag(engine)
         .ok_or_else(|| fail("refused", &format_args!("{} has no snapshot tag", engine.name())))?;
-    let coll = &f.bsp.coll;
-    let data_round = f.port.ep.next_round();
-    let ctrl_round = coll.next_round(f.me)?;
     let header = SnapshotHeader {
         engine: tag,
         iterations: f.iterations,
         clock: f.clock.now(),
         breakdown: f.bsp.breakdown,
         last_global: f.bsp.last_global,
-        data_round,
-        ctrl_round,
         carry: carry.to_wire(),
     };
     let initial = |l| initial_data(f.shard, f.program, l, f.num_vertices);
     let bytes =
         store.save(&header, &f.state, &f.history, initial).map_err(|e| fail("save", &e))?;
     f.stats.record_snapshot_bytes(bytes);
-    coll.barrier(f.me, &f.stats)?;
-    f.port.ep.prune_log(data_round, &f.stats);
-    coll.prune_log(f.me, ctrl_round, &f.stats)
+    f.bsp.coll.barrier(f.me, &f.stats)
 }
 
 #[cfg(test)]
@@ -1093,8 +1085,6 @@ mod tests {
                 ..Default::default()
             },
             last_global: 1.4375,
-            data_round: 41,
-            ctrl_round: 17,
             carry: carry.to_wire(),
         }
     }
@@ -1141,7 +1131,7 @@ mod tests {
         }
     }
 
-    /// The whole-container check `open_latest` makes before it trusts a file.
+    /// The whole-container check `open_at` makes before it trusts a file.
     fn verify(file: &[u8]) -> Result<(), CheckpointError> {
         ChunkReader::new(std::io::Cursor::new(file))?.verified().map(drop)
     }
@@ -1251,7 +1241,7 @@ mod tests {
         // must fail the strict equality check, not decode garbage: every
         // version changed the layout.
         let file = sample_file();
-        for version in [3u32, 4, 5, 6, 7, 8, 9] {
+        for version in [3u32, 4, 5, 6, 7, 8, 9, 10] {
             let mut old = file.clone();
             old[4..8].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(verify(&old), Err(CheckpointError::BadHeader { .. })));
@@ -1291,7 +1281,7 @@ mod tests {
     }
 
     #[test]
-    fn store_saves_prunes_and_opens_latest() {
+    fn store_saves_and_prunes() {
         let dir = std::env::temp_dir().join(format!("lzck-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = SnapshotStore::new(&dir, 0);
@@ -1303,23 +1293,42 @@ mod tests {
         }
         // Newest-2 retention: iteration 2 is gone, 4 and 6 remain.
         assert_eq!(store.generations().unwrap().len(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// What a gang restart asks of one rank's store: the generations that
+    /// verify, newest first and without a corrupt one; exactly the chosen
+    /// one, opened; and nothing newer than it left behind.
+    #[test]
+    fn store_lists_verified_generations_opens_one_and_discards_newer() {
+        let dir = std::env::temp_dir().join(format!("lzck-gang-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = SnapshotStore::new(&dir, 1);
+        let mut header = sample_header();
+        for it in [4u64, 6] {
+            header.iterations = it;
+            store.save(&header, &sample_state(), &sample_history(), initial).unwrap();
+        }
         let none_skipped = |path: &Path, e: &CheckpointError| panic!("{}: {e}", path.display());
-        let latest = store.open_latest(none_skipped).unwrap().unwrap();
-        assert_eq!(latest.header().iterations, 6);
-        // Corrupt the newest: open_latest falls back to iteration 4.
+        assert_eq!(store.verified(none_skipped).unwrap(), [6, 4]);
+        assert_eq!(store.open_at(4).unwrap().header().iterations, 4);
+        assert!(matches!(store.open_at(2), Err(CheckpointError::Io { .. })));
+
         let newest = store.file_name(6);
         let mut bytes = std::fs::read(&newest).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
         std::fs::write(&newest, &bytes).unwrap();
-        let mut skipped = Vec::new();
-        let fallback = store
-            .open_latest(|path, e| skipped.push((path.to_path_buf(), e.to_string())))
-            .unwrap()
-            .unwrap();
-        assert_eq!(fallback.header().iterations, 4);
-        assert_eq!(skipped.len(), 1);
-        assert_eq!(skipped[0].0, newest);
+        let mut skipped = 0;
+        assert_eq!(store.verified(|_, _| skipped += 1).unwrap(), [4]);
+        assert_eq!(skipped, 1);
+        assert!(store.open_at(6).err().is_some_and(|e| e.is_corruption()));
+
+        store.discard_after(Some(4)).unwrap();
+        assert_eq!(store.verified(none_skipped).unwrap(), [4]);
+        assert!(!newest.exists());
+        store.discard_after(None).unwrap();
+        assert!(store.verified(none_skipped).unwrap().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1328,6 +1337,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("lzck-none-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = SnapshotStore::new(&dir, 3);
-        assert!(store.open_latest(|_, _| {}).unwrap().is_none());
+        assert!(store.verified(|_, _| {}).unwrap().is_empty());
     }
 }

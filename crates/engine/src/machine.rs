@@ -4,7 +4,7 @@
 //! exchange, ⊕-fold, vote at a barrier — with Sync as the degenerate case
 //! where every iteration is a coherency point. [`run_machine`] owns
 //! everything that shape has in common: the per-machine [`Frame`],
-//! snapshot restore and barrier re-execution, the superstep fail point,
+//! snapshot restore, the superstep fail point,
 //! the checkpoint barrier, and the masters → [`MachineOut`] epilogue. An
 //! engine is a [`Superstep`] implementation: its carried state, declared
 //! once as one record ([`Superstep::Carry`]), plus one `step` over the
@@ -21,7 +21,7 @@
 //! in-process driver hands it every shard of the placement it holds, with
 //! every leg of a threaded control mesh and data mesh; a
 //! `lazygraph-worker` process hands it the one shard it loaded, with the
-//! one leg of each mesh it connected (or reconnected). Either way a
+//! one leg of each mesh it connected. Either way a
 //! machine owns its legs and reduces over its own [`Collective`]. Every
 //! engine runs on either. Neither hands it a placement: a machine reads
 //! its own shard and the three scalars of a [`PlacementShape`].
@@ -408,12 +408,9 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
         f.bsp.breakdown = header.breakdown;
         f.bsp.last_global = header.last_global;
         f.iterations = header.iterations;
-        // Re-execute the checkpoint barrier unconditionally: if the crash
-        // landed before it, the peers are still blocked in it and this
-        // completes it; if after, their count-based dedupe drops the
-        // re-sent round and this machine's contribution is satisfied from
-        // their replay logs (DESIGN.md §12).
-        f.bsp.coll.barrier(me, &f.stats)?;
+        // Every machine of the gang resumes from this same generation on
+        // fresh meshes, so the checkpoint barrier it was saved before is
+        // not run again (DESIGN.md §12).
     }
     let mut engine = S::new(&f, carry);
 

@@ -54,11 +54,6 @@ pub enum FrameKind {
     Hello,
     /// Clean-close handshake.
     Shutdown,
-    /// Reconnection-opening identification: a restarted worker dialing
-    /// back into an established mesh. Unlike [`FrameKind::Hello`] the
-    /// payload also carries the round the dialer will resume sending
-    /// from, so the acceptor knows which logged rounds to replay.
-    Rejoin,
 }
 
 impl FrameKind {
@@ -69,7 +64,6 @@ impl FrameKind {
             FrameKind::Data => 0,
             FrameKind::Hello => 1,
             FrameKind::Shutdown => 2,
-            FrameKind::Rejoin => 3,
         }
     }
 
@@ -80,7 +74,6 @@ impl FrameKind {
             0 => Ok(FrameKind::Data),
             1 => Ok(FrameKind::Hello),
             2 => Ok(FrameKind::Shutdown),
-            3 => Ok(FrameKind::Rejoin),
             tag => Err(NetError::BadTag { tag, ty: "FrameKind" }),
         }
     }
@@ -121,25 +114,6 @@ pub fn control_payload(from: usize) -> Vec<u8> {
 pub fn decode_control_payload(payload: &[u8]) -> Result<usize, NetError> {
     let id = u32::from_wire(payload)?;
     Ok(id as usize)
-}
-
-/// Encodes a Rejoin payload: the dialer's machine id plus the first
-/// round it will (re)send — everything at or above this round must be
-/// replayed to it from the acceptor's outbound log.
-pub fn rejoin_payload(from: usize, resume_round: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12);
-    (from as u32).encode(&mut out);
-    resume_round.encode(&mut out);
-    out
-}
-
-/// Decodes a Rejoin payload back to `(machine id, resume_round)`.
-pub fn decode_rejoin_payload(payload: &[u8]) -> Result<(usize, u64), NetError> {
-    let mut r = WireReader::new(payload);
-    let id = u32::decode(&mut r)?;
-    let round = u64::decode(&mut r)?;
-    r.finish()?;
-    Ok((id as usize, round))
 }
 
 /// One fully received frame.
@@ -455,25 +429,16 @@ mod tests {
         assert!(matches!(err, NetError::FrameTooLarge { .. }));
     }
 
-    /// Tag 4 was a fifth kind once; a peer that still sends it is speaking
-    /// another protocol, like one that sends a byte never assigned.
+    /// Tag 3 was the rejoin handshake and tag 4 a fifth kind once; a peer
+    /// that still sends either is speaking another protocol, like one that
+    /// sends a byte never assigned.
     #[test]
     fn unknown_kind_rejected() {
-        for tag in [4u8, 9] {
+        for tag in [3u8, 4, 9] {
             let bad = NetError::BadTag { tag, ty: "FrameKind" };
             assert_eq!(FrameKind::from_u8(tag), Err(bad.clone()));
             let header = vec![0, 0, 0, 0, tag];
             assert_eq!(FrameReader::new().poll(&mut Cursor::new(&header)), Err(bad));
-        }
-    }
-
-    #[test]
-    fn rejoin_payload_round_trips() {
-        let bytes = rejoin_payload(3, 41);
-        assert_eq!(decode_rejoin_payload(&bytes).unwrap(), (3, 41));
-        // Truncations are typed errors, not panics.
-        for cut in 0..bytes.len() {
-            assert!(decode_rejoin_payload(&bytes[..cut]).is_err());
         }
     }
 

@@ -35,10 +35,10 @@ pub mod wire;
 
 pub use error::NetError;
 pub use frame::{
-    control_payload, decode_control_payload, decode_rejoin_payload, encode_frame_into,
-    rejoin_payload, write_frame, FrameKind, FrameReader, RawFrame, HEADER_LEN, MAX_FRAME,
+    control_payload, decode_control_payload, encode_frame_into, write_frame, FrameKind,
+    FrameReader, RawFrame, HEADER_LEN, MAX_FRAME,
 };
 pub use tcp::{
-    connect_mesh, connect_with_backoff, dial_rejoin, read_frame_deadline, PeerLink, TcpOptions,
+    connect_mesh, connect_with_backoff, PeerLink, TcpOptions,
 };
 pub use wire::{Wire, WireReader};

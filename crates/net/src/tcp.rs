@@ -30,8 +30,7 @@ pub struct TcpOptions {
     pub backoff_base: Duration,
     /// Ceiling on the per-attempt delay.
     pub backoff_max: Duration,
-    /// Read timeout of the blocking handshake reads (Hello, Rejoin): the
-    /// tick at which a handshake deadline is checked; partial frames
+    /// Read timeout of the blocking Hello reads: the tick at which a handshake deadline is checked; partial frames
     /// survive ticks. Established mesh sockets are non-blocking.
     pub read_timeout: Duration,
     /// Write timeout of the blocking handshake writes, and how long a
@@ -40,11 +39,6 @@ pub struct TcpOptions {
     pub write_timeout: Duration,
     /// Overall deadline for mesh establishment (accepting + Hello).
     pub handshake_timeout: Duration,
-    /// Fault-tolerance mode: how long a torn peer connection may sit in
-    /// "awaiting rejoin" before the mesh fails. `None` (the default)
-    /// keeps the PR 4 fail-fast behaviour: any torn connection fails the
-    /// mesh immediately.
-    pub rejoin_window: Option<Duration>,
 }
 
 impl Default for TcpOptions {
@@ -56,7 +50,6 @@ impl Default for TcpOptions {
             read_timeout: Duration::from_millis(50),
             write_timeout: Duration::from_secs(10),
             handshake_timeout: Duration::from_secs(20),
-            rejoin_window: None,
         }
     }
 }
@@ -79,10 +72,8 @@ pub fn connect_with_backoff(addr: &SocketAddr, opts: &TcpOptions) -> Result<TcpS
     Err(NetError::ConnectFailed { addr: addr.to_string(), attempts, last })
 }
 
-/// Applies the per-socket options every mesh stream runs with. Public so
-/// the cluster layer's rejoin admission can configure accepted sockets
-/// the same way establishment does.
-pub fn configure(stream: &TcpStream, opts: &TcpOptions) -> Result<(), NetError> {
+/// Applies the per-socket options every mesh stream runs with.
+fn configure(stream: &TcpStream, opts: &TcpOptions) -> Result<(), NetError> {
     stream.set_nodelay(true).map_err(|e| NetError::from_io(&e, "set_nodelay"))?;
     stream
         .set_read_timeout(Some(opts.read_timeout))
@@ -193,26 +184,6 @@ pub fn connect_mesh(
 
     links.sort_by_key(|l| l.peer);
     Ok(links)
-}
-
-/// Dials `addr` and opens with a Rejoin frame instead of a Hello: a
-/// restarted worker re-entering an established mesh. Every rejoin leg is
-/// dialed by the restarted side (no rank-based dial/accept split and
-/// therefore no glare), so this works toward peers of any rank.
-pub fn dial_rejoin(
-    addr: &SocketAddr,
-    me: usize,
-    resume_round: u64,
-    opts: &TcpOptions,
-) -> Result<TcpStream, NetError> {
-    let mut stream = connect_with_backoff(addr, opts)?;
-    configure(&stream, opts)?;
-    write_frame(
-        &mut stream,
-        FrameKind::Rejoin,
-        &crate::frame::rejoin_payload(me, resume_round),
-    )?;
-    Ok(stream)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //!                    [--source 0] [--k 3] [--tolerance 1e-3] [--scale 0.1]
 //!                    [--threads N] [--block-size 1024]
 //!                    [--transport inproc|tcp] [--multiprocess]
-//!                    [--checkpoint-every K] [--rejoin-window-ms MS] [--respawn-budget N]
+//!                    [--checkpoint-every K] [--respawn-budget N]
 //!                    [--failpoint RANK:superstep:N|RANK:send:ROUND:N|RANK:ckpt:ITER:CHUNK]
 //!                    [--symmetrize] [--weights LO:HI] [--output values.txt]
 //! lazygraph-cli info --input <...> [--machines 48] [--scale 0.1]
@@ -82,15 +82,14 @@ const RUN_VALUES: &[&str] = &[
     "input", "algorithm", "engine", "machines", "partition", "hub-fanout",
     "hub-degree-threshold", "delta-buckets", "delta-tolerance", "source", "k", "tolerance",
     "scale", "threads", "block-size", "transport", "weights", "output", "checkpoint-every",
-    "rejoin-window-ms", "respawn-budget", "failpoint",
+    "respawn-budget", "failpoint",
 ];
 /// Boolean flags of `run` and `info`.
 const RUN_FLAGS: &[&str] = &["multiprocess", "symmetrize", "bidirectional"];
 /// The fault-tolerance family only the multiprocess launcher honours.
-const MULTIPROCESS_ONLY: &[&str] =
-    &["checkpoint-every", "rejoin-window-ms", "respawn-budget", "failpoint"];
+const MULTIPROCESS_ONLY: &[&str] = &["checkpoint-every", "respawn-budget", "failpoint"];
 /// The part of that family with nothing to act on without checkpoints.
-const CHECKPOINT_ONLY: &[&str] = &["rejoin-window-ms", "respawn-budget", "failpoint"];
+const CHECKPOINT_ONLY: &[&str] = &["respawn-budget", "failpoint"];
 const GENERATE_VALUES: &[&str] = &["kind", "vertices", "out", "seed"];
 
 struct Opts {
@@ -289,11 +288,11 @@ fn worker_bin() -> std::path::PathBuf {
 
 /// The launcher's fault-tolerance options off the command line.
 /// `--failpoint RANK:SPEC` (e.g. `1:superstep:3`) arms a deterministic
-/// crash in one worker — chaos testing for the recovery path (DESIGN.md
-/// §12). A spec that could not fire (unparseable, a rank the job does not
-/// have) is a usage error: a chaos run that injected nothing must not
-/// pass. So is every recovery option but `--checkpoint-every` itself
-/// without it: no worker is respawned, and no link is held for a rejoin,
+/// crash in one worker of the gang's first start — chaos testing for the
+/// recovery path (DESIGN.md §12). A spec that could not fire
+/// (unparseable, a rank the job does not have) is a usage error: a chaos
+/// run that injected nothing must not pass. So is every recovery option
+/// but `--checkpoint-every` itself without it: no gang is restarted
 /// unless there is a snapshot to resume from.
 fn mp_options(opts: &Opts, machines: usize) -> MpOptions {
     let checkpoint_every = opts.parse_num("checkpoint-every", 0u64);
@@ -315,13 +314,12 @@ fn mp_options(opts: &Opts, machines: usize) -> MpOptions {
         if rank >= machines {
             die(&format!("--failpoint: rank {rank} out of range for {machines} machines"));
         }
-        (rank, point)
+        (0, rank, point)
     });
     MpOptions {
         checkpoint_every,
-        rejoin_window_ms: opts.parse_num("rejoin-window-ms", 0u64),
         respawn_budget: opts.parse_num("respawn-budget", 2u32),
-        failpoint,
+        failpoint: failpoint.into_iter().collect(),
     }
 }
 
@@ -394,12 +392,8 @@ fn report_launch(m: &RunMetrics, launch: &LaunchReport, mp: &MpOptions) {
     );
     if mp.checkpoint_every > 0 {
         say!(
-            "recovery: {} snapshot B written, {} reconnects, {} rounds replayed, \
-             frame log peak {} B",
-            m.stats.snapshot_bytes,
-            m.stats.reconnects,
-            m.stats.replay_rounds,
-            m.stats.frame_log_high_water,
+            "recovery: {} snapshot B written, {} gang restarts",
+            m.stats.snapshot_bytes, launch.gang_restarts,
         );
     }
     say!(
@@ -427,7 +421,7 @@ fn cmd_run(opts: &Opts) {
     let spec = AlgoSpec::parse(algorithm, |key| opts.get(key)).unwrap_or_else(|e| die(&e));
     let mut cfg = engine_config(opts);
     if let Some(mp) = &mp {
-        check_recovery(cfg.engine, mp.checkpoint_every, mp.rejoin_window_ms)
+        check_recovery(cfg.engine, mp.checkpoint_every)
             .unwrap_or_else(|e| die(&e.to_string()));
     }
     cfg.bidirectional |= spec.bidirectional();

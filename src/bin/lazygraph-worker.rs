@@ -10,8 +10,9 @@
 //! entry, and writes its Wire-encoded result — `MachineOut ++
 //! StatsSnapshot`: its master values, counters, simulated-time breakdown
 //! and per-round trace, then its `NetStats` — to the output path. A
-//! `--resume` respawn reads the same shard file: nothing a run does
-//! changes a shard.
+//! restarted gang's worker, started with `--resume G`, reads the same
+//! shard file — nothing a run does changes a shard — and its snapshot of
+//! generation `G`, and builds fresh meshes like any other start.
 //!
 //! Exit status 0 means the result file is complete; any failure prints to
 //! stderr and exits 1, which the launcher surfaces as
@@ -25,10 +26,8 @@ use std::sync::Arc;
 
 use lazygraph::multiproc::{load_shard, Shipped, WorkerJob};
 use lazygraph_algorithms::Visitor;
-use lazygraph_cluster::{
-    connect_tcp_endpoint, reconnect_tcp_endpoint, CommError, Endpoint, NetStats,
-};
-use lazygraph_engine::checkpoint::{CheckpointError, RecoveryCfg, SnapshotHeader, SnapshotStore};
+use lazygraph_cluster::{connect_tcp_endpoint, CommError, NetStats};
+use lazygraph_engine::checkpoint::{RecoveryCfg, SnapshotStore};
 use lazygraph_engine::{run_mesh_engine, Attach, Seat};
 use lazygraph_net::{TcpOptions, Wire};
 use lazygraph_partition::LocalShard;
@@ -47,17 +46,16 @@ struct Args {
     job: PathBuf,
     me: usize,
     out: PathBuf,
-    /// Rejoin an already-running gang: open the latest valid snapshot (if
-    /// any), reconnect both meshes at the round watermarks its header
-    /// records, and replay forward (DESIGN.md §12).
-    resume: bool,
+    /// Start from snapshot generation `G` — the one the launcher chose
+    /// for the restarted gang (DESIGN.md §12).
+    resume: Option<u64>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut job = None;
     let mut me = None;
     let mut out = None;
-    let mut resume = false;
+    let mut resume = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut val = || {
@@ -74,7 +72,13 @@ fn parse_args() -> Result<Args, String> {
                 )
             }
             "--out" => out = Some(PathBuf::from(val()?)),
-            "--resume" => resume = true,
+            "--resume" => {
+                resume = Some(
+                    val()?
+                        .parse::<u64>()
+                        .map_err(|e| format!("bad --resume: {e}"))?,
+                )
+            }
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -110,38 +114,15 @@ fn parse_addrs(addrs: &[String]) -> Result<Vec<SocketAddr>, String> {
         .collect()
 }
 
-/// This worker's seat: the shard it loaded and its legs of the control
-/// and data meshes, connected fresh, or — for a resumed worker —
-/// reconnected at the snapshot's two round watermarks (no snapshot,
-/// crashed before the first checkpoint, means a fresh start at watermark
-/// 0; peers still hold their full replay logs in that case, because log
-/// pruning only ever happens at a completed checkpoint barrier).
+/// This worker's seat: the shard it loaded, its legs of the control and
+/// data meshes — always connected fresh, at round 0 — and its
+/// checkpoint/resume configuration.
 struct WorkerSeat<'a> {
     me: usize,
     shard: &'a LocalShard,
     ctrl_addrs: &'a [SocketAddr],
     data_addrs: &'a [SocketAddr],
-    opts: &'a TcpOptions,
-    resume: bool,
     recovery: RecoveryCfg,
-}
-
-impl WorkerSeat<'_> {
-    /// This worker's leg of the mesh at `addrs`; a resumed worker rejoins
-    /// it at the round `watermark` reads off the snapshot header.
-    fn join<T: Wire + Send + 'static>(
-        &self,
-        addrs: &[SocketAddr],
-        watermark: impl Fn(&SnapshotHeader) -> u64,
-        stats: &Arc<NetStats>,
-    ) -> Result<Endpoint<T>, CommError> {
-        if self.resume {
-            let round = self.recovery.resume.as_ref().map_or(0, |s| watermark(s.header()));
-            reconnect_tcp_endpoint::<T>(self.me, addrs, round, stats, self.opts)
-        } else {
-            connect_tcp_endpoint::<T>(self.me, addrs, stats, self.opts)
-        }
-    }
 }
 
 impl<'a> Attach<'a> for WorkerSeat<'a> {
@@ -151,8 +132,9 @@ impl<'a> Attach<'a> for WorkerSeat<'a> {
     ) -> Result<Vec<Seat<'a, T>>, CommError> {
         // Mesh establishment order is part of the protocol: every worker
         // joins the control mesh first, then the engine-typed data mesh.
-        let ctrl = self.join::<u8>(self.ctrl_addrs, |h| h.ctrl_round, stats)?;
-        let ep = self.join::<T>(self.data_addrs, |h| h.data_round, stats)?;
+        let opts = TcpOptions::default();
+        let ctrl = connect_tcp_endpoint::<u8>(self.me, self.ctrl_addrs, stats, &opts)?;
+        let ep = connect_tcp_endpoint::<T>(self.me, self.data_addrs, stats, &opts)?;
         Ok(vec![Seat {
             me: self.me,
             shard: self.shard,
@@ -190,31 +172,22 @@ fn run_worker<P: Shipped>(job: &WorkerJob, args: Args, program: P) -> Result<(),
 
     let stats = Arc::new(NetStats::default());
     let recovery_on = job.checkpoint_every > 0 && !job.checkpoint_dir.is_empty();
-    let mut opts = TcpOptions::default();
-    if recovery_on && job.rejoin_window_ms > 0 {
-        opts.rejoin_window = Some(std::time::Duration::from_millis(job.rejoin_window_ms));
-    }
     let store = recovery_on.then(|| SnapshotStore::new(&job.checkpoint_dir, me));
-    // Only the header is read here — the watermarks are all the meshes
-    // need; the arrays stay in the open file until the machine loop has
-    // built the state they stream into.
-    let snapshot = if args.resume {
-        let store = store.as_ref().ok_or("--resume without checkpointing configured")?;
-        let skipped = |path: &std::path::Path, why: &CheckpointError| {
-            let name = path.file_name().unwrap_or(path.as_os_str());
-            eprintln!("worker {me}: skipping {}: {why}", name.to_string_lossy());
-        };
-        store.open_latest(skipped).map_err(|e| format!("loading snapshot: {e}"))?
-    } else {
-        None
+    // Only the header is read here; the arrays stay in the open file until
+    // the machine loop has built the state they stream into.
+    let snapshot = match args.resume {
+        Some(generation) => {
+            let store = store.as_ref().ok_or("--resume without checkpointing configured")?;
+            let opened = store.open_at(generation);
+            Some(opened.map_err(|e| format!("loading snapshot {generation}: {e}"))?)
+        }
+        None => None,
     };
     let seat = WorkerSeat {
         me,
         shard: &shard,
         ctrl_addrs: &ctrl_addrs,
         data_addrs: &data_addrs,
-        opts: &opts,
-        resume: args.resume,
         recovery: RecoveryCfg {
             every: job.checkpoint_every,
             store,

@@ -15,9 +15,9 @@
 //! per-machine outcome, its `NetStats` snapshot (with *measured* frame
 //! bytes, since every exchange crossed a real socket); the outcome carries
 //! its simulated-time breakdown and per-round trace. The shards are files
-//! rather than a stream because a respawned worker reads the same shard
-//! again: nothing a run does changes a shard, so a restart is that file
-//! plus the worker's latest snapshot (DESIGN.md §12). Of the placement
+//! rather than a stream because a restarted gang reads the same shards
+//! again: nothing a run does changes a shard, so a restart is those files
+//! plus one snapshot generation every worker holds (DESIGN.md §12). Of the placement
 //! the launcher keeps its shape, its λ and its master table; it holds each
 //! worker's result to that table, then folds the results with the
 //! in-process driver's own epilogue, so both routes return one
@@ -32,8 +32,8 @@
 //! included, and a worker starts its machine through the same
 //! `run_mesh_engine` entry the in-process driver uses (DESIGN.md §17).
 //! Recovery is the barriered engines' alone: [`check_recovery`] refuses
-//! checkpoints and rejoin windows for the rest before anything is placed,
-//! and again in each worker reading its job.
+//! checkpoints for the rest before anything is placed, and again in each
+//! worker reading its job.
 //!
 //! Determinism: a multiprocess run is bitwise-identical to the in-process
 //! run on the same graph and configuration — the codec is position-based
@@ -43,13 +43,14 @@
 
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 pub use lazygraph_algorithms::{AlgoSpec, Shipped};
 pub use lazygraph_cluster::FailPoint;
 use lazygraph_cluster::{CommError, StatsSnapshot};
+use lazygraph_engine::checkpoint::{CheckpointError, SnapshotStore};
 use lazygraph_engine::{
     assemble, place_files, snapshot_tag, EngineConfig, EngineKind, MachineOut, Measured, RunResult,
 };
@@ -81,36 +82,21 @@ pub struct WorkerJob {
     pub checkpoint_every: u64,
     /// Directory for the per-rank snapshot files (empty = none).
     pub checkpoint_dir: String,
-    /// How long a surviving worker keeps a torn link in the "awaiting
-    /// rejoin" window, in milliseconds (0 = fail the gang at once).
-    pub rejoin_window_ms: u64,
 }
 
-wire_record!(WorkerJob {
-    cfg, algo, shape, data_addrs, ctrl_addrs, checkpoint_every, checkpoint_dir, rejoin_window_ms,
-});
+wire_record!(WorkerJob { cfg, algo, shape, data_addrs, ctrl_addrs, checkpoint_every, checkpoint_dir });
 
-/// Refuses the recovery requests only the barriered engines can honour:
-/// a checkpoint needs the engine's snapshot tag, and a rejoin window needs
-/// dense BSP rounds, since a survivor replays and dedupes by round and a
-/// pump's batches carry none. One check for the CLI, the launcher (before
-/// anything is placed) and a worker reading its job.
-pub fn check_recovery(
-    engine: EngineKind,
-    checkpoint_every: u64,
-    rejoin_window_ms: u64,
-) -> Result<(), MultiprocError> {
-    if snapshot_tag(engine).is_some() {
+/// Refuses checkpoints to an engine that cannot take them: a snapshot
+/// needs the engine's snapshot tag. One check for the CLI, the launcher
+/// (before anything is placed) and a worker reading its job.
+pub fn check_recovery(engine: EngineKind, checkpoint_every: u64) -> Result<(), MultiprocError> {
+    if checkpoint_every == 0 || snapshot_tag(engine).is_some() {
         return Ok(());
     }
-    let refused = if checkpoint_every > 0 {
-        "cannot checkpoint: it has no snapshot tag"
-    } else if rejoin_window_ms > 0 {
-        "cannot hold a rejoin window: recovery mode requires dense BSP rounds"
-    } else {
-        return Ok(());
-    };
-    Err(MultiprocError::Refused(format!("engine {} {refused}", engine.name())))
+    Err(MultiprocError::Refused(format!(
+        "engine {} cannot checkpoint: it has no snapshot tag",
+        engine.name()
+    )))
 }
 
 impl WorkerJob {
@@ -136,7 +122,7 @@ impl WorkerJob {
         });
         let job =
             job.map_err(|e| MultiprocError::Decode(format!("job file {}: {e}", path.display())))?;
-        check_recovery(job.cfg.engine, job.checkpoint_every, job.rejoin_window_ms)?;
+        check_recovery(job.cfg.engine, job.checkpoint_every)?;
         Ok(job)
     }
 }
@@ -146,24 +132,22 @@ pub fn shard_path(job_path: &Path, me: usize) -> PathBuf {
     job_path.with_file_name(format!("shard-{me}.bin"))
 }
 
-/// Fault-tolerance knobs for a multiprocess launch. `Default` is the
-/// PR 4 behaviour: no checkpoints, no rejoin window, a dying worker
-/// fails the gang and the launch fails fast.
+/// Fault-tolerance knobs for a multiprocess launch. `Default` is no
+/// checkpoints: a dying worker fails the gang and the launch fails fast.
 #[derive(Clone, Debug, Default)]
 pub struct MpOptions {
     /// Snapshot every K supersteps (0 = checkpointing off).
     pub checkpoint_every: u64,
-    /// How long surviving workers hold a torn link awaiting a rejoin, in
-    /// milliseconds (0 with checkpointing on picks a 30 s default).
-    pub rejoin_window_ms: u64,
-    /// How many crashed workers the launcher may respawn before reporting
-    /// the failure instead.
+    /// How many gang restarts the launcher may make before reporting a
+    /// worker's failure instead.
     pub respawn_budget: u32,
-    /// Arm `LAZYGRAPH_FAILPOINT` on one rank's *first* spawn
-    /// (`(rank, point)`, e.g. `(2, FailPoint::Superstep(3))`). Respawns
-    /// never re-arm it. Deterministic fault-injection hook for the test
-    /// harness.
-    pub failpoint: Option<(usize, FailPoint)>,
+    /// Fail points to arm, each as `(incarnation, rank, point)`: rank
+    /// `rank`'s worker in the gang's `incarnation`-th start (0 = the
+    /// first, 1 = after the first restart, …) runs with
+    /// `LAZYGRAPH_FAILPOINT` set to `point` — e.g.
+    /// `(0, 2, FailPoint::Superstep(3))`. Deterministic fault-injection
+    /// hook for the test harness.
+    pub failpoint: Vec<(u32, usize, FailPoint)>,
 }
 
 /// A multiprocess launch failure.
@@ -211,8 +195,12 @@ pub struct LaunchReport {
     /// walks, so the two are one span.
     pub partition_time: Duration,
     /// Each worker's own counters, indexed by machine (the result's
-    /// `metrics.stats` is their merge).
+    /// `metrics.stats` is their merge). After a gang restart they are the
+    /// last incarnation's.
     pub per_worker_stats: Vec<StatsSnapshot>,
+    /// How many times the launcher restarted the whole gang (0 on an
+    /// undisturbed run).
+    pub gang_restarts: u32,
 }
 
 static LAUNCH_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -280,10 +268,11 @@ fn alloc_loopback_addrs(n: usize) -> Result<Vec<String>, MultiprocError> {
 /// run_multiprocess(&graph, 4, &cfg, &program, worker, &MpOptions::default());
 /// ```
 ///
-/// `opts` adds periodic worker checkpoints, a rejoin window on every mesh
-/// link and a launcher-side respawn policy — a crashed worker is restarted
-/// with `--resume`, loads its latest snapshot, rejoins the mesh, and the
-/// run completes bitwise-identical to an undisturbed one (DESIGN.md §12).
+/// `opts` adds periodic worker checkpoints and a launcher-side restart
+/// policy — when a worker crashes, the launcher stops the whole gang and
+/// restarts every worker from the newest snapshot generation all of them
+/// hold, and the run completes bitwise-identical to an undisturbed one
+/// (DESIGN.md §12).
 /// `cfg.transport` is ignored — a multiprocess run is TCP by definition.
 pub fn run_multiprocess<P: Shipped>(
     graph: &Graph,
@@ -293,7 +282,7 @@ pub fn run_multiprocess<P: Shipped>(
     worker_bin: &Path,
     opts: &MpOptions,
 ) -> Result<(RunResult<P>, LaunchReport), MultiprocError> {
-    check_recovery(cfg.engine, opts.checkpoint_every, opts.rejoin_window_ms)?;
+    check_recovery(cfg.engine, opts.checkpoint_every)?;
     let seq = LAUNCH_SEQ.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!(
         "lazygraph-mp-{}-{seq}",
@@ -358,11 +347,6 @@ fn launch_in<P: Shipped>(
         ctrl_addrs,
         checkpoint_every: opts.checkpoint_every,
         checkpoint_dir: String::new(),
-        rejoin_window_ms: if opts.checkpoint_every > 0 && opts.rejoin_window_ms == 0 {
-            30_000
-        } else {
-            opts.rejoin_window_ms
-        },
     };
     if job.checkpoint_every > 0 {
         let ckpt = dir.join("ckpt");
@@ -373,7 +357,7 @@ fn launch_in<P: Shipped>(
     std::fs::write(&job_path, &job_file).map_err(|e| io_err("writing job file", e))?;
 
     let launched = Instant::now();
-    let result_files = supervise(dir, &job, worker_bin, opts)?;
+    let (result_files, gang_restarts) = supervise(dir, &job, worker_bin, opts)?;
     let (result, per_worker_stats) =
         assemble_result(&job, program, lambda, &masters, launched, result_files)?;
     let report = LaunchReport {
@@ -381,6 +365,7 @@ fn launch_in<P: Shipped>(
         shard_bytes,
         partition_time,
         per_worker_stats,
+        gang_restarts,
     };
     Ok((result, report))
 }
@@ -411,18 +396,18 @@ pub fn load_shard(
     Ok(shard)
 }
 
-/// Spawns one worker process. `resume` adds `--resume` (load the latest
-/// snapshot and rejoin the mesh); `failpoint` arms `LAZYGRAPH_FAILPOINT`
-/// in the child's environment. The launcher's own environment never leaks
-/// a failpoint into the gang.
+/// Spawns one worker process. `resume` adds `--resume G` (open snapshot
+/// generation `G` and start there); `failpoint` arms
+/// `LAZYGRAPH_FAILPOINT` in the child's environment. The launcher's own
+/// environment never leaks a failpoint into the gang.
 fn spawn_worker(
     worker_bin: &Path,
     job_path: &Path,
     me: usize,
     out_path: &Path,
-    resume: bool,
+    resume: Option<u64>,
     failpoint: Option<FailPoint>,
-) -> std::io::Result<std::process::Child> {
+) -> std::io::Result<Child> {
     let mut cmd = Command::new(worker_bin);
     cmd.arg("--job")
         .arg(job_path)
@@ -434,8 +419,8 @@ fn spawn_worker(
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .env_remove("LAZYGRAPH_FAILPOINT");
-    if resume {
-        cmd.arg("--resume");
+    if let Some(generation) = resume {
+        cmd.arg("--resume").arg(generation.to_string());
     }
     if let Some(point) = failpoint {
         cmd.env("LAZYGRAPH_FAILPOINT", point.to_string());
@@ -443,145 +428,179 @@ fn spawn_worker(
     cmd.spawn()
 }
 
-/// Spawns the workers on the files in `dir`, supervises them to
-/// completion (respawning crashed ones with `--resume` while
-/// `opts.respawn_budget` lasts and checkpointing is on), and returns the
-/// raw result bytes per machine.
+/// SIGKILLs and reaps every worker still running.
+fn kill_gang(children: &mut [Option<Child>]) {
+    for mut child in children.iter_mut().filter_map(Option::take) {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
+}
+
+/// Reaps worker `me`, which has exited: `None` if it exited 0, else what
+/// went wrong, its stderr included.
+fn reap(me: usize, child: Child, debug: bool) -> Option<String> {
+    // Already exited, so this drains the stderr pipe without blocking.
+    let out = match child.wait_with_output() {
+        Ok(out) => out,
+        Err(e) => return Some(format!("wait failed: {e}")),
+    };
+    let stderr = String::from_utf8_lossy(&out.stderr).trim().to_string();
+    if !out.status.success() {
+        return Some(format!("exit {:?}: {stderr}", out.status.code()));
+    }
+    if debug && !stderr.is_empty() {
+        eprintln!("[worker {me}] {stderr}");
+    }
+    None
+}
+
+/// How one incarnation of the gang ended.
+enum GangExit {
+    /// Every worker exited 0.
+    Done,
+    /// Worker `me` failed and a restart is allowed: the rest of the gang
+    /// has been killed.
+    Restart { me: usize, detail: String },
+    /// Workers failed and no restart is allowed: each failure, in the
+    /// order the launcher saw them.
+    Failed(Vec<(usize, String)>),
+}
+
+/// Waits on one incarnation of the gang. With `restart` the first failure
+/// stops the rest at once; without it every worker is left to exit on its
+/// own — a dying worker tears its peers' links, so none hangs — and each
+/// failure is kept, since the root cause is often on a different machine
+/// than the first to report.
+fn wait_gang(children: &mut [Option<Child>], restart: bool, debug: bool) -> GangExit {
+    let mut failures: Vec<(usize, String)> = Vec::new();
+    while children.iter().any(Option::is_some) {
+        let mut progressed = false;
+        for me in 0..children.len() {
+            let Some(child) = children[me].as_mut() else { continue };
+            let failure = match child.try_wait() {
+                Ok(None) => continue,
+                Ok(Some(_)) => children[me].take().and_then(|child| reap(me, child, debug)),
+                Err(e) => {
+                    children[me] = None;
+                    Some(format!("wait failed: {e}"))
+                }
+            };
+            progressed = true;
+            let Some(detail) = failure else { continue };
+            if restart {
+                kill_gang(children);
+                return GangExit::Restart { me, detail };
+            }
+            failures.push((me, detail));
+        }
+        if !progressed {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+    if failures.is_empty() {
+        GangExit::Done
+    } else {
+        GangExit::Failed(failures)
+    }
+}
+
+/// The generation a restarted gang resumes from: the newest one whose
+/// file verifies on every rank (`None`: there is none, start afresh).
+/// Each rank's files newer than it — and its torn temp files — are
+/// removed, so the restarted gang's saves find only what it resumed from.
+fn common_generation(job: &WorkerJob) -> Result<Option<u64>, MultiprocError> {
+    let fail = |me: usize, e: CheckpointError| io_err(&format!("rank {me}'s snapshots"), e);
+    let stores: Vec<SnapshotStore> = (0..job.shape.num_machines)
+        .map(|me| SnapshotStore::new(&job.checkpoint_dir, me))
+        .collect();
+    let mut common: Option<Vec<u64>> = None;
+    for (me, store) in stores.iter().enumerate() {
+        let skipped = |path: &Path, why: &CheckpointError| {
+            eprintln!("[launcher] rank {me}: skipping {}: {why}", path.display());
+        };
+        let valid = store.verified(skipped).map_err(|e| fail(me, e))?;
+        common = Some(match common {
+            None => valid,
+            Some(held) => held.into_iter().filter(|g| valid.contains(g)).collect(),
+        });
+    }
+    let generation = common.and_then(|held| held.into_iter().max());
+    for (me, store) in stores.iter().enumerate() {
+        store.discard_after(generation).map_err(|e| fail(me, e))?;
+    }
+    Ok(generation)
+}
+
+/// Runs the gang on the files in `dir` to completion and returns the raw
+/// result bytes per machine, with the number of gang restarts it took.
+/// With checkpointing on, a worker that exits non-zero stops the whole
+/// gang, and every worker is started again from the newest generation all
+/// of them hold ([`common_generation`]) while `opts.respawn_budget` lasts.
 fn supervise(
     dir: &Path,
     job: &WorkerJob,
     worker_bin: &Path,
     opts: &MpOptions,
-) -> Result<Vec<Vec<u8>>, MultiprocError> {
+) -> Result<(Vec<Vec<u8>>, u32), MultiprocError> {
     let job_path = dir.join("job.bin");
     let out_paths: Vec<PathBuf> = (0..job.shape.num_machines)
         .map(|i| dir.join(format!("result-{i}.bin")))
         .collect();
-
-    let mut children: Vec<Option<std::process::Child>> = Vec::with_capacity(job.shape.num_machines);
-    for (me, out_path) in out_paths.iter().enumerate() {
-        let failpoint = opts
-            .failpoint
-            .filter(|(rank, _)| *rank == me)
-            .map(|(_, point)| point);
-        match spawn_worker(worker_bin, &job_path, me, out_path, false, failpoint) {
-            Ok(child) => children.push(Some(child)),
-            Err(e) => {
-                // A worker that never spawned would hang the mesh: kill
-                // the ones already running and fail the launch.
-                for c in children.iter_mut().flatten() {
-                    let _ = c.kill();
-                    let _ = c.wait();
+    let recovery_on = job.checkpoint_every > 0;
+    let debug = std::env::var_os("LAZYGRAPH_MP_DEBUG").is_some();
+    let mut resume = None;
+    let mut restarts = 0u32;
+    loop {
+        let mut children: Vec<Option<Child>> = Vec::with_capacity(out_paths.len());
+        for (me, out_path) in out_paths.iter().enumerate() {
+            let failpoint = opts
+                .failpoint
+                .iter()
+                .find(|&&(incarnation, rank, _)| incarnation == restarts && rank == me)
+                .map(|&(_, _, point)| point);
+            match spawn_worker(worker_bin, &job_path, me, out_path, resume, failpoint) {
+                Ok(child) => children.push(Some(child)),
+                Err(e) => {
+                    // A worker that never spawned would hang the mesh.
+                    kill_gang(&mut children);
+                    return Err(io_err("spawning lazygraph-worker", e));
                 }
-                return Err(io_err("spawning lazygraph-worker", e));
             }
         }
-    }
-
-    // Supervision loop. Without recovery a dying worker surfaces on its
-    // peers as a transport error (a link torn without its Shutdown frame),
-    // so every process exits rather than hangs. With recovery, a non-zero
-    // exit is respawned with `--resume` (failpoint disarmed) while the
-    // budget lasts; the survivors hold the torn links in their rejoin
-    // windows until the restarted worker dials back in.
-    let mut failures: Vec<(usize, String)> = Vec::new();
-    let mut done = vec![false; job.shape.num_machines];
-    let mut respawns_left = opts.respawn_budget;
-    let recovery_on = job.checkpoint_every > 0 && job.rejoin_window_ms > 0;
-    let debug = std::env::var_os("LAZYGRAPH_MP_DEBUG").is_some();
-    while done.iter().any(|d| !d) {
-        let mut progressed = false;
-        for me in 0..job.shape.num_machines {
-            if done[me] {
-                continue;
-            }
-            let exited = match children[me].as_mut() {
-                Some(child) => match child.try_wait() {
-                    Ok(Some(_)) => true,
-                    Ok(None) => false,
-                    Err(e) => {
-                        done[me] = true;
-                        failures.push((me, format!("wait failed: {e}")));
-                        continue;
-                    }
-                },
-                None => {
-                    done[me] = true;
-                    continue;
-                }
-            };
-            if !exited {
-                continue;
-            }
-            progressed = true;
-            // Already exited, so this drains the stderr pipe and reaps
-            // without blocking on a live process.
-            #[expect(
-                clippy::expect_used,
-                reason = "the `exited` branch above only runs when this slot held a live child"
-            )]
-            let child = children[me].take().expect("checked above");
-            let out = match child.wait_with_output() {
-                Ok(out) => out,
-                Err(e) => {
-                    done[me] = true;
-                    failures.push((me, format!("wait failed: {e}")));
-                    continue;
-                }
-            };
-            let stderr = String::from_utf8_lossy(&out.stderr).trim().to_string();
-            if out.status.success() {
-                done[me] = true;
-                if debug && !stderr.is_empty() {
-                    eprintln!("[worker {me}] {stderr}");
-                }
-            } else if recovery_on && respawns_left > 0 {
-                respawns_left -= 1;
+        let restart = recovery_on && restarts < opts.respawn_budget;
+        match wait_gang(&mut children, restart, debug) {
+            GangExit::Done => break,
+            GangExit::Restart { me, detail } => {
+                resume = common_generation(job)?;
+                restarts += 1;
                 if debug {
                     eprintln!(
-                        "[launcher] worker {me} died (exit {:?}: {stderr}): respawning with --resume",
-                        out.status.code()
+                        "[launcher] worker {me} failed ({detail}): restarting the gang from {}",
+                        resume.map_or("the start".to_string(), |g| format!("generation {g}"))
                     );
                 }
-                match spawn_worker(worker_bin, &job_path, me, &out_paths[me], true, None) {
-                    Ok(child) => children[me] = Some(child),
-                    Err(e) => {
-                        done[me] = true;
-                        failures.push((me, format!("respawn failed: {e}")));
-                    }
+            }
+            GangExit::Failed(failures) => {
+                let (me, mut detail) = failures[0].clone();
+                for (peer, d) in &failures[1..] {
+                    detail.push_str(&format!("; worker {peer}: {d}"));
                 }
-            } else {
-                done[me] = true;
-                failures.push((me, format!("exit {:?}: {stderr}", out.status.code())));
+                return Err(MultiprocError::Worker { me, detail });
             }
         }
-        if !progressed {
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-    }
-    // Report the first failing worker but include every peer's failure:
-    // with a mesh transport the root cause is often on a *different*
-    // machine than the one whose error the caller happens to see.
-    if let Some((me, detail)) = failures.first() {
-        let mut detail = detail.clone();
-        for (peer, d) in &failures[1..] {
-            detail.push_str(&format!("; worker {peer}: {d}"));
-        }
-        return Err(MultiprocError::Worker { me: *me, detail });
     }
 
-    out_paths
+    let results = out_paths
         .iter()
         .enumerate()
         .map(|(me, p)| {
-            std::fs::read(p).map_err(|e| {
-                MultiprocError::Worker {
-                    me,
-                    detail: format!("exited 0 but wrote no result file: {e}"),
-                }
+            std::fs::read(p).map_err(|e| MultiprocError::Worker {
+                me,
+                detail: format!("exited 0 but wrote no result file: {e}"),
             })
         })
-        .collect()
+        .collect::<Result<_, _>>()?;
+    Ok((results, restarts))
 }
 
 /// Decodes every worker's result file (`MachineOut ++ StatsSnapshot`),
@@ -671,7 +690,6 @@ mod tests {
             ctrl_addrs: vec!["127.0.0.1:5000".into(); 3],
             checkpoint_every: 4,
             checkpoint_dir: "/tmp/lz-ckpt".into(),
-            rejoin_window_ms: 15_000,
         }
     }
 
@@ -703,12 +721,12 @@ mod tests {
     }
 
     /// Every engine runs multiprocess now; what an engine can still be
-    /// refused is recovery. The pump engines may not checkpoint or hold a
-    /// rejoin window, and a worker reading such a job refuses it too.
+    /// refused is recovery. The pump engines may not checkpoint, and a
+    /// worker reading such a job refuses it too.
     #[test]
     fn unsupported_engines_are_rejected() {
         for engine in [EngineKind::PowerGraphSync, EngineKind::LazyBlockAsync, EngineKind::DeltaAccum] {
-            assert!(check_recovery(engine, 4, 500).is_ok(), "{}", engine.name());
+            assert!(check_recovery(engine, 4).is_ok(), "{}", engine.name());
         }
         let dir = std::env::temp_dir().join(format!("lazygraph-refused-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("scratch dir");
@@ -717,24 +735,21 @@ mod tests {
             EngineKind::LazyVertexAsync,
             EngineKind::PowerSwitchHybrid,
         ] {
-            assert!(check_recovery(engine, 0, 0).is_ok(), "{} runs without recovery", engine.name());
-            for (every, window, why) in [(4, 0, "cannot checkpoint"), (0, 500, "dense BSP rounds")] {
-                let refused = check_recovery(engine, every, window).map_err(|e| e.to_string());
-                assert!(
-                    matches!(&refused, Err(e) if e.contains(engine.name()) && e.contains(why)),
-                    "{refused:?}"
-                );
-                let path = dir.join("job.bin");
-                let j = WorkerJob {
-                    cfg: EngineConfig::lazygraph().with_engine(engine),
-                    checkpoint_every: every,
-                    rejoin_window_ms: window,
-                    ..job()
-                };
-                std::fs::write(&path, j.to_wire()).expect("write job");
-                let read = WorkerJob::read(&path).map(|_| ()).map_err(|e| e.to_string());
-                assert_eq!(read, refused, "the worker refuses what the launcher does");
-            }
+            assert!(check_recovery(engine, 0).is_ok(), "{} runs without recovery", engine.name());
+            let refused = check_recovery(engine, 4).map_err(|e| e.to_string());
+            assert!(
+                matches!(&refused, Err(e) if e.contains(engine.name()) && e.contains("cannot checkpoint")),
+                "{refused:?}"
+            );
+            let path = dir.join("job.bin");
+            let j = WorkerJob {
+                cfg: EngineConfig::lazygraph().with_engine(engine),
+                checkpoint_every: 4,
+                ..job()
+            };
+            std::fs::write(&path, j.to_wire()).expect("write job");
+            let read = WorkerJob::read(&path).map(|_| ()).map_err(|e| e.to_string());
+            assert_eq!(read, refused, "the worker refuses what the launcher does");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

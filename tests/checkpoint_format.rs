@@ -39,7 +39,7 @@ use lazygraph_partition::{partition_graph, LocalShard};
 // Container laws
 // ---------------------------------------------------------------------------
 
-/// The whole-container check `SnapshotStore::open_latest` makes before it
+/// The whole-container check `SnapshotStore::open_at` makes before it
 /// trusts a file: every chunk's bound and checksum, the end record, the end
 /// of the file — no element decoded.
 fn verify(file: &[u8]) -> Result<(), CheckpointError> {
@@ -165,6 +165,18 @@ fn corrupted_checksum_field_is_a_checksum_mismatch() {
         Err(CheckpointError::ChecksumMismatch { chunk: 0 }) => {}
         other => panic!("expected ChecksumMismatch on chunk 0, got {other:?}"),
     }
+}
+
+/// A v10 file — the layout whose header still carried the two mesh round
+/// watermarks — is refused at the header, not decoded as a header with a
+/// carry that starts where the watermarks were.
+#[test]
+fn a_v10_file_is_a_bad_header() {
+    let mut v10 = container_of(&[0xABu8; 100]);
+    v10[4..8].copy_from_slice(&10u32.to_le_bytes());
+    assert!(matches!(verify(&v10), Err(CheckpointError::BadHeader { .. })));
+    let err = SnapshotReader::open(&v10[..]).err().expect("refused");
+    assert!(matches!(err, CheckpointError::BadHeader { .. }) && err.is_corruption(), "{err}");
 }
 
 /// A v7 file — the parent's whole-payload container: magic, version,
@@ -310,7 +322,7 @@ proptest! {
     #[test]
     fn snapshot_round_trips(
         engine in 0u8..3,
-        words in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        words in (any::<u64>(), any::<u64>()),
         sums in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u64>()),
         vertices in proptest::collection::vec(
             (any::<u32>(), (0u8..3, any::<u32>()), (any::<bool>(), any::<u32>()),
@@ -333,8 +345,6 @@ proptest! {
                 ..Default::default()
             },
             last_global: f64::from_bits(sums.3),
-            data_round: words.2,
-            ctrl_round: words.3,
             carry,
         };
         let state = state_of(&vertices, rotate);
@@ -362,8 +372,6 @@ proptest! {
             clock: f64::from_bits(42),
             breakdown: SimBreakdown { compute: 0.5, comm: 0.25, barrier: 0.125, ..Default::default() },
             last_global: 0.75,
-            data_round: 6,
-            ctrl_round: 9,
             // Carried bytes, so cuts land inside them too.
             carry: counters(0x0123_4567_89ab_cdef).to_wire(),
         };
@@ -404,8 +412,6 @@ fn every_damaged_snapshot_is_refused_or_restores_the_same_state() {
         clock: 2.5,
         breakdown: SimBreakdown { compute: 2.0, comm: 0.25, barrier: 0.125, ..Default::default() },
         last_global: 2.375,
-        data_round: 16,
-        ctrl_round: 25,
         carry: counters(77).to_wire(),
     };
     let vertices: Vec<VertexBits> = (0..70u32)
@@ -465,8 +471,6 @@ fn header_at(engine: u8, iterations: u64) -> SnapshotHeader {
         clock: 0.0,
         breakdown: SimBreakdown::default(),
         last_global: 0.0,
-        data_round: 2 * iterations,
-        ctrl_round: 3 * iterations,
         carry: Vec::new(),
     }
 }
@@ -481,16 +485,15 @@ fn two_generations(dir: &Path) -> SnapshotStore {
     store
 }
 
-/// What `open_latest` passed over, as the worker prints it.
-fn open_latest_reporting(
-    store: &SnapshotStore,
-) -> (Result<Option<u64>, CheckpointError>, Vec<String>) {
+/// The newest generation `verified` lets a restart choose, and what it
+/// passed over, as the launcher prints it.
+fn newest_verified(store: &SnapshotStore) -> (Result<Option<u64>, CheckpointError>, Vec<String>) {
     let mut skipped = Vec::new();
-    let opened = store.open_latest(|path, why| {
+    let found = store.verified(|path, why| {
         let name = path.file_name().expect("a file").to_string_lossy().into_owned();
         skipped.push(format!("skipping {name}: {why}"));
     });
-    (opened.map(|s| s.map(|s| s.header().iterations)), skipped)
+    (found.map(|found| found.first().copied()), skipped)
 }
 
 /// Corruption of the newest generation — and only corruption — falls back
@@ -499,7 +502,7 @@ fn open_latest_reporting(
 fn a_corrupt_generation_is_skipped_out_loud() {
     let dir = ScratchDir::new("corrupt");
     let store = two_generations(&dir.0);
-    assert_eq!(open_latest_reporting(&store).0.expect("open"), Some(6));
+    assert_eq!(newest_verified(&store).0.expect("open"), Some(6));
 
     let newest = dir.0.join("ckpt-2-000000000006.ck");
     let whole = std::fs::read(&newest).expect("read");
@@ -507,7 +510,7 @@ fn a_corrupt_generation_is_skipped_out_loud() {
     let mut bad = whole.clone();
     bad[whole.len() - 30] ^= 0x10;
     std::fs::write(&newest, &bad).expect("write");
-    let (opened, skipped) = open_latest_reporting(&store);
+    let (opened, skipped) = newest_verified(&store);
     assert_eq!(opened.expect("open"), Some(4));
     assert_eq!(skipped, ["skipping ckpt-2-000000000006.ck: chunk 1 checksum mismatch"]);
 
@@ -515,7 +518,7 @@ fn a_corrupt_generation_is_skipped_out_loud() {
     // fresh start, each one reported.
     std::fs::write(&newest, &whole[..whole.len() - 24]).expect("write");
     std::fs::write(dir.0.join("ckpt-2-000000000004.ck"), b"LZCK").expect("write");
-    let (opened, skipped) = open_latest_reporting(&store);
+    let (opened, skipped) = newest_verified(&store);
     assert_eq!(opened.expect("open"), None);
     assert_eq!(
         skipped,
@@ -526,9 +529,9 @@ fn a_corrupt_generation_is_skipped_out_loud() {
     );
 }
 
-/// An I/O error is not corruption: resuming from the older generation (or
-/// from nothing) because the newest could not be *read* would silently
-/// replay from the wrong watermark.
+/// An I/O error is not corruption: restarting from the older generation
+/// (or from nothing) because the newest could not be *read* would be a
+/// choice nobody knew was made.
 #[test]
 fn an_io_error_on_the_newest_generation_is_fatal() {
     let dir = ScratchDir::new("io");
@@ -536,13 +539,13 @@ fn an_io_error_on_the_newest_generation_is_fatal() {
     // A directory where generation 8's file should be: it opens, and every
     // read of it fails (EISDIR).
     std::fs::create_dir(dir.0.join("ckpt-2-000000000008.ck")).expect("mkdir");
-    let (opened, skipped) = open_latest_reporting(&store);
+    let (opened, skipped) = newest_verified(&store);
     let err = opened.expect_err("an unreadable newest generation must not be passed over");
     assert!(matches!(err, CheckpointError::Io { .. }) && !err.is_corruption(), "{err}");
     assert!(skipped.is_empty(), "{skipped:?}");
 }
 
-/// Opening the store for a resume clears what a save this rank died in
+/// Listing the store for a restart clears what a save this rank died in
 /// left behind — and nothing of another rank's.
 #[test]
 fn a_resume_removes_this_ranks_torn_temp_files() {
@@ -552,7 +555,7 @@ fn a_resume_removes_this_ranks_torn_temp_files() {
     for torn in [&mine, &theirs] {
         std::fs::write(torn, b"LZCK\x08\0\0\0 torn").expect("write");
     }
-    assert_eq!(open_latest_reporting(&store).0.expect("open"), Some(6));
+    assert_eq!(newest_verified(&store).0.expect("open"), Some(6));
     assert!(!mine.exists(), "rank 2's torn temp file survived its resume");
     assert!(theirs.exists(), "rank 1's temp file is rank 1's to remove");
 }
@@ -595,9 +598,9 @@ fn engine_tag_check_is_typed_and_exact() {
     }
 }
 
-/// One machine resuming from `store`'s newest snapshot, on in-process
-/// meshes of one.
-struct ResumeFrom<'a>(&'a SnapshotStore, &'a LocalShard);
+/// One machine resuming from `store`'s snapshot of the given generation,
+/// on in-process meshes of one.
+struct ResumeFrom<'a>(&'a SnapshotStore, &'a LocalShard, u64);
 
 impl<'a> Attach<'a> for ResumeFrom<'a> {
     fn attach<T: Wire + Send + 'static>(
@@ -614,20 +617,20 @@ impl<'a> Attach<'a> for ResumeFrom<'a> {
             recovery: RecoveryCfg {
                 every: 0,
                 store: None,
-                resume: self.0.open_latest(|_, why| panic!("{why}")).expect("open"),
+                resume: Some(self.0.open_at(self.2).expect("open")),
             },
         }])
     }
 }
 
-/// Resumes `engine`'s SSSP on one machine from `store` and returns the
-/// typed error the run must fail with.
+/// Resumes `engine`'s SSSP on one machine from `store`'s generation 2 and
+/// returns the typed error the run must fail with.
 fn failed_resume(store: &SnapshotStore, engine: EngineKind) -> CommError {
     let g = lazygraph_graph::generators::rmat(lazygraph_graph::generators::RmatConfig::graph500(5, 4, 3));
     let cfg = EngineConfig::lazygraph().with_engine(engine).with_threads(1);
     let dg = partition_graph(&g, 1, cfg.partition, &cfg.splitter, false);
     let stats = Arc::new(NetStats::new());
-    let mesh = ResumeFrom(store, &dg.shards[0]);
+    let mesh = ResumeFrom(store, &dg.shards[0], 2);
     run_mesh_engine(&dg.shape(), &cfg, &Sssp::new(0u32), mesh, &stats)
         .err()
         .unwrap_or_else(|| panic!("{} resumed", engine.name()))
@@ -757,8 +760,7 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
             }
             checkpoint_at_barrier(&f, &store, S::KIND, engine.carry())?;
             let at = format!("{tag}: machine {me}, superstep {}", f.iterations);
-            let snapshot = store.open_latest(|path, why| panic!("{at}: {}: {why}", path.display()));
-            let snapshot = snapshot.expect("open").expect("a generation was just saved");
+            let snapshot = store.open_at(f.iterations).expect("a generation was just saved");
             let (mut restored, mut history) = (init(), Vec::new());
             let header = snapshot.restore_into(&mut restored, &mut history).expect("restore");
             assert_eq!(header.iterations, f.iterations, "{at}");

@@ -66,6 +66,10 @@ fn unknown_option_is_rejected() {
         assert_usage_error(&run_with(&[flag]), &unknown);
         assert_usage_error(&["info", "--input", "dataset:web-google", flag], &unknown);
     }
+    // A crashed worker no longer rejoins a live mesh, so there is no
+    // window to hold a torn link open for.
+    let args = run_with(&["--multiprocess", "--checkpoint-every", "2", "--rejoin-window-ms", "500"]);
+    assert_usage_error(&args, "unknown option --rejoin-window-ms");
 }
 
 /// A machine count outside `1..=MAX_MACHINES` used to reach the
@@ -148,7 +152,6 @@ fn fault_tolerance_options_need_multiprocess() {
         ("--checkpoint-every", "2"),
         ("--failpoint", "1:superstep:3"),
         ("--respawn-budget", "1"),
-        ("--rejoin-window-ms", "500"),
     ] {
         assert_usage_error(&run_with(&[opt, value]), &format!("{opt} requires --multiprocess"));
     }
@@ -170,12 +173,10 @@ fn fault_tolerance_options_need_multiprocess() {
     assert_usage_error(&chaos("1:send:3:1", &[]), "--failpoint requires --checkpoint-every");
     assert_usage_error(&chaos("1:ckpt:2:1", &[]), "--failpoint requires --checkpoint-every");
     // So is recovery with nothing to recover from: without checkpoints no
-    // worker is respawned and no link is held for a rejoin. Both used to
-    // run to completion and print no `recovery:` line.
-    for (opt, value) in [("--rejoin-window-ms", "500"), ("--respawn-budget", "5")] {
-        let args = run_with(&["--multiprocess", "--machines", "2", opt, value]);
-        assert_usage_error(&args, &format!("{opt} requires --checkpoint-every"));
-    }
+    // gang is restarted. It used to run to completion and print no
+    // `recovery:` line.
+    let args = run_with(&["--multiprocess", "--machines", "2", "--respawn-budget", "5"]);
+    assert_usage_error(&args, "--respawn-budget requires --checkpoint-every");
     // An engine that pumps runs multiprocess but has no snapshot to take:
     // refused by name, before a worker spawns.
     for (engine, name) in [

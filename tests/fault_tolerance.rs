@@ -1,28 +1,27 @@
-//! Checkpoint/replay fault-tolerance suite (DESIGN.md §12).
+//! Checkpoint/restart fault-tolerance suite (DESIGN.md §12).
 //!
 //! Every test here follows the same shape: run an undisturbed **oracle**
-//! gang with checkpointing enabled, then re-run the identical job with a
-//! deterministic fail point armed in exactly one worker
-//! (`LAZYGRAPH_FAILPOINT`, which calls `abort()` — no unwinding, no
-//! clean-shutdown frame, a genuinely torn process). The launcher respawns
-//! the victim with `--resume`; it loads its newest valid snapshot,
-//! rejoins both meshes at the recorded round watermarks, and replays
-//! forward. The recovered run must be **bitwise identical** to the
-//! oracle: same values, same iteration count, same simulated time bits.
+//! gang with checkpointing enabled, then re-run the identical job with
+//! deterministic fail points armed (`LAZYGRAPH_FAILPOINT`, which calls
+//! `abort()` — no unwinding, no clean-shutdown frame, a genuinely torn
+//! process). The launcher stops the whole gang and restarts every worker
+//! with `--resume G`, `G` the newest snapshot generation all of them
+//! hold; each loads it and builds fresh meshes. The recovered run must be
+//! **bitwise identical** to the oracle: same values, same iteration
+//! count, same simulated time bits.
 //!
 //! No test here sleeps or polls wall-clock state: fail points key on
-//! superstep / round / snapshot-chunk counters (deterministic under the PR 1 bitwise-
-//! determinism contract; the mid-round `send:` point alone lets the
-//! victim's already-issued sends drain to the wire before it aborts — the
-//! outcome must be the oracle's either way), and recovery is proven by
-//! output equality plus
-//! the `reconnects` / `replay_rounds` counters — if a fail point silently
-//! stopped firing, `reconnects == 0` fails the test rather than letting
-//! it pass vacuously.
+//! superstep / round / snapshot-chunk counters (deterministic under the
+//! bitwise-determinism contract; the mid-round `send:` point alone lets
+//! the victim's already-issued sends drain to the wire before it aborts —
+//! the outcome must be the oracle's either way), and recovery is proven
+//! by output equality plus the launch's gang-restart count — if a fail
+//! point silently stopped firing, the count is 0 and the test fails
+//! rather than passing vacuously.
 
 mod common;
 
-use lazygraph::multiproc::{run_multiprocess, FailPoint, MpOptions, Shipped};
+use lazygraph::multiproc::{run_multiprocess, FailPoint, MpOptions, MultiprocError, Shipped};
 use lazygraph::prelude::*;
 use lazygraph_graph::generators::{rmat, RmatConfig};
 use lazygraph_net::Wire;
@@ -32,8 +31,8 @@ fn worker_bin() -> &'static std::path::Path {
 }
 
 /// Small power-law graph for the kill matrix: big enough that SSSP takes
-/// several supersteps (so there are checkpoints to resume from and rounds
-/// to replay), small enough that a 4-process gang stays fast.
+/// several supersteps (so there are checkpoints to resume from), small
+/// enough that a 4-process gang stays fast.
 fn matrix_graph() -> Graph {
     let g = rmat(RmatConfig::graph500(7, 6, 5));
     let mut b = GraphBuilder::new(g.num_vertices());
@@ -50,14 +49,12 @@ fn cfg(engine: EngineKind) -> EngineConfig {
         .with_block_size(64)
 }
 
-/// Checkpoint every 2 supersteps, generous rejoin window (an upper bound,
-/// not a wait — recovery is event-driven), budget for one respawn plus
-/// slack. The oracle uses the same options minus the fail point so both
-/// runs share a checkpoint cadence.
-fn mp_opts(failpoint: Option<(usize, FailPoint)>) -> MpOptions {
+/// Checkpoint every 2 supersteps, budget for two gang restarts. The
+/// oracle uses the same options minus the fail points so both runs share
+/// a checkpoint cadence. Each fail point is `(incarnation, rank, point)`.
+fn mp_opts(failpoint: Vec<(u32, usize, FailPoint)>) -> MpOptions {
     MpOptions {
         checkpoint_every: 2,
-        rejoin_window_ms: 30_000,
         respawn_budget: 2,
         failpoint,
     }
@@ -83,15 +80,16 @@ fn fingerprint<P: VertexProgram>(o: &RunResult<P>) -> String {
     )
 }
 
-/// One launch of the gang; the launch report is not this suite's subject.
+/// One launch of the gang: its result and how many gang restarts it took.
 fn launch<P: Shipped>(
     g: &Graph,
     workers: usize,
     cfg: &EngineConfig,
     program: &P,
     opts: &MpOptions,
-) -> Result<RunResult<P>, lazygraph::multiproc::MultiprocError> {
-    run_multiprocess(g, workers, cfg, program, worker_bin(), opts).map(|(result, _)| result)
+) -> Result<(RunResult<P>, u32), MultiprocError> {
+    run_multiprocess(g, workers, cfg, program, worker_bin(), opts)
+        .map(|(result, launch)| (result, launch.gang_restarts))
 }
 
 /// Worker rank that gets killed in the fault runs, but for the one row
@@ -129,8 +127,9 @@ fn run_matrix_for<P: Shipped>(
 ) {
     let engine = base.engine;
 
-    let oracle = launch(g, workers, base, program, &mp_opts(None))
+    let (oracle, restarts) = launch(g, workers, base, program, &mp_opts(vec![]))
         .unwrap_or_else(|e| panic!("{} {workers}w oracle: {e}", engine.name()));
+    assert_eq!(restarts, 0, "oracle must run undisturbed");
     assert!(
         oracle.metrics.iterations >= 3,
         "{} {workers}w: oracle converged in {} supersteps — too few for a \
@@ -138,8 +137,6 @@ fn run_matrix_for<P: Shipped>(
         engine.name(),
         oracle.metrics.iterations
     );
-    assert_eq!(oracle.metrics.stats.reconnects, 0, "oracle must run undisturbed");
-    assert_eq!(oracle.metrics.stats.replay_rounds, 0, "oracle must run undisturbed");
     assert!(
         oracle.metrics.stats.snapshot_bytes > 0,
         "{} {workers}w: checkpointing was on but no snapshot was written",
@@ -150,7 +147,7 @@ fn run_matrix_for<P: Shipped>(
     // Checkpointing must be observationally free: the same job without
     // any recovery machinery lands on the same bits.
     if workers == 4 {
-        let plain = launch(g, workers, base, program, &MpOptions::default())
+        let (plain, _) = launch(g, workers, base, program, &MpOptions::default())
             .unwrap_or_else(|e| panic!("{} {workers}w plain: {e}", engine.name()));
         assert_eq!(
             fingerprint(&plain),
@@ -161,8 +158,8 @@ fn run_matrix_for<P: Shipped>(
     }
 
     for n in kills(oracle.metrics.iterations) {
-        let opts = mp_opts(Some((victim, FailPoint::Superstep(n))));
-        let out = launch(g, workers, base, program, &opts)
+        let opts = mp_opts(vec![(0, victim, FailPoint::Superstep(n))]);
+        let (out, restarts) = launch(g, workers, base, program, &opts)
             .unwrap_or_else(|e| panic!("{} {workers}w kill@{n}: {e}", engine.name()));
         assert_eq!(
             fingerprint(&out),
@@ -172,37 +169,24 @@ fn run_matrix_for<P: Shipped>(
             engine.name()
         );
         // If the fail point never fired the run degenerates to the oracle
-        // and would pass vacuously — the reconnect counters catch that.
-        assert!(
-            out.metrics.stats.reconnects >= 1,
-            "{} {workers}w kill@{n}: fail point never fired (no reconnects)",
-            engine.name()
-        );
-        if n >= 2 {
-            // To reach superstep n ≥ 2 the gang completed superstep n-1,
-            // so the survivors' logs hold rounds the rejoiner needs.
-            assert!(
-                out.metrics.stats.replay_rounds >= 1,
-                "{} {workers}w kill@{n}: rejoin happened but nothing was replayed",
-                engine.name()
-            );
-        }
+        // and would pass vacuously — the restart count catches that.
+        assert_eq!(restarts, 1, "{} {workers}w kill@{n}: one gang restart", engine.name());
     }
 
     // A kill *inside* a save: the victim dies with the header chunk of the
     // run's last generation in its temp file and nothing renamed, while
-    // its peers wait in that checkpoint's barrier. The respawn clears the
-    // torn file and resumes from the generation before it — the survivors
-    // pruned nothing past that one, the barrier never having completed —
-    // or, where the torn generation was the first (the delta engine's few
-    // epochs), from the start.
+    // its peers wait in that checkpoint's barrier, their own files of that
+    // generation complete. The launcher clears the torn file, discards the
+    // peers' newer generation, and restarts the gang from the generation
+    // before it — or, where the torn generation was the first (the delta
+    // engine's few epochs), from the start.
     let last_generation = (oracle.metrics.iterations - 1) / 2 * 2;
     assert!(last_generation >= 2, "{} {workers}w: no generation to tear", engine.name());
     let point = FailPoint::Ckpt {
         iteration: last_generation,
         chunk: 1,
     };
-    let out = launch(g, workers, base, program, &mp_opts(Some((victim, point))))
+    let (out, restarts) = launch(g, workers, base, program, &mp_opts(vec![(0, victim, point)]))
         .unwrap_or_else(|e| panic!("{} {workers}w kill@{point}: {e}", engine.name()));
     assert_eq!(
         fingerprint(&out),
@@ -211,16 +195,7 @@ fn run_matrix_for<P: Shipped>(
          {last_generation} is not bitwise identical to the oracle",
         engine.name()
     );
-    assert!(
-        out.metrics.stats.reconnects >= 1,
-        "{} {workers}w kill@{point}: fail point never fired (no reconnects)",
-        engine.name()
-    );
-    assert!(
-        out.metrics.stats.replay_rounds >= 1,
-        "{} {workers}w kill@{point}: rejoin happened but nothing was replayed",
-        engine.name()
-    );
+    assert_eq!(restarts, 1, "{} {workers}w kill@{point}: one gang restart", engine.name());
 }
 
 #[test]
@@ -367,12 +342,9 @@ fn delta_recovers_bitwise_4_workers() {
 /// Kill the victim *inside* a round: `send:<round>:<n>` aborts it in the
 /// apply broadcast of superstep 3 (data round 5; a Sync superstep is a
 /// gather round and an apply round) after it sent the round to worker 0
-/// and before it sends it to workers 2 and 3. The survivors are left at
-/// *different* watermarks for the same victim: worker 0 has forwarded its
-/// round 5, the other two have not. The respawned victim resumes from the
-/// superstep-2 snapshot (watermark 4) and regenerates rounds 4 and 5; the
-/// count-based dedupe has to drop round 5 on one link and accept it on
-/// the other two, per link, with no round-level agreement between them.
+/// and before it sends it to workers 2 and 3. Worker 0 holds the victim's
+/// round 5, the other two do not; the restarted gang discards both on
+/// fresh meshes and re-runs from the superstep-2 generation.
 #[test]
 fn kill_between_two_peers_sends_recovers_bitwise() {
     let g = matrix_graph();
@@ -380,17 +352,70 @@ fn kill_between_two_peers_sends_recovers_bitwise() {
     let base = cfg(EngineKind::PowerGraphSync);
     let sssp = Sssp::new(0u32);
 
-    let oracle = launch(&g, workers, &base, &sssp, &mp_opts(None)).expect("oracle");
+    let (oracle, _) = launch(&g, workers, &base, &sssp, &mp_opts(vec![])).expect("oracle");
     assert!(oracle.metrics.iterations > 3, "the kill must land before the last superstep");
 
-    let opts = mp_opts(Some((VICTIM, FailPoint::Send { round: 5, n: 2 })));
-    let out = launch(&g, workers, &base, &sssp, &opts).expect("mid-round kill run");
+    let opts = mp_opts(vec![(0, VICTIM, FailPoint::Send { round: 5, n: 2 })]);
+    let (out, restarts) = launch(&g, workers, &base, &sssp, &opts).expect("mid-round kill run");
 
     assert_eq!(
         fingerprint(&out),
         fingerprint(&oracle),
         "recovery after a kill between two peers' sends is not bitwise identical"
     );
-    assert!(out.metrics.stats.reconnects >= 1, "send:5:2 never fired (no reconnects)");
-    assert!(out.metrics.stats.replay_rounds >= 1, "nothing was replayed on rejoin");
+    assert_eq!(restarts, 1, "send:5:2 never fired (no gang restart)");
+}
+
+/// Two workers die at one superstep of one run: ranks 1 and 2 both abort
+/// when the middle superstep begins. One gang restart recovers both —
+/// the rejoin protocol this replaced could take back one dead peer per
+/// link, not two at once.
+#[test]
+fn two_ranks_killed_at_one_superstep_recover_bitwise() {
+    let g = matrix_graph();
+    let workers = 4;
+    let base = cfg(EngineKind::LazyBlockAsync);
+    let sssp = Sssp::new(0u32);
+
+    let (oracle, _) = launch(&g, workers, &base, &sssp, &mp_opts(vec![])).expect("oracle");
+    let n = (oracle.metrics.iterations / 2).max(2);
+    let kill = FailPoint::Superstep(n);
+    let opts = mp_opts(vec![(0, 1, kill), (0, 2, kill)]);
+    let (out, restarts) = launch(&g, workers, &base, &sssp, &opts).expect("two-kill run");
+
+    assert_eq!(
+        fingerprint(&out),
+        fingerprint(&oracle),
+        "recovery after ranks 1 and 2 died at superstep {n} is not bitwise identical"
+    );
+    assert_eq!(restarts, 1, "both kills land in one incarnation: one gang restart");
+}
+
+/// A second crash during the recovery from the first: rank 1 dies at the
+/// middle superstep, and in the restarted gang rank 2 dies at the last.
+/// Each costs one gang restart, and the run still lands on the oracle's
+/// bits.
+#[test]
+fn a_second_kill_during_the_resumed_run_recovers_bitwise() {
+    let g = matrix_graph();
+    let workers = 4;
+    let base = cfg(EngineKind::PowerGraphSync);
+    let sssp = Sssp::new(0u32);
+
+    let (oracle, _) = launch(&g, workers, &base, &sssp, &mp_opts(vec![])).expect("oracle");
+    let last = oracle.metrics.iterations;
+    let first = (last / 2).max(2);
+    assert!(first < last, "the second kill must land after the first");
+    let opts = mp_opts(vec![
+        (0, 1, FailPoint::Superstep(first)),
+        (1, 2, FailPoint::Superstep(last)),
+    ]);
+    let (out, restarts) = launch(&g, workers, &base, &sssp, &opts).expect("double-kill run");
+
+    assert_eq!(
+        fingerprint(&out),
+        fingerprint(&oracle),
+        "recovery after a kill at {first} and another at {last} is not bitwise identical"
+    );
+    assert_eq!(restarts, 2, "each incarnation's kill costs one gang restart");
 }

@@ -449,8 +449,6 @@ fn assert_checkpoints_stream_through_one_chunk() {
         clock: 0.0,
         breakdown: Default::default(),
         last_global: 0.0,
-        data_round: 10,
-        ctrl_round: 15,
         carry: Vec::new(),
     };
     let before = TOTAL.load(Ordering::Relaxed);
@@ -459,7 +457,7 @@ fn assert_checkpoints_stream_through_one_chunk() {
 
     let mut restored = init();
     let before = TOTAL.load(Ordering::Relaxed);
-    let snapshot = store.open_latest(|_, why| panic!("{why}")).expect("open").expect("saved");
+    let snapshot = store.open_at(header.iterations).expect("open");
     snapshot.restore_into(&mut restored, &mut Vec::new()).expect("restore");
     let restore_allocated = TOTAL.load(Ordering::Relaxed) - before;
     std::fs::remove_dir_all(&dir).ok();

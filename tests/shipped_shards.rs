@@ -10,7 +10,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use lazygraph::multiproc::{
-    run_multiprocess, shard_path, FailPoint, LaunchReport, MpOptions, Shipped, WorkerJob,
+    run_multiprocess, shard_path, FailPoint, LaunchReport, MpOptions, MultiprocError, Shipped,
+    WorkerJob,
 };
 use lazygraph::prelude::*;
 use lazygraph_graph::generators::{rmat, RmatConfig};
@@ -88,22 +89,21 @@ fn fingerprint(o: &RunResult<Sssp>) -> String {
     )
 }
 
-/// The respawn has no graph to re-partition: all it can start from is the
-/// shard file its predecessor read.
+/// The restarted gang has no graph to re-partition: all it can start from
+/// is the shard files its predecessor read.
 #[test]
 fn a_respawned_worker_reads_the_same_shard_file_again() {
     let g = rmat(RmatConfig::graph500(9, 8, 5));
     let opts = |failpoint| MpOptions {
         checkpoint_every: 2,
-        rejoin_window_ms: 30_000,
         respawn_budget: 2,
         failpoint,
     };
-    let (calm, calm_launch) = sssp(&g, 4, &opts(None));
+    let (calm, calm_launch) = sssp(&g, 4, &opts(vec![]));
     assert!(calm.metrics.iterations > 3, "the kill must land mid-run");
-    assert_eq!(calm.metrics.stats.reconnects, 0);
-    let (killed, killed_launch) = sssp(&g, 4, &opts(Some((1, FailPoint::Superstep(3)))));
-    assert!(killed.metrics.stats.reconnects > 0, "the fail point never fired");
+    assert_eq!(calm_launch.gang_restarts, 0);
+    let (killed, killed_launch) = sssp(&g, 4, &opts(vec![(0, 1, FailPoint::Superstep(3))]));
+    assert_eq!(killed_launch.gang_restarts, 1, "the fail point never fired");
     assert_eq!(fingerprint(&killed), fingerprint(&calm));
     assert_eq!(killed_launch.shard_bytes, calm_launch.shard_bytes);
 }
@@ -135,7 +135,6 @@ fn stage(name: &str, at: Staged, shard_file: impl FnOnce(&DistributedGraph) -> V
         ctrl_addrs: vec!["127.0.0.1:1".into(); at.addrs],
         checkpoint_every: 0,
         checkpoint_dir: String::new(),
-        rejoin_window_ms: 0,
     };
     let dir = std::env::temp_dir().join(format!("lazygraph-shards-{}-{name}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
@@ -147,8 +146,11 @@ fn stage(name: &str, at: Staged, shard_file: impl FnOnce(&DistributedGraph) -> V
 
 /// The staged job file's bytes as the hand-written codecs wrote them
 /// (recorded at `145e8f4`, before `WorkerJob`, `EngineConfig` and
-/// `PlacementShape` became field lists): 304 bytes. Never re-record to
-/// make this pass.
+/// `PlacementShape` became field lists): 304 bytes then, 296 since the
+/// job's last field — the rejoin window, 8 zero bytes here — was retired
+/// with the rejoin itself. Every byte before it is as recorded. Never
+/// re-record to make this pass. A job file of the old layout is refused
+/// as a typed decode error, never read as a job.
 #[test]
 fn the_staged_job_file_is_byte_for_byte_the_hand_written_codecs() {
     let golden = "\
@@ -158,13 +160,21 @@ fn the_staged_job_file_is_byte_for_byte_the_hand_written_codecs() {
          00000001009a9999999999a93f010000000000000000040000000000001000000000000000fca9f1d24d6250\
          3f00000000000000000000010000000002000000000000004000000000000000000000000040074002000000\
          0b0000003132372e302e302e313a310b0000003132372e302e302e313a31020000000b0000003132372e302e\
-         302e313a310b0000003132372e302e302e313a310000000000000000000000000000000000000000";
+         302e313a310b0000003132372e302e302e313a31000000000000000000000000";
     let dir = stage("golden", TWO, |dg| dg.shards[0].to_wire());
     let bytes = std::fs::read(dir.join("job.bin")).expect("job file");
     let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
     assert_eq!(hex, golden);
     let job = WorkerJob::read(&dir.join("job.bin")).expect("the worker's own entry reads it");
     assert_eq!(job.to_wire(), bytes);
+
+    let mut old = bytes;
+    old.extend_from_slice(&[0; 8]);
+    std::fs::write(dir.join("job.bin"), &old).expect("old job file");
+    match WorkerJob::read(&dir.join("job.bin")) {
+        Err(MultiprocError::Decode(detail)) => assert!(detail.contains("job file"), "{detail}"),
+        other => panic!("an old-layout job file was not a decode error: {other:?}"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -94,7 +94,7 @@ proptest! {
     /// PageRank vertex data — the payload whose bit-exactness makes a TCP
     /// PageRank run indistinguishable from an in-proc one.
     #[test]
-    fn pagerank_data_round_trips_bitwise(rank_bits in any::<u64>(), pending_bits in any::<u64>()) {
+    fn pagerank_vertex_values_round_trip_bitwise(rank_bits in any::<u64>(), pending_bits in any::<u64>()) {
         let x = PageRankData {
             rank: f64::from_bits(rank_bits),
             pending: f64::from_bits(pending_bits),
