@@ -34,8 +34,6 @@ pub struct BspReduction {
     pub bytes: u64,
     /// Sum of pending messages (termination).
     pub pending: u64,
-    /// Sum of vertices applied this step (active count, interval model).
-    pub applied: u64,
     /// Comm-mode volume estimates for the *next* coherency exchange.
     pub est: VolumeEstimate,
 }
@@ -43,14 +41,13 @@ pub struct BspReduction {
 // The reduction crosses the machine's control-mesh leg on every route;
 // `clock` rides as its IEEE-754 bit pattern, so the folded max is the
 // same bits whether the leg is a channel or a socket.
-wire_record!(BspReduction { clock, bytes, pending, applied, est });
+wire_record!(BspReduction { clock, bytes, pending, est });
 
 fn combine(a: BspReduction, b: BspReduction) -> BspReduction {
     BspReduction {
         clock: a.clock.max(b.clock),
         bytes: a.bytes + b.bytes,
         pending: a.pending + b.pending,
-        applied: a.applied + b.applied,
         est: a.est.merge(b.est),
     }
 }

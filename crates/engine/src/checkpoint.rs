@@ -12,7 +12,7 @@
 //! rest of the run bitwise the undisturbed one's. DESIGN.md §12 walks
 //! through the protocol.
 //!
-//! ## On-disk format (v11)
+//! ## On-disk format (v12)
 //!
 //! ```text
 //! [magic "LZCK" u32 LE][version u32]
@@ -35,7 +35,7 @@
 //!            occupied slots' values
 //! delta_msg: as message
 //! queue:     its length, then its entries
-//! history:   its length, then its records
+//! history:   its length, then its `StepRecord`s
 //! ```
 //!
 //! and nothing of it is ever held whole: [`write_snapshot`] encodes
@@ -66,7 +66,7 @@ use lazygraph_net::{wire_record, NetError, Wire, WireReader};
 
 use crate::config::EngineKind;
 use crate::machine::Frame;
-use crate::metrics::{IterationRecord, SimBreakdown};
+use crate::metrics::{SimBreakdown, StepRecord};
 use crate::program::VertexProgram;
 use crate::state::{initial_data, MachineState};
 
@@ -97,8 +97,9 @@ pub const CKPT_MAGIC: u32 = 0x4b435a4c;
 /// resumed machine's trace continues from its snapshot instead of
 /// restarting there. v11 dropped the two mesh round watermarks from the
 /// header: a restarted gang builds fresh meshes at round 0 and replays
-/// nothing.
-pub const CKPT_VERSION: u32 = 11;
+/// nothing. v12 changed the trace's record: the skeleton's `StepRecord`,
+/// carrying the engine's carried record, replaced the engines' own.
+pub const CKPT_VERSION: u32 = 12;
 /// Payload bytes after which the writer closes a chunk.
 pub const CKPT_CHUNK: usize = 1 << 20;
 /// Largest encoding of one element (a value, or a mask word with the
@@ -629,7 +630,7 @@ pub fn write_snapshot<P: VertexProgram, W: Write>(
     out: W,
     header: &SnapshotHeader,
     state: &MachineState<P>,
-    history: &[IterationRecord],
+    history: &[StepRecord],
     initial: impl Fn(u32) -> P::VData,
 ) -> Result<u64, CheckpointError> {
     // `scratch` is exempt: capacity-only buffers, always written before
@@ -760,7 +761,7 @@ impl<R: Read> SnapshotReader<R> {
     pub fn restore_into<P: VertexProgram>(
         self,
         state: &mut MachineState<P>,
-        history: &mut Vec<IterationRecord>,
+        history: &mut Vec<StepRecord>,
     ) -> Result<SnapshotHeader, CheckpointError> {
         let SnapshotReader { header, mut chunks } = self;
         let MachineState { vdata, coherent, message, delta_msg, active, queue, scratch: _ } = state;
@@ -857,7 +858,7 @@ impl SnapshotStore {
         &self,
         header: &SnapshotHeader,
         state: &MachineState<P>,
-        history: &[IterationRecord],
+        history: &[StepRecord],
         initial: impl Fn(u32) -> P::VData,
     ) -> Result<u64, CheckpointError> {
         std::fs::create_dir_all(&self.dir).map_err(|e| io_err("create_dir_all", &e))?;
@@ -1090,13 +1091,13 @@ mod tests {
     }
 
     /// A one-record trace.
-    fn sample_history() -> Vec<IterationRecord> {
-        vec![IterationRecord {
-            iteration: 6,
-            pending: 12,
-            lazy_on: true,
-            sim_time: 1.5,
-            ..Default::default()
+    fn sample_history() -> Vec<StepRecord> {
+        let header = sample_header();
+        vec![StepRecord {
+            superstep: header.iterations,
+            sim_time: header.clock,
+            breakdown: header.breakdown,
+            carry: header.carry,
         }]
     }
 
@@ -1241,7 +1242,7 @@ mod tests {
         // must fail the strict equality check, not decode garbage: every
         // version changed the layout.
         let file = sample_file();
-        for version in [3u32, 4, 5, 6, 7, 8, 9, 10] {
+        for version in [3u32, 4, 5, 6, 7, 8, 9, 10, 11] {
             let mut old = file.clone();
             old[4..8].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(verify(&old), Err(CheckpointError::BadHeader { .. })));

@@ -110,15 +110,9 @@ pub struct EngineConfig {
     pub cost: CostModel,
     /// Safety cap on supersteps / coherency iterations.
     pub max_iterations: u64,
-    /// Consult the program's [`crate::program::VertexProgram::exchange_policy`]
-    /// before shipping deltas at coherency points (drop provably-useless,
-    /// defer sub-tolerance). Semantics-preserving; off reproduces the
-    /// paper's literal ship-everything protocol.
-    pub delta_suppression: bool,
-    /// Record a per-round [`crate::metrics::IterationRecord`] trace on
-    /// every machine, returned in its outcome on both routes; the run
-    /// reports machine 0's (convergence analysis; small extra cost per
-    /// round).
+    /// Book a [`crate::metrics::StepRecord`] after every step on every
+    /// machine, returned in its outcome on both routes; the run reports
+    /// machine 0's trace (convergence analysis; one small record a step).
     pub record_history: bool,
     /// Active-vertex fraction below which the PowerSwitch hybrid engine
     /// flips from BSP to asynchronous execution.
@@ -167,7 +161,6 @@ impl EngineConfig {
             interval: IntervalPolicy::paper_adaptive(),
             cost: CostModel::paper_cluster(),
             max_iterations: 1_000_000,
-            delta_suppression: true,
             record_history: false,
             hybrid_switch_threshold: 0.05,
             threads_per_machine: 0,
@@ -379,8 +372,8 @@ impl Wire for IntervalPolicy {
 // `config_wire.rs` pins the bytes and the round trip.
 wire_record!(EngineConfig {
     engine, partition, splitter, bidirectional, comm_mode, interval, cost, max_iterations,
-    delta_suppression, record_history, hybrid_switch_threshold, threads_per_machine, block_size,
-    delta_buckets, delta_tolerance, transport, hub_fanout,
+    record_history, hybrid_switch_threshold, threads_per_machine, block_size, delta_buckets,
+    delta_tolerance, transport, hub_fanout,
 });
 
 /// Default vertices-per-block for the machine-local pools.

@@ -27,7 +27,7 @@ use lazygraph_cluster::CommError;
 
 use crate::bsp::{BspReduction, CommCharge};
 use crate::config::EngineKind;
-use crate::lazy_block::{exchange_a2a, sweep, LazyCounters};
+use crate::lazy_block::{coherency_decisions, exchange_a2a, sweep, LazyCounters};
 use crate::machine::{Frame, Superstep, Vote};
 use crate::program::VertexProgram;
 use crate::scheduler::PriorityBuckets;
@@ -79,7 +79,7 @@ impl<P: VertexProgram> Superstep<P> for DeltaStep {
     }
 
     fn step(&mut self, f: &mut Frame<'_, P, P::Delta>) -> Result<Vote, CommError> {
-        let (program, suppress) = (f.program, f.cfg.delta_suppression);
+        let program = f.program;
         self.counters.coherency_points += 1;
 
         // ---- Local sub-epochs: drain the schedulable worklist to
@@ -133,8 +133,7 @@ impl<P: VertexProgram> Superstep<P> for DeltaStep {
             // the exchange policy would judge outbound deltas against
             // information the peers never received (and e.g. drop every
             // SSSP improvement a local relaxation already consumed). The
-            // delta engine's `coherent` stays at the initial common view;
-            // delta suppression still gates the exchange itself.
+            // delta engine's `coherent` stays at the initial common view.
             sweep(f, &plan.selected, false);
             // Deferred vertices stay active and pending for the next
             // sub-epoch (their inbox entries were untouched by the sweep).
@@ -149,7 +148,8 @@ impl<P: VertexProgram> Superstep<P> for DeltaStep {
 
         // ---- Delta coherency: ship accumulated deltaMsg all-to-all. -----
         self.counters.a2a_exchanges += 1;
-        let sent_bytes = exchange_a2a(f, suppress)?;
+        let decisions = coherency_decisions(f.shard, &f.state, program, &f.pctx);
+        let sent_bytes = exchange_a2a(f, decisions)?;
 
         // ---- Tolerance-based termination vote. --------------------------
         // Schedulable = priority at or above tolerance; parked mass does

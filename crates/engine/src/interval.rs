@@ -79,6 +79,16 @@ impl Trend {
     pub fn value(&self) -> f64 {
         self.last
     }
+
+    /// The active-vertex count observed last (`None` before the first).
+    pub fn active(&self) -> Option<u64> {
+        self.prev_active
+    }
+
+    /// How many coherency stages the trend has observed.
+    pub fn observed(&self) -> u64 {
+        self.observed
+    }
 }
 
 /// Answers `turnOnLazy()` / `doLC()` for one run's policy and graph.

@@ -33,7 +33,6 @@ use crate::config::{CommModePolicy, EngineKind};
 use crate::exchange::stage_combining;
 use crate::interval::{IntervalModel, StageProgress, Trend};
 use crate::machine::{Frame, Superstep, Vote};
-use crate::metrics::IterationRecord;
 use crate::parallel::ParallelCtx;
 use crate::program::{DeltaExchange, LocalOrder, VertexProgram};
 use crate::scheduler::{cut_most_urgent, LOCAL_MIN_BATCH, LOCAL_ORDER_FROM};
@@ -132,30 +131,31 @@ pub(crate) fn sweep<P: VertexProgram, M>(
 /// What of LazyBlockAsync survives from one coherency iteration to the
 /// next: the interval model's trend and the stage bounds it is read with,
 /// and the comm-mode lag. The engine's [`Superstep::Carry`], so exactly
-/// what a snapshot carries.
+/// what a snapshot carries and what each record of the trace holds
+/// ([`crate::metrics::StepRecord::carry`]).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LazyCarry {
     /// Coherency points, sub-rounds and exchanges so far.
-    pub(crate) counters: LazyCounters,
+    pub counters: LazyCounters,
     /// The active-vertex trend `turnOnLazy()` reads.
-    pub(crate) trend: Trend,
+    pub trend: Trend,
     /// Whether the local computation stage is switched on.
-    pub(crate) do_local: bool,
+    pub do_local: bool,
     /// Duration T of the first local computation stage (§4.2.1's doLC
     /// bound); never measured when the stages are budgeted instead.
-    pub(crate) first_stage_time: Option<f64>,
+    pub first_stage_time: Option<f64>,
     /// Simulated seconds the previous coherency point was charged (barrier
     /// latency plus the collective time of its bytes; identical on every
     /// machine) — what a budgeted local stage is rationed against.
-    pub(crate) coherency_cost: f64,
+    pub coherency_cost: f64,
     /// Simulated compute this machine's last sweep was charged, local
     /// sub-round or coherency-point sweep alike: a budgeted stage's
     /// prediction of what its next sub-round would cost.
-    pub(crate) last_sweep_cost: f64,
+    pub last_sweep_cost: f64,
     /// Comm mode decided from the previous coherency point's volume
     /// estimates (one-round lag keeps the coherency stage at exactly one
     /// global synchronisation, as in the paper's Fig. 1(c)).
-    pub(crate) next_mode: CommMode,
+    pub next_mode: CommMode,
 }
 
 wire_record!(LazyCarry {
@@ -221,10 +221,9 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
 
         // ---- Stage 1: local computation. --------------------------------
         let stage_start = f.clock.now();
-        let mut stage_budget = 0.0;
         if self.carry.do_local {
             let LazyCarry { first_stage_time, coherency_cost, .. } = self.carry;
-            stage_budget = self.interval.stage_budget(first_stage_time, coherency_cost);
+            let stage_budget = self.interval.stage_budget(first_stage_time, coherency_cost);
             let order = self.order.filter(|_| f.iterations >= LOCAL_ORDER_FROM);
             // `doLC()` is asked before the queue is touched, so a refused
             // sub-round leaves it exactly as it stood — still `active`,
@@ -251,13 +250,18 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
                 self.carry.first_stage_time = Some(f.clock.now() - stage_start);
             }
         }
-        let local_stage_s = f.clock.now() - stage_start;
 
         // ---- Stage 2: data coherency. ------------------------------------
-        // Local volume-estimate partials (§4.2.2 formulas), computed from
-        // the deltas about to be exchanged; the summed estimates decide the
-        // *next* coherency point's mode (one-round lag, one sync per point).
-        let est = volume_estimate(f.shard, &f.state, f.program, &f.pctx, cfg.delta_suppression);
+        // One fate scan decides what ships. This machine's §4.2.2
+        // volume-estimate partial sums over the deltas that do; the summed
+        // estimates decide the *next* coherency point's mode (one-round
+        // lag, one sync per point).
+        let decisions = coherency_decisions(f.shard, &f.state, f.program, &f.pctx);
+        let (shard, delta_bytes) = (f.shard, f.program.delta_bytes());
+        let mut est = VolumeEstimate::default();
+        for &(l, _) in decisions.iter().flatten().filter(|(_, d)| d.is_some()) {
+            est.add_holder(shard.mirrors(l).len(), shard.is_master(l), delta_bytes);
+        }
         let mode = match cfg.comm_mode {
             CommModePolicy::AllToAll => CommMode::AllToAll,
             CommModePolicy::MirrorsToMaster => CommMode::MirrorsToMaster,
@@ -266,14 +270,14 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
         let (sent_bytes, charge) = match mode {
             CommMode::AllToAll => {
                 self.carry.counters.a2a_exchanges += 1;
-                (exchange_a2a(f, cfg.delta_suppression)?, CommCharge::A2A)
+                (exchange_a2a(f, decisions)?, CommCharge::A2A)
             }
             CommMode::MirrorsToMaster => {
                 self.carry.counters.m2m_exchanges += 1;
                 let (own, totals) = (&mut self.own_scratch, &mut self.totals_scratch);
                 own.resize(f.shard.num_local(), None);
                 totals.resize(f.shard.num_local(), None);
-                (exchange_m2m(f, own, totals, cfg.delta_suppression)?, CommCharge::M2M)
+                (exchange_m2m(f, own, totals, decisions)?, CommCharge::M2M)
             }
         };
         self.carry.counters.coherency_points += 1;
@@ -292,19 +296,6 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
         // clock — both terms come out of the reduction, so every machine
         // reads the same bits.
         self.carry.coherency_cost = f.clock.now() - red.clock;
-        if cfg.record_history {
-            f.history.push(IterationRecord {
-                iteration: f.iterations,
-                pending: red.pending,
-                bytes: red.bytes,
-                lazy_on: self.carry.do_local,
-                local_subrounds: self.carry.counters.local_subrounds - subrounds_at_round_start,
-                used_m2m: mode == CommMode::MirrorsToMaster,
-                sim_time: f.clock.now(),
-                local_stage_s,
-                stage_budget_s: stage_budget,
-            });
-        }
         if red.pending == 0 {
             return Ok(Vote::Converged);
         }
@@ -320,11 +311,7 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
         // deliveries (which siblings have not yet received) leak into the
         // snapshot and later suppress their own exchange.
         f.state.take_queue_into(&mut self.worklist);
-        // `coherent` is only ever read by the suppression policy (the
-        // volume-estimate scan and the exchange decisions both gate on
-        // `delta_suppression`), so with suppression off the per-vertex
-        // snapshot clone would be pure overhead — skip it.
-        self.sweep_worklist(f, cfg.delta_suppression);
+        self.sweep_worklist(f, true);
         Ok(Vote::Continue)
     }
 }
@@ -375,80 +362,42 @@ impl<P: VertexProgram> LazyStep<P> {
     }
 }
 
-/// This machine's §4.2.2 volume-estimate partial over the deltas the next
-/// exchange will ship. Only replicated vertices can ever hold a shippable
-/// delta, so the scan walks `shard.replicated` in parallel blocks; the
-/// partial estimates merge in block order (sums, so any order would do —
-/// but the rule is uniform).
-fn volume_estimate<P: VertexProgram>(
-    shard: &LocalShard,
-    state: &MachineState<P>,
-    program: &P,
-    pctx: &ParallelCtx,
-    suppress: bool,
-) -> VolumeEstimate {
-    let delta_bytes = program.delta_bytes();
-    let (delta_view, coherent_view) = (&state.delta_msg, &state.coherent);
-    pctx.map_chunks(&shard.replicated, |chunk| {
-        let mut e = VolumeEstimate::default();
-        for &l in chunk {
-            let l = l as usize;
-            if let Some(d) = &delta_view[l] {
-                if suppress
-                    && program.exchange_policy(&coherent_view[l], d) != DeltaExchange::Send
-                {
-                    continue;
-                }
-                e.add_holder(shard.mirrors(l as u32).len(), shard.is_master(l as u32), delta_bytes);
-            }
-        }
-        e
-    })
-    .into_iter()
-    .fold(VolumeEstimate::default(), VolumeEstimate::merge)
-}
-
 /// Phase A of a coherency exchange (parallel, read-only): each replicated
-/// vertex's fate — `(l, Some(delta))` ships, `(l, None)` drops the slot,
-/// absent defers it — in ascending local-id order per block. Phase B
-/// (the caller, block order) clears slots and fills outboxes, so the wire
-/// byte stream is schedule-independent.
-fn coherency_decisions<P: VertexProgram>(
+/// vertex's fate under the program's
+/// [`exchange_policy`](VertexProgram::exchange_policy) — `(l, Some(delta))`
+/// ships, `(l, None)` drops the slot, absent defers it — in ascending
+/// local-id order per block. Phase B (the exchange, block order) clears
+/// slots and fills outboxes, so the wire byte stream is
+/// schedule-independent.
+pub(crate) fn coherency_decisions<P: VertexProgram>(
     shard: &LocalShard,
     state: &MachineState<P>,
     program: &P,
     pctx: &ParallelCtx,
-    suppression: bool,
 ) -> Vec<Vec<(u32, Option<P::Delta>)>> {
     let (delta_view, coherent_view) = (&state.delta_msg, &state.coherent);
     pctx.map_chunks(&shard.replicated, |chunk| {
         let mut out: Vec<(u32, Option<P::Delta>)> = Vec::new();
         for &l in chunk {
             let Some(d) = &delta_view[l as usize] else { continue };
-            if suppression {
-                match program.exchange_policy(&coherent_view[l as usize], d) {
-                    DeltaExchange::Send => {}
-                    DeltaExchange::Drop => {
-                        out.push((l, None));
-                        continue;
-                    }
-                    DeltaExchange::Defer => continue,
-                }
+            match program.exchange_policy(&coherent_view[l as usize], d) {
+                DeltaExchange::Send => out.push((l, Some(*d))),
+                DeltaExchange::Drop => out.push((l, None)),
+                DeltaExchange::Defer => {}
             }
-            out.push((l, Some(*d)));
         }
         out
     })
 }
 
 /// All-to-all deltaMsg exchange (Fig. 5(a)): every delta-holding replica
-/// sends its delta straight to every sibling — one ⊕-fold round. Staging
-/// runs through [`stage_combining`] (decisions arrive in ascending
-/// local-id order, so duplicate keys are adjacent). Returns bytes sent
-/// locally.
+/// sends its delta straight to every sibling — one ⊕-fold round — as
+/// [`coherency_decisions`] decided. Staging runs through
+/// [`stage_combining`] (decisions arrive in ascending local-id order, so
+/// duplicate keys are adjacent). Returns bytes sent locally.
 pub(crate) fn exchange_a2a<P: VertexProgram>(
     f: &mut Frame<'_, P, P::Delta>,
-    suppression: bool,
+    decisions: Vec<Vec<(u32, Option<P::Delta>)>>,
 ) -> Result<u64, CommError> {
     let (program, now) = (f.program, f.clock.now());
     let (shard, pctx, stats) = (f.shard, &f.pctx, &*f.stats);
@@ -456,7 +405,6 @@ pub(crate) fn exchange_a2a<P: VertexProgram>(
     let delta_bytes = program.delta_bytes();
     let mut sent = 0u64;
     let mut combined = 0u64;
-    let decisions = coherency_decisions(shard, state, program, pctx, suppression);
     let mut round = port.fold_round(pctx, shard, Phase::Coherency, delta_bytes, |_, gid, d| {
         Ok(Some(program.gather(gid.into(), d)))
     });
@@ -482,7 +430,8 @@ pub(crate) fn exchange_a2a<P: VertexProgram>(
 /// master combines with `Sum`, broadcasts the combined delta, and every
 /// replica removes its own contribution with `Inverse`. Hop 1 is a
 /// sender-ordered round (masters fold mirror contributions in sender
-/// order), hop 2 a ⊕-fold round. Returns bytes sent locally (both hops).
+/// order), hop 2 a ⊕-fold round; hop 1 ships as [`coherency_decisions`]
+/// decided. Returns bytes sent locally (both hops).
 ///
 /// `own` and `totals` are caller-owned dense scratch arrays indexed by
 /// local id; this function leaves them fully `None` again on return.
@@ -493,7 +442,7 @@ fn exchange_m2m<P: VertexProgram>(
     f: &mut Frame<'_, P, P::Delta>,
     own: &mut [Option<P::Delta>],
     totals: &mut [Option<P::Delta>],
-    suppression: bool,
+    decisions: Vec<Vec<(u32, Option<P::Delta>)>>,
 ) -> Result<u64, CommError> {
     let (program, now) = (f.program, f.clock.now());
     let (shard, pctx, stats) = (f.shard, &f.pctx, &*f.stats);
@@ -503,7 +452,6 @@ fn exchange_m2m<P: VertexProgram>(
     let mut combined = 0u64;
 
     // Hop 1: mirrors → master.
-    let decisions = coherency_decisions(shard, state, program, pctx, suppression);
     let mut hop1 = port.ordered_round(Phase::Coherency, delta_bytes);
     for (l, d) in decisions.into_iter().flatten() {
         let li = l as usize;

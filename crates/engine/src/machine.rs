@@ -4,8 +4,8 @@
 //! exchange, ⊕-fold, vote at a barrier — with Sync as the degenerate case
 //! where every iteration is a coherency point. [`run_machine`] owns
 //! everything that shape has in common: the per-machine [`Frame`],
-//! snapshot restore, the superstep fail point,
-//! the checkpoint barrier, and the masters → [`MachineOut`] epilogue. An
+//! snapshot restore, the superstep fail point, the trace, the checkpoint
+//! barrier, and the masters → [`MachineOut`] epilogue. An
 //! engine is a [`Superstep`] implementation: its carried state, declared
 //! once as one record ([`Superstep::Carry`]), plus one `step` over the
 //! frame. Checkpointing and multiprocess execution are therefore
@@ -46,7 +46,7 @@ use crate::exchange::Port;
 use crate::hybrid_engine::HybridStep;
 use crate::lazy_block::{LazyCounters, LazyStep};
 use crate::lazy_vertex::LazyVertexPump;
-use crate::metrics::{IterationRecord, RunMetrics, SimBreakdown};
+use crate::metrics::{RunMetrics, SimBreakdown, StepRecord};
 use crate::parallel::ParallelCtx;
 use crate::program::VertexProgram;
 use crate::state::{InitMessages, MachineState};
@@ -73,9 +73,26 @@ pub struct Frame<'a, P: VertexProgram, M> {
     /// Supersteps started so far (1-based inside `step`; a pump step,
     /// which is not a superstep, resets it to 0).
     pub iterations: u64,
-    /// This machine's per-round trace: engines push to it when
-    /// `cfg.record_history` is set.
-    pub history: Vec<IterationRecord>,
+    /// This machine's trace: one record a step, booked by
+    /// [`Frame::book_step`] when `cfg.record_history` is set.
+    pub history: Vec<StepRecord>,
+}
+
+impl<P: VertexProgram, M> Frame<'_, P, M> {
+    /// Books the step just run into this machine's trace when
+    /// `cfg.record_history` is set: the superstep, the clock, the
+    /// breakdown and `carry`, the engine's carried record as the step
+    /// left it — what a snapshot taken at this boundary would hold.
+    pub fn book_step(&mut self, carry: &impl Wire) {
+        if self.cfg.record_history {
+            self.history.push(StepRecord {
+                superstep: self.iterations,
+                sim_time: self.clock.now(),
+                breakdown: self.bsp.breakdown,
+                carry: carry.to_wire(),
+            });
+        }
+    }
 }
 
 /// The termination vote a superstep ends with (identical on every
@@ -146,8 +163,8 @@ pub struct MachineOut<P: VertexProgram> {
     /// This machine's simulated-time breakdown: the same bits on every
     /// machine of the run.
     pub breakdown: SimBreakdown,
-    /// This machine's per-round trace (empty unless recorded).
-    pub history: Vec<IterationRecord>,
+    /// This machine's trace, one record a step (empty unless recorded).
+    pub history: Vec<StepRecord>,
 }
 
 impl<P: VertexProgram> MachineOut<P> {
@@ -418,7 +435,9 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
     while f.iterations < cfg.max_iterations {
         f.iterations += 1;
         lazygraph_cluster::failpoint_superstep(f.iterations);
-        if engine.step(&mut f)? == Vote::Converged {
+        let vote = engine.step(&mut f)?;
+        f.book_step(engine.carry());
+        if vote == Vote::Converged {
             converged = true;
             break;
         }

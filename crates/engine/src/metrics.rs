@@ -36,49 +36,31 @@ impl SimBreakdown {
 // components as IEEE-754 bit patterns.
 wire_record!(SimBreakdown { compute, comm, barrier, overlap_ms, send_wait_ms });
 
-/// One BSP round's trace entry (superstep for Sync, coherency iteration
-/// for LazyBlockAsync), recorded by every machine when
-/// `EngineConfig::record_history` is on.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct IterationRecord {
-    /// 1-based round number.
-    pub iteration: u64,
-    /// Global pending messages after the round's last exchange (the
-    /// active-vertex count the interval model's trend tracks).
-    pub pending: u64,
-    /// Bytes exchanged during the round.
-    pub bytes: u64,
-    /// Whether the lazy engine's local computation stage was enabled.
-    pub lazy_on: bool,
-    /// Local sub-rounds executed on this machine this round (lazy only).
-    pub local_subrounds: u64,
-    /// Whether the round's coherency exchange used mirrors-to-master.
-    pub used_m2m: bool,
-    /// Simulated clock at the end of the round.
+/// One machine's record of one step, booked by the superstep skeleton
+/// after every step when `EngineConfig::record_history` is on
+/// ([`Frame::book_step`](crate::machine::Frame::book_step)). Every field
+/// is what a snapshot taken at that boundary holds, so the record is as
+/// deterministic as the run: bitwise across threads, transports, worker
+/// processes and kill / resume for the engines that checkpoint.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct StepRecord {
+    /// The superstep just run (0 for a pump step, which is not one).
+    pub superstep: u64,
+    /// This machine's simulated clock after it.
     pub sim_time: f64,
-    /// Simulated seconds this machine spent in this round's local
-    /// computation stage (lazy only; 0 for a stage that admitted no
-    /// sub-round).
-    pub local_stage_s: f64,
-    /// What the interval model allowed that stage, simulated seconds: half
-    /// the previous coherency point's cost where stages are budgeted,
-    /// `local_bound_factor · T` (infinite while `T` is being measured)
-    /// where they are not, 0 while lazy mode is off.
-    pub stage_budget_s: f64,
+    /// The cumulative simulated-time breakdown after it (the same bits on
+    /// every machine).
+    pub breakdown: SimBreakdown,
+    /// The `Wire` bytes of the engine's carried record as the step left
+    /// it ([`Superstep::Carry`](crate::machine::Superstep::Carry)): a
+    /// [`LazyCarry`](crate::lazy_block::LazyCarry) for lazy-block,
+    /// [`LazyCounters`](crate::lazy_block::LazyCounters) for delta, empty
+    /// for an engine that carries nothing.
+    pub carry: Vec<u8>,
 }
 
-// Rides in every `MachineOut`; f64 fields as IEEE-754 bit patterns.
-wire_record!(IterationRecord {
-    iteration,
-    pending,
-    bytes,
-    lazy_on,
-    local_subrounds,
-    used_m2m,
-    sim_time,
-    local_stage_s,
-    stage_budget_s,
-});
+// Rides in every `MachineOut` and in every snapshot's trace section.
+wire_record!(StepRecord { superstep, sim_time, breakdown, carry });
 
 /// The outcome of one engine run.
 #[derive(Clone, Debug)]
@@ -113,9 +95,9 @@ pub struct RunMetrics {
     pub converged: bool,
     /// Replication factor of the placement used.
     pub lambda: f64,
-    /// Machine 0's per-round trace (empty unless
+    /// Machine 0's trace, one record a step (empty unless
     /// `EngineConfig::record_history`).
-    pub history: Vec<IterationRecord>,
+    pub history: Vec<StepRecord>,
 }
 
 impl RunMetrics {

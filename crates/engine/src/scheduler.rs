@@ -3,7 +3,7 @@
 //!
 //! Maiter-style selective execution processes the largest-|delta| vertices
 //! first, but a literal priority queue breaks the repo's bitwise
-//! determinism contract: heap pop order depends on insertion history and
+//! determinism contract: heap pop order depends on insertion order and
 //! float ties, and any hash-based bucket map iterates in nondeterministic
 //! order (DESIGN.md §8). This module replaces the queue with
 //! **power-of-two priority buckets**: a pending vertex with priority `p`

@@ -28,7 +28,6 @@ use lazygraph_partition::{EdgeMode, LocalShard};
 use crate::bsp::{BspReduction, CommCharge};
 use crate::config::EngineKind;
 use crate::machine::{Frame, Superstep, Vote};
-use crate::metrics::IterationRecord;
 use crate::parallel::ParallelCtx;
 use crate::program::{EdgeCtx, VertexProgram};
 use crate::state::{vertex_ctx, InitMessages, MachineState};
@@ -329,21 +328,11 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
             clock,
             BspReduction {
                 pending: state.pending_messages(),
-                applied: applies,
                 ..Default::default()
             },
             CommCharge::None,
         )?;
         *pending = red.pending;
-        if f.cfg.record_history {
-            f.history.push(IterationRecord {
-                iteration: f.iterations,
-                pending: red.pending,
-                bytes: 0, // per-phase bytes are in NetStats
-                sim_time: clock.now(),
-                ..Default::default()
-            });
-        }
         Ok(Vote::of(red.pending))
     }
 }

@@ -42,7 +42,6 @@ fn fingerprint(cfg: &EngineConfig) -> String {
                 bandwidth,
             },
         max_iterations,
-        delta_suppression,
         record_history,
         hybrid_switch_threshold,
         threads_per_machine,
@@ -76,8 +75,8 @@ fn fingerprint(cfg: &EngineConfig) -> String {
     .map(|x| x.to_bits());
     format!(
         "{engine:?} {partition:?} {high_degree_threshold:?} {low_degree_threshold:?} \
-         {bidirectional} {comm_mode:?} {interval_bits:?} {max_iterations} {delta_suppression} \
-         {record_history} {threads_per_machine} {block_size} \
+         {bidirectional} {comm_mode:?} {interval_bits:?} {max_iterations} {record_history} \
+         {threads_per_machine} {block_size} \
          {delta_buckets} {transport:?} {degree_threshold:?} {fanout} \
          {float_bits:?}"
     )
@@ -92,7 +91,7 @@ proptest! {
         tags in (0u8..6, 0u8..5, 0u8..3, 0u8..3, 0u8..2),
         f in proptest::collection::vec(any::<u64>(), 17),
         n in proptest::collection::vec(any::<u32>(), 7),
-        b in proptest::collection::vec(any::<bool>(), 6),
+        b in proptest::collection::vec(any::<bool>(), 5),
     ) {
         let float = |i: usize| f64::from_bits(f[i]);
         let cfg = EngineConfig {
@@ -134,8 +133,7 @@ proptest! {
                 bandwidth: float(14),
             },
             max_iterations: f[15],
-            delta_suppression: b[3],
-            record_history: b[4],
+            record_history: b[3],
             hybrid_switch_threshold: float(15),
             threads_per_machine: n[2] as usize,
             block_size: n[3] as usize,
@@ -143,7 +141,7 @@ proptest! {
             delta_tolerance: float(16),
             transport: if tags.4 == 0 { TransportKind::InProc } else { TransportKind::Tcp },
             hub_fanout: HubFanoutConfig {
-                degree_threshold: b[5].then_some(n[5] as usize),
+                degree_threshold: b[4].then_some(n[5] as usize),
                 fanout: n[6] as usize,
             },
         };
@@ -156,20 +154,22 @@ proptest! {
 
 /// The bytes of the paper's configuration as the hand-written codec wrote
 /// them (recorded at `145e8f4`, before the codec became a field list): 187
-/// bytes, and a launcher and a worker built either side of that change
-/// read each other's job files. Never re-record to make this pass.
+/// bytes then, and a launcher and a worker built either side of that
+/// change read each other's job files. 186 since `delta_suppression` — the
+/// `01` byte after `max_iterations` — was retired; every other byte is as
+/// recorded. Never re-record to make this pass.
 #[test]
 fn engine_config_wire_bytes_are_the_hand_written_codecs() {
     let golden = "\
          020200000000d0127341fca9f1d24d62403f00009a9999999999a93f0000000000000000002440ec51b81e85\
          ebb13f000000000000084000000000d012734148afbc9af2d77a3efca9f1d24d62503f691d554d10750f3ff1\
          68e388b5f8d43e2d431cebe2361a3f54e41071732ac93efa7e6abc7493583f0000000065cd9d4140420f0000\
-         00000001009a9999999999a93f000000000000000000040000000000001000000000000000fca9f1d24d6250\
+         000000009a9999999999a93f000000000000000000040000000000001000000000000000fca9f1d24d6250\
          3f00000000000000000000";
     let bytes = EngineConfig::lazygraph().to_wire();
     let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
     assert_eq!(hex, golden);
-    assert_eq!(bytes.len(), 187);
+    assert_eq!(bytes.len(), 186);
 }
 
 #[test]
@@ -184,12 +184,14 @@ fn engine_config_wire_rejects_bad_tags_and_truncation() {
 }
 
 
-/// The 17-field configuration is the whole encoding. What a 20-field
+/// The 16-field configuration is the whole encoding. What a 20-field
 /// launcher would append (three retired `u64` words, 24 bytes) is trailing
 /// bytes, not silently dropped; and the two retired `bool` bytes a
 /// 19-field launcher writes between `block_size` and `delta_buckets`
 /// shift every later field, which no setting of them survives — an error,
-/// never a different configuration.
+/// never a different configuration; so does the retired
+/// `delta_suppression` byte a 17-field launcher writes after
+/// `max_iterations`.
 #[test]
 fn engine_config_wire_rejects_the_retired_longer_encoding() {
     let cfg = EngineConfig::lazygraph();
@@ -211,5 +213,26 @@ fn engine_config_wire_rejects_the_retired_longer_encoding() {
         old.splice(at..at, [pipeline, adaptive_parts]);
         let back = EngineConfig::from_wire(&old);
         assert!(back.is_err(), "a 19-field encoding decoded as {back:?}");
+    }
+
+    // The retired byte sat right after `max_iterations`.
+    let before: usize = [
+        cfg.engine.to_wire(),
+        cfg.partition.to_wire(),
+        cfg.splitter.to_wire(),
+        cfg.bidirectional.to_wire(),
+        cfg.comm_mode.to_wire(),
+        cfg.interval.to_wire(),
+        cfg.cost.to_wire(),
+        cfg.max_iterations.to_wire(),
+    ]
+    .iter()
+    .map(Vec::len)
+    .sum();
+    for suppression in [0u8, 1] {
+        let mut old = cfg.to_wire();
+        old.insert(before, suppression);
+        let back = EngineConfig::from_wire(&old);
+        assert!(back.is_err(), "a 17-field encoding decoded as {back:?}");
     }
 }

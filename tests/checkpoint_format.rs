@@ -28,7 +28,7 @@ use lazygraph_engine::delta_engine::DeltaStep;
 use lazygraph_engine::exchange::Port;
 use lazygraph_engine::lazy_block::{LazyCarry, LazyCounters, LazyStep};
 use lazygraph_engine::machine::{Frame, Superstep, Vote};
-use lazygraph_engine::metrics::IterationRecord;
+use lazygraph_engine::metrics::StepRecord;
 use lazygraph_engine::state::MachineState;
 use lazygraph_engine::sync_engine::SyncStep;
 use lazygraph_engine::{run_mesh_engine, Attach, ParallelCtx, Seat, SimBreakdown};
@@ -167,16 +167,29 @@ fn corrupted_checksum_field_is_a_checksum_mismatch() {
     }
 }
 
+/// A container of `version` is refused at the header, whatever it holds.
+fn assert_version_refused(version: u32) {
+    let mut old = container_of(&[0xABu8; 100]);
+    old[4..8].copy_from_slice(&version.to_le_bytes());
+    assert!(matches!(verify(&old), Err(CheckpointError::BadHeader { .. })));
+    let err = SnapshotReader::open(&old[..]).err().expect("refused");
+    assert!(matches!(err, CheckpointError::BadHeader { .. }) && err.is_corruption(), "{err}");
+}
+
 /// A v10 file — the layout whose header still carried the two mesh round
 /// watermarks — is refused at the header, not decoded as a header with a
 /// carry that starts where the watermarks were.
 #[test]
 fn a_v10_file_is_a_bad_header() {
-    let mut v10 = container_of(&[0xABu8; 100]);
-    v10[4..8].copy_from_slice(&10u32.to_le_bytes());
-    assert!(matches!(verify(&v10), Err(CheckpointError::BadHeader { .. })));
-    let err = SnapshotReader::open(&v10[..]).err().expect("refused");
-    assert!(matches!(err, CheckpointError::BadHeader { .. }) && err.is_corruption(), "{err}");
+    assert_version_refused(10);
+}
+
+/// A v11 file — whose trace section holds the engines' own records, not
+/// the skeleton's `StepRecord`s — is refused at the header, not decoded
+/// into a trace of misread records.
+#[test]
+fn a_v11_file_is_a_bad_header() {
+    assert_version_refused(11);
 }
 
 /// A v7 file — the parent's whole-payload container: magic, version,
@@ -234,7 +247,7 @@ fn assert_same_state<P: VertexProgram>(got: &MachineState<P>, want: &MachineStat
 fn snapshot_file(
     header: &SnapshotHeader,
     state: &MachineState<Sssp>,
-    history: &[IterationRecord],
+    history: &[StepRecord],
 ) -> Vec<u8> {
     let mut file = Vec::new();
     let bytes = write_snapshot(&mut file, header, state, history, initial).expect("write");
@@ -243,31 +256,31 @@ fn snapshot_file(
 }
 
 /// A restored header, state and trace.
-type Restored = (SnapshotHeader, MachineState<Sssp>, Vec<IterationRecord>);
+type Restored = (SnapshotHeader, MachineState<Sssp>, Vec<StepRecord>);
 
 fn restore(file: &[u8], n: usize) -> Result<Restored, CheckpointError> {
     let mut state = fresh_state(n);
     // Junk a restore must replace.
-    let mut history = vec![IterationRecord::default(); 3];
+    let mut history = vec![StepRecord::default(); 3];
     let header = SnapshotReader::open(file)?.restore_into(&mut state, &mut history)?;
     Ok((header, state, history))
 }
 
 /// A trace of `len` records of arbitrary bits.
-fn history_of(len: u64, bits: u64) -> Vec<IterationRecord> {
+fn history_of(len: u64, bits: u64) -> Vec<StepRecord> {
     (0..len)
         .map(|i| {
             let b = bits.rotate_left(i as u32) ^ i;
-            IterationRecord {
-                iteration: i + 1,
-                pending: b >> 3,
-                bytes: b >> 11,
-                lazy_on: b & 1 == 1,
-                local_subrounds: b >> 29,
-                used_m2m: b & 2 == 2,
+            StepRecord {
+                superstep: i + 1,
                 sim_time: f64::from_bits(b),
-                local_stage_s: f64::from_bits(b.rotate_left(17)),
-                stage_budget_s: f64::from_bits(b.rotate_left(31)),
+                breakdown: SimBreakdown {
+                    compute: f64::from_bits(b.rotate_left(17)),
+                    comm: f64::from_bits(b.rotate_left(31)),
+                    barrier: f64::from_bits(b.rotate_left(43)),
+                    ..Default::default()
+                },
+                carry: b.to_le_bytes()[..(b % 9) as usize].to_vec(),
             }
         })
         .collect()
@@ -419,9 +432,9 @@ fn every_damaged_snapshot_is_refused_or_restores_the_same_state() {
         .collect();
     let state = state_of(&vertices, 11);
     // Finite times, so `PartialEq` is bitwise equality below.
-    let history: Vec<IterationRecord> = history_of(3, 99)
+    let history: Vec<StepRecord> = history_of(3, 99)
         .into_iter()
-        .map(|r| IterationRecord { sim_time: 0.5, local_stage_s: 0.25, stage_budget_s: 0.125, ..r })
+        .map(|r| StepRecord { sim_time: 0.5, breakdown: header.breakdown, ..r })
         .collect();
     let file = snapshot_file(&header, &state, &history);
     for cut in 0..file.len() {
@@ -755,7 +768,9 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
         let mut seen = Seen::default();
         while f.iterations < cfg.max_iterations {
             f.iterations += 1;
-            if engine.step(&mut f)? == Vote::Converged {
+            let vote = engine.step(&mut f)?;
+            f.book_step(engine.carry());
+            if vote == Vote::Converged {
                 return Ok(seen);
             }
             checkpoint_at_barrier(&f, &store, S::KIND, engine.carry())?;
@@ -769,6 +784,9 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
             assert_eq!(header.last_global.to_bits(), f.bsp.last_global.to_bits(), "{at}");
             assert_eq!(header.carry, engine.carry().to_wire(), "{at}: carry");
             assert_eq!(history.to_wire(), f.history.to_wire(), "{at}: history");
+            let last = history.last().expect("a record a superstep");
+            assert_eq!((history.len() as u64, last.superstep), (f.iterations, f.iterations), "{at}");
+            assert_eq!(last.carry, header.carry, "{at}: the record holds the snapshot's carry");
             assert_same_state(&restored, &f.state, &at);
 
             seen.checkpoints += 1;

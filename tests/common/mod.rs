@@ -3,9 +3,12 @@
 #![allow(dead_code, reason = "each test crate uses its own subset")]
 
 use lazygraph::prelude::*;
+use lazygraph_engine::lazy_block::LazyCarry;
+use lazygraph_engine::metrics::StepRecord;
 use lazygraph_engine::program::DeltaExchange;
 use lazygraph_engine::{EdgeCtx, VertexCtx};
 use lazygraph_graph::generators::{grid2d, rmat, Grid2dConfig, RmatConfig};
+use lazygraph_net::Wire;
 
 /// A symmetrised, weighted `side × side` road lattice (the `sssp-road`
 /// benchmark's graph class). Sides of ≈ 100 and up on 4–8 machines run
@@ -118,4 +121,35 @@ impl<P: VertexProgram> VertexProgram for Unordered<P> {
     fn vdata_bytes(&self) -> usize {
         self.0.vdata_bytes()
     }
+}
+
+/// One lazy-block superstep as a trace tells it, read off the carried
+/// records either side of it.
+pub struct LazySuperstep {
+    pub superstep: u64,
+    /// Whether lazy mode was on: the carry before it had `do_local` set.
+    pub lazy_on: bool,
+    /// Local sub-rounds the machine ran in it.
+    pub subrounds: u64,
+    /// The carry it left.
+    pub carry: LazyCarry,
+}
+
+/// A lazy-block trace's supersteps, decoded.
+pub fn lazy_supersteps(history: &[StepRecord]) -> Vec<LazySuperstep> {
+    let mut before = LazyCarry::default();
+    history
+        .iter()
+        .map(|r| {
+            let carry = LazyCarry::from_wire(&r.carry).expect("a lazy-block carry");
+            let step = LazySuperstep {
+                superstep: r.superstep,
+                lazy_on: before.do_local,
+                subrounds: carry.counters.local_subrounds - before.counters.local_subrounds,
+                carry: carry.clone(),
+            };
+            before = carry;
+            step
+        })
+        .collect()
 }

@@ -3,6 +3,8 @@
 //! — each exercises a different algebra corner: max–min, seeded additive,
 //! and bitwise-OR.
 
+mod common;
+
 use lazygraph::prelude::*;
 use lazygraph_algorithms::multi_bfs::MultiSourceBfs;
 use lazygraph_algorithms::ppr::{ppr_power, PersonalizedPageRank};
@@ -72,48 +74,48 @@ fn ppr_engines_near_power_iteration() {
 }
 
 #[test]
-fn suppression_off_matches_suppression_on() {
-    // The delta-suppression optimisation must not change results for
-    // exact (idempotent) algebras.
-    let base = rmat(RmatConfig::graph500(9, 7, 44));
-    let mut b = GraphBuilder::new(base.num_vertices());
-    b.extend(base.edges());
-    b.symmetrize();
-    b.randomize_weights(1.0, 20.0, 44);
-    let g = b.build();
-    let mut on = EngineConfig::lazygraph();
-    on.delta_suppression = true;
-    let mut off = EngineConfig::lazygraph();
-    off.delta_suppression = false;
-    let r_on = run(&g, 6, &on, &Sssp::new(0u32)).expect("cluster run");
-    let r_off = run(&g, 6, &off, &Sssp::new(0u32)).expect("cluster run");
-    assert_eq!(r_on.values, r_off.values);
-    assert!(
-        r_on.metrics.traffic_bytes() <= r_off.metrics.traffic_bytes(),
-        "suppression must not increase traffic: {} vs {}",
-        r_on.metrics.traffic_bytes(),
-        r_off.metrics.traffic_bytes()
-    );
-}
-
-#[test]
 fn history_recording_round_trip() {
     let g = small_world(600, 3, 0.1, 45);
     let mut cfg = EngineConfig::lazygraph();
     cfg.record_history = true;
     let r = run(&g, 4, &cfg, &ConnectedComponents).expect("cluster run");
-    let h = &r.metrics.history;
-    assert_eq!(h.len() as u64, r.metrics.coherency_points);
-    assert!(!h[0].lazy_on, "first iteration is always eager");
-    assert_eq!(h.last().unwrap().pending, 0, "last round must be quiescent");
-    // Simulated time is monotone across rounds.
-    for w in h.windows(2) {
+    let steps = common::lazy_supersteps(&r.metrics.history);
+    assert_eq!(steps.len() as u64, r.metrics.coherency_points);
+    assert!(!steps[0].lazy_on && steps[0].subrounds == 0, "first superstep is always eager");
+    assert!(steps[1..].iter().all(|s| s.lazy_on), "E/V ≤ 10: lazy from superstep 2");
+    // The trend observes every superstep's active count but the one that
+    // found none.
+    let last = &steps[steps.len() - 1].carry;
+    assert_eq!(last.trend.observed(), steps.len() as u64 - 1, "last superstep must be quiescent");
+    // Simulated time is monotone across supersteps.
+    for w in r.metrics.history.windows(2) {
         assert!(w[0].sim_time <= w[1].sim_time);
-        assert_eq!(w[0].iteration + 1, w[1].iteration);
+        assert_eq!(w[0].superstep + 1, w[1].superstep);
     }
-    // Sync engine histories too.
-    let mut cfg = EngineConfig::powergraph_sync();
-    cfg.record_history = true;
-    let r = run(&g, 4, &cfg, &ConnectedComponents).expect("cluster run");
-    assert_eq!(r.metrics.history.len() as u64, r.metrics.iterations);
+}
+
+/// The skeleton books the trace for every engine: one record a superstep,
+/// numbered in order, and one superstep-0 record for a run that is one
+/// pump step.
+#[test]
+fn every_engine_books_one_record_a_step() {
+    let g = small_world(600, 3, 0.1, 45);
+    for engine in [
+        EngineKind::PowerGraphSync,
+        EngineKind::PowerGraphAsync,
+        EngineKind::LazyBlockAsync,
+        EngineKind::LazyVertexAsync,
+        EngineKind::PowerSwitchHybrid,
+        EngineKind::DeltaAccum,
+    ] {
+        let mut cfg = EngineConfig::lazygraph().with_engine(engine);
+        cfg.record_history = true;
+        let m = run(&g, 4, &cfg, &PageRankDelta::default()).expect("cluster run").metrics;
+        let supersteps: Vec<u64> = m.history.iter().map(|r| r.superstep).collect();
+        let expected: Vec<u64> = match m.iterations {
+            0 => vec![0],
+            n => (1..=n).collect(),
+        };
+        assert_eq!(supersteps, expected, "{}", engine.name());
+    }
 }

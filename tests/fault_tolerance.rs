@@ -293,19 +293,17 @@ fn run_budgeted_matrix(workers: usize) {
         .expect("in-process run")
         .metrics
         .history;
-    let first_budgeted = history
+    let steps = common::lazy_supersteps(&history);
+    let first_budgeted = steps
         .iter()
-        .find(|r| r.lazy_on)
+        .find(|s| s.lazy_on)
         .expect("lazy mode never turned on")
-        .iteration;
+        .superstep;
     assert!(
-        history.iter().any(|r| r.lazy_on && r.local_subrounds == 0),
+        steps.iter().any(|s| s.lazy_on && s.subrounds == 0),
         "the budget never refused a whole stage"
     );
-    assert!(
-        history.iter().any(|r| r.local_subrounds > 0),
-        "the budget never admitted a sub-round"
-    );
+    assert!(steps.iter().any(|s| s.subrounds > 0), "the budget never admitted a sub-round");
 
     run_matrix_for(&g, &base, &PageRankDelta { tolerance }, workers, VICTIM, |last| {
         assert_eq!(last, history.len() as u64, "in-process and multiprocess runs disagree");

@@ -146,18 +146,20 @@ fn stage(name: &str, at: Staged, shard_file: impl FnOnce(&DistributedGraph) -> V
 
 /// The staged job file's bytes as the hand-written codecs wrote them
 /// (recorded at `145e8f4`, before `WorkerJob`, `EngineConfig` and
-/// `PlacementShape` became field lists): 304 bytes then, 296 since the
+/// `PlacementShape` became field lists): 304 bytes then; 296 once the
 /// job's last field — the rejoin window, 8 zero bytes here — was retired
-/// with the rejoin itself. Every byte before it is as recorded. Never
-/// re-record to make this pass. A job file of the old layout is refused
-/// as a typed decode error, never read as a job.
+/// with the rejoin itself; 295 since the configuration's
+/// `delta_suppression` — the `01` byte after `max_iterations` — was
+/// retired. Every other byte is as recorded. Never re-record to make this
+/// pass. A job file of either older layout is refused as a typed decode
+/// error, never read as a job.
 #[test]
 fn the_staged_job_file_is_byte_for_byte_the_hand_written_codecs() {
     let golden = "\
          020200000000d0127341fca9f1d24d62403f00009a9999999999a93f0000000000000000002440ec51b81e85\
          ebb13f000000000000084000000000d012734148afbc9af2d77a3efca9f1d24d62503f691d554d10750f3ff1\
          68e388b5f8d43e2d431cebe2361a3f54e41071732ac93efa7e6abc7493583f0000000065cd9d4140420f0000\
-         00000001009a9999999999a93f010000000000000000040000000000001000000000000000fca9f1d24d6250\
+         000000009a9999999999a93f010000000000000000040000000000001000000000000000fca9f1d24d6250\
          3f00000000000000000000010000000002000000000000004000000000000000000000000040074002000000\
          0b0000003132372e302e302e313a310b0000003132372e302e302e313a31020000000b0000003132372e302e\
          302e313a310b0000003132372e302e302e313a31000000000000000000000000";
@@ -168,12 +170,16 @@ fn the_staged_job_file_is_byte_for_byte_the_hand_written_codecs() {
     let job = WorkerJob::read(&dir.join("job.bin")).expect("the worker's own entry reads it");
     assert_eq!(job.to_wire(), bytes);
 
-    let mut old = bytes;
-    old.extend_from_slice(&[0; 8]);
-    std::fs::write(dir.join("job.bin"), &old).expect("old job file");
-    match WorkerJob::read(&dir.join("job.bin")) {
-        Err(MultiprocError::Decode(detail)) => assert!(detail.contains("job file"), "{detail}"),
-        other => panic!("an old-layout job file was not a decode error: {other:?}"),
+    // `delta_suppression` sat right after `max_iterations`, 135 bytes in.
+    let mut parent = bytes;
+    parent.insert(135, 1);
+    let grandparent = [&parent[..], &[0; 8]].concat();
+    for old in [parent, grandparent] {
+        std::fs::write(dir.join("job.bin"), &old).expect("old job file");
+        match WorkerJob::read(&dir.join("job.bin")) {
+            Err(MultiprocError::Decode(detail)) => assert!(detail.contains("job file"), "{detail}"),
+            other => panic!("an old-layout job file was not a decode error: {other:?}"),
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

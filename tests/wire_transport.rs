@@ -436,23 +436,27 @@ fn multiprocess_sssp_matches_inproc_bitwise() {
     }
 }
 
-/// Machine 0's per-round trace comes back in its outcome on both routes:
-/// two worker processes return the in-process trace bit for bit, and a
-/// non-empty one.
+/// Machine 0's trace comes back in its outcome on both routes: threaded
+/// TCP and two worker processes return the in-process trace bit for bit,
+/// and a non-empty one.
 #[test]
 fn multiprocess_returns_the_inproc_trace_bitwise() {
     fn check<P: Shipped>(g: &Graph, engine: EngineKind, program: &P) {
         let mut traced = cfg(engine);
         traced.record_history = true;
         let inproc = run(g, 2, &traced, program).expect("in-proc").metrics.history;
+        let tcp = traced.clone().with_transport(TransportKind::Tcp);
+        let tcp = run(g, 2, &tcp, program).expect("threaded tcp").metrics.history;
         let (mp, _) = run_multiprocess(g, 2, &traced, program, worker_bin(), &MpOptions::default())
             .expect("multiprocess");
         assert!(!inproc.is_empty(), "{}: nothing was recorded", engine.name());
+        assert_eq!(inproc.to_wire(), tcp.to_wire(), "{}: threaded tcp", engine.name());
         assert_eq!(inproc.to_wire(), mp.metrics.history.to_wire(), "{}", engine.name());
     }
     let g = test_graph();
     check(&g, EngineKind::LazyBlockAsync, &PageRankDelta { tolerance: 1e-5 });
     check(&g, EngineKind::PowerGraphSync, &Sssp::new(0u32));
+    check(&g, EngineKind::DeltaAccum, &PageRankDelta { tolerance: 1e-5 });
 }
 
 /// `program`'s values on `engine` over `machines` machines: in-process,
