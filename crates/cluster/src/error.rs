@@ -10,9 +10,10 @@
 //! Engines propagate them to the driver instead of panicking, so one
 //! failing machine tears the run down with a diagnosable error rather
 //! than a poisoned process. [`CommError::MachineCount`],
-//! [`CommError::PoolSpawn`] and [`CommError::CollectiveLeg`] are the
-//! exceptions: a run that cannot start as configured, or a call on a
-//! machine the collective does not host, refused before anything is sent.
+//! [`CommError::PoolSpawn`], [`CommError::ThreadsEnv`] and
+//! [`CommError::CollectiveLeg`] are the exceptions: a run that cannot
+//! start as configured, or a call on a machine the collective does not
+//! host, refused before anything is sent.
 
 use std::fmt;
 
@@ -67,6 +68,11 @@ pub enum CommError {
         /// Which worker of how many, and the OS error.
         detail: String,
     },
+    /// `LAZYGRAPH_THREADS` is set to something that is not a thread count.
+    ThreadsEnv {
+        /// The variable's value as set.
+        value: String,
+    },
 }
 
 impl CommError {
@@ -102,6 +108,9 @@ impl fmt::Display for CommError {
             }
             CommError::PoolSpawn { detail } => {
                 write!(f, "cannot start a machine's worker pool: {detail}")
+            }
+            CommError::ThreadsEnv { value } => {
+                write!(f, "LAZYGRAPH_THREADS: cannot parse '{value}' (threads per machine, 0 = auto)")
             }
         }
     }

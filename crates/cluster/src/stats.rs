@@ -151,9 +151,9 @@ counters! {
     /// `pool_hits`: the warmup tail depends on scheduling, so this is
     /// excluded from the determinism counter contract.
     zero_copy_frames: sum,
-    /// Contiguous same-destination runs (length ≥ 2) folded by the
-    /// vectorized ⊕ loop in segment delivery. Deterministic per
-    /// configuration: run boundaries follow the routed segment contents.
+    /// Always 0: the retired run-vectorised ⊕ fold's run count, which
+    /// nothing records any more. Kept only because the frozen benchmark
+    /// harness reads the field (ROADMAP item 1(d)).
     fold_runs: sum,
     /// Pending vertices the delta engine's scheduler parked as
     /// sub-tolerance instead of processing. Deterministic per
@@ -263,16 +263,6 @@ impl NetStats {
     pub fn record_zero_copy_frames(&self, n: u64) {
         if n != 0 {
             self.zero_copy_frames.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Records `n` contiguous same-destination runs (length ≥ 2) folded
-    /// by the vectorized ⊕ loop in segment delivery — each run is one
-    /// slot load/store instead of one per delta.
-    #[inline]
-    pub fn record_fold_runs(&self, n: u64) {
-        if n != 0 {
-            self.fold_runs.fetch_add(n, Ordering::Relaxed);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Engine configuration: which engine, which partitioning, which
 //! graph-aware optimisations (§4.2).
 
-use lazygraph_cluster::{CostModel, TransportKind};
+use lazygraph_cluster::{CommError, CostModel, TransportKind};
 use lazygraph_net::{wire_enum, wire_record, NetError, Wire, WireReader};
 use lazygraph_partition::{HubFanoutConfig, PartitionStrategy, SplitterConfig};
 
@@ -118,8 +118,8 @@ pub struct EngineConfig {
     /// flips from BSP to asynchronous execution.
     pub hybrid_switch_threshold: f64,
     /// Worker threads per simulated machine for local computation stages.
-    /// `0` = auto: `LAZYGRAPH_THREADS`, then `RAYON_NUM_THREADS`, then
-    /// `available_parallelism / num_machines` (min 1). Results are
+    /// `0` = auto: `LAZYGRAPH_THREADS`, then `available_parallelism /
+    /// num_machines` (min 1; [`Self::resolve_threads`]). Results are
     /// bitwise-identical at every setting (block-ordered merges).
     pub threads_per_machine: usize,
     /// Vertices per work block handed to the machine-local pool. Also
@@ -300,28 +300,36 @@ impl EngineConfig {
     }
 
     /// Resolves `threads_per_machine` for a run on `num_machines` simulated
-    /// machines: explicit setting wins, then the `LAZYGRAPH_THREADS` /
-    /// `RAYON_NUM_THREADS` environment knobs, then an even split of the
-    /// host's parallelism across machines.
-    pub fn resolve_threads(&self, num_machines: usize) -> usize {
-        if self.threads_per_machine > 0 {
-            return self.threads_per_machine;
-        }
-        for var in ["LAZYGRAPH_THREADS", "RAYON_NUM_THREADS"] {
-            if let Some(t) = std::env::var(var).ok().and_then(|v| v.parse::<usize>().ok()) {
-                if t > 0 {
-                    return t;
+    /// machines: an explicit setting wins, then `LAZYGRAPH_THREADS` (`0`
+    /// or unset = auto), then [`Self::parallel`]'s even split of the
+    /// host's parallelism. A `LAZYGRAPH_THREADS` that is not a count is a
+    /// typed error. Both routes resolve once, before any machine starts,
+    /// and run the machines on a config holding the count.
+    pub fn resolve_threads(&self, num_machines: usize) -> Result<usize, CommError> {
+        if self.threads_per_machine == 0 {
+            if let Some(value) = std::env::var_os("LAZYGRAPH_THREADS") {
+                let value = value.to_string_lossy();
+                match value.parse::<usize>() {
+                    Ok(0) => {}
+                    Ok(t) => return Ok(t),
+                    Err(_) => return Err(CommError::ThreadsEnv { value: value.into_owned() }),
                 }
             }
         }
-        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-        (host / num_machines.max(1)).max(1)
+        Ok(self.parallel(num_machines).threads)
     }
 
-    /// The machine-local parallelism of a run on `num_machines` machines.
+    /// The machine-local parallelism of a run on `num_machines` machines,
+    /// the environment aside: `threads_per_machine`, or for `0` an even
+    /// split of the host's parallelism across machines (min 1).
     pub fn parallel(&self, num_machines: usize) -> ParallelConfig {
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = match self.threads_per_machine {
+            0 => (host / num_machines.max(1)).max(1),
+            t => t,
+        };
         ParallelConfig {
-            threads: self.resolve_threads(num_machines),
+            threads,
             block_size: self.block_size.max(1),
         }
     }
@@ -441,13 +449,14 @@ mod tests {
     #[test]
     fn explicit_threads_beat_auto_resolution() {
         let cfg = EngineConfig::lazygraph().with_threads(3);
-        assert_eq!(cfg.resolve_threads(16), 3);
+        assert_eq!(cfg.resolve_threads(16), Ok(3));
         let auto = EngineConfig::lazygraph();
         assert_eq!(auto.threads_per_machine, 0);
-        assert!(auto.resolve_threads(1) >= 1);
+        let resolve = |machines| auto.resolve_threads(machines).expect("resolve threads");
+        assert!(resolve(1) >= 1);
         // More machines never resolve to more threads each.
-        assert!(auto.resolve_threads(1024) >= 1);
-        assert!(auto.resolve_threads(1) >= auto.resolve_threads(1024));
+        assert!(resolve(1024) >= 1);
+        assert!(resolve(1) >= resolve(1024));
     }
 
     #[test]

@@ -80,9 +80,9 @@ fn check_machine_count(num_machines: usize) -> Result<(), CommError> {
 /// Partitions `graph` over `num_machines` per `cfg` and runs `program` on
 /// the configured engine.
 ///
-/// Fails if the run cannot start as configured (machine count, pool
-/// threads) or a machine thread dies mid-run (see [`CommError`]); a
-/// healthy run always returns `Ok`.
+/// Fails if the run cannot start as configured (machine count, thread
+/// count, pool threads) or a machine thread dies mid-run (see
+/// [`CommError`]); a healthy run always returns `Ok`.
 pub fn run<P: VertexProgram>(
     graph: &Graph,
     num_machines: usize,
@@ -100,6 +100,8 @@ pub fn run_on<P: VertexProgram>(
     cfg: &EngineConfig,
     program: &P,
 ) -> Result<RunResult<P>, CommError> {
+    let shape = dg.shape();
+    let cfg = &cfg.clone().with_threads(cfg.resolve_threads(shape.num_machines)?);
     let stats = Arc::new(NetStats::new());
     #[expect(
         clippy::disallowed_methods,
@@ -111,7 +113,7 @@ pub fn run_on<P: VertexProgram>(
         transport: cfg.transport,
         shards: &dg.shards,
     };
-    let outs = run_mesh_engine(&dg.shape(), cfg, program, mesh, &stats)?;
+    let outs = run_mesh_engine(&shape, cfg, program, mesh, &stats)?;
     let measured = Measured {
         lambda: dg.lambda(),
         wall_time: started.elapsed(),

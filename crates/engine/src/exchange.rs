@@ -449,8 +449,7 @@ where
         for batch in received {
             port.ep.recycle(batch);
         }
-        let runs = state.deliver_inbound(program, self.pctx);
-        port.stats.record_fold_runs(runs);
+        state.deliver_inbound(program, self.pctx);
         Ok(())
     }
 }

@@ -23,7 +23,7 @@
 //! [`crate::interval`]); the first iteration always runs without a local
 //! stage.
 
-use lazygraph_cluster::{CommError, CostModel, NetStats, Phase};
+use lazygraph_cluster::{CommError, CostModel, NetStats, OutboxSet, Phase};
 use lazygraph_net::wire_record;
 use lazygraph_partition::LocalShard;
 
@@ -36,7 +36,7 @@ use crate::machine::{Frame, Superstep, Vote};
 use crate::parallel::ParallelCtx;
 use crate::program::{DeltaExchange, LocalOrder, VertexProgram};
 use crate::scheduler::{cut_most_urgent, LOCAL_MIN_BATCH, LOCAL_ORDER_FROM};
-use crate::state::{vertex_ctx, InitMessages, MachineState};
+use crate::state::{fold_into, vertex_ctx, InitMessages, MachineState};
 use crate::sync_engine::{scatter, Receipt, SCATTER_WINDOW};
 
 /// Aggregated lazy-engine counters (identical on every machine except
@@ -390,11 +390,43 @@ pub(crate) fn coherency_decisions<P: VertexProgram>(
     })
 }
 
+/// Phase B of an all-to-all exchange, shared with LazyVertexAsync's
+/// flush: in [`coherency_decisions`]' order, clears each decided
+/// `deltaMsg` slot and stages every shipped delta for each sibling through
+/// [`stage_combining`] (decisions arrive in ascending local-id order, so
+/// duplicate keys are adjacent), booking what combined. Returns the bytes
+/// staged and whether any delta shipped.
+pub(crate) fn stage_a2a<P: VertexProgram>(
+    shard: &LocalShard,
+    delta_msg: &mut [Option<P::Delta>],
+    program: &P,
+    stats: &NetStats,
+    outboxes: &mut OutboxSet<(u32, P::Delta)>,
+    decisions: Vec<Vec<(u32, Option<P::Delta>)>>,
+) -> (u64, bool) {
+    let delta_bytes = program.delta_bytes() as u64;
+    let (mut staged, mut combined, mut any) = (0u64, 0u64, false);
+    for (l, d) in decisions.into_iter().flatten() {
+        delta_msg[l as usize] = None;
+        let Some(d) = d else { continue };
+        any = true;
+        let gid = shard.global_of(l).0;
+        for &m in shard.mirrors(l).iter() {
+            if stage_combining(program, outboxes, m.index(), gid, d) {
+                combined += 1;
+            } else {
+                staged += delta_bytes;
+            }
+        }
+    }
+    stats.record_combined(combined, combined * delta_bytes);
+    (staged, any)
+}
+
 /// All-to-all deltaMsg exchange (Fig. 5(a)): every delta-holding replica
 /// sends its delta straight to every sibling — one ⊕-fold round — as
-/// [`coherency_decisions`] decided. Staging runs through
-/// [`stage_combining`] (decisions arrive in ascending local-id order, so
-/// duplicate keys are adjacent). Returns bytes sent locally.
+/// [`coherency_decisions`] decided ([`stage_a2a`]). Returns bytes sent
+/// locally.
 pub(crate) fn exchange_a2a<P: VertexProgram>(
     f: &mut Frame<'_, P, P::Delta>,
     decisions: Vec<Vec<(u32, Option<P::Delta>)>>,
@@ -403,25 +435,11 @@ pub(crate) fn exchange_a2a<P: VertexProgram>(
     let (shard, pctx, stats) = (f.shard, &f.pctx, &*f.stats);
     let (state, port) = (&mut f.state, &mut f.port);
     let delta_bytes = program.delta_bytes();
-    let mut sent = 0u64;
-    let mut combined = 0u64;
     let mut round = port.fold_round(pctx, shard, Phase::Coherency, delta_bytes, |_, gid, d| {
         Ok(Some(program.gather(gid.into(), d)))
     });
-    for (l, d) in decisions.into_iter().flatten() {
-        state.delta_msg[l as usize] = None;
-        let Some(d) = d else { continue };
-        let gid = shard.global_of(l).0;
-        for &m in shard.mirrors(l).iter() {
-            let dst = m.index();
-            if stage_combining(program, round.outboxes(), dst, gid, d) {
-                combined += 1;
-                continue;
-            }
-            sent += delta_bytes as u64;
-        }
-    }
-    stats.record_combined(combined, combined * delta_bytes as u64);
+    let outboxes = round.outboxes();
+    let (sent, _) = stage_a2a(shard, &mut state.delta_msg, program, stats, outboxes, decisions);
     round.close(program, state, now)?;
     Ok(sent)
 }
@@ -471,11 +489,7 @@ fn exchange_m2m<P: VertexProgram>(
     }
     let route = shard.route_table();
     hop1.close(now, route, |l, d| {
-        let slot = &mut totals[l as usize];
-        *slot = Some(match slot.take() {
-            Some(t) => program.sum(t, d),
-            None => d,
-        });
+        fold_into(program, &mut totals[l as usize], d);
     })?;
 
     // Hop 2: master → mirrors (combined delta), plus local master handling.

@@ -23,11 +23,11 @@ use lazygraph_net::NetError;
 use lazygraph_partition::LocalShard;
 
 use crate::config::EngineKind;
-use crate::exchange::{route_inbound, stage_combining, Pump, PumpStep};
-use crate::lazy_block::{apply_scatter, book, LazyCounters};
+use crate::exchange::{route_inbound, Pump, PumpStep};
+use crate::lazy_block::{apply_scatter, book, coherency_decisions, stage_a2a, LazyCounters};
 use crate::machine::{Frame, Superstep, Vote};
 use crate::parallel::ParallelCtx;
-use crate::program::{DeltaExchange, VertexProgram};
+use crate::program::VertexProgram;
 use crate::state::{InitMessages, MachineState};
 use crate::sync_engine::SCATTER_WINDOW;
 
@@ -70,7 +70,6 @@ impl<P: VertexProgram> Superstep<P> for LazyVertexPump {
             stats: &f.stats,
             num_vertices: f.num_vertices,
             cost: f.cfg.cost,
-            delta_bytes: delta_bytes as u64,
         })?;
         Ok(Vote::Converged)
     }
@@ -91,7 +90,6 @@ struct LazyVertexTurn<'a, P: VertexProgram> {
     stats: &'a NetStats,
     num_vertices: usize,
     cost: CostModel,
-    delta_bytes: u64,
 }
 
 impl<P: VertexProgram> PumpStep<(u32, P::Delta)> for LazyVertexTurn<'_, P> {
@@ -107,8 +105,7 @@ impl<P: VertexProgram> PumpStep<(u32, P::Delta)> for LazyVertexTurn<'_, P> {
             |_, gid, d| Ok(Some(program.gather(gid.into(), d))),
             &mut self.state.scratch.inbound,
         )?;
-        let runs = self.state.deliver_inbound(program, self.pctx);
-        self.stats.record_fold_runs(runs);
+        self.state.deliver_inbound(program, self.pctx);
         Ok(())
     }
 
@@ -127,35 +124,11 @@ impl<P: VertexProgram> PumpStep<(u32, P::Delta)> for LazyVertexTurn<'_, P> {
         }
 
         // ---- Stage 2: needDataCoherency — flush accumulated deltas. ------
-        // Same two-phase shape as the block engine's exchanges: decide in
-        // parallel over the replicated list, commit in block order.
-        let decisions = {
-            let (delta_view, coherent_view) = (&state.delta_msg, &state.coherent);
-            pctx.map_chunks(&shard.replicated, |chunk| {
-                let mut out: Vec<(u32, Option<P::Delta>)> = Vec::new();
-                for &l in chunk {
-                    let Some(d) = &delta_view[l as usize] else { continue };
-                    match program.exchange_policy(&coherent_view[l as usize], d) {
-                        DeltaExchange::Send => out.push((l, Some(*d))),
-                        DeltaExchange::Drop => out.push((l, None)),
-                        DeltaExchange::Defer => {}
-                    }
-                }
-                out
-            })
-        };
-        let mut any = false;
-        let mut combined = 0u64;
-        for (l, d) in decisions.into_iter().flatten() {
-            state.delta_msg[l as usize] = None;
-            let Some(d) = d else { continue };
-            any = true;
-            let gid = shard.global_of(l).0;
-            for &m in shard.mirrors(l).iter() {
-                combined += u64::from(stage_combining(program, pump.outboxes, m.index(), gid, d));
-            }
-        }
-        self.stats.record_combined(combined, combined * self.delta_bytes);
+        // The block engine's all-to-all exchange without its round: the
+        // same fate scan, then the same staging into the pump's outboxes.
+        let decisions = coherency_decisions(shard, state, program, pctx);
+        let delta_msg = &mut state.delta_msg;
+        let (_, any) = stage_a2a(shard, delta_msg, program, self.stats, pump.outboxes, decisions);
         if any {
             self.counters.coherency_points += 1;
             self.counters.a2a_exchanges += 1;

@@ -184,14 +184,26 @@ impl<P: VertexProgram> Staging<P> {
     }
 }
 
-/// What one [`MachineState::deliver_segments`] pass did.
-#[derive(Clone, Copy, Default)]
-struct Folded {
-    /// Vectorized runs (length ≥ 2).
-    runs: u64,
-    /// Items folded into an occupied `deltaMsg` slot.
-    delta_folds: u64,
-    items: usize,
+/// ⊕-folds `d` into `slot`: `slot ⊕ d` when it holds a delta, `d` when
+/// it is empty. Returns whether the slot was occupied. Every `message`,
+/// `deltaMsg` and mirrors-to-master total is folded through here, so each
+/// slot is the left fold of its deliveries in delivery order.
+#[inline]
+pub(crate) fn fold_into<P: VertexProgram>(
+    program: &P,
+    slot: &mut Option<P::Delta>,
+    d: P::Delta,
+) -> bool {
+    match slot {
+        Some(prev) => {
+            *prev = program.sum(*prev, d);
+            true
+        }
+        None => {
+            *slot = Some(d);
+            false
+        }
+    }
 }
 
 impl<P: VertexProgram> MachineState<P> {
@@ -243,11 +255,7 @@ impl<P: VertexProgram> MachineState<P> {
     /// Accumulates `d` into `message[l]` and activates `l` if quiet.
     #[inline]
     pub fn deliver(&mut self, program: &P, l: u32, d: P::Delta) {
-        let slot = &mut self.message[l as usize];
-        *slot = Some(match slot.take() {
-            Some(prev) => program.sum(prev, d),
-            None => d,
-        });
+        fold_into(program, &mut self.message[l as usize], d);
         if !self.active[l as usize] {
             self.active[l as usize] = true;
             self.queue.push(l);
@@ -258,11 +266,7 @@ impl<P: VertexProgram> MachineState<P> {
     /// the next coherency point).
     #[inline]
     pub fn accumulate_delta(&mut self, program: &P, l: u32, d: P::Delta) {
-        let slot = &mut self.delta_msg[l as usize];
-        *slot = Some(match slot.take() {
-            Some(prev) => program.sum(prev, d),
-            None => d,
-        });
+        fold_into(program, &mut self.delta_msg[l as usize], d);
     }
 
     /// The one delivery sink: folds `producers`' segments into `message`
@@ -281,22 +285,14 @@ impl<P: VertexProgram> MachineState<P> {
     /// order — block-index order overall — so the worklist order is
     /// reproducible too.
     ///
-    /// The fold is *run-vectorized*: a maximal run of consecutive items
-    /// with the same target loads the slot once, folds the run's deltas
-    /// left-to-right (`((slot ⊕ d₁) ⊕ d₂) ⊕ …` — exactly the per-item
-    /// delivery order, so no float re-association), and stores once.
-    /// Runs deliberately span *segment boundaries*: sender-side combining
-    /// means a gid appears at most once per inbound batch (= per
-    /// producer), so a high-degree vertex's deltas from k senders land in
-    /// k consecutive segments of its block, not k consecutive items of
-    /// one segment. The loaded slot stays open across the boundary and
-    /// only stores when the target changes.
+    /// Each item folds into its slot on its own ([`fold_into`]). Returns
+    /// the number of items folded into an *occupied* `deltaMsg` slot.
     fn deliver_segments(
         &mut self,
         program: &P,
         ctx: &ParallelCtx,
         producers: &[&Segments<P::Delta>],
-    ) -> Folded {
+    ) -> u64 {
         let bs = ctx.block_size();
         let num_blocks = num_blocks(self.message.len(), bs);
         // One pool task per contiguous run of target blocks — as few runs
@@ -327,7 +323,8 @@ impl<P: VertexProgram> MachineState<P> {
                 newly,
             })
             .collect();
-        let folded: Vec<Folded> = ctx.pool().map(work, |w| {
+        // Per task: (items folded, items folded into an occupied `deltaMsg`).
+        let folded: Vec<(usize, u64)> = ctx.pool().map(work, |w| {
             let FoldTask {
                 first_block,
                 message,
@@ -336,66 +333,33 @@ impl<P: VertexProgram> MachineState<P> {
                 newly,
             } = w;
             let base = first_block * bs;
-            let mut out = Folded::default();
-            // Open run: (slot index, loaded-and-folded accumulator,
-            // length). Kept across producers so a run continues through a
-            // segment boundary; stored only when the target changes.
-            let mut open: Option<(usize, P::Delta, u64)> = None;
-            let store = |message: &mut [Option<P::Delta>], out: &mut Folded, (i, acc, n)| {
-                message[i] = Some(acc);
-                out.runs += u64::from(n >= 2);
-            };
+            let (mut items, mut delta_folds) = (0, 0);
             for block in first_block..(first_block + per_task).min(num_blocks) {
                 for segments in producers {
                     let segment = &segments[block];
-                    out.items += segment.len();
+                    items += segment.len();
                     for &(tagged, d) in segment {
-                        let i = (tagged & !FOLD_DELTA) as usize - base;
-                        open = Some(match open.take() {
-                            Some((oi, acc, n)) if oi == i => (i, program.sum(acc, d), n + 1),
-                            prev => {
-                                if let Some(run) = prev {
-                                    store(message, &mut out, run);
-                                }
-                                if !active[i] {
-                                    active[i] = true;
-                                    newly.push(tagged & !FOLD_DELTA);
-                                }
-                                let acc = match message[i].take() {
-                                    Some(prev) => program.sum(prev, d),
-                                    None => d,
-                                };
-                                (i, acc, 1)
-                            }
-                        });
+                        let l = tagged & !FOLD_DELTA;
+                        let i = l as usize - base;
+                        fold_into(program, &mut message[i], d);
+                        if !active[i] {
+                            active[i] = true;
+                            newly.push(l);
+                        }
                         if tagged & FOLD_DELTA != 0 {
-                            let slot = &mut delta_msg[i];
-                            *slot = Some(match slot.take() {
-                                Some(prev) => {
-                                    out.delta_folds += 1;
-                                    program.sum(prev, d)
-                                }
-                                None => d,
-                            });
+                            delta_folds += u64::from(fold_into(program, &mut delta_msg[i], d));
                         }
                     }
                 }
             }
-            if let Some(run) = open {
-                store(message, &mut out, run);
-            }
-            out
+            (items, delta_folds)
         });
         for newly in &mut self.scratch.activated {
             self.queue.append(newly);
         }
-        let total = folded.into_iter().fold(Folded::default(), |a, b| Folded {
-            runs: a.runs + b.runs,
-            delta_folds: a.delta_folds + b.delta_folds,
-            items: a.items + b.items,
-        });
-        self.scratch.peak_items = self.scratch.peak_items.max(total.items);
-        total
+        let items = folded.iter().map(|&(items, _)| items).sum();
+        self.scratch.peak_items = self.scratch.peak_items.max(items);
+        folded.iter().map(|&(_, delta_folds)| delta_folds).sum()
     }
 
     /// Folds what the current window's source blocks staged
@@ -410,28 +374,24 @@ impl<P: VertexProgram> MachineState<P> {
         let open = std::mem::take(&mut self.scratch.staging.open);
         let producers: Vec<&Segments<P::Delta>> =
             blocks[..open].iter().map(|b| &b.segments).collect();
-        let folded = self.deliver_segments(program, ctx, &producers);
+        let delta_folds = self.deliver_segments(program, ctx, &producers);
         let retained: usize = blocks.iter().map(|b| retained(&b.segments)).sum();
         if retained > self.retention_limit() {
             blocks.iter_mut().flat_map(|b| &mut b.segments).for_each(|s| *s = Vec::new());
         }
         self.scratch.staging.blocks = blocks;
-        folded.delta_folds
+        delta_folds
     }
 
     /// Folds the batches the inbound router parked this round
     /// ([`crate::exchange::route_inbound`]) in the order it routed them —
     /// sender order.
-    /// Returns the number of vectorized runs (length ≥ 2) folded — the
-    /// engines record it as `fold_runs` in
-    /// [`NetStats`](lazygraph_cluster::NetStats).
-    pub fn deliver_inbound(&mut self, program: &P, ctx: &ParallelCtx) -> u64 {
+    pub fn deliver_inbound(&mut self, program: &P, ctx: &ParallelCtx) {
         let mut inbound = std::mem::take(&mut self.scratch.inbound);
         let producers: Vec<&Segments<P::Delta>> = inbound.routed().iter().collect();
-        let folded = self.deliver_segments(program, ctx, &producers);
+        self.deliver_segments(program, ctx, &producers);
         inbound.finish_round(self.retention_limit());
         self.scratch.inbound = inbound;
-        folded.runs
     }
 
     /// How many items each scratch role may keep capacity for: a small
@@ -660,44 +620,60 @@ mod tests {
         let shard = &dg.shards[0];
         let n = shard.num_local() as u32;
         // Awkward magnitudes on purpose (see `FSum`).
-        let items: Vec<(u32, f64, bool)> = (0..4096u64)
-            .map(|i| {
-                let l = (i.wrapping_mul(2654435761) % n as u64) as u32;
-                (l, ((i * 37) % 1000) as f64 * 1e-3 + (i % 7) as f64 * 1e12, i % 3 == 0)
-            })
+        let value = |i: u64| ((i * 37) % 1000) as f64 * 1e-3 + (i % 7) as f64 * 1e12;
+        let scattered = |i: u64| (i.wrapping_mul(2654435761) % n as u64) as u32;
+        // Random targets, and a hub: every 256th item starts a run of four
+        // consecutive deltas for one target, some of them `FOLD_DELTA`,
+        // spread over every source block of the window.
+        let hub = n / 2;
+        let is_hub = |i: u64| i % 256 < 4;
+        let random: Vec<(u32, f64, bool)> =
+            (0..4096u64).map(|i| (scattered(i), value(i), i % 3 == 0)).collect();
+        let hubbed: Vec<(u32, f64, bool)> = (0..4096u64)
+            .map(|i| (if is_hub(i) { hub } else { scattered(i) }, value(i), i % 3 == 0))
             .collect();
-        let mut reference =
-            MachineState::init(shard, &FSum, InitMessages::MastersOnly, dg.num_global_vertices);
-        for &(l, d, fold_delta) in &items {
-            reference.deliver(&FSum, l, d);
-            if fold_delta {
-                reference.accumulate_delta(&FSum, l, d);
-            }
-        }
         let bits = |m: &Vec<Option<f64>>| -> Vec<Option<u64>> {
             m.iter().map(|o| o.map(f64::to_bits)).collect()
         };
-        for threads in [1, 2, 8] {
-            for block_size in [1, 16, 1024] {
-                let ctx = ParallelCtx::new(ParallelConfig {
-                    threads,
-                    block_size,
-                }).expect("spawn pool");
-                let mut st = MachineState::init(
-                    shard,
-                    &FSum,
-                    InitMessages::MastersOnly,
-                    dg.num_global_vertices,
-                );
-                stage_and_fold(&mut st, &FSum, &ctx, &items);
-                let at = format!("threads={threads} block_size={block_size}");
-                assert_eq!(bits(&st.message), bits(&reference.message), "{at}");
-                assert_eq!(bits(&st.delta_msg), bits(&reference.delta_msg), "{at}");
-                assert_eq!(st.active, reference.active, "{at}");
-                // Activation order: the flat order, grouped by target block.
-                let mut expect = reference.queue.clone();
-                expect.sort_by_key(|&l| l as usize / block_size);
-                assert_eq!(st.queue, expect, "{at}");
+        for items in [&random, &hubbed] {
+            let mut reference =
+                MachineState::init(shard, &FSum, InitMessages::MastersOnly, dg.num_global_vertices);
+            for &(l, d, fold_delta) in items {
+                reference.deliver(&FSum, l, d);
+                if fold_delta {
+                    reference.accumulate_delta(&FSum, l, d);
+                }
+            }
+            for threads in [1, 2, 8] {
+                for block_size in [1, 16, 1024] {
+                    let ctx = ParallelCtx::new(ParallelConfig {
+                        threads,
+                        block_size,
+                    }).expect("spawn pool");
+                    // The hub's deltas reach its slot from at least three
+                    // source blocks (`Staging::source_blocks`' split).
+                    let most = SOURCE_BLOCKS_PER_THREAD * threads;
+                    let chunk = block_size.max(items.len().div_ceil(most)) as u64;
+                    let mut sources: Vec<u64> =
+                        (0..4096u64).filter(|&i| is_hub(i)).map(|i| i / chunk).collect();
+                    sources.dedup();
+                    assert!(sources.len() >= 3, "threads={threads} block_size={block_size}");
+                    let mut st = MachineState::init(
+                        shard,
+                        &FSum,
+                        InitMessages::MastersOnly,
+                        dg.num_global_vertices,
+                    );
+                    stage_and_fold(&mut st, &FSum, &ctx, items);
+                    let at = format!("threads={threads} block_size={block_size}");
+                    assert_eq!(bits(&st.message), bits(&reference.message), "{at}");
+                    assert_eq!(bits(&st.delta_msg), bits(&reference.delta_msg), "{at}");
+                    assert_eq!(st.active, reference.active, "{at}");
+                    // Activation order: the flat order, grouped by target block.
+                    let mut expect = reference.queue.clone();
+                    expect.sort_by_key(|&l| l as usize / block_size);
+                    assert_eq!(st.queue, expect, "{at}");
+                }
             }
         }
     }

@@ -156,7 +156,8 @@ pub enum MultiprocError {
     /// The engine cannot honour a recovery option ([`check_recovery`]).
     Refused(String),
     /// The run cannot start as configured (a machine count no placement
-    /// holds): the in-process route's error for the same request.
+    /// holds, a `LAZYGRAPH_THREADS` that is not a count): the in-process
+    /// route's error for the same request.
     Config(CommError),
     /// Filesystem / process-spawn failure.
     Io(String),
@@ -322,6 +323,7 @@ fn launch_in<P: Shipped>(
     worker_bin: &Path,
     opts: &MpOptions,
 ) -> Result<(RunResult<P>, LaunchReport), MultiprocError> {
+    let threads = cfg.resolve_threads(num_machines).map_err(MultiprocError::Config)?;
     let job_path = dir.join("job.bin");
     let started = Instant::now();
     let placed = place_files(graph, num_machines, cfg, |me| shard_path(&job_path, me))
@@ -337,7 +339,7 @@ fn launch_in<P: Shipped>(
     let ctrl_addrs = data_addrs.split_off(n);
     let mut job = WorkerJob {
         cfg: EngineConfig {
-            threads_per_machine: cfg.resolve_threads(n),
+            threads_per_machine: threads,
             block_size: cfg.block_size.max(1),
             ..cfg.clone()
         },

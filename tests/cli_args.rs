@@ -134,6 +134,34 @@ fn a_thread_count_the_host_refuses_fails_the_run_with_one_line() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `LAZYGRAPH_THREADS` that is not a count used to be ignored: the run
+/// went on with auto threads. It now fails the run with one line on both
+/// routes, before any pool starts; `0` still means auto, as `--threads 0`
+/// does.
+#[test]
+fn a_threads_variable_that_is_not_a_count_fails_the_run_with_one_line() {
+    let (dir, graph) = generated_rmat("threads-env", "64");
+    for route in [None, Some("--multiprocess")] {
+        let run = |value: &str| {
+            Command::new(env!("CARGO_BIN_EXE_lazygraph-cli"))
+                .env("LAZYGRAPH_THREADS", value)
+                .args(["run", "--input", &graph, "--algorithm", "pagerank", "--machines", "2"])
+                .args(route)
+                .output()
+                .expect("spawn lazygraph-cli")
+        };
+        let out = run("two");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{route:?}: {stderr}");
+        assert_eq!(stderr.trim_end().lines().count(), 1, "{route:?}: {stderr}");
+        assert!(stderr.contains("LAZYGRAPH_THREADS: cannot parse 'two'"), "{route:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{route:?}: {stderr}");
+        let out = run("0");
+        assert!(out.status.success(), "{route:?}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `--weights` used to `expect` its two numbers and then trip the
 /// builder's `lo < hi` assertion.
 #[test]

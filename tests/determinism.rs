@@ -59,11 +59,6 @@ fn run_fingerprint<P: VertexProgram>(
     let mut stats = r.metrics.stats;
     stats.pool_hits = 0;
     stats.pool_misses = 0;
-    // How many deliveries coalesce into vectorized runs depends on the
-    // block partitioning (a run cannot cross a block boundary), so the
-    // counter varies with block_size by design — vectorization telemetry,
-    // not part of the contract. Values must still match bitwise.
-    stats.fold_runs = 0;
     let counters = format!(
         "iters={} coh={} sub={} a2a={} m2m={} syncs={} stats={:?} sim={:?} conv={}",
         r.metrics.iterations,

@@ -301,29 +301,23 @@ fn zero_copy_counters_survive_wire_and_merge() {
     use lazygraph_cluster::{NetStats, StatsSnapshot};
     use lazygraph_net::Wire;
 
-    // PR 8 counters: `zero_copy_frames` and `fold_runs` are sums across
-    // workers.
+    // `zero_copy_frames` is a sum across workers.
     let stats = NetStats::default();
     stats.record_zero_copy_frames(5);
-    stats.record_fold_runs(17);
     let snap = stats.snapshot();
     assert_eq!(snap.zero_copy_frames, 5);
-    assert_eq!(snap.fold_runs, 17);
 
     let back = StatsSnapshot::from_wire(&snap.to_wire()).expect("decode");
     assert_eq!(back.zero_copy_frames, snap.zero_copy_frames);
-    assert_eq!(back.fold_runs, snap.fold_runs);
 
     let other = StatsSnapshot {
         zero_copy_frames: 3,
-        fold_runs: 4,
         ..Default::default()
     };
     let mut merged = StatsSnapshot::default();
     merged.merge(&snap);
     merged.merge(&other);
     assert_eq!(merged.zero_copy_frames, 8);
-    assert_eq!(merged.fold_runs, 21);
 }
 
 #[test]
@@ -350,29 +344,6 @@ fn tcp_inbound_path_is_zero_copy() {
     // measures the wire path, not deliveries.
     let r = run(&g, 4, &EngineConfig::lazygraph(), &Sssp::new(0u32)).expect("cluster run");
     assert_eq!(r.metrics.stats.zero_copy_frames, 0);
-}
-
-#[test]
-fn fold_runs_are_deterministic_and_fingerprint_stable() {
-    // `fold_runs` counts contiguous same-vertex runs in the delivered
-    // segments; segment contents are part of the determinism contract, so
-    // the counter must reproduce run-to-run in a fixed configuration.
-    // Sender-side combining leaves one item per vertex per sender, so a
-    // hot vertex's deltas sit in consecutive *segments* of its block —
-    // the run fold spans those boundaries, so the default production
-    // config must already vectorize on a skewed graph.
-    let g = social();
-    let run_once = || {
-        let cfg = EngineConfig::lazygraph();
-        let r = run(&g, 6, &cfg, &PageRankDelta::default()).expect("cluster run");
-        (r.metrics.stats.fold_runs, r.metrics.sim_time.to_bits())
-    };
-    let (folds, sim) = run_once();
-    assert_eq!((folds, sim), run_once());
-    assert!(
-        folds > 0,
-        "PageRank on a social graph must fold at least one multi-delta run"
-    );
 }
 
 #[test]
