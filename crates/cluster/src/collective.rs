@@ -112,10 +112,10 @@ impl Collective {
         Ok(red)
     }
 
-    /// Or-reduce that is *not* a global synchronisation: the barrier-free
-    /// engines' end-of-run vote (DESIGN.md §17). It records no sync and
-    /// takes no clock, so a run of them reports no global synchronisations
-    /// and the vote moves no simulated time.
+    /// Or-reduce that is *not* a global synchronisation: the vote that
+    /// ends each round of the barrier-free engines (DESIGN.md §17). It
+    /// records no sync and takes no clock, so a run of them reports no
+    /// global synchronisations and the vote moves no simulated time.
     pub fn vote(&self, me: usize, val: bool, stats: &NetStats) -> Result<bool, CommError> {
         self.reduce(me, val, stats, |a, b| a || b)
     }

@@ -14,9 +14,6 @@ use crate::error::CommError;
 use crate::io_loop::SocketMesh;
 use crate::stats::{NetStats, Phase};
 
-/// Round tag for out-of-band (non-BSP) sends.
-pub const ASYNC_ROUND: u64 = u64::MAX;
-
 /// Cap on an endpoint's buffer-pool free list. A burst round can park a
 /// vector per (peer × in-flight round) in the pool; without a cap the
 /// free list keeps every one of them alive forever, pinning the burst's
@@ -52,7 +49,7 @@ pub struct Batch<T> {
     pub from: usize,
     /// Sender's simulated clock at send time.
     pub sent_at: f64,
-    /// BSP round this batch belongs to ([`ASYNC_ROUND`] for out-of-band).
+    /// The exchange round this batch belongs to.
     pub round: u64,
     /// Always `true`: a round is exactly one batch per (sender, round).
     /// Residue of the retired pipelined exchange, whose non-final *parts*
@@ -370,51 +367,13 @@ impl<T: Send> Endpoint<T> {
         }
     }
 
-    /// Sends an out-of-band batch to `dst`, charging `bytes_per_item · len`
-    /// payload bytes to `phase`. Used by the asynchronous engines.
-    ///
-    /// Fails with [`CommError::PeerDisconnected`] if `dst`'s machine has
-    /// already left the mesh, and on a socket mesh with the mesh's failure
-    /// once a link has torn (see [`Self::try_recv`]).
-    pub fn send(
-        &self,
-        dst: usize,
-        items: Vec<T>,
-        sim_now: f64,
-        phase: Phase,
-        bytes_per_item: usize,
-        stats: &NetStats,
-    ) -> Result<(), CommError> {
-        self.send_tagged(dst, items, sim_now, ASYNC_ROUND, phase, bytes_per_item, stats)
-    }
-
-    /// Pooled variant of [`Self::send`] for engines that stage into an
-    /// [`OutboxSet`]: ships `outboxes[dst]` if non-empty, refilling the
-    /// slot from the buffer pool so staging capacity carries forward.
-    /// Returns whether a batch was actually sent.
-    pub fn send_staged(
-        &mut self,
-        outboxes: &mut OutboxSet<T>,
-        dst: usize,
-        sim_now: f64,
-        phase: Phase,
-        bytes_per_item: usize,
-        stats: &NetStats,
-    ) -> Result<bool, CommError> {
-        if outboxes.staged(dst).is_empty() {
-            return Ok(false);
-        }
-        let replacement = self.take_buffer(stats);
-        let items = std::mem::replace(outboxes.slot(dst), replacement);
-        self.send_tagged(dst, items, sim_now, ASYNC_ROUND, phase, bytes_per_item, stats)?;
-        Ok(true)
-    }
-
+    /// Ships `items` to `dst` as its batch of `round`, charging
+    /// `bytes_per_item · len` payload bytes to `phase`.
     #[expect(
         clippy::too_many_arguments,
-        reason = "`send`'s arguments plus the round tag it fixes to ASYNC_ROUND"
+        reason = "a batch's header fields, its destination and its accounting"
     )]
-    fn send_tagged(
+    pub(crate) fn send_tagged(
         &self,
         dst: usize,
         items: Vec<T>,
@@ -448,18 +407,17 @@ impl<T: Send> Endpoint<T> {
         }
     }
 
-    /// The next batch the wiring delivers (see `io_loop` for `needed`).
-    fn next_batch(
+    /// The next batch the wiring delivers, waiting for one; fails once
+    /// every peer `needed` accepts has left (see `io_loop`).
+    pub(crate) fn next_batch(
         &self,
-        block: bool,
         needed: &dyn Fn(usize) -> bool,
-    ) -> Result<Option<Batch<T>>, CommError> {
+    ) -> Result<Batch<T>, CommError> {
         match &self.wiring {
-            Wiring::Channels { rx, .. } if block => {
-                rx.recv().map(Some).map_err(|_| CommError::MeshClosed { me: self.me })
+            Wiring::Channels { rx, .. } => {
+                rx.recv().map_err(|_| CommError::MeshClosed { me: self.me })
             }
-            Wiring::Channels { rx, .. } => Ok(rx.try_recv().ok()),
-            Wiring::Sockets(s) => s.next(block, needed),
+            Wiring::Sockets(s) => s.next(needed),
         }
     }
 
@@ -469,46 +427,6 @@ impl<T: Send> Endpoint<T> {
             Wiring::Sockets(s) => s.flush(),
             Wiring::Channels { .. } => Ok(()),
         }
-    }
-
-    /// Blocking receive of the next batch of any round. Fails with
-    /// [`CommError::MeshClosed`] once every peer has left, and on a socket
-    /// mesh with the mesh's failure once a link has torn.
-    pub fn recv(&mut self) -> Result<Batch<T>, CommError> {
-        if let Some(b) = self.pending.pop_front() {
-            return Ok(b);
-        }
-        let me = self.me;
-        self.next_batch(true, &|p| p != me)?
-            .ok_or(CommError::MeshClosed { me })
-    }
-
-    /// Non-blocking receive of an out-of-band batch (asynchronous engines).
-    ///
-    /// `Ok(None)` when no batch is available — also once peers have left
-    /// cleanly: the pump's vote, not the mesh, decides whether more work
-    /// can still arrive. A round's batch is never returned: it waits in
-    /// `pending` for the [`Self::exchange`] it belongs to, since a peer
-    /// already in the pump's vote round may send one before this machine
-    /// enters it. A torn link is an error, as on every call: a peer that
-    /// died without its Shutdown frame is [`CommError::Transport`].
-    pub fn try_recv(&mut self) -> Result<Option<Batch<T>>, CommError> {
-        if let Some(pos) = self.pending.iter().position(|b| b.round == ASYNC_ROUND) {
-            return Ok(self.pending.remove(pos));
-        }
-        while let Some(b) = self.next_batch(false, &|_| true)? {
-            if b.round == ASYNC_ROUND {
-                return Ok(Some(b));
-            }
-            self.pending.push_back(b);
-        }
-        Ok(None)
-    }
-
-    /// Whether an out-of-band batch has arrived that [`Self::try_recv`] has
-    /// not handed out yet: what a machine brings to the pump's vote.
-    pub fn holds_async(&self) -> bool {
-        self.pending.iter().any(|b| b.round == ASYNC_ROUND)
     }
 
     /// BSP exchange round: sends `outboxes[dst]` to every other machine
@@ -567,9 +485,7 @@ impl<T: Send> Endpoint<T> {
         }
         while received.len() < self.n - 1 {
             let needed = |p: usize| p != me && received.iter().all(|b| b.from != p);
-            let b = self
-                .next_batch(true, &needed)?
-                .ok_or(CommError::MeshClosed { me })?;
+            let b = self.next_batch(&needed)?;
             if b.round == round {
                 received.push(b);
             } else {
@@ -620,15 +536,23 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// One round between two endpoints, machine 1's batch sent ahead:
+    /// what machine 0's `exchange` hands back.
+    fn round_from_1(items: Vec<u32>, sent_at: f64, phase: Phase, stats: &NetStats) -> Batch<u32> {
+        let mut eps = build_mesh::<u32>(2);
+        let ep1 = eps.pop().unwrap();
+        let mut ep0 = eps.pop().unwrap();
+        ep1.send_tagged(0, items, sent_at, 0, phase, 4, stats).unwrap();
+        let mut got = ep0.exchange(&mut OutboxSet::new(2), 0.0, phase, 4, stats).unwrap();
+        assert_eq!(got.len(), 1);
+        got.pop().unwrap()
+    }
+
     #[test]
     fn point_to_point() {
-        let mut eps = build_mesh::<u32>(2);
-        let mut b = eps.pop().unwrap();
-        let a = eps.pop().unwrap();
         let stats = NetStats::new();
-        a.send(1, vec![7, 8, 9], 1.5, Phase::Async, 4, &stats).unwrap();
-        let got = b.recv().unwrap();
-        assert_eq!(got.from, 0);
+        let got = round_from_1(vec![7, 8, 9], 1.5, Phase::Async, &stats);
+        assert_eq!(got.from, 1);
         assert_eq!(got.sent_at, 1.5);
         assert_eq!(got.items, vec![7, 8, 9]);
         let snap = stats.snapshot();
@@ -638,12 +562,8 @@ mod tests {
 
     #[test]
     fn empty_batches_cost_nothing() {
-        let mut eps = build_mesh::<u32>(2);
-        let mut b = eps.pop().unwrap();
-        let a = eps.pop().unwrap();
         let stats = NetStats::new();
-        a.send(1, vec![], 0.0, Phase::Coherency, 4, &stats).unwrap();
-        let got = b.recv().unwrap();
+        let got = round_from_1(vec![], 0.0, Phase::Coherency, &stats);
         assert!(got.items.is_empty());
         assert_eq!(stats.snapshot().total_est_bytes(), 0);
         assert_eq!(stats.snapshot().total_batches(), 0);
@@ -731,92 +651,28 @@ mod tests {
     }
 
     #[test]
-    fn async_batches_interleave_with_bsp_rounds() {
-        let mut eps = build_mesh::<u32>(2);
-        let ep1 = eps.pop().unwrap();
-        let mut ep0 = eps.pop().unwrap();
-        let stats = NetStats::new();
-        ep1.send(0, vec![7], 0.0, Phase::Async, 4, &stats).unwrap();
-        ep1.send_tagged(0, vec![40], 0.0, 0, Phase::Coherency, 4, &stats).unwrap();
-        ep1.send(0, vec![8], 0.0, Phase::Async, 4, &stats).unwrap();
-        // The BSP exchange must skip over both out-of-band batches…
-        let got = ep0
-            .exchange(&mut OutboxSet::new(2), 0.0, Phase::Coherency, 4, &stats)
-            .unwrap();
-        assert_eq!(got[0].items, vec![40]);
-        assert!(ep0.holds_async(), "both wait in `pending` now");
-        // …and try_recv must then surface them, oldest first.
-        assert_eq!(ep0.try_recv().unwrap().unwrap().items, vec![7]);
-        assert_eq!(ep0.try_recv().unwrap().unwrap().items, vec![8]);
-        assert!(ep0.try_recv().unwrap().is_none());
-    }
-
-    /// A peer already in the pump's vote round sends its round batch while
-    /// this machine is still pumping: `try_recv` must leave it for the
-    /// round's `exchange`, or the round would wait for it forever.
-    #[test]
-    fn a_round_batch_that_arrives_early_is_never_returned_by_try_recv() {
-        let mut eps = build_mesh::<u32>(2);
-        let ep1 = eps.pop().unwrap();
-        let mut ep0 = eps.pop().unwrap();
-        let stats = NetStats::new();
-        ep1.send(0, vec![7], 0.0, Phase::Async, 4, &stats).unwrap();
-        ep1.send_tagged(0, vec![], 0.0, 0, Phase::Async, 4, &stats).unwrap();
-        assert_eq!(ep0.try_recv().unwrap().unwrap().items, vec![7]);
-        assert!(ep0.try_recv().unwrap().is_none(), "the round's batch is not async work");
-        assert!(!ep0.holds_async());
-        let round = ep0.exchange(&mut OutboxSet::new(2), 0.0, Phase::Async, 4, &stats).unwrap();
-        assert_eq!(round.len(), 1, "the round found its batch in `pending`");
-        assert_eq!((round[0].from, round[0].round), (1, 0));
-    }
-
-    #[test]
-    fn recv_drains_pending_before_the_channel() {
-        let mut eps = build_mesh::<u32>(2);
-        let ep1 = eps.pop().unwrap();
-        let mut ep0 = eps.pop().unwrap();
-        let stats = NetStats::new();
-        // Two stragglers get parked in `pending` by a later exchange…
-        ep1.send(0, vec![1], 0.0, Phase::Async, 4, &stats).unwrap();
-        ep1.send(0, vec![2], 0.0, Phase::Async, 4, &stats).unwrap();
-        ep1.send_tagged(0, vec![50], 0.0, 0, Phase::Coherency, 4, &stats).unwrap();
-        let _ = ep0
-            .exchange(&mut OutboxSet::new(2), 0.0, Phase::Coherency, 4, &stats)
-            .unwrap();
-        // …then a fresh channel batch arrives behind them.
-        ep1.send(0, vec![3], 0.0, Phase::Async, 4, &stats).unwrap();
-        // A blocking drain sees every batch exactly once, FIFO.
-        assert_eq!(ep0.recv().unwrap().items, vec![1]);
-        assert_eq!(ep0.recv().unwrap().items, vec![2]);
-        assert_eq!(ep0.recv().unwrap().items, vec![3]);
-        assert!(ep0.try_recv().unwrap().is_none());
-    }
-
-    #[test]
     fn racing_rounds_collect_in_one_pass_and_keep_fifo_order() {
-        // A peer races three rounds ahead and interleaves an out-of-band
-        // batch; each exchange must pull exactly its round out of `pending`
-        // while the remaining stragglers keep their arrival order.
+        // A peer races three rounds ahead; each exchange must pull exactly
+        // its round out of `pending` while the remaining stragglers keep
+        // their arrival order.
         let mut eps = build_mesh::<u32>(2);
         let ep1 = eps.pop().unwrap();
         let mut ep0 = eps.pop().unwrap();
         let stats = NetStats::new();
         ep1.send_tagged(0, vec![22], 0.0, 2, Phase::Coherency, 4, &stats).unwrap();
-        ep1.send(0, vec![99], 0.0, Phase::Async, 4, &stats).unwrap();
         ep1.send_tagged(0, vec![11], 0.0, 1, Phase::Coherency, 4, &stats).unwrap();
         ep1.send_tagged(0, vec![0], 0.0, 0, Phase::Coherency, 4, &stats).unwrap();
         let mut ob = OutboxSet::new(2);
         let r0 = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
         assert_eq!(r0[0].items, vec![0]);
-        // Rounds 1 and 2 plus the async batch now sit in `pending`.
-        assert_eq!(ep0.pending.len(), 3);
+        // Rounds 2 and 1 now sit in `pending`, in arrival order.
+        let waiting: Vec<u64> = ep0.pending.iter().map(|b| b.round).collect();
+        assert_eq!(waiting, vec![2, 1]);
         let r1 = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
         assert_eq!(r1[0].items, vec![11]);
         let r2 = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
         assert_eq!(r2[0].items, vec![22]);
-        // The out-of-band batch survived all three rotation passes.
-        assert_eq!(ep0.try_recv().unwrap().unwrap().items, vec![99]);
-        assert!(ep0.try_recv().unwrap().is_none());
+        assert!(ep0.pending.is_empty());
     }
 
     #[test]
@@ -833,7 +689,7 @@ mod tests {
         ob.push(1, 5);
         let got = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
         assert_eq!(got[0].items, vec![9]);
-        let travelled = ep1.recv().unwrap();
+        let travelled = ep1.next_batch(&|_| true).unwrap();
         assert_eq!(travelled.items, vec![5]);
         assert!(travelled.items.capacity() >= 64);
         // …and ep1 hands it back to its allocator once drained.

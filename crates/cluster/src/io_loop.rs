@@ -483,25 +483,21 @@ impl<T: Wire> Io<T> {
         Ok(())
     }
 
-    /// The next inbound batch. Waits for one if `block`, failing with
+    /// The next inbound batch, waiting for one; fails with
     /// [`CommError::MeshClosed`] once every peer `needed` accepts has left.
     /// A failed mesh reports its failure once the batches that arrived
     /// before it are taken.
     fn next(
         &mut self,
-        block: bool,
         needed: &dyn Fn(usize) -> bool,
         own: *const (),
-    ) -> Result<Option<Batch<T>>, CommError> {
+    ) -> Result<Batch<T>, CommError> {
         loop {
             self.pass();
             if let Some(batch) = self.inbound.pop_front() {
-                return Ok(Some(batch));
+                return Ok(batch);
             }
             self.check()?;
-            if !block {
-                return Ok(None);
-            }
             if self
                 .links
                 .iter()
@@ -627,12 +623,8 @@ impl<T: Wire + Send + 'static> Member for Shared<T> {
 pub(crate) trait SocketMesh<T>: Send {
     /// Encodes `items` as `dst`'s batch of `round` and starts writing it.
     fn send(&self, dst: usize, items: Vec<T>, sim_now: f64, round: u64) -> Result<(), CommError>;
-    /// The next inbound batch, waiting for one if `block` (see [`Io::next`]).
-    fn next(
-        &self,
-        block: bool,
-        needed: &dyn Fn(usize) -> bool,
-    ) -> Result<Option<Batch<T>>, CommError>;
+    /// The next inbound batch, waiting for one (see [`Io::next`]).
+    fn next(&self, needed: &dyn Fn(usize) -> bool) -> Result<Batch<T>, CommError>;
     /// Waits until every live link has written what it holds.
     fn flush(&self) -> Result<(), CommError>;
     /// Hands a consumed frame buffer back to the reader of its link.
@@ -722,12 +714,8 @@ impl<T: Wire + Send + 'static> SocketMesh<T> for TcpLinks<T> {
         self.io().send(dst, items, sim_now, round)
     }
 
-    fn next(
-        &self,
-        block: bool,
-        needed: &dyn Fn(usize) -> bool,
-    ) -> Result<Option<Batch<T>>, CommError> {
-        self.io().next(block, needed, self.own())
+    fn next(&self, needed: &dyn Fn(usize) -> bool) -> Result<Batch<T>, CommError> {
+        self.io().next(needed, self.own())
     }
 
     fn flush(&self) -> Result<(), CommError> {

@@ -18,11 +18,11 @@
 //! `Shutdown` frame reach every peer, and the sockets close — peers treat
 //! that as a clean close. A machine that *dies* (process kill, panic)
 //! never sends `Shutdown`: its peers read EOF. In fail-fast mode that
-//! fails the mesh, and every later call — `exchange`, `send`, `recv`,
-//! `try_recv` — reports [`CommError::Transport`]; a blocking call whose
-//! peers have all left cleanly reports [`CommError::MeshClosed`] instead
-//! of waiting forever. A failed mesh is never mended: recovery restarts
-//! the whole gang on fresh meshes (DESIGN.md §12).
+//! fails the mesh, and every later `exchange` reports
+//! [`CommError::Transport`]; a round whose peers have all left cleanly
+//! reports [`CommError::MeshClosed`] instead of waiting forever. A failed
+//! mesh is never mended: recovery restarts the whole gang on fresh meshes
+//! (DESIGN.md §12).
 //!
 //! ## Wire format of a Data frame payload
 //!
@@ -416,15 +416,15 @@ mod tests {
         let mut eps = build_tcp_mesh::<u32>(n, &stats, &TcpOptions::default()).unwrap();
         let mut ep1 = eps.pop().unwrap();
         let ep0 = eps.pop().unwrap();
-        ep0.send(1, vec![5, 6], 0.0, Phase::Async, 4, &stats).unwrap();
-        let mut got = ep1.recv().unwrap();
+        ep0.send_tagged(1, vec![5, 6], 0.0, 0, Phase::Async, 4, &stats).unwrap();
+        let mut got = ep1.next_batch(&|p| p == 0).unwrap();
         got.make_items().unwrap();
         assert_eq!(got.items, vec![5, 6]);
         // Machine 0 finishes and drops its endpoint → its Shutdown frame
         // reaches machine 1 → the link is closed cleanly, and no peer is
-        // left to send → recv reports MeshClosed rather than hanging.
+        // left to send → a receive reports MeshClosed rather than hanging.
         drop(ep0);
-        let err = ep1.recv().unwrap_err();
+        let err = ep1.next_batch(&|p| p == 0).unwrap_err();
         assert_eq!(err, CommError::MeshClosed { me: 1 });
         // A round the departed peer can no longer complete reports the
         // closed mesh too, instead of blocking on a batch that cannot come.
@@ -438,14 +438,14 @@ mod tests {
     fn an_encoded_staging_vector_returns_to_the_pool() {
         let stats = Arc::new(NetStats::new());
         let mut eps = build_tcp_mesh::<u32>(2, &stats, &TcpOptions::default()).unwrap();
-        let mut ep1 = eps.pop().unwrap();
+        let ep1 = eps.pop().unwrap();
         let mut ep0 = eps.pop().unwrap();
         let mut staged = Vec::with_capacity(64);
         staged.extend([5, 6]);
-        ep0.send(1, staged, 0.0, Phase::Async, 4, &stats).unwrap();
+        ep0.send_tagged(1, staged, 0.0, 0, Phase::Async, 4, &stats).unwrap();
         // The frame reached machine 1, so machine 0 has encoded it — which
         // is where the emptied vector goes back to the pool.
-        let mut got = ep1.recv().unwrap();
+        let mut got = ep1.next_batch(&|p| p == 0).unwrap();
         got.make_items().unwrap();
         assert_eq!(got.items, vec![5, 6]);
         let reused = ep0.take_buffer(&stats);
@@ -479,8 +479,8 @@ mod tests {
             ..TcpOptions::default()
         };
         let mut eps = build_tcp_mesh::<u32>(n, &stats, &opts).unwrap();
-        let mut ep2 = eps.pop().unwrap();
-        let mut ep1 = eps.pop().unwrap();
+        let ep2 = eps.pop().unwrap();
+        let ep1 = eps.pop().unwrap();
         let ep0 = eps.pop().unwrap();
         // Peer 0 leaves cleanly: Shutdown frames, then closed sockets.
         drop(ep0);
@@ -497,7 +497,7 @@ mod tests {
         let mut writer_retired = false;
         while Instant::now() < deadline {
             let burst = vec![7u32; 64 * 1024];
-            if ep1.send(0, burst, 0.0, Phase::Async, 4, &stats).is_err() {
+            if ep1.send_tagged(0, burst, 0.0, 0, Phase::Async, 4, &stats).is_err() {
                 writer_retired = true;
                 break;
             }
@@ -505,12 +505,12 @@ mod tests {
         }
         assert!(writer_retired, "writer never observed the torn socket");
         // The 1 <-> 2 half of the mesh must still work: no poison.
-        ep1.send(2, vec![11], 0.0, Phase::Async, 4, &stats).unwrap();
-        ep2.send(1, vec![22], 0.0, Phase::Async, 4, &stats).unwrap();
-        let mut b1 = ep1.recv().unwrap();
+        ep1.send_tagged(2, vec![11], 0.0, 0, Phase::Async, 4, &stats).unwrap();
+        ep2.send_tagged(1, vec![22], 0.0, 0, Phase::Async, 4, &stats).unwrap();
+        let mut b1 = ep1.next_batch(&|p| p == 2).unwrap();
         b1.make_items().unwrap();
         assert_eq!(b1.items, vec![22]);
-        let mut b2 = ep2.recv().unwrap();
+        let mut b2 = ep2.next_batch(&|p| p == 1).unwrap();
         b2.make_items().unwrap();
         assert_eq!(b2.items, vec![11]);
     }
@@ -531,40 +531,21 @@ mod tests {
     }
 
     #[test]
+    fn a_torn_link_fails_every_later_call_alike() {
+        let (ep0, _ep1, stats) = mesh_without_machine_2();
+        let err = ep0.next_batch(&|p| p != 0).unwrap_err();
+        assert!(torn_by_machine_2(&err, 0), "{err:?}");
+        // The first failure is kept: every later call returns it.
+        assert_eq!(ep0.next_batch(&|p| p != 0).unwrap_err(), err);
+        assert_eq!(ep0.send_tagged(1, vec![8], 0.0, 0, Phase::Async, 4, &stats).unwrap_err(), err);
+    }
+
+    #[test]
     fn exchange_over_a_torn_link_is_a_transport_error() {
         let (mut ep0, _ep1, stats) = mesh_without_machine_2();
         let err = ep0
             .exchange(&mut OutboxSet::new(3), 0.0, Phase::Coherency, 4, &stats)
             .unwrap_err();
         assert!(torn_by_machine_2(&err, 0), "{err:?}");
-    }
-
-    #[test]
-    fn recv_over_a_torn_link_is_a_transport_error() {
-        let (mut ep0, _ep1, _) = mesh_without_machine_2();
-        let err = ep0.recv().unwrap_err();
-        assert!(torn_by_machine_2(&err, 0), "{err:?}");
-    }
-
-    #[test]
-    fn try_recv_over_a_torn_link_is_a_transport_error() {
-        let (mut ep0, ep1, stats) = mesh_without_machine_2();
-        // A batch that arrived before the failure is still delivered...
-        ep1.send(0, vec![7], 0.0, Phase::Async, 4, &stats).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let err = loop {
-            match ep0.try_recv() {
-                Ok(Some(mut b)) => {
-                    b.make_items().unwrap();
-                    assert_eq!((b.from, b.items), (1, vec![7]));
-                }
-                Ok(None) => assert!(Instant::now() < deadline, "the torn link was never noticed"),
-                Err(err) => break err,
-            }
-        };
-        // ...and then the failure, on this call and every later one.
-        assert!(torn_by_machine_2(&err, 0), "{err:?}");
-        assert_eq!(ep0.try_recv().unwrap_err(), err);
-        assert_eq!(ep0.send(1, vec![8], 0.0, Phase::Async, 4, &stats).unwrap_err(), err);
     }
 }

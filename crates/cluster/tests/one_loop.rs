@@ -45,9 +45,10 @@ fn assert_items(b: &Batch<u64>, to: usize, count: usize) {
     );
 }
 
-/// Every machine sends every peer a 32 MiB batch in the same round; then
-/// machine 0 bursts 32 MiB out of band at machine 1 while machine 1 is
-/// busy in local work. Both complete, with every item where it belongs.
+/// Every machine sends every peer a 32 MiB batch in the same round; then,
+/// in the next round, machine 0 bursts 32 MiB at machine 1 while machine 1
+/// is busy in local work and only later joins the round. Both complete,
+/// with every item where it belongs.
 #[test]
 fn huge_rounds_and_bursts_at_a_busy_peer_complete() {
     let items = HUGE / 8;
@@ -76,25 +77,22 @@ fn huge_rounds_and_bursts_at_a_busy_peer_complete() {
                 assert_items(&b, me, items);
                 ep.recycle(b);
             }
-            match me {
-                0 => {
-                    let burst = (0..items).map(|i| item(0, 1, i)).collect();
-                    ep.send(1, burst, 0.0, Phase::Async, 8, &stats).unwrap();
-                    // Waiting for the answer is what moves the rest of the
-                    // burst onto the wire.
-                    let ack = ep.recv().unwrap();
-                    assert_eq!((ack.from, ack.item_count()), (1, 1));
-                }
-                1 => {
-                    // Local work: nothing reads this machine's sockets.
-                    std::thread::sleep(Duration::from_millis(300));
-                    let b = ep.recv().unwrap();
-                    assert_eq!(b.from, 0);
-                    assert_items(&b, 1, items);
-                    ep.send(0, vec![item(1, 0, 0)], 0.0, Phase::Async, 8, &stats)
-                        .unwrap();
-                }
-                _ => {}
+            // The burst: machine 0's part of the next round is the whole
+            // 32 MiB again, for machine 1 alone; every other batch is empty.
+            if me == 0 {
+                ob.slot(1).extend((0..items).map(|i| item(0, 1, i)));
+            }
+            if me == 1 {
+                // Local work: nothing reads this machine's sockets.
+                std::thread::sleep(Duration::from_millis(300));
+            }
+            let got = ep
+                .exchange(&mut ob, 0.0, Phase::Async, 8, &stats)
+                .unwrap();
+            for b in got {
+                let count = if (b.from, me) == (0, 1) { items } else { 0 };
+                assert_items(&b, me, count);
+                ep.recycle(b);
             }
             done_tx.send(me).unwrap();
         });

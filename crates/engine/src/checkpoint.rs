@@ -510,17 +510,17 @@ impl<R: Read + Seek> ChunkReader<R> {
     }
 }
 
-/// The engine tag a snapshot carries — the one `EngineKind` → tag mapping.
-/// `None` for the engines that cannot checkpoint: those that pump, whose
-/// out-of-band batches have no barrier to cut a snapshot at.
-pub fn snapshot_tag(kind: EngineKind) -> Option<u8> {
+/// The engine tag a snapshot carries — the one `EngineKind` → tag
+/// mapping. Every engine has one: every step ends with nothing in flight,
+/// so every step boundary is a cut a snapshot can be taken at.
+pub fn snapshot_tag(kind: EngineKind) -> u8 {
     match kind {
-        EngineKind::PowerGraphSync => Some(0),
-        EngineKind::LazyBlockAsync => Some(1),
-        EngineKind::DeltaAccum => Some(2),
-        EngineKind::PowerGraphAsync
-        | EngineKind::LazyVertexAsync
-        | EngineKind::PowerSwitchHybrid => None,
+        EngineKind::PowerGraphSync => 0,
+        EngineKind::LazyBlockAsync => 1,
+        EngineKind::DeltaAccum => 2,
+        EngineKind::PowerGraphAsync => 3,
+        EngineKind::LazyVertexAsync => 4,
+        EngineKind::PowerSwitchHybrid => 5,
     }
 }
 
@@ -530,8 +530,9 @@ pub fn snapshot_tag(kind: EngineKind) -> Option<u8> {
 #[derive(Clone, Debug, PartialEq)]
 pub struct SnapshotHeader {
     /// Engine tag ([`snapshot_tag`]): 0 = Sync, 1 = LazyBlock,
-    /// 2 = DeltaAccum. A machine only resumes from a snapshot of the
-    /// engine it is running ([`Self::check_engine`]).
+    /// 2 = DeltaAccum, 3 = Async, 4 = LazyVertex, 5 = the hybrid. A
+    /// machine only resumes from a snapshot of the engine it is running
+    /// ([`Self::check_engine`]).
     pub engine: u8,
     /// Supersteps completed when the snapshot was taken.
     pub iterations: u64,
@@ -560,7 +561,7 @@ wire_record!(SnapshotHeader {
 impl SnapshotHeader {
     /// Fails unless this snapshot was taken by engine `kind`.
     pub fn check_engine(&self, kind: EngineKind) -> Result<(), CheckpointError> {
-        if snapshot_tag(kind) == Some(self.engine) {
+        if snapshot_tag(kind) == self.engine {
             Ok(())
         } else {
             Err(CheckpointError::WrongEngine {
@@ -1000,10 +1001,8 @@ pub fn checkpoint_at_barrier<P: VertexProgram, M>(
         me: f.me,
         detail: format!("checkpoint {what}: {e}"),
     };
-    let tag = snapshot_tag(engine)
-        .ok_or_else(|| fail("refused", &format_args!("{} has no snapshot tag", engine.name())))?;
     let header = SnapshotHeader {
-        engine: tag,
+        engine: snapshot_tag(engine),
         iterations: f.iterations,
         clock: f.clock.now(),
         breakdown: f.bsp.breakdown,

@@ -38,15 +38,14 @@
 //! items are applied one by one in sender order: Sync updates,
 //! mirrors-to-master hop 1). Either way a round is one batch per (sender,
 //! round), collected sorted by sender (DESIGN.md §11 records why rounds
-//! are not cut into streamed parts). The barrier-free engines have no
-//! rounds of their own: they open the port's [`Pump`] instead, the one
-//! loop that drains, flushes and votes on whether the run is over
-//! (DESIGN.md §17).
+//! are not cut into streamed parts). The barrier-free engines close the
+//! same rounds; what differs is only how a round meets the machine's
+//! clock ([`Stamp`], DESIGN.md §17).
 
 use std::sync::Arc;
 
 use lazygraph_cluster::{
-    Batch, Collective, CommError, CostModel, Endpoint, NetStats, OutboxSet, Phase, SimClock,
+    Batch, CommError, CostModel, Endpoint, NetStats, OutboxSet, Phase, SimClock,
 };
 use lazygraph_net::{NetError, Wire};
 use lazygraph_partition::{LocalShard, NO_LOCAL};
@@ -245,30 +244,6 @@ impl<T: Wire + Send> Port<T> {
             port: self,
         }
     }
-
-    /// Opens the barrier-free side of the port: batches travel out of
-    /// band under `phase`, `clock` is the machine's clock, which the pump
-    /// merges arrivals into and charges sends to under `cost`, and `coll`
-    /// is the machine's collective, which carries the pump's vote.
-    pub fn pump<'a>(
-        &'a mut self,
-        clock: &'a mut SimClock,
-        coll: &'a Collective,
-        cost: CostModel,
-        phase: Phase,
-        bytes_per_item: usize,
-    ) -> Pump<'a, T> {
-        Pump {
-            ep: &mut self.ep,
-            outboxes: &mut self.outboxes,
-            clock,
-            stats: &self.stats,
-            coll,
-            cost,
-            phase,
-            bytes_per_item,
-        }
-    }
 }
 
 impl<X> Port<(u32, X)>
@@ -298,93 +273,22 @@ where
     }
 }
 
-/// What a barrier-free engine plugs into [`Pump::run`].
-pub trait PumpStep<T> {
-    /// Absorbs one inbound batch into the machine's state. Its arrival is
-    /// already on the clock; the pump recycles it afterwards.
-    fn absorb(&mut self, batch: &mut Batch<T>) -> Result<(), NetError>;
-
-    /// One turn of local work: whatever the machine can do without
-    /// hearing from a peer, with outbound items staged in
-    /// [`Pump::outboxes`]. Returns `false` iff there was nothing to do.
-    fn turn(&mut self, pump: &mut Pump<'_, T>) -> Result<bool, CommError>;
+/// How a round meets the machine's clock.
+pub enum Stamp<'c> {
+    /// A barriered round: its batches carry the clock as it stands, and
+    /// the sync after the round books the wait (`BspSync::sync`).
+    At(f64),
+    /// A barrier-free engine's round (DESIGN.md §17): each non-empty
+    /// outbox charges `async_send_cpu` before the round ships, and each
+    /// non-empty inbound batch merges its arrival, `sent_at +
+    /// async_batch_time(bytes)`, into the clock. An empty round batch
+    /// moves no clock: it only says "nothing from me this round".
+    Arrivals(&'c mut SimClock, CostModel),
 }
 
-/// The barrier-free side of a [`Port`]: the endpoint's out-of-band
-/// send/receive, the staging outboxes, the machine clock, and the
-/// collective its vote runs over (DESIGN.md §17).
-pub struct Pump<'a, T> {
-    ep: &'a mut Endpoint<T>,
-    /// Staging for a turn's outbound items; the loop ships every non-empty
-    /// slot when the turn returns.
-    pub outboxes: &'a mut OutboxSet<T>,
-    pub clock: &'a mut SimClock,
-    stats: &'a NetStats,
-    coll: &'a Collective,
-    cost: CostModel,
-    phase: Phase,
-    bytes_per_item: usize,
-}
-
-impl<T: Wire + Send> Pump<'_, T> {
-    /// Pumps `engine` until the whole run is quiescent: drain the
-    /// endpoint, take a turn, ship what it staged, and vote when neither
-    /// made progress.
-    pub fn run(mut self, engine: &mut impl PumpStep<T>) -> Result<(), CommError> {
-        loop {
-            let mut progressed = false;
-            while let Some(mut batch) = self.ep.try_recv()? {
-                let bytes = batch.item_count() * self.bytes_per_item;
-                self.clock.merge(batch.sent_at + self.cost.async_batch_time(bytes as u64));
-                engine
-                    .absorb(&mut batch)
-                    .map_err(|e| CommError::transport(self.ep.me(), &e))?;
-                self.ep.recycle(batch);
-                progressed = true;
-            }
-            progressed |= engine.turn(&mut self)?;
-            // Every turn's items leave before any vote round can: the
-            // round ships whatever is staged as its own payload.
-            for dst in 0..self.ep.num_machines() {
-                self.flush(dst)?;
-            }
-            if !progressed && self.vote()? {
-                return Ok(());
-            }
-        }
-    }
-
-    /// The vote of a machine with no work and nothing received: one empty
-    /// round on the data mesh, then an or-reduce of "I hold an undelivered
-    /// batch". Links are FIFO per peer and every machine sends its round
-    /// batch after everything it sent before it, so once the round is
-    /// complete every batch sent before the vote waits in its receiver's
-    /// `pending`; nothing is in flight. All false: no machine has work and
-    /// none can get any, and the run is over (`true`). Any true: every
-    /// machine pumps on. Neither part is a global synchronisation or
-    /// simulated time.
-    fn vote(&mut self) -> Result<bool, CommError> {
-        let now = self.clock.now();
-        let round =
-            self.ep.exchange(self.outboxes, now, self.phase, self.bytes_per_item, self.stats)?;
-        for batch in round {
-            self.ep.recycle(batch);
-        }
-        let held = self.ep.holds_async();
-        Ok(!self.coll.vote(self.ep.me(), held, self.stats)?)
-    }
-
-    /// Ships what is staged for `dst`, as one batch paying the per-message
-    /// overhead (no-op on an empty slot).
-    fn flush(&mut self, dst: usize) -> Result<(), CommError> {
-        if self.outboxes.staged(dst).is_empty() {
-            return Ok(());
-        }
-        self.clock.advance(self.cost.async_send_cpu);
-        let now = self.clock.now();
-        self.ep
-            .send_staged(self.outboxes, dst, now, self.phase, self.bytes_per_item, self.stats)?;
-        Ok(())
+impl From<f64> for Stamp<'_> {
+    fn from(now: f64) -> Self {
+        Stamp::At(now)
     }
 }
 
@@ -397,11 +301,28 @@ struct RoundWire<'a, T> {
 
 impl<T: Wire + Send> RoundWire<'_, T> {
     /// The round itself: one batch to and from every peer, the received
-    /// ones sorted by sender.
-    fn exchange(&mut self, now: f64) -> Result<Vec<Batch<T>>, CommError> {
+    /// ones sorted by sender, on the clock as `stamp` says.
+    fn exchange(&mut self, stamp: Stamp<'_>) -> Result<Vec<Batch<T>>, CommError> {
         let port = &mut *self.port;
-        port.ep
-            .exchange(&mut port.outboxes, now, self.phase, self.bytes_per_item, &port.stats)
+        let (phase, bytes_per_item) = (self.phase, self.bytes_per_item);
+        let (clock, cost) = match stamp {
+            Stamp::At(now) => {
+                return port.ep.exchange(&mut port.outboxes, now, phase, bytes_per_item, &port.stats)
+            }
+            Stamp::Arrivals(clock, cost) => (clock, cost),
+        };
+        for dst in 0..port.outboxes.num_machines() {
+            if !port.outboxes.staged(dst).is_empty() {
+                clock.advance(cost.async_send_cpu);
+            }
+        }
+        let received =
+            port.ep.exchange(&mut port.outboxes, clock.now(), phase, bytes_per_item, &port.stats)?;
+        for batch in received.iter().filter(|b| b.item_count() > 0) {
+            let bytes = (batch.item_count() * bytes_per_item) as u64;
+            clock.merge(batch.sent_at + cost.async_batch_time(bytes));
+        }
+        Ok(received)
     }
 }
 
@@ -426,16 +347,16 @@ where
     /// Ships what is staged, waits for every peer's batch of the round,
     /// and ⊕-folds the routed items into `state.message` in (sender, item)
     /// order: one [`route_inbound`] pass over the sender-sorted batches.
-    pub fn close<P: VertexProgram>(
+    pub fn close<'c, P: VertexProgram>(
         mut self,
         program: &P,
         state: &mut MachineState<P>,
-        now: f64,
+        stamp: impl Into<Stamp<'c>>,
     ) -> Result<(), CommError>
     where
         F: Fn(u32, u32, X) -> Result<Option<P::Delta>, NetError> + Sync,
     {
-        let mut received = self.wire.exchange(now)?;
+        let mut received = self.wire.exchange(stamp.into())?;
         let port = self.wire.port;
         route_inbound(
             self.pctx,
@@ -474,16 +395,17 @@ where
     (u32, X): Wire + Send,
 {
     /// Ships what is staged, waits for every peer's batch of the round,
-    /// and hands each inbound `(gid, x)` to `apply` as `(local id, x)`
-    /// through `route`, in (sender, item) order. An item for a vertex this
-    /// machine holds no replica of fails the round ([`route_item`]).
-    pub fn close(
+    /// and hands each inbound `(gid, x)` to `apply` as `(sender, local id,
+    /// x)` through `route`, in (sender, item) order. An item for a vertex
+    /// this machine holds no replica of fails the round ([`route_item`]),
+    /// and so does an item `apply` refuses.
+    pub fn close<'c>(
         mut self,
-        now: f64,
+        stamp: impl Into<Stamp<'c>>,
         route: &[u32],
-        mut apply: impl FnMut(u32, X),
+        mut apply: impl FnMut(usize, u32, X) -> Result<(), NetError>,
     ) -> Result<(), CommError> {
-        let received = self.wire.exchange(now)?;
+        let received = self.wire.exchange(stamp.into())?;
         let port = self.wire.port;
         for mut batch in received {
             apply_routed(&mut batch, route, &mut apply)
@@ -494,23 +416,21 @@ where
     }
 }
 
-/// Hands each `(gid, x)` of `batch` to `apply` as `(local id, x)` through
-/// `route`, in item order, decoding a zero-copy payload in place: the walk
-/// of an [`OrderedRound`]. An item for a vertex this machine holds no
-/// replica of, or a malformed one, ends the walk ([`route_item`]).
+/// Hands each `(gid, x)` of `batch` to `apply` as `(sender, local id, x)`
+/// through `route`, in item order, decoding a zero-copy payload in place:
+/// the walk of an [`OrderedRound`]. An item for a vertex this machine
+/// holds no replica of, a malformed one, or one `apply` refuses ends the
+/// walk ([`route_item`]).
 fn apply_routed<X>(
     batch: &mut Batch<(u32, X)>,
     route: &[u32],
-    apply: &mut impl FnMut(u32, X),
+    apply: &mut impl FnMut(usize, u32, X) -> Result<(), NetError>,
 ) -> Result<(), NetError>
 where
     (u32, X): Wire,
 {
     let from = batch.from;
-    batch.drain_each(|(gid, x)| {
-        apply(route_item(route, from, gid)?, x);
-        Ok(())
-    })
+    batch.drain_each(|(gid, x)| apply(from, route_item(route, from, gid)?, x))
 }
 
 #[cfg(test)]
@@ -741,7 +661,11 @@ pub(crate) mod tests {
             let mut seen = Vec::new();
             for (from, items) in &sent {
                 let mut b = if raw { raw_batch(*from, items, 3) } else { batch(*from, items.clone()) };
-                apply_routed(&mut b, &route, &mut |l, x| seen.push((l, x))).expect("well-formed");
+                let mut push = |_, l, x| {
+                    seen.push((l, x));
+                    Ok(())
+                };
+                apply_routed(&mut b, &route, &mut push).expect("well-formed");
                 assert_eq!(b.item_count(), 0, "the walk drains the batch");
                 // What goes to `Endpoint::recycle`: the frame buffer, and
                 // no item vector a raw payload was decoded into.
@@ -757,7 +681,10 @@ pub(crate) mod tests {
         let bytes = &mut torn.raw.as_mut().expect("raw").bytes;
         bytes.truncate(bytes.len() - 3);
         let mut seen = Vec::new();
-        let walked = apply_routed(&mut torn, &route, &mut |l, x| seen.push((l, x)));
+        let walked = apply_routed(&mut torn, &route, &mut |_, l, x| {
+            seen.push((l, x));
+            Ok(())
+        });
         assert!(matches!(walked, Err(NetError::Truncated { .. })), "{walked:?}");
         assert_eq!(seen, vec![(7, 1), (6, 2)]);
     }
@@ -785,7 +712,10 @@ pub(crate) mod tests {
                             r.outboxes().push(dst as usize, (gid, u64::from(me << 16 | round << 8 | k)));
                         }
                     }
-                    r.close(0.0, &route, |l, x| seen.push((l, x)))?;
+                    r.close(0.0, &route, |_, l, x| {
+                        seen.push((l, x));
+                        Ok(())
+                    })?;
                 }
                 Ok::<_, CommError>(seen)
             })
@@ -830,7 +760,7 @@ pub(crate) mod tests {
                     round.outboxes().push(1, (1, 10));
                     round.outboxes().push(1, (7, 70));
                 }
-                round.close(0.0, &route, |_, _| {})
+                round.close(0.0, &route, |_, _, _| Ok(()))
             });
             assert_eq!(outcomes[0], Ok(()), "{transport:?}");
             match &outcomes[1] {
@@ -889,186 +819,5 @@ pub(crate) mod tests {
                 other => panic!("{transport:?}: expected a typed transport error, got {other:?}"),
             }
         }
-    }
-
-    /// A toy pump engine: tokens ride the ring `me → me + 1`, losing one
-    /// hop per forward.
-    struct Ring {
-        me: usize,
-        held: Vec<u32>,
-        absorbed: u64,
-        /// Machine 2 only: tells machine 1, in its first empty turn, that
-        /// the loop is about to take it into the vote.
-        parked: Option<std::sync::mpsc::Sender<()>>,
-        /// Machine 1 only: awaited before its first forward.
-        await_parked: Option<std::sync::mpsc::Receiver<()>>,
-        /// A batch reached this machine after it said it was parked.
-        woken: bool,
-    }
-
-    impl PumpStep<u32> for Ring {
-        fn absorb(&mut self, batch: &mut Batch<u32>) -> Result<(), NetError> {
-            batch.make_items()?;
-            self.absorbed += batch.items.len() as u64;
-            self.held.append(&mut batch.items);
-            self.woken |= self.me == 2 && self.parked.is_none();
-            Ok(())
-        }
-
-        fn turn(&mut self, pump: &mut Pump<'_, u32>) -> Result<bool, CommError> {
-            if self.held.is_empty() {
-                if let Some(parked) = self.parked.take() {
-                    parked.send(()).expect("machine 1 is waiting");
-                }
-                return Ok(false);
-            }
-            // Machine 2 has never held a token, so once it reports itself
-            // parked it is in the vote's round, or about to be, and stays
-            // there until this forward lands: the hop is delivered to a
-            // machine that has voted, and that vote must fail. Nothing can
-            // signal from inside the round, so the pause only makes "in"
-            // the likely case; the assertions hold for "about to be" too.
-            if let Some(parked) = self.await_parked.take() {
-                parked.recv().expect("machine 2 parks before its first token");
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
-            for hops in self.held.drain(..).filter(|&hops| hops > 0) {
-                pump.outboxes.push((self.me + 1) % 3, hops - 1);
-            }
-            Ok(true)
-        }
-    }
-
-    /// The vote's law on both transports, with one collective hosting
-    /// every machine's leg and with one per machine: the run ends only once every
-    /// token has been absorbed, and a forward that lands on a machine
-    /// already in the vote fails that vote instead of being lost.
-    #[test]
-    fn pump_forwards_a_token_round_the_ring_and_terminates() {
-        use lazygraph_cluster::{build_endpoints, build_mesh, try_run_machines, TransportKind};
-        const HOPS: u32 = 40;
-        let cost = CostModel::paper_cluster();
-        for transport in [TransportKind::InProc, TransportKind::Tcp] {
-            for per_machine in [false, true] {
-                let stats = Arc::new(NetStats::new());
-                let shared = Collective::new(3);
-                let endpoints = build_endpoints::<u32>(transport, 3, &stats).expect("mesh");
-                let (parked, await_parked) = std::sync::mpsc::channel();
-                let signals = [(None, None), (None, Some(await_parked)), (Some(parked), None)];
-                let seats: Vec<_> =
-                    endpoints.into_iter().zip(build_mesh::<u8>(3)).zip(signals).collect();
-                let rings = try_run_machines(seats, |((ep, ctrl), (parked, await_parked))| {
-                    let me = ep.me();
-                    let own = Collective::mesh(ctrl);
-                    let coll = if per_machine { &own } else { &shared };
-                    let mut port = Port::new(ep, stats.clone());
-                    let mut clock = SimClock::new();
-                    let mut ring = Ring {
-                        me,
-                        held: if me == 0 { vec![HOPS] } else { Vec::new() },
-                        absorbed: 0,
-                        parked,
-                        await_parked,
-                        woken: false,
-                    };
-                    port.pump(&mut clock, coll, cost, Phase::Async, 4).run(&mut ring)?;
-                    assert!(ring.held.is_empty(), "machine {me} quit holding a token");
-                    Ok::<(u64, bool), CommError>((ring.absorbed, ring.woken))
-                })
-                .expect("pump run");
-                let what = format!("{transport:?}, per-machine collective {per_machine}");
-                let absorbed: u64 = rings.iter().map(|r| r.0).sum();
-                assert_eq!(absorbed, u64::from(HOPS), "{what}: {rings:?}");
-                assert!(rings[2].1, "{what}: machine 2 left its vote with the forward unread");
-                assert_eq!(stats.snapshot().global_syncs, 0, "{what}: a vote is not a sync");
-            }
-        }
-    }
-
-    /// What a pump engine with nothing to do does: no turn finds work.
-    struct Idle {
-        turns: u32,
-    }
-
-    impl PumpStep<u32> for Idle {
-        fn absorb(&mut self, _batch: &mut Batch<u32>) -> Result<(), NetError> {
-            Ok(())
-        }
-
-        fn turn(&mut self, _pump: &mut Pump<'_, u32>) -> Result<bool, CommError> {
-            self.turns += 1;
-            Ok(false)
-        }
-    }
-
-    #[test]
-    fn a_one_machine_pump_ends_at_its_first_vote() {
-        let ep = lazygraph_cluster::build_mesh::<u32>(1).remove(0);
-        let stats = Arc::new(NetStats::new());
-        let mut port = Port::new(ep, stats.clone());
-        let (mut clock, coll) = (SimClock::new(), Collective::new(1));
-        let mut idle = Idle { turns: 0 };
-        let pump = port.pump(&mut clock, &coll, CostModel::paper_cluster(), Phase::Coherency, 4);
-        pump.run(&mut idle).expect("a lone machine's vote");
-        assert_eq!(idle.turns, 1);
-        assert_eq!(clock.now(), 0.0, "the vote is not simulated time");
-        assert_eq!(stats.snapshot().global_syncs, 0);
-    }
-
-    /// A pump engine whose machine 2 dies in its first turn.
-    struct DiesOnTwo {
-        me: usize,
-    }
-
-    impl PumpStep<u32> for DiesOnTwo {
-        fn absorb(&mut self, _batch: &mut Batch<u32>) -> Result<(), NetError> {
-            Ok(())
-        }
-
-        fn turn(&mut self, _pump: &mut Pump<'_, u32>) -> Result<bool, CommError> {
-            assert_ne!(self.me, 2, "machine 2 dies");
-            Ok(false)
-        }
-    }
-
-    #[test]
-    fn a_pump_whose_peer_died_fails_typed() {
-        use lazygraph_cluster::{build_endpoints, TransportKind};
-        // Machine 2 panics: its endpoint unwinds without a Shutdown frame,
-        // so its sockets tear as a killed process's would. Machines 0 and
-        // 1 find nothing to do and enter the vote's round, which machine 2
-        // never joins; only the torn links can end their pumps.
-        let cost = CostModel::paper_cluster();
-        let stats = Arc::new(NetStats::new());
-        let coll = Collective::new(3);
-        let endpoints = build_endpoints::<u32>(TransportKind::Tcp, 3, &stats).expect("mesh");
-        let outcomes: Vec<_> = std::thread::scope(|s| {
-            let machines: Vec<_> = endpoints
-                .into_iter()
-                .map(|ep| {
-                    let (stats, coll) = (stats.clone(), &coll);
-                    s.spawn(move || {
-                        let me = ep.me();
-                        let mut port = Port::new(ep, stats);
-                        let mut clock = SimClock::new();
-                        port.pump(&mut clock, coll, cost, Phase::Async, 4)
-                            .run(&mut DiesOnTwo { me })
-                    })
-                })
-                .collect();
-            machines.into_iter().map(|m| m.join()).collect()
-        });
-        assert!(outcomes[2].is_err(), "machine 2 was to panic");
-        // A machine whose mesh failed severs its own links on the way out,
-        // so the survivor that notices second may see either tear.
-        let torn: Vec<&str> = outcomes[..2]
-            .iter()
-            .enumerate()
-            .map(|(me, outcome)| match outcome {
-                Ok(Err(CommError::Transport { detail, .. })) => detail.as_str(),
-                other => panic!("machine {me}: expected a torn link, got {other:?}"),
-            })
-            .collect();
-        assert!(torn.iter().any(|d| d.contains("machine 2")), "{torn:?}");
     }
 }

@@ -18,8 +18,8 @@
 //! survives when only the Sync/Async choice is optimised.
 //!
 //! It implements neither phase: it composes the Sync superstep and the
-//! Async pump over one `MachineState` (DESIGN.md §17), so a threshold of 0
-//! *is* the Sync engine.
+//! Async round step over one `MachineState` (DESIGN.md §17), so a
+//! threshold of 0 *is* the Sync engine.
 
 use lazygraph_cluster::CommError;
 
@@ -30,42 +30,45 @@ use crate::program::VertexProgram;
 use crate::state::InitMessages;
 use crate::sync_engine::{SyncMsg, SyncStep};
 
-/// Sync supersteps, then the Async pump. The outcome's `iterations` are
-/// the supersteps run up to and including the one that switched.
+/// Sync supersteps, then Async rounds. The outcome's `iterations` count
+/// both; its global syncs are the Sync supersteps' alone.
 pub struct HybridStep<P: VertexProgram> {
     sync: SyncStep<P>,
     tail: AsyncPump<P>,
+    /// Whether the run has switched to Async rounds: all it carries.
+    switched: bool,
 }
 
 impl<P: VertexProgram> Superstep<P> for HybridStep<P> {
     type Msg = SyncMsg<P>;
-    type Carry = ();
+    type Carry = bool;
     const KIND: EngineKind = EngineKind::PowerSwitchHybrid;
     const INIT: InitMessages = InitMessages::MastersOnly;
 
-    fn new(frame: &Frame<'_, P, SyncMsg<P>>, (): ()) -> Self {
+    fn new(frame: &Frame<'_, P, SyncMsg<P>>, switched: bool) -> Self {
         HybridStep {
             sync: SyncStep::new(frame, ()),
             tail: AsyncPump::new(frame, ()),
+            switched,
         }
     }
 
-    fn carry(&self) -> &() {
-        &()
+    fn carry(&self) -> &bool {
+        &self.switched
     }
 
     fn step(&mut self, f: &mut Frame<'_, P, SyncMsg<P>>) -> Result<Vote, CommError> {
+        if self.switched {
+            return self.tail.step(f);
+        }
         if self.sync.step(f)? == Vote::Converged {
             return Ok(Vote::Converged); // converged while still synchronous
         }
         // The switch: everyone sees the same reduction, so everyone flips
         // together when the frontier goes sparse. What the superstep left
-        // pending in `message` is exactly the pump's first worklist.
+        // pending in `message` is exactly the first Async round's worklist.
         let sparse = f.cfg.hybrid_switch_threshold * f.num_vertices as f64;
-        if f.iterations >= 2 && (self.sync.pending as f64) < sparse {
-            self.tail.pump(f)?;
-            return Ok(Vote::Converged);
-        }
+        self.switched = f.iterations >= 2 && (self.sync.pending as f64) < sparse;
         Ok(Vote::Continue)
     }
 }

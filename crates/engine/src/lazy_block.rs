@@ -488,8 +488,9 @@ fn exchange_m2m<P: VertexProgram>(
         sent += delta_bytes as u64;
     }
     let route = shard.route_table();
-    hop1.close(now, route, |l, d| {
+    hop1.close(now, route, |_, l, d| {
         fold_into(program, &mut totals[l as usize], d);
+        Ok(())
     })?;
 
     // Hop 2: master → mirrors (combined delta), plus local master handling.

@@ -14,125 +14,82 @@
 //! sibling replica) since without barriers there is no collective at which
 //! a master could combine contributions.
 //!
-//! "Based on the Async engine" is literal here: the engine is a step of the
-//! same [`Pump`] loop, differing only in *when* a replica flushes — when the
-//! worklist drains rather than every turn (DESIGN.md §17).
+//! "Based on the Async engine" is literal here: a step is one round, as
+//! Async's is, and differs only in *when* a replica flushes — when the
+//! worklist has drained rather than every round (DESIGN.md §17).
 
-use lazygraph_cluster::{Batch, CommError, CostModel, NetStats, Phase};
-use lazygraph_net::NetError;
-use lazygraph_partition::LocalShard;
+use lazygraph_cluster::{CommError, Phase};
 
 use crate::config::EngineKind;
-use crate::exchange::{route_inbound, Pump, PumpStep};
-use crate::lazy_block::{apply_scatter, book, coherency_decisions, stage_a2a, LazyCounters};
+use crate::exchange::Stamp;
+use crate::lazy_block::{coherency_decisions, stage_a2a, sweep, LazyCounters};
 use crate::machine::{Frame, Superstep, Vote};
-use crate::parallel::ParallelCtx;
 use crate::program::VertexProgram;
-use crate::state::{InitMessages, MachineState};
-use crate::sync_engine::SCATTER_WINDOW;
+use crate::state::InitMessages;
 
-/// LazyVertexAsync on the superstep skeleton: one step pumps the machine
-/// until the machines' vote ends the run.
+/// LazyVertexAsync on the superstep skeleton: a step is a sweep, or a
+/// flush once the worklist has drained, then one ⊕-fold round and the
+/// vote on whether any machine has work left.
 pub struct LazyVertexPump {
     /// This machine's own coherency points and sub-rounds: without
     /// barriers they are per-machine work ([`crate::machine::assemble`]).
+    /// All the engine carries across a step.
     counters: LazyCounters,
+    worklist: Vec<u32>,
 }
 
 impl<P: VertexProgram> Superstep<P> for LazyVertexPump {
     type Msg = P::Delta;
-    type Carry = ();
+    type Carry = LazyCounters;
     const KIND: EngineKind = EngineKind::LazyVertexAsync;
     const INIT: InitMessages = InitMessages::AllReplicas;
 
-    fn new(_frame: &Frame<'_, P, P::Delta>, (): ()) -> Self {
+    fn new(_frame: &Frame<'_, P, P::Delta>, counters: LazyCounters) -> Self {
         LazyVertexPump {
-            counters: LazyCounters::default(),
+            counters,
+            worklist: Vec::new(),
         }
     }
 
-    fn carry(&self) -> &() {
-        &()
+    fn carry(&self) -> &LazyCounters {
+        &self.counters
     }
 
     fn step(&mut self, f: &mut Frame<'_, P, P::Delta>) -> Result<Vote, CommError> {
-        // The pump is the whole run, not a superstep: a barrier-free
-        // engine reports none (`RunMetrics::iterations`).
-        f.iterations = 0;
-        let delta_bytes = f.program.delta_bytes();
-        let pump = f.port.pump(&mut f.clock, &f.bsp.coll, f.cfg.cost, Phase::Coherency, delta_bytes);
-        pump.run(&mut LazyVertexTurn {
-            counters: &mut self.counters,
-            state: &mut f.state,
-            shard: f.shard,
-            pctx: &f.pctx,
-            program: f.program,
-            stats: &f.stats,
-            num_vertices: f.num_vertices,
-            cost: f.cfg.cost,
-        })?;
-        Ok(Vote::Converged)
+        // ---- Local computation while the worklist has entries. ----------
+        let swept = !f.state.queue.is_empty();
+        if swept {
+            f.state.take_queue_into(&mut self.worklist);
+            self.worklist.sort_unstable();
+            sweep(f, &self.worklist, false);
+            self.counters.local_subrounds += 1;
+        }
+
+        // ---- needDataCoherency: flush accumulated deltas. --------------
+        // The block engine's all-to-all exchange: the same fate scan, the
+        // same staging, the same round — only no barrier follows it.
+        let (program, shard, pctx, stats) = (f.program, f.shard, &f.pctx, &*f.stats);
+        let (state, port, clock) = (&mut f.state, &mut f.port, &mut f.clock);
+        let gather = |_, gid: u32, d| Ok(Some(program.gather(gid.into(), d)));
+        let delta_bytes = program.delta_bytes();
+        let mut round = port.fold_round(pctx, shard, Phase::Coherency, delta_bytes, gather);
+        if !swept {
+            let decisions = coherency_decisions(shard, state, program, pctx);
+            let delta_msg = &mut state.delta_msg;
+            let (_, any) = stage_a2a(shard, delta_msg, program, stats, round.outboxes(), decisions);
+            if any {
+                self.counters.coherency_points += 1;
+                self.counters.a2a_exchanges += 1;
+            }
+        }
+        round.close(program, state, Stamp::Arrivals(clock, f.cfg.cost))?;
+        // A sweep leaves `deltaMsg` to flush; every delta the round folded
+        // is on the queue.
+        let busy = swept || !f.state.queue.is_empty();
+        f.vote(busy)
     }
 
     fn counters(&self) -> LazyCounters {
         self.counters
-    }
-}
-
-/// The frame minus its port and clock (the pump drives those) for the
-/// length of the step.
-struct LazyVertexTurn<'a, P: VertexProgram> {
-    counters: &'a mut LazyCounters,
-    state: &'a mut MachineState<P>,
-    shard: &'a LocalShard,
-    pctx: &'a ParallelCtx,
-    program: &'a P,
-    stats: &'a NetStats,
-    num_vertices: usize,
-    cost: CostModel,
-}
-
-impl<P: VertexProgram> PumpStep<(u32, P::Delta)> for LazyVertexTurn<'_, P> {
-    /// Remote deltas ⊕-fold straight into `message` (zero-copy for raw
-    /// TCP batches).
-    fn absorb(&mut self, batch: &mut Batch<(u32, P::Delta)>) -> Result<(), NetError> {
-        let (shard, program) = (self.shard, self.program);
-        route_inbound(
-            self.pctx,
-            shard.route_table(),
-            shard.num_local(),
-            std::slice::from_mut(batch),
-            |_, gid, d| Ok(Some(program.gather(gid.into(), d))),
-            &mut self.state.scratch.inbound,
-        )?;
-        self.state.deliver_inbound(program, self.pctx);
-        Ok(())
-    }
-
-    fn turn(&mut self, pump: &mut Pump<'_, (u32, P::Delta)>) -> Result<bool, CommError> {
-        let (shard, program, pctx, state) = (self.shard, self.program, self.pctx, &mut *self.state);
-
-        // ---- Stage 1: local computation while the worklist has entries. --
-        if !state.queue.is_empty() {
-            let mut queue = state.take_queue();
-            queue.sort_unstable();
-            let n = self.num_vertices;
-            let done = apply_scatter(shard, state, program, n, pctx, &queue, false, SCATTER_WINDOW);
-            pump.clock.advance(book(self.stats, &self.cost, program, done));
-            self.counters.local_subrounds += 1;
-            return Ok(true);
-        }
-
-        // ---- Stage 2: needDataCoherency — flush accumulated deltas. ------
-        // The block engine's all-to-all exchange without its round: the
-        // same fate scan, then the same staging into the pump's outboxes.
-        let decisions = coherency_decisions(shard, state, program, pctx);
-        let delta_msg = &mut state.delta_msg;
-        let (_, any) = stage_a2a(shard, delta_msg, program, self.stats, pump.outboxes, decisions);
-        if any {
-            self.counters.coherency_points += 1;
-            self.counters.a2a_exchanges += 1;
-        }
-        Ok(any)
     }
 }

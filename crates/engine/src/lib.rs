@@ -13,8 +13,8 @@
 //! deterministic [`scheduler`] (DESIGN.md §15), and [`hybrid_engine`]
 //! composes Sync and Async PowerSwitch-style. All six engines are
 //! [`machine::Superstep`] implementations on one machine loop, the
-//! superstep skeleton ([`machine`], DESIGN.md §17); the barrier-free ones
-//! are a single step that drives the one [`exchange::Pump`] loop.
+//! superstep skeleton ([`machine`], DESIGN.md §17); a barrier-free one's
+//! step is one round with every peer and a vote, with no barrier.
 //!
 //! Entry point: [`run`] (or [`run_on`] to reuse a placement).
 

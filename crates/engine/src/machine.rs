@@ -12,10 +12,10 @@
 //! properties of the skeleton, not of any one engine (DESIGN.md §17).
 //!
 //! The paper's other shape, the barrier-free loop of Async and
-//! LazyVertexAsync, is a step too: one that drives the port's
-//! [`Pump`](crate::exchange::Pump) until the machines' vote says the run
-//! is over, and votes converged. The hybrid engine is Sync's step
-//! followed, in the superstep that switches, by Async's.
+//! LazyVertexAsync, is a step too: one turn of local work, one round with
+//! every peer whose arrivals merge into the clock as they land, and a vote
+//! on whether any machine has work left ([`Frame::vote`]) — no barrier.
+//! The hybrid engine runs Sync's step until it switches, then Async's.
 //!
 //! [`run_mesh_engine`] is the single place a machine loop is started: the
 //! in-process driver hands it every shard of the placement it holds, with
@@ -70,8 +70,8 @@ pub struct Frame<'a, P: VertexProgram, M> {
     pub bsp: BspSync,
     pub port: Port<(u32, M)>,
     pub stats: Arc<NetStats>,
-    /// Supersteps started so far (1-based inside `step`; a pump step,
-    /// which is not a superstep, resets it to 0).
+    /// Steps started so far (1-based inside `step`): supersteps, or the
+    /// barrier-free engines' rounds.
     pub iterations: u64,
     /// This machine's trace: one record a step, booked by
     /// [`Frame::book_step`] when `cfg.record_history` is set.
@@ -92,6 +92,18 @@ impl<P: VertexProgram, M> Frame<'_, P, M> {
                 carry: carry.to_wire(),
             });
         }
+    }
+}
+
+impl<P: VertexProgram, M> Frame<'_, P, M> {
+    /// The vote a barrier-free step ends with: an or-reduce of `busy`,
+    /// "this machine has work left", over the machine's collective. The
+    /// step's round has left nothing in flight, so all false means no
+    /// machine has work and none can be handed any. Neither a global
+    /// synchronisation nor simulated time (`Collective::vote`).
+    pub fn vote(&self, busy: bool) -> Result<Vote, CommError> {
+        let any = self.bsp.coll.vote(self.me, busy, &self.stats)?;
+        Ok(if any { Vote::Continue } else { Vote::Converged })
     }
 }
 

@@ -41,10 +41,10 @@ wire_record!(SimBreakdown { compute, comm, barrier, overlap_ms, send_wait_ms });
 /// ([`Frame::book_step`](crate::machine::Frame::book_step)). Every field
 /// is what a snapshot taken at that boundary holds, so the record is as
 /// deterministic as the run: bitwise across threads, transports, worker
-/// processes and kill / resume for the engines that checkpoint.
+/// processes and kill / resume, for every engine.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StepRecord {
-    /// The superstep just run (0 for a pump step, which is not one).
+    /// The step just run: a superstep, or a barrier-free engine's round.
     pub superstep: u64,
     /// This machine's simulated clock after it.
     pub sim_time: f64,
@@ -54,8 +54,9 @@ pub struct StepRecord {
     /// The `Wire` bytes of the engine's carried record as the step left
     /// it ([`Superstep::Carry`](crate::machine::Superstep::Carry)): a
     /// [`LazyCarry`](crate::lazy_block::LazyCarry) for lazy-block,
-    /// [`LazyCounters`](crate::lazy_block::LazyCounters) for delta, empty
-    /// for an engine that carries nothing.
+    /// [`LazyCounters`](crate::lazy_block::LazyCounters) for delta and
+    /// lazy-vertex, the hybrid's switched flag, empty for an engine that
+    /// carries nothing.
     pub carry: Vec<u8>,
 }
 
@@ -69,8 +70,9 @@ pub struct RunMetrics {
     pub engine: &'static str,
     /// Algorithm name.
     pub algorithm: &'static str,
-    /// Supersteps (Sync) or coherency iterations (Lazy); async engines
-    /// report 0.
+    /// Steps run: supersteps (Sync), coherency iterations (Lazy), epochs
+    /// (delta), rounds (Async, LazyVertex); the hybrid counts its Sync
+    /// supersteps and its Async rounds.
     pub iterations: u64,
     /// Data coherency points reached (lazy engines only).
     pub coherency_points: u64,

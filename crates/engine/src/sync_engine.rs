@@ -294,13 +294,14 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
         }
         stats.record_applies(applies);
         clock.advance(cost.apply_time(applies));
-        round.close(clock.now(), shard.route_table(), |l, msg| {
+        round.close(clock.now(), shard.route_table(), |_, l, msg| {
             if let SyncMsg::Update { data, scatter } = msg {
                 state.vdata[l as usize] = data;
                 if let Some(d) = scatter {
                     scatter_tasks.push((l, d));
                 }
             }
+            Ok(())
         })?;
         bsp.sync(
             clock,

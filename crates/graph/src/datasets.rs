@@ -112,36 +112,61 @@ impl Dataset {
         }
     }
 
-    /// Builds the directed analogue. `scale` multiplies the default vertex
-    /// count (1.0 ≈ the sizes used throughout the experiment harness).
-    pub fn build(self, scale: f64) -> Graph {
-        assert!(scale > 0.0, "scale must be positive");
-        let sz = |base: usize| ((base as f64 * scale) as usize).max(64);
+    /// The analogue's default size at `scale` 1.0, before its generator
+    /// rounds it (a square lattice, a power of two).
+    fn base_vertices(self) -> usize {
         match self {
-            Dataset::Uk2005Like => web_crawl(WebCrawlConfig::uk_flavour(sz(32_768), 0xA1)),
-            Dataset::WebGoogleLike => {
-                web_crawl(WebCrawlConfig::google_flavour(sz(30_000), 0xA2))
+            Dataset::Uk2005Like | Dataset::TwitterLike | Dataset::LiveJournalLike => 32_768,
+            Dataset::WebGoogleLike => 30_000,
+            Dataset::RoadUsaLike => 102_400,
+            Dataset::RoadNetCaLike => 25_600,
+            Dataset::EnwikiLike => 24_576,
+            Dataset::ComYoutubeLike => 40_000,
+        }
+    }
+
+    /// How many vertices the analogue has at `scale`: `None` unless
+    /// `scale` is finite and above 0 and every vertex of the analogue can
+    /// be numbered by a [`VertexId`](crate::VertexId).
+    pub fn vertices_at(self, scale: f64) -> Option<usize> {
+        if !(scale.is_finite() && scale > 0.0) {
+            return None;
+        }
+        let sz = sized(self.base_vertices(), scale);
+        let n = match self {
+            Dataset::RoadUsaLike | Dataset::RoadNetCaLike => {
+                int_sqrt(sz).checked_mul(int_sqrt(sz))?
             }
+            Dataset::TwitterLike | Dataset::LiveJournalLike => 1usize.checked_shl(log2_of(sz))?,
+            _ => sz,
+        };
+        (n <= u32::MAX as usize).then_some(n)
+    }
+
+    /// Builds the directed analogue. `scale` multiplies the default vertex
+    /// count (1.0 ≈ the sizes used throughout the experiment harness); it
+    /// must be one [`Self::vertices_at`] accepts.
+    pub fn build(self, scale: f64) -> Graph {
+        assert!(
+            self.vertices_at(scale).is_some(),
+            "scale {scale} is not finite and positive, or too large for vertex ids"
+        );
+        let sz = sized(self.base_vertices(), scale);
+        match self {
+            Dataset::Uk2005Like => web_crawl(WebCrawlConfig::uk_flavour(sz, 0xA1)),
+            Dataset::WebGoogleLike => web_crawl(WebCrawlConfig::google_flavour(sz, 0xA2)),
             Dataset::RoadUsaLike => {
-                let side = int_sqrt(sz(102_400));
+                let side = int_sqrt(sz);
                 grid2d(Grid2dConfig::road(side, side, 0xA3))
             }
             Dataset::RoadNetCaLike => {
-                let side = int_sqrt(sz(25_600));
+                let side = int_sqrt(sz);
                 grid2d(Grid2dConfig::road(side, side, 0xA4))
             }
-            Dataset::TwitterLike => {
-                let log_n = log2_of(sz(32_768));
-                rmat(RmatConfig::graph500(log_n, 24, 0xA5))
-            }
-            Dataset::LiveJournalLike => {
-                let log_n = log2_of(sz(32_768));
-                rmat(RmatConfig::graph500(log_n, 14, 0xA6))
-            }
-            Dataset::EnwikiLike => web_crawl(WebCrawlConfig::wiki_flavour(sz(24_576), 0xA7)),
-            Dataset::ComYoutubeLike => {
-                web_crawl(WebCrawlConfig::youtube_flavour(sz(40_000), 0xA8))
-            }
+            Dataset::TwitterLike => rmat(RmatConfig::graph500(log2_of(sz), 24, 0xA5)),
+            Dataset::LiveJournalLike => rmat(RmatConfig::graph500(log2_of(sz), 14, 0xA6)),
+            Dataset::EnwikiLike => web_crawl(WebCrawlConfig::wiki_flavour(sz, 0xA7)),
+            Dataset::ComYoutubeLike => web_crawl(WebCrawlConfig::youtube_flavour(sz, 0xA8)),
         }
     }
 
@@ -156,6 +181,11 @@ impl Dataset {
         b.randomize_weights(1.0, 64.0, 0xBEEF ^ self as u64);
         b.build()
     }
+}
+
+/// `base` vertices times `scale`, at least 64 (saturating).
+fn sized(base: usize, scale: f64) -> usize {
+    ((base as f64 * scale) as usize).max(64)
 }
 
 fn log2_of(n: usize) -> u32 {
@@ -207,6 +237,16 @@ mod tests {
         let g = Dataset::RoadNetCaLike.build_symmetric(0.1);
         assert!(g.is_symmetric());
         assert!(g.edges().all(|e| (1.0..64.0).contains(&e.weight)));
+    }
+
+    #[test]
+    fn vertices_at_is_what_build_makes_and_refuses_what_it_cannot() {
+        for d in Dataset::all() {
+            assert_eq!(d.vertices_at(0.05), Some(d.build(0.05).num_vertices()), "{}", d.name());
+            for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e12] {
+                assert_eq!(d.vertices_at(bad), None, "{} at {bad}", d.name());
+            }
+        }
     }
 
     #[test]

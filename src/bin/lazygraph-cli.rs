@@ -29,7 +29,7 @@ use std::io::Write as _;
 use std::process::exit;
 
 use lazygraph::multiproc::{
-    check_recovery, run_multiprocess, AlgoSpec, FailPoint, LaunchReport, MpOptions, Shipped,
+    run_multiprocess, AlgoSpec, FailPoint, LaunchReport, MpOptions, Shipped,
 };
 use lazygraph::prelude::*;
 use lazygraph_algorithms::{reference, Visitor};
@@ -181,11 +181,19 @@ fn load_input(opts: &Opts) -> Graph {
     let input = opts.get("input").unwrap_or_else(|| usage());
     let weights = weight_range(opts);
     let scale: f64 = opts.parse_num("scale", 0.1);
+    if !(scale.is_finite() && scale > 0.0) {
+        die(&format!("--scale: {scale} is not a finite number above 0"));
+    }
     let mut graph = if let Some(name) = input.strip_prefix("dataset:") {
         let ds = dataset_by_name(name).unwrap_or_else(|| {
             eprintln!("unknown dataset {name}");
             usage();
         });
+        if ds.vertices_at(scale).is_none() {
+            let name = ds.name();
+            let why = "more vertices than a vertex id can number";
+            die(&format!("--scale: {scale} gives {name} {why}"));
+        }
         if opts.flags.contains("symmetrize") {
             ds.build_symmetric(scale)
         } else {
@@ -251,7 +259,11 @@ fn engine_config(opts: &Opts) -> EngineConfig {
         cfg = cfg.with_delta_buckets(opts.parse_num("delta-buckets", 0usize));
     }
     if opts.get("delta-tolerance").is_some() {
-        cfg = cfg.with_delta_tolerance(opts.parse_num("delta-tolerance", 0.0));
+        let tolerance: f64 = opts.parse_num("delta-tolerance", 0.0);
+        if !(tolerance.is_finite() && tolerance > 0.0) {
+            die(&format!("--delta-tolerance: {tolerance} is not a finite number above 0"));
+        }
+        cfg = cfg.with_delta_tolerance(tolerance);
     }
     if let Some(t) = opts.get("transport") {
         let kind: TransportKind = t.parse().unwrap_or_else(|e: String| {
@@ -420,10 +432,6 @@ fn cmd_run(opts: &Opts) {
     let algorithm = opts.get("algorithm").unwrap_or_else(|| usage());
     let spec = AlgoSpec::parse(algorithm, |key| opts.get(key)).unwrap_or_else(|e| die(&e));
     let mut cfg = engine_config(opts);
-    if let Some(mp) = &mp {
-        check_recovery(cfg.engine, mp.checkpoint_every)
-            .unwrap_or_else(|e| die(&e.to_string()));
-    }
     cfg.bidirectional |= spec.bidirectional();
     let graph = load_input(opts);
     spec.check_graph(graph.num_vertices()).unwrap_or_else(|e| die(&e));

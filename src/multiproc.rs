@@ -27,13 +27,11 @@
 //! mesh-based [`Collective`] (barriers/allreduce), and a data mesh typed
 //! by the engine's message. Workers establish them in that fixed order.
 //!
-//! All six engines run multiprocess: every machine communicates only
-//! through `Endpoint` + `Collective`, the pump engines' end-of-run vote
-//! included, and a worker starts its machine through the same
+//! All six engines run multiprocess, and all six recover: every machine
+//! communicates only through `Endpoint` + `Collective` rounds, the
+//! barrier-free engines' votes included, every step ends with nothing in
+//! flight, and a worker starts its machine through the same
 //! `run_mesh_engine` entry the in-process driver uses (DESIGN.md §17).
-//! Recovery is the barriered engines' alone: [`check_recovery`] refuses
-//! checkpoints for the rest before anything is placed, and again in each
-//! worker reading its job.
 //!
 //! Determinism: a multiprocess run is bitwise-identical to the in-process
 //! run on the same graph and configuration — the codec is position-based
@@ -52,7 +50,7 @@ pub use lazygraph_cluster::FailPoint;
 use lazygraph_cluster::{CommError, StatsSnapshot};
 use lazygraph_engine::checkpoint::{CheckpointError, SnapshotStore};
 use lazygraph_engine::{
-    assemble, place_files, snapshot_tag, EngineConfig, EngineKind, MachineOut, Measured, RunResult,
+    assemble, place_files, EngineConfig, MachineOut, Measured, RunResult,
 };
 use lazygraph_graph::{Graph, MachineId};
 use lazygraph_net::{wire_record, NetError, Wire, WireReader};
@@ -86,24 +84,10 @@ pub struct WorkerJob {
 
 wire_record!(WorkerJob { cfg, algo, shape, data_addrs, ctrl_addrs, checkpoint_every, checkpoint_dir });
 
-/// Refuses checkpoints to an engine that cannot take them: a snapshot
-/// needs the engine's snapshot tag. One check for the CLI, the launcher
-/// (before anything is placed) and a worker reading its job.
-pub fn check_recovery(engine: EngineKind, checkpoint_every: u64) -> Result<(), MultiprocError> {
-    if checkpoint_every == 0 || snapshot_tag(engine).is_some() {
-        return Ok(());
-    }
-    Err(MultiprocError::Refused(format!(
-        "engine {} cannot checkpoint: it has no snapshot tag",
-        engine.name()
-    )))
-}
-
 impl WorkerJob {
     /// Reads the job file a worker was started on. The bytes come from a
     /// file: besides decoding, every rank of the placement must find its
-    /// own address in both meshes before anything indexes by rank, and the
-    /// job must pass [`check_recovery`].
+    /// own address in both meshes before anything indexes by rank.
     pub fn read(path: &Path) -> Result<WorkerJob, MultiprocError> {
         let bytes = std::fs::read(path).map_err(|e| io_err("reading job file", e))?;
         let job = WorkerJob::from_wire(&bytes).and_then(|job| {
@@ -120,10 +104,7 @@ impl WorkerJob {
             }
             Ok(job)
         });
-        let job =
-            job.map_err(|e| MultiprocError::Decode(format!("job file {}: {e}", path.display())))?;
-        check_recovery(job.cfg.engine, job.checkpoint_every)?;
-        Ok(job)
+        job.map_err(|e| MultiprocError::Decode(format!("job file {}: {e}", path.display())))
     }
 }
 
@@ -153,8 +134,6 @@ pub struct MpOptions {
 /// A multiprocess launch failure.
 #[derive(Debug)]
 pub enum MultiprocError {
-    /// The engine cannot honour a recovery option ([`check_recovery`]).
-    Refused(String),
     /// The run cannot start as configured (a machine count no placement
     /// holds, a `LAZYGRAPH_THREADS` that is not a count): the in-process
     /// route's error for the same request.
@@ -171,7 +150,6 @@ pub enum MultiprocError {
 impl fmt::Display for MultiprocError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MultiprocError::Refused(detail) => f.write_str(detail),
             MultiprocError::Config(e) => e.fmt(f),
             MultiprocError::Io(detail) => write!(f, "multiprocess launcher I/O: {detail}"),
             MultiprocError::Decode(detail) => write!(f, "multiprocess codec: {detail}"),
@@ -283,7 +261,6 @@ pub fn run_multiprocess<P: Shipped>(
     worker_bin: &Path,
     opts: &MpOptions,
 ) -> Result<(RunResult<P>, LaunchReport), MultiprocError> {
-    check_recovery(cfg.engine, opts.checkpoint_every)?;
     let seq = LAUNCH_SEQ.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!(
         "lazygraph-mp-{}-{seq}",
@@ -677,7 +654,7 @@ fn check_masters(
 mod tests {
     use super::*;
     use lazygraph_algorithms::ConnectedComponents;
-    use lazygraph_engine::SimBreakdown;
+    use lazygraph_engine::{EngineKind, SimBreakdown};
 
     fn job() -> WorkerJob {
         WorkerJob {
@@ -722,37 +699,40 @@ mod tests {
         }
     }
 
-    /// Every engine runs multiprocess now; what an engine can still be
-    /// refused is recovery. The pump engines may not checkpoint, and a
-    /// worker reading such a job refuses it too.
+    /// Every engine runs multiprocess and checkpoints, so a worker reads a
+    /// checkpointed job of each of the six; what it refuses is a job
+    /// naming an engine that is none of them (the configuration's first
+    /// byte), as a typed decode error.
     #[test]
     fn unsupported_engines_are_rejected() {
-        for engine in [EngineKind::PowerGraphSync, EngineKind::LazyBlockAsync, EngineKind::DeltaAccum] {
-            assert!(check_recovery(engine, 4).is_ok(), "{}", engine.name());
-        }
-        let dir = std::env::temp_dir().join(format!("lazygraph-refused-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("lazygraph-engines-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = dir.join("job.bin");
         for engine in [
+            EngineKind::PowerGraphSync,
             EngineKind::PowerGraphAsync,
+            EngineKind::LazyBlockAsync,
             EngineKind::LazyVertexAsync,
             EngineKind::PowerSwitchHybrid,
+            EngineKind::DeltaAccum,
         ] {
-            assert!(check_recovery(engine, 0).is_ok(), "{} runs without recovery", engine.name());
-            let refused = check_recovery(engine, 4).map_err(|e| e.to_string());
-            assert!(
-                matches!(&refused, Err(e) if e.contains(engine.name()) && e.contains("cannot checkpoint")),
-                "{refused:?}"
-            );
-            let path = dir.join("job.bin");
             let j = WorkerJob {
                 cfg: EngineConfig::lazygraph().with_engine(engine),
                 checkpoint_every: 4,
                 ..job()
             };
             std::fs::write(&path, j.to_wire()).expect("write job");
-            let read = WorkerJob::read(&path).map(|_| ()).map_err(|e| e.to_string());
-            assert_eq!(read, refused, "the worker refuses what the launcher does");
+            let read = WorkerJob::read(&path).unwrap_or_else(|e| panic!("{}: {e}", engine.name()));
+            assert_eq!((read.cfg.engine, read.checkpoint_every), (engine, 4));
         }
+        let mut unknown = job().to_wire();
+        unknown[0] = 6;
+        std::fs::write(&path, unknown).expect("write job");
+        let refused = WorkerJob::read(&path).map(|_| ()).map_err(|e| e.to_string());
+        assert!(
+            matches!(&refused, Err(e) if e.contains("job file") && e.contains("EngineKind")),
+            "{refused:?}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

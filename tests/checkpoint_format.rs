@@ -24,9 +24,12 @@ use lazygraph_engine::checkpoint::{
     ChunkReader, ChunkWriter, RecoveryCfg, SnapshotHeader, SnapshotReader, SnapshotStore,
     CKPT_CHUNK, CKPT_MAGIC,
 };
+use lazygraph_engine::async_engine::AsyncPump;
 use lazygraph_engine::delta_engine::DeltaStep;
 use lazygraph_engine::exchange::Port;
+use lazygraph_engine::hybrid_engine::HybridStep;
 use lazygraph_engine::lazy_block::{LazyCarry, LazyCounters, LazyStep};
+use lazygraph_engine::lazy_vertex::LazyVertexPump;
 use lazygraph_engine::machine::{Frame, Superstep, Vote};
 use lazygraph_engine::metrics::StepRecord;
 use lazygraph_engine::state::MachineState;
@@ -586,16 +589,15 @@ const ALL_ENGINES: [EngineKind; 6] = [
     EngineKind::DeltaAccum,
 ];
 
-/// `snapshot_tag` is the one engine → tag mapping: distinct tags for the
-/// three checkpointable engines, none for the rest, and `check_engine`
+/// `snapshot_tag` is the one engine → tag mapping: a distinct tag for
+/// each of the six engines, all of which checkpoint, and `check_engine`
 /// accepts exactly the snapshot's own engine.
 #[test]
 fn engine_tag_check_is_typed_and_exact() {
-    let tagged: Vec<(EngineKind, u8)> = ALL_ENGINES
-        .iter()
-        .filter_map(|&k| snapshot_tag(k).map(|t| (k, t)))
-        .collect();
-    assert_eq!(tagged.len(), 3, "Sync, LazyBlock and DeltaAccum checkpoint");
+    let tagged: Vec<(EngineKind, u8)> = ALL_ENGINES.iter().map(|&k| (k, snapshot_tag(k))).collect();
+    let mut tags: Vec<u8> = tagged.iter().map(|&(_, t)| t).collect();
+    tags.sort_unstable();
+    assert_eq!(tags, vec![0, 1, 2, 3, 4, 5], "six engines, six tags");
     for &(taken_by, tag) in &tagged {
         let header = header_at(tag, 2);
         for resuming in ALL_ENGINES {
@@ -655,12 +657,12 @@ fn failed_resume(store: &SnapshotStore, engine: EngineKind) -> CommError {
 #[test]
 fn resuming_from_another_engines_snapshot_fails_the_run() {
     let dir = ScratchDir::new("engine");
-    let lazy_tag = snapshot_tag(EngineKind::LazyBlockAsync).expect("lazy-block checkpoints");
+    let lazy_tag = snapshot_tag(EngineKind::LazyBlockAsync);
     // A lazy-block snapshot of no vertices: were the tag not checked first,
     // the arrays would be refused for their shape instead.
     let store = SnapshotStore::new(&dir.0, 0);
     store.save(&header_at(lazy_tag, 2), &state_of(&[], 0), &[], initial).expect("save");
-    for engine in [EngineKind::PowerGraphSync, EngineKind::DeltaAccum] {
+    for engine in ALL_ENGINES.into_iter().filter(|&e| e != EngineKind::LazyBlockAsync) {
         let err = failed_resume(&store, engine);
         let text = err.to_string();
         assert!(
@@ -680,17 +682,20 @@ fn a_carry_the_engine_cannot_decode_fails_the_resume() {
     let lazy_carry = LazyCarry::default().to_wire();
     let mut bad_mode = lazy_carry.clone();
     *bad_mode.last_mut().expect("next_mode is the last byte") = 7;
-    let cases: [(EngineKind, Vec<u8>); 5] = [
+    let cases: [(EngineKind, Vec<u8>); 8] = [
         (EngineKind::LazyBlockAsync, lazy_carry[..lazy_carry.len() - 1].to_vec()),
         (EngineKind::LazyBlockAsync, [&lazy_carry[..], &[0]].concat()),
         (EngineKind::LazyBlockAsync, bad_mode),
         (EngineKind::DeltaAccum, counters(5).to_wire()[..31].to_vec()),
         (EngineKind::PowerGraphSync, vec![0]),
+        (EngineKind::LazyVertexAsync, counters(5).to_wire()[..31].to_vec()),
+        (EngineKind::PowerSwitchHybrid, vec![]),
+        (EngineKind::PowerGraphAsync, vec![1]),
     ];
     for (engine, carry) in cases {
         let dir = ScratchDir::new("carry");
         let store = SnapshotStore::new(&dir.0, 0);
-        let tag = snapshot_tag(engine).expect("a checkpointing engine");
+        let tag = snapshot_tag(engine);
         let header = SnapshotHeader { carry, ..header_at(tag, 2) };
         // No vertices: were the carry not decoded first, the arrays would
         // be refused for their shape instead.
@@ -859,4 +864,21 @@ fn save_then_restore_is_the_identity_on_live_state() {
     assert!(delta.checkpoints >= 2 * 2, "delta barely ran: {}", delta.checkpoints);
     assert!(delta.parked_message, "the scheduler never parked sub-tolerance mass");
     assert!(!delta.explicit_coherent, "the delta engine never writes coherent");
+
+    // The barrier-free engines' step boundaries are cuts too: a round
+    // leaves nothing in flight, so what a step leaves is all there is.
+    let sssp = Sssp::new(0u32);
+    let eager = live_state_law::<_, AsyncPump<_>>(
+        "async", &road, 4, &cfg(EngineKind::PowerGraphAsync), &sssp,
+    );
+    assert!(eager.checkpoints >= 4 * 5, "async barely ran: {}", eager.checkpoints);
+    let vertex = live_state_law::<_, LazyVertexPump>(
+        "lazy-vertex", &road, 4, &cfg(EngineKind::LazyVertexAsync), &sssp,
+    );
+    assert!(vertex.checkpoints >= 4 * 5, "lazy-vertex barely ran: {}", vertex.checkpoints);
+    assert!(vertex.occupied_delta_msg, "no sweep left deltaMsg to flush at a boundary");
+    let hybrid = live_state_law::<_, HybridStep<_>>(
+        "hybrid", &road, 4, &cfg(EngineKind::PowerSwitchHybrid), &sssp,
+    );
+    assert!(hybrid.checkpoints >= 4 * 5, "the hybrid barely ran: {}", hybrid.checkpoints);
 }

@@ -2,10 +2,10 @@
 //! silently ignored. A value-taking option without its value, an unknown
 //! option, the fault-tolerance family without `--multiprocess`, a
 //! `--failpoint` that could not fire and recovery no run could honour
-//! (no `--checkpoint-every`, an engine with no snapshot) each exit 2 with
-//! a one-line message —
+//! (no `--checkpoint-every`) each exit 2 with a one-line message —
 //! before any graph is loaded or run — and so do a machine count no
-//! placement holds and a program parameter the table refuses. What *is*
+//! placement holds, a program parameter the table refuses, a `--scale`
+//! no analogue can be built at and a `--delta-tolerance` that is not one. What *is*
 //! read off the input is its format: a binary graph is recognised by its
 //! magic. Every program of the table runs on both routes to the same file.
 
@@ -107,6 +107,32 @@ fn a_program_parameter_the_table_refuses_is_rejected() {
     assert_usage_error(&run("louvain", &[]), "unknown algorithm louvain (expected pagerank|");
 }
 
+/// A `--scale` that is not finite and above 0 used to panic the dataset
+/// builder (exit 101), and `inf` asked for `usize::MAX` vertices; one
+/// whose analogue has more vertices than a vertex id can number is refused
+/// too. Both before anything is built, on `run` and on `info`.
+#[test]
+fn a_scale_no_analogue_can_be_built_at_is_rejected() {
+    for scale in ["-1", "nan", "0", "inf", "-inf"] {
+        let args = ["run", "--input", "dataset:roadnet-ca", "--algorithm", "sssp", "--scale", scale];
+        assert_usage_error(&args, "--scale: ");
+        assert_usage_error(&["info", "--input", "dataset:roadnet-ca", "--scale", scale], "--scale: ");
+    }
+    let args = ["run", "--input", "dataset:twitter", "--algorithm", "sssp", "--scale", "1e9"];
+    assert_usage_error(&args, "more vertices than a vertex id can number");
+}
+
+/// `--delta-tolerance` is held to the rule `--tolerance` is: `inf` used to
+/// "converge" after one iteration with the initial values, and `0`, `-1`
+/// and `nan` were silently replaced by the smallest positive float.
+#[test]
+fn a_delta_tolerance_that_is_not_one_is_rejected() {
+    for tolerance in ["inf", "-1", "0", "nan"] {
+        let args = run_with(&["--engine", "delta", "--delta-tolerance", tolerance]);
+        assert_usage_error(&args, "--delta-tolerance: ");
+    }
+}
+
 /// A pool thread the host refuses used to panic inside a machine thread
 /// and abort the process (exit 134). The address-space limit makes the
 /// host refuse after a few hundred stacks instead of after tens of
@@ -205,18 +231,8 @@ fn fault_tolerance_options_need_multiprocess() {
     // `recovery:` line.
     let args = run_with(&["--multiprocess", "--machines", "2", "--respawn-budget", "5"]);
     assert_usage_error(&args, "--respawn-budget requires --checkpoint-every");
-    // An engine that pumps runs multiprocess but has no snapshot to take:
-    // refused by name, before a worker spawns.
-    for (engine, name) in [
-        ("async", "powergraph-async"),
-        ("lazy-vertex", "lazy-vertex-async"),
-        ("hybrid", "powerswitch-hybrid"),
-    ] {
-        let args = run_with(&["--multiprocess", "--engine", engine, "--checkpoint-every", "2"]);
-        assert_usage_error(&args, &format!("engine {name} cannot checkpoint"));
-    }
-    // The same rule at the worker's own entry, for a gang started by hand:
-    // it stops before it reads its job.
+    // A fail point that cannot parse is refused at the worker's own entry
+    // too, for a gang started by hand: it stops before it reads its job.
     let out = Command::new(env!("CARGO_BIN_EXE_lazygraph-worker"))
         .env("LAZYGRAPH_FAILPOINT", "stream:1:1")
         .args(["--job", "no-such-job.bin", "--me", "0", "--out", "no-such-result.bin"])

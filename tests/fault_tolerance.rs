@@ -337,6 +337,50 @@ fn delta_recovers_bitwise_4_workers() {
     run_matrix(EngineKind::DeltaAccum, 4);
 }
 
+/// The barrier-free engines recover as the barriered ones do: a step is
+/// one round with every peer and a vote, so it ends with nothing in flight
+/// and its boundary is a cut a snapshot can be taken at (DESIGN.md §12).
+/// Async carries nothing across it.
+#[test]
+fn async_recovers_bitwise() {
+    run_matrix(EngineKind::PowerGraphAsync, 2);
+}
+
+/// Lazy-vertex carries its own coherency counters, and a boundary after a
+/// sweep holds `deltaMsg` its next flush ships.
+#[test]
+fn lazy_vertex_recovers_bitwise() {
+    run_matrix(EngineKind::LazyVertexAsync, 2);
+}
+
+/// The hybrid carries whether it has switched. Its victim dies after the
+/// switch — before its first Async round, halfway through the rest, and
+/// at the last — so the resumed machines must run Async rounds from a
+/// snapshot whose carry says so.
+#[test]
+fn hybrid_recovers_bitwise_after_its_switch() {
+    // A road lattice's SSSP wavefront is thin: the frontier goes sparse
+    // a few supersteps in.
+    let g = common::road_lattice(24, 5);
+    let base = cfg(EngineKind::PowerSwitchHybrid);
+    let sssp = Sssp::new(0u32);
+    let mut traced = base.clone();
+    traced.record_history = true;
+    let history = run(&g, 2, &traced, &sssp).expect("in-process run").metrics.history;
+    let switched = history
+        .iter()
+        .position(|r| bool::from_wire(&r.carry).ok() == Some(true))
+        .expect("the hybrid never switched") as u64
+        + 1;
+    run_matrix_for(&g, &base, &sssp, 2, VICTIM, |last| {
+        assert_eq!(last, history.len() as u64, "in-process and multiprocess runs disagree");
+        assert!(switched < last, "the hybrid switched in its last superstep");
+        let mut ns = vec![switched + 1, (switched + 1 + last) / 2, last];
+        ns.dedup();
+        ns
+    });
+}
+
 /// Kill the victim *inside* a round: `send:<round>:<n>` aborts it in the
 /// apply broadcast of superstep 3 (data round 5; a Sync superstep is a
 /// gather round and an apply round) after it sent the round to worker 0

@@ -43,16 +43,19 @@ fn hybrid_cc_and_kcore_match_references() {
 fn hybrid_switches_on_sparse_frontiers() {
     // Road SSSP has a thin wavefront: the hybrid should run far fewer BSP
     // supersteps than pure Sync (it abandons BSP once the frontier falls
-    // below the threshold).
+    // below the threshold). A BSP superstep is three syncs and an Async
+    // round none, so its supersteps are its syncs / 3 (`iterations`
+    // counts the rounds too).
     let g = road();
     let sync = run(&g, 6, &EngineConfig::powergraph_sync(), &Sssp::new(0u32)).expect("cluster run");
     let hybrid = run(&g, 6, &EngineConfig::powerswitch_hybrid(), &Sssp::new(0u32)).expect("cluster run");
+    let bsp_supersteps = hybrid.metrics.global_syncs() / 3;
     assert!(
-        hybrid.metrics.iterations < sync.metrics.iterations / 2,
-        "hybrid stayed in BSP too long: {} vs sync {}",
-        hybrid.metrics.iterations,
+        bsp_supersteps < sync.metrics.iterations / 2,
+        "hybrid stayed in BSP too long: {bsp_supersteps} supersteps vs sync {}",
         sync.metrics.iterations
     );
+    assert!(hybrid.metrics.iterations > bsp_supersteps, "the hybrid never switched");
     assert!(
         hybrid.metrics.global_syncs() < sync.metrics.global_syncs(),
         "hybrid must pay fewer barriers"

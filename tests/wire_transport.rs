@@ -13,9 +13,8 @@
 //!    (threaded and multiprocess) produces *bitwise* identical vertex
 //!    values, iteration counts, and simulated time as the in-proc channel
 //!    mesh, while reporting measured wire bytes that the channel mesh
-//!    (which never serializes) reports as zero. The barrier-free engines,
-//!    whose schedule is the host's, match on values: bitwise for the
-//!    min-algebras, within a tolerance band for PageRank.
+//!    (which never serializes) reports as zero — for every engine, the
+//!    barrier-free ones included, and for PageRank as for the min-algebras.
 //! 4. **One loop per machine** — a TCP mesh runs no thread of its own, and
 //!    rounds and bursts far larger than socket buffers still complete
 //!    (`lazygraph-cluster`'s `tests/one_loop.rs`, run here as well).
@@ -26,7 +25,7 @@ use proptest::prelude::*;
 
 use std::sync::Arc;
 
-use lazygraph::multiproc::{run_multiprocess, MpOptions, MultiprocError, Shipped};
+use lazygraph::multiproc::{run_multiprocess, MpOptions, Shipped};
 use lazygraph::prelude::*;
 use lazygraph_algorithms::PageRankData;
 use lazygraph_cluster::{connect_tcp_endpoint, NetStats};
@@ -264,10 +263,10 @@ fn fingerprint<P: VertexProgram>(r: &lazygraph_engine::RunResult<P>) -> String {
 }
 
 /// Threaded loopback TCP must be observationally identical to the channel
-/// mesh — same values, same iteration count, same simulated time, bit for
-/// bit — for every engine. Determinism across *machines* is the engines'
-/// own contract (the async family is only schedule-free for idempotent
-/// algebras, so they get SSSP; the BSP-shaped engines also get PageRank).
+/// mesh — same values, same iteration count, same simulated time, the
+/// same syncs and batches of every phase, bit for bit — for every engine
+/// and program: every engine's step is rounds with every peer, collected
+/// in sender order, whatever carries them.
 #[test]
 fn threaded_tcp_matches_inproc_bitwise() {
     let g = test_graph();
@@ -285,37 +284,19 @@ fn threaded_tcp_matches_inproc_bitwise() {
     for engine in engines {
         let base = cfg(engine);
         let tcp = base.clone().with_transport(TransportKind::Tcp);
-        // The barrier-free engines are racy *across machines* — batch
-        // arrival order is scheduling — so their clocks and counters are
-        // schedule-dependent on any transport. Their values are still
-        // bitwise for idempotent algebras (the determinism.rs contract);
-        // the BSP-shaped engines get the full fingerprint.
-        let bsp = matches!(
-            engine,
-            EngineKind::PowerGraphSync | EngineKind::LazyBlockAsync
-        );
 
         let a = run(&g, machines, &base, &sssp).expect("in-proc sssp");
         let b = run(&g, machines, &tcp, &sssp).expect("tcp sssp");
-        if bsp {
-            assert_eq!(
-                fingerprint(&a),
-                fingerprint(&b),
-                "sssp on {} diverged across transports",
-                engine.name()
-            );
-            // Both routes reduce over a control mesh, so they count the
-            // same syncs and the same batches of every phase.
-            assert_eq!(a.metrics.global_syncs(), b.metrics.global_syncs(), "{}", engine.name());
-            assert_eq!(a.metrics.stats.per_phase, b.metrics.stats.per_phase, "{}", engine.name());
-        } else {
-            assert_eq!(
-                format!("{:?}", a.values),
-                format!("{:?}", b.values),
-                "sssp values on {} diverged across transports",
-                engine.name()
-            );
-        }
+        assert_eq!(
+            fingerprint(&a),
+            fingerprint(&b),
+            "sssp on {} diverged across transports",
+            engine.name()
+        );
+        // Both routes reduce over a control mesh, so they count the same
+        // syncs and the same batches of every phase.
+        assert_eq!(a.metrics.global_syncs(), b.metrics.global_syncs(), "{}", engine.name());
+        assert_eq!(a.metrics.stats.per_phase, b.metrics.stats.per_phase, "{}", engine.name());
 
         // The channel mesh never serializes; TCP always does, and its wire
         // bytes are measured frames, not the cost model's estimate.
@@ -330,16 +311,14 @@ fn threaded_tcp_matches_inproc_bitwise() {
              quantities; them agreeing would suggest one aliases the other"
         );
 
-        if bsp {
-            let a = run(&g, machines, &base, &pagerank).expect("in-proc pagerank");
-            let b = run(&g, machines, &tcp, &pagerank).expect("tcp pagerank");
-            assert_eq!(
-                fingerprint(&a),
-                fingerprint(&b),
-                "pagerank on {} diverged across transports",
-                engine.name()
-            );
-        }
+        let a = run(&g, machines, &base, &pagerank).expect("in-proc pagerank");
+        let b = run(&g, machines, &tcp, &pagerank).expect("tcp pagerank");
+        assert_eq!(
+            fingerprint(&a),
+            fingerprint(&b),
+            "pagerank on {} diverged across transports",
+            engine.name()
+        );
     }
 }
 
@@ -459,35 +438,33 @@ fn multiprocess_returns_the_inproc_trace_bitwise() {
     check(&g, EngineKind::DeltaAccum, &PageRankDelta { tolerance: 1e-5 });
 }
 
-/// `program`'s values on `engine` over `machines` machines: in-process,
-/// over threaded TCP, and across worker processes.
+/// `program`'s run on `engine` over `machines` machines, as its
+/// [`fingerprint`] (values, iterations, `sim_time` bits): in-process, over
+/// threaded TCP, and across worker processes.
 fn on_every_route<P: Shipped>(
     g: &Graph,
     machines: usize,
     engine: EngineKind,
     program: &P,
-) -> [(&'static str, Vec<P::VData>); 3] {
+) -> [(&'static str, String); 3] {
     let base = cfg(engine);
     let tcp = base.clone().with_transport(TransportKind::Tcp);
     let (mp, _) = run_multiprocess(g, machines, &base, program, worker_bin(), &MpOptions::default())
         .expect("multiprocess");
     [
-        ("in-proc", run(g, machines, &base, program).expect("in-proc").values),
-        ("threaded tcp", run(g, machines, &tcp, program).expect("threaded tcp").values),
-        ("multiprocess", mp.values),
+        ("in-proc", fingerprint(&run(g, machines, &base, program).expect("in-proc"))),
+        ("threaded tcp", fingerprint(&run(g, machines, &tcp, program).expect("threaded tcp"))),
+        ("multiprocess", fingerprint(&mp)),
     ]
 }
 
-/// The barrier-free engines on every route, at 2 and 4 machines. Their
-/// clocks and counters follow the schedule on any transport, so
-/// `sim_time` is not compared. Their values are bitwise for the
-/// min-algebras, and PageRank's land inside the tolerance band
-/// `tests/determinism.rs` holds them to across thread counts.
+/// The barrier-free engines on every route, at 2 and 4 machines: values,
+/// iterations and `sim_time` bitwise, for the min-algebras and PageRank
+/// alike.
 #[test]
 fn pump_engines_match_inproc_on_every_route() {
     let g = test_graph();
     let pagerank = PageRankDelta::default();
-    let band = 10.0 * pagerank.tolerance;
     for engine in [
         EngineKind::PowerGraphAsync,
         EngineKind::LazyVertexAsync,
@@ -495,51 +472,17 @@ fn pump_engines_match_inproc_on_every_route() {
     ] {
         let name = engine.name();
         for machines in [2, 4] {
-            let [(_, sssp), rest @ ..] = on_every_route(&g, machines, engine, &Sssp::new(0u32));
-            for (route, values) in rest {
-                assert_eq!(format!("{values:?}"), format!("{sssp:?}"), "sssp, {name}, {machines}, {route}");
-            }
-            let [(_, cc), rest @ ..] = on_every_route(&g, machines, engine, &ConnectedComponents);
-            for (route, values) in rest {
-                assert_eq!(values, cc, "cc, {name}, {machines} machines, {route}");
-            }
-            let [(_, ranks), rest @ ..] = on_every_route(&g, machines, engine, &pagerank);
-            for (route, values) in rest {
-                for (v, (a, b)) in ranks.iter().zip(&values).enumerate() {
-                    assert!(
-                        (a.rank - b.rank).abs() <= band * a.rank.abs().max(1.0),
-                        "pagerank, {name}, {machines} machines, {route}: vertex {v} {} vs {}",
-                        a.rank,
-                        b.rank
-                    );
+            let runs = [
+                ("sssp", on_every_route(&g, machines, engine, &Sssp::new(0u32))),
+                ("cc", on_every_route(&g, machines, engine, &ConnectedComponents)),
+                ("pagerank", on_every_route(&g, machines, engine, &pagerank)),
+            ];
+            for (algorithm, [(_, inproc), rest @ ..]) in runs {
+                for (route, got) in rest {
+                    assert_eq!(got, inproc, "{algorithm}, {name}, {machines} machines, {route}");
                 }
             }
         }
-    }
-}
-
-/// What a multiprocess launch still refuses is recovery for an engine
-/// that pumps (it used to refuse the engine outright): checkpointing one
-/// fails typed before any worker spawns, so no worker binary is needed.
-#[test]
-fn multiprocess_rejects_shared_memory_engines() {
-    let g = test_graph();
-    let checkpointed = MpOptions {
-        checkpoint_every: 2,
-        ..MpOptions::default()
-    };
-    for engine in [
-        EngineKind::PowerGraphAsync,
-        EngineKind::LazyVertexAsync,
-        EngineKind::PowerSwitchHybrid,
-    ] {
-        let no_worker = std::path::Path::new("no-such-lazygraph-worker");
-        let err = run_multiprocess(&g, 2, &cfg(engine), &Sssp::new(0u32), no_worker, &checkpointed);
-        assert!(
-            matches!(&err, Err(MultiprocError::Refused(e)) if e.contains(engine.name())),
-            "{} must be refused up front",
-            engine.name()
-        );
     }
 }
 
