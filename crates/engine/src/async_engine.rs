@@ -125,3 +125,77 @@ impl<P: VertexProgram> Superstep<P> for AsyncPump<P> {
         f.vote(busy)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use lazygraph_cluster::{
+        build_endpoints, run_machines, Collective, NetStats, SimClock, TransportKind,
+    };
+    use lazygraph_graph::generators::{rmat, RmatConfig};
+    use lazygraph_partition::{partition_graph, PartitionStrategy, SplitterConfig};
+
+    use super::*;
+    use crate::bsp::BspSync;
+    use crate::config::EngineConfig;
+    use crate::exchange::tests::Sum;
+    use crate::exchange::Port;
+    use crate::parallel::ParallelCtx;
+    use crate::state::MachineState;
+
+    /// Machine 0 hands machine 1 an accumulator for a vertex machine 1
+    /// holds only a mirror of: machine 1's step fails its round typed,
+    /// naming machine 0, on either transport.
+    #[test]
+    fn an_accumulator_for_a_mirror_fails_the_round_naming_its_sender() {
+        let g = rmat(RmatConfig::graph500(6, 4, 11));
+        let dg = partition_graph(&g, 2, PartitionStrategy::Random, &SplitterConfig::disabled(), false);
+        let shard = &dg.shards[1];
+        let mirror = (0..shard.num_local() as u32)
+            .find(|&l| !shard.is_master(l))
+            .map(|l| shard.global_of(l).0)
+            .expect("machine 1 holds a mirror");
+        let cfg = EngineConfig::lazygraph().with_engine(EngineKind::PowerGraphAsync);
+        let n = dg.num_global_vertices;
+        for transport in [TransportKind::InProc, TransportKind::Tcp] {
+            let stats = Arc::new(NetStats::new());
+            let ctrl = build_endpoints::<u8>(transport, 2, &stats).expect("control mesh");
+            let data = build_endpoints::<(u32, SyncMsg<Sum>)>(transport, 2, &stats).expect("mesh");
+            let outcomes = run_machines(ctrl.into_iter().zip(data).collect(), |(ctrl, ep)| {
+                let me = ep.me();
+                let mut port = Port::new(ep, stats.clone());
+                if me == 0 {
+                    let mut round = port.ordered_round(Phase::Async, 16);
+                    round.outboxes().push(1, (mirror, SyncMsg::Accum(7)));
+                    return round.close(0.0, &[], |_, _, _| Ok(()));
+                }
+                let pctx = ParallelCtx::new(cfg.parallel(2)).expect("spawn pool");
+                let mut f = Frame {
+                    me,
+                    cfg: &cfg,
+                    program: &Sum,
+                    num_vertices: n,
+                    ev_ratio: 1.0,
+                    shard,
+                    pctx,
+                    state: MachineState::init(shard, &Sum, InitMessages::MastersOnly, n),
+                    clock: SimClock::new(),
+                    bsp: BspSync::new(me, Collective::mesh(ctrl), stats.clone(), cfg.cost),
+                    port,
+                    stats: stats.clone(),
+                    iterations: 1,
+                    history: Vec::new(),
+                };
+                AsyncPump::new(&f, ()).step(&mut f).map(|_| ())
+            });
+            match &outcomes[1] {
+                Err(CommError::Transport { me: 1, detail }) => assert!(
+                    detail.contains(&format!("machine 0 sent an accumulator for vertex {mirror}")),
+                    "{transport:?}: {detail}"
+                ),
+                other => panic!("{transport:?}: expected a typed refusal, got {other:?}"),
+            }
+        }
+    }
+}

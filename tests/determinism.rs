@@ -101,10 +101,8 @@ fn assert_thread_invariant<P: VertexProgram>(
 
 /// The matrix every engine is held to: threads {1, 2, 8} × machines
 /// {1, 4}, SSSP, PageRank and CC, values and every counter bitwise. The
-/// barrier-free engines used to get it at one machine only, bitwise values
-/// for the min-algebras at four, and a tolerance band for PageRank; their
-/// batches arrived in the host's order then, and now arrive a round at a
-/// time, sorted by sender.
+/// barrier-free engines owe it too: their batches arrive a round at a
+/// time, sorted by sender, like everyone's.
 #[test]
 fn bsp_engines_bitwise_identical_across_threads_and_machines() {
     let g = test_graph();
