@@ -101,23 +101,58 @@ fn assert_thread_invariant<P: VertexProgram>(
 
 /// The matrix every engine is held to: threads {1, 2, 8} × machines
 /// {1, 4}, SSSP, PageRank and CC, values and every counter bitwise. The
-/// barrier-free engines owe it too: their batches arrive a round at a
-/// time, sorted by sender, like everyone's.
+/// barriered engines run it here; the barrier-free ones run the same
+/// cells in the three tests below.
 #[test]
 fn bsp_engines_bitwise_identical_across_threads_and_machines() {
     let g = test_graph();
-    for engine in [
-        EngineKind::PowerGraphSync,
-        EngineKind::LazyBlockAsync,
-        EngineKind::PowerGraphAsync,
-        EngineKind::LazyVertexAsync,
-        EngineKind::PowerSwitchHybrid,
-    ] {
+    for engine in [EngineKind::PowerGraphSync, EngineKind::LazyBlockAsync] {
         for machines in MACHINES {
             assert_thread_invariant(&g, engine, machines, false, &Sssp::new(0u32), true);
             assert_thread_invariant(&g, engine, machines, false, &PageRankDelta::default(), true);
             assert_thread_invariant(&g, engine, machines, true, &ConnectedComponents, true);
         }
+    }
+}
+
+/// The barrier-free engines take one round with every peer a step, their
+/// batches sorted by sender like everyone's, so they owe the barriered
+/// engines' bar: values and every counter bitwise.
+const BARRIER_FREE: [EngineKind; 3] = [
+    EngineKind::PowerGraphAsync,
+    EngineKind::LazyVertexAsync,
+    EngineKind::PowerSwitchHybrid,
+];
+
+#[test]
+fn async_engines_bitwise_identical_at_one_machine() {
+    let g = test_graph();
+    for engine in BARRIER_FREE {
+        assert_thread_invariant(&g, engine, 1, false, &Sssp::new(0u32), true);
+        assert_thread_invariant(&g, engine, 1, false, &PageRankDelta::default(), true);
+        assert_thread_invariant(&g, engine, 1, true, &ConnectedComponents, true);
+    }
+}
+
+#[test]
+fn async_engines_exact_values_for_idempotent_algebras_across_machines() {
+    // Min-based algebras reach the same fixpoint in any arrival order; a
+    // round step fixes that order too, so the counters must match as well.
+    let g = test_graph();
+    for engine in BARRIER_FREE {
+        assert_thread_invariant(&g, engine, 4, false, &Sssp::new(0u32), true);
+        assert_thread_invariant(&g, engine, 4, true, &ConnectedComponents, true);
+    }
+}
+
+#[test]
+fn async_pagerank_across_machines_stays_within_tolerance() {
+    // PageRank's ⊕ is a float sum, so only a fixed fold order keeps it
+    // bitwise. Each round folds in sender order, so at machines=4 the bar
+    // is bitwise — inside any tolerance band — and the counters match.
+    let g = test_graph();
+    for engine in BARRIER_FREE {
+        assert_thread_invariant(&g, engine, 4, false, &PageRankDelta::default(), true);
     }
 }
 
