@@ -83,8 +83,6 @@ fn main() {
     println!(
         "\nShape check: lazy sim time falls (or holds) as machines grow; async\n\
          degrades with machine count on the road/web SSSP chains; lazy beats\n\
-         async at 16 and 24 machines (paper Fig. 12(g,h)). The async column\n\
-         here shows neither since its engine takes one round a step\n\
-         (EXPERIMENTS.md, \"One loop shape\")."
+         async at 16 and 24 machines (paper Fig. 12(g,h))."
     );
 }

@@ -105,32 +105,6 @@ impl Collective {
         T: Wire,
         F: Fn(T, T) -> T,
     {
-        let red = self.reduce(me, val, stats, combine)?;
-        if me == 0 {
-            stats.record_sync();
-        }
-        Ok(red)
-    }
-
-    /// Or-reduce that is *not* a global synchronisation: the vote that
-    /// ends each round of the barrier-free engines (DESIGN.md §17). It
-    /// records no sync and takes no clock, so a run of them reports no
-    /// global synchronisations and the vote moves no simulated time.
-    pub fn vote(&self, me: usize, val: bool, stats: &NetStats) -> Result<bool, CommError> {
-        self.reduce(me, val, stats, |a, b| a || b)
-    }
-
-    /// Allreduce-sum over u64.
-    pub fn sum_u64(&self, me: usize, val: u64, stats: &NetStats) -> Result<u64, CommError> {
-        self.allreduce(me, val, stats, |a, b| a + b)
-    }
-
-    /// [`Self::allreduce`] without the sync count: the one reduce path.
-    fn reduce<T, F>(&self, me: usize, val: T, stats: &NetStats, combine: F) -> Result<T, CommError>
-    where
-        T: Wire,
-        F: Fn(T, T) -> T,
-    {
         let mut leg = self.leg(me)?;
         let Leg { ep, outboxes } = &mut *leg;
         let n = ep.num_machines();
@@ -155,10 +129,19 @@ impl Collective {
             ep.recycle(b);
         }
         values.insert(me, val);
-        values
+        let red = values
             .into_iter()
             .reduce(combine)
-            .ok_or(CommError::CollectiveSlotEmpty { machine: me })
+            .ok_or(CommError::CollectiveSlotEmpty { machine: me })?;
+        if me == 0 {
+            stats.record_sync();
+        }
+        Ok(red)
+    }
+
+    /// Allreduce-sum over u64.
+    pub fn sum_u64(&self, me: usize, val: u64, stats: &NetStats) -> Result<u64, CommError> {
+        self.allreduce(me, val, stats, |a, b| a + b)
     }
 }
 
@@ -197,20 +180,6 @@ mod tests {
         // Final round: max(0, 49, 98) = 98.
         assert!(results.iter().all(|&r| r == 98.0));
         assert_eq!(stats.snapshot().global_syncs, 50);
-    }
-
-    /// The end-of-run vote is an or, and it is not counted.
-    #[test]
-    fn vote_is_an_or_that_records_no_sync() {
-        let coll = Collective::new(3);
-        let stats = NetStats::new();
-        let votes = on_threads(3, |me| {
-            let quiet = coll.vote(me, false, &stats).unwrap();
-            let held = coll.vote(me, me == 2, &stats).unwrap();
-            (quiet, held)
-        });
-        assert!(votes.iter().all(|&v| v == (false, true)), "{votes:?}");
-        assert_eq!(stats.snapshot().global_syncs, 0);
     }
 
     #[test]
@@ -283,8 +252,7 @@ mod tests {
             let machines = coll.legs.len();
             let want = CommError::CollectiveLeg { me, machines };
             assert_eq!(coll.sum_u64(me, 1, &stats), Err(want.clone()));
-            assert_eq!(coll.barrier(me, &stats), Err(want.clone()));
-            assert_eq!(coll.vote(me, true, &stats), Err(want));
+            assert_eq!(coll.barrier(me, &stats), Err(want));
         }
         let snap = stats.snapshot();
         assert_eq!((snap.global_syncs, snap.total_batches()), (0, 0));

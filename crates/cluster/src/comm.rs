@@ -51,10 +51,11 @@ pub struct Batch<T> {
     pub sent_at: f64,
     /// The exchange round this batch belongs to.
     pub round: u64,
-    /// Always `true`: a round is exactly one batch per (sender, round).
-    /// Residue of the retired pipelined exchange, whose non-final *parts*
-    /// cleared it; kept, with its header byte, only because the frozen
-    /// benchmark harness builds a `Batch` literal (ROADMAP item 2).
+    /// The sender's termination vote: `false` while the sender still had
+    /// work when it sent this batch. A barrier-free engine's round carries
+    /// its vote here, so the round is also the vote (DESIGN.md §17,
+    /// [`Endpoint::exchange_voting`]); every other round sets it. A round is
+    /// exactly one batch per (sender, round) either way.
     pub last: bool,
     /// Frame kind this batch travels under on the TCP transport: always
     /// [`FrameKind::Data`] — a batch is the only thing a data frame
@@ -367,8 +368,9 @@ impl<T: Send> Endpoint<T> {
         }
     }
 
-    /// Ships `items` to `dst` as its batch of `round`, charging
-    /// `bytes_per_item · len` payload bytes to `phase`.
+    /// Ships `items` to `dst` as its batch of `round` (with `last`, the
+    /// sender's vote), charging `bytes_per_item · len` payload bytes to
+    /// `phase`.
     #[expect(
         clippy::too_many_arguments,
         reason = "a batch's header fields, its destination and its accounting"
@@ -379,6 +381,7 @@ impl<T: Send> Endpoint<T> {
         items: Vec<T>,
         sim_now: f64,
         round: u64,
+        last: bool,
         phase: Phase,
         bytes_per_item: usize,
         stats: &NetStats,
@@ -393,7 +396,7 @@ impl<T: Send> Endpoint<T> {
                     from: self.me,
                     sent_at: sim_now,
                     round,
-                    last: true,
+                    last,
                     kind: FrameKind::Data,
                     items,
                     raw: None,
@@ -403,7 +406,7 @@ impl<T: Send> Endpoint<T> {
                     to: dst,
                 })
             }
-            Wiring::Sockets(s) => s.send(dst, items, sim_now, round),
+            Wiring::Sockets(s) => s.send(dst, items, sim_now, round, last),
         }
     }
 
@@ -447,6 +450,20 @@ impl<T: Send> Endpoint<T> {
         bytes_per_item: usize,
         stats: &NetStats,
     ) -> Result<Vec<Batch<T>>, CommError> {
+        self.exchange_voting(outboxes, sim_now, true, phase, bytes_per_item, stats)
+    }
+
+    /// [`Self::exchange`] whose batches carry `last`, this machine's vote,
+    /// in their header ([`Batch::last`]).
+    pub fn exchange_voting(
+        &mut self,
+        outboxes: &mut OutboxSet<T>,
+        sim_now: f64,
+        last: bool,
+        phase: Phase,
+        bytes_per_item: usize,
+        stats: &NetStats,
+    ) -> Result<Vec<Batch<T>>, CommError> {
         assert_eq!(outboxes.num_machines(), self.n, "need one outbox per machine");
         let me = self.me;
         let round = self.next_round;
@@ -466,7 +483,7 @@ impl<T: Send> Endpoint<T> {
             // the pool so next round's staging reuses travelled capacity.
             let replacement = self.take_buffer(stats);
             let items = std::mem::replace(outboxes.slot(dst), replacement);
-            self.send_tagged(dst, items, sim_now, round, phase, bytes_per_item, stats)
+            self.send_tagged(dst, items, sim_now, round, last, phase, bytes_per_item, stats)
                 .map_err(|e| match e {
                     // A peer that has left can no longer complete the round.
                     CommError::PeerDisconnected { .. } => CommError::MeshClosed { me },
@@ -542,7 +559,7 @@ mod tests {
         let mut eps = build_mesh::<u32>(2);
         let ep1 = eps.pop().unwrap();
         let mut ep0 = eps.pop().unwrap();
-        ep1.send_tagged(0, items, sent_at, 0, phase, 4, stats).unwrap();
+        ep1.send_tagged(0, items, sent_at, 0, true, phase, 4, stats).unwrap();
         let mut got = ep0.exchange(&mut OutboxSet::new(2), 0.0, phase, 4, stats).unwrap();
         assert_eq!(got.len(), 1);
         got.pop().unwrap()
@@ -622,8 +639,8 @@ mod tests {
         let stats = NetStats::new();
         // Higher-id machine lands in the queue first; the exchange result
         // must come back in sender order anyway.
-        ep2.send_tagged(0, vec![22], 0.0, 0, Phase::Coherency, 4, &stats).unwrap();
-        ep1.send_tagged(0, vec![11], 0.0, 0, Phase::Coherency, 4, &stats).unwrap();
+        ep2.send_tagged(0, vec![22], 0.0, 0, true, Phase::Coherency, 4, &stats).unwrap();
+        ep1.send_tagged(0, vec![11], 0.0, 0, true, Phase::Coherency, 4, &stats).unwrap();
         let got = ep0
             .exchange(&mut OutboxSet::new(3), 0.0, Phase::Coherency, 4, &stats)
             .unwrap();
@@ -639,8 +656,8 @@ mod tests {
         let mut ep0 = eps.pop().unwrap();
         let stats = NetStats::new();
         // Peer races ahead: its round-1 batch arrives before round 0.
-        ep1.send_tagged(0, vec![201], 0.0, 1, Phase::Coherency, 4, &stats).unwrap();
-        ep1.send_tagged(0, vec![100], 0.0, 0, Phase::Coherency, 4, &stats).unwrap();
+        ep1.send_tagged(0, vec![201], 0.0, 1, true, Phase::Coherency, 4, &stats).unwrap();
+        ep1.send_tagged(0, vec![100], 0.0, 0, true, Phase::Coherency, 4, &stats).unwrap();
         let mut ob = OutboxSet::new(2);
         let r0 = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
         assert_eq!(r0[0].items, vec![100]);
@@ -659,9 +676,9 @@ mod tests {
         let ep1 = eps.pop().unwrap();
         let mut ep0 = eps.pop().unwrap();
         let stats = NetStats::new();
-        ep1.send_tagged(0, vec![22], 0.0, 2, Phase::Coherency, 4, &stats).unwrap();
-        ep1.send_tagged(0, vec![11], 0.0, 1, Phase::Coherency, 4, &stats).unwrap();
-        ep1.send_tagged(0, vec![0], 0.0, 0, Phase::Coherency, 4, &stats).unwrap();
+        ep1.send_tagged(0, vec![22], 0.0, 2, true, Phase::Coherency, 4, &stats).unwrap();
+        ep1.send_tagged(0, vec![11], 0.0, 1, true, Phase::Coherency, 4, &stats).unwrap();
+        ep1.send_tagged(0, vec![0], 0.0, 0, true, Phase::Coherency, 4, &stats).unwrap();
         let mut ob = OutboxSet::new(2);
         let r0 = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
         assert_eq!(r0[0].items, vec![0]);
@@ -685,7 +702,7 @@ mod tests {
         ob.slot(1).reserve(64);
 
         // Round 0: ep0's big staged vector travels to ep1…
-        ep1.send_tagged(0, vec![9], 0.0, 0, Phase::Coherency, 4, &stats).unwrap();
+        ep1.send_tagged(0, vec![9], 0.0, 0, true, Phase::Coherency, 4, &stats).unwrap();
         ob.push(1, 5);
         let got = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
         assert_eq!(got[0].items, vec![9]);
@@ -697,7 +714,7 @@ mod tests {
 
         // Round 1: ep0's pool pulls the vector home; the outbox slot gets
         // its 64-slot capacity back without any new allocation.
-        ep1.send_tagged(0, vec![10], 0.0, 1, Phase::Coherency, 4, &stats).unwrap();
+        ep1.send_tagged(0, vec![10], 0.0, 1, true, Phase::Coherency, 4, &stats).unwrap();
         let _ = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
         assert!(ob.total_capacity() >= 64, "recycled capacity must carry forward");
         let snap = stats.snapshot();

@@ -25,10 +25,13 @@ pub struct CostModel {
     pub apply_cost: f64,
     /// Latency of one global barrier, seconds.
     pub barrier_latency: f64,
-    /// Fixed cost of one fine-grained asynchronous message batch, seconds,
-    /// paid on the *receive* path (RPC dispatch; together with `latency`
-    /// this is what stretches the dependency chains that make Async
-    /// degrade on high-diameter graphs).
+    /// Fixed cost of one fine-grained asynchronous message stream,
+    /// seconds, paid on the *receive* path (RPC dispatch). A receiver
+    /// dispatches one stream at a time, so with `async_lock_rtt` it is
+    /// paid once per peer that shipped to it in a round
+    /// ([`CostModel::async_dispatch_time`]): the more machines, the more
+    /// streams a round carries, which is what makes Async degrade with
+    /// the machine count.
     pub async_msg_overhead: f64,
     /// Sender-side CPU cost of handing one batch to the transport,
     /// seconds. Sends overlap with the network (non-blocking RPC), so the
@@ -44,7 +47,8 @@ pub struct CostModel {
     /// Distributed-lock round-trip charged per *causal hop* of the eager
     /// protocol: before a master applies it must lock its replica set, and
     /// the lock+grant round trip sits on the update's dependency chain
-    /// (§2.2's atomicity). Charged inside [`CostModel::async_batch_time`].
+    /// (§2.2's atomicity). Charged inside
+    /// [`CostModel::async_dispatch_time`].
     pub async_lock_rtt: f64,
     /// Link bandwidth, bytes/second (1 GigE).
     pub bandwidth: f64,
@@ -111,14 +115,19 @@ impl CostModel {
         }
     }
 
-    /// Transfer time of one asynchronous batch: fixed overhead + latency +
-    /// serialisation at link bandwidth.
+    /// Time an asynchronous batch of `bytes` spends on the wire: latency
+    /// + serialisation at link bandwidth.
     #[inline]
-    pub fn async_batch_time(&self, bytes: u64) -> f64 {
-        self.async_msg_overhead
-            + self.latency
-            + self.async_lock_rtt
-            + bytes as f64 / self.bandwidth
+    pub fn async_wire_time(&self, bytes: u64) -> f64 {
+        self.latency + bytes as f64 / self.bandwidth
+    }
+
+    /// What a receiver pays, serially, for each peer's message stream once
+    /// it has landed: RPC dispatch + the lock round trip its applies wait
+    /// on.
+    #[inline]
+    pub fn async_dispatch_time(&self) -> f64 {
+        self.async_msg_overhead + self.async_lock_rtt
     }
 
     /// Per-apply CPU charge of the asynchronous engine.

@@ -457,6 +457,7 @@ impl<T: Wire> Io<T> {
         mut items: Vec<T>,
         sim_now: f64,
         round: u64,
+        last: bool,
     ) -> Result<(), CommError> {
         self.check()?;
         let me = self.me;
@@ -466,7 +467,7 @@ impl<T: Wire> Io<T> {
             return Err(disconnected);
         }
         let mut bytes = link.spare.pop().unwrap_or_default();
-        encode_data_frame(&mut bytes, me, round, sim_now, &items)
+        encode_data_frame(&mut bytes, me, round, sim_now, last, &items)
             .map_err(|e| CommError::transport(me, &e))?;
         link.out.push_back(bytes);
         // The items are on the frame now: the emptied vector goes to the
@@ -622,7 +623,8 @@ impl<T: Wire + Send + 'static> Member for Shared<T> {
 /// more of `T` than the channel mesh does.
 pub(crate) trait SocketMesh<T>: Send {
     /// Encodes `items` as `dst`'s batch of `round` and starts writing it.
-    fn send(&self, dst: usize, items: Vec<T>, sim_now: f64, round: u64) -> Result<(), CommError>;
+    fn send(&self, dst: usize, items: Vec<T>, sim_now: f64, round: u64, last: bool)
+        -> Result<(), CommError>;
     /// The next inbound batch, waiting for one (see [`Io::next`]).
     fn next(&self, needed: &dyn Fn(usize) -> bool) -> Result<Batch<T>, CommError>;
     /// Waits until every live link has written what it holds.
@@ -710,8 +712,9 @@ impl<T: Wire + Send + 'static> TcpLinks<T> {
 }
 
 impl<T: Wire + Send + 'static> SocketMesh<T> for TcpLinks<T> {
-    fn send(&self, dst: usize, items: Vec<T>, sim_now: f64, round: u64) -> Result<(), CommError> {
-        self.io().send(dst, items, sim_now, round)
+    fn send(&self, dst: usize, items: Vec<T>, sim_now: f64, round: u64, last: bool)
+        -> Result<(), CommError> {
+        self.io().send(dst, items, sim_now, round, last)
     }
 
     fn next(&self, needed: &dyn Fn(usize) -> bool) -> Result<Batch<T>, CommError> {

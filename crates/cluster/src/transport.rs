@@ -125,11 +125,12 @@ pub(crate) fn encode_data_frame<T: Wire>(
     from: usize,
     round: u64,
     sent_at: f64,
+    last: bool,
     items: &Vec<T>,
 ) -> Result<(), NetError> {
     out.clear();
     out.extend_from_slice(&[0; HEADER_LEN]);
-    encode_payload(from, round, sent_at, true, items, out);
+    encode_payload(from, round, sent_at, last, items, out);
     let len = out.len() - HEADER_LEN;
     if len > MAX_FRAME {
         return Err(NetError::FrameTooLarge {
@@ -348,6 +349,34 @@ mod tests {
         );
     }
 
+    /// A voting round carries each sender's vote in its batches' header on
+    /// both transports, empty batches included; a plain round sets it.
+    #[test]
+    fn a_voting_round_carries_each_senders_vote_on_every_transport() {
+        let n = 3;
+        for kind in [TransportKind::InProc, TransportKind::Tcp] {
+            let stats = Arc::new(NetStats::new());
+            let eps = build_endpoints::<u32>(kind, n, &stats).unwrap();
+            let seen = crate::runtime::run_machines(eps, |mut ep| {
+                let me = ep.me();
+                let mut outboxes = OutboxSet::new(n);
+                outboxes.push((me + 1) % n, 7);
+                let busy = me == 1;
+                let voted =
+                    ep.exchange_voting(&mut outboxes, 0.0, !busy, Phase::Async, 4, &stats).unwrap();
+                let plain = ep.exchange(&mut outboxes, 0.0, Phase::Async, 4, &stats).unwrap();
+                let flags = |r: &[Batch<u32>]| r.iter().map(|b| (b.from, b.last)).collect::<Vec<_>>();
+                (flags(&voted), flags(&plain))
+            });
+            for (me, (voted, plain)) in seen.into_iter().enumerate() {
+                let peers = (0..n).filter(|&p| p != me);
+                let want: Vec<_> = peers.clone().map(|p| (p, p != 1)).collect();
+                assert_eq!(voted, want, "{kind:?}: machine {me}'s voting round");
+                assert_eq!(plain, peers.map(|p| (p, true)).collect::<Vec<_>>(), "{kind:?}");
+            }
+        }
+    }
+
     #[test]
     fn tcp_mesh_exchange_matches_inproc_semantics() {
         let n = 3;
@@ -416,7 +445,7 @@ mod tests {
         let mut eps = build_tcp_mesh::<u32>(n, &stats, &TcpOptions::default()).unwrap();
         let mut ep1 = eps.pop().unwrap();
         let ep0 = eps.pop().unwrap();
-        ep0.send_tagged(1, vec![5, 6], 0.0, 0, Phase::Async, 4, &stats).unwrap();
+        ep0.send_tagged(1, vec![5, 6], 0.0, 0, true, Phase::Async, 4, &stats).unwrap();
         let mut got = ep1.next_batch(&|p| p == 0).unwrap();
         got.make_items().unwrap();
         assert_eq!(got.items, vec![5, 6]);
@@ -442,7 +471,7 @@ mod tests {
         let mut ep0 = eps.pop().unwrap();
         let mut staged = Vec::with_capacity(64);
         staged.extend([5, 6]);
-        ep0.send_tagged(1, staged, 0.0, 0, Phase::Async, 4, &stats).unwrap();
+        ep0.send_tagged(1, staged, 0.0, 0, true, Phase::Async, 4, &stats).unwrap();
         // The frame reached machine 1, so machine 0 has encoded it — which
         // is where the emptied vector goes back to the pool.
         let mut got = ep1.next_batch(&|p| p == 0).unwrap();
@@ -497,7 +526,7 @@ mod tests {
         let mut writer_retired = false;
         while Instant::now() < deadline {
             let burst = vec![7u32; 64 * 1024];
-            if ep1.send_tagged(0, burst, 0.0, 0, Phase::Async, 4, &stats).is_err() {
+            if ep1.send_tagged(0, burst, 0.0, 0, true, Phase::Async, 4, &stats).is_err() {
                 writer_retired = true;
                 break;
             }
@@ -505,8 +534,8 @@ mod tests {
         }
         assert!(writer_retired, "writer never observed the torn socket");
         // The 1 <-> 2 half of the mesh must still work: no poison.
-        ep1.send_tagged(2, vec![11], 0.0, 0, Phase::Async, 4, &stats).unwrap();
-        ep2.send_tagged(1, vec![22], 0.0, 0, Phase::Async, 4, &stats).unwrap();
+        ep1.send_tagged(2, vec![11], 0.0, 0, true, Phase::Async, 4, &stats).unwrap();
+        ep2.send_tagged(1, vec![22], 0.0, 0, true, Phase::Async, 4, &stats).unwrap();
         let mut b1 = ep1.next_batch(&|p| p == 2).unwrap();
         b1.make_items().unwrap();
         assert_eq!(b1.items, vec![22]);
@@ -537,7 +566,7 @@ mod tests {
         assert!(torn_by_machine_2(&err, 0), "{err:?}");
         // The first failure is kept: every later call returns it.
         assert_eq!(ep0.next_batch(&|p| p != 0).unwrap_err(), err);
-        assert_eq!(ep0.send_tagged(1, vec![8], 0.0, 0, Phase::Async, 4, &stats).unwrap_err(), err);
+        assert_eq!(ep0.send_tagged(1, vec![8], 0.0, 0, true, Phase::Async, 4, &stats).unwrap_err(), err);
     }
 
     #[test]

@@ -5,16 +5,18 @@
 //! possible": a mirror that receives messages forwards them to the master
 //! in the next round; a master that applies broadcasts the new vertex data
 //! to all mirrors in the same round. There is no batching across rounds —
-//! every round ships what its applies produced — so the engine pays a
-//! fixed per-message overhead on every hop. On high-diameter graphs the
-//! dependency chains of fine-grained messages dominate, which is exactly
-//! the degradation Fig. 12(e) shows for Async beyond ~16 machines.
+//! every round ships what its applies produced — and a receiver pays the
+//! fine-grained messages' fixed charges (RPC dispatch and the lock round
+//! trip, `CostModel::async_dispatch_time`) for one peer's stream after
+//! another. The more machines, the more streams a round carries and the
+//! longer every hop of a dependency chain takes: the degradation Fig. 12
+//! shows for Async as the machine count grows.
 //!
 //! On the superstep skeleton a step is one round: apply at masters /
-//! forward at mirrors, the round, scatter, and the vote on whether any
-//! machine has work left (DESIGN.md §17). No step waits at a barrier: the
-//! round's arrivals are merged into the clock as they landed
-//! ([`Stamp::Arrivals`]).
+//! forward at mirrors, the round — whose batches carry each machine's vote
+//! on whether it applied or forwarded anything — and scatter (DESIGN.md
+//! §17). No step waits at a barrier: the round's arrivals reach the clock
+//! as they land ([`Stamp::Arrivals`]).
 
 use lazygraph_cluster::{CommError, Phase};
 
@@ -67,6 +69,7 @@ impl<P: VertexProgram> Superstep<P> for AsyncPump<P> {
         // scatter tasks.
         state.take_queue_into(worklist);
         worklist.sort_unstable();
+        let mut busy = !worklist.is_empty();
         let mut round = port.ordered_round(Phase::Async, update_bytes);
         let mut applies = 0u64;
         for &l in worklist.iter() {
@@ -98,7 +101,8 @@ impl<P: VertexProgram> Superstep<P> for AsyncPump<P> {
         // batch.
         let accums = &mut state.scratch.staging.open_blocks(pctx, shard.num_local(), 1)[0];
         let vdata = &mut state.vdata;
-        round.close(Stamp::Arrivals(clock, cost), shard.route_table(), |from, l, msg| {
+        let stamp = Stamp::Arrivals { clock: &mut *clock, cost, busy: &mut busy };
+        round.close(stamp, shard.route_table(), |from, l, msg| {
             let gid = shard.global_of(l);
             match msg {
                 SyncMsg::Accum(d) if shard.is_master(l) => {
@@ -121,8 +125,7 @@ impl<P: VertexProgram> Superstep<P> for AsyncPump<P> {
             scatter(shard, state, program, num_vertices, pctx, tasks, receipt, SCATTER_WINDOW);
         stats.record_edges(edges);
         clock.advance(cost.compute_time(edges));
-        let busy = !f.state.queue.is_empty();
-        f.vote(busy)
+        Ok(Vote::busy(busy))
     }
 }
 

@@ -278,12 +278,20 @@ pub enum Stamp<'c> {
     /// A barriered round: its batches carry the clock as it stands, and
     /// the sync after the round books the wait (`BspSync::sync`).
     At(f64),
-    /// A barrier-free engine's round (DESIGN.md §17): each non-empty
-    /// outbox charges `async_send_cpu` before the round ships, and each
-    /// non-empty inbound batch merges its arrival, `sent_at +
-    /// async_batch_time(bytes)`, into the clock. An empty round batch
-    /// moves no clock: it only says "nothing from me this round".
-    Arrivals(&'c mut SimClock, CostModel),
+    /// A barrier-free engine's round (DESIGN.md §17). On the clock: each
+    /// non-empty outbox charges `async_send_cpu` before the round ships;
+    /// then, one peer at a time in sender order, each non-empty inbound
+    /// batch lands at `sent_at + async_wire_time(bytes)` and costs the
+    /// receiver `async_dispatch_time()`. An empty round batch moves no
+    /// clock. On the vote: `busy`, whether this machine's turn did any
+    /// work, goes out in every batch's header ([`Batch::last`]) and comes
+    /// back or-ed with every peer's — false means no machine worked and
+    /// nothing moved, so the run is over.
+    Arrivals {
+        clock: &'c mut SimClock,
+        cost: CostModel,
+        busy: &'c mut bool,
+    },
 }
 
 impl From<f64> for Stamp<'_> {
@@ -305,22 +313,27 @@ impl<T: Wire + Send> RoundWire<'_, T> {
     fn exchange(&mut self, stamp: Stamp<'_>) -> Result<Vec<Batch<T>>, CommError> {
         let port = &mut *self.port;
         let (phase, bytes_per_item) = (self.phase, self.bytes_per_item);
-        let (clock, cost) = match stamp {
+        let (clock, cost, busy) = match stamp {
             Stamp::At(now) => {
                 return port.ep.exchange(&mut port.outboxes, now, phase, bytes_per_item, &port.stats)
             }
-            Stamp::Arrivals(clock, cost) => (clock, cost),
+            Stamp::Arrivals { clock, cost, busy } => (clock, cost, busy),
         };
         for dst in 0..port.outboxes.num_machines() {
             if !port.outboxes.staged(dst).is_empty() {
                 clock.advance(cost.async_send_cpu);
             }
         }
+        let (outboxes, stats) = (&mut port.outboxes, &port.stats);
         let received =
-            port.ep.exchange(&mut port.outboxes, clock.now(), phase, bytes_per_item, &port.stats)?;
-        for batch in received.iter().filter(|b| b.item_count() > 0) {
-            let bytes = (batch.item_count() * bytes_per_item) as u64;
-            clock.merge(batch.sent_at + cost.async_batch_time(bytes));
+            port.ep.exchange_voting(outboxes, clock.now(), !*busy, phase, bytes_per_item, stats)?;
+        for batch in &received {
+            *busy |= !batch.last;
+            if batch.item_count() > 0 {
+                let bytes = (batch.item_count() * bytes_per_item) as u64;
+                clock.merge(batch.sent_at + cost.async_wire_time(bytes));
+                clock.advance(cost.async_dispatch_time());
+            }
         }
         Ok(received)
     }

@@ -15,8 +15,9 @@
 //! a master could combine contributions.
 //!
 //! "Based on the Async engine" is literal here: a step is one round, as
-//! Async's is, and differs only in *when* a replica flushes — when the
-//! worklist has drained rather than every round (DESIGN.md §17).
+//! Async's is, and differs only in *when* a replica flushes — once its
+//! sweeps have drained the worklist, rather than after every apply
+//! (DESIGN.md §17).
 
 use lazygraph_cluster::{CommError, Phase};
 
@@ -27,9 +28,9 @@ use crate::machine::{Frame, Superstep, Vote};
 use crate::program::VertexProgram;
 use crate::state::InitMessages;
 
-/// LazyVertexAsync on the superstep skeleton: a step is a sweep, or a
-/// flush once the worklist has drained, then one ⊕-fold round and the
-/// vote on whether any machine has work left.
+/// LazyVertexAsync on the superstep skeleton: a step sweeps until the
+/// worklist drains, flushes, and closes one ⊕-fold round, whose batches
+/// carry each machine's vote on whether it swept or shipped anything.
 pub struct LazyVertexPump {
     /// This machine's own coherency points and sub-rounds: without
     /// barriers they are per-machine work ([`crate::machine::assemble`]).
@@ -57,12 +58,13 @@ impl<P: VertexProgram> Superstep<P> for LazyVertexPump {
 
     fn step(&mut self, f: &mut Frame<'_, P, P::Delta>) -> Result<Vote, CommError> {
         // ---- Local computation while the worklist has entries. ----------
-        let swept = !f.state.queue.is_empty();
-        if swept {
+        let mut busy = false;
+        while !f.state.queue.is_empty() {
             f.state.take_queue_into(&mut self.worklist);
             self.worklist.sort_unstable();
             sweep(f, &self.worklist, false);
             self.counters.local_subrounds += 1;
+            busy = true;
         }
 
         // ---- needDataCoherency: flush accumulated deltas. --------------
@@ -73,20 +75,17 @@ impl<P: VertexProgram> Superstep<P> for LazyVertexPump {
         let gather = |_, gid: u32, d| Ok(Some(program.gather(gid.into(), d)));
         let delta_bytes = program.delta_bytes();
         let mut round = port.fold_round(pctx, shard, Phase::Coherency, delta_bytes, gather);
-        if !swept {
-            let decisions = coherency_decisions(shard, state, program, pctx);
-            let delta_msg = &mut state.delta_msg;
-            let (_, any) = stage_a2a(shard, delta_msg, program, stats, round.outboxes(), decisions);
-            if any {
-                self.counters.coherency_points += 1;
-                self.counters.a2a_exchanges += 1;
-            }
+        let decisions = coherency_decisions(shard, state, program, pctx);
+        let delta_msg = &mut state.delta_msg;
+        let (_, any) = stage_a2a(shard, delta_msg, program, stats, round.outboxes(), decisions);
+        if any {
+            self.counters.coherency_points += 1;
+            self.counters.a2a_exchanges += 1;
         }
-        round.close(program, state, Stamp::Arrivals(clock, f.cfg.cost))?;
-        // A sweep leaves `deltaMsg` to flush; every delta the round folded
-        // is on the queue.
-        let busy = swept || !f.state.queue.is_empty();
-        f.vote(busy)
+        busy |= any;
+        let cost = f.cfg.cost;
+        round.close(program, state, Stamp::Arrivals { clock, cost, busy: &mut busy })?;
+        Ok(Vote::busy(busy))
     }
 
     fn counters(&self) -> LazyCounters {

@@ -14,7 +14,8 @@
 //! composes Sync and Async PowerSwitch-style. All six engines are
 //! [`machine::Superstep`] implementations on one machine loop, the
 //! superstep skeleton ([`machine`], DESIGN.md §17); a barrier-free one's
-//! step is one round with every peer and a vote, with no barrier.
+//! step is one round with every peer, whose batches carry the vote, with no
+//! barrier.
 //!
 //! Entry point: [`run`] (or [`run_on`] to reuse a placement).
 

@@ -12,9 +12,10 @@
 //! properties of the skeleton, not of any one engine (DESIGN.md §17).
 //!
 //! The paper's other shape, the barrier-free loop of Async and
-//! LazyVertexAsync, is a step too: one turn of local work, one round with
-//! every peer whose arrivals merge into the clock as they land, and a vote
-//! on whether any machine has work left ([`Frame::vote`]) — no barrier.
+//! LazyVertexAsync, is a step too: one turn of local work and one round
+//! with every peer, whose arrivals reach the clock as they land and whose
+//! batches carry each machine's vote on whether its turn did any work
+//! ([`crate::exchange::Stamp::Arrivals`]) — no barrier.
 //! The hybrid engine runs Sync's step until it switches, then Async's.
 //!
 //! [`run_mesh_engine`] is the single place a machine loop is started: the
@@ -95,20 +96,9 @@ impl<P: VertexProgram, M> Frame<'_, P, M> {
     }
 }
 
-impl<P: VertexProgram, M> Frame<'_, P, M> {
-    /// The vote a barrier-free step ends with: an or-reduce of `busy`,
-    /// "this machine has work left", over the machine's collective. The
-    /// step's round has left nothing in flight, so all false means no
-    /// machine has work and none can be handed any. Neither a global
-    /// synchronisation nor simulated time (`Collective::vote`).
-    pub fn vote(&self, busy: bool) -> Result<Vote, CommError> {
-        let any = self.bsp.coll.vote(self.me, busy, &self.stats)?;
-        Ok(if any { Vote::Continue } else { Vote::Converged })
-    }
-}
-
 /// The termination vote a superstep ends with (identical on every
-/// machine: it comes out of the step's last bundled allreduce).
+/// machine: it comes out of the step's last bundled allreduce, or a
+/// barrier-free step's round).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Vote {
     /// Work remains; the skeleton commits and runs another superstep.
@@ -124,6 +114,16 @@ impl Vote {
             Vote::Converged
         } else {
             Vote::Continue
+        }
+    }
+
+    /// The vote a barrier-free step's round carried back: whether any
+    /// machine's turn did work ([`crate::exchange::Stamp::Arrivals`]).
+    pub fn busy(any: bool) -> Vote {
+        if any {
+            Vote::Continue
+        } else {
+            Vote::Converged
         }
     }
 }

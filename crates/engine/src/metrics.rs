@@ -71,8 +71,9 @@ pub struct RunMetrics {
     /// Algorithm name.
     pub algorithm: &'static str,
     /// Steps run: supersteps (Sync), coherency iterations (Lazy), epochs
-    /// (delta), rounds (Async, LazyVertex); the hybrid counts its Sync
-    /// supersteps and its Async rounds.
+    /// (delta), rounds (Async, LazyVertex: the last is the empty round
+    /// that ends the run); the hybrid counts its Sync supersteps and its
+    /// Async rounds.
     pub iterations: u64,
     /// Data coherency points reached (lazy engines only).
     pub coherency_points: u64,

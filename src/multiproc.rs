@@ -28,9 +28,9 @@
 //! by the engine's message. Workers establish them in that fixed order.
 //!
 //! All six engines run multiprocess, and all six recover: every machine
-//! communicates only through `Endpoint` + `Collective` rounds, the
-//! barrier-free engines' votes included, every step ends with nothing in
-//! flight, and a worker starts its machine through the same
+//! communicates only through `Endpoint` + `Collective` rounds (the
+//! barrier-free engines' votes ride on their data rounds), every step ends
+//! with nothing in flight, and a worker starts its machine through the same
 //! `run_mesh_engine` entry the in-process driver uses (DESIGN.md §17).
 //!
 //! Determinism: a multiprocess run is bitwise-identical to the in-process

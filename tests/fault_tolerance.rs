@@ -338,7 +338,7 @@ fn delta_recovers_bitwise_4_workers() {
 }
 
 /// The barrier-free engines recover as the barriered ones do: a step is
-/// one round with every peer and a vote, so it ends with nothing in flight
+/// one round with every peer, so it ends with nothing in flight
 /// and its boundary is a cut a snapshot can be taken at (DESIGN.md §12).
 /// Async carries nothing across it.
 #[test]
