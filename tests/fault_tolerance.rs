@@ -23,6 +23,7 @@ mod common;
 
 use lazygraph::multiproc::{run_multiprocess, FailPoint, MpOptions, MultiprocError, Shipped};
 use lazygraph::prelude::*;
+use lazygraph_engine::scheduler::LOCAL_ORDER_FROM;
 use lazygraph_graph::generators::{rmat, RmatConfig};
 use lazygraph_net::Wire;
 
@@ -231,40 +232,79 @@ fn lazy_block_recovers_bitwise_when_worker_0_dies() {
     run_matrix_for(&matrix_graph(), &base, &Sssp::new(0u32), 2, 0, kill_points);
 }
 
-/// Kill/resume through *ordered* local stages (DESIGN.md §17): SSSP on a
-/// road lattice declares a local order, and the tight stage bound (a
-/// hundredth of `T`, which the first, whole-swept stage measures) stops
-/// the ordered stages — those from `LOCAL_ORDER_FROM` on — after a
-/// sub-round or two, while the cut still holds vertices deferred in the
-/// queue. Those run in that superstep's coherency sweep, so what a
-/// snapshot must carry for the resumed machine to repeat the oracle's
-/// cuts is what it always carried — the queue, the inboxes, `T` and the
-/// superstep number; the cut itself keeps no state. The fingerprint
-/// includes `local_subrounds`, which any replayed cut that differed would
-/// move.
+/// Lazy-block with its later local stages bounded by `factor · T`.
+fn stage_bound(factor: f64) -> EngineConfig {
+    cfg(EngineKind::LazyBlockAsync).with_interval(IntervalPolicy::Adaptive {
+        ev_threshold: 10.0,
+        trend_threshold: 0.07,
+        local_bound_factor: factor,
+    })
+}
+
+/// A tight stage bound (a hundredth of `T`, which the first, whole-swept
+/// stage measures): on a road lattice, SSSP's ordered stages — those from
+/// `LOCAL_ORDER_FROM` on — stop after a sub-round or two, with the cut
+/// still holding vertices in its deferred remainder.
+fn cut_short_ordered_stages() -> EngineConfig {
+    stage_bound(0.01)
+}
+
+/// Kill/resume through *ordered* local stages (DESIGN.md §17), cut short
+/// ([`cut_short_ordered_stages`]). What a stage's remainder holds when
+/// the stage ends goes back onto the queue and runs in that superstep's
+/// coherency sweep, so what a snapshot must carry for the resumed machine
+/// to repeat the oracle's cuts is what it always carried — the queue, the
+/// inboxes, `T` and the superstep number; the remainder never crosses a
+/// step boundary. The fingerprint includes `local_subrounds`, which any
+/// replayed cut that differed would move.
 #[test]
 fn lazy_block_recovers_bitwise_through_cut_short_ordered_stages() {
     let g = common::road_lattice(96, 5);
-    let bounded = |factor| {
-        cfg(EngineKind::LazyBlockAsync).with_interval(IntervalPolicy::Adaptive {
-            ev_threshold: 10.0,
-            trend_threshold: 0.07,
-            local_bound_factor: factor,
-        })
-    };
     // Anti-vacuity, in-process: the tight bound really ends stages early
     // (more coherency points than the paper's 3·T), and the cut really
     // defers work on this graph at this machine count (fewer edges than
     // the same program without its order).
     let sssp = Sssp::new(0u32);
-    let tight = run(&g, 4, &bounded(0.01), &sssp).expect("tight run").metrics;
-    let paper = run(&g, 4, &bounded(3.0), &sssp).expect("3T run").metrics;
+    let tight = run(&g, 4, &cut_short_ordered_stages(), &sssp).expect("tight run").metrics;
+    let paper = run(&g, 4, &stage_bound(3.0), &sssp).expect("3T run").metrics;
     assert!(tight.coherency_points > paper.coherency_points, "the stage bound never fired");
-    let unordered =
-        run(&g, 4, &bounded(0.01), &common::Unordered(sssp)).expect("unordered run").metrics;
+    let unordered = run(&g, 4, &cut_short_ordered_stages(), &common::Unordered(sssp))
+        .expect("unordered run")
+        .metrics;
     assert!(tight.stats.edges_processed < unordered.stats.edges_processed, "the cut never deferred");
 
-    run_matrix_on(&g, &bounded(0.01), 4);
+    run_matrix_on(&g, &cut_short_ordered_stages(), 4);
+}
+
+/// Kill/resume inside the earliest ordered stages: the victim dies in the
+/// supersteps of the 4th and the 5th coherency point, read off the
+/// trace's carried counters, where [`cut_short_ordered_stages`]' stages
+/// are ordered and run sub-rounds. A snapshot taken after such a stage
+/// must hold nothing of its remainder, so the resumed gang is bitwise the
+/// oracle.
+#[test]
+fn lazy_block_recovers_bitwise_inside_the_first_ordered_stages() {
+    let g = common::road_lattice(96, 5);
+    let base = cut_short_ordered_stages();
+    let sssp = Sssp::new(0u32);
+    let mut traced = base.clone();
+    traced.record_history = true;
+    let history = run(&g, 4, &traced, &sssp).expect("in-process run").metrics.history;
+    let steps = common::lazy_supersteps(&history);
+    let kills: Vec<u64> = steps
+        .iter()
+        .filter(|s| matches!(s.carry.counters.coherency_points, 4 | 5))
+        .map(|s| s.superstep)
+        .collect();
+    assert_eq!(kills.len(), 2, "the run ended before its 5th coherency point");
+    for s in steps.iter().filter(|s| kills.contains(&s.superstep)) {
+        assert!(s.superstep >= LOCAL_ORDER_FROM, "superstep {} is not ordered", s.superstep);
+        assert!(s.lazy_on && s.subrounds > 0, "superstep {} ran no local stage", s.superstep);
+    }
+    run_matrix_for(&g, &base, &sssp, 4, VICTIM, |last| {
+        assert_eq!(last, history.len() as u64, "in-process and multiprocess runs disagree");
+        kills.clone()
+    });
 }
 
 /// Kill/resume through *budgeted* local stages (DESIGN.md §17, "How long

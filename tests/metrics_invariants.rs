@@ -95,7 +95,8 @@ fn ordered_local_stages_traverse_fewer_edges_on_a_road_lattice() {
     // pending vertices first (DESIGN.md §17) reaches the same fixpoint at
     // the same coherency points over fewer edges, in less simulated time.
     // (Not yet fewer than Sync's: only stages from `LOCAL_ORDER_FROM` on
-    // are ordered, and the early, long ones still do 3× Sync's work.)
+    // are ordered, and the early, long ones still sweep whole — on
+    // `sssp-road` lazy traverses ≈ 2.7× Sync's edges.)
     let g = common::road_lattice(160, 7);
     let sssp = Sssp::new(0u32);
     let whole = run(&g, 4, &EngineConfig::lazygraph(), &common::Unordered(sssp)).expect("cluster run");
