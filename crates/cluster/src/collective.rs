@@ -11,12 +11,12 @@
 //! carries the run's data: it `Wire`-encodes its contribution, sends it to
 //! every peer in one [`Endpoint::exchange`], and folds the decoded values,
 //! its own at position `me`, in machine order. The codec is bit-exact for
-//! floats, so a reduction returns the same bits on every route — channel
-//! mesh, threaded TCP, worker processes. A control round charges no
+//! floats, so a reduction returns the same bits on every route — in
+//! process, threaded TCP, worker processes. A control round charges no
 //! `est_bytes`: what the cost model sees is the engines' payload on every
 //! route. And because a leg belongs to its machine, a machine that fails
-//! drops it: over TCP its peers' round fails typed instead of waiting for
-//! a contribution that never comes.
+//! drops it: its peers' round fails typed instead of waiting for a
+//! contribution that never comes.
 //!
 //! A collective hosts either one leg ([`Collective::mesh`], what each
 //! machine of an engine run holds) or all `n` legs of an in-process mesh

@@ -1,28 +1,28 @@
-//! The typed point-to-point message fabric: a P×P channel mesh.
+//! The point-to-point message fabric: one machine's endpoint into a P×P
+//! mesh, and the batches it moves.
 //!
 //! Machines never share graph or vertex state — everything crosses this
-//! mesh, exactly like the RPC layer of a real distributed engine. Batches
-//! carry the sender's simulated-clock timestamp so receivers can maintain
-//! causal virtual time, and every send is accounted in [`NetStats`].
+//! mesh as encoded batches (`carrier` in process, `io_loop` over TCP),
+//! exactly like the RPC layer of a real distributed engine. Batches carry
+//! the sender's simulated-clock timestamp so receivers can maintain causal
+//! virtual time, and every send is accounted in [`NetStats`].
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{channel, Receiver, Sender};
 
 use lazygraph_net::{FrameKind, NetError, Wire, WireReader};
 
 use crate::error::CommError;
-use crate::io_loop::SocketMesh;
 use crate::stats::{NetStats, Phase};
 
-/// Cap on an endpoint's buffer-pool free list. A burst round can park a
-/// vector per (peer × in-flight round) in the pool; without a cap the
+/// Cap on an endpoint's buffer-pool free list. A burst of sends can park
+/// a vector per batch encoded in the pool; without a cap the
 /// free list keeps every one of them alive forever, pinning the burst's
 /// peak capacity. Vectors beyond the cap are dropped and counted in
 /// `NetStats::pool_evictions`.
 pub const POOL_FREE_CAP: usize = 32;
 
-/// A still-encoded inbound payload: the frame bytes exactly as they left
-/// the socket, plus a cursor start. The zero-copy inbound path hands
+/// A still-encoded inbound payload: the Data-frame payload exactly as its
+/// carrier delivered it, plus a cursor start. The zero-copy inbound path hands
 /// these to the engine, which decodes items straight out of `bytes`
 /// while routing them — no intermediate `Vec<T>` is ever built.
 #[derive(Debug)]
@@ -57,16 +57,15 @@ pub struct Batch<T> {
     /// [`Endpoint::exchange_voting`]); every other round sets it. A round is
     /// exactly one batch per (sender, round) either way.
     pub last: bool,
-    /// Frame kind this batch travels under on the TCP transport: always
-    /// [`FrameKind::Data`] — a batch is the only thing a data frame
-    /// carries. In-proc batches carry the kind too, purely for symmetry.
+    /// Frame kind this batch travels under: always [`FrameKind::Data`] — a
+    /// batch is the only thing a data frame carries.
     pub kind: FrameKind,
-    /// Payload. Empty when the batch arrived on the zero-copy wire path
-    /// (`raw` is `Some`); [`Batch::drain_each`] walks either.
+    /// Decoded payload: what [`Batch::make_items`] materializes, or what a
+    /// batch built by hand carries. Empty on arrival.
     pub items: Vec<T>,
-    /// Still-encoded payload from the zero-copy inbound wire path.
-    /// `None` for in-proc batches and for materialized ones. Exactly one
-    /// of `items` / `raw` carries the payload at any time.
+    /// Still-encoded payload: every batch a carrier delivers arrives as
+    /// one. Exactly one of `items` / `raw` carries the payload at any
+    /// time; [`Batch::drain_each`] walks either.
     pub raw: Option<RawBatch>,
 }
 
@@ -105,16 +104,6 @@ impl<T: Wire> Batch<T> {
         let Some(raw) = &mut self.raw else {
             return Ok(());
         };
-        // Calling again with the decoded items still in place is a benign
-        // no-op (the count is drained, the loop below runs zero times).
-        // The dangerous shape is a re-call *after* the items were taken:
-        // encoded bytes still sit past the header, yet the caller gets an
-        // empty payload back and believes it was a fresh decode.
-        debug_assert!(
-            raw.count > 0 || !self.items.is_empty() || raw.bytes.len() == raw.offset,
-            "raw batch re-materialized after its items were drained; \
-             hoist make_items to the delivery site"
-        );
         let mut r = WireReader::new(&raw.bytes[raw.offset..]);
         // Each encoded item is at least one byte, so this reserve is
         // bounded by the frame size even if `count` is corrupt.
@@ -123,7 +112,11 @@ impl<T: Wire> Batch<T> {
         for _ in 0..raw.count {
             self.items.push(T::decode(&mut r)?);
         }
+        // Bytes past the counted items are a malformed payload, or one a
+        // walk has drained already: either way not a fresh decode.
+        r.finish()?;
         raw.count = 0;
+        raw.offset = raw.bytes.len();
         Ok(())
     }
 }
@@ -203,18 +196,39 @@ impl<T> OutboxSet<T> {
     }
 }
 
+/// What an [`Endpoint`] asks of the carrier under it: the in-memory one
+/// (`carrier`) or a TCP endpoint's links (`io_loop`). Object-safe and free
+/// of the codec bound, so the endpoint's own methods need no more of `T`
+/// than `Send`.
+pub(crate) trait SocketMesh<T>: Send {
+    /// Encodes `items` as `dst`'s batch of `round`, starts it on its way
+    /// and hands the vector back for the pool; a destination without a
+    /// live link is [`CommError::PeerDisconnected`].
+    fn send(&self, dst: usize, items: Vec<T>, sim_now: f64, round: u64, last: bool)
+        -> Result<Vec<T>, CommError>;
+    /// The next inbound batch, still encoded, waiting for one; fails once
+    /// every peer `needed` accepts has left, or the mesh has failed.
+    fn next(&self, needed: &dyn Fn(usize) -> bool) -> Result<Batch<T>, CommError>;
+    /// Waits until everything sent so far has left this machine.
+    fn flush(&self) -> Result<(), CommError>;
+    /// Takes back a consumed payload buffer that came from machine `from`.
+    fn recycle_raw(&self, from: usize, bytes: Vec<u8>);
+    /// Leaves without the clean handshake, as a killed process would.
+    #[cfg(test)]
+    fn crash(&self);
+    /// How the link to `peer` stands.
+    #[cfg(test)]
+    fn status(&self, peer: usize) -> Option<crate::recovery::LinkStatus>;
+}
+
 /// One machine's endpoint into the mesh, and the machine's side of the
 /// buffer pool.
 pub struct Endpoint<T> {
     me: usize,
     n: usize,
-    wiring: Wiring<T>,
-    /// Local free list of ready-to-reuse payload vectors, capped at
-    /// [`POOL_FREE_CAP`] entries.
+    mesh: Box<dyn SocketMesh<T>>,
+    /// Emptied staging vectors, ready to reuse; at most [`POOL_FREE_CAP`].
     free: Vec<Vec<T>>,
-    /// Evictions since the last flush into `NetStats` (recycle paths have
-    /// no stats handle, so the count rides along until `take_buffer`).
-    pending_evictions: u64,
     /// Next BSP exchange round issued by this endpoint.
     next_round: u64,
     /// Batches received ahead of the round currently being collected
@@ -222,74 +236,23 @@ pub struct Endpoint<T> {
     pending: VecDeque<Batch<T>>,
 }
 
-/// What carries an endpoint's batches.
-enum Wiring<T> {
-    /// The in-process channel mesh: batches move as values.
-    Channels {
-        txs: Vec<Sender<Batch<T>>>,
-        rx: Receiver<Batch<T>>,
-        /// Return path of the buffer pool: `ret_txs[m]` carries drained
-        /// payload vectors back to machine `m`, their original allocator.
-        ret_txs: Vec<Sender<Vec<T>>>,
-        /// Vectors coming home from peers that finished consuming them.
-        ret_rx: Receiver<Vec<T>>,
-    },
-    /// Framed sockets, moved by this machine's I/O loop (`io_loop`).
-    Sockets(Box<dyn SocketMesh<T>>),
-}
-
 impl<T> Endpoint<T> {
-    fn with_wiring(me: usize, n: usize, wiring: Wiring<T>) -> Self {
+    /// Machine `me`'s endpoint of an `n`-machine mesh, over `mesh`.
+    pub(crate) fn new(me: usize, n: usize, mesh: Box<dyn SocketMesh<T>>) -> Self {
         Endpoint {
             me,
             n,
-            wiring,
+            mesh,
             free: Vec::new(),
-            pending_evictions: 0,
             next_round: 0,
             pending: VecDeque::new(),
         }
-    }
-
-    /// An endpoint over a socket mesh (built by `transport`).
-    pub(crate) fn on_sockets(me: usize, n: usize, links: Box<dyn SocketMesh<T>>) -> Self {
-        Endpoint::with_wiring(me, n, Wiring::Sockets(links))
     }
 
     /// The round the next `exchange` will be tagged with.
     #[inline]
     pub fn next_round(&self) -> u64 {
         self.next_round
-    }
-
-    /// Simulates a process death for in-process tests: severs every live
-    /// socket without sending Shutdown frames (peers observe a bare EOF,
-    /// exactly like a killed worker), then drops the endpoint. Only
-    /// meaningful on TCP transports.
-    #[cfg(test)]
-    pub(crate) fn crash_for_test(self) {
-        if let Wiring::Sockets(s) = &self.wiring {
-            s.crash();
-        }
-    }
-
-    /// The status of the link to `peer` after one pass over the sockets;
-    /// `None` on the channel mesh.
-    #[cfg(test)]
-    pub(crate) fn link_status(&self, peer: usize) -> Option<crate::recovery::LinkStatus> {
-        match &self.wiring {
-            Wiring::Sockets(s) => s.status(peer),
-            Wiring::Channels { .. } => None,
-        }
-    }
-}
-
-/// Parks a vector on a capped free list, counting what the cap turns away.
-fn park<T>(free: &mut Vec<Vec<T>>, evictions: &mut u64, v: Vec<T>) {
-    if free.len() < POOL_FREE_CAP {
-        free.push(v);
-    } else {
-        *evictions += 1;
     }
 }
 
@@ -306,77 +269,34 @@ impl<T: Send> Endpoint<T> {
         self.n
     }
 
-    /// Takes a payload vector from the buffer pool, pulling home any
-    /// vectors peers (or, on sockets, encodes) have returned first. A pool
-    /// hit reuses capacity that already travelled the mesh; a miss
-    /// allocates a fresh (empty) vector.
+    /// Takes a staging vector from the buffer pool. A hit reuses capacity
+    /// an earlier encode emptied; a miss allocates a fresh (empty) vector.
     pub fn take_buffer(&mut self, stats: &NetStats) -> Vec<T> {
-        match &self.wiring {
-            Wiring::Channels { ret_rx, .. } => {
-                while let Ok(v) = ret_rx.try_recv() {
-                    park(&mut self.free, &mut self.pending_evictions, v);
-                }
-            }
-            Wiring::Sockets(s) => {
-                while let Some(v) = s.take_returned() {
-                    park(&mut self.free, &mut self.pending_evictions, v);
-                }
-            }
-        }
-        if self.pending_evictions != 0 {
-            stats.record_pool_evictions(self.pending_evictions);
-            self.pending_evictions = 0;
-        }
-        match self.free.pop() {
-            Some(v) => {
-                stats.record_pool(true);
-                v
-            }
-            None => {
-                stats.record_pool(false);
-                Vec::new()
-            }
-        }
+        let v = self.free.pop();
+        stats.record_pool(v.is_some());
+        v.unwrap_or_default()
     }
 
-    /// Returns a consumed batch's payload vector to its allocating
-    /// machine's free list (or our own, for locally produced vectors).
-    /// If the owner already left the mesh the capacity is simply dropped.
-    /// A zero-copy frame buffer goes back to the frame reader of the link
-    /// it arrived on, so steady-state inbound decode allocates nothing per
-    /// batch.
-    pub fn recycle(&mut self, mut batch: Batch<T>) {
-        if let (Some(raw), Wiring::Sockets(s)) = (batch.raw.take(), &self.wiring) {
-            s.recycle_raw(batch.from, raw.bytes);
-        }
-        self.recycle_vec(batch.from, batch.items);
-    }
-
-    /// Returns a bare payload vector allocated by machine `owner`.
-    pub fn recycle_vec(&mut self, owner: usize, mut items: Vec<T>) {
-        items.clear();
-        if items.capacity() == 0 {
-            return;
-        }
-        match &self.wiring {
-            Wiring::Channels { ret_txs, .. } if owner != self.me => {
-                let _ = ret_txs[owner].send(items);
-            }
-            // Our own vectors, and every vector on a socket mesh: a remote
-            // owner cannot take capacity back over a socket.
-            _ => park(&mut self.free, &mut self.pending_evictions, items),
+    /// Hands a consumed batch's payload buffer back to the carrier it came
+    /// through, so steady-state inbound decode allocates nothing per
+    /// batch. (Items `make_items` decoded are dropped: the pool keeps what
+    /// this machine stages.)
+    pub fn recycle(&mut self, batch: Batch<T>) {
+        if let Some(raw) = batch.raw {
+            self.mesh.recycle_raw(batch.from, raw.bytes);
         }
     }
 
     /// Ships `items` to `dst` as its batch of `round` (with `last`, the
     /// sender's vote), charging `bytes_per_item · len` payload bytes to
-    /// `phase`.
+    /// `phase`. The encode empties `items` into the pool; what the cap
+    /// turns away is counted in `NetStats::pool_evictions`.
     #[expect(
         clippy::too_many_arguments,
         reason = "a batch's header fields, its destination and its accounting"
     )]
     pub(crate) fn send_tagged(
-        &self,
+        &mut self,
         dst: usize,
         items: Vec<T>,
         sim_now: f64,
@@ -386,50 +306,19 @@ impl<T: Send> Endpoint<T> {
         bytes_per_item: usize,
         stats: &NetStats,
     ) -> Result<(), CommError> {
-        debug_assert_ne!(dst, self.me, "self-sends must be handled locally");
         if !items.is_empty() {
             stats.record_batch(phase, items.len() as u64, (items.len() * bytes_per_item) as u64);
         }
-        match &self.wiring {
-            Wiring::Channels { txs, .. } => {
-                let batch = Batch {
-                    from: self.me,
-                    sent_at: sim_now,
-                    round,
-                    last,
-                    kind: FrameKind::Data,
-                    items,
-                    raw: None,
-                };
-                txs[dst].send(batch).map_err(|_| CommError::PeerDisconnected {
-                    from: self.me,
-                    to: dst,
-                })
+        let mut emptied = self.mesh.send(dst, items, sim_now, round, last)?;
+        emptied.clear();
+        if emptied.capacity() != 0 {
+            if self.free.len() < POOL_FREE_CAP {
+                self.free.push(emptied);
+            } else {
+                stats.record_pool_evictions(1);
             }
-            Wiring::Sockets(s) => s.send(dst, items, sim_now, round, last),
         }
-    }
-
-    /// The next batch the wiring delivers, waiting for one; fails once
-    /// every peer `needed` accepts has left (see `io_loop`).
-    pub(crate) fn next_batch(
-        &self,
-        needed: &dyn Fn(usize) -> bool,
-    ) -> Result<Batch<T>, CommError> {
-        match &self.wiring {
-            Wiring::Channels { rx, .. } => {
-                rx.recv().map_err(|_| CommError::MeshClosed { me: self.me })
-            }
-            Wiring::Sockets(s) => s.next(needed),
-        }
-    }
-
-    /// Waits until everything sent so far is on the wire (sockets only).
-    fn flush(&self) -> Result<(), CommError> {
-        match &self.wiring {
-            Wiring::Sockets(s) => s.flush(),
-            Wiring::Channels { .. } => Ok(()),
-        }
+        Ok(())
     }
 
     /// BSP exchange round: sends `outboxes[dst]` to every other machine
@@ -439,9 +328,9 @@ impl<T: Send> Endpoint<T> {
     /// Rounds are tagged: every machine must issue the same sequence of
     /// `exchange` calls (BSP lockstep), and batches from a later round that
     /// arrive early are buffered, which makes back-to-back exchanges (the
-    /// two hops of mirrors-to-master coherency) safe. On a socket mesh the
-    /// round returns only once its own frames are on the wire too, so no
-    /// peer ever waits on a machine that has moved on to local work.
+    /// two hops of mirrors-to-master coherency) safe. The round returns
+    /// only once its own batches have left this machine too, so no peer
+    /// ever waits on a machine that has moved on to local work.
     pub fn exchange(
         &mut self,
         outboxes: &mut OutboxSet<T>,
@@ -476,11 +365,11 @@ impl<T: Send> Endpoint<T> {
             if phase != Phase::Control {
                 sends += 1;
                 crate::recovery::failpoint_send(round, sends, || {
-                    let _ = self.flush();
+                    let _ = self.mesh.flush();
                 });
             }
-            // The staged vector goes on the wire; the slot is refilled from
-            // the pool so next round's staging reuses travelled capacity.
+            // The staged vector is encoded; the slot is refilled from the
+            // pool so next round's staging reuses the capacity.
             let replacement = self.take_buffer(stats);
             let items = std::mem::replace(outboxes.slot(dst), replacement);
             self.send_tagged(dst, items, sim_now, round, last, phase, bytes_per_item, stats)
@@ -502,14 +391,14 @@ impl<T: Send> Endpoint<T> {
         }
         while received.len() < self.n - 1 {
             let needed = |p: usize| p != me && received.iter().all(|b| b.from != p);
-            let b = self.next_batch(&needed)?;
+            let b = self.mesh.next(&needed)?;
             if b.round == round {
                 received.push(b);
             } else {
                 self.pending.push_back(b);
             }
         }
-        self.flush()?;
+        self.mesh.flush()?;
         // Arrival order depends on peer scheduling; sender order does not.
         // Engines fold received deltas in batch order, so this sort is what
         // makes cross-machine float accumulation run-to-run deterministic.
@@ -518,33 +407,14 @@ impl<T: Send> Endpoint<T> {
     }
 }
 
-/// Builds the full mesh and hands out per-machine endpoints.
-pub fn build_mesh<T: Send>(n: usize) -> Vec<Endpoint<T>> {
+/// Builds an in-process mesh of `n` machines and hands out their
+/// endpoints, in machine order.
+pub fn build_mesh<T: Wire + Send + 'static>(n: usize) -> Vec<Endpoint<T>> {
     assert!(n > 0);
-    let mut rxs: Vec<Receiver<Batch<T>>> = Vec::with_capacity(n);
-    let mut channel_txs: Vec<Sender<Batch<T>>> = Vec::with_capacity(n);
-    let mut ret_rxs: Vec<Receiver<Vec<T>>> = Vec::with_capacity(n);
-    let mut ret_channel_txs: Vec<Sender<Vec<T>>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = channel();
-        channel_txs.push(tx);
-        rxs.push(rx);
-        let (rtx, rrx) = channel();
-        ret_channel_txs.push(rtx);
-        ret_rxs.push(rrx);
-    }
-    rxs.into_iter()
-        .zip(ret_rxs)
+    crate::carrier::mem_mesh(n)
+        .into_iter()
         .enumerate()
-        .map(|(me, (rx, ret_rx))| {
-            let wiring = Wiring::Channels {
-                txs: channel_txs.clone(),
-                rx,
-                ret_txs: ret_channel_txs.clone(),
-                ret_rx,
-            };
-            Endpoint::with_wiring(me, n, wiring)
-        })
+        .map(|(me, links)| Endpoint::new(me, n, Box::new(links)))
         .collect()
 }
 
@@ -553,11 +423,37 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Test-only reaches into an endpoint's carrier.
+    impl<T: Send> Endpoint<T> {
+        /// The next batch the carrier delivers, outside any round.
+        pub(crate) fn next_batch(&self, needed: &dyn Fn(usize) -> bool) -> Result<Batch<T>, CommError> {
+            self.mesh.next(needed)
+        }
+
+        /// Simulates a machine's death: peers see it leave torn (over TCP,
+        /// a bare EOF), then the endpoint is dropped.
+        pub(crate) fn crash_for_test(self) {
+            self.mesh.crash();
+        }
+
+        /// How the link to `peer` stands.
+        pub(crate) fn link_status(&self, peer: usize) -> Option<crate::recovery::LinkStatus> {
+            self.mesh.status(peer)
+        }
+    }
+
+    /// The items of an inbound batch, which arrives still encoded.
+    fn items<T: Wire>(mut b: Batch<T>) -> Vec<T> {
+        assert!(b.raw.is_some(), "an inbound batch arrives still encoded");
+        b.make_items().unwrap();
+        b.items
+    }
+
     /// One round between two endpoints, machine 1's batch sent ahead:
     /// what machine 0's `exchange` hands back.
     fn round_from_1(items: Vec<u32>, sent_at: f64, phase: Phase, stats: &NetStats) -> Batch<u32> {
         let mut eps = build_mesh::<u32>(2);
-        let ep1 = eps.pop().unwrap();
+        let mut ep1 = eps.pop().unwrap();
         let mut ep0 = eps.pop().unwrap();
         ep1.send_tagged(0, items, sent_at, 0, true, phase, 4, stats).unwrap();
         let mut got = ep0.exchange(&mut OutboxSet::new(2), 0.0, phase, 4, stats).unwrap();
@@ -571,17 +467,18 @@ mod tests {
         let got = round_from_1(vec![7, 8, 9], 1.5, Phase::Async, &stats);
         assert_eq!(got.from, 1);
         assert_eq!(got.sent_at, 1.5);
-        assert_eq!(got.items, vec![7, 8, 9]);
+        assert_eq!(items(got), vec![7, 8, 9]);
         let snap = stats.snapshot();
         assert_eq!(snap.phase(Phase::Async).est_bytes, 12);
         assert_eq!(snap.phase(Phase::Async).items, 3);
+        assert_eq!(snap.wire_frames_sent, 0, "wire counters are the sockets'");
     }
 
     #[test]
     fn empty_batches_cost_nothing() {
         let stats = NetStats::new();
         let got = round_from_1(vec![], 0.0, Phase::Coherency, &stats);
-        assert!(got.items.is_empty());
+        assert!(items(got).is_empty());
         assert_eq!(stats.snapshot().total_est_bytes(), 0);
         assert_eq!(stats.snapshot().total_batches(), 0);
     }
@@ -612,10 +509,7 @@ mod tests {
                             .exchange(&mut outboxes, 0.0, Phase::Coherency, 8, &stats)
                             .unwrap();
                         assert_eq!(received.len(), n - 1);
-                        received
-                            .iter()
-                            .flat_map(|b| b.items.iter())
-                            .sum::<u64>()
+                        received.into_iter().flat_map(items).sum::<u64>()
                     })
                 })
                 .collect();
@@ -633,8 +527,8 @@ mod tests {
     #[test]
     fn exchange_sorts_batches_by_sender() {
         let mut eps = build_mesh::<u32>(3);
-        let ep2 = eps.pop().unwrap();
-        let ep1 = eps.pop().unwrap();
+        let mut ep2 = eps.pop().unwrap();
+        let mut ep1 = eps.pop().unwrap();
         let mut ep0 = eps.pop().unwrap();
         let stats = NetStats::new();
         // Higher-id machine lands in the queue first; the exchange result
@@ -644,27 +538,26 @@ mod tests {
         let got = ep0
             .exchange(&mut OutboxSet::new(3), 0.0, Phase::Coherency, 4, &stats)
             .unwrap();
-        assert_eq!(got.len(), 2);
-        assert_eq!((got[0].from, got[0].items[0]), (1, 11));
-        assert_eq!((got[1].from, got[1].items[0]), (2, 22));
+        let got: Vec<_> = got.into_iter().map(|b| (b.from, items(b))).collect();
+        assert_eq!(got, vec![(1, vec![11]), (2, vec![22])]);
     }
 
     #[test]
     fn early_rounds_are_buffered_until_their_exchange() {
         let mut eps = build_mesh::<u32>(2);
-        let ep1 = eps.pop().unwrap();
+        let mut ep1 = eps.pop().unwrap();
         let mut ep0 = eps.pop().unwrap();
         let stats = NetStats::new();
         // Peer races ahead: its round-1 batch arrives before round 0.
         ep1.send_tagged(0, vec![201], 0.0, 1, true, Phase::Coherency, 4, &stats).unwrap();
         ep1.send_tagged(0, vec![100], 0.0, 0, true, Phase::Coherency, 4, &stats).unwrap();
         let mut ob = OutboxSet::new(2);
-        let r0 = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
-        assert_eq!(r0[0].items, vec![100]);
+        let mut r0 = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
+        assert_eq!(items(r0.remove(0)), vec![100]);
         // The early batch sat in `pending` and satisfies round 1 without
-        // touching the channel again.
-        let r1 = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
-        assert_eq!(r1[0].items, vec![201]);
+        // touching the carrier again.
+        let mut r1 = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
+        assert_eq!(items(r1.remove(0)), vec![201]);
     }
 
     #[test]
@@ -673,27 +566,30 @@ mod tests {
         // its round out of `pending` while the remaining stragglers keep
         // their arrival order.
         let mut eps = build_mesh::<u32>(2);
-        let ep1 = eps.pop().unwrap();
+        let mut ep1 = eps.pop().unwrap();
         let mut ep0 = eps.pop().unwrap();
         let stats = NetStats::new();
         ep1.send_tagged(0, vec![22], 0.0, 2, true, Phase::Coherency, 4, &stats).unwrap();
         ep1.send_tagged(0, vec![11], 0.0, 1, true, Phase::Coherency, 4, &stats).unwrap();
         ep1.send_tagged(0, vec![0], 0.0, 0, true, Phase::Coherency, 4, &stats).unwrap();
         let mut ob = OutboxSet::new(2);
-        let r0 = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
-        assert_eq!(r0[0].items, vec![0]);
+        let mut r0 = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
+        assert_eq!(items(r0.remove(0)), vec![0]);
         // Rounds 2 and 1 now sit in `pending`, in arrival order.
         let waiting: Vec<u64> = ep0.pending.iter().map(|b| b.round).collect();
         assert_eq!(waiting, vec![2, 1]);
-        let r1 = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
-        assert_eq!(r1[0].items, vec![11]);
-        let r2 = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
-        assert_eq!(r2[0].items, vec![22]);
+        let mut r1 = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
+        assert_eq!(items(r1.remove(0)), vec![11]);
+        let mut r2 = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
+        assert_eq!(items(r2.remove(0)), vec![22]);
         assert!(ep0.pending.is_empty());
     }
 
+    /// A staged vector's capacity stays with the machine that staged it:
+    /// the encode empties it into the pool, and the next round's slot is
+    /// refilled from there. Only the payload buffer crosses to the peer.
     #[test]
-    fn buffer_pool_round_trips_capacity_through_the_mesh() {
+    fn buffer_pool_returns_staged_capacity_at_encode() {
         let mut eps = build_mesh::<u32>(2);
         let mut ep1 = eps.pop().unwrap();
         let mut ep0 = eps.pop().unwrap();
@@ -701,69 +597,57 @@ mod tests {
         let mut ob = OutboxSet::new(2);
         ob.slot(1).reserve(64);
 
-        // Round 0: ep0's big staged vector travels to ep1…
+        // Round 0: ep0's big staged vector is encoded for ep1…
         ep1.send_tagged(0, vec![9], 0.0, 0, true, Phase::Coherency, 4, &stats).unwrap();
         ob.push(1, 5);
-        let got = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
-        assert_eq!(got[0].items, vec![9]);
+        let mut got = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
+        assert_eq!(items(got.remove(0)), vec![9]);
         let travelled = ep1.next_batch(&|_| true).unwrap();
-        assert_eq!(travelled.items, vec![5]);
-        assert!(travelled.items.capacity() >= 64);
-        // …and ep1 hands it back to its allocator once drained.
+        assert_eq!(travelled.items.capacity(), 0, "no staging vector crosses machines");
         ep1.recycle(travelled);
 
-        // Round 1: ep0's pool pulls the vector home; the outbox slot gets
-        // its 64-slot capacity back without any new allocation.
+        // …and round 1's slot gets its 64-slot capacity back from ep0's own
+        // pool, without any new allocation.
         ep1.send_tagged(0, vec![10], 0.0, 1, true, Phase::Coherency, 4, &stats).unwrap();
         let _ = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
         assert!(ob.total_capacity() >= 64, "recycled capacity must carry forward");
         let snap = stats.snapshot();
-        assert_eq!(snap.pool_hits, 1, "round 1 must reuse the travelled vector");
+        assert_eq!(snap.pool_hits, 1, "round 1 must reuse the encoded vector");
         assert_eq!(snap.pool_misses, 1, "only round 0 may allocate");
     }
 
     #[test]
-    fn recycle_own_vectors_feeds_local_free_list() {
-        let mut eps = build_mesh::<u32>(1);
-        let mut ep = eps.pop().unwrap();
+    fn a_recycled_payload_buffer_carries_the_next_encode() {
+        let mut eps = build_mesh::<u32>(2);
+        let mut ep1 = eps.pop().unwrap();
+        let mut ep0 = eps.pop().unwrap();
         let stats = NetStats::new();
-        let mut v = ep.take_buffer(&stats);
-        v.extend([1, 2, 3]);
-        let cap = v.capacity();
-        ep.recycle_vec(0, v);
-        let v2 = ep.take_buffer(&stats);
-        assert!(v2.is_empty());
-        assert_eq!(v2.capacity(), cap);
-        let snap = stats.snapshot();
-        assert_eq!((snap.pool_hits, snap.pool_misses), (1, 1));
+        ep1.send_tagged(0, vec![1, 2, 3], 0.0, 0, true, Phase::Async, 4, &stats).unwrap();
+        let mut got = ep0.next_batch(&|_| true).unwrap();
+        let buffer = got.raw.as_ref().unwrap().bytes.as_ptr();
+        got.make_items().unwrap();
+        ep0.recycle(got);
+        assert!(ep0.free.is_empty(), "decoded items are not staging capacity");
+        ep0.send_tagged(1, vec![4], 0.0, 0, true, Phase::Async, 4, &stats).unwrap();
+        let back = ep1.next_batch(&|_| true).unwrap();
+        assert_eq!(back.raw.as_ref().unwrap().bytes.as_ptr(), buffer);
+        assert_eq!(items(back), vec![4]);
     }
 
     #[test]
     fn free_list_cap_evicts_and_counts() {
-        let mut eps = build_mesh::<u32>(1);
+        let mut eps = build_mesh::<u32>(2);
+        let _ep1 = eps.pop().unwrap();
         let mut ep = eps.pop().unwrap();
         let stats = NetStats::new();
-        // Recycle far more vectors than the cap allows; the overflow must
-        // be dropped, not hoarded.
+        // Encode far more vectors than the cap allows; the overflow must be
+        // dropped, not hoarded. Capacity-less vectors are not pooled at all.
         for _ in 0..(POOL_FREE_CAP + 10) {
-            ep.recycle_vec(0, Vec::with_capacity(8));
+            ep.send_tagged(1, vec![1], 0.0, 0, true, Phase::Async, 4, &stats).unwrap();
+            ep.send_tagged(1, Vec::new(), 0.0, 0, true, Phase::Async, 4, &stats).unwrap();
         }
         assert_eq!(ep.free.len(), POOL_FREE_CAP);
-        // Eviction counts ride along until the next take_buffer flush.
-        let _ = ep.take_buffer(&stats);
         assert_eq!(stats.snapshot().pool_evictions, 10);
-
-        // The return-channel path is capped on drain too.
-        let Wiring::Channels { ret_txs, .. } = &ep.wiring else {
-            panic!("build_mesh wires channels")
-        };
-        for _ in 0..(POOL_FREE_CAP + 5) {
-            ret_txs[0].send(Vec::with_capacity(4)).unwrap();
-        }
-        let _ = ep.take_buffer(&stats); // drains ret_rx: pool was at cap-1
-        let snap = stats.snapshot();
-        assert!(snap.pool_evictions >= 10 + 4, "drain must evict past-cap returns");
-        assert!(ep.free.len() <= POOL_FREE_CAP);
     }
 
     #[test]
@@ -782,71 +666,47 @@ mod tests {
         assert_eq!(ob.total_staged(), 0);
     }
 
-    #[test]
-    fn raw_batches_materialize_once_and_count_items() {
-        // A zero-copy batch: fake frame-header bytes, then three encoded
-        // items starting at `offset`, exactly as the TCP reader hands
-        // them off.
-        let mut bytes = vec![0xEE; 7];
-        let offset = bytes.len();
-        for v in [5u32, 6, 7] {
+    /// A raw batch of `values`, behind `header` bytes of fake frame header,
+    /// claiming `count` items.
+    fn raw_u32(header: usize, values: &[u32], count: u32) -> Batch<u32> {
+        let mut bytes = vec![0xEE; header];
+        for v in values {
             v.encode(&mut bytes);
         }
-        let mut b = Batch::<u32> {
-            from: 1,
-            sent_at: 0.0,
-            round: 0,
-            last: true,
-            kind: FrameKind::Data,
-            items: Vec::new(),
-            raw: Some(RawBatch { bytes, offset, count: 3 }),
-        };
+        let raw = Some(RawBatch { bytes, offset: header, count });
+        Batch { from: 0, sent_at: 0.0, round: 0, last: true, kind: FrameKind::Data, items: Vec::new(), raw }
+    }
+
+    #[test]
+    fn raw_batches_materialize_once_and_count_items() {
+        // Three encoded items starting at `offset`, as a carrier hands them
+        // off.
+        let mut b = raw_u32(7, &[5, 6, 7], 3);
         assert_eq!(b.item_count(), 3);
         b.make_items().unwrap();
         assert_eq!(b.items, vec![5, 6, 7]);
         assert_eq!(b.item_count(), 3, "materialized items replace the raw count");
+        // A re-call finds nothing left to decode.
+        b.make_items().unwrap();
+        assert_eq!(b.items, vec![5, 6, 7]);
     }
 
+    /// Bytes past the counted items fail the decode typed, whether a peer
+    /// sent them (a count short of its payload) or a walk left them (a
+    /// payload `drain_each` has already handed out).
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "re-materialized")]
-    fn double_materialize_after_drain_is_caught_in_debug() {
-        let mut bytes = Vec::new();
-        for v in [5u32, 6] {
-            v.encode(&mut bytes);
-        }
-        let mut b = Batch::<u32> {
-            from: 1,
-            sent_at: 0.0,
-            round: 0,
-            last: true,
-            kind: FrameKind::Data,
-            items: Vec::new(),
-            raw: Some(RawBatch { bytes, offset: 0, count: 2 }),
-        };
-        b.make_items().unwrap();
-        // A re-call with the decoded items still in place is a benign
-        // no-op; the bug `make_items` guards against is a re-call after
-        // the consumer took the items — it would hand back an empty vec
-        // while encoded bytes still sit in the buffer.
-        let _ = std::mem::take(&mut b.items);
-        b.make_items().unwrap();
+    fn materializing_an_overlong_or_drained_payload_is_a_typed_error() {
+        let mut short = raw_u32(0, &[5, 6], 1);
+        assert_eq!(short.make_items(), Err(NetError::TrailingBytes { extra: 4 }));
+        let mut drained = raw_u32(0, &[5, 6], 2);
+        drained.drain_each(|_| Ok(())).unwrap();
+        assert_eq!(drained.make_items(), Err(NetError::TrailingBytes { extra: 8 }));
+        assert!(drained.items.is_empty());
     }
 
     #[test]
     fn corrupt_raw_count_is_a_typed_error_not_a_panic() {
-        let mut bytes = Vec::new();
-        5u32.encode(&mut bytes);
-        let mut b = Batch::<u32> {
-            from: 0,
-            sent_at: 0.0,
-            round: 0,
-            last: true,
-            kind: FrameKind::Data,
-            items: Vec::new(),
-            raw: Some(RawBatch { bytes, offset: 0, count: 9 }),
-        };
-        assert!(b.make_items().is_err());
+        assert!(raw_u32(0, &[5], 9).make_items().is_err());
     }
 
     #[test]
@@ -860,14 +720,68 @@ mod tests {
                     let mut ob = OutboxSet::new(2);
                     for round in 0..100u32 {
                         ob.push(1 - ep.me(), round);
-                        let got = ep.exchange(&mut ob, 0.0, Phase::Async, 4, &stats).unwrap();
-                        assert_eq!(got[0].items, vec![round], "round mixing detected");
-                        for b in got {
-                            ep.recycle(b);
-                        }
+                        let mut got = ep.exchange(&mut ob, 0.0, Phase::Async, 4, &stats).unwrap();
+                        let mut b = got.remove(0);
+                        b.make_items().unwrap();
+                        assert_eq!(b.items, vec![round], "round mixing detected");
+                        ep.recycle(b);
                     }
                 });
             }
         });
+    }
+
+    /// A peer that leaves in the middle of a round, after machine 0 has
+    /// sent its half, ends machine 0's round in `MeshClosed` instead of
+    /// leaving it waiting for a batch that cannot come.
+    #[test]
+    fn a_peer_leaving_mid_round_closes_the_round() {
+        let mut eps = build_mesh::<u32>(2);
+        let ep1 = eps.pop().unwrap();
+        let mut ep0 = eps.pop().unwrap();
+        let stats = NetStats::new();
+        let round = std::thread::scope(|s| {
+            let waiting = s.spawn(|| ep0.exchange(&mut OutboxSet::new(2), 0.0, Phase::Async, 4, &stats));
+            // Machine 0's half of the round has arrived: it has sent.
+            let half = ep1.next_batch(&|p| p == 0).unwrap();
+            assert_eq!(half.round, 0);
+            drop(ep1);
+            waiting.join().unwrap()
+        });
+        assert_eq!(round.unwrap_err(), CommError::MeshClosed { me: 0 });
+    }
+
+    /// A peer whose thread panics tears its links: the waiting round fails
+    /// typed, naming it, and so does every later call.
+    #[test]
+    fn a_panicking_peer_fails_the_mesh_typed() {
+        let mut eps = build_mesh::<u32>(3);
+        let ep2 = eps.pop().unwrap();
+        let _ep1 = eps.pop().unwrap();
+        let mut ep0 = eps.pop().unwrap();
+        let stats = NetStats::new();
+        std::thread::scope(|s| {
+            let dies = s.spawn(move || {
+                let _held = ep2;
+                panic!("machine 2 fails");
+            });
+            assert!(dies.join().is_err());
+        });
+        let err = ep0.exchange(&mut OutboxSet::new(3), 0.0, Phase::Async, 4, &stats).unwrap_err();
+        assert!(
+            matches!(&err, CommError::Transport { me: 0, detail } if detail.contains("machine 2")),
+            "{err:?}"
+        );
+        assert_eq!(ep0.send_tagged(1, vec![1], 0.0, 1, true, Phase::Async, 4, &stats), Err(err));
+    }
+
+    /// A send to this machine itself has no link to go over: a typed error,
+    /// as over sockets, not a batch in its own inbox.
+    #[test]
+    fn a_self_send_is_a_typed_error() {
+        let mut eps = build_mesh::<u32>(2);
+        let stats = NetStats::new();
+        let err = eps[1].send_tagged(1, vec![1], 0.0, 0, true, Phase::Async, 4, &stats);
+        assert_eq!(err, Err(CommError::PeerDisconnected { from: 1, to: 1 }));
     }
 }

@@ -167,6 +167,8 @@ impl SimClock {
     /// Advances by `dt` seconds (local work).
     #[inline]
     pub fn advance(&mut self, dt: f64) {
+        // Invariant: `dt` is a cost-model charge, a count times the model's
+        // rates, and no route takes those rates from outside the program.
         debug_assert!(dt >= 0.0, "negative time advance {dt}");
         self.now += dt;
     }
@@ -183,6 +185,9 @@ impl SimClock {
     /// Sets the clock (used by collectives after an allreduce-max).
     #[inline]
     pub fn set(&mut self, t: f64) {
+        // Invariant: `t` is an allreduce-max over every machine's clock, this
+        // one's included, or a resumed snapshot's clock, which
+        // `SnapshotHeader::check_clock` refuses below zero.
         debug_assert!(t + 1e-12 >= self.now, "clock moved backwards: {} -> {t}", self.now);
         self.now = t;
     }

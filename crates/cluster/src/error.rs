@@ -5,8 +5,8 @@
 //! its whole run, and every round hears from every peer. The failure
 //! modes below can therefore only be reached when a peer machine has died
 //! (panic, early error return, process exit): it drops both of its legs,
-//! and over TCP a peer's next round on either mesh fails instead of
-//! waiting.
+//! and a peer's next round on either mesh fails instead of waiting, in
+//! process as over TCP.
 //! Engines propagate them to the driver instead of panicking, so one
 //! failing machine tears the run down with a diagnosable error rather
 //! than a poisoned process. [`CommError::MachineCount`],
@@ -21,7 +21,7 @@ use std::fmt;
 /// as configured.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CommError {
-    /// A send found the destination's mesh receiver already dropped.
+    /// A send found no live link to its destination (it left, or is the sender).
     PeerDisconnected {
         /// Sending machine.
         from: usize,

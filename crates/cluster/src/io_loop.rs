@@ -31,7 +31,7 @@ use lazygraph_net::{
     TcpOptions, Wire,
 };
 
-use crate::comm::{Batch, POOL_FREE_CAP};
+use crate::comm::{Batch, SocketMesh};
 use crate::error::CommError;
 use crate::recovery::LinkStatus;
 use crate::stats::NetStats;
@@ -234,8 +234,6 @@ struct Io<T> {
     write_timeout: Duration,
     /// Batches read off the sockets, not yet taken by the endpoint.
     inbound: VecDeque<Batch<T>>,
-    /// Staging vectors emptied by an encode, for the endpoint's pool.
-    returned: Vec<Vec<T>>,
     /// The first unrecoverable failure: every later call reports it.
     failure: Option<CommError>,
     /// The endpoint is being dropped: a peer that has not drained its
@@ -450,15 +448,15 @@ impl<T: Wire> Io<T> {
     }
 
     /// Encodes one batch into the link's outbound queue and writes what
-    /// the socket takes.
+    /// the socket takes; the encoded vector goes back to the endpoint.
     fn send(
         &mut self,
         dst: usize,
-        mut items: Vec<T>,
+        items: Vec<T>,
         sim_now: f64,
         round: u64,
         last: bool,
-    ) -> Result<(), CommError> {
+    ) -> Result<Vec<T>, CommError> {
         self.check()?;
         let me = self.me;
         let disconnected = CommError::PeerDisconnected { from: me, to: dst };
@@ -470,18 +468,8 @@ impl<T: Wire> Io<T> {
         encode_data_frame(&mut bytes, me, round, sim_now, last, &items)
             .map_err(|e| CommError::transport(me, &e))?;
         link.out.push_back(bytes);
-        // The items are on the frame now: the emptied vector goes to the
-        // endpoint's pool, so its next staging reuses the capacity.
-        items.clear();
-        if items.capacity() != 0 {
-            if self.returned.len() < POOL_FREE_CAP {
-                self.returned.push(items);
-            } else {
-                self.stats.record_pool_evictions(1);
-            }
-        }
         self.write_link(dst);
-        Ok(())
+        Ok(items)
     }
 
     /// The next inbound batch, waiting for one; fails with
@@ -618,29 +606,6 @@ impl<T: Wire + Send + 'static> Member for Shared<T> {
     }
 }
 
-/// What [`Endpoint`](crate::Endpoint) asks of a socket mesh. Object-safe
-/// and free of the codec bound, so the endpoint's own methods need no
-/// more of `T` than the channel mesh does.
-pub(crate) trait SocketMesh<T>: Send {
-    /// Encodes `items` as `dst`'s batch of `round` and starts writing it.
-    fn send(&self, dst: usize, items: Vec<T>, sim_now: f64, round: u64, last: bool)
-        -> Result<(), CommError>;
-    /// The next inbound batch, waiting for one (see [`Io::next`]).
-    fn next(&self, needed: &dyn Fn(usize) -> bool) -> Result<Batch<T>, CommError>;
-    /// Waits until every live link has written what it holds.
-    fn flush(&self) -> Result<(), CommError>;
-    /// Hands a consumed frame buffer back to the reader of its link.
-    fn recycle_raw(&self, from: usize, bytes: Vec<u8>);
-    /// A staging vector an encode has emptied, if any is waiting.
-    fn take_returned(&self) -> Option<Vec<T>>;
-    /// Severs every link without Shutdown frames, as a killed process would.
-    #[cfg(test)]
-    fn crash(&self);
-    /// The status of the link to `peer` after one pass.
-    #[cfg(test)]
-    fn status(&self, peer: usize) -> Option<LinkStatus>;
-}
-
 /// A TCP endpoint's links, driven by the machine loop of the thread that
 /// calls it.
 pub(crate) struct TcpLinks<T: Wire + Send + 'static> {
@@ -672,7 +637,6 @@ impl<T: Wire + Send + 'static> TcpLinks<T> {
             links,
             write_timeout: opts.write_timeout,
             inbound: VecDeque::new(),
-            returned: Vec::new(),
             failure: None,
             closing: false,
             stats: Arc::clone(stats),
@@ -713,7 +677,7 @@ impl<T: Wire + Send + 'static> TcpLinks<T> {
 
 impl<T: Wire + Send + 'static> SocketMesh<T> for TcpLinks<T> {
     fn send(&self, dst: usize, items: Vec<T>, sim_now: f64, round: u64, last: bool)
-        -> Result<(), CommError> {
+        -> Result<Vec<T>, CommError> {
         self.io().send(dst, items, sim_now, round, last)
     }
 
@@ -729,10 +693,6 @@ impl<T: Wire + Send + 'static> SocketMesh<T> for TcpLinks<T> {
         if let Some(link) = self.io().link(from) {
             link.reader.supply_buffer(bytes);
         }
-    }
-
-    fn take_returned(&self) -> Option<Vec<T>> {
-        self.shared.lock().returned.pop()
     }
 
     #[cfg(test)]

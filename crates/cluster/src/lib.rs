@@ -2,8 +2,8 @@
 //!
 //! The simulated distributed substrate standing in for the paper's 48-node
 //! EC2-like cluster. Each machine is an OS thread owning its shard; all
-//! inter-machine traffic crosses a typed channel [`comm`] mesh with exact
-//! byte/message accounting; [`Collective`] provides barriers and allreduce
+//! inter-machine traffic crosses a [`comm`] mesh of encoded batches (in
+//! process, or framed TCP) with exact byte/message accounting; [`Collective`] provides barriers and allreduce
 //! as rounds on a control mesh beside it (each counted as one global
 //! synchronisation — the Fig. 10 quantity);
 //! [`CostModel`] + [`SimClock`] convert the counted work into deterministic
@@ -24,6 +24,7 @@
 )]
 #![warn(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
+mod carrier;
 pub mod collective;
 pub mod comm;
 pub mod costmodel;

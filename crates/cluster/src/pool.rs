@@ -188,6 +188,7 @@ impl ThreadPool {
         };
         {
             let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
+            // Invariant: `run` returns only after every worker checked out.
             debug_assert_eq!(st.active, 0, "previous job still draining");
             st.epoch += 1;
             st.job = Some(job);

@@ -144,11 +144,11 @@ pub fn failpoint_ckpt(iteration: u64, chunk: u64) {
 pub enum LinkStatus {
     /// Connected and flowing.
     Up,
-    /// The peer sent its Shutdown frame: it left *cleanly*. Socket
-    /// errors observed afterwards (a close can RST buffered bytes) must
-    /// never be reported as a failure.
+    /// The peer left *cleanly* (over TCP: it sent its Shutdown frame).
+    /// Socket errors observed afterwards (a close can RST buffered bytes)
+    /// must never be reported as a failure.
     CleanClosed,
-    /// The connection tore without a Shutdown — the peer likely died, and
+    /// The link tore without a clean leave — the peer likely died, and
     /// the mesh has failed.
     Down,
     /// This endpoint closed the link: local teardown.

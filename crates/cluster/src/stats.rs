@@ -14,13 +14,13 @@
 //! * **`est_bytes`** (per phase) — the engine's `size_of`-based estimate
 //!   of payload volume, charged at `send` time by every backend. This is
 //!   the quantity the simulated cost model consumes and the Fig. 11
-//!   comparisons use; it is identical whether batches cross a channel or
-//!   a socket.
+//!   comparisons use; it is identical whether batches cross in process or
+//!   over a socket.
 //! * **`wire_bytes_sent` / `wire_bytes_recv`** — *measured* frame bytes
 //!   (header + encoded payload) recorded only by the TCP transport, as
-//!   its sockets take and deliver frames. On the in-proc channel backend
-//!   these stay 0:
-//!   nothing is serialized, so there is no wire truth to report.
+//!   its sockets take and deliver frames. On the in-process carrier these
+//!   stay 0: its payloads cross no wire, so there is no wire truth to
+//!   report.
 //!
 //! The names are deliberately different so the two scales cannot be
 //! compared by accident; `lazybench` reports both (`est_bytes`,

@@ -1,24 +1,21 @@
-//! Transport selection: the same `Endpoint<T>` API over channels or TCP.
+//! Transport selection: the same `Endpoint<T>` API in process or over TCP.
 //!
-//! Engines are written against [`Endpoint`] and never learn which backend
-//! carries their batches:
+//! Engines are written against [`Endpoint`] and never learn which carrier
+//! moves their batches; both move the same encoded Data-frame payloads:
 //!
-//! * **InProc** (default) — the original channel mesh from
-//!   [`build_mesh`]: zero-copy `Vec<T>` moves, buffer-pool recycling,
-//!   no serialization. NetStats byte counters stay `size_of` estimates.
-//! * **Tcp** — every batch is `Wire`-encoded into a length-prefixed Data
-//!   frame and crosses a real socket. The endpoint drives its own
-//!   non-blocking sockets on the machine thread, through one `poll(2)`
-//!   loop per machine (`io_loop`). NetStats additionally gets
-//!   **measured** frame bytes.
+//! * **InProc** (default) — [`build_mesh`]: handed to the peer's inbox in
+//!   memory (`carrier`). NetStats byte counters stay `size_of` estimates.
+//! * **Tcp** — behind a frame header, over non-blocking sockets that the
+//!   machine thread drives through one `poll(2)` loop (`io_loop`).
+//!   NetStats additionally gets **measured** frame bytes.
 //!
 //! ## Failure semantics
 //!
-//! A machine that finishes drops its endpoint: what it queued and then a
-//! `Shutdown` frame reach every peer, and the sockets close — peers treat
-//! that as a clean close. A machine that *dies* (process kill, panic)
-//! never sends `Shutdown`: its peers read EOF. In fail-fast mode that
-//! fails the mesh, and every later `exchange` reports
+//! A machine that finishes drops its endpoint: what it sent, then word
+//! that it left (over TCP a `Shutdown` frame), reaches every peer — a
+//! clean close. A machine that *dies* (process kill, panic) leaves torn:
+//! over TCP its peers read EOF, in process its endpoint's drop tells them
+//! so. That fails the mesh, and every later `exchange` reports
 //! [`CommError::Transport`]; a round whose peers have all left cleanly
 //! reports [`CommError::MeshClosed`] instead of waiting forever. A failed
 //! mesh is never mended: recovery restarts the whole gang on fresh meshes
@@ -45,10 +42,10 @@ use crate::error::CommError;
 use crate::io_loop::TcpLinks;
 use crate::stats::NetStats;
 
-/// Which backend carries mesh batches.
+/// Which carrier moves mesh batches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TransportKind {
-    /// In-process channel mesh (zero-copy, estimates only).
+    /// In-process: encoded batches handed over in memory (estimates only).
     #[default]
     InProc,
     /// Framed TCP over loopback (serialized, measured wire bytes).
@@ -78,12 +75,12 @@ impl std::str::FromStr for TransportKind {
     }
 }
 
-/// Builds the full mesh for `n` machines over the chosen backend.
+/// Builds the full mesh for `n` machines over the chosen carrier.
 ///
 /// For [`TransportKind::Tcp`] the machines still live in this process
 /// (one thread each, exactly like InProc) but every batch crosses a real
 /// loopback socket — the configuration the transport-equivalence tests
-/// use to prove serialization changes nothing.
+/// use to prove the sockets change nothing.
 pub fn build_endpoints<T: Wire + Send + 'static>(
     kind: TransportKind,
     n: usize,
@@ -98,28 +95,41 @@ pub fn build_endpoints<T: Wire + Send + 'static>(
 /// Encodes one batch as a Data-frame payload.
 pub fn encode_batch<T: Wire>(b: &Batch<T>) -> Vec<u8> {
     let mut out = Vec::with_capacity(22 + b.items.len() * 8);
-    encode_payload(b.from, b.round, b.sent_at, b.last, &b.items, &mut out);
+    // Past `MAX_FRAME` the payload is still whole; only a carrier refuses it.
+    let _ = encode_data(&mut out, b.from, b.round, b.sent_at, b.last, &b.items);
     out
 }
 
-fn encode_payload<T: Wire>(
+/// Appends the Data-frame payload of a batch of `items` to `out`, refusing
+/// one past [`MAX_FRAME`]: the bytes every route carries, over a socket
+/// behind a frame header ([`encode_data_frame`]), in process as they are.
+pub(crate) fn encode_data<T: Wire>(
+    out: &mut Vec<u8>,
     from: usize,
     round: u64,
     sent_at: f64,
     last: bool,
     items: &Vec<T>,
-    out: &mut Vec<u8>,
-) {
+) -> Result<(), NetError> {
+    let start = out.len();
     (from as u32).encode(out);
     round.encode(out);
     sent_at.encode(out);
     last.encode(out);
     items.encode(out);
+    let len = out.len() - start;
+    if len > MAX_FRAME {
+        return Err(NetError::FrameTooLarge {
+            len,
+            max: MAX_FRAME,
+        });
+    }
+    Ok(())
 }
 
-/// Encodes a whole Data frame — header, then [`encode_batch`]'s payload
-/// for a batch of `items` — into `out`, in place: the bytes a socket
-/// carries, with no intermediate payload buffer.
+/// Encodes a whole Data frame — header, then [`encode_data`]'s payload —
+/// into `out`, in place: the bytes a socket carries, with no intermediate
+/// payload buffer.
 pub(crate) fn encode_data_frame<T: Wire>(
     out: &mut Vec<u8>,
     from: usize,
@@ -130,14 +140,8 @@ pub(crate) fn encode_data_frame<T: Wire>(
 ) -> Result<(), NetError> {
     out.clear();
     out.extend_from_slice(&[0; HEADER_LEN]);
-    encode_payload(from, round, sent_at, last, items, out);
+    encode_data(out, from, round, sent_at, last, items)?;
     let len = out.len() - HEADER_LEN;
-    if len > MAX_FRAME {
-        return Err(NetError::FrameTooLarge {
-            len,
-            max: MAX_FRAME,
-        });
-    }
     out[..4].copy_from_slice(&(len as u32).to_le_bytes());
     out[4] = FrameKind::Data.as_u8();
     Ok(())
@@ -146,7 +150,7 @@ pub(crate) fn encode_data_frame<T: Wire>(
 /// Decodes a Data-frame payload back into a batch, materializing every
 /// item into a fresh `Vec<T>`.
 ///
-/// This is the PR 4 path, retained as the byte-equality oracle for the
+/// The materializing path, retained as the byte-equality oracle for the
 /// zero-copy [`decode_batch_raw`] (see `tests/zero_copy.rs`) and for
 /// consumers that want eager validation of the whole payload.
 pub fn decode_batch<T: Wire>(payload: &[u8]) -> Result<Batch<T>, NetError> {
@@ -286,7 +290,7 @@ fn tcp_endpoint<T: Wire + Send + 'static>(
     opts: &TcpOptions,
 ) -> Result<Endpoint<T>, CommError> {
     let links = TcpLinks::<T>::new(me, n, links, stats, opts)?;
-    Ok(Endpoint::on_sockets(me, n, Box::new(links)))
+    Ok(Endpoint::new(me, n, Box::new(links)))
 }
 
 #[cfg(test)]
@@ -400,7 +404,7 @@ mod tests {
                                 .exchange(&mut ob, 0.0, Phase::Coherency, 8, &stats)
                                 .unwrap();
                             assert_eq!(got.len(), n - 1);
-                            // Sorted by sender, like the channel mesh.
+                            // Sorted by sender, like the in-process mesh.
                             for w in got.windows(2) {
                                 assert!(w[0].from < w[1].from);
                             }
@@ -438,54 +442,61 @@ mod tests {
         assert_ne!(snap.wire_bytes_sent, snap.total_est_bytes());
     }
 
+    /// Both carriers: one mesh of `n` for each.
+    fn on_both(n: usize, mut f: impl FnMut(TransportKind, Vec<Endpoint<u32>>, &Arc<NetStats>)) {
+        for kind in [TransportKind::InProc, TransportKind::Tcp] {
+            let stats = Arc::new(NetStats::new());
+            f(kind, build_endpoints::<u32>(kind, n, &stats).unwrap(), &stats);
+        }
+    }
+
     #[test]
     fn dropped_endpoint_shuts_down_cleanly() {
-        let n = 2;
-        let stats = Arc::new(NetStats::new());
-        let mut eps = build_tcp_mesh::<u32>(n, &stats, &TcpOptions::default()).unwrap();
-        let mut ep1 = eps.pop().unwrap();
-        let ep0 = eps.pop().unwrap();
-        ep0.send_tagged(1, vec![5, 6], 0.0, 0, true, Phase::Async, 4, &stats).unwrap();
-        let mut got = ep1.next_batch(&|p| p == 0).unwrap();
-        got.make_items().unwrap();
-        assert_eq!(got.items, vec![5, 6]);
-        // Machine 0 finishes and drops its endpoint → its Shutdown frame
-        // reaches machine 1 → the link is closed cleanly, and no peer is
-        // left to send → a receive reports MeshClosed rather than hanging.
-        drop(ep0);
-        let err = ep1.next_batch(&|p| p == 0).unwrap_err();
-        assert_eq!(err, CommError::MeshClosed { me: 1 });
-        // A round the departed peer can no longer complete reports the
-        // closed mesh too, instead of blocking on a batch that cannot come.
-        let err = ep1
-            .exchange(&mut OutboxSet::new(n), 0.0, Phase::Coherency, 4, &stats)
-            .unwrap_err();
-        assert_eq!(err, CommError::MeshClosed { me: 1 });
+        on_both(2, |kind, mut eps, stats| {
+            let mut ep1 = eps.pop().unwrap();
+            let mut ep0 = eps.pop().unwrap();
+            ep0.send_tagged(1, vec![5, 6], 0.0, 0, true, Phase::Async, 4, stats).unwrap();
+            let mut got = ep1.next_batch(&|p| p == 0).unwrap();
+            got.make_items().unwrap();
+            assert_eq!(got.items, vec![5, 6], "{kind:?}");
+            // Machine 0 finishes and drops its endpoint → word that it left
+            // reaches machine 1 → the link is closed cleanly, and no peer is
+            // left to send → a receive reports MeshClosed rather than hanging.
+            drop(ep0);
+            let err = ep1.next_batch(&|p| p == 0).unwrap_err();
+            assert_eq!(err, CommError::MeshClosed { me: 1 }, "{kind:?}");
+            // A round the departed peer can no longer complete reports the
+            // closed mesh too, instead of blocking on a batch that cannot come.
+            let err = ep1
+                .exchange(&mut OutboxSet::new(2), 0.0, Phase::Coherency, 4, stats)
+                .unwrap_err();
+            assert_eq!(err, CommError::MeshClosed { me: 1 }, "{kind:?}");
+        });
     }
 
     #[test]
     fn an_encoded_staging_vector_returns_to_the_pool() {
-        let stats = Arc::new(NetStats::new());
-        let mut eps = build_tcp_mesh::<u32>(2, &stats, &TcpOptions::default()).unwrap();
-        let ep1 = eps.pop().unwrap();
-        let mut ep0 = eps.pop().unwrap();
-        let mut staged = Vec::with_capacity(64);
-        staged.extend([5, 6]);
-        ep0.send_tagged(1, staged, 0.0, 0, true, Phase::Async, 4, &stats).unwrap();
-        // The frame reached machine 1, so machine 0 has encoded it — which
-        // is where the emptied vector goes back to the pool.
-        let mut got = ep1.next_batch(&|p| p == 0).unwrap();
-        got.make_items().unwrap();
-        assert_eq!(got.items, vec![5, 6]);
-        let reused = ep0.take_buffer(&stats);
-        assert!(reused.is_empty());
-        assert!(reused.capacity() >= 64, "the travelled capacity must come home");
-        let snap = stats.snapshot();
-        assert_eq!((snap.pool_hits, snap.pool_misses), (1, 0));
+        on_both(2, |kind, mut eps, stats| {
+            let ep1 = eps.pop().unwrap();
+            let mut ep0 = eps.pop().unwrap();
+            let mut staged = Vec::with_capacity(64);
+            staged.extend([5, 6]);
+            ep0.send_tagged(1, staged, 0.0, 0, true, Phase::Async, 4, stats).unwrap();
+            // The batch reached machine 1, so machine 0 has encoded it — which
+            // is where the emptied vector goes back to the pool.
+            let mut got = ep1.next_batch(&|p| p == 0).unwrap();
+            got.make_items().unwrap();
+            assert_eq!(got.items, vec![5, 6], "{kind:?}");
+            let reused = ep0.take_buffer(stats);
+            assert!(reused.is_empty());
+            assert!(reused.capacity() >= 64, "{kind:?}: the staged capacity must come home");
+            let snap = stats.snapshot();
+            assert_eq!((snap.pool_hits, snap.pool_misses), (1, 0), "{kind:?}");
+        });
     }
 
     #[test]
-    fn single_machine_tcp_mesh_degenerates_to_channels() {
+    fn single_machine_tcp_mesh_opens_no_socket() {
         let stats = Arc::new(NetStats::new());
         let eps = build_tcp_mesh::<u32>(1, &stats, &TcpOptions::default()).unwrap();
         assert_eq!(eps.len(), 1);
@@ -508,8 +519,8 @@ mod tests {
             ..TcpOptions::default()
         };
         let mut eps = build_tcp_mesh::<u32>(n, &stats, &opts).unwrap();
-        let ep2 = eps.pop().unwrap();
-        let ep1 = eps.pop().unwrap();
+        let mut ep2 = eps.pop().unwrap();
+        let mut ep1 = eps.pop().unwrap();
         let ep0 = eps.pop().unwrap();
         // Peer 0 leaves cleanly: Shutdown frames, then closed sockets.
         drop(ep0);
@@ -544,11 +555,12 @@ mod tests {
         assert_eq!(b2.items, vec![11]);
     }
 
-    /// Machines 0 and 1 of a 3-machine mesh whose machine 2 has died: bare
-    /// EOF on both of its links, as from a killed process.
-    fn mesh_without_machine_2() -> (Endpoint<u32>, Endpoint<u32>, Arc<NetStats>) {
+    /// Machines 0 and 1 of a 3-machine mesh whose machine 2 has died: over
+    /// TCP a bare EOF on both of its links, as from a killed process; in
+    /// process, word that it tore.
+    fn mesh_without_machine_2(kind: TransportKind) -> (Endpoint<u32>, Endpoint<u32>, Arc<NetStats>) {
         let stats = Arc::new(NetStats::new());
-        let mut eps = build_tcp_mesh::<u32>(3, &stats, &TcpOptions::default()).unwrap();
+        let mut eps = build_endpoints::<u32>(kind, 3, &stats).unwrap();
         eps.pop().unwrap().crash_for_test();
         let ep1 = eps.pop().unwrap();
         (eps.pop().unwrap(), ep1, stats)
@@ -561,20 +573,24 @@ mod tests {
 
     #[test]
     fn a_torn_link_fails_every_later_call_alike() {
-        let (ep0, _ep1, stats) = mesh_without_machine_2();
-        let err = ep0.next_batch(&|p| p != 0).unwrap_err();
-        assert!(torn_by_machine_2(&err, 0), "{err:?}");
-        // The first failure is kept: every later call returns it.
-        assert_eq!(ep0.next_batch(&|p| p != 0).unwrap_err(), err);
-        assert_eq!(ep0.send_tagged(1, vec![8], 0.0, 0, true, Phase::Async, 4, &stats).unwrap_err(), err);
+        for kind in [TransportKind::InProc, TransportKind::Tcp] {
+            let (mut ep0, _ep1, stats) = mesh_without_machine_2(kind);
+            let err = ep0.next_batch(&|p| p != 0).unwrap_err();
+            assert!(torn_by_machine_2(&err, 0), "{kind:?}: {err:?}");
+            // The first failure is kept: every later call returns it.
+            assert_eq!(ep0.next_batch(&|p| p != 0).unwrap_err(), err);
+            assert_eq!(ep0.send_tagged(1, vec![8], 0.0, 0, true, Phase::Async, 4, &stats).unwrap_err(), err);
+        }
     }
 
     #[test]
     fn exchange_over_a_torn_link_is_a_transport_error() {
-        let (mut ep0, _ep1, stats) = mesh_without_machine_2();
-        let err = ep0
-            .exchange(&mut OutboxSet::new(3), 0.0, Phase::Coherency, 4, &stats)
-            .unwrap_err();
-        assert!(torn_by_machine_2(&err, 0), "{err:?}");
+        for kind in [TransportKind::InProc, TransportKind::Tcp] {
+            let (mut ep0, _ep1, stats) = mesh_without_machine_2(kind);
+            let err = ep0
+                .exchange(&mut OutboxSet::new(3), 0.0, Phase::Coherency, 4, &stats)
+                .unwrap_err();
+            assert!(torn_by_machine_2(&err, 0), "{kind:?}: {err:?}");
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! What the one-loop TCP transport promises by construction (DESIGN.md
 //! §10): a machine's own thread moves its sockets, so a mesh starts no
 //! thread, and a round larger than every socket buffer still completes,
-//! because a machine waiting to write keeps reading.
+//! because a machine waiting to write keeps reading. The in-process
+//! carrier keeps both promises too, with batches that arrive encoded.
 //!
 //! `tests/wire_transport.rs` at the workspace root runs this file too.
 
@@ -9,11 +10,13 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lazygraph_cluster::transport::build_tcp_mesh;
-use lazygraph_cluster::{Batch, Endpoint, NetStats, OutboxSet, Phase};
-use lazygraph_net::{TcpOptions, Wire, WireReader};
+use lazygraph_cluster::{build_endpoints, Batch, Endpoint, NetStats, OutboxSet, Phase, TransportKind};
+use lazygraph_net::{Wire, WireReader};
 
 const MACHINES: usize = 4;
+
+/// Every carrier a mesh can run on.
+const CARRIERS: [TransportKind; 2] = [TransportKind::Tcp, TransportKind::InProc];
 
 /// Payload bytes of one batch: far above what loopback socket buffers
 /// hold, so no machine can finish writing a round before its peers read.
@@ -27,7 +30,7 @@ fn item(from: usize, to: usize, i: usize) -> u64 {
 /// Checks, without materialising it, that `b` carries exactly the items
 /// `b.from` sends `to`.
 fn assert_items(b: &Batch<u64>, to: usize, count: usize) {
-    let raw = b.raw.as_ref().expect("a TCP batch arrives still encoded");
+    let raw = b.raw.as_ref().expect("a batch arrives still encoded");
     assert_eq!(raw.count as usize, count, "batch from {} to {to}", b.from);
     let mut r = WireReader::new(&raw.bytes[raw.offset..]);
     for i in 0..count {
@@ -48,12 +51,18 @@ fn assert_items(b: &Batch<u64>, to: usize, count: usize) {
 /// Every machine sends every peer a 32 MiB batch in the same round; then,
 /// in the next round, machine 0 bursts 32 MiB at machine 1 while machine 1
 /// is busy in local work and only later joins the round. Both complete,
-/// with every item where it belongs.
+/// with every item where it belongs, on every carrier.
 #[test]
 fn huge_rounds_and_bursts_at_a_busy_peer_complete() {
+    for kind in CARRIERS {
+        huge_rounds_and_a_burst(kind);
+    }
+}
+
+fn huge_rounds_and_a_burst(kind: TransportKind) {
     let items = HUGE / 8;
     let stats = Arc::new(NetStats::new());
-    let eps = build_tcp_mesh::<u64>(MACHINES, &stats, &TcpOptions::default()).unwrap();
+    let eps = build_endpoints::<u64>(kind, MACHINES, &stats).unwrap();
     let (done_tx, done_rx) = mpsc::channel();
     for mut ep in eps {
         let (stats, done_tx) = (Arc::clone(&stats), done_tx.clone());
@@ -103,7 +112,7 @@ fn huge_rounds_and_bursts_at_a_busy_peer_complete() {
         let left = deadline.saturating_duration_since(Instant::now());
         done_rx
             .recv_timeout(left)
-            .expect("a machine deadlocked or failed");
+            .unwrap_or_else(|_| panic!("{kind:?}: a machine deadlocked or failed"));
     }
 }
 
@@ -151,11 +160,11 @@ fn alone(name: &str, body: impl FnOnce()) {
     );
 }
 
-/// Counts threads before `build_tcp_mesh(4, …)`, after it returns, and
-/// during exchanges: the mesh adds none. The machine threads exist before
-/// the mesh does, so the only threads that could appear are the
+/// Counts threads before `build_endpoints(kind, 4, …)`, after it returns,
+/// and during exchanges: the mesh adds none. The machine threads exist
+/// before the mesh does, so the only threads that could appear are the
 /// transport's.
-fn no_transport_threads() {
+fn no_transport_threads(kind: TransportKind) {
     let stats = Arc::new(NetStats::new());
     let (seat_txs, seat_rxs): (Vec<_>, Vec<_>) = (0..MACHINES)
         .map(|_| mpsc::channel::<Endpoint<u64>>())
@@ -194,11 +203,11 @@ fn no_transport_threads() {
         .collect();
     drop(count_tx);
     let before = threads();
-    let eps = build_tcp_mesh::<u64>(MACHINES, &stats, &TcpOptions::default()).unwrap();
+    let eps = build_endpoints::<u64>(kind, MACHINES, &stats).unwrap();
     assert_eq!(
         settled(before),
         before,
-        "build_tcp_mesh left a thread running"
+        "{kind:?}: building the mesh left a thread running"
     );
     for (seat, ep) in seat_txs.iter().zip(eps) {
         seat.send(ep).unwrap();
@@ -207,7 +216,7 @@ fn no_transport_threads() {
     assert_eq!(
         during,
         vec![before; 3],
-        "an exchange ran on threads of its own"
+        "{kind:?}: an exchange ran on threads of its own"
     );
     for m in machines {
         m.join().unwrap();
@@ -217,6 +226,8 @@ fn no_transport_threads() {
 #[test]
 fn a_fail_fast_mesh_runs_no_thread() {
     alone("a_fail_fast_mesh_runs_no_thread", || {
-        no_transport_threads()
+        for kind in CARRIERS {
+            no_transport_threads(kind);
+        }
     });
 }

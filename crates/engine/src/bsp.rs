@@ -40,7 +40,7 @@ pub struct BspReduction {
 
 // The reduction crosses the machine's control-mesh leg on every route;
 // `clock` rides as its IEEE-754 bit pattern, so the folded max is the
-// same bits whether the leg is a channel or a socket.
+// same bits whether the leg is in process or a socket.
 wire_record!(BspReduction { clock, bytes, pending, est });
 
 fn combine(a: BspReduction, b: BspReduction) -> BspReduction {

@@ -570,6 +570,15 @@ impl SnapshotHeader {
             })
         }
     }
+
+    /// Fails unless a run can resume its clock here: a simulated clock
+    /// starts at zero and never runs backwards.
+    pub fn check_clock(&self) -> Result<(), CheckpointError> {
+        if self.clock.is_nan() || self.clock < 0.0 {
+            return Err(malformed(format!("the header's clock is {} s", self.clock)));
+        }
+        Ok(())
+    }
 }
 
 /// `coherent[l]` codes, two bits a vertex, 32 vertices a word. Only
@@ -638,6 +647,8 @@ pub fn write_snapshot<P: VertexProgram, W: Write>(
     // read; a recovered worker regrows them from empty with
     // bitwise-identical results. `active` is rebuilt from `queue`.
     let MachineState { vdata, coherent, message, delta_msg, active, queue, scratch: _ } = state;
+    // Invariant: every engine moves `active` with `queue`, and a restore
+    // rebuilds it from the queue.
     debug_assert!(active_is_queue(active, queue), "`active` is not `queue`'s membership");
     let n = vdata.len() as u64;
     let mut w = ChunkWriter::new(out, header.iterations)?;
@@ -1210,6 +1221,21 @@ mod tests {
             "{err}"
         );
         assert!(!err.is_corruption());
+    }
+
+    /// A header whose clock is below zero or not a number still opens (the
+    /// container round-trips any bits), but no run resumes from it: its
+    /// clock would run backwards.
+    #[test]
+    fn a_clock_below_zero_is_a_typed_refusal() {
+        sample_header().check_clock().unwrap();
+        for clock in [-1.0, f64::NAN] {
+            let mut file = Vec::new();
+            let header = SnapshotHeader { clock, ..sample_header() };
+            write_snapshot(&mut file, &header, &sample_state(), &sample_history(), initial).unwrap();
+            let err = SnapshotReader::open(&file[..]).unwrap().header().check_clock().err();
+            assert!(matches!(err, Some(CheckpointError::Malformed { .. })), "{clock}: {err:?}");
+        }
     }
 
     #[test]

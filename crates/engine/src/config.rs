@@ -134,11 +134,11 @@ pub struct EngineConfig {
     /// priority falls below it are parked, and the run converges when no
     /// machine holds a schedulable vertex. Ignored by other engines.
     pub delta_tolerance: f64,
-    /// Mesh transport backend (DESIGN.md §10): `InProc` moves batches over
-    /// lock-free channels untouched (the default; zero-copy, pool-
-    /// recycling); `Tcp` encodes every batch into a length-prefixed frame
-    /// and ships it over loopback sockets. Results are bitwise-identical;
-    /// `NetStats` additionally reports measured frame bytes on `Tcp`.
+    /// Mesh transport (DESIGN.md §10): both carriers encode every batch
+    /// once; `InProc` (the default) hands the payload to the peer in
+    /// memory, `Tcp` puts it behind a frame header on a loopback socket.
+    /// Results are bitwise-identical; `NetStats` additionally reports
+    /// measured frame bytes on `Tcp`.
     pub transport: TransportKind,
     /// Degree-aware hub fan-out at partition time (DESIGN.md §16): edges
     /// of vertices above the degree threshold are split round-robin across

@@ -702,9 +702,8 @@ pub(crate) mod tests {
         assert_eq!(seen, vec![(7, 1), (6, 2)]);
     }
 
-    /// The same rounds over both transports: in-proc batches carry their
-    /// items, TCP batches arrive as raw frame payloads, and every
-    /// machine's `close` sees one `(local id, x)` sequence either way.
+    /// The same rounds over both transports: every machine's `close` sees
+    /// one `(local id, x)` sequence either way.
     #[test]
     fn an_ordered_round_applies_the_same_sequence_on_both_transports() {
         use lazygraph_cluster::{build_endpoints, run_machines, TransportKind};

@@ -250,6 +250,7 @@ pub fn assemble<P: VertexProgram>(
     let mut values: Vec<Option<P::VData>> = vec![None; num_vertices];
     for out in outs {
         for (gid, v) in out.masters {
+            // Invariant: placement gives every vertex exactly one master.
             debug_assert!(values[gid as usize].is_none(), "duplicate master {gid}");
             values[gid as usize] = Some(v);
         }
@@ -430,6 +431,7 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
         };
         let header = snapshot.header();
         header.check_engine(S::KIND).map_err(fail)?;
+        header.check_clock().map_err(fail)?;
         carry = S::Carry::from_wire(&header.carry).map_err(|e| fail(e.into()))?;
         // Straight from the file into the arrays `init` has just built.
         let header = snapshot.restore_into(&mut f.state, &mut f.history).map_err(fail)?;

@@ -125,6 +125,8 @@ impl PriorityBuckets {
     /// worklist. Pure: identical candidates always produce the identical
     /// plan.
     pub fn plan(&mut self, candidates: &[(u32, f64)]) -> EpochPlan {
+        // Invariant: the delta engine builds candidates from its sorted
+        // queue, which `active` keeps free of duplicates.
         debug_assert!(
             candidates.windows(2).all(|w| w[0].0 < w[1].0),
             "scheduler candidates must ascend by local id"

@@ -216,6 +216,9 @@ impl<P: VertexProgram> MachineState<P> {
         num_vertices: usize,
     ) -> Self {
         let n = shard.num_local();
+        // Invariant: local ids leave bit 31 free everywhere (partition's
+        // `PARALLEL` tags it in edge targets); 2^31 replicas would not fit
+        // one machine's memory.
         debug_assert!(n < FOLD_DELTA as usize, "local ids must leave the tag bit free");
         let mut vdata = Vec::with_capacity(n);
         let mut message = Vec::with_capacity(n);

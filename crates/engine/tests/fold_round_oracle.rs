@@ -11,7 +11,7 @@
 //! order, one `deliver` per item. For randomized streams — NaN bit
 //! patterns, duplicate targets, empty blocks included —
 //! every `MachineState` must come out bitwise equal, activation order
-//! included, on in-process items and on raw TCP cursors alike.
+//! included, on materialized items and on raw cursors alike.
 
 use std::sync::Arc;
 

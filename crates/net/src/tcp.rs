@@ -177,6 +177,8 @@ pub fn connect_mesh(
         seen[peer] = true;
         links.push(PeerLink { peer, stream });
     }
+    // Invariant: the loop above accepts exactly `expected_accepts` distinct
+    // in-range peers above `me`, or it has returned an error.
     debug_assert_eq!(
         links.iter().filter(|l| l.peer > me).count(),
         expected_accepts,

@@ -50,12 +50,8 @@ fn run_fingerprint<P: VertexProgram>(
 ) -> (String, String) {
     let r = run(g, machines, cfg, program).expect("cluster run");
     let values = format!("{:?}", r.values);
-    // Pool hit/miss depends on whether a recycled buffer has travelled back
-    // through the return channel by acquisition time — pure cross-thread
-    // timing, telemetry only. Every other counter is part of the contract.
-    let mut stats = r.metrics.stats;
-    stats.pool_hits = 0;
-    stats.pool_misses = 0;
+    // Every counter is part of the contract, the buffer pool's included.
+    let stats = r.metrics.stats;
     let counters = format!(
         "iters={} coh={} sub={} a2a={} m2m={} syncs={} stats={:?} sim={:?} conv={}",
         r.metrics.iterations,
@@ -574,9 +570,7 @@ fn placed_fingerprint<P: VertexProgram>(
     program: &P,
 ) -> String {
     let r = lazygraph_engine::run_on(dg, cfg, program).expect("cluster run");
-    let mut stats = r.metrics.stats;
-    stats.pool_hits = 0;
-    stats.pool_misses = 0;
+    let stats = r.metrics.stats;
     format!(
         "{:?} iters={} syncs={} stats={:?} sim={:?} conv={}",
         r.values,

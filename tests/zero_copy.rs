@@ -279,10 +279,10 @@ impl lazygraph_engine::VertexProgram for MinLabel {
     }
 }
 
-/// Items that fail to decode off a raw TCP batch used to be dropped with
-/// the rest of their batch (`Ok` with items missing, in release builds).
-/// They must fail the run; the in-process transport never encodes, so it
-/// is the control.
+/// Items that fail to decode off a raw batch used to be dropped with the
+/// rest of their batch (`Ok` with items missing, in release builds). They
+/// must fail the run, on every route: the in-process carrier decodes the
+/// same bytes a socket carries.
 #[test]
 fn malformed_item_region_fails_the_run() {
     use lazygraph_engine::{run, EngineConfig, EngineKind, TransportKind};
@@ -297,23 +297,26 @@ fn malformed_item_region_fails_the_run() {
         b.build()
     };
     for engine in [EngineKind::PowerGraphSync, EngineKind::LazyBlockAsync] {
-        let cfg = EngineConfig::lazygraph().with_engine(engine).with_threads(1);
-        let control = run(&g, 2, &cfg, &MinLabel).expect("in-process channels never decode");
-        assert!(control.metrics.converged);
-        let tcp = cfg.clone().with_transport(TransportKind::Tcp);
-        let failed = run(&g, 2, &tcp, &MinLabel).map(|r| r.metrics.converged);
-        assert!(
-            matches!(failed, Err(lazygraph_engine::CommError::Transport { .. })),
-            "{engine:?}: a malformed item must fail the run, got {failed:?}"
-        );
+        for transport in [TransportKind::InProc, TransportKind::Tcp] {
+            let cfg = EngineConfig::lazygraph()
+                .with_engine(engine)
+                .with_threads(1)
+                .with_transport(transport);
+            let failed = run(&g, 2, &cfg, &MinLabel).map(|r| r.metrics.converged);
+            assert!(
+                matches!(failed, Err(lazygraph_engine::CommError::Transport { .. })),
+                "{engine:?} on {transport:?}: a malformed item must fail the run, got {failed:?}"
+            );
+        }
     }
 }
 
 /// One machine alone receives a malformed item, so one machine fails and
 /// its peer goes on to the next barrier. The failed machine's legs close
 /// with it, and the peer's barrier round must fail typed instead of
-/// waiting for it forever. The run goes behind a deadline, so a hang is a
-/// failure of this test, not a stuck suite.
+/// waiting for it forever, over TCP and in process alike. The run goes
+/// behind a deadline, so a hang is a failure of this test, not a stuck
+/// suite.
 #[test]
 fn one_failing_machine_does_not_strand_its_peer_at_a_barrier() {
     use lazygraph_engine::{place, run, CommError, EngineConfig, EngineKind, TransportKind};
@@ -328,34 +331,37 @@ fn one_failing_machine_does_not_strand_its_peer_at_a_barrier() {
         b.symmetrize();
         b.build()
     };
-    let cfg = EngineConfig::lazygraph()
-        .with_engine(EngineKind::PowerGraphSync)
-        .with_threads(1)
-        .with_transport(TransportKind::Tcp);
-    let dg = place(&g, 2, &cfg).expect("placement");
-    let replicated: Vec<usize> = dg
-        .shards
-        .iter()
-        .map(|s| {
-            let masters = (0..s.num_local() as u32).filter(|&l| s.is_master(l));
-            masters.filter(|&l| !s.mirrors(l).is_empty()).count()
-        })
-        .collect();
-    let with_mirror = replicated.iter().sum::<usize>();
-    assert_eq!(with_mirror, 1, "masters with a mirror, per machine: {replicated:?}");
+    for transport in [TransportKind::Tcp, TransportKind::InProc] {
+        let cfg = EngineConfig::lazygraph()
+            .with_engine(EngineKind::PowerGraphSync)
+            .with_threads(1)
+            .with_transport(transport);
+        let dg = place(&g, 2, &cfg).expect("placement");
+        let replicated: Vec<usize> = dg
+            .shards
+            .iter()
+            .map(|s| {
+                let masters = (0..s.num_local() as u32).filter(|&l| s.is_master(l));
+                masters.filter(|&l| !s.mirrors(l).is_empty()).count()
+            })
+            .collect();
+        let with_mirror = replicated.iter().sum::<usize>();
+        assert_eq!(with_mirror, 1, "masters with a mirror, per machine: {replicated:?}");
 
-    let (done, outcome) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = done.send(run(&g, 2, &cfg, &MinLabel).map(|r| r.metrics.converged));
-    });
-    let failed = outcome
-        .recv_timeout(Duration::from_secs(60))
-        .expect("the run hung: a peer still waits for the machine that failed");
-    assert!(
-        matches!(
-            failed,
-            Err(CommError::Transport { .. } | CommError::MeshClosed { .. })
-        ),
-        "a malformed item on one machine must fail the run typed, got {failed:?}"
-    );
+        let (done, outcome) = std::sync::mpsc::channel();
+        let g = g.clone();
+        std::thread::spawn(move || {
+            let _ = done.send(run(&g, 2, &cfg, &MinLabel).map(|r| r.metrics.converged));
+        });
+        let failed = outcome
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{transport:?}: the run hung: a peer still waits for the machine that failed"));
+        assert!(
+            matches!(
+                failed,
+                Err(CommError::Transport { .. } | CommError::MeshClosed { .. })
+            ),
+            "{transport:?}: a malformed item on one machine must fail the run typed, got {failed:?}"
+        );
+    }
 }
