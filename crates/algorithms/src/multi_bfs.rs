@@ -9,7 +9,7 @@
 
 use lazygraph_engine::program::DeltaExchange;
 use lazygraph_engine::{EdgeCtx, VertexCtx, VertexProgram};
-use lazygraph_graph::{Graph, VertexId};
+use lazygraph_graph::VertexId;
 
 /// Reachability masks from up to 64 seeds.
 #[derive(Clone, Debug)]
@@ -106,31 +106,11 @@ impl VertexProgram for MultiSourceBfs {
     }
 }
 
-/// Estimates the diameter of `graph` as the maximum, over `k` spread seeds,
-/// of the seed's BFS eccentricity (a lower bound on the true diameter;
-/// exact on small graphs when a peripheral vertex is sampled). Sequential
-/// helper used by examples and tests.
-pub fn estimate_diameter(graph: &Graph, k: usize, salt: u64) -> u32 {
-    let seeds = MultiSourceBfs::spread_seeds(graph.num_vertices(), k.min(64), salt);
-    let mut best = 0u32;
-    for s in seeds {
-        let levels = crate::reference::bfs_levels(graph, s);
-        let ecc = levels
-            .iter()
-            .filter(|&&l| l != u32::MAX)
-            .max()
-            .copied()
-            .unwrap_or(0);
-        best = best.max(ecc);
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference::{bfs_levels, run_sequential};
-    use lazygraph_graph::generators::{erdos_renyi, grid2d, Grid2dConfig};
+    use lazygraph_graph::generators::erdos_renyi;
 
     #[test]
     fn masks_match_individual_bfs() {
@@ -155,22 +135,6 @@ mod tests {
         assert_eq!(a, b);
         let set: std::collections::HashSet<_> = a.iter().collect();
         assert_eq!(set.len(), 16);
-    }
-
-    #[test]
-    fn diameter_of_a_path_like_lattice() {
-        // A 1×40 lattice is a path: diameter 39.
-        let g = grid2d(Grid2dConfig {
-            rows: 1,
-            cols: 40,
-            shortcut_fraction: 0.0,
-            shortcut_radius: 1,
-            seed: 0,
-            symmetric: true,
-        });
-        let d = estimate_diameter(&g, 16, 3);
-        assert!(d >= 30, "path diameter estimate {d} too low");
-        assert!(d <= 39);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The in-process carrier: machines of one process hand each other encoded
 //! Data-frame payloads through in-memory inboxes (DESIGN.md §10).
 //!
-//! A send encodes the batch once, as for a socket, into a buffer from the
-//! sender's pool and pushes it onto the peer's inbox, which delivers it as
-//! the same zero-copy `RawBatch`; the consumed buffer stays in the
-//! receiver's pool. No thread, no descriptor: an inbox is a `Mutex` and a
+//! A send has the endpoint encode its batch into a spare buffer of the
+//! sender's and pushes the payload onto the peer's inbox, which hands it
+//! to the peer's endpoint as it is; the consumed buffer stays with the
+//! receiver. No thread, no descriptor: an inbox is a `Mutex` and a
 //! `Condvar`. A dropped endpoint tells every peer it left, cleanly or torn,
 //! so a waiting peer ends in `MeshClosed` or `Transport`, as over sockets.
 
@@ -13,12 +13,11 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use lazygraph_net::frame::FRAME_POOL_CAP;
-use lazygraph_net::Wire;
+use lazygraph_net::NetError;
 
-use crate::comm::{Batch, SocketMesh};
+use crate::comm::SocketMesh;
 use crate::error::CommError;
 use crate::recovery::LinkStatus;
-use crate::transport::{decode_batch_raw, encode_data};
 
 /// One machine's inbox: `(sender, payload)` oldest first, how each peer
 /// stands, and the first failure, which every later call reports.
@@ -76,9 +75,9 @@ impl MemLinks {
     }
 }
 
-impl<T: Wire> SocketMesh<T> for MemLinks {
-    fn send(&self, dst: usize, items: Vec<T>, sim_now: f64, round: u64, last: bool)
-        -> Result<Vec<T>, CommError> {
+impl SocketMesh for MemLinks {
+    fn send(&self, dst: usize, encode: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), NetError>)
+        -> Result<(), CommError> {
         self.check()?;
         let me = self.me;
         // No link to itself, nor to a peer that has left: as over sockets.
@@ -87,30 +86,18 @@ impl<T: Wire> SocketMesh<T> for MemLinks {
         }
         let inbox = &self.inboxes[dst];
         let mut bytes = self.spare.borrow_mut().pop().unwrap_or_default();
-        encode_data(&mut bytes, me, round, sim_now, last, &items)
-            .map_err(|e| CommError::transport(me, &e))?;
+        encode(&mut bytes).map_err(|e| CommError::transport(me, &e))?;
         lock(inbox).frames.push_back((me, bytes));
         inbox.1.notify_one();
-        Ok(items)
+        Ok(())
     }
 
-    fn next(&self, needed: &dyn Fn(usize) -> bool) -> Result<Batch<T>, CommError> {
+    fn next(&self, needed: &dyn Fn(usize) -> bool) -> Result<(usize, Vec<u8>), CommError> {
         let me = self.me;
         let mut mail = lock(&self.inboxes[me]);
         loop {
-            if let Some((peer, payload)) = mail.frames.pop_front() {
-                let fail = match decode_batch_raw::<T>(payload) {
-                    Ok(batch) if batch.from == peer => return Ok(batch),
-                    Ok(batch) => CommError::Transport {
-                        me,
-                        detail: format!(
-                            "the link to machine {peer} carried a batch from {}",
-                            batch.from
-                        ),
-                    },
-                    Err(e) => CommError::transport(me, &e),
-                };
-                return Err(mail.failure.get_or_insert(fail).clone());
+            if let Some(frame) = mail.frames.pop_front() {
+                return Ok(frame);
             }
             if let Some(e) = &mail.failure {
                 return Err(e.clone());
@@ -129,12 +116,16 @@ impl<T: Wire> SocketMesh<T> for MemLinks {
         self.check()
     }
 
-    fn recycle_raw(&self, _from: usize, mut bytes: Vec<u8>) {
+    fn recycle(&self, _from: usize, mut bytes: Vec<u8>) {
         let mut spare = self.spare.borrow_mut();
         if bytes.capacity() != 0 && spare.len() < FRAME_POOL_CAP {
             bytes.clear();
             spare.push(bytes);
         }
+    }
+
+    fn fail(&self, err: CommError) -> CommError {
+        lock(&self.inboxes[self.me]).failure.get_or_insert(err).clone()
     }
 
     #[cfg(test)]

@@ -13,13 +13,7 @@ use lazygraph_net::{FrameKind, NetError, Wire, WireReader};
 
 use crate::error::CommError;
 use crate::stats::{NetStats, Phase};
-
-/// Cap on an endpoint's buffer-pool free list. A burst of sends can park
-/// a vector per batch encoded in the pool; without a cap the
-/// free list keeps every one of them alive forever, pinning the burst's
-/// peak capacity. Vectors beyond the cap are dropped and counted in
-/// `NetStats::pool_evictions`.
-pub const POOL_FREE_CAP: usize = 32;
+use crate::transport::{decode_batch_raw, encode_data};
 
 /// A still-encoded inbound payload: the Data-frame payload exactly as its
 /// carrier delivered it, plus a cursor start. The zero-copy inbound path hands
@@ -124,10 +118,9 @@ impl<T: Wire> Batch<T> {
 /// Per-destination staging buffers for one machine's sends.
 ///
 /// An `OutboxSet` lives as long as the machine loop and is handed to
-/// [`Endpoint::exchange`] by mutable reference: the exchange moves each
-/// destination's vector onto the wire and replaces it with a recycled one
-/// from the buffer pool, so staged capacity flows around the mesh instead
-/// of being reallocated every round.
+/// [`Endpoint::exchange`] by mutable reference: the exchange encodes each
+/// destination's vector where it lies and clears it, so a slot keeps its
+/// capacity from round to round instead of reallocating it.
 #[derive(Debug)]
 pub struct OutboxSet<T> {
     boxes: Vec<Vec<T>>,
@@ -183,11 +176,6 @@ impl<T> OutboxSet<T> {
         self.boxes.iter().map(Vec::len).sum()
     }
 
-    /// Sum of allocated capacities — visibility for pool behaviour tests.
-    pub fn total_capacity(&self) -> usize {
-        self.boxes.iter().map(Vec::capacity).sum()
-    }
-
     /// Clears every outbox, keeping capacity.
     pub fn clear(&mut self) {
         for b in &mut self.boxes {
@@ -197,22 +185,26 @@ impl<T> OutboxSet<T> {
 }
 
 /// What an [`Endpoint`] asks of the carrier under it: the in-memory one
-/// (`carrier`) or a TCP endpoint's links (`io_loop`). Object-safe and free
-/// of the codec bound, so the endpoint's own methods need no more of `T`
-/// than `Send`.
-pub(crate) trait SocketMesh<T>: Send {
-    /// Encodes `items` as `dst`'s batch of `round`, starts it on its way
-    /// and hands the vector back for the pool; a destination without a
-    /// live link is [`CommError::PeerDisconnected`].
-    fn send(&self, dst: usize, items: Vec<T>, sim_now: f64, round: u64, last: bool)
-        -> Result<Vec<T>, CommError>;
-    /// The next inbound batch, still encoded, waiting for one; fails once
-    /// every peer `needed` accepts has left, or the mesh has failed.
-    fn next(&self, needed: &dyn Fn(usize) -> bool) -> Result<Batch<T>, CommError>;
+/// (`carrier`) or a TCP endpoint's links (`io_loop`). A carrier moves
+/// Data-frame payloads and knows no codec: the endpoint encodes every
+/// batch and parses every header.
+pub(crate) trait SocketMesh: Send {
+    /// Has `encode` append one payload to a buffer of the carrier's and
+    /// starts it towards `dst`; a destination without a live link is
+    /// [`CommError::PeerDisconnected`], an encode error a transport error.
+    fn send(&self, dst: usize, encode: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), NetError>)
+        -> Result<(), CommError>;
+    /// The next inbound payload and the peer whose link carried it,
+    /// waiting for one; fails once every peer `needed` accepts has left,
+    /// or the mesh has failed.
+    fn next(&self, needed: &dyn Fn(usize) -> bool) -> Result<(usize, Vec<u8>), CommError>;
     /// Waits until everything sent so far has left this machine.
     fn flush(&self) -> Result<(), CommError>;
     /// Takes back a consumed payload buffer that came from machine `from`.
-    fn recycle_raw(&self, from: usize, bytes: Vec<u8>);
+    fn recycle(&self, from: usize, bytes: Vec<u8>);
+    /// Fails the mesh with `err` unless it has failed already; returns the
+    /// failure every later call reports.
+    fn fail(&self, err: CommError) -> CommError;
     /// Leaves without the clean handshake, as a killed process would.
     #[cfg(test)]
     fn crash(&self);
@@ -221,14 +213,12 @@ pub(crate) trait SocketMesh<T>: Send {
     fn status(&self, peer: usize) -> Option<crate::recovery::LinkStatus>;
 }
 
-/// One machine's endpoint into the mesh, and the machine's side of the
-/// buffer pool.
+/// One machine's endpoint into the mesh: the one place a batch is encoded
+/// and its header parsed.
 pub struct Endpoint<T> {
     me: usize,
     n: usize,
-    mesh: Box<dyn SocketMesh<T>>,
-    /// Emptied staging vectors, ready to reuse; at most [`POOL_FREE_CAP`].
-    free: Vec<Vec<T>>,
+    mesh: Box<dyn SocketMesh>,
     /// Next BSP exchange round issued by this endpoint.
     next_round: u64,
     /// Batches received ahead of the round currently being collected
@@ -238,12 +228,11 @@ pub struct Endpoint<T> {
 
 impl<T> Endpoint<T> {
     /// Machine `me`'s endpoint of an `n`-machine mesh, over `mesh`.
-    pub(crate) fn new(me: usize, n: usize, mesh: Box<dyn SocketMesh<T>>) -> Self {
+    pub(crate) fn new(me: usize, n: usize, mesh: Box<dyn SocketMesh>) -> Self {
         Endpoint {
             me,
             n,
             mesh,
-            free: Vec::new(),
             next_round: 0,
             pending: VecDeque::new(),
         }
@@ -256,7 +245,7 @@ impl<T> Endpoint<T> {
     }
 }
 
-impl<T: Send> Endpoint<T> {
+impl<T: Wire + Send> Endpoint<T> {
     /// This machine's id.
     #[inline]
     pub fn me(&self) -> usize {
@@ -269,28 +258,18 @@ impl<T: Send> Endpoint<T> {
         self.n
     }
 
-    /// Takes a staging vector from the buffer pool. A hit reuses capacity
-    /// an earlier encode emptied; a miss allocates a fresh (empty) vector.
-    pub fn take_buffer(&mut self, stats: &NetStats) -> Vec<T> {
-        let v = self.free.pop();
-        stats.record_pool(v.is_some());
-        v.unwrap_or_default()
-    }
-
     /// Hands a consumed batch's payload buffer back to the carrier it came
     /// through, so steady-state inbound decode allocates nothing per
-    /// batch. (Items `make_items` decoded are dropped: the pool keeps what
-    /// this machine stages.)
+    /// batch. (Items `make_items` decoded are dropped.)
     pub fn recycle(&mut self, batch: Batch<T>) {
         if let Some(raw) = batch.raw {
-            self.mesh.recycle_raw(batch.from, raw.bytes);
+            self.mesh.recycle(batch.from, raw.bytes);
         }
     }
 
     /// Ships `items` to `dst` as its batch of `round` (with `last`, the
     /// sender's vote), charging `bytes_per_item · len` payload bytes to
-    /// `phase`. The encode empties `items` into the pool; what the cap
-    /// turns away is counted in `NetStats::pool_evictions`.
+    /// `phase`. The items are encoded straight into the carrier's buffer.
     #[expect(
         clippy::too_many_arguments,
         reason = "a batch's header fields, its destination and its accounting"
@@ -298,7 +277,7 @@ impl<T: Send> Endpoint<T> {
     pub(crate) fn send_tagged(
         &mut self,
         dst: usize,
-        items: Vec<T>,
+        items: impl AsRef<[T]>,
         sim_now: f64,
         round: u64,
         last: bool,
@@ -306,19 +285,30 @@ impl<T: Send> Endpoint<T> {
         bytes_per_item: usize,
         stats: &NetStats,
     ) -> Result<(), CommError> {
+        let items = items.as_ref();
         if !items.is_empty() {
             stats.record_batch(phase, items.len() as u64, (items.len() * bytes_per_item) as u64);
         }
-        let mut emptied = self.mesh.send(dst, items, sim_now, round, last)?;
-        emptied.clear();
-        if emptied.capacity() != 0 {
-            if self.free.len() < POOL_FREE_CAP {
-                self.free.push(emptied);
-            } else {
-                stats.record_pool_evictions(1);
-            }
-        }
-        Ok(())
+        let me = self.me;
+        self.mesh.send(dst, &mut |out| encode_data(out, me, round, sim_now, last, items))
+    }
+
+    /// The next batch the carrier delivers, its header parsed and its
+    /// items still encoded. A payload whose header does not parse, or
+    /// names another sender than the peer whose link carried it, fails
+    /// the mesh for good.
+    pub(crate) fn next_batch(&self, needed: &dyn Fn(usize) -> bool) -> Result<Batch<T>, CommError> {
+        let (peer, payload) = self.mesh.next(needed)?;
+        let me = self.me;
+        let err = match decode_batch_raw::<T>(payload) {
+            Ok(batch) if batch.from == peer => return Ok(batch),
+            Ok(batch) => CommError::Transport {
+                me,
+                detail: format!("the link to machine {peer} carried a batch from {}", batch.from),
+            },
+            Err(e) => CommError::transport(me, &e),
+        };
+        Err(self.mesh.fail(err))
     }
 
     /// BSP exchange round: sends `outboxes[dst]` to every other machine
@@ -368,16 +358,16 @@ impl<T: Send> Endpoint<T> {
                     let _ = self.mesh.flush();
                 });
             }
-            // The staged vector is encoded; the slot is refilled from the
-            // pool so next round's staging reuses the capacity.
-            let replacement = self.take_buffer(stats);
-            let items = std::mem::replace(outboxes.slot(dst), replacement);
-            self.send_tagged(dst, items, sim_now, round, last, phase, bytes_per_item, stats)
-                .map_err(|e| match e {
-                    // A peer that has left can no longer complete the round.
-                    CommError::PeerDisconnected { .. } => CommError::MeshClosed { me },
-                    e => e,
-                })?;
+            // Encoded where it lies, then emptied: the slot keeps its
+            // capacity for the next round's staging.
+            let staged = outboxes.slot(dst);
+            let sent = self.send_tagged(dst, &*staged, sim_now, round, last, phase, bytes_per_item, stats);
+            staged.clear();
+            sent.map_err(|e| match e {
+                // A peer that has left can no longer complete the round.
+                CommError::PeerDisconnected { .. } => CommError::MeshClosed { me },
+                e => e,
+            })?;
         }
         let mut received: Vec<Batch<T>> = Vec::with_capacity(self.n - 1);
         // Single rotation pass over the ahead-of-round buffer: matching
@@ -391,7 +381,7 @@ impl<T: Send> Endpoint<T> {
         }
         while received.len() < self.n - 1 {
             let needed = |p: usize| p != me && received.iter().all(|b| b.from != p);
-            let b = self.mesh.next(&needed)?;
+            let b = self.next_batch(&needed)?;
             if b.round == round {
                 received.push(b);
             } else {
@@ -409,7 +399,7 @@ impl<T: Send> Endpoint<T> {
 
 /// Builds an in-process mesh of `n` machines and hands out their
 /// endpoints, in machine order.
-pub fn build_mesh<T: Wire + Send + 'static>(n: usize) -> Vec<Endpoint<T>> {
+pub fn build_mesh<T>(n: usize) -> Vec<Endpoint<T>> {
     assert!(n > 0);
     crate::carrier::mem_mesh(n)
         .into_iter()
@@ -424,10 +414,14 @@ mod tests {
     use std::sync::Arc;
 
     /// Test-only reaches into an endpoint's carrier.
-    impl<T: Send> Endpoint<T> {
-        /// The next batch the carrier delivers, outside any round.
-        pub(crate) fn next_batch(&self, needed: &dyn Fn(usize) -> bool) -> Result<Batch<T>, CommError> {
-            self.mesh.next(needed)
+    impl<T> Endpoint<T> {
+        /// Hands `payload` to the carrier as it is, for `dst`: bytes no
+        /// encode wrote.
+        pub(crate) fn send_payload(&self, dst: usize, payload: &[u8]) -> Result<(), CommError> {
+            self.mesh.send(dst, &mut |out| {
+                out.extend_from_slice(payload);
+                Ok(())
+            })
         }
 
         /// Simulates a machine's death: peers see it leave torn (over TCP,
@@ -585,37 +579,6 @@ mod tests {
         assert!(ep0.pending.is_empty());
     }
 
-    /// A staged vector's capacity stays with the machine that staged it:
-    /// the encode empties it into the pool, and the next round's slot is
-    /// refilled from there. Only the payload buffer crosses to the peer.
-    #[test]
-    fn buffer_pool_returns_staged_capacity_at_encode() {
-        let mut eps = build_mesh::<u32>(2);
-        let mut ep1 = eps.pop().unwrap();
-        let mut ep0 = eps.pop().unwrap();
-        let stats = NetStats::new();
-        let mut ob = OutboxSet::new(2);
-        ob.slot(1).reserve(64);
-
-        // Round 0: ep0's big staged vector is encoded for ep1…
-        ep1.send_tagged(0, vec![9], 0.0, 0, true, Phase::Coherency, 4, &stats).unwrap();
-        ob.push(1, 5);
-        let mut got = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
-        assert_eq!(items(got.remove(0)), vec![9]);
-        let travelled = ep1.next_batch(&|_| true).unwrap();
-        assert_eq!(travelled.items.capacity(), 0, "no staging vector crosses machines");
-        ep1.recycle(travelled);
-
-        // …and round 1's slot gets its 64-slot capacity back from ep0's own
-        // pool, without any new allocation.
-        ep1.send_tagged(0, vec![10], 0.0, 1, true, Phase::Coherency, 4, &stats).unwrap();
-        let _ = ep0.exchange(&mut ob, 0.0, Phase::Coherency, 4, &stats).unwrap();
-        assert!(ob.total_capacity() >= 64, "recycled capacity must carry forward");
-        let snap = stats.snapshot();
-        assert_eq!(snap.pool_hits, 1, "round 1 must reuse the encoded vector");
-        assert_eq!(snap.pool_misses, 1, "only round 0 may allocate");
-    }
-
     #[test]
     fn a_recycled_payload_buffer_carries_the_next_encode() {
         let mut eps = build_mesh::<u32>(2);
@@ -627,27 +590,10 @@ mod tests {
         let buffer = got.raw.as_ref().unwrap().bytes.as_ptr();
         got.make_items().unwrap();
         ep0.recycle(got);
-        assert!(ep0.free.is_empty(), "decoded items are not staging capacity");
         ep0.send_tagged(1, vec![4], 0.0, 0, true, Phase::Async, 4, &stats).unwrap();
         let back = ep1.next_batch(&|_| true).unwrap();
         assert_eq!(back.raw.as_ref().unwrap().bytes.as_ptr(), buffer);
         assert_eq!(items(back), vec![4]);
-    }
-
-    #[test]
-    fn free_list_cap_evicts_and_counts() {
-        let mut eps = build_mesh::<u32>(2);
-        let _ep1 = eps.pop().unwrap();
-        let mut ep = eps.pop().unwrap();
-        let stats = NetStats::new();
-        // Encode far more vectors than the cap allows; the overflow must be
-        // dropped, not hoarded. Capacity-less vectors are not pooled at all.
-        for _ in 0..(POOL_FREE_CAP + 10) {
-            ep.send_tagged(1, vec![1], 0.0, 0, true, Phase::Async, 4, &stats).unwrap();
-            ep.send_tagged(1, Vec::new(), 0.0, 0, true, Phase::Async, 4, &stats).unwrap();
-        }
-        assert_eq!(ep.free.len(), POOL_FREE_CAP);
-        assert_eq!(stats.snapshot().pool_evictions, 10);
     }
 
     #[test]

@@ -28,14 +28,13 @@ use std::time::{Duration, Instant};
 use lazygraph_net::frame::FRAME_POOL_CAP;
 use lazygraph_net::{
     control_payload, encode_frame_into, FrameKind, FrameReader, NetError, PeerLink, RawFrame,
-    TcpOptions, Wire,
+    TcpOptions, HEADER_LEN,
 };
 
-use crate::comm::{Batch, SocketMesh};
+use crate::comm::SocketMesh;
 use crate::error::CommError;
 use crate::recovery::LinkStatus;
 use crate::stats::NetStats;
-use crate::transport::{decode_batch_raw, encode_data_frame};
 
 /// The `poll(2)` seam: the one system call the loop makes that `std`
 /// does not wrap.
@@ -226,14 +225,15 @@ impl Link {
 }
 
 /// Everything one TCP endpoint keeps between calls.
-struct Io<T> {
+struct Io {
     me: usize,
     /// Indexed by peer; `None` at `me`.
     links: Vec<Option<Link>>,
     /// How long a closing endpoint waits on a peer that stopped draining.
     write_timeout: Duration,
-    /// Batches read off the sockets, not yet taken by the endpoint.
-    inbound: VecDeque<Batch<T>>,
+    /// Data-frame payloads read off the sockets and the peer each came
+    /// from, not yet taken by the endpoint.
+    inbound: VecDeque<(usize, Vec<u8>)>,
     /// The first unrecoverable failure: every later call reports it.
     failure: Option<CommError>,
     /// The endpoint is being dropped: a peer that has not drained its
@@ -243,7 +243,7 @@ struct Io<T> {
     stats: Arc<NetStats>,
 }
 
-impl<T: Wire> Io<T> {
+impl Io {
     fn link(&mut self, peer: usize) -> Option<&mut Link> {
         self.links.get_mut(peer).and_then(Option::as_mut)
     }
@@ -294,20 +294,7 @@ impl<T: Wire> Io<T> {
                     // nothing.
                     self.stats.record_zero_copy_frames(1);
                 }
-                let batch = match decode_batch_raw::<T>(frame.payload) {
-                    Ok(batch) if batch.from == peer => batch,
-                    Ok(batch) => {
-                        return self.fail(CommError::Transport {
-                            me,
-                            detail: format!(
-                                "the link to machine {peer} carried a batch from {}",
-                                batch.from
-                            ),
-                        })
-                    }
-                    Err(e) => return self.fail(CommError::transport(me, &e)),
-                };
-                self.inbound.push_back(batch);
+                self.inbound.push_back((peer, frame.payload));
             }
             FrameKind::Shutdown => {
                 self.stats.record_wire_recv(1, frame.wire_len() as u64);
@@ -447,16 +434,13 @@ impl<T: Wire> Io<T> {
         Ok(())
     }
 
-    /// Encodes one batch into the link's outbound queue and writes what
-    /// the socket takes; the encoded vector goes back to the endpoint.
+    /// Has `encode` write one payload behind a Data-frame header into the
+    /// link's outbound queue and writes what the socket takes.
     fn send(
         &mut self,
         dst: usize,
-        items: Vec<T>,
-        sim_now: f64,
-        round: u64,
-        last: bool,
-    ) -> Result<Vec<T>, CommError> {
+        encode: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), NetError>,
+    ) -> Result<(), CommError> {
         self.check()?;
         let me = self.me;
         let disconnected = CommError::PeerDisconnected { from: me, to: dst };
@@ -465,14 +449,17 @@ impl<T: Wire> Io<T> {
             return Err(disconnected);
         }
         let mut bytes = link.spare.pop().unwrap_or_default();
-        encode_data_frame(&mut bytes, me, round, sim_now, last, &items)
-            .map_err(|e| CommError::transport(me, &e))?;
+        bytes.resize(HEADER_LEN, 0);
+        encode(&mut bytes).map_err(|e| CommError::transport(me, &e))?;
+        let len = (bytes.len() - HEADER_LEN) as u32;
+        bytes[..4].copy_from_slice(&len.to_le_bytes());
+        bytes[4] = FrameKind::Data.as_u8();
         link.out.push_back(bytes);
         self.write_link(dst);
-        Ok(items)
+        Ok(())
     }
 
-    /// The next inbound batch, waiting for one; fails with
+    /// The next inbound payload, waiting for one; fails with
     /// [`CommError::MeshClosed`] once every peer `needed` accepts has left.
     /// A failed mesh reports its failure once the batches that arrived
     /// before it are taken.
@@ -480,11 +467,11 @@ impl<T: Wire> Io<T> {
         &mut self,
         needed: &dyn Fn(usize) -> bool,
         own: *const (),
-    ) -> Result<Batch<T>, CommError> {
+    ) -> Result<(usize, Vec<u8>), CommError> {
         loop {
             self.pass();
-            if let Some(batch) = self.inbound.pop_front() {
-                return Ok(batch);
+            if let Some(payload) = self.inbound.pop_front() {
+                return Ok(payload);
             }
             self.check()?;
             if self
@@ -565,23 +552,23 @@ impl<T: Wire> Io<T> {
 }
 
 /// The shared half of a TCP endpoint: what its machine loop reaches.
-struct Shared<T> {
+struct Shared {
     /// The [`MachineLoop`] this endpoint last joined (0: none).
     home: AtomicU64,
-    io: Mutex<Io<T>>,
+    io: Mutex<Io>,
 }
 
-impl<T> Shared<T> {
+impl Shared {
     /// The endpoint's links. Only the thread that owns the endpoint takes
     /// this lock, so a holder that panicked is that thread unwinding, and
     /// the one left to take it is the endpoint's own `Drop`, which must
     /// not panic: it gets the links as the panic left them.
-    fn lock(&self) -> MutexGuard<'_, Io<T>> {
+    fn lock(&self) -> MutexGuard<'_, Io> {
         self.io.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// [`Self::lock`] without waiting: `None` while another call holds it.
-    fn try_lock(&self) -> Option<MutexGuard<'_, Io<T>>> {
+    fn try_lock(&self) -> Option<MutexGuard<'_, Io>> {
         match self.io.try_lock() {
             Ok(io) => Some(io),
             Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
@@ -590,7 +577,7 @@ impl<T> Shared<T> {
     }
 }
 
-impl<T: Wire + Send + 'static> Member for Shared<T> {
+impl Member for Shared {
     fn home(&self) -> u64 {
         self.home.load(Ordering::Relaxed)
     }
@@ -608,11 +595,11 @@ impl<T: Wire + Send + 'static> Member for Shared<T> {
 
 /// A TCP endpoint's links, driven by the machine loop of the thread that
 /// calls it.
-pub(crate) struct TcpLinks<T: Wire + Send + 'static> {
-    shared: Arc<Shared<T>>,
+pub(crate) struct TcpLinks {
+    shared: Arc<Shared>,
 }
 
-impl<T: Wire + Send + 'static> TcpLinks<T> {
+impl TcpLinks {
     /// Takes over established connections; a torn one fails the mesh.
     pub(crate) fn new(
         me: usize,
@@ -663,25 +650,25 @@ impl<T: Wire + Send + 'static> TcpLinks<T> {
                 return;
             };
             if self.shared.home.swap(m.id, Ordering::Relaxed) != m.id {
-                let member: Weak<dyn Member> = Arc::downgrade(&self.shared) as Weak<Shared<T>>;
+                let member: Weak<dyn Member> = Arc::downgrade(&self.shared) as Weak<Shared>;
                 m.members.push(member);
             }
         });
     }
 
-    fn io(&self) -> MutexGuard<'_, Io<T>> {
+    fn io(&self) -> MutexGuard<'_, Io> {
         self.enlist();
         self.shared.lock()
     }
 }
 
-impl<T: Wire + Send + 'static> SocketMesh<T> for TcpLinks<T> {
-    fn send(&self, dst: usize, items: Vec<T>, sim_now: f64, round: u64, last: bool)
-        -> Result<Vec<T>, CommError> {
-        self.io().send(dst, items, sim_now, round, last)
+impl SocketMesh for TcpLinks {
+    fn send(&self, dst: usize, encode: &mut dyn FnMut(&mut Vec<u8>) -> Result<(), NetError>)
+        -> Result<(), CommError> {
+        self.io().send(dst, encode)
     }
 
-    fn next(&self, needed: &dyn Fn(usize) -> bool) -> Result<Batch<T>, CommError> {
+    fn next(&self, needed: &dyn Fn(usize) -> bool) -> Result<(usize, Vec<u8>), CommError> {
         self.io().next(needed, self.own())
     }
 
@@ -689,10 +676,14 @@ impl<T: Wire + Send + 'static> SocketMesh<T> for TcpLinks<T> {
         self.io().flush(self.own())
     }
 
-    fn recycle_raw(&self, from: usize, bytes: Vec<u8>) {
+    fn recycle(&self, from: usize, bytes: Vec<u8>) {
         if let Some(link) = self.io().link(from) {
             link.reader.supply_buffer(bytes);
         }
+    }
+
+    fn fail(&self, err: CommError) -> CommError {
+        self.io().failure.get_or_insert(err).clone()
     }
 
     #[cfg(test)]
@@ -711,7 +702,7 @@ impl<T: Wire + Send + 'static> SocketMesh<T> for TcpLinks<T> {
 /// Dropping the endpoint is the clean-shutdown handshake: the frames it
 /// queued and a Shutdown frame reach every live peer before the sockets
 /// close, so a worker process may exit as soon as its endpoints are gone.
-impl<T: Wire + Send + 'static> Drop for TcpLinks<T> {
+impl Drop for TcpLinks {
     fn drop(&mut self) {
         let own = self.own();
         self.shared.lock().close(own);

@@ -129,12 +129,14 @@ counters! {
     items_combined: sum,
     /// Estimated payload bytes those folds avoided shipping.
     bytes_saved: sum,
-    /// Buffer-pool acquisitions served from a recycled vector.
+    /// Always 0: staging vectors the retired buffer pool served from its
+    /// free list. Kept only because the frozen benchmark harness reads
+    /// the field (ROADMAP item 1(d)).
     pool_hits: sum,
-    /// Buffer-pool acquisitions that had to allocate.
+    /// Always 0: staging vectors the retired buffer pool had to allocate.
+    /// Kept only because the frozen benchmark harness reads the field
+    /// (ROADMAP item 1(d)).
     pool_misses: sum,
-    /// Recycled vectors dropped because the free list was at capacity.
-    pool_evictions: sum,
     /// Measured frame bytes written to sockets (0 on the in-proc backend).
     wire_bytes_sent: sum,
     /// Measured frame bytes read from sockets (0 on the in-proc backend).
@@ -147,9 +149,9 @@ counters! {
     /// disabled).
     snapshot_bytes: sum,
     /// Inbound Data frames handed off zero-copy in a recycled payload
-    /// buffer (TCP only; 0 in-proc). Timing/pool telemetry like
-    /// `pool_hits`: the warmup tail depends on scheduling, so this is
-    /// excluded from the determinism counter contract.
+    /// buffer (TCP only; 0 in-proc). Timing telemetry: the warmup tail
+    /// depends on scheduling, so this is excluded from the determinism
+    /// counter contract.
     zero_copy_frames: sum,
     /// Always 0: the retired run-vectorised ⊕ fold's run count, which
     /// nothing records any more. Kept only because the frozen benchmark
@@ -210,26 +212,6 @@ impl NetStats {
         if items != 0 {
             self.items_combined.fetch_add(items, Ordering::Relaxed);
             self.bytes_saved.fetch_add(bytes, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one buffer-pool acquisition: `hit` means a recycled vector
-    /// was reused, a miss means the pool had to allocate.
-    #[inline]
-    pub fn record_pool(&self, hit: bool) {
-        if hit {
-            self.pool_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.pool_misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records `n` vectors dropped because an endpoint's free list hit its
-    /// cap (capacity that would otherwise be pinned forever after a burst).
-    #[inline]
-    pub fn record_pool_evictions(&self, n: u64) {
-        if n != 0 {
-            self.pool_evictions.fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -411,8 +393,6 @@ mod tests {
         s.record_edges(123);
         s.record_applies(45);
         s.record_combined(6, 48);
-        s.record_pool(true);
-        s.record_pool_evictions(3);
         s.record_wire_sent(7, 700);
         s.record_wire_recv(8, 800);
         s.record_snapshot_bytes(4096);
@@ -423,8 +403,8 @@ mod tests {
     }
 
     /// Every row of a rule expands to the same code, so this covers the
-    /// table per *rule* — `sum` rows (through the two `record_*` methods that
-    /// branch), the `max` row, the per-phase arrays — up to the wire.
+    /// table per *rule* — `sum` rows (through `record_combined`, which
+    /// branches), the `max` row, the per-phase arrays — up to the wire.
     #[test]
     fn table_rules_hold_through_snapshot_merge_and_wire() {
         let a = NetStats::new();
@@ -432,15 +412,11 @@ mod tests {
         a.record_sync();
         a.record_combined(3, 36);
         a.record_combined(0, 999); // nothing was folded: the bytes do not count
-        a.record_pool(true);
-        a.record_pool(true);
-        a.record_pool(false);
         // High-water: a later, smaller epoch must not lower it.
         a.record_bucket_high_water(900);
         a.record_bucket_high_water(300);
         let snap = a.snapshot();
         assert_eq!((snap.items_combined, snap.bytes_saved), (3, 36));
-        assert_eq!((snap.pool_hits, snap.pool_misses), (2, 1));
         assert_eq!(snap.bucket_high_water, 900);
 
         let b = NetStats::new();

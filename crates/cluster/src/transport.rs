@@ -33,8 +33,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 
 use lazygraph_net::{
-    connect_mesh, FrameKind, NetError, PeerLink, TcpOptions, Wire, WireReader, HEADER_LEN,
-    MAX_FRAME,
+    connect_mesh, FrameKind, NetError, PeerLink, TcpOptions, Wire, WireReader, MAX_FRAME,
 };
 
 use crate::comm::{build_mesh, Batch, Endpoint, RawBatch};
@@ -68,7 +67,7 @@ impl std::str::FromStr for TransportKind {
     type Err = String;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "inproc" | "channel" | "in-proc" => Ok(TransportKind::InProc),
+            "inproc" | "in-proc" => Ok(TransportKind::InProc),
             "tcp" => Ok(TransportKind::Tcp),
             other => Err(format!("unknown transport '{other}' (expected inproc|tcp)")),
         }
@@ -81,7 +80,7 @@ impl std::str::FromStr for TransportKind {
 /// (one thread each, exactly like InProc) but every batch crosses a real
 /// loopback socket — the configuration the transport-equivalence tests
 /// use to prove the sockets change nothing.
-pub fn build_endpoints<T: Wire + Send + 'static>(
+pub fn build_endpoints<T: Wire + Send>(
     kind: TransportKind,
     n: usize,
     stats: &Arc<NetStats>,
@@ -101,22 +100,26 @@ pub fn encode_batch<T: Wire>(b: &Batch<T>) -> Vec<u8> {
 }
 
 /// Appends the Data-frame payload of a batch of `items` to `out`, refusing
-/// one past [`MAX_FRAME`]: the bytes every route carries, over a socket
-/// behind a frame header ([`encode_data_frame`]), in process as they are.
+/// one past [`MAX_FRAME`]: the bytes every carrier moves, the one encode
+/// of a batch an [`Endpoint`] makes.
 pub(crate) fn encode_data<T: Wire>(
     out: &mut Vec<u8>,
     from: usize,
     round: u64,
     sent_at: f64,
     last: bool,
-    items: &Vec<T>,
+    items: &[T],
 ) -> Result<(), NetError> {
     let start = out.len();
     (from as u32).encode(out);
     round.encode(out);
     sent_at.encode(out);
     last.encode(out);
-    items.encode(out);
+    // The layout of `Vec<T>`'s encode: a `u32` count, then the items.
+    (items.len() as u32).encode(out);
+    for item in items {
+        item.encode(out);
+    }
     let len = out.len() - start;
     if len > MAX_FRAME {
         return Err(NetError::FrameTooLarge {
@@ -124,26 +127,6 @@ pub(crate) fn encode_data<T: Wire>(
             max: MAX_FRAME,
         });
     }
-    Ok(())
-}
-
-/// Encodes a whole Data frame — header, then [`encode_data`]'s payload —
-/// into `out`, in place: the bytes a socket carries, with no intermediate
-/// payload buffer.
-pub(crate) fn encode_data_frame<T: Wire>(
-    out: &mut Vec<u8>,
-    from: usize,
-    round: u64,
-    sent_at: f64,
-    last: bool,
-    items: &Vec<T>,
-) -> Result<(), NetError> {
-    out.clear();
-    out.extend_from_slice(&[0; HEADER_LEN]);
-    encode_data(out, from, round, sent_at, last, items)?;
-    let len = out.len() - HEADER_LEN;
-    out[..4].copy_from_slice(&(len as u32).to_le_bytes());
-    out[4] = FrameKind::Data.as_u8();
     Ok(())
 }
 
@@ -204,7 +187,7 @@ fn io_err(me: usize, what: &'static str, e: &std::io::Error) -> CommError {
 /// cannot race; one short-lived thread per machine then runs the standard
 /// dial/accept split from `lazygraph_net::connect_mesh`, and every one of
 /// them is joined before this returns: the mesh itself runs no thread.
-pub fn build_tcp_mesh<T: Wire + Send + 'static>(
+pub fn build_tcp_mesh<T: Wire + Send>(
     n: usize,
     stats: &Arc<NetStats>,
     opts: &TcpOptions,
@@ -262,7 +245,7 @@ fn own_addr(me: usize, addrs: &[SocketAddr]) -> Result<SocketAddr, CommError> {
 /// Binds `addrs[me]`, joins the mesh, and returns this machine's endpoint.
 /// The worker-process entry point: one data (or control) mesh per call,
 /// the same on a gang's first start and on every restart.
-pub fn connect_tcp_endpoint<T: Wire + Send + 'static>(
+pub fn connect_tcp_endpoint<T: Wire + Send>(
     me: usize,
     addrs: &[SocketAddr],
     stats: &Arc<NetStats>,
@@ -282,14 +265,14 @@ pub fn connect_tcp_endpoint<T: Wire + Send + 'static>(
 
 /// Wraps established peer connections into an [`Endpoint`] whose machine
 /// thread drives them. A torn connection fails the mesh.
-fn tcp_endpoint<T: Wire + Send + 'static>(
+fn tcp_endpoint<T>(
     me: usize,
     n: usize,
     links: Vec<PeerLink>,
     stats: &Arc<NetStats>,
     opts: &TcpOptions,
 ) -> Result<Endpoint<T>, CommError> {
-    let links = TcpLinks::<T>::new(me, n, links, stats, opts)?;
+    let links = TcpLinks::new(me, n, links, stats, opts)?;
     Ok(Endpoint::new(me, n, Box::new(links)))
 }
 
@@ -306,6 +289,7 @@ mod tests {
         assert_eq!("inproc".parse::<TransportKind>().unwrap(), TransportKind::InProc);
         assert_eq!("tcp".parse::<TransportKind>().unwrap(), TransportKind::Tcp);
         assert!("smoke-signals".parse::<TransportKind>().is_err());
+        assert!("channel".parse::<TransportKind>().is_err(), "the retired mesh's name");
         assert_eq!(TransportKind::Tcp.name(), "tcp");
     }
 
@@ -474,25 +458,62 @@ mod tests {
         });
     }
 
+    /// An outbox slot is encoded where it lies: it keeps its own buffer,
+    /// the same allocation, from round to round.
     #[test]
-    fn an_encoded_staging_vector_returns_to_the_pool() {
-        on_both(2, |kind, mut eps, stats| {
-            let ep1 = eps.pop().unwrap();
-            let mut ep0 = eps.pop().unwrap();
-            let mut staged = Vec::with_capacity(64);
-            staged.extend([5, 6]);
-            ep0.send_tagged(1, staged, 0.0, 0, true, Phase::Async, 4, stats).unwrap();
-            // The batch reached machine 1, so machine 0 has encoded it — which
-            // is where the emptied vector goes back to the pool.
-            let mut got = ep1.next_batch(&|p| p == 0).unwrap();
-            got.make_items().unwrap();
-            assert_eq!(got.items, vec![5, 6], "{kind:?}");
-            let reused = ep0.take_buffer(stats);
-            assert!(reused.is_empty());
-            assert!(reused.capacity() >= 64, "{kind:?}: the staged capacity must come home");
-            let snap = stats.snapshot();
-            assert_eq!((snap.pool_hits, snap.pool_misses), (1, 0), "{kind:?}");
+    fn an_outbox_slot_keeps_its_buffer_across_rounds() {
+        on_both(2, |kind, eps, stats| {
+            crate::runtime::run_machines(eps, |mut ep| {
+                let peer = 1 - ep.me();
+                let mut outboxes = OutboxSet::new(2);
+                outboxes.slot(peer).reserve(64);
+                let buffer = |ob: &mut OutboxSet<u32>| (ob.slot(peer).as_ptr(), ob.slot(peer).capacity());
+                let before = buffer(&mut outboxes);
+                for round in 0..3 {
+                    outboxes.push(peer, round);
+                    for b in ep.exchange(&mut outboxes, 0.0, Phase::Async, 4, stats).unwrap() {
+                        ep.recycle(b);
+                    }
+                    assert!(outboxes.staged(peer).is_empty(), "{kind:?}");
+                    assert_eq!(buffer(&mut outboxes), before, "{kind:?}: round {round}");
+                }
+            });
         });
+    }
+
+    /// The endpoint parses every header its carrier hands it: a payload
+    /// too short for one, or one that names another sender than the peer
+    /// whose link carried it, fails the endpoint for good, and its peer
+    /// then sees it leave torn.
+    #[test]
+    fn a_short_or_misaddressed_payload_fails_the_endpoint() {
+        let misaddressed = encode_batch(&Batch {
+            from: 5,
+            sent_at: 0.0,
+            round: 0,
+            last: true,
+            kind: FrameKind::Data,
+            items: vec![1u32],
+            raw: None,
+        });
+        for bad in [misaddressed, vec![0; 3]] {
+            on_both(2, |kind, mut eps, stats| {
+                let ep1 = eps.pop().unwrap();
+                let mut ep0 = eps.pop().unwrap();
+                ep1.send_payload(0, &bad).unwrap();
+                let err = ep0.next_batch(&|p| p == 1).unwrap_err();
+                assert!(matches!(err, CommError::Transport { me: 0, .. }), "{kind:?}: {err:?}");
+                let send = ep0.send_tagged(1, vec![8], 0.0, 0, true, Phase::Async, 4, stats);
+                assert_eq!(send.unwrap_err(), err, "{kind:?}");
+                assert_eq!(ep0.next_batch(&|p| p == 1).unwrap_err(), err, "{kind:?}");
+                drop(ep0);
+                let left = ep1.next_batch(&|p| p == 0).unwrap_err();
+                assert!(
+                    matches!(&left, CommError::Transport { me: 1, detail } if detail.contains("machine 0")),
+                    "{kind:?}: {left:?}"
+                );
+            });
+        }
     }
 
     #[test]

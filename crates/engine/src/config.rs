@@ -285,13 +285,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style override of the partition-time edge splitter (see
-    /// [`Self::splitter`]).
-    pub fn with_splitter(mut self, splitter: SplitterConfig) -> Self {
-        self.splitter = splitter;
-        self
-    }
-
     /// Builder-style override of partition-time hub fan-out (see
     /// [`Self::hub_fanout`]).
     pub fn with_hub_fanout(mut self, hub_fanout: HubFanoutConfig) -> Self {

@@ -6,12 +6,12 @@
 //! item, and bucketing each item twice (once to translate, once inside
 //! `deliver_all`). The fast path removes all three:
 //!
-//! 1. **Pooled outboxes** — engines stage into a persistent
+//! 1. **Persistent outboxes** — engines stage into a persistent
 //!    [`OutboxSet`](lazygraph_cluster::OutboxSet); `Endpoint::exchange`
-//!    refills each shipped slot from the endpoint's buffer pool, and
-//!    receivers [`recycle`](lazygraph_cluster::Endpoint::recycle) drained
-//!    batches back to their senders, so steady-state rounds allocate
-//!    nothing.
+//!    encodes each slot where it lies and clears it, so the slot keeps its
+//!    buffer, and receivers [`recycle`](lazygraph_cluster::Endpoint::recycle)
+//!    drained batches' payload buffers to their own carrier for its next
+//!    encode, so steady-state rounds allocate nothing.
 //! 2. **Sender-side combining** ([`stage_combining`]) — consecutive items
 //!    staged for the same `(dst, gid)` fold with `program.sum` before
 //!    they ever reach the wire. Engines stage in canonical (ascending
@@ -212,8 +212,8 @@ where
 }
 
 /// The wire half of a machine frame: the mesh endpoint and the persistent
-/// staging outboxes (every round refills shipped slots from the buffer
-/// pool, so steady-state supersteps allocate nothing — DESIGN.md §9).
+/// staging outboxes (every round encodes each slot in place and clears it,
+/// so steady-state supersteps allocate nothing — DESIGN.md §9).
 /// Engines exchange only by opening a [`FoldRound`] or an [`OrderedRound`]
 /// on it.
 pub struct Port<T> {

@@ -75,16 +75,6 @@ impl ParallelCtx {
         &self.pool
     }
 
-    /// Splits `0..len` into block-sized ranges, runs `f` on each (in
-    /// parallel, any schedule), and returns the results in block order.
-    pub fn map_ranges<R, F>(&self, len: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(Range<usize>) -> R + Sync,
-    {
-        self.pool.map(block_ranges(len, self.block_size), f)
-    }
-
     /// Runs `f` over block-sized chunks of `items`, results in block order.
     pub fn map_chunks<'a, T, R, F>(&self, items: &'a [T], f: F) -> Vec<R>
     where
@@ -141,7 +131,7 @@ mod tests {
     fn sequential_config_uses_one_giant_block() {
         let ctx = ParallelCtx::new(ParallelConfig::sequential()).expect("spawn pool");
         assert_eq!(ctx.threads(), 1);
-        let out = ctx.map_ranges(10, |r| r.len());
+        let out = ctx.map_chunks(&[0u8; 10], <[u8]>::len);
         assert_eq!(out, vec![10]);
     }
 }

@@ -6,7 +6,7 @@
 //! so hub fan-out has a measurable baseline to flatten.
 
 use crate::hash::mix64;
-use crate::{Graph, MachineId, VertexId};
+use crate::{Graph, MachineId};
 
 /// Degree above which a vertex counts as a hub for the adversarial
 /// fixture: 8× the average degree. On a high-skew R-MAT this captures
@@ -18,12 +18,6 @@ pub fn hub_degree_threshold(graph: &Graph) -> usize {
     }
     let avg = 2.0 * graph.num_edges() as f64 / graph.num_vertices() as f64;
     ((8.0 * avg).ceil() as usize).max(2)
-}
-
-/// The hubs of `graph` under [`hub_degree_threshold`], ascending.
-pub fn hub_vertices(graph: &Graph) -> Vec<VertexId> {
-    let t = hub_degree_threshold(graph);
-    graph.vertices().filter(|&v| graph.degree(v) >= t).collect()
 }
 
 /// Adversarial "all hubs on machine 0" per-edge assignment: every edge
@@ -54,10 +48,9 @@ mod tests {
     #[test]
     fn hubs_land_on_machine_zero() {
         let g = rmat(RmatConfig::skewed(10, 8, 7));
-        let hubs = hub_vertices(&g);
-        assert!(!hubs.is_empty(), "skewed preset must produce hubs");
-        let assignment = adversarial_hub_assignment(&g, 4);
         let t = hub_degree_threshold(&g);
+        assert!(g.vertices().any(|v| g.degree(v) >= t), "skewed preset must produce hubs");
+        let assignment = adversarial_hub_assignment(&g, 4);
         for (e, &m) in g.edges().zip(&assignment) {
             if g.degree(e.src) >= t || g.degree(e.dst) >= t {
                 assert_eq!(m.index(), 0, "hub edge {e:?} escaped machine 0");

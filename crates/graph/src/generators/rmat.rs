@@ -57,19 +57,6 @@ impl RmatConfig {
         }
     }
 
-    /// Extreme skew (hub-dominated, wiki-like).
-    pub fn hub_heavy(scale: u32, edge_factor: usize, seed: u64) -> Self {
-        RmatConfig {
-            scale,
-            edge_factor,
-            a: 0.65,
-            b: 0.15,
-            c: 0.15,
-            seed,
-            clean: true,
-        }
-    }
-
     /// High-skew benchmark preset (a=0.7): a handful of hubs own a large
     /// share of all edges, so machine load under a static vertex-cut is
     /// dominated by wherever those hubs land. The stress input for

@@ -34,7 +34,6 @@ pub mod hash;
 pub mod io;
 pub mod mtx;
 pub mod stats;
-pub mod transform;
 pub mod types;
 
 pub use builder::GraphBuilder;

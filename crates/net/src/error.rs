@@ -87,12 +87,6 @@ impl NetError {
             },
         }
     }
-
-    /// Whether this error is a read/write deadline expiry (retryable by a
-    /// polling loop) rather than a hard failure.
-    pub fn is_timeout(&self) -> bool {
-        matches!(self, NetError::Timeout { .. })
-    }
 }
 
 /// Stable text for an `io::ErrorKind` (the kind enum is `non_exhaustive`).
@@ -166,7 +160,7 @@ mod tests {
     #[test]
     fn io_classification() {
         let to = std::io::Error::new(std::io::ErrorKind::TimedOut, "t");
-        assert!(NetError::from_io(&to, "frame").is_timeout());
+        assert!(matches!(NetError::from_io(&to, "frame"), NetError::Timeout { what: "frame" }));
         let eof = std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "e");
         assert_eq!(NetError::from_io(&eof, "frame"), NetError::PeerClosed);
         let other = std::io::Error::new(std::io::ErrorKind::BrokenPipe, "b");

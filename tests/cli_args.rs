@@ -72,6 +72,15 @@ fn unknown_option_is_rejected() {
     assert_usage_error(&args, "unknown option --rejoin-window-ms");
 }
 
+/// `channel` named the in-process mesh that the encoded-batch carrier
+/// replaced; a script that still asks for it is told so on both routes.
+#[test]
+fn the_retired_channel_transport_is_rejected() {
+    let refused = "--transport: unknown transport 'channel' (expected inproc|tcp)";
+    assert_usage_error(&run_with(&["--transport", "channel"]), refused);
+    assert_usage_error(&run_with(&["--transport", "channel", "--multiprocess"]), refused);
+}
+
 /// A machine count outside `1..=MAX_MACHINES` used to reach the
 /// partitioner's assertions in-process (exit 101) and, with
 /// `--multiprocess`, run one worker and report "0 workers".

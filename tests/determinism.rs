@@ -50,7 +50,7 @@ fn run_fingerprint<P: VertexProgram>(
 ) -> (String, String) {
     let r = run(g, machines, cfg, program).expect("cluster run");
     let values = format!("{:?}", r.values);
-    // Every counter is part of the contract, the buffer pool's included.
+    // Every counter is part of the contract.
     let stats = r.metrics.stats;
     let counters = format!(
         "iters={} coh={} sub={} a2a={} m2m={} syncs={} stats={:?} sim={:?} conv={}",

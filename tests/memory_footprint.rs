@@ -89,7 +89,11 @@ static ALLOC: Counting = Counting;
 /// delta 3.37×). 3.9 allows 36.4 MB, less than 2.9 allowed before, and the
 /// rise of a whole sweep staged over the smaller heap would read 4.3×.
 /// Without mirrors-to-master scratch until an m2m exchange runs (none does
-/// here) the lazy run peaks at 29.9 MB: 3.21×.
+/// here) the lazy run peaks at 29.9 MB: 3.21×. Since an outbox slot is
+/// encoded in place and keeps its buffer, no free list holds a second set
+/// of staging vectors: lazy PageRank, Sync in process, delta, Sync over
+/// TCP and lazy SSSP peak at 29.74 / 27.22 / 31.39 / 27.38 / 9.77 MB,
+/// where they read 30.22 / 27.90 / 31.82 / 28.13 / 9.79 MB with it.
 const PEAK_FACTOR: f64 = 3.9;
 
 /// Bytes a run may allocate per edge it traverses after its first two

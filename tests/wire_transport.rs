@@ -11,10 +11,11 @@
 //!    mid-frame must surface a typed error, never a short frame.
 //! 3. **Transport equivalence** — the same run over loopback TCP
 //!    (threaded and multiprocess) produces *bitwise* identical vertex
-//!    values, iteration counts, and simulated time as the in-proc channel
-//!    mesh, while reporting measured wire bytes that the channel mesh
-//!    (which never serializes) reports as zero — for every engine, the
-//!    barrier-free ones included, and for PageRank as for the min-algebras.
+//!    values, iteration counts, and simulated time as the in-process
+//!    carrier, while reporting measured wire bytes that the in-process
+//!    carrier (which encodes but writes no socket) reports as zero — for
+//!    every engine, the barrier-free ones included, and for PageRank as
+//!    for the min-algebras.
 //! 4. **One loop per machine** — a TCP mesh runs no thread of its own, and
 //!    rounds and bursts far larger than socket buffers still complete
 //!    (`lazygraph-cluster`'s `tests/one_loop.rs`, run here as well).
@@ -262,8 +263,8 @@ fn fingerprint<P: VertexProgram>(r: &lazygraph_engine::RunResult<P>) -> String {
     )
 }
 
-/// Threaded loopback TCP must be observationally identical to the channel
-/// mesh — same values, same iteration count, same simulated time, the
+/// Threaded loopback TCP must be observationally identical to the
+/// in-process carrier — same values, same iteration count, same simulated time, the
 /// same syncs and batches of every phase, bit for bit — for every engine
 /// and program: every engine's step is rounds with every peer, collected
 /// in sender order, whatever carries them.
@@ -298,8 +299,8 @@ fn threaded_tcp_matches_inproc_bitwise() {
         assert_eq!(a.metrics.global_syncs(), b.metrics.global_syncs(), "{}", engine.name());
         assert_eq!(a.metrics.stats.per_phase, b.metrics.stats.per_phase, "{}", engine.name());
 
-        // The channel mesh never serializes; TCP always does, and its wire
-        // bytes are measured frames, not the cost model's estimate.
+        // The in-process carrier writes no socket; TCP always does, and its
+        // wire bytes are measured frames, not the cost model's estimate.
         assert_eq!(a.metrics.stats.wire_bytes_sent, 0);
         assert_eq!(a.metrics.stats.wire_frames_sent, 0);
         assert!(b.metrics.stats.wire_bytes_sent > 0, "{}", engine.name());
