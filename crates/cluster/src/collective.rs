@@ -1,27 +1,28 @@
-//! Global barriers and allreduce over a control mesh.
+//! Global barriers and allreduce, as rounds of a machine's one endpoint.
 //!
-//! A [`Collective`] gives every BSP synchronisation point one structure:
-//! `allreduce` collects each machine's contribution, folds them **in
-//! machine order 0..n**, and returns the reduction to everyone. Each
-//! allreduce/barrier is counted as exactly one *global synchronisation* —
-//! the quantity Fig. 10 plots.
+//! Every BSP synchronisation point has one structure: an allreduce
+//! ([`Endpoint::allreduce`]) collects each machine's contribution, folds
+//! them **in machine order 0..n**, and returns the reduction to everyone.
+//! Each allreduce/barrier is counted as exactly one *global
+//! synchronisation* — the quantity Fig. 10 plots.
 //!
-//! There is one implementation, a message round. Every machine owns its
-//! *leg* of a dedicated `Endpoint<u8>` control mesh, of the transport that
-//! carries the run's data: it `Wire`-encodes its contribution, sends it to
-//! every peer in one [`Endpoint::exchange`], and folds the decoded values,
-//! its own at position `me`, in machine order. The codec is bit-exact for
-//! floats, so a reduction returns the same bits on every route — in
-//! process, threaded TCP, worker processes. A control round charges no
-//! `est_bytes`: what the cost model sees is the engines' payload on every
-//! route. And because a leg belongs to its machine, a machine that fails
-//! drops it: its peers' round fails typed instead of waiting for a
-//! contribution that never comes.
+//! There is one implementation, a message round on the endpoint that
+//! carries the machine's data: it `Wire`-encodes its contribution, sends
+//! it to every peer as a batch of bytes in one round of the endpoint's
+//! numbering, and folds the decoded values, its own at position `me`, in
+//! machine order. The codec is bit-exact for floats, so a reduction
+//! returns the same bits on every route — in process, threaded TCP,
+//! worker processes. A collective round is counted under
+//! [`Phase::Control`] and charges no `est_bytes`: what the cost model
+//! sees is the engines' payload on every route. And because the endpoint
+//! belongs to its machine, a machine that fails drops it: its peers' round
+//! fails typed instead of waiting for a contribution that never comes.
 //!
-//! A collective hosts either one leg ([`Collective::mesh`], what each
-//! machine of an engine run holds) or all `n` legs of an in-process mesh
-//! ([`Collective::new`], one object that `n` threads share); `me` names the
-//! leg a call runs on.
+//! [`Collective`] runs the same reduce over an `Endpoint<u8>` of its own,
+//! for callers that synchronise without an engine's data mesh. It hosts
+//! either one machine's endpoint ([`Collective::mesh`]) or all `n` of an
+//! in-process mesh ([`Collective::new`], one object that `n` threads
+//! share); `me` names the machine a call runs as.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -31,15 +32,71 @@ use crate::comm::{build_mesh, Endpoint, OutboxSet};
 use crate::error::CommError;
 use crate::stats::{NetStats, Phase};
 
-/// One collective synchronisation domain over `n` machines.
+impl<T: Wire + Send> Endpoint<T> {
+    /// All-reduce: every machine contributes `val`; everyone receives the
+    /// fold of all contributions under `combine` (which must be commutative
+    /// and associative). One round of this endpoint, staged in `outboxes`
+    /// (emptied again when it returns, so the caller reuses it). Counts
+    /// as one global synchronisation, recorded by machine 0 only so the
+    /// count is per collective, not per participant.
+    ///
+    /// Contributions are always folded in machine order `0..n`, so float
+    /// reductions are run-to-run *and* transport-to-transport
+    /// deterministic.
+    pub fn allreduce<V, F>(
+        &mut self,
+        outboxes: &mut OutboxSet<u8>,
+        val: V,
+        stats: &NetStats,
+        combine: F,
+    ) -> Result<V, CommError>
+    where
+        V: Wire,
+        F: Fn(V, V) -> V,
+    {
+        let (me, n) = (self.me(), self.num_machines());
+        let encoded = val.to_wire();
+        for dst in (0..n).filter(|&dst| dst != me) {
+            outboxes.slot(dst).extend_from_slice(&encoded);
+        }
+        let received = self.round(outboxes, 0.0, true, Phase::Control, 0, stats)?;
+        // A round returns one batch per peer, sorted by sender.
+        let mut batches = received.into_iter();
+        let mut values = Vec::with_capacity(n);
+        for machine in (0..n).filter(|&m| m != me) {
+            let mut b = batches
+                .next()
+                .filter(|b| b.from == machine)
+                .ok_or(CommError::CollectiveSlotEmpty { machine })?;
+            // Batches arrive still encoded; a collective round is
+            // cold-path, so materializing here (a byte copy) is the right
+            // trade.
+            b.make_items().map_err(|e| CommError::transport(me, &e))?;
+            values.push(V::from_wire(&b.items).map_err(|e| CommError::transport(me, &e))?);
+            self.recycle(b);
+        }
+        values.insert(me, val);
+        let red = values
+            .into_iter()
+            .reduce(combine)
+            .ok_or(CommError::CollectiveSlotEmpty { machine: me })?;
+        if me == 0 {
+            stats.record_sync();
+        }
+        Ok(red)
+    }
+}
+
+/// One collective synchronisation domain over `n` machines, on endpoints
+/// of its own.
 pub struct Collective {
-    /// `legs[m]` is machine `m`'s leg, `None` where this collective does
-    /// not host it. A leg's lock is only ever taken by its own machine's
-    /// thread; it threads `&mut` through `&self`.
+    /// `legs[m]` is machine `m`'s endpoint, `None` where this collective
+    /// does not host it. A leg's lock is only ever taken by its own
+    /// machine's thread; it threads `&mut` through `&self`.
     legs: Vec<Option<Mutex<Leg>>>,
 }
 
-/// One machine's end of the control mesh and its reused staging.
+/// One machine's endpoint and its reused staging.
 struct Leg {
     ep: Endpoint<u8>,
     outboxes: OutboxSet<u8>,
@@ -53,15 +110,15 @@ impl Leg {
 }
 
 impl Collective {
-    /// All `n` legs of a fresh in-process control mesh, for `n` threads
-    /// that share this one object, each calling as its own `me`.
+    /// All `n` endpoints of a fresh in-process mesh, for `n` threads that
+    /// share this one object, each calling as its own `me`.
     pub fn new(n: usize) -> Self {
         Collective {
             legs: build_mesh(n).into_iter().map(|ep| Some(Leg::new(ep))).collect(),
         }
     }
 
-    /// Machine `ep.me()`'s leg of a control mesh of `ep.num_machines()`.
+    /// Machine `ep.me()`'s endpoint of a mesh of `ep.num_machines()`.
     pub fn mesh(ep: Endpoint<u8>) -> Self {
         let me = ep.me();
         let mut legs: Vec<Option<Mutex<Leg>>> = (0..ep.num_machines()).map(|_| None).collect();
@@ -80,20 +137,13 @@ impl Collective {
         Ok(leg.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Plain barrier: an empty-payload allreduce, counted as one global
-    /// sync. A message round, so it fails like any exchange.
+    /// Plain barrier as machine `me`: an empty-payload allreduce, counted
+    /// as one global sync. A message round, so it fails like any exchange.
     pub fn barrier(&self, me: usize, stats: &NetStats) -> Result<(), CommError> {
         self.allreduce(me, (), stats, |_, _| ())
     }
 
-    /// All-reduce: every machine contributes `val`; everyone receives the
-    /// fold of all contributions under `combine` (which must be commutative
-    /// and associative). Counts as one global synchronisation, recorded by
-    /// machine 0 only so the count is per collective, not per participant.
-    ///
-    /// Contributions are always folded in machine order `0..n`, so float
-    /// reductions are run-to-run *and* transport-to-transport
-    /// deterministic.
+    /// [`Endpoint::allreduce`] as machine `me`.
     pub fn allreduce<T, F>(
         &self,
         me: usize,
@@ -107,36 +157,7 @@ impl Collective {
     {
         let mut leg = self.leg(me)?;
         let Leg { ep, outboxes } = &mut *leg;
-        let n = ep.num_machines();
-        let encoded = val.to_wire();
-        for dst in (0..n).filter(|&dst| dst != me) {
-            outboxes.slot(dst).extend_from_slice(&encoded);
-        }
-        let received = ep.exchange(outboxes, 0.0, Phase::Control, 0, stats)?;
-        // `exchange` returns one batch per peer, sorted by sender.
-        let mut batches = received.into_iter();
-        let mut values = Vec::with_capacity(n);
-        for machine in (0..n).filter(|&m| m != me) {
-            let mut b = batches
-                .next()
-                .filter(|b| b.from == machine)
-                .ok_or(CommError::CollectiveSlotEmpty { machine })?;
-            // Zero-copy TCP batches arrive still-encoded; the collective
-            // is cold-path, so materializing here (a byte copy) is the
-            // right trade.
-            b.make_items().map_err(|e| CommError::transport(me, &e))?;
-            values.push(T::from_wire(&b.items).map_err(|e| CommError::transport(me, &e))?);
-            ep.recycle(b);
-        }
-        values.insert(me, val);
-        let red = values
-            .into_iter()
-            .reduce(combine)
-            .ok_or(CommError::CollectiveSlotEmpty { machine: me })?;
-        if me == 0 {
-            stats.record_sync();
-        }
-        Ok(red)
+        ep.allreduce(outboxes, val, stats, combine)
     }
 
     /// Allreduce-sum over u64.
@@ -239,6 +260,41 @@ mod tests {
         assert!(results.iter().all(|&r| r == (60, 40)), "{results:?}");
         // 20 allreduces + 20 barriers, each counted once.
         assert_eq!(stats.snapshot().global_syncs, 40);
+    }
+
+    /// Data rounds and collective rounds are one sequence on one endpoint:
+    /// interleaved, each collects its own round's batches, on every
+    /// transport.
+    #[test]
+    fn data_and_collective_rounds_share_one_numbering() {
+        let n = 3;
+        for kind in [TransportKind::InProc, TransportKind::Tcp] {
+            let stats = Arc::new(NetStats::new());
+            let eps = build_endpoints::<u32>(kind, n, &stats).unwrap();
+            let rounds = crate::runtime::run_machines(eps, |mut ep| {
+                let me = ep.me();
+                let (mut data, mut control) = (OutboxSet::new(n), OutboxSet::new(n));
+                for i in 0..20u32 {
+                    for dst in (0..n).filter(|&dst| dst != me) {
+                        data.push(dst, 10 * i + me as u32);
+                    }
+                    for mut b in ep.exchange(&mut data, 0.0, Phase::Coherency, 4, &stats).unwrap() {
+                        b.make_items().unwrap();
+                        assert_eq!(b.items, vec![10 * i + b.from as u32], "{kind:?}");
+                        ep.recycle(b);
+                    }
+                    let mine = u64::from(i) + me as u64;
+                    let sum = ep.allreduce(&mut control, mine, &stats, |a, b| a + b).unwrap();
+                    assert_eq!(sum, 3 * u64::from(i) + 3, "{kind:?}");
+                    ep.allreduce(&mut control, (), &stats, |_, _| ()).unwrap();
+                }
+                ep.next_round()
+            });
+            assert!(rounds.iter().all(|&r| r == 60), "{kind:?}: {rounds:?}");
+            let snap = stats.snapshot();
+            assert_eq!(snap.global_syncs, 40, "{kind:?}");
+            assert_eq!(snap.phase(Phase::Control).est_bytes, 0, "{kind:?}");
+        }
     }
 
     /// A `me` whose leg the collective does not host is a typed error on

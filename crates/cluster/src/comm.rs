@@ -5,7 +5,9 @@
 //! mesh as encoded batches (`carrier` in process, `io_loop` over TCP),
 //! exactly like the RPC layer of a real distributed engine. Batches carry
 //! the sender's simulated-clock timestamp so receivers can maintain causal
-//! virtual time, and every send is accounted in [`NetStats`].
+//! virtual time, and every send is accounted in [`NetStats`]. A machine
+//! holds one endpoint: its engine's data rounds and its barriers and
+//! allreduces (`collective`) are rounds of one sequence on it.
 
 use std::collections::VecDeque;
 
@@ -68,6 +70,14 @@ impl<T> Batch<T> {
     pub fn item_count(&self) -> usize {
         self.items.len() + self.raw.as_ref().map_or(0, |r| r.count as usize)
     }
+
+    /// The same still-encoded batch, its items read as `U`: an arrival's
+    /// header does not depend on its item type. Decoded `items` (an
+    /// arrival has none) are dropped.
+    fn retype<U>(self) -> Batch<U> {
+        let Batch { from, sent_at, round, last, kind, raw, .. } = self;
+        Batch { from, sent_at, round, last, kind, items: Vec::new(), raw }
+    }
 }
 
 impl<T: Wire> Batch<T> {
@@ -91,8 +101,8 @@ impl<T: Wire> Batch<T> {
     }
 
     /// Materializes a zero-copy payload into `items` — the escape hatch
-    /// for consumers that genuinely need a `Vec<T>`: the collectives'
-    /// control rounds and tests. Every engine round walks its batches
+    /// for consumers that genuinely need a `Vec<T>`: the collective
+    /// rounds and tests. Every engine round walks its batches
     /// with [`Batch::drain_each`] instead.
     pub fn make_items(&mut self) -> Result<(), NetError> {
         let Some(raw) = &mut self.raw else {
@@ -134,11 +144,6 @@ impl<T> OutboxSet<T> {
         }
     }
 
-    /// Wraps pre-filled per-destination vectors (tests, benches).
-    pub fn from_boxes(boxes: Vec<Vec<T>>) -> Self {
-        OutboxSet { boxes }
-    }
-
     /// Number of destinations (== cluster size).
     #[inline]
     pub fn num_machines(&self) -> usize {
@@ -169,11 +174,6 @@ impl<T> OutboxSet<T> {
     #[inline]
     pub fn staged(&self, dst: usize) -> &[T] {
         &self.boxes[dst]
-    }
-
-    /// Total staged items across destinations.
-    pub fn total_staged(&self) -> usize {
-        self.boxes.iter().map(Vec::len).sum()
     }
 
     /// Clears every outbox, keeping capacity.
@@ -219,10 +219,13 @@ pub struct Endpoint<T> {
     me: usize,
     n: usize,
     mesh: Box<dyn SocketMesh>,
-    /// Next BSP exchange round issued by this endpoint.
+    /// Next round issued by this endpoint. Data rounds and collective
+    /// rounds share this one numbering.
     next_round: u64,
     /// Batches received ahead of the round currently being collected
-    /// (two-hop exchanges can race ahead on fast peers).
+    /// (two-hop exchanges can race ahead on fast peers), items still
+    /// encoded: a batch is read as its round's item type — `T`, or a
+    /// collective round's bytes — only when that round collects it.
     pending: VecDeque<Batch<T>>,
 }
 
@@ -243,6 +246,15 @@ impl<T> Endpoint<T> {
     pub fn next_round(&self) -> u64 {
         self.next_round
     }
+
+    /// Hands a consumed batch's payload buffer back to the carrier it came
+    /// through, so steady-state inbound decode allocates nothing per
+    /// batch. (Items `make_items` decoded are dropped.)
+    pub fn recycle<U>(&mut self, batch: Batch<U>) {
+        if let Some(raw) = batch.raw {
+            self.mesh.recycle(batch.from, raw.bytes);
+        }
+    }
 }
 
 impl<T: Wire + Send> Endpoint<T> {
@@ -258,15 +270,6 @@ impl<T: Wire + Send> Endpoint<T> {
         self.n
     }
 
-    /// Hands a consumed batch's payload buffer back to the carrier it came
-    /// through, so steady-state inbound decode allocates nothing per
-    /// batch. (Items `make_items` decoded are dropped.)
-    pub fn recycle(&mut self, batch: Batch<T>) {
-        if let Some(raw) = batch.raw {
-            self.mesh.recycle(batch.from, raw.bytes);
-        }
-    }
-
     /// Ships `items` to `dst` as its batch of `round` (with `last`, the
     /// sender's vote), charging `bytes_per_item · len` payload bytes to
     /// `phase`. The items are encoded straight into the carrier's buffer.
@@ -274,10 +277,10 @@ impl<T: Wire + Send> Endpoint<T> {
         clippy::too_many_arguments,
         reason = "a batch's header fields, its destination and its accounting"
     )]
-    pub(crate) fn send_tagged(
+    fn send_batch<U: Wire>(
         &mut self,
         dst: usize,
-        items: impl AsRef<[T]>,
+        items: &[U],
         sim_now: f64,
         round: u64,
         last: bool,
@@ -285,7 +288,6 @@ impl<T: Wire + Send> Endpoint<T> {
         bytes_per_item: usize,
         stats: &NetStats,
     ) -> Result<(), CommError> {
-        let items = items.as_ref();
         if !items.is_empty() {
             stats.record_batch(phase, items.len() as u64, (items.len() * bytes_per_item) as u64);
         }
@@ -316,11 +318,11 @@ impl<T: Wire + Send> Endpoint<T> {
     /// exactly one batch from every peer. Returns the received batches.
     ///
     /// Rounds are tagged: every machine must issue the same sequence of
-    /// `exchange` calls (BSP lockstep), and batches from a later round that
-    /// arrive early are buffered, which makes back-to-back exchanges (the
-    /// two hops of mirrors-to-master coherency) safe. The round returns
-    /// only once its own batches have left this machine too, so no peer
-    /// ever waits on a machine that has moved on to local work.
+    /// rounds (BSP lockstep), and batches from a later round that arrive
+    /// early are buffered, which makes back-to-back exchanges (the two
+    /// hops of mirrors-to-master coherency) safe. The round returns only
+    /// once its own batches have left this machine too, so no peer ever
+    /// waits on a machine that has moved on to local work.
     pub fn exchange(
         &mut self,
         outboxes: &mut OutboxSet<T>,
@@ -329,7 +331,7 @@ impl<T: Wire + Send> Endpoint<T> {
         bytes_per_item: usize,
         stats: &NetStats,
     ) -> Result<Vec<Batch<T>>, CommError> {
-        self.exchange_voting(outboxes, sim_now, true, phase, bytes_per_item, stats)
+        self.round(outboxes, sim_now, true, phase, bytes_per_item, stats)
     }
 
     /// [`Self::exchange`] whose batches carry `last`, this machine's vote,
@@ -343,25 +345,33 @@ impl<T: Wire + Send> Endpoint<T> {
         bytes_per_item: usize,
         stats: &NetStats,
     ) -> Result<Vec<Batch<T>>, CommError> {
+        self.round(outboxes, sim_now, last, phase, bytes_per_item, stats)
+    }
+
+    /// The next round of this endpoint's one numbering, over items of
+    /// `U`: the engine's `T` for an exchange, bytes for a collective
+    /// round (`Endpoint::allreduce`).
+    pub(crate) fn round<U: Wire>(
+        &mut self,
+        outboxes: &mut OutboxSet<U>,
+        sim_now: f64,
+        last: bool,
+        phase: Phase,
+        bytes_per_item: usize,
+        stats: &NetStats,
+    ) -> Result<Vec<Batch<U>>, CommError> {
         assert_eq!(outboxes.num_machines(), self.n, "need one outbox per machine");
         let me = self.me;
         let round = self.next_round;
         self.next_round += 1;
-        let mut sends = 0;
-        for dst in 0..self.n {
-            if dst == me {
-                continue;
-            }
-            if phase != Phase::Control {
-                sends += 1;
-                crate::recovery::failpoint_send(round, sends, || {
-                    let _ = self.mesh.flush();
-                });
-            }
+        for (i, dst) in (0..self.n).filter(|&dst| dst != me).enumerate() {
+            crate::recovery::failpoint_send(round, i as u64 + 1, || {
+                let _ = self.mesh.flush();
+            });
             // Encoded where it lies, then emptied: the slot keeps its
             // capacity for the next round's staging.
             let staged = outboxes.slot(dst);
-            let sent = self.send_tagged(dst, &*staged, sim_now, round, last, phase, bytes_per_item, stats);
+            let sent = self.send_batch(dst, staged, sim_now, round, last, phase, bytes_per_item, stats);
             staged.clear();
             sent.map_err(|e| match e {
                 // A peer that has left can no longer complete the round.
@@ -369,12 +379,12 @@ impl<T: Wire + Send> Endpoint<T> {
                 e => e,
             })?;
         }
-        let mut received: Vec<Batch<T>> = Vec::with_capacity(self.n - 1);
+        let mut received: Vec<Batch<U>> = Vec::with_capacity(self.n - 1);
         // Single rotation pass over the ahead-of-round buffer: matching
         // batches move to `received`, the rest keep their FIFO order.
         for _ in 0..self.pending.len() {
             match self.pending.pop_front() {
-                Some(b) if b.round == round => received.push(b),
+                Some(b) if b.round == round => received.push(b.retype()),
                 Some(b) => self.pending.push_back(b),
                 None => break,
             }
@@ -383,7 +393,7 @@ impl<T: Wire + Send> Endpoint<T> {
             let needed = |p: usize| p != me && received.iter().all(|b| b.from != p);
             let b = self.next_batch(&needed)?;
             if b.round == round {
-                received.push(b);
+                received.push(b.retype());
             } else {
                 self.pending.push_back(b);
             }
@@ -433,6 +443,29 @@ mod tests {
         /// How the link to `peer` stands.
         pub(crate) fn link_status(&self, peer: usize) -> Option<crate::recovery::LinkStatus> {
             self.mesh.status(peer)
+        }
+
+        /// Ships `items` to `dst` as its batch of `round`, outside any
+        /// round of this endpoint: what a peer racing ahead would send.
+        #[expect(
+            clippy::too_many_arguments,
+            reason = "a batch's header fields, its destination and its accounting"
+        )]
+        pub(crate) fn send_tagged(
+            &mut self,
+            dst: usize,
+            items: impl AsRef<[T]>,
+            sim_now: f64,
+            round: u64,
+            last: bool,
+            phase: Phase,
+            bytes_per_item: usize,
+            stats: &NetStats,
+        ) -> Result<(), CommError>
+        where
+            T: Wire + Send,
+        {
+            self.send_batch(dst, items.as_ref(), sim_now, round, last, phase, bytes_per_item, stats)
         }
     }
 
@@ -489,16 +522,10 @@ mod tests {
                     let stats = stats.clone();
                     s.spawn(move || {
                         // Machine m sends its id*10+dst to each dst.
-                        let outboxes: Vec<Vec<u64>> = (0..n)
-                            .map(|dst| {
-                                if dst == ep.me() {
-                                    vec![]
-                                } else {
-                                    vec![(ep.me() * 10 + dst) as u64]
-                                }
-                            })
-                            .collect();
-                        let mut outboxes = OutboxSet::from_boxes(outboxes);
+                        let mut outboxes = OutboxSet::new(n);
+                        for dst in (0..n).filter(|&dst| dst != ep.me()) {
+                            outboxes.slot(dst).push((ep.me() * 10 + dst) as u64);
+                        }
                         let received = ep
                             .exchange(&mut outboxes, 0.0, Phase::Coherency, 8, &stats)
                             .unwrap();
@@ -554,6 +581,26 @@ mod tests {
         assert_eq!(items(r1.remove(0)), vec![201]);
     }
 
+    /// A collective round's batch that arrives ahead of a data round waits
+    /// in the one ahead-of-round buffer, and its own round reads it as
+    /// bytes.
+    #[test]
+    fn an_early_collective_batch_waits_for_its_round() {
+        let mut eps = build_mesh::<u32>(2);
+        let mut ep1 = eps.pop().unwrap();
+        let mut ep0 = eps.pop().unwrap();
+        let stats = NetStats::new();
+        ep1.send_batch::<u8>(0, &[7, 8, 9], 0.0, 1, true, Phase::Control, 0, &stats).unwrap();
+        ep1.send_tagged(0, vec![100], 0.0, 0, true, Phase::Coherency, 4, &stats).unwrap();
+        let mut r0 = ep0.exchange(&mut OutboxSet::new(2), 0.0, Phase::Coherency, 4, &stats).unwrap();
+        assert_eq!(items(r0.remove(0)), vec![100]);
+        assert_eq!(ep0.pending.iter().map(|b| b.round).collect::<Vec<_>>(), vec![1]);
+        let mut control = OutboxSet::<u8>::new(2);
+        let mut r1 = ep0.round(&mut control, 0.0, true, Phase::Control, 0, &stats).unwrap();
+        assert_eq!(items(r1.remove(0)), vec![7, 8, 9]);
+        assert_eq!(ep0.next_round(), 2);
+    }
+
     #[test]
     fn racing_rounds_collect_in_one_pass_and_keep_fifo_order() {
         // A peer races three rounds ahead; each exchange must pull exactly
@@ -603,13 +650,12 @@ mod tests {
         ob.push(1, 10u32);
         ob.push(1, 20);
         ob.push(2, 30);
-        assert_eq!(ob.total_staged(), 3);
-        assert_eq!(ob.staged(1), &[10, 20]);
+        assert_eq!((ob.staged(0), ob.staged(1), ob.staged(2)), (&[][..], &[10, 20][..], &[30][..]));
         *ob.last_mut(1).unwrap() += 5;
         assert_eq!(ob.staged(1), &[10, 25]);
         assert!(ob.last_mut(0).is_none());
         ob.clear();
-        assert_eq!(ob.total_staged(), 0);
+        assert!((0..3).all(|dst| ob.staged(dst).is_empty()));
     }
 
     /// A raw batch of `values`, behind `header` bytes of fake frame header,

@@ -1,12 +1,12 @@
 //! Typed errors for the communication fabric.
 //!
-//! The data mesh and the control mesh the collectives run on are
-//! infallible in a healthy run: every machine holds its leg of each for
-//! its whole run, and every round hears from every peer. The failure
-//! modes below can therefore only be reached when a peer machine has died
-//! (panic, early error return, process exit): it drops both of its legs,
-//! and a peer's next round on either mesh fails instead of waiting, in
-//! process as over TCP.
+//! The mesh is infallible in a healthy run: every machine holds its
+//! endpoint, which carries its data rounds and its collective rounds
+//! alike, for its whole run, and every round hears from every peer. The
+//! failure modes below can therefore only be reached when a peer machine
+//! has died (panic, early error return, process exit): it drops its
+//! endpoint, and a peer's next round fails instead of waiting, in process
+//! as over TCP.
 //! Engines propagate them to the driver instead of panicking, so one
 //! failing machine tears the run down with a diagnosable error rather
 //! than a poisoned process. [`CommError::MachineCount`],
@@ -38,7 +38,7 @@ pub enum CommError {
         /// Machine whose contribution was missing.
         machine: usize,
     },
-    /// A collective call named a machine whose control-mesh leg the
+    /// A [`crate::Collective`] call named a machine whose endpoint the
     /// collective does not host.
     CollectiveLeg {
         /// The machine the call was made as.

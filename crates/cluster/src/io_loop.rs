@@ -5,24 +5,18 @@
 //! non-blocking socket, a [`FrameReader`] assembling inbound frames and a
 //! queue of whole outbound frames. Every endpoint call moves every socket
 //! forward — it writes what the kernel will take and reads whole frames —
-//! and a call that has to wait blocks in one `poll(2)`.
-//!
-//! That poll covers the sockets of *every* endpoint the calling thread
-//! has used, not just the caller's: a thread is a machine, and a worker
-//! process's machine has two meshes, control and data. Waiting on one
-//! must keep serving the other — the tail of a data round still queued
-//! when this machine enters a control barrier is what a peer needs to
-//! finish that round and reach the barrier at all (DESIGN.md §10). No
-//! thread carries a byte: a mesh costs its sockets and its buffers,
-//! nothing else.
+//! and a call that has to wait blocks in one `poll(2)` over the
+//! endpoint's own links. A machine holds one endpoint, which carries its
+//! data rounds and its collective rounds alike, so a wait on it is a wait
+//! on everything the machine has in flight (DESIGN.md §10). No thread
+//! carries a byte: a mesh costs its sockets and its buffers, nothing else.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lazygraph_net::frame::FRAME_POOL_CAP;
@@ -63,10 +57,9 @@ mod sys {
         fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
     }
 
-    /// Blocks until a descriptor in `fds` is ready or `timeout` passes
-    /// (`None`: no limit); returns how many are ready, 0 when the time ran
-    /// out or a signal ended the wait.
-    pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> std::io::Result<usize> {
+    /// Blocks until a descriptor in `fds` is ready, `timeout` passes
+    /// (`None`: no limit) or a signal ends the wait.
+    pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> std::io::Result<()> {
         let ms = timeout.map_or(-1, |t| {
             t.as_micros().div_ceil(1000).min(c_int::MAX as u128) as c_int
         });
@@ -80,59 +73,11 @@ mod sys {
                 return Err(e);
             }
         }
-        Ok(rc.max(0) as usize)
+        Ok(())
     }
 }
 
 use sys::{PollFd, POLLIN, POLLOUT};
-
-// ---------------------------------------------------------------------------
-// The machine loop
-// ---------------------------------------------------------------------------
-
-/// What the loop needs from each endpoint it serves. Every method passes
-/// over an endpoint whose lock another call holds — that call is moving
-/// its sockets itself.
-trait Member: Send + Sync {
-    /// The loop this endpoint last joined.
-    fn home(&self) -> u64;
-    /// Appends the endpoint's descriptors to `fds`; returns the next
-    /// instant it has to act on without any socket becoming ready.
-    fn interest(&self, fds: &mut Vec<PollFd>) -> Option<Instant>;
-    /// One non-blocking pass over the endpoint's sockets.
-    fn advance(&self);
-}
-
-/// One thread's loop: the endpoints it has used and the descriptor array
-/// its polls reuse.
-struct MachineLoop {
-    id: u64,
-    members: Vec<Weak<dyn Member>>,
-    fds: Vec<PollFd>,
-}
-
-static NEXT_LOOP: AtomicU64 = AtomicU64::new(1);
-
-impl MachineLoop {
-    fn new() -> Self {
-        MachineLoop {
-            id: NEXT_LOOP.fetch_add(1, Ordering::Relaxed),
-            members: Vec::new(),
-            fds: Vec::new(),
-        }
-    }
-}
-
-thread_local! {
-    static MACHINE: RefCell<MachineLoop> = RefCell::new(MachineLoop::new());
-}
-
-fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    }
-}
 
 // ---------------------------------------------------------------------------
 // One endpoint's links
@@ -240,6 +185,8 @@ struct Io {
     /// socket within the write timeout is given up on. Until then a
     /// stalled write only means the peer is busy.
     closing: bool,
+    /// The descriptor array every wait reuses.
+    fds: Vec<PollFd>,
     stats: Arc<NetStats>,
 }
 
@@ -368,11 +315,14 @@ impl Io {
         }
     }
 
-    /// The descriptors this endpoint waits on, and the next instant it
-    /// must act on regardless: closing, a write timeout ending.
-    fn interest(&self, fds: &mut Vec<PollFd>) -> Option<Instant> {
-        let mut deadline = None;
-        for link in self.links.iter().flatten().filter(|l| l.is_up()) {
+    /// Blocks until one of the endpoint's sockets can move, or until the
+    /// next instant it must act on regardless: closing, a write timeout
+    /// ending. The caller's next pass moves the sockets.
+    fn block(&mut self) -> Result<(), CommError> {
+        let mut fds = std::mem::take(&mut self.fds);
+        fds.clear();
+        let up = || self.links.iter().flatten().filter(|l| l.is_up());
+        for link in up() {
             let events = if link.out.is_empty() {
                 POLLIN
             } else {
@@ -383,55 +333,13 @@ impl Io {
                 events,
                 revents: 0,
             });
-            let stall = link.stalled.filter(|_| self.closing);
-            deadline = earliest(deadline, stall.map(|s| s + self.write_timeout));
         }
-        deadline
-    }
-
-    /// Blocks until one of this machine's sockets can move (or a deadline
-    /// passes), then moves the *other* endpoints of the machine when one
-    /// of theirs can (or a deadline passed); the caller's next pass moves
-    /// its own. `own` is the caller's loop membership, which its held lock
-    /// makes unusable here anyway.
-    fn block(&mut self, own: *const ()) -> Result<(), CommError> {
-        let served = MACHINE.try_with(|m| {
-            m.try_borrow_mut()
-                .ok()
-                .map(|mut m| self.block_in(&mut m, own))
-        });
-        match served {
-            Ok(Some(r)) => r,
-            // The thread is tearing down its loop: wait on this endpoint
-            // alone.
-            _ => self.block_in(&mut MachineLoop::new(), own),
-        }
-    }
-
-    fn block_in(&mut self, l: &mut MachineLoop, own: *const ()) -> Result<(), CommError> {
-        let MachineLoop { id, members, fds } = l;
-        fds.clear();
-        let mut deadline = self.interest(fds);
-        let mine = fds.len();
-        members.retain(|m| m.upgrade().is_some_and(|m| m.home() == *id));
-        let others = || {
-            members
-                .iter()
-                .filter(|m| m.as_ptr().cast::<()>() != own)
-                .filter_map(Weak::upgrade)
-        };
-        for m in others() {
-            deadline = earliest(deadline, m.interest(fds));
-        }
+        let stalled = up().filter_map(|l| l.stalled).min().filter(|_| self.closing);
+        let deadline = stalled.map(|since| since + self.write_timeout);
         let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-        let ready = sys::wait(fds, timeout)
-            .map_err(|e| CommError::transport(self.me, &NetError::from_io(&e, "poll")))?;
-        if ready == 0 || fds[mine..].iter().any(|f| f.revents != 0) {
-            for m in others() {
-                m.advance();
-            }
-        }
-        Ok(())
+        let waited = sys::wait(&mut fds, timeout);
+        self.fds = fds;
+        waited.map_err(|e| CommError::transport(self.me, &NetError::from_io(&e, "poll")))
     }
 
     /// Has `encode` write one payload behind a Data-frame header into the
@@ -463,11 +371,7 @@ impl Io {
     /// [`CommError::MeshClosed`] once every peer `needed` accepts has left.
     /// A failed mesh reports its failure once the batches that arrived
     /// before it are taken.
-    fn next(
-        &mut self,
-        needed: &dyn Fn(usize) -> bool,
-        own: *const (),
-    ) -> Result<(usize, Vec<u8>), CommError> {
+    fn next(&mut self, needed: &dyn Fn(usize) -> bool) -> Result<(usize, Vec<u8>), CommError> {
         loop {
             self.pass();
             if let Some(payload) = self.inbound.pop_front() {
@@ -483,12 +387,12 @@ impl Io {
             {
                 return Err(CommError::MeshClosed { me: self.me });
             }
-            self.block(own)?;
+            self.block()?;
         }
     }
 
     /// Waits until every live link has written all it holds.
-    fn flush(&mut self, own: *const ()) -> Result<(), CommError> {
+    fn flush(&mut self) -> Result<(), CommError> {
         loop {
             self.pass();
             self.check()?;
@@ -500,7 +404,7 @@ impl Io {
             {
                 return Ok(());
             }
-            self.block(own)?;
+            self.block()?;
         }
     }
 
@@ -517,12 +421,12 @@ impl Io {
     /// every live peer before the write halves close. A machine that is
     /// unwinding from a panic, or whose mesh already failed, severs
     /// instead — its peers must not take it for finished.
-    fn close(&mut self, own: *const ()) {
+    fn close(&mut self) {
         if std::thread::panicking() || self.failure.is_some() {
             return self.sever();
         }
         self.closing = true;
-        if self.flush(own).is_ok() {
+        if self.flush().is_ok() {
             let shutdown = control_payload(self.me);
             let live = |l: &&mut Link| l.is_up() || l.status == LinkStatus::CleanClosed;
             for link in self.links.iter_mut().flatten().filter(live) {
@@ -540,7 +444,7 @@ impl Io {
                     link.discard_out();
                 }
             }
-            let _ = self.flush(own);
+            let _ = self.flush();
         }
         for link in self.links.iter_mut().flatten() {
             let _ = link.stream.shutdown(Shutdown::Write);
@@ -551,52 +455,10 @@ impl Io {
     }
 }
 
-/// The shared half of a TCP endpoint: what its machine loop reaches.
-struct Shared {
-    /// The [`MachineLoop`] this endpoint last joined (0: none).
-    home: AtomicU64,
-    io: Mutex<Io>,
-}
-
-impl Shared {
-    /// The endpoint's links. Only the thread that owns the endpoint takes
-    /// this lock, so a holder that panicked is that thread unwinding, and
-    /// the one left to take it is the endpoint's own `Drop`, which must
-    /// not panic: it gets the links as the panic left them.
-    fn lock(&self) -> MutexGuard<'_, Io> {
-        self.io.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// [`Self::lock`] without waiting: `None` while another call holds it.
-    fn try_lock(&self) -> Option<MutexGuard<'_, Io>> {
-        match self.io.try_lock() {
-            Ok(io) => Some(io),
-            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-}
-
-impl Member for Shared {
-    fn home(&self) -> u64 {
-        self.home.load(Ordering::Relaxed)
-    }
-
-    fn interest(&self, fds: &mut Vec<PollFd>) -> Option<Instant> {
-        self.try_lock().and_then(|io| io.interest(fds))
-    }
-
-    fn advance(&self) {
-        if let Some(mut io) = self.try_lock() {
-            io.pass();
-        }
-    }
-}
-
-/// A TCP endpoint's links, driven by the machine loop of the thread that
-/// calls it.
+/// A TCP endpoint's links, driven by the thread that calls it. Only the
+/// machine that owns the endpoint calls it, one call at a time.
 pub(crate) struct TcpLinks {
-    shared: Arc<Shared>,
+    io: RefCell<Io>,
 }
 
 impl TcpLinks {
@@ -626,39 +488,14 @@ impl TcpLinks {
             inbound: VecDeque::new(),
             failure: None,
             closing: false,
+            fds: Vec::new(),
             stats: Arc::clone(stats),
         };
-        Ok(TcpLinks {
-            shared: Arc::new(Shared {
-                home: AtomicU64::new(0),
-                io: Mutex::new(io),
-            }),
-        })
+        Ok(TcpLinks { io: RefCell::new(io) })
     }
 
-    /// This endpoint's identity in a machine loop.
-    fn own(&self) -> *const () {
-        Arc::as_ptr(&self.shared).cast()
-    }
-
-    /// Joins the calling thread's loop, unless this endpoint already
-    /// belongs to it. A loop drops the endpoints that have moved on to
-    /// another thread's.
-    fn enlist(&self) {
-        let _ = MACHINE.try_with(|m| {
-            let Ok(mut m) = m.try_borrow_mut() else {
-                return;
-            };
-            if self.shared.home.swap(m.id, Ordering::Relaxed) != m.id {
-                let member: Weak<dyn Member> = Arc::downgrade(&self.shared) as Weak<Shared>;
-                m.members.push(member);
-            }
-        });
-    }
-
-    fn io(&self) -> MutexGuard<'_, Io> {
-        self.enlist();
-        self.shared.lock()
+    fn io(&self) -> RefMut<'_, Io> {
+        self.io.borrow_mut()
     }
 }
 
@@ -669,11 +506,11 @@ impl SocketMesh for TcpLinks {
     }
 
     fn next(&self, needed: &dyn Fn(usize) -> bool) -> Result<(usize, Vec<u8>), CommError> {
-        self.io().next(needed, self.own())
+        self.io().next(needed)
     }
 
     fn flush(&self) -> Result<(), CommError> {
-        self.io().flush(self.own())
+        self.io().flush()
     }
 
     fn recycle(&self, from: usize, bytes: Vec<u8>) {
@@ -701,10 +538,9 @@ impl SocketMesh for TcpLinks {
 
 /// Dropping the endpoint is the clean-shutdown handshake: the frames it
 /// queued and a Shutdown frame reach every live peer before the sockets
-/// close, so a worker process may exit as soon as its endpoints are gone.
+/// close, so a worker process may exit as soon as its endpoint is gone.
 impl Drop for TcpLinks {
     fn drop(&mut self) {
-        let own = self.own();
-        self.shared.lock().close(own);
+        self.io.get_mut().close();
     }
 }

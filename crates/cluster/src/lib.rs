@@ -3,9 +3,10 @@
 //! The simulated distributed substrate standing in for the paper's 48-node
 //! EC2-like cluster. Each machine is an OS thread owning its shard; all
 //! inter-machine traffic crosses a [`comm`] mesh of encoded batches (in
-//! process, or framed TCP) with exact byte/message accounting; [`Collective`] provides barriers and allreduce
-//! as rounds on a control mesh beside it (each counted as one global
-//! synchronisation — the Fig. 10 quantity);
+//! process, or framed TCP) with exact byte/message accounting; barriers
+//! and allreduce ([`collective`]) are rounds on the same endpoint as the
+//! data, each counted as one global synchronisation — the Fig. 10
+//! quantity;
 //! [`CostModel`] + [`SimClock`] convert the counted work into deterministic
 //! simulated seconds using the paper's own fitted communication-time
 //! equations (§4.2.2). DESIGN.md §2 documents why this substitution

@@ -12,9 +12,10 @@ use std::sync::OnceLock;
 /// `LAZYGRAPH_FAILPOINT` environment variable:
 ///
 /// * `superstep:<N>` — abort when superstep `N` (1-based) begins;
-/// * `send:<round>:<n>` — abort inside data round `<round>`, just before
-///   its `<n>`-th (1-based) per-peer send: peers `< n` got the round,
-///   the rest did not;
+/// * `send:<round>:<n>` — abort inside round `<round>` of the machine's
+///   endpoint, just before its `<n>`-th (1-based) per-peer send: peers
+///   `< n` got the round, the rest did not. Data rounds and collective
+///   rounds (barriers, allreduces) share that one numbering;
 /// * `ckpt:<iteration>:<chunk>` — abort inside the save of the snapshot
 ///   taken after superstep `<iteration>`, once its `<chunk>`-th (1-based)
 ///   chunk has reached the temp file and before the rename: the torn file
@@ -26,11 +27,11 @@ use std::sync::OnceLock;
 pub enum FailPoint {
     /// Abort at the start of the given 1-based superstep.
     Superstep(u64),
-    /// Abort before the given 1-based per-peer send of a data round.
+    /// Abort before the given 1-based per-peer send of a round.
     Send {
-        /// The data-mesh round being exchanged.
+        /// The endpoint's round, data or collective, being exchanged.
         round: u64,
-        /// Which send of that round's `Endpoint::exchange` loop (1-based).
+        /// Which send of that round's loop (1-based).
         n: u64,
     },
     /// Abort after the given 1-based chunk of a snapshot reached its file.
@@ -110,8 +111,9 @@ pub fn failpoint_superstep(superstep: u64) {
     }
 }
 
-/// Transport hook: called before each per-peer send of a data round's
-/// `Endpoint::exchange` with the round and the 1-based index of the send.
+/// Transport hook: called before each per-peer send of an endpoint's
+/// round, data or collective, with the round and the 1-based index of the
+/// send.
 /// When it fires, `flush` first writes the frames already encoded for the
 /// earlier peers to their sockets: the kill then lands *between* two
 /// peers' frames — some survivors hold the victim's round, the rest do

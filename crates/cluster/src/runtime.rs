@@ -1,8 +1,8 @@
 //! Machine-thread spawning.
 //!
 //! Each simulated machine runs on its own OS thread with exclusively-owned
-//! per-machine state (its shard, its legs of the data and control meshes,
-//! its vertex arrays); shared state is limited to the [`crate::NetStats`]
+//! per-machine state (its shard, its endpoint into the mesh, its vertex
+//! arrays); shared state is limited to the [`crate::NetStats`]
 //! counters. This mirrors a real cluster's share-nothing structure and
 //! lets the borrow checker prove the engines race-free.
 
@@ -35,7 +35,7 @@ where
 /// Fallible variant of [`run_machines`]: every machine returns a `Result`,
 /// and the first error (in machine order) is propagated to the caller.
 ///
-/// A machine that errors drops its legs of both meshes on the way out.
+/// A machine that errors drops its endpoint on the way out.
 /// Over TCP that surfaces as [`crate::CommError`] on every peer still
 /// exchanging with it, at a barrier too, so an error tears the whole run
 /// down instead of wedging it.

@@ -243,8 +243,8 @@ fn own_addr(me: usize, addrs: &[SocketAddr]) -> Result<SocketAddr, CommError> {
 }
 
 /// Binds `addrs[me]`, joins the mesh, and returns this machine's endpoint.
-/// The worker-process entry point: one data (or control) mesh per call,
-/// the same on a gang's first start and on every restart.
+/// The worker-process entry point: a worker's one mesh, the same on a
+/// gang's first start and on every restart.
 pub fn connect_tcp_endpoint<T: Wire + Send>(
     me: usize,
     addrs: &[SocketAddr],

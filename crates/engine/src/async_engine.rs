@@ -133,9 +133,7 @@ impl<P: VertexProgram> Superstep<P> for AsyncPump<P> {
 mod tests {
     use std::sync::Arc;
 
-    use lazygraph_cluster::{
-        build_endpoints, run_machines, Collective, NetStats, SimClock, TransportKind,
-    };
+    use lazygraph_cluster::{build_endpoints, run_machines, NetStats, SimClock, TransportKind};
     use lazygraph_graph::generators::{rmat, RmatConfig};
     use lazygraph_partition::{partition_graph, PartitionStrategy, SplitterConfig};
 
@@ -163,9 +161,8 @@ mod tests {
         let n = dg.num_global_vertices;
         for transport in [TransportKind::InProc, TransportKind::Tcp] {
             let stats = Arc::new(NetStats::new());
-            let ctrl = build_endpoints::<u8>(transport, 2, &stats).expect("control mesh");
-            let data = build_endpoints::<(u32, SyncMsg<Sum>)>(transport, 2, &stats).expect("mesh");
-            let outcomes = run_machines(ctrl.into_iter().zip(data).collect(), |(ctrl, ep)| {
+            let eps = build_endpoints::<(u32, SyncMsg<Sum>)>(transport, 2, &stats).expect("mesh");
+            let outcomes = run_machines(eps, |ep| {
                 let me = ep.me();
                 let mut port = Port::new(ep, stats.clone());
                 if me == 0 {
@@ -184,7 +181,7 @@ mod tests {
                     pctx,
                     state: MachineState::init(shard, &Sum, InitMessages::MastersOnly, n),
                     clock: SimClock::new(),
-                    bsp: BspSync::new(me, Collective::mesh(ctrl), stats.clone(), cfg.cost),
+                    bsp: BspSync::new(cfg.cost),
                     port,
                     stats: stats.clone(),
                     iterations: 1,

@@ -4,14 +4,15 @@
 //! clocks (max), the bytes just exchanged (sum, converted to collective
 //! communication time), pending-work counts (sum, for termination), and the
 //! comm-mode volume estimates (sum, for §4.2.2 switching). Bundling keeps
-//! the sync count faithful: one barrier = one global synchronisation.
+//! the sync count faithful: one barrier = one global synchronisation. The
+//! allreduce is a round of the machine's one endpoint, the [`Port`] its
+//! engine exchanges on.
 
-use std::sync::Arc;
-
-use lazygraph_cluster::{Collective, CommError, CostModel, NetStats, SimClock};
-use lazygraph_net::wire_record;
+use lazygraph_cluster::{CommError, CostModel, SimClock};
+use lazygraph_net::{wire_record, Wire};
 
 use crate::comm_mode::VolumeEstimate;
+use crate::exchange::Port;
 use crate::metrics::SimBreakdown;
 
 /// What a barrier charges for the bytes it just moved.
@@ -38,9 +39,9 @@ pub struct BspReduction {
     pub est: VolumeEstimate,
 }
 
-// The reduction crosses the machine's control-mesh leg on every route;
+// The reduction is a round of the machine's endpoint on every route;
 // `clock` rides as its IEEE-754 bit pattern, so the folded max is the
-// same bits whether the leg is in process or a socket.
+// same bits whether the endpoint is in process or a socket.
 wire_record!(BspReduction { clock, bytes, pending, est });
 
 fn combine(a: BspReduction, b: BspReduction) -> BspReduction {
@@ -56,10 +57,6 @@ fn combine(a: BspReduction, b: BspReduction) -> BspReduction {
 /// simulated-time breakdown. Every term the breakdown adds comes out of
 /// the allreduce, so every machine of a run holds the same bits.
 pub struct BspSync {
-    pub me: usize,
-    /// This machine's leg of the control mesh.
-    pub coll: Collective,
-    pub stats: Arc<NetStats>,
     pub cost: CostModel,
     /// The breakdown of the simulated time up to the last sync.
     pub breakdown: SimBreakdown,
@@ -70,31 +67,29 @@ pub struct BspSync {
 }
 
 impl BspSync {
-    /// A new handle over machine `me`'s collective leg; every machine of a
-    /// run shares `stats`.
-    pub fn new(me: usize, coll: Collective, stats: Arc<NetStats>, cost: CostModel) -> Self {
+    /// A new handle, before the first sync.
+    pub fn new(cost: CostModel) -> Self {
         BspSync {
-            me,
-            coll,
-            stats,
             cost,
             breakdown: SimBreakdown::default(),
             last_global: 0.0,
         }
     }
 
-    /// One global synchronisation: reduces `local`, advances every clock to
-    /// the global max plus barrier latency plus the collective
-    /// communication charge, and returns the reduction.
-    pub fn sync(
+    /// One global synchronisation: reduces `local` over the machine's
+    /// `port`, advances every clock to the global max plus barrier latency
+    /// plus the collective communication charge, and returns the
+    /// reduction.
+    pub fn sync<T: Wire + Send>(
         &mut self,
+        port: &mut Port<T>,
         clock: &mut SimClock,
         local: BspReduction,
         charge: CommCharge,
     ) -> Result<BspReduction, CommError> {
         let mut local = local;
         local.clock = clock.now();
-        let red = self.coll.allreduce(self.me, local, &self.stats, combine)?;
+        let red = port.allreduce(local, combine)?;
         let comm_time = match charge {
             CommCharge::A2A if red.bytes > 0 => self.cost.t_a2a(red.bytes),
             CommCharge::M2M if red.bytes > 0 => self.cost.t_m2m(red.bytes),
@@ -116,41 +111,30 @@ impl BspSync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lazygraph_net::Wire;
+    use lazygraph_cluster::{build_mesh, NetStats};
+    use std::sync::Arc;
 
     #[test]
     fn sync_advances_all_clocks_to_max_plus_costs() {
         let stats = Arc::new(NetStats::new());
         let cost = CostModel::paper_cluster();
-        let outs: Vec<(f64, SimBreakdown)> = std::thread::scope(|s| {
-            let handles: Vec<_> = lazygraph_cluster::build_mesh::<u8>(3)
-                .into_iter()
-                .map(|leg| {
-                    let me = leg.me();
-                    let coll = Collective::mesh(leg);
-                    let stats = stats.clone();
-                    s.spawn(move || {
-                        let mut bsp = BspSync::new(me, coll, stats, cost);
-                        let mut clock = SimClock::new();
-                        clock.advance(me as f64); // machine 2 is slowest
-                        let red = bsp.sync(
-                            &mut clock,
-                            BspReduction {
-                                bytes: 1_000_000,
-                                pending: me as u64,
-                                ..Default::default()
-                            },
-                            CommCharge::A2A,
-                        );
-                        let red = red.unwrap();
-                        assert_eq!(red.pending, 3);
-                        assert_eq!(red.bytes, 3_000_000);
-                        (clock.now(), bsp.breakdown)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+        let outs: Vec<(f64, SimBreakdown)> =
+            lazygraph_cluster::run_machines(build_mesh::<u32>(3), |ep| {
+                let me = ep.me();
+                let mut port = Port::new(ep, stats.clone());
+                let mut bsp = BspSync::new(cost);
+                let mut clock = SimClock::new();
+                clock.advance(me as f64); // machine 2 is slowest
+                let local = BspReduction {
+                    bytes: 1_000_000,
+                    pending: me as u64,
+                    ..Default::default()
+                };
+                let red = bsp.sync(&mut port, &mut clock, local, CommCharge::A2A).unwrap();
+                assert_eq!(red.pending, 3);
+                assert_eq!(red.bytes, 3_000_000);
+                (clock.now(), bsp.breakdown)
+            });
         // All clocks equal: max(2.0) + barrier + t_a2a(3 MB).
         let expected = 2.0 + cost.barrier_latency + cost.t_a2a(3_000_000);
         for (c, _) in &outs {
@@ -164,16 +148,19 @@ mod tests {
         assert!((b.compute - 2.0).abs() < 1e-9);
         assert!((b.comm - cost.t_a2a(3_000_000)).abs() < 1e-12);
         assert!((b.barrier - cost.barrier_latency).abs() < 1e-12);
+        // One global sync, counted as control traffic, charging no payload.
+        let snap = stats.snapshot();
+        assert_eq!((snap.global_syncs, snap.total_est_bytes()), (1, 0));
     }
 
     #[test]
     fn pure_barrier_charges_no_comm() {
-        let coll = Collective::new(1);
         let stats = Arc::new(NetStats::new());
         let cost = CostModel::paper_cluster();
-        let mut bsp = BspSync::new(0, coll, stats, cost);
+        let mut port = Port::new(build_mesh::<u32>(1).remove(0), stats);
+        let mut bsp = BspSync::new(cost);
         let mut clock = SimClock::new();
-        bsp.sync(&mut clock, BspReduction::default(), CommCharge::None).unwrap();
+        bsp.sync(&mut port, &mut clock, BspReduction::default(), CommCharge::None).unwrap();
         assert!((clock.now() - cost.barrier_latency).abs() < 1e-12);
         assert_eq!(bsp.breakdown.comm, 0.0);
     }

@@ -1002,8 +1002,8 @@ impl RecoveryCfg {
 /// and with two generations kept a generation all of them hold always
 /// exists. The barrier charges no simulated time, so checkpointed and
 /// checkpoint-free runs report identical `sim_time`.
-pub fn checkpoint_at_barrier<P: VertexProgram, M>(
-    f: &Frame<'_, P, M>,
+pub fn checkpoint_at_barrier<P: VertexProgram, M: Wire + Send>(
+    f: &mut Frame<'_, P, M>,
     store: &SnapshotStore,
     engine: EngineKind,
     carry: &impl Wire,
@@ -1024,7 +1024,7 @@ pub fn checkpoint_at_barrier<P: VertexProgram, M>(
     let bytes =
         store.save(&header, &f.state, &f.history, initial).map_err(|e| fail("save", &e))?;
     f.stats.record_snapshot_bytes(bytes);
-    f.bsp.coll.barrier(f.me, &f.stats)
+    f.port.barrier()
 }
 
 #[cfg(test)]

@@ -164,6 +164,7 @@ impl<P: VertexProgram> Superstep<P> for DeltaStep {
             }
         }
         let red = f.bsp.sync(
+            &mut f.port,
             &mut f.clock,
             BspReduction {
                 bytes: sent_bytes,

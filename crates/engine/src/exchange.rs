@@ -211,21 +211,40 @@ where
     routed.into_iter().collect()
 }
 
-/// The wire half of a machine frame: the mesh endpoint and the persistent
-/// staging outboxes (every round encodes each slot in place and clears it,
-/// so steady-state supersteps allocate nothing — DESIGN.md §9).
-/// Engines exchange only by opening a [`FoldRound`] or an [`OrderedRound`]
-/// on it.
+/// The wire half of a machine frame: the machine's one endpoint and the
+/// persistent staging outboxes (every round encodes each slot in place
+/// and clears it, so steady-state supersteps allocate nothing — DESIGN.md
+/// §9). Engines exchange only by opening a [`FoldRound`] or an
+/// [`OrderedRound`] on it; barriers and allreduces are rounds of the same
+/// endpoint ([`Port::allreduce`]).
 pub struct Port<T> {
     pub ep: Endpoint<T>,
     pub outboxes: OutboxSet<T>,
+    /// The staging of the collective rounds, reused like `outboxes`.
+    control: OutboxSet<u8>,
     stats: Arc<NetStats>,
 }
 
 impl<T: Wire + Send> Port<T> {
     pub fn new(ep: Endpoint<T>, stats: Arc<NetStats>) -> Self {
         let outboxes = OutboxSet::new(ep.num_machines());
-        Port { ep, outboxes, stats }
+        let control = OutboxSet::new(ep.num_machines());
+        Port { ep, outboxes, control, stats }
+    }
+
+    /// One allreduce, a round of this machine's endpoint
+    /// ([`Endpoint::allreduce`]).
+    pub fn allreduce<V: Wire>(
+        &mut self,
+        val: V,
+        combine: impl Fn(V, V) -> V,
+    ) -> Result<V, CommError> {
+        self.ep.allreduce(&mut self.control, val, &self.stats, combine)
+    }
+
+    /// One barrier: an empty-payload allreduce.
+    pub fn barrier(&mut self) -> Result<(), CommError> {
+        self.allreduce((), |_, _| ())
     }
 
     /// Opens a sender-ordered round: inbound items are handed to the

@@ -287,6 +287,7 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
         };
         self.carry.counters.coherency_points += 1;
         let red = f.bsp.sync(
+            &mut f.port,
             &mut f.clock,
             BspReduction {
                 bytes: sent_bytes,

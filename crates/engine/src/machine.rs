@@ -20,19 +20,18 @@
 //!
 //! [`run_mesh_engine`] is the single place a machine loop is started: the
 //! in-process driver hands it every shard of the placement it holds, with
-//! every leg of a threaded control mesh and data mesh; a
-//! `lazygraph-worker` process hands it the one shard it loaded, with the
-//! one leg of each mesh it connected. Either way a
-//! machine owns its legs and reduces over its own [`Collective`]. Every
-//! engine runs on either. Neither hands it a placement: a machine reads
-//! its own shard and the three scalars of a [`PlacementShape`].
+//! every endpoint of a threaded mesh; a `lazygraph-worker` process hands
+//! it the one shard it loaded, with the one endpoint it connected. Either
+//! way a machine owns its endpoint, and its exchanges, barriers and
+//! allreduces are rounds of that one endpoint. Every engine runs on
+//! either. Neither hands it a placement: a machine reads its own shard and
+//! the three scalars of a [`PlacementShape`].
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use lazygraph_cluster::{
-    build_endpoints, Collective, CommError, Endpoint, NetStats, SimClock, StatsSnapshot,
-    TransportKind,
+    build_endpoints, CommError, Endpoint, NetStats, SimClock, StatsSnapshot, TransportKind,
 };
 use lazygraph_net::{wire_record, Wire};
 use lazygraph_partition::{LocalShard, PlacementShape};
@@ -290,25 +289,22 @@ pub fn assemble<P: VertexProgram>(
 }
 
 /// One machine this process runs: its rank, its shard — one of a
-/// placement the process holds, or the only one a worker loaded — its legs
-/// of the control mesh (its collective) and of the data mesh, and its
-/// checkpoint/resume configuration. The machine owns both legs: when it
-/// ends, or fails, they close.
+/// placement the process holds, or the only one a worker loaded — its
+/// endpoint into the run's mesh, and its checkpoint/resume configuration.
+/// The machine owns its endpoint: when it ends, or fails, it closes.
 pub struct Seat<'a, T> {
     pub me: usize,
     pub shard: &'a LocalShard,
-    pub ctrl: Endpoint<u8>,
     pub ep: Endpoint<T>,
     pub recovery: RecoveryCfg,
 }
 
-/// How a process joins a run's two meshes. The data mesh's item type is
-/// only known once [`run_mesh_engine`] has picked the engine, so joining
-/// is a generic method rather than a ready-made endpoint list.
+/// How a process joins a run's mesh. Its item type is only known once
+/// [`run_mesh_engine`] has picked the engine, so joining is a generic
+/// method rather than a ready-made endpoint list.
 pub trait Attach<'a> {
-    /// Builds (or connects) the control mesh, then the data mesh typed
-    /// `T` — the protocol's order — and returns the seats this process
-    /// runs.
+    /// Builds (or connects) the mesh typed `T` and returns the seats this
+    /// process runs.
     fn attach<T: Wire + Send + 'static>(
         self,
         stats: &Arc<NetStats>,
@@ -316,8 +312,8 @@ pub trait Attach<'a> {
 }
 
 /// Every machine of the run as a thread of this process — one per shard
-/// of a placement the process holds — on a freshly built control mesh and
-/// data mesh of the given transport; no checkpointing.
+/// of a placement the process holds — on a freshly built mesh of the given
+/// transport; no checkpointing.
 pub struct ThreadedMesh<'a> {
     pub transport: TransportKind,
     pub shards: &'a [LocalShard],
@@ -328,18 +324,14 @@ impl<'a> Attach<'a> for ThreadedMesh<'a> {
         self,
         stats: &Arc<NetStats>,
     ) -> Result<Vec<Seat<'a, T>>, CommError> {
-        let n = self.shards.len();
-        let ctrl = build_endpoints::<u8>(self.transport, n, stats)?;
-        let data = build_endpoints::<T>(self.transport, n, stats)?;
-        Ok(ctrl
+        let eps = build_endpoints::<T>(self.transport, self.shards.len(), stats)?;
+        Ok(eps
             .into_iter()
-            .zip(data)
             .zip(self.shards)
             .enumerate()
-            .map(|(me, ((ctrl, ep), shard))| Seat {
+            .map(|(me, (ep, shard))| Seat {
                 me,
                 shard,
-                ctrl,
                 ep,
                 recovery: RecoveryCfg::default(),
             })
@@ -402,7 +394,6 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
     let Seat {
         me,
         shard,
-        ctrl,
         ep,
         mut recovery,
     } = seat;
@@ -416,7 +407,7 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
         state: MachineState::init(shard, program, S::INIT, shape.num_global_vertices),
         shard,
         clock: SimClock::new(),
-        bsp: BspSync::new(me, Collective::mesh(ctrl), stats.clone(), cfg.cost),
+        bsp: BspSync::new(cfg.cost),
         port: Port::new(ep, stats.clone()),
         stats,
         iterations: 0,
@@ -456,7 +447,7 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
             break;
         }
         if let Some(store) = recovery.store.as_ref().filter(|_| recovery.due(f.iterations)) {
-            checkpoint_at_barrier(&f, store, S::KIND, engine.carry())?;
+            checkpoint_at_barrier(&mut f, store, S::KIND, engine.carry())?;
         }
     }
 

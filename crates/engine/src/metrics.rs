@@ -12,7 +12,8 @@ use lazygraph_net::wire_record;
 pub struct SimBreakdown {
     /// Bottleneck compute time (max across machines per stage, summed).
     pub compute: f64,
-    /// Collective communication time (cost-model equations).
+    /// All-to-all or mirrors-to-master communication time (the cost
+    /// model's `t_a2a` / `t_m2m`).
     pub comm: f64,
     /// Barrier latency.
     pub barrier: f64,

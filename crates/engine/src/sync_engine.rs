@@ -259,6 +259,7 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
         master_worklist.append(&mut state.queue);
         master_worklist.sort_unstable();
         bsp.sync(
+            port,
             clock,
             BspReduction {
                 bytes: sent_bytes,
@@ -304,6 +305,7 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
             Ok(())
         })?;
         bsp.sync(
+            port,
             clock,
             BspReduction {
                 bytes: sent_bytes,
@@ -326,6 +328,7 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
         stats.record_edges(edges);
         clock.advance(cost.compute_time(edges));
         let red = bsp.sync(
+            port,
             clock,
             BspReduction {
                 pending: state.pending_messages(),

@@ -19,6 +19,10 @@
 //! lazygraph-cli generate --kind rmat|road|web|social --vertices N --out FILE
 //! ```
 //!
+//! `--failpoint RANK:send:ROUND:N` kills worker RANK before the N-th
+//! per-peer send of round ROUND of its endpoint, whose one numbering
+//! counts the engine's data rounds and its barriers and allreduces alike.
+//!
 //! `generate` picks the format by `--out`'s extension — `.mtx` Matrix
 //! Market, `.lzg` the binary format, anything else a text edge list —
 //! and `--input` recognises a binary file by its `LZGRAPH1` magic, whatever

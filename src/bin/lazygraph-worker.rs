@@ -5,19 +5,19 @@
 //! decodes the Wire-encoded [`WorkerJob`] and the one shard file the
 //! launcher wrote for rank I beside it — the only part of the graph this
 //! process ever holds — checks the shard against the job's placement
-//! shape, drops the file bytes, joins the control and data TCP meshes
-//! over loopback, runs its machine through the shared `run_mesh_engine`
-//! entry, and writes its Wire-encoded result — `MachineOut ++
-//! StatsSnapshot`: its master values, counters, simulated-time breakdown
-//! and per-round trace, then its `NetStats` — to the output path. A
+//! shape, drops the file bytes, joins the run's TCP mesh over loopback,
+//! runs its machine through the shared `run_mesh_engine` entry, and
+//! writes its Wire-encoded result — `MachineOut ++ StatsSnapshot`: its
+//! master values, counters, simulated-time breakdown and per-round
+//! trace, then its `NetStats` — to the output path. A
 //! restarted gang's worker, started with `--resume G`, reads the same
 //! shard file — nothing a run does changes a shard — and its snapshot of
-//! generation `G`, and builds fresh meshes like any other start.
+//! generation `G`, and joins a fresh mesh like any other start.
 //!
 //! Exit status 0 means the result file is complete; any failure prints to
 //! stderr and exits 1, which the launcher surfaces as
 //! `MultiprocError::Worker`. A worker dying mid-run tears its peers'
-//! mesh legs, so the whole gang fails fast instead of hanging.
+//! links to it, so the whole gang fails fast instead of hanging.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -114,13 +114,12 @@ fn parse_addrs(addrs: &[String]) -> Result<Vec<SocketAddr>, String> {
         .collect()
 }
 
-/// This worker's seat: the shard it loaded, its legs of the control and
-/// data meshes — always connected fresh, at round 0 — and its
-/// checkpoint/resume configuration.
+/// This worker's seat: the shard it loaded, its endpoint of the mesh —
+/// always connected fresh, at round 0 — and its checkpoint/resume
+/// configuration.
 struct WorkerSeat<'a> {
     me: usize,
     shard: &'a LocalShard,
-    ctrl_addrs: &'a [SocketAddr],
     data_addrs: &'a [SocketAddr],
     recovery: RecoveryCfg,
 }
@@ -130,15 +129,11 @@ impl<'a> Attach<'a> for WorkerSeat<'a> {
         self,
         stats: &Arc<NetStats>,
     ) -> Result<Vec<Seat<'a, T>>, CommError> {
-        // Mesh establishment order is part of the protocol: every worker
-        // joins the control mesh first, then the engine-typed data mesh.
         let opts = TcpOptions::default();
-        let ctrl = connect_tcp_endpoint::<u8>(self.me, self.ctrl_addrs, stats, &opts)?;
         let ep = connect_tcp_endpoint::<T>(self.me, self.data_addrs, stats, &opts)?;
         Ok(vec![Seat {
             me: self.me,
             shard: self.shard,
-            ctrl,
             ep,
             recovery: self.recovery,
         }])
@@ -165,7 +160,6 @@ fn run_worker<P: Shipped>(job: &WorkerJob, args: Args, program: P) -> Result<(),
     let me = args.me;
     let cfg = &job.cfg;
     let data_addrs = parse_addrs(&job.data_addrs)?;
-    let ctrl_addrs = parse_addrs(&job.ctrl_addrs)?;
     // The only part of the graph this process holds; its file bytes are
     // dropped before a mesh is dialled.
     let shard = load_shard(&args.job, me, &job.shape).map_err(|e| e.to_string())?;
@@ -186,7 +180,6 @@ fn run_worker<P: Shipped>(job: &WorkerJob, args: Args, program: P) -> Result<(),
     let seat = WorkerSeat {
         me,
         shard: &shard,
-        ctrl_addrs: &ctrl_addrs,
         data_addrs: &data_addrs,
         recovery: RecoveryCfg {
             every: job.checkpoint_every,
@@ -206,7 +199,7 @@ fn run_worker<P: Shipped>(job: &WorkerJob, args: Args, program: P) -> Result<(),
     }
 
     // Result file layout: MachineOut ++ StatsSnapshot. The machine loop
-    // has returned, so both of its legs are closed: every frame this
+    // has returned, so its endpoint is closed: every frame this
     // worker sent, its Shutdown frames included, is counted.
     let mut result = out.to_wire();
     stats.snapshot().encode(&mut result);

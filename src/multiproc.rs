@@ -7,9 +7,9 @@
 //! `LocalShard` on the `Wire` codec (floats as exact IEEE-754 bit
 //! patterns), streamed into its file as the placement walks — the
 //! launcher never holds a placed shard. Beside them goes `job.bin`, a
-//! [`WorkerJob`]: the [`EngineConfig`], the socket addresses of both
-//! meshes and the three scalars of the placement's shape, a few hundred
-//! bytes whatever the graph. It spawns N `lazygraph-worker` processes,
+//! [`WorkerJob`]: the [`EngineConfig`], the socket addresses of the mesh
+//! and the three scalars of the placement's shape, a few hundred bytes
+//! whatever the graph. It spawns N `lazygraph-worker` processes,
 //! each of which reads the job and *its own* shard file and nothing else
 //! of the graph, and collects each worker's Wire-encoded result file: its
 //! per-machine outcome, its `NetStats` snapshot (with *measured* frame
@@ -23,21 +23,21 @@
 //! in-process driver's own epilogue, so both routes return one
 //! `RunResult`.
 //!
-//! Two meshes per run: a control mesh (`Endpoint<u8>`) backing the
-//! mesh-based [`Collective`] (barriers/allreduce), and a data mesh typed
-//! by the engine's message. Workers establish them in that fixed order.
+//! One mesh per run, typed by the engine's message: a worker's endpoint
+//! carries its data rounds and its barriers and allreduces alike, as one
+//! sequence of rounds.
 //!
 //! All six engines run multiprocess, and all six recover: every machine
-//! communicates only through `Endpoint` + `Collective` rounds (the
-//! barrier-free engines' votes ride on their data rounds), every step ends
-//! with nothing in flight, and a worker starts its machine through the same
+//! communicates only through rounds of its `Endpoint` (the barrier-free
+//! engines' votes ride on their data rounds), every step ends with
+//! nothing in flight, and a worker starts its machine through the same
 //! `run_mesh_engine` entry the in-process driver uses (DESIGN.md §17).
 //!
 //! Determinism: a multiprocess run is bitwise-identical to the in-process
 //! run on the same graph and configuration — the codec is position-based
 //! little-endian with floats as bit patterns, exchanges sort inbound
-//! batches by sender, and the mesh collective folds contributions in
-//! machine order.
+//! batches by sender, and an allreduce folds contributions in machine
+//! order.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -57,7 +57,7 @@ use lazygraph_net::{wire_record, NetError, Wire, WireReader};
 use lazygraph_partition::{LocalShard, PlacementShape, ShardFiles};
 
 /// Everything one worker process needs to run its machine except its
-/// shard: the engine configuration, the two mesh address lists and the
+/// shard: the engine configuration, the mesh's address list and the
 /// shape of the placement. Written Wire-encoded to a job file read by
 /// every worker; its size does not depend on the graph.
 #[derive(Clone, Debug)]
@@ -71,10 +71,8 @@ pub struct WorkerJob {
     /// The placement every worker's shard must be a part of: machine
     /// count, global vertex count, `|E| / |V|`.
     pub shape: PlacementShape,
-    /// Data-mesh socket addresses, one per machine (`127.0.0.1:port`).
+    /// Mesh socket addresses, one per machine (`127.0.0.1:port`).
     pub data_addrs: Vec<String>,
-    /// Control-mesh socket addresses backing the collective.
-    pub ctrl_addrs: Vec<String>,
     /// Snapshot every K supersteps (0 = checkpointing off, PR 4 fail-fast
     /// behaviour).
     pub checkpoint_every: u64,
@@ -82,24 +80,20 @@ pub struct WorkerJob {
     pub checkpoint_dir: String,
 }
 
-wire_record!(WorkerJob { cfg, algo, shape, data_addrs, ctrl_addrs, checkpoint_every, checkpoint_dir });
+wire_record!(WorkerJob { cfg, algo, shape, data_addrs, checkpoint_every, checkpoint_dir });
 
 impl WorkerJob {
     /// Reads the job file a worker was started on. The bytes come from a
     /// file: besides decoding, every rank of the placement must find its
-    /// own address in both meshes before anything indexes by rank.
+    /// own address in the mesh before anything indexes by rank.
     pub fn read(path: &Path) -> Result<WorkerJob, MultiprocError> {
         let bytes = std::fs::read(path).map_err(|e| io_err("reading job file", e))?;
         let job = WorkerJob::from_wire(&bytes).and_then(|job| {
             let machines = job.shape.num_machines;
-            if job.data_addrs.len() != machines || job.ctrl_addrs.len() != machines {
+            if job.data_addrs.len() != machines {
                 return Err(NetError::Malformed {
                     ty: "WorkerJob",
-                    detail: format!(
-                        "{} data and {} control addresses for {machines} machines",
-                        job.data_addrs.len(),
-                        job.ctrl_addrs.len()
-                    ),
+                    detail: format!("{} addresses for {machines} machines", job.data_addrs.len()),
                 });
             }
             Ok(job)
@@ -309,11 +303,7 @@ fn launch_in<P: Shipped>(
     let partition_time = started.elapsed();
     let ShardFiles { shape, lambda, masters, bytes: shard_bytes } = placed;
     let n = shape.num_machines;
-    // Both meshes' ports out of one reservation: two would each release
-    // their listeners, and the second could be handed a port of the first
-    // (one launch in a thousand, and the gang then fails at its handshakes).
-    let mut data_addrs = alloc_loopback_addrs(2 * n)?;
-    let ctrl_addrs = data_addrs.split_off(n);
+    let data_addrs = alloc_loopback_addrs(n)?;
     let mut job = WorkerJob {
         cfg: EngineConfig {
             threads_per_machine: threads,
@@ -323,7 +313,6 @@ fn launch_in<P: Shipped>(
         algo: program.spec(),
         shape,
         data_addrs,
-        ctrl_addrs,
         checkpoint_every: opts.checkpoint_every,
         checkpoint_dir: String::new(),
     };
@@ -666,7 +655,6 @@ mod tests {
                 ev_ratio: 0.1 + 0.2, // not a round bit pattern
             },
             data_addrs: vec!["127.0.0.1:4000".into(); 3],
-            ctrl_addrs: vec!["127.0.0.1:5000".into(); 3],
             checkpoint_every: 4,
             checkpoint_dir: "/tmp/lz-ckpt".into(),
         }

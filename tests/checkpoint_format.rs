@@ -16,7 +16,7 @@ use proptest::prelude::*;
 
 use lazygraph::prelude::*;
 use lazygraph_cluster::{
-    build_endpoints, try_run_machines, Collective, CommError, NetStats, SimClock, TransportKind,
+    build_endpoints, try_run_machines, CommError, NetStats, SimClock, TransportKind,
 };
 use lazygraph_engine::bsp::BspSync;
 use lazygraph_engine::checkpoint::{
@@ -614,7 +614,7 @@ fn engine_tag_check_is_typed_and_exact() {
 }
 
 /// One machine resuming from `store`'s snapshot of the given generation,
-/// on in-process meshes of one.
+/// on an in-process mesh of one.
 struct ResumeFrom<'a>(&'a SnapshotStore, &'a LocalShard, u64);
 
 impl<'a> Attach<'a> for ResumeFrom<'a> {
@@ -622,12 +622,10 @@ impl<'a> Attach<'a> for ResumeFrom<'a> {
         self,
         stats: &Arc<NetStats>,
     ) -> Result<Vec<Seat<'a, T>>, CommError> {
-        let ctrl = build_endpoints::<u8>(TransportKind::InProc, 1, stats)?.remove(0);
         let ep = build_endpoints::<T>(TransportKind::InProc, 1, stats)?.remove(0);
         Ok(vec![Seat {
             me: 0,
             shard: self.1,
-            ctrl,
             ep,
             recovery: RecoveryCfg {
                 every: 0,
@@ -744,12 +742,10 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
     let dg = partition_graph(g, machines, cfg.partition, &cfg.splitter, cfg.bidirectional);
     let shape = dg.shape();
     let stats = Arc::new(NetStats::new());
-    let ctrl =
-        build_endpoints::<u8>(TransportKind::InProc, machines, &stats).expect("control mesh");
     let endpoints = build_endpoints::<(u32, S::Msg)>(TransportKind::InProc, machines, &stats)
         .expect("in-process mesh");
-    let seats: Vec<_> = ctrl.into_iter().zip(endpoints).zip(&dg.shards).enumerate().collect();
-    let seen = try_run_machines(seats, |(me, ((ctrl, ep), shard))| -> Result<Seen, CommError> {
+    let seats: Vec<_> = endpoints.into_iter().zip(&dg.shards).enumerate().collect();
+    let seen = try_run_machines(seats, |(me, (ep, shard))| -> Result<Seen, CommError> {
         let init = || MachineState::init(shard, program, S::INIT, shape.num_global_vertices);
         let initial = init();
         let mut f = Frame {
@@ -762,7 +758,7 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
             pctx: ParallelCtx::new(cfg.parallel(machines)).expect("spawn pool"),
             state: init(),
             clock: SimClock::new(),
-            bsp: BspSync::new(me, Collective::mesh(ctrl), stats.clone(), cfg.cost),
+            bsp: BspSync::new(cfg.cost),
             port: Port::new(ep, stats.clone()),
             stats: stats.clone(),
             iterations: 0,
@@ -778,7 +774,7 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
             if vote == Vote::Converged {
                 return Ok(seen);
             }
-            checkpoint_at_barrier(&f, &store, S::KIND, engine.carry())?;
+            checkpoint_at_barrier(&mut f, &store, S::KIND, engine.carry())?;
             let at = format!("{tag}: machine {me}, superstep {}", f.iterations);
             let snapshot = store.open_at(f.iterations).expect("a generation was just saved");
             let (mut restored, mut history) = (init(), Vec::new());

@@ -421,31 +421,49 @@ fn hybrid_recovers_bitwise_after_its_switch() {
     });
 }
 
-/// Kill the victim *inside* a round: `send:<round>:<n>` aborts it in the
-/// apply broadcast of superstep 3 (data round 5; a Sync superstep is a
-/// gather round and an apply round) after it sent the round to worker 0
-/// and before it sends it to workers 2 and 3. Worker 0 holds the victim's
-/// round 5, the other two do not; the restarted gang discards both on
-/// fresh meshes and re-runs from the superstep-2 generation.
-#[test]
-fn kill_between_two_peers_sends_recovers_bitwise() {
+/// Kills the victim of a 4-worker Sync SSSP gang inside round `round` of
+/// its endpoint (`send:<round>:2`): after it sent the round to worker 0
+/// and before it sends it to workers 2 and 3, so the survivors hold
+/// different parts of the round. The restarted gang discards both on
+/// fresh meshes and must land on the undisturbed run's bits.
+fn kill_between_two_peers_sends(round: u64) {
     let g = matrix_graph();
-    let workers = 4;
     let base = cfg(EngineKind::PowerGraphSync);
     let sssp = Sssp::new(0u32);
+    let (oracle, _) = launch(&g, 4, &base, &sssp, &mp_opts(vec![])).expect("oracle");
+    assert_eq!(oracle.metrics.iterations, 6, "the rounds below are this run's");
 
-    let (oracle, _) = launch(&g, workers, &base, &sssp, &mp_opts(vec![])).expect("oracle");
-    assert!(oracle.metrics.iterations > 3, "the kill must land before the last superstep");
-
-    let opts = mp_opts(vec![(0, VICTIM, FailPoint::Send { round: 5, n: 2 })]);
-    let (out, restarts) = launch(&g, workers, &base, &sssp, &opts).expect("mid-round kill run");
-
+    let opts = mp_opts(vec![(0, VICTIM, FailPoint::Send { round, n: 2 })]);
+    let (out, restarts) = launch(&g, 4, &base, &sssp, &opts).expect("mid-round kill run");
     assert_eq!(
         fingerprint(&out),
         fingerprint(&oracle),
-        "recovery after a kill between two peers' sends is not bitwise identical"
+        "recovery after a kill between two peers' sends of round {round} is not bitwise identical"
     );
-    assert_eq!(restarts, 1, "send:5:2 never fired (no gang restart)");
+    assert_eq!(restarts, 1, "send:{round}:2 never fired (no gang restart)");
+}
+
+/// A machine's data rounds and its barriers and allreduces share one
+/// numbering. A run of this job that printed each round of worker 1's
+/// endpoint read 0 Gather, 1 Control, 2 Apply, 3 and 4 Control for
+/// superstep 1, the same five for superstep 2 at 5–9, generation 2's
+/// checkpoint barrier at 10, then superstep 3's gather at 11, its sync
+/// at 12 and its apply broadcast at round 13: the round killed here. The
+/// gang re-runs from the superstep-2 generation.
+#[test]
+fn kill_between_two_peers_sends_recovers_bitwise() {
+    kill_between_two_peers_sends(13);
+}
+
+/// The same run read superstep 4 at rounds 16–20 (gather, sync, apply,
+/// two syncs) and generation 4's checkpoint barrier at round 21, before
+/// superstep 5's gather at 22: the round killed here. Every machine has
+/// saved generation 4 when it enters that barrier, so the gang resumes
+/// from it. The run's 6 supersteps are 12 data rounds, so a numbering of
+/// data rounds alone never reaches 21: only a barrier's round fires.
+#[test]
+fn kill_inside_a_checkpoint_barrier_recovers_bitwise() {
+    kill_between_two_peers_sends(21);
 }
 
 /// Two workers die at one superstep of one run: ranks 1 and 2 both abort

@@ -109,8 +109,8 @@ fn a_respawned_worker_reads_the_same_shard_file_again() {
 }
 
 /// What [`stage`] lays out for one worker: a job for `machines` machines
-/// whose two address lists have `addrs` entries each, and the rank the
-/// worker is started as.
+/// whose address list has `addrs` entries, and the rank the worker is
+/// started as.
 #[derive(Clone, Copy)]
 struct Staged {
     machines: usize,
@@ -132,7 +132,6 @@ fn stage(name: &str, at: Staged, shard_file: impl FnOnce(&DistributedGraph) -> V
         shape: dg.shape(),
         // Never dialled: the worker must give up before it gets that far.
         data_addrs: vec!["127.0.0.1:1".into(); at.addrs],
-        ctrl_addrs: vec!["127.0.0.1:1".into(); at.addrs],
         checkpoint_every: 0,
         checkpoint_dir: String::new(),
     };
@@ -150,9 +149,11 @@ fn stage(name: &str, at: Staged, shard_file: impl FnOnce(&DistributedGraph) -> V
 /// job's last field — the rejoin window, 8 zero bytes here — was retired
 /// with the rejoin itself; 295 since the configuration's
 /// `delta_suppression` — the `01` byte after `max_iterations` — was
-/// retired. Every other byte is as recorded. Never re-record to make this
-/// pass. A job file of either older layout is refused as a typed decode
-/// error, never read as a job.
+/// retired; 261 since the control mesh's address list — 34 bytes right
+/// after `data_addrs`, the same two addresses here — was retired with the
+/// control mesh. Every other byte is as recorded. Never
+/// re-record to make this pass. A job file of any older layout is refused
+/// as a typed decode error, never read as a job.
 #[test]
 fn the_staged_job_file_is_byte_for_byte_the_hand_written_codecs() {
     let golden = "\
@@ -161,8 +162,7 @@ fn the_staged_job_file_is_byte_for_byte_the_hand_written_codecs() {
          68e388b5f8d43e2d431cebe2361a3f54e41071732ac93efa7e6abc7493583f0000000065cd9d4140420f0000\
          000000009a9999999999a93f010000000000000000040000000000001000000000000000fca9f1d24d6250\
          3f00000000000000000000010000000002000000000000004000000000000000000000000040074002000000\
-         0b0000003132372e302e302e313a310b0000003132372e302e302e313a31020000000b0000003132372e302e\
-         302e313a310b0000003132372e302e302e313a31000000000000000000000000";
+         0b0000003132372e302e302e313a310b0000003132372e302e302e313a31000000000000000000000000";
     let dir = stage("golden", TWO, |dg| dg.shards[0].to_wire());
     let bytes = std::fs::read(dir.join("job.bin")).expect("job file");
     let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
@@ -170,11 +170,18 @@ fn the_staged_job_file_is_byte_for_byte_the_hand_written_codecs() {
     let job = WorkerJob::read(&dir.join("job.bin")).expect("the worker's own entry reads it");
     assert_eq!(job.to_wire(), bytes);
 
+    // The control mesh's address list sat between `data_addrs` and the 12
+    // bytes of `checkpoint_every` and the empty `checkpoint_dir` that end
+    // the file.
+    let end = bytes.len() - 12;
+    let list = 4 + 2 * (4 + "127.0.0.1:1".len());
+    let mut parent = bytes.clone();
+    parent.splice(end..end, bytes[end - list..end].to_vec());
     // `delta_suppression` sat right after `max_iterations`, 135 bytes in.
-    let mut parent = bytes;
-    parent.insert(135, 1);
-    let grandparent = [&parent[..], &[0; 8]].concat();
-    for old in [parent, grandparent] {
+    let mut grandparent = parent.clone();
+    grandparent.insert(135, 1);
+    let great_grandparent = [&grandparent[..], &[0; 8]].concat();
+    for old in [parent, grandparent, great_grandparent] {
         std::fs::write(dir.join("job.bin"), &old).expect("old job file");
         match WorkerJob::read(&dir.join("job.bin")) {
             Err(MultiprocError::Decode(detail)) => assert!(detail.contains("job file"), "{detail}"),
@@ -248,7 +255,7 @@ fn a_worker_refuses_a_job_whose_address_lists_do_not_cover_its_machines() {
     for addrs in [2, 1] {
         let at = Staged { machines: 4, addrs, rank: 3 };
         let dir = stage(&format!("addrs{addrs}"), at, |dg| dg.shards[3].to_wire());
-        let counts = format!("{addrs} data and {addrs} control addresses for 4 machines");
+        let counts = format!("{addrs} addresses for 4 machines");
         assert_worker_refuses(&dir, at, &counts);
     }
 }

@@ -16,9 +16,10 @@
 //!    carrier (which encodes but writes no socket) reports as zero — for
 //!    every engine, the barrier-free ones included, and for PageRank as
 //!    for the min-algebras.
-//! 4. **One loop per machine** — a TCP mesh runs no thread of its own, and
-//!    rounds and bursts far larger than socket buffers still complete
-//!    (`lazygraph-cluster`'s `tests/one_loop.rs`, run here as well).
+//! 4. **One loop per machine** — a machine holds one mesh, a TCP mesh
+//!    runs no thread of its own, and rounds and bursts far larger than
+//!    socket buffers still complete (`lazygraph-cluster`'s
+//!    `tests/one_loop.rs`, run here as well).
 
 use std::io::Read;
 
@@ -31,7 +32,7 @@ use lazygraph::prelude::*;
 use lazygraph_algorithms::PageRankData;
 use lazygraph_cluster::{connect_tcp_endpoint, NetStats};
 use lazygraph_engine::{
-    place, run_mesh_engine, Attach, CommError, RecoveryCfg, Seat, TransportKind,
+    place, run_mesh_engine, Attach, CommError, RecoveryCfg, Seat, ThreadedMesh, TransportKind,
 };
 use lazygraph_graph::generators::{rmat, RmatConfig};
 use lazygraph_net::{FrameKind, FrameReader, NetError, TcpOptions, Wire, WireReader, HEADER_LEN};
@@ -294,8 +295,8 @@ fn threaded_tcp_matches_inproc_bitwise() {
             "sssp on {} diverged across transports",
             engine.name()
         );
-        // Both routes reduce over a control mesh, so they count the same
-        // syncs and the same batches of every phase.
+        // Both routes reduce in rounds of each machine's one endpoint, so
+        // they count the same syncs and the same batches of every phase.
         assert_eq!(a.metrics.global_syncs(), b.metrics.global_syncs(), "{}", engine.name());
         assert_eq!(a.metrics.stats.per_phase, b.metrics.stats.per_phase, "{}", engine.name());
 
@@ -327,9 +328,10 @@ fn worker_bin() -> &'static std::path::Path {
     std::path::Path::new(env!("CARGO_BIN_EXE_lazygraph-worker"))
 }
 
-/// What every route counts alike, because every route reduces over the
-/// same control-mesh round and a control round is not payload: global
-/// syncs, traffic, and the cost model's estimate per phase.
+/// What every route counts alike, because every route reduces in the same
+/// rounds of each machine's endpoint and a collective round is not
+/// payload: global syncs, traffic, and the cost model's estimate per
+/// phase.
 fn counted(m: &lazygraph_engine::RunMetrics) -> (u64, u64, Vec<u64>) {
     let per_phase = m.stats.per_phase.iter().map(|p| p.est_bytes).collect();
     (m.global_syncs(), m.traffic_bytes(), per_phase)
@@ -338,7 +340,7 @@ fn counted(m: &lazygraph_engine::RunMetrics) -> (u64, u64, Vec<u64>) {
 /// Four real OS processes over loopback TCP must reproduce the in-proc
 /// run bitwise: values, iterations, convergence, simulated time, and
 /// what the run counted. Four threads over loopback TCP send the same
-/// frames the four processes do, control frames included.
+/// frames the four processes do, collective rounds included.
 #[test]
 fn multiprocess_pagerank_matches_inproc_bitwise() {
     let g = test_graph();
@@ -495,13 +497,12 @@ fn loopback_addrs(n: usize) -> Vec<std::net::SocketAddr> {
     listeners.iter().map(|l| l.local_addr().expect("reserved address")).collect()
 }
 
-/// One machine of a worker-shaped run: its own shard and its own legs of
-/// the control and data meshes.
+/// One machine of a worker-shaped run: its own shard and its own
+/// endpoint of the mesh.
 struct OwnSeat<'a> {
     me: usize,
     shard: &'a lazygraph_partition::LocalShard,
-    ctrl: &'a [std::net::SocketAddr],
-    data: &'a [std::net::SocketAddr],
+    addrs: &'a [std::net::SocketAddr],
 }
 
 impl<'a> Attach<'a> for OwnSeat<'a> {
@@ -509,13 +510,10 @@ impl<'a> Attach<'a> for OwnSeat<'a> {
         self,
         stats: &Arc<NetStats>,
     ) -> Result<Vec<Seat<'a, T>>, CommError> {
-        let opts = TcpOptions::default();
-        let ctrl = connect_tcp_endpoint::<u8>(self.me, self.ctrl, stats, &opts)?;
-        let ep = connect_tcp_endpoint::<T>(self.me, self.data, stats, &opts)?;
+        let ep = connect_tcp_endpoint::<T>(self.me, self.addrs, stats, &TcpOptions::default())?;
         Ok(vec![Seat {
             me: self.me,
             shard: self.shard,
-            ctrl,
             ep,
             recovery: RecoveryCfg::default(),
         }])
@@ -524,8 +522,8 @@ impl<'a> Attach<'a> for OwnSeat<'a> {
 
 /// What replaced the typed refusal this test used to pin: a run shaped
 /// like a worker gang, with each machine on a thread of its own connecting
-/// its own legs of the control and data meshes, so the machines share no
-/// memory, runs every barrier-free engine to the in-process values.
+/// its own endpoint of the mesh, so the machines share no memory, runs
+/// every barrier-free engine to the in-process values.
 #[test]
 fn barrier_free_engines_without_a_detector_fail_typed() {
     let g = test_graph();
@@ -540,8 +538,7 @@ fn barrier_free_engines_without_a_detector_fail_typed() {
         let expected = run(&g, machines, &cfg, &program).expect("in-proc").values;
         let dg = place(&g, machines, &cfg).expect("placement");
         let shape = dg.shape();
-        let addrs = loopback_addrs(2 * machines);
-        let (data, ctrl) = addrs.split_at(machines);
+        let addrs = &loopback_addrs(machines);
         let outs = std::thread::scope(|s| {
             let machines: Vec<_> = dg
                 .shards
@@ -551,7 +548,7 @@ fn barrier_free_engines_without_a_detector_fail_typed() {
                     let (cfg, shape, program) = (&cfg, &shape, &program);
                     s.spawn(move || {
                         let stats = Arc::new(NetStats::new());
-                        let seat = OwnSeat { me, shard, ctrl, data };
+                        let seat = OwnSeat { me, shard, addrs };
                         let mut outs = run_mesh_engine(shape, cfg, program, seat, &stats)?;
                         outs.pop().ok_or(CommError::MeshClosed { me })
                     })
@@ -575,6 +572,48 @@ fn barrier_free_engines_without_a_detector_fail_typed() {
 // ---------------------------------------------------------------------------
 // 4. One loop per machine
 // ---------------------------------------------------------------------------
+
+/// Sockets this process holds, as the kernel lists its descriptors;
+/// `None` where there is no `/proc` to read.
+fn open_sockets() -> Option<usize> {
+    let fds = std::fs::read_dir("/proc/self/fd").ok()?;
+    let is_socket = |fd: &std::fs::DirEntry| {
+        std::fs::read_link(fd.path()).is_ok_and(|to| to.to_string_lossy().starts_with("socket:"))
+    };
+    Some(fds.flatten().filter(is_socket).count())
+}
+
+/// A machine holds one mesh: the threaded TCP route's 4 machines hold one
+/// socket per peer each, 4 × 3 = 12 (a control mesh beside the data mesh
+/// made it 24). Counted in a process of its own — this test binary again,
+/// on this test alone — so that no other test's sockets are counted.
+#[test]
+fn a_machine_holds_one_mesh() {
+    const NAME: &str = "a_machine_holds_one_mesh";
+    if !std::env::args().any(|a| a == "--exact") {
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args([NAME, "--exact", "--test-threads=1", "--nocapture"])
+            .output()
+            .expect("re-running the test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success() && stdout.contains("1 passed"), "{stdout}{stderr}");
+        eprint!("{stderr}");
+        return;
+    }
+    let Some(before) = open_sockets() else {
+        eprintln!("{NAME}: no /proc/self/fd on this host, so no socket was counted");
+        return;
+    };
+    let machines = 4;
+    let dg = place(&test_graph(), machines, &cfg(EngineKind::PowerGraphSync)).expect("placement");
+    let stats = Arc::new(NetStats::new());
+    let mesh = ThreadedMesh { transport: TransportKind::Tcp, shards: &dg.shards };
+    let seats = mesh.attach::<(u32, f64)>(&stats).expect("a threaded TCP mesh");
+    let held = open_sockets().expect("/proc/self/fd was read a moment ago") - before;
+    assert_eq!(held, machines * (machines - 1), "sockets held by {machines} machines' seats");
+    drop(seats);
+}
 
 #[path = "../crates/cluster/tests/one_loop.rs"]
 mod one_loop;

@@ -312,8 +312,8 @@ fn malformed_item_region_fails_the_run() {
 }
 
 /// One machine alone receives a malformed item, so one machine fails and
-/// its peer goes on to the next barrier. The failed machine's legs close
-/// with it, and the peer's barrier round must fail typed instead of
+/// its peer goes on to the next barrier. The failed machine's endpoint
+/// closes with it, and the peer's barrier round must fail typed instead of
 /// waiting for it forever, over TCP and in process alike. The run goes
 /// behind a deadline, so a hang is a failure of this test, not a stuck
 /// suite.
