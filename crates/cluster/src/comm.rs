@@ -242,7 +242,7 @@ impl<T> Endpoint<T> {
     }
 
     /// The round the next `exchange` will be tagged with.
-    #[inline]
+    #[cfg(test)]
     pub fn next_round(&self) -> u64 {
         self.next_round
     }

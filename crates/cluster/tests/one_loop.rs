@@ -163,8 +163,11 @@ fn alone(name: &str, body: impl FnOnce()) {
 /// Counts threads before `build_endpoints(kind, 4, …)`, after it returns,
 /// and during exchanges: the mesh adds none. The machine threads exist
 /// before the mesh does, so the only threads that could appear are the
-/// transport's.
-fn no_transport_threads(kind: TransportKind) {
+/// transport's. `start` is the process's settled count before any pass;
+/// the pass ends back at it once its machine threads are joined, so a
+/// dropped mesh leaves no thread behind, and the next pass starts from a
+/// count no joined thread of this one still inflates.
+fn no_transport_threads(kind: TransportKind, start: usize) {
     let stats = Arc::new(NetStats::new());
     let (seat_txs, seat_rxs): (Vec<_>, Vec<_>) = (0..MACHINES)
         .map(|_| mpsc::channel::<Endpoint<u64>>())
@@ -221,13 +224,19 @@ fn no_transport_threads(kind: TransportKind) {
     for m in machines {
         m.join().unwrap();
     }
+    assert_eq!(
+        settled(start),
+        start,
+        "{kind:?}: a dropped mesh left a thread running"
+    );
 }
 
 #[test]
 fn a_fail_fast_mesh_runs_no_thread() {
     alone("a_fail_fast_mesh_runs_no_thread", || {
+        let start = threads();
         for kind in CARRIERS {
-            no_transport_threads(kind);
+            no_transport_threads(kind, start);
         }
     });
 }

@@ -35,7 +35,7 @@ use crate::interval::{IntervalModel, StageProgress, Trend};
 use crate::machine::{Frame, Superstep, Vote};
 use crate::parallel::ParallelCtx;
 use crate::program::{DeltaExchange, LocalOrder, VertexProgram};
-use crate::scheduler::{KeyedRemainder, LOCAL_MIN_BATCH, LOCAL_ORDER_FROM};
+use crate::scheduler::{cut_most_urgent, LOCAL_MIN_BATCH, LOCAL_ORDER_FROM};
 use crate::state::{fold_into, vertex_ctx, InitMessages, MachineState};
 use crate::sync_engine::{scatter, Receipt, SCATTER_WINDOW};
 
@@ -184,12 +184,9 @@ pub struct LazyStep<P: VertexProgram> {
     /// sub-round a full sweep with no key ever computed; `Some` orders the
     /// stages from `LOCAL_ORDER_FROM` on.
     order: Option<LocalOrder<P::VData, P::Delta>>,
-    /// An ordered sub-round's freshly keyed `(key, local id)` pairs
-    /// (capacity only between sub-rounds; never touched without an order).
+    /// An ordered sub-round's `(key, local id)` scratch (capacity only
+    /// between sub-rounds; never touched without an order).
     keyed: Vec<(f64, u32)>,
-    /// What the ordered stage in flight deferred, with its keys (empty
-    /// between stages).
-    remainder: KeyedRemainder,
 }
 
 impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
@@ -207,7 +204,6 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
             worklist: Vec::new(),
             order: f.program.local_order(),
             keyed: Vec::new(),
-            remainder: KeyedRemainder::default(),
         }
     }
 
@@ -230,9 +226,9 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
             let stage_budget = self.interval.stage_budget(first_stage_time, coherency_cost);
             let order = self.order.filter(|_| f.iterations >= LOCAL_ORDER_FROM);
             // `doLC()` is asked before the queue is touched, so a refused
-            // sub-round leaves it exactly as it stood — inboxes untouched —
-            // for the coherency-point sweep, the remainder drained back in.
-            while !f.state.queue.is_empty() || !self.remainder.is_empty() {
+            // sub-round leaves it exactly as it stood — still `active`,
+            // inboxes untouched — for the coherency-point sweep.
+            while !f.state.queue.is_empty() {
                 let stage = StageProgress {
                     subrounds: self.carry.counters.local_subrounds - subrounds_at_round_start,
                     elapsed: f.clock.now() - stage_start,
@@ -248,7 +244,6 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
                 self.sweep_worklist(f, false);
                 self.carry.counters.local_subrounds += 1;
             }
-            self.requeue_remainder(&mut f.state);
             // Record T online: the duration of this run's first local
             // stage. A budgeted run reads no `T` and measures none.
             if self.carry.first_stage_time.is_none() && !self.interval.budgets_stages() {
@@ -335,25 +330,21 @@ impl<P: VertexProgram> LazyStep<P> {
         self.carry.last_sweep_cost = f.clock.now() - before;
     }
 
-    /// The ordered local stage's scheduling cut (DESIGN.md §17): keeps in
-    /// `worklist` only the most urgent pending vertices and holds the rest
-    /// in `remainder`. The worklist comes in as the queue — every vertex
-    /// that became pending since the last cut, a held one re-queued by a
-    /// delivery included — and only those are keyed; the held entries keep
-    /// their keys. A held vertex is out of the queue, so it is
-    /// not `active`: a delivery into its inbox re-activates and re-queues
-    /// it like any quiet vertex, which is how a changed key is noticed, and
-    /// which supersedes its held entry. The selected set is
-    /// [`crate::scheduler::cut_most_urgent`]'s over every pending vertex
-    /// keyed afresh, so it depends only on which vertices are pending and
-    /// on their keys, and the sorted worklist is as canonical as the full
-    /// one.
+    /// The ordered local stage's scheduling cut (DESIGN.md §17): keys every
+    /// vertex of `worklist` — the queue the sub-round took, everything
+    /// pending — keeps in it only the most urgent ([`cut_most_urgent`]),
+    /// and pushes the rest back onto `state.queue`, still `active` with
+    /// their inboxes untouched, for the next sub-round, or for the
+    /// coherency-point sweep (which takes the whole queue) if the stage
+    /// ends first. The selected set depends only on which vertices are
+    /// pending and on their keys, so the sorted worklist is as canonical as
+    /// the full one.
     fn defer_less_urgent(
         &mut self,
         state: &mut MachineState<P>,
         key: LocalOrder<P::VData, P::Delta>,
     ) {
-        if self.remainder.is_empty() && self.worklist.len() <= LOCAL_MIN_BATCH {
+        if self.worklist.len() <= LOCAL_MIN_BATCH {
             return;
         }
         self.keyed.clear();
@@ -365,26 +356,11 @@ impl<P: VertexProgram> LazyStep<P> {
             };
             (urgency, l)
         }));
+        let cut = cut_most_urgent(&mut self.keyed);
+        let (selected, deferred) = self.keyed.split_at(cut);
         self.worklist.clear();
-        let active = &state.active;
-        self.remainder.cut(&self.keyed, |l| active[l as usize], &mut self.worklist);
-        // Out of the queue: the deferred are held now, and the selected
-        // are deactivated by their sweep's apply pass anyway.
-        for &(_, l) in &self.keyed {
-            state.active[l as usize] = false;
-        }
-    }
-
-    /// Ends an ordered stage: what the remainder holds goes back onto the
-    /// queue, `active` again and inboxes untouched, for the coherency-point
-    /// sweep — so no step boundary, and no snapshot, ever sees it.
-    fn requeue_remainder(&mut self, state: &mut MachineState<P>) {
-        let start = state.queue.len();
-        let active = &state.active;
-        self.remainder.drain(|l| active[l as usize], &mut state.queue);
-        for &l in &state.queue[start..] {
-            state.active[l as usize] = true;
-        }
+        self.worklist.extend(selected.iter().map(|&(_, l)| l));
+        state.queue.extend(deferred.iter().map(|&(_, l)| l));
     }
 }
 

@@ -24,10 +24,9 @@
 //! `f64::log2` so the binning is bit-exact on every platform: for a
 //! normal `r ≥ 1`, the unbiased exponent *is* `⌊log₂ r⌋`.
 //!
-//! The lazy-block engine's scheduling cut ([`cut_most_urgent`], and the
-//! [`KeyedRemainder`] an ordered stage holds between cuts; DESIGN.md §17)
-//! lives here too, under the same rules: a pure function of the pending
-//! set and its keys.
+//! The lazy-block engine's scheduling cut ([`cut_most_urgent`]; DESIGN.md
+//! §17) lives here too, under the same rules: a pure function of the
+//! pending set and its keys.
 
 /// Bucket index of a priority ratio `r = priority / tolerance`, for
 /// `r ≥ 1`: `⌊log₂ r⌋` via exponent extraction (exact, no libm).
@@ -214,103 +213,20 @@ pub const LOCAL_ORDER_FROM: u64 = 4;
 /// lets equal-key programs (BFS levels) run level-synchronously; the
 /// caller sorts the selected ids into the canonical sweep order.
 pub fn cut_most_urgent(pending: &mut [(f64, u32)]) -> usize {
-    cut_first(pending, |a, b| b.total_cmp(a))
-}
-
-/// The cut under any order of the keys: `first` orders them most urgent
-/// first. Moves to the front the entries at or before the k-th, `k =
-/// max(⌈len / LOCAL_CUT_DEN⌉, LOCAL_MIN_BATCH)`, and every entry equal to
-/// it; returns how many they are.
-fn cut_first<K: Copy>(
-    pending: &mut [(K, u32)],
-    first: impl Fn(&K, &K) -> std::cmp::Ordering,
-) -> usize {
     let k = pending.len().div_ceil(LOCAL_CUT_DEN).max(LOCAL_MIN_BATCH);
     if k >= pending.len() {
         return pending.len();
     }
-    let (_, &mut (kth, _), rest) = pending.select_nth_unstable_by(k - 1, |a, b| first(&a.0, &b.0));
+    let (_, &mut (kth, _), rest) =
+        pending.select_nth_unstable_by(k - 1, |a, b| b.0.total_cmp(&a.0));
     let mut ties = 0;
     for i in 0..rest.len() {
-        if first(&rest[i].0, &kth).is_eq() {
+        if rest[i].0.total_cmp(&kth).is_eq() {
             rest.swap(ties, i);
             ties += 1;
         }
     }
     k + ties
-}
-
-/// `key`'s place in [`cut_most_urgent`]'s order as an integer: ascending
-/// rank is descending `f64::total_cmp`, so the most urgent key ranks
-/// lowest, equal keys rank equal, and a NaN ranks like the ordinary value
-/// `total_cmp` makes it. An integer comparison is what keeps a cut over
-/// held ranks cheaper than one over the keys.
-fn rank(key: f64) -> u64 {
-    let bits = key.to_bits();
-    if bits >> 63 == 1 {
-        bits
-    } else {
-        !(bits | 1 << 63)
-    }
-}
-
-/// The deferred remainder of an ordered local stage (DESIGN.md §17): the
-/// pending vertices earlier sub-rounds of the stage left unswept, each
-/// with the rank of the key it was deferred under, in the order the last
-/// cut left them — every one ranked after everything that cut selected.
-/// Held across the sub-rounds of one stage, it lets a sub-round key only
-/// what changed since the last cut — its arrivals — where
-/// [`cut_most_urgent`] over the queue re-keys every pending vertex each
-/// time. It never crosses a step boundary: the engine drains it back into
-/// the queue when the stage ends.
-#[derive(Debug, Default)]
-pub struct KeyedRemainder {
-    /// `held[head..]`: the remainder as `(rank, id)`. An entry whose vertex
-    /// changed since it was keyed is *superseded* (the caller says which)
-    /// and is dropped at the next cut or drain.
-    held: Vec<(u64, u32)>,
-    head: usize,
-    /// A cut's pending set (capacity only between cuts).
-    pending: Vec<(u64, u32)>,
-}
-
-impl KeyedRemainder {
-    /// Whether nothing is held.
-    pub fn is_empty(&self) -> bool {
-        self.head == self.held.len()
-    }
-
-    /// One sub-round's cut over everything pending: the held entries not
-    /// `superseded`, and `fresh` — each vertex that became pending or
-    /// changed since the last cut, freshly keyed, in any order. Appends to
-    /// `selected` what [`cut_most_urgent`] would select from the same
-    /// pending set keyed afresh — everything at or above the k-th largest
-    /// key, ties included — and holds the rest, still keyed. A vertex must
-    /// not be both held (not superseded) and fresh.
-    pub fn cut(
-        &mut self,
-        fresh: &[(f64, u32)],
-        superseded: impl Fn(u32) -> bool,
-        selected: &mut Vec<u32>,
-    ) {
-        let pending = &mut self.pending;
-        pending.clear();
-        pending.extend(self.held[self.head..].iter().filter(|&&(_, l)| !superseded(l)));
-        pending.extend(fresh.iter().map(|&(key, l)| (rank(key), l)));
-        let cut = cut_first(pending, u64::cmp);
-        selected.extend(pending[..cut].iter().map(|&(_, l)| l));
-        std::mem::swap(&mut self.held, &mut self.pending);
-        self.head = cut;
-    }
-
-    /// Empties the remainder at the end of a stage: appends each held
-    /// vertex not `superseded` to `pending`.
-    pub fn drain(&mut self, superseded: impl Fn(u32) -> bool, pending: &mut Vec<u32>) {
-        let held = &self.held[self.head..];
-        pending.extend(held.iter().map(|&(_, l)| l).filter(|&l| !superseded(l)));
-        self.held.clear();
-        self.head = 0;
-    }
 }
 
 #[cfg(test)]
@@ -393,121 +309,6 @@ mod tests {
         for input in [&mut a, &mut b] {
             let cut = cut_most_urgent(input);
             assert_eq!(ids(&input[..cut]), want);
-        }
-    }
-
-    /// The keyed remainder against its definition. A seeded model of an
-    /// ordered stage: each sub-round new vertices turn pending, held ones
-    /// have their key raised in place (a delivery into a deferred inbox,
-    /// which re-queues it), queued ones change key; keys come from a few
-    /// tie classes plus ±∞ and ±NaN. Every sub-round's selection must be
-    /// [`cut_most_urgent`]'s over every pending vertex keyed afresh, and a
-    /// stage end must hand back exactly the unselected pending set.
-    #[test]
-    fn keyed_remainder_selects_what_a_fresh_cut_would() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        const N: usize = 3000;
-        let pool = [
-            f64::NAN,
-            -f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            -1.0,
-            -2.0,
-            -3.0,
-            -5.5,
-            -8.0,
-            0.0,
-            -0.0,
-        ];
-        for seed in 0..24 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let draw = |rng: &mut StdRng| {
-                if rng.random_range(0..3) == 0 {
-                    pool[rng.random_range(0..pool.len())]
-                } else {
-                    -f64::from(rng.random_range(0..400u32))
-                }
-            };
-            let (mut key, mut pending) = (vec![0.0f64; N], vec![false; N]);
-            // `active`: in the queue, as `MachineState::active` guards it.
-            let (mut active, mut queue) = (vec![false; N], Vec::new());
-            let mut remainder = KeyedRemainder::default();
-            let (mut fresh, mut selected) = (Vec::new(), Vec::new());
-            let mut cuts_that_deferred = 0;
-            for round in 0..60 {
-                for _ in 0..rng.random_range(0..400) {
-                    let l = rng.random_range(0..N);
-                    let raised = match draw(&mut rng) {
-                        k if k.total_cmp(&key[l]).is_gt() => k,
-                        _ => key[l],
-                    };
-                    match (pending[l], active[l]) {
-                        (false, _) => key[l] = draw(&mut rng),
-                        (true, _) if rng.random_range(0..2) == 0 => key[l] = raised,
-                        (true, true) => key[l] = draw(&mut rng),
-                        (true, false) => continue,
-                    }
-                    pending[l] = true;
-                    if !active[l] {
-                        active[l] = true;
-                        queue.push(l as u32);
-                    }
-                }
-                if round % 13 == 12 {
-                    // Stage end: the remainder goes back onto the queue.
-                    let start = queue.len();
-                    remainder.drain(|l| active[l as usize], &mut queue);
-                    queue[start..].iter().for_each(|&l| active[l as usize] = true);
-                    let mut queued = queue.clone();
-                    queued.sort_unstable();
-                    let want: Vec<u32> = (0..N as u32).filter(|&l| pending[l as usize]).collect();
-                    assert_eq!(queued, want, "seed {seed}, round {round}: drain lost or doubled");
-                    assert!(remainder.is_empty());
-                    continue;
-                }
-                let mut all: Vec<(f64, u32)> = (0..N as u32)
-                    .filter(|&l| pending[l as usize])
-                    .map(|l| (key[l as usize], l))
-                    .collect();
-                let want = {
-                    let cut = cut_most_urgent(&mut all);
-                    ids(&all[..cut])
-                };
-                fresh.clear();
-                fresh.extend(queue.drain(..).map(|l| (key[l as usize], l)));
-                selected.clear();
-                remainder.cut(&fresh, |l| active[l as usize], &mut selected);
-                fresh.iter().for_each(|&(_, l)| active[l as usize] = false);
-                selected.sort_unstable();
-                assert_eq!(selected, want, "seed {seed}, round {round}");
-                cuts_that_deferred += usize::from(selected.len() < all.len());
-                selected.iter().for_each(|&l| pending[l as usize] = false);
-            }
-            assert!(cuts_that_deferred > 20, "seed {seed}: the cut seldom deferred");
-        }
-    }
-
-    #[test]
-    fn rank_is_descending_total_order() {
-        let keys = [
-            -f64::NAN,
-            f64::NEG_INFINITY,
-            -1e300,
-            -1.0,
-            -f64::MIN_POSITIVE,
-            -0.0,
-            0.0,
-            f64::MIN_POSITIVE,
-            1.0,
-            f64::INFINITY,
-            f64::NAN,
-        ];
-        for a in keys {
-            for b in keys {
-                assert_eq!(rank(a).cmp(&rank(b)), b.total_cmp(&a), "{a} vs {b}");
-            }
         }
     }
 

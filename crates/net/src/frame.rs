@@ -210,7 +210,8 @@ impl FrameReader {
         self.cur_pooled
     }
 
-    /// Buffers currently parked on the free list (diagnostics/tests).
+    /// Buffers currently parked on the free list.
+    #[cfg(test)]
     pub fn pooled_buffers(&self) -> usize {
         self.free.len()
     }

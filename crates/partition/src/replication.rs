@@ -7,7 +7,9 @@
 //! parallel edge, and no per-vertex list is ever allocated.
 
 use lazygraph_graph::hash::mix64;
-use lazygraph_graph::{Graph, MachineId};
+#[cfg(test)]
+use lazygraph_graph::Graph;
+use lazygraph_graph::MachineId;
 
 /// One bit per machine; bit `m` set means machine `m` holds a replica.
 pub type MachineMask = u128;
@@ -62,6 +64,7 @@ impl Replication {
 
     /// Derives replication from a one-edge assignment: a vertex is
     /// replicated on every machine owning one of its adjacent edges.
+    #[cfg(test)]
     pub fn from_assignment(graph: &Graph, assignment: &[MachineId], num_machines: usize) -> Self {
         assert_eq!(assignment.len(), graph.num_edges());
         let mut masks = vec![0; graph.num_vertices()];

@@ -60,6 +60,17 @@ pub fn budget_withheld(cfg: EngineConfig) -> EngineConfig {
     })
 }
 
+/// `cfg` with lazy-block's later local stages bounded by `factor · T`, `T`
+/// the first, whole-swept stage's length: `3.0` is the paper's bound, a
+/// small factor cuts the ordered stages short after a sub-round or two.
+pub fn stage_bound(cfg: EngineConfig, factor: f64) -> EngineConfig {
+    cfg.with_interval(IntervalPolicy::Adaptive {
+        ev_threshold: 10.0,
+        trend_threshold: 0.07,
+        local_bound_factor: factor,
+    })
+}
+
 /// `P` with its local order withheld: the same program on the
 /// sweep-everything local stage. The reference an ordered run is compared
 /// against — same fixpoint, more traversed edges.

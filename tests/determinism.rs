@@ -12,9 +12,10 @@
 
 mod common;
 
-use common::{budget_withheld, road_lattice, slow_machines, social_rmat, Unordered};
+use common::{budget_withheld, road_lattice, slow_machines, social_rmat, stage_bound, Unordered};
 use lazygraph::prelude::*;
 use lazygraph_algorithms::WidestPath;
+use lazygraph_engine::checkpoint::fnv1a64;
 use lazygraph_engine::TransportKind;
 use lazygraph_graph::generators::{rmat, RmatConfig};
 use lazygraph_graph::{Dataset, GraphBuilder};
@@ -282,22 +283,34 @@ fn delta_engine_skips_work_the_lazy_engine_processes() {
 // Ordered local stages (DESIGN.md §17)
 // ---------------------------------------------------------------------------
 
-/// What an ordered run owes bitwise: the values, the simulated clock, and
-/// the two counters the scheduling cut moves.
-fn ordered_fingerprint<P: VertexProgram>(
+/// What an ordered run owes bitwise: a digest of its values, its
+/// simulated clock's bits, and the counters the scheduling cut moves.
+#[derive(Debug, PartialEq)]
+struct OrderedFigures {
+    values: u64,
+    sim_time: u64,
+    edges: u64,
+    applies: u64,
+    subrounds: u64,
+    coherency_points: u64,
+}
+
+fn ordered_figures<P: VertexProgram>(
     g: &Graph,
     machines: usize,
     cfg: &EngineConfig,
     program: &P,
-) -> (String, u64, u64, u64) {
+) -> OrderedFigures {
     let r = run(g, machines, cfg, program).expect("cluster run");
     assert!(r.metrics.converged);
-    (
-        format!("{:?}", r.values),
-        r.metrics.sim_time.to_bits(),
-        r.metrics.stats.edges_processed,
-        r.metrics.local_subrounds,
-    )
+    OrderedFigures {
+        values: fnv1a64(&r.values.to_wire()),
+        sim_time: r.metrics.sim_time.to_bits(),
+        edges: r.metrics.stats.edges_processed,
+        applies: r.metrics.stats.applies,
+        subrounds: r.metrics.local_subrounds,
+        coherency_points: r.metrics.coherency_points,
+    }
 }
 
 /// Runs `program` under `lazy(threads)` on {in-proc, TCP} × threads
@@ -308,13 +321,13 @@ fn assert_transport_thread_invariant<P: VertexProgram>(
     machines: usize,
     lazy: impl Fn(usize) -> EngineConfig,
     program: &P,
-) -> (String, u64, u64, u64) {
-    let baseline = ordered_fingerprint(g, machines, &lazy(1), program);
+) -> OrderedFigures {
+    let baseline = ordered_figures(g, machines, &lazy(1), program);
     for transport in [TransportKind::InProc, TransportKind::Tcp] {
         for threads in [1usize, 2, 4] {
             let c = lazy(threads).with_transport(transport);
             assert_eq!(
-                ordered_fingerprint(g, machines, &c, program),
+                ordered_figures(g, machines, &c, program),
                 baseline,
                 "{}: lazy run diverged on {transport:?}, threads={threads}, machines={machines}",
                 program.name()
@@ -332,7 +345,7 @@ fn assert_ordered_stage_invariant<P: VertexProgram + Copy>(g: &Graph, program: P
         // The cut selects by key, never by position in the worklist, so
         // the block size (which shapes activation order) cannot matter.
         assert_eq!(
-            ordered_fingerprint(g, machines, &lazy(2).with_block_size(7), &program),
+            ordered_figures(g, machines, &lazy(2).with_block_size(7), &program),
             baseline,
             "{name}: block size changed an ordered run at machines={machines}"
         );
@@ -341,13 +354,14 @@ fn assert_ordered_stage_invariant<P: VertexProgram + Copy>(g: &Graph, program: P
         // edges — so the cut really deferred work in the runs above. (One
         // machine is one local stage from one source: BFS is already
         // level-synchronous there, so only "no more" is owed.)
-        let unordered = ordered_fingerprint(g, machines, &lazy(1), &Unordered(program));
-        assert_eq!(unordered.0, baseline.0, "{name}: the order changed the fixpoint");
+        let unordered = ordered_figures(g, machines, &lazy(1), &Unordered(program));
+        assert_eq!(unordered.values, baseline.values, "{name}: the order changed the fixpoint");
         assert!(
-            baseline.2 < unordered.2 || (machines == 1 && baseline.2 == unordered.2),
+            baseline.edges < unordered.edges
+                || (machines == 1 && baseline.edges == unordered.edges),
             "{name}, machines={machines}: ordered stage traversed {} edges, unordered {}",
-            baseline.2,
-            unordered.2
+            baseline.edges,
+            unordered.edges
         );
     }
 }
@@ -363,6 +377,94 @@ fn ordered_local_stages_bitwise_identical_across_threads_transports_and_machines
     assert_ordered_stage_invariant(&g, WidestPath::new(0u32));
 }
 
+/// The first golden of simulated figures: SSSP, BFS and widest path — the
+/// programs with a local order — at 4 machines on the road lattice the
+/// bitwise matrix above runs, each under a stage bound that cuts the
+/// ordered stages short (a hundredth of `T`, as `tests/fault_tolerance.rs`
+/// kills inside them) and under the paper's `3·T`. Every figure is a
+/// literal, recorded at `4c68105`. A change meant to move what an ordered
+/// stage does — a bucketed cut (ROADMAP item 19), ordering every stage
+/// (item 2(a)) — re-records it on purpose and says so in its change log;
+/// any other change leaves it as it stands.
+#[test]
+fn ordered_stages_match_their_golden() {
+    fn check<P: VertexProgram + Copy>(g: &Graph, program: P, want: [OrderedFigures; 2]) {
+        let name = program.name();
+        for (factor, want) in [0.01, 3.0].into_iter().zip(want) {
+            let lazy = stage_bound(cfg(EngineKind::LazyBlockAsync, 2, false), factor);
+            let got = ordered_figures(g, 4, &lazy, &program);
+            assert_eq!(got, want, "{name} at {factor}·T moved off its golden");
+            // Anti-vacuity: the cut deferred work in the pinned run.
+            let unordered = ordered_figures(g, 4, &lazy, &Unordered(program));
+            assert_eq!(got.values, unordered.values, "{name}: the order changed the fixpoint");
+            assert!(
+                got.edges < unordered.edges,
+                "{name} at {factor}·T: ordered {} edges, unordered {}",
+                got.edges,
+                unordered.edges
+            );
+        }
+    }
+    let g = road_lattice(96, 11);
+    let sssp = [
+        OrderedFigures {
+            values: 0x92e91f3e1f4a3319,
+            sim_time: 0x3ffabec63d74514a,
+            edges: 880_244,
+            applies: 376_451,
+            subrounds: 1_761,
+            coherency_points: 42,
+        },
+        OrderedFigures {
+            values: 0x92e91f3e1f4a3319,
+            sim_time: 0x3fe0fc0173f89432,
+            edges: 989_457,
+            applies: 465_936,
+            subrounds: 3_749,
+            coherency_points: 14,
+        },
+    ];
+    check(&g, Sssp::new(0u32), sssp);
+    let bfs = [
+        OrderedFigures {
+            values: 0xc71174c6183571f9,
+            sim_time: 0x40071362f19a6a1e,
+            edges: 286_873,
+            applies: 167_921,
+            subrounds: 1_224,
+            coherency_points: 72,
+        },
+        OrderedFigures {
+            values: 0xc71174c6183571f9,
+            sim_time: 0x3fdb1e75805a8f60,
+            edges: 280_018,
+            applies: 173_161,
+            subrounds: 2_245,
+            coherency_points: 12,
+        },
+    ];
+    check(&g, Bfs::new(0u32), bfs);
+    let widest = [
+        OrderedFigures {
+            values: 0xce36a2a5f87d4f0c,
+            sim_time: 0x400abbc40bb159b1,
+            edges: 482_684,
+            applies: 262_203,
+            subrounds: 1_833,
+            coherency_points: 83,
+        },
+        OrderedFigures {
+            values: 0xce36a2a5f87d4f0c,
+            sim_time: 0x3fd61442b7e0818c,
+            edges: 329_073,
+            applies: 177_412,
+            subrounds: 1_703,
+            coherency_points: 10,
+        },
+    ];
+    check(&g, WidestPath::new(0u32), widest);
+}
+
 // ---------------------------------------------------------------------------
 // Budgeted local stages (DESIGN.md §17, "How long a local stage runs")
 // ---------------------------------------------------------------------------
@@ -376,15 +478,16 @@ fn assert_budgeted_stage_invariant<P: VertexProgram>(g: &Graph, program: &P) {
         // same run sweeps whole stages the budget would have refused — more
         // sub-rounds, and (where there is anybody to be incoherent with)
         // more edges. One machine runs the same sweeps under either name.
-        let withheld = ordered_fingerprint(g, machines, &budget_withheld(lazy(1)), program);
+        let withheld = ordered_figures(g, machines, &budget_withheld(lazy(1)), program);
         assert!(
-            baseline.3 < withheld.3
-                && (baseline.2 < withheld.2 || (machines == 1 && baseline.2 == withheld.2)),
+            baseline.subrounds < withheld.subrounds
+                && (baseline.edges < withheld.edges
+                    || (machines == 1 && baseline.edges == withheld.edges)),
             "{name}, machines={machines}: budgeted {} sub-rounds over {} edges, withheld {} over {}",
-            baseline.3,
-            baseline.2,
-            withheld.3,
-            withheld.2
+            baseline.subrounds,
+            baseline.edges,
+            withheld.subrounds,
+            withheld.edges
         );
     }
 }
@@ -409,10 +512,15 @@ fn budgeted_local_stages_bitwise_identical_across_threads_transports_and_machine
     // Both really are live in one stage: with the order withheld the same
     // budgeted run reaches the same values in fewer, larger sub-rounds.
     let lazy = slow_machines(cfg(EngineKind::LazyBlockAsync, 1, false));
-    let cut = ordered_fingerprint(&web, 4, &lazy, &sssp);
-    let whole = ordered_fingerprint(&web, 4, &lazy, &Unordered(sssp));
-    assert_eq!(cut.0, whole.0, "the order changed the fixpoint");
-    assert!(cut.3 > whole.3, "no budgeted stage was cut: {} sub-rounds vs {}", cut.3, whole.3);
+    let cut = ordered_figures(&web, 4, &lazy, &sssp);
+    let whole = ordered_figures(&web, 4, &lazy, &Unordered(sssp));
+    assert_eq!(cut.values, whole.values, "the order changed the fixpoint");
+    assert!(
+        cut.subrounds > whole.subrounds,
+        "no budgeted stage was cut: {} sub-rounds vs {}",
+        cut.subrounds,
+        whole.subrounds
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -232,31 +232,22 @@ fn lazy_block_recovers_bitwise_when_worker_0_dies() {
     run_matrix_for(&matrix_graph(), &base, &Sssp::new(0u32), 2, 0, kill_points);
 }
 
-/// Lazy-block with its later local stages bounded by `factor · T`.
-fn stage_bound(factor: f64) -> EngineConfig {
-    cfg(EngineKind::LazyBlockAsync).with_interval(IntervalPolicy::Adaptive {
-        ev_threshold: 10.0,
-        trend_threshold: 0.07,
-        local_bound_factor: factor,
-    })
-}
-
 /// A tight stage bound (a hundredth of `T`, which the first, whole-swept
 /// stage measures): on a road lattice, SSSP's ordered stages — those from
-/// `LOCAL_ORDER_FROM` on — stop after a sub-round or two, with the cut
-/// still holding vertices in its deferred remainder.
+/// `LOCAL_ORDER_FROM` on — stop after a sub-round or two, with vertices
+/// the cut deferred still on the queue.
 fn cut_short_ordered_stages() -> EngineConfig {
-    stage_bound(0.01)
+    common::stage_bound(cfg(EngineKind::LazyBlockAsync), 0.01)
 }
 
 /// Kill/resume through *ordered* local stages (DESIGN.md §17), cut short
-/// ([`cut_short_ordered_stages`]). What a stage's remainder holds when
-/// the stage ends goes back onto the queue and runs in that superstep's
-/// coherency sweep, so what a snapshot must carry for the resumed machine
-/// to repeat the oracle's cuts is what it always carried — the queue, the
-/// inboxes, `T` and the superstep number; the remainder never crosses a
-/// step boundary. The fingerprint includes `local_subrounds`, which any
-/// replayed cut that differed would move.
+/// ([`cut_short_ordered_stages`]). What a cut defers goes back onto the
+/// queue, so what a stage leaves deferred when it ends runs in that
+/// superstep's coherency sweep, and what a snapshot must carry for the
+/// resumed machine to repeat the oracle's cuts is what it always carried
+/// — the queue, the inboxes, `T` and the superstep number; the cut keeps
+/// no state of its own. The fingerprint includes `local_subrounds`, which
+/// any replayed cut that differed would move.
 #[test]
 fn lazy_block_recovers_bitwise_through_cut_short_ordered_stages() {
     let g = common::road_lattice(96, 5);
@@ -266,7 +257,8 @@ fn lazy_block_recovers_bitwise_through_cut_short_ordered_stages() {
     // the same program without its order).
     let sssp = Sssp::new(0u32);
     let tight = run(&g, 4, &cut_short_ordered_stages(), &sssp).expect("tight run").metrics;
-    let paper = run(&g, 4, &stage_bound(3.0), &sssp).expect("3T run").metrics;
+    let paper_bound = common::stage_bound(cfg(EngineKind::LazyBlockAsync), 3.0);
+    let paper = run(&g, 4, &paper_bound, &sssp).expect("3T run").metrics;
     assert!(tight.coherency_points > paper.coherency_points, "the stage bound never fired");
     let unordered = run(&g, 4, &cut_short_ordered_stages(), &common::Unordered(sssp))
         .expect("unordered run")
@@ -279,9 +271,9 @@ fn lazy_block_recovers_bitwise_through_cut_short_ordered_stages() {
 /// Kill/resume inside the earliest ordered stages: the victim dies in the
 /// supersteps of the 4th and the 5th coherency point, read off the
 /// trace's carried counters, where [`cut_short_ordered_stages`]' stages
-/// are ordered and run sub-rounds. A snapshot taken after such a stage
-/// must hold nothing of its remainder, so the resumed gang is bitwise the
-/// oracle.
+/// are ordered and run sub-rounds. The snapshot taken after such a stage
+/// holds nothing of its cuts but the queue and the inboxes, and from them
+/// the resumed gang must repeat the oracle's cuts bitwise.
 #[test]
 fn lazy_block_recovers_bitwise_inside_the_first_ordered_stages() {
     let g = common::road_lattice(96, 5);
