@@ -6,6 +6,8 @@
 use std::process::Command;
 
 fn main() {
+    // Answer `--help`, or refuse a bad argument, once, before any figure runs.
+    lazygraph_bench::Args::parse();
     let forwarded: Vec<String> = std::env::args().skip(1).collect();
     let exe_dir = std::env::current_exe()
         .expect("own path")

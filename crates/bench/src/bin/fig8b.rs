@@ -9,11 +9,14 @@
 //!
 //! Regenerate: `cargo run -p lazygraph-bench --release --bin fig8b`
 
-use lazygraph_bench::Table;
+use lazygraph_bench::{Args, Table};
 use lazygraph_cluster::CostModel;
 use lazygraph_engine::{choose_mode, CommMode, VolumeEstimate};
 
 fn main() {
+    // The fitted curves need no dataset: the shared options are accepted
+    // (`all_experiments` forwards them) and unused.
+    Args::parse();
     let cost = CostModel::paper_cluster();
     println!("Figure 8(b): fitted coherency-exchange time vs volume (paper §4.2.2)");
     let mut table = Table::new(&["comm (MB)", "t_a2a (s)", "t_m2m (s)", "faster"]);

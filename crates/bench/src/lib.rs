@@ -19,10 +19,10 @@
 use lazygraph_algorithms::{AlgoSpec, Shipped, Visitor};
 use lazygraph_engine::{place, run_on, EngineConfig, RunMetrics};
 use lazygraph_graph::{Dataset, Graph, GraphClass};
-use lazygraph_partition::DistributedGraph;
+use lazygraph_partition::{DistributedGraph, MAX_MACHINES};
 
 /// Command-line arguments shared by the harness binaries.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Args {
     /// Dataset scale multiplier (1.0 = default harness sizes; the README
     /// documents the ~100–1000× scale-down vs the paper's graphs).
@@ -43,38 +43,73 @@ impl Default for Args {
     }
 }
 
+/// What a harness binary's command line asks for.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Command {
+    /// Run the figure with these arguments.
+    Run(Args),
+    /// Print the usage and exit.
+    Help,
+}
+
+/// The options every harness binary takes, after its name.
+const USAGE: &str = "[--scale X] [--machines N] [--quick] [--help]\n  \
+    --scale X     dataset scale multiplier, a positive number (default 0.12)\n  \
+    --machines N  simulated machine count (default 48)\n  \
+    --quick       smaller graphs and fewer configurations (scale at most 0.05)";
+
 impl Args {
-    /// Parses `--scale X`, `--machines N`, `--quick` from the process args.
-    #[expect(
-        clippy::expect_used,
-        clippy::panic,
-        reason = "a harness binary's bad argument aborts it with the usage"
-    )]
-    pub fn parse() -> Args {
-        let mut args = Args::default();
-        let mut it = std::env::args().skip(1);
+    /// Parses `--scale X`, `--machines N`, `--quick` and `--help` from
+    /// `args`, the arguments after the program name. Pure: an unknown
+    /// argument, a missing value or one out of range is an `Err` naming it.
+    fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Command, String> {
+        let mut parsed = Args::default();
+        let mut it = args.into_iter();
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--scale" => {
-                    args.scale = it
+                    parsed.scale = it
                         .next()
                         .and_then(|v| v.parse().ok())
-                        .expect("--scale needs a float");
+                        .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                        .ok_or("--scale needs a positive number")?;
                 }
                 "--machines" => {
-                    args.machines = it
+                    parsed.machines = it
                         .next()
                         .and_then(|v| v.parse().ok())
-                        .expect("--machines needs an integer");
+                        .filter(|m| (1..=MAX_MACHINES).contains(m))
+                        .ok_or_else(|| format!("--machines needs an integer in 1..={MAX_MACHINES}"))?;
                 }
                 "--quick" => {
-                    args.quick = true;
-                    args.scale = args.scale.min(0.05);
+                    parsed.quick = true;
+                    parsed.scale = parsed.scale.min(0.05);
                 }
-                other => panic!("unknown argument {other}; known: --scale --machines --quick"),
+                "--help" => return Ok(Command::Help),
+                other => return Err(format!("unknown argument {other}")),
             }
         }
-        args
+        Ok(Command::Run(parsed))
+    }
+
+    /// [`Self::parse_from`] over the process's arguments. `--help` prints
+    /// the usage and exits 0; a bad argument prints what is wrong and the
+    /// usage, and exits 2.
+    pub fn parse() -> Args {
+        let mut argv = std::env::args();
+        let path = argv.next().unwrap_or_default();
+        let program = path.rsplit('/').next().unwrap_or_default();
+        match Args::parse_from(argv) {
+            Ok(Command::Run(args)) => args,
+            Ok(Command::Help) => {
+                println!("usage: {program} {USAGE}");
+                std::process::exit(0)
+            }
+            Err(e) => {
+                eprintln!("{program}: {e}\nusage: {program} {USAGE}");
+                std::process::exit(2)
+            }
+        }
     }
 }
 
@@ -285,6 +320,60 @@ pub fn speedup(baseline: f64, ours: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<Command, String> {
+        Args::parse_from(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn arguments_parse_in_order() {
+        assert_eq!(parse(&[]), Ok(Command::Run(Args::default())));
+        let Ok(Command::Run(args)) = parse(&["--scale", "1.0", "--machines", "8"]) else {
+            panic!("a valid command line was refused");
+        };
+        assert_eq!((args.scale, args.machines, args.quick), (1.0, 8, false));
+        // `--quick` caps the scale given before it, not one given after.
+        let Ok(Command::Run(capped)) = parse(&["--scale", "1.0", "--quick"]) else {
+            panic!("a valid command line was refused");
+        };
+        assert_eq!((capped.scale, capped.quick), (0.05, true));
+        let Ok(Command::Run(after)) = parse(&["--quick", "--scale", "1.0"]) else {
+            panic!("a valid command line was refused");
+        };
+        assert_eq!((after.scale, after.quick), (1.0, true));
+    }
+
+    #[test]
+    fn help_asks_for_the_usage() {
+        assert_eq!(parse(&["--help"]), Ok(Command::Help));
+        assert_eq!(parse(&["--machines", "8", "--help"]), Ok(Command::Help));
+    }
+
+    #[test]
+    fn bad_arguments_are_errors_naming_them() {
+        assert_eq!(parse(&["--bogus"]), Err("unknown argument --bogus".into()));
+        for bad in [
+            &["--scale"][..],
+            &["--scale", "big"],
+            &["--scale", "0"],
+            &["--scale", "-1"],
+            &["--scale", "NaN"],
+            &["--scale", "inf"],
+        ] {
+            assert_eq!(parse(bad), Err("--scale needs a positive number".into()), "{bad:?}");
+        }
+        let too_many = (MAX_MACHINES + 1).to_string();
+        for bad in [
+            &["--machines"][..],
+            &["--machines", "0"],
+            &["--machines", "-2"],
+            &["--machines", "4.5"],
+            &["--machines", &too_many],
+        ] {
+            let want = format!("--machines needs an integer in 1..={MAX_MACHINES}");
+            assert_eq!(parse(bad), Err(want), "{bad:?}");
+        }
+    }
 
     #[test]
     fn workload_names_and_k() {

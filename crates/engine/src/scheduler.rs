@@ -191,17 +191,19 @@ pub const LOCAL_MIN_BATCH: usize = 64;
 /// The first coherency iteration whose local stage is ordered; earlier
 /// stages sweep everything pending, as a program without an order does.
 /// This is not the optimum of a curve — ordering every stage (2) is
-/// faster still on road SSSP, `lazy_sim_s` 2.5 s against 9.7 s here — but
-/// the largest step `BENCHMARK.json` admits from 6. The contract holds
+/// faster still on road SSSP, `lazy_sim_s` 2.5 s against 7.9 s here — but
+/// the largest step `BENCHMARK.json` admits from 4. The contract holds
 /// `sim_speedup`'s spread across seeds to an absolute quarter of the
-/// parent's median (≈ 1.07 at 6's 4.27), and the spread of a ratio grows
-/// with the ratio: over 30 seeds its p10–p90 distance is 0.98 at 4 and
-/// 1.19 at 3 (EXPERIMENTS.md, "From which stage on"). The stages before
-/// the 4th are the long ones — the first runs the source's partition to
-/// quiescence and measures `T` — so `T` and the `3·T` bound keep their
-/// values, and the third (1.4 s a seed, the one that step adds) is the
-/// last whose length varies little from seed to seed.
-pub const LOCAL_ORDER_FROM: u64 = 4;
+/// *parent's* median, and the spread of a ratio grows with the ratio: over
+/// 30 seeds its p10–p90 distance is 0.98 at 4, 1.19 at 3 and 4.12 at 2
+/// (EXPERIMENTS.md, "From which stage on"). So the bound moves with each
+/// step: ≈ 1.07 at 6's median of 4.27 admitted 4, ≈ 1.28 at 4's 5.13
+/// admits 3, and ≈ 1.54 at 3's 6.14 does not admit 2, whose median is
+/// 18.6. The first stage runs the source's partition to quiescence and
+/// measures `T`, and is never ordered, so `T` and the `3·T` bound keep
+/// their values; the third (1.4 s a seed) is the one the step from 4 to 3
+/// added.
+pub const LOCAL_ORDER_FROM: u64 = 3;
 
 /// The ordered local stage's cut: reorders `pending` — `(urgency key, local
 /// id)` pairs, any order — so the entries to sweep now come first, and

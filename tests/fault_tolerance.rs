@@ -268,12 +268,13 @@ fn lazy_block_recovers_bitwise_through_cut_short_ordered_stages() {
     run_matrix_on(&g, &cut_short_ordered_stages(), 4);
 }
 
-/// Kill/resume inside the earliest ordered stages: the victim dies in the
+/// Kill/resume inside early ordered stages: the victim dies in the
 /// supersteps of the 4th and the 5th coherency point, read off the
 /// trace's carried counters, where [`cut_short_ordered_stages`]' stages
-/// are ordered and run sub-rounds. The snapshot taken after such a stage
-/// holds nothing of its cuts but the queue and the inboxes, and from them
-/// the resumed gang must repeat the oracle's cuts bitwise.
+/// are ordered (from `LOCAL_ORDER_FROM` on) and run sub-rounds. The
+/// snapshot taken after such a stage holds nothing of its cuts but the
+/// queue and the inboxes, and from them the resumed gang must repeat the
+/// oracle's cuts bitwise.
 #[test]
 fn lazy_block_recovers_bitwise_inside_the_first_ordered_stages() {
     let g = common::road_lattice(96, 5);
