@@ -41,7 +41,10 @@ pub enum Phase {
     Coherency,
     /// Async engine: fine-grained eager messages.
     Async,
-    /// Anything else (setup, control).
+    /// Barrier and allreduce rounds (`Endpoint::allreduce`). They charge
+    /// no `est_bytes`: a collective is synchronisation, not payload. An
+    /// allreduce's batches count, their items the value's encoded bytes;
+    /// a barrier reduces `()`, so its batches are empty and uncounted.
     Control,
 }
 
@@ -60,17 +63,24 @@ impl Phase {
     }
 }
 
-/// The counter table: one row per counter — its doc, its name, and how
+/// The counter table: one row per counter — its doc, its name, how
 /// per-worker snapshots of it aggregate (`sum` for event counts, `max` for
-/// a high-water mark). The row is the only place a counter is listed: it
-/// becomes a [`NetStats`] atomic, a public [`StatsSnapshot`] field, and
-/// its slot in [`NetStats::snapshot`], [`StatsSnapshot::merge`] and the
+/// a high-water mark), and whether it is part of the determinism contract
+/// (`det`: a pure function of graph, placement and config, bitwise across
+/// threads, transports and worker processes) or host `telemetry` (measured
+/// on a socket, or shaped by scheduling). The row is the only place a
+/// counter is listed: it becomes a [`NetStats`] atomic, a public
+/// [`StatsSnapshot`] field, and its slot in [`NetStats::snapshot`],
+/// [`StatsSnapshot::merge`], [`StatsSnapshot::deterministic`] and the
 /// `Wire` encoding, in row order. A counter is written through its
-/// `record_*` method below; the per-phase triple rides in [`PhaseStats`].
+/// `record_*` method below; the per-phase triple rides in [`PhaseStats`]
+/// and is `det`.
 macro_rules! counters {
     (@merge sum $mine:expr, $theirs:expr) => { $mine += $theirs };
     (@merge max $mine:expr, $theirs:expr) => { $mine = $mine.max($theirs) };
-    ($($(#[$doc:meta])* $name:ident: $rule:ident,)+) => {
+    (@det det) => { true };
+    (@det telemetry) => { false };
+    ($($(#[$doc:meta])* $name:ident: $rule:ident $column:ident,)+) => {
         /// Shared counters, one instance per engine run.
         #[derive(Debug, Default)]
         pub struct NetStats {
@@ -81,7 +91,7 @@ macro_rules! counters {
         }
 
         /// Immutable snapshot of [`NetStats`].
-        #[derive(Clone, Copy, Debug, Default, PartialEq)]
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
         pub struct StatsSnapshot {
             pub per_phase: [PhaseStats; NUM_PHASES],
             $($(#[$doc])* pub $name: u64,)+
@@ -111,6 +121,23 @@ macro_rules! counters {
                 }
                 $(counters!(@merge $rule self.$name, *$name);)+
             }
+
+            /// This snapshot with every `telemetry` row zeroed: the
+            /// counters a run owes bitwise, wherever it ran.
+            pub fn deterministic(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    per_phase: self.per_phase,
+                    $($name: if counters!(@det $column) { self.$name } else { 0 },)+
+                }
+            }
+        }
+
+        #[cfg(test)]
+        impl StatsSnapshot {
+            /// Every row's name, whether it is `det`, and its field.
+            fn rows_mut(&mut self) -> Vec<(&'static str, bool, &mut u64)> {
+                vec![$((stringify!($name), counters!(@det $column), &mut self.$name),)+]
+            }
         }
 
         wire_record!(StatsSnapshot { per_phase, $($name),+ });
@@ -119,54 +146,53 @@ macro_rules! counters {
 
 counters! {
     /// Global synchronisations (Fig. 10), one per collective.
-    global_syncs: sum,
+    global_syncs: sum det,
     /// Scatter edge traversals — the local compute work.
-    edges_processed: sum,
+    edges_processed: sum det,
     /// Apply-operator executions.
-    applies: sum,
+    applies: sum det,
     /// Contributions folded into an existing wire item before enqueue
     /// (sender-side combining + deltaMsg pre-accumulation).
-    items_combined: sum,
+    items_combined: sum det,
     /// Estimated payload bytes those folds avoided shipping.
-    bytes_saved: sum,
+    bytes_saved: sum det,
     /// Always 0: staging vectors the retired buffer pool served from its
     /// free list. Kept only because the frozen benchmark harness reads
     /// the field (ROADMAP item 1(d)).
-    pool_hits: sum,
+    pool_hits: sum det,
     /// Always 0: staging vectors the retired buffer pool had to allocate.
     /// Kept only because the frozen benchmark harness reads the field
     /// (ROADMAP item 1(d)).
-    pool_misses: sum,
+    pool_misses: sum det,
     /// Measured frame bytes written to sockets (0 on the in-proc backend).
-    wire_bytes_sent: sum,
+    wire_bytes_sent: sum telemetry,
     /// Measured frame bytes read from sockets (0 on the in-proc backend).
-    wire_bytes_recv: sum,
+    wire_bytes_recv: sum telemetry,
     /// Frames written to sockets.
-    wire_frames_sent: sum,
+    wire_frames_sent: sum telemetry,
     /// Frames read from sockets.
-    wire_frames_recv: sum,
+    wire_frames_recv: sum telemetry,
     /// Checkpoint snapshot bytes written to disk (0 with checkpointing
     /// disabled).
-    snapshot_bytes: sum,
+    snapshot_bytes: sum det,
     /// Inbound Data frames handed off zero-copy in a recycled payload
-    /// buffer (TCP only; 0 in-proc). Timing telemetry: the warmup tail
-    /// depends on scheduling, so this is excluded from the determinism
-    /// counter contract.
-    zero_copy_frames: sum,
+    /// buffer (TCP only; 0 in-proc). Telemetry: the warmup tail depends
+    /// on scheduling.
+    zero_copy_frames: sum telemetry,
     /// Always 0: the retired run-vectorised ⊕ fold's run count, which
     /// nothing records any more. Kept only because the frozen benchmark
     /// harness reads the field (ROADMAP item 1(d)).
-    fold_runs: sum,
+    fold_runs: sum det,
     /// Pending vertices the delta engine's scheduler parked as
     /// sub-tolerance instead of processing. Deterministic per
     /// configuration: the plan is a pure function of state.
-    delta_skipped_vertices: sum,
+    delta_skipped_vertices: sum det,
     /// Scheduler epochs executed, summed over machines (an `n`-machine
     /// run records `n` per epoch). Deterministic per configuration.
-    sched_epochs: sum,
+    sched_epochs: sum det,
     /// High-water mark of any single priority bucket's occupancy in one
     /// epoch: across workers it is the largest any of them reached.
-    bucket_high_water: max,
+    bucket_high_water: max det,
 }
 
 impl NetStats {
@@ -277,7 +303,7 @@ impl NetStats {
 /// Per-phase communication totals. `est_bytes` is the `size_of`-based
 /// estimate charged at send time, *not* measured wire truth — see the
 /// module docs for the distinction.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseStats {
     /// Estimated payload bytes (`items × size_of` per send).
     pub est_bytes: u64,
@@ -434,5 +460,31 @@ mod tests {
         assert_eq!(ab.bucket_high_water, 1500, "a high-water mark merges by max");
 
         assert_eq!(StatsSnapshot::from_wire(&ab.to_wire()).unwrap(), ab);
+    }
+
+    /// The `det | telemetry` column, read off the table itself: bumping a
+    /// `det` row or any per-phase field moves `deterministic()`, bumping a
+    /// `telemetry` row does not — so a new row is covered as it is added.
+    #[test]
+    fn deterministic_keeps_det_rows_and_drops_telemetry() {
+        let base = StatsSnapshot::default();
+        for i in 0..StatsSnapshot::default().rows_mut().len() {
+            let mut s = base;
+            let (name, det) = {
+                let (name, det, field) = s.rows_mut().swap_remove(i);
+                *field += 1;
+                (name, det)
+            };
+            assert_eq!(s.deterministic() != base.deterministic(), det, "{name}");
+        }
+        let fields: [fn(&mut PhaseStats) -> &mut u64; 3] =
+            [|p| &mut p.est_bytes, |p| &mut p.batches, |p| &mut p.items];
+        for phase in 0..NUM_PHASES {
+            for field in fields {
+                let mut s = base;
+                *field(&mut s.per_phase[phase]) += 1;
+                assert_ne!(s.deterministic(), base.deterministic(), "phase {phase}");
+            }
+        }
     }
 }

@@ -8,13 +8,15 @@ use std::time::Instant;
 
 use lazygraph_cluster::{CommError, NetStats};
 use lazygraph_graph::Graph;
+use lazygraph_net::Wire;
 use lazygraph_partition::{
     partition_graph_to_files, partition_graph_with, DistributedGraph, ShardFiles, MAX_MACHINES,
 };
 
+use crate::checkpoint::fnv1a64;
 use crate::config::EngineConfig;
 use crate::machine::{assemble, run_mesh_engine, Measured, ThreadedMesh};
-use crate::metrics::RunMetrics;
+use crate::metrics::{RunMetrics, RunRecord};
 use crate::program::VertexProgram;
 
 /// The outcome of [`run`]: final per-vertex values plus metrics.
@@ -23,6 +25,29 @@ pub struct RunResult<P: VertexProgram> {
     pub values: Vec<P::VData>,
     /// Run metrics (simulated time, syncs, traffic, …).
     pub metrics: RunMetrics,
+}
+
+impl<P: VertexProgram> RunResult<P> {
+    /// The run's deterministic [`RunRecord`]: two runs are the same run
+    /// when their records are equal.
+    pub fn record(&self) -> RunRecord {
+        let m = &self.metrics;
+        RunRecord {
+            values: fnv1a64(&self.values.to_wire()),
+            sim_time: m.sim_time.to_bits(),
+            compute: m.breakdown.compute.to_bits(),
+            comm: m.breakdown.comm.to_bits(),
+            barrier: m.breakdown.barrier.to_bits(),
+            iterations: m.iterations,
+            converged: m.converged,
+            coherency_points: m.coherency_points,
+            local_subrounds: m.local_subrounds,
+            a2a_exchanges: m.a2a_exchanges,
+            m2m_exchanges: m.m2m_exchanges,
+            counters: m.stats.deterministic(),
+            history: fnv1a64(&m.history.to_wire()),
+        }
+    }
 }
 
 /// Places `graph` on `num_machines` machines the way `cfg` asks. A count

@@ -67,5 +67,5 @@ pub use driver::{place, place_files, run, run_on, RunResult};
 pub use lazygraph_cluster::{CommError, TransportKind};
 pub use interval::{IntervalModel, StageProgress, Trend};
 pub use machine::{assemble, run_mesh_engine, Attach, MachineOut, Measured, Seat, ThreadedMesh};
-pub use metrics::{RunMetrics, SimBreakdown};
+pub use metrics::{RunMetrics, RunRecord, SimBreakdown};
 pub use program::{EdgeCtx, LocalOrder, VertexCtx, VertexProgram};

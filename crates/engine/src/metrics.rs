@@ -94,6 +94,10 @@ pub struct RunMetrics {
     /// machine threads timeshare host cores).
     pub wall_time: Duration,
     /// Exact communication / synchronisation counters (Figs. 10, 11).
+    /// A snapshot carries none of them, so after a gang restart they are
+    /// what the last incarnation counted from its resume point on; only
+    /// the engine's carried counters above (`coherency_points` …
+    /// `m2m_exchanges`) span the whole run (DESIGN.md §12).
     pub stats: StatsSnapshot,
     /// Whether the run reached a fixpoint (vs the iteration cap).
     pub converged: bool,
@@ -102,6 +106,36 @@ pub struct RunMetrics {
     /// Machine 0's trace, one record a step (empty unless
     /// `EngineConfig::record_history`).
     pub history: Vec<StepRecord>,
+}
+
+/// What "the same run" means, defined once: every figure a run owes
+/// bitwise across threads, block sizes, transports, worker processes and
+/// placements that store the same edges, as integers, so `assert_eq!` on
+/// two records names the field that moved. A run recovered from a
+/// snapshot owes all of it but `counters` (DESIGN.md §12). Built by
+/// [`RunResult::record`](crate::RunResult::record).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunRecord {
+    /// FNV-1a of the final values' `Wire` bytes.
+    pub values: u64,
+    /// Bits of [`RunMetrics::sim_time`].
+    pub sim_time: u64,
+    /// Bits of the breakdown's `compute`, `comm` and `barrier`.
+    pub compute: u64,
+    pub comm: u64,
+    pub barrier: u64,
+    pub iterations: u64,
+    pub converged: bool,
+    pub coherency_points: u64,
+    pub local_subrounds: u64,
+    pub a2a_exchanges: u64,
+    pub m2m_exchanges: u64,
+    /// [`StatsSnapshot::deterministic`]: every counter but the telemetry
+    /// rows.
+    pub counters: StatsSnapshot,
+    /// FNV-1a of the trace's `Wire` bytes (that of an empty trace unless
+    /// `EngineConfig::record_history`).
+    pub history: u64,
 }
 
 impl RunMetrics {

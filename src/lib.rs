@@ -58,7 +58,7 @@ pub mod prelude {
     pub use lazygraph_algorithms::{Bfs, ConnectedComponents, KCore, PageRankDelta, Sssp};
     pub use lazygraph_engine::{
         run, run_on, CommError, CommModePolicy, EngineConfig, EngineKind, IntervalPolicy,
-        RunMetrics, RunResult, VertexProgram, DEFAULT_BLOCK_SIZE,
+        RunMetrics, RunRecord, RunResult, VertexProgram, DEFAULT_BLOCK_SIZE,
     };
     pub use lazygraph_graph::{Dataset, Edge, Graph, GraphBuilder, MachineId, VertexId};
     pub use lazygraph_partition::{HubFanoutConfig, PartitionStrategy, SplitterConfig};

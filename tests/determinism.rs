@@ -6,16 +6,17 @@
 //! Every engine is round-synchronous — the barriered ones sync at their
 //! coherency points, the barrier-free ones (PowerGraphAsync,
 //! LazyVertexAsync, the hybrid's tail) still take one round with every
-//! peer a step — so every engine is deterministic end-to-end: values,
-//! NetStats, and sim-time must all match bitwise at every thread count
-//! and machine count, PageRank included.
+//! peer a step — so every engine is deterministic end-to-end: its
+//! [`RunRecord`] — values, sim-time, breakdown, deterministic counters,
+//! trace — must match at every thread count, transport and machine
+//! count, PageRank included.
 
 mod common;
 
 use common::{budget_withheld, road_lattice, slow_machines, social_rmat, stage_bound, Unordered};
 use lazygraph::prelude::*;
 use lazygraph_algorithms::WidestPath;
-use lazygraph_engine::checkpoint::fnv1a64;
+use lazygraph_cluster::StatsSnapshot;
 use lazygraph_engine::TransportKind;
 use lazygraph_graph::generators::{rmat, RmatConfig};
 use lazygraph_graph::{Dataset, GraphBuilder};
@@ -41,58 +42,33 @@ fn cfg(engine: EngineKind, threads: usize, bidirectional: bool) -> EngineConfig 
         .with_block_size(64) // small enough that every stage really chunks
 }
 
-/// Byte-faithful rendering of the final values: `{:?}` on finite floats
-/// round-trips, so string equality here is bitwise equality.
-fn run_fingerprint<P: VertexProgram>(
+/// The record of `program`'s run on `g` over `machines` machines.
+fn record<P: VertexProgram>(
     g: &Graph,
     machines: usize,
     cfg: &EngineConfig,
     program: &P,
-) -> (String, String) {
-    let r = run(g, machines, cfg, program).expect("cluster run");
-    let values = format!("{:?}", r.values);
-    // Every counter is part of the contract.
-    let stats = r.metrics.stats;
-    let counters = format!(
-        "iters={} coh={} sub={} a2a={} m2m={} syncs={} stats={:?} sim={:?} conv={}",
-        r.metrics.iterations,
-        r.metrics.coherency_points,
-        r.metrics.local_subrounds,
-        r.metrics.a2a_exchanges,
-        r.metrics.m2m_exchanges,
-        r.metrics.global_syncs(),
-        stats,
-        r.metrics.sim_time,
-        r.metrics.converged,
-    );
-    (values, counters)
+) -> RunRecord {
+    run(g, machines, cfg, program).expect("cluster run").record()
 }
 
-/// Runs `program` across the thread-count grid and asserts every
-/// fingerprint component selected by `check_counters` matches threads=1.
+/// Runs `program` across the thread-count grid and asserts every record
+/// equals threads=1's.
 fn assert_thread_invariant<P: VertexProgram>(
     g: &Graph,
     engine: EngineKind,
     machines: usize,
     bidirectional: bool,
     program: &P,
-    check_counters: bool,
 ) {
-    let baseline = run_fingerprint(g, machines, &cfg(engine, 1, bidirectional), program);
+    let baseline = record(g, machines, &cfg(engine, 1, bidirectional), program);
     for threads in THREADS {
-        let got = run_fingerprint(g, machines, &cfg(engine, threads, bidirectional), program);
         assert_eq!(
-            got.0, baseline.0,
-            "{engine:?}/{} values diverged at threads={threads}, machines={machines}",
+            record(g, machines, &cfg(engine, threads, bidirectional), program),
+            baseline,
+            "{engine:?}/{} diverged at threads={threads}, machines={machines}",
             program.name()
         );
-        if check_counters {
-            assert_eq!(
-                got.1, baseline.1,
-                "{engine:?}/{} counters diverged at threads={threads}, machines={machines}",
-                program.name()
-            );
-        }
     }
 }
 
@@ -105,9 +81,9 @@ fn bsp_engines_bitwise_identical_across_threads_and_machines() {
     let g = test_graph();
     for engine in [EngineKind::PowerGraphSync, EngineKind::LazyBlockAsync] {
         for machines in MACHINES {
-            assert_thread_invariant(&g, engine, machines, false, &Sssp::new(0u32), true);
-            assert_thread_invariant(&g, engine, machines, false, &PageRankDelta::default(), true);
-            assert_thread_invariant(&g, engine, machines, true, &ConnectedComponents, true);
+            assert_thread_invariant(&g, engine, machines, false, &Sssp::new(0u32));
+            assert_thread_invariant(&g, engine, machines, false, &PageRankDelta::default());
+            assert_thread_invariant(&g, engine, machines, true, &ConnectedComponents);
         }
     }
 }
@@ -125,9 +101,9 @@ const BARRIER_FREE: [EngineKind; 3] = [
 fn async_engines_bitwise_identical_at_one_machine() {
     let g = test_graph();
     for engine in BARRIER_FREE {
-        assert_thread_invariant(&g, engine, 1, false, &Sssp::new(0u32), true);
-        assert_thread_invariant(&g, engine, 1, false, &PageRankDelta::default(), true);
-        assert_thread_invariant(&g, engine, 1, true, &ConnectedComponents, true);
+        assert_thread_invariant(&g, engine, 1, false, &Sssp::new(0u32));
+        assert_thread_invariant(&g, engine, 1, false, &PageRankDelta::default());
+        assert_thread_invariant(&g, engine, 1, true, &ConnectedComponents);
     }
 }
 
@@ -137,8 +113,8 @@ fn async_engines_exact_values_for_idempotent_algebras_across_machines() {
     // round step fixes that order too, so the counters must match as well.
     let g = test_graph();
     for engine in BARRIER_FREE {
-        assert_thread_invariant(&g, engine, 4, false, &Sssp::new(0u32), true);
-        assert_thread_invariant(&g, engine, 4, true, &ConnectedComponents, true);
+        assert_thread_invariant(&g, engine, 4, false, &Sssp::new(0u32));
+        assert_thread_invariant(&g, engine, 4, true, &ConnectedComponents);
     }
 }
 
@@ -149,7 +125,7 @@ fn async_pagerank_across_machines_stays_within_tolerance() {
     // is bitwise — inside any tolerance band — and the counters match.
     let g = test_graph();
     for engine in BARRIER_FREE {
-        assert_thread_invariant(&g, engine, 4, false, &PageRankDelta::default(), true);
+        assert_thread_invariant(&g, engine, 4, false, &PageRankDelta::default());
     }
 }
 
@@ -157,20 +133,11 @@ fn async_pagerank_across_machines_stays_within_tolerance() {
 fn block_size_never_changes_results() {
     let g = test_graph();
     let program = PageRankDelta::default();
-    let baseline = run_fingerprint(
-        &g,
-        4,
-        &cfg(EngineKind::LazyBlockAsync, 4, false),
-        &program,
-    );
+    let baseline = record(&g, 4, &cfg(EngineKind::LazyBlockAsync, 4, false), &program);
     for block_size in [1usize, 7, 509, 1 << 20] {
         let c = cfg(EngineKind::LazyBlockAsync, 4, false).with_block_size(block_size);
-        let got = run_fingerprint(&g, 4, &c, &program);
-        assert_eq!(
-            (got.0, got.1),
-            (baseline.0.clone(), baseline.1.clone()),
-            "block_size={block_size} changed the run"
-        );
+        let got = record(&g, 4, &c, &program);
+        assert_eq!(got, baseline, "block_size={block_size} changed the run");
     }
 }
 
@@ -217,39 +184,25 @@ fn delta_engine_converges_to_dense_oracle() {
 #[test]
 fn delta_engine_bitwise_deterministic_across_transports_and_threads() {
     // Within a machine count the epoch plan is a pure function of state,
-    // so values must be bitwise identical on every transport and thread
-    // count; the full counter fingerprint must also hold thread-invariant
-    // on the in-proc transport (TCP measures real frame bytes, which are
-    // part of the wire contract but not the thread contract).
+    // so the record must be the same on every transport and thread count
+    // (TCP's measured frame bytes are telemetry, outside the record).
     let g = test_graph();
     let program = PageRankDelta::default();
     for machines in [1usize, 2, 4] {
-        let baseline = run_fingerprint(
-            &g,
-            machines,
-            &cfg(EngineKind::DeltaAccum, 1, false),
-            &program,
-        );
+        let baseline = record(&g, machines, &cfg(EngineKind::DeltaAccum, 1, false), &program);
         for transport in [TransportKind::InProc, TransportKind::Tcp] {
             for threads in THREADS {
                 let c = cfg(EngineKind::DeltaAccum, threads, false).with_transport(transport);
-                let got = run_fingerprint(&g, machines, &c, &program);
                 assert_eq!(
-                    got.0, baseline.0,
-                    "delta values diverged on {transport:?}, threads={threads}, machines={machines}"
+                    record(&g, machines, &c, &program),
+                    baseline,
+                    "delta run diverged on {transport:?}, threads={threads}, machines={machines}"
                 );
-                if transport == TransportKind::InProc {
-                    assert_eq!(
-                        got.1, baseline.1,
-                        "delta counters diverged at threads={threads}, machines={machines}"
-                    );
-                }
             }
         }
         // Same config twice: no hidden global state in the scheduler.
         let c = cfg(EngineKind::DeltaAccum, 8, false);
-        let a = run_fingerprint(&g, machines, &c, &program);
-        let b = run_fingerprint(&g, machines, &c, &program);
+        let (a, b) = (record(&g, machines, &c, &program), record(&g, machines, &c, &program));
         assert_eq!(a, b, "delta engine not reproducible at machines={machines}");
     }
 }
@@ -283,51 +236,22 @@ fn delta_engine_skips_work_the_lazy_engine_processes() {
 // Ordered local stages (DESIGN.md §17)
 // ---------------------------------------------------------------------------
 
-/// What an ordered run owes bitwise: a digest of its values, its
-/// simulated clock's bits, and the counters the scheduling cut moves.
-#[derive(Debug, PartialEq)]
-struct OrderedFigures {
-    values: u64,
-    sim_time: u64,
-    edges: u64,
-    applies: u64,
-    subrounds: u64,
-    coherency_points: u64,
-}
-
-fn ordered_figures<P: VertexProgram>(
-    g: &Graph,
-    machines: usize,
-    cfg: &EngineConfig,
-    program: &P,
-) -> OrderedFigures {
-    let r = run(g, machines, cfg, program).expect("cluster run");
-    assert!(r.metrics.converged);
-    OrderedFigures {
-        values: fnv1a64(&r.values.to_wire()),
-        sim_time: r.metrics.sim_time.to_bits(),
-        edges: r.metrics.stats.edges_processed,
-        applies: r.metrics.stats.applies,
-        subrounds: r.metrics.local_subrounds,
-        coherency_points: r.metrics.coherency_points,
-    }
-}
-
 /// Runs `program` under `lazy(threads)` on {in-proc, TCP} × threads
-/// {1, 2, 4} and asserts every fingerprint equals the in-proc,
+/// {1, 2, 4} and asserts every record equals the in-proc,
 /// single-threaded one, which it returns.
 fn assert_transport_thread_invariant<P: VertexProgram>(
     g: &Graph,
     machines: usize,
     lazy: impl Fn(usize) -> EngineConfig,
     program: &P,
-) -> OrderedFigures {
-    let baseline = ordered_figures(g, machines, &lazy(1), program);
+) -> RunRecord {
+    let baseline = record(g, machines, &lazy(1), program);
+    assert!(baseline.converged, "{}: machines={machines}", program.name());
     for transport in [TransportKind::InProc, TransportKind::Tcp] {
         for threads in [1usize, 2, 4] {
             let c = lazy(threads).with_transport(transport);
             assert_eq!(
-                ordered_figures(g, machines, &c, program),
+                record(g, machines, &c, program),
                 baseline,
                 "{}: lazy run diverged on {transport:?}, threads={threads}, machines={machines}",
                 program.name()
@@ -345,7 +269,7 @@ fn assert_ordered_stage_invariant<P: VertexProgram + Copy>(g: &Graph, program: P
         // The cut selects by key, never by position in the worklist, so
         // the block size (which shapes activation order) cannot matter.
         assert_eq!(
-            ordered_figures(g, machines, &lazy(2).with_block_size(7), &program),
+            record(g, machines, &lazy(2).with_block_size(7), &program),
             baseline,
             "{name}: block size changed an ordered run at machines={machines}"
         );
@@ -354,14 +278,15 @@ fn assert_ordered_stage_invariant<P: VertexProgram + Copy>(g: &Graph, program: P
         // edges — so the cut really deferred work in the runs above. (One
         // machine is one local stage from one source: BFS is already
         // level-synchronous there, so only "no more" is owed.)
-        let unordered = ordered_figures(g, machines, &lazy(1), &Unordered(program));
-        assert_eq!(unordered.values, baseline.values, "{name}: the order changed the fixpoint");
+        let unordered = record(g, machines, &lazy(1), &Unordered(program));
+        let fixpoint = (unordered.values, unordered.converged);
+        assert_eq!(fixpoint, (baseline.values, true), "{name}: the order changed the fixpoint");
+        let (ordered, unordered) =
+            (baseline.counters.edges_processed, unordered.counters.edges_processed);
         assert!(
-            baseline.edges < unordered.edges
-                || (machines == 1 && baseline.edges == unordered.edges),
-            "{name}, machines={machines}: ordered stage traversed {} edges, unordered {}",
-            baseline.edges,
-            unordered.edges
+            ordered < unordered || (machines == 1 && ordered == unordered),
+            "{name}, machines={machines}: ordered stage traversed {ordered} edges, \
+             unordered {unordered}"
         );
     }
 }
@@ -390,27 +315,43 @@ fn ordered_local_stages_bitwise_identical_across_threads_transports_and_machines
 /// change log; any other change leaves it as it stands.
 #[test]
 fn ordered_stages_match_their_golden() {
-    fn check<P: VertexProgram + Copy>(g: &Graph, program: P, want: [OrderedFigures; 2]) {
+    /// A golden's six figures, each a field of the run's record: the
+    /// values digest, the `sim_time` bits, `counters.edges_processed`,
+    /// `counters.applies`, `local_subrounds` and `coherency_points`.
+    type Golden = [u64; 6];
+    fn check<P: VertexProgram + Copy>(g: &Graph, program: P, goldens: [Golden; 2]) {
         let name = program.name();
-        for (factor, want) in [0.01, 3.0].into_iter().zip(want) {
+        for (factor, golden) in [0.01, 3.0].into_iter().zip(goldens) {
             let lazy = stage_bound(cfg(EngineKind::LazyBlockAsync, 2, false), factor);
-            let got = ordered_figures(g, 4, &lazy, &program);
+            let got = record(g, 4, &lazy, &program);
+            assert!(got.converged, "{name} at {factor}·T");
+            let [values, sim_time, edges_processed, applies, local_subrounds, coherency_points] =
+                golden;
+            let want = RunRecord {
+                values,
+                sim_time,
+                local_subrounds,
+                coherency_points,
+                counters: StatsSnapshot { edges_processed, applies, ..got.counters },
+                ..got.clone()
+            };
             assert_eq!(got, want, "{name} at {factor}·T moved off its golden");
             // Anti-vacuity: the cut deferred work in the pinned run.
-            let unordered = ordered_figures(g, 4, &lazy, &Unordered(program));
-            assert_eq!(got.values, unordered.values, "{name}: the order changed the fixpoint");
+            let unordered = record(g, 4, &lazy, &Unordered(program));
+            let fixpoint = (unordered.values, unordered.converged);
+            assert_eq!(fixpoint, (got.values, true), "{name}: the order changed the fixpoint");
+            let (ordered, unordered_edges) =
+                (edges_processed, unordered.counters.edges_processed);
             assert!(
-                got.edges < unordered.edges,
-                "{name} at {factor}·T: ordered {} edges, unordered {}",
-                got.edges,
-                unordered.edges
+                ordered < unordered_edges,
+                "{name} at {factor}·T: ordered {ordered} edges, unordered {unordered_edges}"
             );
             // Under the paper's bound the order also wins the clock. (Cut
             // short at 0.01·T it loses it for BFS and widest path:
             // EXPERIMENTS.md, "Ordered local stages, step three".)
             if factor == 3.0 {
                 let (ordered, unordered) =
-                    (f64::from_bits(got.sim_time), f64::from_bits(unordered.sim_time));
+                    (f64::from_bits(sim_time), f64::from_bits(unordered.sim_time));
                 assert!(
                     ordered < unordered,
                     "{name} at 3·T: ordered {ordered} s, unordered {unordered} s"
@@ -419,63 +360,18 @@ fn ordered_stages_match_their_golden() {
         }
     }
     let g = road_lattice(96, 11);
-    let sssp = [
-        OrderedFigures {
-            values: 0x92e91f3e1f4a3319,
-            sim_time: 0x3ff8149b227645a7,
-            edges: 805_063,
-            applies: 342_355,
-            subrounds: 1_707,
-            coherency_points: 38,
-        },
-        OrderedFigures {
-            values: 0x92e91f3e1f4a3319,
-            sim_time: 0x3fe0c570be334ae6,
-            edges: 842_505,
-            applies: 406_063,
-            subrounds: 4_033,
-            coherency_points: 14,
-        },
-    ];
-    check(&g, Sssp::new(0u32), sssp);
-    let bfs = [
-        OrderedFigures {
-            values: 0xc71174c6183571f9,
-            sim_time: 0x4007135507323d1f,
-            edges: 285_403,
-            applies: 166_787,
-            subrounds: 1_175,
-            coherency_points: 72,
-        },
-        OrderedFigures {
-            values: 0xc71174c6183571f9,
-            sim_time: 0x3fdb0164440f5df4,
-            edges: 245_805,
-            applies: 154_627,
-            subrounds: 2_441,
-            coherency_points: 12,
-        },
-    ];
-    check(&g, Bfs::new(0u32), bfs);
-    let widest = [
-        OrderedFigures {
-            values: 0xce36a2a5f87d4f0c,
-            sim_time: 0x400b6386d3a023d9,
-            edges: 481_222,
-            applies: 260_971,
-            subrounds: 1_926,
-            coherency_points: 85,
-        },
-        OrderedFigures {
-            values: 0xce36a2a5f87d4f0c,
-            sim_time: 0x3fd5fb00c77b2942,
-            edges: 306_170,
-            applies: 168_099,
-            subrounds: 1_830,
-            coherency_points: 10,
-        },
-    ];
-    check(&g, WidestPath::new(0u32), widest);
+    check(&g, Sssp::new(0u32), [
+        [0x92e91f3e1f4a3319, 0x3ff8149b227645a7, 805_063, 342_355, 1_707, 38],
+        [0x92e91f3e1f4a3319, 0x3fe0c570be334ae6, 842_505, 406_063, 4_033, 14],
+    ]);
+    check(&g, Bfs::new(0u32), [
+        [0xc71174c6183571f9, 0x4007135507323d1f, 285_403, 166_787, 1_175, 72],
+        [0xc71174c6183571f9, 0x3fdb0164440f5df4, 245_805, 154_627, 2_441, 12],
+    ]);
+    check(&g, WidestPath::new(0u32), [
+        [0xce36a2a5f87d4f0c, 0x400b6386d3a023d9, 481_222, 260_971, 1_926, 85],
+        [0xce36a2a5f87d4f0c, 0x3fd5fb00c77b2942, 306_170, 168_099, 1_830, 10],
+    ]);
 }
 
 // ---------------------------------------------------------------------------
@@ -491,16 +387,17 @@ fn assert_budgeted_stage_invariant<P: VertexProgram>(g: &Graph, program: &P) {
         // same run sweeps whole stages the budget would have refused — more
         // sub-rounds, and (where there is anybody to be incoherent with)
         // more edges. One machine runs the same sweeps under either name.
-        let withheld = ordered_figures(g, machines, &budget_withheld(lazy(1)), program);
+        let withheld = record(g, machines, &budget_withheld(lazy(1)), program);
+        assert!(withheld.converged, "{name}, machines={machines}: withheld");
+        let (edges, withheld_edges) =
+            (baseline.counters.edges_processed, withheld.counters.edges_processed);
         assert!(
-            baseline.subrounds < withheld.subrounds
-                && (baseline.edges < withheld.edges
-                    || (machines == 1 && baseline.edges == withheld.edges)),
-            "{name}, machines={machines}: budgeted {} sub-rounds over {} edges, withheld {} over {}",
-            baseline.subrounds,
-            baseline.edges,
-            withheld.subrounds,
-            withheld.edges
+            baseline.local_subrounds < withheld.local_subrounds
+                && (edges < withheld_edges || (machines == 1 && edges == withheld_edges)),
+            "{name}, machines={machines}: budgeted {} sub-rounds over {edges} edges, \
+             withheld {} over {withheld_edges}",
+            baseline.local_subrounds,
+            withheld.local_subrounds,
         );
     }
 }
@@ -525,14 +422,16 @@ fn budgeted_local_stages_bitwise_identical_across_threads_transports_and_machine
     // Both really are live in one stage: with the order withheld the same
     // budgeted run reaches the same values in fewer, larger sub-rounds.
     let lazy = slow_machines(cfg(EngineKind::LazyBlockAsync, 1, false));
-    let cut = ordered_figures(&web, 4, &lazy, &sssp);
-    let whole = ordered_figures(&web, 4, &lazy, &Unordered(sssp));
-    assert_eq!(cut.values, whole.values, "the order changed the fixpoint");
+    let cut = record(&web, 4, &lazy, &sssp);
+    let whole = record(&web, 4, &lazy, &Unordered(sssp));
+    assert!(cut.converged, "the budgeted, ordered run did not converge");
+    let fixpoint = (whole.values, whole.converged);
+    assert_eq!(fixpoint, (cut.values, true), "the order changed the fixpoint");
     assert!(
-        cut.subrounds > whole.subrounds,
+        cut.local_subrounds > whole.local_subrounds,
         "no budgeted stage was cut: {} sub-rounds vs {}",
-        cut.subrounds,
-        whole.subrounds
+        cut.local_subrounds,
+        whole.local_subrounds
     );
 }
 
@@ -568,31 +467,21 @@ fn hub_fanout_bitwise_deterministic_and_value_neutral() {
             .with_partition(PartitionStrategy::AdversarialHubs)
             .with_hub_fanout(HubFanoutConfig::all_machines())
     };
-    let baseline = run_fingerprint(&g, 4, &fan(1), &program);
+    let baseline = record(&g, 4, &fan(1), &program);
     for transport in [TransportKind::InProc, TransportKind::Tcp] {
         for threads in THREADS {
-            let got = run_fingerprint(&g, 4, &fan(threads).with_transport(transport), &program);
             assert_eq!(
-                got.0, baseline.0,
-                "fanned-out values diverged on {transport:?}, threads={threads}"
+                record(&g, 4, &fan(threads).with_transport(transport), &program),
+                baseline,
+                "fanned-out run diverged on {transport:?}, threads={threads}"
             );
-            if transport == TransportKind::InProc {
-                assert_eq!(
-                    got.1, baseline.1,
-                    "fanned-out counters diverged at threads={threads}"
-                );
-            }
         }
     }
-    // Placement neutrality: same bits as the unfanned static partition.
+    // Placement neutrality: same value bits as the unfanned static
+    // partition (only the values: another placement is another run).
     let plain = fan(4).with_hub_fanout(HubFanoutConfig::default());
-    let off = run(&g, 4, &plain, &program).expect("cluster run");
-    let on = run(&g, 4, &fan(4), &program).expect("cluster run");
-    assert_eq!(
-        format!("{:?}", on.values),
-        format!("{:?}", off.values),
-        "hub fan-out changed SSSP values"
-    );
+    let off = record(&g, 4, &plain, &program);
+    assert_eq!(baseline.values, off.values, "hub fan-out changed SSSP values");
 }
 
 #[test]
@@ -607,9 +496,8 @@ fn repeated_runs_are_reproducible() {
         EngineKind::LazyVertexAsync,
         EngineKind::PowerSwitchHybrid,
     ] {
-        let c = cfg(engine, 8, false);
-        let a = run_fingerprint(&g, 4, &c, &PageRankDelta::default());
-        let b = run_fingerprint(&g, 4, &c, &PageRankDelta::default());
+        let (c, pagerank) = (cfg(engine, 8, false), PageRankDelta::default());
+        let (a, b) = (record(&g, 4, &c, &pagerank), record(&g, 4, &c, &pagerank));
         assert_eq!(a, b, "{engine:?} not reproducible run-to-run");
     }
 }
@@ -647,19 +535,14 @@ fn unit_weights_run_alike_stored_or_elided() {
                 assert!(shard.out_edges(l).eq(unit_shard.out_edges(l)), "local {l}");
             }
         }
+        let sssp = |dg| run_on(dg, &cfg, &Sssp::new(0u32)).expect("cluster run").record();
+        let pagerank =
+            |dg| run_on(dg, &cfg, &PageRankDelta::default()).expect("cluster run").record();
         for (what, a, b) in [
-            (
-                "sssp",
-                placed_fingerprint(&elided, &cfg, &Sssp::new(0u32)),
-                placed_fingerprint(&stored, &cfg, &Sssp::new(0u32)),
-            ),
-            (
-                "pagerank",
-                placed_fingerprint(&elided, &cfg, &PageRankDelta::default()),
-                placed_fingerprint(&stored, &cfg, &PageRankDelta::default()),
-            ),
+            ("sssp", sssp(&elided), sssp(&stored)),
+            ("pagerank", pagerank(&elided), pagerank(&stored)),
         ] {
-            assert!(a.contains("conv=true"), "{engine:?}/{what}: {a}");
+            assert!(a.converged, "{engine:?}/{what}");
             assert_eq!(a, b, "{engine:?}/{what}");
         }
     }
@@ -682,23 +565,4 @@ fn unit_weights_stored(
             lazygraph_partition::LocalShard::from_wire(&file).expect("a patched shard decodes");
     }
     dg
-}
-
-/// Byte-faithful values and counters of one run on a given placement.
-fn placed_fingerprint<P: VertexProgram>(
-    dg: &lazygraph_partition::DistributedGraph,
-    cfg: &EngineConfig,
-    program: &P,
-) -> String {
-    let r = lazygraph_engine::run_on(dg, cfg, program).expect("cluster run");
-    let stats = r.metrics.stats;
-    format!(
-        "{:?} iters={} syncs={} stats={:?} sim={:?} conv={}",
-        r.values,
-        r.metrics.iterations,
-        r.metrics.global_syncs(),
-        stats,
-        r.metrics.sim_time,
-        r.metrics.converged
-    )
 }

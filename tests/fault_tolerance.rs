@@ -7,8 +7,8 @@
 //! process). The launcher stops the whole gang and restarts every worker
 //! with `--resume G`, `G` the newest snapshot generation all of them
 //! hold; each loads it and builds fresh meshes. The recovered run must be
-//! **bitwise identical** to the oracle: same values, same iteration
-//! count, same simulated time bits.
+//! **bitwise identical** to the oracle: the same `RunRecord` but for its
+//! counters (`common::recovered`).
 //!
 //! No test here sleeps or polls wall-clock state: fail points key on
 //! superstep / round / snapshot-chunk counters (deterministic under the
@@ -59,26 +59,6 @@ fn mp_opts(failpoint: Vec<(u32, usize, FailPoint)>) -> MpOptions {
         respawn_budget: 2,
         failpoint,
     }
-}
-
-/// `{:?}` on finite floats round-trips, so string equality on the value
-/// vector is bitwise equality; `sim_time`, the breakdown and the trace —
-/// machine 0's, which a resumed machine 0 must continue, not restart — are
-/// compared as raw bits (the trace as its wire bytes, empty unless the
-/// run records it).
-fn fingerprint<P: VertexProgram>(o: &RunResult<P>) -> String {
-    let m = &o.metrics;
-    let b = &m.breakdown;
-    format!(
-        "values={:?} iters={} conv={} sim={} counters={:?} breakdown={:?} history={:?}",
-        o.values,
-        m.iterations,
-        m.converged,
-        m.sim_time.to_bits(),
-        (m.coherency_points, m.local_subrounds, m.a2a_exchanges, m.m2m_exchanges),
-        (b.compute.to_bits(), b.comm.to_bits(), b.barrier.to_bits()),
-        m.history.to_wire()
-    )
 }
 
 /// One launch of the gang: its result and how many gang restarts it took.
@@ -143,15 +123,16 @@ fn run_matrix_for<P: Shipped>(
         "{} {workers}w: checkpointing was on but no snapshot was written",
         engine.name()
     );
-    let want = fingerprint(&oracle);
+    let want = common::recovered(&oracle);
 
     // Checkpointing must be observationally free: the same job without
-    // any recovery machinery lands on the same bits.
+    // any recovery machinery lands on the same record, but for the
+    // counters the checkpoints add (snapshot bytes, barriers).
     if workers == 4 {
         let (plain, _) = launch(g, workers, base, program, &MpOptions::default())
             .unwrap_or_else(|e| panic!("{} {workers}w plain: {e}", engine.name()));
         assert_eq!(
-            fingerprint(&plain),
+            common::recovered(&plain),
             want,
             "{} {workers}w: enabling checkpoints changed the result",
             engine.name()
@@ -163,7 +144,7 @@ fn run_matrix_for<P: Shipped>(
         let (out, restarts) = launch(g, workers, base, program, &opts)
             .unwrap_or_else(|e| panic!("{} {workers}w kill@{n}: {e}", engine.name()));
         assert_eq!(
-            fingerprint(&out),
+            common::recovered(&out),
             want,
             "{} {workers}w: recovery after a kill at superstep {n} is not \
              bitwise identical to the oracle",
@@ -190,7 +171,7 @@ fn run_matrix_for<P: Shipped>(
     let (out, restarts) = launch(g, workers, base, program, &mp_opts(vec![(0, victim, point)]))
         .unwrap_or_else(|e| panic!("{} {workers}w kill@{point}: {e}", engine.name()));
     assert_eq!(
-        fingerprint(&out),
+        common::recovered(&out),
         want,
         "{} {workers}w: recovery after a kill inside the save of generation \
          {last_generation} is not bitwise identical to the oracle",
@@ -246,7 +227,7 @@ fn cut_short_ordered_stages() -> EngineConfig {
 /// superstep's coherency sweep, and what a snapshot must carry for the
 /// resumed machine to repeat the oracle's cuts is what it always carried
 /// — the queue, the inboxes, `T` and the superstep number; the cut keeps
-/// no state of its own. The fingerprint includes `local_subrounds`, which
+/// no state of its own. The record includes `local_subrounds`, which
 /// any replayed cut that differed would move.
 #[test]
 fn lazy_block_recovers_bitwise_through_cut_short_ordered_stages() {
@@ -308,7 +289,7 @@ fn lazy_block_recovers_bitwise_inside_the_first_ordered_stages() {
 /// coherency point before the stage, the charge of the sweep before it —
 /// rides in the snapshot (the engine's carried record); a resumed machine
 /// that read anything else would admit a different number of sub-rounds,
-/// which the fingerprint's `local_subrounds` and `sim_time` both see. The
+/// which the record's `local_subrounds` and `sim_time` both see. The
 /// victim dies at the first budgeted superstep, at the last, and halfway
 /// between.
 fn run_budgeted_matrix(workers: usize) {
@@ -429,8 +410,8 @@ fn kill_between_two_peers_sends(round: u64) {
     let opts = mp_opts(vec![(0, VICTIM, FailPoint::Send { round, n: 2 })]);
     let (out, restarts) = launch(&g, 4, &base, &sssp, &opts).expect("mid-round kill run");
     assert_eq!(
-        fingerprint(&out),
-        fingerprint(&oracle),
+        common::recovered(&out),
+        common::recovered(&oracle),
         "recovery after a kill between two peers' sends of round {round} is not bitwise identical"
     );
     assert_eq!(restarts, 1, "send:{round}:2 never fired (no gang restart)");
@@ -477,8 +458,8 @@ fn two_ranks_killed_at_one_superstep_recover_bitwise() {
     let (out, restarts) = launch(&g, workers, &base, &sssp, &opts).expect("two-kill run");
 
     assert_eq!(
-        fingerprint(&out),
-        fingerprint(&oracle),
+        common::recovered(&out),
+        common::recovered(&oracle),
         "recovery after ranks 1 and 2 died at superstep {n} is not bitwise identical"
     );
     assert_eq!(restarts, 1, "both kills land in one incarnation: one gang restart");
@@ -506,8 +487,8 @@ fn a_second_kill_during_the_resumed_run_recovers_bitwise() {
     let (out, restarts) = launch(&g, workers, &base, &sssp, &opts).expect("double-kill run");
 
     assert_eq!(
-        fingerprint(&out),
-        fingerprint(&oracle),
+        common::recovered(&out),
+        common::recovered(&oracle),
         "recovery after a kill at {first} and another at {last} is not bitwise identical"
     );
     assert_eq!(restarts, 2, "each incarnation's kill costs one gang restart");

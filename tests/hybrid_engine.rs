@@ -68,26 +68,15 @@ fn hybrid_switches_on_sparse_frontiers() {
     );
 }
 
-/// Values by bit pattern (`{:?}` on finite floats round-trips) plus every
-/// schedule-free counter — the fingerprint of the other bitwise matrices.
-fn fingerprint<P: VertexProgram>(g: &Graph, cfg: &EngineConfig, program: &P) -> String {
-    let r = run(g, 4, cfg, program).expect("cluster run");
-    let m = &r.metrics;
-    format!(
-        "values={:?} iters={} conv={} sim={:#x} syncs={} est_bytes={}",
-        r.values,
-        m.iterations,
-        m.converged,
-        m.sim_time.to_bits(),
-        m.global_syncs(),
-        m.stats.total_est_bytes(),
-    )
+/// The record of `program`'s run on `g` over 4 machines.
+fn record<P: VertexProgram>(g: &Graph, cfg: &EngineConfig, program: &P) -> RunRecord {
+    run(g, 4, cfg, program).expect("cluster run").record()
 }
 
 #[test]
 fn hybrid_threshold_zero_degenerates_to_sync() {
     // Never switching is the Sync engine, not a second implementation of
-    // it: the whole fingerprint matches, float folds included.
+    // it: the whole record matches, float folds included.
     let road = road();
     let web = rmat(RmatConfig::weblike(10, 8, 73));
     for threads in [1, 4] {
@@ -95,14 +84,14 @@ fn hybrid_threshold_zero_degenerates_to_sync() {
         let mut hybrid = EngineConfig::powerswitch_hybrid().with_threads(threads);
         hybrid.hybrid_switch_threshold = 0.0;
         assert_eq!(
-            fingerprint(&road, &hybrid, &Sssp::new(0u32)),
-            fingerprint(&road, &sync, &Sssp::new(0u32)),
+            record(&road, &hybrid, &Sssp::new(0u32)),
+            record(&road, &sync, &Sssp::new(0u32)),
             "sssp, threads={threads}"
         );
         let pagerank = PageRankDelta { tolerance: 1e-5 };
         assert_eq!(
-            fingerprint(&web, &hybrid, &pagerank),
-            fingerprint(&web, &sync, &pagerank),
+            record(&web, &hybrid, &pagerank),
+            record(&web, &sync, &pagerank),
             "pagerank, threads={threads}"
         );
     }

@@ -142,12 +142,7 @@ fn assert_flat_and_steady<P: VertexProgram>(
     let whole_run = TOTAL.load(Ordering::Relaxed) - before;
     let peak = PEAK.load(Ordering::Relaxed);
 
-    // `{:?}` on finite floats round-trips: string equality is bitwise.
-    assert_eq!(
-        format!("{:?}", result.values),
-        format!("{:?}", oracle.values),
-        "{what} diverged from its oracle"
-    );
+    assert_eq!(result.record(), oracle.record(), "{what} diverged from its oracle");
     assert!(result.metrics.converged && result.metrics.iterations > 4, "{what} barely ran");
 
     let steady_bytes = whole_run.saturating_sub(two_supersteps) as u64;

@@ -219,26 +219,16 @@ fn deterministic_metrics_for_bsp_engines() {
     // The BSP engines are fully deterministic: same graph, same config →
     // identical counted quantities AND identical simulated time.
     let g = social();
-    let run_once = || {
-        let r = run(&g, 6, &EngineConfig::lazygraph(), &Sssp::new(0u32)).expect("cluster run");
-        (
-            r.metrics.global_syncs(),
-            r.metrics.traffic_bytes(),
-            r.metrics.iterations,
-            r.metrics.sim_time.to_bits(),
-            r.values,
-        )
-    };
+    let run_once =
+        || run(&g, 6, &EngineConfig::lazygraph(), &Sssp::new(0u32)).expect("cluster run").record();
     assert_eq!(run_once(), run_once());
 }
 
 #[test]
 fn sync_engine_determinism() {
     let g = road();
-    let run_once = || {
-        let r = run(&g, 7, &EngineConfig::powergraph_sync(), &Sssp::new(0u32)).expect("cluster run");
-        (r.metrics.global_syncs(), r.metrics.traffic_bytes(), r.metrics.sim_time.to_bits())
-    };
+    let sync = EngineConfig::powergraph_sync();
+    let run_once = || run(&g, 7, &sync, &Sssp::new(0u32)).expect("cluster run").record();
     assert_eq!(run_once(), run_once());
 }
 

@@ -6,6 +6,8 @@
 //! that is not its part of the job's placement — or a job whose address
 //! lists do not cover that placement — exits before it dials anything.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -78,17 +80,6 @@ fn the_job_is_a_header_and_a_shard_is_its_own_arrays() {
     );
 }
 
-/// `{:?}` on finite floats round-trips, so this is bitwise equality.
-fn fingerprint(o: &RunResult<Sssp>) -> String {
-    format!(
-        "values={:?} iters={} conv={} sim={}",
-        o.values,
-        o.metrics.iterations,
-        o.metrics.converged,
-        o.metrics.sim_time.to_bits()
-    )
-}
-
 /// The restarted gang has no graph to re-partition: all it can start from
 /// is the shard files its predecessor read.
 #[test]
@@ -104,7 +95,7 @@ fn a_respawned_worker_reads_the_same_shard_file_again() {
     assert_eq!(calm_launch.gang_restarts, 0);
     let (killed, killed_launch) = sssp(&g, 4, &opts(vec![(0, 1, FailPoint::Superstep(3))]));
     assert_eq!(killed_launch.gang_restarts, 1, "the fail point never fired");
-    assert_eq!(fingerprint(&killed), fingerprint(&calm));
+    assert_eq!(common::recovered(&killed), common::recovered(&calm));
     assert_eq!(killed_launch.shard_bytes, calm_launch.shard_bytes);
 }
 

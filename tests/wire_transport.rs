@@ -10,9 +10,9 @@
 //!    `read` call must still reassemble every frame exactly; a stream cut
 //!    mid-frame must surface a typed error, never a short frame.
 //! 3. **Transport equivalence** — the same run over loopback TCP
-//!    (threaded and multiprocess) produces *bitwise* identical vertex
-//!    values, iteration counts, and simulated time as the in-process
-//!    carrier, while reporting measured wire bytes that the in-process
+//!    (threaded and multiprocess) has the in-process carrier's
+//!    `RunRecord` — values, simulated time, every deterministic counter,
+//!    the trace — while reporting measured wire bytes that the in-process
 //!    carrier (which encodes but writes no socket) reports as zero — for
 //!    every engine, the barrier-free ones included, and for PageRank as
 //!    for the min-algebras.
@@ -255,20 +255,11 @@ fn cfg(engine: EngineKind) -> EngineConfig {
         .with_block_size(64)
 }
 
-/// `{:?}` on finite floats round-trips, so string equality on the value
-/// vector is bitwise equality.
-fn fingerprint<P: VertexProgram>(r: &lazygraph_engine::RunResult<P>) -> String {
-    format!(
-        "values={:?} iters={} sim={:?}",
-        r.values, r.metrics.iterations, r.metrics.sim_time.to_bits()
-    )
-}
-
 /// Threaded loopback TCP must be observationally identical to the
-/// in-process carrier — same values, same iteration count, same simulated time, the
-/// same syncs and batches of every phase, bit for bit — for every engine
-/// and program: every engine's step is rounds with every peer, collected
-/// in sender order, whatever carries them.
+/// in-process carrier — the same record, the syncs and batches of every
+/// phase included — for every engine and program: every engine's step is
+/// rounds with every peer, collected in sender order, whatever carries
+/// them, and both routes reduce in rounds of each machine's one endpoint.
 #[test]
 fn threaded_tcp_matches_inproc_bitwise() {
     let g = test_graph();
@@ -289,16 +280,7 @@ fn threaded_tcp_matches_inproc_bitwise() {
 
         let a = run(&g, machines, &base, &sssp).expect("in-proc sssp");
         let b = run(&g, machines, &tcp, &sssp).expect("tcp sssp");
-        assert_eq!(
-            fingerprint(&a),
-            fingerprint(&b),
-            "sssp on {} diverged across transports",
-            engine.name()
-        );
-        // Both routes reduce in rounds of each machine's one endpoint, so
-        // they count the same syncs and the same batches of every phase.
-        assert_eq!(a.metrics.global_syncs(), b.metrics.global_syncs(), "{}", engine.name());
-        assert_eq!(a.metrics.stats.per_phase, b.metrics.stats.per_phase, "{}", engine.name());
+        assert_eq!(a.record(), b.record(), "sssp on {} diverged across transports", engine.name());
 
         // The in-process carrier writes no socket; TCP always does, and its
         // wire bytes are measured frames, not the cost model's estimate.
@@ -315,12 +297,8 @@ fn threaded_tcp_matches_inproc_bitwise() {
 
         let a = run(&g, machines, &base, &pagerank).expect("in-proc pagerank");
         let b = run(&g, machines, &tcp, &pagerank).expect("tcp pagerank");
-        assert_eq!(
-            fingerprint(&a),
-            fingerprint(&b),
-            "pagerank on {} diverged across transports",
-            engine.name()
-        );
+        let name = engine.name();
+        assert_eq!(a.record(), b.record(), "pagerank on {name} diverged across transports");
     }
 }
 
@@ -328,19 +306,10 @@ fn worker_bin() -> &'static std::path::Path {
     std::path::Path::new(env!("CARGO_BIN_EXE_lazygraph-worker"))
 }
 
-/// What every route counts alike, because every route reduces in the same
-/// rounds of each machine's endpoint and a collective round is not
-/// payload: global syncs, traffic, and the cost model's estimate per
-/// phase.
-fn counted(m: &lazygraph_engine::RunMetrics) -> (u64, u64, Vec<u64>) {
-    let per_phase = m.stats.per_phase.iter().map(|p| p.est_bytes).collect();
-    (m.global_syncs(), m.traffic_bytes(), per_phase)
-}
-
 /// Four real OS processes over loopback TCP must reproduce the in-proc
-/// run bitwise: values, iterations, convergence, simulated time, and
-/// what the run counted. Four threads over loopback TCP send the same
-/// frames the four processes do, collective rounds included.
+/// run's record. Four threads over loopback TCP send the same frames the
+/// four processes do, collective rounds included: a figure beside the
+/// record, which leaves measured frames out.
 #[test]
 fn multiprocess_pagerank_matches_inproc_bitwise() {
     let g = test_graph();
@@ -354,27 +323,13 @@ fn multiprocess_pagerank_matches_inproc_bitwise() {
         let (mp, launch) =
             run_multiprocess(&g, machines, &base, &program, worker_bin(), &MpOptions::default())
                 .expect("multiprocess");
-        assert_eq!(counted(&inproc.metrics), counted(&mp.metrics), "{}", engine.name());
+        assert_eq!(inproc.record(), mp.record(), "pagerank diverged on {}", engine.name());
+        assert!(mp.metrics.converged, "{}", engine.name());
         let tcp = run(&g, machines, &base.clone().with_transport(TransportKind::Tcp), &program)
             .expect("threaded tcp");
         let frames =
             |m: &lazygraph_engine::RunMetrics| (m.stats.wire_frames_sent, m.stats.wire_bytes_sent);
         assert_eq!(frames(&tcp.metrics), frames(&mp.metrics), "{}", engine.name());
-
-        assert_eq!(
-            format!("{:?}", inproc.values),
-            format!("{:?}", mp.values),
-            "pagerank values diverged on {}",
-            engine.name()
-        );
-        assert_eq!(inproc.metrics.iterations, mp.metrics.iterations, "{}", engine.name());
-        assert_eq!(
-            inproc.metrics.sim_time.to_bits(),
-            mp.metrics.sim_time.to_bits(),
-            "{}",
-            engine.name()
-        );
-        assert!(mp.metrics.converged, "{}", engine.name());
 
         // Every exchange crossed a real socket; the merged snapshot must
         // show measured traffic on all four workers.
@@ -400,40 +355,27 @@ fn multiprocess_sssp_matches_inproc_bitwise() {
             run_multiprocess(&g, machines, &base, &program, worker_bin(), &MpOptions::default())
                 .expect("multiprocess");
 
-        assert_eq!(
-            format!("{:?}", inproc.values),
-            format!("{:?}", mp.values),
-            "sssp values diverged on {}",
-            engine.name()
-        );
-        assert_eq!(counted(&inproc.metrics), counted(&mp.metrics), "{}", engine.name());
-        assert_eq!(inproc.metrics.iterations, mp.metrics.iterations, "{}", engine.name());
-        assert_eq!(
-            inproc.metrics.sim_time.to_bits(),
-            mp.metrics.sim_time.to_bits(),
-            "{}",
-            engine.name()
-        );
+        assert_eq!(inproc.record(), mp.record(), "sssp diverged on {}", engine.name());
         assert!(mp.metrics.stats.wire_bytes_sent > 0);
     }
 }
 
 /// Machine 0's trace comes back in its outcome on both routes: threaded
-/// TCP and two worker processes return the in-process trace bit for bit,
-/// and a non-empty one.
+/// TCP and two worker processes return the in-process record, trace
+/// included, and a non-empty trace.
 #[test]
 fn multiprocess_returns_the_inproc_trace_bitwise() {
     fn check<P: Shipped>(g: &Graph, engine: EngineKind, program: &P) {
         let mut traced = cfg(engine);
         traced.record_history = true;
-        let inproc = run(g, 2, &traced, program).expect("in-proc").metrics.history;
+        let inproc = run(g, 2, &traced, program).expect("in-proc");
         let tcp = traced.clone().with_transport(TransportKind::Tcp);
-        let tcp = run(g, 2, &tcp, program).expect("threaded tcp").metrics.history;
+        let tcp = run(g, 2, &tcp, program).expect("threaded tcp");
         let (mp, _) = run_multiprocess(g, 2, &traced, program, worker_bin(), &MpOptions::default())
             .expect("multiprocess");
-        assert!(!inproc.is_empty(), "{}: nothing was recorded", engine.name());
-        assert_eq!(inproc.to_wire(), tcp.to_wire(), "{}: threaded tcp", engine.name());
-        assert_eq!(inproc.to_wire(), mp.metrics.history.to_wire(), "{}", engine.name());
+        assert!(!inproc.metrics.history.is_empty(), "{}: nothing was recorded", engine.name());
+        assert_eq!(inproc.record(), tcp.record(), "{}: threaded tcp", engine.name());
+        assert_eq!(inproc.record(), mp.record(), "{}", engine.name());
     }
     let g = test_graph();
     check(&g, EngineKind::LazyBlockAsync, &PageRankDelta { tolerance: 1e-5 });
@@ -441,29 +383,27 @@ fn multiprocess_returns_the_inproc_trace_bitwise() {
     check(&g, EngineKind::DeltaAccum, &PageRankDelta { tolerance: 1e-5 });
 }
 
-/// `program`'s run on `engine` over `machines` machines, as its
-/// [`fingerprint`] (values, iterations, `sim_time` bits): in-process, over
-/// threaded TCP, and across worker processes.
+/// The record of `program`'s run on `engine` over `machines` machines:
+/// in-process, over threaded TCP, and across worker processes.
 fn on_every_route<P: Shipped>(
     g: &Graph,
     machines: usize,
     engine: EngineKind,
     program: &P,
-) -> [(&'static str, String); 3] {
+) -> [(&'static str, RunRecord); 3] {
     let base = cfg(engine);
     let tcp = base.clone().with_transport(TransportKind::Tcp);
     let (mp, _) = run_multiprocess(g, machines, &base, program, worker_bin(), &MpOptions::default())
         .expect("multiprocess");
     [
-        ("in-proc", fingerprint(&run(g, machines, &base, program).expect("in-proc"))),
-        ("threaded tcp", fingerprint(&run(g, machines, &tcp, program).expect("threaded tcp"))),
-        ("multiprocess", fingerprint(&mp)),
+        ("in-proc", run(g, machines, &base, program).expect("in-proc").record()),
+        ("threaded tcp", run(g, machines, &tcp, program).expect("threaded tcp").record()),
+        ("multiprocess", mp.record()),
     ]
 }
 
-/// The barrier-free engines on every route, at 2 and 4 machines: values,
-/// iterations and `sim_time` bitwise, for the min-algebras and PageRank
-/// alike.
+/// The barrier-free engines on every route, at 2 and 4 machines: the same
+/// record, for the min-algebras and PageRank alike.
 #[test]
 fn pump_engines_match_inproc_on_every_route() {
     let g = test_graph();
