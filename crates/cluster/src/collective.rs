@@ -4,7 +4,9 @@
 //! ([`Endpoint::allreduce`]) collects each machine's contribution, folds
 //! them **in machine order 0..n**, and returns the reduction to everyone.
 //! Each allreduce/barrier is counted as exactly one *global
-//! synchronisation* — the quantity Fig. 10 plots.
+//! synchronisation* — the quantity Fig. 10 plots — but for a checkpoint's
+//! barrier ([`Endpoint::uncounted_barrier`]), which is no step of the
+//! computation.
 //!
 //! There is one implementation, a message round on the endpoint that
 //! carries the machine's data: it `Wire`-encodes its contribution, sends
@@ -54,6 +56,36 @@ impl<T: Wire + Send> Endpoint<T> {
         V: Wire,
         F: Fn(V, V) -> V,
     {
+        let red = self.reduce(outboxes, val, stats, combine)?;
+        if self.me() == 0 {
+            stats.record_sync();
+        }
+        Ok(red)
+    }
+
+    /// A barrier that is no synchronisation of the computation: the same
+    /// round as an empty [`Endpoint::allreduce`], not counted as a global
+    /// sync (a checkpoint's, which the cost model charges nothing either).
+    pub fn uncounted_barrier(
+        &mut self,
+        outboxes: &mut OutboxSet<u8>,
+        stats: &NetStats,
+    ) -> Result<(), CommError> {
+        self.reduce(outboxes, (), stats, |_, _| ())
+    }
+
+    /// The round of both: contribute, collect, fold in machine order.
+    fn reduce<V, F>(
+        &mut self,
+        outboxes: &mut OutboxSet<u8>,
+        val: V,
+        stats: &NetStats,
+        combine: F,
+    ) -> Result<V, CommError>
+    where
+        V: Wire,
+        F: Fn(V, V) -> V,
+    {
         let (me, n) = (self.me(), self.num_machines());
         let encoded = val.to_wire();
         for dst in (0..n).filter(|&dst| dst != me) {
@@ -76,14 +108,10 @@ impl<T: Wire + Send> Endpoint<T> {
             self.recycle(b);
         }
         values.insert(me, val);
-        let red = values
+        values
             .into_iter()
             .reduce(combine)
-            .ok_or(CommError::CollectiveSlotEmpty { machine: me })?;
-        if me == 0 {
-            stats.record_sync();
-        }
-        Ok(red)
+            .ok_or(CommError::CollectiveSlotEmpty { machine: me })
     }
 }
 

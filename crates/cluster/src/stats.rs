@@ -175,9 +175,10 @@ counters! {
     /// Checkpoint snapshot bytes written to disk (0 with checkpointing
     /// disabled).
     snapshot_bytes: sum det,
-    /// Inbound Data frames handed off zero-copy in a recycled payload
-    /// buffer (TCP only; 0 in-proc). Telemetry: the warmup tail depends
-    /// on scheduling.
+    /// Inbound Data frames — engine batches and collective rounds alike —
+    /// handed off zero-copy in a recycled payload buffer of their size
+    /// class (TCP only; 0 in-proc). Telemetry: the warmup tail depends on
+    /// scheduling.
     zero_copy_frames: sum telemetry,
     /// Always 0: the retired run-vectorised ⊕ fold's run count, which
     /// nothing records any more. Kept only because the frozen benchmark

@@ -99,14 +99,14 @@ impl<P: VertexProgram> Superstep<P> for AsyncPump<P> {
         // overwrite `vdata` and queue their scatter. Serial per item —
         // async batches are small by design — and off the frame for a TCP
         // batch.
-        let accums = &mut state.scratch.staging.open_blocks(pctx, shard.num_local(), 1)[0];
+        let accums = &mut state.scratch.staging;
         let vdata = &mut state.vdata;
         let stamp = Stamp::Arrivals { clock: &mut *clock, cost, busy: &mut busy };
         round.close(stamp, shard.route_table(), |from, l, msg| {
             let gid = shard.global_of(l);
             match msg {
                 SyncMsg::Accum(d) if shard.is_master(l) => {
-                    accums.stage(l, program.gather(gid, d), false)
+                    accums.push(l, program.gather(gid, d), false)
                 }
                 SyncMsg::Accum(_) => {
                     return Err(misrouted(from, "an accumulator", gid.0, "is not the master"))

@@ -1000,8 +1000,9 @@ impl RecoveryCfg {
 /// generation before this one — until every machine has durably saved
 /// this one. So every machine stays within one generation of every other,
 /// and with two generations kept a generation all of them hold always
-/// exists. The barrier charges no simulated time, so checkpointed and
-/// checkpoint-free runs report identical `sim_time`.
+/// exists. The barrier charges no simulated time and counts no global
+/// sync, so checkpointed and checkpoint-free runs report identical
+/// `sim_time` and `global_syncs`.
 pub fn checkpoint_at_barrier<P: VertexProgram, M: Wire + Send>(
     f: &mut Frame<'_, P, M>,
     store: &SnapshotStore,
@@ -1024,7 +1025,7 @@ pub fn checkpoint_at_barrier<P: VertexProgram, M: Wire + Send>(
     let bytes =
         store.save(&header, &f.state, &f.history, initial).map_err(|e| fail("save", &e))?;
     f.stats.record_snapshot_bytes(bytes);
-    f.port.barrier()
+    f.port.uncounted_barrier()
 }
 
 #[cfg(test)]

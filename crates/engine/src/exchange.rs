@@ -17,19 +17,18 @@
 //!    they ever reach the wire. Engines stage in canonical (ascending
 //!    local id) order, so adjacent-run combining is exhaustive per key
 //!    and the receiver's left-fold association is unchanged.
-//! 3. **Parallel inbound routing** ([`route_inbound`]) — one block-parallel
-//!    translate-and-bucket pass over the received batches into the
-//!    machine's persistent [`Inbound`] buckets, which
+//! 3. **Parallel inbound routing** ([`route_inbound`]) — one parallel
+//!    translate pass over the received batches into the machine's
+//!    persistent inbound [`Delivery`] buffer, one slice per batch, which
 //!    [`MachineState::deliver_inbound`](crate::state::MachineState::deliver_inbound)
 //!    folds in place. The gid → local translation reads the shard's dense
 //!    route table (`LocalShard::local_of`, an array index since PR 3), not
 //!    a hash map.
 //!
-//! Determinism: the router preserves (batch order, item order) within
-//! each target block, and batches arrive sorted by sender, so per-vertex
-//! fold order is exactly the serial translate-then-deliver order —
-//! bitwise-identical at any thread count. DESIGN.md §9 is the full
-//! contract.
+//! Determinism: the router keeps (batch order, item order), and batches
+//! arrive sorted by sender, so per-vertex fold order is exactly the
+//! serial translate-then-deliver order — bitwise-identical at any thread
+//! count. DESIGN.md §9 is the full contract.
 //!
 //! Engines never drive the endpoint's round API themselves: every
 //! exchange is one of the two rounds a [`Port`] opens — a [`FoldRound`]
@@ -52,45 +51,7 @@ use lazygraph_partition::{LocalShard, NO_LOCAL};
 
 use crate::parallel::ParallelCtx;
 use crate::program::VertexProgram;
-use crate::state::{num_blocks, retained, MachineState, Segments};
-
-/// The inbound router's persistent buckets and the round in flight.
-///
-/// Every batch [`route_inbound`] translates lands in the next free slot —
-/// one [`Segments`] per batch, reused in place by the same slot of the
-/// next round. A round's batches arrive sorted by sender
-/// (`Endpoint::exchange`) and every replicated vertex ships at most once
-/// per (sender, round), so slot order *is* the per-vertex fold order.
-pub struct Inbound<D> {
-    slots: Vec<Segments<D>>,
-    /// Leading slots holding this round's routed batches.
-    routed: usize,
-}
-
-impl<D> Default for Inbound<D> {
-    fn default() -> Self {
-        Inbound {
-            slots: Vec::new(),
-            routed: 0,
-        }
-    }
-}
-
-impl<D> Inbound<D> {
-    /// This round's routed batches, in the order they were routed.
-    pub(crate) fn routed(&self) -> &[Segments<D>] {
-        &self.slots[..self.routed]
-    }
-
-    /// Ends the round after its fold, releasing the buckets if they keep
-    /// capacity for more than `limit` items.
-    pub(crate) fn finish_round(&mut self, limit: usize) {
-        self.routed = 0;
-        if self.slots.iter().map(retained).sum::<usize>() > limit {
-            self.slots.clear();
-        }
-    }
-}
+use crate::state::{Delivery, MachineState};
 
 /// Stages `(gid, d)` for `dst`, folding into the previously staged item
 /// when it carries the same gid (sender-side `⊕` combining). Returns
@@ -142,26 +103,26 @@ pub(crate) fn misrouted(from: usize, what: &str, gid: u32, here: &str) -> NetErr
     }
 }
 
-/// Block-parallel translate-and-bucket over received batches: the
-/// replacement for the serial per-item `local_of` + push loop.
+/// Parallel translate over received batches: the replacement for the
+/// serial per-item `local_of` + push loop.
 ///
 /// Each batch is drained by one pool task (batches are disjoint, so this
-/// needs no locking) into the next free slot of `inbound`. Every
-/// `(gid, x)` item is routed to its local id through the dense `route`
-/// table ([`route_item`]) and handed to `translate` as `(local id, gid,
-/// x)` — typically `program.gather` — and what `translate` returns lands
-/// in that slot's per-block bucket; `Ok(None)` means there is nothing to
-/// fold (mirrors-to-master hop 2: a replica that contributed the whole
-/// total). An item for a vertex this machine holds no replica of, or one
-/// the table routes past the last local vertex, fails the whole call
-/// naming its sender, as does an item `translate` refuses or one that
-/// fails to decode off a raw frame payload (first failing batch in batch
-/// order); the rounds turn that into a [`CommError::Transport`] that fails
-/// the run.
+/// needs no locking) into its own slice of `inbound`, opened for as many
+/// items as its payload can hold. Every `(gid, x)` item is routed to its
+/// local id through the dense `route` table ([`route_item`]) and handed to
+/// `translate` as `(local id, gid, x)` — typically `program.gather` — and
+/// what `translate` returns is staged in the batch's slice, in item order;
+/// `Ok(None)` means there is nothing to fold (mirrors-to-master hop 2: a
+/// replica that contributed the whole total). An item for a vertex this
+/// machine holds no replica of, or one the table routes past the last
+/// local vertex, fails the whole call naming its sender, as does an item
+/// `translate` refuses or one that fails to decode off a raw frame payload
+/// (first failing batch in batch order); the rounds turn that into a
+/// [`CommError::Transport`] that fails the run.
 /// [`MachineState::deliver_inbound`](crate::state::MachineState::deliver_inbound)
-/// then folds the slots where they lie: no second bucketing pass, and
-/// per-vertex fold order is identical to translating the batches serially
-/// in sender order.
+/// then folds the slices where they lie, in batch order: per-vertex fold
+/// order is identical to translating the batches serially in sender
+/// order.
 ///
 /// Drained batches keep their capacity; the caller recycles them back to
 /// their senders via [`Endpoint::recycle`](lazygraph_cluster::Endpoint::recycle).
@@ -171,42 +132,36 @@ pub fn route_inbound<X, D, F>(
     num_local: usize,
     batches: &mut [Batch<(u32, X)>],
     translate: F,
-    inbound: &mut Inbound<D>,
+    inbound: &mut Delivery<D>,
 ) -> Result<(), NetError>
 where
     (u32, X): Wire + Send,
-    D: Send,
+    D: Copy + Default + Send,
     F: Fn(u32, u32, X) -> Result<Option<D>, NetError> + Sync,
 {
-    let bs = pctx.block_size();
-    let num_blocks = num_blocks(num_local, bs);
-    let first = inbound.routed;
-    inbound.routed += batches.len();
-    if inbound.slots.len() < inbound.routed {
-        inbound.slots.resize_with(inbound.routed, Vec::new);
-    }
-    let work: Vec<_> = batches.iter_mut().zip(&mut inbound.slots[first..]).collect();
-    let routed: Vec<Result<(), NetError>> = pctx.pool().map(work, |(batch, buckets)| {
-        // Capacities differ per slot but contents never do: every bucket
-        // is emptied before it is filled, so reuse cannot affect results.
-        buckets.iter_mut().for_each(Vec::clear);
-        buckets.resize_with(num_blocks, Vec::new);
+    // A raw item takes at least a byte, so a corrupt count cannot size a
+    // slice past its frame.
+    let bounds = batches.iter().map(|b| {
+        let raw = b.raw.as_ref();
+        b.items.len() + raw.map_or(0, |r| (r.count as usize).min(r.bytes.len().saturating_sub(r.offset)))
+    });
+    let producers = inbound.open(bounds);
+    let work: Vec<_> = batches.iter_mut().zip(producers).collect();
+    let routed: Vec<Result<(), NetError>> = pctx.pool().map(work, |(batch, mut into)| {
         let from = batch.from;
-        let route_one = |(gid, x): (u32, X)| -> Result<(), NetError> {
+        // A TCP batch's items decode straight off the frame payload;
+        // decode order is wire order is the materialized path's item
+        // order, so fold order (and every value) is identical.
+        batch.drain_each(|(gid, x)| {
             let l = route_item(route, from, gid)?;
-            let bucket = buckets.get_mut(l as usize / bs).filter(|_| (l as usize) < num_local);
-            let Some(bucket) = bucket else {
+            if l as usize >= num_local {
                 return Err(misrouted(from, "an item", gid, "routes past its last local vertex"));
-            };
+            }
             if let Some(d) = translate(l, gid, x)? {
-                bucket.push((l, d));
+                into.stage(l, d, false);
             }
             Ok(())
-        };
-        // A TCP batch's items decode straight off the frame payload into
-        // their buckets; decode order is wire order is the materialized
-        // path's item order, so fold order (and every value) is identical.
-        batch.drain_each(route_one)
+        })
     });
     routed.into_iter().collect()
 }
@@ -242,9 +197,11 @@ impl<T: Wire + Send> Port<T> {
         self.ep.allreduce(&mut self.control, val, &self.stats, combine)
     }
 
-    /// One barrier: an empty-payload allreduce.
-    pub fn barrier(&mut self) -> Result<(), CommError> {
-        self.allreduce((), |_, _| ())
+    /// One barrier that is no sync of the computation — a checkpoint's:
+    /// an empty-payload allreduce round that `global_syncs` does not count
+    /// ([`Endpoint::uncounted_barrier`]).
+    pub fn uncounted_barrier(&mut self) -> Result<(), CommError> {
+        self.ep.uncounted_barrier(&mut self.control, &self.stats)
     }
 
     /// Opens a sender-ordered round: inbound items are handed to the
@@ -546,13 +503,13 @@ pub(crate) mod tests {
         b
     }
 
-    /// Routes `batches` (gid == local id, `d` scaled by ten) into fresh
-    /// buckets and returns them in fold order.
+    /// Routes `batches` (gid == local id, `d` scaled by ten) into a fresh
+    /// buffer and returns each batch's items in fold order.
     fn routed(
         pctx: &ParallelCtx,
         num_local: usize,
         batches: &mut [Batch<(u32, u64)>],
-    ) -> Result<Vec<Segments<u64>>, NetError> {
+    ) -> Result<Vec<Vec<(u32, u64)>>, NetError> {
         let route: Vec<u32> = (0..num_local as u32).collect();
         routed_through(pctx, &route, num_local, batches)
     }
@@ -562,11 +519,11 @@ pub(crate) mod tests {
         route: &[u32],
         num_local: usize,
         batches: &mut [Batch<(u32, u64)>],
-    ) -> Result<Vec<Segments<u64>>, NetError> {
-        let mut inbound = Inbound::default();
+    ) -> Result<Vec<Vec<(u32, u64)>>, NetError> {
+        let mut inbound = Delivery::default();
         let translate = |_, _, d: u64| Ok(Some(d * 10));
         route_inbound(pctx, route, num_local, batches, translate, &mut inbound)?;
-        Ok(inbound.routed().to_vec())
+        Ok(inbound.staged().into_iter().map(<[_]>::to_vec).collect())
     }
 
     #[test]
@@ -583,14 +540,13 @@ pub(crate) mod tests {
                 batch(2, vec![(7, 6)]),
             ];
             let slots = routed(&pctx, 8, &mut batches).expect("well-formed batches");
-            // One producer per batch, its items split by target block in
-            // item order.
+            // One producer per batch, its items in item order.
             assert_eq!(
                 slots,
                 vec![
-                    vec![vec![(0, 10), (1, 30)], vec![(5, 20)]],
-                    vec![vec![(0, 50)], vec![(5, 40)]],
-                    vec![vec![], vec![(7, 60)]],
+                    vec![(0, 10), (5, 20), (1, 30)],
+                    vec![(5, 40), (0, 50)],
+                    vec![(7, 60)],
                 ]
             );
             // Batches were drained in place (capacity recyclable).
@@ -604,7 +560,7 @@ pub(crate) mod tests {
             threads: 2,
             block_size: 4,
         }).expect("spawn pool");
-        let refused = |result: Result<Vec<Segments<u64>>, NetError>, sender: &str, why: &str| {
+        let refused = |result: Result<Vec<Vec<(u32, u64)>>, NetError>, sender: &str, why: &str| {
             match result {
                 Err(NetError::Malformed { ty: "routed item", detail }) => {
                     assert!(detail.contains(sender) && detail.contains(why), "{detail}")
@@ -634,30 +590,48 @@ pub(crate) mod tests {
         refused(routed(&pctx, 4, &mut raw), "machine 3 sent an item for vertex 64,", "no replica");
     }
 
+    /// The inbound twin of `retained_staging_is_bounded_by_the_window_not_
+    /// the_sweep`: rounds of varying sizes and batch counts leave the
+    /// inbound buffer holding the largest round's items, however its
+    /// batches were split, and a repeated round reallocates nothing.
     #[test]
-    fn inbound_slots_are_reused_in_place_and_released_past_the_limit() {
+    fn retained_inbound_is_bounded_by_the_largest_round() {
         let pctx = ParallelCtx::new(ParallelConfig {
-            threads: 1,
+            threads: 2,
             block_size: 4,
         }).expect("spawn pool");
-        let mut inbound: Inbound<u64> = Inbound::default();
+        let mut inbound: Delivery<u64> = Delivery::default();
         let translate = |_, _, d: u64| Ok(Some(d));
-        let route: Vec<u32> = (0..8).collect();
-        let items: Vec<(u32, u64)> = (0..100).map(|i| (i % 4, u64::from(i))).collect();
-        for _ in 0..3 {
-            let mut batches = vec![batch(0, items.clone())];
-            route_inbound(&pctx, &route, 8, &mut batches, translate, &mut inbound).expect("routed");
-            assert_eq!(inbound.routed()[0][0].len(), 100);
-            inbound.finish_round(usize::MAX);
-            assert!(inbound.routed().is_empty(), "the round is over");
+        let route: Vec<u32> = (0..64).collect();
+        let mut largest = 0;
+        for round in 0..40usize {
+            // Senders' batch sizes shift from round to round: the sum of
+            // each sender's largest batch is well above any one round.
+            let mut batches: Vec<_> = (0..3)
+                .map(|from| {
+                    let len = (round * 37 + from * 101) % 150;
+                    let items = (0..len as u32).map(|i| (i % 64, u64::from(i))).collect();
+                    if round % 2 == 0 {
+                        batch(from, items)
+                    } else {
+                        raw_batch(from, &items, 5)
+                    }
+                })
+                .collect();
+            let items: usize = batches.iter().map(|b| b.item_count()).sum();
+            largest = largest.max(items);
+            route_inbound(&pctx, &route, 64, &mut batches, translate, &mut inbound).expect("routed");
+            assert_eq!(inbound.staged().iter().map(|s| s.len()).sum::<usize>(), items);
+            assert!(
+                inbound.capacity() <= largest,
+                "round {round}: inbound keeps capacity for {} items, largest round had {largest}",
+                inbound.capacity()
+            );
         }
-        // Same slot, same bucket, same capacity: the second and third
-        // rounds allocated nothing.
-        let kept = retained(&inbound.slots[0]);
-        assert!((100..=256).contains(&kept), "kept {kept}");
-        assert_eq!(inbound.slots.len(), 1);
-        inbound.finish_round(kept - 1);
-        assert!(inbound.slots.is_empty(), "over the limit: released");
+        let kept = inbound.capacity();
+        let mut batches = vec![batch(0, (0..100).map(|i| (i % 64, u64::from(i))).collect())];
+        route_inbound(&pctx, &route, 64, &mut batches, translate, &mut inbound).expect("routed");
+        assert_eq!(inbound.capacity(), kept, "a round that fits reallocates nothing");
     }
 
     #[test]
@@ -772,6 +746,15 @@ pub(crate) mod tests {
             routed(&pctx, 4, &mut raw).is_err(),
             "a torn item region must be a typed error"
         );
+        // A count no payload could hold sizes the batch's slice by its
+        // bytes, not by the count, and fails typed.
+        let mut raw = vec![raw_batch(0, &[(0, 1), (1, 2)], 0)];
+        raw[0].raw.as_mut().expect("raw").count = u32::MAX;
+        let mut inbound = Delivery::default();
+        let route = [0, 1, 2, 3];
+        let translate = |_, _, d: u64| Ok(Some(d));
+        assert!(route_inbound(&pctx, &route, 4, &mut raw, translate, &mut inbound).is_err());
+        assert!(inbound.capacity() <= 24, "a 24 B payload sized {} items", inbound.capacity());
     }
 
     #[test]

@@ -509,7 +509,7 @@ fn exchange_m2m<P: VertexProgram>(
     let mut hop2 = port.fold_round(pctx, shard, Phase::Coherency, delta_bytes, |l, gid, total| {
         Ok(others(l, total).map(|rest| program.gather(gid.into(), rest)))
     });
-    let local = &mut state.scratch.staging.open_blocks(pctx, shard.num_local(), 1)[0];
+    let local = &mut state.scratch.staging;
     for &l in &shard.replicated {
         let li = l as usize;
         if !shard.is_master(l) {
@@ -526,7 +526,7 @@ fn exchange_m2m<P: VertexProgram>(
             sent += delta_bytes as u64;
         }
         if let Some(rest) = others(l, total) {
-            local.stage(l, program.gather(gid.into(), rest), false);
+            local.push(l, program.gather(gid.into(), rest), false);
         }
     }
     stats.record_combined(combined, combined * delta_bytes as u64);

@@ -122,8 +122,9 @@ mod window_tests {
         receipt: Receipt,
     ) -> (u64, u64) {
         let vdata_view = &state.vdata;
-        let blocks = state.scratch.staging.source_blocks(pctx, vdata_view.len(), tasks);
-        let edges: Vec<u64> = pctx.pool().map(blocks, |(chunk, b)| {
+        let degree = |&(l, _): &(u32, P::Delta)| shard.local_out_degree(l);
+        let blocks = state.scratch.staging.source_blocks(pctx, tasks, degree);
+        let edges: Vec<u64> = pctx.pool().map(blocks, |(chunk, mut b)| {
             let mut edges = 0u64;
             for &(l, d) in chunk {
                 let (v, ctx) = (shard.global_of(l), vertex_ctx(shard, l, num_vertices));
@@ -156,9 +157,10 @@ mod window_tests {
         update_coherent: bool,
     ) -> (u64, u64, u64) {
         let (message_view, vdata_view) = (&state.message, &state.vdata);
-        let blocks = state.scratch.staging.source_blocks(pctx, message_view.len(), worklist);
+        let degree = |&l: &u32| shard.local_out_degree(l);
+        let blocks = state.scratch.staging.source_blocks(pctx, worklist, degree);
         #[expect(clippy::type_complexity, reason = "per-block (edges, commits), test-only")]
-        let done: Vec<(u64, Vec<(u32, Option<P::VData>)>)> = pctx.pool().map(blocks, |(chunk, b)| {
+        let done: Vec<(u64, Vec<(u32, Option<P::VData>)>)> = pctx.pool().map(blocks, |(chunk, mut b)| {
             let (mut edges, mut commits) = (0u64, Vec::new());
             for &l in chunk {
                 let Some(accum) = message_view[l as usize] else {

@@ -82,8 +82,9 @@ pub type LocalOrder<V, D> = fn(&V, &D) -> f64;
 pub trait VertexProgram: Send + Sync + 'static {
     /// Vertex value type.
     type VData: Clone + Send + Sync + PartialEq + Debug + Wire + 'static;
-    /// Message / delta type.
-    type Delta: Copy + Send + Sync + PartialEq + Debug + Wire + 'static;
+    /// Message / delta type. `Default` is any value at all, never folded:
+    /// it fills a delivery buffer's slots before they are first staged.
+    type Delta: Copy + Default + Send + Sync + PartialEq + Debug + Wire + 'static;
 
     /// Short name for reports.
     fn name(&self) -> &'static str;

@@ -2,9 +2,10 @@
 //! replica — `vdata[v]`, `message[v]`, `deltaMsg[v]`, `isActive[v]` (the
 //! replica/master topology lives in the shard itself).
 
+use std::ops::Range;
+
 use lazygraph_partition::LocalShard;
 
-use crate::exchange::Inbound;
 use crate::parallel::ParallelCtx;
 use crate::program::{VertexCtx, VertexProgram};
 
@@ -43,60 +44,139 @@ pub struct MachineState<P: VertexProgram> {
     pub scratch: Scratch<P>,
 }
 
-/// One producer's deliveries, bucketed by target block: `segments[b]` holds,
-/// in production order, the items whose target falls in block `b`
-/// (`l / block_size`). A producer is one source block of a scatter window
-/// ([`SourceBlock`]) or one routed inbound batch
-/// ([`Inbound`](crate::exchange::Inbound)).
-pub type Segments<D> = Vec<Vec<(u32, D)>>;
-
 /// Top bit of a staged item's local id: the delivery also folds into
 /// `deltaMsg[l]` (a one-edge-mode receipt on a replicated target). Riding
 /// in the id keeps one 16-byte item layout for every engine.
 const FOLD_DELTA: u32 = 1 << 31;
 
 /// Most source blocks per pool thread one sweep is split into: enough for
-/// the pool to balance a skewed sweep, no more. Staging keeps one segment
-/// per (source block, target block) pair, and fewer, fuller segments keep
-/// their shape from sweep to sweep, so this bounds both the segment
-/// headers (however small the block size) and how often a segment
-/// regrows. The fold order (source block, item) is the flat scatter order
-/// for any contiguous split, so the split cannot affect results. The fold
-/// splits the *target* blocks into as many contiguous runs per thread, for
-/// the same balance (`deliver_segments`).
+/// the pool to balance a skewed sweep, no more. A source block writes its
+/// own slice of the window's one buffer, so the split costs a slice, not
+/// capacity; and the fold order (source block, item) is the flat scatter
+/// order for any contiguous split, so the split cannot affect results.
 const SOURCE_BLOCKS_PER_THREAD: usize = 4;
 
-/// Retained-capacity bound of a scratch role, in multiples of the largest
-/// single fold: a role that outgrows it (a frontier wandering across
-/// target blocks leaves capacity behind in each) is released and regrows.
-const SCRATCH_SLACK: usize = 4;
-
-/// Items `segments` holds capacity for.
-pub(crate) fn retained<D>(segments: &Segments<D>) -> usize {
-    segments.iter().map(Vec::capacity).sum()
-}
-
 /// Target blocks of a machine with `num_local` vertices.
-pub(crate) fn num_blocks(num_local: usize, block_size: usize) -> usize {
+fn num_blocks(num_local: usize, block_size: usize) -> usize {
     num_local.div_ceil(block_size.max(1))
 }
 
-/// The staging buffers of one source block of a scatter window, filled
-/// from a read-only view of the state and folded in block order. Reused
-/// in place by the same source block of the next window.
-pub struct SourceBlock<P: VertexProgram> {
-    segments: Segments<P::Delta>,
-    block_size: usize,
+/// One delivery role's buffer: its producers' items in production order,
+/// producer after producer. A producer — one source block of a scatter
+/// window, one routed inbound batch, or one serial stream — owns a slice
+/// as long as the most it can stage, and `spans[p]` is what producer `p`
+/// staged. The buffer is as long as the most any fold has needed and
+/// never shrinks, so a steady sweep keeps no slack and reallocates
+/// nothing.
+pub struct Delivery<D> {
+    items: Vec<(u32, D)>,
+    /// The open producers' staged items, in production order; emptied by
+    /// the fold.
+    spans: Vec<Range<usize>>,
 }
 
-impl<P: VertexProgram> SourceBlock<P> {
-    /// Stages one scattered message for local vertex `l` — its only copy
-    /// until the fold. `fold_delta` marks a one-edge-mode receipt that
-    /// also accumulates into `deltaMsg[l]`.
+impl<D> Default for Delivery<D> {
+    fn default() -> Self {
+        Delivery {
+            items: Vec::new(),
+            spans: Vec::new(),
+        }
+    }
+}
+
+/// One producer's slice of a [`Delivery`] buffer.
+pub struct Producer<'a, D> {
+    slot: &'a mut [(u32, D)],
+    span: &'a mut Range<usize>,
+}
+
+#[inline]
+fn tag(l: u32, fold_delta: bool) -> u32 {
+    if fold_delta {
+        l | FOLD_DELTA
+    } else {
+        l
+    }
+}
+
+impl<D> Producer<'_, D> {
+    /// Stages one message for local vertex `l` — its only copy until the
+    /// fold. `fold_delta` marks a one-edge-mode receipt that also
+    /// accumulates into `deltaMsg[l]`.
     #[inline]
-    pub fn stage(&mut self, l: u32, d: P::Delta, fold_delta: bool) {
-        let tag = if fold_delta { FOLD_DELTA } else { 0 };
-        self.segments[l as usize / self.block_size].push((l | tag, d));
+    pub fn stage(&mut self, l: u32, d: D, fold_delta: bool) {
+        self.slot[self.span.len()] = (tag(l, fold_delta), d);
+        self.span.end += 1;
+    }
+}
+
+impl<D: Copy + Default> Delivery<D> {
+    /// Opens one producer per entry of `bounds`, in order, each with a
+    /// slice of that many items.
+    pub(crate) fn open(&mut self, bounds: impl IntoIterator<Item = usize>) -> Vec<Producer<'_, D>> {
+        self.spans.clear();
+        let mut end = 0;
+        for bound in bounds {
+            self.spans.push(end..end);
+            end += bound;
+        }
+        if self.items.len() < end {
+            self.items.reserve_exact(end - self.items.len());
+            self.items.resize(end, (0, D::default()));
+        }
+        let mut rest = &mut self.items[..end];
+        let mut producers: Vec<Producer<'_, D>> = (self.spans.iter_mut().rev())
+            .map(|span| {
+                let (head, slot) = std::mem::take(&mut rest).split_at_mut(span.start);
+                rest = head;
+                Producer { slot, span }
+            })
+            .collect();
+        producers.reverse();
+        producers
+    }
+
+    /// Splits an ordered task list into contiguous source blocks, each
+    /// paired with its producer — the work items of a sweep's parallel
+    /// phase A. A source block's slice holds `bound(task)` items for each
+    /// of its tasks: the most they can stage.
+    pub fn source_blocks<'a, T>(
+        &'a mut self,
+        pctx: &ParallelCtx,
+        tasks: &'a [T],
+        bound: impl Fn(&T) -> usize,
+    ) -> Vec<(&'a [T], Producer<'a, D>)> {
+        let most = SOURCE_BLOCKS_PER_THREAD * pctx.threads();
+        let chunks = tasks.chunks(pctx.block_size().max(tasks.len().div_ceil(most)));
+        let bounds = chunks.clone().map(|chunk| chunk.iter().map(&bound).sum());
+        chunks.zip(self.open(bounds)).collect()
+    }
+
+    /// Stages one item behind everything staged since the last fold, as
+    /// one serial producer of no known bound.
+    pub(crate) fn push(&mut self, l: u32, d: D, fold_delta: bool) {
+        let end = self.spans.last().map_or(0, |span| span.end);
+        let item = (tag(l, fold_delta), d);
+        match self.items.get_mut(end) {
+            Some(slot) => *slot = item,
+            None => self.items.push(item),
+        }
+        match self.spans.last_mut() {
+            Some(span) => span.end += 1,
+            None => self.spans.push(0..1),
+        }
+    }
+
+    /// Items the buffer holds capacity for.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.items.capacity()
+    }
+
+    /// The open producers' staged items, in production order.
+    #[cfg(test)]
+    pub(crate) fn staged(&self) -> Vec<&[(u32, D)]> {
+        self.spans.iter().map(|span| &self.items[span.clone()]).collect()
     }
 }
 
@@ -105,82 +185,30 @@ impl<P: VertexProgram> SourceBlock<P> {
 /// sweep reuses every per-item buffer and none is regrown to another
 /// role's size.
 pub struct Scratch<P: VertexProgram> {
-    /// Local-scatter role: the source blocks of a sweep's window.
-    pub staging: Staging<P>,
+    /// Local-scatter role: one scatter window's source blocks, or one
+    /// serial producer.
+    pub staging: Delivery<P::Delta>,
     /// A lazy sweep's scatter tasks, between its apply pass and its scatter.
     pub tasks: Vec<(u32, P::Delta)>,
-    /// Inbound role: the exchange router's per-batch buckets.
-    pub inbound: Inbound<P::Delta>,
+    /// Inbound role: one round's routed batches.
+    pub inbound: Delivery<P::Delta>,
     /// `activated[t]`: the vertices fold task `t` newly activated, in
-    /// block order; drained into the worklist before the fold returns.
+    /// production order; drained into the worklist before the fold returns.
     activated: Vec<Vec<u32>>,
-    /// Most items any single fold delivered so far.
-    peak_items: usize,
+    /// Per target block: how many vertices a fold newly activated in it,
+    /// then the worklist slot the next of them goes to.
+    block_slots: Vec<usize>,
 }
 
 impl<P: VertexProgram> Default for Scratch<P> {
     fn default() -> Self {
         Scratch {
-            staging: Staging {
-                blocks: Vec::new(),
-                open: 0,
-            },
-            inbound: Inbound::default(),
+            staging: Delivery::default(),
+            inbound: Delivery::default(),
             tasks: Vec::new(),
             activated: Vec::new(),
-            peak_items: 0,
+            block_slots: Vec::new(),
         }
-    }
-}
-
-/// The source blocks of a machine's scatter windows: `blocks[s]` belongs to
-/// source block `s` of every window.
-pub struct Staging<P: VertexProgram> {
-    blocks: Vec<SourceBlock<P>>,
-    /// Source blocks the window in flight opened; `blocks[..open]` feed the
-    /// next [`MachineState::deliver_staged`].
-    open: usize,
-}
-
-impl<P: VertexProgram> Staging<P> {
-    /// Opens `n` emptied source blocks for a sweep on a machine with
-    /// `num_local` vertices (the same count, and the same block size, on
-    /// every sweep of a run: a block is built with its segments).
-    pub fn open_blocks(
-        &mut self,
-        pctx: &ParallelCtx,
-        num_local: usize,
-        n: usize,
-    ) -> &mut [SourceBlock<P>] {
-        let block_size = pctx.block_size();
-        let num_blocks = num_blocks(num_local, block_size);
-        if self.blocks.len() < n {
-            self.blocks.resize_with(n, || SourceBlock {
-                segments: std::iter::repeat_with(Vec::new).take(num_blocks).collect(),
-                block_size,
-            });
-        }
-        self.open = n;
-        let blocks = &mut self.blocks[..n];
-        for b in blocks.iter_mut() {
-            b.segments.iter_mut().for_each(Vec::clear);
-        }
-        blocks
-    }
-
-    /// Splits an ordered task list into contiguous source blocks, each
-    /// paired with its staging buffers — the work items of a sweep's
-    /// parallel phase A.
-    pub fn source_blocks<'a, T>(
-        &'a mut self,
-        pctx: &ParallelCtx,
-        num_local: usize,
-        tasks: &'a [T],
-    ) -> Vec<(&'a [T], &'a mut SourceBlock<P>)> {
-        let most = SOURCE_BLOCKS_PER_THREAD * pctx.threads();
-        let chunk = pctx.block_size().max(tasks.len().div_ceil(most));
-        let n = tasks.len().div_ceil(chunk);
-        tasks.chunks(chunk).zip(self.open_blocks(pctx, num_local, n)).collect()
     }
 }
 
@@ -272,136 +300,116 @@ impl<P: VertexProgram> MachineState<P> {
         fold_into(program, &mut self.delta_msg[l as usize], d);
     }
 
-    /// The one delivery sink: folds `producers`' segments into `message`
-    /// (and, for [`FOLD_DELTA`]-tagged items, `deltaMsg`), bitwise-identical
-    /// to the sequential left-fold `for (l, d) in items { deliver(l, d) }`
+    /// The one delivery sink: folds a role's producers into `message` (and,
+    /// for [`FOLD_DELTA`]-tagged items, `deltaMsg`), bitwise-identical to
+    /// the sequential left-fold `for (l, d) in items { deliver(l, d) }`
     /// over the producers' items in (producer, item) order.
     ///
-    /// The trick is ownership by *target block*: every producer bucketed
-    /// its items by `l / block_size`, and each block exclusively owns its
-    /// slice of `message`/`delta_msg`/`active`, so a pool task owning a
-    /// contiguous run of blocks walks, block by block, that block's
-    /// segment of every producer in order. Every vertex's fold therefore
-    /// runs as the exact sequential reduction regardless of schedule —
-    /// float results cannot drift with the thread count. Per-task
-    /// activation lists, filled in block order, join the worklist in task
-    /// order — block-index order overall — so the worklist order is
+    /// The trick is ownership by *target block*: one pool task per thread
+    /// owns a contiguous run of target blocks — its slice of
+    /// `message`/`delta_msg`/`active` — and walks every producer in order,
+    /// folding only the items whose target it owns. Every vertex's fold
+    /// therefore runs as the exact sequential reduction regardless of
+    /// schedule — float results cannot drift with the thread count. A task
+    /// notes the vertices it newly activates in production order and
+    /// counts them per block; they join the worklist block by block, in
+    /// production order within a block, so the worklist order is
     /// reproducible too.
     ///
     /// Each item folds into its slot on its own ([`fold_into`]). Returns
     /// the number of items folded into an *occupied* `deltaMsg` slot.
-    fn deliver_segments(
+    fn deliver_role(
         &mut self,
         program: &P,
         ctx: &ParallelCtx,
-        producers: &[&Segments<P::Delta>],
+        role: fn(&mut Scratch<P>) -> &mut Delivery<P::Delta>,
     ) -> u64 {
+        let mut delivery = std::mem::take(role(&mut self.scratch));
+        let MachineState { message, delta_msg, active, queue, scratch, .. } = self;
         let bs = ctx.block_size();
-        let num_blocks = num_blocks(self.message.len(), bs);
-        // One pool task per contiguous run of target blocks — as few runs
-        // per thread as a sweep has source blocks, and for the same
-        // reason: a sub-round of an ordered local stage delivers a few
-        // hundred items, and a task list (or an `activated` list) per
-        // target block would cost more than the fold itself.
-        let per_task = num_blocks.div_ceil(SOURCE_BLOCKS_PER_THREAD * ctx.threads()).max(1);
+        let num_blocks = num_blocks(message.len(), bs);
+        let per_task = num_blocks.div_ceil(ctx.threads()).max(1);
         let span = per_task.saturating_mul(bs);
-        self.scratch.activated.resize_with(num_blocks.div_ceil(per_task), Vec::new);
-        struct FoldTask<'a, P: VertexProgram> {
-            first_block: usize,
-            message: &'a mut [Option<P::Delta>],
-            delta_msg: &'a mut [Option<P::Delta>],
+        scratch.activated.resize_with(num_blocks.div_ceil(per_task), Vec::new);
+        scratch.block_slots.resize(num_blocks, 0);
+        struct FoldTask<'a, D> {
+            base: usize,
+            message: &'a mut [Option<D>],
+            delta_msg: &'a mut [Option<D>],
             active: &'a mut [bool],
             newly: &'a mut Vec<u32>,
+            counts: &'a mut [usize],
         }
-        let work: Vec<FoldTask<'_, P>> = (self.message.chunks_mut(span))
-            .zip(self.delta_msg.chunks_mut(span))
-            .zip(self.active.chunks_mut(span))
-            .zip(&mut self.scratch.activated)
+        let work: Vec<FoldTask<'_, P::Delta>> = (message.chunks_mut(span))
+            .zip(delta_msg.chunks_mut(span))
+            .zip(active.chunks_mut(span))
+            .zip(&mut scratch.activated)
+            .zip(scratch.block_slots.chunks_mut(per_task))
             .enumerate()
-            .map(|(task, (((message, delta_msg), active), newly))| FoldTask {
-                first_block: task * per_task,
+            .map(|(task, ((((message, delta_msg), active), newly), counts))| FoldTask {
+                base: task * span,
                 message,
                 delta_msg,
                 active,
                 newly,
+                counts,
             })
             .collect();
-        // Per task: (items folded, items folded into an occupied `deltaMsg`).
-        let folded: Vec<(usize, u64)> = ctx.pool().map(work, |w| {
-            let FoldTask {
-                first_block,
-                message,
-                delta_msg,
-                active,
-                newly,
-            } = w;
-            let base = first_block * bs;
-            let (mut items, mut delta_folds) = (0, 0);
-            for block in first_block..(first_block + per_task).min(num_blocks) {
-                for segments in producers {
-                    let segment = &segments[block];
-                    items += segment.len();
-                    for &(tagged, d) in segment {
-                        let l = tagged & !FOLD_DELTA;
-                        let i = l as usize - base;
-                        fold_into(program, &mut message[i], d);
-                        if !active[i] {
-                            active[i] = true;
-                            newly.push(l);
-                        }
-                        if tagged & FOLD_DELTA != 0 {
-                            delta_folds += u64::from(fold_into(program, &mut delta_msg[i], d));
-                        }
+        let items = &delivery.items;
+        let folded: Vec<u64> = ctx.pool().map(work, |w| {
+            w.counts.fill(0);
+            let mut delta_folds = 0;
+            for span in &delivery.spans {
+                for &(tagged, d) in &items[span.clone()] {
+                    let l = tagged & !FOLD_DELTA;
+                    let i = (l as usize).wrapping_sub(w.base);
+                    let Some(slot) = w.message.get_mut(i) else { continue };
+                    fold_into(program, slot, d);
+                    if !w.active[i] {
+                        w.active[i] = true;
+                        w.newly.push(l);
+                        w.counts[i / bs] += 1;
+                    }
+                    if tagged & FOLD_DELTA != 0 {
+                        delta_folds += u64::from(fold_into(program, &mut w.delta_msg[i], d));
                     }
                 }
             }
-            (items, delta_folds)
+            delta_folds
         });
-        for newly in &mut self.scratch.activated {
-            self.queue.append(newly);
+        let mut next = queue.len();
+        for slot in scratch.block_slots.iter_mut() {
+            (next, *slot) = (next + *slot, next);
         }
-        let items = folded.iter().map(|&(items, _)| items).sum();
-        self.scratch.peak_items = self.scratch.peak_items.max(items);
-        folded.iter().map(|&(_, delta_folds)| delta_folds).sum()
+        queue.resize(next, 0);
+        for newly in &mut scratch.activated {
+            for l in newly.drain(..) {
+                let slot = &mut scratch.block_slots[l as usize / bs];
+                queue[*slot] = l;
+                *slot += 1;
+            }
+        }
+        delivery.spans.clear();
+        *role(&mut self.scratch) = delivery;
+        folded.iter().sum()
     }
 
     /// Folds what the current window's source blocks staged
-    /// ([`Staging::source_blocks`]) in (source block, item) order — exactly
-    /// the flat order the window scattered in. Returns the number of items
-    /// folded into an *occupied* `deltaMsg` slot: each such fold is one
-    /// contribution the coherency exchange will not ship as its own wire
-    /// item (the sender-side combining the exchange counts as
+    /// ([`Delivery::source_blocks`]) in (source block, item) order —
+    /// exactly the flat order the window scattered in. Returns the number
+    /// of items folded into an *occupied* `deltaMsg` slot: each such fold
+    /// is one contribution the coherency exchange will not ship as its own
+    /// wire item (the sender-side combining the exchange counts as
     /// `items_combined`).
     pub fn deliver_staged(&mut self, program: &P, ctx: &ParallelCtx) -> u64 {
-        let mut blocks = std::mem::take(&mut self.scratch.staging.blocks);
-        let open = std::mem::take(&mut self.scratch.staging.open);
-        let producers: Vec<&Segments<P::Delta>> =
-            blocks[..open].iter().map(|b| &b.segments).collect();
-        let delta_folds = self.deliver_segments(program, ctx, &producers);
-        let retained: usize = blocks.iter().map(|b| retained(&b.segments)).sum();
-        if retained > self.retention_limit() {
-            blocks.iter_mut().flat_map(|b| &mut b.segments).for_each(|s| *s = Vec::new());
-        }
-        self.scratch.staging.blocks = blocks;
-        delta_folds
+        self.deliver_role(program, ctx, |scratch| &mut scratch.staging)
     }
 
     /// Folds the batches the inbound router parked this round
     /// ([`crate::exchange::route_inbound`]) in the order it routed them —
     /// sender order.
     pub fn deliver_inbound(&mut self, program: &P, ctx: &ParallelCtx) {
-        let mut inbound = std::mem::take(&mut self.scratch.inbound);
-        let producers: Vec<&Segments<P::Delta>> = inbound.routed().iter().collect();
-        self.deliver_segments(program, ctx, &producers);
-        inbound.finish_round(self.retention_limit());
-        self.scratch.inbound = inbound;
-    }
-
-    /// How many items each scratch role may keep capacity for: a small
-    /// multiple of the largest single fold (floored at the vertex count,
-    /// so a machine that only ever saw tiny sweeps does not thrash).
-    fn retention_limit(&self) -> usize {
-        SCRATCH_SLACK * self.scratch.peak_items.max(self.message.len())
+        self.deliver_role(program, ctx, |scratch| &mut scratch.inbound);
     }
 
     /// Number of local replicas with a pending message.
@@ -601,8 +609,8 @@ mod tests {
         ctx: &ParallelCtx,
         items: &[(u32, P::Delta, bool)],
     ) -> u64 {
-        let blocks = st.scratch.staging.source_blocks(ctx, st.message.len(), items);
-        ctx.pool().map(blocks, |(chunk, b)| {
+        let blocks = st.scratch.staging.source_blocks(ctx, items, |_| 1);
+        ctx.pool().map(blocks, |(chunk, mut b)| {
             for &(l, d, fold_delta) in chunk {
                 b.stage(l, d, fold_delta);
             }
@@ -611,8 +619,7 @@ mod tests {
     }
 
     fn retained_items<P: VertexProgram>(st: &MachineState<P>) -> usize {
-        let staged: usize = st.scratch.staging.blocks.iter().map(|b| retained(&b.segments)).sum();
-        staged + st.scratch.activated.iter().map(Vec::capacity).sum::<usize>()
+        st.scratch.staging.capacity() + st.scratch.activated.iter().map(Vec::capacity).sum::<usize>()
     }
 
     #[test]
@@ -654,7 +661,7 @@ mod tests {
                         block_size,
                     }).expect("spawn pool");
                     // The hub's deltas reach its slot from at least three
-                    // source blocks (`Staging::source_blocks`' split).
+                    // source blocks (`Delivery::source_blocks`' split).
                     let most = SOURCE_BLOCKS_PER_THREAD * threads;
                     let chunk = block_size.max(items.len().div_ceil(most)) as u64;
                     let mut sources: Vec<u64> =
@@ -736,19 +743,17 @@ mod tests {
                 })
                 .collect();
             stage_and_fold(&mut st, &P0, &ctx, &items);
+            // The staging buffer holds the largest sweep; the activation
+            // lists at most every vertex once.
             assert!(
-                retained_items(&st) <= (SCRATCH_SLACK + 1) * largest,
+                retained_items(&st) <= largest + n,
                 "sweep {sweep}: scratch keeps capacity for {} items, largest sweep had {largest}",
                 retained_items(&st)
             );
         }
         // A repeating sweep reuses its buffers in place: nothing grows.
         let items: Vec<(u32, u32, bool)> = (0..4 * n).map(|i| ((i % n) as u32, 1, false)).collect();
-        // (The first pass may release what the wandering sweeps left
-        // behind; the second regrows to this pattern's own shape.)
-        for _ in 0..2 {
-            stage_and_fold(&mut st, &P0, &ctx, &items);
-        }
+        stage_and_fold(&mut st, &P0, &ctx, &items);
         let settled = retained_items(&st);
         for _ in 0..3 {
             stage_and_fold(&mut st, &P0, &ctx, &items);
@@ -757,9 +762,9 @@ mod tests {
     }
 
     /// A sweep holds one window, not the sweep: sweeps of 10 to 80 windows'
-    /// worth of items leave the staging role holding at most
-    /// `SCRATCH_SLACK` windows (or vertex counts), where staging a whole
-    /// sweep kept capacity for all of it.
+    /// worth of items leave the staging role holding one window — or one
+    /// task, where a single task's out-degree is more than a window —
+    /// where staging a whole sweep kept capacity for all of it.
     #[test]
     fn retained_staging_is_bounded_by_the_window_not_the_sweep() {
         use crate::parallel::{ParallelConfig, ParallelCtx};
@@ -776,6 +781,7 @@ mod tests {
         let mut st =
             MachineState::init(shard, &P0, InitMessages::MastersOnly, dg.num_global_vertices);
         let sources: Vec<u32> = (0..n as u32).filter(|&l| shard.local_out_degree(l) > 0).collect();
+        let widest = sources.iter().map(|&l| shard.local_out_degree(l)).max().unwrap_or(0);
         let mut tasks = Vec::new();
         for sweep in 1..=8 {
             let mut staged = 0;
@@ -798,10 +804,9 @@ mod tests {
                 window,
             );
             assert_eq!(edges as usize, staged);
-            let blocks = &st.scratch.staging.blocks;
-            let retained: usize = blocks.iter().map(|b| retained(&b.segments)).sum();
+            let retained = st.scratch.staging.capacity();
             assert!(
-                retained <= SCRATCH_SLACK * window.max(n),
+                retained <= window.max(widest),
                 "sweep of {staged} items: staging keeps capacity for {retained}, window {window}"
             );
         }

@@ -125,8 +125,9 @@ pub(crate) fn scatter<P: VertexProgram>(
             (len, staged) = (len + 1, staged + degree);
         }
         let vdata_view = &state.vdata;
-        let blocks = state.scratch.staging.source_blocks(pctx, vdata_view.len(), &rest[..len]);
-        pctx.pool().map(blocks, |(chunk, b)| {
+        let degree = |&(l, _): &(u32, P::Delta)| shard.local_out_degree(l);
+        let blocks = state.scratch.staging.source_blocks(pctx, &rest[..len], degree);
+        pctx.pool().map(blocks, |(chunk, mut b)| {
             for &(l, d) in chunk {
                 let (v, data) = (shard.global_of(l), &vdata_view[l as usize]);
                 let ctx = vertex_ctx(shard, l, num_vertices);

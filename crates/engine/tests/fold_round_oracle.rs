@@ -198,8 +198,8 @@ proptest! {
         // contents must never leak into a later fold.
         for sweep in 0..sweeps {
             let tasks = &tasks[..tasks.len() / (sweep + 1)];
-            let blocks = got.scratch.staging.source_blocks(&pctx, n, tasks);
-            pctx.pool().map(blocks, |(chunk, b)| {
+            let blocks = got.scratch.staging.source_blocks(&pctx, tasks, Vec::len);
+            pctx.pool().map(blocks, |(chunk, mut b)| {
                 for &(sel, bits, fold_delta) in chunk.iter().flatten() {
                     b.stage(target(sel), f32::from_bits(bits), fold_delta);
                 }

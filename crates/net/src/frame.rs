@@ -45,6 +45,14 @@ pub const HEADER_LEN: usize = 5;
 /// worth pinning.
 pub const FRAME_POOL_CAP: usize = 8;
 
+/// Payloads up to this size are small frames — a collective round's
+/// contribution, a near-empty batch. A small frame is assembled in a
+/// small buffer (allocated at this capacity, so it fits every later small
+/// frame) and never takes a data-sized one off the free list: otherwise
+/// the next data frame of the link finds no buffer of its size and
+/// allocates a second one, which the free list then keeps.
+pub const SMALL_FRAME: usize = 1 << 10;
+
 /// What a frame carries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrameKind {
@@ -249,14 +257,18 @@ impl FrameReader {
                 self.kind = kind;
                 // `poll` hands completed payloads off by `mem::take`, so
                 // at this point `payload` is always the empty post-take
-                // husk; draw a recycled buffer if the consumer returned
-                // one, otherwise allocate fresh (and record which).
+                // husk; draw a recycled buffer of the frame's size class
+                // if the consumer returned one, otherwise allocate fresh
+                // (and record which).
                 if self.payload.capacity() == 0 {
-                    if let Some(buf) = self.free.pop() {
-                        self.payload = buf;
-                        self.cur_pooled = true;
-                    } else {
-                        self.cur_pooled = false;
+                    let small = len <= SMALL_FRAME;
+                    let class = |b: &Vec<u8>| (b.capacity() <= SMALL_FRAME) == small;
+                    let fits = self.free.iter().rposition(class);
+                    self.cur_pooled = fits.is_some();
+                    if let Some(at) = fits {
+                        self.payload = self.free.swap_remove(at);
+                    } else if small {
+                        self.payload = Vec::with_capacity(SMALL_FRAME);
                     }
                 }
                 self.payload.clear();
@@ -473,6 +485,38 @@ mod tests {
             assert!(rd.last_frame_pooled(), "frame {i} should reuse the recycled buffer");
             rd.supply_buffer(f.payload);
         }
+    }
+
+    #[test]
+    fn a_small_frame_never_takes_a_data_sized_buffer() {
+        let mut bytes = Vec::new();
+        for len in [4096, 65, 4096, 65, 4096] {
+            bytes.extend_from_slice(&framed(FrameKind::Data, &vec![7; len]));
+        }
+        let mut cur = Cursor::new(&bytes);
+        let mut rd = FrameReader::new();
+        let data = rd.poll(&mut cur).unwrap().unwrap();
+        rd.supply_buffer(data.payload);
+        // The data-sized buffer stays parked while the small frame gets
+        // a small one of its own ...
+        let small = rd.poll(&mut cur).unwrap().unwrap();
+        assert!(!rd.last_frame_pooled());
+        assert_eq!(small.payload.capacity(), SMALL_FRAME);
+        // ... so the next data frame, arriving before the small one is
+        // recycled, still finds it.
+        let data = rd.poll(&mut cur).unwrap().unwrap();
+        assert!(rd.last_frame_pooled());
+        rd.supply_buffer(data.payload);
+        rd.supply_buffer(small.payload);
+        // Steady state: each class reuses its own buffer.
+        for len in [65, 4096] {
+            let f = rd.poll(&mut cur).unwrap().unwrap();
+            assert!(rd.last_frame_pooled(), "a {len} B frame reuses its class's buffer");
+            assert_eq!(f.payload.len(), len);
+            assert_eq!(f.payload.capacity() <= SMALL_FRAME, len <= SMALL_FRAME);
+            rd.supply_buffer(f.payload);
+        }
+        assert_eq!(rd.pooled_buffers(), 2);
     }
 
     #[test]

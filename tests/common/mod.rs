@@ -15,8 +15,8 @@ use lazygraph_net::Wire;
 /// the undisturbed one. A snapshot carries the engine's carried counters
 /// (the record's `coherency_points` … `m2m_exchanges`) but no `NetStats`,
 /// so a resumed worker counts from its resume point; and a checkpointed
-/// run counts its snapshot bytes and one more barrier per generation than
-/// a run without checkpoints (DESIGN.md §12). The trace is machine 0's,
+/// run counts the snapshot bytes a run without checkpoints does not
+/// write (DESIGN.md §12). The trace is machine 0's,
 /// which a resumed machine 0 continues, not restarts.
 pub fn recovered<P: VertexProgram>(r: &RunResult<P>) -> RunRecord {
     RunRecord { counters: StatsSnapshot::default(), ..r.record() }

@@ -127,7 +127,8 @@ fn run_matrix_for<P: Shipped>(
 
     // Checkpointing must be observationally free: the same job without
     // any recovery machinery lands on the same record, but for the
-    // counters the checkpoints add (snapshot bytes, barriers).
+    // snapshot bytes the checkpoints write. A checkpoint's barrier is no
+    // sync of the computation, so Fig. 10's count does not move either.
     if workers == 4 {
         let (plain, _) = launch(g, workers, base, program, &MpOptions::default())
             .unwrap_or_else(|e| panic!("{} {workers}w plain: {e}", engine.name()));
@@ -135,6 +136,12 @@ fn run_matrix_for<P: Shipped>(
             common::recovered(&plain),
             want,
             "{} {workers}w: enabling checkpoints changed the result",
+            engine.name()
+        );
+        assert_eq!(
+            plain.metrics.stats.global_syncs,
+            oracle.metrics.stats.global_syncs,
+            "{} {workers}w: checkpoint barriers were counted as syncs",
             engine.name()
         );
     }

@@ -205,8 +205,8 @@ proptest! {
 
         let pctx = ParallelCtx::new(ParallelConfig { threads, block_size }).expect("spawn pool");
         let mut par = blank();
-        let blocks = par.scratch.staging.source_blocks(&pctx, shard.num_local(), &items);
-        pctx.pool().map(blocks, |(chunk, b)| {
+        let blocks = par.scratch.staging.source_blocks(&pctx, &items, |_| 1);
+        pctx.pool().map(blocks, |(chunk, mut b)| {
             for &(l, d, fold) in chunk {
                 b.stage(l, d, fold);
             }

@@ -234,7 +234,7 @@ proptest! {
 /// A label whose wire form never decodes: the frame layer (length,
 /// checksum, routing header, item count) is satisfied, the item region
 /// is not — the corruption the frame layer cannot see.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct Tainted(u32);
 
 impl Wire for Tainted {
