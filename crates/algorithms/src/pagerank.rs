@@ -122,6 +122,10 @@ impl VertexProgram for PageRankDelta {
         }
     }
 
+    fn reads_coherent(&self) -> bool {
+        false
+    }
+
     fn priority(&self, _data: &PageRankData, accum: &f64) -> f64 {
         // Maiter-style urgency: the pending inbox mass. Sub-tolerance
         // residue parks (its mass is conserved in the inbox) until more

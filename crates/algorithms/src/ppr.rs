@@ -96,6 +96,10 @@ impl VertexProgram for PersonalizedPageRank {
         }
     }
 
+    fn reads_coherent(&self) -> bool {
+        false
+    }
+
     fn priority(&self, _data: &PageRankData, accum: &f64) -> f64 {
         // Residual push: urgency is the unapplied residual mass.
         accum.abs()

@@ -24,8 +24,8 @@ use crate::config::EngineKind;
 use crate::exchange::{misrouted, Stamp};
 use crate::machine::{Frame, Superstep, Vote};
 use crate::program::VertexProgram;
-use crate::state::{vertex_ctx, InitMessages};
-use crate::sync_engine::{scatter, Receipt, SyncMsg, SCATTER_WINDOW};
+use crate::state::{vertex_ctx, Layout};
+use crate::sync_engine::{scatter, SyncMsg, SCATTER_WINDOW};
 
 /// The Async engine: one eager round a step. Also the tail of the hybrid
 /// engine, which runs it on the state its Sync supersteps left. It
@@ -42,7 +42,7 @@ impl<P: VertexProgram> Superstep<P> for AsyncPump<P> {
     type Msg = SyncMsg<P>;
     type Carry = ();
     const KIND: EngineKind = EngineKind::PowerGraphAsync;
-    const INIT: InitMessages = InitMessages::MastersOnly;
+    const LAYOUT: Layout = Layout::EAGER;
 
     fn new(_frame: &Frame<'_, P, SyncMsg<P>>, (): ()) -> Self {
         AsyncPump {
@@ -74,7 +74,7 @@ impl<P: VertexProgram> Superstep<P> for AsyncPump<P> {
         let mut applies = 0u64;
         for &l in worklist.iter() {
             state.active[l as usize] = false;
-            let Some(accum) = state.message[l as usize].take() else { continue };
+            let Some(accum) = state.message.take(l as usize) else { continue };
             let v = shard.global_of(l);
             if !shard.is_master(l) {
                 let master = shard.master_of[l as usize].index();
@@ -120,9 +120,8 @@ impl<P: VertexProgram> Superstep<P> for AsyncPump<P> {
         })?;
         state.deliver_staged(program, pctx);
 
-        let receipt = Receipt::Inbox;
         let (edges, _) =
-            scatter(shard, state, program, num_vertices, pctx, tasks, receipt, SCATTER_WINDOW);
+            scatter(shard, state, program, num_vertices, pctx, tasks, SCATTER_WINDOW);
         stats.record_edges(edges);
         clock.advance(cost.compute_time(edges));
         Ok(Vote::busy(busy))
@@ -179,7 +178,7 @@ mod tests {
                     ev_ratio: 1.0,
                     shard,
                     pctx,
-                    state: MachineState::init(shard, &Sum, InitMessages::MastersOnly, n),
+                    state: MachineState::init(shard, &Sum, Layout::EAGER, n),
                     clock: SimClock::new(),
                     bsp: BspSync::new(cfg.cost),
                     port,

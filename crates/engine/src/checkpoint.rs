@@ -12,7 +12,7 @@
 //! rest of the run bitwise the undisturbed one's. DESIGN.md §12 walks
 //! through the protocol.
 //!
-//! ## On-disk format (v12)
+//! ## On-disk format (v13)
 //!
 //! ```text
 //! [magic "LZCK" u32 LE][version u32]
@@ -30,13 +30,17 @@
 //! SnapshotHeader                      -- alone in chunk 0
 //! vdata:     n, then n values
 //! coherent:  n, then per 32 vertices a word of 2-bit codes followed by
-//!            the values of the vertices coded `explicit`
+//!            the values of the vertices coded `explicit` -- if held
 //! message:   n, then per 64 vertices an occupancy word followed by the
 //!            occupied slots' values
-//! delta_msg: as message
+//! delta_msg: as message                                  -- if held
 //! queue:     its length, then its entries
 //! history:   its length, then its `StepRecord`s
 //! ```
+//!
+//! The header's `held` says which of the two optional arrays the machine
+//! held ([`crate::state::Layout`]), so which sections follow; a restore
+//! into a state that holds others is refused before a section is read.
 //!
 //! and nothing of it is ever held whole: [`write_snapshot`] encodes
 //! straight off `&MachineState` and [`SnapshotReader::restore_into`]
@@ -68,7 +72,7 @@ use crate::config::EngineKind;
 use crate::machine::Frame;
 use crate::metrics::{SimBreakdown, StepRecord};
 use crate::program::VertexProgram;
-use crate::state::{initial_data, MachineState};
+use crate::state::{initial_data, Held, MachineState, Slots};
 
 /// Magic prefix of every checkpoint file ("LZCK", little-endian).
 pub const CKPT_MAGIC: u32 = 0x4b435a4c;
@@ -98,8 +102,10 @@ pub const CKPT_MAGIC: u32 = 0x4b435a4c;
 /// restarting there. v11 dropped the two mesh round watermarks from the
 /// header: a restarted gang builds fresh meshes at round 0 and replays
 /// nothing. v12 changed the trace's record: the skeleton's `StepRecord`,
-/// carrying the engine's carried record, replaced the engines' own.
-pub const CKPT_VERSION: u32 = 12;
+/// carrying the engine's carried record, replaced the engines' own. v13
+/// added `held` to the header and writes the `coherent` and `delta_msg`
+/// sections only where the machine holds those arrays.
+pub const CKPT_VERSION: u32 = 13;
 /// Payload bytes after which the writer closes a chunk.
 pub const CKPT_CHUNK: usize = 1 << 20;
 /// Largest encoding of one element (a value, or a mask word with the
@@ -170,6 +176,14 @@ pub enum CheckpointError {
         /// The length the state's arrays have.
         expected: usize,
     },
+    /// The snapshot holds other optional arrays than the state it is
+    /// restored into: another engine's or another program's layout.
+    WrongLayout {
+        /// What the snapshot's machine held.
+        found: Held,
+        /// What the state being restored holds.
+        expected: Held,
+    },
     /// The snapshot was taken by a different engine than the one resuming
     /// from it.
     WrongEngine {
@@ -195,6 +209,7 @@ impl CheckpointError {
             CheckpointError::Io { .. }
             | CheckpointError::ElementTooLarge { .. }
             | CheckpointError::WrongShape { .. }
+            | CheckpointError::WrongLayout { .. }
             | CheckpointError::WrongEngine { .. } => false,
         }
     }
@@ -220,6 +235,10 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::WrongShape { array, found, expected } => write!(
                 f,
                 "snapshot holds {found} {array} entries, this shard has {expected} local replicas"
+            ),
+            CheckpointError::WrongLayout { found, expected } => write!(
+                f,
+                "snapshot holds {found:?}, the state being restored holds {expected:?}"
             ),
             CheckpointError::WrongEngine { found, resuming } => {
                 write!(f, "snapshot engine tag {found} is not a {resuming} snapshot")
@@ -547,6 +566,8 @@ pub struct SnapshotHeader {
     /// [`Carry`](crate::machine::Superstep::Carry) (none for an engine
     /// that carries nothing).
     pub carry: Vec<u8>,
+    /// The optional arrays the machine held: which sections follow.
+    pub held: Held,
 }
 
 wire_record!(SnapshotHeader {
@@ -556,6 +577,7 @@ wire_record!(SnapshotHeader {
     breakdown,
     last_global,
     carry,
+    held,
 });
 
 impl SnapshotHeader {
@@ -609,57 +631,14 @@ fn active_is_queue(active: &[bool], queue: &[u32]) -> bool {
         && queue.iter().all(|&l| active.get(l as usize) == Some(&true))
 }
 
-fn write_slots<D: Wire, W: Write>(
+/// The `coherent` section: per [`COHERENT_GROUP`] vertices a word of codes
+/// followed by the values coded `explicit`.
+fn write_coherent<V: Wire, W: Write>(
     w: &mut ChunkWriter<W>,
-    slots: &[Option<D>],
+    coherent: &[V],
+    vdata: &[V],
+    initial: impl Fn(u32) -> V,
 ) -> Result<(), CheckpointError> {
-    w.put(&(slots.len() as u64))?;
-    for group in slots.chunks(SLOT_GROUP) {
-        w.put_masked(|buf| {
-            let mut occupied = 0u64;
-            for (i, slot) in group.iter().enumerate() {
-                if let Some(d) = slot {
-                    occupied |= 1 << i;
-                    d.encode(buf);
-                }
-            }
-            occupied
-        })?;
-    }
-    Ok(())
-}
-
-/// Streams one snapshot — `header`, then `state`'s arrays, then the
-/// machine's trace `history` — into `out` and returns the container's
-/// size. `initial(l)` is the value
-/// `MachineState::init` gives local vertex `l`: where `coherent[l]` still
-/// holds it, nothing is written. The pattern has no `..`: a new
-/// `MachineState` array that is neither written, rebuilt nor exempted here
-/// (and in [`SnapshotReader::restore_into`]) does not compile.
-pub fn write_snapshot<P: VertexProgram, W: Write>(
-    out: W,
-    header: &SnapshotHeader,
-    state: &MachineState<P>,
-    history: &[StepRecord],
-    initial: impl Fn(u32) -> P::VData,
-) -> Result<u64, CheckpointError> {
-    // `scratch` is exempt: capacity-only buffers, always written before
-    // read; a recovered worker regrows them from empty with
-    // bitwise-identical results. `active` is rebuilt from `queue`.
-    let MachineState { vdata, coherent, message, delta_msg, active, queue, scratch: _ } = state;
-    // Invariant: every engine moves `active` with `queue`, and a restore
-    // rebuilds it from the queue.
-    debug_assert!(active_is_queue(active, queue), "`active` is not `queue`'s membership");
-    let n = vdata.len() as u64;
-    let mut w = ChunkWriter::new(out, header.iterations)?;
-    w.put(header)?;
-    w.end_chunk()?;
-
-    w.put(&n)?;
-    for v in vdata {
-        w.put(v)?;
-    }
-
     w.put(&(coherent.len() as u64))?;
     let mut scratch = Vec::new();
     let groups = coherent.chunks(COHERENT_GROUP).zip(vdata.chunks(COHERENT_GROUP));
@@ -688,9 +667,71 @@ pub fn write_snapshot<P: VertexProgram, W: Write>(
             codes
         })?;
     }
+    Ok(())
+}
 
+fn write_slots<D: Wire + Copy + Default, W: Write>(
+    w: &mut ChunkWriter<W>,
+    slots: &Slots<D>,
+) -> Result<(), CheckpointError> {
+    w.put(&(slots.len() as u64))?;
+    let mut each = slots.iter();
+    for _ in 0..slots.len().div_ceil(SLOT_GROUP) {
+        w.put_masked(|buf| {
+            let mut occupied = 0u64;
+            for (i, slot) in each.by_ref().take(SLOT_GROUP).enumerate() {
+                if let Some(d) = slot {
+                    occupied |= 1 << i;
+                    d.encode(buf);
+                }
+            }
+            occupied
+        })?;
+    }
+    Ok(())
+}
+
+/// Streams one snapshot — `header`, then `state`'s arrays, then the
+/// machine's trace `history` — into `out` and returns the container's
+/// size. `header.held` must be `state.held()`. `initial(l)` is the value
+/// `MachineState::init` gives local vertex `l`: where `coherent[l]` still
+/// holds it, nothing is written. The pattern has no `..`: a new
+/// `MachineState` array that is neither written, rebuilt nor exempted here
+/// (and in [`SnapshotReader::restore_into`]) does not compile.
+pub fn write_snapshot<P: VertexProgram, W: Write>(
+    out: W,
+    header: &SnapshotHeader,
+    state: &MachineState<P>,
+    history: &[StepRecord],
+    initial: impl Fn(u32) -> P::VData,
+) -> Result<u64, CheckpointError> {
+    // `scratch` is exempt: capacity-only buffers, always written before
+    // read; a recovered worker regrows them from empty with
+    // bitwise-identical results. `active` is rebuilt from `queue`.
+    let MachineState { vdata, coherent, message, delta_msg, active, queue, scratch: _ } = state;
+    // Invariant: every engine moves `active` with `queue`, and a restore
+    // rebuilds it from the queue.
+    debug_assert!(active_is_queue(active, queue), "`active` is not `queue`'s membership");
+    if header.held != state.held() {
+        return Err(CheckpointError::WrongLayout { found: header.held, expected: state.held() });
+    }
+    let n = vdata.len() as u64;
+    let mut w = ChunkWriter::new(out, header.iterations)?;
+    w.put(header)?;
+    w.end_chunk()?;
+
+    w.put(&n)?;
+    for v in vdata {
+        w.put(v)?;
+    }
+
+    if let Some(coherent) = coherent {
+        write_coherent(&mut w, coherent, vdata, &initial)?;
+    }
     write_slots(&mut w, message)?;
-    write_slots(&mut w, delta_msg)?;
+    if let Some(delta_msg) = delta_msg {
+        write_slots(&mut w, delta_msg)?;
+    }
 
     w.put(&(queue.len() as u64))?;
     for l in queue {
@@ -717,16 +758,42 @@ fn section<R: Read>(
     Ok(())
 }
 
-fn read_slots<D: Wire, R: Read>(
+/// Reads what [`write_coherent`] wrote into `coherent`, whose entries
+/// coded as the initial view are left as they stand.
+fn read_coherent<V: Wire + Clone, R: Read>(
+    chunks: &mut ChunkReader<R>,
+    coherent: &mut [V],
+    vdata: &[V],
+) -> Result<(), CheckpointError> {
+    section(chunks, "coherent", coherent.len())?;
+    for (views, values) in coherent.chunks_mut(COHERENT_GROUP).zip(vdata.chunks(COHERENT_GROUP)) {
+        let mut codes: u64 = chunks.get()?;
+        for (view, value) in views.iter_mut().zip(values) {
+            match codes & 3 {
+                COHERENT_IS_VDATA => *view = value.clone(),
+                COHERENT_IS_INITIAL => {}
+                COHERENT_EXPLICIT => *view = chunks.get()?,
+                code => return Err(malformed(format!("coherent: code {code}"))),
+            }
+            codes >>= 2;
+        }
+        if codes != 0 {
+            return Err(malformed("coherent: codes past the last vertex"));
+        }
+    }
+    Ok(())
+}
+
+fn read_slots<D: Wire + Copy + Default, R: Read>(
     chunks: &mut ChunkReader<R>,
     array: &'static str,
-    slots: &mut [Option<D>],
+    slots: &mut Slots<D>,
 ) -> Result<(), CheckpointError> {
     section(chunks, array, slots.len())?;
-    for group in slots.chunks_mut(SLOT_GROUP) {
+    for group in (0..slots.len()).step_by(SLOT_GROUP) {
         let mut occupied: u64 = chunks.get()?;
-        for slot in group {
-            *slot = if occupied & 1 == 1 { Some(chunks.get()?) } else { None };
+        for l in group..slots.len().min(group + SLOT_GROUP) {
+            slots.set(l, if occupied & 1 == 1 { Some(chunks.get()?) } else { None });
             occupied >>= 1;
         }
         if occupied != 0 {
@@ -765,17 +832,22 @@ impl<R: Read> SnapshotReader<R> {
     /// Streams the arrays into `state`, which must be as
     /// `MachineState::init` built it for the machine that saved them — a
     /// `coherent` entry saved as the initial view is left as it stands —
-    /// and the trace into `history`, and hands the header back. Every
-    /// section's length is checked against the state's (the trace's against
-    /// the superstep count: at most one record a superstep) before a slot
-    /// of it is filled; on an error the state is part old, part new, and
-    /// the run it belonged to is over.
+    /// and the trace into `history`, and hands the header back. A state
+    /// that holds other optional arrays than the snapshot's is refused
+    /// first ([`CheckpointError::WrongLayout`]). Every section's length is
+    /// checked against the state's (the trace's against the superstep
+    /// count: at most one record a superstep) before a slot of it is
+    /// filled; on an error the state is part old, part new, and the run it
+    /// belonged to is over.
     pub fn restore_into<P: VertexProgram>(
         self,
         state: &mut MachineState<P>,
         history: &mut Vec<StepRecord>,
     ) -> Result<SnapshotHeader, CheckpointError> {
         let SnapshotReader { header, mut chunks } = self;
+        if header.held != state.held() {
+            return Err(CheckpointError::WrongLayout { found: header.held, expected: state.held() });
+        }
         let MachineState { vdata, coherent, message, delta_msg, active, queue, scratch: _ } = state;
         let n = vdata.len();
 
@@ -784,25 +856,14 @@ impl<R: Read> SnapshotReader<R> {
             *v = chunks.get()?;
         }
 
-        section(&mut chunks, "coherent", coherent.len())?;
-        for (views, values) in coherent.chunks_mut(COHERENT_GROUP).zip(vdata.chunks(COHERENT_GROUP)) {
-            let mut codes: u64 = chunks.get()?;
-            for (view, value) in views.iter_mut().zip(values) {
-                match codes & 3 {
-                    COHERENT_IS_VDATA => *view = value.clone(),
-                    COHERENT_IS_INITIAL => {}
-                    COHERENT_EXPLICIT => *view = chunks.get()?,
-                    code => return Err(malformed(format!("coherent: code {code}"))),
-                }
-                codes >>= 2;
-            }
-            if codes != 0 {
-                return Err(malformed("coherent: codes past the last vertex"));
-            }
+        if let Some(coherent) = coherent {
+            read_coherent(&mut chunks, coherent, vdata)?;
         }
 
         read_slots(&mut chunks, "message", message)?;
-        read_slots(&mut chunks, "delta_msg", delta_msg)?;
+        if let Some(delta_msg) = delta_msg {
+            read_slots(&mut chunks, "delta_msg", delta_msg)?;
+        }
 
         let len: u64 = chunks.get()?;
         if len > active.len() as u64 {
@@ -1020,6 +1081,7 @@ pub fn checkpoint_at_barrier<P: VertexProgram, M: Wire + Send>(
         breakdown: f.bsp.breakdown,
         last_global: f.bsp.last_global,
         carry: carry.to_wire(),
+        held: f.state.held(),
     };
     let initial = |l| initial_data(f.shard, f.program, l, f.num_vertices);
     let bytes =
@@ -1098,8 +1160,12 @@ mod tests {
             },
             last_global: 1.4375,
             carry: carry.to_wire(),
+            held: ALL,
         }
     }
+
+    /// Both optional arrays held.
+    const ALL: Held = Held { coherent: true, delta_msg: true };
 
     /// A one-record trace.
     fn sample_history() -> Vec<StepRecord> {
@@ -1122,25 +1188,31 @@ mod tests {
     fn sample_state() -> MachineState<P0> {
         MachineState {
             vdata: vec![1, 2, 3],
-            coherent: vec![1, initial(1), 2],
-            message: vec![None, Some(9), None],
-            delta_msg: vec![Some(4), None, None],
+            coherent: Some(vec![1, initial(1), 2]),
+            message: [None, Some(9), None].into_iter().collect(),
+            delta_msg: Some([Some(4), None, None].into_iter().collect()),
             active: vec![false, true, false],
             queue: vec![1],
             scratch: Default::default(),
         }
     }
 
-    fn fresh_state() -> MachineState<P0> {
+    /// A state of `n` vertices as `MachineState::init` would hand it to a
+    /// restore, holding what `held` says.
+    fn fresh_of(n: u32, held: Held) -> MachineState<P0> {
         MachineState {
-            vdata: (0..3).map(initial).collect(),
-            coherent: (0..3).map(initial).collect(),
-            message: vec![Some(7); 3],
-            delta_msg: vec![None; 3],
-            active: vec![true; 3],
-            queue: vec![0, 1, 2],
+            vdata: (0..n).map(initial).collect(),
+            coherent: held.coherent.then(|| (0..n).map(initial).collect()),
+            message: (0..n).map(|_| Some(7)).collect(),
+            delta_msg: held.delta_msg.then(|| Slots::new(n as usize)),
+            active: vec![true; n as usize],
+            queue: (0..n).collect(),
             scratch: Default::default(),
         }
+    }
+
+    fn fresh_state() -> MachineState<P0> {
+        fresh_of(3, ALL)
     }
 
     /// The whole-container check `open_at` makes before it trusts a file.
@@ -1208,13 +1280,7 @@ mod tests {
     #[test]
     fn another_placements_snapshot_is_a_typed_refusal() {
         let file = sample_file();
-        let mut state = fresh_state();
-        for array in [&mut state.vdata, &mut state.coherent] {
-            array.push(0);
-        }
-        state.message.push(None);
-        state.delta_msg.push(None);
-        state.active.push(false);
+        let mut state = fresh_of(4, ALL);
         let reader = SnapshotReader::open(&file[..]).unwrap();
         let err = reader.restore_into(&mut state, &mut Vec::new()).unwrap_err();
         assert!(
@@ -1237,6 +1303,34 @@ mod tests {
             let err = SnapshotReader::open(&file[..]).unwrap().header().check_clock().err();
             assert!(matches!(err, Some(CheckpointError::Malformed { .. })), "{clock}: {err:?}");
         }
+    }
+
+    /// A machine that holds neither optional array writes neither section
+    /// and restores from what it wrote; a state of another layout is
+    /// refused before a section is read, and a header that misstates what
+    /// the state holds is refused before a byte is written.
+    #[test]
+    fn optional_arrays_are_written_only_where_held() {
+        let eager = MachineState::<P0> { coherent: None, delta_msg: None, ..sample_state() };
+        let header = SnapshotHeader { held: Held::default(), ..sample_header() };
+        let mut file = Vec::new();
+        write_snapshot(&mut file, &header, &eager, &sample_history(), initial).unwrap();
+        // Two sections fewer than the sample: coherent's length, code word
+        // and value, deltaMsg's length, word and value.
+        assert_eq!(sample_file().len() - file.len(), (8 + 8 + 8) + (8 + 8 + 8));
+        let mut state = fresh_of(3, Held::default());
+        SnapshotReader::open(&file[..]).unwrap().restore_into(&mut state, &mut Vec::new()).unwrap();
+        assert_eq!((&state.vdata, &state.message), (&eager.vdata, &eager.message));
+
+        let reader = SnapshotReader::open(&file[..]).unwrap();
+        let err = reader.restore_into(&mut fresh_state(), &mut Vec::new()).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::WrongLayout { found, expected: ALL } if found == Held::default()),
+            "{err}"
+        );
+        assert!(!err.is_corruption());
+        let err = write_snapshot(Vec::new(), &sample_header(), &eager, &[], initial).unwrap_err();
+        assert!(matches!(err, CheckpointError::WrongLayout { .. }), "{err}");
     }
 
     #[test]
@@ -1268,7 +1362,7 @@ mod tests {
         // must fail the strict equality check, not decode garbage: every
         // version changed the layout.
         let file = sample_file();
-        for version in [3u32, 4, 5, 6, 7, 8, 9, 10, 11] {
+        for version in [3u32, 4, 5, 6, 7, 8, 9, 10, 11, 12] {
             let mut old = file.clone();
             old[4..8].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(verify(&old), Err(CheckpointError::BadHeader { .. })));

@@ -31,7 +31,7 @@ use crate::lazy_block::{coherency_decisions, exchange_a2a, sweep, LazyCounters};
 use crate::machine::{Frame, Superstep, Vote};
 use crate::program::VertexProgram;
 use crate::scheduler::PriorityBuckets;
-use crate::state::InitMessages;
+use crate::state::Layout;
 
 /// Upper bound on local sub-epochs between coherency exchanges — a
 /// safety valve so a program whose priorities do not contract locally
@@ -59,7 +59,7 @@ impl<P: VertexProgram> Superstep<P> for DeltaStep {
     type Msg = P::Delta;
     type Carry = LazyCounters;
     const KIND: EngineKind = EngineKind::DeltaAccum;
-    const INIT: InitMessages = InitMessages::AllReplicas;
+    const LAYOUT: Layout = Layout::LAZY;
 
     fn new(f: &Frame<'_, P, P::Delta>, counters: LazyCounters) -> Self {
         DeltaStep {
@@ -98,9 +98,9 @@ impl<P: VertexProgram> Superstep<P> for DeltaStep {
             self.worklist.sort_unstable();
             self.candidates.clear();
             for &l in &self.worklist {
-                match &f.state.message[l as usize] {
+                match f.state.message.get(l as usize) {
                     Some(d) => {
-                        let priority = program.priority(&f.state.vdata[l as usize], d);
+                        let priority = program.priority(&f.state.vdata[l as usize], &d);
                         self.candidates.push((l, priority));
                     }
                     // A queued vertex with an empty inbox has nothing to
@@ -157,8 +157,8 @@ impl<P: VertexProgram> Superstep<P> for DeltaStep {
         // error model).
         let mut pending = 0u64;
         for &l in &f.state.queue {
-            if let Some(d) = &f.state.message[l as usize] {
-                if self.sched.schedulable(program.priority(&f.state.vdata[l as usize], d)) {
+            if let Some(d) = f.state.message.get(l as usize) {
+                if self.sched.schedulable(program.priority(&f.state.vdata[l as usize], &d)) {
                     pending += 1;
                 }
             }

@@ -812,7 +812,7 @@ pub(crate) mod tests {
                 let mut state = MachineState::init(
                     shard,
                     &Sum,
-                    crate::state::InitMessages::AllReplicas,
+                    crate::state::Layout::LAZY,
                     dg.num_global_vertices,
                 );
                 let mut port = Port::new(ep, stats.clone());

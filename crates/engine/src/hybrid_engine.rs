@@ -27,7 +27,7 @@ use crate::async_engine::AsyncPump;
 use crate::config::EngineKind;
 use crate::machine::{Frame, Superstep, Vote};
 use crate::program::VertexProgram;
-use crate::state::InitMessages;
+use crate::state::Layout;
 use crate::sync_engine::{SyncMsg, SyncStep};
 
 /// Sync supersteps, then Async rounds. The outcome's `iterations` count
@@ -43,7 +43,7 @@ impl<P: VertexProgram> Superstep<P> for HybridStep<P> {
     type Msg = SyncMsg<P>;
     type Carry = bool;
     const KIND: EngineKind = EngineKind::PowerSwitchHybrid;
-    const INIT: InitMessages = InitMessages::MastersOnly;
+    const LAYOUT: Layout = Layout::EAGER;
 
     fn new(frame: &Frame<'_, P, SyncMsg<P>>, switched: bool) -> Self {
         HybridStep {

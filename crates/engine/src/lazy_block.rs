@@ -36,8 +36,8 @@ use crate::machine::{Frame, Superstep, Vote};
 use crate::parallel::ParallelCtx;
 use crate::program::{DeltaExchange, LocalOrder, VertexProgram};
 use crate::scheduler::{cut_most_urgent, LOCAL_MIN_BATCH, LOCAL_ORDER_FROM};
-use crate::state::{fold_into, vertex_ctx, InitMessages, MachineState};
-use crate::sync_engine::{scatter, Receipt, SCATTER_WINDOW};
+use crate::state::{vertex_ctx, Layout, MachineState, Slots};
+use crate::sync_engine::{scatter, SCATTER_WINDOW};
 
 /// Aggregated lazy-engine counters (identical on every machine except
 /// `local_subrounds`, which is summed by the driver).
@@ -54,10 +54,11 @@ wire_record!(LazyCounters { coherency_points, local_subrounds, a2a_exchanges, m2
 /// One lazy sweep over a sorted worklist (each vertex once), in two
 /// passes. The apply pass reads worklist-time inboxes only: it empties
 /// each entry's inbox, deactivates it, applies in place (and refreshes
-/// `coherent`), and emits one scatter task per apply that activates
-/// neighbours, in worklist order. Then the one [`scatter`] folds the tasks'
-/// deliveries — one-edge receipts on replicated targets into `deltaMsg`
-/// too — a `window` at a time, into fresh inboxes for the next sweep. An
+/// `coherent`, where the machine holds it), and emits one scatter task per
+/// apply that activates neighbours, in worklist order. Then the one
+/// [`scatter`] folds the tasks' deliveries — one-edge receipts on
+/// replicated targets into `deltaMsg` too — a `window` at a time, into
+/// fresh inboxes for the next sweep. An
 /// apply touches only its own vertex and nothing folds before the last
 /// apply, so the outcome is a pure function of the worklist, bitwise at
 /// every thread count and window. Returns `(edges, applies, delta_folds)`,
@@ -80,23 +81,23 @@ pub(crate) fn apply_scatter<P: VertexProgram>(
 ) -> (u64, u64, u64) {
     let mut tasks = std::mem::take(&mut state.scratch.tasks);
     let mut applies = 0u64;
+    // The new common view (exact for Send/Drop policies; within the
+    // program's tolerance for Defer) — nothing to refresh where no policy
+    // reads it.
+    let mut coherent = state.coherent.as_mut().filter(|_| update_coherent);
     for &l in worklist {
         let li = l as usize;
         state.active[li] = false;
-        let Some(accum) = state.message[li].take() else { continue };
+        let Some(accum) = state.message.take(li) else { continue };
         applies += 1;
         let ctx = vertex_ctx(shard, l, num_vertices);
         let d = program.apply(shard.global_of(l), &mut state.vdata[li], accum, &ctx);
-        if update_coherent {
-            // The new common view (exact for Send/Drop policies; within
-            // the program's tolerance for Defer).
-            state.coherent[li] = state.vdata[li].clone();
+        if let Some(view) = coherent.as_deref_mut() {
+            view[li] = state.vdata[li].clone();
         }
         tasks.extend(d.map(|d| (l, d)));
     }
-    let receipt = Receipt::InboxAndDelta;
-    let (edges, folds) =
-        scatter(shard, state, program, num_vertices, pctx, &mut tasks, receipt, window);
+    let (edges, folds) = scatter(shard, state, program, num_vertices, pctx, &mut tasks, window);
     state.scratch.tasks = tasks;
     (edges, applies, folds)
 }
@@ -173,11 +174,11 @@ wire_record!(LazyCarry {
 pub struct LazyStep<P: VertexProgram> {
     carry: LazyCarry,
     interval: IntervalModel,
-    /// Dense m2m scratch arrays indexed by local id: empty until this
-    /// machine's first mirrors-to-master exchange sizes them, then fully
-    /// `None` between coherency points (no steady-state allocation).
-    own_scratch: Vec<Option<P::Delta>>,
-    totals_scratch: Vec<Option<P::Delta>>,
+    /// Dense m2m scratch slots indexed by local id: none until this
+    /// machine's first mirrors-to-master exchange sizes them, then all
+    /// empty between coherency points (no steady-state allocation).
+    own_scratch: Slots<P::Delta>,
+    totals_scratch: Slots<P::Delta>,
     /// The sweep in flight's sorted worklist (capacity only between sweeps).
     worklist: Vec<u32>,
     /// The program's local order, asked once: `None` keeps every local
@@ -193,14 +194,14 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
     type Msg = P::Delta;
     type Carry = LazyCarry;
     const KIND: EngineKind = EngineKind::LazyBlockAsync;
-    const INIT: InitMessages = InitMessages::AllReplicas;
+    const LAYOUT: Layout = Layout::LAZY;
 
     fn new(f: &Frame<'_, P, P::Delta>, carry: LazyCarry) -> Self {
         LazyStep {
             carry,
             interval: IntervalModel::new(f.cfg.interval, f.ev_ratio),
-            own_scratch: Vec::new(),
-            totals_scratch: Vec::new(),
+            own_scratch: Slots::default(),
+            totals_scratch: Slots::default(),
             worklist: Vec::new(),
             order: f.program.local_order(),
             keyed: Vec::new(),
@@ -275,8 +276,11 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
             CommMode::MirrorsToMaster => {
                 self.carry.counters.m2m_exchanges += 1;
                 let (own, totals) = (&mut self.own_scratch, &mut self.totals_scratch);
-                own.resize(f.shard.num_local(), None);
-                totals.resize(f.shard.num_local(), None);
+                for slots in [&mut *own, &mut *totals] {
+                    if slots.len() != f.shard.num_local() {
+                        *slots = Slots::new(f.shard.num_local());
+                    }
+                }
                 (exchange_m2m(f, own, totals, decisions)?, CommCharge::M2M)
             }
         };
@@ -350,8 +354,8 @@ impl<P: VertexProgram> LazyStep<P> {
         self.keyed.clear();
         self.keyed.extend(self.worklist.iter().map(|&l| {
             // An empty inbox only deactivates: nothing to wait for.
-            let urgency = match &state.message[l as usize] {
-                Some(accum) => key(&state.vdata[l as usize], accum),
+            let urgency = match state.message.get(l as usize) {
+                Some(accum) => key(&state.vdata[l as usize], &accum),
                 None => f64::INFINITY,
             };
             (urgency, l)
@@ -370,20 +374,24 @@ impl<P: VertexProgram> LazyStep<P> {
 /// ships, `(l, None)` drops the slot, absent defers it — in ascending
 /// local-id order per block. Phase B (the exchange, block order) clears
 /// slots and fills outboxes, so the wire byte stream is
-/// schedule-independent.
+/// schedule-independent. A machine that holds no `deltaMsg` has nothing
+/// to decide; one whose program reads no coherent view holds none, and
+/// the policy is handed `vdata` in its place
+/// ([`VertexProgram::reads_coherent`]).
 pub(crate) fn coherency_decisions<P: VertexProgram>(
     shard: &LocalShard,
     state: &MachineState<P>,
     program: &P,
     pctx: &ParallelCtx,
 ) -> Vec<Vec<(u32, Option<P::Delta>)>> {
-    let (delta_view, coherent_view) = (&state.delta_msg, &state.coherent);
+    let Some(delta_view) = &state.delta_msg else { return Vec::new() };
+    let view = state.coherent.as_ref().unwrap_or(&state.vdata);
     pctx.map_chunks(&shard.replicated, |chunk| {
         let mut out: Vec<(u32, Option<P::Delta>)> = Vec::new();
         for &l in chunk {
-            let Some(d) = &delta_view[l as usize] else { continue };
-            match program.exchange_policy(&coherent_view[l as usize], d) {
-                DeltaExchange::Send => out.push((l, Some(*d))),
+            let Some(d) = delta_view.get(l as usize) else { continue };
+            match program.exchange_policy(&view[l as usize], &d) {
+                DeltaExchange::Send => out.push((l, Some(d))),
                 DeltaExchange::Drop => out.push((l, None)),
                 DeltaExchange::Defer => {}
             }
@@ -394,22 +402,24 @@ pub(crate) fn coherency_decisions<P: VertexProgram>(
 
 /// Phase B of an all-to-all exchange, shared with LazyVertexAsync's
 /// flush: in [`coherency_decisions`]' order, clears each decided
-/// `deltaMsg` slot and stages every shipped delta for each sibling through
-/// [`stage_combining`] (decisions arrive in ascending local-id order, so
-/// duplicate keys are adjacent), booking what combined. Returns the bytes
-/// staged and whether any delta shipped.
+/// `deltaMsg` slot (decisions come only from a held one) and stages every
+/// shipped delta for each sibling through [`stage_combining`] (decisions
+/// arrive in ascending local-id order, so duplicate keys are adjacent),
+/// booking what combined. Returns the bytes staged and whether any delta
+/// shipped.
 pub(crate) fn stage_a2a<P: VertexProgram>(
     shard: &LocalShard,
-    delta_msg: &mut [Option<P::Delta>],
+    state: &mut MachineState<P>,
     program: &P,
     stats: &NetStats,
     outboxes: &mut OutboxSet<(u32, P::Delta)>,
     decisions: Vec<Vec<(u32, Option<P::Delta>)>>,
 ) -> (u64, bool) {
+    let Some(delta_msg) = &mut state.delta_msg else { return (0, false) };
     let delta_bytes = program.delta_bytes() as u64;
     let (mut staged, mut combined, mut any) = (0u64, 0u64, false);
     for (l, d) in decisions.into_iter().flatten() {
-        delta_msg[l as usize] = None;
+        delta_msg.set(l as usize, None);
         let Some(d) = d else { continue };
         any = true;
         let gid = shard.global_of(l).0;
@@ -441,7 +451,7 @@ pub(crate) fn exchange_a2a<P: VertexProgram>(
         Ok(Some(program.gather(gid.into(), d)))
     });
     let outboxes = round.outboxes();
-    let (sent, _) = stage_a2a(shard, &mut state.delta_msg, program, stats, outboxes, decisions);
+    let (sent, _) = stage_a2a(shard, state, program, stats, outboxes, decisions);
     round.close(program, state, now)?;
     Ok(sent)
 }
@@ -453,15 +463,15 @@ pub(crate) fn exchange_a2a<P: VertexProgram>(
 /// order), hop 2 a ⊕-fold round; hop 1 ships as [`coherency_decisions`]
 /// decided. Returns bytes sent locally (both hops).
 ///
-/// `own` and `totals` are caller-owned dense scratch arrays indexed by
-/// local id; this function leaves them fully `None` again on return.
+/// `own` and `totals` are caller-owned dense scratch slots indexed by
+/// local id; this function leaves them all empty again on return.
 /// Local ids ascend with global ids within a shard, so iterating
 /// `shard.replicated` yields a reproducible broadcast byte stream (and
 /// hence every downstream worklist).
 fn exchange_m2m<P: VertexProgram>(
     f: &mut Frame<'_, P, P::Delta>,
-    own: &mut [Option<P::Delta>],
-    totals: &mut [Option<P::Delta>],
+    own: &mut Slots<P::Delta>,
+    totals: &mut Slots<P::Delta>,
     decisions: Vec<Vec<(u32, Option<P::Delta>)>>,
 ) -> Result<u64, CommError> {
     let (program, now) = (f.program, f.clock.now());
@@ -475,11 +485,13 @@ fn exchange_m2m<P: VertexProgram>(
     let mut hop1 = port.ordered_round(Phase::Coherency, delta_bytes);
     for (l, d) in decisions.into_iter().flatten() {
         let li = l as usize;
-        state.delta_msg[li] = None;
+        if let Some(delta_msg) = &mut state.delta_msg {
+            delta_msg.set(li, None);
+        }
         let Some(d) = d else { continue };
-        own[li] = Some(d);
+        own.set(li, Some(d));
         if shard.is_master(l) {
-            totals[li] = Some(d);
+            totals.set(li, Some(d));
             continue;
         }
         let dst = shard.master_of[li].index();
@@ -491,7 +503,7 @@ fn exchange_m2m<P: VertexProgram>(
     }
     let route = shard.route_table();
     hop1.close(now, route, |_, l, d| {
-        fold_into(program, &mut totals[l as usize], d);
+        totals.fold(program, l as usize, d);
         Ok(())
     })?;
 
@@ -500,8 +512,8 @@ fn exchange_m2m<P: VertexProgram>(
     // but its own hop-1 contribution. `None` when this replica contributed
     // everything (exact for additive ⊕, harmless no-op skip for
     // idempotent ⊕).
-    let own_view: &[Option<P::Delta>] = own;
-    let others = |l: u32, total: P::Delta| match own_view[l as usize] {
+    let own_view: &Slots<P::Delta> = own;
+    let others = |l: u32, total: P::Delta| match own_view.get(l as usize) {
         Some(mine) if mine == total => None,
         Some(mine) => Some(program.inverse(total, mine)),
         None => Some(total),
@@ -515,7 +527,7 @@ fn exchange_m2m<P: VertexProgram>(
         if !shard.is_master(l) {
             continue;
         }
-        let Some(total) = totals[li] else { continue };
+        let Some(total) = totals.get(li) else { continue };
         let gid = shard.global_of(l).0;
         for &m in shard.mirrors(l).iter() {
             let dst = m.index();
@@ -538,8 +550,8 @@ fn exchange_m2m<P: VertexProgram>(
     // Leave the scratch arrays clean for the next coherency point; only
     // replicated entries can ever have been written.
     for &l in &shard.replicated {
-        own[l as usize] = None;
-        totals[l as usize] = None;
+        own.set(l as usize, None);
+        totals.set(l as usize, None);
     }
     Ok(sent)
 }

@@ -26,7 +26,7 @@ use crate::exchange::Stamp;
 use crate::lazy_block::{coherency_decisions, stage_a2a, sweep, LazyCounters};
 use crate::machine::{Frame, Superstep, Vote};
 use crate::program::VertexProgram;
-use crate::state::InitMessages;
+use crate::state::Layout;
 
 /// LazyVertexAsync on the superstep skeleton: a step sweeps until the
 /// worklist drains, flushes, and closes one ⊕-fold round, whose batches
@@ -43,7 +43,7 @@ impl<P: VertexProgram> Superstep<P> for LazyVertexPump {
     type Msg = P::Delta;
     type Carry = LazyCounters;
     const KIND: EngineKind = EngineKind::LazyVertexAsync;
-    const INIT: InitMessages = InitMessages::AllReplicas;
+    const LAYOUT: Layout = Layout::LAZY;
 
     fn new(_frame: &Frame<'_, P, P::Delta>, counters: LazyCounters) -> Self {
         LazyVertexPump {
@@ -76,8 +76,7 @@ impl<P: VertexProgram> Superstep<P> for LazyVertexPump {
         let delta_bytes = program.delta_bytes();
         let mut round = port.fold_round(pctx, shard, Phase::Coherency, delta_bytes, gather);
         let decisions = coherency_decisions(shard, state, program, pctx);
-        let delta_msg = &mut state.delta_msg;
-        let (_, any) = stage_a2a(shard, delta_msg, program, stats, round.outboxes(), decisions);
+        let (_, any) = stage_a2a(shard, state, program, stats, round.outboxes(), decisions);
         if any {
             self.counters.coherency_points += 1;
             self.counters.a2a_exchanges += 1;

@@ -49,7 +49,7 @@ use crate::lazy_vertex::LazyVertexPump;
 use crate::metrics::{RunMetrics, SimBreakdown, StepRecord};
 use crate::parallel::ParallelCtx;
 use crate::program::VertexProgram;
-use crate::state::{InitMessages, MachineState};
+use crate::state::{Layout, MachineState};
 use crate::sync_engine::SyncStep;
 
 /// Everything one machine's superstep works on. `M` is the engine's wire
@@ -141,8 +141,10 @@ pub trait Superstep<P: VertexProgram>: Sized {
     /// Which engine this is — names it in errors and keys its snapshot
     /// tag ([`crate::checkpoint::snapshot_tag`]).
     const KIND: EngineKind;
-    /// Which replicas the program's initial messages are loaded into.
-    const INIT: InitMessages;
+    /// What the engine's replicas hold beyond `vdata`, the inbox and the
+    /// worklist, and which of them the program's initial messages are
+    /// loaded into.
+    const LAYOUT: Layout;
 
     /// The engine at a superstep boundary, carrying `carry`: the default
     /// for a run starting at superstep 1, a snapshot's for a resumed one
@@ -404,7 +406,7 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
         num_vertices: shape.num_global_vertices,
         ev_ratio: shape.ev_ratio,
         pctx,
-        state: MachineState::init(shard, program, S::INIT, shape.num_global_vertices),
+        state: MachineState::init(shard, program, S::LAYOUT, shape.num_global_vertices),
         shard,
         clock: SimClock::new(),
         bsp: BspSync::new(cfg.cost),

@@ -8,7 +8,7 @@ use lazygraph_partition::{partition_graph, PartitionStrategy, SplitterConfig};
 
 use crate::parallel::{ParallelConfig, ParallelCtx};
 use crate::program::VertexProgram;
-use crate::state::{InitMessages, MachineState};
+use crate::state::{Held, InitMessages, Layout, MachineState};
 
 /// Dense delta-accumulative reference: one machine, no replicas, no
 /// scheduling — every epoch applies ⊕ scatter for *every* pending vertex
@@ -41,8 +41,10 @@ pub fn delta_dense_fixpoint<P: VertexProgram>(
         block_size: crate::config::DEFAULT_BLOCK_SIZE,
     })
     .expect("a one-thread pool spawns nothing");
-    let mut state: MachineState<P> =
-        MachineState::init(shard, program, InitMessages::AllReplicas, num_vertices);
+    // One machine, no replicas: nothing to exchange, so neither a
+    // `deltaMsg` nor a coherent view.
+    let layout = Layout { init: InitMessages::AllReplicas, held: Held::default() };
+    let mut state: MachineState<P> = MachineState::init(shard, program, layout, num_vertices);
     let mut epochs = 0u64;
     let mut converged = false;
     let mut worklist: Vec<u32> = Vec::new();
@@ -52,9 +54,9 @@ pub fn delta_dense_fixpoint<P: VertexProgram>(
         queue.sort_unstable();
         worklist.clear();
         for &l in &queue {
-            match &state.message[l as usize] {
+            match state.message.get(l as usize) {
                 Some(d)
-                    if program.priority(&state.vdata[l as usize], d) >= tolerance =>
+                    if program.priority(&state.vdata[l as usize], &d) >= tolerance =>
                 {
                     worklist.push(l);
                 }
@@ -108,8 +110,8 @@ mod window_tests {
     use crate::lazy_block::apply_scatter;
     use crate::parallel::{ParallelConfig, ParallelCtx};
     use crate::program::{EdgeCtx, VertexCtx, VertexProgram};
-    use crate::state::{vertex_ctx, InitMessages, MachineState};
-    use crate::sync_engine::{scatter, Receipt};
+    use crate::state::{vertex_ctx, Held, InitMessages, Layout, MachineState};
+    use crate::sync_engine::scatter;
 
     /// The scatter before windows: every task's messages staged, one fold.
     fn staged_scatter<P: VertexProgram>(
@@ -119,9 +121,8 @@ mod window_tests {
         num_vertices: usize,
         pctx: &ParallelCtx,
         tasks: &[(u32, P::Delta)],
-        receipt: Receipt,
     ) -> (u64, u64) {
-        let vdata_view = &state.vdata;
+        let (vdata_view, holds_delta) = (&state.vdata, state.delta_msg.is_some());
         let degree = |&(l, _): &(u32, P::Delta)| shard.local_out_degree(l);
         let blocks = state.scratch.staging.source_blocks(pctx, tasks, degree);
         let edges: Vec<u64> = pctx.pool().map(blocks, |(chunk, mut b)| {
@@ -132,7 +133,7 @@ mod window_tests {
                     edges += 1;
                     let edge = EdgeCtx { dst: shard.global_of(tl), weight };
                     if let Some(msg) = program.scatter(v, &vdata_view[l as usize], d, &ctx, &edge) {
-                        let fold_delta = receipt == Receipt::InboxAndDelta
+                        let fold_delta = holds_delta
                             && mode == EdgeMode::OneEdge
                             && shard.has_mirrors(tl);
                         b.stage(tl, msg, fold_delta);
@@ -157,13 +158,14 @@ mod window_tests {
         update_coherent: bool,
     ) -> (u64, u64, u64) {
         let (message_view, vdata_view) = (&state.message, &state.vdata);
+        let holds_delta = state.delta_msg.is_some();
         let degree = |&l: &u32| shard.local_out_degree(l);
         let blocks = state.scratch.staging.source_blocks(pctx, worklist, degree);
         #[expect(clippy::type_complexity, reason = "per-block (edges, commits), test-only")]
         let done: Vec<(u64, Vec<(u32, Option<P::VData>)>)> = pctx.pool().map(blocks, |(chunk, mut b)| {
             let (mut edges, mut commits) = (0u64, Vec::new());
             for &l in chunk {
-                let Some(accum) = message_view[l as usize] else {
+                let Some(accum) = message_view.get(l as usize) else {
                     commits.push((l, None));
                     continue;
                 };
@@ -174,7 +176,9 @@ mod window_tests {
                         edges += 1;
                         let edge = EdgeCtx { dst: shard.global_of(tl), weight };
                         if let Some(msg) = program.scatter(v, &data, d, &ctx, &edge) {
-                            b.stage(tl, msg, mode == EdgeMode::OneEdge && shard.has_mirrors(tl));
+                            let fold_delta =
+                                holds_delta && mode == EdgeMode::OneEdge && shard.has_mirrors(tl);
+                            b.stage(tl, msg, fold_delta);
                         }
                     }
                 }
@@ -186,12 +190,12 @@ mod window_tests {
         for (block_edges, commits) in done {
             edges += block_edges;
             for (l, data) in commits {
-                state.message[l as usize] = None;
+                state.message.set(l as usize, None);
                 state.active[l as usize] = false;
                 if let Some(data) = data {
                     applies += 1;
-                    if update_coherent {
-                        state.coherent[l as usize] = data.clone();
+                    if let Some(coherent) = state.coherent.as_mut().filter(|_| update_coherent) {
+                        coherent[l as usize] = data.clone();
                     }
                     state.vdata[l as usize] = data;
                 }
@@ -269,23 +273,28 @@ mod window_tests {
         (rng.random::<f64>() - 0.5) * (rng.random_range(-20..21i32) as f64).exp2()
     }
 
-    /// A state with random inboxes (queued, in a random order) and random
-    /// `deltaMsg` slots, built the same way from the same seed every time.
+    /// A state of `layout` with random inboxes (queued, in a random order)
+    /// and random `deltaMsg` slots where it holds them, built the same way
+    /// from the same seed every time.
     fn state<P: VertexProgram>(
         shard: &LocalShard,
         program: &P,
         num_vertices: usize,
+        layout: Layout,
         seed: u64,
         of: impl Fn(f64) -> P::Delta,
     ) -> MachineState<P> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut st = MachineState::init(shard, program, InitMessages::AllReplicas, num_vertices);
+        let mut st = MachineState::init(shard, program, layout, num_vertices);
         for l in 0..shard.num_local() {
             if rng.random_range(0..3u32) == 0 {
-                st.delta_msg[l] = Some(of(delta(&mut rng)));
+                let d = of(delta(&mut rng));
+                if let Some(delta_msg) = &mut st.delta_msg {
+                    delta_msg.set(l, Some(d));
+                }
             }
             if rng.random_range(0..3u32) != 0 {
-                st.message[l] = Some(of(delta(&mut rng)));
+                st.message.set(l, Some(of(delta(&mut rng))));
                 st.active[l] = true;
                 st.queue.push(l as u32);
             }
@@ -323,16 +332,16 @@ mod window_tests {
         let pool =
             |threads| ParallelCtx::new(ParallelConfig { threads, block_size }).expect("pool");
         let reference = pool(1);
-        let receipt = if rng.random() { Receipt::Inbox } else { Receipt::InboxAndDelta };
+        let held = Held { delta_msg: rng.random(), coherent: rng.random() };
+        let layout = Layout { init: InitMessages::AllReplicas, held };
         // Scatter tasks: random replicas (repeats allowed) and deltas.
         let tasks: Vec<(u32, P::Delta)> = (0..rng.random_range(0..3 * shard.num_local() + 1))
             .map(|_| (rng.random_range(0..shard.num_local() as u32), of(delta(&mut rng))))
             .collect();
 
-        let mut want_scatter = state(shard, program, nv, seed, of);
-        let scattered =
-            staged_scatter(shard, &mut want_scatter, program, nv, &reference, &tasks, receipt);
-        let mut want_sweep = state(shard, program, nv, seed, of);
+        let mut want_scatter = state(shard, program, nv, layout, seed, of);
+        let scattered = staged_scatter(shard, &mut want_scatter, program, nv, &reference, &tasks);
+        let mut want_sweep = state(shard, program, nv, layout, seed, of);
         let mut worklist = want_sweep.take_queue();
         worklist.sort_unstable();
         let swept =
@@ -341,16 +350,15 @@ mod window_tests {
         for threads in [1, 2, 8] {
             let pctx = pool(threads);
             for window in [1, 3, 17, usize::MAX] {
-                let at = format!("case {case}: threads {threads}, window {window}, {receipt:?}");
-                let mut got = state(shard, program, nv, seed, of);
+                let at = format!("case {case}: threads {threads}, window {window}, {held:?}");
+                let mut got = state(shard, program, nv, layout, seed, of);
                 let mut tasks = tasks.clone();
-                let done =
-                    scatter(shard, &mut got, program, nv, &pctx, &mut tasks, receipt, window);
+                let done = scatter(shard, &mut got, program, nv, &pctx, &mut tasks, window);
                 assert_eq!(done, scattered, "{at}: edges and delta folds");
                 assert!(tasks.is_empty(), "{at}: tasks drained");
                 assert_eq!(fingerprint(&got), fingerprint(&want_scatter), "{at}: scatter");
 
-                let mut got = state(shard, program, nv, seed, of);
+                let mut got = state(shard, program, nv, layout, seed, of);
                 let mut worklist = got.take_queue();
                 worklist.sort_unstable();
                 let done =

@@ -144,6 +144,17 @@ pub trait VertexProgram: Send + Sync + 'static {
         DeltaExchange::Send
     }
 
+    /// Whether [`VertexProgram::exchange_policy`] reads its `coherent`
+    /// argument. A program whose policy is a function of the delta alone
+    /// declares `false`, and its replicas hold no coherent view — 8 to 16 B
+    /// a replica on the lazy engines; the policy is then handed the
+    /// replica's `vdata` in its place, so a mis-declared program would
+    /// read the wrong view (`tests/algebra_laws.rs` holds every shipped
+    /// program to its declaration). The default, `true`, is always safe.
+    fn reads_coherent(&self) -> bool {
+        true
+    }
+
     /// Whether `⊕` is idempotent (`min`/`max` style). Idempotent programs
     /// tolerate duplicate delivery, which the mirrors-to-master mode
     /// exploits (`inverse` can be the identity).

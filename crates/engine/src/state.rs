@@ -1,9 +1,11 @@
 //! Per-machine replica state: the runtime variables §3.2 lists for every
 //! replica — `vdata[v]`, `message[v]`, `deltaMsg[v]`, `isActive[v]` (the
-//! replica/master topology lives in the shard itself).
+//! replica/master topology lives in the shard itself) — each held only
+//! where its engine and program read it ([`Layout`], DESIGN.md §9).
 
 use std::ops::Range;
 
+use lazygraph_net::wire_record;
 use lazygraph_partition::LocalShard;
 
 use crate::parallel::ParallelCtx;
@@ -21,18 +23,59 @@ pub enum InitMessages {
     MastersOnly,
 }
 
+/// The per-replica arrays a machine holds beyond `vdata`, the inbox and
+/// the worklist — what a snapshot records it held, so a restore reads
+/// exactly the sections that were written.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Held {
+    /// `coherent`: the view `exchange_policy` is asked about.
+    pub coherent: bool,
+    /// `deltaMsg`: one-edge-mode receipts awaiting a coherency point.
+    pub delta_msg: bool,
+}
+
+wire_record!(Held { coherent, delta_msg });
+
+/// What an engine's replicas hold, and which of them its initial messages
+/// load: each engine declares one ([`crate::machine::Superstep::LAYOUT`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Layout {
+    /// Which replicas the program's initial messages are loaded into.
+    pub init: InitMessages,
+    /// The optional arrays the engine reads. `coherent` is held only where
+    /// the program reads it too ([`VertexProgram::reads_coherent`]).
+    pub held: Held,
+}
+
+impl Layout {
+    /// Sync, Async and the hybrid: masters apply and broadcast, so no
+    /// replica accumulates a `deltaMsg` or is asked about a coherent view.
+    pub const EAGER: Layout = Layout {
+        init: InitMessages::MastersOnly,
+        held: Held { coherent: false, delta_msg: false },
+    };
+    /// LazyBlockAsync, LazyVertexAsync and DeltaAccum: every replica
+    /// applies, folds one-edge receipts into `deltaMsg` and exchanges it
+    /// under the program's `exchange_policy`.
+    pub const LAZY: Layout = Layout {
+        init: InitMessages::AllReplicas,
+        held: Held { coherent: true, delta_msg: true },
+    };
+}
+
 /// The mutable vertex arrays of one machine.
 pub struct MachineState<P: VertexProgram> {
     /// Local view of the vertex value, per local replica.
     pub vdata: Vec<P::VData>,
     /// Replica value as of the last data coherency point — the common view
-    /// all replicas shared there; used by delta-suppression policies.
-    pub coherent: Vec<P::VData>,
+    /// all replicas shared there; what `exchange_policy` is asked about.
+    /// `None` where the engine or the program never reads it.
+    pub coherent: Option<Vec<P::VData>>,
     /// Pending gathered messages (`message[v]`).
-    pub message: Vec<Option<P::Delta>>,
+    pub message: Slots<P::Delta>,
     /// Delta accumulated from local one-edge-mode receipts since the last
-    /// coherency point (`deltaMsg[v]`).
-    pub delta_msg: Vec<Option<P::Delta>>,
+    /// coherency point (`deltaMsg[v]`); `None` on the eager engines.
+    pub delta_msg: Option<Slots<P::Delta>>,
     /// Activation flag (`isActive[v]`), guarding `queue` membership.
     pub active: Vec<bool>,
     /// Worklist of active local vertices.
@@ -42,6 +85,103 @@ pub struct MachineState<P: VertexProgram> {
     /// cannot affect results — which is why a snapshot leaves it out
     /// (`checkpoint::write_snapshot`'s `scratch: _`).
     pub scratch: Scratch<P>,
+}
+
+/// Dense per-replica ⊕ slots — an inbox `message[v]` or a `deltaMsg[v]` —
+/// as values beside one occupancy byte each: 9 B a slot for an `f64` delta
+/// where `Option<f64>` takes 16. A byte, not a bit, so the fold tasks that
+/// own contiguous target ranges ([`MachineState::deliver_staged`]) never
+/// share a word whatever the block size. An empty slot holds
+/// `D::default()`, so equal contents compare equal.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Slots<D> {
+    values: Vec<D>,
+    occupied: Vec<bool>,
+}
+
+/// One fold task's contiguous range of [`Slots`].
+struct SlotsMut<'a, D> {
+    values: &'a mut [D],
+    occupied: &'a mut [bool],
+}
+
+impl<D: Copy + Default> Slots<D> {
+    /// `n` empty slots.
+    pub fn new(n: usize) -> Self {
+        Slots {
+            values: vec![D::default(); n],
+            occupied: vec![false; n],
+        }
+    }
+
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Whether there are no slots at all.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// Slot `l`'s delta, if it holds one.
+    #[inline]
+    pub fn get(&self, l: usize) -> Option<D> {
+        self.occupied[l].then(|| self.values[l])
+    }
+
+    /// Empties slot `l`, returning what it held.
+    #[inline]
+    pub fn take(&mut self, l: usize) -> Option<D> {
+        std::mem::take(&mut self.occupied[l]).then(|| std::mem::take(&mut self.values[l]))
+    }
+
+    /// Overwrites slot `l`.
+    #[inline]
+    pub fn set(&mut self, l: usize, d: Option<D>) {
+        self.occupied[l] = d.is_some();
+        self.values[l] = d.unwrap_or_default();
+    }
+
+    /// ⊕-folds `d` into slot `l` ([`fold_into`]); returns whether the slot
+    /// was occupied.
+    #[inline]
+    pub fn fold<P: VertexProgram<Delta = D>>(&mut self, program: &P, l: usize, d: D) -> bool {
+        fold_into(program, &mut self.values[l], &mut self.occupied[l], d)
+    }
+
+    /// Number of occupied slots.
+    pub fn occupied(&self) -> usize {
+        self.occupied.iter().filter(|&&o| o).count()
+    }
+
+    /// Every slot in order.
+    pub fn iter(&self) -> impl Iterator<Item = Option<D>> + '_ {
+        self.values.iter().zip(&self.occupied).map(|(&d, &o)| o.then_some(d))
+    }
+
+    /// Consecutive ranges of `span` slots, as fold tasks own them.
+    fn chunks_mut(&mut self, span: usize) -> impl Iterator<Item = SlotsMut<'_, D>> {
+        (self.values.chunks_mut(span))
+            .zip(self.occupied.chunks_mut(span))
+            .map(|(values, occupied)| SlotsMut { values, occupied })
+    }
+}
+
+impl<D: Copy + Default> FromIterator<Option<D>> for Slots<D> {
+    fn from_iter<I: IntoIterator<Item = Option<D>>>(slots: I) -> Self {
+        let (occupied, values) =
+            slots.into_iter().map(|d| (d.is_some(), d.unwrap_or_default())).unzip();
+        Slots { values, occupied }
+    }
+}
+
+impl<D> SlotsMut<'_, D> {
+    /// [`Slots::fold`] on slot `i` of the range.
+    #[inline]
+    fn fold<P: VertexProgram<Delta = D>>(&mut self, program: &P, i: usize, d: D) -> bool {
+        fold_into(program, &mut self.values[i], &mut self.occupied[i], d)
+    }
 }
 
 /// Top bit of a staged item's local id: the delivery also folds into
@@ -212,51 +352,42 @@ impl<P: VertexProgram> Default for Scratch<P> {
     }
 }
 
-/// ⊕-folds `d` into `slot`: `slot ⊕ d` when it holds a delta, `d` when
-/// it is empty. Returns whether the slot was occupied. Every `message`,
-/// `deltaMsg` and mirrors-to-master total is folded through here, so each
-/// slot is the left fold of its deliveries in delivery order.
+/// ⊕-folds `d` into a slot — `value ⊕ d` when it is `occupied`, `d` when
+/// it is empty — and marks it occupied. Returns whether it was. Every
+/// `message`, `deltaMsg` and mirrors-to-master total is folded through
+/// here, so each slot is the left fold of its deliveries in delivery order.
 #[inline]
 pub(crate) fn fold_into<P: VertexProgram>(
     program: &P,
-    slot: &mut Option<P::Delta>,
+    value: &mut P::Delta,
+    occupied: &mut bool,
     d: P::Delta,
 ) -> bool {
-    match slot {
-        Some(prev) => {
-            *prev = program.sum(*prev, d);
-            true
-        }
-        None => {
-            *slot = Some(d);
-            false
-        }
-    }
+    let was = std::mem::replace(occupied, true);
+    *value = if was { program.sum(*value, d) } else { d };
+    was
 }
 
 impl<P: VertexProgram> MachineState<P> {
     /// Initialises all local replicas: `vdata` from `initData` and the
-    /// worklist from `initMsg` per the engine's [`InitMessages`] policy.
-    pub fn init(
-        shard: &LocalShard,
-        program: &P,
-        init: InitMessages,
-        num_vertices: usize,
-    ) -> Self {
+    /// worklist from `initMsg` per the engine's [`InitMessages`] policy,
+    /// and the optional arrays the layout holds — `coherent` only if the
+    /// program reads it too.
+    pub fn init(shard: &LocalShard, program: &P, layout: Layout, num_vertices: usize) -> Self {
         let n = shard.num_local();
         // Invariant: local ids leave bit 31 free everywhere (partition's
         // `PARALLEL` tags it in edge targets); 2^31 replicas would not fit
         // one machine's memory.
         debug_assert!(n < FOLD_DELTA as usize, "local ids must leave the tag bit free");
         let mut vdata = Vec::with_capacity(n);
-        let mut message = Vec::with_capacity(n);
+        let mut message = Slots::new(n);
         let mut active = vec![false; n];
         let mut queue = Vec::new();
         for l in 0..n as u32 {
             let v = shard.global_of(l);
             let ctx = vertex_ctx(shard, l, num_vertices);
             vdata.push(initial_data(shard, program, l, num_vertices));
-            let eligible = match init {
+            let eligible = match layout.init {
                 InitMessages::AllReplicas => true,
                 InitMessages::MastersOnly => shard.is_master(l),
             };
@@ -269,24 +400,32 @@ impl<P: VertexProgram> MachineState<P> {
                 active[l as usize] = true;
                 queue.push(l);
             }
-            message.push(msg);
+            message.set(l as usize, msg);
         }
-        let coherent = vdata.clone();
+        let Held { coherent, delta_msg } = layout.held;
         MachineState {
+            coherent: (coherent && program.reads_coherent()).then(|| vdata.clone()),
             vdata,
-            coherent,
             message,
-            delta_msg: vec![None; n],
+            delta_msg: delta_msg.then(|| Slots::new(n)),
             active,
             queue,
             scratch: Scratch::default(),
         }
     }
 
+    /// The optional arrays this machine holds.
+    pub fn held(&self) -> Held {
+        Held {
+            coherent: self.coherent.is_some(),
+            delta_msg: self.delta_msg.is_some(),
+        }
+    }
+
     /// Accumulates `d` into `message[l]` and activates `l` if quiet.
     #[inline]
     pub fn deliver(&mut self, program: &P, l: u32, d: P::Delta) {
-        fold_into(program, &mut self.message[l as usize], d);
+        self.message.fold(program, l as usize, d);
         if !self.active[l as usize] {
             self.active[l as usize] = true;
             self.queue.push(l);
@@ -294,10 +433,13 @@ impl<P: VertexProgram> MachineState<P> {
     }
 
     /// Accumulates `d` into `deltaMsg[l]` (one-edge-mode receipt awaiting
-    /// the next coherency point).
+    /// the next coherency point); a machine that holds no `deltaMsg` has
+    /// nothing to accumulate into.
     #[inline]
     pub fn accumulate_delta(&mut self, program: &P, l: u32, d: P::Delta) {
-        fold_into(program, &mut self.delta_msg[l as usize], d);
+        if let Some(delta_msg) = &mut self.delta_msg {
+            delta_msg.fold(program, l as usize, d);
+        }
     }
 
     /// The one delivery sink: folds a role's producers into `message` (and,
@@ -334,44 +476,49 @@ impl<P: VertexProgram> MachineState<P> {
         scratch.block_slots.resize(num_blocks, 0);
         struct FoldTask<'a, D> {
             base: usize,
-            message: &'a mut [Option<D>],
-            delta_msg: &'a mut [Option<D>],
+            message: SlotsMut<'a, D>,
+            /// Tagged items fold here too; only a machine that holds a
+            /// `deltaMsg` stages them.
+            delta_msg: Option<SlotsMut<'a, D>>,
             active: &'a mut [bool],
             newly: &'a mut Vec<u32>,
             counts: &'a mut [usize],
         }
+        let mut delta_chunks = delta_msg.as_mut().map(|d| d.chunks_mut(span));
         let work: Vec<FoldTask<'_, P::Delta>> = (message.chunks_mut(span))
-            .zip(delta_msg.chunks_mut(span))
             .zip(active.chunks_mut(span))
             .zip(&mut scratch.activated)
             .zip(scratch.block_slots.chunks_mut(per_task))
             .enumerate()
-            .map(|(task, ((((message, delta_msg), active), newly), counts))| FoldTask {
+            .map(|(task, (((message, active), newly), counts))| FoldTask {
                 base: task * span,
                 message,
-                delta_msg,
+                delta_msg: delta_chunks.as_mut().and_then(Iterator::next),
                 active,
                 newly,
                 counts,
             })
             .collect();
         let items = &delivery.items;
-        let folded: Vec<u64> = ctx.pool().map(work, |w| {
+        let folded: Vec<u64> = ctx.pool().map(work, |mut w| {
             w.counts.fill(0);
             let mut delta_folds = 0;
             for span in &delivery.spans {
                 for &(tagged, d) in &items[span.clone()] {
                     let l = tagged & !FOLD_DELTA;
                     let i = (l as usize).wrapping_sub(w.base);
-                    let Some(slot) = w.message.get_mut(i) else { continue };
-                    fold_into(program, slot, d);
+                    if i >= w.active.len() {
+                        continue;
+                    }
+                    w.message.fold(program, i, d);
                     if !w.active[i] {
                         w.active[i] = true;
                         w.newly.push(l);
                         w.counts[i / bs] += 1;
                     }
-                    if tagged & FOLD_DELTA != 0 {
-                        delta_folds += u64::from(fold_into(program, &mut w.delta_msg[i], d));
+                    let delta_msg = w.delta_msg.as_mut().filter(|_| tagged & FOLD_DELTA != 0);
+                    if let Some(delta_msg) = delta_msg {
+                        delta_folds += u64::from(delta_msg.fold(program, i, d));
                     }
                 }
             }
@@ -414,7 +561,7 @@ impl<P: VertexProgram> MachineState<P> {
 
     /// Number of local replicas with a pending message.
     pub fn pending_messages(&self) -> u64 {
-        self.message.iter().filter(|m| m.is_some()).count() as u64
+        self.message.occupied() as u64
     }
 
     /// Takes the current worklist, leaving an empty one (one sub-round).
@@ -498,6 +645,13 @@ mod tests {
         }
     }
 
+    /// Masters pre-loaded, every optional array held.
+    const MASTERS: Layout = Layout { init: InitMessages::MastersOnly, ..Layout::LAZY };
+
+    fn delta_msg<P: VertexProgram>(st: &MachineState<P>) -> &Slots<P::Delta> {
+        st.delta_msg.as_ref().expect("the layout holds deltaMsg")
+    }
+
     fn dist() -> lazygraph_partition::DistributedGraph {
         let g = rmat(RmatConfig::graph500(8, 6, 1));
         partition_graph(
@@ -513,11 +667,11 @@ mod tests {
     fn init_all_replicas_activates_even_vertices() {
         let dg = dist();
         for shard in &dg.shards {
-            let st = MachineState::init(shard, &P0, InitMessages::AllReplicas, dg.num_global_vertices);
+            let st = MachineState::init(shard, &P0, Layout::LAZY, dg.num_global_vertices);
             for l in 0..shard.num_local() as u32 {
                 let v = shard.global_of(l);
                 assert_eq!(st.vdata[l as usize], v.0);
-                assert_eq!(st.message[l as usize].is_some(), v.0 % 2 == 0);
+                assert_eq!(st.message.get(l as usize).is_some(), v.0 % 2 == 0);
                 assert_eq!(st.active[l as usize], v.0 % 2 == 0);
             }
         }
@@ -527,11 +681,11 @@ mod tests {
     fn init_masters_only_restricts_activation() {
         let dg = dist();
         for shard in &dg.shards {
-            let st = MachineState::init(shard, &P0, InitMessages::MastersOnly, dg.num_global_vertices);
+            let st = MachineState::init(shard, &P0, MASTERS, dg.num_global_vertices);
             for l in 0..shard.num_local() as u32 {
                 let v = shard.global_of(l);
                 let expect = v.0 % 2 == 0 && shard.is_master(l);
-                assert_eq!(st.message[l as usize].is_some(), expect);
+                assert_eq!(st.message.get(l as usize).is_some(), expect);
             }
         }
     }
@@ -540,15 +694,15 @@ mod tests {
     fn deliver_accumulates_and_activates_once() {
         let dg = dist();
         let shard = &dg.shards[0];
-        let mut st = MachineState::init(shard, &P0, InitMessages::MastersOnly, dg.num_global_vertices);
+        let mut st = MachineState::init(shard, &P0, MASTERS, dg.num_global_vertices);
         // Find an odd (inactive) vertex.
         let l = (0..shard.num_local() as u32)
-            .find(|&l| st.message[l as usize].is_none())
+            .find(|&l| st.message.get(l as usize).is_none())
             .unwrap();
         let before = st.queue.len();
         st.deliver(&P0, l, 5);
         st.deliver(&P0, l, 7);
-        assert_eq!(st.message[l as usize], Some(12));
+        assert_eq!(st.message.get(l as usize), Some(12));
         assert_eq!(st.queue.len(), before + 1, "activated exactly once");
     }
 
@@ -556,12 +710,12 @@ mod tests {
     fn delta_accumulation() {
         let dg = dist();
         let shard = &dg.shards[0];
-        let mut st = MachineState::init(shard, &P0, InitMessages::MastersOnly, dg.num_global_vertices);
+        let mut st = MachineState::init(shard, &P0, MASTERS, dg.num_global_vertices);
         st.accumulate_delta(&P0, 0, 3);
         st.accumulate_delta(&P0, 0, 4);
-        assert_eq!(st.delta_msg[0], Some(7));
+        assert_eq!(delta_msg(&st).get(0), Some(7));
         // deltaMsg does not activate.
-        assert!(!st.active[0] || st.message[0].is_some());
+        assert!(!st.active[0] || st.message.get(0).is_some());
     }
 
     /// Float ⊕: addition is order-sensitive, so any fold-order deviation
@@ -642,12 +796,12 @@ mod tests {
         let hubbed: Vec<(u32, f64, bool)> = (0..4096u64)
             .map(|i| (if is_hub(i) { hub } else { scattered(i) }, value(i), i % 3 == 0))
             .collect();
-        let bits = |m: &Vec<Option<f64>>| -> Vec<Option<u64>> {
+        let bits = |m: &Slots<f64>| -> Vec<Option<u64>> {
             m.iter().map(|o| o.map(f64::to_bits)).collect()
         };
         for items in [&random, &hubbed] {
             let mut reference =
-                MachineState::init(shard, &FSum, InitMessages::MastersOnly, dg.num_global_vertices);
+                MachineState::init(shard, &FSum, MASTERS, dg.num_global_vertices);
             for &(l, d, fold_delta) in items {
                 reference.deliver(&FSum, l, d);
                 if fold_delta {
@@ -671,13 +825,13 @@ mod tests {
                     let mut st = MachineState::init(
                         shard,
                         &FSum,
-                        InitMessages::MastersOnly,
+                        MASTERS,
                         dg.num_global_vertices,
                     );
                     stage_and_fold(&mut st, &FSum, &ctx, items);
                     let at = format!("threads={threads} block_size={block_size}");
                     assert_eq!(bits(&st.message), bits(&reference.message), "{at}");
-                    assert_eq!(bits(&st.delta_msg), bits(&reference.delta_msg), "{at}");
+                    assert_eq!(bits(delta_msg(&st)), bits(delta_msg(&reference)), "{at}");
                     assert_eq!(st.active, reference.active, "{at}");
                     // Activation order: the flat order, grouped by target block.
                     let mut expect = reference.queue.clone();
@@ -703,12 +857,12 @@ mod tests {
                 block_size: 1,
             }).expect("spawn pool");
             let mut st =
-                MachineState::init(shard, &P0, InitMessages::MastersOnly, dg.num_global_vertices);
+                MachineState::init(shard, &P0, MASTERS, dg.num_global_vertices);
             let folds = stage_and_fold(&mut st, &P0, &ctx, &items);
             assert_eq!(folds, 2, "threads={threads}");
-            assert_eq!(st.delta_msg[0], Some(6));
-            assert_eq!(st.delta_msg[1], None);
-            assert_eq!(st.message[1], Some(4));
+            assert_eq!(delta_msg(&st).get(0), Some(6));
+            assert_eq!(delta_msg(&st).get(1), None);
+            assert_eq!(st.message.get(1), Some(4));
         }
     }
 
@@ -725,7 +879,7 @@ mod tests {
             block_size,
         }).expect("spawn pool");
         let mut st =
-            MachineState::init(shard, &P0, InitMessages::MastersOnly, dg.num_global_vertices);
+            MachineState::init(shard, &P0, MASTERS, dg.num_global_vertices);
         // Skewed and wandering: nine tenths of every sweep lands in one hot
         // target block, and the hot block moves every sweep — the pattern
         // that made a shared husk pool regrow every pooled vector to
@@ -768,7 +922,7 @@ mod tests {
     #[test]
     fn retained_staging_is_bounded_by_the_window_not_the_sweep() {
         use crate::parallel::{ParallelConfig, ParallelCtx};
-        use crate::sync_engine::{scatter, Receipt};
+        use crate::sync_engine::scatter;
 
         let dg = dist();
         let shard = &dg.shards[0];
@@ -779,7 +933,7 @@ mod tests {
             block_size: 4,
         }).expect("spawn pool");
         let mut st =
-            MachineState::init(shard, &P0, InitMessages::MastersOnly, dg.num_global_vertices);
+            MachineState::init(shard, &P0, MASTERS, dg.num_global_vertices);
         let sources: Vec<u32> = (0..n as u32).filter(|&l| shard.local_out_degree(l) > 0).collect();
         let widest = sources.iter().map(|&l| shard.local_out_degree(l)).max().unwrap_or(0);
         let mut tasks = Vec::new();
@@ -800,7 +954,6 @@ mod tests {
                 dg.num_global_vertices,
                 &ctx,
                 &mut tasks,
-                Receipt::InboxAndDelta,
                 window,
             );
             assert_eq!(edges as usize, staged);
@@ -812,11 +965,78 @@ mod tests {
         }
     }
 
+    /// A slot is its left fold, emptied by `take` back to the value a
+    /// fresh slot holds, so equal contents compare equal.
+    #[test]
+    fn slots_fold_take_and_compare_by_content() {
+        let mut slots: Slots<u32> = Slots::new(3);
+        assert!(!slots.fold(&P0, 1, 5));
+        assert!(slots.fold(&P0, 1, 7));
+        assert_eq!(slots.iter().collect::<Vec<_>>(), [None, Some(12), None]);
+        assert_eq!(slots.occupied(), 1);
+        assert_eq!(slots.take(1), Some(12));
+        assert_eq!(slots.take(1), None);
+        assert_eq!(slots, Slots::new(3));
+        slots.set(2, Some(4));
+        assert_eq!(slots, [None, None, Some(4)].into_iter().collect());
+    }
+
+    /// A layout's optional arrays exist only where the program reads them
+    /// too: a program whose policy reads no coherent view gets none.
+    #[test]
+    fn init_holds_what_the_layout_and_program_read() {
+        struct Blind;
+        impl VertexProgram for Blind {
+            type VData = u32;
+            type Delta = u32;
+            fn name(&self) -> &'static str {
+                "blind"
+            }
+            fn init_data(&self, v: VertexId, c: &VertexCtx) -> u32 {
+                P0.init_data(v, c)
+            }
+            fn init_message(&self, v: VertexId, c: &VertexCtx) -> Option<u32> {
+                P0.init_message(v, c)
+            }
+            fn sum(&self, a: u32, b: u32) -> u32 {
+                a + b
+            }
+            fn inverse(&self, accum: u32, a: u32) -> u32 {
+                accum - a
+            }
+            fn apply(&self, v: VertexId, d: &mut u32, a: u32, c: &VertexCtx) -> Option<u32> {
+                P0.apply(v, d, a, c)
+            }
+            fn scatter(
+                &self,
+                v: VertexId,
+                d: &u32,
+                x: u32,
+                c: &VertexCtx,
+                e: &EdgeCtx,
+            ) -> Option<u32> {
+                P0.scatter(v, d, x, c, e)
+            }
+            fn reads_coherent(&self) -> bool {
+                false
+            }
+        }
+        let dg = dist();
+        let (shard, n) = (&dg.shards[0], dg.num_global_vertices);
+        let all = Held { coherent: true, delta_msg: true };
+        assert_eq!(MachineState::init(shard, &P0, Layout::LAZY, n).held(), all);
+        assert_eq!(MachineState::init(shard, &P0, Layout::EAGER, n).held(), Held::default());
+        let lazy = MachineState::init(shard, &Blind, Layout::LAZY, n);
+        assert_eq!(lazy.held(), Held { coherent: false, delta_msg: true });
+        assert_eq!(delta_msg(&lazy).len(), shard.num_local());
+        assert_eq!(MachineState::init(shard, &Blind, Layout::EAGER, n).held(), Held::default());
+    }
+
     #[test]
     fn pending_counts() {
         let dg = dist();
         let shard = &dg.shards[0];
-        let mut st = MachineState::init(shard, &P0, InitMessages::AllReplicas, dg.num_global_vertices);
+        let mut st = MachineState::init(shard, &P0, Layout::LAZY, dg.num_global_vertices);
         let pending = st.pending_messages();
         let evens = (0..shard.num_local() as u32)
             .filter(|&l| shard.global_of(l).0.is_multiple_of(2))

@@ -17,9 +17,10 @@
 //!
 //! Phase 3 is [`scatter`], the one per-edge loop of all six engines: Async
 //! and hybrid call it as Sync does, and the lazy family after its apply
-//! pass, with a receipt rule that also folds into `deltaMsg`
-//! ([`crate::lazy_block::apply_scatter`]). It stages and folds one window
-//! of [`SCATTER_WINDOW`] items at a time, so a sweep never holds more.
+//! pass ([`crate::lazy_block::apply_scatter`]), whose replicas hold a
+//! `deltaMsg` that one-edge receipts fold into too. It stages and folds
+//! one window of [`SCATTER_WINDOW`] items at a time, so a sweep never
+//! holds more.
 
 use lazygraph_cluster::{CommError, Phase};
 use lazygraph_net::{NetError, Wire, WireReader};
@@ -30,7 +31,7 @@ use crate::config::EngineKind;
 use crate::machine::{Frame, Superstep, Vote};
 use crate::parallel::ParallelCtx;
 use crate::program::{EdgeCtx, VertexProgram};
-use crate::state::{vertex_ctx, InitMessages, MachineState};
+use crate::state::{vertex_ctx, Layout, MachineState};
 
 /// Wire message of the Sync engine.
 pub enum SyncMsg<P: VertexProgram> {
@@ -80,19 +81,12 @@ impl<P: VertexProgram> Wire for SyncMsg<P> {
 /// thread count nor the block size.
 pub(crate) const SCATTER_WINDOW: usize = 1 << 16;
 
-/// Where a local delivery folds besides the target's inbox.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Receipt {
-    /// Nowhere: the eager engines broadcast instead.
-    Inbox,
-    /// A one-edge-mode receipt on a replicated target also folds into
-    /// `deltaMsg` (the lazy family, §3.2).
-    InboxAndDelta,
-}
-
 /// Every engine's one scatter: each `(replica, delta)` task scatters along
-/// the replica's local out-edges from its committed `vdata`, and the
-/// deliveries fold per `receipt`. Tasks go in windows whose local
+/// the replica's local out-edges from its committed `vdata`, and each
+/// delivery folds into the target's inbox — and, where the machine holds a
+/// `deltaMsg` (the lazy family, §3.2), a one-edge-mode receipt on a
+/// replicated target into that too; the eager engines broadcast instead.
+/// Tasks go in windows whose local
 /// out-degrees sum to at most `window` (a task with more out-edges is a
 /// window alone). In a window, source blocks stage in parallel and
 /// `deliver_staged` folds in block order; windows fold in task order. So
@@ -100,10 +94,6 @@ pub(crate) enum Receipt {
 /// and window, and staging never holds more than one window. Drains
 /// `tasks`; returns the edges traversed and the `deltaMsg` folds into an
 /// occupied slot.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the scatter's inputs, its receipt rule and its window"
-)]
 pub(crate) fn scatter<P: VertexProgram>(
     shard: &LocalShard,
     state: &mut MachineState<P>,
@@ -111,9 +101,9 @@ pub(crate) fn scatter<P: VertexProgram>(
     num_vertices: usize,
     pctx: &ParallelCtx,
     tasks: &mut Vec<(u32, P::Delta)>,
-    receipt: Receipt,
     window: usize,
 ) -> (u64, u64) {
+    let folds_delta = state.delta_msg.is_some();
     let (mut edges, mut folds, mut rest) = (0, 0, &tasks[..]);
     while !rest.is_empty() {
         let (mut len, mut staged) = (0, 0);
@@ -137,7 +127,7 @@ pub(crate) fn scatter<P: VertexProgram>(
                         weight,
                     };
                     if let Some(msg) = program.scatter(v, data, d, &ctx, &edge) {
-                        let fold_delta = receipt == Receipt::InboxAndDelta
+                        let fold_delta = folds_delta
                             && mode == EdgeMode::OneEdge
                             && shard.has_mirrors(tl);
                         b.stage(tl, msg, fold_delta);
@@ -169,7 +159,7 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
     type Msg = SyncMsg<P>;
     type Carry = ();
     const KIND: EngineKind = EngineKind::PowerGraphSync;
-    const INIT: InitMessages = InitMessages::MastersOnly;
+    const LAYOUT: Layout = Layout::EAGER;
 
     fn new(_frame: &Frame<'_, P, SyncMsg<P>>, (): ()) -> Self {
         SyncStep {
@@ -224,7 +214,7 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
                     // so late deliveries do not double-queue them.
                     b.masters.push(l);
                 } else {
-                    if let Some(d) = message_view[l as usize] {
+                    if let Some(d) = message_view.get(l as usize) {
                         let dst = shard.master_of[l as usize].index();
                         b.forwards.push((dst, l, d));
                     }
@@ -247,7 +237,7 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
         for b in gather_blocks {
             master_worklist.extend(b.masters);
             for (dst, l, d) in b.forwards {
-                state.message[l as usize] = None;
+                state.message.set(l as usize, None);
                 round.outboxes().push(dst, (shard.global_of(l).0, SyncMsg::Accum(d)));
                 sent_bytes += delta_bytes as u64;
             }
@@ -281,7 +271,7 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
         let mut round = port.ordered_round(Phase::Apply, update_bytes);
         for &l in master_worklist.iter() {
             state.active[l as usize] = false;
-            let Some(accum) = state.message[l as usize].take() else { continue };
+            let Some(accum) = state.message.take(l as usize) else { continue };
             let (v, ctx) = (shard.global_of(l), vertex_ctx(shard, l, num_vertices));
             let data = &mut state.vdata[l as usize];
             let d = program.apply(v, data, accum, &ctx);
@@ -323,7 +313,6 @@ impl<P: VertexProgram> Superstep<P> for SyncStep<P> {
             num_vertices,
             pctx,
             scatter_tasks,
-            Receipt::Inbox,
             SCATTER_WINDOW,
         );
         stats.record_edges(edges);

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 
 use lazygraph_cluster::{build_endpoints, run_machines, NetStats, Phase, TransportKind};
 use lazygraph_engine::exchange::Port;
-use lazygraph_engine::state::{InitMessages, MachineState};
+use lazygraph_engine::state::{Layout, MachineState, Slots};
 use lazygraph_engine::{EdgeCtx, ParallelConfig, ParallelCtx, VertexCtx, VertexProgram};
 use lazygraph_graph::generators::{rmat, RmatConfig};
 use lazygraph_graph::VertexId;
@@ -78,14 +78,15 @@ type Fingerprint = (Vec<Option<u32>>, Vec<Option<u32>>, Vec<bool>, Vec<u32>);
 
 /// Everything of a `MachineState` a delivery may touch, floats as bits.
 fn fingerprint(state: &MachineState<FloatSum>) -> Fingerprint {
-    let bits = |v: &[Option<f32>]| v.iter().map(|m| m.map(f32::to_bits)).collect();
-    (bits(&state.message), bits(&state.delta_msg), state.active.clone(), state.queue.clone())
+    let bits = |v: &Slots<f32>| v.iter().map(|m| m.map(f32::to_bits)).collect();
+    let delta_msg = state.delta_msg.as_ref().expect("a lazy layout holds deltaMsg");
+    (bits(&state.message), bits(delta_msg), state.active.clone(), state.queue.clone())
 }
 
 /// A fresh state and how long its worklist is before any delivery.
 fn fresh(dg: &DistributedGraph, me: usize) -> (MachineState<FloatSum>, usize) {
     let state =
-        MachineState::init(&dg.shards[me], &FloatSum, InitMessages::AllReplicas, dg.num_global_vertices);
+        MachineState::init(&dg.shards[me], &FloatSum, Layout::LAZY, dg.num_global_vertices);
     let queued = state.queue.len();
     (state, queued)
 }
@@ -211,7 +212,8 @@ proptest! {
                 let (l, d) = (target(sel), f32::from_bits(bits));
                 want.deliver(&FloatSum, l, d);
                 if fold_delta {
-                    occupied += u64::from(want.delta_msg[l as usize].is_some());
+                    let delta_msg = want.delta_msg.as_ref().expect("a lazy layout");
+                    occupied += u64::from(delta_msg.get(l as usize).is_some());
                     want.accumulate_delta(&FloatSum, l, d);
                 }
             }

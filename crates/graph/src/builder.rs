@@ -92,6 +92,10 @@ impl GraphBuilder {
     /// If an endpoint is not below the vertex count.
     pub fn symmetrize(&mut self) -> &mut Self {
         self.sort_edges();
+        // Grown before `reversed` exists: growing after would move the
+        // forward half while the reversed copy is live, holding the edge
+        // list four times at once instead of three.
+        self.edges.reserve_exact(self.edges.len());
         // With the forward half in order, grouping the reversed edges by
         // their new source leaves every row in order as well (it lists its
         // targets as the forward rows named it): one counting pass.

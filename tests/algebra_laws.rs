@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use lazygraph::prelude::*;
-use lazygraph_algorithms::{MultiSourceBfs, PersonalizedPageRank, WidestPath};
+use lazygraph_algorithms::{MultiSourceBfs, PageRankData, PersonalizedPageRank, WidestPath};
 use lazygraph_engine::scheduler::cut_most_urgent;
 use lazygraph_engine::{VertexCtx, VertexProgram};
 use lazygraph_graph::VertexId;
@@ -50,6 +50,43 @@ fn check_local_order<P: VertexProgram>(p: &P, states: &[(P::VData, P::Delta)]) {
     let mut reversed = pending.clone();
     reversed.reverse();
     assert_eq!(selected(pending), selected(reversed), "the cut must not depend on arrival order");
+}
+
+/// Whether `p`'s `exchange_policy` gives `delta` more than one answer
+/// over `views`.
+fn policy_reads_view<P: VertexProgram>(p: &P, views: &[P::VData], delta: P::Delta) -> bool {
+    let first = views.first().map(|v| p.exchange_policy(v, &delta));
+    views.iter().any(|v| Some(p.exchange_policy(v, &delta)) != first)
+}
+
+/// The declaration a lazy machine's memory rests on: a program that says
+/// its policy reads no coherent view holds none, and its policy is shown
+/// `vdata` instead — so the answer must not depend on the view at all.
+fn check_coherent_declaration<P: VertexProgram>(p: &P, views: &[P::VData], delta: P::Delta) {
+    if !p.reads_coherent() {
+        assert!(
+            !policy_reads_view(p, views, delta),
+            "{} declares that its policy reads no coherent view, but {delta:?} gets another \
+             answer over {views:?}",
+            p.name()
+        );
+    }
+}
+
+/// The programs whose policy is a function of the delta alone say so, and
+/// the check above has teeth: SSSP's policy does read the view, so SSSP
+/// declaring otherwise would fail it.
+#[test]
+fn shipped_programs_declare_whether_their_policy_reads_the_view() {
+    assert!(!PageRankDelta::default().reads_coherent());
+    assert!(!PersonalizedPageRank::new(VertexId(0)).reads_coherent());
+    assert!(Sssp::new(0u32).reads_coherent());
+    assert!(WidestPath::new(0u32).reads_coherent());
+    assert!(Bfs::new(0u32).reads_coherent());
+    assert!(ConnectedComponents.reads_coherent());
+    assert!(KCore::new(3).reads_coherent());
+    assert!(MultiSourceBfs::new(vec![VertexId(0)]).reads_coherent());
+    assert!(policy_reads_view(&Sssp::new(0u32), &[1.0, 5.0], 3.0));
 }
 
 #[test]
@@ -156,6 +193,36 @@ proptest! {
         prop_assert!((l - r).abs() < 1e-9);
         let undone = p.inverse(p.sum(a, b), a);
         prop_assert!((undone - b).abs() < 1e-9);
+    }
+
+    /// Every shipped program that declares its policy reads no coherent
+    /// view gives each delta one answer whatever the view: arbitrary
+    /// values, NaNs and infinities included.
+    #[test]
+    fn a_policy_that_reads_no_view_ignores_it(
+        views in proptest::collection::vec((any::<u64>(), any::<u64>()), 1..8),
+        small in proptest::collection::vec(0u32..64, 1..8),
+        delta in (any::<u64>(), -1e-2f64..1e-2, any::<u32>(), any::<u64>()),
+        tolerance in 1e-9f64..1e-1,
+    ) {
+        let ranks: Vec<PageRankData> = views
+            .iter()
+            .map(|&(r, p)| PageRankData { rank: f64::from_bits(r), pending: f64::from_bits(p) })
+            .collect();
+        let floats: Vec<f32> = views.iter().map(|&(r, _)| f32::from_bits(r as u32)).collect();
+        let words: Vec<u32> = views.iter().map(|&(r, _)| r as u32).collect();
+        let masks: Vec<u64> = views.iter().map(|&(r, _)| r).collect();
+        for d in [f64::from_bits(delta.0), delta.1] {
+            check_coherent_declaration(&PageRankDelta { tolerance }, &ranks, d);
+            check_coherent_declaration(&PersonalizedPageRank::new(VertexId(0)), &ranks, d);
+        }
+        let d32 = f32::from_bits(delta.2);
+        check_coherent_declaration(&Sssp::new(0u32), &floats, d32);
+        check_coherent_declaration(&WidestPath::new(0u32), &floats, d32);
+        check_coherent_declaration(&Bfs::new(0u32), &words, delta.2);
+        check_coherent_declaration(&ConnectedComponents, &words, delta.2);
+        check_coherent_declaration(&KCore::new(3), &small, delta.2 % 64);
+        check_coherent_declaration(&MultiSourceBfs::new(vec![VertexId(0)]), &masks, delta.3);
     }
 
     /// The scatter transform of SSSP composes with ⊕ the way path

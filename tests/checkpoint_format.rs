@@ -32,11 +32,11 @@ use lazygraph_engine::lazy_block::{LazyCarry, LazyCounters, LazyStep};
 use lazygraph_engine::lazy_vertex::LazyVertexPump;
 use lazygraph_engine::machine::{Frame, Superstep, Vote};
 use lazygraph_engine::metrics::StepRecord;
-use lazygraph_engine::state::MachineState;
+use lazygraph_engine::state::{Held, MachineState, Slots};
 use lazygraph_engine::sync_engine::SyncStep;
 use lazygraph_engine::{run_mesh_engine, Attach, ParallelCtx, Seat, SimBreakdown};
 use lazygraph_net::Wire;
-use lazygraph_partition::{partition_graph, LocalShard};
+use lazygraph_partition::{partition_graph, LocalShard, PartitionStrategy, SplitterConfig};
 
 // ---------------------------------------------------------------------------
 // Container laws
@@ -195,6 +195,15 @@ fn a_v11_file_is_a_bad_header() {
     assert_version_refused(11);
 }
 
+/// A v12 file — whose header says nothing of the arrays held and which
+/// always carries the `coherent` and `delta_msg` sections — is refused at
+/// the header, not decoded as a header whose `held` is the first bytes of
+/// the vertex section.
+#[test]
+fn a_v12_file_is_a_bad_header() {
+    assert_version_refused(12);
+}
+
 /// A v7 file — the parent's whole-payload container: magic, version,
 /// chunk count — is refused at the header, not decoded as something else.
 #[test]
@@ -222,27 +231,39 @@ fn initial(l: u32) -> f32 {
     f32::from_bits(l.wrapping_mul(2_654_435_761) ^ 0x7fc0_1234)
 }
 
+/// Both optional arrays held: the lazy engines' layout for a program that
+/// reads its coherent view, as SSSP does.
+const ALL: Held = Held { coherent: true, delta_msg: true };
+
 /// What `MachineState::init` would hand the restore: the initial view in
-/// `vdata` and `coherent`, and junk everywhere a restore must overwrite.
-fn fresh_state(n: usize) -> MachineState<Sssp> {
+/// `vdata` and `coherent` (if held), and junk everywhere a restore must
+/// overwrite.
+fn fresh_state(n: usize, held: Held) -> MachineState<Sssp> {
     MachineState {
         vdata: (0..n as u32).map(initial).collect(),
-        coherent: (0..n as u32).map(initial).collect(),
-        message: vec![Some(1.0); n],
-        delta_msg: vec![Some(2.0); n],
+        coherent: held.coherent.then(|| (0..n as u32).map(initial).collect()),
+        message: (0..n).map(|_| Some(1.0)).collect(),
+        delta_msg: held.delta_msg.then(|| (0..n).map(|_| Some(2.0)).collect()),
         active: vec![true; n],
         queue: (0..n as u32).collect(),
         scratch: Default::default(),
     }
 }
 
-/// Bitwise identity of the six arrays: floats compare as the bits the
-/// codec writes, so NaNs and signed zeros count.
+/// A slot array's contents, for bitwise comparison.
+fn slots<D: Wire + Copy + Default>(slots: &Slots<D>) -> Vec<u8> {
+    slots.iter().collect::<Vec<_>>().to_wire()
+}
+
+/// Bitwise identity of the arrays, and of which of them are held: floats
+/// compare as the bits the codec writes, so NaNs and signed zeros count.
 fn assert_same_state<P: VertexProgram>(got: &MachineState<P>, want: &MachineState<P>, at: &str) {
+    assert_eq!(got.held(), want.held(), "{at}: held");
     assert_eq!(got.vdata.to_wire(), want.vdata.to_wire(), "{at}: vdata");
     assert_eq!(got.coherent.to_wire(), want.coherent.to_wire(), "{at}: coherent");
-    assert_eq!(got.message.to_wire(), want.message.to_wire(), "{at}: message");
-    assert_eq!(got.delta_msg.to_wire(), want.delta_msg.to_wire(), "{at}: delta_msg");
+    assert_eq!(slots(&got.message), slots(&want.message), "{at}: message");
+    let delta_msg = |s: &MachineState<P>| s.delta_msg.as_ref().map(slots);
+    assert_eq!(delta_msg(got), delta_msg(want), "{at}: delta_msg");
     assert_eq!(got.active, want.active, "{at}: active");
     assert_eq!(got.queue, want.queue, "{at}: queue");
 }
@@ -261,8 +282,8 @@ fn snapshot_file(
 /// A restored header, state and trace.
 type Restored = (SnapshotHeader, MachineState<Sssp>, Vec<StepRecord>);
 
-fn restore(file: &[u8], n: usize) -> Result<Restored, CheckpointError> {
-    let mut state = fresh_state(n);
+fn restore(file: &[u8], n: usize, held: Held) -> Result<Restored, CheckpointError> {
+    let mut state = fresh_state(n, held);
     // Junk a restore must replace.
     let mut history = vec![StepRecord::default(); 3];
     let header = SnapshotReader::open(file)?.restore_into(&mut state, &mut history)?;
@@ -295,6 +316,11 @@ fn history_of(len: u64, bits: u64) -> Vec<StepRecord> {
 type VertexBits = (u32, (u8, u32), (bool, u32), (bool, u32), bool);
 
 fn state_of(vertices: &[VertexBits], rotate: usize) -> MachineState<Sssp> {
+    state_holding(vertices, rotate, ALL)
+}
+
+/// [`state_of`] holding only what `held` says.
+fn state_holding(vertices: &[VertexBits], rotate: usize, held: Held) -> MachineState<Sssp> {
     let slot = |&(some, bits): &(bool, u32)| some.then(|| f32::from_bits(bits));
     let mut queue: Vec<u32> =
         (0..vertices.len() as u32).filter(|&l| vertices[l as usize].4).collect();
@@ -303,15 +329,17 @@ fn state_of(vertices: &[VertexBits], rotate: usize) -> MachineState<Sssp> {
     queue.rotate_left(by);
     MachineState {
         vdata: vertices.iter().map(|v| f32::from_bits(v.0)).collect(),
-        coherent: (vertices.iter().enumerate())
-            .map(|(l, v)| match v.1 .0 {
-                0 => f32::from_bits(v.0),
-                1 => initial(l as u32),
-                _ => f32::from_bits(v.1 .1),
-            })
-            .collect(),
+        coherent: held.coherent.then(|| {
+            (vertices.iter().enumerate())
+                .map(|(l, v)| match v.1 .0 {
+                    0 => f32::from_bits(v.0),
+                    1 => initial(l as u32),
+                    _ => f32::from_bits(v.1 .1),
+                })
+                .collect()
+        }),
         message: vertices.iter().map(|v| slot(&v.2)).collect(),
-        delta_msg: vertices.iter().map(|v| slot(&v.3)).collect(),
+        delta_msg: held.delta_msg.then(|| vertices.iter().map(|v| slot(&v.3)).collect()),
         active: vertices.iter().map(|v| v.4).collect(),
         queue,
         scratch: Default::default(),
@@ -331,13 +359,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// A header, a state and a trace of arbitrary bits — NaN payloads,
-    /// empty inbox slots, every `coherent` code, carried bytes of any
-    /// length, vertex counts on both sides of the 32- and 64-vertex mask
-    /// words — restore bit-exactly into a freshly initialised state,
-    /// `active` included, which is not in the file.
+    /// empty inbox slots, every `coherent` code, either optional array held
+    /// or not, carried bytes of any length, vertex counts on both sides of
+    /// the 32- and 64-vertex mask words — restore bit-exactly into a
+    /// freshly initialised state, `active` included, which is not in the
+    /// file.
     #[test]
     fn snapshot_round_trips(
         engine in 0u8..3,
+        held in (any::<bool>(), any::<bool>()),
         words in (any::<u64>(), any::<u64>()),
         sums in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u64>()),
         vertices in proptest::collection::vec(
@@ -362,15 +392,17 @@ proptest! {
             },
             last_global: f64::from_bits(sums.3),
             carry,
+            held: Held { coherent: held.0, delta_msg: held.1 },
         };
-        let state = state_of(&vertices, rotate);
+        let state = state_holding(&vertices, rotate, header.held);
         let file = snapshot_file(&header, &state, &history);
         let again = snapshot_file(&header, &state, &history);
         prop_assert_eq!(&file, &again, "encode must be deterministic");
         verify(&file).expect("verify");
         let opened = SnapshotReader::open(&file[..]).expect("open").header().to_wire();
         prop_assert_eq!(opened, header.to_wire());
-        let (back, restored, back_history) = restore(&file, vertices.len()).expect("restore");
+        let (back, restored, back_history) =
+            restore(&file, vertices.len(), header.held).expect("restore");
         prop_assert_eq!(back.to_wire(), header.to_wire());
         assert_same_state(&restored, &state, "round trip");
         prop_assert_eq!(back_history.to_wire(), history.to_wire());
@@ -390,6 +422,7 @@ proptest! {
             last_global: 0.75,
             // Carried bytes, so cuts land inside them too.
             carry: counters(0x0123_4567_89ab_cdef).to_wire(),
+            held: ALL,
         };
         let state = state_of(
             &[(7, (0, 0), (false, 0), (true, 15), true), (8, (2, 9), (true, 5), (false, 0), false),
@@ -412,7 +445,7 @@ proptest! {
         }
         w.finish().expect("finish");
         verify(&torn).expect("the container itself is whole");
-        prop_assert!(restore(&torn, 3).is_err(), "a stream cut at {cut} of {} restored", stream.len());
+        prop_assert!(restore(&torn, 3, ALL).is_err(), "a stream cut at {cut} of {} restored", stream.len());
     }
 }
 
@@ -429,6 +462,7 @@ fn every_damaged_snapshot_is_refused_or_restores_the_same_state() {
         breakdown: SimBreakdown { compute: 2.0, comm: 0.25, barrier: 0.125, ..Default::default() },
         last_global: 2.375,
         carry: counters(77).to_wire(),
+        held: ALL,
     };
     let vertices: Vec<VertexBits> = (0..70u32)
         .map(|l| (l * 3, ((l % 3) as u8, l + 1000), (l % 4 == 0, l), (l % 5 == 0, l * 7), l % 2 == 0))
@@ -442,14 +476,14 @@ fn every_damaged_snapshot_is_refused_or_restores_the_same_state() {
     let file = snapshot_file(&header, &state, &history);
     for cut in 0..file.len() {
         assert!(verify(&file[..cut]).is_err(), "a {cut}-byte prefix verified");
-        assert!(restore(&file[..cut], vertices.len()).is_err(), "a {cut}-byte prefix restored");
+        assert!(restore(&file[..cut], vertices.len(), ALL).is_err(), "a {cut}-byte prefix restored");
     }
     for pos in 0..file.len() {
         for flip in [0x01u8, 0x80, 0xff] {
             let mut bad = file.clone();
             bad[pos] ^= flip;
             assert!(verify(&bad).is_err(), "byte {pos} ^ {flip:#x} verified");
-            if let Ok((back, restored, back_history)) = restore(&bad, vertices.len()) {
+            if let Ok((back, restored, back_history)) = restore(&bad, vertices.len(), ALL) {
                 assert_eq!(back, header, "byte {pos} ^ {flip:#x}");
                 assert_same_state(&restored, &state, &format!("byte {pos} ^ {flip:#x}"));
                 assert_eq!(back_history, history, "byte {pos} ^ {flip:#x}");
@@ -488,6 +522,7 @@ fn header_at(engine: u8, iterations: u64) -> SnapshotHeader {
         breakdown: SimBreakdown::default(),
         last_global: 0.0,
         carry: Vec::new(),
+        held: ALL,
     }
 }
 
@@ -709,6 +744,95 @@ fn a_carry_the_engine_cannot_decode_fails_the_resume() {
 }
 
 // ---------------------------------------------------------------------------
+// What each engine holds
+// ---------------------------------------------------------------------------
+
+/// Which optional arrays engine `S`'s `init` builds for `program` on
+/// `shard`, each as long as the shard, and that a snapshot of that state
+/// — after a deliver and a `deltaMsg` fold, so the sections carry values
+/// — restores into a fresh one of the same layout and is refused by a
+/// state of any other.
+fn held_by<P: VertexProgram, S: Superstep<P>>(
+    shard: &LocalShard,
+    program: &P,
+    num_vertices: usize,
+    delta: P::Delta,
+) -> Held {
+    let init = || MachineState::init(shard, program, S::LAYOUT, num_vertices);
+    let mut state = init();
+    let held = state.held();
+    let n = shard.num_local();
+    assert_eq!(state.coherent.as_ref().map(Vec::len), held.coherent.then_some(n));
+    assert_eq!(state.delta_msg.as_ref().map(Slots::len), held.delta_msg.then_some(n));
+    state.deliver(program, 0, delta);
+    state.accumulate_delta(program, 1, delta);
+
+    let header = SnapshotHeader { held, ..header_at(snapshot_tag(S::KIND), 1) };
+    let mut file = Vec::new();
+    write_snapshot(&mut file, &header, &state, &[], |l| state.vdata[l as usize].clone())
+        .expect("write");
+    let mut restored = init();
+    let back = SnapshotReader::open(&file[..]).expect("open");
+    assert_eq!(back.header().held, held);
+    back.restore_into(&mut restored, &mut Vec::new()).expect("restore");
+    assert_same_state(&restored, &state, S::KIND.name());
+
+    for other in [Held::default(), Held { delta_msg: true, ..Held::default() }, ALL] {
+        let mut other_state = init();
+        other_state.coherent = other.coherent.then(|| other_state.vdata.clone());
+        other_state.delta_msg = other.delta_msg.then(|| Slots::new(n));
+        let err = SnapshotReader::open(&file[..])
+            .expect("open")
+            .restore_into(&mut other_state, &mut Vec::new())
+            .err();
+        match err {
+            None => assert_eq!(other, held, "{}: restored into {other:?}", S::KIND.name()),
+            Some(CheckpointError::WrongLayout { found, expected }) => {
+                assert_eq!((found, expected), (held, other), "{}", S::KIND.name())
+            }
+            Some(e) => panic!("{}: expected WrongLayout, got {e}", S::KIND.name()),
+        }
+    }
+    held
+}
+
+/// A replica holds only what its engine and its program read: the eager
+/// engines neither a `deltaMsg` nor a coherent view, the lazy family a
+/// `deltaMsg` always and a coherent view only for a program whose policy
+/// reads it (SSSP's does, PageRank's does not). Each declaration survives
+/// a snapshot, and a snapshot of one is refused by a state of another.
+#[test]
+fn each_engine_holds_what_it_and_its_program_read() {
+    let g = common::road_lattice(12, 3);
+    let splitter = SplitterConfig::disabled();
+    let dg = partition_graph(&g, 2, PartitionStrategy::Coordinated, &splitter, false);
+    let (shard, n) = (&dg.shards[1], dg.num_global_vertices);
+    /// Engine `A`'s layout for PageRank and engine `B`'s for SSSP — the
+    /// same engine, named twice for the two programs.
+    fn both<A, B>(shard: &LocalShard, n: usize) -> (Held, Held)
+    where
+        A: Superstep<PageRankDelta>,
+        B: Superstep<Sssp>,
+    {
+        let pagerank = held_by::<_, A>(shard, &PageRankDelta::default(), n, 0.5);
+        (pagerank, held_by::<_, B>(shard, &Sssp::new(0u32), n, 2.0))
+    }
+    let eager = (Held::default(), Held::default());
+    let lazy = (Held { coherent: false, delta_msg: true }, ALL);
+    let cases = [
+        ("sync", both::<SyncStep<_>, SyncStep<_>>(shard, n), eager),
+        ("async", both::<AsyncPump<_>, AsyncPump<_>>(shard, n), eager),
+        ("hybrid", both::<HybridStep<_>, HybridStep<_>>(shard, n), eager),
+        ("lazy-block", both::<LazyStep<_>, LazyStep<_>>(shard, n), lazy),
+        ("lazy-vertex", both::<LazyVertexPump, LazyVertexPump>(shard, n), lazy),
+        ("delta", both::<DeltaStep, DeltaStep>(shard, n), lazy),
+    ];
+    for (engine, got, want) in cases {
+        assert_eq!(got, want, "{engine}: (PageRank, SSSP)");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The live-state law
 // ---------------------------------------------------------------------------
 
@@ -716,6 +840,8 @@ fn a_carry_the_engine_cannot_decode_fails_the_resume() {
 #[derive(Default)]
 struct Seen {
     checkpoints: u64,
+    /// The optional arrays every machine held.
+    held: Held,
     /// Some `coherent[l]` was neither `vdata[l]` nor the initial view.
     explicit_coherent: bool,
     occupied_delta_msg: bool,
@@ -730,7 +856,7 @@ struct Seen {
 /// the test's own — the engine's real supersteps and the real
 /// `checkpoint_at_barrier`, after *every* superstep — and at each
 /// checkpoint restores the file just written into a freshly `init`-ed
-/// state and demands the live state back, bit for bit, all six arrays.
+/// state and demands the live state back, bit for bit, every array it holds.
 fn live_state_law<P: VertexProgram, S: Superstep<P>>(
     tag: &str,
     g: &Graph,
@@ -746,7 +872,7 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
         .expect("in-process mesh");
     let seats: Vec<_> = endpoints.into_iter().zip(&dg.shards).enumerate().collect();
     let seen = try_run_machines(seats, |(me, (ep, shard))| -> Result<Seen, CommError> {
-        let init = || MachineState::init(shard, program, S::INIT, shape.num_global_vertices);
+        let init = || MachineState::init(shard, program, S::LAYOUT, shape.num_global_vertices);
         let initial = init();
         let mut f = Frame {
             me,
@@ -792,12 +918,13 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
 
             seen.checkpoints += 1;
             let state = &f.state;
+            seen.held = state.held();
             let differs = |a: &P::VData, b: &P::VData| a.to_wire() != b.to_wire();
-            seen.explicit_coherent |= (0..state.vdata.len()).any(|l| {
-                differs(&state.coherent[l], &state.vdata[l])
-                    && differs(&state.coherent[l], &initial.coherent[l])
-            });
-            seen.occupied_delta_msg |= state.delta_msg.iter().any(Option::is_some);
+            if let (Some(coherent), Some(first)) = (&state.coherent, &initial.coherent) {
+                seen.explicit_coherent |= (0..state.vdata.len())
+                    .any(|l| differs(&coherent[l], &state.vdata[l]) && differs(&coherent[l], &first[l]));
+            }
+            seen.occupied_delta_msg |= state.delta_msg.as_ref().is_some_and(|d| d.occupied() > 0);
             seen.parked_message |=
                 state.message.iter().zip(&state.active).any(|(m, &a)| m.is_some() && !a);
             seen.traced |= !history.is_empty();
@@ -805,8 +932,11 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
         panic!("{tag}: machine {me} did not converge");
     })
     .expect("live run");
-    seen.into_iter().fold(Seen::default(), |a, b| Seen {
+    let held = seen.first().map(|s| s.held).unwrap_or_default();
+    assert!(seen.iter().all(|s| s.held == held), "{tag}: machines of one run hold alike");
+    seen.into_iter().fold(Seen { held, ..Seen::default() }, |a, b| Seen {
         checkpoints: a.checkpoints + b.checkpoints,
+        held,
         explicit_coherent: a.explicit_coherent | b.explicit_coherent,
         occupied_delta_msg: a.occupied_delta_msg | b.occupied_delta_msg,
         parked_message: a.parked_message | b.parked_message,
@@ -837,29 +967,33 @@ fn save_then_restore_is_the_identity_on_live_state() {
     );
     assert!(sync.checkpoints >= 4 * 5, "Sync barely ran: {}", sync.checkpoints);
     assert!(sync.traced, "Sync recorded no trace");
-    assert!(!sync.explicit_coherent && !sync.occupied_delta_msg, "Sync never writes either");
+    assert_eq!(sync.held, Held::default(), "Sync holds neither optional array");
 
     // Budgeted local stages on slow machines: `vdata` runs ahead of the
-    // last coherent view between coherency points.
+    // last coherency point between coherency points. PageRank's policy
+    // reads no coherent view, so its machines hold none.
     let lazy_cfg = common::slow_machines(cfg(EngineKind::LazyBlockAsync));
     let lazy = live_state_law::<_, LazyStep<_>>("lazy", &social, 4, &lazy_cfg, &pagerank);
     assert!(lazy.checkpoints >= 4 * 5, "lazy-block barely ran: {}", lazy.checkpoints);
     assert!(lazy.traced, "lazy-block recorded no trace");
-    assert!(lazy.explicit_coherent, "no local stage ever moved vdata off the coherent view");
+    assert_eq!(lazy.held, Held { coherent: false, delta_msg: true }, "lazy PageRank");
     assert!(lazy.occupied_delta_msg, "the coherency sweep's scatter never refilled delta_msg");
 
+    // SSSP's policy reads the view: its local stages move `vdata` off it.
     let road = common::road_lattice(32, 5);
     let ordered = live_state_law::<_, LazyStep<_>>(
         "ordered", &road, 4, &cfg(EngineKind::LazyBlockAsync), &Sssp::new(0u32),
     );
     assert!(ordered.checkpoints >= 4 * 3, "lazy SSSP barely ran: {}", ordered.checkpoints);
+    assert_eq!(ordered.held, ALL, "lazy SSSP");
+    assert!(ordered.explicit_coherent, "no local stage ever moved vdata off the coherent view");
 
     let delta = live_state_law::<_, DeltaStep>(
         "delta", &social, 2, &cfg(EngineKind::DeltaAccum), &pagerank,
     );
     assert!(delta.checkpoints >= 2 * 2, "delta barely ran: {}", delta.checkpoints);
     assert!(delta.parked_message, "the scheduler never parked sub-tolerance mass");
-    assert!(!delta.explicit_coherent, "the delta engine never writes coherent");
+    assert_eq!(delta.held, Held { coherent: false, delta_msg: true }, "delta PageRank");
 
     // The barrier-free engines' step boundaries are cuts too: a round
     // leaves nothing in flight, so what a step leaves is all there is.

@@ -132,6 +132,9 @@ impl<P: VertexProgram> VertexProgram for Unordered<P> {
     fn exchange_policy(&self, coherent: &P::VData, delta: &P::Delta) -> DeltaExchange {
         self.0.exchange_policy(coherent, delta)
     }
+    fn reads_coherent(&self) -> bool {
+        self.0.reads_coherent()
+    }
     fn idempotent(&self) -> bool {
         self.0.idempotent()
     }

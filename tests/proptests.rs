@@ -10,7 +10,7 @@ use lazygraph_algorithms::reference;
 use lazygraph_engine::IntervalPolicy;
 use lazygraph_graph::VertexId;
 use lazygraph_engine::parallel::{ParallelConfig, ParallelCtx};
-use lazygraph_engine::state::{InitMessages, MachineState};
+use lazygraph_engine::state::{Layout, MachineState, Slots};
 use lazygraph_partition::{
     build_distributed, partition_graph, plan_split, validate_distributed, SplitterConfig,
 };
@@ -182,9 +182,9 @@ proptest! {
         let program = PageRankDelta { tolerance: 1e-7 };
         let blank = || {
             let mut st: MachineState<PageRankDelta> =
-                MachineState::init(shard, &program, InitMessages::MastersOnly, n);
+                MachineState::init(shard, &program, Layout::LAZY, n);
             st.queue.clear();
-            st.message.iter_mut().for_each(|m| *m = None);
+            st.message = Slots::new(shard.num_local());
             st.active.iter_mut().for_each(|a| *a = false);
             st
         };
@@ -213,11 +213,13 @@ proptest! {
         });
         par.deliver_staged(&program, &pctx);
 
-        let bits = |v: &[Option<f64>]| -> Vec<Option<u64>> {
+        let bits = |v: &Slots<f64>| -> Vec<Option<u64>> {
             v.iter().map(|m| m.map(f64::to_bits)).collect()
         };
+        let delta_msg = |st: &MachineState<_>| st.delta_msg.as_ref().map(bits);
         prop_assert_eq!(bits(&par.message), bits(&seq.message));
-        prop_assert_eq!(bits(&par.delta_msg), bits(&seq.delta_msg));
+        prop_assert_eq!(delta_msg(&par), delta_msg(&seq));
+        prop_assert!(par.delta_msg.is_some(), "a lazy layout holds deltaMsg");
         prop_assert_eq!(&par.active, &seq.active);
         let mut pq = par.queue.clone();
         let mut sq = seq.queue.clone();
