@@ -46,6 +46,7 @@ pub use recovery::{armed_failpoint, failpoint_ckpt, failpoint_superstep, FailPoi
 pub use runtime::{run_machines, try_run_machines};
 pub use stats::{NetStats, Phase, PhaseStats, StatsSnapshot};
 pub use transport::{
-    build_endpoints, connect_tcp_endpoint, decode_batch, decode_batch_raw, encode_batch,
+    build_endpoints, build_machine_endpoints, connect_tcp_endpoint, decode_batch, decode_batch_raw,
+    encode_batch,
     TransportKind,
 };

@@ -2,9 +2,9 @@
 //!
 //! Each simulated machine runs on its own OS thread with exclusively-owned
 //! per-machine state (its shard, its endpoint into the mesh, its vertex
-//! arrays); shared state is limited to the [`crate::NetStats`]
-//! counters. This mirrors a real cluster's share-nothing structure and
-//! lets the borrow checker prove the engines race-free.
+//! arrays, its [`crate::NetStats`] counters); machines share nothing. This
+//! mirrors a real cluster's share-nothing structure and lets the borrow
+//! checker prove the engines race-free.
 
 /// Runs one closure per machine, each consuming its own worker state, and
 /// returns the per-machine results in machine order. Panics in any machine

@@ -3,8 +3,12 @@
 //! The paper explains LazyGraph's speedups entirely through two counted
 //! quantities — the number of global synchronisations (Fig. 10) and the
 //! communication traffic (Fig. 11). [`NetStats`] counts both exactly,
-//! broken down by protocol phase, using relaxed atomics so that the 48
-//! machine threads never contend.
+//! broken down by protocol phase. Every machine counts into a `NetStats` of
+//! its own, on either route, and hands back its [`StatsSnapshot`] with its
+//! outcome; a run's counters are the [`StatsSnapshot::merge`] of its
+//! machines'. The counters are relaxed atomics because a machine shares its
+//! own through an `Arc` with the TCP links of its endpoint, which count the
+//! frames they carry.
 //!
 //! ## Two byte scales, never silently comparable
 //!
@@ -80,8 +84,10 @@ macro_rules! counters {
     (@merge max $mine:expr, $theirs:expr) => { $mine = $mine.max($theirs) };
     (@det det) => { true };
     (@det telemetry) => { false };
+    (@restore sum $mine:expr, $theirs:expr) => { $mine.fetch_add($theirs, Ordering::Relaxed) };
+    (@restore max $mine:expr, $theirs:expr) => { $mine.fetch_max($theirs, Ordering::Relaxed) };
     ($($(#[$doc:meta])* $name:ident: $rule:ident $column:ident,)+) => {
-        /// Shared counters, one instance per engine run.
+        /// One machine's counters.
         #[derive(Debug, Default)]
         pub struct NetStats {
             est_bytes: [AtomicU64; NUM_PHASES],
@@ -107,10 +113,25 @@ macro_rules! counters {
                 });
                 StatsSnapshot { per_phase, $($name: self.$name.load(Ordering::Relaxed),)+ }
             }
+
+            /// Continues counting from `snap`, a snapshot of this machine's
+            /// counters taken earlier (a checkpoint's): each counter folds
+            /// it in by its table rule, so what was counted before the
+            /// restore is kept. Into fresh counters, the snapshot comes
+            /// back as it was taken.
+            pub fn restore(&self, snap: &StatsSnapshot) {
+                let StatsSnapshot { per_phase, $($name),+ } = snap;
+                for (i, p) in per_phase.iter().enumerate() {
+                    self.est_bytes[i].fetch_add(p.est_bytes, Ordering::Relaxed);
+                    self.batches[i].fetch_add(p.batches, Ordering::Relaxed);
+                    self.items[i].fetch_add(p.items, Ordering::Relaxed);
+                }
+                $(counters!(@restore $rule self.$name, *$name);)+
+            }
         }
 
         impl StatsSnapshot {
-            /// Aggregates per-worker snapshots into a cluster total, each
+            /// Aggregates per-machine snapshots into a cluster total, each
             /// counter by its table rule. A `sum` counter is a plain sum
             /// over events; the one cluster-wide event (a global sync) is
             /// recorded by machine 0 only, so adding does not multiply it.
@@ -188,8 +209,9 @@ counters! {
     /// sub-tolerance instead of processing. Deterministic per
     /// configuration: the plan is a pure function of state.
     delta_skipped_vertices: sum det,
-    /// Scheduler epochs executed, summed over machines (an `n`-machine
-    /// run records `n` per epoch). Deterministic per configuration.
+    /// Sub-epoch plans the delta engine's scheduler made, summed over
+    /// machines: every machine records one per plan it runs, the final
+    /// empty plan of an epoch included. Deterministic per configuration.
     sched_epochs: sum det,
     /// High-water mark of any single priority bucket's occupancy in one
     /// epoch: across workers it is the largest any of them reached.
@@ -285,9 +307,9 @@ impl NetStats {
         }
     }
 
-    /// Records one scheduler epoch executed by a machine (the cluster
-    /// total is machine-epochs: every machine of an `n`-machine run
-    /// contributes one per epoch).
+    /// Records `n` sub-epoch plans a machine's delta scheduler made, the
+    /// final empty plan of an epoch included (the cluster total sums the
+    /// machines').
     #[inline]
     pub fn record_sched_epochs(&self, n: u64) {
         self.sched_epochs.fetch_add(n, Ordering::Relaxed);
@@ -487,5 +509,43 @@ mod tests {
                 assert_ne!(s.deterministic(), base.deterministic(), "phase {phase}");
             }
         }
+    }
+
+    /// What a checkpoint carries, read off the table: a snapshot with
+    /// every row and every per-phase field set to a value of its own,
+    /// restored into fresh counters, snapshots back as it was — so a new
+    /// row is restored as it is added.
+    #[test]
+    fn a_restored_snapshot_snapshots_back_unchanged() {
+        let mut taken = StatsSnapshot::default();
+        let mut next = 0u64;
+        let mut bump = |field: &mut u64| {
+            next += 1;
+            *field = 1000 + next;
+        };
+        for (_, _, field) in taken.rows_mut() {
+            bump(field);
+        }
+        for p in &mut taken.per_phase {
+            bump(&mut p.est_bytes);
+            bump(&mut p.batches);
+            bump(&mut p.items);
+        }
+        let first = NetStats::new();
+        first.restore(&taken);
+        let snap = first.snapshot();
+        assert_eq!(snap, taken);
+        let again = NetStats::new();
+        again.restore(&snap);
+        assert_eq!(again.snapshot(), snap);
+
+        // Counts made before a restore are kept, by each row's rule.
+        let counted = NetStats::new();
+        counted.record_snapshot_bytes(5);
+        counted.record_bucket_high_water(u64::MAX);
+        counted.restore(&taken);
+        let snap = counted.snapshot();
+        assert_eq!(snap.snapshot_bytes, taken.snapshot_bytes + 5, "a sum row adds");
+        assert_eq!(snap.bucket_high_water, u64::MAX, "a max row keeps its mark");
     }
 }

@@ -74,7 +74,10 @@ impl std::str::FromStr for TransportKind {
     }
 }
 
-/// Builds the full mesh for `n` machines over the chosen carrier.
+/// Builds the full mesh for `n` machines over the chosen carrier, every
+/// machine's links counting into the one `stats`: the form for a harness
+/// that drives endpoints itself. An engine run gives each machine counters
+/// of its own ([`build_machine_endpoints`]).
 ///
 /// For [`TransportKind::Tcp`] the machines still live in this process
 /// (one thread each, exactly like InProc) but every batch crosses a real
@@ -85,9 +88,19 @@ pub fn build_endpoints<T: Wire + Send>(
     n: usize,
     stats: &Arc<NetStats>,
 ) -> Result<Vec<Endpoint<T>>, CommError> {
+    build_machine_endpoints(kind, &vec![Arc::clone(stats); n])
+}
+
+/// Builds the full mesh for `stats.len()` machines over the chosen
+/// carrier, machine `m`'s links counting the frames they carry into
+/// `stats[m]` (the in-process carrier counts none).
+pub fn build_machine_endpoints<T: Wire + Send>(
+    kind: TransportKind,
+    stats: &[Arc<NetStats>],
+) -> Result<Vec<Endpoint<T>>, CommError> {
     match kind {
-        TransportKind::InProc => Ok(build_mesh(n)),
-        TransportKind::Tcp => build_tcp_mesh(n, stats, &TcpOptions::default()),
+        TransportKind::InProc => Ok(build_mesh(stats.len())),
+        TransportKind::Tcp => build_tcp_mesh(stats, &TcpOptions::default()),
     }
 }
 
@@ -181,17 +194,18 @@ fn io_err(me: usize, what: &'static str, e: &std::io::Error) -> CommError {
     CommError::transport(me, &NetError::from_io(e, what))
 }
 
-/// Builds an all-loopback TCP mesh with every machine in this process.
+/// Builds an all-loopback TCP mesh of `stats.len()` machines, all in this
+/// process, machine `m`'s links counting into `stats[m]`.
 ///
 /// Listeners are bound (port 0) before any thread dials, so establishment
 /// cannot race; one short-lived thread per machine then runs the standard
 /// dial/accept split from `lazygraph_net::connect_mesh`, and every one of
 /// them is joined before this returns: the mesh itself runs no thread.
 pub fn build_tcp_mesh<T: Wire + Send>(
-    n: usize,
-    stats: &Arc<NetStats>,
+    stats: &[Arc<NetStats>],
     opts: &TcpOptions,
 ) -> Result<Vec<Endpoint<T>>, CommError> {
+    let n = stats.len();
     assert!(n > 0);
     if n == 1 {
         // A 1-machine mesh has no peers and therefore no sockets.
@@ -210,7 +224,8 @@ pub fn build_tcp_mesh<T: Wire + Send>(
         let handles: Vec<_> = listeners
             .into_iter()
             .enumerate()
-            .map(|(me, listener)| {
+            .zip(stats)
+            .map(|((me, listener), stats)| {
                 s.spawn(move || -> Result<Endpoint<T>, CommError> {
                     let links = connect_mesh(me, addrs, &listener, opts)
                         .map_err(|e| CommError::transport(me, &e))?;
@@ -369,7 +384,7 @@ mod tests {
     fn tcp_mesh_exchange_matches_inproc_semantics() {
         let n = 3;
         let stats = Arc::new(NetStats::new());
-        let eps = build_tcp_mesh::<u64>(n, &stats, &TcpOptions::default()).unwrap();
+        let eps = build_tcp_mesh::<u64>(&vec![stats.clone(); n], &TcpOptions::default()).unwrap();
         let sums: Vec<u64> = std::thread::scope(|s| {
             let handles: Vec<_> = eps
                 .into_iter()
@@ -519,7 +534,7 @@ mod tests {
     #[test]
     fn single_machine_tcp_mesh_opens_no_socket() {
         let stats = Arc::new(NetStats::new());
-        let eps = build_tcp_mesh::<u32>(1, &stats, &TcpOptions::default()).unwrap();
+        let eps = build_tcp_mesh::<u32>(std::slice::from_ref(&stats), &TcpOptions::default()).unwrap();
         assert_eq!(eps.len(), 1);
         assert_eq!(stats.snapshot().wire_frames_sent, 0);
     }
@@ -539,7 +554,7 @@ mod tests {
             write_timeout: Duration::from_millis(500),
             ..TcpOptions::default()
         };
-        let mut eps = build_tcp_mesh::<u32>(n, &stats, &opts).unwrap();
+        let mut eps = build_tcp_mesh::<u32>(&vec![stats.clone(); n], &opts).unwrap();
         let mut ep2 = eps.pop().unwrap();
         let mut ep1 = eps.pop().unwrap();
         let ep0 = eps.pop().unwrap();

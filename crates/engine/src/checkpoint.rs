@@ -4,15 +4,15 @@
 //! A checkpoint is one machine's complete cross-iteration state — the
 //! [`MachineState`](crate::state::MachineState) arrays, the simulated
 //! clock and its breakdown, the iteration counter, the engine's carried
-//! record ([`Superstep::Carry`](crate::machine::Superstep::Carry)) and the
-//! machine's trace. Every machine snapshots at the same barrier, so one
+//! record ([`Superstep::Carry`](crate::machine::Superstep::Carry)), the
+//! machine's counters and its trace. Every machine snapshots at the same barrier, so one
 //! generation across all machines is a consistent cut: no message is in
 //! flight across it. A gang restarted from a generation every machine
 //! holds re-executes from there, and the determinism contract makes the
 //! rest of the run bitwise the undisturbed one's. DESIGN.md §12 walks
 //! through the protocol.
 //!
-//! ## On-disk format (v13)
+//! ## On-disk format (v14)
 //!
 //! ```text
 //! [magic "LZCK" u32 LE][version u32]
@@ -65,7 +65,7 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use lazygraph_cluster::CommError;
+use lazygraph_cluster::{CommError, StatsSnapshot};
 use lazygraph_net::{wire_record, NetError, Wire, WireReader};
 
 use crate::config::EngineKind;
@@ -104,8 +104,10 @@ pub const CKPT_MAGIC: u32 = 0x4b435a4c;
 /// nothing. v12 changed the trace's record: the skeleton's `StepRecord`,
 /// carrying the engine's carried record, replaced the engines' own. v13
 /// added `held` to the header and writes the `coherent` and `delta_msg`
-/// sections only where the machine holds those arrays.
-pub const CKPT_VERSION: u32 = 13;
+/// sections only where the machine holds those arrays. v14 added the
+/// machine's counters at the cut to the header: a resumed machine counts on
+/// from them, so a recovered run reports the undisturbed run's counters.
+pub const CKPT_VERSION: u32 = 14;
 /// Payload bytes after which the writer closes a chunk.
 pub const CKPT_CHUNK: usize = 1 << 20;
 /// Largest encoding of one element (a value, or a mask word with the
@@ -503,15 +505,17 @@ impl<R: Read> ChunkReader<R> {
     }
 
     /// Checks that the stream ends here: nothing undecoded in the buffer,
-    /// then the end record, then the end of the file.
-    pub fn finish(mut self) -> Result<(), CheckpointError> {
+    /// then the end record, then the end of the file. Returns the
+    /// container's size in bytes, as [`ChunkWriter::finish`] does.
+    pub fn finish(mut self) -> Result<u64, CheckpointError> {
         if !self.at_chunk_end() {
             return Err(malformed("undecoded bytes after the last element"));
         }
         if self.advance()? {
             return Err(malformed("a chunk after the last element"));
         }
-        Ok(())
+        // Magic and version, the chunks, then the 24-byte end record.
+        Ok(8 + self.chunks * CHUNK_HEADER as u64 + self.payload + 24)
     }
 }
 
@@ -568,6 +572,9 @@ pub struct SnapshotHeader {
     pub carry: Vec<u8>,
     /// The optional arrays the machine held: which sections follow.
     pub held: Held,
+    /// The machine's counters at the cut — all it had counted when the
+    /// save began, so not this snapshot's own bytes.
+    pub counters: StatsSnapshot,
 }
 
 wire_record!(SnapshotHeader {
@@ -578,6 +585,7 @@ wire_record!(SnapshotHeader {
     last_global,
     carry,
     held,
+    counters,
 });
 
 impl SnapshotHeader {
@@ -832,7 +840,8 @@ impl<R: Read> SnapshotReader<R> {
     /// Streams the arrays into `state`, which must be as
     /// `MachineState::init` built it for the machine that saved them — a
     /// `coherent` entry saved as the initial view is left as it stands —
-    /// and the trace into `history`, and hands the header back. A state
+    /// and the trace into `history`, and hands back the header and the
+    /// container's size in bytes (what the save recorded). A state
     /// that holds other optional arrays than the snapshot's is refused
     /// first ([`CheckpointError::WrongLayout`]). Every section's length is
     /// checked against the state's (the trace's against the superstep
@@ -843,7 +852,7 @@ impl<R: Read> SnapshotReader<R> {
         self,
         state: &mut MachineState<P>,
         history: &mut Vec<StepRecord>,
-    ) -> Result<SnapshotHeader, CheckpointError> {
+    ) -> Result<(SnapshotHeader, u64), CheckpointError> {
         let SnapshotReader { header, mut chunks } = self;
         if header.held != state.held() {
             return Err(CheckpointError::WrongLayout { found: header.held, expected: state.held() });
@@ -897,8 +906,8 @@ impl<R: Read> SnapshotReader<R> {
         for _ in 0..len {
             history.push(chunks.get()?);
         }
-        chunks.finish()?;
-        Ok(header)
+        let bytes = chunks.finish()?;
+        Ok((header, bytes))
     }
 }
 
@@ -1063,7 +1072,10 @@ impl RecoveryCfg {
 /// and with two generations kept a generation all of them hold always
 /// exists. The barrier charges no simulated time and counts no global
 /// sync, so checkpointed and checkpoint-free runs report identical
-/// `sim_time` and `global_syncs`.
+/// `sim_time` and `global_syncs`. The header carries the machine's
+/// counters as the save begins; the save's own bytes are counted after it,
+/// and a machine resumed from this generation adds them back (DESIGN.md
+/// §12).
 pub fn checkpoint_at_barrier<P: VertexProgram, M: Wire + Send>(
     f: &mut Frame<'_, P, M>,
     store: &SnapshotStore,
@@ -1082,6 +1094,7 @@ pub fn checkpoint_at_barrier<P: VertexProgram, M: Wire + Send>(
         last_global: f.bsp.last_global,
         carry: carry.to_wire(),
         held: f.state.held(),
+        counters: f.stats.snapshot(),
     };
     let initial = |l| initial_data(f.shard, f.program, l, f.num_vertices);
     let bytes =
@@ -1161,6 +1174,13 @@ mod tests {
             last_global: 1.4375,
             carry: carry.to_wire(),
             held: ALL,
+            counters: StatsSnapshot {
+                global_syncs: 12,
+                edges_processed: 3456,
+                snapshot_bytes: 789,
+                bucket_high_water: 5,
+                ..Default::default()
+            },
         }
     }
 
@@ -1243,7 +1263,7 @@ mod tests {
                 assert_eq!(r.get::<u64>().unwrap(), i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
             }
             assert_eq!(r.chunks, (count * 8).div_ceil(CKPT_CHUNK) as u64);
-            r.finish().unwrap();
+            assert_eq!(r.finish().unwrap(), file.len() as u64, "the reader sizes what it read");
         }
     }
 
@@ -1254,7 +1274,8 @@ mod tests {
         assert_eq!(reader.header(), &sample_header());
         let (mut state, saved) = (fresh_state(), sample_state());
         let mut history = Vec::new();
-        assert_eq!(reader.restore_into(&mut state, &mut history).unwrap(), sample_header());
+        let restored = reader.restore_into(&mut state, &mut history).unwrap();
+        assert_eq!(restored, (sample_header(), file.len() as u64));
         assert_eq!(history, sample_history());
         assert_eq!(state.vdata, saved.vdata);
         assert_eq!(state.coherent, saved.coherent);
@@ -1362,7 +1383,7 @@ mod tests {
         // must fail the strict equality check, not decode garbage: every
         // version changed the layout.
         let file = sample_file();
-        for version in [3u32, 4, 5, 6, 7, 8, 9, 10, 11, 12] {
+        for version in [3u32, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13] {
             let mut old = file.clone();
             old[4..8].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(verify(&old), Err(CheckpointError::BadHeader { .. })));

@@ -50,8 +50,11 @@ impl EngineKind {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CommModePolicy {
     /// Dynamically switch between all-to-all and mirrors-to-master using
-    /// the fitted time equations (§4.2.2). Costs one extra mode-vote
-    /// allreduce per coherency point.
+    /// the fitted time equations (§4.2.2). Costs no extra collective: the
+    /// machines' volume estimates for the next exchange ride the coherency
+    /// point's one `BspSync` reduction (`BspReduction::est`), so each
+    /// point's mode is chosen from the estimates reduced one point earlier
+    /// and a coherency point stays one sync.
     Auto,
     /// Always all-to-all (Fig. 5(a)).
     AllToAll,
@@ -127,12 +130,13 @@ pub struct EngineConfig {
     pub block_size: usize,
     /// Number of power-of-two priority buckets the DeltaAccum scheduler
     /// bins pending vertices into (DESIGN.md §15). More buckets = finer
-    /// magnitude classes = stricter largest-first ordering; ignored by
-    /// every other engine.
+    /// magnitude classes = stricter largest-first ordering; no other
+    /// engine reads it (the CLI refuses `--delta-buckets` on them).
     pub delta_buckets: usize,
     /// DeltaAccum scheduling/termination tolerance: pending deltas whose
     /// priority falls below it are parked, and the run converges when no
-    /// machine holds a schedulable vertex. Ignored by other engines.
+    /// machine holds a schedulable vertex. No other engine reads it (the
+    /// CLI refuses `--delta-tolerance` on them).
     pub delta_tolerance: f64,
     /// Mesh transport (DESIGN.md §10): both carriers encode every batch
     /// once; `InProc` (the default) hands the payload to the peer in

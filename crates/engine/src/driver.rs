@@ -3,10 +3,9 @@
 
 use std::io;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
-use lazygraph_cluster::{CommError, NetStats};
+use lazygraph_cluster::CommError;
 use lazygraph_graph::Graph;
 use lazygraph_net::Wire;
 use lazygraph_partition::{
@@ -127,7 +126,6 @@ pub fn run_on<P: VertexProgram>(
 ) -> Result<RunResult<P>, CommError> {
     let shape = dg.shape();
     let cfg = &cfg.clone().with_threads(cfg.resolve_threads(shape.num_machines)?);
-    let stats = Arc::new(NetStats::new());
     #[expect(
         clippy::disallowed_methods,
         reason = "host wall-clock feeds only the reported runtime metric; \
@@ -138,11 +136,10 @@ pub fn run_on<P: VertexProgram>(
         transport: cfg.transport,
         shards: &dg.shards,
     };
-    let outs = run_mesh_engine(&shape, cfg, program, mesh, &stats)?;
+    let outs = run_mesh_engine(&shape, cfg, program, mesh)?;
     let measured = Measured {
         lambda: dg.lambda(),
         wall_time: started.elapsed(),
-        stats: stats.snapshot(),
     };
     Ok(assemble(outs, cfg, program, dg.num_global_vertices, measured))
 }

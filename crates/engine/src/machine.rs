@@ -25,13 +25,16 @@
 //! way a machine owns its endpoint, and its exchanges, barriers and
 //! allreduces are rounds of that one endpoint. Every engine runs on
 //! either. Neither hands it a placement: a machine reads its own shard and
-//! the three scalars of a [`PlacementShape`].
+//! the three scalars of a [`PlacementShape`]. Either way a machine counts
+//! into a [`NetStats`] of its own, which its [`Seat`] carries, and hands
+//! back a snapshot of it in its [`MachineOut`]: [`assemble`] is the one
+//! merge.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use lazygraph_cluster::{
-    build_endpoints, CommError, Endpoint, NetStats, SimClock, StatsSnapshot, TransportKind,
+    build_machine_endpoints, CommError, Endpoint, NetStats, SimClock, StatsSnapshot, TransportKind,
 };
 use lazygraph_net::{wire_record, Wire};
 use lazygraph_partition::{LocalShard, PlacementShape};
@@ -69,6 +72,8 @@ pub struct Frame<'a, P: VertexProgram, M> {
     pub clock: SimClock,
     pub bsp: BspSync,
     pub port: Port<(u32, M)>,
+    /// This machine's counters, which its port and its endpoint's links
+    /// count into too.
     pub stats: Arc<NetStats>,
     /// Steps started so far (1-based inside `step`): supersteps, or the
     /// barrier-free engines' rounds.
@@ -178,24 +183,30 @@ pub struct MachineOut<P: VertexProgram> {
     pub breakdown: SimBreakdown,
     /// This machine's trace, one record a step (empty unless recorded).
     pub history: Vec<StepRecord>,
+    /// This machine's counters, snapshotted once its endpoint had closed.
+    pub stats: StatsSnapshot,
 }
 
 impl<P: VertexProgram> MachineOut<P> {
     /// The epilogue every engine shares: this machine's master values and
-    /// what its frame recorded.
+    /// what its frame recorded. The endpoint closes first, so the frames
+    /// its close sends (TCP's Shutdown frames) are counted too.
     pub fn collect<M>(f: Frame<'_, P, M>, converged: bool, counters: LazyCounters) -> Self {
-        let masters = (0..f.shard.num_local() as u32)
-            .filter(|&l| f.shard.is_master(l))
-            .map(|l| (f.shard.global_of(l).0, f.state.vdata[l as usize].clone()))
+        let Frame { shard, state, port, stats, iterations, clock, bsp, history, .. } = f;
+        drop(port);
+        let masters = (0..shard.num_local() as u32)
+            .filter(|&l| shard.is_master(l))
+            .map(|l| (shard.global_of(l).0, state.vdata[l as usize].clone()))
             .collect();
         MachineOut {
             masters,
-            iterations: f.iterations,
+            iterations,
             converged,
-            sim_time: f.clock.now(),
+            sim_time: clock.now(),
             counters,
-            breakdown: f.bsp.breakdown,
-            history: f.history,
+            breakdown: bsp.breakdown,
+            history,
+            stats: stats.snapshot(),
         }
     }
 }
@@ -208,6 +219,7 @@ wire_record!(MachineOut<P> where P: VertexProgram {
     counters,
     breakdown,
     history,
+    stats,
 });
 
 /// What a route observed around its machines: the part of [`RunMetrics`]
@@ -217,8 +229,6 @@ pub struct Measured {
     pub lambda: f64,
     /// Host wall-clock of the machines' run (set-up excluded).
     pub wall_time: Duration,
-    /// Every machine's counters, merged.
-    pub stats: StatsSnapshot,
 }
 
 /// The one epilogue of every route: folds per-machine outcomes into the
@@ -228,7 +238,8 @@ pub struct Measured {
 /// taken); `local_subrounds` is per-machine work and is summed — and so
 /// are LazyVertexAsync's coherency points, which every machine reaches on
 /// its own. The simulated time is the maximum machine clock; the
-/// breakdown and the trace are machine 0's.
+/// breakdown and the trace are machine 0's. The machines' counters merge
+/// by the counter table's rules.
 pub fn assemble<P: VertexProgram>(
     mut outs: Vec<MachineOut<P>>,
     cfg: &EngineConfig,
@@ -237,6 +248,11 @@ pub fn assemble<P: VertexProgram>(
     measured: Measured,
 ) -> RunResult<P> {
     let sim_time = outs.iter().map(|o| o.sim_time).fold(0.0, f64::max);
+    let per_machine: Vec<StatsSnapshot> = outs.iter().map(|o| o.stats).collect();
+    let mut stats = StatsSnapshot::default();
+    for s in &per_machine {
+        stats.merge(s);
+    }
     let (iterations, converged, mut counters, breakdown, history) = match outs.first_mut() {
         Some(o) => {
             (o.iterations, o.converged, o.counters, o.breakdown, std::mem::take(&mut o.history))
@@ -268,7 +284,7 @@ pub fn assemble<P: VertexProgram>(
             |(gid, v)| v.unwrap_or_else(|| panic!("vertex {gid} has no master value")),
         )
         .collect();
-    let Measured { lambda, wall_time, stats } = measured;
+    let Measured { lambda, wall_time } = measured;
     RunResult {
         values,
         metrics: RunMetrics {
@@ -283,6 +299,7 @@ pub fn assemble<P: VertexProgram>(
             breakdown,
             wall_time,
             stats,
+            per_machine,
             converged,
             lambda,
             history,
@@ -292,12 +309,15 @@ pub fn assemble<P: VertexProgram>(
 
 /// One machine this process runs: its rank, its shard — one of a
 /// placement the process holds, or the only one a worker loaded — its
-/// endpoint into the run's mesh, and its checkpoint/resume configuration.
-/// The machine owns its endpoint: when it ends, or fails, it closes.
+/// endpoint into the run's mesh, the counters it and its endpoint count
+/// into, and its checkpoint/resume configuration. The machine owns its
+/// endpoint: when it ends, or fails, it closes.
 pub struct Seat<'a, T> {
     pub me: usize,
     pub shard: &'a LocalShard,
     pub ep: Endpoint<T>,
+    /// This machine's own counters: no other machine counts into them.
+    pub stats: Arc<NetStats>,
     pub recovery: RecoveryCfg,
 }
 
@@ -306,11 +326,8 @@ pub struct Seat<'a, T> {
 /// method rather than a ready-made endpoint list.
 pub trait Attach<'a> {
     /// Builds (or connects) the mesh typed `T` and returns the seats this
-    /// process runs.
-    fn attach<T: Wire + Send + 'static>(
-        self,
-        stats: &Arc<NetStats>,
-    ) -> Result<Vec<Seat<'a, T>>, CommError>;
+    /// process runs, each with fresh counters of its own.
+    fn attach<T: Wire + Send + 'static>(self) -> Result<Vec<Seat<'a, T>>, CommError>;
 }
 
 /// Every machine of the run as a thread of this process — one per shard
@@ -322,19 +339,18 @@ pub struct ThreadedMesh<'a> {
 }
 
 impl<'a> Attach<'a> for ThreadedMesh<'a> {
-    fn attach<T: Wire + Send + 'static>(
-        self,
-        stats: &Arc<NetStats>,
-    ) -> Result<Vec<Seat<'a, T>>, CommError> {
-        let eps = build_endpoints::<T>(self.transport, self.shards.len(), stats)?;
+    fn attach<T: Wire + Send + 'static>(self) -> Result<Vec<Seat<'a, T>>, CommError> {
+        let stats: Vec<Arc<NetStats>> = self.shards.iter().map(|_| Arc::default()).collect();
+        let eps = build_machine_endpoints::<T>(self.transport, &stats)?;
         Ok(eps
             .into_iter()
-            .zip(self.shards)
+            .zip(self.shards.iter().zip(stats))
             .enumerate()
-            .map(|(me, (ep, shard))| Seat {
+            .map(|(me, (ep, (shard, stats)))| Seat {
                 me,
                 shard,
                 ep,
+                stats,
                 recovery: RecoveryCfg::default(),
             })
             .collect())
@@ -345,22 +361,21 @@ impl<'a> Attach<'a> for ThreadedMesh<'a> {
 /// — over a placement of `shape` and returns their outcomes in seat order.
 /// The one entry the in-process driver and the worker binary share, so a
 /// threaded run and a multiprocess run of the same job are bitwise
-/// identical by construction. Every machine of the process counts into
-/// `stats`; everything else a machine records comes back in its outcome.
+/// identical by construction. Everything a machine records, its counters
+/// included, comes back in its outcome.
 pub fn run_mesh_engine<'a, P: VertexProgram>(
     shape: &PlacementShape,
     cfg: &EngineConfig,
     program: &P,
     mesh: impl Attach<'a>,
-    stats: &Arc<NetStats>,
 ) -> Result<Vec<MachineOut<P>>, CommError> {
     match cfg.engine {
-        EngineKind::PowerGraphSync => run_seats::<P, SyncStep<P>>(shape, cfg, program, mesh, stats),
-        EngineKind::LazyBlockAsync => run_seats::<P, LazyStep<P>>(shape, cfg, program, mesh, stats),
-        EngineKind::DeltaAccum => run_seats::<P, DeltaStep>(shape, cfg, program, mesh, stats),
-        EngineKind::PowerGraphAsync => run_seats::<P, AsyncPump<P>>(shape, cfg, program, mesh, stats),
-        EngineKind::LazyVertexAsync => run_seats::<P, LazyVertexPump>(shape, cfg, program, mesh, stats),
-        EngineKind::PowerSwitchHybrid => run_seats::<P, HybridStep<P>>(shape, cfg, program, mesh, stats),
+        EngineKind::PowerGraphSync => run_seats::<P, SyncStep<P>>(shape, cfg, program, mesh),
+        EngineKind::LazyBlockAsync => run_seats::<P, LazyStep<P>>(shape, cfg, program, mesh),
+        EngineKind::DeltaAccum => run_seats::<P, DeltaStep>(shape, cfg, program, mesh),
+        EngineKind::PowerGraphAsync => run_seats::<P, AsyncPump<P>>(shape, cfg, program, mesh),
+        EngineKind::LazyVertexAsync => run_seats::<P, LazyVertexPump>(shape, cfg, program, mesh),
+        EngineKind::PowerSwitchHybrid => run_seats::<P, HybridStep<P>>(shape, cfg, program, mesh),
     }
 }
 
@@ -369,18 +384,17 @@ fn run_seats<'a, P: VertexProgram, S: Superstep<P>>(
     cfg: &EngineConfig,
     program: &P,
     mesh: impl Attach<'a>,
-    stats: &Arc<NetStats>,
 ) -> Result<Vec<MachineOut<P>>, CommError> {
     // Every pool exists before the first machine thread does: a host that
     // refuses a pool thread fails the run here, where no machine is yet
     // waiting at a barrier for the one that could not start.
     let seats = mesh
-        .attach::<(u32, S::Msg)>(stats)?
+        .attach::<(u32, S::Msg)>()?
         .into_iter()
         .map(|seat| Ok((seat, ParallelCtx::new(cfg.parallel(shape.num_machines))?)))
         .collect::<Result<Vec<_>, CommError>>()?;
     lazygraph_cluster::try_run_machines(seats, |(seat, pctx)| {
-        run_machine::<P, S>(shape, cfg, program, seat, pctx, stats.clone())
+        run_machine::<P, S>(shape, cfg, program, seat, pctx)
     })
 }
 
@@ -391,12 +405,12 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
     program: &P,
     seat: Seat<'_, (u32, S::Msg)>,
     pctx: ParallelCtx,
-    stats: Arc<NetStats>,
 ) -> Result<MachineOut<P>, CommError> {
     let Seat {
         me,
         shard,
         ep,
+        stats,
         mut recovery,
     } = seat;
     let mut f = Frame {
@@ -427,7 +441,11 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
         header.check_clock().map_err(fail)?;
         carry = S::Carry::from_wire(&header.carry).map_err(|e| fail(e.into()))?;
         // Straight from the file into the arrays `init` has just built.
-        let header = snapshot.restore_into(&mut f.state, &mut f.history).map_err(fail)?;
+        let (header, bytes) = snapshot.restore_into(&mut f.state, &mut f.history).map_err(fail)?;
+        // The counters go on from the cut, and the save of this
+        // generation counted its own bytes after the header was written.
+        f.stats.restore(&header.counters);
+        f.stats.record_snapshot_bytes(bytes);
         f.clock.set(header.clock);
         f.bsp.breakdown = header.breakdown;
         f.bsp.last_global = header.last_global;

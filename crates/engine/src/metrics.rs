@@ -93,12 +93,13 @@ pub struct RunMetrics {
     /// Wall-clock duration of the run on the build host (informational —
     /// machine threads timeshare host cores).
     pub wall_time: Duration,
-    /// Exact communication / synchronisation counters (Figs. 10, 11).
-    /// A snapshot carries none of them, so after a gang restart they are
-    /// what the last incarnation counted from its resume point on; only
-    /// the engine's carried counters above (`coherency_points` …
-    /// `m2m_exchanges`) span the whole run (DESIGN.md §12).
+    /// Exact communication / synchronisation counters (Figs. 10, 11): the
+    /// merge of [`Self::per_machine`]. A snapshot carries its machine's
+    /// counters at the cut, so after a gang restart they span the whole
+    /// run, as an undisturbed run's do (DESIGN.md §12).
     pub stats: StatsSnapshot,
+    /// Each machine's own counters, indexed by machine, on either route.
+    pub per_machine: Vec<StatsSnapshot>,
     /// Whether the run reached a fixpoint (vs the iteration cap).
     pub converged: bool,
     /// Replication factor of the placement used.
@@ -112,7 +113,7 @@ pub struct RunMetrics {
 /// bitwise across threads, block sizes, transports, worker processes and
 /// placements that store the same edges, as integers, so `assert_eq!` on
 /// two records names the field that moved. A run recovered from a
-/// snapshot owes all of it but `counters` (DESIGN.md §12). Built by
+/// snapshot owes all of it, `counters` included (DESIGN.md §12). Built by
 /// [`RunResult::record`](crate::RunResult::record).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunRecord {
@@ -191,6 +192,7 @@ mod tests {
             },
             wall_time: Duration::from_millis(10),
             stats: StatsSnapshot::default(),
+            per_machine: Vec::new(),
             converged: true,
             lambda: 2.5,
             history: Vec::new(),

@@ -94,6 +94,8 @@ const RUN_FLAGS: &[&str] = &["multiprocess", "symmetrize", "bidirectional"];
 const MULTIPROCESS_ONLY: &[&str] = &["checkpoint-every", "respawn-budget", "failpoint"];
 /// The part of that family with nothing to act on without checkpoints.
 const CHECKPOINT_ONLY: &[&str] = &["respawn-budget", "failpoint"];
+/// The options only the delta engine reads.
+const DELTA_ONLY: &[&str] = &["delta-buckets", "delta-tolerance"];
 const GENERATE_VALUES: &[&str] = &["kind", "vertices", "out", "seed"];
 
 struct Opts {
@@ -253,14 +255,27 @@ fn engine_config(opts: &Opts) -> EngineConfig {
             usage();
         }
     };
+    let block_size = opts.parse_num("block-size", lazygraph_engine::DEFAULT_BLOCK_SIZE);
+    if block_size == 0 {
+        die("--block-size: 0 is not a block size (at least 1)");
+    }
     let mut cfg = EngineConfig::lazygraph()
         .with_engine(engine)
         .with_partition(partition)
         .with_bidirectional(opts.flags.contains("bidirectional"))
         .with_threads(opts.parse_num("threads", 0usize))
-        .with_block_size(opts.parse_num("block-size", lazygraph_engine::DEFAULT_BLOCK_SIZE));
+        .with_block_size(block_size);
+    if engine != EngineKind::DeltaAccum {
+        if let Some(key) = DELTA_ONLY.iter().find(|k| opts.get(k).is_some()) {
+            die(&format!("--{key} requires --engine delta"));
+        }
+    }
     if opts.get("delta-buckets").is_some() {
-        cfg = cfg.with_delta_buckets(opts.parse_num("delta-buckets", 0usize));
+        let buckets = opts.parse_num("delta-buckets", 0usize);
+        if buckets == 0 {
+            die("--delta-buckets: 0 is not a bucket count (at least 1)");
+        }
+        cfg = cfg.with_delta_buckets(buckets);
     }
     if opts.get("delta-tolerance").is_some() {
         let tolerance: f64 = opts.parse_num("delta-tolerance", 0.0);

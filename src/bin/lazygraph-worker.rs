@@ -7,9 +7,9 @@
 //! process ever holds — checks the shard against the job's placement
 //! shape, drops the file bytes, joins the run's TCP mesh over loopback,
 //! runs its machine through the shared `run_mesh_engine` entry, and
-//! writes its Wire-encoded result — `MachineOut ++ StatsSnapshot`: its
-//! master values, counters, simulated-time breakdown and per-round
-//! trace, then its `NetStats` — to the output path. A
+//! writes its Wire-encoded result — one `MachineOut`: its master values,
+//! carried counters, simulated-time breakdown, per-round trace and
+//! `NetStats` snapshot — to the output path. A
 //! restarted gang's worker, started with `--resume G`, reads the same
 //! shard file — nothing a run does changes a shard — and its snapshot of
 //! generation `G`, and joins a fresh mesh like any other start.
@@ -125,16 +125,15 @@ struct WorkerSeat<'a> {
 }
 
 impl<'a> Attach<'a> for WorkerSeat<'a> {
-    fn attach<T: Wire + Send + 'static>(
-        self,
-        stats: &Arc<NetStats>,
-    ) -> Result<Vec<Seat<'a, T>>, CommError> {
+    fn attach<T: Wire + Send + 'static>(self) -> Result<Vec<Seat<'a, T>>, CommError> {
+        let stats = Arc::new(NetStats::new());
         let opts = TcpOptions::default();
-        let ep = connect_tcp_endpoint::<T>(self.me, self.data_addrs, stats, &opts)?;
+        let ep = connect_tcp_endpoint::<T>(self.me, self.data_addrs, &stats, &opts)?;
         Ok(vec![Seat {
             me: self.me,
             shard: self.shard,
             ep,
+            stats,
             recovery: self.recovery,
         }])
     }
@@ -164,7 +163,6 @@ fn run_worker<P: Shipped>(job: &WorkerJob, args: Args, program: P) -> Result<(),
     // dropped before a mesh is dialled.
     let shard = load_shard(&args.job, me, &job.shape).map_err(|e| e.to_string())?;
 
-    let stats = Arc::new(NetStats::default());
     let recovery_on = job.checkpoint_every > 0 && !job.checkpoint_dir.is_empty();
     let store = recovery_on.then(|| SnapshotStore::new(&job.checkpoint_dir, me));
     // Only the header is read here; the arrays stay in the open file until
@@ -187,7 +185,7 @@ fn run_worker<P: Shipped>(job: &WorkerJob, args: Args, program: P) -> Result<(),
             resume: snapshot,
         },
     };
-    let out = run_mesh_engine(&job.shape, cfg, &program, seat, &stats)
+    let out = run_mesh_engine(&job.shape, cfg, &program, seat)
         .map_err(|e| format!("{} machine {me}: {e}", cfg.engine.name()))?
         .pop()
         .ok_or("the engine returned no machine outcome")?;
@@ -198,12 +196,10 @@ fn run_worker<P: Shipped>(job: &WorkerJob, args: Args, program: P) -> Result<(),
         );
     }
 
-    // Result file layout: MachineOut ++ StatsSnapshot. The machine loop
-    // has returned, so its endpoint is closed: every frame this
-    // worker sent, its Shutdown frames included, is counted.
-    let mut result = out.to_wire();
-    stats.snapshot().encode(&mut result);
-    std::fs::write(&args.out, &result)
+    // The result file is the machine's outcome, whose counters were
+    // snapshotted after its endpoint closed: every frame this worker
+    // sent, its Shutdown frames included, is counted.
+    std::fs::write(&args.out, out.to_wire())
         .map_err(|e| format!("writing result {}: {e}", args.out.display()))?;
     Ok(())
 }

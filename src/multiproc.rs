@@ -11,10 +11,11 @@
 //! and the three scalars of the placement's shape, a few hundred bytes
 //! whatever the graph. It spawns N `lazygraph-worker` processes,
 //! each of which reads the job and *its own* shard file and nothing else
-//! of the graph, and collects each worker's Wire-encoded result file: its
-//! per-machine outcome, its `NetStats` snapshot (with *measured* frame
-//! bytes, since every exchange crossed a real socket); the outcome carries
-//! its simulated-time breakdown and per-round trace. The shards are files
+//! of the graph, and collects each worker's Wire-encoded result file: one
+//! `MachineOut`, the same outcome a machine thread returns, carrying its
+//! simulated-time breakdown, its per-round trace and its counters (with
+//! *measured* frame bytes, since every exchange crossed a real socket).
+//! The shards are files
 //! rather than a stream because a restarted gang reads the same shards
 //! again: nothing a run does changes a shard, so a restart is those files
 //! plus one snapshot generation every worker holds (DESIGN.md §12). Of the placement
@@ -47,13 +48,13 @@ use std::time::{Duration, Instant};
 
 pub use lazygraph_algorithms::{AlgoSpec, Shipped};
 pub use lazygraph_cluster::FailPoint;
-use lazygraph_cluster::{CommError, StatsSnapshot};
+use lazygraph_cluster::CommError;
 use lazygraph_engine::checkpoint::{CheckpointError, SnapshotStore};
 use lazygraph_engine::{
     assemble, place_files, EngineConfig, MachineOut, Measured, RunResult,
 };
 use lazygraph_graph::{Graph, MachineId};
-use lazygraph_net::{wire_record, NetError, Wire, WireReader};
+use lazygraph_net::{wire_record, NetError, Wire};
 use lazygraph_partition::{LocalShard, PlacementShape, ShardFiles};
 
 /// Everything one worker process needs to run its machine except its
@@ -167,10 +168,6 @@ pub struct LaunchReport {
     /// included: the placement streams every shard into its file as it
     /// walks, so the two are one span.
     pub partition_time: Duration,
-    /// Each worker's own counters, indexed by machine (the result's
-    /// `metrics.stats` is their merge). After a gang restart they are the
-    /// last incarnation's.
-    pub per_worker_stats: Vec<StatsSnapshot>,
     /// How many times the launcher restarted the whole gang (0 on an
     /// undisturbed run).
     pub gang_restarts: u32,
@@ -326,13 +323,11 @@ fn launch_in<P: Shipped>(
 
     let launched = Instant::now();
     let (result_files, gang_restarts) = supervise(dir, &job, worker_bin, opts)?;
-    let (result, per_worker_stats) =
-        assemble_result(&job, program, lambda, &masters, launched, result_files)?;
+    let result = assemble_result(&job, program, lambda, &masters, launched, result_files)?;
     let report = LaunchReport {
         job_bytes: job_file.len() as u64,
         shard_bytes,
         partition_time,
-        per_worker_stats,
         gang_restarts,
     };
     Ok((result, report))
@@ -571,10 +566,10 @@ fn supervise(
     Ok((results, restarts))
 }
 
-/// Decodes every worker's result file (`MachineOut ++ StatsSnapshot`),
-/// checks the master values it carries against the placement's master
-/// table, and folds the machine outcomes through the in-process driver's
-/// own epilogue. Returns each worker's own counters beside it.
+/// Decodes every worker's result file (one `MachineOut`), checks the
+/// master values it carries against the placement's master table, and
+/// folds the machine outcomes through the in-process driver's own
+/// epilogue.
 fn assemble_result<P: Shipped>(
     job: &WorkerJob,
     program: &P,
@@ -582,21 +577,14 @@ fn assemble_result<P: Shipped>(
     masters: &[MachineId],
     launched: Instant,
     result_files: Vec<Vec<u8>>,
-) -> Result<(RunResult<P>, Vec<StatsSnapshot>), MultiprocError> {
+) -> Result<RunResult<P>, MultiprocError> {
     let mut outs: Vec<MachineOut<P>> = Vec::with_capacity(result_files.len());
-    let mut per_worker_stats = Vec::with_capacity(result_files.len());
-    let mut merged = StatsSnapshot::default();
     let mut sent = vec![false; masters.len()];
     for (me, bytes) in result_files.iter().enumerate() {
-        let mut r = WireReader::new(bytes);
-        let fail = |e: NetError| MultiprocError::Decode(format!("worker {me} result: {e}"));
-        let out = MachineOut::<P>::decode(&mut r).map_err(fail)?;
-        let stats = StatsSnapshot::decode(&mut r).map_err(fail)?;
-        r.finish().map_err(fail)?;
+        let out = MachineOut::<P>::from_wire(bytes)
+            .map_err(|e| MultiprocError::Decode(format!("worker {me} result: {e}")))?;
         check_masters(me, out.masters.iter().map(|&(gid, _)| gid), masters, &mut sent)?;
         outs.push(out);
-        merged.merge(&stats);
-        per_worker_stats.push(stats);
     }
     if let Some(gid) = sent.iter().position(|&s| !s) {
         return Err(MultiprocError::Decode(format!(
@@ -607,10 +595,8 @@ fn assemble_result<P: Shipped>(
     let measured = Measured {
         lambda,
         wall_time: launched.elapsed(),
-        stats: merged,
     };
-    let result = assemble(outs, &job.cfg, program, job.shape.num_global_vertices, measured);
-    Ok((result, per_worker_stats))
+    Ok(assemble(outs, &job.cfg, program, job.shape.num_global_vertices, measured))
 }
 
 /// Holds the gids of worker `me`'s master values to the master table: each
@@ -750,14 +736,13 @@ mod tests {
             counters: Default::default(),
             breakdown: Default::default(),
             history: Vec::new(),
+            stats: Default::default(),
         }
     }
 
     /// The result file of a worker that sends `gids`' CC labels.
     fn result_file(gids: &[u32]) -> Vec<u8> {
-        let mut bytes = machine_out(gids).to_wire();
-        StatsSnapshot::default().encode(&mut bytes);
-        bytes
+        machine_out(gids).to_wire()
     }
 
     /// A result file decodes from bytes a worker wrote, so the gids in it
@@ -772,7 +757,7 @@ mod tests {
         let assembled = |files: [&[u32]; 3]| {
             let files = files.map(result_file).to_vec();
             assemble_result(&job(), &ConnectedComponents, 1.0, &masters, Instant::now(), files)
-                .map(|(result, _)| result.values)
+                .map(|result| result.values)
         };
         let values = assembled([&[0, 3, 6], &[1, 4], &[2, 5]]).expect("every master once");
         assert_eq!(values, (0..7).collect::<Vec<u32>>());
@@ -797,7 +782,7 @@ mod tests {
         // The three-record layout — a `SimBreakdown` after the counters —
         // is refused whether its outcome has the fields a machine now
         // returns (40 bytes past the end) or only those it once did (the
-        // trace's length prefix missing).
+        // trace and the counters missing).
         let breakdown = SimBreakdown::default().to_wire();
         let mut trailing = result_file(&[2, 5]);
         trailing.extend_from_slice(&breakdown);
@@ -808,7 +793,7 @@ mod tests {
         out.converged.encode(&mut once);
         out.sim_time.encode(&mut once);
         out.counters.encode(&mut once);
-        StatsSnapshot::default().encode(&mut once);
+        out.stats.encode(&mut once);
         once.extend_from_slice(&breakdown);
         for (file, why) in [(trailing, "40 trailing bytes"), (once, "truncated")] {
             let files = vec![result_file(&[0, 3, 6]), result_file(&[1, 4]), file];

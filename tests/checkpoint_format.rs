@@ -16,7 +16,7 @@ use proptest::prelude::*;
 
 use lazygraph::prelude::*;
 use lazygraph_cluster::{
-    build_endpoints, try_run_machines, CommError, NetStats, SimClock, TransportKind,
+    build_endpoints, try_run_machines, CommError, NetStats, SimClock, StatsSnapshot, TransportKind,
 };
 use lazygraph_engine::bsp::BspSync;
 use lazygraph_engine::checkpoint::{
@@ -204,6 +204,14 @@ fn a_v12_file_is_a_bad_header() {
     assert_version_refused(12);
 }
 
+/// A v13 file — whose header ends at `held`, without the machine's
+/// counters — is refused at the header, not resumed with counters read
+/// out of the header chunk's end and the vertex section.
+#[test]
+fn a_v13_file_is_a_bad_header() {
+    assert_version_refused(13);
+}
+
 /// A v7 file — the parent's whole-payload container: magic, version,
 /// chunk count — is refused at the header, not decoded as something else.
 #[test]
@@ -286,7 +294,8 @@ fn restore(file: &[u8], n: usize, held: Held) -> Result<Restored, CheckpointErro
     let mut state = fresh_state(n, held);
     // Junk a restore must replace.
     let mut history = vec![StepRecord::default(); 3];
-    let header = SnapshotReader::open(file)?.restore_into(&mut state, &mut history)?;
+    let (header, bytes) = SnapshotReader::open(file)?.restore_into(&mut state, &mut history)?;
+    assert_eq!(bytes, file.len() as u64, "a restore sizes the container it read");
     Ok((header, state, history))
 }
 
@@ -393,6 +402,13 @@ proptest! {
             last_global: f64::from_bits(sums.3),
             carry,
             held: Held { coherent: held.0, delta_msg: held.1 },
+            counters: StatsSnapshot {
+                global_syncs: words.0,
+                edges_processed: sums.3,
+                snapshot_bytes: u64::from(sums.0),
+                bucket_high_water: u64::from(sums.1),
+                ..Default::default()
+            },
         };
         let state = state_holding(&vertices, rotate, header.held);
         let file = snapshot_file(&header, &state, &history);
@@ -423,6 +439,7 @@ proptest! {
             // Carried bytes, so cuts land inside them too.
             carry: counters(0x0123_4567_89ab_cdef).to_wire(),
             held: ALL,
+            counters: StatsSnapshot { applies: 0x0123_4567, ..Default::default() },
         };
         let state = state_of(
             &[(7, (0, 0), (false, 0), (true, 15), true), (8, (2, 9), (true, 5), (false, 0), false),
@@ -463,6 +480,7 @@ fn every_damaged_snapshot_is_refused_or_restores_the_same_state() {
         last_global: 2.375,
         carry: counters(77).to_wire(),
         held: ALL,
+        counters: StatsSnapshot::default(),
     };
     let vertices: Vec<VertexBits> = (0..70u32)
         .map(|l| (l * 3, ((l % 3) as u8, l + 1000), (l % 4 == 0, l), (l % 5 == 0, l * 7), l % 2 == 0))
@@ -523,6 +541,7 @@ fn header_at(engine: u8, iterations: u64) -> SnapshotHeader {
         last_global: 0.0,
         carry: Vec::new(),
         held: ALL,
+        counters: StatsSnapshot::default(),
     }
 }
 
@@ -653,15 +672,14 @@ fn engine_tag_check_is_typed_and_exact() {
 struct ResumeFrom<'a>(&'a SnapshotStore, &'a LocalShard, u64);
 
 impl<'a> Attach<'a> for ResumeFrom<'a> {
-    fn attach<T: Wire + Send + 'static>(
-        self,
-        stats: &Arc<NetStats>,
-    ) -> Result<Vec<Seat<'a, T>>, CommError> {
-        let ep = build_endpoints::<T>(TransportKind::InProc, 1, stats)?.remove(0);
+    fn attach<T: Wire + Send + 'static>(self) -> Result<Vec<Seat<'a, T>>, CommError> {
+        let stats = Arc::new(NetStats::new());
+        let ep = build_endpoints::<T>(TransportKind::InProc, 1, &stats)?.remove(0);
         Ok(vec![Seat {
             me: 0,
             shard: self.1,
             ep,
+            stats,
             recovery: RecoveryCfg {
                 every: 0,
                 store: None,
@@ -677,9 +695,8 @@ fn failed_resume(store: &SnapshotStore, engine: EngineKind) -> CommError {
     let g = lazygraph_graph::generators::rmat(lazygraph_graph::generators::RmatConfig::graph500(5, 4, 3));
     let cfg = EngineConfig::lazygraph().with_engine(engine).with_threads(1);
     let dg = partition_graph(&g, 1, cfg.partition, &cfg.splitter, false);
-    let stats = Arc::new(NetStats::new());
     let mesh = ResumeFrom(store, &dg.shards[0], 2);
-    run_mesh_engine(&dg.shape(), &cfg, &Sssp::new(0u32), mesh, &stats)
+    run_mesh_engine(&dg.shape(), &cfg, &Sssp::new(0u32), mesh)
         .err()
         .unwrap_or_else(|| panic!("{} resumed", engine.name()))
 }
@@ -867,13 +884,14 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
     let dir = ScratchDir::new(tag);
     let dg = partition_graph(g, machines, cfg.partition, &cfg.splitter, cfg.bidirectional);
     let shape = dg.shape();
-    let stats = Arc::new(NetStats::new());
-    let endpoints = build_endpoints::<(u32, S::Msg)>(TransportKind::InProc, machines, &stats)
-        .expect("in-process mesh");
+    let endpoints =
+        build_endpoints::<(u32, S::Msg)>(TransportKind::InProc, machines, &Arc::default())
+            .expect("in-process mesh");
     let seats: Vec<_> = endpoints.into_iter().zip(&dg.shards).enumerate().collect();
     let seen = try_run_machines(seats, |(me, (ep, shard))| -> Result<Seen, CommError> {
         let init = || MachineState::init(shard, program, S::LAYOUT, shape.num_global_vertices);
         let initial = init();
+        let stats = Arc::new(NetStats::new());
         let mut f = Frame {
             me,
             cfg,
@@ -886,7 +904,7 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
             clock: SimClock::new(),
             bsp: BspSync::new(cfg.cost),
             port: Port::new(ep, stats.clone()),
-            stats: stats.clone(),
+            stats,
             iterations: 0,
             history: Vec::new(),
         };
@@ -904,7 +922,13 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
             let at = format!("{tag}: machine {me}, superstep {}", f.iterations);
             let snapshot = store.open_at(f.iterations).expect("a generation was just saved");
             let (mut restored, mut history) = (init(), Vec::new());
-            let header = snapshot.restore_into(&mut restored, &mut history).expect("restore");
+            let (header, bytes) = snapshot.restore_into(&mut restored, &mut history).expect("restore");
+            // What a resumed machine counts on from: the counters at the
+            // cut, then this generation's own bytes.
+            let resumed = NetStats::new();
+            resumed.restore(&header.counters);
+            resumed.record_snapshot_bytes(bytes);
+            assert_eq!(resumed.snapshot(), f.stats.snapshot(), "{at}: counters");
             assert_eq!(header.iterations, f.iterations, "{at}");
             assert_eq!(header.clock.to_bits(), f.clock.now().to_bits(), "{at}");
             assert_eq!(header.breakdown.to_wire(), f.bsp.breakdown.to_wire(), "{at}");

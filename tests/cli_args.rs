@@ -5,7 +5,9 @@
 //! (no `--checkpoint-every`) each exit 2 with a one-line message —
 //! before any graph is loaded or run — and so do a machine count no
 //! placement holds, a program parameter the table refuses, a `--scale`
-//! no analogue can be built at and a `--delta-tolerance` that is not one. What *is*
+//! no analogue can be built at, a `--delta-tolerance` that is not one, a
+//! delta option on another engine and a zero block size or bucket count.
+//! What *is*
 //! read off the input is its format: a binary graph is recognised by its
 //! magic. Every program of the table runs on both routes to the same file.
 
@@ -139,6 +141,27 @@ fn a_delta_tolerance_that_is_not_one_is_rejected() {
     for tolerance in ["inf", "-1", "0", "nan"] {
         let args = run_with(&["--engine", "delta", "--delta-tolerance", tolerance]);
         assert_usage_error(&args, "--delta-tolerance: ");
+    }
+}
+
+/// An engine option the run would not read, or a count it would have to
+/// raise, is refused: the delta engine's two options were accepted and
+/// ignored on every other engine, and a block size or bucket count of 0
+/// silently became 1.
+#[test]
+fn an_engine_option_the_run_would_ignore_or_raise_is_rejected() {
+    for engine in ["lazy", "sync", "async", "lazy-vertex", "hybrid"] {
+        for (opt, value) in [("--delta-buckets", "4"), ("--delta-tolerance", "1e-3")] {
+            let args = run_with(&["--engine", engine, opt, value]);
+            assert_usage_error(&args, &format!("{opt} requires --engine delta"));
+        }
+    }
+    assert_usage_error(&run_with(&["--delta-buckets", "4"]), "--delta-buckets requires --engine delta");
+    let zero_buckets = run_with(&["--engine", "delta", "--delta-buckets", "0"]);
+    assert_usage_error(&zero_buckets, "--delta-buckets: 0 is not a bucket count");
+    for engine in ["lazy", "delta"] {
+        let args = run_with(&["--engine", engine, "--block-size", "0"]);
+        assert_usage_error(&args, "--block-size: 0 is not a block size");
     }
 }
 

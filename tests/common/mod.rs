@@ -3,24 +3,12 @@
 #![allow(dead_code, reason = "each test crate uses its own subset")]
 
 use lazygraph::prelude::*;
-use lazygraph_cluster::StatsSnapshot;
 use lazygraph_engine::lazy_block::LazyCarry;
 use lazygraph_engine::metrics::StepRecord;
 use lazygraph_engine::program::DeltaExchange;
 use lazygraph_engine::{EdgeCtx, VertexCtx};
 use lazygraph_graph::generators::{grid2d, rmat, Grid2dConfig, RmatConfig};
 use lazygraph_net::Wire;
-
-/// `r`'s record with its counters left out: what a recovered run owes
-/// the undisturbed one. A snapshot carries the engine's carried counters
-/// (the record's `coherency_points` … `m2m_exchanges`) but no `NetStats`,
-/// so a resumed worker counts from its resume point; and a checkpointed
-/// run counts the snapshot bytes a run without checkpoints does not
-/// write (DESIGN.md §12). The trace is machine 0's,
-/// which a resumed machine 0 continues, not restarts.
-pub fn recovered<P: VertexProgram>(r: &RunResult<P>) -> RunRecord {
-    RunRecord { counters: StatsSnapshot::default(), ..r.record() }
-}
 
 /// A symmetrised, weighted `side × side` road lattice (the `sssp-road`
 /// benchmark's graph class). Sides of ≈ 100 and up on 4–8 machines run

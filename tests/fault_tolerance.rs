@@ -7,8 +7,9 @@
 //! process). The launcher stops the whole gang and restarts every worker
 //! with `--resume G`, `G` the newest snapshot generation all of them
 //! hold; each loads it and builds fresh meshes. The recovered run must be
-//! **bitwise identical** to the oracle: the same `RunRecord` but for its
-//! counters (`common::recovered`).
+//! **bitwise identical** to the oracle: the same `RunRecord`, counters
+//! included — each machine's snapshot carries its counters at the cut, and
+//! a resumed machine counts on from them.
 //!
 //! No test here sleeps or polls wall-clock state: fail points key on
 //! superstep / round / snapshot-chunk counters (deterministic under the
@@ -23,6 +24,7 @@ mod common;
 
 use lazygraph::multiproc::{run_multiprocess, FailPoint, MpOptions, MultiprocError, Shipped};
 use lazygraph::prelude::*;
+use lazygraph_cluster::StatsSnapshot;
 use lazygraph_engine::scheduler::LOCAL_ORDER_FROM;
 use lazygraph_graph::generators::{rmat, RmatConfig};
 use lazygraph_net::Wire;
@@ -123,25 +125,22 @@ fn run_matrix_for<P: Shipped>(
         "{} {workers}w: checkpointing was on but no snapshot was written",
         engine.name()
     );
-    let want = common::recovered(&oracle);
+    let want = oracle.record();
 
     // Checkpointing must be observationally free: the same job without
-    // any recovery machinery lands on the same record, but for the
+    // any recovery machinery lands on the same record but for the
     // snapshot bytes the checkpoints write. A checkpoint's barrier is no
     // sync of the computation, so Fig. 10's count does not move either.
     if workers == 4 {
         let (plain, _) = launch(g, workers, base, program, &MpOptions::default())
             .unwrap_or_else(|e| panic!("{} {workers}w plain: {e}", engine.name()));
+        let plain = plain.record();
+        assert_eq!(plain.counters.snapshot_bytes, 0, "{} {workers}w plain", engine.name());
+        let snapshot_bytes = want.counters.snapshot_bytes;
         assert_eq!(
-            common::recovered(&plain),
+            RunRecord { counters: StatsSnapshot { snapshot_bytes, ..plain.counters }, ..plain },
             want,
-            "{} {workers}w: enabling checkpoints changed the result",
-            engine.name()
-        );
-        assert_eq!(
-            plain.metrics.stats.global_syncs,
-            oracle.metrics.stats.global_syncs,
-            "{} {workers}w: checkpoint barriers were counted as syncs",
+            "{} {workers}w: enabling checkpoints changed more than the snapshot bytes",
             engine.name()
         );
     }
@@ -151,7 +150,7 @@ fn run_matrix_for<P: Shipped>(
         let (out, restarts) = launch(g, workers, base, program, &opts)
             .unwrap_or_else(|e| panic!("{} {workers}w kill@{n}: {e}", engine.name()));
         assert_eq!(
-            common::recovered(&out),
+            out.record(),
             want,
             "{} {workers}w: recovery after a kill at superstep {n} is not \
              bitwise identical to the oracle",
@@ -178,7 +177,7 @@ fn run_matrix_for<P: Shipped>(
     let (out, restarts) = launch(g, workers, base, program, &mp_opts(vec![(0, victim, point)]))
         .unwrap_or_else(|e| panic!("{} {workers}w kill@{point}: {e}", engine.name()));
     assert_eq!(
-        common::recovered(&out),
+        out.record(),
         want,
         "{} {workers}w: recovery after a kill inside the save of generation \
          {last_generation} is not bitwise identical to the oracle",
@@ -417,8 +416,8 @@ fn kill_between_two_peers_sends(round: u64) {
     let opts = mp_opts(vec![(0, VICTIM, FailPoint::Send { round, n: 2 })]);
     let (out, restarts) = launch(&g, 4, &base, &sssp, &opts).expect("mid-round kill run");
     assert_eq!(
-        common::recovered(&out),
-        common::recovered(&oracle),
+        out.record(),
+        oracle.record(),
         "recovery after a kill between two peers' sends of round {round} is not bitwise identical"
     );
     assert_eq!(restarts, 1, "send:{round}:2 never fired (no gang restart)");
@@ -465,8 +464,8 @@ fn two_ranks_killed_at_one_superstep_recover_bitwise() {
     let (out, restarts) = launch(&g, workers, &base, &sssp, &opts).expect("two-kill run");
 
     assert_eq!(
-        common::recovered(&out),
-        common::recovered(&oracle),
+        out.record(),
+        oracle.record(),
         "recovery after ranks 1 and 2 died at superstep {n} is not bitwise identical"
     );
     assert_eq!(restarts, 1, "both kills land in one incarnation: one gang restart");
@@ -494,8 +493,8 @@ fn a_second_kill_during_the_resumed_run_recovers_bitwise() {
     let (out, restarts) = launch(&g, workers, &base, &sssp, &opts).expect("double-kill run");
 
     assert_eq!(
-        common::recovered(&out),
-        common::recovered(&oracle),
+        out.record(),
+        oracle.record(),
         "recovery after a kill at {first} and another at {last} is not bitwise identical"
     );
     assert_eq!(restarts, 2, "each incarnation's kill costs one gang restart");

@@ -495,6 +495,7 @@ fn assert_checkpoints_stream_through_one_chunk() {
         last_global: 0.0,
         carry: Vec::new(),
         held: state.held(),
+        counters: Default::default(),
     };
     let before = TOTAL.load(Ordering::Relaxed);
     let file_bytes = store.save(&header, &state, &[], initial).expect("save");

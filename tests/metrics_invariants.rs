@@ -3,10 +3,9 @@
 
 mod common;
 
-use std::sync::Arc;
 
 use lazygraph::prelude::*;
-use lazygraph_cluster::{NetStats, Phase};
+use lazygraph_cluster::Phase;
 use lazygraph_engine::{place, run_mesh_engine, SimBreakdown, ThreadedMesh, TransportKind};
 use lazygraph_graph::Dataset;
 use lazygraph_net::Wire;
@@ -201,7 +200,7 @@ fn every_machine_returns_the_same_breakdown() {
         let cfg = EngineConfig::lazygraph().with_engine(engine).with_threads(2);
         let dg = place(&g, 4, &cfg).expect("placement");
         let mesh = ThreadedMesh { transport: TransportKind::InProc, shards: &dg.shards };
-        let outs = run_mesh_engine(&dg.shape(), &cfg, &sssp, mesh, &Arc::new(NetStats::new()))
+        let outs = run_mesh_engine(&dg.shape(), &cfg, &sssp, mesh)
             .unwrap_or_else(|e| panic!("{}: {e}", engine.name()));
         let bits = |b: &SimBreakdown| b.to_wire();
         for (me, out) in outs.iter().enumerate() {

@@ -6,8 +6,6 @@
 //! that is not its part of the job's placement — or a job whose address
 //! lists do not cover that placement — exits before it dials anything.
 
-mod common;
-
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -95,7 +93,7 @@ fn a_respawned_worker_reads_the_same_shard_file_again() {
     assert_eq!(calm_launch.gang_restarts, 0);
     let (killed, killed_launch) = sssp(&g, 4, &opts(vec![(0, 1, FailPoint::Superstep(3))]));
     assert_eq!(killed_launch.gang_restarts, 1, "the fail point never fired");
-    assert_eq!(common::recovered(&killed), common::recovered(&calm));
+    assert_eq!(killed.record(), calm.record());
     assert_eq!(killed_launch.shard_bytes, calm_launch.shard_bytes);
 }
 

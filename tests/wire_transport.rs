@@ -320,7 +320,7 @@ fn multiprocess_pagerank_matches_inproc_bitwise() {
     for engine in [EngineKind::PowerGraphSync, EngineKind::LazyBlockAsync] {
         let base = cfg(engine);
         let inproc = run(&g, machines, &base, &program).expect("in-proc");
-        let (mp, launch) =
+        let (mp, _) =
             run_multiprocess(&g, machines, &base, &program, worker_bin(), &MpOptions::default())
                 .expect("multiprocess");
         assert_eq!(inproc.record(), mp.record(), "pagerank diverged on {}", engine.name());
@@ -332,12 +332,17 @@ fn multiprocess_pagerank_matches_inproc_bitwise() {
         assert_eq!(frames(&tcp.metrics), frames(&mp.metrics), "{}", engine.name());
 
         // Every exchange crossed a real socket; the merged snapshot must
-        // show measured traffic on all four workers.
+        // show measured traffic on all four workers, and each machine of
+        // the threaded mesh sends what its worker does.
         assert!(mp.metrics.stats.wire_bytes_sent > 0);
-        assert_eq!(launch.per_worker_stats.len(), machines);
-        for (i, s) in launch.per_worker_stats.iter().enumerate() {
-            assert!(s.wire_bytes_sent > 0, "worker {i} sent no frames");
-            assert!(s.wire_bytes_recv > 0, "worker {i} received no frames");
+        assert_eq!(mp.metrics.per_machine.len(), machines);
+        assert_eq!(tcp.metrics.per_machine.len(), machines);
+        let per_machine = mp.metrics.per_machine.iter().zip(&tcp.metrics.per_machine);
+        for (i, (worker, thread)) in per_machine.enumerate() {
+            assert!(worker.wire_bytes_sent > 0, "worker {i} sent no frames");
+            assert!(worker.wire_bytes_recv > 0, "worker {i} received no frames");
+            let sent = |s: &lazygraph_cluster::StatsSnapshot| (s.wire_frames_sent, s.wire_bytes_sent);
+            assert_eq!(sent(worker), sent(thread), "{} machine {i}", engine.name());
         }
     }
 }
@@ -446,15 +451,14 @@ struct OwnSeat<'a> {
 }
 
 impl<'a> Attach<'a> for OwnSeat<'a> {
-    fn attach<T: Wire + Send + 'static>(
-        self,
-        stats: &Arc<NetStats>,
-    ) -> Result<Vec<Seat<'a, T>>, CommError> {
-        let ep = connect_tcp_endpoint::<T>(self.me, self.addrs, stats, &TcpOptions::default())?;
+    fn attach<T: Wire + Send + 'static>(self) -> Result<Vec<Seat<'a, T>>, CommError> {
+        let stats = Arc::new(NetStats::new());
+        let ep = connect_tcp_endpoint::<T>(self.me, self.addrs, &stats, &TcpOptions::default())?;
         Ok(vec![Seat {
             me: self.me,
             shard: self.shard,
             ep,
+            stats,
             recovery: RecoveryCfg::default(),
         }])
     }
@@ -487,9 +491,8 @@ fn barrier_free_engines_without_a_detector_fail_typed() {
                 .map(|(me, shard)| {
                     let (cfg, shape, program) = (&cfg, &shape, &program);
                     s.spawn(move || {
-                        let stats = Arc::new(NetStats::new());
                         let seat = OwnSeat { me, shard, addrs };
-                        let mut outs = run_mesh_engine(shape, cfg, program, seat, &stats)?;
+                        let mut outs = run_mesh_engine(shape, cfg, program, seat)?;
                         outs.pop().ok_or(CommError::MeshClosed { me })
                     })
                 })
@@ -547,9 +550,8 @@ fn a_machine_holds_one_mesh() {
     };
     let machines = 4;
     let dg = place(&test_graph(), machines, &cfg(EngineKind::PowerGraphSync)).expect("placement");
-    let stats = Arc::new(NetStats::new());
     let mesh = ThreadedMesh { transport: TransportKind::Tcp, shards: &dg.shards };
-    let seats = mesh.attach::<(u32, f64)>(&stats).expect("a threaded TCP mesh");
+    let seats = mesh.attach::<(u32, f64)>().expect("a threaded TCP mesh");
     let held = open_sockets().expect("/proc/self/fd was read a moment ago") - before;
     assert_eq!(held, machines * (machines - 1), "sockets held by {machines} machines' seats");
     drop(seats);
