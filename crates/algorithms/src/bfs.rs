@@ -66,10 +66,6 @@ impl VertexProgram for Bfs {
         Some(delta + 1)
     }
 
-    fn idempotent(&self) -> bool {
-        true
-    }
-
     fn exchange_policy(&self, coherent: &u32, delta: &u32) -> DeltaExchange {
         if *delta >= *coherent {
             DeltaExchange::Drop

@@ -58,10 +58,6 @@ impl VertexProgram for ConnectedComponents {
         Some(delta)
     }
 
-    fn idempotent(&self) -> bool {
-        true
-    }
-
     fn exchange_policy(&self, coherent: &u32, delta: &u32) -> DeltaExchange {
         if *delta >= *coherent {
             DeltaExchange::Drop

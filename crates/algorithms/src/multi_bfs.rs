@@ -92,10 +92,6 @@ impl VertexProgram for MultiSourceBfs {
         Some(delta)
     }
 
-    fn idempotent(&self) -> bool {
-        true
-    }
-
     fn exchange_policy(&self, coherent: &u64, delta: &u64) -> DeltaExchange {
         // Bits the common view already holds are no-ops for every replica.
         if *delta & !*coherent == 0 {
@@ -142,7 +138,6 @@ mod tests {
         let p = MultiSourceBfs::new(vec![VertexId(0)]);
         assert_eq!(p.sum(0b101, 0b011), 0b111);
         assert_eq!(p.sum(0b101, 0b101), 0b101);
-        assert!(p.idempotent());
         assert_eq!(
             p.exchange_policy(&0b111, &0b101),
             lazygraph_engine::program::DeltaExchange::Drop

@@ -208,6 +208,5 @@ mod tests {
         let s = p.sum(0.25, 0.5);
         assert_eq!(p.inverse(s, 0.25), 0.5);
         assert_eq!(p.sum(0.1, 0.2), p.sum(0.2, 0.1));
-        assert!(!p.idempotent());
     }
 }

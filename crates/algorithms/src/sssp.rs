@@ -69,10 +69,6 @@ impl VertexProgram for Sssp {
         Some(delta + edge.weight)
     }
 
-    fn idempotent(&self) -> bool {
-        true
-    }
-
     fn exchange_policy(&self, coherent: &f32, delta: &f32) -> DeltaExchange {
         // A candidate no better than the last common view is a no-op for
         // every replica (distances only decrease from there).
@@ -154,7 +150,6 @@ mod tests {
     #[test]
     fn min_is_idempotent_and_inverse_is_identity() {
         let p = Sssp::new(0u32);
-        assert!(p.idempotent());
         assert_eq!(p.sum(3.0, 5.0), 3.0);
         assert_eq!(p.sum(3.0, 3.0), 3.0);
         assert_eq!(p.inverse(3.0, 5.0), 3.0);

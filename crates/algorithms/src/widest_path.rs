@@ -70,10 +70,6 @@ impl VertexProgram for WidestPath {
         Some(delta.min(edge.weight))
     }
 
-    fn idempotent(&self) -> bool {
-        true
-    }
-
     fn exchange_policy(&self, coherent: &f32, delta: &f32) -> DeltaExchange {
         // Widths only grow; a candidate no wider than the common view is
         // useless to every replica.
@@ -178,7 +174,6 @@ mod tests {
     fn algebra_is_max_min() {
         let p = WidestPath::new(0u32);
         assert_eq!(p.sum(3.0, 5.0), 5.0);
-        assert!(p.idempotent());
         let e = EdgeCtx {
             dst: VertexId(1),
             weight: 2.0,

@@ -133,8 +133,9 @@ macro_rules! counters {
         impl StatsSnapshot {
             /// Aggregates per-machine snapshots into a cluster total, each
             /// counter by its table rule. A `sum` counter is a plain sum
-            /// over events; the one cluster-wide event (a global sync) is
-            /// recorded by machine 0 only, so adding does not multiply it.
+            /// over events; a cluster-wide event (a global sync, a barriered
+            /// engine's coherency point and its exchange) is recorded by
+            /// machine 0 only, so adding does not multiply it.
             pub fn merge(&mut self, other: &StatsSnapshot) {
                 let StatsSnapshot { per_phase, $($name),+ } = other;
                 for (mine, theirs) in self.per_phase.iter_mut().zip(per_phase) {
@@ -216,6 +217,19 @@ counters! {
     /// High-water mark of any single priority bucket's occupancy in one
     /// epoch: across workers it is the largest any of them reached.
     bucket_high_water: max det,
+    /// Data coherency points reached (lazy engines only). The barriered
+    /// engines reach one together, so machine 0 records it; LazyVertex's
+    /// machines each reach their own, and each records its own.
+    coherency_points: sum det,
+    /// Local computation sub-rounds executed (delta: sub-epochs), summed
+    /// over machines: every machine records its own.
+    local_subrounds: sum det,
+    /// Coherency exchanges in all-to-all mode, recorded by whoever records
+    /// the coherency point.
+    a2a_exchanges: sum det,
+    /// Coherency exchanges in mirrors-to-master mode, recorded by whoever
+    /// records the coherency point.
+    m2m_exchanges: sum det,
 }
 
 impl NetStats {
@@ -320,6 +334,31 @@ impl NetStats {
     #[inline]
     pub fn record_bucket_high_water(&self, occupancy: u64) {
         self.bucket_high_water.fetch_max(occupancy, Ordering::Relaxed);
+    }
+
+    /// Records one data coherency point (call once per point, not once per
+    /// participant, where the machines reach it together).
+    #[inline]
+    pub fn record_coherency_point(&self) {
+        self.coherency_points.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records `n` local sub-rounds this machine ran.
+    #[inline]
+    pub fn record_subrounds(&self, n: u64) {
+        self.local_subrounds.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Records one all-to-all coherency exchange.
+    #[inline]
+    pub fn record_a2a_exchange(&self) {
+        self.a2a_exchanges.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one mirrors-to-master coherency exchange.
+    #[inline]
+    pub fn record_m2m_exchange(&self) {
+        self.m2m_exchanges.fetch_add(1, Ordering::Relaxed);
     }
 }
 

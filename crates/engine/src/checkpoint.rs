@@ -12,7 +12,7 @@
 //! rest of the run bitwise the undisturbed one's. DESIGN.md §12 walks
 //! through the protocol.
 //!
-//! ## On-disk format (v14)
+//! ## On-disk format (v15)
 //!
 //! ```text
 //! [magic "LZCK" u32 LE][version u32]
@@ -107,7 +107,10 @@ pub const CKPT_MAGIC: u32 = 0x4b435a4c;
 /// sections only where the machine holds those arrays. v14 added the
 /// machine's counters at the cut to the header: a resumed machine counts on
 /// from them, so a recovered run reports the undisturbed run's counters.
-pub const CKPT_VERSION: u32 = 14;
+/// v15 moved the lazy engines' coherency points, sub-rounds and exchanges
+/// out of their carried records into those counters, and added the
+/// machine's counters to each `StepRecord` of the trace.
+pub const CKPT_VERSION: u32 = 15;
 /// Payload bytes after which the writer closes a chunk.
 pub const CKPT_CHUNK: usize = 1 << 20;
 /// Largest encoding of one element (a value, or a mask word with the
@@ -1107,7 +1110,7 @@ pub fn checkpoint_at_barrier<P: VertexProgram, M: Wire + Send>(
 mod tests {
     use super::*;
     use crate::comm_mode::CommMode;
-    use crate::lazy_block::{LazyCarry, LazyCounters};
+    use crate::lazy_block::LazyCarry;
     use crate::program::{EdgeCtx, VertexCtx, VertexProgram};
     use lazygraph_graph::VertexId;
 
@@ -1148,12 +1151,6 @@ mod tests {
 
     fn sample_header() -> SnapshotHeader {
         let carry = LazyCarry {
-            counters: LazyCounters {
-                coherency_points: 6,
-                local_subrounds: 11,
-                a2a_exchanges: 4,
-                m2m_exchanges: 2,
-            },
             do_local: true,
             first_stage_time: Some(0.001),
             coherency_cost: 0.0445,
@@ -1179,6 +1176,10 @@ mod tests {
                 edges_processed: 3456,
                 snapshot_bytes: 789,
                 bucket_high_water: 5,
+                coherency_points: 6,
+                local_subrounds: 11,
+                a2a_exchanges: 4,
+                m2m_exchanges: 2,
                 ..Default::default()
             },
         }
@@ -1195,6 +1196,7 @@ mod tests {
             sim_time: header.clock,
             breakdown: header.breakdown,
             carry: header.carry,
+            counters: header.counters,
         }]
     }
 
@@ -1383,7 +1385,7 @@ mod tests {
         // must fail the strict equality check, not decode garbage: every
         // version changed the layout.
         let file = sample_file();
-        for version in [3u32, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13] {
+        for version in [3u32, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14] {
             let mut old = file.clone();
             old[4..8].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(verify(&old), Err(CheckpointError::BadHeader { .. })));

@@ -27,7 +27,8 @@ use lazygraph_cluster::CommError;
 
 use crate::bsp::{BspReduction, CommCharge};
 use crate::config::EngineKind;
-use crate::lazy_block::{coherency_decisions, exchange_a2a, sweep, LazyCounters};
+use crate::comm_mode::CommMode;
+use crate::lazy_block::{book_coherency_point, coherency_decisions, exchange_a2a, sweep};
 use crate::machine::{Frame, Superstep, Vote};
 use crate::program::VertexProgram;
 use crate::scheduler::PriorityBuckets;
@@ -41,13 +42,12 @@ use crate::state::Layout;
 const MAX_SUBEPOCHS: u64 = 4096;
 
 /// DeltaAccum on the superstep skeleton. One epoch is one coherency
-/// point and every exchange is all-to-all, so the counters reuse the lazy
-/// engines' shape. The bucket scheduler is stateless across epochs — each
-/// plan is recomputed from `MachineState` alone — so the counters are the
-/// engine's whole [`Superstep::Carry`].
+/// point and every exchange is all-to-all, counted as the lazy engines
+/// count theirs. The bucket scheduler is stateless across epochs — each
+/// plan is recomputed from `MachineState` alone — so the engine carries
+/// nothing across a step (`Carry = ()`).
 pub struct DeltaStep {
     sched: PriorityBuckets,
-    counters: LazyCounters,
     /// Ascending-id candidate scratch, rebuilt each sub-epoch (a pure
     /// function of `state`, so it needs no snapshot coverage).
     candidates: Vec<(u32, f64)>,
@@ -57,30 +57,24 @@ pub struct DeltaStep {
 
 impl<P: VertexProgram> Superstep<P> for DeltaStep {
     type Msg = P::Delta;
-    type Carry = LazyCounters;
+    type Carry = ();
     const KIND: EngineKind = EngineKind::DeltaAccum;
     const LAYOUT: Layout = Layout::LAZY;
 
-    fn new(f: &Frame<'_, P, P::Delta>, counters: LazyCounters) -> Self {
+    fn new(f: &Frame<'_, P, P::Delta>, _carry: ()) -> Self {
         DeltaStep {
             sched: PriorityBuckets::new(f.cfg.delta_buckets, f.cfg.delta_tolerance),
-            counters,
             candidates: Vec::new(),
             worklist: Vec::new(),
         }
     }
 
-    fn carry(&self) -> &LazyCounters {
-        &self.counters
-    }
-
-    fn counters(&self) -> LazyCounters {
-        self.counters
+    fn carry(&self) -> &() {
+        &()
     }
 
     fn step(&mut self, f: &mut Frame<'_, P, P::Delta>) -> Result<Vote, CommError> {
         let program = f.program;
-        self.counters.coherency_points += 1;
 
         // ---- Local sub-epochs: drain the schedulable worklist to
         // quiescence before paying a coherency exchange. High-impact mass
@@ -144,10 +138,13 @@ impl<P: VertexProgram> Superstep<P> for DeltaStep {
                 break;
             }
         }
-        self.counters.local_subrounds += subepochs;
+        f.stats.record_subrounds(subepochs);
 
         // ---- Delta coherency: ship accumulated deltaMsg all-to-all. -----
-        self.counters.a2a_exchanges += 1;
+        // Every machine reaches the point together: machine 0 records it.
+        if f.me == 0 {
+            book_coherency_point(&f.stats, CommMode::AllToAll);
+        }
         let decisions = coherency_decisions(f.shard, &f.state, program, &f.pctx);
         let sent_bytes = exchange_a2a(f, decisions)?;
 

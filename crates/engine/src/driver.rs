@@ -39,10 +39,6 @@ impl<P: VertexProgram> RunResult<P> {
             barrier: m.breakdown.barrier.to_bits(),
             iterations: m.iterations,
             converged: m.converged,
-            coherency_points: m.coherency_points,
-            local_subrounds: m.local_subrounds,
-            a2a_exchanges: m.a2a_exchanges,
-            m2m_exchanges: m.m2m_exchanges,
             counters: m.stats.deterministic(),
             history: fnv1a64(&m.history.to_wire()),
         }

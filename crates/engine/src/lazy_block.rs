@@ -39,18 +39,6 @@ use crate::scheduler::{cut_most_urgent, LOCAL_MIN_BATCH, LOCAL_ORDER_FROM};
 use crate::state::{vertex_ctx, Layout, MachineState, Slots};
 use crate::sync_engine::{scatter, SCATTER_WINDOW};
 
-/// Aggregated lazy-engine counters (identical on every machine except
-/// `local_subrounds`, which is summed by the driver).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LazyCounters {
-    pub coherency_points: u64,
-    pub local_subrounds: u64,
-    pub a2a_exchanges: u64,
-    pub m2m_exchanges: u64,
-}
-
-wire_record!(LazyCounters { coherency_points, local_subrounds, a2a_exchanges, m2m_exchanges });
-
 /// One lazy sweep over a sorted worklist (each vertex once), in two
 /// passes. The apply pass reads worklist-time inboxes only: it empties
 /// each entry's inbox, deactivates it, applies in place (and refreshes
@@ -117,6 +105,15 @@ pub(crate) fn book<P: VertexProgram>(
     cost.compute_time(edges) + cost.apply_time(applies)
 }
 
+/// Records one coherency point and its exchange, in `mode`.
+pub(crate) fn book_coherency_point(stats: &NetStats, mode: CommMode) {
+    stats.record_coherency_point();
+    match mode {
+        CommMode::AllToAll => stats.record_a2a_exchange(),
+        CommMode::MirrorsToMaster => stats.record_m2m_exchange(),
+    }
+}
+
 /// One sweep on a machine frame: [`apply_scatter`] plus its [`book`]ing.
 pub(crate) fn sweep<P: VertexProgram, M>(
     f: &mut Frame<'_, P, M>,
@@ -136,8 +133,6 @@ pub(crate) fn sweep<P: VertexProgram, M>(
 /// ([`crate::metrics::StepRecord::carry`]).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LazyCarry {
-    /// Coherency points, sub-rounds and exchanges so far.
-    pub counters: LazyCounters,
     /// The active-vertex trend `turnOnLazy()` reads.
     pub trend: Trend,
     /// Whether the local computation stage is switched on.
@@ -160,7 +155,6 @@ pub struct LazyCarry {
 }
 
 wire_record!(LazyCarry {
-    counters,
     trend,
     do_local,
     first_stage_time,
@@ -212,13 +206,8 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
         &self.carry
     }
 
-    fn counters(&self) -> LazyCounters {
-        self.carry.counters
-    }
-
     fn step(&mut self, f: &mut Frame<'_, P, P::Delta>) -> Result<Vote, CommError> {
         let cfg = f.cfg;
-        let subrounds_at_round_start = self.carry.counters.local_subrounds;
 
         // ---- Stage 1: local computation. --------------------------------
         let stage_start = f.clock.now();
@@ -226,12 +215,13 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
             let LazyCarry { first_stage_time, coherency_cost, .. } = self.carry;
             let stage_budget = self.interval.stage_budget(first_stage_time, coherency_cost);
             let order = self.order.filter(|_| f.iterations >= LOCAL_ORDER_FROM);
+            let mut subrounds = 0;
             // `doLC()` is asked before the queue is touched, so a refused
             // sub-round leaves it exactly as it stood — still `active`,
             // inboxes untouched — for the coherency-point sweep.
             while !f.state.queue.is_empty() {
                 let stage = StageProgress {
-                    subrounds: self.carry.counters.local_subrounds - subrounds_at_round_start,
+                    subrounds,
                     elapsed: f.clock.now() - stage_start,
                     predicted: self.carry.last_sweep_cost,
                 };
@@ -243,8 +233,9 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
                     self.defer_less_urgent(&mut f.state, key);
                 }
                 self.sweep_worklist(f, false);
-                self.carry.counters.local_subrounds += 1;
+                subrounds += 1;
             }
+            f.stats.record_subrounds(subrounds);
             // Record T online: the duration of this run's first local
             // stage. A budgeted run reads no `T` and measures none.
             if self.carry.first_stage_time.is_none() && !self.interval.budgets_stages() {
@@ -269,12 +260,8 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
             CommModePolicy::Auto => self.carry.next_mode,
         };
         let (sent_bytes, charge) = match mode {
-            CommMode::AllToAll => {
-                self.carry.counters.a2a_exchanges += 1;
-                (exchange_a2a(f, decisions)?, CommCharge::A2A)
-            }
+            CommMode::AllToAll => (exchange_a2a(f, decisions)?, CommCharge::A2A),
             CommMode::MirrorsToMaster => {
-                self.carry.counters.m2m_exchanges += 1;
                 let (own, totals) = (&mut self.own_scratch, &mut self.totals_scratch);
                 for slots in [&mut *own, &mut *totals] {
                     if slots.len() != f.shard.num_local() {
@@ -284,7 +271,10 @@ impl<P: VertexProgram> Superstep<P> for LazyStep<P> {
                 (exchange_m2m(f, own, totals, decisions)?, CommCharge::M2M)
             }
         };
-        self.carry.counters.coherency_points += 1;
+        // Every machine reaches the point together: machine 0 records it.
+        if f.me == 0 {
+            book_coherency_point(&f.stats, mode);
+        }
         let red = f.bsp.sync(
             &mut f.port,
             &mut f.clock,

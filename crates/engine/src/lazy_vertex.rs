@@ -23,7 +23,8 @@ use lazygraph_cluster::{CommError, Phase};
 
 use crate::config::EngineKind;
 use crate::exchange::Stamp;
-use crate::lazy_block::{coherency_decisions, stage_a2a, sweep, LazyCounters};
+use crate::comm_mode::CommMode;
+use crate::lazy_block::{book_coherency_point, coherency_decisions, stage_a2a, sweep};
 use crate::machine::{Frame, Superstep, Vote};
 use crate::program::VertexProgram;
 use crate::state::Layout;
@@ -31,29 +32,25 @@ use crate::state::Layout;
 /// LazyVertexAsync on the superstep skeleton: a step sweeps until the
 /// worklist drains, flushes, and closes one ⊕-fold round, whose batches
 /// carry each machine's vote on whether it swept or shipped anything.
+/// It carries nothing across a step (`Carry = ()`): without barriers its
+/// coherency points are per-machine events, so every machine records its
+/// own, with its sub-rounds, in its counters.
 pub struct LazyVertexPump {
-    /// This machine's own coherency points and sub-rounds: without
-    /// barriers they are per-machine work ([`crate::machine::assemble`]).
-    /// All the engine carries across a step.
-    counters: LazyCounters,
     worklist: Vec<u32>,
 }
 
 impl<P: VertexProgram> Superstep<P> for LazyVertexPump {
     type Msg = P::Delta;
-    type Carry = LazyCounters;
+    type Carry = ();
     const KIND: EngineKind = EngineKind::LazyVertexAsync;
     const LAYOUT: Layout = Layout::LAZY;
 
-    fn new(_frame: &Frame<'_, P, P::Delta>, counters: LazyCounters) -> Self {
-        LazyVertexPump {
-            counters,
-            worklist: Vec::new(),
-        }
+    fn new(_frame: &Frame<'_, P, P::Delta>, _carry: ()) -> Self {
+        LazyVertexPump { worklist: Vec::new() }
     }
 
-    fn carry(&self) -> &LazyCounters {
-        &self.counters
+    fn carry(&self) -> &() {
+        &()
     }
 
     fn step(&mut self, f: &mut Frame<'_, P, P::Delta>) -> Result<Vote, CommError> {
@@ -63,7 +60,7 @@ impl<P: VertexProgram> Superstep<P> for LazyVertexPump {
             f.state.take_queue_into(&mut self.worklist);
             self.worklist.sort_unstable();
             sweep(f, &self.worklist, false);
-            self.counters.local_subrounds += 1;
+            f.stats.record_subrounds(1);
             busy = true;
         }
 
@@ -78,16 +75,11 @@ impl<P: VertexProgram> Superstep<P> for LazyVertexPump {
         let decisions = coherency_decisions(shard, state, program, pctx);
         let (_, any) = stage_a2a(shard, state, program, stats, round.outboxes(), decisions);
         if any {
-            self.counters.coherency_points += 1;
-            self.counters.a2a_exchanges += 1;
+            book_coherency_point(stats, CommMode::AllToAll);
         }
         busy |= any;
         let cost = f.cfg.cost;
         round.close(program, state, Stamp::Arrivals { clock, cost, busy: &mut busy })?;
         Ok(Vote::busy(busy))
-    }
-
-    fn counters(&self) -> LazyCounters {
-        self.counters
     }
 }

@@ -47,7 +47,7 @@ use crate::delta_engine::DeltaStep;
 use crate::driver::RunResult;
 use crate::exchange::Port;
 use crate::hybrid_engine::HybridStep;
-use crate::lazy_block::{LazyCounters, LazyStep};
+use crate::lazy_block::LazyStep;
 use crate::lazy_vertex::LazyVertexPump;
 use crate::metrics::{RunMetrics, SimBreakdown, StepRecord};
 use crate::parallel::ParallelCtx;
@@ -86,8 +86,9 @@ pub struct Frame<'a, P: VertexProgram, M> {
 impl<P: VertexProgram, M> Frame<'_, P, M> {
     /// Books the step just run into this machine's trace when
     /// `cfg.record_history` is set: the superstep, the clock, the
-    /// breakdown and `carry`, the engine's carried record as the step
-    /// left it — what a snapshot taken at this boundary would hold.
+    /// breakdown, `carry`, the engine's carried record as the step left
+    /// it, and this machine's deterministic counters — what a snapshot
+    /// taken at this boundary would hold.
     pub fn book_step(&mut self, carry: &impl Wire) {
         if self.cfg.record_history {
             self.history.push(StepRecord {
@@ -95,6 +96,7 @@ impl<P: VertexProgram, M> Frame<'_, P, M> {
                 sim_time: self.clock.now(),
                 breakdown: self.bsp.breakdown,
                 carry: carry.to_wire(),
+                counters: self.stats.snapshot().deterministic(),
             });
         }
     }
@@ -162,11 +164,6 @@ pub trait Superstep<P: VertexProgram>: Sized {
     /// Runs superstep `frame.iterations`. Returns [`Vote::Converged`]
     /// straight after the deciding barrier, before any post-vote work.
     fn step(&mut self, frame: &mut Frame<'_, P, Self::Msg>) -> Result<Vote, CommError>;
-
-    /// Counters reported with the outcome.
-    fn counters(&self) -> LazyCounters {
-        LazyCounters::default()
-    }
 }
 
 /// One machine's share of an engine run, and the only way anything leaves
@@ -177,7 +174,6 @@ pub struct MachineOut<P: VertexProgram> {
     pub iterations: u64,
     pub converged: bool,
     pub sim_time: f64,
-    pub counters: LazyCounters,
     /// This machine's simulated-time breakdown: the same bits on every
     /// machine of the run.
     pub breakdown: SimBreakdown,
@@ -191,7 +187,7 @@ impl<P: VertexProgram> MachineOut<P> {
     /// The epilogue every engine shares: this machine's master values and
     /// what its frame recorded. The endpoint closes first, so the frames
     /// its close sends (TCP's Shutdown frames) are counted too.
-    pub fn collect<M>(f: Frame<'_, P, M>, converged: bool, counters: LazyCounters) -> Self {
+    pub fn collect<M>(f: Frame<'_, P, M>, converged: bool) -> Self {
         let Frame { shard, state, port, stats, iterations, clock, bsp, history, .. } = f;
         drop(port);
         let masters = (0..shard.num_local() as u32)
@@ -203,7 +199,6 @@ impl<P: VertexProgram> MachineOut<P> {
             iterations,
             converged,
             sim_time: clock.now(),
-            counters,
             breakdown: bsp.breakdown,
             history,
             stats: stats.snapshot(),
@@ -216,7 +211,6 @@ wire_record!(MachineOut<P> where P: VertexProgram {
     iterations,
     converged,
     sim_time,
-    counters,
     breakdown,
     history,
     stats,
@@ -233,13 +227,10 @@ pub struct Measured {
 
 /// The one epilogue of every route: folds per-machine outcomes into the
 /// caller-facing result — the same rules whether the machines were threads
-/// or worker processes — and attaches what the route measured. Counters
-/// that tick at a barrier are identical on every machine (machine 0's are
-/// taken); `local_subrounds` is per-machine work and is summed — and so
-/// are LazyVertexAsync's coherency points, which every machine reaches on
-/// its own. The simulated time is the maximum machine clock; the
-/// breakdown and the trace are machine 0's. The machines' counters merge
-/// by the counter table's rules.
+/// or worker processes — and attaches what the route measured. The
+/// machines' counters merge by the counter table's rules; the simulated
+/// time is the maximum machine clock; the iterations, the breakdown and
+/// the trace are machine 0's (the first two the same on every machine).
 pub fn assemble<P: VertexProgram>(
     mut outs: Vec<MachineOut<P>>,
     cfg: &EngineConfig,
@@ -253,17 +244,10 @@ pub fn assemble<P: VertexProgram>(
     for s in &per_machine {
         stats.merge(s);
     }
-    let (iterations, converged, mut counters, breakdown, history) = match outs.first_mut() {
-        Some(o) => {
-            (o.iterations, o.converged, o.counters, o.breakdown, std::mem::take(&mut o.history))
-        }
-        None => (0, true, LazyCounters::default(), SimBreakdown::default(), Vec::new()),
+    let (iterations, converged, breakdown, history) = match outs.first_mut() {
+        Some(o) => (o.iterations, o.converged, o.breakdown, std::mem::take(&mut o.history)),
+        None => (0, true, SimBreakdown::default(), Vec::new()),
     };
-    counters.local_subrounds = outs.iter().map(|o| o.counters.local_subrounds).sum();
-    if cfg.engine == EngineKind::LazyVertexAsync {
-        counters.coherency_points = outs.iter().map(|o| o.counters.coherency_points).sum();
-        counters.a2a_exchanges = outs.iter().map(|o| o.counters.a2a_exchanges).sum();
-    }
     let mut values: Vec<Option<P::VData>> = vec![None; num_vertices];
     for out in outs {
         for (gid, v) in out.masters {
@@ -291,10 +275,10 @@ pub fn assemble<P: VertexProgram>(
             engine: cfg.engine.name(),
             algorithm: program.name(),
             iterations,
-            coherency_points: counters.coherency_points,
-            local_subrounds: counters.local_subrounds,
-            a2a_exchanges: counters.a2a_exchanges,
-            m2m_exchanges: counters.m2m_exchanges,
+            coherency_points: stats.coherency_points,
+            local_subrounds: stats.local_subrounds,
+            a2a_exchanges: stats.a2a_exchanges,
+            m2m_exchanges: stats.m2m_exchanges,
             sim_time,
             breakdown,
             wall_time,
@@ -471,5 +455,5 @@ fn run_machine<P: VertexProgram, S: Superstep<P>>(
         }
     }
 
-    Ok(MachineOut::collect(f, converged, engine.counters()))
+    Ok(MachineOut::collect(f, converged))
 }

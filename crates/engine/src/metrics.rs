@@ -42,7 +42,10 @@ wire_record!(SimBreakdown { compute, comm, barrier, overlap_ms, send_wait_ms });
 /// ([`Frame::book_step`](crate::machine::Frame::book_step)). Every field
 /// is what a snapshot taken at that boundary holds, so the record is as
 /// deterministic as the run: bitwise across threads, transports, worker
-/// processes and kill / resume, for every engine.
+/// processes and kill / resume, for every engine. The counters are
+/// cumulative, so a step's own edges, applies or sub-rounds are the
+/// difference from the record before it; a converged run's last record
+/// holds the machine's final deterministic counters.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StepRecord {
     /// The step just run: a superstep, or a barrier-free engine's round.
@@ -54,15 +57,19 @@ pub struct StepRecord {
     pub breakdown: SimBreakdown,
     /// The `Wire` bytes of the engine's carried record as the step left
     /// it ([`Superstep::Carry`](crate::machine::Superstep::Carry)): a
-    /// [`LazyCarry`](crate::lazy_block::LazyCarry) for lazy-block,
-    /// [`LazyCounters`](crate::lazy_block::LazyCounters) for delta and
-    /// lazy-vertex, the hybrid's switched flag, empty for an engine that
-    /// carries nothing.
+    /// [`LazyCarry`](crate::lazy_block::LazyCarry) for lazy-block, the
+    /// hybrid's switched flag, empty for an engine that carries nothing.
     pub carry: Vec<u8>,
+    /// This machine's counters after it,
+    /// [`StatsSnapshot::deterministic`]: its own edges, applies,
+    /// sub-rounds and traffic so far, and the rows only machine 0 records
+    /// (global syncs; a barriered engine's coherency points and exchanges)
+    /// on machine 0.
+    pub counters: StatsSnapshot,
 }
 
 // Rides in every `MachineOut` and in every snapshot's trace section.
-wire_record!(StepRecord { superstep, sim_time, breakdown, carry });
+wire_record!(StepRecord { superstep, sim_time, breakdown, carry, counters });
 
 /// The outcome of one engine run.
 #[derive(Clone, Debug)]
@@ -76,13 +83,15 @@ pub struct RunMetrics {
     /// that ends the run); the hybrid counts its Sync supersteps and its
     /// Async rounds.
     pub iterations: u64,
-    /// Data coherency points reached (lazy engines only).
+    /// `stats.coherency_points`. This field and the next three repeat
+    /// rows of [`Self::stats`]; they stay only because the frozen
+    /// benchmark harness reads two of them (ROADMAP item 1(d)).
     pub coherency_points: u64,
-    /// Local computation sub-rounds executed (lazy engines only).
+    /// `stats.local_subrounds`.
     pub local_subrounds: u64,
-    /// Coherency exchanges performed in all-to-all mode.
+    /// `stats.a2a_exchanges`.
     pub a2a_exchanges: u64,
-    /// Coherency exchanges performed in mirrors-to-master mode.
+    /// `stats.m2m_exchanges`.
     pub m2m_exchanges: u64,
     /// Final simulated time: the maximum machine clock, seconds. The
     /// headline "runtime" of every figure.
@@ -127,12 +136,8 @@ pub struct RunRecord {
     pub barrier: u64,
     pub iterations: u64,
     pub converged: bool,
-    pub coherency_points: u64,
-    pub local_subrounds: u64,
-    pub a2a_exchanges: u64,
-    pub m2m_exchanges: u64,
     /// [`StatsSnapshot::deterministic`]: every counter but the telemetry
-    /// rows.
+    /// rows, the coherency points and sub-rounds included.
     pub counters: StatsSnapshot,
     /// FNV-1a of the trace's `Wire` bytes (that of an empty trace unless
     /// `EngineConfig::record_history`).

@@ -155,13 +155,6 @@ pub trait VertexProgram: Send + Sync + 'static {
         true
     }
 
-    /// Whether `⊕` is idempotent (`min`/`max` style). Idempotent programs
-    /// tolerate duplicate delivery, which the mirrors-to-master mode
-    /// exploits (`inverse` can be the identity).
-    fn idempotent(&self) -> bool {
-        false
-    }
-
     /// Scheduling priority of a pending accumulated delta: how much the
     /// vertex value would move if `accum` were applied to `data` now. The
     /// delta-accumulative engine's bucket scheduler processes the

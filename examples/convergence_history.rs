@@ -5,8 +5,10 @@
 //! §17, "How long a local stage runs").
 //!
 //! Each record of the trace carries the engine's carried record as the
-//! superstep left it, a `LazyCarry`; a superstep is read off the carry
-//! before it and the carry after it.
+//! superstep left it, a `LazyCarry`, and machine 0's counters after it; a
+//! superstep is read off the record before it and the record after it:
+//! its sub-rounds and its exchange mode off the counters, the interval
+//! model's state off the carry.
 //!
 //! Two runs, one on each side of the model's `E/V ≤ 10` split: SSSP on a
 //! road graph (lazy from superstep 2, stages bounded by `3·T`) and
@@ -18,6 +20,7 @@
 //! ```
 
 use lazygraph::prelude::*;
+use lazygraph_cluster::StatsSnapshot;
 use lazygraph_engine::lazy_block::LazyCarry;
 use lazygraph_engine::IntervalModel;
 use lazygraph_graph::Dataset;
@@ -53,6 +56,7 @@ fn trace<P: VertexProgram>(ds: Dataset, scale: f64, machines: usize, program: &P
     println!("step  active   trend    lazy  subrounds  T(ms)   budget(ms)  mode  sim(s)");
     println!("---------------------------------------------------------------------------");
     let mut before = LazyCarry::default();
+    let mut counted = StatsSnapshot::default();
     let mut steps = Vec::new();
     for rec in &result.metrics.history {
         let after = LazyCarry::from_wire(&rec.carry).expect("a lazy-block carry");
@@ -65,11 +69,11 @@ fn trace<P: VertexProgram>(ds: Dataset, scale: f64, machines: usize, program: &P
         } else {
             0.0
         };
-        let m2m = after.counters.m2m_exchanges > before.counters.m2m_exchanges;
+        let m2m = rec.counters.m2m_exchanges > counted.m2m_exchanges;
         let step = Step {
             superstep: rec.superstep,
             lazy_on: before.do_local,
-            subrounds: after.counters.local_subrounds - before.counters.local_subrounds,
+            subrounds: rec.counters.local_subrounds - counted.local_subrounds,
             budget,
             first_stage_time: after.first_stage_time,
         };
@@ -86,7 +90,7 @@ fn trace<P: VertexProgram>(ds: Dataset, scale: f64, machines: usize, program: &P
             rec.sim_time,
         );
         steps.push(step);
-        before = after;
+        (before, counted) = (after, rec.counters);
     }
     println!();
     steps

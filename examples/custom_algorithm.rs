@@ -68,10 +68,6 @@ impl VertexProgram for MultiReach {
     ) -> Option<u64> {
         Some(delta)
     }
-
-    fn idempotent(&self) -> bool {
-        true
-    }
 }
 
 fn main() {

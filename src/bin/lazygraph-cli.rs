@@ -412,7 +412,8 @@ fn report_launch(m: &RunMetrics, launch: &LaunchReport, mp: &MpOptions) {
     let shard_bytes = &launch.shard_bytes;
     say!(
         "multiprocess {} workers: {} iterations, converged={}, sim_time {:.4}s, \
-         est {} B (cost model), wire {} B sent / {} frames (measured)",
+         est {} B (cost model), wire {} B sent / {} frames (measured), \
+         {} coherency points, {} sub-rounds",
         shard_bytes.len(),
         m.iterations,
         m.converged,
@@ -420,6 +421,8 @@ fn report_launch(m: &RunMetrics, launch: &LaunchReport, mp: &MpOptions) {
         m.stats.total_est_bytes(),
         m.stats.wire_bytes_sent,
         m.stats.wire_frames_sent,
+        m.stats.coherency_points,
+        m.stats.local_subrounds,
     );
     if mp.checkpoint_every > 0 {
         say!(

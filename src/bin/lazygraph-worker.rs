@@ -8,8 +8,8 @@
 //! shape, drops the file bytes, joins the run's TCP mesh over loopback,
 //! runs its machine through the shared `run_mesh_engine` entry, and
 //! writes its Wire-encoded result — one `MachineOut`: its master values,
-//! carried counters, simulated-time breakdown, per-round trace and
-//! `NetStats` snapshot — to the output path. A
+//! simulated-time breakdown, per-round trace and `NetStats` snapshot — to
+//! the output path. A
 //! restarted gang's worker, started with `--resume G`, reads the same
 //! shard file — nothing a run does changes a shard — and its snapshot of
 //! generation `G`, and joins a fresh mesh like any other start.
@@ -163,8 +163,7 @@ fn run_worker<P: Shipped>(job: &WorkerJob, args: Args, program: P) -> Result<(),
     // dropped before a mesh is dialled.
     let shard = load_shard(&args.job, me, &job.shape).map_err(|e| e.to_string())?;
 
-    let recovery_on = job.checkpoint_every > 0 && !job.checkpoint_dir.is_empty();
-    let store = recovery_on.then(|| SnapshotStore::new(&job.checkpoint_dir, me));
+    let store = (job.checkpoint_every > 0).then(|| SnapshotStore::new(&job.checkpoint_dir, me));
     // Only the header is read here; the arrays stay in the open file until
     // the machine loop has built the state they stream into.
     let snapshot = match args.resume {
@@ -192,7 +191,7 @@ fn run_worker<P: Shipped>(job: &WorkerJob, args: Args, program: P) -> Result<(),
     if std::env::var_os("LAZYGRAPH_MP_DEBUG").is_some() {
         eprintln!(
             "worker {me}: iters={} converged={} counters={:?}",
-            out.iterations, out.converged, out.counters
+            out.iterations, out.converged, out.stats
         );
     }
 

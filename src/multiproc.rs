@@ -77,7 +77,8 @@ pub struct WorkerJob {
     /// Snapshot every K supersteps (0 = checkpointing off, PR 4 fail-fast
     /// behaviour).
     pub checkpoint_every: u64,
-    /// Directory for the per-rank snapshot files (empty = none).
+    /// Directory for the per-rank snapshot files: empty exactly when
+    /// `checkpoint_every` is 0.
     pub checkpoint_dir: String,
 }
 
@@ -86,7 +87,8 @@ wire_record!(WorkerJob { cfg, algo, shape, data_addrs, checkpoint_every, checkpo
 impl WorkerJob {
     /// Reads the job file a worker was started on. The bytes come from a
     /// file: besides decoding, every rank of the placement must find its
-    /// own address in the mesh before anything indexes by rank.
+    /// own address in the mesh before anything indexes by rank, and a job
+    /// that checkpoints must say where to.
     pub fn read(path: &Path) -> Result<WorkerJob, MultiprocError> {
         let bytes = std::fs::read(path).map_err(|e| io_err("reading job file", e))?;
         let job = WorkerJob::from_wire(&bytes).and_then(|job| {
@@ -95,6 +97,15 @@ impl WorkerJob {
                 return Err(NetError::Malformed {
                     ty: "WorkerJob",
                     detail: format!("{} addresses for {machines} machines", job.data_addrs.len()),
+                });
+            }
+            if job.checkpoint_every > 0 && job.checkpoint_dir.is_empty() {
+                return Err(NetError::Malformed {
+                    ty: "WorkerJob",
+                    detail: format!(
+                        "checkpoints every {} supersteps but names no checkpoint directory",
+                        job.checkpoint_every
+                    ),
                 });
             }
             Ok(job)
@@ -733,7 +744,6 @@ mod tests {
             iterations: 3,
             converged: true,
             sim_time: 1.0,
-            counters: Default::default(),
             breakdown: Default::default(),
             history: Vec::new(),
             stats: Default::default(),
@@ -792,7 +802,6 @@ mod tests {
         out.iterations.encode(&mut once);
         out.converged.encode(&mut once);
         out.sim_time.encode(&mut once);
-        out.counters.encode(&mut once);
         out.stats.encode(&mut once);
         once.extend_from_slice(&breakdown);
         for (file, why) in [(trailing, "40 trailing bytes"), (once, "truncated")] {

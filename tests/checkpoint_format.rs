@@ -28,7 +28,7 @@ use lazygraph_engine::async_engine::AsyncPump;
 use lazygraph_engine::delta_engine::DeltaStep;
 use lazygraph_engine::exchange::Port;
 use lazygraph_engine::hybrid_engine::HybridStep;
-use lazygraph_engine::lazy_block::{LazyCarry, LazyCounters, LazyStep};
+use lazygraph_engine::lazy_block::{LazyCarry, LazyStep};
 use lazygraph_engine::lazy_vertex::LazyVertexPump;
 use lazygraph_engine::machine::{Frame, Superstep, Vote};
 use lazygraph_engine::metrics::StepRecord;
@@ -212,6 +212,15 @@ fn a_v13_file_is_a_bad_header() {
     assert_version_refused(13);
 }
 
+/// A v14 file — whose lazy carried records begin with the engine's own
+/// coherency points, sub-rounds and exchanges, and whose `StepRecord`s end
+/// at `carry` — is refused at the header, not resumed with an interval
+/// model decoded out of those counters.
+#[test]
+fn a_v14_file_is_a_bad_header() {
+    assert_version_refused(14);
+}
+
 /// A v7 file — the parent's whole-payload container: magic, version,
 /// chunk count — is refused at the header, not decoded as something else.
 #[test]
@@ -314,6 +323,11 @@ fn history_of(len: u64, bits: u64) -> Vec<StepRecord> {
                     ..Default::default()
                 },
                 carry: b.to_le_bytes()[..(b % 9) as usize].to_vec(),
+                counters: StatsSnapshot {
+                    edges_processed: b,
+                    local_subrounds: b >> 3,
+                    ..Default::default()
+                },
             }
         })
         .collect()
@@ -355,13 +369,9 @@ fn state_holding(vertices: &[VertexBits], rotate: usize, held: Held) -> MachineS
     }
 }
 
-fn counters(bits: u64) -> LazyCounters {
-    LazyCounters {
-        coherency_points: bits,
-        local_subrounds: bits >> 7,
-        a2a_exchanges: bits >> 13,
-        m2m_exchanges: bits >> 29,
-    }
+/// Carried bytes of some length: four words derived from `bits`.
+fn carried(bits: u64) -> Vec<u8> {
+    [bits, bits >> 7, bits >> 13, bits >> 29].iter().flat_map(Wire::to_wire).collect()
 }
 
 proptest! {
@@ -407,6 +417,7 @@ proptest! {
                 edges_processed: sums.3,
                 snapshot_bytes: u64::from(sums.0),
                 bucket_high_water: u64::from(sums.1),
+                local_subrounds: u64::from(sums.2),
                 ..Default::default()
             },
         };
@@ -437,7 +448,7 @@ proptest! {
             breakdown: SimBreakdown { compute: 0.5, comm: 0.25, barrier: 0.125, ..Default::default() },
             last_global: 0.75,
             // Carried bytes, so cuts land inside them too.
-            carry: counters(0x0123_4567_89ab_cdef).to_wire(),
+            carry: carried(0x0123_4567_89ab_cdef),
             held: ALL,
             counters: StatsSnapshot { applies: 0x0123_4567, ..Default::default() },
         };
@@ -478,7 +489,7 @@ fn every_damaged_snapshot_is_refused_or_restores_the_same_state() {
         clock: 2.5,
         breakdown: SimBreakdown { compute: 2.0, comm: 0.25, barrier: 0.125, ..Default::default() },
         last_global: 2.375,
-        carry: counters(77).to_wire(),
+        carry: carried(77),
         held: ALL,
         counters: StatsSnapshot::default(),
     };
@@ -736,9 +747,9 @@ fn a_carry_the_engine_cannot_decode_fails_the_resume() {
         (EngineKind::LazyBlockAsync, lazy_carry[..lazy_carry.len() - 1].to_vec()),
         (EngineKind::LazyBlockAsync, [&lazy_carry[..], &[0]].concat()),
         (EngineKind::LazyBlockAsync, bad_mode),
-        (EngineKind::DeltaAccum, counters(5).to_wire()[..31].to_vec()),
+        (EngineKind::DeltaAccum, vec![0]),
         (EngineKind::PowerGraphSync, vec![0]),
-        (EngineKind::LazyVertexAsync, counters(5).to_wire()[..31].to_vec()),
+        (EngineKind::LazyVertexAsync, vec![0]),
         (EngineKind::PowerSwitchHybrid, vec![]),
         (EngineKind::PowerGraphAsync, vec![1]),
     ];
@@ -938,6 +949,7 @@ fn live_state_law<P: VertexProgram, S: Superstep<P>>(
             let last = history.last().expect("a record a superstep");
             assert_eq!((history.len() as u64, last.superstep), (f.iterations, f.iterations), "{at}");
             assert_eq!(last.carry, header.carry, "{at}: the record holds the snapshot's carry");
+            assert_eq!(last.counters, header.counters.deterministic(), "{at}: and its counters");
             assert_same_state(&restored, &f.state, &at);
 
             seen.checkpoints += 1;

@@ -123,9 +123,6 @@ impl<P: VertexProgram> VertexProgram for Unordered<P> {
     fn reads_coherent(&self) -> bool {
         self.0.reads_coherent()
     }
-    fn idempotent(&self) -> bool {
-        self.0.idempotent()
-    }
     fn priority(&self, data: &P::VData, accum: &P::Delta) -> f64 {
         self.0.priority(data, accum)
     }
@@ -137,8 +134,8 @@ impl<P: VertexProgram> VertexProgram for Unordered<P> {
     }
 }
 
-/// One lazy-block superstep as a trace tells it, read off the carried
-/// records either side of it.
+/// One lazy-block superstep as a trace tells it, read off the records
+/// either side of it.
 pub struct LazySuperstep {
     pub superstep: u64,
     /// Whether lazy mode was on: the carry before it had `do_local` set.
@@ -151,7 +148,7 @@ pub struct LazySuperstep {
 
 /// A lazy-block trace's supersteps, decoded.
 pub fn lazy_supersteps(history: &[StepRecord]) -> Vec<LazySuperstep> {
-    let mut before = LazyCarry::default();
+    let (mut before, mut subrounds_before) = (LazyCarry::default(), 0);
     history
         .iter()
         .map(|r| {
@@ -159,10 +156,10 @@ pub fn lazy_supersteps(history: &[StepRecord]) -> Vec<LazySuperstep> {
             let step = LazySuperstep {
                 superstep: r.superstep,
                 lazy_on: before.do_local,
-                subrounds: carry.counters.local_subrounds - before.counters.local_subrounds,
+                subrounds: r.counters.local_subrounds - subrounds_before,
                 carry: carry.clone(),
             };
-            before = carry;
+            (before, subrounds_before) = (carry, r.counters.local_subrounds);
             step
         })
         .collect()

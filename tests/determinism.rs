@@ -317,7 +317,8 @@ fn ordered_local_stages_bitwise_identical_across_threads_transports_and_machines
 fn ordered_stages_match_their_golden() {
     /// A golden's six figures, each a field of the run's record: the
     /// values digest, the `sim_time` bits, `counters.edges_processed`,
-    /// `counters.applies`, `local_subrounds` and `coherency_points`.
+    /// `counters.applies`, `counters.local_subrounds` and
+    /// `counters.coherency_points`.
     type Golden = [u64; 6];
     fn check<P: VertexProgram + Copy>(g: &Graph, program: P, goldens: [Golden; 2]) {
         let name = program.name();
@@ -330,9 +331,13 @@ fn ordered_stages_match_their_golden() {
             let want = RunRecord {
                 values,
                 sim_time,
-                local_subrounds,
-                coherency_points,
-                counters: StatsSnapshot { edges_processed, applies, ..got.counters },
+                counters: StatsSnapshot {
+                    edges_processed,
+                    applies,
+                    local_subrounds,
+                    coherency_points,
+                    ..got.counters
+                },
                 ..got.clone()
             };
             assert_eq!(got, want, "{name} at {factor}·T moved off its golden");
@@ -391,13 +396,13 @@ fn assert_budgeted_stage_invariant<P: VertexProgram>(g: &Graph, program: &P) {
         assert!(withheld.converged, "{name}, machines={machines}: withheld");
         let (edges, withheld_edges) =
             (baseline.counters.edges_processed, withheld.counters.edges_processed);
+        let (subrounds, withheld_subrounds) =
+            (baseline.counters.local_subrounds, withheld.counters.local_subrounds);
         assert!(
-            baseline.local_subrounds < withheld.local_subrounds
+            subrounds < withheld_subrounds
                 && (edges < withheld_edges || (machines == 1 && edges == withheld_edges)),
-            "{name}, machines={machines}: budgeted {} sub-rounds over {edges} edges, \
-             withheld {} over {withheld_edges}",
-            baseline.local_subrounds,
-            withheld.local_subrounds,
+            "{name}, machines={machines}: budgeted {subrounds} sub-rounds over {edges} edges, \
+             withheld {withheld_subrounds} over {withheld_edges}",
         );
     }
 }
@@ -428,10 +433,10 @@ fn budgeted_local_stages_bitwise_identical_across_threads_transports_and_machine
     let fixpoint = (whole.values, whole.converged);
     assert_eq!(fixpoint, (cut.values, true), "the order changed the fixpoint");
     assert!(
-        cut.local_subrounds > whole.local_subrounds,
+        cut.counters.local_subrounds > whole.counters.local_subrounds,
         "no budgeted stage was cut: {} sub-rounds vs {}",
-        cut.local_subrounds,
-        whole.local_subrounds
+        cut.counters.local_subrounds,
+        whole.counters.local_subrounds
     );
 }
 

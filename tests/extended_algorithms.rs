@@ -95,9 +95,23 @@ fn history_recording_round_trip() {
 }
 
 /// The skeleton books the trace for every engine: one record a step — a
-/// superstep, or a barrier-free engine's round — numbered in order.
+/// superstep, or a barrier-free engine's round — numbered in order. And
+/// the trace ends where the counters end: on a converged run machine 0's
+/// last record holds the deterministic counters its machine returned, so
+/// nothing is counted after the last step and no record is a step behind.
 #[test]
 fn every_engine_books_one_record_a_step() {
+    fn check<P: VertexProgram>(g: &Graph, engine: EngineKind, program: &P) {
+        let mut cfg = EngineConfig::lazygraph().with_engine(engine);
+        cfg.record_history = true;
+        let m = run(g, 4, &cfg, program).expect("cluster run").metrics;
+        let at = format!("{} {}", engine.name(), program.name());
+        let supersteps: Vec<u64> = m.history.iter().map(|r| r.superstep).collect();
+        assert!(m.iterations > 0 && m.converged, "{at}");
+        assert_eq!(supersteps, (1..=m.iterations).collect::<Vec<u64>>(), "{at}");
+        let last = m.history.last().expect("a record a step");
+        assert_eq!(last.counters, m.per_machine[0].deterministic(), "{at}");
+    }
     let g = small_world(600, 3, 0.1, 45);
     for engine in [
         EngineKind::PowerGraphSync,
@@ -107,11 +121,7 @@ fn every_engine_books_one_record_a_step() {
         EngineKind::PowerSwitchHybrid,
         EngineKind::DeltaAccum,
     ] {
-        let mut cfg = EngineConfig::lazygraph().with_engine(engine);
-        cfg.record_history = true;
-        let m = run(&g, 4, &cfg, &PageRankDelta::default()).expect("cluster run").metrics;
-        let supersteps: Vec<u64> = m.history.iter().map(|r| r.superstep).collect();
-        assert!(m.iterations > 0, "{}", engine.name());
-        assert_eq!(supersteps, (1..=m.iterations).collect::<Vec<u64>>(), "{}", engine.name());
+        check(&g, engine, &PageRankDelta::default());
+        check(&g, engine, &Sssp::new(0u32));
     }
 }

@@ -257,7 +257,7 @@ fn lazy_block_recovers_bitwise_through_cut_short_ordered_stages() {
 
 /// Kill/resume inside early ordered stages: the victim dies in the
 /// supersteps of the 4th and the 5th coherency point, read off the
-/// trace's carried counters, where [`cut_short_ordered_stages`]' stages
+/// trace's counters, where [`cut_short_ordered_stages`]' stages
 /// are ordered (from `LOCAL_ORDER_FROM` on) and run sub-rounds. The
 /// snapshot taken after such a stage holds nothing of its cuts but the
 /// queue and the inboxes, and from them the resumed gang must repeat the
@@ -271,10 +271,10 @@ fn lazy_block_recovers_bitwise_inside_the_first_ordered_stages() {
     traced.record_history = true;
     let history = run(&g, 4, &traced, &sssp).expect("in-process run").metrics.history;
     let steps = common::lazy_supersteps(&history);
-    let kills: Vec<u64> = steps
+    let kills: Vec<u64> = history
         .iter()
-        .filter(|s| matches!(s.carry.counters.coherency_points, 4 | 5))
-        .map(|s| s.superstep)
+        .filter(|r| matches!(r.counters.coherency_points, 4 | 5))
+        .map(|r| r.superstep)
         .collect();
     assert_eq!(kills.len(), 2, "the run ended before its 5th coherency point");
     for s in steps.iter().filter(|s| kills.contains(&s.superstep)) {
@@ -346,7 +346,7 @@ fn lazy_block_recovers_bitwise_through_budgeted_stages_4_workers() {
 #[test]
 fn delta_recovers_bitwise_2_workers() {
     // Delta checkpoints carry `(value, delta)` state implicitly through
-    // the MachineState snapshot plus the engine's carried counters; the
+    // the MachineState snapshot plus the machine's counters; the
     // scheduler itself is stateless across epochs, so resume re-plans
     // from the restored state and must land on the oracle's bits.
     run_matrix(EngineKind::DeltaAccum, 2);

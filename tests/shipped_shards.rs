@@ -248,3 +248,23 @@ fn a_worker_refuses_a_job_whose_address_lists_do_not_cover_its_machines() {
         assert_worker_refuses(&dir, at, &counts);
     }
 }
+
+/// A job that asks for checkpoints must say where to write them: one with
+/// `checkpoint_every` above 0 and an empty `checkpoint_dir` used to run
+/// with recovery silently off. It is refused where the job is decoded.
+#[test]
+fn a_worker_refuses_a_job_that_checkpoints_into_no_directory() {
+    let dir = stage("nodir", TWO, |dg| dg.shards[0].to_wire());
+    let path = dir.join("job.bin");
+    let staged = WorkerJob::read(&path).expect("the staged job reads");
+    let job = WorkerJob { checkpoint_every: 2, ..staged };
+    std::fs::write(&path, job.to_wire()).expect("job file");
+    let refusal = "checkpoints every 2 supersteps but names no checkpoint directory";
+    match WorkerJob::read(&path) {
+        Err(MultiprocError::Decode(detail)) => {
+            assert!(detail.contains("job file") && detail.contains(refusal), "{detail}")
+        }
+        other => panic!("a job checkpointing nowhere was not a decode error: {other:?}"),
+    }
+    assert_worker_refuses(&dir, TWO, refusal);
+}
